@@ -1,29 +1,30 @@
-//! UDP data-plane throughput and latency: scalar vs batched vs coalesced.
+//! UDP data-plane throughput and latency: scalar vs coalesced.
 //!
-//! Two sections, comparing three verb/framing modes: `scalar` (one syscall
-//! per datagram, copying decode, `udp_batch = false`), `batched`
-//! (`sendmmsg`/`recvmmsg` in 32-datagram bursts, pooled zero-copy receive,
-//! one frame per datagram), and `coalesced` (batched verbs plus GSO-style
-//! frame packing: per-destination frames ride back-to-back in full
-//! datagrams out of the send-side buffer pool, unpacked GRO-style by the
-//! receiver's frame iterator):
+//! Two sections, comparing the transport's two verb sets: `scalar` (the
+//! `send` / `recv_timeout` verbs — one syscall and one datagram per frame,
+//! the per-frame baseline) and `coalesced` (the `send_batch` / `recv_batch`
+//! verbs — `sendmmsg`/`recvmmsg` bursts plus GSO-style frame packing:
+//! per-destination frames ride back-to-back in full datagrams out of the
+//! send-side buffer pool, unpacked GRO-style by the receiver's frame
+//! iterator). The batched-but-unpacked middle mode earlier snapshots
+//! carried was dominated by `coalesced` at RTT parity and is gone:
 //!
 //! 1. **Pump** — per thread count in {1, 2, 4}, each thread owns one socket
 //!    and self-loops 32-packet bursts through it (loopback delivery is
 //!    synchronous, so a burst is queued by the time the send returns) for
 //!    `live_measure_window()`; delivered MRPS is summed. Send+drain on one
 //!    thread keeps the measurement scheduler-independent — what's compared
-//!    is the per-packet CPU cost of the verb sets. The batched mode crosses
-//!    the kernel ~2 times per 32 datagrams where scalar pays 64; the
-//!    coalesced mode goes further and moves the whole burst as **one**
-//!    datagram (`frames_per_datagram` in the JSON records the realized
-//!    packing), so its margin tracks the host's per-datagram cost — both
-//!    the syscall boundary and the kernel's loopback queueing.
+//!    is the per-packet CPU cost of the verb sets. The coalesced mode
+//!    crosses the kernel ~2 times per 32 frames where scalar pays 64, and
+//!    moves the whole burst as **one** datagram (`frames_per_datagram` in
+//!    the JSON records the realized packing), so its margin tracks the
+//!    host's per-datagram cost — both the syscall boundary and the
+//!    kernel's loopback queueing.
 //! 2. **Echo RTT** — single in-flight request/reply against an echo server;
-//!    client p50/p99/p99.9 µs per mode. Batching and coalescing are
-//!    throughput levers, so the expectation here is parity, not speedup —
-//!    this section exists to show neither taxes the latency floor (with one
-//!    packet in flight a coalesced datagram carries exactly one frame).
+//!    client p50/p99/p99.9 µs per mode. Coalescing is a throughput lever,
+//!    so the expectation here is parity, not speedup — this section exists
+//!    to show it does not tax the latency floor (with one packet in flight
+//!    a coalesced datagram carries exactly one frame).
 //!
 //! A third section prices the observability layer: the same pump with a
 //! `harmonia-obs` recorder doing per-packet counter increments and
@@ -51,35 +52,26 @@ type Pkt = Packet<u64>;
 
 const BURST: usize = 32;
 
+/// Which of the endpoint's two verb sets the loop under test drives.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Scalar,
-    Batched,
     Coalesced,
 }
 
-const MODES: [Mode; 3] = [Mode::Scalar, Mode::Batched, Mode::Coalesced];
+const MODES: [Mode; 2] = [Mode::Scalar, Mode::Coalesced];
 
 impl Mode {
     fn name(self) -> &'static str {
         match self {
             Mode::Scalar => "scalar",
-            Mode::Batched => "batched",
             Mode::Coalesced => "coalesced",
         }
     }
 
+    /// Whether this mode drives the batch verbs.
     fn batched(self) -> bool {
-        !matches!(self, Mode::Scalar)
-    }
-
-    fn coalesced(self) -> bool {
-        matches!(self, Mode::Coalesced)
-    }
-
-    fn apply(self, t: &mut UdpTransport<u64>) {
-        t.set_batched(self.batched());
-        t.set_coalesced(self.coalesced());
+        self == Mode::Coalesced
     }
 }
 
@@ -115,7 +107,6 @@ fn pump(pairs: usize, mode: Mode, window: Duration, obs: Option<&Registry>) -> P
     for i in 0..pairs {
         let book = Arc::new(AddrBook::new());
         let mut t = UdpTransport::<u64>::bind(Arc::clone(&book)).expect("bind pump socket");
-        mode.apply(&mut t);
         let me = NodeId::Replica(ReplicaId(i as u32));
         book.register(me, t.local_addr());
 
@@ -213,7 +204,6 @@ fn echo_rtt(mode: Mode, samples: usize) -> Vec<f64> {
     let book = Arc::new(AddrBook::new());
     let mut server = UdpTransport::<u64>::bind(Arc::clone(&book)).expect("bind server");
     let mut client = UdpTransport::<u64>::bind(Arc::clone(&book)).expect("bind client");
-    mode.apply(&mut client);
     let srv = NodeId::Replica(ReplicaId(0));
     let cli = NodeId::Client(ClientId(9));
     book.register(srv, server.local_addr());
@@ -311,25 +301,25 @@ struct LatRow {
 }
 
 fn write_json(pumps: &[PumpResult], lats: &[LatRow], obs: &ObsOverhead, window: Duration) {
-    // Schema 3: adds the shared-writer host preamble and the `obs_overhead`
-    // section pricing the harmonia-obs recorder on the packet path.
+    // Schema 4: the `batched` (burst syscalls, one frame per datagram) rows
+    // and ratios are gone with the mode itself; `speedup` keeps
+    // `coalesced_over_scalar`.
     let mut snap = Snapshot::new(
         "udp_dataplane",
-        3,
+        4,
         "Loopback UDP data plane: scalar verbs vs sendmmsg/recvmmsg bursts \
-         vs GSO/GRO-style frame coalescing with a zero-copy send pool",
+         with GSO/GRO-style frame coalescing and a zero-copy send pool",
     );
     snap.raw("window_ms", window.as_millis());
     snap.raw("mmsg_accelerated", mmsg::accelerated());
     // Kernel crossings per packet in the pump's send+drain loop: the scalar
     // verbs pay one send_to and one recv per packet; the batch verbs pay
-    // one sendmmsg and one recvmmsg per 32-packet burst; the coalesced mode
-    // moves the whole single-destination burst as one datagram.
+    // one sendmmsg and one recvmmsg per 32-packet burst, which moves as one
+    // single-destination datagram.
     snap.raw(
         "syscalls_per_packet",
         format!(
-            "{{ \"scalar\": 2.0, \"batched\": {:.4}, \"coalesced\": {:.4} }}",
-            2.0 / BURST as f64,
+            "{{ \"scalar\": 2.0, \"coalesced\": {:.4} }}",
             2.0 / BURST as f64
         ),
     );
@@ -360,17 +350,10 @@ fn write_json(pumps: &[PumpResult], lats: &[LatRow], obs: &ObsOverhead, window: 
         .iter()
         .filter_map(|pairs| {
             let find = |mode: Mode| pumps.iter().find(|r| r.pairs == *pairs && r.mode == mode);
-            let (s, b, c) = (
-                find(Mode::Scalar)?,
-                find(Mode::Batched)?,
-                find(Mode::Coalesced)?,
-            );
+            let (s, c) = (find(Mode::Scalar)?, find(Mode::Coalesced)?);
             Some(format!(
-                "{{ \"pairs\": {}, \"batched_over_scalar\": {:.3}, \
-                 \"coalesced_over_batched\": {:.3}, \"coalesced_over_scalar\": {:.3} }}",
+                "{{ \"pairs\": {}, \"coalesced_over_scalar\": {:.3} }}",
                 pairs,
-                b.mrps() / s.mrps(),
-                c.mrps() / b.mrps(),
                 c.mrps() / s.mrps()
             ))
         })
@@ -431,10 +414,10 @@ fn main() {
         })
         .collect();
     print_table(
-        "UDP pump: delivered throughput, scalar vs batched vs coalesced",
-        "batched at or above scalar with 32x fewer kernel crossings; \
-         coalesced above batched by packing the whole burst into one \
-         datagram (frames/dgram ~32 here). Pool hit rates ~1.0 once warm",
+        "UDP pump: delivered throughput, scalar vs coalesced",
+        "coalesced several times scalar: 32x fewer kernel crossings and the \
+         whole burst packed into one datagram (frames/dgram ~32 here). \
+         Pool hit rates ~1.0 once warm",
         &[
             "pairs",
             "mode",
@@ -465,8 +448,8 @@ fn main() {
         .collect();
     print_table(
         "UDP echo RTT: single in-flight request/reply",
-        "tens of µs on loopback; batched and coalesced within noise of \
-         scalar (throughput levers must not tax the latency floor)",
+        "tens of µs on loopback; coalesced within noise of scalar (a \
+         throughput lever must not tax the latency floor)",
         &["mode", "p50", "p99", "p99.9"],
         &lat_rows,
     );

@@ -3,7 +3,9 @@
 //!
 //! Both clients speak the Harmonia packet format and address the switch;
 //! they never know which replica serves them — that is the whole point of
-//! the architecture (§4).
+//! the architecture (§4). What a reply *means* (quorums, rejections, retry
+//! budgets) is the `client_core` module's business; the actors here only move
+//! packets and virtual time.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -11,11 +13,12 @@ use bytes::Bytes;
 use harmonia_obs::{Counter, Recorder, Series, TraceStage};
 use harmonia_sim::{Actor, Context, TimerToken};
 use harmonia_types::{
-    ClientId, ClientRequest, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody, ReplicaId,
-    RequestId, TraceId, WriteOutcome,
+    ClientId, ClientRequest, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody, RequestId,
+    TraceId,
 };
 use rand::rngs::SmallRng;
 
+use crate::client_core::{ClientCore, ReplyTally, Step, Tally};
 use crate::msg::Msg;
 
 /// One operation to issue.
@@ -45,6 +48,20 @@ impl OpSpec {
             kind: OpKind::Write,
             key: key.into(),
             value: Some(value.into()),
+        }
+    }
+
+    /// This operation as `client`'s request `rid`. Key and value move by
+    /// refcount, so building one per attempt copies nothing.
+    pub(crate) fn request(&self, client: ClientId, rid: RequestId) -> ClientRequest {
+        match self.kind {
+            OpKind::Read => ClientRequest::read(client, rid, self.key.clone()),
+            OpKind::Write => ClientRequest::write(
+                client,
+                rid,
+                self.key.clone(),
+                self.value.clone().unwrap_or_default(),
+            ),
         }
     }
 }
@@ -94,9 +111,7 @@ struct PendingReq {
     sent: Instant,
     kind: OpKind,
     obj: ObjectId,
-    /// Distinct replicas that have replied (multi-reply protocols count a
-    /// write complete only after a quorum of distinct repliers).
-    repliers: Vec<ReplicaId>,
+    tally: ReplyTally,
 }
 
 /// Fire-and-record load generator. Requests are emitted at a fixed rate
@@ -184,15 +199,7 @@ impl OpenLoopClient {
         let rid = self.next_request;
         self.next_request += 1;
         let obj = ObjectId::from_key(&spec.key);
-        let req = match spec.kind {
-            OpKind::Read => ClientRequest::read(self.id, RequestId(rid), spec.key),
-            OpKind::Write => ClientRequest::write(
-                self.id,
-                RequestId(rid),
-                spec.key,
-                spec.value.unwrap_or_default(),
-            ),
-        };
+        let req = spec.request(self.id, RequestId(rid));
         ctx.metrics().incr(match spec.kind {
             OpKind::Read => metrics::READ_SENT,
             OpKind::Write => metrics::WRITE_SENT,
@@ -214,7 +221,7 @@ impl OpenLoopClient {
                 sent: ctx.now(),
                 kind: spec.kind,
                 obj,
-                repliers: Vec::new(),
+                tally: ReplyTally::new(spec.kind, self.cfg.write_replies),
             },
         );
         let dst = self.cfg.switch;
@@ -291,22 +298,12 @@ impl Actor<Msg> for OpenLoopClient {
             });
             return;
         };
-        if reply.write_outcome == Some(WriteOutcome::Rejected)
-            || reply.write_outcome == Some(WriteOutcome::DroppedBySwitch)
-        {
+        let tally = p.tally.count(&reply);
+        if tally == Tally::Rejected {
             ctx.metrics().incr(metrics::WRITE_REJECTED);
             self.recorder.incr(Counter::WritesRejected);
             self.pending.remove(&rid);
-            return;
-        }
-        if !p.repliers.contains(&reply.from) {
-            p.repliers.push(reply.from);
-        }
-        let needed = match p.kind {
-            OpKind::Read => 1,
-            OpKind::Write => self.cfg.write_replies,
-        };
-        if p.repliers.len() >= needed {
+        } else if tally == Tally::Complete {
             let latency = ctx.now().since(p.sent);
             let (done, hist, obs_done, obs_series) = match p.kind {
                 OpKind::Read => (
@@ -365,67 +362,46 @@ pub struct RecordedOp {
     pub ok: bool,
 }
 
-enum Phase {
-    Inflight(Current),
-    Idle,
-    Done,
-}
-
-struct Current {
-    spec: OpSpec,
-    rid: u64,
-    attempt: u32,
-    invoked: Instant,
-    /// Distinct replicas that have replied to this operation, carried
-    /// across retries (which reuse the request id): a late original reply
-    /// plus a deduplicated re-send must not count as two acknowledgements.
-    repliers: Vec<ReplicaId>,
-    timer: TimerToken,
-}
-
 /// Issues a fixed plan of operations one at a time, retrying on rejection
-/// and timeout, and records a history for the linearizability checker.
+/// and timeout, and records a history for the linearizability checker. A
+/// shell over the crate's `ClientCore`: this actor sends what the core says
+/// to send and arms one virtual-time timer per attempt.
 pub struct ClosedLoopClient {
-    id: ClientId,
+    core: ClientCore,
     switch: NodeId,
-    write_replies: usize,
     timeout: Duration,
-    max_attempts: u32,
     plan: VecDeque<OpSpec>,
-    phase: Phase,
+    /// The current attempt's timer; older tokens are stale and ignored.
+    timer: Option<TimerToken>,
+    done: bool,
     /// Completed operations in invocation order.
     pub records: Vec<RecordedOp>,
-    next_request: u64,
-    recorder: Recorder,
 }
 
 impl ClosedLoopClient {
     /// Build a client that will execute `plan` then stop.
     pub fn new(id: ClientId, switch: NodeId, plan: Vec<OpSpec>) -> Self {
         ClosedLoopClient {
-            id,
+            core: ClientCore::new(id, 1, 10, Recorder::detached()),
             switch,
-            write_replies: 1,
             timeout: Duration::from_millis(5),
-            max_attempts: 10,
             plan: plan.into(),
-            phase: Phase::Idle,
+            timer: None,
+            done: false,
             records: Vec::new(),
-            next_request: 0,
-            recorder: Recorder::detached(),
         }
     }
 
     /// Attach an observability recorder (counters, latency histograms,
     /// request traces).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.core.recorder = recorder;
         self
     }
 
     /// Quorum size for write completion (NOPaxos).
     pub fn with_write_replies(mut self, n: usize) -> Self {
-        self.write_replies = n;
+        self.core.write_replies = n;
         self
     }
 
@@ -437,7 +413,7 @@ impl ClosedLoopClient {
 
     /// True once the whole plan has run.
     pub fn is_done(&self) -> bool {
-        matches!(self.phase, Phase::Done)
+        self.done
     }
 
     /// Redirect traffic (switch replacement, §5.3).
@@ -445,130 +421,43 @@ impl ClosedLoopClient {
         self.switch = switch;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn send_current(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        spec: OpSpec,
-        rid: u64,
-        attempt: u32,
-        invoked: Instant,
-        repliers: Vec<ReplicaId>,
-    ) {
-        let req = match spec.kind {
-            OpKind::Read => ClientRequest::read(self.id, RequestId(rid), spec.key.clone()),
-            OpKind::Write => ClientRequest::write(
-                self.id,
-                RequestId(rid),
-                spec.key.clone(),
-                spec.value.clone().unwrap_or_default(),
-            ),
-        };
+    /// Send one attempt, then arm its timer — in that order: same-seed
+    /// replays are compared event for event.
+    fn transmit(&mut self, ctx: &mut Context<'_, Msg>, req: ClientRequest) {
         let dst = self.switch;
         ctx.send(
             dst,
-            Msg::new(NodeId::Client(self.id), dst, PacketBody::Request(req)),
+            Msg::new(self.core.node(), dst, PacketBody::Request(req)),
         );
-        if attempt == 1 {
-            self.recorder.incr(match spec.kind {
-                OpKind::Read => Counter::ReadsSent,
-                OpKind::Write => Counter::WritesSent,
-            });
-        } else {
-            self.recorder.incr(Counter::Retries);
-        }
-        self.recorder.trace_at(
-            ctx.now(),
-            NodeId::Client(self.id),
-            TraceId::new(self.id, RequestId(rid)),
-            ObjectId::from_key(&spec.key),
-            if attempt == 1 {
-                TraceStage::ClientSend
-            } else {
-                TraceStage::ClientRetry
-            },
-        );
-        let timer = ctx.set_timer(self.timeout);
-        self.phase = Phase::Inflight(Current {
-            spec,
-            rid,
-            attempt,
-            invoked,
-            repliers,
-            timer,
-        });
+        self.timer = Some(ctx.set_timer(self.timeout));
     }
 
     fn issue_next(&mut self, ctx: &mut Context<'_, Msg>) {
         match self.plan.pop_front() {
             Some(spec) => {
-                let now = ctx.now();
-                // One request id per logical operation: retries REUSE it so
-                // the exactly-once session layer can deduplicate
-                // re-executions and re-send cached replies.
-                let rid = self.next_request;
-                self.next_request += 1;
-                self.send_current(ctx, spec, rid, 1, now, Vec::new());
+                let req = self.core.begin(ctx.now(), spec);
+                self.transmit(ctx, req);
             }
-            None => self.phase = Phase::Done,
+            None => self.done = true,
         }
     }
 
-    fn complete(&mut self, ctx: &mut Context<'_, Msg>, result: Option<Bytes>, ok: bool) {
-        let Phase::Inflight(cur) = std::mem::replace(&mut self.phase, Phase::Idle) else {
-            return;
-        };
-        let obj = ObjectId::from_key(&cur.spec.key);
-        if ok {
-            let latency = ctx.now().since(cur.invoked);
-            let (done, series) = match cur.spec.kind {
-                OpKind::Read => (Counter::ReadsDone, Series::ReadLatency),
-                OpKind::Write => (Counter::WritesDone, Series::WriteLatency),
-            };
-            self.recorder.incr(done);
-            self.recorder.observe(series, latency);
-        } else {
-            self.recorder.incr(Counter::Timeouts);
-        }
-        self.recorder.trace_at(
-            ctx.now(),
-            NodeId::Client(self.id),
-            TraceId::new(self.id, RequestId(cur.rid)),
-            obj,
-            if ok {
-                TraceStage::ClientDone
-            } else {
-                TraceStage::ClientTimeout
-            },
-        );
-        self.records.push(RecordedOp {
-            kind: cur.spec.kind,
-            key: cur.spec.key.clone(),
-            value: cur.spec.value.clone(),
-            invoked: cur.invoked,
-            completed: ctx.now(),
-            result,
-            ok,
-        });
-        self.issue_next(ctx);
-    }
-
-    fn retry(&mut self, ctx: &mut Context<'_, Msg>) {
-        let Phase::Inflight(cur) = std::mem::replace(&mut self.phase, Phase::Idle) else {
-            return;
-        };
-        if cur.attempt >= self.max_attempts {
-            self.phase = Phase::Inflight(cur);
-            self.complete(ctx, None, false);
-        } else {
-            self.send_current(
-                ctx,
-                cur.spec,
-                cur.rid,
-                cur.attempt + 1,
-                cur.invoked,
-                cur.repliers,
-            );
+    fn apply(&mut self, ctx: &mut Context<'_, Msg>, step: Option<Step>) {
+        match step {
+            None => {}
+            Some(Step::Retry(req)) => self.transmit(ctx, req),
+            Some(Step::Done(op)) => {
+                self.records.push(RecordedOp {
+                    kind: op.spec.kind,
+                    key: op.spec.key,
+                    value: op.spec.value,
+                    invoked: op.invoked,
+                    completed: ctx.now(),
+                    result: op.result,
+                    ok: op.ok,
+                });
+                self.issue_next(ctx);
+            }
         }
     }
 }
@@ -579,39 +468,16 @@ impl Actor<Msg> for ClosedLoopClient {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-        let PacketBody::Reply(reply) = msg.body else {
-            return;
-        };
-        let Phase::Inflight(cur) = &mut self.phase else {
-            return;
-        };
-        if reply.request.0 != cur.rid {
-            return; // reply to an abandoned attempt
-        }
-        if reply.write_outcome == Some(WriteOutcome::Rejected)
-            || reply.write_outcome == Some(WriteOutcome::DroppedBySwitch)
-        {
-            self.recorder.incr(Counter::WritesRejected);
-            self.retry(ctx);
-            return;
-        }
-        if !cur.repliers.contains(&reply.from) {
-            cur.repliers.push(reply.from);
-        }
-        let needed = match cur.spec.kind {
-            OpKind::Read => 1,
-            OpKind::Write => self.write_replies,
-        };
-        if cur.repliers.len() >= needed {
-            self.complete(ctx, reply.value, true);
+        if let PacketBody::Reply(reply) = msg.body {
+            let step = self.core.on_reply(ctx.now(), reply);
+            self.apply(ctx, step);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: TimerToken) {
-        if let Phase::Inflight(cur) = &self.phase {
-            if cur.timer == token {
-                self.retry(ctx);
-            }
+        if self.timer == Some(token) {
+            let step = self.core.on_timeout(ctx.now());
+            self.apply(ctx, step);
         }
     }
 }
@@ -620,7 +486,7 @@ impl Actor<Msg> for ClosedLoopClient {
 mod tests {
     use super::*;
     use harmonia_sim::{LinkConfig, NetworkModel, Service, World, WorldConfig};
-    use harmonia_types::{ClientReply, ObjectId, ReplicaId, SwitchId};
+    use harmonia_types::{ClientReply, ObjectId, ReplicaId, SwitchId, WriteOutcome};
 
     const SWITCH: NodeId = NodeId::Switch(SwitchId(1));
     const CLIENT: NodeId = NodeId::Client(ClientId(7));

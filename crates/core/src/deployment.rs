@@ -29,26 +29,26 @@
 
 use bytes::Bytes;
 use harmonia_obs::{FaultObs, GroupObs, ObsSnapshot, Registry, SwitchObs, TraceEvent};
-use harmonia_replication::messages::{ProtocolMsg, ReplicaControlMsg};
 use harmonia_replication::{build_replica, GroupConfig, ProtocolKind};
 use harmonia_sim::{Actor, Context, LinkConfig, NetworkModel, World, WorldConfig};
 use harmonia_switch::{GroupId, SpineView, SwitchStats, TableConfig};
 use harmonia_types::{
-    ClientId, ClientReply, ClientRequest, ControlMsg, Duration, Instant, NodeId, OpKind,
-    PacketBody, ReplicaId, RequestId, SwitchId, WriteOutcome,
+    ClientId, ClientReply, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId,
 };
 use harmonia_workload::ShardMap;
 
 use crate::client::{
     ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, RecordedOp, SourceFn,
 };
-use crate::live::{LiveCluster, LiveError};
+use crate::client_core::{ClientCore, Step};
+use crate::failover;
+use crate::live::{LiveCluster, LiveError, CLIENT_ATTEMPTS};
 use crate::msg::{CostModel, Msg};
 use crate::replica_actor::ReplicaActor;
 use crate::switch_actor::{SwitchActor, SwitchActorConfig, SwitchMode};
 use crate::udp::UdpCluster;
 
-/// Full description of a Harmonia deployment, for either driver.
+/// Full description of a Harmonia deployment, for any driver.
 ///
 /// Unsharded (rack-scale, Figure 1) is literally [`groups(1)`](Self::groups)
 /// — the default. The §6.3 cloud-scale deployment is the same spec with
@@ -95,17 +95,6 @@ pub struct DeploymentSpec {
     pub sync_interval: Duration,
     /// Switch stale-entry sweep cadence (`None` disables the sweep).
     pub sweep_interval: Option<Duration>,
-    /// Whether the UDP driver's endpoints use the batched
-    /// `sendmmsg`/`recvmmsg` fast path (ignored by the sim and channel
-    /// drivers). On by default; the `udp_dataplane` bench turns it off to
-    /// measure the scalar baseline.
-    pub udp_batch: bool,
-    /// Whether the UDP driver's batched send path coalesces multiple wire
-    /// frames into each datagram (GSO/GRO-style; ignored by the sim and
-    /// channel drivers, and moot when `udp_batch` is off). On by default;
-    /// off keeps the faithful one-frame-per-datagram baseline runnable —
-    /// the `udp_dataplane` bench measures both.
-    pub udp_coalesce: bool,
 }
 
 impl Default for DeploymentSpec {
@@ -121,8 +110,6 @@ impl Default for DeploymentSpec {
             link: LinkConfig::ideal(Duration::from_micros(5)),
             sync_interval: Duration::from_micros(200),
             sweep_interval: Some(Duration::from_millis(1)),
-            udp_batch: true,
-            udp_coalesce: true,
         }
     }
 }
@@ -198,21 +185,6 @@ impl DeploymentSpec {
     /// Set (or disable) the switch stale-entry sweep cadence.
     pub fn sweep_interval(mut self, interval: Option<Duration>) -> Self {
         self.sweep_interval = interval;
-        self
-    }
-
-    /// Toggle the UDP driver's batched-syscall fast path (on by default).
-    /// Only the `udp_dataplane` bench should need the scalar baseline.
-    pub fn udp_batch(mut self, on: bool) -> Self {
-        self.udp_batch = on;
-        self
-    }
-
-    /// Toggle GSO/GRO-style frame coalescing on the UDP driver's batched
-    /// send path (on by default). Off, every frame rides its own datagram
-    /// — the per-frame baseline the `udp_dataplane` bench compares against.
-    pub fn udp_coalesce(mut self, on: bool) -> Self {
-        self.udp_coalesce = on;
         self
     }
 
@@ -332,7 +304,7 @@ impl DeploymentSpec {
         SwitchActor::for_deployment(self, incarnation)
     }
 
-    // ----- the two drivers ------------------------------------------------
+    // ----- the three drivers ----------------------------------------------
 
     /// Assemble this deployment in the deterministic simulator.
     pub fn build_sim(&self) -> SimCluster {
@@ -659,13 +631,16 @@ impl Cluster for SimCluster {
                 replies: Vec::new(),
             }),
         );
+        let core = ClientCore::new(
+            id,
+            self.spec.write_replies(),
+            CLIENT_ATTEMPTS,
+            self.registry.handle(),
+        );
         Box::new(SimClient {
             cluster: self,
-            id,
-            node,
-            next_request: 0,
+            core,
             timeout: Duration::from_millis(20),
-            retries: 5,
         })
     }
 
@@ -675,128 +650,31 @@ impl Cluster for SimCluster {
 
     fn replace_switch(&mut self, new_id: SwitchId) {
         self.world.set_down(self.switch);
-        let new_addr = NodeId::Switch(new_id);
         let mut replacement = self.spec.make_switch(new_id);
         replacement.set_recorder(&self.registry.handle());
-        self.world.add_node(new_addr, Box::new(replacement));
-        // Configuration service: move the lease (replicas reject fast-path
-        // reads from older incarnations from now on).
-        for r in 0..self.spec.total_replicas() as u32 {
-            let dst = NodeId::Replica(ReplicaId(r));
-            self.world.inject(
-                NodeId::Controller,
-                dst,
-                Msg::new(
-                    NodeId::Controller,
-                    dst,
-                    PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetActiveSwitch(
-                        new_id,
-                    ))),
-                ),
-            );
-        }
-        // Clients learn the replacement out of band (harness affordance —
-        // in a deployment this is the same L2 address).
-        for &c in &self.workload_clients {
-            if let Some(cl) = self.world.actor_mut::<OpenLoopClient>(c) {
-                cl.set_switch(new_addr);
-            } else if let Some(cl) = self.world.actor_mut::<ClosedLoopClient>(c) {
-                cl.set_switch(new_addr);
-            }
-        }
-        self.switch = new_addr;
+        self.switch = failover::activate_switch(
+            &mut self.world,
+            &self.spec,
+            replacement,
+            &self.workload_clients,
+        );
     }
 
     fn kill_replica(&mut self, r: ReplicaId) {
-        self.world.set_down(NodeId::Replica(r));
-        self.world.inject(
-            NodeId::Controller,
-            self.switch,
-            Msg::new(
-                NodeId::Controller,
-                self.switch,
-                PacketBody::Control(ControlMsg::RemoveReplica(r)),
-            ),
-        );
-        let members = self.spec.group_members(self.spec.group_of_replica(r));
-        let survivors: Vec<ReplicaId> = members.into_iter().filter(|&m| m != r).collect();
-        for &s in &survivors {
-            let dst = NodeId::Replica(s);
-            self.world.inject(
-                NodeId::Controller,
-                dst,
-                Msg::new(
-                    NodeId::Controller,
-                    dst,
-                    PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetMembers(
-                        survivors.clone(),
-                    ))),
-                ),
-            );
-        }
+        failover::remove_replica(&mut self.world, &self.spec, self.switch, r);
         // Let the removal land before the caller's next operation.
         let settle = self.world.now() + Duration::from_micros(100);
         self.world.run_until(settle);
     }
 
     fn restart_replica(&mut self, r: ReplicaId) {
-        let group = self.spec.group_of_replica(r);
-        let canonical = self.spec.group_members(group);
-        let idx = canonical
-            .iter()
-            .position(|&m| m == r)
-            .expect("replica belongs to its group");
-        let peer = canonical
-            .iter()
-            .copied()
-            .find(|&m| m != r)
-            .expect("restart_replica needs a live peer to transfer from");
-        // Switch first: restore the canonical table with the newcomer
-        // gated, then the survivors' membership, so no read reaches `r`
-        // before its catch-up finishes.
-        for ctl in [
-            ControlMsg::SetReplicas(canonical.clone()),
-            ControlMsg::GateReplica(r),
-        ] {
-            self.world.inject(
-                NodeId::Controller,
-                self.switch,
-                Msg::new(NodeId::Controller, self.switch, PacketBody::Control(ctl)),
-            );
-        }
-        for &m in &canonical {
-            if m == r {
-                continue;
-            }
-            let dst = NodeId::Replica(m);
-            self.world.inject(
-                NodeId::Controller,
-                dst,
-                Msg::new(
-                    NodeId::Controller,
-                    dst,
-                    PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetMembers(
-                        canonical.clone(),
-                    ))),
-                ),
-            );
-        }
+        let newcomer = failover::readmit_replica(&mut self.world, &self.spec, self.switch, r)
+            .with_recorder(self.registry.handle());
         // Let the gate land before the newcomer's transfer can complete.
         let settle = self.world.now() + Duration::from_micros(100);
         self.world.run_until(settle);
-        let mut cfg = self.spec.group_config(group, idx);
-        // The newcomer must report its catch-up to the *current* switch
-        // incarnation, not the one the deployment booted with.
-        if let Some(cur) = self.switch_incarnation() {
-            cfg.active_switch = cur;
-        }
-        self.world.replace_node(
-            NodeId::Replica(r),
-            Box::new(
-                ReplicaActor::recovering(build_replica(cfg), self.spec.costs, peer)
-                    .with_recorder(self.registry.handle()),
-            ),
-        );
+        self.world
+            .replace_node(NodeId::Replica(r), Box::new(newcomer));
     }
 
     fn switch_stats(&self) -> Option<SwitchStats> {
@@ -908,106 +786,64 @@ impl Actor<Msg> for SimMailbox {
     }
 }
 
-/// The simulated [`KvClient`]: each operation injects a request and advances
-/// virtual time until enough replies arrive (or the virtual timeout passes,
-/// then retries — the same envelope as the live client, under virtual time).
+/// The simulated [`KvClient`]: a shell over [`ClientCore`] that injects
+/// each attempt and advances virtual time until the core says the operation
+/// is over — the same envelope as the live client, under virtual time.
 struct SimClient<'a> {
     cluster: &'a mut SimCluster,
-    id: ClientId,
-    node: NodeId,
-    next_request: u64,
+    core: ClientCore,
     timeout: Duration,
-    retries: u32,
 }
 
 impl SimClient<'_> {
-    fn run_op(
-        &mut self,
-        kind: OpKind,
-        key: Bytes,
-        value: Option<Bytes>,
-    ) -> Result<Option<Bytes>, LiveError> {
-        // One request id per logical operation, reused across retries, so
-        // the replicas' exactly-once session layer dedups re-executions —
-        // the same contract as `LiveClient` and the closed-loop client.
-        let rid = RequestId(self.next_request);
-        self.next_request += 1;
-        for _attempt in 0..=self.retries {
-            let req = match kind {
-                OpKind::Read => ClientRequest::read(self.id, rid, key.clone()),
-                OpKind::Write => ClientRequest::write(
-                    self.id,
-                    rid,
-                    key.clone(),
-                    value.clone().unwrap_or_default(),
-                ),
-            };
+    fn run_op(&mut self, spec: OpSpec) -> Result<Option<Bytes>, LiveError> {
+        let me = self.core.node();
+        let mut req = self.core.begin(self.cluster.world.now(), spec);
+        loop {
             let switch = self.cluster.switch;
-            self.cluster.world.inject(
-                self.node,
-                switch,
-                Msg::new(self.node, switch, PacketBody::Request(req)),
-            );
-            if let Some(result) = self.await_replies(kind, rid) {
-                return Ok(result);
-            }
-            // timed out or rejected: retry
+            self.cluster
+                .world
+                .inject(me, switch, Msg::new(me, switch, PacketBody::Request(req)));
+            req = match self.await_step() {
+                Step::Retry(again) => again,
+                Step::Done(op) if op.ok => return Ok(op.result),
+                Step::Done(_) => return Err(LiveError::TimedOut),
+            };
         }
-        Err(LiveError::TimedOut)
     }
 
-    /// Advance virtual time until enough replies to `rid` arrive.
-    /// `Some(v)` = completed, `None` = retry-worthy failure. Write quorums
-    /// count *distinct repliers*: retries reuse the request id, so a late
-    /// original reply plus a deduplicated re-send must not count twice.
-    fn await_replies(&mut self, kind: OpKind, rid: RequestId) -> Option<Option<Bytes>> {
-        let needed = match kind {
-            OpKind::Read => 1,
-            OpKind::Write => self.cluster.spec.write_replies(),
-        };
-        let deadline = self.cluster.world.now() + self.timeout;
-        let mut repliers: Vec<ReplicaId> = Vec::new();
-        let mut result = None;
-        while self.cluster.world.now() < deadline {
-            let step = (self.cluster.world.now() + Duration::from_micros(50)).min(deadline);
-            self.cluster.world.run_until(step);
-            let mailbox = self
-                .cluster
-                .world
-                .actor_mut::<SimMailbox>(self.node)
+    /// Advance virtual time in 50 µs slices, feeding the mailbox to the
+    /// core, until it decides or the attempt's virtual deadline passes.
+    fn await_step(&mut self) -> Step {
+        let world = &mut self.cluster.world;
+        let deadline = world.now() + self.timeout;
+        while world.now() < deadline {
+            let slice = (world.now() + Duration::from_micros(50)).min(deadline);
+            world.run_until(slice);
+            let mailbox = world
+                .actor_mut::<SimMailbox>(self.core.node())
                 .expect("mailbox exists");
-            for reply in std::mem::take(&mut mailbox.replies) {
-                if reply.request != rid {
-                    continue; // stale reply from an earlier operation
-                }
-                match reply.write_outcome {
-                    Some(WriteOutcome::Rejected) | Some(WriteOutcome::DroppedBySwitch) => {
-                        return None;
-                    }
-                    _ => {}
-                }
-                if reply.value.is_some() {
-                    result = reply.value;
-                }
-                if !repliers.contains(&reply.from) {
-                    repliers.push(reply.from);
-                }
-                if repliers.len() >= needed {
-                    return Some(result);
+            let replies = std::mem::take(&mut mailbox.replies);
+            let now = world.now();
+            for reply in replies {
+                if let Some(step) = self.core.on_reply(now, reply) {
+                    return step;
                 }
             }
         }
-        None
+        self.core
+            .on_timeout(world.now())
+            .expect("an operation is in flight")
     }
 }
 
 impl KvClient for SimClient<'_> {
     fn get_bytes(&mut self, key: Bytes) -> Result<Option<Bytes>, LiveError> {
-        self.run_op(OpKind::Read, key, None)
+        self.run_op(OpSpec::read(key))
     }
 
     fn set_bytes(&mut self, key: Bytes, value: Bytes) -> Result<(), LiveError> {
-        self.run_op(OpKind::Write, key, Some(value)).map(|_| ())
+        self.run_op(OpSpec::write(key, value)).map(|_| ())
     }
 }
 

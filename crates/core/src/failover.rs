@@ -22,14 +22,76 @@
 //!
 //! [`ConflictDetector`]: harmonia_switch::ConflictDetector
 
-use harmonia_replication::{build_replica, messages::ReplicaControlMsg, ProtocolMsg};
+use harmonia_replication::build_replica;
 use harmonia_sim::World;
-use harmonia_types::{ControlMsg, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
+use harmonia_types::{Duration, Instant, NodeId, ReplicaId, SwitchId};
 
 use crate::client::{ClosedLoopClient, OpenLoopClient};
+use crate::control::{self, Script};
 use crate::deployment::DeploymentSpec;
 use crate::msg::Msg;
 use crate::replica_actor::ReplicaActor;
+use crate::switch_actor::SwitchActor;
+
+/// Deliver a configuration-service script at the current instant.
+pub(crate) fn inject(world: &mut World<Msg>, script: Script) {
+    for (dst, msg) in script {
+        world.inject(NodeId::Controller, dst, msg);
+    }
+}
+
+/// §5.3 steps 2–3, now: bring `replacement` up at its own incarnation's
+/// address, move every replica's lease to it, and re-point `clients` at it
+/// (a harness affordance — in a deployment this is the same L2 address).
+/// Returns the replacement's address.
+pub(crate) fn activate_switch(
+    world: &mut World<Msg>,
+    spec: &DeploymentSpec,
+    replacement: SwitchActor,
+    clients: &[NodeId],
+) -> NodeId {
+    let new_id = replacement.incarnation();
+    let new_addr = NodeId::Switch(new_id);
+    world.add_node(new_addr, Box::new(replacement));
+    inject(world, control::lease_move(spec, new_id));
+    for &c in clients {
+        if let Some(cl) = world.actor_mut::<OpenLoopClient>(c) {
+            cl.set_switch(new_addr);
+        } else if let Some(cl) = world.actor_mut::<ClosedLoopClient>(c) {
+            cl.set_switch(new_addr);
+        }
+    }
+    new_addr
+}
+
+/// Take `failed` offline and tell the switch and the survivors, now.
+pub(crate) fn remove_replica(
+    world: &mut World<Msg>,
+    spec: &DeploymentSpec,
+    switch: NodeId,
+    failed: ReplicaId,
+) {
+    world.set_down(NodeId::Replica(failed));
+    inject(world, control::removal(spec, switch, failed));
+}
+
+/// Re-admit `replica` read-gated, now, and return the recovering actor the
+/// caller must install once the gate has had time to land. The newcomer
+/// reports its catch-up to the incarnation `switch` names.
+pub(crate) fn readmit_replica(
+    world: &mut World<Msg>,
+    spec: &DeploymentSpec,
+    switch: NodeId,
+    replica: ReplicaId,
+) -> ReplicaActor {
+    let lease = match switch {
+        NodeId::Switch(id) => id,
+        _ => spec.initial_switch(),
+    };
+    let plan = control::readmission(spec, switch, lease, replica);
+    inject(world, plan.script);
+    ReplicaActor::recovering(build_replica(plan.config), spec.costs, plan.peer)
+}
 
 /// Stop a switch at `at`: it retains no state and forwards nothing.
 pub fn schedule_switch_failure(world: &mut World<Msg>, at: Instant, switch: NodeId) {
@@ -50,33 +112,7 @@ pub fn schedule_switch_replacement(
 ) {
     let spec = spec.clone();
     world.schedule_control(at, move |w| {
-        let new_addr = NodeId::Switch(new_id);
-        w.add_node(new_addr, Box::new(spec.make_switch(new_id)));
-        // Configuration service: move the lease (replicas reject fast-path
-        // reads from older incarnations from now on) and retarget replies.
-        for i in 0..spec.total_replicas() as u32 {
-            let dst = NodeId::Replica(ReplicaId(i));
-            w.inject(
-                NodeId::Controller,
-                dst,
-                Msg::new(
-                    NodeId::Controller,
-                    dst,
-                    PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetActiveSwitch(
-                        new_id,
-                    ))),
-                ),
-            );
-        }
-        // Clients learn the replacement out of band (harness affordance —
-        // in a deployment this is the same L2 address).
-        for c in clients {
-            if let Some(cl) = w.actor_mut::<OpenLoopClient>(c) {
-                cl.set_switch(new_addr);
-            } else if let Some(cl) = w.actor_mut::<ClosedLoopClient>(c) {
-                cl.set_switch(new_addr);
-            }
-        }
+        activate_switch(w, &spec, spec.make_switch(new_id), &clients);
     });
 }
 
@@ -90,34 +126,8 @@ pub fn schedule_replica_removal(
     switch: NodeId,
     failed: ReplicaId,
 ) {
-    let members = spec.group_members(spec.group_of_replica(failed));
-    world.schedule_control(at, move |w| {
-        w.set_down(NodeId::Replica(failed));
-        w.inject(
-            NodeId::Controller,
-            switch,
-            Msg::new(
-                NodeId::Controller,
-                switch,
-                PacketBody::Control(ControlMsg::RemoveReplica(failed)),
-            ),
-        );
-        let survivors: Vec<ReplicaId> = members.into_iter().filter(|&r| r != failed).collect();
-        for &r in &survivors {
-            let dst = NodeId::Replica(r);
-            w.inject(
-                NodeId::Controller,
-                dst,
-                Msg::new(
-                    NodeId::Controller,
-                    dst,
-                    PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetMembers(
-                        survivors.clone(),
-                    ))),
-                ),
-            );
-        }
-    });
+    let spec = spec.clone();
+    world.schedule_control(at, move |w| remove_replica(w, &spec, switch, failed));
 }
 
 /// Restart a previously removed replica at `at` as a fresh, empty node:
@@ -136,57 +146,10 @@ pub fn schedule_replica_recovery(
 ) {
     let spec = spec.clone();
     world.schedule_control(at, move |w| {
-        let group = spec.group_of_replica(replica);
-        let canonical = spec.group_members(group);
-        let idx = canonical
-            .iter()
-            .position(|&m| m == replica)
-            .expect("replica belongs to its group");
-        let peer = canonical
-            .iter()
-            .copied()
-            .find(|&m| m != replica)
-            .expect("recovery needs a live peer to transfer from");
-        for ctl in [
-            ControlMsg::SetReplicas(canonical.clone()),
-            ControlMsg::GateReplica(replica),
-        ] {
-            w.inject(
-                NodeId::Controller,
-                switch,
-                Msg::new(NodeId::Controller, switch, PacketBody::Control(ctl)),
-            );
-        }
-        for &m in &canonical {
-            if m == replica {
-                continue;
-            }
-            let dst = NodeId::Replica(m);
-            w.inject(
-                NodeId::Controller,
-                dst,
-                Msg::new(
-                    NodeId::Controller,
-                    dst,
-                    PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetMembers(
-                        canonical.clone(),
-                    ))),
-                ),
-            );
-        }
-        let mut cfg = spec.group_config(group, idx);
-        // Report catch-up to the incarnation the caller targeted, not the
-        // one the deployment booted with.
-        if let NodeId::Switch(id) = switch {
-            cfg.active_switch = id;
-        }
-        let costs = spec.costs;
+        let newcomer = readmit_replica(w, &spec, switch, replica);
         let settle = w.now() + Duration::from_micros(200);
         w.schedule_control(settle, move |w| {
-            w.replace_node(
-                NodeId::Replica(replica),
-                Box::new(ReplicaActor::recovering(build_replica(cfg), costs, peer)),
-            );
+            w.replace_node(NodeId::Replica(replica), Box::new(newcomer));
         });
     });
 }

@@ -1,19 +1,21 @@
-//! The live driver: the same state machines on OS threads — with a
-//! **parallel data plane**.
+//! The threaded drivers: the same state machines on OS threads — with a
+//! **parallel data plane** — over any packet substrate.
 //!
-//! Every node runs on its own thread, connected by crossbeam channels (the
-//! "links"). Nothing in the protocol or switch logic changes relative to
-//! the simulation; only the driver differs. This is the deployment mode the
-//! examples use, demonstrating the library runs as a real in-process
-//! storage service, not only under virtual time.
+//! Every node runs on its own thread. Nothing in the protocol or switch
+//! logic changes relative to the simulation; only the driver differs. One
+//! rig, [`ThreadedCluster`], owns the threads, the §5.3 verbs, and the
+//! [`Cluster`] surface; a small [`Substrate`] says how bytes move between
+//! them. Two substrates exist: in-process crossbeam channels (this module:
+//! [`LiveCluster`], the deployment mode the examples use) and real loopback
+//! `UdpSocket`s ([`crate::udp`]: `UdpCluster`).
 //!
 //! # Per-group switch pipelines
 //!
 //! A real Tofino processes different groups' packets in parallel at line
 //! rate, so a driver that serializes every group's traffic through one
 //! switch thread (let alone one mutex) is an artifact, not the paper's
-//! design. The live switch is therefore a *fleet*: one pipeline thread per
-//! replica group, each exclusively owning that group's
+//! design. The threaded switch is therefore a *fleet*: one pipeline thread
+//! per replica group, each exclusively owning that group's
 //! [`GroupCore`] — conflict detector,
 //! sequencer, forwarding table, and counters. **No lock is taken on the
 //! packet path.**
@@ -24,26 +26,25 @@
 //! owning group's pipeline — client threads and replica threads deliver to
 //! the right pipeline without any intermediate hop or shared switch state.
 //! Pipelines drain their ingress in batches (everything already queued is
-//! processed before any output is flushed), amortizing channel wakeups
-//! under load.
+//! processed before any output is flushed), amortizing wakeups under load.
 //!
-//! Aggregate inspection ([`switch_stats`](LiveCluster::switch_stats),
-//! [`switch_memory_bytes`](LiveCluster::switch_memory_bytes)) works by
+//! Aggregate inspection ([`switch_stats`](Cluster::switch_stats),
+//! [`switch_memory_bytes`](Cluster::switch_memory_bytes)) works by
 //! message: each pipeline answers with a
 //! [`GroupObservation`] snapshot and the facade folds them through
 //! [`SpineView`] — the control plane reads totals without ever touching a
 //! worker's state.
 //!
 //! The §5.3 switch failure/replacement sequence
-//! ([`kill_switch`](LiveCluster::kill_switch) /
-//! [`replace_switch`](LiveCluster::replace_switch)) applies to the whole
+//! ([`kill_switch`](Cluster::kill_switch) /
+//! [`replace_switch`](Cluster::replace_switch)) applies to the whole
 //! fleet atomically: every pipeline of the old incarnation is torn down and
 //! joined, and a fresh fleet (fresh dirty sets and sequence spaces for
 //! *every* hosted group) spawns under a larger incarnation id at the same
 //! client-facing address. Single-replica reads stay disabled per group
 //! until the first WRITE-COMPLETION bearing the new incarnation's id.
 
-// Wall-clock reads are deliberate here: live threaded driver: ticks and timeouts are real time.
+// Wall-clock reads are deliberate here: threaded drivers: ticks and timeouts are real time.
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::HashMap;
@@ -59,73 +60,77 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use harmonia_obs::{
-    Counter, MonotonicClock, ObsSnapshot, Recorder, Registry, Series, TraceEvent, TraceStage,
+    Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
 };
-use harmonia_replication::messages::{ProtocolMsg, ReplicaControlMsg};
-use harmonia_replication::{build_replica, Effects, Replica, StateTransfer};
+use harmonia_replication::{build_replica, GroupConfig};
 use harmonia_switch::{GroupId, GroupObservation, SpineView, SwitchStats};
-use harmonia_types::{
-    ClientId, ClientRequest, ControlMsg, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody,
-    ReplicaId, RequestId, SwitchId, TraceId, WriteOutcome,
-};
+use harmonia_types::{ClientId, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
 use harmonia_workload::ShardMap;
 
 use crate::client::{OpSpec, RecordedOp};
+use crate::client_core::{ClientCore, Step};
+use crate::control;
 use crate::deployment::{spine_obs, Cluster, DeploymentSpec, KvClient};
 use crate::msg::Msg;
+use crate::replica_step::ReplicaNode;
 use crate::switch_actor::{GroupCore, SwitchCore};
 
-/// What a node-loop can be handed: a data-plane packet or a control-plane
-/// verb from its own driver. The channel driver multiplexes these on one
-/// channel; the UDP driver splits them (packets on the socket, control on a
-/// side channel) — [`NodeLink`] hides the difference.
-pub(crate) enum Envelope {
+/// What a node loop can be handed: a data-plane packet or a control-plane
+/// verb from its own driver. The channel substrate multiplexes these on one
+/// channel; the UDP substrate splits them (packets on the socket, control on
+/// a side channel) — [`NodeLink`] hides the difference.
+pub enum Envelope {
+    /// A data-plane packet.
     Packet(Msg),
     /// Ask the receiving pipeline for a snapshot of its group's state.
     Inspect(Sender<GroupObservation>),
+    /// Leave the loop.
     Stop,
 }
 
 /// Per-attempt client reply deadline — one value for both threaded
 /// drivers, so their retry envelopes can never drift apart.
-pub(crate) const CLIENT_TIMEOUT: StdDuration = StdDuration::from_millis(200);
+const CLIENT_TIMEOUT: StdDuration = StdDuration::from_millis(200);
 
-/// Client retry budget (attempts = retries + 1), shared likewise.
-pub(crate) const CLIENT_RETRIES: u32 = 5;
+/// Client attempt budget of every synchronous [`KvClient`], sim included.
+pub(crate) const CLIENT_ATTEMPTS: u32 = 6;
 
 /// How long the control plane waits for a pipeline's Inspect answer.
-pub(crate) const INSPECT_TIMEOUT: StdDuration = StdDuration::from_secs(10);
+const INSPECT_TIMEOUT: StdDuration = StdDuration::from_secs(10);
 
-/// Snapshot one pipeline's group state over its control channel (stats
-/// inspection) — rig-agnostic: any driver whose pipelines drain
-/// [`Envelope`]s can be observed this way.
-pub(crate) fn observe_pipeline(ctl: &Sender<Envelope>) -> Option<GroupObservation> {
-    let (otx, orx) = bounded(1);
-    ctl.send(Envelope::Inspect(otx)).ok()?;
-    orx.recv_timeout(INSPECT_TIMEOUT).ok()
-}
+/// How long one control script gets to land before the step that depends
+/// on it: a re-admission's gate before the newcomer (whose ungate report
+/// must arrive after it) starts, one lease-move round before the next.
+const CONTROL_SETTLE: StdDuration = StdDuration::from_millis(2);
 
-/// Snapshot every pipeline and fold into the aggregate-only view. The
-/// inspects fan out first, so the fleet answers concurrently.
-pub(crate) fn observe_fleet<'a>(
-    ctls: impl Iterator<Item = &'a Sender<Envelope>>,
-) -> Option<SpineView> {
+/// Snapshot every listed pipeline over its control channel. The inspects
+/// fan out first, so a fleet answers concurrently.
+fn observe<'a>(ctls: impl Iterator<Item = &'a Sender<Envelope>>) -> Option<Vec<GroupObservation>> {
     let mut pending = Vec::new();
     for ctl in ctls {
         let (otx, orx) = bounded(1);
         ctl.send(Envelope::Inspect(otx)).ok()?;
         pending.push(orx);
     }
-    let mut observations = Vec::with_capacity(pending.len());
-    for orx in pending {
-        observations.push(orx.recv_timeout(INSPECT_TIMEOUT).ok()?);
+    pending
+        .into_iter()
+        .map(|orx| orx.recv_timeout(INSPECT_TIMEOUT).ok())
+        .collect()
+}
+
+/// Tell every listed node loop to stop, then wait for all of them.
+fn stop_and_join<T>(threads: Vec<(T, Sender<Envelope>, JoinHandle<()>)>) {
+    for (_, ctl, _) in &threads {
+        let _ = ctl.send(Envelope::Stop);
     }
-    Some(SpineView::new(observations))
+    for (_, _, join) in threads {
+        let _ = join.join();
+    }
 }
 
 /// Why a [`NodeLink::recv`] returned nothing.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum LinkError {
+pub enum LinkError {
     /// Nothing arrived within the deadline.
     TimedOut,
     /// The link can never deliver again (driver shut down).
@@ -134,20 +139,20 @@ pub(crate) enum LinkError {
 
 /// One node's connection to its deployment, whatever the substrate.
 ///
-/// Everything that *handles* packets — the per-group switch pipelines
-/// ([`pipeline_main`]), the replica loops ([`replica_main`]), and the
-/// [`LiveClient`] retry loop — is written against this trait, so the
-/// channel driver and the UDP driver share all packet-handling logic and
+/// Everything that *handles* packets — the per-group switch pipelines, the
+/// replica loops, and the [`LiveClient`] shell — is written against this
+/// trait, so the threaded drivers share all packet-handling logic and
 /// differ only in how bytes move: an in-process channel behind the
-/// copy-on-write [`Router`], or a `UdpSocket` behind the deployment's
-/// [`AddrBook`](harmonia_net::AddrBook).
-pub(crate) trait NodeLink: Send {
+/// copy-on-write route table, or a `UdpSocket` behind the deployment's
+/// [`AddrBook`](harmonia_net::AddrBook). A link deregisters its node when
+/// dropped: a dead endpoint must not keep receiving routes.
+pub trait NodeLink: Send {
     /// Send `msg` toward `to`. Never blocks on the receiver; undeliverable
     /// packets are dropped (clients retry — that is the reliability layer).
     fn send(&mut self, to: NodeId, msg: Msg);
 
     /// Flush a whole outbox, draining `batch` in order. The default loops
-    /// the scalar verb (exactly what the channel driver wants); the UDP
+    /// the scalar verb (exactly what the channel substrate wants); the UDP
     /// link overrides it to feed the transport's coalescer — per-destination
     /// frames pack back-to-back into full datagrams — and batch kernel
     /// crossings through `sendmmsg`.
@@ -164,10 +169,59 @@ pub(crate) trait NodeLink: Send {
     fn try_recv(&mut self) -> Option<Envelope>;
 }
 
-/// The channel driver's link: a [`RouterHandle`] out, a channel in.
-struct ChannelLink {
+/// What the threaded rig needs from whatever moves its packets: how a node
+/// gets its [`NodeLink`] and control channel, how the spine is published
+/// and cleared, how the configuration service reaches nodes, and what the
+/// snapshot's fault section reports. Everything else — threads, §5.3
+/// verbs, inspection, the [`Cluster`] surface — is [`ThreadedCluster`]'s,
+/// written once.
+pub trait Substrate: Sized + 'static {
+    /// A node's connection to the deployment.
+    type Link: NodeLink + 'static;
+    /// Where the spine delivers one group's packets.
+    type Ingress;
+    /// The `driver` label of this substrate's snapshots and thread names.
+    const DRIVER: &'static str;
+    /// How many spaced rounds a lease move is sent in: 1 where delivery to
+    /// a live node is certain, more where even a clean link can lose a
+    /// packet (the move is idempotent, and a replica stranded on the old
+    /// incarnation would reject the new switch's traffic forever).
+    const LEASE_ROUNDS: u32;
+
+    /// The substrate for one deployment of `spec`.
+    fn new(spec: &DeploymentSpec) -> Self;
+
+    /// Register `node` and hand back its link plus the channel its driver
+    /// verbs ([`Envelope::Stop`]) travel on. `recorder` receives the link's
+    /// wire counters, where the substrate has a wire.
+    fn attach(&self, node: NodeId, recorder: Recorder) -> (Self::Link, Sender<Envelope>);
+
+    /// A link for one switch pipeline — addressed only through the spine,
+    /// never by unicast — with its control channel and spine ingress.
+    fn attach_pipeline(&self, recorder: Recorder) -> (Self::Link, Sender<Envelope>, Self::Ingress);
+
+    /// Route every address in `names` through `shards` onto `ingress`
+    /// (indexed by group), resolved on the sending thread.
+    fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, ingress: Vec<Self::Ingress>);
+
+    /// Unpublish the spine: packets toward the switch vanish.
+    fn clear_spine(&self);
+
+    /// Deliver a configuration-service script over a link no fault model
+    /// touches.
+    fn deliver(&self, script: Vec<(NodeId, Msg)>);
+
+    /// Faults injected so far (all zero where the substrate injects none).
+    fn fault_obs(&self) -> FaultObs;
+}
+
+/// The channel substrate's link: a route-table handle out, a channel in.
+pub struct ChannelLink {
     router: RouterHandle,
     rx: Receiver<Envelope>,
+    /// The route this link owns (none for pipelines, which the spine
+    /// addresses).
+    owner: Option<NodeId>,
 }
 
 impl NodeLink for ChannelLink {
@@ -184,6 +238,17 @@ impl NodeLink for ChannelLink {
 
     fn try_recv(&mut self) -> Option<Envelope> {
         self.rx.try_recv().ok()
+    }
+}
+
+impl Drop for ChannelLink {
+    fn drop(&mut self) {
+        if let Some(node) = self.owner {
+            // In-flight packets toward a dead node vanish, like a dead NIC.
+            self.router.router.install(|t| {
+                t.remove(&node);
+            });
+        }
     }
 }
 
@@ -294,6 +359,76 @@ impl RouterHandle {
     }
 }
 
+/// The in-process substrate: crossbeam channels behind a copy-on-write
+/// route table.
+#[derive(Default)]
+pub struct Channels {
+    router: Arc<Router>,
+}
+
+impl Channels {
+    fn link(&self, rx: Receiver<Envelope>, owner: Option<NodeId>) -> ChannelLink {
+        ChannelLink {
+            router: self.router.handle(),
+            rx,
+            owner,
+        }
+    }
+}
+
+impl Substrate for Channels {
+    type Link = ChannelLink;
+    type Ingress = Sender<Envelope>;
+    const DRIVER: &'static str = "live";
+    const LEASE_ROUNDS: u32 = 1;
+
+    fn new(_spec: &DeploymentSpec) -> Self {
+        Channels::default()
+    }
+
+    fn attach(&self, node: NodeId, _recorder: Recorder) -> (ChannelLink, Sender<Envelope>) {
+        let (tx, rx) = match node {
+            NodeId::Client(_) => bounded(1024),
+            _ => unbounded(),
+        };
+        self.router.register(node, tx.clone());
+        (self.link(rx, Some(node)), tx)
+    }
+
+    fn attach_pipeline(
+        &self,
+        _recorder: Recorder,
+    ) -> (ChannelLink, Sender<Envelope>, Sender<Envelope>) {
+        let (tx, rx) = unbounded();
+        (self.link(rx, None), tx.clone(), tx)
+    }
+
+    fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, groups: Vec<Sender<Envelope>>) {
+        let plan = Arc::new(SpinePlan { shards, groups });
+        self.router.install(|t| {
+            for name in names {
+                t.insert(name, Route::Spine(Arc::clone(&plan)));
+            }
+        });
+    }
+
+    fn clear_spine(&self) {
+        self.router
+            .install(|t| t.retain(|_, route| matches!(route, Route::Unicast(_))));
+    }
+
+    fn deliver(&self, script: Vec<(NodeId, Msg)>) {
+        let mut router = self.router.handle();
+        for (to, msg) in script {
+            router.send(to, msg);
+        }
+    }
+
+    fn fault_obs(&self) -> FaultObs {
+        FaultObs::default()
+    }
+}
+
 /// Errors a live client can observe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LiveError {
@@ -314,184 +449,60 @@ impl std::fmt::Display for LiveError {
 
 impl std::error::Error for LiveError {}
 
-/// A synchronous client handle onto a live deployment — threaded-channel or
-/// UDP; the retry loop is identical, only the link substrate underneath
-/// differs.
+/// A synchronous client handle onto a threaded deployment: a shell over the
+/// crate's `ClientCore` that sends what the core says to send and waits on
+/// its link, one real-time deadline per attempt. Identical on every
+/// substrate.
 pub struct LiveClient {
-    id: ClientId,
+    core: ClientCore,
     link: Box<dyn NodeLink>,
     switch: NodeId,
-    write_replies: usize,
-    timeout: StdDuration,
-    retries: u32,
-    next_request: u64,
-    recorder: Recorder,
 }
 
 impl LiveClient {
-    /// Assemble a client over any link (driver plumbing).
-    pub(crate) fn over_link(
-        id: ClientId,
-        link: Box<dyn NodeLink>,
-        switch: NodeId,
-        write_replies: usize,
-        timeout: StdDuration,
-        retries: u32,
-    ) -> Self {
-        LiveClient {
-            id,
-            link,
-            switch,
-            write_replies,
-            timeout,
-            retries,
-            next_request: 0,
-            recorder: Recorder::detached(),
-        }
-    }
-
-    /// Attach an observability recorder (builder style; driver plumbing).
-    pub(crate) fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
-    }
     /// Read `key`, blocking until the reply (with retry).
     pub fn get(&mut self, key: impl Into<Bytes>) -> Result<Option<Bytes>, LiveError> {
-        let key = key.into();
-        self.run_op(OpKind::Read, key, None)
+        self.run_op(OpSpec::read(key))
     }
 
     /// Write `key := value`, blocking until committed (with retry).
     pub fn set(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Result<(), LiveError> {
-        let (key, value) = (key.into(), value.into());
-        self.run_op(OpKind::Write, key, Some(value)).map(|_| ())
+        self.run_op(OpSpec::write(key, value)).map(|_| ())
     }
 
-    fn run_op(
-        &mut self,
-        kind: OpKind,
-        key: Bytes,
-        value: Option<Bytes>,
-    ) -> Result<Option<Bytes>, LiveError> {
-        // `Bytes` clones below are refcount bumps, not copies: the op's key
-        // and value are allocated once by the caller and shared from there.
-        //
-        // One request id per logical operation: retries REUSE it so the
-        // replicas' exactly-once session layer can deduplicate
-        // re-executions (same contract as the sim's closed-loop client). A
-        // retried write whose original landed but whose reply was lost —
-        // the §5.3 switch-outage case — must not be applied twice.
-        let rid = RequestId(self.next_request);
-        self.next_request += 1;
-        let me = NodeId::Client(self.id);
-        let trace_id = TraceId::new(self.id, rid);
-        let obj = ObjectId::from_key(&key);
-        let started = self.recorder.now();
-        for attempt in 0..=self.retries {
-            if attempt == 0 {
-                self.recorder.incr(match kind {
-                    OpKind::Read => Counter::ReadsSent,
-                    OpKind::Write => Counter::WritesSent,
-                });
-                self.recorder
-                    .trace(me, trace_id, obj, TraceStage::ClientSend);
-            } else {
-                self.recorder.incr(Counter::Retries);
-                self.recorder
-                    .trace(me, trace_id, obj, TraceStage::ClientRetry);
-            }
-            let req = match kind {
-                OpKind::Read => ClientRequest::read(self.id, rid, key.clone()),
-                OpKind::Write => ClientRequest::write(
-                    self.id,
-                    rid,
-                    key.clone(),
-                    value.clone().unwrap_or_default(),
-                ),
-            };
+    fn run_op(&mut self, spec: OpSpec) -> Result<Option<Bytes>, LiveError> {
+        let me = self.core.node();
+        let mut req = self.core.begin(self.core.recorder.now(), spec);
+        loop {
             self.link.send(
                 self.switch,
-                Msg::new(
-                    NodeId::Client(self.id),
-                    self.switch,
-                    PacketBody::Request(req),
-                ),
+                Msg::new(me, self.switch, PacketBody::Request(req)),
             );
-            match self.await_replies(kind, rid)? {
-                Some(result) => {
-                    let (done, series) = match kind {
-                        OpKind::Read => (Counter::ReadsDone, Series::ReadLatency),
-                        OpKind::Write => (Counter::WritesDone, Series::WriteLatency),
-                    };
-                    self.recorder.incr(done);
-                    self.recorder
-                        .observe(series, self.recorder.now().since(started));
-                    self.recorder
-                        .trace(me, trace_id, obj, TraceStage::ClientDone);
-                    return Ok(result);
-                }
-                None => continue, // timed out or rejected: retry
-            }
+            req = match self.await_step()? {
+                Step::Retry(again) => again,
+                Step::Done(op) if op.ok => return Ok(op.result),
+                Step::Done(_) => return Err(LiveError::TimedOut),
+            };
         }
-        self.recorder.incr(Counter::Timeouts);
-        self.recorder
-            .trace(me, trace_id, obj, TraceStage::ClientTimeout);
-        Err(LiveError::TimedOut)
     }
 
-    /// Wait for enough replies to `rid`. `Ok(Some(v))` = completed,
-    /// `Ok(None)` = retry-worthy failure.
-    ///
-    /// Because retries reuse the request id, a replica's original reply and
-    /// its deduplicated re-send are indistinguishable by id — so a write
-    /// quorum counts *distinct repliers* (`reply.from`), never raw replies.
-    #[allow(clippy::type_complexity)]
-    fn await_replies(
-        &mut self,
-        kind: OpKind,
-        rid: RequestId,
-    ) -> Result<Option<Option<Bytes>>, LiveError> {
-        let needed = match kind {
-            OpKind::Read => 1,
-            OpKind::Write => self.write_replies,
-        };
-        let deadline = StdInstant::now() + self.timeout;
-        let mut repliers: Vec<ReplicaId> = Vec::new();
-        let mut result = None;
+    /// Feed the core replies until it decides, or this attempt's deadline
+    /// passes and it decides about that.
+    fn await_step(&mut self) -> Result<Step, LiveError> {
+        let deadline = StdInstant::now() + CLIENT_TIMEOUT;
         loop {
-            let now = StdInstant::now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            match self.link.recv(deadline - now) {
-                Ok(Envelope::Packet(msg)) => {
-                    let PacketBody::Reply(reply) = msg.body else {
-                        continue;
-                    };
-                    if reply.request != rid {
-                        continue; // stale reply from an earlier operation
-                    }
-                    match reply.write_outcome {
-                        Some(WriteOutcome::Rejected) | Some(WriteOutcome::DroppedBySwitch) => {
-                            self.recorder.incr(Counter::WritesRejected);
-                            return Ok(None);
-                        }
-                        _ => {}
-                    }
-                    if reply.value.is_some() {
-                        result = reply.value;
-                    }
-                    if !repliers.contains(&reply.from) {
-                        repliers.push(reply.from);
-                    }
-                    if repliers.len() >= needed {
-                        return Ok(Some(result));
-                    }
-                }
-                Ok(Envelope::Inspect(_)) => continue, // not a pipeline
-                Ok(Envelope::Stop) => return Err(LiveError::Disconnected),
-                Err(LinkError::TimedOut) => return Ok(None),
-                Err(LinkError::Closed) => return Err(LiveError::Disconnected),
+            let left = deadline.saturating_duration_since(StdInstant::now());
+            let step = match self.link.recv(left) {
+                Ok(Envelope::Packet(msg)) => match msg.body {
+                    PacketBody::Reply(reply) => self.core.on_reply(self.core.recorder.now(), reply),
+                    _ => None,
+                },
+                Ok(Envelope::Inspect(_)) => None, // not a pipeline
+                Ok(Envelope::Stop) | Err(LinkError::Closed) => return Err(LiveError::Disconnected),
+                Err(LinkError::TimedOut) => self.core.on_timeout(self.core.recorder.now()),
+            };
+            if let Some(step) = step {
+                return Ok(step);
             }
         }
     }
@@ -499,262 +510,325 @@ impl LiveClient {
 
 impl KvClient for LiveClient {
     fn get_bytes(&mut self, key: Bytes) -> Result<Option<Bytes>, LiveError> {
-        LiveClient::get(self, key)
+        self.get(key)
     }
 
     fn set_bytes(&mut self, key: Bytes, value: Bytes) -> Result<(), LiveError> {
-        LiveClient::set(self, key, value)
+        self.set(key, value)
     }
 }
 
-/// One per-group pipeline thread: the ingress channel the spine routes
-/// onto, and the join handle for teardown.
-struct Pipeline {
-    group: GroupId,
-    tx: Sender<Envelope>,
-    join: JoinHandle<()>,
-}
-
-/// The whole switch of one incarnation: a fleet of per-group pipelines.
+/// The whole switch of one incarnation: a fleet of per-group pipeline
+/// threads, each with the control channel it is inspected and stopped on.
 struct SwitchFleet {
     incarnation: SwitchId,
-    pipelines: Vec<Pipeline>,
+    pipelines: Vec<(GroupId, Sender<Envelope>, JoinHandle<()>)>,
 }
 
-/// Driver plumbing: router, switch pipeline fleet, replica threads.
-struct LiveRig {
-    router: Arc<Router>,
-    /// The stable client-facing switch address. Replacements re-register
-    /// here (same L2 address in a deployment) in addition to their own
-    /// incarnation's address.
-    switch_addr: NodeId,
-    write_replies: usize,
+/// A deployment on OS threads — one replica group or many, exactly as its
+/// [`DeploymentSpec`] describes — over substrate `S`: the switch pipeline
+/// fleet, one thread per replica, and the configuration service's §5.3
+/// verbs. All of it is reachable through [`Cluster`]; the inherent methods
+/// are what the trait cannot express (a concrete [`LiveClient`] from
+/// `&self`, the per-group [`switch_view`](Self::switch_view)).
+pub struct ThreadedCluster<S: Substrate> {
+    spec: DeploymentSpec,
+    pub(crate) substrate: S,
+    /// Idle pipelines sweep stale dirty entries this often.
     sweep: StdDuration,
-    replica_ids: Vec<ReplicaId>,
-    replica_threads: Vec<(Sender<Envelope>, JoinHandle<()>)>,
+    replicas: Vec<(ReplicaId, Sender<Envelope>, JoinHandle<()>)>,
     switch: Option<SwitchFleet>,
     next_client: AtomicU32,
-    /// Observability: every pipeline, replica loop, and client shards into
-    /// this registry; the clock is the rig's single monotonic epoch.
-    registry: Arc<Registry>,
+    /// Observability: every pipeline, replica loop, link, and client shards
+    /// into this registry; the clock is the rig's single monotonic epoch.
+    registry: Registry,
 }
 
-impl LiveRig {
-    fn new(switch_addr: NodeId, write_replies: usize, sweep: Option<StdDuration>) -> Self {
-        LiveRig {
-            router: Arc::new(Router::default()),
-            switch_addr,
-            write_replies,
-            sweep: sweep.unwrap_or(StdDuration::from_millis(10)),
-            replica_ids: Vec::new(),
-            replica_threads: Vec::new(),
+/// An in-process deployment: threads connected by channels
+/// ([`DeploymentSpec::spawn_live`]).
+pub type LiveCluster = ThreadedCluster<Channels>;
+
+impl<S: Substrate> ThreadedCluster<S> {
+    /// Spawn the switch pipeline fleet and every group's replica threads
+    /// for `spec`.
+    pub fn new(spec: &DeploymentSpec) -> Self {
+        let mut cluster = ThreadedCluster {
+            spec: spec.clone(),
+            substrate: S::new(spec),
+            sweep: spec
+                .sweep_interval
+                .map_or(StdDuration::from_millis(10), |d| d.to_std()),
+            replicas: Vec::new(),
             switch: None,
             next_client: AtomicU32::new(1),
-            registry: Arc::new(Registry::with_clock(Arc::new(MonotonicClock::new()))),
+            registry: Registry::with_clock(Arc::new(MonotonicClock::new())),
+        };
+        cluster.spawn_switch(spec.initial_switch());
+        for g in 0..spec.groups {
+            for i in 0..spec.replicas {
+                cluster.spawn_replica(spec.group_config(g, i), None);
+            }
         }
+        cluster
     }
 
-    /// Spawn (or re-spawn after a failure) the pipeline fleet for `core`:
-    /// one thread per hosted group, each taking exclusive ownership of its
-    /// group's state. The fleet receives on the stable client-facing
-    /// address and on its own incarnation's address (replicas reply to the
-    /// lease holder); both resolve through the same stateless shard router.
-    fn spawn_switch(&mut self, core: SwitchCore) {
-        // lint:allow(panic_path): harness control plane — a misuse by the
-        // test driver, not live traffic; no packet is in flight here.
-        assert!(self.switch.is_none(), "kill the old switch first");
-        let incarnation = core.incarnation();
+    /// Spawn the pipeline fleet of `incarnation`: one thread per hosted
+    /// group, each taking exclusive ownership of its group's fresh state.
+    /// The fleet receives on the stable client-facing address and on its
+    /// own incarnation's address (replicas reply to the lease holder); both
+    /// resolve through the same stateless shard router.
+    fn spawn_switch(&mut self, incarnation: SwitchId) {
+        let core = SwitchCore::for_deployment(&self.spec, incarnation);
         let shards = core.shard_map();
-        let cores = core.into_group_cores();
-        let me = self.switch_addr;
+        let me = self.spec.switch_addr();
         let sweep = self.sweep;
-        let mut pipelines = Vec::with_capacity(cores.len());
-        let mut ingress = Vec::with_capacity(cores.len());
-        for mut core in cores {
+        let mut pipelines = Vec::new();
+        let mut ingress = Vec::new();
+        for mut core in core.into_group_cores() {
             // One recorder shard per pipeline: counters and traces stay
             // thread-local on the packet path, merged only on snapshot.
             core.set_recorder(self.registry.handle());
             let group = core.group();
-            let (tx, rx) = unbounded::<Envelope>();
-            let link = ChannelLink {
-                router: self.router.handle(),
-                rx,
-            };
+            let (link, ctl, into) = self.substrate.attach_pipeline(self.registry.handle());
             let join = std::thread::Builder::new()
-                .name(format!("harmonia-switch-{}-g{}", incarnation.0, group.0))
+                .name(format!(
+                    "{}-switch-{}-g{}",
+                    S::DRIVER,
+                    incarnation.0,
+                    group.0
+                ))
                 .spawn(move || pipeline_main(core, link, me, sweep))
                 // lint:allow(panic_path): deployment bring-up, not the data
                 // plane — thread-spawn failure means the host is out of
                 // resources before any traffic exists.
                 .expect("spawn switch pipeline thread");
-            ingress.push(tx.clone());
-            pipelines.push(Pipeline { group, tx, join });
+            ingress.push(into);
+            pipelines.push((group, ctl, join));
         }
-        let plan = Arc::new(SpinePlan {
-            shards,
-            groups: ingress,
-        });
-        self.router.install(|t| {
-            t.insert(me, Route::Spine(Arc::clone(&plan)));
-            t.insert(NodeId::Switch(incarnation), Route::Spine(Arc::clone(&plan)));
-        });
+        self.substrate
+            .publish_spine([me, NodeId::Switch(incarnation)], shards, ingress);
         self.switch = Some(SwitchFleet {
             incarnation,
             pipelines,
         });
     }
 
-    fn spawn_replica(&mut self, group: harmonia_replication::GroupConfig) {
-        self.spawn_replica_inner(group, None);
-    }
-
-    /// Spawn a *fresh* replica that must catch up from `peer` via state
-    /// transfer before serving (a restart after a fail-stop).
-    fn spawn_recovering_replica(
-        &mut self,
-        group: harmonia_replication::GroupConfig,
-        peer: ReplicaId,
-    ) {
-        self.spawn_replica_inner(group, Some(peer));
-    }
-
-    fn spawn_replica_inner(
-        &mut self,
-        group: harmonia_replication::GroupConfig,
-        recover_from: Option<ReplicaId>,
-    ) {
-        let me = NodeId::Replica(group.me);
-        let (tx, rx) = unbounded::<Envelope>();
-        self.router.register(me, tx.clone());
-        let link = ChannelLink {
-            router: self.router.handle(),
-            rx,
-        };
-        self.replica_ids.push(group.me);
-        let name = format!("harmonia-replica-{}", group.me.0);
-        let recorder = self.registry.handle();
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || replica_main(me, build_replica(group), link, recover_from, recorder))
+    /// Spawn one replica thread; with `recover_from` set, a *fresh* replica
+    /// that catches up from that peer before serving.
+    fn spawn_replica(&mut self, config: GroupConfig, recover_from: Option<ReplicaId>) {
+        let me = config.me;
+        let (link, ctl) = self
+            .substrate
+            .attach(NodeId::Replica(me), self.registry.handle());
+        let node = ReplicaNode::new(build_replica(config), recover_from, self.registry.handle());
+        let join = std::thread::Builder::new()
+            .name(format!("{}-replica-{}", S::DRIVER, me.0))
+            .spawn(move || replica_main(me, node, link))
             // lint:allow(panic_path): deployment bring-up (see spawn_switch).
             .expect("spawn replica thread");
-        self.replica_threads.push((tx, handle));
+        self.replicas.push((me, ctl, join));
     }
 
-    /// Fail-stop one replica: stop and join its thread, drop its route (any
-    /// in-flight packets toward it vanish, like a dead NIC).
-    fn kill_replica(&mut self, r: ReplicaId) {
-        if let Some(idx) = self.replica_ids.iter().position(|&m| m == r) {
-            self.replica_ids.remove(idx);
-            let (tx, handle) = self.replica_threads.remove(idx);
-            let _ = tx.send(Envelope::Stop);
-            let _ = handle.join();
-            self.router.install(|t| {
-                t.remove(&NodeId::Replica(r));
-            });
+    /// Stop and join replica threads; each link's drop takes its node out
+    /// of the substrate, so packets toward it vanish mid-flight.
+    fn stop_replicas(&mut self, which: impl Fn(ReplicaId) -> bool) {
+        let (stopped, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.replicas)
+            .into_iter()
+            .partition(|(r, ..)| which(*r));
+        self.replicas = kept;
+        stop_and_join(stopped);
+    }
+
+    /// Create a synchronous client handle. Clients address the switch; the
+    /// spine routes each request to its key's group on the sending thread —
+    /// clients never know, which is the §4 philosophy.
+    pub fn client(&self) -> LiveClient {
+        let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
+        // Clients have no driver verbs; their control channel is unused.
+        let (link, _) = self
+            .substrate
+            .attach(NodeId::Client(id), self.registry.handle());
+        LiveClient {
+            core: ClientCore::new(
+                id,
+                self.spec.write_replies(),
+                CLIENT_ATTEMPTS,
+                self.registry.handle(),
+            ),
+            link: Box::new(link),
+            switch: self.spec.switch_addr(),
         }
     }
 
-    /// Control-plane packet to the switch fleet (broadcast to every group's
-    /// pipeline; each applies only changes addressed to it).
-    fn send_switch_control(&self, ctl: ControlMsg) {
-        let mut router = self.router.handle();
-        router.send(
-            self.switch_addr,
-            Msg::new(
-                NodeId::Controller,
-                self.switch_addr,
-                PacketBody::Control(ctl),
-            ),
-        );
-    }
-
-    /// Configuration service: set one replica's view of its group.
-    fn send_set_members(&self, to: ReplicaId, members: Vec<ReplicaId>) {
-        let mut router = self.router.handle();
-        let dst = NodeId::Replica(to);
-        router.send(
-            dst,
-            Msg::new(
-                NodeId::Controller,
-                dst,
-                PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetMembers(members))),
-            ),
-        );
-    }
-
-    /// Stop every pipeline of the fleet and wait for them. Requests already
-    /// queued or subsequently routed to the dead switch vanish — clients
-    /// time out and retry, exactly the Figure 10 outage.
-    fn kill_switch(&mut self) {
-        if let Some(fleet) = self.switch.take() {
-            for p in &fleet.pipelines {
-                let _ = p.tx.send(Envelope::Stop);
-            }
-            for p in fleet.pipelines {
-                let _ = p.join.join();
-            }
-        }
-    }
-
-    /// Snapshot one group's pipeline state (stats inspection).
+    /// Snapshot one group's pipeline state.
     fn observe_group(&self, group: GroupId) -> Option<GroupObservation> {
         let fleet = self.switch.as_ref()?;
-        let p = fleet.pipelines.iter().find(|p| p.group == group)?;
-        observe_pipeline(&p.tx)
+        let ctl = fleet.pipelines.iter().find(|p| p.0 == group).map(|p| &p.1);
+        observe(ctl.into_iter())?.pop()
     }
 
-    /// Snapshot every pipeline and fold into the aggregate-only view.
-    fn observe(&self) -> Option<SpineView> {
+    /// Aggregate-only view across every pipeline (per-group snapshots);
+    /// `None` while the switch is down.
+    pub fn switch_view(&self) -> Option<SpineView> {
         let fleet = self.switch.as_ref()?;
-        observe_fleet(fleet.pipelines.iter().map(|p| &p.tx))
+        observe(fleet.pipelines.iter().map(|p| &p.1)).map(SpineView::new)
     }
 
-    /// Configuration service: move every replica's lease to `new_id`.
-    fn move_lease(&self, new_id: SwitchId) {
-        let mut router = self.router.handle();
-        for &r in &self.replica_ids {
-            let dst = NodeId::Replica(r);
-            router.send(
-                dst,
-                Msg::new(
-                    NodeId::Controller,
-                    dst,
-                    PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetActiveSwitch(
-                        new_id,
-                    ))),
-                ),
-            );
-        }
-    }
+    /// Stop every thread and wait for them. (Dropping the cluster does the
+    /// same; this form just makes the teardown point explicit.)
+    pub fn shutdown(self) {}
+}
 
-    fn client(&self) -> LiveClient {
-        let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded::<Envelope>(1024);
-        self.router.register(NodeId::Client(id), tx);
-        let link = ChannelLink {
-            router: self.router.handle(),
-            rx,
-        };
-        LiveClient::over_link(
-            id,
-            Box::new(link),
-            self.switch_addr,
-            self.write_replies,
-            CLIENT_TIMEOUT,
-            CLIENT_RETRIES,
-        )
-        .with_recorder(self.registry.handle())
-    }
-
-    fn shutdown_in_place(&mut self) {
+impl<S: Substrate> Drop for ThreadedCluster<S> {
+    fn drop(&mut self) {
         self.kill_switch();
-        for (tx, _) in &self.replica_threads {
-            let _ = tx.send(Envelope::Stop);
+        self.stop_replicas(|_| true);
+    }
+}
+
+impl<S: Substrate> Cluster for ThreadedCluster<S> {
+    fn spec(&self) -> &DeploymentSpec {
+        &self.spec
+    }
+
+    fn client(&mut self) -> Box<dyn KvClient + '_> {
+        Box::new(Self::client(self))
+    }
+
+    /// Every per-group pipeline of the incarnation stops and is joined. The
+    /// spine is unpublished first, so requests already in flight or sent
+    /// later vanish — clients time out and retry, exactly the Figure 10
+    /// outage.
+    fn kill_switch(&mut self) {
+        if let Some(fleet) = self.switch.take() {
+            self.substrate.clear_spine();
+            stop_and_join(fleet.pipelines);
         }
-        for (_, handle) in self.replica_threads.drain(..) {
-            let _ = handle.join();
+    }
+
+    /// A fresh pipeline fleet — fresh dirty sets and sequence spaces for
+    /// *every* hosted group — at the same client-facing address, then the
+    /// lease move.
+    fn replace_switch(&mut self, new_id: SwitchId) {
+        self.kill_switch();
+        self.spawn_switch(new_id);
+        for round in 0..S::LEASE_ROUNDS {
+            if round > 0 {
+                std::thread::sleep(CONTROL_SETTLE);
+            }
+            self.substrate
+                .deliver(control::lease_move(&self.spec, new_id));
         }
+    }
+
+    fn kill_replica(&mut self, r: ReplicaId) {
+        self.stop_replicas(|m| m == r);
+        self.substrate
+            .deliver(control::removal(&self.spec, self.spec.switch_addr(), r));
+    }
+
+    fn restart_replica(&mut self, r: ReplicaId) {
+        let lease = self
+            .switch_incarnation()
+            .unwrap_or(self.spec.initial_switch());
+        let plan = control::readmission(&self.spec, self.spec.switch_addr(), lease, r);
+        self.substrate.deliver(plan.script);
+        // A short settle keeps the gate ahead of the newcomer's ungate
+        // report.
+        std::thread::sleep(CONTROL_SETTLE);
+        self.spawn_replica(plan.config, Some(plan.peer));
+    }
+
+    fn switch_stats(&self) -> Option<SwitchStats> {
+        self.switch_view().map(|v| v.stats())
+    }
+
+    fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
+        self.observe_group(group).map(|o| o.stats)
+    }
+
+    fn fast_path_enabled(&self) -> Option<bool> {
+        self.group_fast_path_enabled(GroupId(0))
+    }
+
+    fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
+        self.observe_group(group).map(|o| o.fast_path_enabled)
+    }
+
+    fn switch_memory_bytes(&self) -> Option<usize> {
+        self.switch_view().map(|v| v.memory_bytes())
+    }
+
+    fn switch_incarnation(&self) -> Option<SwitchId> {
+        self.switch.as_ref().map(|f| f.incarnation)
+    }
+
+    fn obs_snapshot(&self) -> ObsSnapshot {
+        let rs = self.registry.snapshot();
+        let mut snap = ObsSnapshot {
+            driver: S::DRIVER,
+            protocol: self.spec.protocol.name(),
+            groups: self.spec.groups as u32,
+            replicas: self.spec.replicas as u32,
+            taken_at_ns: self.registry.clock().now().nanos(),
+            faults: self.substrate.fault_obs(),
+            ..ObsSnapshot::default()
+        };
+        snap.apply_recorder(&rs);
+        if let Some(view) = self.switch_view() {
+            let (switch, per_group) = spine_obs(&view, rs.counter(Counter::SwitchSwept));
+            snap.switch = switch;
+            snap.per_group = per_group;
+        }
+        snap
+    }
+
+    fn trace_events(&self) -> Vec<TraceEvent> {
+        self.registry.trace_events()
+    }
+
+    /// One thread per plan, all sharing one wall-clock epoch so the
+    /// recorded intervals are mutually comparable (real-time order is what
+    /// the linearizability checker needs).
+    fn run_plans(&mut self, plans: Vec<Vec<OpSpec>>) -> Vec<Vec<RecordedOp>> {
+        let epoch = StdInstant::now();
+        let handles: Vec<_> = plans
+            .into_iter()
+            .map(|plan| {
+                let mut client = Self::client(self);
+                std::thread::spawn(move || {
+                    let stamp = |at: StdInstant| {
+                        Instant::ZERO
+                            + Duration::from_nanos(at.duration_since(epoch).as_nanos() as u64)
+                    };
+                    let mut records = Vec::with_capacity(plan.len());
+                    for op in plan {
+                        // Keys and values move by refcount from the plan
+                        // into the request and the record — the hot loop
+                        // allocates nothing per op.
+                        let invoked = StdInstant::now();
+                        let outcome = client.run_op(op.clone());
+                        let ok = outcome.is_ok();
+                        records.push(RecordedOp {
+                            kind: op.kind,
+                            key: op.key,
+                            value: op.value,
+                            invoked: stamp(invoked),
+                            completed: stamp(StdInstant::now()),
+                            result: outcome.ok().flatten(),
+                            ok,
+                        });
+                    }
+                    records
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            // lint:allow(panic_path): harness teardown — propagating a worker
+            // panic into the test failure is exactly what we want here.
+            .map(|h| h.join().expect("plan thread panicked"))
+            .collect()
     }
 }
 
@@ -762,12 +836,7 @@ impl LiveRig {
 /// its ingress in batches, and sweeps stale dirty entries when idle. Generic
 /// over the [`NodeLink`]: the same loop serves the channel driver and the
 /// UDP driver.
-pub(crate) fn pipeline_main(
-    mut core: GroupCore,
-    mut link: impl NodeLink,
-    me: NodeId,
-    sweep: StdDuration,
-) {
+fn pipeline_main(mut core: GroupCore, mut link: impl NodeLink, me: NodeId, sweep: StdDuration) {
     let mut rng = SmallRng::seed_from_u64(
         0x5717c4 ^ u64::from(core.incarnation().0) ^ (u64::from(core.group().0) << 32),
     );
@@ -806,337 +875,16 @@ pub(crate) fn pipeline_main(
     }
 }
 
-/// An in-process deployment on OS threads — one replica group or many,
-/// exactly as its [`DeploymentSpec`] describes.
-pub struct LiveCluster {
-    rig: LiveRig,
-    spec: DeploymentSpec,
-}
-
-impl LiveCluster {
-    /// Spawn the switch pipeline fleet and every group's replica threads
-    /// for `spec` (equivalently: [`DeploymentSpec::spawn_live`]).
-    pub fn new(spec: &DeploymentSpec) -> Self {
-        let mut rig = LiveRig::new(
-            spec.switch_addr(),
-            spec.write_replies(),
-            spec.sweep_interval.map(|d| d.to_std()),
-        );
-        rig.spawn_switch(SwitchCore::for_deployment(spec, spec.initial_switch()));
-        for g in 0..spec.groups {
-            for i in 0..spec.replicas {
-                rig.spawn_replica(spec.group_config(g, i));
-            }
-        }
-        LiveCluster {
-            rig,
-            spec: spec.clone(),
-        }
-    }
-
-    /// The deployment's spec.
-    pub fn spec(&self) -> &DeploymentSpec {
-        &self.spec
-    }
-
-    /// Create a synchronous client handle. Clients address the switch; the
-    /// spine routes each request to its key's group on the sending thread —
-    /// clients never know, which is the §4 philosophy.
-    pub fn client(&self) -> LiveClient {
-        self.rig.client()
-    }
-
-    /// §5.3 step 1: the switch fails. Every per-group pipeline of the
-    /// incarnation stops; it retains no state and forwards nothing. In a
-    /// sharded deployment every hosted group loses its scheduler at once.
-    pub fn kill_switch(&mut self) {
-        self.rig.kill_switch();
-    }
-
-    /// §5.3 steps 2–3: activate a replacement switch under `new_id` (must
-    /// exceed every predecessor) at the same client-facing address — a
-    /// fresh pipeline fleet with fresh dirty sets and sequence spaces for
-    /// *every* hosted group — and move every replica's lease to it. Step 4
-    /// — fast-path re-enable on the first own-id WRITE-COMPLETION — is each
-    /// group's conflict-detector gating.
-    pub fn replace_switch(&mut self, new_id: SwitchId) {
-        self.rig.kill_switch();
-        self.rig
-            .spawn_switch(SwitchCore::for_deployment(&self.spec, new_id));
-        self.rig.move_lease(new_id);
-    }
-
-    /// Fail-stop replica `r` (§5.3, "handling server failures"): its thread
-    /// stops and is joined, its route disappears (in-flight packets toward
-    /// it vanish), the switch drops it from the forwarding table, and its
-    /// group shrinks to the survivors.
-    pub fn kill_replica(&mut self, r: ReplicaId) {
-        self.rig.kill_replica(r);
-        self.rig.send_switch_control(ControlMsg::RemoveReplica(r));
-        let members = self.spec.group_members(self.spec.group_of_replica(r));
-        let survivors: Vec<ReplicaId> = members.into_iter().filter(|&m| m != r).collect();
-        for &s in &survivors {
-            self.rig.send_set_members(s, survivors.clone());
-        }
-    }
-
-    /// Restart `r` as a fresh, empty replica: canonical membership is
-    /// restored, the switch re-admits it read-gated, and the newcomer
-    /// catches up via snapshot + log state transfer from a live peer; the
-    /// gate lifts once its reported applied point passes the gate floor.
-    pub fn restart_replica(&mut self, r: ReplicaId) {
-        let group = self.spec.group_of_replica(r);
-        let canonical = self.spec.group_members(group);
-        let idx = canonical
-            .iter()
-            .position(|&m| m == r)
-            // lint:allow(panic_path): fault-injection control plane — the
-            // scenario script named a replica outside its own spec.
-            .expect("replica belongs to its group");
-        let peer = canonical
-            .iter()
-            .copied()
-            .find(|&m| m != r)
-            // lint:allow(panic_path): fault-injection control plane — a
-            // 1-replica group cannot state-transfer; scripts must not ask.
-            .expect("restart_replica needs a live peer to transfer from");
-        // Switch first: restore the canonical table with the newcomer
-        // gated, then the survivors' membership. A short settle keeps the
-        // gate ahead of the newcomer's ungate report.
-        self.rig
-            .send_switch_control(ControlMsg::SetReplicas(canonical.clone()));
-        self.rig.send_switch_control(ControlMsg::GateReplica(r));
-        for &m in &canonical {
-            if m != r {
-                self.rig.send_set_members(m, canonical.clone());
-            }
-        }
-        std::thread::sleep(StdDuration::from_millis(2));
-        let mut cfg = self.spec.group_config(group, idx);
-        // The newcomer must report its catch-up to the *current* switch
-        // incarnation, not the one the deployment booted with.
-        if let Some(cur) = self.switch_incarnation() {
-            cfg.active_switch = cur;
-        }
-        self.rig.spawn_recovering_replica(cfg, peer);
-    }
-
-    /// Aggregate data-plane counters of the live switch (None if killed).
-    pub fn switch_stats(&self) -> Option<SwitchStats> {
-        self.rig.observe().map(|v| v.stats())
-    }
-
-    /// One group's data-plane counters.
-    pub fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.rig.observe_group(group).map(|o| o.stats)
-    }
-
-    /// Whether the live switch currently issues single-replica reads
-    /// (group 0 — the whole answer in an unsharded deployment).
-    pub fn fast_path_enabled(&self) -> Option<bool> {
-        self.group_fast_path_enabled(GroupId(0))
-    }
-
-    /// Whether `group`'s fast path is currently enabled.
-    pub fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
-        self.rig.observe_group(group).map(|o| o.fast_path_enabled)
-    }
-
-    /// Total dirty-set SRAM across every hosted group.
-    pub fn switch_memory_bytes(&self) -> Option<usize> {
-        self.rig.observe().map(|v| v.memory_bytes())
-    }
-
-    /// Aggregate-only view across every pipeline (per-group snapshots).
-    pub fn switch_view(&self) -> Option<SpineView> {
-        self.rig.observe()
-    }
-
-    /// The live switch's incarnation id (None if killed).
-    pub fn switch_incarnation(&self) -> Option<SwitchId> {
-        self.rig.switch.as_ref().map(|f| f.incarnation)
-    }
-
-    /// Stop every thread and wait for them. (Dropping the cluster does the
-    /// same; this form just makes the teardown point explicit.)
-    pub fn shutdown(mut self) {
-        self.rig.shutdown_in_place();
-    }
-}
-
-impl Drop for LiveCluster {
-    fn drop(&mut self) {
-        self.rig.shutdown_in_place();
-    }
-}
-
-impl Cluster for LiveCluster {
-    fn spec(&self) -> &DeploymentSpec {
-        &self.spec
-    }
-
-    fn client(&mut self) -> Box<dyn KvClient + '_> {
-        Box::new(LiveCluster::client(self))
-    }
-
-    fn kill_switch(&mut self) {
-        LiveCluster::kill_switch(self);
-    }
-
-    fn replace_switch(&mut self, new_id: SwitchId) {
-        LiveCluster::replace_switch(self, new_id);
-    }
-
-    fn kill_replica(&mut self, r: ReplicaId) {
-        LiveCluster::kill_replica(self, r);
-    }
-
-    fn restart_replica(&mut self, r: ReplicaId) {
-        LiveCluster::restart_replica(self, r);
-    }
-
-    fn switch_stats(&self) -> Option<SwitchStats> {
-        LiveCluster::switch_stats(self)
-    }
-
-    fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        LiveCluster::group_stats(self, group)
-    }
-
-    fn fast_path_enabled(&self) -> Option<bool> {
-        LiveCluster::fast_path_enabled(self)
-    }
-
-    fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
-        LiveCluster::group_fast_path_enabled(self, group)
-    }
-
-    fn switch_memory_bytes(&self) -> Option<usize> {
-        LiveCluster::switch_memory_bytes(self)
-    }
-
-    fn switch_incarnation(&self) -> Option<SwitchId> {
-        LiveCluster::switch_incarnation(self)
-    }
-
-    fn obs_snapshot(&self) -> ObsSnapshot {
-        let rs = self.rig.registry.snapshot();
-        let mut snap = ObsSnapshot {
-            driver: "live",
-            protocol: self.spec.protocol.name(),
-            groups: self.spec.groups as u32,
-            replicas: self.spec.replicas as u32,
-            taken_at_ns: self.rig.registry.clock().now().nanos(),
-            ..ObsSnapshot::default()
-        };
-        snap.apply_recorder(&rs);
-        if let Some(view) = self.rig.observe() {
-            let (switch, per_group) = spine_obs(&view, rs.counter(Counter::SwitchSwept));
-            snap.switch = switch;
-            snap.per_group = per_group;
-        }
-        // The channel substrate injects no faults; the section stays zero.
-        snap
-    }
-
-    fn trace_events(&self) -> Vec<TraceEvent> {
-        self.rig.registry.trace_events()
-    }
-
-    fn run_plans(&mut self, plans: Vec<Vec<OpSpec>>) -> Vec<Vec<RecordedOp>> {
-        run_plans_threaded(|| self.rig.client(), plans)
-    }
-}
-
-/// Closed-loop plan execution on real threads, shared by every threaded
-/// driver (channels or UDP): one thread per plan, all sharing one
-/// wall-clock epoch so the recorded intervals are mutually comparable
-/// (real-time order is what the linearizability checker needs).
-pub(crate) fn run_plans_threaded(
-    mut make_client: impl FnMut() -> LiveClient,
-    plans: Vec<Vec<OpSpec>>,
-) -> Vec<Vec<RecordedOp>> {
-    let epoch = StdInstant::now();
-    let handles: Vec<_> = plans
-        .into_iter()
-        .map(|plan| {
-            let mut client = make_client();
-            std::thread::spawn(move || {
-                let stamp = |at: StdInstant| {
-                    Instant::ZERO + Duration::from_nanos(at.duration_since(epoch).as_nanos() as u64)
-                };
-                let mut records = Vec::with_capacity(plan.len());
-                for op in plan {
-                    // Keys and values move by refcount from the plan
-                    // into the request and the record — the hot loop
-                    // allocates nothing per op.
-                    let invoked = StdInstant::now();
-                    let (result, ok) = match op.kind {
-                        OpKind::Read => match client.get(op.key.clone()) {
-                            Ok(v) => (v, true),
-                            Err(_) => (None, false),
-                        },
-                        OpKind::Write => {
-                            let value = op.value.clone().unwrap_or_default();
-                            (None, client.set(op.key.clone(), value).is_ok())
-                        }
-                    };
-                    records.push(RecordedOp {
-                        kind: op.kind,
-                        key: op.key,
-                        value: op.value,
-                        invoked: stamp(invoked),
-                        completed: stamp(StdInstant::now()),
-                        result,
-                        ok,
-                    });
-                }
-                records
-            })
-        })
-        .collect();
-    handles
-        .into_iter()
-        // lint:allow(panic_path): harness teardown — propagating a worker
-        // panic into the test failure is exactly what we want here.
-        .map(|h| h.join().expect("plan thread panicked"))
-        .collect()
-}
-
-/// A replica's event loop — deliver packets, drive ticks. Generic over the
-/// [`NodeLink`]: the same loop serves the channel driver and the UDP driver.
-///
-/// With `recover_from` set, the replica starts *empty* and first performs
-/// snapshot + log state transfer from that peer; client requests are shed
-/// (clients retry elsewhere — the switch read-gates it anyway) until the
-/// transfer completes and the loop asks the switch to lift the gate.
-pub(crate) fn replica_main(
-    me: NodeId,
-    mut replica: Box<dyn Replica>,
-    mut link: impl NodeLink,
-    recover_from: Option<ReplicaId>,
-    recorder: Recorder,
-) {
-    let NodeId::Replica(my_id) = me else {
-        // lint:allow(panic_path): loop precondition — callers construct
-        // `me` as `NodeId::Replica` two lines above each spawn site.
-        unreachable!("replica loop hosted at {me:?}")
-    };
-    let mut transfer = StateTransfer::new(my_id);
-    // Reusable outbox: per-effect packets accumulate here and go out in one
-    // batched flush (one `sendmmsg` run on the UDP link).
+/// A replica's event loop: feed packets and ticks to its `ReplicaNode`,
+/// send what comes back. Generic over the [`NodeLink`], so the same loop
+/// serves every substrate.
+fn replica_main(me: ReplicaId, mut node: ReplicaNode, mut link: impl NodeLink) {
+    // Reusable outbox: each step's packets go out in one batched flush (one
+    // `sendmmsg` run on the UDP link).
     let mut outbox: Vec<(NodeId, Msg)> = Vec::new();
-    if let Some(peer) = recover_from {
-        let mut fx = Effects::new();
-        transfer.begin(peer, &mut fx);
-        outbox.extend(
-            fx.out
-                .into_iter()
-                .map(|(dst, body)| (dst, Msg::new(me, dst, body))),
-        );
-        link.send_many(&mut outbox);
-    }
-    let tick = replica.tick_interval().map(|d| d.to_std());
+    node.start(me, &mut outbox);
+    link.send_many(&mut outbox);
+    let tick = node.tick_interval().map(|d| d.to_std());
     let mut next_tick = tick.map(|t| StdInstant::now() + t);
     loop {
         let wait = match next_tick {
@@ -1145,61 +893,16 @@ pub(crate) fn replica_main(
         };
         match link.recv(wait) {
             Ok(Envelope::Packet(msg)) => {
-                let mut fx = Effects::new();
-                match msg.body {
-                    // State-transfer traffic is brokered outside the
-                    // protocol state machine: the engine both answers
-                    // peers' snapshot requests and installs our catch-up.
-                    PacketBody::Protocol(ProtocolMsg::StateTransfer(m)) => {
-                        recorder.incr(Counter::ReplicaTransfer);
-                        transfer.on_msg(replica.as_mut(), m, &mut fx);
-                    }
-                    // Not caught up yet: shed the request, the client
-                    // retries against a replica that can serve it.
-                    PacketBody::Request(req) if transfer.is_recovering() => {
-                        recorder.incr(Counter::ReplicaShed);
-                        recorder.trace(
-                            me,
-                            TraceId::new(req.client, req.request),
-                            req.obj,
-                            TraceStage::ReplicaShed,
-                        );
-                    }
-                    PacketBody::Request(req) => {
-                        recorder.incr(Counter::ReplicaRequests);
-                        let (trace_id, obj) = (TraceId::new(req.client, req.request), req.obj);
-                        replica.on_request(msg.src, req, &mut fx);
-                        recorder.trace(me, trace_id, obj, TraceStage::ReplicaExecute);
-                    }
-                    PacketBody::Protocol(p) => {
-                        recorder.incr(Counter::ReplicaProtocol);
-                        replica.on_protocol(msg.src, p, &mut fx);
-                    }
-                    _ => {
-                        recorder.incr(Counter::ReplicaStray);
-                    }
-                }
-                outbox.extend(
-                    fx.out
-                        .into_iter()
-                        .map(|(dst, body)| (dst, Msg::new(me, dst, body))),
-                );
+                let now = node.recorder().now();
+                node.on_packet(now, me, msg, &mut outbox);
                 link.send_many(&mut outbox);
             }
-            Ok(Envelope::Inspect(_)) => {}
-            Ok(Envelope::Stop) => break,
-            Err(LinkError::TimedOut) => {}
-            Err(LinkError::Closed) => break,
+            Ok(Envelope::Inspect(_)) | Err(LinkError::TimedOut) => {}
+            Ok(Envelope::Stop) | Err(LinkError::Closed) => break,
         }
         if let (Some(at), Some(iv)) = (next_tick, tick) {
             if StdInstant::now() >= at {
-                let mut fx = Effects::new();
-                replica.on_tick(&mut fx);
-                outbox.extend(
-                    fx.out
-                        .into_iter()
-                        .map(|(dst, body)| (dst, Msg::new(me, dst, body))),
-                );
+                node.on_tick(me, &mut outbox);
                 link.send_many(&mut outbox);
                 next_tick = Some(StdInstant::now() + iv);
             }
@@ -1306,7 +1009,7 @@ mod tests {
     fn per_group_pipelines_keep_disjoint_counters() {
         let cluster = DeploymentSpec::new().groups(3).spawn_live();
         assert_eq!(
-            cluster.rig.switch.as_ref().unwrap().pipelines.len(),
+            cluster.switch.as_ref().unwrap().pipelines.len(),
             3,
             "one pipeline per group"
         );

@@ -3,45 +3,42 @@
 //! Wraps any `harmonia-replication` [`Replica`] behind the calibrated
 //! service-cost model: each inbound message occupies the server for its
 //! [`CostModel`] duration, so saturation and queueing delay arise exactly as
-//! on the paper's testbed, where the tail/leader CPU is the bottleneck.
+//! on the paper's testbed, where the tail/leader CPU is the bottleneck. What
+//! the server does with a message is `ReplicaNode`'s business — the same
+//! step the threaded drivers run.
 
-use harmonia_obs::{Counter, Recorder, TraceStage};
-use harmonia_replication::{Effects, ProtocolMsg, Replica, StateTransfer};
+use harmonia_obs::Recorder;
+use harmonia_replication::Replica;
 use harmonia_sim::{Actor, Context, Service, TimerToken};
-use harmonia_types::{NodeId, PacketBody, ReplicaId, TraceId};
+use harmonia_types::{NodeId, ReplicaId};
 
 use crate::msg::{CostModel, Msg};
+use crate::replica_step::ReplicaNode;
 
 /// One storage server.
 pub struct ReplicaActor {
-    inner: Box<dyn Replica>,
+    node: ReplicaNode,
     costs: CostModel,
-    /// The state-transfer broker: serves peers' snapshot requests, and runs
-    /// this replica's own catch-up after a restart. Built lazily because the
-    /// actor only learns its node id from the world.
-    transfer: Option<StateTransfer>,
-    /// Set by [`recovering`](Self::recovering): `on_start` requests a
-    /// snapshot from this peer before serving anything.
-    recover_from: Option<ReplicaId>,
-    /// Observability handle; detached unless a registry wires one in.
-    recorder: Recorder,
+    out: Vec<(NodeId, Msg)>,
 }
 
 impl ReplicaActor {
     /// Wrap a protocol state machine with the given cost model.
     pub fn new(inner: Box<dyn Replica>, costs: CostModel) -> Self {
+        Self::build(inner, costs, None)
+    }
+
+    fn build(inner: Box<dyn Replica>, costs: CostModel, recover_from: Option<ReplicaId>) -> Self {
         ReplicaActor {
-            inner,
+            node: ReplicaNode::new(inner, recover_from, Recorder::detached()),
             costs,
-            transfer: None,
-            recover_from: None,
-            recorder: Recorder::detached(),
+            out: Vec::new(),
         }
     }
 
     /// Attach an observability recorder (builder style).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
+        self.node.set_recorder(recorder);
         self
     }
 
@@ -50,116 +47,52 @@ impl ReplicaActor {
     /// client requests are dropped (clients retry) until the transfer
     /// completes and the switch is asked to lift the read gate.
     pub fn recovering(inner: Box<dyn Replica>, costs: CostModel, peer: ReplicaId) -> Self {
-        ReplicaActor {
-            inner,
-            costs,
-            transfer: None,
-            recover_from: Some(peer),
-            recorder: Recorder::detached(),
-        }
+        Self::build(inner, costs, Some(peer))
     }
 
     /// Inspect the wrapped state machine.
     pub fn replica(&self) -> &dyn Replica {
-        self.inner.as_ref()
+        self.node.replica()
     }
 
     /// Whether a state transfer into this replica is still in flight.
     pub fn is_recovering(&self) -> bool {
-        self.recover_from.is_some() || self.transfer.as_ref().is_some_and(|t| t.is_recovering())
+        self.node.is_recovering()
     }
 
-    fn engine(&mut self, node: NodeId) -> &mut StateTransfer {
-        let me = match node {
+    fn me(ctx: &Context<'_, Msg>) -> ReplicaId {
+        match ctx.node() {
             NodeId::Replica(r) => r,
             other => unreachable!("replica actor hosted at {other:?}"),
-        };
-        self.transfer.get_or_insert_with(|| StateTransfer::new(me))
+        }
     }
 
-    fn flush(&self, ctx: &mut Context<'_, Msg>, fx: Effects) {
-        let me = ctx.node();
-        for (dst, body) in fx.out {
-            ctx.send(dst, Msg::new(me, dst, body));
+    fn flush(&mut self, ctx: &mut Context<'_, Msg>) {
+        for (dst, msg) in self.out.drain(..) {
+            ctx.send(dst, msg);
         }
     }
 }
 
 impl Actor<Msg> for ReplicaActor {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        if let Some(iv) = self.inner.tick_interval() {
+        if let Some(iv) = self.node.tick_interval() {
             ctx.set_timer(iv);
         }
-        if let Some(peer) = self.recover_from.take() {
-            let mut fx = Effects::new();
-            self.engine(ctx.node()).begin(peer, &mut fx);
-            self.flush(ctx, fx);
-        }
+        self.node.start(Self::me(ctx), &mut self.out);
+        self.flush(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
-        let mut fx = Effects::new();
-        match msg.body {
-            // State-transfer traffic is brokered outside the protocol state
-            // machine: the engine both answers peers' snapshot requests and
-            // installs this replica's own catch-up.
-            PacketBody::Protocol(ProtocolMsg::StateTransfer(m)) => {
-                self.recorder.incr(Counter::ReplicaTransfer);
-                self.engine(ctx.node());
-                // Split the borrow: engine and state machine are disjoint.
-                let ReplicaActor {
-                    inner, transfer, ..
-                } = self;
-                transfer.as_mut().expect("engine initialised above").on_msg(
-                    inner.as_mut(),
-                    m,
-                    &mut fx,
-                );
-            }
-            PacketBody::Request(req) if self.is_recovering() => {
-                // Not caught up yet: shed the request, the client retries
-                // against a replica that can actually serve it.
-                ctx.metrics().incr("replica.recovering_drop");
-                self.recorder.incr(Counter::ReplicaShed);
-                self.recorder.trace_at(
-                    ctx.now(),
-                    ctx.node(),
-                    TraceId::new(req.client, req.request),
-                    req.obj,
-                    TraceStage::ReplicaShed,
-                );
-            }
-            PacketBody::Request(req) => {
-                self.recorder.incr(Counter::ReplicaRequests);
-                let (trace_id, obj) = (TraceId::new(req.client, req.request), req.obj);
-                self.inner.on_request(from, req, &mut fx);
-                self.recorder.trace_at(
-                    ctx.now(),
-                    ctx.node(),
-                    trace_id,
-                    obj,
-                    TraceStage::ReplicaExecute,
-                );
-            }
-            PacketBody::Protocol(p) => {
-                self.recorder.incr(Counter::ReplicaProtocol);
-                self.inner.on_protocol(from, p, &mut fx);
-            }
-            // Replies, completions and switch-control packets are not
-            // addressed to replicas; tolerate strays.
-            _ => {
-                ctx.metrics().incr("replica.stray_packet");
-                self.recorder.incr(Counter::ReplicaStray);
-            }
-        }
-        self.flush(ctx, fx);
+    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
+        self.node
+            .on_packet(ctx.now(), Self::me(ctx), msg, &mut self.out);
+        self.flush(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _token: TimerToken) {
-        let mut fx = Effects::new();
-        self.inner.on_tick(&mut fx);
-        self.flush(ctx, fx);
-        if let Some(iv) = self.inner.tick_interval() {
+        self.node.on_tick(Self::me(ctx), &mut self.out);
+        self.flush(ctx);
+        if let Some(iv) = self.node.tick_interval() {
             ctx.set_timer(iv);
         }
     }
@@ -174,7 +107,9 @@ mod tests {
     use super::*;
     use harmonia_replication::{build_replica, GroupConfig, ProtocolKind};
     use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
-    use harmonia_types::{ClientId, ClientRequest, Duration, ReplicaId, RequestId, SwitchId};
+    use harmonia_types::{
+        ClientId, ClientRequest, Duration, PacketBody, ReplicaId, RequestId, SwitchId,
+    };
 
     /// Three chain replicas + a sink switch; verifies the actor plumbing
     /// end-to-end through the simulator.

@@ -768,13 +768,9 @@ impl Actor<Msg> for SwitchActor {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-        let was_drops = self.core.stats().writes_dropped;
         let mut out = std::mem::take(&mut self.out);
         let now = ctx.now();
         self.core.handle(now, ctx.node(), msg, ctx.rng(), &mut out);
-        if self.core.stats().writes_dropped > was_drops {
-            ctx.metrics().incr("switch.write_dropped");
-        }
         for (dst, m) in out.drain(..) {
             ctx.send(dst, m);
         }

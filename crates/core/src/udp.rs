@@ -1,28 +1,27 @@
 //! The UDP driver: the same state machines, every byte on a real socket.
 //!
 //! This is the third deployment shape behind the [`Cluster`] trait
-//! ([`DeploymentSpec::spawn_udp`]): node threads identical to the threaded
-//! live driver — per-group switch pipelines, replica loops, the
-//! [`LiveClient`] retry loop — but connected by `std::net::UdpSocket`
-//! loopback datagrams instead of in-process channels. Every packet is
-//! encoded through the `harmonia-types` wire codec into a length-prefixed
-//! frame, and each datagram carries one or more frames back-to-back
-//! (GSO/GRO-style coalescing under the spec's `udp_coalesce` knob, strict
-//! one-frame-per-datagram with it off), so the codec is exercised against a
-//! peer that can hand it truncated, duplicated, reordered, or garbage
-//! bytes: the OUM envelope the paper's deployment actually assumes (§4,
-//! §6).
+//! ([`DeploymentSpec::spawn_udp`]): the threaded rig of [`crate::live`] —
+//! per-group switch pipelines, replica loops, the [`LiveClient`] shell —
+//! over the [`Sockets`] substrate, so nodes are connected by
+//! `std::net::UdpSocket` loopback datagrams instead of in-process channels.
+//! Every packet is encoded through the `harmonia-types` wire codec into a
+//! length-prefixed frame, and each datagram carries one or more frames
+//! back-to-back (GSO/GRO-style coalescing), so the codec is exercised
+//! against a peer that can hand it truncated, duplicated, reordered, or
+//! garbage bytes: the OUM envelope the paper's deployment actually assumes
+//! (§4, §6).
 //!
 //! # Plumbing, not logic
 //!
-//! All packet-handling logic lives in [`crate::live`] behind the `NodeLink`
-//! abstraction; this module only provides the transport plumbing:
+//! All packet-handling logic and every §5.3 verb lives in [`crate::live`];
+//! this module only provides the transport plumbing:
 //!
 //! * The spine stays a **sender-side** route: the deployment's
 //!   [`AddrBook`] maps the stable switch address (and the live
 //!   incarnation's id) to the per-group pipeline sockets, and resolving a
 //!   send performs the `ShardMap` lookup on the sending thread — no
-//!   intermediate hop, exactly like the channel driver's `SpinePlan`.
+//!   intermediate hop, exactly like the channel substrate's spine plan.
 //! * Driver control verbs (pipeline inspection, stop) ride a crossbeam side
 //!   channel per thread; only data-plane packets cross the sockets.
 //!
@@ -39,14 +38,17 @@
 //! deployment, and in-order write propagation depends on them). Latency
 //! and jitter fields are ignored: the kernel's loopback timing is the real
 //! thing.
+//!
+//! [`Cluster`]: crate::deployment::Cluster
+//! [`LiveClient`]: crate::live::LiveClient
 
 // Wall-clock reads are deliberate here: live UDP driver: ticks and timeouts are real time.
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -55,22 +57,14 @@ use harmonia_net::{
     AddrBook, FaultConfig, FaultCounters, FaultyTransport, PoolStats, RecvError, Transport,
     TransportStats, UdpTransport,
 };
-use harmonia_obs::{
-    Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
-};
-use harmonia_replication::build_replica;
-use harmonia_replication::messages::{ProtocolMsg, ReplicaControlMsg};
-use harmonia_switch::{GroupId, GroupObservation, SpineView, SwitchStats};
-use harmonia_types::{ClientId, ControlMsg, NodeId, PacketBody, ReplicaId, SwitchId};
+use harmonia_obs::{Counter, FaultObs, Recorder};
+use harmonia_replication::messages::ProtocolMsg;
+use harmonia_types::NodeId;
+use harmonia_workload::ShardMap;
 
-use crate::client::{OpSpec, RecordedOp};
-use crate::deployment::{spine_obs, Cluster, DeploymentSpec, KvClient};
-use crate::live::{
-    observe_fleet, observe_pipeline, pipeline_main, replica_main, run_plans_threaded, Envelope,
-    LinkError, LiveClient, NodeLink, CLIENT_RETRIES, CLIENT_TIMEOUT,
-};
+use crate::deployment::DeploymentSpec;
+use crate::live::{Envelope, LinkError, NodeLink, Substrate, ThreadedCluster};
 use crate::msg::Msg;
-use crate::switch_actor::SwitchCore;
 
 /// A boxed datagram endpoint carrying deployment packets.
 type Net = Box<dyn Transport<ProtocolMsg>>;
@@ -100,7 +94,7 @@ enum Faults {
 /// control verbs on a crossbeam side channel. Links without a driver side
 /// channel (clients) block on the socket for the full timeout instead of
 /// polling in `CTL_POLL` slices.
-struct UdpLink {
+pub struct UdpLink {
     transport: Net,
     ctl: Receiver<Envelope>,
     has_ctl: bool,
@@ -115,8 +109,7 @@ struct UdpLink {
     pending: VecDeque<Msg>,
     /// Scratch for `Transport::recv_batch` (reused, no per-drain alloc).
     drain_scratch: Vec<Msg>,
-    /// Observability shard for this endpoint's wire counters; detached
-    /// unless the rig wires one in.
+    /// Observability shard for this endpoint's wire counters.
     recorder: Recorder,
     /// Last wire/pool stats already credited to the recorder — the
     /// transport keeps cumulative counters, the registry wants increments,
@@ -127,7 +120,7 @@ struct UdpLink {
 }
 
 impl UdpLink {
-    fn over(transport: Net, ctl: Receiver<Envelope>, has_ctl: bool) -> Self {
+    fn over(transport: Net, ctl: Receiver<Envelope>, has_ctl: bool, recorder: Recorder) -> Self {
         UdpLink {
             transport,
             ctl,
@@ -135,21 +128,11 @@ impl UdpLink {
             owner: None,
             pending: VecDeque::new(),
             drain_scratch: Vec::new(),
-            recorder: Recorder::detached(),
+            recorder,
             seen_wire: TransportStats::default(),
             seen_recv_pool: PoolStats::default(),
             seen_send_pool: PoolStats::default(),
         }
-    }
-
-    fn owned_by(mut self, book: Arc<AddrBook>, node: NodeId) -> Self {
-        self.owner = Some((book, node));
-        self
-    }
-
-    fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self
     }
 
     /// Credit the transport's counter growth since the last sync to the
@@ -218,7 +201,7 @@ impl NodeLink for UdpLink {
 
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
         // One `sendmmsg` run per MAX_BATCH packets (scalar loop on a
-        // fault-wrapped or batching-disabled transport).
+        // fault-wrapped transport).
         self.transport.send_batch(batch);
         self.sync_obs();
     }
@@ -264,57 +247,56 @@ impl NodeLink for UdpLink {
     }
 }
 
-/// One pipeline thread of the UDP switch fleet.
-struct UdpPipeline {
-    group: GroupId,
-    ctl: Sender<Envelope>,
-    join: JoinHandle<()>,
-}
-
-/// The whole switch of one incarnation.
-struct UdpFleet {
-    incarnation: SwitchId,
-    pipelines: Vec<UdpPipeline>,
-}
-
-/// Driver plumbing: address book, switch fleet, replica threads.
-struct UdpRig {
+/// The socket substrate: one loopback `UdpSocket` per node behind the
+/// deployment's [`AddrBook`], with the spec's fault model at the socket
+/// boundary.
+pub struct Sockets {
     book: Arc<AddrBook>,
-    switch_addr: NodeId,
-    write_replies: usize,
-    sweep: StdDuration,
     faults: FaultConfig,
     fault_counters: Arc<FaultCounters>,
     /// Base for per-transport fault-RNG seeds (from the spec's seed).
     fault_seed: u64,
     /// Distinct deterministic stream per adversarial transport.
     fault_streams: AtomicU64,
-    replica_ids: Vec<ReplicaId>,
-    replica_threads: Vec<(Sender<Envelope>, JoinHandle<()>)>,
-    switch: Option<UdpFleet>,
-    next_client: AtomicU32,
-    /// Spec's `udp_batch`: whether endpoints use the `sendmmsg`/`recvmmsg`
-    /// fast path behind the batch verbs.
-    batched: bool,
-    /// Spec's `udp_coalesce`: whether batched sends pack per-destination
-    /// frames back-to-back into full datagrams (GSO-style) instead of one
-    /// frame per datagram.
-    coalesced: bool,
-    /// Observability registry: one shard per node thread / client / link,
-    /// stamped by real monotonic time.
-    registry: Arc<Registry>,
 }
 
-impl UdpRig {
+impl Sockets {
+    /// Bind a fresh loopback endpoint under the given fault policy.
+    fn endpoint(&self, faults: Faults) -> (Net, SocketAddr) {
+        // lint:allow(panic_path): deployment bring-up — a failed loopback
+        // bind means no endpoint ever existed; no live traffic is at risk.
+        let t = UdpTransport::bind(Arc::clone(&self.book)).expect("bind loopback UDP socket");
+        let addr = t.local_addr();
+        if faults == Faults::None || self.faults.is_noop() {
+            return (Box::new(t), addr);
+        }
+        let stream = self.fault_streams.fetch_add(1, Ordering::Relaxed);
+        let seed = self
+            .fault_seed
+            .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let faulty = FaultyTransport::new(t, self.faults, seed, Arc::clone(&self.fault_counters));
+        if faults == Faults::SparingReplicas {
+            // Replica↔replica channels keep the reliable-FIFO envelope
+            // in-order write propagation depends on (§5.2) — only sends
+            // toward the switch and clients face the adversary.
+            let sparing = faulty.exempting(|to| matches!(to, NodeId::Replica(_)));
+            return (Box::new(sparing), addr);
+        }
+        (Box::new(faulty), addr)
+    }
+}
+
+impl Substrate for Sockets {
+    type Link = UdpLink;
+    type Ingress = SocketAddr;
+    const DRIVER: &'static str = "udp";
+    // Even a clean loopback socket can lose a datagram to a full receiver
+    // buffer under load.
+    const LEASE_ROUNDS: u32 = 3;
+
     fn new(spec: &DeploymentSpec) -> Self {
-        UdpRig {
+        Sockets {
             book: Arc::new(AddrBook::new()),
-            switch_addr: spec.switch_addr(),
-            write_replies: spec.write_replies(),
-            sweep: spec
-                .sweep_interval
-                .map(|d| d.to_std())
-                .unwrap_or(StdDuration::from_millis(10)),
             faults: FaultConfig {
                 drop_prob: spec.link.drop_prob,
                 duplicate_prob: spec.link.duplicate_prob,
@@ -323,528 +305,105 @@ impl UdpRig {
             fault_counters: Arc::new(FaultCounters::default()),
             fault_seed: spec.seed,
             fault_streams: AtomicU64::new(0),
-            replica_ids: Vec::new(),
-            replica_threads: Vec::new(),
-            switch: None,
-            next_client: AtomicU32::new(1),
-            batched: spec.udp_batch,
-            coalesced: spec.udp_coalesce,
-            registry: Arc::new(Registry::with_clock(Arc::new(MonotonicClock::new()))),
         }
     }
 
-    /// Bind a fresh loopback endpoint under the given fault policy.
-    fn endpoint(&self, faults: Faults) -> (Net, std::net::SocketAddr) {
-        // lint:allow(panic_path): deployment bring-up — a failed loopback
-        // bind means no endpoint ever existed; no live traffic is at risk.
-        let mut t = UdpTransport::bind(Arc::clone(&self.book)).expect("bind loopback UDP socket");
-        t.set_batched(self.batched);
-        t.set_coalesced(self.coalesced);
-        let addr = t.local_addr();
-        if matches!(faults, Faults::None) || self.faults.is_noop() {
-            return (Box::new(t), addr);
-        }
-        let stream = self.fault_streams.fetch_add(1, Ordering::Relaxed);
-        let seed = self
-            .fault_seed
-            .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let faulty = FaultyTransport::new(t, self.faults, seed, Arc::clone(&self.fault_counters));
-        let net: Net = match faults {
-            Faults::All => Box::new(faulty),
-            // Replica↔replica channels keep the reliable-FIFO envelope
-            // in-order write propagation depends on (§5.2) — only sends
-            // toward the switch and clients face the adversary.
-            Faults::SparingReplicas => {
-                Box::new(faulty.exempting(|to| matches!(to, NodeId::Replica(_))))
-            }
-            // lint:allow(panic_path): guarded by the early return above —
-            // the `Faults::None` arm is statically unreachable here.
-            Faults::None => unreachable!(),
-        };
-        (net, addr)
-    }
-
-    /// Spawn (or re-spawn after a failure) the pipeline fleet for `core`,
-    /// one socket-owning thread per hosted group, and publish the fleet in
-    /// the address book under the stable client-facing switch address plus
-    /// the incarnation's own id (replicas reply to the lease holder).
-    fn spawn_switch(&mut self, core: SwitchCore) {
-        // lint:allow(panic_path): harness control plane — a misuse by the
-        // test driver, not live traffic; no packet is in flight here.
-        assert!(self.switch.is_none(), "kill the old switch first");
-        let incarnation = core.incarnation();
-        let shards = core.shard_map();
-        let cores = core.into_group_cores();
-        let me = self.switch_addr;
-        let sweep = self.sweep;
-        let mut pipelines = Vec::with_capacity(cores.len());
-        let mut sockets = Vec::with_capacity(cores.len());
-        for mut core in cores {
-            core.set_recorder(self.registry.handle());
-            let group = core.group();
-            let (transport, addr) = self.endpoint(Faults::All);
-            let (ctl_tx, ctl_rx) = unbounded::<Envelope>();
-            // Pipelines are addressed through the spine entry, not a
-            // unicast registration; `clear_spine` is their teardown.
-            let link = UdpLink::over(transport, ctl_rx, true).with_recorder(self.registry.handle());
-            let join = std::thread::Builder::new()
-                .name(format!("harmonia-udpsw-{}-g{}", incarnation.0, group.0))
-                .spawn(move || pipeline_main(core, link, me, sweep))
-                // lint:allow(panic_path): deployment bring-up — thread-spawn
-                // failure precedes any traffic.
-                .expect("spawn UDP switch pipeline thread");
-            sockets.push(addr);
-            pipelines.push(UdpPipeline {
-                group,
-                ctl: ctl_tx,
-                join,
-            });
-        }
-        self.book
-            .install_spine(vec![me, NodeId::Switch(incarnation)], shards, sockets);
-        self.switch = Some(UdpFleet {
-            incarnation,
-            pipelines,
+    fn attach(&self, node: NodeId, recorder: Recorder) -> (UdpLink, Sender<Envelope>) {
+        // Clients have no driver verbs: without a side channel to poll,
+        // their link blocks on the socket for the whole reply deadline.
+        let is_client = matches!(node, NodeId::Client(_));
+        let (transport, addr) = self.endpoint(if is_client {
+            Faults::All
+        } else {
+            Faults::SparingReplicas
         });
+        self.book.register(node, addr);
+        let (ctl_tx, ctl_rx) = unbounded();
+        let mut link = UdpLink::over(transport, ctl_rx, !is_client, recorder);
+        link.owner = Some((Arc::clone(&self.book), node));
+        (link, ctl_tx)
     }
 
-    fn spawn_replica(&mut self, group: harmonia_replication::GroupConfig) {
-        self.spawn_replica_inner(group, None);
-    }
-
-    /// Spawn a *fresh* replica that must catch up from `peer` via state
-    /// transfer before serving (a restart after a fail-stop).
-    fn spawn_recovering_replica(
-        &mut self,
-        group: harmonia_replication::GroupConfig,
-        peer: ReplicaId,
-    ) {
-        self.spawn_replica_inner(group, Some(peer));
-    }
-
-    fn spawn_replica_inner(
-        &mut self,
-        group: harmonia_replication::GroupConfig,
-        recover_from: Option<ReplicaId>,
-    ) {
-        let me = NodeId::Replica(group.me);
-        let (transport, addr) = self.endpoint(Faults::SparingReplicas);
-        self.book.register(me, addr);
-        let (ctl_tx, ctl_rx) = unbounded::<Envelope>();
-        let link = UdpLink::over(transport, ctl_rx, true)
-            .owned_by(Arc::clone(&self.book), me)
-            .with_recorder(self.registry.handle());
-        self.replica_ids.push(group.me);
-        let recorder = self.registry.handle();
-        let name = format!("harmonia-udprep-{}", group.me.0);
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || replica_main(me, build_replica(group), link, recover_from, recorder))
-            // lint:allow(panic_path): deployment bring-up (see spawn_switch).
-            .expect("spawn UDP replica thread");
-        self.replica_threads.push((ctl_tx, handle));
-    }
-
-    /// Fail-stop one replica: stop and join its thread; its link's drop
-    /// removes it from the book, so packets toward it vanish mid-flight.
-    fn kill_replica(&mut self, r: ReplicaId) {
-        if let Some(idx) = self.replica_ids.iter().position(|&m| m == r) {
-            self.replica_ids.remove(idx);
-            let (ctl, handle) = self.replica_threads.remove(idx);
-            let _ = ctl.send(Envelope::Stop);
-            let _ = handle.join();
-        }
-    }
-
-    /// Control-plane packet to the switch fleet over a clean socket
-    /// (broadcast to every group's pipeline by the spine entry).
-    fn send_switch_control(&self, ctl: ControlMsg) {
-        let (mut t, _) = self.endpoint(Faults::None);
-        t.send(
-            self.switch_addr,
-            Msg::new(
-                NodeId::Controller,
-                self.switch_addr,
-                PacketBody::Control(ctl),
-            ),
-        );
-    }
-
-    /// Configuration service: set one replica's view of its group.
-    fn send_set_members(&self, to: ReplicaId, members: Vec<ReplicaId>) {
-        let (mut t, _) = self.endpoint(Faults::None);
-        let dst = NodeId::Replica(to);
-        t.send(
-            dst,
-            Msg::new(
-                NodeId::Controller,
-                dst,
-                PacketBody::Protocol(ProtocolMsg::Control(ReplicaControlMsg::SetMembers(members))),
-            ),
-        );
-    }
-
-    /// Stop every pipeline of the fleet and wait for them. The fleet's
-    /// sockets leave the address book first, so requests already in flight
-    /// or subsequently sent to the switch vanish — clients time out and
-    /// retry, exactly the Figure 10 outage.
-    fn kill_switch(&mut self) {
-        if let Some(fleet) = self.switch.take() {
-            self.book.clear_spine();
-            for p in &fleet.pipelines {
-                let _ = p.ctl.send(Envelope::Stop);
-            }
-            for p in fleet.pipelines {
-                let _ = p.join.join();
-            }
-        }
-    }
-
-    /// Snapshot one group's pipeline state (stats inspection).
-    fn observe_group(&self, group: GroupId) -> Option<GroupObservation> {
-        let fleet = self.switch.as_ref()?;
-        let p = fleet.pipelines.iter().find(|p| p.group == group)?;
-        observe_pipeline(&p.ctl)
-    }
-
-    /// Snapshot every pipeline and fold into the aggregate-only view.
-    fn observe(&self) -> Option<SpineView> {
-        let fleet = self.switch.as_ref()?;
-        observe_fleet(fleet.pipelines.iter().map(|p| &p.ctl))
-    }
-
-    /// Configuration service: move every replica's lease to `new_id`. The
-    /// control packets cross a real (clean) socket like everything else —
-    /// but even a clean loopback socket can lose a datagram to a full
-    /// receiver buffer under load, and a replica stranded on the old
-    /// incarnation would reject the new switch's traffic forever. The
-    /// lease is monotone (`LeaseState::set_active` ignores regressions),
-    /// so the move is retransmitted in a few spaced rounds: idempotent
-    /// best-effort, the same role the paper's configuration service plays.
-    fn move_lease(&self, new_id: SwitchId) {
-        let (mut t, _) = self.endpoint(Faults::None);
-        for round in 0..3 {
-            if round > 0 {
-                std::thread::sleep(StdDuration::from_millis(2));
-            }
-            for &r in &self.replica_ids {
-                let dst = NodeId::Replica(r);
-                t.send(
-                    dst,
-                    Msg::new(
-                        NodeId::Controller,
-                        dst,
-                        PacketBody::Protocol(ProtocolMsg::Control(
-                            ReplicaControlMsg::SetActiveSwitch(new_id),
-                        )),
-                    ),
-                );
-            }
-        }
-    }
-
-    fn client(&self) -> LiveClient {
-        let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
+    fn attach_pipeline(&self, recorder: Recorder) -> (UdpLink, Sender<Envelope>, SocketAddr) {
         let (transport, addr) = self.endpoint(Faults::All);
-        self.book.register(NodeId::Client(id), addr);
-        // Clients have no driver verbs: `has_ctl: false` lets the link
-        // block on the socket for the whole reply deadline instead of
-        // polling an always-empty side channel.
-        let (_unused_tx, ctl_rx) = unbounded::<Envelope>();
-        let link = UdpLink::over(transport, ctl_rx, false)
-            .owned_by(Arc::clone(&self.book), NodeId::Client(id))
-            .with_recorder(self.registry.handle());
-        LiveClient::over_link(
-            id,
-            Box::new(link),
-            self.switch_addr,
-            self.write_replies,
-            CLIENT_TIMEOUT,
-            CLIENT_RETRIES,
+        let (ctl_tx, ctl_rx) = unbounded();
+        (
+            UdpLink::over(transport, ctl_rx, true, recorder),
+            ctl_tx,
+            addr,
         )
-        .with_recorder(self.registry.handle())
     }
 
-    fn shutdown_in_place(&mut self) {
-        self.kill_switch();
-        for (ctl, _) in &self.replica_threads {
-            let _ = ctl.send(Envelope::Stop);
+    fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, sockets: Vec<SocketAddr>) {
+        self.book.install_spine(names.to_vec(), shards, sockets);
+    }
+
+    fn clear_spine(&self) {
+        self.book.clear_spine();
+    }
+
+    /// The script crosses a real socket like everything else, but a clean
+    /// one: the configuration service is not the adversary's target.
+    fn deliver(&self, script: Vec<(NodeId, Msg)>) {
+        let (mut t, _) = self.endpoint(Faults::None);
+        for (to, msg) in script {
+            t.send(to, msg);
         }
-        for (_, handle) in self.replica_threads.drain(..) {
-            let _ = handle.join();
+    }
+
+    /// The socket-boundary adversary keeps its own tallies; they are the
+    /// ground truth for what the fault model actually injected.
+    fn fault_obs(&self) -> FaultObs {
+        let (dropped, duplicated, reordered) = self.fault_counters.snapshot();
+        FaultObs {
+            dropped,
+            duplicated,
+            reordered,
+            discarded: self.fault_counters.discarded(),
         }
     }
 }
 
 /// A deployment whose every packet crosses a loopback `UdpSocket` — one
-/// replica group or many, exactly as its [`DeploymentSpec`] describes.
+/// replica group or many, exactly as its [`DeploymentSpec`] describes
+/// ([`DeploymentSpec::spawn_udp`]).
 ///
-/// Same node threads and packet-handling logic as [`LiveCluster`]
-/// (`crate::live`), different substrate: datagrams that can be lost,
-/// duplicated, and reordered. The spec's `link` fault probabilities are
-/// injected at the client and switch sockets by a seeded
-/// [`FaultyTransport`]; [`fault_counts`](UdpCluster::fault_counts) reports
-/// what actually fired.
-///
-/// [`LiveCluster`]: crate::live::LiveCluster
-pub struct UdpCluster {
-    rig: UdpRig,
-    spec: DeploymentSpec,
-}
+/// Same node threads, packet-handling logic and §5.3 verbs as
+/// [`LiveCluster`](crate::live::LiveCluster), different substrate:
+/// datagrams that can be lost, duplicated, and reordered. The spec's `link`
+/// fault probabilities are injected at the client and switch sockets by a
+/// seeded [`FaultyTransport`]; [`fault_counts`](UdpCluster::fault_counts)
+/// reports what actually fired.
+pub type UdpCluster = ThreadedCluster<Sockets>;
 
-impl UdpCluster {
-    /// Bind every socket and spawn every thread for `spec` (equivalently:
-    /// [`DeploymentSpec::spawn_udp`]).
-    pub fn new(spec: &DeploymentSpec) -> Self {
-        let mut rig = UdpRig::new(spec);
-        rig.spawn_switch(SwitchCore::for_deployment(spec, spec.initial_switch()));
-        for g in 0..spec.groups {
-            for i in 0..spec.replicas {
-                rig.spawn_replica(spec.group_config(g, i));
-            }
-        }
-        UdpCluster {
-            rig,
-            spec: spec.clone(),
-        }
-    }
-
-    /// The deployment's spec.
-    pub fn spec(&self) -> &DeploymentSpec {
-        &self.spec
-    }
-
-    /// Create a synchronous client handle on its own socket.
-    pub fn client(&self) -> LiveClient {
-        self.rig.client()
-    }
-
+impl ThreadedCluster<Sockets> {
     /// `(dropped, duplicated, reordered)` datagrams injected so far by the
     /// spec's fault model — a fault harness asserts these moved, proving the
     /// adversary actually exercised the deployment.
     pub fn fault_counts(&self) -> (u64, u64, u64) {
-        self.rig.fault_counters.snapshot()
+        self.substrate.fault_counters.snapshot()
     }
 
     /// Reorder-held datagrams discarded at endpoint teardown (instead of
     /// flushed toward addresses that may already be gone).
     pub fn discarded_count(&self) -> u64 {
-        self.rig.fault_counters.discarded()
+        self.substrate.fault_counters.discarded()
     }
 
     /// Number of unicast entries currently in the deployment's address book
     /// (leak checks: dropped clients must deregister themselves).
     pub fn unicast_entries(&self) -> usize {
-        self.rig.book.unicast_len()
-    }
-
-    /// §5.3 step 1: the switch fails (see
-    /// [`LiveCluster::kill_switch`](crate::live::LiveCluster::kill_switch);
-    /// here the fleet's sockets also vanish from the address book).
-    pub fn kill_switch(&mut self) {
-        self.rig.kill_switch();
-    }
-
-    /// §5.3 steps 2–3: activate a replacement fleet under `new_id` at the
-    /// same client-facing address and move every replica's lease to it.
-    pub fn replace_switch(&mut self, new_id: SwitchId) {
-        self.rig.kill_switch();
-        self.rig
-            .spawn_switch(SwitchCore::for_deployment(&self.spec, new_id));
-        self.rig.move_lease(new_id);
-    }
-
-    /// Fail-stop replica `r` (§5.3, "handling server failures"): its thread
-    /// stops, its socket leaves the address book (in-flight datagrams
-    /// toward it vanish), the switch drops it from the forwarding table,
-    /// and its group shrinks to the survivors.
-    pub fn kill_replica(&mut self, r: ReplicaId) {
-        self.rig.kill_replica(r);
-        self.rig.send_switch_control(ControlMsg::RemoveReplica(r));
-        let members = self.spec.group_members(self.spec.group_of_replica(r));
-        let survivors: Vec<ReplicaId> = members.into_iter().filter(|&m| m != r).collect();
-        for &s in &survivors {
-            self.rig.send_set_members(s, survivors.clone());
-        }
-    }
-
-    /// Restart `r` as a fresh, empty replica on a new socket: canonical
-    /// membership is restored, the switch re-admits it read-gated, and the
-    /// newcomer catches up via snapshot + log state transfer from a live
-    /// peer — every transfer byte crossing real UDP datagrams; the gate
-    /// lifts once its reported applied point passes the gate floor.
-    pub fn restart_replica(&mut self, r: ReplicaId) {
-        let group = self.spec.group_of_replica(r);
-        let canonical = self.spec.group_members(group);
-        let idx = canonical
-            .iter()
-            .position(|&m| m == r)
-            // lint:allow(panic_path): fault-injection control plane — the
-            // scenario script named a replica outside its own spec.
-            .expect("replica belongs to its group");
-        let peer = canonical
-            .iter()
-            .copied()
-            .find(|&m| m != r)
-            // lint:allow(panic_path): fault-injection control plane — a
-            // 1-replica group cannot state-transfer; scripts must not ask.
-            .expect("restart_replica needs a live peer to transfer from");
-        self.rig
-            .send_switch_control(ControlMsg::SetReplicas(canonical.clone()));
-        self.rig.send_switch_control(ControlMsg::GateReplica(r));
-        for &m in &canonical {
-            if m != r {
-                self.rig.send_set_members(m, canonical.clone());
-            }
-        }
-        // Settle so the gate lands before the newcomer's ungate report.
-        std::thread::sleep(StdDuration::from_millis(2));
-        let mut cfg = self.spec.group_config(group, idx);
-        // Report catch-up to the *current* switch incarnation.
-        if let Some(cur) = self.switch_incarnation() {
-            cfg.active_switch = cur;
-        }
-        self.rig.spawn_recovering_replica(cfg, peer);
-    }
-
-    /// Aggregate data-plane counters of the switch (None if killed).
-    pub fn switch_stats(&self) -> Option<SwitchStats> {
-        self.rig.observe().map(|v| v.stats())
-    }
-
-    /// One group's data-plane counters.
-    pub fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.rig.observe_group(group).map(|o| o.stats)
-    }
-
-    /// Whether the switch currently issues single-replica reads (group 0).
-    pub fn fast_path_enabled(&self) -> Option<bool> {
-        self.group_fast_path_enabled(GroupId(0))
-    }
-
-    /// Whether `group`'s fast path is currently enabled.
-    pub fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
-        self.rig.observe_group(group).map(|o| o.fast_path_enabled)
-    }
-
-    /// Total dirty-set SRAM across every hosted group.
-    pub fn switch_memory_bytes(&self) -> Option<usize> {
-        self.rig.observe().map(|v| v.memory_bytes())
-    }
-
-    /// Aggregate-only view across every pipeline (per-group snapshots).
-    pub fn switch_view(&self) -> Option<SpineView> {
-        self.rig.observe()
-    }
-
-    /// The switch's incarnation id (None if killed).
-    pub fn switch_incarnation(&self) -> Option<SwitchId> {
-        self.rig.switch.as_ref().map(|f| f.incarnation)
-    }
-
-    /// Stop every thread and wait for them. (Dropping does the same.)
-    pub fn shutdown(mut self) {
-        self.rig.shutdown_in_place();
-    }
-}
-
-impl Drop for UdpCluster {
-    fn drop(&mut self) {
-        self.rig.shutdown_in_place();
-    }
-}
-
-impl Cluster for UdpCluster {
-    fn spec(&self) -> &DeploymentSpec {
-        &self.spec
-    }
-
-    fn client(&mut self) -> Box<dyn KvClient + '_> {
-        Box::new(UdpCluster::client(self))
-    }
-
-    fn kill_switch(&mut self) {
-        UdpCluster::kill_switch(self);
-    }
-
-    fn replace_switch(&mut self, new_id: SwitchId) {
-        UdpCluster::replace_switch(self, new_id);
-    }
-
-    fn kill_replica(&mut self, r: ReplicaId) {
-        UdpCluster::kill_replica(self, r);
-    }
-
-    fn restart_replica(&mut self, r: ReplicaId) {
-        UdpCluster::restart_replica(self, r);
-    }
-
-    fn switch_stats(&self) -> Option<SwitchStats> {
-        UdpCluster::switch_stats(self)
-    }
-
-    fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        UdpCluster::group_stats(self, group)
-    }
-
-    fn fast_path_enabled(&self) -> Option<bool> {
-        UdpCluster::fast_path_enabled(self)
-    }
-
-    fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
-        UdpCluster::group_fast_path_enabled(self, group)
-    }
-
-    fn switch_memory_bytes(&self) -> Option<usize> {
-        UdpCluster::switch_memory_bytes(self)
-    }
-
-    fn switch_incarnation(&self) -> Option<SwitchId> {
-        UdpCluster::switch_incarnation(self)
-    }
-
-    fn run_plans(&mut self, plans: Vec<Vec<OpSpec>>) -> Vec<Vec<RecordedOp>> {
-        run_plans_threaded(|| self.rig.client(), plans)
-    }
-
-    fn obs_snapshot(&self) -> ObsSnapshot {
-        let rs = self.rig.registry.snapshot();
-        let mut snap = ObsSnapshot {
-            driver: "udp",
-            protocol: self.spec.protocol.name(),
-            groups: self.spec.groups as u32,
-            replicas: self.spec.replicas as u32,
-            taken_at_ns: self.rig.registry.clock().now().nanos(),
-            ..ObsSnapshot::default()
-        };
-        snap.apply_recorder(&rs);
-        if let Some(view) = self.rig.observe() {
-            let (switch, per_group) = spine_obs(&view, rs.counter(Counter::SwitchSwept));
-            snap.switch = switch;
-            snap.per_group = per_group;
-        }
-        // The socket-boundary adversary keeps its own tallies; they are the
-        // ground truth for what the fault model actually injected.
-        let (dropped, duplicated, reordered) = self.rig.fault_counters.snapshot();
-        snap.faults = FaultObs {
-            dropped,
-            duplicated,
-            reordered,
-            discarded: self.rig.fault_counters.discarded(),
-        };
-        snap
-    }
-
-    fn trace_events(&self) -> Vec<TraceEvent> {
-        self.rig.registry.trace_events()
+        self.substrate.book.unicast_len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deployment::Cluster;
     use bytes::Bytes;
     use harmonia_replication::ProtocolKind;
+    use harmonia_switch::GroupId;
 
     fn roundtrip(protocol: ProtocolKind, harmonia: bool) {
         let cluster = DeploymentSpec::new()

@@ -102,14 +102,15 @@ impl fmt::Display for Finding {
 /// Per-path policy: which rules apply where. [`Policy::workspace`] is the
 /// committed policy for this repo; fixture tests build variants.
 pub struct Policy {
-    /// Crate directory names under `crates/` whose `src/` must be
-    /// deterministic.
+    /// What must be deterministic: crate directory names under `crates/`
+    /// (their whole `src/`), or exact `.rs` files.
     pub deterministic_crates: Vec<String>,
     /// Path prefixes (or exact files) where `unsafe` is allowed.
     pub unsafe_allowed: Vec<String>,
     /// Exact files held to packet-path panic freedom.
     pub hot_paths: Vec<String>,
-    /// Crate directory names under `crates/` that must stay sans-IO.
+    /// What must stay sans-IO: crate directory names under `crates/`, or
+    /// exact `.rs` files.
     pub sans_io_crates: Vec<String>,
 }
 
@@ -126,6 +127,11 @@ impl Policy {
                 "workload",
                 "kv",
                 "obs",
+                // The sans-IO halves of the driver crate: a wall clock or a
+                // hash-ordered walk in them would reach every driver.
+                "crates/core/src/client_core.rs",
+                "crates/core/src/replica_step.rs",
+                "crates/core/src/control.rs",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -139,6 +145,8 @@ impl Policy {
                 "crates/net/src/coalesce.rs",
                 "crates/core/src/live.rs",
                 "crates/core/src/udp.rs",
+                "crates/core/src/client_core.rs",
+                "crates/core/src/replica_step.rs",
                 "crates/types/src/wire.rs",
                 "crates/obs/src/recorder.rs",
                 "crates/obs/src/hist.rs",
@@ -146,17 +154,21 @@ impl Policy {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            sans_io_crates: ["replication", "switch"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            sans_io_crates: [
+                "replication",
+                "switch",
+                "crates/core/src/client_core.rs",
+                "crates/core/src/replica_step.rs",
+                "crates/core/src/control.rs",
+            ]
+            .iter()
+            .map(|s| s.to_string())
+            .collect(),
         }
     }
 
     pub fn is_deterministic_path(&self, rel: &str) -> bool {
-        self.deterministic_crates
-            .iter()
-            .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+        covers(&self.deterministic_crates, rel)
     }
 
     pub fn is_hot_path(&self, rel: &str) -> bool {
@@ -164,9 +176,7 @@ impl Policy {
     }
 
     pub fn is_sans_io_path(&self, rel: &str) -> bool {
-        self.sans_io_crates
-            .iter()
-            .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
+        covers(&self.sans_io_crates, rel)
     }
 
     pub fn is_unsafe_allowed(&self, rel: &str) -> bool {
@@ -174,6 +184,18 @@ impl Policy {
             .iter()
             .any(|p| rel == p || (p.ends_with('/') && rel.starts_with(p.as_str())))
     }
+}
+
+/// Whether `rel` falls under one of `entries`: an entry ending in `.rs` is
+/// an exact file, anything else a crate directory name under `crates/`.
+fn covers(entries: &[String], rel: &str) -> bool {
+    entries.iter().any(|e| {
+        if e.ends_with(".rs") {
+            rel == e
+        } else {
+            rel.starts_with(&format!("crates/{e}/src/"))
+        }
+    })
 }
 
 /// Lint the whole workspace rooted at `root`: every `.rs` file under

@@ -49,11 +49,9 @@ pub struct SealedDatagram {
 
 /// Per-destination datagram packer over a send-side [`BufferPool`].
 ///
-/// With coalescing off it degrades to the faithful per-frame baseline —
-/// every [`push`](Coalescer::push) seals immediately, one frame per
-/// datagram — while still encoding zero-copy into pooled buffers, so the
-/// `udp_coalesce(false)` knob isolates the packing win from the
-/// allocation win.
+/// The per-frame baseline is a flush after every push: the transport's
+/// scalar `send` does exactly that, so one frame rides one datagram there
+/// while still encoding zero-copy into pooled buffers.
 pub struct Coalescer {
     pool: BufferPool,
     /// Open datagrams, at most one per destination. Linear scan: a flush
@@ -63,8 +61,6 @@ pub struct Coalescer {
     /// Datagram payload budget: an open datagram seals before a frame
     /// would push it past this many bytes.
     capacity: usize,
-    /// Pack many frames per datagram (GSO) vs. seal after every frame.
-    coalesce: bool,
 }
 
 impl Coalescer {
@@ -77,19 +73,7 @@ impl Coalescer {
             pool: BufferPool::for_send(capacity, max_inflight),
             open: Vec::new(),
             capacity,
-            coalesce: true,
         }
-    }
-
-    /// Toggle packing. Off = one frame per datagram (the PR 7 baseline
-    /// semantics), still zero-copy through the pool.
-    pub fn set_coalesce(&mut self, on: bool) {
-        self.coalesce = on;
-    }
-
-    /// Whether packing is on.
-    pub fn coalesce(&self) -> bool {
-        self.coalesce
     }
 
     /// Datagram payload budget.
@@ -103,8 +87,8 @@ impl Coalescer {
     }
 
     /// Encode one packet as the next frame of `dst`'s open datagram,
-    /// sealing into `sealed` whenever a datagram fills (or immediately,
-    /// with coalescing off). An oversized packet is refused with the
+    /// sealing into `sealed` whenever a datagram fills. An oversized packet
+    /// is refused with the
     /// open datagram intact — `encode_frame_into` rolls the buffer back —
     /// so one bad packet never discards its neighbors' frames.
     pub fn push<T: Wire>(
@@ -148,7 +132,7 @@ impl Coalescer {
             frames = 0;
         }
         frames += 1;
-        if self.coalesce && buf.len() < self.capacity {
+        if buf.len() < self.capacity {
             self.open.push((dst, buf, frames));
         } else {
             sealed.push(SealedDatagram {
@@ -225,17 +209,15 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_off_is_one_frame_per_datagram() {
+    fn finish_after_every_push_is_one_frame_per_datagram() {
         let mut c = Coalescer::new(4096, 8);
-        c.set_coalesce(false);
         let mut sealed = Vec::new();
         for v in 0..4u64 {
             c.push(addr(9), &v, &mut sealed).unwrap();
+            c.finish(&mut sealed);
         }
-        assert_eq!(sealed.len(), 4, "every push seals immediately");
+        assert_eq!(sealed.len(), 4, "every flush seals what it holds");
         assert!(sealed.iter().all(|d| d.frames == 1));
-        c.finish(&mut sealed);
-        assert_eq!(sealed.len(), 4);
     }
 
     #[test]

@@ -78,11 +78,10 @@ impl FaultCounters {
 /// unit of delivery. The wrapper does not override the batch verbs, so its
 /// `send_batch` loops the scalar path — and the UDP endpoint's scalar
 /// `send` flushes one frame per datagram, never packing across packets.
-/// Coalescing therefore cannot engage underneath the adversary: with the
-/// same seed, the fault schedule (which packets drop, duplicate, reorder)
-/// is byte-for-byte identical whether the deployment runs coalesced or
-/// per-frame, and "per fault decision" always means "per datagram" *and*
-/// "per frame" at once. `tests/batch_dataplane.rs` pins this equivalence.
+/// Coalescing therefore cannot engage underneath the adversary: "per
+/// fault decision" always means "per datagram" *and* "per frame" at once,
+/// and the wrapped endpoint's `datagrams_sent == sent`.
+/// `tests/batch_dataplane.rs` pins this.
 pub struct FaultyTransport<T, I> {
     inner: I,
     cfg: FaultConfig,

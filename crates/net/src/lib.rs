@@ -5,8 +5,9 @@
 //! is the third substrate: every packet is a length-prefixed wire frame
 //! ([`harmonia_types::wire`]), and each UDP datagram on the loopback socket
 //! carries **one or more frames back-to-back** (GSO/GRO-style coalescing
-//! via the [`Coalescer`], per-frame with the knob off) — lost, duplicated,
-//! and reordered per *datagram* exactly as a kernel (or the
+//! via the [`Coalescer`] on the batch verbs, one frame per datagram on the
+//! scalar verbs) — lost, duplicated, and reordered per *datagram* exactly
+//! as a kernel (or the
 //! [`FaultyTransport`] adversary) pleases, which is the OUM envelope the
 //! paper's deployment actually runs in (§4, §6).
 //!

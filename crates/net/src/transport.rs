@@ -47,29 +47,30 @@ pub trait Transport<T>: Send {
     /// frame-level batching verb.
     ///
     /// The default loops the scalar [`send`](Self::send), so wrapper
-    /// transports (the fault injector, the channel driver) keep their exact
-    /// per-packet semantics without knowing batching exists. Implementations
-    /// with a real batched fast path override it: the UDP endpoint both
-    /// amortizes kernel crossings (`sendmmsg`) and *coalesces* — packing
-    /// per-destination frames back-to-back into full datagrams, so one
-    /// datagram moves many frames. Either way, per-destination frame order
-    /// follows `batch` order and the drop/counter behavior matches scalar
-    /// sends frame for frame.
+    /// transports (the fault injector) keep their exact per-packet
+    /// semantics without knowing batching exists. The UDP endpoint
+    /// overrides it with the one batched path there is: it amortizes kernel
+    /// crossings (`sendmmsg`) and *coalesces* — packing per-destination
+    /// frames back-to-back into full datagrams, so one datagram moves many
+    /// frames. No option selects a different path; the per-frame baseline
+    /// is the scalar verb, which flushes per call. Either way,
+    /// per-destination frame order follows `batch` order and the
+    /// drop/counter behavior matches scalar sends frame for frame.
     fn send_batch(&mut self, batch: &mut Vec<(NodeId, Packet<T>)>) {
         for (to, pkt) in batch.drain(..) {
             self.send(to, pkt);
         }
     }
 
-    /// Upper bound on how many wire frames this transport may pack into
-    /// one network datagram.
+    /// Upper bound on how many wire frames this transport's
+    /// [`send_batch`](Self::send_batch) may pack into one network datagram.
     ///
     /// `1` — the default, and what every scalar-looping wrapper inherits —
     /// means strict per-frame delivery: each packet rides its own
     /// datagram, which is the envelope
     /// [`FaultyTransport`](crate::FaultyTransport)'s per-send fault
-    /// decisions rely on (each decision hits exactly one frame). The
-    /// coalescing UDP endpoint reports its packing bound instead.
+    /// decisions rely on (each decision hits exactly one frame). The UDP
+    /// endpoint reports its datagram budget's packing bound instead.
     fn max_frames_per_datagram(&self) -> usize {
         1
     }

@@ -36,8 +36,8 @@ pub struct TransportStats {
     /// frame; a coalesced datagram carries several).
     pub sent: u64,
     /// Datagrams handed to the kernel. `sent / datagrams_sent` is the
-    /// realized frames-per-datagram packing ratio (1.0 with coalescing
-    /// off).
+    /// realized frames-per-datagram packing ratio (1.0 on the scalar
+    /// verb, which flushes per call).
     pub datagrams_sent: u64,
     /// Frames successfully decoded into packets.
     pub received: u64,
@@ -119,10 +119,6 @@ pub struct UdpTransport<T> {
     /// Frames decoded out of a multi-frame datagram but not yet handed to
     /// the caller (one datagram can out-fill a `recv_batch` budget).
     decoded: VecDeque<Packet<T>>,
-    /// Whether the batch verbs use the `sendmmsg`/`recvmmsg` fast path.
-    /// Off, they loop the scalar verbs — the baseline the bench profile
-    /// compares against.
-    batched: bool,
     stats: TransportStats,
     /// Last-applied socket read mode, so steady-state receive loops (which
     /// wait with the same timeout over and over) skip the reconfiguration
@@ -163,7 +159,6 @@ impl<T> UdpTransport<T> {
             sealed_scratch: Vec::new(),
             ok_scratch: Vec::new(),
             decoded: VecDeque::new(),
-            batched: true,
             stats: TransportStats::default(),
             read_mode: None,
             _payload: PhantomData,
@@ -183,31 +178,6 @@ impl<T> UdpTransport<T> {
     /// Receive-buffer pool counters so far.
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
-    }
-
-    /// Toggle the `sendmmsg`/`recvmmsg` fast path behind the batch verbs
-    /// (on by default). Off, `send_batch`/`recv_batch` loop the scalar
-    /// verbs — the baseline the `udp_dataplane` bench compares against.
-    pub fn set_batched(&mut self, on: bool) {
-        self.batched = on;
-    }
-
-    /// Whether the batch verbs currently use the batched-syscall path.
-    pub fn batched(&self) -> bool {
-        self.batched
-    }
-
-    /// Toggle GSO-style frame coalescing on the batched send path (on by
-    /// default): off, every frame rides its own datagram — the faithful
-    /// per-frame baseline — while still encoding zero-copy through the
-    /// send pool.
-    pub fn set_coalesced(&mut self, on: bool) {
-        self.coalescer.set_coalesce(on);
-    }
-
-    /// Whether the batched send path packs multiple frames per datagram.
-    pub fn coalesced(&self) -> bool {
-        self.coalescer.coalesce()
     }
 
     /// Send-pool checkout counters so far — steady-state sending recycles
@@ -444,19 +414,12 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
 
     /// Batched flush: resolve every packet and encode it zero-copy into
     /// per-destination pooled datagram buffers — GSO-style coalescing
-    /// packs frames back-to-back until a datagram fills (per-frame with
-    /// the [`set_coalesced`](Self::set_coalesced) knob off) — then hand
+    /// packs frames back-to-back until a datagram fills — then hand
     /// the sealed datagrams to the kernel through `sendmmsg`
     /// ([`mmsg::send_batch_outcomes`]): one kernel crossing per
     /// [`mmsg::MAX_BATCH`] *datagrams*, each carrying many frames, so the
     /// amortization multiplies. No frame is cloned anywhere on this path.
     fn send_batch(&mut self, batch: &mut Vec<(NodeId, Packet<T>)>) {
-        if !self.batched {
-            for (to, pkt) in batch.drain(..) {
-                self.send(to, pkt);
-            }
-            return;
-        }
         for (to, pkt) in batch.drain(..) {
             let generation = self.book.generation();
             if generation != self.seen_generation {
@@ -492,21 +455,6 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
     /// datagram can carry more frames than the remaining budget; the
     /// overflow stays queued and delivers first on the next call.
     fn recv_batch(&mut self, out: &mut Vec<Packet<T>>, max: usize) -> usize {
-        if !self.batched {
-            // Scalar baseline: loop the nonblocking scalar verb (which
-            // itself drains the decoded queue first).
-            let mut n = 0;
-            while n < max {
-                match self.recv_timeout(Duration::ZERO) {
-                    Ok(pkt) => {
-                        out.push(pkt);
-                        n += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            return n;
-        }
         self.set_read_mode(None);
         let mut delivered = self.pop_decoded(out, max);
         while delivered < max {
@@ -543,13 +491,9 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
 
     /// The packing bound: how many frames one datagram can carry at this
     /// endpoint's budget (a frame is at least a 4-byte prefix plus one
-    /// body byte). `1` exactly when coalescing is off.
+    /// body byte).
     fn max_frames_per_datagram(&self) -> usize {
-        if self.coalescer.coalesce() {
-            self.coalescer.capacity() / 5
-        } else {
-            1
-        }
+        self.coalescer.capacity() / 5
     }
 
     fn wire_stats(&self) -> Option<TransportStats> {
@@ -820,12 +764,9 @@ mod tests {
     }
 
     #[test]
-    fn per_frame_mode_sends_one_datagram_per_frame() {
+    fn scalar_verb_sends_one_datagram_per_frame() {
         let (_book, mut a, mut b) = pair();
-        assert!(a.max_frames_per_datagram() > 1, "coalescing is the default");
-        a.set_coalesced(false);
-        assert!(!a.coalesced());
-        assert_eq!(a.max_frames_per_datagram(), 1);
+        assert!(a.max_frames_per_datagram() > 1, "the batch verb coalesces");
         let mk = |i: u64| -> (NodeId, Pkt) {
             (
                 NodeId::Replica(ReplicaId(0)),
@@ -836,11 +777,14 @@ mod tests {
                 ),
             )
         };
-        let mut batch: Vec<(NodeId, Pkt)> = (0..10).map(mk).collect();
-        a.send_batch(&mut batch);
+        // The scalar verb flushes per call: the per-frame baseline, and the
+        // one-frame-per-datagram envelope `FaultyTransport` relies on.
+        for (to, pkt) in (0..10).map(mk) {
+            a.send(to, pkt);
+        }
         let s = a.stats();
         assert_eq!(s.sent, 10);
-        assert_eq!(s.datagrams_sent, 10, "per-frame: one datagram per frame");
+        assert_eq!(s.datagrams_sent, 10, "scalar: one datagram per frame");
         let mut got = vec![b.recv_timeout(Duration::from_secs(2)).unwrap()];
         let deadline = Instant::now() + Duration::from_secs(2);
         while got.len() < 10 && Instant::now() < deadline {

@@ -102,9 +102,11 @@
 //! simulator keeps all group cores behind one single-threaded actor —
 //! identical logic, bit-identical replays.
 //!
-//! The **UDP driver** ([`core::udp`]) reuses every one of those loops
-//! behind a transport abstraction and swaps the channels for
-//! [`net`]-crate loopback sockets: the spine route resolves to the owning
+//! The **UDP driver** ([`core::udp`]) is the same rig
+//! ([`ThreadedCluster`](core::live::ThreadedCluster)) over a different
+//! [`Substrate`](core::live::Substrate): it reuses every one of those
+//! loops and §5.3 verbs and swaps the channels for [`net`]-crate loopback
+//! sockets: the spine route resolves to the owning
 //! group pipeline's *socket address* on the sending thread, `kill_switch`
 //! tears the fleet's sockets out of the deployment's address book, and
 //! `tests/udp_cluster.rs` runs the whole thing under 5% datagram
@@ -121,7 +123,7 @@
 //! | [`switch`] | switch data-plane emulation: register arrays, multi-stage hash table, Algorithm 1 |
 //! | [`replication`] | PB, chain, CRAQ, VR, NOPaxos — each ± Harmonia |
 //! | [`net`] | real datagram transport: `NodeId`-addressed UDP loopback sockets, spine shard routing, seeded fault injection |
-//! | [`core`] | the `DeploymentSpec`/`Cluster` API, clients, failover scripting, all three drivers |
+//! | [`core`] | the `DeploymentSpec`/`Cluster` API; the sans-IO client core, replica step and §5.3 control scripts every driver shares; the sim actors and the threaded rig (channel and UDP substrates) that shell them |
 //! | [`workload`] | uniform/zipf key spaces, mixes, YCSB presets |
 //! | [`verify`] | linearizability checker + TLA+-mirror model checker |
 //!

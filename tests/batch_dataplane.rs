@@ -13,12 +13,13 @@
 //!    checkout/commit/hold/drop schedules.
 //! 3. **The wrapper is faithful.** `mmsg::send_batch`/`recv_batch` and the
 //!    std fallback move identical payload sequences.
-//! 4. **Coalesced = per-frame.** GSO-style packing changes how many frames
-//!    share a datagram, never which packets arrive or in what
-//!    per-destination order — and under the fault adversary the *seeded
-//!    schedule is identical* either way, because the wrapper's scalar loop
-//!    flushes one frame per datagram underneath it (the per-datagram fault
-//!    envelope [`FaultyTransport`] documents).
+//! 4. **Coalesced = per-frame.** GSO-style packing (the batch verb) changes
+//!    how many frames share a datagram relative to the scalar verb, never
+//!    which packets arrive or in what per-destination order — and under
+//!    the fault adversary the *seeded schedule is identical* whichever verb
+//!    the caller uses, because the wrapper's scalar loop flushes one frame
+//!    per datagram underneath it (`datagrams_sent == sent`: the
+//!    per-datagram fault envelope [`FaultyTransport`] documents).
 //! 5. **Salvage is exact.** A multi-frame datagram cut at any byte and
 //!    padded with garbage never panics the frame iterator, and every frame
 //!    wholly before the cut is still delivered.
@@ -54,12 +55,10 @@ fn pkt(n: u64) -> Pkt {
 
 /// Bind a (sender, receiver) UDP endpoint pair sharing one book, with the
 /// receiver registered as Replica(0).
-fn udp_pair(batched: bool) -> (UdpTransport<u64>, UdpTransport<u64>) {
+fn udp_pair() -> (UdpTransport<u64>, UdpTransport<u64>) {
     let book = Arc::new(AddrBook::new());
-    let mut a = UdpTransport::bind(Arc::clone(&book)).unwrap();
-    let mut b = UdpTransport::bind(Arc::clone(&book)).unwrap();
-    a.set_batched(batched);
-    b.set_batched(batched);
+    let a = UdpTransport::bind(Arc::clone(&book)).unwrap();
+    let b = UdpTransport::bind(Arc::clone(&book)).unwrap();
     book.register(NodeId::Replica(ReplicaId(0)), b.local_addr());
     (a, b)
 }
@@ -88,7 +87,7 @@ proptest! {
     #[test]
     fn udp_batch_verbs_equal_scalar(values in prop::collection::vec(any::<u64>(), 1..60)) {
         // Scalar reference run.
-        let (mut a, mut b) = udp_pair(false);
+        let (mut a, mut b) = udp_pair();
         for v in &values {
             a.send(NodeId::Replica(ReplicaId(0)), pkt(*v));
         }
@@ -96,7 +95,7 @@ proptest! {
         prop_assert_eq!(a.stats().sent, values.len() as u64);
 
         // Batched run (sendmmsg/recvmmsg on Linux, std fallback elsewhere).
-        let (mut a2, mut b2) = udp_pair(true);
+        let (mut a2, mut b2) = udp_pair();
         let mut batch: Vec<(NodeId, Pkt)> = values
             .iter()
             .map(|v| (NodeId::Replica(ReplicaId(0)), pkt(*v)))
@@ -207,21 +206,25 @@ proptest! {
         }
     }
 
-    /// GSO-style coalescing is invisible to the receiver: the same batch
-    /// delivers the same packet sequence whether frames pack into full
-    /// datagrams or ride one per datagram — only the datagram count and
-    /// the frames-per-datagram packing differ.
+    /// GSO-style coalescing is invisible to the receiver: the same packets
+    /// deliver the same sequence whether the batch verb packs them into
+    /// full datagrams or the scalar verb sends one per datagram — only the
+    /// datagram count and the frames-per-datagram packing differ.
     #[test]
     fn coalesced_delivery_equals_per_frame(values in prop::collection::vec(any::<u64>(), 1..60)) {
         let run = |coalesced: bool| {
-            let (mut a, mut b) = udp_pair(true);
-            a.set_coalesced(coalesced);
-            b.set_coalesced(coalesced);
+            let (mut a, mut b) = udp_pair();
             let mut batch: Vec<(NodeId, Pkt)> = values
                 .iter()
                 .map(|v| (NodeId::Replica(ReplicaId(0)), pkt(*v)))
                 .collect();
-            a.send_batch(&mut batch);
+            if coalesced {
+                a.send_batch(&mut batch);
+            } else {
+                for (to, p) in batch {
+                    a.send(to, p);
+                }
+            }
             let got = drain(&mut b, values.len(), true);
             (got, a.stats().sent, a.stats().datagrams_sent)
         };
@@ -240,28 +243,33 @@ proptest! {
         prop_assert_eq!(co_datagrams, 1);
     }
 
-    /// Under the fault adversary the coalescing knob is a no-op for the
-    /// schedule: FaultyTransport's batch verbs loop the scalar path, which
-    /// flushes one frame per datagram, so the same seed draws the same
-    /// loss/dup/reorder decisions and delivers the same sequence whether
-    /// the wrapped endpoint would coalesce or not — the per-datagram fault
-    /// envelope documented on [`FaultyTransport`].
+    /// Under the fault adversary coalescing never engages: FaultyTransport's
+    /// batch verbs loop the scalar path, which flushes one frame per
+    /// datagram, so the same seed draws the same loss/dup/reorder decisions
+    /// and delivers the same sequence over a real (coalescing-capable)
+    /// endpoint whether the caller hands it a batch or single packets — the
+    /// per-datagram fault envelope documented on [`FaultyTransport`].
     #[test]
     fn fault_schedule_is_coalescing_invariant(
         values in prop::collection::vec(any::<u64>(), 1..60),
         seed in any::<u64>(),
     ) {
         let cfg = FaultConfig { drop_prob: 0.2, duplicate_prob: 0.2, reorder_prob: 0.2 };
-        let run = |coalesced: bool| {
-            let (mut a, mut b) = udp_pair(true);
-            a.set_coalesced(coalesced);
+        let run = |use_batch: bool| {
+            let (a, mut b) = udp_pair();
             let counters = Arc::new(FaultCounters::default());
             let mut f = FaultyTransport::new(a, cfg, seed, Arc::clone(&counters));
             let mut batch: Vec<(NodeId, Pkt)> = values
                 .iter()
                 .map(|v| (NodeId::Replica(ReplicaId(0)), pkt(*v)))
                 .collect();
-            f.send_batch(&mut batch);
+            if use_batch {
+                f.send_batch(&mut batch);
+            } else {
+                for (to, p) in batch {
+                    f.send(to, p);
+                }
+            }
             let _ = f.recv_timeout(Duration::from_millis(1)); // flush a trailing hold
             let (dropped, duplicated, _) = counters.snapshot();
             let expect_n = values.len() as u64 - dropped + duplicated;

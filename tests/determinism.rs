@@ -295,3 +295,78 @@ fn groups1_matches_pre_redesign_unsharded_build_second_seed() {
     assert_eq!(old.0, new.0);
     assert_eq!(old.1, new.1);
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Run `plans` on `sim` and digest everything a refactor could perturb: the
+/// `Debug` of every client history (values, virtual invoke/complete instants,
+/// outcomes) followed by the rendered obs snapshot (every counter, latency
+/// summary and switch section).
+fn run_digest(sim: &mut SimCluster, plans: Vec<Vec<common::Op>>) -> u64 {
+    let histories = sim.run_plans(plans);
+    let text = format!(
+        "{histories:?}{}",
+        harmonia::obs::json_text(&sim.obs_snapshot())
+    );
+    fnv1a(text.as_bytes())
+}
+
+/// Digest of the adversarial seed-42 `run_plans` scenario, captured at the
+/// commit before the client / replica-step / control-script cores were
+/// shared between drivers.
+const GOLDEN_ADVERSARIAL: u64 = 17_342_668_837_539_862_903;
+
+/// Digest of the seed-42 removal + `schedule_replica_recovery` scenario,
+/// captured at the same commit.
+const GOLDEN_RECOVERY: u64 = 11_015_996_726_012_751_126;
+
+/// The cross-commit gate: `closed_loop_replay_is_identical` compares a run
+/// with itself, so a change that reorders a send and a timer passes it. These
+/// constants were captured before such a change; a mismatch means same-seed
+/// sim behaviour moved, and the constants may only be re-captured by a change
+/// that means to move it.
+#[test]
+fn same_seed_runs_match_the_digests_captured_before_the_driver_refactor() {
+    let mut sim = adversarial_spec(42).build_sim();
+    assert_eq!(
+        run_digest(&mut sim, common::make_plans(4, 50, 6, 0.3, 42)),
+        GOLDEN_ADVERSARIAL,
+        "adversarial seed-42 run diverged from the captured digest"
+    );
+
+    let spec = DeploymentSpec::new().seed(42);
+    let mut sim = spec.build_sim();
+    let t = |us| Instant::ZERO + Duration::from_micros(us);
+    schedule_replica_removal(
+        sim.world_mut(),
+        t(300),
+        &spec,
+        spec.switch_addr(),
+        ReplicaId(2),
+    );
+    schedule_replica_recovery(
+        sim.world_mut(),
+        t(900),
+        &spec,
+        spec.switch_addr(),
+        ReplicaId(2),
+    );
+    let digest = run_digest(&mut sim, common::make_plans(4, 100, 6, 0.3, 42));
+    let recovered: &harmonia::core::ReplicaActor = sim
+        .world()
+        .actor(NodeId::Replica(ReplicaId(2)))
+        .expect("recovered replica exists");
+    assert!(
+        !recovered.is_recovering() && recovered.replica().applied_seq() > SwitchSeq::ZERO,
+        "the scenario must actually complete a state transfer"
+    );
+    assert_eq!(
+        digest, GOLDEN_RECOVERY,
+        "removal + recovery seed-42 run diverged from the captured digest"
+    );
+}

@@ -68,3 +68,29 @@ fn every_rule_family_has_teeth() {
         );
     }
 }
+
+/// Policy entries can name single files: the sans-IO halves of
+/// `harmonia-core` are held to the determinism and layering rules even
+/// though the crate's drivers (same directory) read wall clocks and own
+/// sockets by design.
+#[test]
+fn file_level_policy_entries_cover_the_core_crates_sans_io_modules() {
+    let policy = Policy::workspace();
+    let clock = "pub fn stamp() -> std::time::Instant { std::time::Instant::now() }\n";
+    let socket = "use std::net::UdpSocket;\n";
+    for file in ["client_core.rs", "replica_step.rs", "control.rs"] {
+        let path = format!("crates/core/src/{file}");
+        let fired = |src: &str, rule: Rule| {
+            lint_source(&path, src, &policy)
+                .iter()
+                .any(|f| f.rule == rule)
+        };
+        assert!(fired(clock, Rule::Determinism), "{path}: wall clock passed");
+        assert!(fired(socket, Rule::Layering), "{path}: socket passed");
+    }
+    let driver = lint_source("crates/core/src/live.rs", clock, &policy);
+    assert!(
+        !driver.iter().any(|f| f.rule == Rule::Determinism),
+        "the threaded driver may read the wall clock: {driver:?}"
+    );
+}

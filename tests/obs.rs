@@ -103,6 +103,37 @@ fn snapshot_covers_every_layer_on_every_driver() {
             events.iter().any(|e| e.stage == TraceStage::ReplicaExecute),
             "{name}: no replica-execute hop traced"
         );
+
+        // Second pass: the synchronous `Cluster::client()` handle is a
+        // client like any other — its operations move the same counters,
+        // latency series and traces on every driver, the sim included.
+        {
+            let mut client = cluster.client();
+            for i in 0..4 {
+                client.set(format!("sync-{i}").as_bytes(), b"v").unwrap();
+                client.get(format!("sync-{i}").as_bytes()).unwrap();
+            }
+        }
+        let after = cluster.obs_snapshot();
+        assert_eq!(
+            (
+                after.clients.reads_sent - cl.reads_sent,
+                after.clients.writes_sent - cl.writes_sent,
+                after.clients.reads_done - cl.reads_done,
+                after.clients.writes_done - cl.writes_done,
+            ),
+            (4, 4, 4, 4),
+            "{name}: client() operations are invisible to the snapshot"
+        );
+        assert_eq!(
+            after.read_latency.count - snap.read_latency.count,
+            4,
+            "{name}: client() reads recorded no latency"
+        );
+        assert!(
+            after.trace.recorded >= snap.trace.recorded + 16,
+            "{name}: client() operations left no send/done traces"
+        );
     }
 }
 
