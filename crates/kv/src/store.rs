@@ -6,6 +6,7 @@
 //! locks are uncontended and effectively free.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -27,12 +28,24 @@ pub struct StoreStats {
 
 struct Shard<V> {
     map: HashMap<Bytes, V>,
+    /// Total bytes of the keys in `map` (kept exact under the shard lock).
+    key_bytes: u64,
+}
+
+/// Operation counts as relaxed atomics: pure statistics that publish no
+/// other data, so no operation takes a second, store-wide lock to count
+/// itself.
+#[derive(Default)]
+struct OpCounts {
+    gets: AtomicU64,
+    puts: AtomicU64,
+    deletes: AtomicU64,
 }
 
 /// A sharded key-value store with closure-based updates.
 pub struct Store<V> {
     shards: Vec<RwLock<Shard<V>>>,
-    stats: RwLock<StoreStats>,
+    ops: OpCounts,
 }
 
 impl<V: Clone> Store<V> {
@@ -49,10 +62,11 @@ impl<V: Clone> Store<V> {
                 .map(|_| {
                     RwLock::new(Shard {
                         map: HashMap::new(),
+                        key_bytes: 0,
                     })
                 })
                 .collect(),
-            stats: RwLock::new(StoreStats::default()),
+            ops: OpCounts::default(),
         }
     }
 
@@ -68,21 +82,18 @@ impl<V: Clone> Store<V> {
 
     /// Fetch a clone of the value for `key`.
     pub fn get(&self, key: &[u8]) -> Option<V> {
-        let out = self.shard_for(key).read().map.get(key).cloned();
-        self.stats.write().gets += 1;
-        out
+        self.ops.gets.fetch_add(1, Relaxed);
+        self.shard_for(key).read().map.get(key).cloned()
     }
 
     /// Insert or replace the value for `key`.
     pub fn put(&self, key: Bytes, value: V) {
         let shard = self.shard_for(&key);
         let mut guard = shard.write();
-        let prev = guard.map.insert(key.clone(), value);
-        let mut stats = self.stats.write();
-        stats.puts += 1;
-        if prev.is_none() {
-            stats.keys += 1;
-            stats.key_bytes += key.len() as u64;
+        self.ops.puts.fetch_add(1, Relaxed);
+        let key_len = key.len() as u64;
+        if guard.map.insert(key, value).is_none() {
+            guard.key_bytes += key_len;
         }
     }
 
@@ -102,12 +113,10 @@ impl<V: Clone> Store<V> {
             default()
         });
         let out = f(entry);
-        let mut stats = self.stats.write();
-        stats.puts += 1;
         if inserted {
-            stats.keys += 1;
-            stats.key_bytes += key.len() as u64;
+            guard.key_bytes += key.len() as u64;
         }
+        self.ops.puts.fetch_add(1, Relaxed);
         out
     }
 
@@ -115,10 +124,8 @@ impl<V: Clone> Store<V> {
     pub fn with<R>(&self, key: &[u8], f: impl FnOnce(Option<&V>) -> R) -> R {
         let shard = self.shard_for(key);
         let guard = shard.read();
-        let out = f(guard.map.get(key));
-        drop(guard);
-        self.stats.write().gets += 1;
-        out
+        self.ops.gets.fetch_add(1, Relaxed);
+        f(guard.map.get(key))
     }
 
     /// Remove `key`. Returns the removed value if present.
@@ -126,12 +133,10 @@ impl<V: Clone> Store<V> {
         let shard = self.shard_for(key);
         let mut guard = shard.write();
         let prev = guard.map.remove(key);
-        let mut stats = self.stats.write();
-        stats.deletes += 1;
         if prev.is_some() {
-            stats.keys -= 1;
-            stats.key_bytes -= key.len() as u64;
+            guard.key_bytes -= key.len() as u64;
         }
+        self.ops.deletes.fetch_add(1, Relaxed);
         prev
     }
 
@@ -147,17 +152,27 @@ impl<V: Clone> Store<V> {
 
     /// Snapshot of the statistics counters.
     pub fn stats(&self) -> StoreStats {
-        *self.stats.read()
+        let mut stats = StoreStats {
+            gets: self.ops.gets.load(Relaxed),
+            puts: self.ops.puts.load(Relaxed),
+            deletes: self.ops.deletes.load(Relaxed),
+            ..StoreStats::default()
+        };
+        for shard in &self.shards {
+            let guard = shard.read();
+            stats.keys += guard.map.len() as u64;
+            stats.key_bytes += guard.key_bytes;
+        }
+        stats
     }
 
     /// Remove every key.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.write().map.clear();
+            let mut guard = shard.write();
+            guard.map.clear();
+            guard.key_bytes = 0;
         }
-        let mut stats = self.stats.write();
-        stats.keys = 0;
-        stats.key_bytes = 0;
     }
 
     /// Visit every `(key, value)` pair in key order within each shard.

@@ -10,7 +10,7 @@
 //! | rule          | scope                                   | forbids |
 //! |---------------|-----------------------------------------|---------|
 //! | `determinism` | sim, switch, replication, types, verify, workload, kv, obs | wall-clock reads, entropy-seeded RNGs/hashers, iteration over `HashMap`/`HashSet` |
-//! | `unsafe`      | whole workspace                         | `unsafe` outside vendor/mmsg, vendor/bytes, crates/net/src/pool.rs; unsafe without `SAFETY:`; missing `#![forbid(unsafe_code)]` headers |
+//! | `unsafe`      | whole workspace                         | `unsafe` outside vendor/mmsg, vendor/bytes; unsafe without `SAFETY:`; missing `#![forbid(unsafe_code)]` headers |
 //! | `panic_path`  | net/udp.rs, net/coalesce.rs, core/live.rs, core/udp.rs, types/wire.rs, obs/recorder.rs, obs/hist.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
 //! | `layering`    | replication, switch                     | `std::net`, `harmonia-net`, socket types |
 //!
@@ -136,7 +136,7 @@ impl Policy {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            unsafe_allowed: ["vendor/mmsg/", "vendor/bytes/", "crates/net/src/pool.rs"]
+            unsafe_allowed: ["vendor/mmsg/", "vendor/bytes/"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect(),
@@ -250,9 +250,6 @@ fn walk(dir: &Path, f: &mut impl FnMut(&Path) -> std::io::Result<()>) -> std::io
 ///
 /// - crates with no sanctioned `unsafe` must carry
 ///   `#![forbid(unsafe_code)]`;
-/// - `harmonia-net` (hosting the allowlisted `pool.rs`) must carry
-///   `#![deny(unsafe_code)]` (pool opts back in locally) and
-///   `#![deny(unsafe_op_in_unsafe_fn)]`;
 /// - the vendored `mmsg` and `bytes` crates must carry
 ///   `#![deny(unsafe_op_in_unsafe_fn)]`.
 pub fn check_crate_attrs(root: &Path) -> std::io::Result<Vec<Finding>> {
@@ -281,7 +278,6 @@ pub fn check_crate_attrs(root: &Path) -> std::io::Result<Vec<Finding>> {
         let crate_dir = rel.trim_end_matches("/src/lib.rs");
         let (needs_forbid, needs_strict_unsafe_fn) = match crate_dir {
             "vendor/mmsg" | "vendor/bytes" => (false, true),
-            "crates/net" => (false, true),
             _ => (true, false),
         };
         if needs_forbid && !has_inner_attr(&s, "forbid", "unsafe_code") {
@@ -290,15 +286,6 @@ pub fn check_crate_attrs(root: &Path) -> std::io::Result<Vec<Finding>> {
                 1,
                 Rule::Unsafe,
                 "crate root is missing `#![forbid(unsafe_code)]`".into(),
-            ));
-        }
-        if crate_dir == "crates/net" && !has_inner_attr(&s, "deny", "unsafe_code") {
-            findings.push(Finding::new(
-                &rel,
-                1,
-                Rule::Unsafe,
-                "crate root is missing `#![deny(unsafe_code)]` (pool.rs opts back in locally)"
-                    .into(),
             ));
         }
         if needs_strict_unsafe_fn && !has_inner_attr(&s, "deny", "unsafe_op_in_unsafe_fn") {

@@ -506,11 +506,11 @@ fn check_layering(rel_path: &str, s: &Scan, findings: &mut Vec<Finding>) {
 }
 
 /// Rule family 2 — unsafe audit. `unsafe` may appear only in the explicit
-/// allowlist (the zero-copy receive spine: the vendored syscall/buffer
-/// crates and the buffer pool), and every occurrence there must justify
-/// itself with a nearby `SAFETY:` comment (or a `# Safety` doc section for
-/// `unsafe fn`). Everything else is locked by `#![forbid(unsafe_code)]`,
-/// which this rule's crate-attribute companion (in `lib.rs`) verifies.
+/// allowlist (the vendored syscall and buffer crates), and every occurrence
+/// there must justify itself with a nearby `SAFETY:` comment (or a
+/// `# Safety` doc section for `unsafe fn`). Everything else is locked by
+/// `#![forbid(unsafe_code)]`, which this rule's crate-attribute companion
+/// (in `lib.rs`) verifies.
 fn check_unsafe(rel_path: &str, s: &Scan, policy: &Policy, findings: &mut Vec<Finding>) {
     let allowed = policy.is_unsafe_allowed(rel_path);
     for t in &s.tokens {
@@ -522,9 +522,7 @@ fn check_unsafe(rel_path: &str, s: &Scan, policy: &Policy, findings: &mut Vec<Fi
                 rel_path,
                 t.line,
                 Rule::Unsafe,
-                "`unsafe` outside the audited allowlist (vendor/mmsg, vendor/bytes, \
-                 crates/net/src/pool.rs)"
-                    .into(),
+                "`unsafe` outside the audited allowlist (vendor/mmsg, vendor/bytes)".into(),
             ));
         } else {
             let justified = s

@@ -11,14 +11,13 @@
 //! fills past its budget or the flush ends. The receive side unpacks with
 //! [`frames`](harmonia_types::wire::frames) — GRO.
 //!
-//! Buffers come from a send-side [`BufferPool`]
+//! Buffers come from a [`BufferPool`]
 //! ([`checkout_empty`](BufferPool::checkout_empty)), and sealing goes
-//! through [`BufferPool::commit`], so the pool's alias-aware reclamation
-//! carries over verbatim: **a sealed datagram's buffer is never reused while
-//! any [`Bytes`] handle to it is in flight** — the `Arc` refcount is the
-//! proof, exactly as on the receive pool. Once the transport drops a sent
-//! payload, the next checkout recycles it; steady-state sending allocates
-//! nothing.
+//! through [`BufferPool::commit`], whose alias-aware reclamation is the
+//! guarantee here: **a sealed datagram's buffer is never reused while any
+//! [`Bytes`] handle to it is in flight** — the `Arc` refcount is the proof.
+//! Once the transport drops a sent payload, the next checkout recycles it;
+//! steady-state sending allocates nothing.
 //!
 //! Ordering: at most one datagram per destination is ever open, and sealed
 //! datagrams are flushed in seal order, so frames to the *same* destination
@@ -47,7 +46,7 @@ pub struct SealedDatagram {
     pub frames: u32,
 }
 
-/// Per-destination datagram packer over a send-side [`BufferPool`].
+/// Per-destination datagram packer over a [`BufferPool`].
 ///
 /// The per-frame baseline is a flush after every push: the transport's
 /// scalar `send` does exactly that, so one frame rides one datagram there
@@ -70,7 +69,7 @@ impl Coalescer {
     pub fn new(capacity: usize, max_inflight: usize) -> Self {
         let capacity = capacity.min(MAX_FRAME_BYTES);
         Coalescer {
-            pool: BufferPool::for_send(capacity, max_inflight),
+            pool: BufferPool::new(capacity, max_inflight),
             open: Vec::new(),
             capacity,
         }

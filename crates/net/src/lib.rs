@@ -28,10 +28,14 @@
 //!   (`MAX_FRAME_BYTES` bounds every declared length). The trait's
 //!   `send_batch`/`recv_batch` verbs (scalar loops by default, so wrappers
 //!   are untouched) let the UDP endpoint move whole runs of datagrams per
-//!   kernel crossing via the vendored `sendmmsg`/`recvmmsg` wrapper, and
-//!   receive decodes zero-copy out of a [`BufferPool`] — payload bytes
-//!   alias the datagram buffer, which is recycled only after the last
-//!   payload reference drops.
+//!   kernel crossing via the vendored `sendmmsg`/`recvmmsg` wrapper.
+//!   Receive is **one copy out of scratch, zero-copy from there**: the
+//!   kernel writes into a private ring the endpoint never hands out, each
+//!   datagram is copied once into an exactly-sized `Bytes`, and decode and
+//!   every later hand-off (store, log, reply, history) share that copy by
+//!   refcount — so nothing a consumer keeps pins more than the datagram it
+//!   arrived in. The send side is unchanged: frames encode zero-copy into
+//!   [`BufferPool`] buffers recycled once the sent payload drops.
 //! * [`FaultyTransport`] — a deterministic, seeded adversary wrapped around
 //!   any transport at the socket boundary: configurable loss, duplication,
 //!   and reordering on the send path, with shared [`FaultCounters`] so
@@ -41,16 +45,11 @@
 //! the point is that the existing state machines and codec survive a *real*
 //! asynchronous network, not to build one more I/O framework.
 
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod addr;
 pub mod coalesce;
 pub mod fault;
-// The pool's `set_len` on freshly reserved capacity is the one sanctioned
-// `unsafe` in this crate; the crate-level `deny(unsafe_code)` makes any new
-// site opt in as loudly as this one.
-#[allow(unsafe_code)]
 pub mod pool;
 pub mod transport;
 pub mod udp;

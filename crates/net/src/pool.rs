@@ -1,19 +1,23 @@
-//! Per-endpoint receive buffer pool for the zero-copy datagram path.
+//! Per-endpoint send buffer pool for the zero-copy datagram path.
 //!
-//! The UDP endpoint receives each datagram into a pooled [`BytesMut`],
-//! freezes it, and decodes with
-//! [`decode_frame_shared`](harmonia_types::wire::decode_frame_shared), so
-//! any `Bytes` payload fields in the decoded packet *alias* the datagram
-//! buffer instead of copying out of it. The pool keeps a full-range handle
-//! to every buffer it has handed out this way and reclaims a buffer only
-//! once [`Bytes::try_into_mut`] proves the handle is the last reference —
-//! i.e. every payload slice cut from that datagram has been dropped.
+//! The [`Coalescer`](crate::Coalescer) encodes frames straight into a pooled
+//! [`BytesMut`] and seals it as a [`Bytes`] payload. The pool keeps a
+//! full-range handle to every buffer it has sealed this way and reclaims a
+//! buffer only once [`Bytes::try_into_mut`] proves the handle is the last
+//! reference — i.e. the transport has sent and dropped the payload.
 //!
 //! That gives the safety property the proptests pin: **a buffer is never
 //! recycled while any `Bytes` still references it** (the `Arc` refcount is
 //! the proof, not a heuristic), and the steady-state property the bench
-//! story needs: once the pool is warm, receiving allocates nothing — every
+//! story needs: once the pool is warm, sending allocates nothing — every
 //! checkout is a recycled buffer, visible as `hits` in [`PoolStats`].
+//!
+//! The receive side has no pool: an endpoint receives into a private
+//! scratch ring it never hands out and copies each datagram once into an
+//! exactly-sized `Bytes` (see [`UdpTransport`](crate::UdpTransport)), so
+//! nothing a consumer keeps can pin a receive buffer. Its [`PoolStats`]
+//! count those scratch slots: a miss is a receive buffer that had to be
+//! allocated.
 
 use std::collections::VecDeque;
 
@@ -25,7 +29,7 @@ pub struct PoolStats {
     /// Checkouts served by a recycled buffer (steady state).
     pub hits: u64,
     /// Checkouts that had to allocate a fresh buffer (warm-up, or every
-    /// pooled buffer still pinned by live payload slices).
+    /// pooled buffer still pinned by a live payload).
     pub misses: u64,
 }
 
@@ -52,49 +56,30 @@ impl PoolStats {
 
 /// Fixed-size-buffer pool with alias-aware reclamation.
 pub struct BufferPool {
-    /// Capacity (and checkout length) of every buffer.
+    /// Capacity of every buffer.
     buf_len: usize,
     /// Buffers proven unaliased, ready to hand out.
     free: Vec<BytesMut>,
-    /// Full-range handles to buffers whose payload may still be referenced
-    /// by decoded packets. Oldest first.
+    /// Full-range handles to buffers whose sealed payload may still be in
+    /// flight. Oldest first.
     inflight: VecDeque<Bytes>,
     /// Cap on `inflight`: beyond this the oldest handle is forgotten — its
     /// buffer is freed by the last payload drop instead of recycled, so a
     /// slow consumer degrades to plain allocation, never unbounded growth.
     max_inflight: usize,
-    /// Whether every buffer this pool allocates is zero-filled to `buf_len`
-    /// up front. Receive pools need this: [`checkout`](Self::checkout) hands
-    /// out full-length buffers by restoring `len` over known-initialized
-    /// storage. Send pools ([`for_send`](Self::for_send)) skip the fill —
-    /// their buffers are append-only via
-    /// [`checkout_empty`](Self::checkout_empty) — and `checkout` on such a
-    /// pool falls back to an explicit (initializing) `resize`.
-    zeroed: bool,
     stats: PoolStats,
 }
 
 impl BufferPool {
-    /// A pool of `buf_len`-byte zero-filled buffers tracking at most
-    /// `max_inflight` outstanding datagrams (the receive-side flavor).
+    /// A pool of buffers with `buf_len` bytes of capacity, tracking at most
+    /// `max_inflight` sealed payloads.
     pub fn new(buf_len: usize, max_inflight: usize) -> Self {
         BufferPool {
             buf_len,
             free: Vec::new(),
             inflight: VecDeque::with_capacity(max_inflight),
             max_inflight,
-            zeroed: true,
             stats: PoolStats::default(),
-        }
-    }
-
-    /// A send-side pool: buffers are handed out *empty* (length 0, capacity
-    /// `buf_len`) for append-style encoding, so allocation skips the
-    /// zero-fill a receive buffer needs.
-    pub fn for_send(buf_len: usize, max_inflight: usize) -> Self {
-        BufferPool {
-            zeroed: false,
-            ..BufferPool::new(buf_len, max_inflight)
         }
     }
 
@@ -108,45 +93,11 @@ impl BufferPool {
         self.inflight.len()
     }
 
-    /// Hand out a writable buffer of exactly `buf_len` bytes. Recycles a
-    /// reclaimable buffer when one exists, allocates otherwise.
-    pub fn checkout(&mut self) -> BytesMut {
-        if self.free.is_empty() {
-            self.reclaim();
-        }
-        match self.free.pop() {
-            Some(mut buf) => {
-                self.stats.hits += 1;
-                if self.zeroed && buf.capacity() >= self.buf_len {
-                    // SAFETY: every buffer entering a `zeroed` pool was
-                    // zero-filled to `buf_len` at allocation (the `for_send`
-                    // flavor, whose buffers skip the fill, takes the
-                    // `resize` branch instead), and the Arc round-trip
-                    // through commit/reclaim moves the Vec without shrinking
-                    // it — the bytes stay initialized. Restoring the length
-                    // is therefore pure bookkeeping; re-zeroing 64KB per
-                    // checkout would dwarf the syscall work the surrounding
-                    // batch verbs exist to amortize.
-                    unsafe { buf.set_len(self.buf_len) };
-                } else {
-                    buf.resize(self.buf_len, 0);
-                }
-                buf
-            }
-            None => {
-                self.stats.misses += 1;
-                let mut buf = BytesMut::with_capacity(self.buf_len);
-                buf.resize(self.buf_len, 0);
-                buf
-            }
-        }
-    }
-
     /// Hand out an *empty* writable buffer with at least `buf_len` bytes of
-    /// capacity — the send-side checkout: the caller appends encoded frames
-    /// and [`commit`](Self::commit)s the result, so no byte is ever written
-    /// twice and allocation needs no zero-fill. Recycles when possible,
-    /// exactly like [`checkout`](Self::checkout).
+    /// capacity: the caller appends encoded frames and
+    /// [`commit`](Self::commit)s the result, so no byte is ever written
+    /// twice and allocation needs no zero-fill. Recycles a reclaimable
+    /// buffer when one exists, allocates otherwise.
     pub fn checkout_empty(&mut self) -> BytesMut {
         if self.free.is_empty() {
             self.reclaim();
@@ -167,7 +118,7 @@ impl BufferPool {
         }
     }
 
-    /// Freeze a filled buffer for decoding, remembering a handle so the
+    /// Freeze a filled buffer for sending, remembering a handle so the
     /// buffer can be recycled once the returned `Bytes` (and every slice
     /// cut from it) is dropped.
     pub fn commit(&mut self, buf: BytesMut) -> Bytes {
@@ -181,8 +132,8 @@ impl BufferPool {
         frame
     }
 
-    /// Return an unused checkout (e.g. no datagram arrived) straight to the
-    /// free list; not counted as a fresh checkout.
+    /// Return an unused checkout (nothing was encoded into it) straight to
+    /// the free list; not counted as a fresh checkout.
     pub fn release(&mut self, buf: BytesMut) {
         self.free.push(buf);
     }
@@ -190,7 +141,7 @@ impl BufferPool {
     /// One pass over the inflight handles, moving every buffer whose last
     /// outside reference has dropped to the free list. `try_into_mut`
     /// succeeds only for a uniquely owned buffer, so a buffer still aliased
-    /// by a decoded payload can never be handed out again.
+    /// by an in-flight payload can never be handed out again.
     fn reclaim(&mut self) {
         for _ in 0..self.inflight.len() {
             let handle = self.inflight.pop_front().expect("len-bounded loop");
@@ -209,9 +160,12 @@ mod tests {
     #[test]
     fn warm_pool_recycles_instead_of_allocating() {
         let mut pool = BufferPool::new(64, 8);
-        // Steady state: checkout, commit, drop the frame, repeat.
-        for _ in 0..100 {
-            let buf = pool.checkout();
+        // Steady state: checkout, fill, commit, drop the payload, repeat.
+        for round in 0..100 {
+            let mut buf = pool.checkout_empty();
+            assert!(buf.is_empty(), "checkout must start empty");
+            assert!(buf.capacity() >= 64);
+            buf.extend_from_slice(&[round as u8; 16]);
             let frame = pool.commit(buf);
             drop(frame);
         }
@@ -226,7 +180,8 @@ mod tests {
     #[test]
     fn aliased_buffer_is_never_recycled() {
         let mut pool = BufferPool::new(64, 8);
-        let buf = pool.checkout();
+        let mut buf = pool.checkout_empty();
+        buf.extend_from_slice(&[7; 32]);
         let frame = pool.commit(buf);
         let payload = frame.slice(10..20);
         drop(frame);
@@ -234,44 +189,19 @@ mod tests {
         // it lives must be a fresh allocation.
         let ptr = payload.as_ptr() as usize;
         for _ in 0..5 {
-            let buf = pool.checkout();
-            assert_ne!(buf.as_ptr() as usize, ptr, "handed out an aliased buffer");
+            let buf = pool.checkout_empty();
+            let base = buf.as_ptr() as usize;
+            assert!(
+                !(base..base + buf.capacity()).contains(&ptr),
+                "handed out an aliased buffer"
+            );
             pool.release(buf);
         }
         drop(payload);
         // Now it reclaims.
-        let buf = pool.checkout();
+        let buf = pool.checkout_empty();
         assert!(pool.stats().hits >= 1);
         pool.release(buf);
-    }
-
-    #[test]
-    fn send_pool_recycles_empty_buffers() {
-        let mut pool = BufferPool::for_send(64, 8);
-        for round in 0..100 {
-            let mut buf = pool.checkout_empty();
-            assert!(buf.is_empty(), "send checkout must start empty");
-            assert!(buf.capacity() >= 64);
-            buf.extend_from_slice(&[round as u8; 16]);
-            let frame = pool.commit(buf);
-            drop(frame);
-        }
-        let s = pool.stats();
-        assert_eq!(s.misses, 1, "steady-state send must not allocate: {s:?}");
-        assert_eq!(s.hits, 99);
-    }
-
-    #[test]
-    fn send_pool_full_checkout_still_initializes() {
-        // `checkout` on a send pool must take the initializing `resize`
-        // path, never `set_len` over append-only (possibly uninitialized)
-        // storage.
-        let mut pool = BufferPool::for_send(64, 8);
-        let buf = pool.checkout_empty();
-        drop(pool.commit(buf));
-        let buf = pool.checkout();
-        assert_eq!(buf.len(), 64);
-        assert!(buf.iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -280,7 +210,7 @@ mod tests {
         // Commit more frames than the cap while holding every one alive.
         let held: Vec<Bytes> = (0..10)
             .map(|_| {
-                let buf = pool.checkout();
+                let buf = pool.checkout_empty();
                 pool.commit(buf)
             })
             .collect();
@@ -288,7 +218,7 @@ mod tests {
         drop(held);
         // Only the tracked handles come back.
         for _ in 0..4 {
-            pool.checkout();
+            pool.checkout_empty();
         }
         let s = pool.stats();
         assert_eq!(s.hits, 4);

@@ -4,19 +4,18 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::VecDeque;
-use std::io::ErrorKind;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::BytesMut;
+use bytes::Bytes;
 use harmonia_types::wire::{frames, Wire};
 use harmonia_types::{NodeId, Packet};
 
 use crate::addr::{AddrBook, Directory};
 use crate::coalesce::{Coalescer, SealedDatagram};
-use crate::pool::{BufferPool, PoolStats};
+use crate::pool::PoolStats;
 use crate::transport::{RecvError, Transport};
 
 /// Frame and datagram counters of one endpoint (telemetry for tests and
@@ -56,9 +55,9 @@ pub struct TransportStats {
     /// Frames in datagrams the kernel refused to send (dropped; datagram
     /// semantics — the caller's retry loop owns recovery).
     pub send_errors: u64,
-    /// Failed socket reconfigurations (read-mode syscalls). The mode cache
-    /// is invalidated so the next receive retries; meanwhile the socket
-    /// keeps its previous mode, which at worst turns one wait into a poll.
+    /// Failed socket reconfigurations (arming the read timeout). The cache
+    /// of the armed value is invalidated so the next wait retries; this
+    /// wait degrades to polling against its own deadline.
     pub config_errors: u64,
 }
 
@@ -92,6 +91,14 @@ impl TransportStats {
 /// counted and discarded — the receive loop never panics and never
 /// allocates beyond [`MAX_FRAME_BYTES`](harmonia_types::MAX_FRAME_BYTES) on
 /// untrusted input; that hardening is what `tests/proptests.rs` pins.
+///
+/// Ownership is settled at this boundary: the kernel writes into a private
+/// scratch ring that is never handed out, each received datagram is copied
+/// **once** into a `Bytes` of exactly its length, and frames decode
+/// zero-copy from that — so a payload a consumer keeps (a stored value, a
+/// logged write, a read result) pins its own datagram's bytes, never a
+/// datagram-sized buffer. The send side encodes zero-copy into pooled
+/// buffers and is unaffected.
 pub struct UdpTransport<T> {
     socket: UdpSocket,
     book: Arc<AddrBook>,
@@ -103,12 +110,12 @@ pub struct UdpTransport<T> {
     seen_generation: u64,
     local: SocketAddr,
     dsts: Vec<SocketAddr>,
-    /// Receive buffers, recycled once their decoded payload slices drop —
-    /// steady-state receive allocates nothing.
-    pool: BufferPool,
-    /// A checked-out buffer kept across empty polls, so a quiet endpoint
-    /// doesn't churn the pool counters while waiting.
-    recv_buf: Option<BytesMut>,
+    /// Receive scratch: the kernel writes here, `decode_ring` copies each
+    /// datagram out, the next receive overwrites it.
+    ring: mmsg::RecvRing,
+    /// `misses`: scratch buffers allocated (the ring, once, at bind);
+    /// `hits`: datagrams received into an already-allocated one.
+    recv_pool: PoolStats,
     /// The send path: frames encode zero-copy into pooled per-destination
     /// datagram buffers, packed GSO-style until a datagram fills.
     coalescer: Coalescer,
@@ -120,11 +127,10 @@ pub struct UdpTransport<T> {
     /// the caller (one datagram can out-fill a `recv_batch` budget).
     decoded: VecDeque<Packet<T>>,
     stats: TransportStats,
-    /// Last-applied socket read mode, so steady-state receive loops (which
-    /// wait with the same timeout over and over) skip the reconfiguration
-    /// syscalls: `None` = nonblocking, `Some(d)` = blocking with timeout
-    /// `d`, unset at bind time.
-    read_mode: Option<Option<Duration>>,
+    /// The read timeout the (always blocking) socket is armed with, so
+    /// steady-state receive loops — which wait with the same timeout over
+    /// and over — skip the `setsockopt`. Unset at bind time.
+    read_timeout: Option<Duration>,
     _payload: PhantomData<fn() -> T>,
 }
 
@@ -146,12 +152,10 @@ impl<T> UdpTransport<T> {
             local,
             dsts: Vec::new(),
             // One datagram is at most u16::MAX bytes; the codec's frame
-            // bound is tighter, but the buffers cover the whole datagram so
+            // bound is tighter, but the slots cover the whole datagram so
             // oversized garbage is drained (and counted), not left queued.
-            // The inflight cap is sized for a full receive batch plus a
-            // generous tail of payloads still held by the application.
-            pool: BufferPool::new(usize::from(u16::MAX), 4 * mmsg::MAX_BATCH),
-            recv_buf: None,
+            ring: mmsg::RecvRing::new(usize::from(u16::MAX)),
+            recv_pool: PoolStats { hits: 0, misses: 1 },
             // The coalescer clamps its budget to MAX_FRAME_BYTES (the
             // largest sendable datagram) and recycles sealed payloads
             // through its own send-side pool.
@@ -160,7 +164,7 @@ impl<T> UdpTransport<T> {
             ok_scratch: Vec::new(),
             decoded: VecDeque::new(),
             stats: TransportStats::default(),
-            read_mode: None,
+            read_timeout: None,
             _payload: PhantomData,
         })
     }
@@ -175,9 +179,11 @@ impl<T> UdpTransport<T> {
         self.stats
     }
 
-    /// Receive-buffer pool counters so far.
+    /// Receive-buffer counters so far: a miss is a receive buffer that had
+    /// to be allocated — the scratch ring, once — and every datagram since
+    /// is a hit.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.recv_pool
     }
 
     /// Send-pool checkout counters so far — steady-state sending recycles
@@ -186,8 +192,22 @@ impl<T> UdpTransport<T> {
         self.coalescer.pool_stats()
     }
 
-    /// Decode one whole datagram (already truncated to its received
-    /// length) into the delivery queue. A datagram carries one or more
+    /// Copy the first `got` datagrams of the last receive out of the
+    /// scratch ring — the one copy on the receive path — and decode each
+    /// into the delivery queue.
+    fn decode_ring(&mut self, got: usize)
+    where
+        T: Wire,
+    {
+        self.recv_pool.hits += got as u64;
+        for i in 0..got {
+            let datagram = Bytes::copy_from_slice(self.ring.datagram(i));
+            self.decode_datagram(datagram);
+        }
+    }
+
+    /// Decode one whole datagram (an exactly-sized copy of what was
+    /// received) into the delivery queue. A datagram carries one or more
     /// back-to-back frames: every valid frame from the front is delivered;
     /// the first malformed or truncated frame rejects the *rest* of the
     /// datagram ([`TransportStats::decode_errors`]), with
@@ -195,17 +215,15 @@ impl<T> UdpTransport<T> {
     /// was still delivered. "All bytes consumed by valid frames" is the
     /// clean-accept condition — the multi-frame generalization of the old
     /// one-datagram-one-frame `used == datagram_len` check.
-    fn decode_datagram(&mut self, buf: BytesMut)
+    fn decode_datagram(&mut self, datagram: Bytes)
     where
         T: Wire,
     {
-        let datagram_len = buf.len();
-        let frame = self.pool.commit(buf);
         let mut delivered = 0u64;
         // An empty datagram carries no frame: count it as a reject for
         // parity with the per-frame baseline.
-        let mut bad_tail = datagram_len == 0;
-        for item in frames::<Packet<T>>(&frame) {
+        let mut bad_tail = datagram.is_empty();
+        for item in frames::<Packet<T>>(&datagram) {
             match item {
                 Ok(pkt) => {
                     self.decoded.push_back(pkt);
@@ -228,16 +246,8 @@ impl<T> UdpTransport<T> {
 
     /// Move up to `max` already-decoded packets into `out`.
     fn pop_decoded(&mut self, out: &mut Vec<Packet<T>>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.decoded.pop_front() {
-                Some(pkt) => {
-                    out.push(pkt);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let n = max.min(self.decoded.len());
+        out.extend(self.decoded.drain(..n));
         n
     }
 
@@ -273,33 +283,29 @@ impl<T> UdpTransport<T> {
         &self.book
     }
 
-    /// Put the socket in the requested read mode (`None` = nonblocking,
-    /// `Some(d)` = blocking with timeout `d`), skipping the syscalls when
-    /// it is already there — receive loops wait with the same sliced
-    /// timeout over and over, so the steady state is recv-only.
-    fn set_read_mode(&mut self, mode: Option<Duration>) {
-        if self.read_mode == Some(mode) {
-            return;
+    /// Arm the socket's read timeout for a blocking wait of `remaining`,
+    /// rounded up to the kernel's millisecond granularity — so a loop that
+    /// waits in equal slices (each measured a few µs short of the slice)
+    /// arms once and is recv-only from then on. Returns whether the socket
+    /// is armed.
+    fn arm_read_timeout(&mut self, remaining: Duration) -> bool {
+        let wait = Duration::from_millis(remaining.as_micros().div_ceil(1000) as u64);
+        if self.read_timeout == Some(wait) {
+            return true;
         }
-        let applied = match mode {
-            Some(wait) => self
-                .socket
-                .set_nonblocking(false)
-                .and_then(|()| self.socket.set_read_timeout(Some(wait))),
-            None => self.socket.set_nonblocking(true),
-        };
-        match applied {
-            Ok(()) => self.read_mode = Some(mode),
-            // A failed fcntl/setsockopt leaves the socket in its previous
-            // mode: count it and clear the cache so the next call retries
-            // instead of trusting a mode that was never applied. The recv
-            // loops degrade to polling against their own deadline, so the
-            // worst case is a hotter wait, never a panic on live traffic.
+        match self.socket.set_read_timeout(Some(wait)) {
+            Ok(()) => self.read_timeout = Some(wait),
+            // A failed setsockopt leaves the previous (or no) timeout armed:
+            // count it and clear the cache so the next wait retries instead
+            // of trusting a timeout that was never applied. The caller polls
+            // against its own deadline meanwhile — a hotter wait, never a
+            // hang or a panic on live traffic.
             Err(_) => {
                 self.stats.config_errors += 1;
-                self.read_mode = None;
+                self.read_timeout = None;
             }
         }
+        self.read_timeout.is_some()
     }
 }
 
@@ -377,37 +383,24 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
             // degrading that wait to a nonblocking poll would turn every
             // blocked node loop into a busy spin.
             let blocking = remaining >= Duration::from_micros(900);
-            if blocking {
-                self.set_read_mode(Some(remaining));
+            // The socket stays in blocking mode for good: polls go through
+            // the ring's `MSG_DONTWAIT` drain, so neither kind of receive
+            // reconfigures the socket for the other.
+            let got = if blocking && self.arm_read_timeout(remaining) {
+                self.ring.wait(&self.socket)
             } else {
-                self.set_read_mode(None);
-            }
-            let mut buf = match self.recv_buf.take() {
-                Some(buf) => buf,
-                None => self.pool.checkout(),
+                self.ring.recv(&self.socket, 1)
             };
-            match self.socket.recv(&mut buf) {
-                Ok(n) => {
-                    buf.truncate(n);
-                    self.decode_datagram(buf);
-                    if let Some(pkt) = self.decoded.pop_front() {
-                        return Ok(pkt);
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    self.recv_buf = Some(buf);
-                    if !blocking {
-                        return Err(RecvError::TimedOut);
-                    }
-                }
-                // Transient kernel errors (e.g. ECONNRESET from an ICMP
-                // port-unreachable on a dead peer) — keep listening.
-                Err(_) => {
-                    self.recv_buf = Some(buf);
-                    if !blocking {
-                        return Err(RecvError::TimedOut);
-                    }
-                }
+            self.decode_ring(got);
+            if let Some(pkt) = self.decoded.pop_front() {
+                return Ok(pkt);
+            }
+            // Nothing deliverable: a poll that found the queue empty is
+            // done; a datagram of garbage, a timed-out wait or a transient
+            // kernel error (e.g. ECONNRESET from an ICMP port-unreachable
+            // on a dead peer) keeps listening until the deadline.
+            if got == 0 && !blocking {
+                return Err(RecvError::TimedOut);
             }
         }
     }
@@ -449,38 +442,18 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
     }
 
     /// Batched drain: pull up to `max - already-queued` datagrams per
-    /// `recvmmsg` call ([`mmsg::recv_batch`]) into pooled buffers and
-    /// unpack every frame in place — payload fields alias the buffers,
-    /// nothing is copied, and a warm pool allocates nothing. A coalesced
-    /// datagram can carry more frames than the remaining budget; the
-    /// overflow stays queued and delivers first on the next call.
+    /// `recvmmsg` call ([`mmsg::RecvRing::recv`]) into the scratch ring,
+    /// copy each out once and unpack its frames zero-copy from the copy. A
+    /// coalesced datagram can carry more frames than the remaining budget;
+    /// the overflow stays queued and delivers first on the next call. The
+    /// socket's read mode is left alone, so the blocking wait that follows
+    /// a drain finds its timeout still armed.
     fn recv_batch(&mut self, out: &mut Vec<Packet<T>>, max: usize) -> usize {
-        self.set_read_mode(None);
         let mut delivered = self.pop_decoded(out, max);
         while delivered < max {
             let want = (max - delivered).min(mmsg::MAX_BATCH);
-            let mut bufs: Vec<BytesMut> = Vec::with_capacity(want);
-            bufs.extend(self.recv_buf.take());
-            while bufs.len() < want {
-                bufs.push(self.pool.checkout());
-            }
-            let mut lens = [0usize; mmsg::MAX_BATCH];
-            let got = {
-                let mut slices: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
-                mmsg::recv_batch(&self.socket, &mut slices, &mut lens).unwrap_or(0)
-            };
-            // `lens` has `MAX_BATCH` slots and `bufs` at most `want` of
-            // them, so the zip is bounded by `bufs` — no indexing needed.
-            for (i, (mut buf, len)) in bufs.into_iter().zip(lens).enumerate() {
-                if i < got {
-                    buf.truncate(len);
-                    self.decode_datagram(buf);
-                } else if self.recv_buf.is_none() {
-                    self.recv_buf = Some(buf);
-                } else {
-                    self.pool.release(buf);
-                }
-            }
+            let got = self.ring.recv(&self.socket, want);
+            self.decode_ring(got);
             delivered += self.pop_decoded(out, max - delivered);
             if got < want {
                 break; // queue drained
@@ -501,7 +474,7 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
     }
 
     fn wire_pool_stats(&self) -> Option<(PoolStats, PoolStats)> {
-        Some((self.pool.stats(), self.coalescer.pool_stats()))
+        Some((self.recv_pool, self.coalescer.pool_stats()))
     }
 }
 
@@ -659,6 +632,23 @@ mod tests {
             min < Duration::from_micros(900),
             "sub-ms recv_timeout blocked in the kernel: min {min:?}"
         );
+    }
+
+    #[test]
+    fn equal_wait_slices_keep_one_armed_timeout_across_polls_and_drains() {
+        let (_book, _a, mut b) = pair();
+        // The remainder actually waited is a few µs short of the slice and
+        // differs on every call; rounded up it is the same armed value, and
+        // neither a poll nor a batched drain touches the socket's mode.
+        let slice = Duration::from_millis(1);
+        for _ in 0..5 {
+            assert!(b.recv_timeout(slice).is_err());
+            assert_eq!(b.read_timeout, Some(slice));
+            assert_eq!(b.recv_batch(&mut Vec::new(), 32), 0);
+            assert!(b.recv_timeout(Duration::ZERO).is_err());
+            assert_eq!(b.read_timeout, Some(slice));
+        }
+        assert_eq!(b.stats().config_errors, 0);
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!    through a seeded [`FaultyTransport`] (whose default batch verbs loop
 //!    the scalar ones, so the same seed makes the same loss/dup/reorder
 //!    schedule either way).
-//! 2. **Pool never aliases.** The receive [`BufferPool`] never hands out a
-//!    buffer while any `Bytes` still references it, across arbitrary
-//!    checkout/commit/hold/drop schedules.
-//! 3. **The wrapper is faithful.** `mmsg::send_batch`/`recv_batch` and the
-//!    std fallback move identical payload sequences.
+//! 2. **Scratch reuse never scribbles on a delivered packet.** Payloads
+//!    held across a thousand later receives — scalar and batch verbs,
+//!    multi-frame datagrams, garbage interleaved — stay byte-identical to
+//!    what was sent: the endpoint's receive scratch is private, and what it
+//!    delivers is a copy nothing else writes.
+//! 3. **The wrapper is faithful.** `mmsg::send_batch`/`RecvRing::recv` and
+//!    the std fallback move identical payload sequences.
 //! 4. **Coalesced = per-frame.** GSO-style packing (the batch verb) changes
 //!    how many frames share a datagram relative to the scalar verb, never
 //!    which packets arrive or in what per-destination order — and under
@@ -36,11 +38,11 @@ use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
 use harmonia::net::{
-    AddrBook, BufferPool, Coalescer, FaultConfig, FaultCounters, FaultyTransport, SealedDatagram,
-    Transport, UdpTransport,
+    AddrBook, Coalescer, FaultConfig, FaultCounters, FaultyTransport, SealedDatagram, Transport,
+    UdpTransport,
 };
 use harmonia::types::wire::{encode_frame_into, frames};
-use harmonia::types::{ClientId, NodeId, Packet, PacketBody, ReplicaId};
+use harmonia::types::{ClientId, ClientRequest, NodeId, Packet, PacketBody, ReplicaId, RequestId};
 use proptest::prelude::*;
 
 type Pkt = Packet<u64>;
@@ -79,6 +81,54 @@ fn drain(b: &mut UdpTransport<u64>, n: usize, batched: bool) -> Vec<Pkt> {
         }
     }
     got
+}
+
+/// A write request: its key and value decode as `Bytes` slices of the
+/// received datagram, so holding the packet holds receive-side memory.
+fn write_pkt(n: u64, fill: u8, len: usize) -> Pkt {
+    let req = ClientRequest::write(
+        ClientId(1),
+        RequestId(n),
+        format!("key-{n}").into_bytes(),
+        vec![fill; len],
+    );
+    Packet::new(
+        NodeId::Client(ClientId(1)),
+        NodeId::Replica(ReplicaId(0)),
+        PacketBody::Request(req),
+    )
+}
+
+/// Move `sent` from `a` to `b` one of four ways and return what `b`
+/// delivered: 0 = scalar sends, scalar receives; 1 = one coalesced
+/// multi-frame datagram, batch drain; 2 = scalar sends behind a garbage
+/// datagram, batch drain; 3 = one hand-built multi-frame datagram with a
+/// junk tail (the salvage path), scalar receives.
+fn exchange(
+    a: &mut UdpTransport<u64>,
+    b: &mut UdpTransport<u64>,
+    raw: &UdpSocket,
+    how: u8,
+    sent: &[Pkt],
+) -> Vec<Pkt> {
+    let (to, how) = (NodeId::Replica(ReplicaId(0)), how % 4);
+    match how {
+        0 => sent.iter().for_each(|p| a.send(to, p.clone())),
+        1 => a.send_batch(&mut sent.iter().map(|p| (to, p.clone())).collect()),
+        2 => {
+            raw.send_to(&[0xff; 40], b.local_addr()).unwrap();
+            sent.iter().for_each(|p| a.send(to, p.clone()));
+        }
+        _ => {
+            let mut datagram = BytesMut::new();
+            for p in sent {
+                encode_frame_into(p, &mut datagram).unwrap();
+            }
+            datagram.extend_from_slice(&[0xde, 0xad]);
+            raw.send_to(&datagram, b.local_addr()).unwrap();
+        }
+    }
+    drain(b, sent.len(), how == 1 || how == 2)
 }
 
 proptest! {
@@ -162,48 +212,44 @@ proptest! {
         prop_assert_eq!(run(false), run(true));
     }
 
-    /// The buffer pool never recycles a buffer while any `Bytes` cut from
-    /// it is still alive: across arbitrary hold/drop schedules, a checkout
-    /// never lands inside a held payload's backing buffer.
+    /// Scratch reuse can never scribble on a delivered packet: packets
+    /// received every which way and *held* still equal what was sent after
+    /// a thousand later receives have gone through the same endpoint (and
+    /// therefore the same scratch slots).
     #[test]
-    fn pool_never_hands_out_aliased_buffers(ops in prop::collection::vec(0u8..4, 1..120)) {
-        const BUF: usize = 256;
-        let mut pool = BufferPool::new(BUF, 16);
-        // Held payload slices + the backing-buffer range each pins.
-        let mut held: Vec<(Bytes, std::ops::Range<usize>)> = Vec::new();
-        for op in ops {
-            match op {
-                // Checkout + commit + hold a payload slice.
-                0 | 1 => {
-                    let buf = pool.checkout();
-                    let base = buf.as_ptr() as usize;
-                    for (_, range) in &held {
-                        prop_assert!(
-                            !range.contains(&base),
-                            "pool handed out a buffer still referenced by a payload"
-                        );
-                    }
-                    let frame = pool.commit(buf);
-                    let payload = frame.slice(16..48);
-                    held.push((payload, base..base + BUF));
-                }
-                // Checkout + commit, payload dropped immediately.
-                2 => {
-                    let buf = pool.checkout();
-                    let base = buf.as_ptr() as usize;
-                    for (_, range) in &held {
-                        prop_assert!(!range.contains(&base));
-                    }
-                    drop(pool.commit(buf));
-                }
-                // Release the oldest held payload.
-                _ => {
-                    if !held.is_empty() {
-                        held.remove(0);
-                    }
-                }
-            }
+    fn held_payloads_survive_scratch_reuse(
+        ops in prop::collection::vec((0u8..4, any::<u8>(), 1usize..400), 2..12),
+    ) {
+        let (mut a, mut b) = udp_pair();
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut next = 0u64;
+        let mut held: Vec<(Pkt, Pkt)> = Vec::new();
+        for (how, fill, len) in ops {
+            let sent: Vec<Pkt> = (0..3).map(|i| write_pkt(next + i, fill, len)).collect();
+            next += 3;
+            let got = exchange(&mut a, &mut b, &raw, how, &sent);
+            prop_assert_eq!(&got, &sent);
+            held.extend(got.into_iter().zip(sent));
         }
+        // ≥ 1 000 later receives, all four ways, with a different fill of
+        // comparable size so an aliased slot could not go unnoticed.
+        for round in 0..125u64 {
+            let sent: Vec<Pkt> = (0..8)
+                .map(|i| write_pkt(next + i, 0xA5 ^ round as u8, 16 + 3 * round as usize))
+                .collect();
+            next += 8;
+            let got = exchange(&mut a, &mut b, &raw, round as u8, &sent);
+            prop_assert_eq!(got, sent);
+        }
+        for (got, sent) in &held {
+            prop_assert_eq!(got, sent, "a held packet changed under later receives");
+        }
+        // The garbage and the junk tails were counted, never delivered.
+        let stats = b.stats();
+        prop_assert_eq!(stats.received, next);
+        prop_assert!(stats.decode_errors >= 62, "{:?}", stats);
+        // And none of it allocated a receive buffer beyond the ring.
+        prop_assert_eq!(b.pool_stats().misses, 1);
     }
 
     /// GSO-style coalescing is invisible to the receiver: the same packets
@@ -395,7 +441,6 @@ proptest! {
         let run = |syscall_path: bool| -> Vec<Vec<u8>> {
             let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
             let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
-            rx.set_nonblocking(true).unwrap();
             let to = rx.local_addr().unwrap();
             let msgs: Vec<(SocketAddr, &[u8])> =
                 payloads.iter().map(|p| (to, &p[..])).collect();
@@ -407,20 +452,17 @@ proptest! {
             assert_eq!(report.sent, payloads.len());
             assert_eq!(report.errors, 0);
 
-            let mut storage: Vec<Vec<u8>> = (0..payloads.len()).map(|_| vec![0u8; 1024]).collect();
-            let mut lens = vec![0usize; payloads.len()];
+            let mut ring = mmsg::RecvRing::new(1024);
             let mut out = Vec::new();
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while out.len() < payloads.len() && std::time::Instant::now() < deadline {
-                let mut bufs: Vec<&mut [u8]> = storage.iter_mut().map(|v| &mut v[..]).collect();
+                let want = payloads.len() - out.len();
                 let n = if syscall_path {
-                    mmsg::recv_batch(&rx, &mut bufs, &mut lens).unwrap()
+                    ring.recv(&rx, want)
                 } else {
-                    mmsg::fallback::recv_batch(&rx, &mut bufs, &mut lens).unwrap()
+                    ring.recv_fallback(&rx, want)
                 };
-                for i in 0..n {
-                    out.push(storage[i][..lens[i]].to_vec());
-                }
+                out.extend((0..n).map(|i| ring.datagram(i).to_vec()));
                 if n == 0 {
                     std::thread::sleep(Duration::from_micros(200));
                 }

@@ -378,3 +378,51 @@ fn udp_replica_crash_recovery_storm_stays_linearizable() {
     );
     cluster.shutdown();
 }
+
+/// Receive memory is the endpoint's own: on every protocol, a cluster that
+/// has served half of a mixed run allocates no receive buffer during the
+/// other half — whatever the replicas store, log or reply with, and
+/// whatever the client keeps, nothing holds (and so nothing has to
+/// replace) the scratch a datagram arrived in. Any future path that hands
+/// a receive buffer out has to allocate its successor, and shows up here.
+#[test]
+fn udp_receive_buffers_are_not_allocated_after_warmup_on_any_protocol() {
+    for protocol in [
+        ProtocolKind::PrimaryBackup,
+        ProtocolKind::Chain,
+        ProtocolKind::Craq,
+        ProtocolKind::Vr,
+        ProtocolKind::Nopaxos,
+    ] {
+        let cluster = DeploymentSpec::new()
+            .protocol(protocol)
+            .harmonia(protocol != ProtocolKind::Craq) // CRAQ is baseline-only
+            .seed(16)
+            .spawn_udp();
+        let mut client = cluster.client();
+        let mut kept = Vec::new();
+        let mut half = |from: u32| {
+            for i in from..from + 2_000 {
+                let key = format!("k{}", i % 64);
+                if i % 4 == 0 {
+                    client.set(key, format!("v{i}")).expect("write");
+                } else {
+                    kept.push(client.get(key).expect("read"));
+                }
+            }
+        };
+        half(0);
+        let mid = cluster.obs_snapshot().pool;
+        half(2_000);
+        let end = cluster.obs_snapshot().pool;
+        assert!(
+            end.recv_hits >= mid.recv_hits + 2_000,
+            "{protocol:?}: receive counters are not live: {mid:?} -> {end:?}"
+        );
+        assert_eq!(
+            end.recv_misses, mid.recv_misses,
+            "{protocol:?}: a receive buffer was allocated after warm-up"
+        );
+        cluster.shutdown();
+    }
+}
