@@ -17,16 +17,19 @@
 //! design. The threaded switch is therefore a *fleet*: one pipeline thread
 //! per replica group, each exclusively owning that group's
 //! [`GroupCore`] — conflict detector,
-//! sequencer, forwarding table, and counters. **No lock is taken on the
-//! packet path.**
+//! sequencer, forwarding table, and counters. **No lock guards switch or
+//! replica state**; the only lock on the packet path is the short one
+//! around an ingress queue, once per send and once per batch received.
 //!
 //! The spine itself is a thin, stateless shard-router: sending to the
 //! switch address resolves the packet's object through the deployment's
 //! [`ShardMap`] *on the sender's thread* and enqueues straight onto the
 //! owning group's pipeline — client threads and replica threads deliver to
 //! the right pipeline without any intermediate hop or shared switch state.
-//! Pipelines drain their ingress in batches (everything already queued is
-//! processed before any output is flushed), amortizing wakeups under load.
+//! Every node loop runs to completion — [`NodeLink::recv_into`] fills its
+//! inbox with everything queued, the loop handles all of it, one
+//! [`NodeLink::send_many`] flushes the result — and sleeps until it has
+//! something to do: with no tick or reclaimable dirty entry due, untimed.
 //!
 //! Aggregate inspection ([`switch_stats`](Cluster::switch_stats),
 //! [`switch_memory_bytes`](Cluster::switch_memory_bytes)) works by
@@ -128,15 +131,6 @@ fn stop_and_join<T>(threads: Vec<(T, Sender<Envelope>, JoinHandle<()>)>) {
     }
 }
 
-/// Why a [`NodeLink::recv`] returned nothing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LinkError {
-    /// Nothing arrived within the deadline.
-    TimedOut,
-    /// The link can never deliver again (driver shut down).
-    Closed,
-}
-
 /// One node's connection to its deployment, whatever the substrate.
 ///
 /// Everything that *handles* packets — the per-group switch pipelines, the
@@ -148,7 +142,8 @@ pub enum LinkError {
 /// dropped: a dead endpoint must not keep receiving routes.
 pub trait NodeLink: Send {
     /// Send `msg` toward `to`. Never blocks on the receiver; undeliverable
-    /// packets are dropped (clients retry — that is the reliability layer).
+    /// packets — no route, a dead node, a full queue — are dropped (clients
+    /// retry — that is the reliability layer).
     fn send(&mut self, to: NodeId, msg: Msg);
 
     /// Flush a whole outbox, draining `batch` in order. The default loops
@@ -162,11 +157,18 @@ pub trait NodeLink: Send {
         }
     }
 
-    /// Wait up to `timeout` for the next envelope.
-    fn recv(&mut self, timeout: StdDuration) -> Result<Envelope, LinkError>;
-
-    /// Drain without blocking (the pipelines' batched drain).
-    fn try_recv(&mut self) -> Option<Envelope>;
+    /// The one receive verb: sleep until `deadline` (with `None`, until
+    /// there is something to do) for the first envelope, then append every
+    /// packet already queued to `inbox`, in arrival order. A driver verb
+    /// ends the batch and is returned beside it — `Some` is an
+    /// [`Envelope::Inspect`] or [`Envelope::Stop`], never a packet.
+    /// `Timeout`: nothing arrived by the deadline; `Disconnected`: the link
+    /// can never deliver again (driver shut down).
+    fn recv_into(
+        &mut self,
+        deadline: Option<StdInstant>,
+        inbox: &mut Vec<Msg>,
+    ) -> Result<Option<Envelope>, RecvTimeoutError>;
 }
 
 /// What the threaded rig needs from whatever moves its packets: how a node
@@ -192,8 +194,9 @@ pub trait Substrate: Sized + 'static {
     fn new(spec: &DeploymentSpec) -> Self;
 
     /// Register `node` and hand back its link plus the channel its driver
-    /// verbs ([`Envelope::Stop`]) travel on. `recorder` receives the link's
-    /// wire counters, where the substrate has a wire.
+    /// verbs ([`Envelope::Stop`]) travel on — the link must surface a verb
+    /// sent there even to a loop asleep with no deadline. `recorder`
+    /// receives the link's wire counters, where the substrate has a wire.
     fn attach(&self, node: NodeId, recorder: Recorder) -> (Self::Link, Sender<Envelope>);
 
     /// A link for one switch pipeline — addressed only through the spine,
@@ -229,15 +232,23 @@ impl NodeLink for ChannelLink {
         self.router.send(to, msg);
     }
 
-    fn recv(&mut self, timeout: StdDuration) -> Result<Envelope, LinkError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => LinkError::TimedOut,
-            RecvTimeoutError::Disconnected => LinkError::Closed,
-        })
-    }
-
-    fn try_recv(&mut self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
+    fn recv_into(
+        &mut self,
+        deadline: Option<StdInstant>,
+        inbox: &mut Vec<Msg>,
+    ) -> Result<Option<Envelope>, RecvTimeoutError> {
+        let first = match deadline {
+            Some(at) => self.rx.recv_deadline(at)?,
+            None => self.rx.recv()?,
+        };
+        // Whatever queued up behind it comes out under one queue lock.
+        for env in std::iter::once(first).chain(self.rx.try_iter()) {
+            match env {
+                Envelope::Packet(msg) => inbox.push(msg),
+                verb => return Ok(Some(verb)),
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -281,7 +292,7 @@ impl SpinePlan {
             // is membership-guarded).
             None if matches!(msg.body, PacketBody::Control(_)) => {
                 for tx in &self.groups {
-                    let _ = tx.send(Envelope::Packet(msg.clone()));
+                    let _ = tx.try_send(Envelope::Packet(msg.clone()));
                 }
                 return;
             }
@@ -289,7 +300,7 @@ impl SpinePlan {
             None => 0,
         };
         if let Some(tx) = self.groups.get(g as usize) {
-            let _ = tx.send(Envelope::Packet(msg));
+            let _ = tx.try_send(Envelope::Packet(msg));
         }
     }
 }
@@ -297,7 +308,7 @@ impl SpinePlan {
 /// The route table. Registrations copy-on-write a shared snapshot and bump
 /// a generation counter; senders go through a [`RouterHandle`] that caches
 /// the snapshot and revalidates it with a single atomic load per send — the
-/// steady-state packet path takes **no lock** here either.
+/// steady-state packet path takes **no lock** here.
 #[derive(Default)]
 struct Router {
     table: Mutex<Arc<HashMap<NodeId, Route>>>,
@@ -350,8 +361,10 @@ impl RouterHandle {
             self.seen = generation;
         }
         match self.cache.get(&to) {
+            // `try_send`: a full (or dead) ingress drops the packet — a
+            // sender that waited there could never be told to stop.
             Some(Route::Unicast(tx)) => {
-                let _ = tx.send(Envelope::Packet(msg));
+                let _ = tx.try_send(Envelope::Packet(msg));
             }
             Some(Route::Spine(plan)) => plan.route(msg),
             None => {}
@@ -457,6 +470,8 @@ pub struct LiveClient {
     core: ClientCore,
     link: Box<dyn NodeLink>,
     switch: NodeId,
+    /// Reused by every receive.
+    inbox: Vec<Msg>,
 }
 
 impl LiveClient {
@@ -489,18 +504,25 @@ impl LiveClient {
     /// Feed the core replies until it decides, or this attempt's deadline
     /// passes and it decides about that.
     fn await_step(&mut self) -> Result<Step, LiveError> {
-        let deadline = StdInstant::now() + CLIENT_TIMEOUT;
+        let deadline = Some(StdInstant::now() + CLIENT_TIMEOUT);
         loop {
-            let left = deadline.saturating_duration_since(StdInstant::now());
-            let step = match self.link.recv(left) {
-                Ok(Envelope::Packet(msg)) => match msg.body {
-                    PacketBody::Reply(reply) => self.core.on_reply(self.core.recorder.now(), reply),
-                    _ => None,
-                },
-                Ok(Envelope::Inspect(_)) => None, // not a pipeline
-                Ok(Envelope::Stop) | Err(LinkError::Closed) => return Err(LiveError::Disconnected),
-                Err(LinkError::TimedOut) => self.core.on_timeout(self.core.recorder.now()),
+            let received = self.link.recv_into(deadline, &mut self.inbox);
+            let now = self.core.recorder.now();
+            let mut step = match received {
+                Ok(Some(Envelope::Stop)) | Err(RecvTimeoutError::Disconnected) => {
+                    return Err(LiveError::Disconnected)
+                }
+                Ok(_) => None,
+                Err(RecvTimeoutError::Timeout) => self.core.on_timeout(now),
             };
+            // The core sees every reply of the batch; its last word stands
+            // (a quorum completed by a later reply outranks a retry that an
+            // earlier, rejected one asked for).
+            for msg in self.inbox.drain(..) {
+                if let PacketBody::Reply(reply) = msg.body {
+                    step = self.core.on_reply(now, reply).or(step);
+                }
+            }
             if let Some(step) = step {
                 return Ok(step);
             }
@@ -534,8 +556,6 @@ struct SwitchFleet {
 pub struct ThreadedCluster<S: Substrate> {
     spec: DeploymentSpec,
     pub(crate) substrate: S,
-    /// Idle pipelines sweep stale dirty entries this often.
-    sweep: StdDuration,
     replicas: Vec<(ReplicaId, Sender<Envelope>, JoinHandle<()>)>,
     switch: Option<SwitchFleet>,
     next_client: AtomicU32,
@@ -555,9 +575,6 @@ impl<S: Substrate> ThreadedCluster<S> {
         let mut cluster = ThreadedCluster {
             spec: spec.clone(),
             substrate: S::new(spec),
-            sweep: spec
-                .sweep_interval
-                .map_or(StdDuration::from_millis(10), |d| d.to_std()),
             replicas: Vec::new(),
             switch: None,
             next_client: AtomicU32::new(1),
@@ -581,7 +598,8 @@ impl<S: Substrate> ThreadedCluster<S> {
         let core = SwitchCore::for_deployment(&self.spec, incarnation);
         let shards = core.shard_map();
         let me = self.spec.switch_addr();
-        let sweep = self.sweep;
+        // Idle pipelines sweep stale dirty entries this often.
+        let sweep = (self.spec.sweep_interval).map_or(StdDuration::from_millis(10), |d| d.to_std());
         let mut pipelines = Vec::new();
         let mut ingress = Vec::new();
         for mut core in core.into_group_cores() {
@@ -657,6 +675,7 @@ impl<S: Substrate> ThreadedCluster<S> {
             ),
             link: Box::new(link),
             switch: self.spec.switch_addr(),
+            inbox: Vec::new(),
         }
     }
 
@@ -832,81 +851,72 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
     }
 }
 
-/// A per-group pipeline: exclusively owns one group's switch state, drains
-/// its ingress in batches, and sweeps stale dirty entries when idle. Generic
-/// over the [`NodeLink`]: the same loop serves the channel driver and the
-/// UDP driver.
+/// A per-group pipeline: exclusively owns one group's switch state and runs
+/// every batch to completion — fill the inbox, handle all of it, flush once.
+/// Stale dirty entries are swept when it has been idle for `sweep`, and only
+/// while a sweep could reclaim something; otherwise it sleeps untimed.
+/// Generic over the [`NodeLink`]: the same loop serves the channel driver
+/// and the UDP driver.
 fn pipeline_main(mut core: GroupCore, mut link: impl NodeLink, me: NodeId, sweep: StdDuration) {
     let mut rng = SmallRng::seed_from_u64(
         0x5717c4 ^ u64::from(core.incarnation().0) ^ (u64::from(core.group().0) << 32),
     );
+    let mut inbox: Vec<Msg> = Vec::new();
     let mut out: Vec<(NodeId, Msg)> = Vec::new();
     loop {
-        let mut next = match link.recv(sweep) {
-            Ok(env) => env,
-            Err(LinkError::TimedOut) => {
+        // Idle-driven, not periodic: a busy pipeline never gets here with
+        // time to spare, and its reads scrub stale entries as they probe.
+        let idle_at = core.sweep_pending().then(|| StdInstant::now() + sweep);
+        let verb = match link.recv_into(idle_at, &mut inbox) {
+            Ok(verb) => verb,
+            Err(RecvTimeoutError::Timeout) => {
                 core.sweep();
                 continue;
             }
-            Err(LinkError::Closed) => return,
+            Err(RecvTimeoutError::Disconnected) => return,
         };
-        // Batched drain: process everything already queued before flushing
-        // any output, amortizing downstream wakeups across the batch.
-        loop {
-            match next {
-                Envelope::Packet(msg) => {
-                    let now = core.recorder().now();
-                    core.handle(now, me, msg, &mut rng, &mut out);
-                }
-                Envelope::Inspect(reply) => {
-                    let _ = reply.send(core.observe());
-                }
-                Envelope::Stop => {
-                    link.send_many(&mut out);
-                    return;
-                }
-            }
-            match link.try_recv() {
-                Some(env) => next = env,
-                None => break,
-            }
+        for msg in inbox.drain(..) {
+            let now = core.recorder().now();
+            core.handle(now, me, msg, &mut rng, &mut out);
         }
         link.send_many(&mut out);
+        match verb {
+            Some(Envelope::Inspect(reply)) => {
+                let _ = reply.send(core.observe());
+            }
+            Some(Envelope::Stop) => return,
+            _ => {}
+        }
     }
 }
 
 /// A replica's event loop: feed packets and ticks to its `ReplicaNode`,
-/// send what comes back. Generic over the [`NodeLink`], so the same loop
-/// serves every substrate.
+/// send what a whole batch produced in one flush (one `sendmmsg` run on the
+/// UDP link). A protocol without a tick sleeps untimed. Generic over the
+/// [`NodeLink`], so the same loop serves every substrate.
 fn replica_main(me: ReplicaId, mut node: ReplicaNode, mut link: impl NodeLink) {
-    // Reusable outbox: each step's packets go out in one batched flush (one
-    // `sendmmsg` run on the UDP link).
+    let mut inbox: Vec<Msg> = Vec::new();
     let mut outbox: Vec<(NodeId, Msg)> = Vec::new();
     node.start(me, &mut outbox);
     link.send_many(&mut outbox);
     let tick = node.tick_interval().map(|d| d.to_std());
     let mut next_tick = tick.map(|t| StdInstant::now() + t);
     loop {
-        let wait = match next_tick {
-            Some(at) => at.saturating_duration_since(StdInstant::now()),
-            None => StdDuration::from_millis(50),
-        };
-        match link.recv(wait) {
-            Ok(Envelope::Packet(msg)) => {
-                let now = node.recorder().now();
-                node.on_packet(now, me, msg, &mut outbox);
-                link.send_many(&mut outbox);
-            }
-            Ok(Envelope::Inspect(_)) | Err(LinkError::TimedOut) => {}
-            Ok(Envelope::Stop) | Err(LinkError::Closed) => break,
+        match link.recv_into(next_tick, &mut inbox) {
+            Ok(Some(Envelope::Stop)) | Err(RecvTimeoutError::Disconnected) => break,
+            Ok(_) | Err(RecvTimeoutError::Timeout) => {}
+        }
+        for msg in inbox.drain(..) {
+            let now = node.recorder().now();
+            node.on_packet(now, me, msg, &mut outbox);
         }
         if let (Some(at), Some(iv)) = (next_tick, tick) {
             if StdInstant::now() >= at {
                 node.on_tick(me, &mut outbox);
-                link.send_many(&mut outbox);
                 next_tick = Some(StdInstant::now() + iv);
             }
         }
+        link.send_many(&mut outbox);
     }
 }
 
@@ -1022,5 +1032,123 @@ mod tests {
         assert_eq!(sum, cluster.switch_stats().unwrap().writes_forwarded);
         assert_eq!(sum, 30);
         cluster.shutdown();
+    }
+
+    /// `NodeLink::send` never waits: a pipeline that meets a client's full
+    /// ingress queue drops the reply and carries on — it keeps serving, and
+    /// it still sees `Stop`. (A blocking send here parked the pipeline for
+    /// good and `shutdown` never returned.)
+    #[test]
+    fn full_client_queue_drops_packets_and_never_blocks_the_sender() {
+        use harmonia_types::RequestId;
+        let (done_tx, done_rx) = bounded(1);
+        std::thread::spawn(move || {
+            let cluster = DeploymentSpec::new().spawn_live();
+            // A client that asks 2 000 times and never listens. No write has
+            // completed, so every read takes the normal path through the
+            // tail and the replies reach the pipeline in request order.
+            let mut deaf = cluster.client();
+            let me = deaf.core.node();
+            let NodeId::Client(id) = me else {
+                unreachable!("a client's node is a client");
+            };
+            for n in 0..2_000 {
+                let req = OpSpec::read("k").request(id, RequestId(n));
+                let to = deaf.switch;
+                deaf.link
+                    .send(to, Msg::new(me, to, PacketBody::Request(req)));
+            }
+            // Served behind all of them: the pipeline got past the full queue.
+            assert_eq!(cluster.client().get("k").unwrap(), None);
+            // The queue kept its bound; the overflow was dropped.
+            let mut kept = Vec::new();
+            while deaf
+                .link
+                .recv_into(Some(StdInstant::now()), &mut kept)
+                .is_ok()
+            {}
+            assert_eq!(kept.len(), 1024);
+            cluster.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(StdDuration::from_secs(60))
+            .expect("a sender blocked on the full client queue");
+    }
+
+    /// A link that reports the deadline of every receive, so a test can see
+    /// when the loop behind it sleeps untimed.
+    struct Probe<L> {
+        link: L,
+        waits: Sender<Option<StdInstant>>,
+    }
+
+    impl<L: NodeLink> NodeLink for Probe<L> {
+        fn send(&mut self, to: NodeId, msg: Msg) {
+            self.link.send(to, msg);
+        }
+
+        fn recv_into(
+            &mut self,
+            deadline: Option<StdInstant>,
+            inbox: &mut Vec<Msg>,
+        ) -> Result<Option<Envelope>, RecvTimeoutError> {
+            let _ = self.waits.send(deadline);
+            self.link.recv_into(deadline, inbox)
+        }
+    }
+
+    /// The sweep is idle-driven and armed only while it could reclaim
+    /// something: an entry whose completion was lost goes once the commit
+    /// point has passed it, and then — stray live entry or not — the
+    /// pipeline sleeps with no timer.
+    #[test]
+    fn idle_pipeline_sweeps_what_went_stale_then_sleeps_untimed() {
+        use harmonia_types::{ObjectId, RequestId, SwitchSeq, WriteCompletion};
+        let spec = DeploymentSpec::new();
+        let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
+        let mut cores = SwitchCore::for_deployment(&spec, spec.initial_switch()).into_group_cores();
+        let mut core = cores.pop().unwrap();
+        core.set_recorder(registry.handle());
+        let me = spec.switch_addr();
+        let (link, ctl, ingress) = Channels::default().attach_pipeline(registry.handle());
+        let (waits, waited) = unbounded();
+        let pipeline = std::thread::spawn(move || {
+            pipeline_main(core, Probe { link, waits }, me, StdDuration::from_millis(2))
+        });
+        let next_wait = || waited.recv_timeout(StdDuration::from_secs(10)).unwrap();
+        let inspect = || observe(std::iter::once(&ctl)).unwrap().pop().unwrap();
+        let write = |key: &'static str, n: u64| {
+            let req = OpSpec::write(key, "v").request(ClientId(1), RequestId(n));
+            let msg = Msg::new(NodeId::Client(ClientId(1)), me, PacketBody::Request(req));
+            ingress.send(Envelope::Packet(msg)).unwrap();
+        };
+        assert_eq!(next_wait(), None, "an empty dirty set arms no timer");
+
+        // Two stamped writes; only the second one's completion arrives.
+        write("a", 0);
+        write("b", 1);
+        let done = WriteCompletion {
+            obj: ObjectId::from_key(b"b"),
+            seq: SwitchSeq::new(spec.initial_switch(), 2),
+        };
+        let msg = Msg::new(me, me, PacketBody::Completion(done));
+        ingress.send(Envelope::Packet(msg)).unwrap();
+        // Timed waits while "a" sits below the commit point, until one runs
+        // out and the sweep reclaims it; then no timer again.
+        while next_wait().is_none() {}
+        while next_wait().is_some() {}
+        assert_eq!(inspect().dirty_len, 0);
+        assert_eq!(registry.snapshot().counter(Counter::SwitchSwept), 1);
+
+        // A stray entry above the commit point is not worth waking for.
+        write("c", 2);
+        assert_eq!(inspect().dirty_len, 1);
+        ctl.send(Envelope::Stop).unwrap();
+        pipeline.join().unwrap();
+        assert!(
+            waited.try_iter().all(|wait| wait.is_none()),
+            "nothing left to reclaim, yet the pipeline armed a sweep timer"
+        );
     }
 }

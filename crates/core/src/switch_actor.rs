@@ -393,6 +393,11 @@ impl GroupCore {
         self.recorder.add(Counter::SwitchSwept, swept as u64);
         swept
     }
+
+    /// Whether [`sweep`](Self::sweep) could remove anything right now.
+    pub fn sweep_pending(&self) -> bool {
+        self.detector.sweep_pending()
+    }
 }
 
 /// Transport-agnostic switch logic, shared by the simulated actor and the

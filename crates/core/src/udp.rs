@@ -23,7 +23,10 @@
 //!   send performs the `ShardMap` lookup on the sending thread — no
 //!   intermediate hop, exactly like the channel substrate's spine plan.
 //! * Driver control verbs (pipeline inspection, stop) ride a crossbeam side
-//!   channel per thread; only data-plane packets cross the sockets.
+//!   channel per thread; only data-plane packets cross the sockets. A
+//!   thread sleeps on its socket, so [`UdpLink`] looks at the side channel
+//!   once per `CTL_POLL` (1 ms) — the one periodic wake-up left in an idle
+//!   deployment, and why an `Inspect` here waits for a socket slice.
 //!
 //! # Fault injection at the socket boundary
 //!
@@ -45,13 +48,12 @@
 // Wall-clock reads are deliberate here: live UDP driver: ticks and timeouts are real time.
 #![allow(clippy::disallowed_methods)]
 
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use harmonia_net::{
     AddrBook, FaultConfig, FaultCounters, FaultyTransport, PoolStats, RecvError, Transport,
@@ -63,7 +65,7 @@ use harmonia_types::NodeId;
 use harmonia_workload::ShardMap;
 
 use crate::deployment::DeploymentSpec;
-use crate::live::{Envelope, LinkError, NodeLink, Substrate, ThreadedCluster};
+use crate::live::{Envelope, NodeLink, Substrate, ThreadedCluster};
 use crate::msg::Msg;
 
 /// A boxed datagram endpoint carrying deployment packets.
@@ -91,9 +93,11 @@ enum Faults {
 }
 
 /// The UDP substrate's `NodeLink`: data-plane packets on the socket, driver
-/// control verbs on a crossbeam side channel. Links without a driver side
-/// channel (clients) block on the socket for the full timeout instead of
-/// polling in `CTL_POLL` slices.
+/// control verbs on a crossbeam side channel. A thread can sleep on only one
+/// of the two, so a link with a side channel waits on the socket in
+/// `CTL_POLL` slices — here, out of the node loops' sight, whose deadline
+/// (or lack of one) it honours across slices. Links without one (clients)
+/// block on the socket for the whole wait.
 pub struct UdpLink {
     transport: Net,
     ctl: Receiver<Envelope>,
@@ -103,12 +107,6 @@ pub struct UdpLink {
     /// gone, and the book must not grow one dead entry per short-lived
     /// client.
     owner: Option<(Arc<AddrBook>, NodeId)>,
-    /// Packets batch-drained from the kernel but not yet handed to the node
-    /// loop. Always emptied before the socket is read again, so delivery
-    /// order is the socket's order.
-    pending: VecDeque<Msg>,
-    /// Scratch for `Transport::recv_batch` (reused, no per-drain alloc).
-    drain_scratch: Vec<Msg>,
     /// Observability shard for this endpoint's wire counters.
     recorder: Recorder,
     /// Last wire/pool stats already credited to the recorder — the
@@ -126,8 +124,6 @@ impl UdpLink {
             ctl,
             has_ctl,
             owner: None,
-            pending: VecDeque::new(),
-            drain_scratch: Vec::new(),
             recorder,
             seen_wire: TransportStats::default(),
             seen_recv_pool: PoolStats::default(),
@@ -164,22 +160,6 @@ impl UdpLink {
             self.recorder.add(Counter::SendPoolMisses, ds.misses);
         }
     }
-
-    /// Next already-received packet, refilling from the kernel queue in one
-    /// batched drain when empty.
-    fn pop_pending(&mut self) -> Option<Msg> {
-        if self.pending.is_empty() {
-            self.drain_scratch.clear();
-            if self
-                .transport
-                .recv_batch(&mut self.drain_scratch, RECV_BATCH)
-                > 0
-            {
-                self.pending.extend(self.drain_scratch.drain(..));
-            }
-        }
-        self.pending.pop_front()
-    }
 }
 
 impl Drop for UdpLink {
@@ -206,44 +186,39 @@ impl NodeLink for UdpLink {
         self.sync_obs();
     }
 
-    fn recv(&mut self, timeout: StdDuration) -> Result<Envelope, LinkError> {
-        let deadline = StdInstant::now() + timeout;
+    fn recv_into(
+        &mut self,
+        deadline: Option<StdInstant>,
+        inbox: &mut Vec<Msg>,
+    ) -> Result<Option<Envelope>, RecvTimeoutError> {
         loop {
             if self.has_ctl {
-                if let Ok(env) = self.ctl.try_recv() {
-                    return Ok(env);
+                if let Ok(verb) = self.ctl.try_recv() {
+                    return Ok(Some(verb));
                 }
             }
-            // Deliver batch-drained packets before touching the socket.
-            if let Some(msg) = self.pop_pending() {
-                return Ok(Envelope::Packet(msg));
-            }
-            let remaining = deadline.saturating_duration_since(StdInstant::now());
-            if remaining.is_zero() {
-                return Err(LinkError::TimedOut);
-            }
-            let slice = if self.has_ctl {
-                remaining.min(CTL_POLL)
-            } else {
-                remaining
+            let left = deadline.map(|at| at.saturating_duration_since(StdInstant::now()));
+            let slice = match left {
+                Some(left) if !self.has_ctl => left,
+                Some(left) => left.min(CTL_POLL),
+                None => CTL_POLL,
             };
+            // Sleep for the first packet — no wait at all if one is queued —
+            // then everything queued behind it comes out through one
+            // `recvmmsg`, straight into the caller's inbox.
             match self.transport.recv_timeout(slice) {
-                Ok(pkt) => return Ok(Envelope::Packet(pkt)),
+                Ok(pkt) => {
+                    inbox.push(pkt);
+                    self.transport.recv_batch(inbox, RECV_BATCH);
+                    return Ok(None);
+                }
+                Err(RecvError::TimedOut) if slice.is_zero() => {
+                    return Err(RecvTimeoutError::Timeout)
+                }
                 Err(RecvError::TimedOut) => {}
-                Err(RecvError::Closed) => return Err(LinkError::Closed),
+                Err(RecvError::Closed) => return Err(RecvTimeoutError::Disconnected),
             }
         }
-    }
-
-    fn try_recv(&mut self) -> Option<Envelope> {
-        if self.has_ctl {
-            if let Ok(env) = self.ctl.try_recv() {
-                return Some(env);
-            }
-        }
-        // The pipelines' batched drain: everything already queued in the
-        // kernel comes out through one `recvmmsg` per RECV_BATCH datagrams.
-        self.pop_pending().map(Envelope::Packet)
     }
 }
 

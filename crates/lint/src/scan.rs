@@ -325,10 +325,16 @@ fn test_regions(tokens: &[Tok]) -> Vec<(u32, u32)> {
                 }
             }
             // The item extends to its closing brace, or to `;` for
-            // brace-less items (`mod tests;`, `use …;`).
+            // brace-less items (`mod tests;`, `use …;`). A gated struct
+            // field or match arm ends at its `,`, and a gated trailing
+            // expression at the brace that closes the block around it.
             let mut depth = 0usize;
+            let mut nested = 0usize;
             let mut end_line = attr_start_line;
             while let Some(t) = tokens.get(j) {
+                if t.is("}") && depth == 0 {
+                    break;
+                }
                 end_line = t.line;
                 if t.is("{") {
                     depth += 1;
@@ -337,7 +343,11 @@ fn test_regions(tokens: &[Tok]) -> Vec<(u32, u32)> {
                     if depth == 0 {
                         break;
                     }
-                } else if t.is(";") && depth == 0 {
+                } else if t.is("(") || t.is("[") {
+                    nested += 1;
+                } else if t.is(")") || t.is("]") {
+                    nested = nested.saturating_sub(1);
+                } else if (t.is(";") || t.is(",")) && depth == 0 && nested == 0 {
                     break;
                 }
                 j += 1;

@@ -157,6 +157,26 @@ fn cfg_test_blocks_are_exempt_from_determinism_and_panic() {
 }
 
 #[test]
+fn cfg_test_fields_and_statements_end_where_they_end() {
+    // A gated field ends at its comma and a gated statement at its
+    // semicolon — neither swallows (or underflows on) the brace that closes
+    // the item around it, so what follows is still linted.
+    let src = "struct S {\n\
+                   a: u32,\n\
+                   #[cfg(test)]\n\
+                   seen: Vec<(u32, u32)>,\n\
+               }\n\
+               fn f(s: &S) {\n\
+                   #[cfg(test)]\n\
+                   s.seen.first().unwrap();\n\
+               }\n\
+               fn g() { let t = Instant::now(); drop(t); }\n";
+    assert!(lint_source(HOT, src, &policy()).is_empty());
+    let f = lint_source(DET, src, &policy());
+    assert_eq!(rules(&f), vec![Rule::Determinism], "{f:?}");
+}
+
+#[test]
 fn cfg_test_blocks_are_never_exempt_from_unsafe() {
     let src = "#[cfg(test)]\n\
                mod tests {\n\

@@ -70,6 +70,10 @@ pub struct ConflictDetector {
     table: MultiStageHashTable,
     last_committed: SwitchSeq,
     fast_path_enabled: bool,
+    /// An entry may have gone stale since the last sweep: the
+    /// last-committed point moved, or a write was stamped at or below it.
+    /// Nothing else can make a sweep find something.
+    stale_since_sweep: bool,
 }
 
 impl ConflictDetector {
@@ -85,6 +89,7 @@ impl ConflictDetector {
             table: MultiStageHashTable::new(config.table),
             last_committed: SwitchSeq::ZERO,
             fast_path_enabled: false,
+            stale_since_sweep: false,
         }
     }
 
@@ -109,6 +114,9 @@ impl ConflictDetector {
         self.next_seq += 1;
         let seq = SwitchSeq::new(self.switch_id, self.next_seq);
         if self.table.insert(obj, seq) {
+            // Only after a completion from beyond this incarnation's own
+            // sequence space (a stray or forged one): born stale.
+            self.stale_since_sweep |= seq <= self.last_committed;
             WriteDecision::Stamped(seq)
         } else {
             WriteDecision::Dropped
@@ -120,7 +128,12 @@ impl ConflictDetector {
     /// the last-committed point.
     pub fn process_completion(&mut self, completion: WriteCompletion) {
         self.table.delete(completion.obj, completion.seq);
-        self.last_committed = self.last_committed.max(completion.seq);
+        if completion.seq > self.last_committed {
+            self.last_committed = completion.seq;
+            // Whatever is still tracked may now sit at or below the point;
+            // an empty set has nothing to go stale.
+            self.stale_since_sweep = self.table.occupancy() > 0;
+        }
         // §5.3: the first completion stamped by *this* incarnation proves the
         // dirty set and last-committed point are up to date.
         if completion.seq.switch_id == self.switch_id {
@@ -143,9 +156,22 @@ impl ConflictDetector {
     }
 
     /// Control-plane periodic sweep of stale dirty entries (§5.2). Returns
-    /// the number of entries removed.
+    /// the number of entries removed — without scanning when
+    /// [`sweep_pending`](Self::sweep_pending) says there is nothing to find.
     pub fn sweep(&mut self) -> usize {
+        if !self.sweep_pending() {
+            return 0;
+        }
+        self.stale_since_sweep = false;
         self.table.sweep(self.last_committed)
+    }
+
+    /// Whether a sweep could remove anything: the dirty set is non-empty
+    /// and an entry may have gone stale since the last sweep. Exact in the
+    /// direction that matters — `false` means a full scan would return 0 —
+    /// so a control plane may sleep until it turns `true`.
+    pub fn sweep_pending(&self) -> bool {
+        self.stale_since_sweep && self.table.occupancy() > 0
     }
 
     /// Dirty-set occupancy (live entries).
@@ -373,5 +399,59 @@ mod tests {
         });
         assert_eq!(d.last_committed(), high.max(SwitchSeq::new(SwitchId(1), 0)));
         assert!(d.last_committed() >= high);
+    }
+
+    proptest::proptest! {
+        /// The counted occupancy is what a scan finds, and the sweep that
+        /// skips (empty set, nothing gone stale since the last one) removes
+        /// exactly what a full scan would — over any mix of writes, reads
+        /// that scrub, sweeps, reboots, and completions that are in order,
+        /// late, duplicated, or from beyond every sequence number issued
+        /// (which makes later writes stale at birth).
+        #[test]
+        fn counted_occupancy_and_skipping_sweep_match_a_scan(
+            ops in proptest::prop::collection::vec((0u8..7, 0u32..12, 0u64..4), 1..200)
+        ) {
+            let mut d = ConflictDetector::new(ConflictConfig {
+                switch_id: SwitchId(1),
+                table: TableConfig { stages: 2, slots_per_stage: 4, entry_bytes: 8 },
+            });
+            let mut issued: Vec<WriteCompletion> = Vec::new();
+            for (kind, obj, pick) in ops {
+                let obj = ObjectId(obj);
+                match kind {
+                    0 | 1 => {
+                        if let WriteDecision::Stamped(seq) = d.process_write(obj) {
+                            issued.push(WriteCompletion { obj, seq });
+                        }
+                    }
+                    2 if !issued.is_empty() => {
+                        let i = (pick as usize * 7 + obj.0 as usize) % issued.len();
+                        d.process_completion(issued[i]);
+                    }
+                    3 if pick == 0 => d.process_completion(WriteCompletion {
+                        obj,
+                        seq: SwitchSeq::new(SwitchId(1), d.next_seq + 1 + u64::from(obj.0)),
+                    }),
+                    4 => {
+                        d.process_read(obj);
+                    }
+                    5 => {
+                        let by_scan = d.table.stale_by_scan(d.last_committed);
+                        proptest::prop_assert_eq!(d.sweep(), by_scan);
+                        proptest::prop_assert_eq!(d.table.stale_by_scan(d.last_committed), 0);
+                    }
+                    6 if pick == 0 => d.table.clear(),
+                    _ => {}
+                }
+                // `occupancy_per_stage` still looks at every slot.
+                let by_scan: usize = d.table.occupancy_per_stage().iter().sum();
+                proptest::prop_assert_eq!(d.dirty_len(), by_scan);
+                proptest::prop_assert!(
+                    d.sweep_pending() || d.table.stale_by_scan(d.last_committed) == 0,
+                    "sweep_pending() is false with stale entries in the table"
+                );
+            }
+        }
     }
 }

@@ -91,6 +91,9 @@ pub struct TableStats {
 #[derive(Clone, Debug)]
 pub struct MultiStageHashTable {
     stages: Vec<(StageHash, RegisterArray<Slot>)>,
+    /// Occupied slots, kept in step with every operation that fills or
+    /// clears one — `occupancy()` and the empty-table `sweep()` never scan.
+    live: usize,
     stats: TableStats,
 }
 
@@ -108,6 +111,7 @@ impl MultiStageHashTable {
                     )
                 })
                 .collect(),
+            live: 0,
             stats: TableStats::default(),
         }
     }
@@ -119,15 +123,16 @@ impl MultiStageHashTable {
         for (hash, array) in &mut self.stages {
             let idx = hash.slot(obj, array.len());
             array.begin_packet();
+            // `Some(filled an empty slot)` if this stage took the entry.
             let done = array.access(idx, |slot| {
-                if slot.is_empty() || slot.obj == obj {
+                let was_empty = slot.is_empty();
+                (was_empty || slot.obj == obj).then(|| {
                     *slot = Slot { obj, seq };
-                    true
-                } else {
-                    false
-                }
+                    was_empty
+                })
             });
-            if done {
+            if let Some(was_empty) = done {
+                self.live += usize::from(was_empty);
                 self.stats.inserts += 1;
                 return true;
             }
@@ -177,7 +182,8 @@ impl MultiStageHashTable {
                 }
             });
         }
-        self.stats.scrubbed_by_reads += scrubbed;
+        self.live -= scrubbed;
+        self.stats.scrubbed_by_reads += scrubbed as u64;
         best
     }
 
@@ -195,6 +201,7 @@ impl MultiStageHashTable {
                 }
             });
         }
+        self.live -= removed;
         self.stats.deletes += removed as u64;
         removed
     }
@@ -202,6 +209,9 @@ impl MultiStageHashTable {
     /// Control-plane sweep clearing every entry with `seq <= last_committed`
     /// (§5.2 "this removal can also be done periodically").
     pub fn sweep(&mut self, last_committed: SwitchSeq) -> usize {
+        if self.live == 0 {
+            return 0;
+        }
         let mut removed = 0;
         for (_, array) in &mut self.stages {
             for slot in array.iter_mut() {
@@ -211,6 +221,7 @@ impl MultiStageHashTable {
                 }
             }
         }
+        self.live -= removed;
         self.stats.swept += removed as u64;
         removed
     }
@@ -222,14 +233,12 @@ impl MultiStageHashTable {
                 *slot = Slot::default();
             }
         }
+        self.live = 0;
     }
 
     /// Occupied slots across all stages.
     pub fn occupancy(&self) -> usize {
-        self.stages
-            .iter()
-            .map(|(_, a)| a.iter().filter(|s| !s.is_empty()).count())
-            .sum()
+        self.live
     }
 
     /// Occupied slots per stage (front to back).
@@ -259,6 +268,19 @@ impl MultiStageHashTable {
 impl Default for MultiStageHashTable {
     fn default() -> Self {
         MultiStageHashTable::new(TableConfig::default())
+    }
+}
+
+/// The reference scan the tests hold the skipping sweep to.
+#[cfg(test)]
+impl MultiStageHashTable {
+    /// What a sweep that skips nothing would remove at `last_committed`.
+    pub(crate) fn stale_by_scan(&self, last_committed: SwitchSeq) -> usize {
+        self.stages
+            .iter()
+            .flat_map(|(_, a)| a.iter())
+            .filter(|s| !s.is_empty() && s.seq <= last_committed)
+            .count()
     }
 }
 
