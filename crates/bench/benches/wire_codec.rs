@@ -9,7 +9,9 @@
 //! the gap between the two columns is what pooled receive saves per packet.
 //! `encode_into` is the zero-copy send path (append into a reused
 //! `BytesMut`, as the coalescer does); its gap against `encode` is the
-//! per-frame allocation the send pool saves.
+//! per-frame allocation the send pool saves. The `frames_x16` row is the
+//! receive path as the transport runs it: one 16-frame read-request datagram
+//! walked in place by `frames()`, in ns per frame.
 //!
 //! Timed by hand (median of sampled batches) rather than through criterion,
 //! so the per-case ns/op can be emitted as `BENCH_wire_codec.json` — the
@@ -26,7 +28,9 @@ use std::time::Instant;
 use bytes::{Bytes, BytesMut};
 use harmonia_bench::{print_table, Snapshot};
 use harmonia_replication::messages::{ChainMsg, NopaxosMsg, ProtocolMsg, WriteOp};
-use harmonia_types::wire::{decode_frame, decode_frame_shared, encode_frame, encode_frame_into};
+use harmonia_types::wire::{
+    decode_frame, decode_frame_shared, encode_frame, encode_frame_into, frames,
+};
 use harmonia_types::{
     ClientId, ClientReply, ClientRequest, ControlMsg, NodeId, ObjectId, Packet, PacketBody,
     ReplicaId, RequestId, SwitchId, SwitchSeq, WriteCompletion, WriteOutcome,
@@ -204,18 +208,38 @@ fn measure(case: &'static str, pkt: &Pkt) -> Row {
     }
 }
 
-fn write_json(rows: &[Row]) {
-    // Schema 3: rows unchanged from 2, the shared-writer preamble added the
-    // uniform host `{ os, arch }` field.
+/// Frames in the `frames_x16` datagram.
+const COALESCED: usize = 16;
+
+/// A coalesced datagram of [`COALESCED`] copies of `pkt` through `frames()`:
+/// (frame bytes, ns per frame).
+fn measure_frames(pkt: &Pkt) -> (usize, f64) {
+    let mut buf = BytesMut::new();
+    for _ in 0..COALESCED {
+        encode_frame_into(pkt, &mut buf).unwrap();
+    }
+    let datagram = buf.freeze();
+    let ns = time_ns_per_op(|| {
+        for frame in frames::<Pkt>(black_box(&datagram)) {
+            black_box(frame.unwrap());
+        }
+    });
+    (datagram.len() / COALESCED, ns / COALESCED as f64)
+}
+
+fn write_json(rows: &[Row], (frame_bytes, frames_ns): (usize, f64)) {
+    // Schema 4: the `frames_x16` row (its own columns) joined the
+    // per-variant rows, which are unchanged from 3.
     let mut snap = Snapshot::new(
         "wire_codec",
-        3,
+        4,
         "Per-variant codec cost; decode_shared is the zero-copy \
          (Bytes-aliasing) receive path, decode the copying baseline; encode_into appends \
-         into a reused buffer (the coalescer's zero-copy send path), encode allocates",
+         into a reused buffer (the coalescer's zero-copy send path), encode allocates; \
+         frames_x16 walks one 16-frame read-request datagram in place with frames()",
     );
     snap.text("unit", "ns_per_op");
-    let rendered: Vec<String> = rows
+    let mut rendered: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
@@ -232,15 +256,19 @@ fn write_json(rows: &[Row]) {
             )
         })
         .collect();
+    rendered.push(format!(
+        "{{ \"case\": \"frames_x16\", \"frame_bytes\": {frame_bytes}, \
+         \"frames\": {COALESCED}, \"ns_per_frame\": {frames_ns:.1} }}"
+    ));
     snap.rows("rows", &rendered);
     snap.write();
 }
 
 fn main() {
-    let rows: Vec<Row> = variants()
-        .iter()
-        .map(|(name, pkt)| measure(name, pkt))
-        .collect();
+    let cases = variants();
+    let rows: Vec<Row> = cases.iter().map(|(name, pkt)| measure(name, pkt)).collect();
+    let (_, read_request) = &cases[0];
+    let coalesced = measure_frames(read_request);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -271,15 +299,19 @@ fn main() {
         ],
         &table,
     );
+    println!(
+        "frames_x16\t{}\t{:.1} ns/frame ({COALESCED} read requests in one datagram, walked in place)",
+        coalesced.0, coalesced.1
+    );
     // Sanity, not perf assertions: every path decodes what it encoded.
-    for (name, pkt) in variants() {
-        let frame = encode_frame(&pkt).unwrap();
+    for (name, pkt) in &cases {
+        let frame = encode_frame(pkt).unwrap();
         let mut buf = BytesMut::new();
-        encode_frame_into(&pkt, &mut buf).unwrap();
+        encode_frame_into(pkt, &mut buf).unwrap();
         assert_eq!(&buf[..], &frame[..], "encode_into mismatch in {name}");
         let (a, _) = decode_frame::<Pkt>(&frame).unwrap().unwrap();
         let (b, _) = decode_frame_shared::<Pkt>(&frame).unwrap().unwrap();
-        assert!(a == pkt && b == pkt, "codec mismatch in {name}");
+        assert!(a == *pkt && b == *pkt, "codec mismatch in {name}");
     }
-    write_json(&rows);
+    write_json(&rows, coalesced);
 }

@@ -19,8 +19,8 @@ use harmonia_types::{
 };
 
 use crate::common::{
-    export_store, handle_control, install_store, read_ahead_ok, read_reply, write_reply, Admission,
-    ClientTable, Effects, GroupConfig, InOrder, LeaseState, Replica, Snapshot,
+    export_store, handle_control, install_store, read_ahead_probe, read_reply, write_reply,
+    Admission, ClientTable, Effects, GroupConfig, InOrder, LeaseState, Replica, Snapshot,
 };
 use crate::messages::{ChainMsg, ProtocolMsg, SnapshotState, WriteOp};
 
@@ -184,14 +184,13 @@ impl ChainReplica {
     fn handle_read(&mut self, req: ClientRequest, out: &mut Effects) {
         match req.read_mode {
             ReadMode::FastPath { switch } => {
-                let allowed = self.lease.allows(switch);
                 let stamped = req.last_committed.unwrap_or(SwitchSeq::ZERO);
-                let obj_seq = self
-                    .store
-                    .with(&req.key, |v| v.map(|vv| vv.seq))
-                    .unwrap_or(SwitchSeq::ZERO);
-                if allowed && read_ahead_ok(obj_seq, stamped) {
-                    let value = self.store.with(&req.key, |v| v.map(|vv| vv.value.clone()));
+                let answer = if self.lease.allows(switch) {
+                    read_ahead_probe(&self.store, &req.key, stamped)
+                } else {
+                    None
+                };
+                if let Some(value) = answer {
                     out.reply(self.lease.active(), read_reply(self.me, &req, value));
                 } else {
                     let mut fwd = req;

@@ -333,6 +333,21 @@ pub fn read_ahead_ok(applied_seq: SwitchSeq, stamped_last_committed: SwitchSeq) 
     stamped_last_committed >= applied_seq
 }
 
+/// The read-ahead fast path in one store probe (PB, chain): `Some(answer)`
+/// iff the object's applied sequence number passes [`read_ahead_ok`] against
+/// `stamped` — the answer being the value, `None` for an unset key — and
+/// `None` if the read must take the normal path instead.
+pub fn read_ahead_probe(
+    store: &harmonia_kv::Store<harmonia_kv::VersionedValue>,
+    key: &[u8],
+    stamped: SwitchSeq,
+) -> Option<Option<Bytes>> {
+    store.with(key, |v| {
+        let applied = v.map_or(SwitchSeq::ZERO, |vv| vv.seq);
+        read_ahead_ok(applied, stamped).then(|| v.map(|vv| vv.value.clone()))
+    })
+}
+
 /// §7 responsibility 3b — read-behind guard (VR, NOPaxos): a replica may
 /// answer a fast-path read iff it has *executed* at least up to the stamped
 /// last-committed point; otherwise it might miss a committed write (P1

@@ -4,11 +4,17 @@
 //! `spawn_udp`) puts *every* packet on a real socket — including the
 //! replica↔replica traffic the in-process drivers pass by value. These
 //! [`Wire`] implementations make `Packet<ProtocolMsg>` a first-class wire
-//! type: same hand-rolled little-endian layout as `harmonia-types`, one
-//! discriminant byte per enum, every variant's fields in declaration order.
+//! type: the same slice cursor and staged writer as `harmonia-types`
+//! (little-endian, one discriminant byte per enum, every variant's fields in
+//! declaration order), behind the envelope `harmonia_types::wire` documents.
+//!
+//! The per-operation messages (`WriteOp` and the five protocols' enums) are
+//! `#[inline]` so that each composes into [`ProtocolMsg`]'s two functions —
+//! one call per frame from the generic `Packet<T>` codec, not one per field
+//! across the crate boundary. Control and state transfer are not.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use harmonia_types::wire::Wire;
+use bytes::Bytes;
+use harmonia_types::wire::{bad_tag, Reader, Wire, Writer};
 use harmonia_types::{ClientId, ObjectId, ReplicaId, RequestId, SwitchId, SwitchSeq, TypeError};
 
 use crate::messages::{
@@ -17,126 +23,126 @@ use crate::messages::{
 };
 
 impl Wire for WriteOp {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.seq.encode(buf);
-        self.obj.encode(buf);
-        self.key.encode(buf);
-        self.value.encode(buf);
-        self.client.encode(buf);
-        self.request.encode(buf);
+    #[inline]
+    fn encode(&self, w: &mut Writer<'_>) {
+        self.seq.encode(w);
+        self.obj.encode(w);
+        self.key.encode(w);
+        self.value.encode(w);
+        self.client.encode(w);
+        self.request.encode(w);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
         Ok(WriteOp {
-            seq: SwitchSeq::decode(buf)?,
-            obj: ObjectId::decode(buf)?,
-            key: Bytes::decode(buf)?,
-            value: Bytes::decode(buf)?,
-            client: ClientId::decode(buf)?,
-            request: RequestId::decode(buf)?,
+            seq: SwitchSeq::decode(r)?,
+            obj: ObjectId::decode(r)?,
+            key: Bytes::decode(r)?,
+            value: Bytes::decode(r)?,
+            client: ClientId::decode(r)?,
+            request: RequestId::decode(r)?,
         })
     }
 }
 
 impl Wire for PbMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline]
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             PbMsg::Update(op) => {
-                buf.put_u8(0);
-                op.encode(buf);
+                w.put(&[0]);
+                op.encode(w);
             }
             PbMsg::Ack { seq, from } => {
-                buf.put_u8(1);
-                seq.encode(buf);
-                from.encode(buf);
+                w.put(&[1]);
+                seq.encode(w);
+                from.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
-            0 => Ok(PbMsg::Update(WriteOp::decode(buf)?)),
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
+            0 => Ok(PbMsg::Update(WriteOp::decode(r)?)),
             1 => Ok(PbMsg::Ack {
-                seq: SwitchSeq::decode(buf)?,
-                from: ReplicaId::decode(buf)?,
+                seq: SwitchSeq::decode(r)?,
+                from: ReplicaId::decode(r)?,
             }),
-            v => Err(TypeError::BadDiscriminant {
-                field: "PbMsg",
-                value: u64::from(v),
-            }),
+            v => bad_tag("PbMsg", v),
         }
     }
 }
 
 impl Wire for ChainMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline]
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             ChainMsg::Down(op) => {
-                buf.put_u8(0);
-                op.encode(buf);
+                w.put(&[0]);
+                op.encode(w);
             }
             ChainMsg::ReReply { client, request } => {
-                buf.put_u8(1);
-                client.encode(buf);
-                request.encode(buf);
+                w.put(&[1]);
+                client.encode(w);
+                request.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
-            0 => Ok(ChainMsg::Down(WriteOp::decode(buf)?)),
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
+            0 => Ok(ChainMsg::Down(WriteOp::decode(r)?)),
             1 => Ok(ChainMsg::ReReply {
-                client: ClientId::decode(buf)?,
-                request: RequestId::decode(buf)?,
+                client: ClientId::decode(r)?,
+                request: RequestId::decode(r)?,
             }),
-            v => Err(TypeError::BadDiscriminant {
-                field: "ChainMsg",
-                value: u64::from(v),
-            }),
+            v => bad_tag("ChainMsg", v),
         }
     }
 }
 
 impl Wire for CraqMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline]
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             CraqMsg::Down(op) => {
-                buf.put_u8(0);
-                op.encode(buf);
+                w.put(&[0]);
+                op.encode(w);
             }
             CraqMsg::Clean { obj, key, seq } => {
-                buf.put_u8(1);
-                obj.encode(buf);
-                key.encode(buf);
-                seq.encode(buf);
+                w.put(&[1]);
+                obj.encode(w);
+                key.encode(w);
+                seq.encode(w);
             }
             CraqMsg::ReReply { client, request } => {
-                buf.put_u8(2);
-                client.encode(buf);
-                request.encode(buf);
+                w.put(&[2]);
+                client.encode(w);
+                request.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
-            0 => Ok(CraqMsg::Down(WriteOp::decode(buf)?)),
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
+            0 => Ok(CraqMsg::Down(WriteOp::decode(r)?)),
             1 => Ok(CraqMsg::Clean {
-                obj: ObjectId::decode(buf)?,
-                key: Bytes::decode(buf)?,
-                seq: SwitchSeq::decode(buf)?,
+                obj: ObjectId::decode(r)?,
+                key: Bytes::decode(r)?,
+                seq: SwitchSeq::decode(r)?,
             }),
             2 => Ok(CraqMsg::ReReply {
-                client: ClientId::decode(buf)?,
-                request: RequestId::decode(buf)?,
+                client: ClientId::decode(r)?,
+                request: RequestId::decode(r)?,
             }),
-            v => Err(TypeError::BadDiscriminant {
-                field: "CraqMsg",
-                value: u64::from(v),
-            }),
+            v => bad_tag("CraqMsg", v),
         }
     }
 }
 
 impl Wire for VrMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline]
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             VrMsg::Prepare {
                 view,
@@ -144,245 +150,226 @@ impl Wire for VrMsg {
                 op,
                 commit,
             } => {
-                buf.put_u8(0);
-                view.encode(buf);
-                op_num.encode(buf);
-                op.encode(buf);
-                commit.encode(buf);
+                w.put(&[0]);
+                view.encode(w);
+                op_num.encode(w);
+                op.encode(w);
+                commit.encode(w);
             }
             VrMsg::PrepareOk { view, op_num, from } => {
-                buf.put_u8(1);
-                view.encode(buf);
-                op_num.encode(buf);
-                from.encode(buf);
+                w.put(&[1]);
+                view.encode(w);
+                op_num.encode(w);
+                from.encode(w);
             }
             VrMsg::Commit { view, commit } => {
-                buf.put_u8(2);
-                view.encode(buf);
-                commit.encode(buf);
+                w.put(&[2]);
+                view.encode(w);
+                commit.encode(w);
             }
             VrMsg::CommitAck { view, op_num, from } => {
-                buf.put_u8(3);
-                view.encode(buf);
-                op_num.encode(buf);
-                from.encode(buf);
+                w.put(&[3]);
+                view.encode(w);
+                op_num.encode(w);
+                from.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
             0 => Ok(VrMsg::Prepare {
-                view: u64::decode(buf)?,
-                op_num: u64::decode(buf)?,
-                op: WriteOp::decode(buf)?,
-                commit: u64::decode(buf)?,
+                view: u64::decode(r)?,
+                op_num: u64::decode(r)?,
+                op: WriteOp::decode(r)?,
+                commit: u64::decode(r)?,
             }),
             1 => Ok(VrMsg::PrepareOk {
-                view: u64::decode(buf)?,
-                op_num: u64::decode(buf)?,
-                from: ReplicaId::decode(buf)?,
+                view: u64::decode(r)?,
+                op_num: u64::decode(r)?,
+                from: ReplicaId::decode(r)?,
             }),
             2 => Ok(VrMsg::Commit {
-                view: u64::decode(buf)?,
-                commit: u64::decode(buf)?,
+                view: u64::decode(r)?,
+                commit: u64::decode(r)?,
             }),
             3 => Ok(VrMsg::CommitAck {
-                view: u64::decode(buf)?,
-                op_num: u64::decode(buf)?,
-                from: ReplicaId::decode(buf)?,
+                view: u64::decode(r)?,
+                op_num: u64::decode(r)?,
+                from: ReplicaId::decode(r)?,
             }),
-            v => Err(TypeError::BadDiscriminant {
-                field: "VrMsg",
-                value: u64::from(v),
-            }),
+            v => bad_tag("VrMsg", v),
         }
     }
 }
 
 impl Wire for NopaxosMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    #[inline]
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             NopaxosMsg::Sequenced {
                 session,
                 oum_seq,
                 op,
             } => {
-                buf.put_u8(0);
-                session.encode(buf);
-                oum_seq.encode(buf);
-                op.encode(buf);
+                w.put(&[0]);
+                session.encode(w);
+                oum_seq.encode(w);
+                op.encode(w);
             }
             NopaxosMsg::SlotAck {
                 session,
                 oum_seq,
                 from,
             } => {
-                buf.put_u8(1);
-                session.encode(buf);
-                oum_seq.encode(buf);
-                from.encode(buf);
+                w.put(&[1]);
+                session.encode(w);
+                oum_seq.encode(w);
+                from.encode(w);
             }
             NopaxosMsg::GapRequest {
                 session,
                 oum_seq,
                 from,
             } => {
-                buf.put_u8(2);
-                session.encode(buf);
-                oum_seq.encode(buf);
-                from.encode(buf);
+                w.put(&[2]);
+                session.encode(w);
+                oum_seq.encode(w);
+                from.encode(w);
             }
             NopaxosMsg::GapReply {
                 session,
                 oum_seq,
                 op,
             } => {
-                buf.put_u8(3);
-                session.encode(buf);
-                oum_seq.encode(buf);
-                op.encode(buf);
+                w.put(&[3]);
+                session.encode(w);
+                oum_seq.encode(w);
+                op.encode(w);
             }
             NopaxosMsg::Sync { session, upto } => {
-                buf.put_u8(4);
-                session.encode(buf);
-                upto.encode(buf);
+                w.put(&[4]);
+                session.encode(w);
+                upto.encode(w);
             }
             NopaxosMsg::SyncAck {
                 session,
                 upto,
                 from,
             } => {
-                buf.put_u8(5);
-                session.encode(buf);
-                upto.encode(buf);
-                from.encode(buf);
+                w.put(&[5]);
+                session.encode(w);
+                upto.encode(w);
+                from.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
             0 => Ok(NopaxosMsg::Sequenced {
-                session: u64::decode(buf)?,
-                oum_seq: u64::decode(buf)?,
-                op: WriteOp::decode(buf)?,
+                session: u64::decode(r)?,
+                oum_seq: u64::decode(r)?,
+                op: WriteOp::decode(r)?,
             }),
             1 => Ok(NopaxosMsg::SlotAck {
-                session: u64::decode(buf)?,
-                oum_seq: u64::decode(buf)?,
-                from: ReplicaId::decode(buf)?,
+                session: u64::decode(r)?,
+                oum_seq: u64::decode(r)?,
+                from: ReplicaId::decode(r)?,
             }),
             2 => Ok(NopaxosMsg::GapRequest {
-                session: u64::decode(buf)?,
-                oum_seq: u64::decode(buf)?,
-                from: ReplicaId::decode(buf)?,
+                session: u64::decode(r)?,
+                oum_seq: u64::decode(r)?,
+                from: ReplicaId::decode(r)?,
             }),
             3 => Ok(NopaxosMsg::GapReply {
-                session: u64::decode(buf)?,
-                oum_seq: u64::decode(buf)?,
-                op: Option::<WriteOp>::decode(buf)?,
+                session: u64::decode(r)?,
+                oum_seq: u64::decode(r)?,
+                op: Option::<WriteOp>::decode(r)?,
             }),
             4 => Ok(NopaxosMsg::Sync {
-                session: u64::decode(buf)?,
-                upto: u64::decode(buf)?,
+                session: u64::decode(r)?,
+                upto: u64::decode(r)?,
             }),
             5 => Ok(NopaxosMsg::SyncAck {
-                session: u64::decode(buf)?,
-                upto: u64::decode(buf)?,
-                from: ReplicaId::decode(buf)?,
+                session: u64::decode(r)?,
+                upto: u64::decode(r)?,
+                from: ReplicaId::decode(r)?,
             }),
-            v => Err(TypeError::BadDiscriminant {
-                field: "NopaxosMsg",
-                value: u64::from(v),
-            }),
+            v => bad_tag("NopaxosMsg", v),
         }
     }
 }
 
 impl Wire for ReplicaControlMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             ReplicaControlMsg::SetActiveSwitch(s) => {
-                buf.put_u8(0);
-                s.encode(buf);
+                w.put(&[0]);
+                s.encode(w);
             }
             ReplicaControlMsg::SetMembers(m) => {
-                buf.put_u8(1);
-                m.encode(buf);
+                w.put(&[1]);
+                m.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
-            0 => Ok(ReplicaControlMsg::SetActiveSwitch(SwitchId::decode(buf)?)),
-            1 => Ok(ReplicaControlMsg::SetMembers(Vec::<ReplicaId>::decode(
-                buf,
-            )?)),
-            v => Err(TypeError::BadDiscriminant {
-                field: "ReplicaControlMsg",
-                value: u64::from(v),
-            }),
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
+            0 => Ok(ReplicaControlMsg::SetActiveSwitch(SwitchId::decode(r)?)),
+            1 => Ok(ReplicaControlMsg::SetMembers(Vec::<ReplicaId>::decode(r)?)),
+            v => bad_tag("ReplicaControlMsg", v),
         }
     }
 }
 
 impl Wire for SnapshotEntry {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.key.encode(buf);
-        self.obj.encode(buf);
-        self.value.encode(buf);
-        self.seq.encode(buf);
-        buf.put_u8(u8::from(self.dirty));
+    fn encode(&self, w: &mut Writer<'_>) {
+        self.key.encode(w);
+        self.obj.encode(w);
+        self.value.encode(w);
+        self.seq.encode(w);
+        w.put(&[u8::from(self.dirty)]);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
         Ok(SnapshotEntry {
-            key: Bytes::decode(buf)?,
-            obj: ObjectId::decode(buf)?,
-            value: Bytes::decode(buf)?,
-            seq: SwitchSeq::decode(buf)?,
-            dirty: match u8::decode(buf)? {
+            key: Bytes::decode(r)?,
+            obj: ObjectId::decode(r)?,
+            value: Bytes::decode(r)?,
+            seq: SwitchSeq::decode(r)?,
+            dirty: match r.u8()? {
                 0 => false,
                 1 => true,
-                v => {
-                    return Err(TypeError::BadDiscriminant {
-                        field: "SnapshotEntry.dirty",
-                        value: u64::from(v),
-                    })
-                }
+                v => return bad_tag("SnapshotEntry.dirty", v),
             },
         })
     }
 }
 
 impl Wire for SnapshotState {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.in_order.encode(buf);
-        self.applied.encode(buf);
-        self.local_seq.encode(buf);
-        self.commit_num.encode(buf);
-        self.session.encode(buf);
-        buf.put_u32_le(self.clients.len() as u32);
+    fn encode(&self, w: &mut Writer<'_>) {
+        self.in_order.encode(w);
+        self.applied.encode(w);
+        self.local_seq.encode(w);
+        self.commit_num.encode(w);
+        self.session.encode(w);
+        w.put_len(self.clients.len());
         for (client, request) in &self.clients {
-            client.encode(buf);
-            request.encode(buf);
+            client.encode(w);
+            request.encode(w);
         }
-        self.replies.encode(buf);
+        self.replies.encode(w);
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        let in_order = SwitchSeq::decode(buf)?;
-        let applied = SwitchSeq::decode(buf)?;
-        let local_seq = u64::decode(buf)?;
-        let commit_num = u64::decode(buf)?;
-        let session = u64::decode(buf)?;
-        let n = u32::decode(buf)? as usize;
-        if n > harmonia_types::wire::MAX_FRAME_BYTES {
-            return Err(TypeError::OversizedField {
-                field: "SnapshotState.clients",
-                len: n,
-            });
-        }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        let in_order = SwitchSeq::decode(r)?;
+        let applied = SwitchSeq::decode(r)?;
+        let local_seq = u64::decode(r)?;
+        let commit_num = u64::decode(r)?;
+        let session = u64::decode(r)?;
+        let n = r.len_prefix("SnapshotState.clients")?;
         let mut clients = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            clients.push((ClientId::decode(buf)?, RequestId::decode(buf)?));
+            clients.push((ClientId::decode(r)?, RequestId::decode(r)?));
         }
         Ok(SnapshotState {
             in_order,
@@ -391,100 +378,94 @@ impl Wire for SnapshotState {
             commit_num,
             session,
             clients,
-            replies: Vec::<harmonia_types::ClientReply>::decode(buf)?,
+            replies: Vec::<harmonia_types::ClientReply>::decode(r)?,
         })
     }
 }
 
 impl Wire for StateTransferMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             StateTransferMsg::Request { from } => {
-                buf.put_u8(0);
-                from.encode(buf);
+                w.put(&[0]);
+                from.encode(w);
             }
             StateTransferMsg::Entries { entries } => {
-                buf.put_u8(1);
-                entries.encode(buf);
+                w.put(&[1]);
+                entries.encode(w);
             }
             StateTransferMsg::Log { ops } => {
-                buf.put_u8(2);
-                ops.encode(buf);
+                w.put(&[2]);
+                ops.encode(w);
             }
             StateTransferMsg::Done { state } => {
-                buf.put_u8(3);
-                state.encode(buf);
+                w.put(&[3]);
+                state.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
             0 => Ok(StateTransferMsg::Request {
-                from: ReplicaId::decode(buf)?,
+                from: ReplicaId::decode(r)?,
             }),
             1 => Ok(StateTransferMsg::Entries {
-                entries: Vec::<SnapshotEntry>::decode(buf)?,
+                entries: Vec::<SnapshotEntry>::decode(r)?,
             }),
             2 => Ok(StateTransferMsg::Log {
-                ops: Vec::<WriteOp>::decode(buf)?,
+                ops: Vec::<WriteOp>::decode(r)?,
             }),
             3 => Ok(StateTransferMsg::Done {
-                state: SnapshotState::decode(buf)?,
+                state: SnapshotState::decode(r)?,
             }),
-            v => Err(TypeError::BadDiscriminant {
-                field: "StateTransferMsg",
-                value: u64::from(v),
-            }),
+            v => bad_tag("StateTransferMsg", v),
         }
     }
 }
 
 impl Wire for ProtocolMsg {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, w: &mut Writer<'_>) {
         match self {
             ProtocolMsg::Pb(m) => {
-                buf.put_u8(0);
-                m.encode(buf);
+                w.put(&[0]);
+                m.encode(w);
             }
             ProtocolMsg::Chain(m) => {
-                buf.put_u8(1);
-                m.encode(buf);
+                w.put(&[1]);
+                m.encode(w);
             }
             ProtocolMsg::Craq(m) => {
-                buf.put_u8(2);
-                m.encode(buf);
+                w.put(&[2]);
+                m.encode(w);
             }
             ProtocolMsg::Vr(m) => {
-                buf.put_u8(3);
-                m.encode(buf);
+                w.put(&[3]);
+                m.encode(w);
             }
             ProtocolMsg::Nopaxos(m) => {
-                buf.put_u8(4);
-                m.encode(buf);
+                w.put(&[4]);
+                m.encode(w);
             }
             ProtocolMsg::Control(m) => {
-                buf.put_u8(5);
-                m.encode(buf);
+                w.put(&[5]);
+                m.encode(w);
             }
             ProtocolMsg::StateTransfer(m) => {
-                buf.put_u8(6);
-                m.encode(buf);
+                w.put(&[6]);
+                m.encode(w);
             }
         }
     }
-    fn decode(buf: &mut Bytes) -> Result<Self, TypeError> {
-        match u8::decode(buf)? {
-            0 => Ok(ProtocolMsg::Pb(PbMsg::decode(buf)?)),
-            1 => Ok(ProtocolMsg::Chain(ChainMsg::decode(buf)?)),
-            2 => Ok(ProtocolMsg::Craq(CraqMsg::decode(buf)?)),
-            3 => Ok(ProtocolMsg::Vr(VrMsg::decode(buf)?)),
-            4 => Ok(ProtocolMsg::Nopaxos(NopaxosMsg::decode(buf)?)),
-            5 => Ok(ProtocolMsg::Control(ReplicaControlMsg::decode(buf)?)),
-            6 => Ok(ProtocolMsg::StateTransfer(StateTransferMsg::decode(buf)?)),
-            v => Err(TypeError::BadDiscriminant {
-                field: "ProtocolMsg",
-                value: u64::from(v),
-            }),
+    fn decode(r: &mut Reader<'_>) -> Result<Self, TypeError> {
+        match r.u8()? {
+            0 => Ok(ProtocolMsg::Pb(PbMsg::decode(r)?)),
+            1 => Ok(ProtocolMsg::Chain(ChainMsg::decode(r)?)),
+            2 => Ok(ProtocolMsg::Craq(CraqMsg::decode(r)?)),
+            3 => Ok(ProtocolMsg::Vr(VrMsg::decode(r)?)),
+            4 => Ok(ProtocolMsg::Nopaxos(NopaxosMsg::decode(r)?)),
+            5 => Ok(ProtocolMsg::Control(ReplicaControlMsg::decode(r)?)),
+            6 => Ok(ProtocolMsg::StateTransfer(StateTransferMsg::decode(r)?)),
+            v => bad_tag("ProtocolMsg", v),
         }
     }
 }
@@ -650,8 +631,8 @@ mod tests {
             ("ReplicaControlMsg", vec![5, 9]),
             ("StateTransferMsg", vec![6, 9]),
         ] {
-            let mut b = Bytes::from(bytes);
-            match ProtocolMsg::decode(&mut b) {
+            let b = Bytes::from(bytes);
+            match ProtocolMsg::decode(&mut Reader::new(&b)) {
                 Err(TypeError::BadDiscriminant { field: f, value: 9 }) => assert_eq!(f, field),
                 other => panic!("{field}: expected bad-discriminant error, got {other:?}"),
             }

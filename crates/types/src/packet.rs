@@ -4,6 +4,11 @@
 //! understands (§4). The switch inspects two header fields — the operation
 //! type and the affected object id — and, for writes and fast-path reads,
 //! stamps additional fields (the sequence number, the last-committed point).
+//! On the wire those are a fixed header: kind, a [`PacketFlags`] byte that
+//! says which optional fields follow, then src, dst, client, request and
+//! object id at constant offsets, the stamps behind them, the key and value
+//! last ([`crate::wire`] has the table). The structs here are the decoded
+//! form every state machine works on.
 //!
 //! Protocol-internal traffic (chain forwarding, PREPARE/PREPARE-OK, …) also
 //! traverses the switch physically but is routed by ordinary L2/L3
@@ -46,24 +51,41 @@ impl ReadMode {
     }
 }
 
-/// Bit flags carried in the wire header.
+/// The flags byte of the Harmonia header: one bit per optional field of a
+/// request or reply (and one for the op type), so a parser knows the length
+/// of the header — and where every field sits — from this byte alone. The
+/// wire codec ([`crate::wire`]) derives it from the packet on encode and
+/// rebuilds the `Option`s from it on decode; it is not stored in a packet.
 #[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
 pub struct PacketFlags(pub u8);
 
 impl PacketFlags {
-    /// The read was routed on the single-replica fast path.
-    pub const FAST_PATH: PacketFlags = PacketFlags(0b0000_0001);
+    /// The read was routed on the single-replica fast path; the issuing
+    /// switch's id follows ([`ReadMode::FastPath`]).
+    pub const FAST_PATH: PacketFlags = PacketFlags(1 << 0);
     /// The reply piggybacks a write completion (§5.1, Figure 2b).
-    pub const PIGGYBACK_COMPLETION: PacketFlags = PacketFlags(0b0000_0010);
+    pub const PIGGYBACK_COMPLETION: PacketFlags = PacketFlags(1 << 1);
+    /// A value is present (a write's new value, a read reply's result) —
+    /// `Some(b"")` sets the bit with a zero length, `None` clears it.
+    pub const VALUE: PacketFlags = PacketFlags(1 << 2);
+    /// The switch stamped a sequence number (Algorithm 1 l.2–3).
+    pub const SEQ: PacketFlags = PacketFlags(1 << 3);
+    /// The switch stamped the last-committed point (Algorithm 1 l.11).
+    pub const LAST_COMMITTED: PacketFlags = PacketFlags(1 << 4);
+    /// The reply reports a write outcome.
+    pub const WRITE_OUTCOME: PacketFlags = PacketFlags(1 << 5);
+    /// Op type of a request: set for [`OpKind::Write`], clear for a read.
+    pub const WRITE: PacketFlags = PacketFlags(1 << 6);
 
     /// Test whether all bits of `flag` are set.
     pub fn contains(self, flag: PacketFlags) -> bool {
         self.0 & flag.0 == flag.0
     }
 
-    /// Set the bits of `flag`.
-    pub fn insert(&mut self, flag: PacketFlags) {
-        self.0 |= flag.0;
+    /// `self` with the bits of `flag` set iff `on`.
+    #[must_use]
+    pub fn with(self, flag: PacketFlags, on: bool) -> PacketFlags {
+        PacketFlags(self.0 | if on { flag.0 } else { 0 })
     }
 }
 
@@ -278,13 +300,26 @@ mod tests {
 
     #[test]
     fn flags_bit_ops() {
-        let mut f = PacketFlags::default();
+        let f = PacketFlags::default();
         assert!(!f.contains(PacketFlags::FAST_PATH));
-        f.insert(PacketFlags::FAST_PATH);
+        let f = f.with(PacketFlags::FAST_PATH, true);
         assert!(f.contains(PacketFlags::FAST_PATH));
         assert!(!f.contains(PacketFlags::PIGGYBACK_COMPLETION));
-        f.insert(PacketFlags::PIGGYBACK_COMPLETION);
+        let f = f.with(PacketFlags::PIGGYBACK_COMPLETION, true);
         assert!(f.contains(PacketFlags::PIGGYBACK_COMPLETION));
+        assert_eq!(f.with(PacketFlags::VALUE, false), f, "off leaves it alone");
+        // One bit each: the codec sums field lengths per flag.
+        let all = [
+            PacketFlags::FAST_PATH,
+            PacketFlags::PIGGYBACK_COMPLETION,
+            PacketFlags::VALUE,
+            PacketFlags::SEQ,
+            PacketFlags::LAST_COMMITTED,
+            PacketFlags::WRITE_OUTCOME,
+            PacketFlags::WRITE,
+        ];
+        assert!(all.iter().all(|f| f.0.count_ones() == 1));
+        assert_eq!(all.iter().fold(0, |acc, f| acc | f.0), 0x7f);
     }
 
     #[test]

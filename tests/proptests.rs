@@ -2,10 +2,13 @@
 
 use bytes::Bytes;
 use harmonia::prelude::*;
+use harmonia::replication::messages::{
+    ChainMsg, CraqMsg, NopaxosMsg, PbMsg, ProtocolMsg, StateTransferMsg, VrMsg, WriteOp,
+};
 use harmonia::switch::conflict::{ConflictConfig, WriteDecision};
 use harmonia::switch::spine::{GroupId as GId, SpineSwitch as Spine};
 use harmonia::switch::table::TableConfig as TC;
-use harmonia::types::wire::{decode_frame, encode_frame};
+use harmonia::types::wire::{decode_frame, encode_frame, encode_frame_into, frames};
 use harmonia::types::{
     ClientReply, ClientRequest, ControlMsg, ObjectId, Packet, PacketBody, ReadMode, RequestId,
     SwitchSeq, WriteCompletion, WriteOutcome,
@@ -85,6 +88,88 @@ fn arb_request() -> impl Strategy<Value = ClientRequest> {
             }
             req
         })
+}
+
+/// One frame of a coalesced datagram as the UDP driver sends it: any
+/// `PacketBody` variant, the protocol bodies being real replica messages of
+/// every protocol (one, two and many payloads per frame).
+fn arb_frame() -> impl Strategy<Value = Packet<ProtocolMsg>> {
+    (
+        0u8..12,
+        arb_request(),
+        arb_reply(),
+        arb_completion(),
+        arb_control(),
+        arb_seq(),
+        0u64..1000,
+    )
+        .prop_map(|(kind, req, reply, completion, control, seq, n)| {
+            let op = WriteOp {
+                seq,
+                obj: req.obj,
+                key: req.key.clone(),
+                value: req.value.clone().unwrap_or_default(),
+                client: req.client,
+                request: req.request,
+            };
+            let body = match kind {
+                0 | 1 => PacketBody::Request(req),
+                2 | 3 => PacketBody::Reply(reply),
+                4 => PacketBody::Completion(completion),
+                5 => PacketBody::Control(control),
+                6 => PacketBody::Protocol(ProtocolMsg::Chain(ChainMsg::Down(op))),
+                7 => PacketBody::Protocol(ProtocolMsg::Pb(PbMsg::Update(op))),
+                8 => PacketBody::Protocol(ProtocolMsg::Craq(CraqMsg::Clean {
+                    obj: op.obj,
+                    key: op.key,
+                    seq,
+                })),
+                9 => PacketBody::Protocol(ProtocolMsg::Vr(VrMsg::Prepare {
+                    view: n,
+                    op_num: n + 1,
+                    op,
+                    commit: n,
+                })),
+                10 => PacketBody::Protocol(ProtocolMsg::Nopaxos(NopaxosMsg::GapReply {
+                    session: 1,
+                    oum_seq: n,
+                    op: Some(op),
+                })),
+                _ => PacketBody::Protocol(ProtocolMsg::StateTransfer(StateTransferMsg::Log {
+                    ops: vec![op.clone(), op],
+                })),
+            };
+            Packet::new(
+                NodeId::Replica(ReplicaId(n as u32 % 3)),
+                NodeId::Switch(SwitchId(1)),
+                body,
+            )
+        })
+}
+
+/// Every key and value an [`arb_frame`] packet carries.
+fn payloads(pkt: &Packet<ProtocolMsg>) -> Vec<&Bytes> {
+    fn of_op(op: &WriteOp) -> Vec<&Bytes> {
+        vec![&op.key, &op.value]
+    }
+    match &pkt.body {
+        PacketBody::Request(r) => std::iter::once(&r.key).chain(&r.value).collect(),
+        PacketBody::Reply(r) => r.value.iter().collect(),
+        PacketBody::Completion(_) | PacketBody::Control(_) => Vec::new(),
+        PacketBody::Protocol(msg) => match msg {
+            ProtocolMsg::Chain(ChainMsg::Down(op))
+            | ProtocolMsg::Pb(PbMsg::Update(op))
+            | ProtocolMsg::Vr(VrMsg::Prepare { op, .. })
+            | ProtocolMsg::Nopaxos(NopaxosMsg::GapReply { op: Some(op), .. }) => of_op(op),
+            ProtocolMsg::Craq(CraqMsg::Clean { key, .. }) => vec![key],
+            ProtocolMsg::StateTransfer(StateTransferMsg::Log { ops }) => {
+                ops.iter().flat_map(of_op).collect()
+            }
+            // A flip can turn a frame into any other message; the ones that
+            // hold payloads `arb_frame` never builds are not walked.
+            _ => Vec::new(),
+        },
+    }
 }
 
 proptest! {
@@ -637,5 +722,80 @@ proptest! {
             encode_frame(&pkt),
             Err(TypeError::OversizedField { field: "frame", .. })
         ));
+    }
+
+    /// `frames()` decodes a datagram where it lies. Pack 1–24 frames of every
+    /// kind, flip a few bytes, maybe cut the datagram short, and walk it:
+    /// no panic; `used()` never passes the end; the iterator is fused after
+    /// its first `Err`; a frame that starts where it was written, is all
+    /// there and took no flip comes back as it was encoded; and every key
+    /// and value yielded — of intact and of mangled frames alike — lies
+    /// inside its own frame's bytes of the datagram (it aliases the
+    /// datagram, and it never reaches into the frame behind).
+    #[test]
+    fn wire_frames_walk_mutated_datagrams_in_place(
+        pkts in prop::collection::vec(arb_frame(), 1..25),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in prop::option::of(any::<usize>()),
+    ) {
+        let mut buf = bytes::BytesMut::new();
+        let ends: Vec<usize> = pkts
+            .iter()
+            .map(|p| {
+                encode_frame_into(p, &mut buf).unwrap();
+                buf.len()
+            })
+            .collect();
+        let starts: Vec<usize> = std::iter::once(0).chain(ends.iter().copied()).collect();
+        let mut bytes = buf.to_vec();
+        let mut flipped = vec![false; pkts.len()];
+        for &(at, byte) in &flips {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            flipped[ends.iter().position(|&end| at < end).unwrap()] = true;
+        }
+        if let Some(cut) = cut {
+            bytes.truncate(cut % (bytes.len() + 1));
+        }
+        let datagram = Bytes::from(bytes);
+        let base = datagram.as_ptr() as usize;
+
+        let mut it = frames::<Packet<ProtocolMsg>>(&datagram);
+        let (mut yielded, mut failed) = (0, false);
+        loop {
+            let start = it.used();
+            let Some(item) = it.next() else { break };
+            prop_assert!(!failed, "an item after the first Err");
+            let end = it.used();
+            prop_assert!(end <= datagram.len());
+            let intact = (0..pkts.len())
+                .find(|&i| starts[i] == start && !flipped[i] && ends[i] <= datagram.len());
+            if let Some(i) = intact {
+                prop_assert_eq!(item.as_ref(), Ok(&pkts[i]));
+                prop_assert_eq!(end, ends[i]);
+            }
+            match item {
+                Ok(pkt) => {
+                    yielded += 1;
+                    prop_assert!(end >= start + 4);
+                    for payload in payloads(&pkt) {
+                        let at = payload.as_ptr() as usize;
+                        prop_assert!(
+                            base + start + 4 <= at && at + payload.len() <= base + end,
+                            "payload outside its frame {}..{}", start, end
+                        );
+                    }
+                }
+                Err(_) => {
+                    failed = true;
+                    prop_assert_eq!(end, start, "a bad frame consumes nothing");
+                }
+            }
+        }
+        if flips.is_empty() && cut.is_none() {
+            prop_assert!(!failed);
+            prop_assert_eq!(yielded, pkts.len());
+            prop_assert_eq!(it.used(), datagram.len());
+        }
     }
 }
