@@ -583,11 +583,11 @@ impl SimCluster {
         }
         // Advance in chunks until every client finished AND every scheduled
         // control action (failovers, removals) has fired, bounded by a
-        // generous 2-second horizon; then drain. Protocol timers would keep
-        // ticking harmlessly but expensively, so there is no point
-        // simulating dead air — but a control event scheduled after the
-        // clients finish must still run.
-        let horizon = Instant::ZERO + Duration::from_secs(2);
+        // generous horizon of 2 seconds from this call; then drain. Protocol
+        // timers would keep ticking harmlessly but expensively, so there is
+        // no point simulating dead air — but a control event scheduled after
+        // the clients finish must still run.
+        let horizon = self.world.now() + Duration::from_secs(2);
         loop {
             let next = self.world.now() + Duration::from_millis(10);
             self.world.run_until(next);
@@ -959,6 +959,33 @@ mod tests {
         drop(client);
         assert!(sim.now() > Instant::ZERO, "virtual time advanced");
         assert!(sim.fast_path_enabled().unwrap());
+    }
+
+    #[test]
+    fn run_plans_horizon_starts_at_the_call_not_at_time_zero() {
+        // Two 2 000-op plans need far more than one 10 ms chunk; on a clock
+        // already past 2 s an absolute horizon gave them exactly one.
+        let mut sim = DeploymentSpec::new().build_sim();
+        sim.run_until(Instant::ZERO + Duration::from_millis(2500));
+        let plans: Vec<Vec<OpSpec>> = (0..2)
+            .map(|c| {
+                (0..2000)
+                    .map(|i| {
+                        let key = Bytes::from(format!("key-{}", i % 16));
+                        if i % 4 == 0 {
+                            OpSpec::write(key, Bytes::from(format!("c{c}-v{i}")))
+                        } else {
+                            OpSpec::read(key)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let histories = sim.run_plans_with(plans, Duration::from_millis(5));
+        for history in &histories {
+            assert_eq!(history.len(), 2000);
+            assert!(history.iter().all(|r| r.ok));
+        }
     }
 
     #[test]

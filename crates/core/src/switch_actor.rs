@@ -220,7 +220,7 @@ impl GroupCore {
                     ),
                 ));
             }
-        } else if let Some(&dst) = self.fwd.write_destinations().first() {
+        } else if let Some(dst) = self.fwd.write_destinations().next() {
             out.push((dst, Msg::new(me, dst, PacketBody::Request(req))));
         }
     }

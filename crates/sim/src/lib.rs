@@ -16,6 +16,34 @@
 //!
 //! The same protocol state machines run unmodified under the live threaded
 //! driver in `harmonia-core`; nothing in this crate is Harmonia-specific.
+//!
+//! # The ordering contract
+//!
+//! Same seed, same run, to the bit — `tests/determinism.rs` holds digests of
+//! whole runs across commits. Three rules carry it, and the engine
+//! ([`event`], [`world`]) may be rebuilt freely as long as they hold:
+//!
+//! * **One sequence counter.** Every scheduled thing — arrival, service
+//!   completion, timer, control action — takes the next value of one
+//!   counter, and events fire in `(time, sequence)` order.
+//! * **Two heaps, one order.** Timers wait in their own heap so that the
+//!   hundreds of timeouts nobody cancels do not deepen the heap the handful
+//!   of events in flight go through; the two are merged on `(time, sequence)`,
+//!   so a tie on `time` between a timer and a message is broken by
+//!   `sequence`, exactly as in a single heap.
+//! * **Actions after the handler.** What a handler sends and arms is applied
+//!   when it returns, in the order it made them, so the shared RNG serves
+//!   the handler's draws first and the network model's draws for its packets
+//!   after.
+//!
+//! A heap entry is a 24-byte (timers: 32-byte) key, never a message: the
+//! message is parked in a slab slot when it is sent and taken out when its
+//! handler runs, and only the slot's handle travels — through the pending
+//! action, the arrival event and, for a queueing node, the inbox. Whoever
+//! holds the handle when the message's journey ends (delivered, dropped by
+//! the network, destination unknown or down, inbox cleared by a crash or a
+//! replacement) releases the slot; [`world`]'s module docs spell the cases
+//! out.
 
 #![forbid(unsafe_code)]
 

@@ -69,12 +69,25 @@ impl LinkConfig {
 }
 
 /// Delivery plan for one packet: zero, one, or two copies with delays.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Delivery {
-    /// Delay for each delivered copy (empty = dropped).
-    pub delays: Vec<Duration>,
+    delays: [Duration; 2],
+    copies: u8,
     /// Copies held back by the explicit reorder penalty.
     pub reordered: u32,
+}
+
+impl Delivery {
+    /// Delay for each delivered copy (empty = dropped).
+    pub fn delays(&self) -> &[Duration] {
+        &self.delays[..usize::from(self.copies)]
+    }
+
+    fn push(&mut self, (delay, held_back): (Duration, bool)) {
+        self.delays[usize::from(self.copies)] = delay;
+        self.copies += 1;
+        self.reordered += u32::from(held_back);
+    }
 }
 
 /// The full network: a default link plus per-pair overrides and a partition
@@ -141,15 +154,11 @@ impl NetworkModel {
 
     /// Decide the fate of one packet on `from → to`.
     pub(crate) fn plan<R: Rng>(&self, from: NodeId, to: NodeId, rng: &mut R) -> Delivery {
+        let mut delivery = Delivery::default();
         if self.is_partitioned(from, to) {
-            return Delivery {
-                delays: vec![],
-                reordered: 0,
-            };
+            return delivery;
         }
         let link = self.link(from, to);
-        let mut delays = Vec::with_capacity(1);
-        let mut reordered = 0u32;
         let one_delay = |rng: &mut R| {
             let jitter = if link.jitter.nanos() == 0 {
                 0
@@ -166,16 +175,12 @@ impl NetworkModel {
         if link.drop_prob > 0.0 && rng.gen_bool(link.drop_prob) {
             // dropped: no copies
         } else {
-            let (d, held) = one_delay(rng);
-            delays.push(d);
-            reordered += u32::from(held);
+            delivery.push(one_delay(rng));
             if link.duplicate_prob > 0.0 && rng.gen_bool(link.duplicate_prob) {
-                let (d, held) = one_delay(rng);
-                delays.push(d);
-                reordered += u32::from(held);
+                delivery.push(one_delay(rng));
             }
         }
-        Delivery { delays, reordered }
+        delivery
     }
 }
 
@@ -197,7 +202,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(1);
         for _ in 0..10 {
             let d = net.plan(a, b, &mut rng);
-            assert_eq!(d.delays, vec![Duration::from_micros(7)]);
+            assert_eq!(d.delays(), [Duration::from_micros(7)]);
         }
     }
 
@@ -207,10 +212,10 @@ mod tests {
         let mut net = NetworkModel::uniform(LinkConfig::ideal(Duration::from_micros(1)));
         net.partition(a, b);
         let mut rng = SmallRng::seed_from_u64(2);
-        assert!(net.plan(a, b, &mut rng).delays.is_empty());
-        assert!(net.plan(b, a, &mut rng).delays.is_empty());
+        assert!(net.plan(a, b, &mut rng).delays().is_empty());
+        assert!(net.plan(b, a, &mut rng).delays().is_empty());
         net.heal(a, b);
-        assert_eq!(net.plan(a, b, &mut rng).delays.len(), 1);
+        assert_eq!(net.plan(a, b, &mut rng).delays().len(), 1);
     }
 
     #[test]
@@ -219,7 +224,7 @@ mod tests {
         let net = NetworkModel::uniform(LinkConfig::lossy(0.3, 0.0, 0.0));
         let mut rng = SmallRng::seed_from_u64(3);
         let delivered = (0..10_000)
-            .filter(|_| !net.plan(a, b, &mut rng).delays.is_empty())
+            .filter(|_| !net.plan(a, b, &mut rng).delays().is_empty())
             .count();
         assert!((6500..7500).contains(&delivered), "delivered={delivered}");
     }
@@ -229,7 +234,7 @@ mod tests {
         let (a, b) = nodes();
         let net = NetworkModel::uniform(LinkConfig::lossy(0.0, 1.0, 0.0));
         let mut rng = SmallRng::seed_from_u64(4);
-        assert_eq!(net.plan(a, b, &mut rng).delays.len(), 2);
+        assert_eq!(net.plan(a, b, &mut rng).delays().len(), 2);
     }
 
     #[test]
@@ -256,7 +261,7 @@ mod tests {
         });
         let mut rng = SmallRng::seed_from_u64(5);
         let delays: Vec<_> = (0..100)
-            .map(|_| net.plan(a, b, &mut rng).delays[0])
+            .map(|_| net.plan(a, b, &mut rng).delays()[0])
             .collect();
         // At least one adjacent pair is inverted (later-sent arrives first).
         assert!(delays.windows(2).any(|w| w[1] < w[0]));

@@ -5,6 +5,12 @@
 //! actions (sends, timers) to apply when the handler returns. Handlers never
 //! block and never see real time — the same state machines run under the
 //! live threaded driver in `harmonia-core`.
+//!
+//! A sent message is parked in the world's parcel slab by [`Context::send`]
+//! itself and is not moved again until its handler runs; what waits for the
+//! handler to return is its handle. The network model decides the message's
+//! fate only then — so a handler's RNG draws all come before the draws for
+//! the packets it sent, whatever order it made them in.
 
 use std::any::Any;
 
@@ -13,7 +19,7 @@ use rand::rngs::SmallRng;
 #[allow(unused_imports)]
 use rand::Rng;
 
-use crate::event::TimerToken;
+use crate::event::{Parcel, Slab, TimerToken};
 use crate::metrics::Metrics;
 
 /// How a node's resource model treats an incoming message.
@@ -67,9 +73,14 @@ pub trait Actor<M>: AsAny {
 
 /// Actions buffered by a [`Context`] during a handler invocation.
 #[derive(Debug)]
-pub(crate) enum Action<M> {
-    Send { to: NodeId, msg: M },
-    SetTimer { after: Duration, token: TimerToken },
+pub(crate) enum Action {
+    /// Route the parcel in this slab slot; the action owns the slot until
+    /// the world applies it.
+    Send(u32),
+    SetTimer {
+        after: Duration,
+        token: TimerToken,
+    },
 }
 
 /// Handler execution context: the only window an actor has onto the world.
@@ -79,7 +90,8 @@ pub struct Context<'a, M> {
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) next_timer: &'a mut u64,
-    pub(crate) actions: Vec<Action<M>>,
+    pub(crate) actions: &'a mut Vec<Action>,
+    pub(crate) parcels: &'a mut Slab<Parcel<M>>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -105,7 +117,12 @@ impl<'a, M> Context<'a, M> {
 
     /// Send `msg` to `to` over the network model.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.actions.push(Action::Send { to, msg });
+        let parcel = self.parcels.insert(Parcel {
+            to,
+            from: self.node,
+            msg,
+        });
+        self.actions.push(Action::Send(parcel));
     }
 
     /// Register a timer firing `after` from now; returns its token.

@@ -1,12 +1,38 @@
 //! The simulation world: nodes + network + event loop.
+//!
+//! **One order.** Everything that happens is an entry in the world's
+//! [event queue](crate::event) and fires in `(time, sequence)` order, where
+//! `sequence` is one counter shared by arrivals, service completions, timers
+//! and control actions alike. Timers wait in a heap of their own, but both
+//! heaps are keyed by that pair and merged on it, so ties on `time` — a
+//! protocol tick against a packet arrival — fire in the order they were
+//! scheduled. A handler's sends and timers are applied only after it
+//! returns, in the order it made them: its own RNG draws therefore precede
+//! the network model's draws for the packets it sent.
+//!
+//! **Who owns a parcel.** A message is written into the world's parcel slab
+//! once, by [`Context::send`] or [`World::inject`], and read out of it once,
+//! when its handler runs; in between only its `u32` handle moves. The handle —
+//! and with it the slot — belongs in turn to the pending send action (until
+//! the handler that sent it returns), to an arrival in the event heap, and,
+//! if the destination queues it, to that node's inbox. Whoever holds the
+//! handle when the message's journey ends releases the slot: the router when
+//! the network drops the packet, the arrival when the destination is unknown
+//! or down, [`set_down`](World::set_down) /
+//! [`replace_node`](World::replace_node) /
+//! [`add_node`](World::add_node) for everything waiting in the inbox they
+//! clear, and otherwise the delivery that hands the message to
+//! [`Actor::on_message`]. A duplicated packet is cloned into a slot of its
+//! own. Control closures are parked the same way, from
+//! [`schedule_control`](World::schedule_control) until they fire.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use harmonia_types::{Duration, Instant, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::event::{EventKind, EventQueue, TimerToken};
+use crate::event::{Event, EventQueue, Fired, Parcel, Slab, Timer};
 use crate::metrics::Metrics;
 use crate::network::NetworkModel;
 use crate::node::{Action, Actor, Context, Service};
@@ -31,9 +57,11 @@ impl Default for WorldConfig {
 }
 
 struct NodeSlot<M> {
-    actor: Option<Box<dyn Actor<M>>>,
-    /// FIFO of messages awaiting service: `(from, msg, service_time)`.
-    inbox: VecDeque<(NodeId, M, Duration)>,
+    id: NodeId,
+    actor: Box<dyn Actor<M>>,
+    /// FIFO of parcels awaiting service, head in service:
+    /// `(parcel handle, service_time)`.
+    inbox: VecDeque<(u32, Duration)>,
     busy: bool,
     down: bool,
 }
@@ -43,14 +71,24 @@ type ControlFn<M> = Box<dyn FnOnce(&mut World<M>)>;
 /// A deterministic discrete-event simulation of one storage rack.
 pub struct World<M> {
     now: Instant,
-    queue: EventQueue<M>,
-    nodes: HashMap<NodeId, NodeSlot<M>>,
+    queue: EventQueue,
+    /// Messages between `send` and their handler (see the module docs).
+    parcels: Slab<Parcel<M>>,
+    /// Scheduled control actions that have not fired yet.
+    controls: Slab<ControlFn<M>>,
+    /// Nodes in registration order; events refer to them by index.
+    nodes: Vec<NodeSlot<M>>,
+    /// Where each id sits in `nodes`. Ordered, not hashed: finding one of a
+    /// rack's few dozen ids is a handful of comparisons, where SipHash was
+    /// 7 % of a run.
+    index: BTreeMap<NodeId, u32>,
     network: NetworkModel,
     rng: SmallRng,
     metrics: Metrics,
     next_timer: u64,
-    controls: HashMap<u64, ControlFn<M>>,
-    next_control: u64,
+    /// The action buffer every handler invocation records into; empty
+    /// between invocations.
+    actions: Vec<Action>,
 }
 
 impl<M: Clone + 'static> World<M> {
@@ -59,13 +97,15 @@ impl<M: Clone + 'static> World<M> {
         World {
             now: Instant::ZERO,
             queue: EventQueue::new(),
-            nodes: HashMap::new(),
+            parcels: Slab::new(),
+            controls: Slab::new(),
+            nodes: Vec::new(),
+            index: BTreeMap::new(),
             network: config.network,
             rng: SmallRng::seed_from_u64(config.seed),
             metrics: Metrics::new(),
             next_timer: 0,
-            controls: HashMap::new(),
-            next_control: 0,
+            actions: Vec::new(),
         }
     }
 
@@ -89,60 +129,81 @@ impl<M: Clone + 'static> World<M> {
         &mut self.network
     }
 
-    /// Register a node and run its `on_start` hook.
+    fn slot(&self, id: NodeId) -> Option<&NodeSlot<M>> {
+        self.index.get(&id).map(|&node| &self.nodes[node as usize])
+    }
+
+    /// Forget whatever waits at `node` (its parcels are released) and set
+    /// its flags.
+    fn reset_slot(&mut self, node: u32, down: bool) {
+        let slot = &mut self.nodes[node as usize];
+        for (parcel, _) in slot.inbox.drain(..) {
+            self.parcels.take(parcel);
+        }
+        slot.busy = false;
+        slot.down = down;
+    }
+
+    /// Register a node and run its `on_start` hook. Registering an id again
+    /// is [`replace_node`](Self::replace_node).
     pub fn add_node(&mut self, id: NodeId, actor: Box<dyn Actor<M>>) {
-        self.nodes.insert(
-            id,
-            NodeSlot {
-                actor: Some(actor),
-                inbox: VecDeque::new(),
-                busy: false,
-                down: false,
-            },
-        );
-        self.start_node(id);
+        let node = match self.index.get(&id) {
+            Some(&node) => {
+                self.nodes[node as usize].actor = actor;
+                self.reset_slot(node, false);
+                node
+            }
+            None => {
+                let node = u32::try_from(self.nodes.len()).expect("more than 2^32 nodes");
+                self.nodes.push(NodeSlot {
+                    id,
+                    actor,
+                    inbox: VecDeque::new(),
+                    busy: false,
+                    down: false,
+                });
+                self.index.insert(id, node);
+                node
+            }
+        };
+        self.run_handler(node, |actor, ctx| actor.on_start(ctx));
     }
 
     /// Replace a node's actor with a fresh one (models a rebooted switch
     /// that lost all soft state, §5.3) and run `on_start`.
     pub fn replace_node(&mut self, id: NodeId, actor: Box<dyn Actor<M>>) {
-        let slot = self.nodes.get_mut(&id).expect("replace_node: unknown node");
-        slot.actor = Some(actor);
-        slot.inbox.clear();
-        slot.busy = false;
-        slot.down = false;
-        self.start_node(id);
+        assert!(
+            self.index.contains_key(&id),
+            "replace_node: unknown node {id:?}"
+        );
+        self.add_node(id, actor);
     }
 
     /// Take a node offline: queued and in-flight-to-it messages are lost,
     /// timers are suppressed while down.
     pub fn set_down(&mut self, id: NodeId) {
-        if let Some(slot) = self.nodes.get_mut(&id) {
-            slot.down = true;
-            slot.inbox.clear();
-            slot.busy = false;
+        if let Some(&node) = self.index.get(&id) {
+            self.reset_slot(node, true);
         }
     }
 
     /// Bring a node back (state intact) and re-run `on_start`.
     pub fn set_up(&mut self, id: NodeId) {
-        if let Some(slot) = self.nodes.get_mut(&id) {
-            slot.down = false;
+        if let Some(&node) = self.index.get(&id) {
+            self.nodes[node as usize].down = false;
+            self.run_handler(node, |actor, ctx| actor.on_start(ctx));
         }
-        self.start_node(id);
     }
 
     /// Whether the node is currently marked down.
     pub fn is_down(&self, id: NodeId) -> bool {
-        self.nodes.get(&id).map(|s| s.down).unwrap_or(true)
+        self.slot(id).map(|s| s.down).unwrap_or(true)
     }
 
     /// Immutable access to a node's actor, downcast to its concrete type.
     pub fn actor<A: 'static>(&self, id: NodeId) -> Option<&A> {
-        self.nodes
-            .get(&id)
-            .and_then(|s| s.actor.as_deref())
-            .and_then(|a| a.as_any().downcast_ref())
+        self.slot(id)
+            .and_then(|s| (*s.actor).as_any().downcast_ref())
     }
 
     /// Mutable access to a node's actor, downcast to its concrete type.
@@ -150,25 +211,23 @@ impl<M: Clone + 'static> World<M> {
     /// Mutating actor state outside a handler is a harness-only affordance;
     /// protocol logic must go through messages.
     pub fn actor_mut<A: 'static>(&mut self, id: NodeId) -> Option<&mut A> {
-        self.nodes
-            .get_mut(&id)
-            .and_then(|s| s.actor.as_deref_mut())
-            .and_then(|a| a.as_any_mut().downcast_mut())
+        let node = *self.index.get(&id)?;
+        (*self.nodes[node as usize].actor)
+            .as_any_mut()
+            .downcast_mut()
     }
 
     /// Inject a message from outside the simulation (no network effects,
     /// delivered at the current instant).
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.queue
-            .push(self.now, EventKind::Arrive { to, from, msg });
+        let parcel = self.parcels.insert(Parcel { to, from, msg });
+        self.queue.push(self.now, Event::Arrive(parcel));
     }
 
     /// Schedule an arbitrary harness action at an absolute time.
     pub fn schedule_control(&mut self, at: Instant, f: impl FnOnce(&mut World<M>) + 'static) {
-        let id = self.next_control;
-        self.next_control += 1;
-        self.controls.insert(id, Box::new(f));
-        self.queue.push(at, EventKind::Control(id));
+        let control = self.controls.insert(Box::new(f));
+        self.queue.push(at, Event::Control(control));
     }
 
     /// Number of scheduled control actions that have not fired yet.
@@ -178,20 +237,14 @@ impl<M: Clone + 'static> World<M> {
 
     /// Number of messages waiting (plus in service) at `id`.
     pub fn backlog(&self, id: NodeId) -> usize {
-        self.nodes
-            .get(&id)
+        self.slot(id)
             .map(|s| s.inbox.len() + usize::from(s.busy))
             .unwrap_or(0)
     }
 
     /// Process events until (and including) time `t`.
     pub fn run_until(&mut self, t: Instant) {
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            self.step();
-        }
+        while self.step_until(t) {}
         self.now = self.now.max(t);
     }
 
@@ -207,175 +260,138 @@ impl<M: Clone + 'static> World<M> {
 
     /// Fire the next event. Returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        self.step_until(Instant(u64::MAX))
+    }
+
+    /// Fire the next event if it is due at or before `limit`.
+    fn step_until(&mut self, limit: Instant) -> bool {
+        let Some((at, fired)) = self.queue.pop_until(limit) else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        match ev.kind {
-            EventKind::Arrive { to, from, msg } => self.handle_arrival(to, from, msg),
-            EventKind::ServiceDone { node } => self.handle_service_done(node),
-            EventKind::Timer { node, token } => self.fire_timer(node, token),
-            EventKind::Control(id) => {
-                if let Some(f) = self.controls.remove(&id) {
-                    f(self);
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
+        match fired {
+            Fired::Event(Event::Arrive(parcel)) => self.handle_arrival(parcel),
+            Fired::Event(Event::ServiceDone(node)) => self.handle_service_done(node),
+            Fired::Event(Event::Control(control)) => {
+                let f = self.controls.take(control);
+                f(self);
+            }
+            Fired::Timer(Timer { node, token }) => {
+                if !self.nodes[node as usize].down {
+                    self.run_handler(node, |actor, ctx| actor.on_timer(ctx, token));
                 }
             }
         }
         true
     }
 
-    fn handle_arrival(&mut self, to: NodeId, from: NodeId, msg: M) {
-        let Some(slot) = self.nodes.get_mut(&to) else {
+    fn handle_arrival(&mut self, parcel: u32) {
+        let arriving = self.parcels.get(parcel);
+        let Some(&node) = self.index.get(&arriving.to) else {
+            self.parcels.take(parcel);
             self.metrics.incr("net.dead_dst");
             return;
         };
+        let slot = &mut self.nodes[node as usize];
         if slot.down {
+            self.parcels.take(parcel);
             self.metrics.incr("net.down_dst");
             return;
         }
-        let service = slot
-            .actor
-            .as_ref()
-            .map(|a| a.service(&msg))
-            .unwrap_or(Service::Immediate);
-        match service {
-            Service::Immediate => self.dispatch_message(to, from, msg),
+        match slot.actor.service(&arriving.msg) {
+            Service::Immediate => self.deliver(node, parcel),
             Service::Queued(d) => {
-                let slot = self.nodes.get_mut(&to).expect("slot vanished");
-                slot.inbox.push_back((from, msg, d));
+                slot.inbox.push_back((parcel, d));
                 if !slot.busy {
                     slot.busy = true;
-                    let head_service = slot.inbox.front().expect("just pushed").2;
-                    self.queue
-                        .push(self.now + head_service, EventKind::ServiceDone { node: to });
+                    self.queue.push(self.now + d, Event::ServiceDone(node));
                 }
             }
         }
     }
 
-    fn handle_service_done(&mut self, node: NodeId) {
-        let Some(slot) = self.nodes.get_mut(&node) else {
-            return;
-        };
+    fn handle_service_done(&mut self, node: u32) {
+        let slot = &mut self.nodes[node as usize];
         if slot.down {
             return;
         }
-        let Some((from, msg, _)) = slot.inbox.pop_front() else {
+        let Some((parcel, _)) = slot.inbox.pop_front() else {
             slot.busy = false;
             return;
         };
         // Schedule the next head *before* dispatching, so that messages the
         // handler enqueues locally line up behind existing work.
-        if let Some(&(_, _, next_d)) = slot.inbox.front() {
-            self.queue
-                .push(self.now + next_d, EventKind::ServiceDone { node });
+        if let Some(&(_, next_d)) = slot.inbox.front() {
+            self.queue.push(self.now + next_d, Event::ServiceDone(node));
         } else {
             slot.busy = false;
         }
-        self.dispatch_message(node, from, msg);
+        self.deliver(node, parcel);
     }
 
-    fn dispatch_message(&mut self, node: NodeId, from: NodeId, msg: M) {
-        let Some(mut actor) = self.nodes.get_mut(&node).and_then(|slot| slot.actor.take()) else {
-            return;
-        };
+    /// Hand the parcel to the node's `on_message`, releasing its slot.
+    fn deliver(&mut self, node: u32, parcel: u32) {
+        let Parcel { from, msg, .. } = self.parcels.take(parcel);
+        self.run_handler(node, |actor, ctx| actor.on_message(ctx, from, msg));
+    }
+
+    /// Run one handler of the actor at `node`, then apply what it recorded:
+    /// sends are routed and timers armed in the order the handler made them,
+    /// and only now — after every RNG draw the handler itself made.
+    fn run_handler(
+        &mut self,
+        node: u32,
+        handler: impl FnOnce(&mut dyn Actor<M>, &mut Context<'_, M>),
+    ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        let slot = &mut self.nodes[node as usize];
         let mut ctx = Context {
-            node,
+            node: slot.id,
             now: self.now,
             rng: &mut self.rng,
             metrics: &mut self.metrics,
             next_timer: &mut self.next_timer,
-            actions: Vec::new(),
+            actions: &mut actions,
+            parcels: &mut self.parcels,
         };
-        actor.on_message(&mut ctx, from, msg);
-        let actions = std::mem::take(&mut ctx.actions);
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.actor = Some(actor);
-        }
-        self.apply_actions(node, actions);
-    }
-
-    fn fire_timer(&mut self, node: NodeId, token: TimerToken) {
-        let Some(slot) = self.nodes.get_mut(&node) else {
-            return;
-        };
-        if slot.down {
-            return;
-        }
-        let Some(mut actor) = slot.actor.take() else {
-            return;
-        };
-        let mut ctx = Context {
-            node,
-            now: self.now,
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            next_timer: &mut self.next_timer,
-            actions: Vec::new(),
-        };
-        actor.on_timer(&mut ctx, token);
-        let actions = std::mem::take(&mut ctx.actions);
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.actor = Some(actor);
-        }
-        self.apply_actions(node, actions);
-    }
-
-    fn start_node(&mut self, node: NodeId) {
-        let Some(mut actor) = self.nodes.get_mut(&node).and_then(|slot| slot.actor.take()) else {
-            return;
-        };
-        let mut ctx = Context {
-            node,
-            now: self.now,
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            next_timer: &mut self.next_timer,
-            actions: Vec::new(),
-        };
-        actor.on_start(&mut ctx);
-        let actions = std::mem::take(&mut ctx.actions);
-        if let Some(slot) = self.nodes.get_mut(&node) {
-            slot.actor = Some(actor);
-        }
-        self.apply_actions(node, actions);
-    }
-
-    fn apply_actions(&mut self, node: NodeId, actions: Vec<Action<M>>) {
-        for action in actions {
+        handler(&mut *slot.actor, &mut ctx);
+        for action in actions.drain(..) {
             match action {
-                Action::Send { to, msg } => self.route(node, to, msg),
+                Action::Send(parcel) => self.route(parcel),
                 Action::SetTimer { after, token } => {
                     self.queue
-                        .push(self.now + after, EventKind::Timer { node, token });
+                        .push_timer(self.now + after, Timer { node, token });
                 }
             }
         }
+        self.actions = actions;
     }
 
-    fn route(&mut self, from: NodeId, to: NodeId, msg: M) {
+    /// Decide a sent parcel's fate and schedule its arrival(s). The parcel
+    /// stays where `send` put it: the arrival takes over its handle, a
+    /// duplicate gets a clone in a slot of its own, a drop releases it.
+    fn route(&mut self, parcel: u32) {
+        let Parcel { to, from, .. } = *self.parcels.get(parcel);
         let plan = self.network.plan(from, to, &mut self.rng);
-        if plan.delays.is_empty() {
-            self.metrics.incr("net.dropped");
-            return;
-        }
-        if plan.delays.len() > 1 {
-            self.metrics
-                .add("net.duplicated", plan.delays.len() as u64 - 1);
-        }
         if plan.reordered > 0 {
             self.metrics.add("net.reordered", u64::from(plan.reordered));
         }
-        for d in plan.delays {
-            self.queue.push(
-                self.now + d,
-                EventKind::Arrive {
-                    to,
-                    from,
-                    msg: msg.clone(),
-                },
-            );
+        match *plan.delays() {
+            [] => {
+                self.parcels.take(parcel);
+                self.metrics.incr("net.dropped");
+            }
+            [d] => self.queue.push(self.now + d, Event::Arrive(parcel)),
+            [first, ref rest @ ..] => {
+                self.metrics.add("net.duplicated", rest.len() as u64);
+                self.queue.push(self.now + first, Event::Arrive(parcel));
+                for &d in rest {
+                    let copy = self.parcels.get(parcel).clone();
+                    let copy = self.parcels.insert(copy);
+                    self.queue.push(self.now + d, Event::Arrive(copy));
+                }
+            }
         }
     }
 }
@@ -383,6 +399,7 @@ impl<M: Clone + 'static> World<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TimerToken;
     use crate::network::LinkConfig;
     use harmonia_types::{ClientId, ReplicaId};
 
@@ -615,5 +632,135 @@ mod tests {
         }
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43), "different seeds should differ");
+    }
+
+    /// Five messages reach a 100 µs server together — one in service, four
+    /// queued — and the node crashes (`set_down`) or is replaced before any
+    /// completes.
+    #[test]
+    fn crash_with_work_queued_delivers_nothing_and_releases_every_slot() {
+        let queued = || Echo {
+            service: Service::Queued(Duration::from_micros(100)),
+            seen: 0,
+        };
+        let mut w = ideal_world(1);
+        w.add_node(replica(0), Box::new(queued()));
+        let mut slots_after_first_round = 0;
+        for round in 0..10_000u64 {
+            for i in 0..5 {
+                w.inject(client(0), replica(0), i);
+            }
+            w.run_until(w.now() + Duration::from_micros(50));
+            assert_eq!(w.parcels.len(), 5);
+            assert_eq!(w.backlog(replica(0)), 5 + 1);
+
+            let replaced = round % 2 == 1;
+            if replaced {
+                w.replace_node(replica(0), Box::new(queued()));
+            } else {
+                w.set_down(replica(0));
+            }
+            assert_eq!(w.parcels.len(), 0, "the crash released every parcel");
+            // The completion scheduled for the lost head still fires; it
+            // must find nothing to deliver.
+            w.run_until_idle(100);
+            let seen_before = w.actor::<Echo>(replica(0)).unwrap().seen;
+            if replaced {
+                assert_eq!(seen_before, 0, "the replacement saw no old traffic");
+            } else {
+                w.set_up(replica(0));
+            }
+
+            // Traffic after the restart is served, at the usual pace.
+            let sent = w.now();
+            w.inject(client(0), replica(0), 7);
+            w.inject(client(0), replica(0), 8);
+            w.run_until_idle(100);
+            assert_eq!(w.actor::<Echo>(replica(0)).unwrap().seen, seen_before + 2);
+            assert_eq!(w.now(), sent + Duration::from_micros(200 + 1));
+            assert_eq!(w.parcels.len(), 0);
+            assert_eq!(w.backlog(replica(0)), 0);
+
+            if round == 0 {
+                slots_after_first_round = w.parcels.slots();
+            }
+        }
+        assert_eq!(w.metrics().counter("net.dead_dst"), 2 * 10_000);
+        assert!(
+            w.parcels.slots() <= slots_after_first_round,
+            "10 000 rounds grew the slab from {slots_after_first_round} to {} slots",
+            w.parcels.slots()
+        );
+    }
+
+    /// Sends every message in `msgs` to `target` on start.
+    struct Burst {
+        target: NodeId,
+        msgs: Vec<String>,
+    }
+
+    impl Actor<String> for Burst {
+        fn on_start(&mut self, ctx: &mut Context<'_, String>) {
+            for msg in self.msgs.drain(..) {
+                ctx.send(self.target, msg);
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, String>, _: NodeId, _: String) {}
+    }
+
+    #[derive(Default)]
+    struct Sink {
+        got: Vec<(NodeId, String)>,
+    }
+
+    impl Actor<String> for Sink {
+        fn on_message(&mut self, _: &mut Context<'_, String>, from: NodeId, msg: String) {
+            self.got.push((from, msg));
+        }
+    }
+
+    fn burst_over(link: LinkConfig) -> World<String> {
+        let mut w = World::new(WorldConfig {
+            seed: 11,
+            network: NetworkModel::uniform(link),
+        });
+        w.add_node(replica(0), Box::new(Sink::default()));
+        w.add_node(
+            client(0),
+            Box::new(Burst {
+                target: replica(0),
+                msgs: (0..20).map(|i| format!("m{i}")).collect(),
+            }),
+        );
+        w.run_until_idle(1000);
+        w
+    }
+
+    #[test]
+    fn duplicating_link_delivers_two_equal_copies() {
+        let w = burst_over(LinkConfig {
+            duplicate_prob: 1.0,
+            ..LinkConfig::ideal(Duration::from_micros(3))
+        });
+        // Equal delays: copies arrive in scheduling order, pair by pair.
+        let want: Vec<(NodeId, String)> = (0..20)
+            .flat_map(|i| [(client(0), format!("m{i}")), (client(0), format!("m{i}"))])
+            .collect();
+        assert_eq!(w.actor::<Sink>(replica(0)).unwrap().got, want);
+        assert_eq!(w.metrics().counter("net.duplicated"), 20);
+        assert_eq!(w.metrics().counter("net.dropped"), 0);
+        assert_eq!(w.parcels.len(), 0);
+    }
+
+    #[test]
+    fn dropping_link_delivers_nothing_and_keeps_no_parcel() {
+        let w = burst_over(LinkConfig {
+            drop_prob: 1.0,
+            ..LinkConfig::ideal(Duration::from_micros(3))
+        });
+        assert!(w.actor::<Sink>(replica(0)).unwrap().got.is_empty());
+        assert_eq!(w.metrics().counter("net.dropped"), 20);
+        assert_eq!(w.metrics().counter("net.duplicated"), 0);
+        assert_eq!(w.parcels.len(), 0);
     }
 }

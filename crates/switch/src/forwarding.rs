@@ -158,17 +158,14 @@ impl ForwardingTable {
             .filter(move |&r| !self.is_gated(r))
     }
 
-    /// Where a write enters the protocol. `Multicast` yields every replica.
-    pub fn write_destinations(&self) -> Vec<NodeId> {
-        match self.write_entry {
-            WriteEntry::Primary | WriteEntry::ChainHead | WriteEntry::Leader => self
-                .replicas
-                .first()
-                .map(|&r| NodeId::Replica(r))
-                .into_iter()
-                .collect(),
-            WriteEntry::Multicast => self.replicas.iter().map(|&r| NodeId::Replica(r)).collect(),
-        }
+    /// Where a write enters the protocol: the first member in role order, or
+    /// under `Multicast` every member.
+    pub fn write_destinations(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let n = match self.write_entry {
+            WriteEntry::Primary | WriteEntry::ChainHead | WriteEntry::Leader => 1,
+            WriteEntry::Multicast => self.replicas.len(),
+        };
+        self.replicas.iter().take(n).map(|&r| NodeId::Replica(r))
     }
 
     /// Where a normal-path read is served. Gated members are skipped: a
@@ -185,12 +182,14 @@ impl ForwardingTable {
     /// (Algorithm 1 line 12). Gated members are excluded — a fast-path read
     /// must never land on a replica still inside its recovery window.
     pub fn random_replica<R: Rng>(&self, rng: &mut R) -> Option<NodeId> {
-        let eligible: Vec<ReplicaId> = self.readable().collect();
-        if eligible.is_empty() {
+        // Count, then walk to the drawn index: one `gen_range` over the same
+        // bound as indexing a collected list, and nothing allocated per read.
+        let eligible = self.readable().count();
+        if eligible == 0 {
             return None;
         }
-        let idx = rng.gen_range(0..eligible.len());
-        Some(NodeId::Replica(eligible[idx]))
+        let idx = rng.gen_range(0..eligible);
+        self.readable().nth(idx).map(NodeId::Replica)
     }
 }
 
@@ -204,7 +203,7 @@ mod tests {
     #[test]
     fn chain_entry_points() {
         let t = ForwardingTable::new(3, WriteEntry::ChainHead, ReadEntry::ChainTail);
-        assert_eq!(t.write_destinations(), vec![NodeId::Replica(ReplicaId(0))]);
+        assert!(t.write_destinations().eq([NodeId::Replica(ReplicaId(0))]));
         assert_eq!(
             t.normal_read_destination(),
             Some(NodeId::Replica(ReplicaId(2)))
@@ -214,7 +213,7 @@ mod tests {
     #[test]
     fn multicast_targets_all_replicas() {
         let t = ForwardingTable::new(3, WriteEntry::Multicast, ReadEntry::Leader);
-        assert_eq!(t.write_destinations().len(), 3);
+        assert_eq!(t.write_destinations().count(), 3);
         assert_eq!(
             t.normal_read_destination(),
             Some(NodeId::Replica(ReplicaId(0)))
@@ -232,7 +231,7 @@ mod tests {
         );
         // Head fails: next node becomes head.
         t.remove_replica(ReplicaId(0));
-        assert_eq!(t.write_destinations(), vec![NodeId::Replica(ReplicaId(1))]);
+        assert!(t.write_destinations().eq([NodeId::Replica(ReplicaId(1))]));
         assert_eq!(t.len(), 1);
     }
 
@@ -260,6 +259,20 @@ mod tests {
     }
 
     #[test]
+    fn random_replica_draws_what_indexing_the_collected_list_draws() {
+        let mut t = ForwardingTable::new(5, WriteEntry::ChainHead, ReadEntry::ChainTail);
+        t.gate_replica(ReplicaId(1), SwitchSeq::new(SwitchId(1), 10));
+        let eligible: Vec<ReplicaId> = t.readable().collect();
+        assert_eq!(eligible.len(), 4);
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut reference = SmallRng::seed_from_u64(17);
+        for _ in 0..1000 {
+            let collected = eligible[reference.gen_range(0..eligible.len())];
+            assert_eq!(t.random_replica(&mut rng), Some(NodeId::Replica(collected)));
+        }
+    }
+
+    #[test]
     fn gated_replica_serves_no_reads_until_caught_up() {
         let mut t = ForwardingTable::new(3, WriteEntry::ChainHead, ReadEntry::ChainTail);
         let floor = SwitchSeq::new(SwitchId(1), 10);
@@ -279,7 +292,7 @@ mod tests {
             );
         }
         // Writes still enter at the head.
-        assert_eq!(t.write_destinations(), vec![NodeId::Replica(ReplicaId(0))]);
+        assert!(t.write_destinations().eq([NodeId::Replica(ReplicaId(0))]));
         // A stale ungate (below the floor) is refused.
         assert!(!t.ungate_replica(ReplicaId(2), SwitchSeq::new(SwitchId(1), 9)));
         assert!(t.is_gated(ReplicaId(2)));
@@ -311,7 +324,7 @@ mod tests {
         let mut t = ForwardingTable::new(1, WriteEntry::Primary, ReadEntry::Primary);
         t.remove_replica(ReplicaId(0));
         assert!(t.is_empty());
-        assert!(t.write_destinations().is_empty());
+        assert_eq!(t.write_destinations().count(), 0);
         assert!(t.normal_read_destination().is_none());
         let mut rng = SmallRng::seed_from_u64(1);
         assert!(t.random_replica(&mut rng).is_none());

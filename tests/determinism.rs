@@ -370,3 +370,71 @@ fn same_seed_runs_match_the_digests_captured_before_the_driver_refactor() {
         "removal + recovery seed-42 run diverged from the captured digest"
     );
 }
+
+/// Digests of the adversarial seed-42 `run_plans` scenario on each protocol,
+/// captured at the commit before the simulator's event engine was rebuilt
+/// (payload slab, separate timer heap). VR's and NOPaxos's tick timers tie
+/// with message arrivals on `at`, which is the case the merge of the two heaps
+/// by `(at, seq)` has to get right; the Harmonia(chain) row is
+/// [`GOLDEN_ADVERSARIAL`] again, under the name of its protocol.
+const GOLDEN_PER_PROTOCOL: [(ProtocolKind, bool, u64); 5] = [
+    (ProtocolKind::PrimaryBackup, true, 5_575_998_322_645_073_156),
+    (ProtocolKind::Chain, true, GOLDEN_ADVERSARIAL),
+    (ProtocolKind::Craq, false, 12_287_108_459_827_111_093),
+    (ProtocolKind::Vr, true, 258_254_913_319_864_946),
+    (ProtocolKind::Nopaxos, true, 8_119_031_098_525_302_462),
+];
+
+#[test]
+fn every_protocol_matches_the_digest_captured_before_the_engine_rebuild() {
+    for (protocol, harmonia, golden) in GOLDEN_PER_PROTOCOL {
+        let mut sim = adversarial_spec(42)
+            .protocol(protocol)
+            .harmonia(harmonia)
+            .build_sim();
+        assert_eq!(
+            run_digest(&mut sim, common::make_plans(4, 50, 6, 0.3, 42)),
+            golden,
+            "{protocol:?} (harmonia={harmonia}) adversarial seed-42 run diverged"
+        );
+    }
+}
+
+/// Digest of a 20 ms open-loop run over `adversarial_spec(7)`, captured at
+/// the same commit. The generator's `source(rng)` draws interleave with the
+/// network model's jitter / drop / duplicate draws on the one world RNG: an
+/// engine that applied a handler's sends before the handler returned would
+/// reorder them and land here.
+const GOLDEN_OPEN_LOOP: u64 = 817_709_547_351_971_987;
+
+#[test]
+fn open_loop_run_matches_the_digest_captured_before_the_engine_rebuild() {
+    let mut sim = adversarial_spec(7).build_sim();
+    let source: SourceFn = Box::new(|rng| {
+        let key = Bytes::from(format!("key-{}", rng.gen_range(0..64u32)));
+        if rng.gen_bool(0.05) {
+            OpSpec::write(key, Bytes::from_static(b"v"))
+        } else {
+            OpSpec::read(key)
+        }
+    });
+    sim.add_open_loop_client(ClientId(1), 200_000.0, Duration::from_millis(10), source);
+    sim.run_until(Instant::ZERO + Duration::from_millis(20));
+
+    let metrics = sim.world().metrics();
+    let reads = metrics
+        .histogram("client.read.latency")
+        .expect("reads recorded latency");
+    assert!(reads.count() > 0 && metrics.counter("net.dropped") > 0);
+    let text = format!(
+        "{:?}{:?}{}",
+        metrics.counters_sorted(),
+        reads.log_histogram(),
+        harmonia::obs::json_text(&sim.obs_snapshot())
+    );
+    assert_eq!(
+        fnv1a(text.as_bytes()),
+        GOLDEN_OPEN_LOOP,
+        "open-loop adversarial seed-7 run diverged from the captured digest"
+    );
+}
