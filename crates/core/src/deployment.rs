@@ -961,6 +961,32 @@ mod tests {
         assert!(sim.fast_path_enabled().unwrap());
     }
 
+    /// The simulated switch is the rack's ToR: every packet traverses it
+    /// (the hop is modelled link latency, not CPU), read replies included —
+    /// so it counts 2·R + 2·W where a threaded driver's pipelines, which the
+    /// sender-side spine spares the completion-less replies, count R + 2·W.
+    #[test]
+    fn sim_switch_counts_every_packet_it_handles_replies_included() {
+        use harmonia_obs::Counter;
+        let (reads, writes) = (40, 9);
+        let mut sim = DeploymentSpec::new().build_sim();
+        {
+            let mut client = sim.client();
+            for n in 0..writes {
+                client.set(format!("k{n}").as_bytes(), b"v").unwrap();
+            }
+            for n in 0..reads {
+                let got = client.get(format!("k{}", n % writes).as_bytes()).unwrap();
+                assert_eq!(got, Some(Bytes::from_static(b"v")));
+            }
+        }
+        let counted = sim.registry.snapshot().counter(Counter::SwitchPackets);
+        assert_eq!(counted, 2 * reads + 2 * writes);
+        let switch = sim.obs_snapshot().switch;
+        assert_eq!(switch.completions, writes);
+        assert_eq!(switch.dirty_len, 0);
+    }
+
     #[test]
     fn run_plans_horizon_starts_at_the_call_not_at_time_zero() {
         // Two 2 000-op plans need far more than one 10 ms chunk; on a clock

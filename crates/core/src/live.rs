@@ -26,6 +26,23 @@
 //! [`ShardMap`] *on the sender's thread* and enqueues straight onto the
 //! owning group's pipeline — client threads and replica threads deliver to
 //! the right pipeline without any intermediate hop or shared switch state.
+//!
+//! Where a packet addressed to the switch goes is one decision,
+//! [`PacketBody::switch_route`], and both substrates' spines only carry it
+//! out. It sends to a pipeline what Algorithm 1 or the control plane acts
+//! on — requests, completions, control, and a reply *with a piggybacked
+//! completion* to snoop (Figure 2b) — and forwards a reply that carries none
+//! (every read reply, a rejected write, a VR / NOPaxos write ack, whose
+//! completion travels standalone) to its client's own ingress, as sent: a
+//! Tofino forwards such a frame for free, a pipeline *thread* would pay a
+//! wake-up, a decode and a second copy of the value to do nothing. So the
+//! pipelines see one packet per read and two per chain write. The replica
+//! still addresses the switch, and it is the spine that forwards: with the
+//! spine cleared ([`kill_switch`](Cluster::kill_switch)) or a lease still on
+//! a dead incarnation, the reply resolves to nothing and vanishes like every
+//! other packet of the §5.3 outage. (The simulator keeps the hop — see
+//! [`crate::switch_actor`].)
+//!
 //! Every node loop runs to completion — [`NodeLink::recv_into`] fills its
 //! inbox with everything queued, the loop handles all of it, one
 //! [`NodeLink::send_many`] flushes the result — and sleeps until it has
@@ -67,7 +84,9 @@ use harmonia_obs::{
 };
 use harmonia_replication::{build_replica, GroupConfig};
 use harmonia_switch::{GroupId, GroupObservation, SpineView, SwitchStats};
-use harmonia_types::{ClientId, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
+use harmonia_types::{
+    ClientId, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId, SwitchRoute,
+};
 use harmonia_workload::ShardMap;
 
 use crate::client::{OpSpec, RecordedOp};
@@ -273,8 +292,9 @@ enum Route {
     Spine(Arc<SpinePlan>),
 }
 
-/// The stateless routing a spine performs: object → group, on the sender's
-/// thread. Holds no group state — the pipelines own all of it.
+/// The stateless routing a spine performs, on the sender's thread: object →
+/// group for what the switch acts on, plain forwarding for what it does not.
+/// Holds no group state — the pipelines own all of it.
 struct SpinePlan {
     shards: ShardMap,
     /// Pipeline ingress channels, indexed by group id.
@@ -282,27 +302,38 @@ struct SpinePlan {
 }
 
 impl SpinePlan {
-    fn route(&self, msg: Msg) {
-        let g = match msg.body.object() {
-            Some(obj) => self.shards.shard_of(obj),
-            // Membership changes carry a replica, not an object, and only
-            // the pipelines know where a replica currently lives — so the
-            // stateless spine broadcasts, and each group's core applies
-            // only the changes addressed to it (`GroupCore::handle_control`
-            // is membership-guarded).
-            None if matches!(msg.body, PacketBody::Control(_)) => {
+    /// Deliver `msg`, addressed to the switch, wherever
+    /// [`PacketBody::switch_route`] says: a pipeline's ingress, every
+    /// pipeline's, or — out of `table`, the route table this plan was found
+    /// in — a client's.
+    fn route(&self, table: &HashMap<NodeId, Route>, msg: Msg) {
+        let ingress = match msg.body.switch_route() {
+            SwitchRoute::Group(obj) => self.groups.get(self.shards.shard_of(obj) as usize),
+            SwitchRoute::AnyGroup => self.groups.first(),
+            // Each group's core applies only the changes addressed to it
+            // (`GroupCore::handle_control` is membership-guarded).
+            SwitchRoute::EveryGroup => {
                 for tx in &self.groups {
-                    let _ = tx.try_send(Envelope::Packet(msg.clone()));
+                    deliver(tx, msg.clone());
                 }
                 return;
             }
-            // Plain L2/L3 forwarding has no object; any pipeline can do it.
-            None => 0,
+            // Forwarded as sent. A client that is gone drops it.
+            SwitchRoute::Client(client) => match table.get(&NodeId::Client(client)) {
+                Some(Route::Unicast(tx)) => Some(tx),
+                _ => None,
+            },
         };
-        if let Some(tx) = self.groups.get(g as usize) {
-            let _ = tx.try_send(Envelope::Packet(msg));
+        if let Some(tx) = ingress {
+            deliver(tx, msg);
         }
     }
+}
+
+/// Enqueue on a node's ingress, or drop: a sender that waited on a full (or
+/// dead) queue could never be told to stop.
+fn deliver(tx: &Sender<Envelope>, msg: Msg) {
+    let _ = tx.try_send(Envelope::Packet(msg));
 }
 
 /// The route table. Registrations copy-on-write a shared snapshot and bump
@@ -361,12 +392,8 @@ impl RouterHandle {
             self.seen = generation;
         }
         match self.cache.get(&to) {
-            // `try_send`: a full (or dead) ingress drops the packet — a
-            // sender that waited there could never be told to stop.
-            Some(Route::Unicast(tx)) => {
-                let _ = tx.try_send(Envelope::Packet(msg));
-            }
-            Some(Route::Spine(plan)) => plan.route(msg),
+            Some(Route::Unicast(tx)) => deliver(tx, msg),
+            Some(Route::Spine(plan)) => plan.route(&self.cache, msg),
             None => {}
         }
     }
@@ -1034,10 +1061,11 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// `NodeLink::send` never waits: a pipeline that meets a client's full
-    /// ingress queue drops the reply and carries on — it keeps serving, and
-    /// it still sees `Stop`. (A blocking send here parked the pipeline for
-    /// good and `shutdown` never returned.)
+    /// `NodeLink::send` never waits: a node that meets a client's full
+    /// ingress queue — the tail here, whose read replies the spine forwards
+    /// straight to the client — drops the reply and carries on: it keeps
+    /// serving, and it still sees `Stop`. (A blocking send here parked the
+    /// sender for good and `shutdown` never returned.)
     #[test]
     fn full_client_queue_drops_packets_and_never_blocks_the_sender() {
         use harmonia_types::RequestId;
@@ -1046,7 +1074,7 @@ mod tests {
             let cluster = DeploymentSpec::new().spawn_live();
             // A client that asks 2 000 times and never listens. No write has
             // completed, so every read takes the normal path through the
-            // tail and the replies reach the pipeline in request order.
+            // tail, which answers in request order.
             let mut deaf = cluster.client();
             let me = deaf.core.node();
             let NodeId::Client(id) = me else {
@@ -1058,7 +1086,7 @@ mod tests {
                 deaf.link
                     .send(to, Msg::new(me, to, PacketBody::Request(req)));
             }
-            // Served behind all of them: the pipeline got past the full queue.
+            // Served behind all of them: the tail got past the full queue.
             assert_eq!(cluster.client().get("k").unwrap(), None);
             // The queue kept its bound; the overflow was dropped.
             let mut kept = Vec::new();
@@ -1074,6 +1102,80 @@ mod tests {
         done_rx
             .recv_timeout(StdDuration::from_secs(60))
             .expect("a sender blocked on the full client queue");
+    }
+
+    /// A read is three hops: its reply carries nothing for the switch and
+    /// does not stop at it. A chain write's reply carries the completion and
+    /// still does — so R reads and W writes are R + 2·W packets through the
+    /// pipelines, with every completion snooped and nothing left dirty.
+    #[test]
+    fn pipelines_handle_one_packet_per_read_and_two_per_write() {
+        fn check<S: Substrate>() {
+            let (reads, writes) = (40, 9);
+            let cluster = ThreadedCluster::<S>::new(&DeploymentSpec::new());
+            let mut client = cluster.client();
+            for n in 0..writes {
+                client.set(format!("k{}", n % 4), "v").unwrap();
+            }
+            // Hits on k0..k3, a miss on k4: every one answered.
+            for n in 0..reads {
+                let want = (n % 5 < 4).then(|| Bytes::from_static(b"v"));
+                assert_eq!(client.get(format!("k{}", n % 5)).unwrap(), want);
+            }
+            let view = cluster.switch_view().unwrap();
+            let counted = cluster.registry.snapshot().counter(Counter::SwitchPackets);
+            cluster.shutdown();
+            assert_eq!(counted, reads + 2 * writes, "{}", S::DRIVER);
+            let stats = view.stats();
+            assert_eq!(stats.completions, writes, "{}: {stats:?}", S::DRIVER);
+            assert_eq!(stats.reads_fast_path + stats.reads_normal, reads);
+            assert_eq!(view.groups()[0].dirty_len, 0, "{}", S::DRIVER);
+        }
+        check::<Channels>();
+        check::<crate::udp::Sockets>();
+    }
+
+    /// The short route is the spine's forwarding, not a way around an
+    /// outage: a replica still addresses the switch, so once `kill_switch`
+    /// has cleared the spine its read reply resolves to nothing and reaches
+    /// no client (§5.3, Figure 10) — on either substrate.
+    #[test]
+    fn a_read_reply_sent_after_kill_switch_reaches_no_client() {
+        fn check<S: Substrate>() {
+            use harmonia_types::RequestId;
+            let mut cluster = ThreadedCluster::<S>::new(&DeploymentSpec::new());
+            let mut client = cluster.client();
+            let NodeId::Client(id) = client.core.node() else {
+                unreachable!("a client's node is a client");
+            };
+            // A replica's link, driven by hand.
+            let replica = ReplicaId(99);
+            let (mut link, _ctl) = cluster
+                .substrate
+                .attach(NodeId::Replica(replica), cluster.registry.handle());
+            let to = NodeId::Switch(cluster.spec.initial_switch());
+            let mut send_reply = |n| {
+                let req = OpSpec::read("k").request(id, RequestId(n));
+                let reply = harmonia_replication::common::read_reply(replica, &req, None);
+                let msg = Msg::new(NodeId::Replica(replica), to, PacketBody::Reply(reply));
+                link.send(to, msg);
+            };
+            let mut got = Vec::new();
+            let mut heard = |wait: StdDuration| {
+                let _ = client
+                    .link
+                    .recv_into(Some(StdInstant::now() + wait), &mut got);
+                got.drain(..).count()
+            };
+            // While the spine stands, the reply is forwarded to the client.
+            send_reply(1);
+            assert_eq!(heard(StdDuration::from_secs(10)), 1, "{}", S::DRIVER);
+            cluster.kill_switch();
+            send_reply(2);
+            assert_eq!(heard(StdDuration::from_millis(100)), 0, "{}", S::DRIVER);
+        }
+        check::<Channels>();
+        check::<crate::udp::Sockets>();
     }
 
     /// A link that reports the deadline of every receive, so a test can see

@@ -7,6 +7,17 @@
 //! detector; protocol traffic would be forwarded by L2/L3 (the simulation
 //! sends replica↔replica messages directly, so none arrives here).
 //!
+//! *Every* packet, in the simulator: there the hop through this actor is the
+//! ToR's modelled link latency, not CPU, so a read reply with nothing to
+//! snoop still passes through [`SwitchCore::handle`] and every virtual-time
+//! figure charges for it. The threaded drivers share the per-group logic
+//! ([`GroupCore`]) but not that traversal: their sender-side spine
+//! ([`PacketBody::switch_route`]) forwards completion-less replies straight
+//! to the client, so a pipeline's `handle_reply` only ever sees replies that
+//! carry a completion. `Counter::SwitchPackets` counts what each handled —
+//! 2·R + 2·W for R reads and W chain writes here, R + 2·W on a pipeline
+//! fleet.
+//!
 //! The actor's service model is [`Service::Immediate`]: a Tofino processes
 //! packets at line rate, so the switch is pure delay, never a queue — the
 //! property that lets Harmonia claim zero overhead (§6).
@@ -422,6 +433,9 @@ pub struct SwitchCore {
     home: BTreeMap<ReplicaId, GroupId>,
     /// Counters not attributable to any one group (L2/L3 forwards).
     misc: SwitchStats,
+    /// Where the packets this core handles are counted — the recorder its
+    /// groups share.
+    recorder: Recorder,
 }
 
 impl SwitchCore {
@@ -475,6 +489,7 @@ impl SwitchCore {
             shards,
             home,
             misc: SwitchStats::default(),
+            recorder: Recorder::detached(),
         }
     }
 
@@ -573,6 +588,7 @@ impl SwitchCore {
         for core in self.groups.values_mut() {
             core.set_recorder(recorder.clone());
         }
+        self.recorder = recorder.clone();
     }
 
     /// Process one packet, pushing forwarded packets onto `out`.
@@ -584,11 +600,11 @@ impl SwitchCore {
         rng: &mut rand::rngs::SmallRng,
         out: &mut Vec<(NodeId, Msg)>,
     ) {
+        self.recorder.incr(Counter::SwitchPackets);
         match msg.body {
             PacketBody::Request(req) => {
                 let gid = self.group_of(req.obj);
                 if let Some(core) = self.groups.get_mut(&gid) {
-                    core.recorder.incr(Counter::SwitchPackets);
                     match req.op {
                         OpKind::Write => core.handle_write(now, me, req, out),
                         OpKind::Read => core.handle_read(now, me, req, rng, out),

@@ -22,6 +22,12 @@
 //!   incarnation's id) to the per-group pipeline sockets, and resolving a
 //!   send performs the `ShardMap` lookup on the sending thread — no
 //!   intermediate hop, exactly like the channel substrate's spine plan.
+//!   Both call [`PacketBody::switch_route`](harmonia_types::PacketBody::switch_route)
+//!   for the decision, so here too a reply with no completion to snoop
+//!   resolves to its client's socket — a 4 KB read value crosses the wire
+//!   once, replica → client — and only completion-bearing replies reach a
+//!   pipeline socket. With the spine cleared the same reply resolves to no
+//!   address at all.
 //! * Driver control verbs (pipeline inspection, stop) ride a crossbeam side
 //!   channel per thread; only data-plane packets cross the sockets. A
 //!   thread sleeps on its socket, so [`UdpLink`] looks at the side channel

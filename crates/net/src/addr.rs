@@ -1,12 +1,14 @@
 //! The deployment's name service: `NodeId → SocketAddr`, including the
-//! spine-switch entry that shard-routes on the sender's side.
+//! spine-switch entry that routes on the sender's side: packets the switch
+//! acts on to their group's pipeline, completion-less replies past it to
+//! their client.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use harmonia_types::{NodeId, PacketBody};
+use harmonia_types::{NodeId, PacketBody, SwitchRoute};
 use harmonia_workload::ShardMap;
 
 /// The switch fleet's addressing: which node ids reach it, and which group
@@ -33,28 +35,29 @@ impl Directory {
     /// Resolve `to` for a packet carrying `body`, appending every concrete
     /// destination to `out` (cleared first). Zero destinations means the
     /// packet is undeliverable and should be dropped.
+    ///
+    /// A name that currently resolves to the spine goes wherever
+    /// [`PacketBody::switch_route`] says — this is the socket half of that
+    /// decision, nothing about *which* bodies go where is restated here.
     pub fn resolve<T>(&self, to: NodeId, body: &PacketBody<T>, out: &mut Vec<SocketAddr>) {
         out.clear();
-        if let Some(spine) = self.spine.as_ref().filter(|s| s.aliases.contains(&to)) {
-            match body.object() {
-                Some(obj) => {
-                    let g = spine.shards.shard_of(obj) as usize;
-                    if let Some(&addr) = spine.groups.get(g) {
-                        out.push(addr);
-                    }
-                }
-                // Membership changes carry a replica, not an object; only
-                // the pipelines know where it lives, so broadcast.
-                None if matches!(body, PacketBody::Control(_)) => {
-                    out.extend_from_slice(&spine.groups);
-                }
-                // Plain L2/L3 forwarding has no object; any pipeline can
-                // do it.
-                None => out.extend(spine.groups.first().copied()),
-            }
+        let Some(spine) = self.spine.as_ref().filter(|s| s.aliases.contains(&to)) else {
+            out.extend(self.nodes.get(&to).copied());
             return;
+        };
+        match body.switch_route() {
+            SwitchRoute::Group(obj) => {
+                let g = spine.shards.shard_of(obj) as usize;
+                out.extend(spine.groups.get(g).copied());
+            }
+            SwitchRoute::EveryGroup => out.extend_from_slice(&spine.groups),
+            SwitchRoute::AnyGroup => out.extend(spine.groups.first().copied()),
+            // The spine is up, so the frame is forwarded — to the client's
+            // own socket. An unregistered client drops it.
+            SwitchRoute::Client(client) => {
+                out.extend(self.nodes.get(&NodeId::Client(client)).copied());
+            }
         }
-        out.extend(self.nodes.get(&to).copied());
     }
 }
 
@@ -63,11 +66,16 @@ impl Directory {
 /// Replicas and clients register a plain unicast address. The switch is
 /// special: [`install_spine`](AddrBook::install_spine) maps its addresses to
 /// the whole pipeline fleet, and [`Directory::resolve`] performs the
-/// stateless spine routing — object-bearing packets go to the owning
-/// group's socket (one [`ShardMap`] lookup on the sending thread), control
-/// packets broadcast to every pipeline (only the groups know where a
-/// replica lives), and plain protocol forwards go to group 0, mirroring the
-/// threaded driver's `SpinePlan` exactly.
+/// stateless spine routing on the sending thread, by
+/// [`PacketBody::switch_route`] — the same function the channel driver's
+/// route table calls, so the two substrates cannot disagree: packets the
+/// switch acts on go to the owning group's socket (one [`ShardMap`]
+/// lookup), control broadcasts to every pipeline, plain protocol forwards
+/// go to group 0, and a reply with no completion to snoop goes straight to
+/// its client's socket. That last one is forwarding *by the spine*: with
+/// the spine cleared, or under a name that is no longer one of its aliases
+/// (a dead incarnation's id), the reply resolves to nothing — the §5.3
+/// outage swallows replies exactly as it does requests.
 ///
 /// Registration is rare (node bring-up, switch replacement) and sends are
 /// hot, so the book follows the same copy-on-write discipline as the
@@ -216,6 +224,56 @@ mod tests {
         // §5.3 step 1: clearing the spine makes the switch unreachable.
         book.clear_spine();
         assert!(resolve_for(&book, stable, &ctl).is_empty());
+    }
+
+    #[test]
+    fn completion_less_replies_resolve_past_the_spine_to_their_client() {
+        use harmonia_types::{ClientReply, SwitchId, SwitchSeq, WriteCompletion, WriteOutcome};
+        let book = AddrBook::new();
+        let (stable, current) = (NodeId::Switch(SwitchId(1)), NodeId::Switch(SwitchId(3)));
+        let shards = ShardMap::new(2);
+        let groups = vec![addr(9300), addr(9301)];
+        book.install_spine(vec![stable, current], shards, groups.clone());
+        let client = ClientId(5);
+        book.register(NodeId::Client(client), addr(9400));
+
+        let obj = ObjectId::from_key(b"some-key");
+        let reply = |write_outcome, completion| -> PacketBody<u64> {
+            PacketBody::Reply(ClientReply {
+                client,
+                from: ReplicaId(2),
+                request: RequestId(1),
+                obj,
+                value: None,
+                write_outcome,
+                completion,
+            })
+        };
+        let read_reply = reply(None, None);
+        // Under either alias of the live spine: the client's own socket.
+        assert_eq!(resolve_for(&book, stable, &read_reply), vec![addr(9400)]);
+        assert_eq!(resolve_for(&book, current, &read_reply), vec![addr(9400)]);
+        // A reply with a completion to snoop still goes to its group.
+        let done = WriteCompletion {
+            obj,
+            seq: SwitchSeq::new(SwitchId(3), 1),
+        };
+        let write_reply = reply(Some(WriteOutcome::Committed), Some(done));
+        let g = shards.shard_of(obj) as usize;
+        assert_eq!(resolve_for(&book, current, &write_reply), vec![groups[g]]);
+
+        // A dead incarnation's id is not an alias: nothing forwards for it.
+        let old = NodeId::Switch(SwitchId(2));
+        assert!(resolve_for(&book, old, &read_reply).is_empty());
+        // An unregistered client drops the reply.
+        book.unregister(NodeId::Client(client));
+        assert!(resolve_for(&book, stable, &read_reply).is_empty());
+        // §5.3 step 1: no spine, no forwarding — the client being
+        // reachable does not matter.
+        book.register(NodeId::Client(client), addr(9400));
+        book.clear_spine();
+        assert!(resolve_for(&book, stable, &read_reply).is_empty());
+        assert!(resolve_for(&book, current, &read_reply).is_empty());
     }
 
     #[test]

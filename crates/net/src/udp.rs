@@ -297,9 +297,9 @@ impl<T> UdpTransport<T> {
             Ok(()) => self.read_timeout = Some(wait),
             // A failed setsockopt leaves the previous (or no) timeout armed:
             // count it and clear the cache so the next wait retries instead
-            // of trusting a timeout that was never applied. The caller polls
-            // against its own deadline meanwhile — a hotter wait, never a
-            // hang or a panic on live traffic.
+            // of trusting a timeout that was never applied. The caller waits
+            // on `wait_readable` against its own deadline meanwhile — never
+            // a hang or a panic on live traffic.
             Err(_) => {
                 self.stats.config_errors += 1;
                 self.read_timeout = None;
@@ -360,11 +360,12 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
 
     /// A zero `timeout` is a nonblocking poll: it drains any queued
     /// datagram without waiting (the batched-drain path of the switch
-    /// pipelines); otherwise the call waits until the deadline. A sub-
-    /// millisecond remainder becomes a final nonblocking poll rather than a
-    /// kernel wait — the kernel timeout has ~1ms granularity, so waiting
-    /// would overshoot the deadline and skew latency measurements; this
-    /// path returns (up to 1ms) early instead of late.
+    /// pipelines); otherwise the call waits until the deadline. A wait of a
+    /// millisecond or more sleeps on the socket's armed read timeout; a
+    /// sub-millisecond remainder, which that timeout (~1ms granularity)
+    /// would overshoot, is slept in [`mmsg::wait_readable`] and ends in a
+    /// nonblocking poll — so a loop that ticks faster than a jiffy (VR and
+    /// NOPaxos: 200µs) sleeps between ticks instead of spinning on polls.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet<T>, RecvError> {
         // Frames already unpacked from an earlier multi-frame datagram
         // deliver first, without touching the socket.
@@ -375,13 +376,14 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
         loop {
             let remaining = deadline.saturating_duration_since(Instant::now());
             // `set_read_timeout(Some(0))` is an error by contract, and any
-            // sub-ms wait rounds up to ~1ms in the kernel: only block for
-            // remainders the kernel can actually honor. The threshold sits
-            // below 1ms because `remaining` is measured *after* the caller's
-            // deadline was taken — a caller asking for exactly 1ms (the node
-            // loops' ctl-poll slice) has always lost a few µs by now, and
-            // degrading that wait to a nonblocking poll would turn every
-            // blocked node loop into a busy spin.
+            // sub-ms wait rounds up to ~1ms in the kernel: only block on the
+            // read timeout for remainders it can actually honor. The
+            // threshold sits below 1ms because `remaining` is measured
+            // *after* the caller's deadline was taken — a caller asking for
+            // exactly 1ms (the node loops' ctl-poll slice) has always lost a
+            // few µs by now, and it must keep its armed, recv-only wait: an
+            // idle loop that took the two-syscall path below every
+            // millisecond costs measurably more.
             let blocking = remaining >= Duration::from_micros(900);
             // The socket stays in blocking mode for good: polls go through
             // the ring's `MSG_DONTWAIT` drain, so neither kind of receive
@@ -389,6 +391,7 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
             let got = if blocking && self.arm_read_timeout(remaining) {
                 self.ring.wait(&self.socket)
             } else {
+                mmsg::wait_readable(&self.socket, remaining);
                 self.ring.recv(&self.socket, 1)
             };
             self.decode_ring(got);
@@ -396,7 +399,8 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
                 return Ok(pkt);
             }
             // Nothing deliverable: a poll that found the queue empty is
-            // done; a datagram of garbage, a timed-out wait or a transient
+            // done (whatever was left of the deadline was slept before it);
+            // a datagram of garbage, a timed-out wait or a transient
             // kernel error (e.g. ECONNRESET from an ICMP port-unreachable
             // on a dead peer) keeps listening until the deadline.
             if got == 0 && !blocking {
@@ -617,11 +621,11 @@ mod tests {
     #[test]
     fn sub_millisecond_timeout_does_not_overshoot() {
         let (_book, _a, mut b) = pair();
-        // The kernel's receive timeout has ~1ms granularity, so a 100µs
-        // deadline must become a nonblocking poll, not a kernel wait. The
-        // *minimum* observed latency is the discriminator: the old
-        // clamp-to-1ms path never returned under ~1ms; the poll path is
-        // tens of microseconds. (Max is scheduler noise either way.)
+        // The socket's receive timeout has ~1ms granularity, so a 100µs
+        // deadline must not wait on it. The *minimum* observed latency is
+        // the discriminator: a clamp-to-1ms path never returns under ~1ms;
+        // the `ppoll` sleep is 100µs plus timer slack. (Max is scheduler
+        // noise either way.)
         let mut min = Duration::MAX;
         for _ in 0..10 {
             let t0 = Instant::now();
@@ -632,6 +636,14 @@ mod tests {
             min < Duration::from_micros(900),
             "sub-ms recv_timeout blocked in the kernel: min {min:?}"
         );
+        // Nor does it come back at once for the caller to spin on: where
+        // there is a `ppoll`, the 100µs are slept.
+        if mmsg::accelerated() {
+            assert!(
+                min >= Duration::from_micros(100),
+                "sub-ms recv_timeout did not sleep: min {min:?}"
+            );
+        }
     }
 
     #[test]

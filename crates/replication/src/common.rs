@@ -109,8 +109,13 @@ impl Effects {
             .push((NodeId::Replica(to), PacketBody::Protocol(msg)));
     }
 
-    /// Send a client reply; replies travel back through the switch so the
-    /// data plane can snoop piggybacked completions (Figure 2b).
+    /// Send a client reply; replies are addressed to the switch so the data
+    /// plane can snoop piggybacked completions (Figure 2b). A replica never
+    /// decides otherwise: whether a reply *without* a completion stops at the
+    /// switch (the simulator's ToR) or is forwarded past it to the client
+    /// (the threaded drivers' sender-side spine) is the network's choice,
+    /// [`PacketBody::switch_route`] — and an outage of the switch swallows
+    /// the reply either way.
     pub fn reply(&mut self, via_switch: SwitchId, reply: ClientReply) {
         self.out
             .push((NodeId::Switch(via_switch), PacketBody::Reply(reply)));

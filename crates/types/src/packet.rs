@@ -243,17 +243,47 @@ pub enum PacketBody<T> {
     Control(ControlMsg),
 }
 
+/// Where a packet **addressed to the switch** goes — the one forwarding
+/// decision every sender-side spine makes ([`PacketBody::switch_route`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SwitchRoute {
+    /// The pipeline of the group that owns this object (§6.3 shard routing).
+    Group(ObjectId),
+    /// Every group's pipeline: control names a replica, not an object, and
+    /// only the pipelines know where a replica lives.
+    EveryGroup,
+    /// Any one pipeline: plain L2/L3 forwarding needs no group state.
+    AnyGroup,
+    /// Past the switch, to this client's own ingress: the packet carries
+    /// nothing Algorithm 1 acts on.
+    Client(ClientId),
+}
+
 impl<T> PacketBody<T> {
-    /// The object this packet concerns, when it names one — the key a spine
-    /// switch shard-routes on (§6.3). Requests, replies, and completions
-    /// carry an object; control and protocol traffic do not (control is
-    /// addressed by replica, protocol traffic is plain L2/L3 forwarding).
-    pub fn object(&self) -> Option<ObjectId> {
+    /// Where this packet goes when its destination names the switch.
+    ///
+    /// The switch acts on three kinds of packet — writes, reads and write
+    /// completions (Algorithm 1) — plus its own control plane, so those go
+    /// to the pipeline holding the state they touch. A reply travels back
+    /// through the switch *so that its piggybacked completion can be
+    /// snooped* (Figure 2b); one that carries none — every read reply, a
+    /// rejected write, a read-behind protocol's write ack (§7.3: its
+    /// completion travels standalone) — has nothing for the switch, and a
+    /// spine forwards it to the client as it would any other unicast frame.
+    /// That is safe because switch state moves only on write requests,
+    /// completions and control, all of which still reach it, and a read
+    /// linearizes when the replica executes it, whichever way the reply
+    /// travels.
+    pub fn switch_route(&self) -> SwitchRoute {
         match self {
-            PacketBody::Request(req) => Some(req.obj),
-            PacketBody::Reply(reply) => Some(reply.obj),
-            PacketBody::Completion(c) => Some(c.obj),
-            PacketBody::Protocol(_) | PacketBody::Control(_) => None,
+            PacketBody::Request(req) => SwitchRoute::Group(req.obj),
+            PacketBody::Reply(reply) => match reply.completion {
+                Some(_) => SwitchRoute::Group(reply.obj),
+                None => SwitchRoute::Client(reply.client),
+            },
+            PacketBody::Completion(c) => SwitchRoute::Group(c.obj),
+            PacketBody::Control(_) => SwitchRoute::EveryGroup,
+            PacketBody::Protocol(_) => SwitchRoute::AnyGroup,
         }
     }
 }
@@ -320,6 +350,56 @@ mod tests {
         ];
         assert!(all.iter().all(|f| f.0.count_ones() == 1));
         assert_eq!(all.iter().fold(0, |acc, f| acc | f.0), 0x7f);
+    }
+
+    /// The whole `switch_route` table: a reply leaves for its client exactly
+    /// when it has no completion for the switch to snoop; everything
+    /// Algorithm 1 or the control plane acts on goes to a pipeline.
+    #[test]
+    fn switch_route_sends_only_completion_less_replies_past_the_switch() {
+        let (client, obj) = (ClientId(7), ObjectId::from_key(b"k"));
+        let reply = |value, write_outcome, completion| -> PacketBody<u64> {
+            PacketBody::Reply(ClientReply {
+                client,
+                from: ReplicaId(2),
+                request: RequestId(1),
+                obj,
+                value,
+                write_outcome,
+                completion,
+            })
+        };
+        let done = WriteCompletion {
+            obj,
+            seq: SwitchSeq::new(SwitchId(1), 1),
+        };
+        for past_the_switch in [
+            // A read reply, hit or miss.
+            reply(Some(Bytes::from_static(b"v")), None, None),
+            reply(None, None, None),
+            // A rejected write.
+            reply(None, Some(WriteOutcome::Rejected), None),
+            // A VR / NOPaxos write ack: its completion travels standalone.
+            reply(None, Some(WriteOutcome::Committed), None),
+        ] {
+            assert_eq!(past_the_switch.switch_route(), SwitchRoute::Client(client));
+        }
+        let read = ClientRequest::read(client, RequestId(1), &b"k"[..]);
+        let write = ClientRequest::write(client, RequestId(2), &b"k"[..], &b"v"[..]);
+        for to_the_group in [
+            reply(None, Some(WriteOutcome::Committed), Some(done)),
+            PacketBody::Completion(done),
+            PacketBody::Request(read),
+            PacketBody::Request(write),
+        ] {
+            assert_eq!(to_the_group.switch_route(), SwitchRoute::Group(obj));
+        }
+        let control: PacketBody<u64> = PacketBody::Control(ControlMsg::AddReplica(ReplicaId(9)));
+        assert_eq!(control.switch_route(), SwitchRoute::EveryGroup);
+        assert_eq!(
+            PacketBody::Protocol(1u64).switch_route(),
+            SwitchRoute::AnyGroup
+        );
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! blocks untimed, and a sender wakes only a parked receiver. When idle
 //! pipelines instead full-swept a 4.7 MB table every millisecond, an idle
 //! `spawn_live()` cluster cost 490 ms of CPU per 2 s and an idle
-//! `spawn_udp()` one 140 ms. Its own test binary, one test: CPU time is a
-//! property of the whole process.
+//! `spawn_udp()` one 140 ms. A protocol that ticks (VR and NOPaxos sync
+//! every 200 µs) cannot be silent, but it must *sleep* between ticks: when
+//! the UDP endpoint turned every wait shorter than a jiffy into a poll, an
+//! idle VR `spawn_udp()` cluster spun through 2 920 ms of CPU per 2 s and a
+//! NOPaxos one 3 970 ms — both cores. Its own test binary, one test: CPU
+//! time is a property of the whole process.
 
 #![cfg(target_os = "linux")]
 
@@ -61,4 +65,27 @@ fn idle_clusters_stay_off_the_cpu() {
     println!("idle for 2 s: spawn_live() {live_ms} ms of CPU, spawn_udp() {udp_ms} ms");
     assert!(live_ms <= 20, "idle spawn_live() used {live_ms} ms in 2 s");
     assert!(udp_ms <= 40, "idle spawn_udp() used {udp_ms} ms in 2 s");
+
+    // The ticking protocols: three replicas waking 5 000 times a second
+    // each cost something on either driver — well under one core, not two.
+    for protocol in [ProtocolKind::Vr, ProtocolKind::Nopaxos] {
+        let spec = DeploymentSpec::new().protocol(protocol);
+        let mut live = spec.spawn_live();
+        let live_ms = idle_cost_ms(&mut live);
+        drop(live);
+        let mut udp = spec.spawn_udp();
+        let udp_ms = idle_cost_ms(&mut udp);
+        drop(udp);
+        println!(
+            "idle {protocol:?} for 2 s: spawn_live() {live_ms} ms of CPU, spawn_udp() {udp_ms} ms"
+        );
+        assert!(
+            live_ms <= 1200,
+            "idle {protocol:?} spawn_live() used {live_ms} ms in 2 s"
+        );
+        assert!(
+            udp_ms <= 1200,
+            "idle {protocol:?} spawn_udp() used {udp_ms} ms in 2 s"
+        );
+    }
 }
