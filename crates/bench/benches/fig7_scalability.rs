@@ -10,9 +10,9 @@
 //!     reported per run — the quantitative form of "the capacity of a
 //!     switch far exceeds that of a single replica group".
 //!
-//! Figure 7d here is the *simulated* sweep. Its live-driver counterpart —
-//! real threads through the per-group switch pipelines — is the
-//! `live_scaleout` bench.
+//! Figure 7d is a *simulated* sweep: on real threads a `groups(n)` fleet
+//! scales with the host's cores, not with `n`, so the ledger (`bench/e2e`)
+//! measures the threaded drivers at one shape and this figure owns the curve.
 
 use harmonia_bench::{mrps, print_table, run_open_loop, Keys, RunSpec};
 use harmonia_core::deployment::DeploymentSpec;

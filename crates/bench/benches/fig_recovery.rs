@@ -19,9 +19,8 @@
 //! reproducible snapshot — regenerating it on unchanged code is a no-op
 //! diff.
 //!
-//! Knobs: `HARMONIA_RECOVERY_KEYS=500,2000` overrides the store sizes (CI
-//! smoke-runs a small pair); `HARMONIA_BENCH_JSON=0` suppresses the JSON
-//! snapshot.
+//! Knob: `HARMONIA_RECOVERY_KEYS=500,2000` overrides the store sizes (and
+//! then writes a different snapshot — restore the committed one after).
 
 use bytes::Bytes;
 use harmonia_bench::{print_table, Snapshot};
@@ -119,7 +118,7 @@ fn measure(store_keys: usize) -> Row {
             .world()
             .actor::<ReplicaActor>(NodeId::Replica(TAIL))
             .is_none_or(|a| a.is_recovering());
-        let gated = sim.switch_actor().is_none_or(|sw| sw.is_gated(TAIL));
+        let gated = sim.switch_actor().is_none_or(|sw| sw.core().is_gated(TAIL));
         if !recovering && !gated {
             mttr_us = (sim.now().nanos() - t0.nanos()) as f64 / 1e3;
             gate_lifted = true;

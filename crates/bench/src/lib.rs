@@ -16,18 +16,15 @@
 //! effect — switch-dropped writes throttling the workload — only shows up
 //! when dropped writes stall their issuer.
 
-// Wall-clock reads are deliberate here: benchmark harness: measures real elapsed time.
-#![allow(clippy::disallowed_methods)]
 #![forbid(unsafe_code)]
 
 pub mod snapshot;
 
-pub use snapshot::{snapshots_enabled, Snapshot};
+pub use snapshot::Snapshot;
 
 use bytes::Bytes;
 use harmonia_core::client::{metrics, ClosedLoopClient, OpSpec, SourceFn};
 use harmonia_core::deployment::{DeploymentSpec, SimCluster};
-use harmonia_core::switch_actor::SwitchActor;
 use harmonia_switch::SwitchStats;
 use harmonia_types::{ClientId, Duration, Instant, NodeId};
 use harmonia_workload::KeySpace;
@@ -203,7 +200,7 @@ fn measure_open_loop(mut sim: SimCluster, warmup: Duration, measure: Duration) -
         writes_rejected: m.counter(metrics::WRITE_REJECTED),
         ..RunResult::default()
     };
-    if let Some(sw) = sim.switch_actor() {
+    if let Some(sw) = sim.switch_actor().map(|sw| sw.core()) {
         result.switch = sw.stats();
         result.dirty_len = sw.detector().dirty_len();
         result.switch_memory_bytes = sw.memory_bytes();
@@ -300,130 +297,6 @@ pub fn run_closed_loop(
     done as f64 / measure.as_secs_f64() / 1e6
 }
 
-/// Execute a **live** (threaded) closed-loop measurement: spawn the
-/// deployment on OS threads, drive `clients` concurrent client threads
-/// issuing back-to-back operations (`write_ratio` writes) for `duration`,
-/// and return the completed rate in MRPS.
-///
-/// This is the measurement the sim cannot make: real threads through the
-/// parallel data plane — per-group switch pipelines behind the stateless
-/// shard-routing spine, no lock on the packet path. Keys and values are
-/// precomputed `Bytes`, so the per-op hot loop allocates nothing; each
-/// client owns a disjoint key slice spread across every group by the shard
-/// hash.
-///
-/// Scaling caveat: the fleet can only run as parallel as the host. A
-/// `groups(8)` deployment has 8 pipeline threads + 24 replica threads;
-/// near-linear group scaling needs roughly that many cores. On fewer cores
-/// the shapes converge to the single-core packet-processing rate.
-pub fn run_live_closed_loop(
-    cluster: &DeploymentSpec,
-    clients: usize,
-    write_ratio: f64,
-    keys_per_client: usize,
-    duration: std::time::Duration,
-) -> f64 {
-    let live = cluster.spawn_live();
-    let total = drive_closed_loop(
-        cluster,
-        || live.client(),
-        clients,
-        write_ratio,
-        keys_per_client,
-        duration,
-    );
-    live.shutdown();
-    total
-}
-
-/// [`run_live_closed_loop`] over the UDP driver: identical workload and
-/// client threads, but every packet crosses a loopback `UdpSocket` through
-/// the wire codec — the `udp_scaleout` bench sweeps this against the
-/// channel driver's numbers (the gap is the kernel's per-datagram cost).
-pub fn run_udp_closed_loop(
-    cluster: &DeploymentSpec,
-    clients: usize,
-    write_ratio: f64,
-    keys_per_client: usize,
-    duration: std::time::Duration,
-) -> f64 {
-    let udp = cluster.spawn_udp();
-    let total = drive_closed_loop(
-        cluster,
-        || udp.client(),
-        clients,
-        write_ratio,
-        keys_per_client,
-        duration,
-    );
-    udp.shutdown();
-    total
-}
-
-/// The shared measurement: bootstrap every group's fast path, then hammer
-/// the deployment from `clients` threads until the deadline. The client
-/// factory is the only driver-specific piece (both threaded drivers hand
-/// out the same transport-generic `LiveClient`).
-fn drive_closed_loop(
-    cluster: &DeploymentSpec,
-    make_client: impl Fn() -> harmonia_core::live::LiveClient,
-    clients: usize,
-    write_ratio: f64,
-    keys_per_client: usize,
-    duration: std::time::Duration,
-) -> f64 {
-    use harmonia_core::deployment::KvClient as _;
-
-    // Arm every group's fast path with one committed write (§5.3 rule),
-    // exactly as `run_open_loop` does for the sim.
-    if cluster.harmonia {
-        let mut warm = make_client();
-        for key in cluster.group_covering_keys() {
-            warm.set(key, "1").expect("bootstrap write");
-        }
-    }
-    let deadline = std::time::Instant::now() + duration;
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            let mut client = make_client();
-            let keys: Vec<Bytes> = (0..keys_per_client)
-                .map(|k| Bytes::from(format!("c{c}-key-{k}")))
-                .collect();
-            let value = Bytes::from(vec![0x5au8; 128]);
-            std::thread::spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(0x11fe + c as u64);
-                let mut done = 0u64;
-                let mut i = 0usize;
-                while std::time::Instant::now() < deadline {
-                    let key = keys[i % keys.len()].clone();
-                    let ok = if rng.gen_bool(write_ratio) {
-                        client.set_bytes(key, value.clone()).is_ok()
-                    } else {
-                        client.get_bytes(key).is_ok()
-                    };
-                    if ok {
-                        done += 1;
-                    }
-                    i += 1;
-                }
-                done
-            })
-        })
-        .collect();
-    let done: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    done as f64 / duration.as_secs_f64() / 1e6
-}
-
-/// Live-measurement window length in milliseconds (override with
-/// `HARMONIA_LIVE_BENCH_MS`; CI smoke-runs with a small value).
-pub fn live_measure_window() -> std::time::Duration {
-    let ms = std::env::var("HARMONIA_LIVE_BENCH_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(400);
-    std::time::Duration::from_millis(ms)
-}
-
 /// Print a TSV table with a title and the paper's expected shape.
 pub fn print_table(title: &str, expectation: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");
@@ -442,11 +315,6 @@ pub fn mrps(v: f64) -> String {
 /// Format µs with 1 decimal.
 pub fn us(v: f64) -> String {
     format!("{v:.1}")
-}
-
-/// Access a sim's switch actor (post-run inspection).
-pub fn switch_of(sim: &SimCluster) -> Option<&SwitchActor> {
-    sim.switch_actor()
 }
 
 #[cfg(test)]

@@ -1,26 +1,19 @@
-//! Shared writer for the committed `BENCH_*.json` perf snapshots.
+//! Writer for the committed `BENCH_*.json` snapshots.
 //!
-//! The perf-snapshot benches (`udp_dataplane`, `wire_codec`,
-//! `fig_recovery`) each emit a JSON file at the repo root that is committed
-//! and diffed by CI. They used to hand-roll the serialization
-//! independently; this module is the one implementation, so every snapshot
-//! carries the same preamble — bench name, `schema_version`, description,
-//! and the host `{ os, arch }` the numbers were taken on — and the same
-//! suppression knob (`HARMONIA_BENCH_JSON=0`).
+//! A virtual-time figure bench emits a JSON file at the repo root that is
+//! committed and diffed bit-for-bit by CI (`fig_recovery` today; the other
+//! figures are ROADMAP item 5). This module is the one serializer, so every
+//! snapshot carries the same preamble — bench name, `schema_version`,
+//! description, and the host `{ os, arch }` it was generated on. Wall-clock
+//! numbers do not belong here: the perf ledger (`bench/e2e`) reports those
+//! with spreads.
 //!
-//! The output stays deliberately grep-able: CI checks pin exact fragments
-//! like `"schema_version": N` and `"mode": "coalesced"`, so fields are
-//! emitted one per line with a single space after the colon, never
-//! reflowed.
+//! The output is stable text: fields are emitted one per line with a single
+//! space after the colon, never reflowed, so an unchanged run is a no-op
+//! `git diff`.
 
 use std::fmt::Display;
 use std::fmt::Write as _;
-
-/// Whether snapshot emission is enabled. `HARMONIA_BENCH_JSON=0` turns the
-/// writers into no-ops (CI smoke steps that must not dirty the tree).
-pub fn snapshots_enabled() -> bool {
-    std::env::var("HARMONIA_BENCH_JSON").as_deref() != Ok("0")
-}
 
 /// One `BENCH_<name>.json` snapshot under construction.
 ///
@@ -37,8 +30,7 @@ pub struct Snapshot {
 impl Snapshot {
     /// Start a snapshot with the uniform preamble: `bench`,
     /// `schema_version` (bump whenever a field is added, renamed, or
-    /// changes meaning — CI pins that it never moves backwards), the
-    /// one-line `description`, and the host os/arch.
+    /// changes meaning), the one-line `description`, and the host os/arch.
     pub fn new(bench: &'static str, schema_version: u32, description: &str) -> Self {
         let mut snap = Snapshot {
             bench,
@@ -82,17 +74,15 @@ impl Snapshot {
         self.entries.push(out);
     }
 
-    /// Seal the object and write `BENCH_<bench>.json` at the repo root.
-    /// No-op (silently) when [`snapshots_enabled`] is false; a write error
-    /// is reported but never panics — losing a perf snapshot must not fail
-    /// the bench run itself.
+    fn render(&self) -> String {
+        format!("{{\n{}\n}}\n", self.entries.join(",\n"))
+    }
+
+    /// Seal the object and write `BENCH_<bench>.json` at the repo root. A
+    /// write error is reported but never panics — losing a snapshot must
+    /// not fail the bench run itself.
     pub fn write(self) {
-        if !snapshots_enabled() {
-            return;
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&self.entries.join(",\n"));
-        out.push_str("\n}\n");
+        let out = self.render();
         // Repo root, regardless of the invoking directory: this crate lives
         // at `crates/bench`, two levels down.
         let path = format!(
@@ -111,19 +101,11 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    fn render(snap: Snapshot) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&snap.entries.join(",\n"));
-        out.push_str("\n}\n");
-        out
-    }
-
     #[test]
     fn preamble_is_uniform_and_greppable() {
         let snap = Snapshot::new("example", 3, "what this measures");
-        let text = render(snap);
-        // The exact fragments CI greps for: single space after the colon,
-        // one field per line.
+        let text = snap.render();
+        // Single space after the colon, one field per line.
         assert!(text.contains("\"bench\": \"example\""), "{text}");
         assert!(text.contains("\"schema_version\": 3"), "{text}");
         assert!(text.contains("\"description\": \"what this measures\""));
@@ -139,7 +121,7 @@ mod tests {
             "rows",
             &["{ \"a\": 1 }".to_string(), "{ \"a\": 2 }".to_string()],
         );
-        let text = render(snap);
+        let text = snap.render();
         // No trailing comma before a closing bracket/brace.
         assert!(!text.contains(",\n  ]"), "{text}");
         assert!(!text.contains(",\n}}"), "{text}");

@@ -502,11 +502,6 @@ impl SimCluster {
         self.world
     }
 
-    /// The address client traffic currently targets.
-    pub fn client_switch_addr(&self) -> NodeId {
-        self.switch
-    }
-
     /// Advance virtual time to `t`.
     pub fn run_until(&mut self, t: Instant) {
         self.world.run_until(t);
@@ -678,11 +673,12 @@ impl Cluster for SimCluster {
     }
 
     fn switch_stats(&self) -> Option<SwitchStats> {
-        self.switch_actor().map(|sw| sw.stats())
+        self.switch_actor().map(|sw| sw.core().stats())
     }
 
     fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.switch_actor().and_then(|sw| sw.group_stats(group))
+        self.switch_actor()
+            .and_then(|sw| sw.core().group_stats(group))
     }
 
     fn fast_path_enabled(&self) -> Option<bool> {
@@ -691,15 +687,16 @@ impl Cluster for SimCluster {
 
     fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
         self.switch_actor()
-            .and_then(|sw| sw.group_detector(group).map(|d| d.fast_path_enabled()))
+            .and_then(|sw| sw.core().group_detector(group))
+            .map(|d| d.fast_path_enabled())
     }
 
     fn switch_memory_bytes(&self) -> Option<usize> {
-        self.switch_actor().map(|sw| sw.memory_bytes())
+        self.switch_actor().map(|sw| sw.core().memory_bytes())
     }
 
     fn switch_incarnation(&self) -> Option<SwitchId> {
-        self.switch_actor().map(|sw| sw.incarnation())
+        self.switch_actor().map(|sw| sw.core().incarnation())
     }
 
     fn obs_snapshot(&self) -> ObsSnapshot {
@@ -714,7 +711,7 @@ impl Cluster for SimCluster {
         };
         snap.apply_recorder(&rs);
         if let Some(sw) = self.switch_actor() {
-            let view = sw.view();
+            let view = sw.core().view();
             let (switch, per_group) =
                 spine_obs(&view, rs.counter(harmonia_obs::Counter::SwitchSwept));
             snap.switch = switch;
@@ -942,7 +939,7 @@ mod tests {
         let m1 = one.switch_memory_bytes().unwrap();
         let m4 = four.switch_memory_bytes().unwrap();
         assert_eq!(m4, 4 * m1);
-        assert_eq!(four.switch_actor().unwrap().group_count(), 4);
+        assert_eq!(four.switch_actor().unwrap().core().group_count(), 4);
     }
 
     #[test]

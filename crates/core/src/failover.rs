@@ -50,7 +50,7 @@ pub(crate) fn activate_switch(
     replacement: SwitchActor,
     clients: &[NodeId],
 ) -> NodeId {
-    let new_id = replacement.incarnation();
+    let new_id = replacement.core().incarnation();
     let new_addr = NodeId::Switch(new_id);
     world.add_node(new_addr, Box::new(replacement));
     inject(world, control::lease_move(spec, new_id));
@@ -207,6 +207,7 @@ mod tests {
         let after = sim.world().metrics().counter(metrics::READ_DONE);
         assert!(after > 1000, "after={after}");
         let sw: &SwitchActor = sim.world().actor(NodeId::Switch(SwitchId(2))).unwrap();
+        let sw = sw.core();
         assert!(sw.detector().fast_path_enabled());
         assert!(sw.stats().reads_fast_path > 0);
         assert_eq!(sw.incarnation(), SwitchId(2));
@@ -280,7 +281,7 @@ mod tests {
             "recovered tail applied nothing"
         );
         let sw: &SwitchActor = sim.world().actor(spec.switch_addr()).unwrap();
-        assert!(!sw.is_gated(ReplicaId(2)), "gate never lifted");
+        assert!(!sw.core().is_gated(ReplicaId(2)), "gate never lifted");
 
         // Service kept flowing after the recovery.
         sim.world_mut().metrics_mut().reset();

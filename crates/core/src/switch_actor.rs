@@ -33,8 +33,8 @@ use harmonia_switch::{
     ReadEntry, Sequencer, SpineView, SwitchStats, TableConfig, WriteDecision, WriteEntry,
 };
 use harmonia_types::{
-    ClientRequest, ControlMsg, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody, ReadMode,
-    ReplicaId, SwitchId, SwitchSeq, TraceId,
+    ClientReply, ClientRequest, ControlMsg, Duration, Instant, NodeId, ObjectId, OpKind,
+    PacketBody, ReadMode, ReplicaId, SwitchId, SwitchSeq, TraceId,
 };
 use harmonia_workload::ShardMap;
 
@@ -67,6 +67,18 @@ pub struct SwitchActorConfig {
     /// Cadence of the control-plane stale-entry sweep (§5.2); `None`
     /// disables it (lazy read-time scrubbing still runs).
     pub sweep_interval: Option<Duration>,
+}
+
+/// The replica a control-plane message is about — a bulk reconfiguration is
+/// about its first member. Both switch shapes address control by it.
+fn control_subject(ctl: &ControlMsg) -> Option<ReplicaId> {
+    match ctl {
+        ControlMsg::AddReplica(r) | ControlMsg::RemoveReplica(r) | ControlMsg::GateReplica(r) => {
+            Some(*r)
+        }
+        ControlMsg::UngateReplica { replica, .. } => Some(*replica),
+        ControlMsg::SetReplicas(rs) => rs.first().copied(),
+    }
 }
 
 /// One replica group's complete switch-side state — conflict detector,
@@ -157,6 +169,11 @@ impl GroupCore {
     /// Dirty-set SRAM consumed by this group.
     pub fn memory_bytes(&self) -> usize {
         self.detector.memory_bytes()
+    }
+
+    /// The group's current members, in role order.
+    pub fn replicas(&self) -> &[ReplicaId] {
+        self.fwd.replicas()
     }
 
     /// Whether replica `r` is currently read-gated in this group's table.
@@ -297,12 +314,7 @@ impl GroupCore {
         self.stats.completions += 1;
     }
 
-    fn handle_reply(
-        &mut self,
-        me: NodeId,
-        reply: harmonia_types::ClientReply,
-        out: &mut Vec<(NodeId, Msg)>,
-    ) {
+    fn handle_reply(&mut self, me: NodeId, reply: ClientReply, out: &mut Vec<(NodeId, Msg)>) {
         // Snoop the piggybacked completion (Figure 2b), then forward the
         // reply to its client.
         if self.mode == SwitchMode::Harmonia {
@@ -320,54 +332,60 @@ impl GroupCore {
         self.fwd.replicas().contains(&r) || self.provisioned.contains(&r)
     }
 
-    /// Control-plane membership changes in the live fleet arrive by
-    /// broadcast (the stateless spine cannot know which group a replica
-    /// currently lives in), so each group applies only the changes
-    /// addressed to it. The monolithic [`SwitchCore::handle`] routes
-    /// exactly instead — sim behavior is unchanged. Residual divergence:
-    /// live cross-group replica moves (which no §5.3 flow performs) and
-    /// controls naming replicas unknown to every group (the monolith
-    /// defaults those to group 0; a fleet drops them).
     fn handle_control(&mut self, ctl: ControlMsg) {
         match ctl {
-            ControlMsg::AddReplica(r) => {
-                if self.owns(r) {
-                    self.fwd.add_replica(r);
-                }
-            }
-            ControlMsg::RemoveReplica(r) => {
-                if self.fwd.replicas().contains(&r) {
-                    self.fwd.remove_replica(r);
-                }
-            }
-            ControlMsg::SetReplicas(rs) => {
-                if rs.first().is_some_and(|&r| self.owns(r)) {
-                    self.fwd.set_replicas(rs);
-                }
-            }
+            ControlMsg::AddReplica(r) => self.fwd.add_replica(r),
+            ControlMsg::RemoveReplica(r) => self.fwd.remove_replica(r),
+            ControlMsg::SetReplicas(rs) => self.fwd.set_replicas(rs),
             ControlMsg::GateReplica(r) => {
-                if self.owns(r) {
-                    // Gate floor: the group's last-committed point right
-                    // now. Every write in the replica's recovery window is
-                    // at or below it, so an ungate proving catch-up past
-                    // the floor proves the window is covered.
-                    let floor = self.detector.last_committed();
-                    self.fwd.gate_replica(r, floor);
-                }
+                // Gate floor: the group's last-committed point right
+                // now. Every write in the replica's recovery window is
+                // at or below it, so an ungate proving catch-up past
+                // the floor proves the window is covered.
+                let floor = self.detector.last_committed();
+                self.fwd.gate_replica(r, floor);
             }
             ControlMsg::UngateReplica { replica, caught_up } => {
-                if self.owns(replica) {
-                    self.fwd.ungate_replica(replica, caught_up);
-                }
+                self.fwd.ungate_replica(replica, caught_up);
             }
         }
     }
 
-    /// Process one packet addressed to this group, pushing forwarded
-    /// packets onto `out`. This is the whole per-packet pipeline of a live
-    /// worker; the monolithic [`SwitchCore::handle`] dispatches to the same
-    /// arms after shard-routing.
+    /// Process one packet a pipeline fleet's spine delivered to this group,
+    /// pushing forwarded packets onto `out` — the whole per-packet pipeline
+    /// of a live worker.
+    ///
+    /// Control reaches a fleet by broadcast (the stateless spine cannot know
+    /// which group a replica currently lives in), so a group applies only
+    /// what names a replica it serves or was provisioned with; everything
+    /// else was shard-routed here. [`SwitchCore::handle`] picks the one group a
+    /// packet addresses itself and then runs the same arms, so for every
+    /// control sequence about a deployment's own replicas the fleet and the
+    /// monolith end in the same per-group state
+    /// (`split_group_cores_match_monolith_accounting` in
+    /// `tests/proptests.rs`). Where they still part: a replica moved across
+    /// groups (which no §5.3 flow performs) is owned by two groups of a
+    /// fleet, and a control naming a replica unknown to every group is
+    /// dropped by a fleet while the monolith defaults it to group 0.
     pub fn handle(
+        &mut self,
+        now: Instant,
+        me: NodeId,
+        msg: Msg,
+        rng: &mut rand::rngs::SmallRng,
+        out: &mut Vec<(NodeId, Msg)>,
+    ) {
+        if let PacketBody::Control(ctl) = &msg.body {
+            if !control_subject(ctl).is_some_and(|r| self.owns(r)) {
+                self.recorder.incr(Counter::SwitchPackets);
+                return;
+            }
+        }
+        self.handle_routed(now, me, msg, rng, out);
+    }
+
+    /// Run the arm of a packet already known to address this group.
+    fn handle_routed(
         &mut self,
         now: Instant,
         me: NodeId,
@@ -428,14 +446,6 @@ pub struct SwitchCore {
     cfg: SwitchActorConfig,
     groups: BTreeMap<GroupId, GroupCore>,
     shards: ShardMap,
-    /// Where each replica was provisioned (control-plane routing for
-    /// `AddReplica` after a removal emptied its group entry).
-    home: BTreeMap<ReplicaId, GroupId>,
-    /// Counters not attributable to any one group (L2/L3 forwards).
-    misc: SwitchStats,
-    /// Where the packets this core handles are counted — the recorder its
-    /// groups share.
-    recorder: Recorder,
 }
 
 impl SwitchCore {
@@ -471,25 +481,21 @@ impl SwitchCore {
             ProtocolKind::Nopaxos => (WriteEntry::Multicast, ReadEntry::Leader),
         };
         let shards = ShardMap::new(memberships.len());
-        let mut groups = BTreeMap::new();
-        let mut home = BTreeMap::new();
-        for (g, members) in memberships.into_iter().enumerate() {
-            let gid = GroupId(g as u32);
-            for &r in &members {
-                home.insert(r, gid);
-            }
-            groups.insert(
-                gid,
-                GroupCore::new(&cfg, gid, members, write_entry, read_entry),
-            );
-        }
+        let groups = memberships
+            .into_iter()
+            .enumerate()
+            .map(|(g, members)| {
+                let gid = GroupId(g as u32);
+                (
+                    gid,
+                    GroupCore::new(&cfg, gid, members, write_entry, read_entry),
+                )
+            })
+            .collect();
         SwitchCore {
             cfg,
             groups,
             shards,
-            home,
-            misc: SwitchStats::default(),
-            recorder: Recorder::detached(),
         }
     }
 
@@ -499,7 +505,7 @@ impl SwitchCore {
 
     /// Aggregate data-plane counters across every hosted group.
     pub fn stats(&self) -> SwitchStats {
-        let mut total = self.misc;
+        let mut total = SwitchStats::default();
         for core in self.groups.values() {
             total.merge(&core.stats);
         }
@@ -568,16 +574,18 @@ impl SwitchCore {
         self.groups.into_values().collect()
     }
 
-    /// The group a control-plane membership change addresses: wherever the
-    /// replica currently lives, falling back to where it was provisioned,
-    /// then to group 0 (single-group deployments never hit the fallbacks).
-    fn control_group(&self, r: ReplicaId) -> GroupId {
+    /// The group a control-plane message addresses: wherever the replica it
+    /// names currently lives, falling back to where it was provisioned, then
+    /// to group 0 (single-group deployments never hit the fallbacks).
+    fn control_group(&self, ctl: &ControlMsg) -> GroupId {
+        let Some(r) = control_subject(ctl) else {
+            return GroupId(0);
+        };
         self.groups
-            .iter()
-            .find(|(_, c)| c.fwd.replicas().contains(&r))
-            .map(|(&g, _)| g)
-            .or_else(|| self.home.get(&r).copied())
-            .unwrap_or(GroupId(0))
+            .values()
+            .find(|c| c.fwd.replicas().contains(&r))
+            .or_else(|| self.groups.values().find(|c| c.provisioned.contains(&r)))
+            .map_or(GroupId(0), |c| c.group)
     }
 
     /// Attach an observability recorder, shared (cloned) across every
@@ -588,10 +596,12 @@ impl SwitchCore {
         for core in self.groups.values_mut() {
             core.set_recorder(recorder.clone());
         }
-        self.recorder = recorder.clone();
     }
 
-    /// Process one packet, pushing forwarded packets onto `out`.
+    /// Process one packet, pushing forwarded packets onto `out`: pick the
+    /// group it addresses — the object's shard for what Algorithm 1 acts on,
+    /// the named replica's group for control, any group for what is only
+    /// forwarded — and run that group's arm.
     pub fn handle(
         &mut self,
         now: Instant,
@@ -600,86 +610,19 @@ impl SwitchCore {
         rng: &mut rand::rngs::SmallRng,
         out: &mut Vec<(NodeId, Msg)>,
     ) {
-        self.recorder.incr(Counter::SwitchPackets);
-        match msg.body {
-            PacketBody::Request(req) => {
-                let gid = self.group_of(req.obj);
-                if let Some(core) = self.groups.get_mut(&gid) {
-                    match req.op {
-                        OpKind::Write => core.handle_write(now, me, req, out),
-                        OpKind::Read => core.handle_read(now, me, req, rng, out),
-                    }
-                }
-            }
-            PacketBody::Reply(reply) => {
-                // Snoop the piggybacked completion (Figure 2b) into its
-                // object's group, then forward the reply to its client.
-                if self.cfg.mode == SwitchMode::Harmonia {
-                    if let Some(c) = reply.completion {
-                        let gid = self.group_of(c.obj);
-                        if let Some(core) = self.groups.get_mut(&gid) {
-                            core.snoop_completion(c);
-                        }
-                    }
-                }
-                let dst = NodeId::Client(reply.client);
-                out.push((dst, Msg::new(me, dst, PacketBody::Reply(reply))));
-            }
-            PacketBody::Completion(c) => {
-                if self.cfg.mode == SwitchMode::Harmonia {
-                    let gid = self.group_of(c.obj);
-                    if let Some(core) = self.groups.get_mut(&gid) {
-                        core.snoop_completion(c);
-                    }
-                }
-            }
-            PacketBody::Control(ctl) => match ctl {
-                ControlMsg::AddReplica(r) => {
-                    let gid = self.control_group(r);
-                    self.home.insert(r, gid);
-                    if let Some(core) = self.groups.get_mut(&gid) {
-                        core.fwd.add_replica(r);
-                    }
-                }
-                ControlMsg::RemoveReplica(r) => {
-                    let gid = self.control_group(r);
-                    if let Some(core) = self.groups.get_mut(&gid) {
-                        core.fwd.remove_replica(r);
-                    }
-                }
-                ControlMsg::SetReplicas(rs) => {
-                    let gid = rs
-                        .first()
-                        .map(|&r| self.control_group(r))
-                        .unwrap_or(GroupId(0));
-                    for &r in &rs {
-                        self.home.insert(r, gid);
-                    }
-                    if let Some(core) = self.groups.get_mut(&gid) {
-                        core.fwd.set_replicas(rs);
-                    }
-                }
-                ControlMsg::GateReplica(r) => {
-                    let gid = self.control_group(r);
-                    if let Some(core) = self.groups.get_mut(&gid) {
-                        let floor = core.detector.last_committed();
-                        core.fwd.gate_replica(r, floor);
-                    }
-                }
-                ControlMsg::UngateReplica { replica, caught_up } => {
-                    let gid = self.control_group(replica);
-                    if let Some(core) = self.groups.get_mut(&gid) {
-                        core.fwd.ungate_replica(replica, caught_up);
-                    }
-                }
-            },
-            PacketBody::Protocol(p) => {
-                // L2/L3 forwarding of protocol traffic routed through the
-                // switch (the sim normally sends these direct).
-                self.misc.forwarded_other += 1;
-                let dst = msg.dst;
-                out.push((dst, Msg::new(msg.src, dst, PacketBody::Protocol(p))));
-            }
+        let gid = match &msg.body {
+            PacketBody::Request(req) => self.group_of(req.obj),
+            PacketBody::Completion(c)
+            | PacketBody::Reply(ClientReply {
+                completion: Some(c),
+                ..
+            }) => self.group_of(c.obj),
+            PacketBody::Control(ctl) => self.control_group(ctl),
+            // Only forwarded: any group's arm does.
+            PacketBody::Reply(_) | PacketBody::Protocol(_) => GroupId(0),
+        };
+        if let Some(core) = self.groups.get_mut(&gid) {
+            core.handle_routed(now, me, msg, rng, out);
         }
     }
 
@@ -729,55 +672,9 @@ impl SwitchActor {
         self.core.set_recorder(recorder);
     }
 
-    /// Aggregate data-plane counters.
-    pub fn stats(&self) -> SwitchStats {
-        self.core.stats()
-    }
-
-    /// One group's data-plane counters.
-    pub fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.core.group_stats(group)
-    }
-
-    /// The conflict-detection module (inspection; group 0).
-    pub fn detector(&self) -> &ConflictDetector {
-        self.core.detector()
-    }
-
-    /// A specific group's conflict detector (inspection).
-    pub fn group_detector(&self, group: GroupId) -> Option<&ConflictDetector> {
-        self.core.group_detector(group)
-    }
-
-    /// Number of replica groups hosted by this switch.
-    pub fn group_count(&self) -> usize {
-        self.core.group_count()
-    }
-
-    /// Dirty-set SRAM consumed by one hosted group.
-    pub fn group_memory_bytes(&self, group: GroupId) -> Option<usize> {
-        self.core.group_memory_bytes(group)
-    }
-
-    /// Aggregate-only view across every hosted group (the same shape live
-    /// pipeline fleets export).
-    pub fn view(&self) -> SpineView {
-        self.core.view()
-    }
-
-    /// Total dirty-set SRAM across every hosted group.
-    pub fn memory_bytes(&self) -> usize {
-        self.core.memory_bytes()
-    }
-
-    /// This incarnation's id.
-    pub fn incarnation(&self) -> SwitchId {
-        self.core.incarnation()
-    }
-
-    /// Whether replica `r` is currently read-gated in its group's table.
-    pub fn is_gated(&self, r: ReplicaId) -> bool {
-        self.core.is_gated(r)
+    /// The switch logic this actor shells (post-run inspection).
+    pub fn core(&self) -> &SwitchCore {
+        &self.core
     }
 }
 
@@ -894,7 +791,7 @@ mod tests {
             panic!()
         };
         assert_eq!(req.seq, Some(SwitchSeq::new(SwitchId(1), 1)));
-        let sw: &SwitchActor = w.actor(SWITCH).unwrap();
+        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
         assert_eq!(sw.detector().dirty_len(), 1);
     }
 
@@ -930,7 +827,7 @@ mod tests {
             &mut w,
             ClientRequest::read(ClientId(1), RequestId(3), &b"a"[..]),
         );
-        let sw: &SwitchActor = w.actor(SWITCH).unwrap();
+        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
         assert_eq!(sw.stats().reads_fast_path, 1);
         assert_eq!(sw.stats().reads_normal, 1);
         let fast: Vec<_> = (0..3)
@@ -974,7 +871,7 @@ mod tests {
             &mut w,
             ClientRequest::read(ClientId(1), RequestId(3), &b"hot"[..]),
         );
-        let sw: &SwitchActor = w.actor(SWITCH).unwrap();
+        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
         assert_eq!(sw.stats().reads_normal, 1);
         assert_eq!(sw.stats().reads_fast_path, 0);
     }
@@ -990,7 +887,7 @@ mod tests {
         }
         assert_eq!(replica_msgs(&w, 2).len(), 5, "all reads at the tail");
         assert_eq!(replica_msgs(&w, 0).len(), 0);
-        let sw: &SwitchActor = w.actor(SWITCH).unwrap();
+        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
         assert_eq!(sw.detector().dirty_len(), 0, "baseline tracks nothing");
     }
 
@@ -1042,7 +939,7 @@ mod tests {
             &mut w,
             ClientRequest::write(ClientId(1), RequestId(1), &b"k"[..], &b"v"[..]),
         );
-        let sw: &SwitchActor = w.actor(SWITCH).unwrap();
+        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
         assert_eq!(sw.detector().dirty_len(), 1);
         // Tail's reply with the piggybacked completion passes the switch.
         let reply = harmonia_types::ClientReply {
@@ -1067,7 +964,7 @@ mod tests {
             ),
         );
         w.run_until_idle(100);
-        let sw: &SwitchActor = w.actor(SWITCH).unwrap();
+        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
         assert_eq!(sw.detector().dirty_len(), 0, "completion cleared the entry");
         assert!(sw.detector().fast_path_enabled());
         // And the client received the forwarded reply.

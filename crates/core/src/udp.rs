@@ -365,12 +365,6 @@ impl ThreadedCluster<Sockets> {
         self.substrate.fault_counters.snapshot()
     }
 
-    /// Reorder-held datagrams discarded at endpoint teardown (instead of
-    /// flushed toward addresses that may already be gone).
-    pub fn discarded_count(&self) -> u64 {
-        self.substrate.fault_counters.discarded()
-    }
-
     /// Number of unicast entries currently in the deployment's address book
     /// (leak checks: dropped clients must deregister themselves).
     pub fn unicast_entries(&self) -> usize {

@@ -14,16 +14,13 @@
 //!   covers the tag.
 //! * [`VersionChain`] — the multi-version form CRAQ needs (clean version +
 //!   pending dirty versions).
-//! * [`Batch`] — grouped operations, the analogue of Redis pipelining.
 //!
 //! [`SwitchSeq`]: harmonia_types::SwitchSeq
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
 pub mod store;
 pub mod versioned;
 
-pub use batch::{Batch, BatchOp, BatchResult};
 pub use store::{Store, StoreStats};
 pub use versioned::{VersionChain, VersionedValue};

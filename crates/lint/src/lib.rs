@@ -10,7 +10,7 @@
 //! | rule          | scope                                   | forbids |
 //! |---------------|-----------------------------------------|---------|
 //! | `determinism` | sim, switch, replication, types, verify, workload, kv, obs | wall-clock reads, entropy-seeded RNGs/hashers, iteration over `HashMap`/`HashSet` |
-//! | `unsafe`      | whole workspace                         | `unsafe` outside vendor/mmsg, vendor/bytes; unsafe without `SAFETY:`; missing `#![forbid(unsafe_code)]` headers |
+//! | `unsafe`      | whole workspace                         | `unsafe` outside vendor/mmsg; unsafe without `SAFETY:`; missing `#![forbid(unsafe_code)]` headers |
 //! | `panic_path`  | net/udp.rs, net/coalesce.rs, core/live.rs, core/udp.rs, types/wire.rs, obs/recorder.rs, obs/hist.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
 //! | `layering`    | replication, switch                     | `std::net`, `harmonia-net`, socket types |
 //!
@@ -136,10 +136,7 @@ impl Policy {
             .iter()
             .map(|s| s.to_string())
             .collect(),
-            unsafe_allowed: ["vendor/mmsg/", "vendor/bytes/"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
+            unsafe_allowed: vec!["vendor/mmsg/".to_string()],
             hot_paths: [
                 "crates/net/src/udp.rs",
                 "crates/net/src/coalesce.rs",
@@ -250,7 +247,7 @@ fn walk(dir: &Path, f: &mut impl FnMut(&Path) -> std::io::Result<()>) -> std::io
 ///
 /// - crates with no sanctioned `unsafe` must carry
 ///   `#![forbid(unsafe_code)]`;
-/// - the vendored `mmsg` and `bytes` crates must carry
+/// - the vendored `mmsg` crate must carry
 ///   `#![deny(unsafe_op_in_unsafe_fn)]`.
 pub fn check_crate_attrs(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
@@ -277,7 +274,7 @@ pub fn check_crate_attrs(root: &Path) -> std::io::Result<Vec<Finding>> {
         let s = scan::scan(&src);
         let crate_dir = rel.trim_end_matches("/src/lib.rs");
         let (needs_forbid, needs_strict_unsafe_fn) = match crate_dir {
-            "vendor/mmsg" | "vendor/bytes" => (false, true),
+            "vendor/mmsg" => (false, true),
             _ => (true, false),
         };
         if needs_forbid && !has_inner_attr(&s, "forbid", "unsafe_code") {

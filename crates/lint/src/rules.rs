@@ -506,7 +506,7 @@ fn check_layering(rel_path: &str, s: &Scan, findings: &mut Vec<Finding>) {
 }
 
 /// Rule family 2 — unsafe audit. `unsafe` may appear only in the explicit
-/// allowlist (the vendored syscall and buffer crates), and every occurrence
+/// allowlist (the vendored syscall crate), and every occurrence
 /// there must justify itself with a nearby `SAFETY:` comment (or a
 /// `# Safety` doc section for `unsafe fn`). Everything else is locked by
 /// `#![forbid(unsafe_code)]`, which this rule's crate-attribute companion
@@ -522,7 +522,7 @@ fn check_unsafe(rel_path: &str, s: &Scan, policy: &Policy, findings: &mut Vec<Fi
                 rel_path,
                 t.line,
                 Rule::Unsafe,
-                "`unsafe` outside the audited allowlist (vendor/mmsg, vendor/bytes)".into(),
+                "`unsafe` outside the audited allowlist (vendor/mmsg)".into(),
             ));
         } else {
             let justified = s

@@ -328,7 +328,6 @@ fn lock_ring(ring: &Mutex<TraceRing>) -> MutexGuard<'_, TraceRing> {
 pub struct Registry {
     shards: Mutex<Vec<Arc<Shard>>>,
     clock: Arc<dyn Clock>,
-    trace_cap: usize,
 }
 
 impl Default for Registry {
@@ -337,8 +336,8 @@ impl Default for Registry {
     }
 }
 
-/// Default trace-ring capacity per recorder.
-pub(crate) const DEFAULT_TRACE_CAP: usize = 1024;
+/// Trace-ring capacity per recorder.
+const TRACE_CAP: usize = 1024;
 
 impl Registry {
     /// A registry whose recorders stamp trace events explicitly (clock reads
@@ -354,21 +353,14 @@ impl Registry {
         Registry {
             shards: Mutex::new(Vec::new()),
             clock,
-            trace_cap: DEFAULT_TRACE_CAP,
         }
-    }
-
-    /// Override the per-recorder trace-ring capacity (builder style).
-    pub fn trace_capacity(mut self, cap: usize) -> Self {
-        self.trace_cap = cap.max(1);
-        self
     }
 
     /// Register a new shard and return its owner handle. Shards are merged
     /// in registration order, which is deterministic wherever registration
     /// is (the single-threaded simulator).
     pub fn handle(&self) -> Recorder {
-        let shard = Arc::new(Shard::new(self.trace_cap));
+        let shard = Arc::new(Shard::new(TRACE_CAP));
         match self.shards.lock() {
             Ok(mut s) => s.push(Arc::clone(&shard)),
             Err(poisoned) => poisoned.into_inner().push(Arc::clone(&shard)),

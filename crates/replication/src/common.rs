@@ -28,12 +28,6 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// Read-ahead protocols can expose uncommitted state at replicas;
-    /// read-behind protocols can lag the commit point (§3).
-    pub fn is_read_ahead(self) -> bool {
-        matches!(self, ProtocolKind::PrimaryBackup | ProtocolKind::Chain)
-    }
-
     /// Stable lowercase name, used as the `protocol` label in
     /// observability exports.
     pub fn name(self) -> &'static str {

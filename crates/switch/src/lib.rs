@@ -37,6 +37,6 @@ pub mod table;
 pub use conflict::{ConflictConfig, ConflictDetector, ReadDecision, WriteDecision};
 pub use forwarding::{ForwardingTable, ReadEntry, WriteEntry};
 pub use sequencer::Sequencer;
-pub use spine::{GroupId, GroupObservation, SpineSwitch, SpineView};
+pub use spine::{GroupId, GroupObservation, SpineView};
 pub use stats::{ResourceModel, SwitchStats};
 pub use table::{MultiStageHashTable, TableConfig};

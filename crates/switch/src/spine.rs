@@ -1,4 +1,4 @@
-//! Multi-group scheduling — the §6.3 cloud-scale deployment.
+//! Multi-group scheduling — the read side of the §6.3 cloud-scale deployment.
 //!
 //! For rack-scale storage the ToR switch hosts one conflict detector. For
 //! cloud-scale storage, replicas spread across racks and all traffic for a
@@ -7,30 +7,19 @@
 //! *many* replica groups because each group's dirty set is tiny (§9.4
 //! measures ~16 KB per group).
 //!
-//! [`SpineSwitch`] is that aggregation: a table of per-group conflict
-//! detectors with shared memory accounting, so the §6.3 claim — "the
-//! capacity of a switch far exceeds that of a single replica group" — can
-//! be checked quantitatively (see `memory_bytes` vs. a tens-of-MB SRAM
-//! budget).
-//!
 //! A real Tofino processes different groups' packets in parallel at line
-//! rate, so nothing in this state is inherently shared: each group's
+//! rate, so nothing in a group's state is inherently shared: each group's
 //! detector is independent, and only the *accounting* is whole-switch. The
-//! module therefore exposes both ownership shapes. [`SpineSwitch`] is the
-//! single-owner aggregate (what the deterministic simulator runs), and
-//! [`SpineSwitch::into_groups`] tears it into per-group detectors that
-//! independent pipeline workers can own exclusively — no lock on the packet
-//! path. Workers export [`GroupObservation`] snapshots; [`SpineView`] is the
-//! aggregate-only read side that folds those snapshots back into the same
-//! `memory_bytes`/stats totals the single-owner shape reports.
+//! per-group state and packet logic live in `harmonia-core`'s `GroupCore`
+//! (one per pipeline thread in the threaded drivers, all of them behind one
+//! `SwitchCore` actor in the simulator); this module holds what both shapes
+//! export. Whoever owns a group hands out [`GroupObservation`] snapshots,
+//! and [`SpineView`] folds them into the whole-switch `memory_bytes` / stats
+//! totals, so the §6.3 claim — "the capacity of a switch far exceeds that of
+//! a single replica group" — can be checked against a tens-of-MB SRAM
+//! budget.
 
-use std::collections::BTreeMap;
-
-use harmonia_types::{ObjectId, SwitchId, WriteCompletion};
-
-use crate::conflict::{ConflictConfig, ConflictDetector, ReadDecision, WriteDecision};
 use crate::stats::SwitchStats;
-use crate::table::TableConfig;
 
 /// Identifies one replica group served by a spine switch.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -55,9 +44,9 @@ pub struct GroupObservation {
 }
 
 /// Aggregate-only view over per-group observations: the whole-switch
-/// `memory_bytes`/stats accounting of [`SpineSwitch`], reconstructed from
-/// snapshots instead of owned state. This is what a control plane sees when
-/// the groups themselves live on independent pipeline workers.
+/// `memory_bytes`/stats accounting, reconstructed from snapshots instead of
+/// owned state. This is what a control plane sees when the groups
+/// themselves live on independent pipeline workers.
 #[derive(Clone, Debug, Default)]
 pub struct SpineView {
     observations: Vec<GroupObservation>,
@@ -85,8 +74,7 @@ impl SpineView {
         &self.observations
     }
 
-    /// Aggregate data-plane counters across every observed group — the same
-    /// fold [`SpineSwitch`]-backed switches report.
+    /// Aggregate data-plane counters across every observed group.
     pub fn stats(&self) -> SwitchStats {
         let mut total = SwitchStats::default();
         for o in &self.observations {
@@ -116,311 +104,33 @@ impl SpineView {
     }
 }
 
-/// A switch hosting the Harmonia scheduler for many replica groups.
-pub struct SpineSwitch {
-    incarnation: SwitchId,
-    per_group_table: TableConfig,
-    groups: BTreeMap<GroupId, ConflictDetector>,
-}
-
-impl SpineSwitch {
-    /// A spine switch with the given per-group dirty-set geometry.
-    pub fn new(incarnation: SwitchId, per_group_table: TableConfig) -> Self {
-        SpineSwitch {
-            incarnation,
-            per_group_table,
-            groups: BTreeMap::new(),
-        }
-    }
-
-    /// This incarnation's id (shared by every hosted group: one sequencer
-    /// epoch per physical switch).
-    pub fn incarnation(&self) -> SwitchId {
-        self.incarnation
-    }
-
-    /// Provision the scheduler for a new replica group. Returns false if it
-    /// already exists.
-    pub fn add_group(&mut self, group: GroupId) -> bool {
-        if self.groups.contains_key(&group) {
-            return false;
-        }
-        self.groups.insert(
-            group,
-            ConflictDetector::new(ConflictConfig {
-                switch_id: self.incarnation,
-                table: self.per_group_table,
-            }),
-        );
-        true
-    }
-
-    /// Decommission a group, releasing its SRAM.
-    pub fn remove_group(&mut self, group: GroupId) -> bool {
-        self.groups.remove(&group).is_some()
-    }
-
-    /// Number of hosted groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Algorithm 1's WRITE path for one group.
-    pub fn process_write(&mut self, group: GroupId, obj: ObjectId) -> Option<WriteDecision> {
-        self.groups.get_mut(&group).map(|d| d.process_write(obj))
-    }
-
-    /// Algorithm 1's READ path for one group.
-    pub fn process_read(&mut self, group: GroupId, obj: ObjectId) -> Option<ReadDecision> {
-        self.groups.get_mut(&group).map(|d| d.process_read(obj))
-    }
-
-    /// WRITE-COMPLETION for one group.
-    pub fn process_completion(&mut self, group: GroupId, completion: WriteCompletion) -> bool {
-        match self.groups.get_mut(&group) {
-            Some(d) => {
-                d.process_completion(completion);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Inspect a group's detector.
-    pub fn group(&self, group: GroupId) -> Option<&ConflictDetector> {
-        self.groups.get(&group)
-    }
-
-    /// Tear the spine into independently-ownable per-group detectors, in
-    /// group order. Each entry is the complete conflict-detection state of
-    /// one group — a pipeline worker that takes one owns that group's
-    /// packet path outright, with no shared state left behind. Reassemble
-    /// an aggregate with [`from_groups`](Self::from_groups), or fold worker
-    /// snapshots through [`SpineView`].
-    pub fn into_groups(self) -> Vec<(GroupId, ConflictDetector)> {
-        self.groups.into_iter().collect()
-    }
-
-    /// Rebuild a single-owner spine from per-group detectors (the inverse
-    /// of [`into_groups`](Self::into_groups)).
-    pub fn from_groups(
-        incarnation: SwitchId,
-        per_group_table: TableConfig,
-        groups: impl IntoIterator<Item = (GroupId, ConflictDetector)>,
-    ) -> Self {
-        SpineSwitch {
-            incarnation,
-            per_group_table,
-            groups: groups.into_iter().collect(),
-        }
-    }
-
-    /// The hosted group ids, in order.
-    pub fn group_ids(&self) -> impl Iterator<Item = GroupId> + '_ {
-        self.groups.keys().copied()
-    }
-
-    /// Control-plane stale-entry sweep (§5.2) over every hosted group.
-    /// Returns the total number of entries removed.
-    pub fn sweep(&mut self) -> usize {
-        self.groups.values_mut().map(|d| d.sweep()).sum()
-    }
-
-    /// Total SRAM consumed across all hosted groups (§6.3's budget check).
-    pub fn memory_bytes(&self) -> usize {
-        self.groups.values().map(|d| d.memory_bytes()).sum()
-    }
-
-    /// SRAM consumed by one hosted group.
-    pub fn group_memory_bytes(&self, group: GroupId) -> Option<usize> {
-        self.groups.get(&group).map(|d| d.memory_bytes())
-    }
-
-    /// How many groups of this geometry fit in `sram_budget_bytes` — the
-    /// quantitative form of "the capacity of a switch far exceeds that of a
-    /// single replica group".
-    pub fn capacity_in(per_group_table: TableConfig, sram_budget_bytes: usize) -> usize {
-        let per_group =
-            per_group_table.stages * per_group_table.slots_per_stage * per_group_table.entry_bytes;
-        sram_budget_bytes / per_group.max(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_types::SwitchSeq;
-
-    fn small_table() -> TableConfig {
-        TableConfig {
-            stages: 3,
-            slots_per_stage: 667, // ≈ the §9.4 measured 2000-slot knee
-            entry_bytes: 8,
-        }
-    }
-
-    fn spine() -> SpineSwitch {
-        let mut s = SpineSwitch::new(SwitchId(1), small_table());
-        assert!(s.add_group(GroupId(1)));
-        assert!(s.add_group(GroupId(2)));
-        s
-    }
-
-    #[test]
-    fn groups_are_isolated() {
-        let mut s = spine();
-        // Group 1 writes object 7; group 2's view of object 7 is clean.
-        let Some(WriteDecision::Stamped(seq)) = s.process_write(GroupId(1), ObjectId(7)) else {
-            panic!("write not stamped");
-        };
-        assert_eq!(s.group(GroupId(1)).unwrap().dirty_len(), 1);
-        assert_eq!(s.group(GroupId(2)).unwrap().dirty_len(), 0);
-        // Completions route per group.
-        assert!(s.process_completion(
-            GroupId(1),
-            WriteCompletion {
-                obj: ObjectId(7),
-                seq,
-            }
-        ));
-        assert_eq!(s.group(GroupId(1)).unwrap().dirty_len(), 0);
-        // Group 1's fast path enabled; group 2 still gated.
-        assert!(matches!(
-            s.process_read(GroupId(1), ObjectId(9)),
-            Some(ReadDecision::FastPath { .. })
-        ));
-        assert!(matches!(
-            s.process_read(GroupId(2), ObjectId(9)),
-            Some(ReadDecision::Normal)
-        ));
-    }
-
-    #[test]
-    fn sequence_numbers_are_per_group_but_share_the_incarnation() {
-        let mut s = spine();
-        let Some(WriteDecision::Stamped(a)) = s.process_write(GroupId(1), ObjectId(1)) else {
-            panic!()
-        };
-        let Some(WriteDecision::Stamped(b)) = s.process_write(GroupId(2), ObjectId(1)) else {
-            panic!()
-        };
-        // Same incarnation id; independent counters (groups never compare
-        // each other's sequence numbers).
-        assert_eq!(a.switch_id, SwitchId(1));
-        assert_eq!(b.switch_id, SwitchId(1));
-        assert_eq!(a, SwitchSeq::new(SwitchId(1), 1));
-        assert_eq!(b, SwitchSeq::new(SwitchId(1), 1));
-    }
-
-    #[test]
-    fn unknown_groups_are_rejected() {
-        let mut s = spine();
-        assert!(s.process_write(GroupId(99), ObjectId(1)).is_none());
-        assert!(s.process_read(GroupId(99), ObjectId(1)).is_none());
-        assert!(!s.process_completion(
-            GroupId(99),
-            WriteCompletion {
-                obj: ObjectId(1),
-                seq: SwitchSeq::new(SwitchId(1), 1),
-            }
-        ));
-        assert!(!s.remove_group(GroupId(99)));
-    }
-
-    #[test]
-    fn group_lifecycle_frees_memory() {
-        let mut s = spine();
-        let two = s.memory_bytes();
-        s.add_group(GroupId(3));
-        assert_eq!(s.group_count(), 3);
-        assert_eq!(s.memory_bytes(), two / 2 * 3);
-        assert!(s.remove_group(GroupId(3)));
-        assert!(!s.add_group(GroupId(1)), "duplicate add rejected");
-        assert_eq!(s.memory_bytes(), two);
-    }
-
-    #[test]
-    fn split_groups_round_trip_and_views_aggregate() {
-        let mut s = spine();
-        let Some(WriteDecision::Stamped(seq)) = s.process_write(GroupId(1), ObjectId(7)) else {
-            panic!()
-        };
-        s.process_completion(
-            GroupId(1),
-            WriteCompletion {
-                obj: ObjectId(7),
-                seq,
-            },
-        );
-        s.process_write(GroupId(2), ObjectId(3));
-        let total_mem = s.memory_bytes();
-
-        // Tear down into exclusively-ownable per-group detectors…
-        let groups = s.into_groups();
-        assert_eq!(
-            groups.iter().map(|(g, _)| *g).collect::<Vec<_>>(),
-            vec![GroupId(1), GroupId(2)],
-            "group order is deterministic"
-        );
-        // …whose independent snapshots fold back into the same accounting.
-        let view = SpineView::new(
-            groups
-                .iter()
-                .map(|(g, d)| GroupObservation {
-                    group: *g,
-                    stats: SwitchStats::default(),
-                    fast_path_enabled: d.fast_path_enabled(),
-                    memory_bytes: d.memory_bytes(),
-                    dirty_len: d.dirty_len(),
-                })
-                .collect(),
-        );
-        assert_eq!(view.memory_bytes(), total_mem);
-        assert_eq!(view.group_count(), 2);
-        assert!(view.group(GroupId(1)).unwrap().fast_path_enabled);
-        assert!(!view.group(GroupId(2)).unwrap().fast_path_enabled);
-        assert_eq!(view.group(GroupId(2)).unwrap().dirty_len, 1);
-
-        // And the single-owner shape reassembles losslessly.
-        let rebuilt = SpineSwitch::from_groups(SwitchId(1), small_table(), groups);
-        assert_eq!(rebuilt.memory_bytes(), total_mem);
-        assert_eq!(rebuilt.group(GroupId(2)).unwrap().dirty_len(), 1);
-        assert!(rebuilt.group(GroupId(1)).unwrap().fast_path_enabled());
-    }
 
     #[test]
     fn spine_view_stats_merge_per_group_counters() {
-        let mk = |group, fast, normal| GroupObservation {
+        let mk = |group, fast, normal, armed, dirty_len| GroupObservation {
             group: GroupId(group),
             stats: SwitchStats {
                 reads_fast_path: fast,
                 reads_normal: normal,
                 ..SwitchStats::default()
             },
-            fast_path_enabled: true,
+            fast_path_enabled: armed,
             memory_bytes: 64,
-            dirty_len: 0,
+            dirty_len,
         };
-        let view = SpineView::new(vec![mk(2, 5, 1), mk(0, 3, 2)]);
+        let view = SpineView::new(vec![mk(2, 5, 1, true, 0), mk(0, 3, 2, false, 1)]);
+        assert_eq!(view.group_count(), 2);
         assert_eq!(view.groups()[0].group, GroupId(0), "snapshots sorted");
         let total = view.stats();
         assert_eq!(total.reads_fast_path, 8);
         assert_eq!(total.reads_normal, 3);
         assert_eq!(view.memory_bytes(), 128);
-    }
-
-    #[test]
-    fn a_ten_mb_switch_hosts_hundreds_of_groups() {
-        // §6.3 + §9.4: with ~16 KB per group, a 10 MB switch serves ~600
-        // replica groups — far beyond one group per switch.
-        let capacity = SpineSwitch::capacity_in(small_table(), 10 * 1024 * 1024);
-        assert!(capacity > 500, "only {capacity} groups fit");
-        // And the full measured configuration is consistent: hosting 100
-        // groups consumes ~1.5 MB.
-        let mut s = SpineSwitch::new(SwitchId(1), small_table());
-        for g in 0..100 {
-            s.add_group(GroupId(g));
-        }
-        assert!(s.memory_bytes() < 2 * 1024 * 1024);
+        assert_eq!(view.dirty_len(), 1);
+        assert_eq!(view.fast_path_groups(), 1);
+        assert!(view.group(GroupId(2)).unwrap().fast_path_enabled);
+        assert!(view.group(GroupId(1)).is_none());
     }
 }

@@ -59,13 +59,15 @@ fn main() {
     // The §6.3 claim, quantitatively: this deployment's whole dirty-set
     // footprint vs. a commodity switch's tens of MB of SRAM.
     let used = cluster.switch_memory_bytes().expect("switch is alive");
-    let per_group = used / 4;
+    let table = config.table;
+    let per_group = table.stages * table.slots_per_stage * table.entry_bytes;
     let budget = 10 * 1024 * 1024;
     println!(
         "switch SRAM: {used} bytes for 4 groups ({per_group} bytes/group) — \
          a 10 MB switch could host ~{} such groups",
-        SpineSwitch::capacity_in(config.table, budget)
+        budget / per_group
     );
+    assert_eq!(used, 4 * per_group);
     assert!(used < budget / 10);
 
     println!("4 groups, one switch, every read observed its write — shutting down");

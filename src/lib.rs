@@ -97,10 +97,9 @@
 //! `replace_switch` verbs tear down and re-spawn the whole fleet under a
 //! fresh incarnation. This mirrors the hardware: a Tofino processes
 //! different groups' packets in parallel at line rate, so group count buys
-//! packet-level parallelism (`crates/bench`'s `live_scaleout` sweep
-//! measures it; scaling tracks the host's core count). The deterministic
-//! simulator keeps all group cores behind one single-threaded actor —
-//! identical logic, bit-identical replays.
+//! packet-level parallelism (as far as the host has cores for it). The
+//! deterministic simulator keeps all group cores behind one single-threaded
+//! actor — the same arms, bit-identical replays.
 //!
 //! The **UDP driver** ([`core::udp`]) is the same rig
 //! ([`ThreadedCluster`](core::live::ThreadedCluster)) over a different
@@ -126,18 +125,6 @@
 //! | [`core`] | the `DeploymentSpec`/`Cluster` API; the sans-IO client core, replica step and §5.3 control scripts every driver shares; the sim actors and the threaded rig (channel and UDP substrates) that shell them |
 //! | [`workload`] | uniform/zipf key spaces, mixes, YCSB presets |
 //! | [`verify`] | linearizability checker + TLA+-mirror model checker |
-//!
-//! ## Pre-`DeploymentSpec` API
-//!
-//! The pre-redesign entry points (`ClusterConfig` + `build_world`,
-//! `ShardedClusterConfig` + `build_sharded_world`, `LiveCluster::spawn`,
-//! `ShardedLiveCluster`, `SwitchCore::new_for[_sharded]`,
-//! `add_[sharded_]open_loop_client`) shipped as `#[deprecated]` shims for
-//! exactly one release and were **removed in 0.x**. Build a
-//! [`DeploymentSpec`](prelude::DeploymentSpec) instead; same-seed
-//! `groups(1)` runs replay the old unsharded assembly bit-for-bit
-//! (`tests/determinism.rs` keeps proving it against a hand-assembled
-//! pre-redesign reference).
 
 #![forbid(unsafe_code)]
 
@@ -168,7 +155,7 @@ pub mod prelude {
     pub use harmonia_replication::{GroupConfig, ProtocolKind};
     pub use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
     pub use harmonia_switch::{
-        ConflictDetector, GroupId, MultiStageHashTable, ResourceModel, SpineSwitch, TableConfig,
+        ConflictDetector, GroupId, MultiStageHashTable, ResourceModel, TableConfig,
     };
     pub use harmonia_types::{
         ClientId, Duration, Instant, NodeId, ObjectId, OpKind, ReplicaId, SwitchId, SwitchSeq,

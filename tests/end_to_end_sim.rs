@@ -440,10 +440,11 @@ fn sweep_eviction_races_slow_write_completion() {
     // entries while fast-path reads were being served.
     let swept = outcome.world.metrics().counter("switch.swept");
     assert!(swept > 0, "no stale entries were ever swept");
-    let sw: &SwitchActor = outcome
+    let sw = outcome
         .world
-        .actor(scenario.deployment.switch_addr())
-        .expect("switch");
+        .actor::<SwitchActor>(scenario.deployment.switch_addr())
+        .expect("switch")
+        .core();
     assert!(
         sw.stats().reads_fast_path > 0,
         "fast path never exercised: {:?}",
@@ -471,10 +472,11 @@ fn fast_path_reads_were_served() {
         ..Scenario::default()
     };
     let outcome = scenario.run();
-    let sw: &SwitchActor = outcome
+    let sw = outcome
         .world
-        .actor(scenario.deployment.switch_addr())
-        .expect("switch");
+        .actor::<SwitchActor>(scenario.deployment.switch_addr())
+        .expect("switch")
+        .core();
     assert!(
         sw.stats().reads_fast_path > 20,
         "fast path unused: {:?}",

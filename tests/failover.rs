@@ -29,10 +29,11 @@ fn history_through_switch_replacement_is_linearizable() {
     // replacement; whatever completed must be linearizable.
     assert_linearizable(outcome.records, "switch replacement");
     // The replacement must actually have taken over fast-path duty.
-    let sw: &SwitchActor = outcome
+    let sw = outcome
         .world
-        .actor(NodeId::Switch(SwitchId(2)))
-        .expect("replacement switch");
+        .actor::<SwitchActor>(NodeId::Switch(SwitchId(2)))
+        .expect("replacement switch")
+        .core();
     assert!(sw.detector().fast_path_enabled());
 }
 
@@ -141,10 +142,11 @@ fn double_failover_keeps_lease_monotone() {
         schedule_switch_replacement(w, t(9), &spec, SwitchId(3), clients);
     });
     assert_linearizable(outcome.records, "double failover");
-    let sw: &SwitchActor = outcome
+    let sw = outcome
         .world
-        .actor(NodeId::Switch(SwitchId(3)))
-        .expect("third switch");
+        .actor::<SwitchActor>(NodeId::Switch(SwitchId(3)))
+        .expect("third switch")
+        .core();
     assert_eq!(sw.incarnation(), SwitchId(3));
     assert!(sw.detector().fast_path_enabled());
 }

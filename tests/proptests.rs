@@ -1,19 +1,20 @@
 //! Property-based tests on the core data structures and invariants.
 
 use bytes::Bytes;
+use harmonia::core::SwitchCore;
 use harmonia::prelude::*;
 use harmonia::replication::messages::{
     ChainMsg, CraqMsg, NopaxosMsg, PbMsg, ProtocolMsg, StateTransferMsg, VrMsg, WriteOp,
 };
 use harmonia::switch::conflict::{ConflictConfig, WriteDecision};
-use harmonia::switch::spine::{GroupId as GId, SpineSwitch as Spine};
 use harmonia::switch::table::TableConfig as TC;
 use harmonia::types::wire::{decode_frame, encode_frame, encode_frame_into, frames};
 use harmonia::types::{
     ClientReply, ClientRequest, ControlMsg, ObjectId, Packet, PacketBody, ReadMode, RequestId,
-    SwitchSeq, WriteCompletion, WriteOutcome,
+    SwitchRoute, SwitchSeq, WriteCompletion, WriteOutcome,
 };
 use proptest::prelude::*;
+use rand::SeedableRng;
 use std::collections::HashMap;
 
 fn arb_seq() -> impl Strategy<Value = SwitchSeq> {
@@ -88,6 +89,16 @@ fn arb_request() -> impl Strategy<Value = ClientRequest> {
             }
             req
         })
+}
+
+/// A Harmonia(chain) deployment of `groups` three-replica groups with a
+/// two-stage dirty set per group.
+fn sharded_spec(groups: usize, slots_per_stage: usize) -> DeploymentSpec {
+    DeploymentSpec::new().groups(groups).table(TC {
+        stages: 2,
+        slots_per_stage,
+        entry_bytes: 8,
+    })
 }
 
 /// One frame of a coalesced datagram as the UDP driver sends it: any
@@ -389,115 +400,54 @@ proptest! {
         prop_assert_eq!(first, ObjectId(reference), "FNV-1a constants drifted");
     }
 
-    /// SpineSwitch memory accounting is monotone in the group count: each
-    /// added group grows `memory_bytes` by exactly the per-group table
-    /// footprint, duplicates change nothing, and the total always equals
-    /// `group_count × per_group` (§6.3's budget arithmetic).
-    #[test]
-    fn spine_memory_monotone_in_group_count(group_ids in prop::collection::vec(0u32..48, 1..60)) {
-        let table = TC { stages: 2, slots_per_stage: 16, entry_bytes: 8 };
-        let per_group = table.stages * table.slots_per_stage * table.entry_bytes;
-        let mut spine = Spine::new(SwitchId(1), table);
-        let mut prev = spine.memory_bytes();
-        prop_assert_eq!(prev, 0);
-        for g in group_ids {
-            let added = spine.add_group(GId(g));
-            let now = spine.memory_bytes();
-            prop_assert!(now >= prev, "memory shrank on add");
-            prop_assert_eq!(now - prev, if added { per_group } else { 0 });
-            prop_assert_eq!(now, spine.group_count() * per_group);
-            prev = now;
-        }
-    }
-
-    /// Removing a group reclaims exactly its bytes, and removal of unknown
-    /// groups reclaims nothing — tracked against a model set under any
-    /// add/remove interleaving.
-    #[test]
-    fn spine_group_removal_reclaims_bytes(ops in prop::collection::vec(
-        (prop::bool::ANY, 0u32..24), 1..120
-    )) {
-        let table = TC { stages: 3, slots_per_stage: 8, entry_bytes: 8 };
-        let per_group = table.stages * table.slots_per_stage * table.entry_bytes;
-        let mut spine = Spine::new(SwitchId(1), table);
-        let mut model = std::collections::BTreeSet::new();
-        for (add, g) in ops {
-            if add {
-                prop_assert_eq!(spine.add_group(GId(g)), model.insert(g));
-            } else {
-                let before = spine.memory_bytes();
-                let removed = spine.remove_group(GId(g));
-                prop_assert_eq!(removed, model.remove(&g));
-                let reclaimed = before - spine.memory_bytes();
-                prop_assert_eq!(reclaimed, if removed { per_group } else { 0 });
-            }
-            prop_assert_eq!(spine.group_count(), model.len());
-            prop_assert_eq!(spine.memory_bytes(), model.len() * per_group);
-        }
-    }
-
     /// Per-group sequence spaces never interleave: however writes to many
     /// groups interleave at the spine switch, each group's stamped sequence
     /// numbers are exactly 1, 2, 3, … in its own space (dense and strictly
     /// increasing), all under the one shared incarnation id.
     #[test]
-    fn spine_sequence_spaces_never_interleave(writes in prop::collection::vec(
-        (0u32..6, 0u32..32), 1..200
-    )) {
-        let table = TC { stages: 3, slots_per_stage: 64, entry_bytes: 8 };
-        let mut spine = Spine::new(SwitchId(7), table);
-        for g in 0..6 {
-            spine.add_group(GId(g));
-        }
+    fn spine_sequence_spaces_never_interleave(objs in prop::collection::vec(0u32..32, 1..200)) {
+        let mut spine = SwitchCore::for_deployment(&sharded_spec(6, 64), SwitchId(7));
+        let shards = spine.shard_map();
+        let me = NodeId::Switch(SwitchId(7));
+        let client = NodeId::Client(ClientId(1));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
         let mut per_group_count = [0u64; 6];
-        for (g, obj) in writes {
-            match spine.process_write(GId(g), ObjectId(obj)) {
-                Some(harmonia::switch::WriteDecision::Stamped(seq)) => {
-                    per_group_count[g as usize] += 1;
-                    prop_assert_eq!(seq.switch_id, SwitchId(7));
-                    prop_assert_eq!(
-                        seq, SwitchSeq::new(SwitchId(7), per_group_count[g as usize]),
-                        "group {} stamped out of its own dense space", g
-                    );
-                }
-                Some(harmonia::switch::WriteDecision::Dropped) => {
-                    // A full table still consumes the number (Algorithm 1
-                    // stamps before inserting).
-                    per_group_count[g as usize] += 1;
-                }
-                None => prop_assert!(false, "hosted group rejected a write"),
+        let mut out = Vec::new();
+        for (i, obj) in objs.into_iter().enumerate() {
+            let req = ClientRequest::write(
+                ClientId(1), RequestId(i as u64), Bytes::from(format!("key-{obj}")), Bytes::from_static(b"v"),
+            );
+            let g = shards.shard_of(req.obj) as usize;
+            out.clear();
+            spine.handle(Instant::ZERO, me, Msg::new(client, me, PacketBody::Request(req)), &mut rng, &mut out);
+            // A full table still consumes the number (Algorithm 1 stamps
+            // before inserting); a forwarded write shows the stamp.
+            per_group_count[g] += 1;
+            if let Some((_, Msg { body: PacketBody::Request(fwd), .. })) = out.first() {
+                prop_assert_eq!(
+                    fwd.seq, Some(SwitchSeq::new(SwitchId(7), per_group_count[g])),
+                    "group {} stamped out of its own dense space", g
+                );
             }
         }
     }
 
-    /// The parallel live data plane's accounting contract: tearing a
-    /// multi-group `SwitchCore` into per-worker `GroupCore`s and driving
-    /// each group's packets through its own core (the per-group pipeline
-    /// model) yields exactly the per-group and aggregate stats, memory,
-    /// dirty-set occupancy, and fast-path gating that the monolithic
-    /// single-actor core reports for the same packet sequence.
+    /// The parallel live data plane's contract: tearing a multi-group
+    /// `SwitchCore` into per-worker `GroupCore`s and driving each group's
+    /// packets through its own core (the per-group pipeline model) yields
+    /// exactly the per-group and aggregate stats, memory, dirty-set
+    /// occupancy and fast-path gating that the monolithic single-actor core
+    /// reports for the same packet sequence — and, with control about the
+    /// deployment's own replicas routed in the monolith and broadcast to
+    /// every split core, the same membership and read gates in every group.
     #[test]
     fn split_group_cores_match_monolith_accounting(
         groups in 1usize..5,
-        ops in prop::collection::vec((0u32..64, 0u8..10), 1..150),
+        ops in prop::collection::vec((0u32..64, 0u8..15), 1..150),
     ) {
-        use harmonia::core::switch_actor::{SwitchActorConfig, SwitchMode};
-        use harmonia::core::{Msg, SwitchCore};
-        use rand::SeedableRng;
-
-        let cfg = SwitchActorConfig {
-            incarnation: SwitchId(1),
-            mode: SwitchMode::Harmonia,
-            protocol: ProtocolKind::Chain,
-            replicas: 3,
-            table: TC { stages: 2, slots_per_stage: 16, entry_bytes: 8 },
-            sweep_interval: None,
-        };
-        let memberships: Vec<Vec<ReplicaId>> = (0..groups)
-            .map(|g| (0..3u32).map(|i| ReplicaId(g as u32 * 3 + i)).collect())
-            .collect();
-        let mut mono = SwitchCore::new_sharded(cfg, memberships.clone());
-        let mut split = SwitchCore::new_sharded(cfg, memberships).into_group_cores();
+        let spec = sharded_spec(groups, 16);
+        let mut mono = SwitchCore::for_deployment(&spec, SwitchId(1));
+        let mut split = SwitchCore::for_deployment(&spec, SwitchId(1)).into_group_cores();
         let shards = ShardMap::new(groups);
         let me = NodeId::Switch(SwitchId(1));
         let client = NodeId::Client(ClientId(1));
@@ -512,22 +462,33 @@ proptest! {
         for (i, (obj_raw, action)) in ops.into_iter().enumerate() {
             let key = Bytes::from(format!("key-{obj_raw}"));
             let rid = RequestId(i as u64);
-            let body: PacketBody<harmonia::replication::messages::ProtocolMsg> = match action {
+            // Control names a replica some group was provisioned with; a
+            // bulk reconfiguration is a rotation of one group's members,
+            // cut to one, two or all three of them.
+            let replica = ReplicaId(obj_raw % spec.total_replicas() as u32);
+            let body: PacketBody<ProtocolMsg> = match action {
                 0..=3 => PacketBody::Request(ClientRequest::write(
                     ClientId(1), rid, key, Bytes::from_static(b"v"),
                 )),
                 4..=7 => PacketBody::Request(ClientRequest::read(ClientId(1), rid, key)),
-                _ => match pending.pop() {
+                8..=9 => match pending.pop() {
                     Some(c) => PacketBody::Completion(c),
                     None => PacketBody::Request(ClientRequest::read(ClientId(1), rid, key)),
                 },
+                10 => PacketBody::Control(ControlMsg::AddReplica(replica)),
+                11 => PacketBody::Control(ControlMsg::RemoveReplica(replica)),
+                12 => {
+                    let mut members = spec.group_members(spec.group_of_replica(replica));
+                    members.rotate_left(replica.0 as usize % 3);
+                    members.truncate(1 + obj_raw as usize / 16 % 3);
+                    PacketBody::Control(ControlMsg::SetReplicas(members))
+                }
+                13 => PacketBody::Control(ControlMsg::GateReplica(replica)),
+                _ => PacketBody::Control(ControlMsg::UngateReplica {
+                    replica,
+                    caught_up: SwitchSeq::new(SwitchId(1), u64::from(obj_raw) / 4),
+                }),
             };
-            let obj = match &body {
-                PacketBody::Request(r) => r.obj,
-                PacketBody::Completion(c) => c.obj,
-                _ => unreachable!(),
-            };
-            let g = shards.shard_of(obj) as usize;
             out.clear();
             mono.handle(Instant::ZERO, me, Msg::new(client, me, body.clone()), &mut rng_mono, &mut out);
             // Capture the stamped seq of a forwarded write so a later op
@@ -544,7 +505,18 @@ proptest! {
                 }
             }
             let mut split_out = Vec::new();
-            split[g].handle(Instant::ZERO, me, Msg::new(client, me, body), &mut rngs[g], &mut split_out);
+            let msg = Msg::new(client, me, body);
+            match msg.body.switch_route() {
+                SwitchRoute::Group(obj) => {
+                    let g = shards.shard_of(obj) as usize;
+                    split[g].handle(Instant::ZERO, me, msg, &mut rngs[g], &mut split_out);
+                }
+                _ => {
+                    for (core, rng) in split.iter_mut().zip(&mut rngs) {
+                        core.handle(Instant::ZERO, me, msg.clone(), rng, &mut split_out);
+                    }
+                }
+            }
             prop_assert_eq!(
                 out.len(), split_out.len(),
                 "forward fan-out must match (dropped writes drop in both)"
@@ -559,7 +531,7 @@ proptest! {
             prop_assert_eq!(core.observe().dirty_len, mono_det.dirty_len());
             prop_assert_eq!(core.memory_bytes(), mono.group_memory_bytes(g).unwrap());
         }
-        // …and the aggregate-only view folds to the monolith's totals.
+        // …the aggregate-only view folds to the monolith's totals…
         let view = harmonia::switch::SpineView::new(
             split.iter().map(|c| c.observe()).collect(),
         );
@@ -567,6 +539,17 @@ proptest! {
         prop_assert_eq!(view.memory_bytes(), mono.memory_bytes());
         let split_sum: usize = split.iter().map(|c| c.memory_bytes()).sum();
         prop_assert_eq!(split_sum, mono.memory_bytes());
+        // …and every group ends with the same members, in the same role
+        // order, behind the same gates.
+        for (core, mono_core) in split.iter().zip(mono.into_group_cores()) {
+            prop_assert_eq!(core.replicas(), mono_core.replicas(), "group {:?}", core.group());
+            for r in (0..spec.total_replicas() as u32).map(ReplicaId) {
+                prop_assert_eq!(
+                    core.is_gated(r), mono_core.is_gated(r),
+                    "gate on {:?} in group {:?}", r, core.group()
+                );
+            }
+        }
     }
 
     /// Wire codec: encode → decode is the identity for **every**

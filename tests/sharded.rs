@@ -36,10 +36,11 @@ fn four_group_chain_harmonia_is_linearizable() {
 
     // All four groups actually served traffic through the one spine switch,
     // under per-group sequence spaces and shared memory accounting.
-    let sw: &SwitchActor = outcome
+    let sw = outcome
         .world
-        .actor(scenario.deployment.switch_addr())
-        .expect("spine switch");
+        .actor::<SwitchActor>(scenario.deployment.switch_addr())
+        .expect("spine switch")
+        .core();
     assert_eq!(sw.group_count(), 4);
     let mut groups_with_writes = 0;
     for g in 0..4 {
