@@ -447,15 +447,7 @@ impl ClosedLoopClient {
             None => {}
             Some(Step::Retry(req)) => self.transmit(ctx, req),
             Some(Step::Done(op)) => {
-                self.records.push(RecordedOp {
-                    kind: op.spec.kind,
-                    key: op.spec.key,
-                    value: op.spec.value,
-                    invoked: op.invoked,
-                    completed: ctx.now(),
-                    result: op.result,
-                    ok: op.ok,
-                });
+                self.records.push(op.record(ctx.now()));
                 self.issue_next(ctx);
             }
         }

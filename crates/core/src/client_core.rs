@@ -1,8 +1,9 @@
 //! The sans-IO client: one operation's request / reply / retry state machine.
 //!
 //! Every client shell — the sim's [`ClosedLoopClient`] actor, the sim's
-//! synchronous `KvClient`, and the threaded drivers' [`LiveClient`] — moves
-//! packets and time and asks [`ClientCore`] what they mean. The core owns
+//! synchronous `KvClient`, and the threaded drivers' [`LiveClient`] (one
+//! core per lane) — moves packets and time and asks [`ClientCore`] what
+//! they mean. The core owns
 //! what must not drift between drivers: request-id allocation and reuse
 //! across retries, the distinct-replier write quorum, the rejected /
 //! switch-dropped write rule, the attempt budget, and every client counter
@@ -19,7 +20,7 @@ use harmonia_types::{
     TraceId, WriteOutcome,
 };
 
-use crate::client::OpSpec;
+use crate::client::{OpSpec, RecordedOp};
 
 /// What one reply did to the request it answers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -99,6 +100,21 @@ pub(crate) struct Finished {
     pub(crate) ok: bool,
 }
 
+impl Finished {
+    /// The checker's record of this operation, completed at `completed`.
+    pub(crate) fn record(self, completed: Instant) -> RecordedOp {
+        RecordedOp {
+            kind: self.spec.kind,
+            key: self.spec.key,
+            value: self.spec.value,
+            invoked: self.invoked,
+            completed,
+            result: self.result,
+            ok: self.ok,
+        }
+    }
+}
+
 struct Current {
     spec: OpSpec,
     rid: RequestId,
@@ -116,8 +132,7 @@ pub(crate) struct ClientCore {
     pub(crate) write_replies: usize,
     max_attempts: u32,
     next_request: u64,
-    /// Where the client counters, latency series and traces go; the
-    /// threaded shells also read its clock for `now`.
+    /// Where the client counters, latency series and traces go.
     pub(crate) recorder: Recorder,
     current: Option<Current>,
 }
@@ -204,6 +219,12 @@ impl ClientCore {
         self.recorder.incr(Counter::Retries);
         self.trace(now, rid, obj, TraceStage::ClientRetry);
         Some(Step::Retry(req))
+    }
+
+    /// Give the operation in flight up where it stands — the shell can
+    /// never hear another reply. Counted and traced as the timeout it is.
+    pub(crate) fn abandon(&mut self, now: Instant) -> Option<Finished> {
+        self.finish(now, None, false)
     }
 
     fn finish(&mut self, now: Instant, result: Option<Bytes>, ok: bool) -> Option<Finished> {

@@ -456,13 +456,24 @@ pub trait Cluster {
     /// timeline (client send → switch verdict → replica execute → done).
     fn trace_events(&self) -> Vec<TraceEvent>;
 
-    /// Closed-loop scenario driving, expressed once for both drivers: run
+    /// Closed-loop scenario driving, expressed once for every driver: run
     /// each plan on its own logical client and return each client's
     /// completed-operation history, checker-ready (histories are returned
     /// in plan order). Client-id allocation is driver-internal: the sim
     /// gives plan `i` node id `10 + i` (the integration-test convention,
-    /// so tests can inspect the actors afterwards); the live driver draws
-    /// from its shared client-id counter.
+    /// so tests can inspect the actors afterwards); the threaded drivers
+    /// draw a contiguous block from their shared client-id counter.
+    ///
+    /// On the threaded drivers a call is **one load thread** — the
+    /// caller's: the plans are the lanes of one
+    /// [`LiveClient`](crate::live::LiveClient), every lane's next
+    /// operation in flight at once on one link. Lanes are distinct clients
+    /// because a replica's client table admits one request per client id.
+    /// Offered load is the plan count; a caller who wants more load
+    /// *threads* holds its own [`client`](Self::client)s, one per thread.
+    /// Records are stamped on the deployment's clock, so the histories of
+    /// successive calls order against each other and against
+    /// [`trace_events`](Self::trace_events).
     fn run_plans(&mut self, plans: Vec<Vec<OpSpec>>) -> Vec<Vec<RecordedOp>>;
 }
 

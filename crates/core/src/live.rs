@@ -48,6 +48,16 @@
 //! [`NodeLink::send_many`] flushes the result — and sleeps until it has
 //! something to do: with no tick or reclaimable dirty entry due, untimed.
 //!
+//! # One client shell
+//!
+//! Clients run the same kind of loop, and there is one of it:
+//! [`LiveClient`], N lanes — N sans-IO client cores with N client ids — on
+//! one link and one thread, the caller's. A synchronous
+//! [`client`](ThreadedCluster::client) is the shell with one lane;
+//! [`Cluster::run_plans`] is the shell with a lane per plan, so a call
+//! spawns no thread and hands the substrate every lane's next request in
+//! one flush. Load is raised by adding plans, not threads.
+//!
 //! Aggregate inspection ([`switch_stats`](Cluster::switch_stats),
 //! [`switch_memory_bytes`](Cluster::switch_memory_bytes)) works by
 //! message: each pipeline answers with a
@@ -67,7 +77,7 @@
 // Wall-clock reads are deliberate here: threaded drivers: ticks and timeouts are real time.
 #![allow(clippy::disallowed_methods)]
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -84,13 +94,11 @@ use harmonia_obs::{
 };
 use harmonia_replication::{build_replica, GroupConfig};
 use harmonia_switch::{GroupId, GroupObservation, SpineView, SwitchStats};
-use harmonia_types::{
-    ClientId, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId, SwitchRoute,
-};
+use harmonia_types::{ClientId, Instant, NodeId, PacketBody, ReplicaId, SwitchId, SwitchRoute};
 use harmonia_workload::ShardMap;
 
 use crate::client::{OpSpec, RecordedOp};
-use crate::client_core::{ClientCore, Step};
+use crate::client_core::{ClientCore, Finished, Step};
 use crate::control;
 use crate::deployment::{spine_obs, Cluster, DeploymentSpec, KvClient};
 use crate::msg::Msg;
@@ -212,11 +220,13 @@ pub trait Substrate: Sized + 'static {
     /// The substrate for one deployment of `spec`.
     fn new(spec: &DeploymentSpec) -> Self;
 
-    /// Register `node` and hand back its link plus the channel its driver
-    /// verbs ([`Envelope::Stop`]) travel on — the link must surface a verb
-    /// sent there even to a loop asleep with no deadline. `recorder`
-    /// receives the link's wire counters, where the substrate has a wire.
-    fn attach(&self, node: NodeId, recorder: Recorder) -> (Self::Link, Sender<Envelope>);
+    /// Register every address in `names` — one for a replica, one per lane
+    /// for a [`LiveClient`] — onto one link, and hand it back with the
+    /// channel its driver verbs ([`Envelope::Stop`]) travel on — the link
+    /// must surface a verb sent there even to a loop asleep with no
+    /// deadline. `recorder` receives the link's wire counters, where the
+    /// substrate has a wire.
+    fn attach(&self, names: &[NodeId], recorder: Recorder) -> (Self::Link, Sender<Envelope>);
 
     /// A link for one switch pipeline — addressed only through the spine,
     /// never by unicast — with its control channel and spine ingress.
@@ -241,9 +251,9 @@ pub trait Substrate: Sized + 'static {
 pub struct ChannelLink {
     router: RouterHandle,
     rx: Receiver<Envelope>,
-    /// The route this link owns (none for pipelines, which the spine
+    /// The routes this link owns (none for pipelines, which the spine
     /// addresses).
-    owner: Option<NodeId>,
+    owned: Vec<NodeId>,
 }
 
 impl NodeLink for ChannelLink {
@@ -273,10 +283,12 @@ impl NodeLink for ChannelLink {
 
 impl Drop for ChannelLink {
     fn drop(&mut self) {
-        if let Some(node) = self.owner {
+        if !self.owned.is_empty() {
             // In-flight packets toward a dead node vanish, like a dead NIC.
             self.router.router.install(|t| {
-                t.remove(&node);
+                for node in &self.owned {
+                    t.remove(node);
+                }
             });
         }
     }
@@ -358,12 +370,6 @@ impl Router {
         self.generation.fetch_add(1, Ordering::Release);
     }
 
-    fn register(&self, node: NodeId, tx: Sender<Envelope>) {
-        self.install(|t| {
-            t.insert(node, Route::Unicast(tx));
-        });
-    }
-
     /// A sender-side handle with its own cached snapshot.
     fn handle(self: &Arc<Self>) -> RouterHandle {
         let seen = self.generation.load(Ordering::Acquire);
@@ -407,11 +413,11 @@ pub struct Channels {
 }
 
 impl Channels {
-    fn link(&self, rx: Receiver<Envelope>, owner: Option<NodeId>) -> ChannelLink {
+    fn link(&self, rx: Receiver<Envelope>, owned: Vec<NodeId>) -> ChannelLink {
         ChannelLink {
             router: self.router.handle(),
             rx,
-            owner,
+            owned,
         }
     }
 }
@@ -426,13 +432,19 @@ impl Substrate for Channels {
         Channels::default()
     }
 
-    fn attach(&self, node: NodeId, _recorder: Recorder) -> (ChannelLink, Sender<Envelope>) {
-        let (tx, rx) = match node {
-            NodeId::Client(_) => bounded(1024),
+    fn attach(&self, names: &[NodeId], _recorder: Recorder) -> (ChannelLink, Sender<Envelope>) {
+        // A client's queue is bounded — nobody can make it listen — at
+        // 1 024 envelopes for every client name that shares it.
+        let (tx, rx) = match names {
+            [NodeId::Client(_), ..] => bounded(1024 * names.len()),
             _ => unbounded(),
         };
-        self.router.register(node, tx.clone());
-        (self.link(rx, Some(node)), tx)
+        self.router.install(|t| {
+            for &name in names {
+                t.insert(name, Route::Unicast(tx.clone()));
+            }
+        });
+        (self.link(rx, names.to_vec()), tx)
     }
 
     fn attach_pipeline(
@@ -440,7 +452,7 @@ impl Substrate for Channels {
         _recorder: Recorder,
     ) -> (ChannelLink, Sender<Envelope>, Sender<Envelope>) {
         let (tx, rx) = unbounded();
-        (self.link(rx, None), tx.clone(), tx)
+        (self.link(rx, Vec::new()), tx.clone(), tx)
     }
 
     fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, groups: Vec<Sender<Envelope>>) {
@@ -489,70 +501,227 @@ impl std::fmt::Display for LiveError {
 
 impl std::error::Error for LiveError {}
 
-/// A synchronous client handle onto a threaded deployment: a shell over the
-/// crate's `ClientCore` that sends what the core says to send and waits on
-/// its link, one real-time deadline per attempt. Identical on every
-/// substrate.
-pub struct LiveClient {
+/// One lane of a [`LiveClient`]: a client in its own right — its own id,
+/// request ids and operation in flight — with the plan it works through.
+struct Lane {
     core: ClientCore,
+    /// Operations not begun yet, in order.
+    plan: VecDeque<OpSpec>,
+    /// Finished operations, in plan order.
+    records: Vec<RecordedOp>,
+    /// When the attempt in flight stops waiting for its reply; `None`
+    /// while nothing is in flight.
+    deadline: Option<StdInstant>,
+    /// What the core made of the batch being dispatched.
+    step: Option<Step>,
+}
+
+/// The client shell of the threaded drivers — the one reply / timeout loop
+/// they have, identical on every substrate: lanes, each a `ClientCore` with
+/// a [`ClientId`] of its own (a replica's client table admits one request
+/// per client id, so operations in flight together must come from distinct
+/// clients), multiplexed on **one** link that answers to every lane's
+/// address, on the thread of whoever calls it.
+///
+/// [`ThreadedCluster::client`] hands out the shell with one lane: a
+/// synchronous key-value client whose [`get`](Self::get) and
+/// [`set`](Self::set) push one operation through the loop.
+/// [`ThreadedCluster::load`] hands it out with one lane per plan, and
+/// [`run`](Self::run) keeps every lane's next operation in flight until the
+/// plans are through — the load half of [`Cluster::run_plans`], movable to a
+/// thread of its own while the cluster is put through its §5.3 verbs.
+///
+/// Every pass of the loop sleeps on the link until the earliest attempt
+/// deadline, takes *everything* queued, hands each reply to its lane's core,
+/// expires the lanes whose attempt ran out, begins the next operation of
+/// every lane that finished, and flushes what all of that produced in one
+/// [`NodeLink::send_many`] — so the transport sees a burst, not a packet.
+pub struct LiveClient {
+    lanes: Vec<Lane>,
+    /// Lane `i` is client `first + i`: a reply finds its lane by
+    /// subtraction.
+    first: u32,
     link: Box<dyn NodeLink>,
     switch: NodeId,
-    /// Reused by every receive.
+    /// Shared by the link and every lane's core (one registry shard); the
+    /// shell reads its clock for the stamps of a pass.
+    recorder: Recorder,
+    /// Reused by every pass.
     inbox: Vec<Msg>,
+    outbox: Vec<(NodeId, Msg)>,
 }
 
 impl LiveClient {
+    /// The shell over `link`, which answers to clients `first..` — one per
+    /// plan.
+    fn over(
+        link: Box<dyn NodeLink>,
+        spec: &DeploymentSpec,
+        first: u32,
+        plans: Vec<Vec<OpSpec>>,
+        recorder: Recorder,
+    ) -> LiveClient {
+        let lanes = (first..).zip(plans).map(|(id, plan)| Lane {
+            core: ClientCore::new(
+                ClientId(id),
+                spec.write_replies(),
+                CLIENT_ATTEMPTS,
+                recorder.clone(),
+            ),
+            records: Vec::with_capacity(plan.len()),
+            plan: plan.into(),
+            deadline: None,
+            step: None,
+        });
+        LiveClient {
+            lanes: lanes.collect(),
+            first,
+            link,
+            switch: spec.switch_addr(),
+            recorder,
+            inbox: Vec::new(),
+            outbox: Vec::new(),
+        }
+    }
+
     /// Read `key`, blocking until the reply (with retry).
     pub fn get(&mut self, key: impl Into<Bytes>) -> Result<Option<Bytes>, LiveError> {
-        self.run_op(OpSpec::read(key))
+        self.run_one(OpSpec::read(key))
     }
 
     /// Write `key := value`, blocking until committed (with retry).
     pub fn set(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Result<(), LiveError> {
-        self.run_op(OpSpec::write(key, value)).map(|_| ())
+        self.run_one(OpSpec::write(key, value)).map(|_| ())
     }
 
-    fn run_op(&mut self, spec: OpSpec) -> Result<Option<Bytes>, LiveError> {
-        let me = self.core.node();
-        let mut req = self.core.begin(self.core.recorder.now(), spec);
-        loop {
-            self.link.send(
-                self.switch,
-                Msg::new(me, self.switch, PacketBody::Request(req)),
-            );
-            req = match self.await_step()? {
-                Step::Retry(again) => again,
-                Step::Done(op) if op.ok => return Ok(op.result),
-                Step::Done(_) => return Err(LiveError::TimedOut),
-            };
+    /// Run every lane's plan to its end and hand back the histories, in
+    /// plan order, checker-ready: stamped on the deployment's one clock, so
+    /// they order against each other, against every other client of the
+    /// deployment and against its [`TraceEvent`]s. If the deployment shuts
+    /// down first, what was left is recorded `ok == false`.
+    pub fn run(&mut self) -> Vec<Vec<RecordedOp>> {
+        // A disconnect is in the records.
+        let _ = self.drive();
+        self.lanes
+            .iter_mut()
+            .map(|lane| std::mem::take(&mut lane.records))
+            .collect()
+    }
+
+    /// One operation through the first lane.
+    fn run_one(&mut self, spec: OpSpec) -> Result<Option<Bytes>, LiveError> {
+        if let Some(lane) = self.lanes.first_mut() {
+            lane.plan.push_back(spec);
+        }
+        let outcome = self.drive();
+        let op = self.lanes.first_mut().and_then(|lane| lane.records.pop());
+        outcome?;
+        match op {
+            Some(op) if op.ok => Ok(op.result),
+            Some(_) => Err(LiveError::TimedOut),
+            None => Err(LiveError::Disconnected),
         }
     }
 
-    /// Feed the core replies until it decides, or this attempt's deadline
-    /// passes and it decides about that.
-    fn await_step(&mut self) -> Result<Step, LiveError> {
-        let deadline = Some(StdInstant::now() + CLIENT_TIMEOUT);
-        loop {
-            let received = self.link.recv_into(deadline, &mut self.inbox);
-            let now = self.core.recorder.now();
-            let mut step = match received {
-                Ok(Some(Envelope::Stop)) | Err(RecvTimeoutError::Disconnected) => {
-                    return Err(LiveError::Disconnected)
-                }
-                Ok(_) => None,
-                Err(RecvTimeoutError::Timeout) => self.core.on_timeout(now),
+    /// Pass after pass until no lane has anything in flight or left to do.
+    fn drive(&mut self) -> Result<(), LiveError> {
+        while self.pass()? {}
+        Ok(())
+    }
+
+    /// One pass: receive, dispatch, expire, begin, flush. `Ok(true)` while
+    /// an operation is in flight afterwards.
+    fn pass(&mut self) -> Result<bool, LiveError> {
+        // One wait for all lanes — until the attempt that gives up first
+        // does — and none for a shell with nothing in flight yet.
+        let earliest = self.lanes.iter().filter_map(|lane| lane.deadline).min();
+        let received = match earliest {
+            Some(_) => self.link.recv_into(earliest, &mut self.inbox),
+            None => Ok(None),
+        };
+        // The completion stamp of the pass: read once the receive is back,
+        // so never earlier than the arrival of a reply it completes.
+        let now = self.recorder.now();
+        if matches!(
+            received,
+            Ok(Some(Envelope::Stop)) | Err(RecvTimeoutError::Disconnected)
+        ) {
+            self.abandon(now);
+            return Err(LiveError::Disconnected);
+        }
+        let wall = StdInstant::now();
+        for msg in self.inbox.drain(..) {
+            let PacketBody::Reply(reply) = msg.body else {
+                continue;
             };
-            // The core sees every reply of the batch; its last word stands
-            // (a quorum completed by a later reply outranks a retry that an
-            // earlier, rejected one asked for).
-            for msg in self.inbox.drain(..) {
-                if let PacketBody::Reply(reply) = msg.body {
-                    step = self.core.on_reply(now, reply).or(step);
+            // A reply for a client outside the block finds no lane; one for
+            // a request already over, a core that ignores it.
+            let lane = (reply.client.0.checked_sub(self.first))
+                .and_then(|i| self.lanes.get_mut(i as usize));
+            if let Some(lane) = lane {
+                // The core sees every reply of the batch; its last word
+                // stands (a quorum completed by a later reply outranks a
+                // retry that an earlier, rejected one asked for).
+                lane.step = lane.core.on_reply(now, reply).or(lane.step.take());
+            }
+        }
+        // The invocation stamp of the pass: read after its completions are
+        // decided and before the flush, so never later than the send — and
+        // an operation never shares an instant with the one it follows on
+        // its lane, which is where a checker cuts a long history.
+        let invoked = self.recorder.now();
+        let switch = self.switch;
+        for lane in &mut self.lanes {
+            if lane.step.is_none() && lane.deadline.is_some_and(|at| at <= wall) {
+                lane.step = lane.core.on_timeout(now);
+            }
+            let mut request = None;
+            match lane.step.take() {
+                Some(Step::Retry(again)) => request = Some(again),
+                Some(Step::Done(op)) => {
+                    lane.records.push(op.record(now));
+                    lane.deadline = None;
                 }
+                None => {}
             }
-            if let Some(step) = step {
-                return Ok(step);
+            // A lane with nothing in flight begins the next operation of
+            // its plan. Keys and values move by refcount from the plan into
+            // the request and the record: nothing is allocated per
+            // operation.
+            if lane.deadline.is_none() {
+                request = (lane.plan.pop_front()).map(|spec| lane.core.begin(invoked, spec));
             }
+            if let Some(req) = request {
+                lane.deadline = Some(wall + CLIENT_TIMEOUT);
+                let me = lane.core.node();
+                (self.outbox).push((switch, Msg::new(me, switch, PacketBody::Request(req))));
+            }
+        }
+        if !self.outbox.is_empty() {
+            self.link.send_many(&mut self.outbox);
+        }
+        Ok(self.lanes.iter().any(|lane| lane.deadline.is_some()))
+    }
+
+    /// The link can never deliver again: every operation in flight or not
+    /// begun is recorded `ok == false`, once, in plan order.
+    fn abandon(&mut self, now: Instant) {
+        self.inbox.clear();
+        for lane in &mut self.lanes {
+            lane.deadline = None;
+            let in_flight = lane.core.abandon(now);
+            let not_begun = lane.plan.drain(..).map(|spec| Finished {
+                spec,
+                invoked: now,
+                result: None,
+                ok: false,
+            });
+            (lane.records).extend(
+                in_flight
+                    .into_iter()
+                    .chain(not_begun)
+                    .map(|op| op.record(now)),
+            );
         }
     }
 }
@@ -664,7 +833,7 @@ impl<S: Substrate> ThreadedCluster<S> {
         let me = config.me;
         let (link, ctl) = self
             .substrate
-            .attach(NodeId::Replica(me), self.registry.handle());
+            .attach(&[NodeId::Replica(me)], self.registry.handle());
         let node = ReplicaNode::new(build_replica(config), recover_from, self.registry.handle());
         let join = std::thread::Builder::new()
             .name(format!("{}-replica-{}", S::DRIVER, me.0))
@@ -684,26 +853,30 @@ impl<S: Substrate> ThreadedCluster<S> {
         stop_and_join(stopped);
     }
 
-    /// Create a synchronous client handle. Clients address the switch; the
-    /// spine routes each request to its key's group on the sending thread —
-    /// clients never know, which is the §4 philosophy.
+    /// Create a synchronous client handle: the client shell with one lane.
+    /// Clients address the switch; the spine routes each request to its
+    /// key's group on the sending thread — clients never know, which is the
+    /// §4 philosophy.
     pub fn client(&self) -> LiveClient {
-        let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
-        // Clients have no driver verbs; their control channel is unused.
-        let (link, _) = self
-            .substrate
-            .attach(NodeId::Client(id), self.registry.handle());
-        LiveClient {
-            core: ClientCore::new(
-                id,
-                self.spec.write_replies(),
-                CLIENT_ATTEMPTS,
-                self.registry.handle(),
-            ),
-            link: Box::new(link),
-            switch: self.spec.switch_addr(),
-            inbox: Vec::new(),
-        }
+        self.load(vec![Vec::new()])
+    }
+
+    /// The client shell with one lane per plan — distinct clients with a
+    /// contiguous block of ids, on one link — ready to [`run`](LiveClient::run)
+    /// them. [`Cluster::run_plans`] is `load(plans).run()`; a harness that
+    /// fails the switch or a replica *during* the load moves the shell to a
+    /// thread and keeps the cluster.
+    pub fn load(&self, plans: Vec<Vec<OpSpec>>) -> LiveClient {
+        let lanes = plans.len() as u32;
+        let first = self.next_client.fetch_add(lanes, Ordering::Relaxed);
+        let names: Vec<NodeId> = (first..first + lanes)
+            .map(|c| NodeId::Client(ClientId(c)))
+            .collect();
+        // One shard for the link and every lane. Clients have no driver
+        // verbs; their control channel is unused.
+        let recorder = self.registry.handle();
+        let (link, _) = self.substrate.attach(&names, recorder.clone());
+        LiveClient::over(Box::new(link), &self.spec, first, plans, recorder)
     }
 
     /// Snapshot one group's pipeline state.
@@ -833,48 +1006,10 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
         self.registry.trace_events()
     }
 
-    /// One thread per plan, all sharing one wall-clock epoch so the
-    /// recorded intervals are mutually comparable (real-time order is what
-    /// the linearizability checker needs).
+    /// One load thread — the caller's: every plan is a lane of one
+    /// [`LiveClient`], whose records are stamped on the registry clock.
     fn run_plans(&mut self, plans: Vec<Vec<OpSpec>>) -> Vec<Vec<RecordedOp>> {
-        let epoch = StdInstant::now();
-        let handles: Vec<_> = plans
-            .into_iter()
-            .map(|plan| {
-                let mut client = Self::client(self);
-                std::thread::spawn(move || {
-                    let stamp = |at: StdInstant| {
-                        Instant::ZERO
-                            + Duration::from_nanos(at.duration_since(epoch).as_nanos() as u64)
-                    };
-                    let mut records = Vec::with_capacity(plan.len());
-                    for op in plan {
-                        // Keys and values move by refcount from the plan
-                        // into the request and the record — the hot loop
-                        // allocates nothing per op.
-                        let invoked = StdInstant::now();
-                        let outcome = client.run_op(op.clone());
-                        let ok = outcome.is_ok();
-                        records.push(RecordedOp {
-                            kind: op.kind,
-                            key: op.key,
-                            value: op.value,
-                            invoked: stamp(invoked),
-                            completed: stamp(StdInstant::now()),
-                            result: outcome.ok().flatten(),
-                            ok,
-                        });
-                    }
-                    records
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint:allow(panic_path): harness teardown — propagating a worker
-            // panic into the test failure is exactly what we want here.
-            .map(|h| h.join().expect("plan thread panicked"))
-            .collect()
+        self.load(plans).run()
     }
 }
 
@@ -1076,10 +1211,8 @@ mod tests {
             // completed, so every read takes the normal path through the
             // tail, which answers in request order.
             let mut deaf = cluster.client();
-            let me = deaf.core.node();
-            let NodeId::Client(id) = me else {
-                unreachable!("a client's node is a client");
-            };
+            let id = ClientId(deaf.first);
+            let me = NodeId::Client(id);
             for n in 0..2_000 {
                 let req = OpSpec::read("k").request(id, RequestId(n));
                 let to = deaf.switch;
@@ -1145,14 +1278,12 @@ mod tests {
             use harmonia_types::RequestId;
             let mut cluster = ThreadedCluster::<S>::new(&DeploymentSpec::new());
             let mut client = cluster.client();
-            let NodeId::Client(id) = client.core.node() else {
-                unreachable!("a client's node is a client");
-            };
+            let id = ClientId(client.first);
             // A replica's link, driven by hand.
             let replica = ReplicaId(99);
             let (mut link, _ctl) = cluster
                 .substrate
-                .attach(NodeId::Replica(replica), cluster.registry.handle());
+                .attach(&[NodeId::Replica(replica)], cluster.registry.handle());
             let to = NodeId::Switch(cluster.spec.initial_switch());
             let mut send_reply = |n| {
                 let req = OpSpec::read("k").request(id, RequestId(n));
@@ -1252,5 +1383,278 @@ mod tests {
             waited.try_iter().all(|wait| wait.is_none()),
             "nothing left to reclaim, yet the pipeline armed a sweep timer"
         );
+    }
+
+    /// One receive of a [`Scripted`] link.
+    enum Recv {
+        /// These packets, `after` this long.
+        Batch(StdDuration, Vec<Msg>),
+        /// Nothing: sleep to the deadline the shell asked for.
+        Timeout,
+    }
+
+    /// A link that plays a script to the shell and reports what the shell
+    /// did: every request sent, the deadline of every receive. Past the end
+    /// of the script it is disconnected.
+    struct Scripted {
+        script: VecDeque<Recv>,
+        sent: Sender<harmonia_types::ClientRequest>,
+        waits: Sender<StdInstant>,
+    }
+
+    impl NodeLink for Scripted {
+        fn send(&mut self, _to: NodeId, msg: Msg) {
+            if let PacketBody::Request(req) = msg.body {
+                let _ = self.sent.send(req);
+            }
+        }
+
+        fn recv_into(
+            &mut self,
+            deadline: Option<StdInstant>,
+            inbox: &mut Vec<Msg>,
+        ) -> Result<Option<Envelope>, RecvTimeoutError> {
+            let deadline = deadline.expect("the shell waits for a reply with a deadline");
+            let _ = self.waits.send(deadline);
+            match self.script.pop_front() {
+                Some(Recv::Batch(after, msgs)) => {
+                    std::thread::sleep(after);
+                    inbox.extend(msgs);
+                    Ok(None)
+                }
+                Some(Recv::Timeout) => {
+                    std::thread::sleep(deadline.saturating_duration_since(StdInstant::now()));
+                    Err(RecvTimeoutError::Timeout)
+                }
+                None => Err(RecvTimeoutError::Disconnected),
+            }
+        }
+    }
+
+    /// What a scripted shell leaves behind for its test.
+    struct Played {
+        client: LiveClient,
+        sent: Receiver<harmonia_types::ClientRequest>,
+        waits: Receiver<StdInstant>,
+        registry: Registry,
+    }
+
+    impl Played {
+        /// `(client, request id)` of everything sent so far, in order.
+        fn sent(&self) -> Vec<(u32, u64)> {
+            let sent = self.sent.try_iter();
+            sent.map(|req| (req.client.0, req.request.0)).collect()
+        }
+    }
+
+    /// The first client id of every scripted shell: lane `i` is client
+    /// `FIRST + i`.
+    const FIRST: u32 = 40;
+
+    /// A shell with one lane per plan over a link that plays `script`.
+    fn scripted(plans: Vec<Vec<OpSpec>>, script: Vec<Recv>) -> Played {
+        let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
+        let (sent_tx, sent) = unbounded();
+        let (waits_tx, waits) = unbounded();
+        let link = Scripted {
+            script: script.into(),
+            sent: sent_tx,
+            waits: waits_tx,
+        };
+        let spec = DeploymentSpec::new();
+        let client = LiveClient::over(Box::new(link), &spec, FIRST, plans, registry.handle());
+        Played {
+            client,
+            sent,
+            waits,
+            registry,
+        }
+    }
+
+    /// Replica 0's reply to `client`'s request `rid`.
+    fn reply(client: u32, rid: u64, value: Option<&'static str>) -> Msg {
+        outcome(client, rid, 0, value, None)
+    }
+
+    fn outcome(
+        client: u32,
+        rid: u64,
+        from: u32,
+        value: Option<&'static str>,
+        write_outcome: Option<harmonia_types::WriteOutcome>,
+    ) -> Msg {
+        let reply = harmonia_types::ClientReply {
+            client: ClientId(client),
+            from: ReplicaId(from),
+            request: harmonia_types::RequestId(rid),
+            obj: harmonia_types::ObjectId::from_key(b"k"),
+            value: value.map(Bytes::from),
+            write_outcome,
+            completion: None,
+        };
+        let to = NodeId::Client(ClientId(client));
+        Msg::new(
+            NodeId::Replica(ReplicaId(from)),
+            to,
+            PacketBody::Reply(reply),
+        )
+    }
+
+    fn now_batch(msgs: Vec<Msg>) -> Recv {
+        Recv::Batch(StdDuration::ZERO, msgs)
+    }
+
+    /// Replies reach their lane by client id whatever order they arrive in;
+    /// a reply for a client outside the block, and a stale one for a request
+    /// its lane has finished, change nothing. Every lane's next operation is
+    /// invoked strictly after the one it follows completed.
+    #[test]
+    fn interleaved_replies_find_their_lanes_and_strays_are_ignored() {
+        let plans = (0..3)
+            .map(|_| vec![OpSpec::read("k"), OpSpec::read("k")])
+            .collect();
+        let script = vec![
+            // Lanes 2 and 0 first, around two strangers.
+            now_batch(vec![
+                reply(FIRST + 2, 0, Some("c0")),
+                reply(FIRST + 3, 0, Some("beyond the block")),
+                reply(FIRST - 1, 0, Some("before the block")),
+                reply(FIRST, 0, Some("a0")),
+            ]),
+            // Lane 0 is on request 1 now: request 0 again is stale.
+            now_batch(vec![
+                reply(FIRST, 0, Some("stale")),
+                reply(FIRST + 1, 0, Some("b0")),
+            ]),
+            now_batch(vec![
+                reply(FIRST + 2, 1, Some("c1")),
+                reply(FIRST + 1, 1, Some("b1")),
+                reply(FIRST, 1, Some("a1")),
+            ]),
+        ];
+        let mut played = scripted(plans, script);
+        let histories = played.client.run();
+        let values: Vec<Vec<&[u8]>> = histories
+            .iter()
+            .map(|h| h.iter().map(|r| r.result.as_deref().unwrap()).collect())
+            .collect();
+        assert_eq!(
+            values,
+            [[b"a0", b"a1"], [b"b0", b"b1"], [b"c0", b"c1"]],
+            "{histories:?}"
+        );
+        for history in &histories {
+            assert!(history.iter().all(|r| r.ok));
+            assert!(history[0].invoked <= history[0].completed);
+            assert!(history[0].completed < history[1].invoked, "{history:?}");
+        }
+        // One request per operation, a finished lane's next one in the pass
+        // that finished it; nothing retried.
+        let (a, b, c) = (FIRST, FIRST + 1, FIRST + 2);
+        assert_eq!(
+            played.sent(),
+            [(a, 0), (b, 0), (c, 0), (a, 1), (c, 1), (b, 1)]
+        );
+        let snapshot = played.registry.snapshot();
+        assert_eq!(snapshot.counter(Counter::ReadsDone), 6);
+        assert_eq!(snapshot.counter(Counter::Retries), 0);
+    }
+
+    /// A lane's last word of a batch stands: a write refused and, later in
+    /// the same batch, acknowledged is done — the retry the refusal asked
+    /// for is never sent.
+    #[test]
+    fn a_rejection_completed_in_the_same_batch_sends_no_retry() {
+        use harmonia_types::WriteOutcome::{Committed, Rejected};
+        let plans = vec![vec![OpSpec::write("k", "v"), OpSpec::read("k")]];
+        let script = vec![
+            now_batch(vec![
+                outcome(FIRST, 0, 0, None, Some(Rejected)),
+                outcome(FIRST, 0, 1, None, Some(Committed)),
+            ]),
+            now_batch(vec![reply(FIRST, 1, Some("v"))]),
+        ];
+        let mut played = scripted(plans, script);
+        let histories = played.client.run();
+        assert!(histories[0].iter().all(|r| r.ok), "{histories:?}");
+        assert_eq!(played.sent(), [(FIRST, 0), (FIRST, 1)]);
+        let snapshot = played.registry.snapshot();
+        assert_eq!(snapshot.counter(Counter::WritesRejected), 1);
+        assert_eq!(snapshot.counter(Counter::WritesDone), 1);
+    }
+
+    /// One wait for all lanes, until the earliest deadline: the lane whose
+    /// reply never came retries under the same request id when *its* attempt
+    /// runs out, while lanes that began later keep their own deadlines and
+    /// keep completing.
+    #[test]
+    fn one_lane_times_out_and_retries_while_the_others_complete() {
+        let plans = vec![
+            vec![OpSpec::read("k")],
+            vec![OpSpec::read("k"), OpSpec::read("k")],
+            vec![OpSpec::read("k"), OpSpec::read("k")],
+        ];
+        let (a, b, c) = (FIRST, FIRST + 1, FIRST + 2);
+        // Lanes b and c begin their second operation half an attempt after
+        // everyone's first, so only a's deadline has passed when it passes.
+        let script = vec![
+            Recv::Batch(
+                CLIENT_TIMEOUT / 2,
+                vec![reply(b, 0, None), reply(c, 0, None)],
+            ),
+            Recv::Timeout,
+            now_batch(vec![
+                reply(c, 1, None),
+                reply(a, 0, None),
+                reply(b, 1, None),
+            ]),
+        ];
+        let mut played = scripted(plans, script);
+        let started = StdInstant::now();
+        let histories = played.client.run();
+        assert!(histories.iter().flatten().all(|r| r.ok), "{histories:?}");
+        assert_eq!(
+            played.sent(),
+            [(a, 0), (b, 0), (c, 0), (b, 1), (c, 1), (a, 0)],
+            "lane a retries its request 0, and only lane a retries"
+        );
+        // Two waits for lane a's first attempt, the earliest deadline while
+        // it lasted; then one for what b and c began half an attempt later.
+        let waits: Vec<StdInstant> = played.waits.try_iter().collect();
+        assert_eq!(waits.len(), 3);
+        assert_eq!(waits[0], waits[1]);
+        assert!(waits[0] <= started + CLIENT_TIMEOUT + StdDuration::from_millis(50));
+        assert!(waits[2] >= waits[0] + CLIENT_TIMEOUT / 2, "{waits:?}");
+        let snapshot = played.registry.snapshot();
+        assert_eq!(snapshot.counter(Counter::Retries), 1);
+        assert_eq!(snapshot.counter(Counter::Timeouts), 0);
+    }
+
+    /// A link that can never deliver again ends the call: what was in flight
+    /// and what had not begun is recorded `ok == false`, once, in plan order.
+    #[test]
+    fn disconnected_records_every_remaining_operation_once_in_plan_order() {
+        let plan = |lane: &str| -> Vec<OpSpec> {
+            (0..3).map(|n| OpSpec::read(format!("{lane}{n}"))).collect()
+        };
+        // Lane a's first read is answered; then the script — the link — ends.
+        let script = vec![now_batch(vec![reply(FIRST, 0, None)])];
+        let mut played = scripted(vec![plan("a"), plan("b")], script);
+        let histories = played.client.run();
+        let seen: Vec<Vec<(&[u8], bool)>> = histories
+            .iter()
+            .map(|h| h.iter().map(|r| (&r.key[..], r.ok)).collect())
+            .collect();
+        let expected: [[(&[u8], bool); 3]; 2] = [
+            [(b"a0", true), (b"a1", false), (b"a2", false)],
+            [(b"b0", false), (b"b1", false), (b"b2", false)],
+        ];
+        assert_eq!(seen, expected);
+        // a0, b0, and a1 went out; a2, b1 and b2 never began.
+        assert_eq!(played.sent().len(), 3);
+        assert_eq!(played.registry.snapshot().counter(Counter::ReadsSent), 3);
+        // Nothing is left to record twice.
+        assert!(played.client.run().iter().all(Vec::is_empty));
+        assert_eq!(played.client.get("k"), Err(LiveError::Disconnected));
     }
 }

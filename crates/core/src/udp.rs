@@ -4,7 +4,8 @@
 //! ([`DeploymentSpec::spawn_udp`]): the threaded rig of [`crate::live`] —
 //! per-group switch pipelines, replica loops, the [`LiveClient`] shell —
 //! over the [`Sockets`] substrate, so nodes are connected by
-//! `std::net::UdpSocket` loopback datagrams instead of in-process channels.
+//! `std::net::UdpSocket` loopback datagrams instead of in-process channels
+//! (one socket per node; a client shell's lanes share theirs).
 //! Every packet is encoded through the `harmonia-types` wire codec into a
 //! length-prefixed frame, and each datagram carries one or more frames
 //! back-to-back (GSO/GRO-style coalescing), so the codec is exercised
@@ -108,11 +109,11 @@ pub struct UdpLink {
     transport: Net,
     ctl: Receiver<Envelope>,
     has_ctl: bool,
-    /// The book entry this link owns, deregistered on drop — a client (or
-    /// replica) endpoint must not keep receiving routes after its socket is
-    /// gone, and the book must not grow one dead entry per short-lived
-    /// client.
-    owner: Option<(Arc<AddrBook>, NodeId)>,
+    /// The book entries this link owns — every name its one socket answers
+    /// to — deregistered on drop: a client (or replica) endpoint must not
+    /// keep receiving routes after its socket is gone, and the book must
+    /// not grow dead entries with every short-lived client.
+    owner: Option<(Arc<AddrBook>, Vec<NodeId>)>,
     /// Observability shard for this endpoint's wire counters.
     recorder: Recorder,
     /// Last wire/pool stats already credited to the recorder — the
@@ -174,8 +175,10 @@ impl Drop for UdpLink {
         // sockets) may never hit the batched send path, so teardown is
         // where their wire counters reach the registry.
         self.sync_obs();
-        if let Some((book, node)) = self.owner.take() {
-            book.unregister(node);
+        if let Some((book, names)) = self.owner.take() {
+            for node in names {
+                book.unregister(node);
+            }
         }
     }
 }
@@ -289,19 +292,22 @@ impl Substrate for Sockets {
         }
     }
 
-    fn attach(&self, node: NodeId, recorder: Recorder) -> (UdpLink, Sender<Envelope>) {
+    fn attach(&self, names: &[NodeId], recorder: Recorder) -> (UdpLink, Sender<Envelope>) {
         // Clients have no driver verbs: without a side channel to poll,
         // their link blocks on the socket for the whole reply deadline.
-        let is_client = matches!(node, NodeId::Client(_));
+        let is_client = matches!(names, [NodeId::Client(_), ..]);
         let (transport, addr) = self.endpoint(if is_client {
             Faults::All
         } else {
             Faults::SparingReplicas
         });
-        self.book.register(node, addr);
+        // One socket behind every name.
+        for &name in names {
+            self.book.register(name, addr);
+        }
         let (ctl_tx, ctl_rx) = unbounded();
         let mut link = UdpLink::over(transport, ctl_rx, !is_client, recorder);
-        link.owner = Some((Arc::clone(&self.book), node));
+        link.owner = Some((Arc::clone(&self.book), names.to_vec()));
         (link, ctl_tx)
     }
 

@@ -143,6 +143,21 @@ impl Scenario {
     }
 }
 
+/// Fail `cluster`'s switch once it is carrying load and activate
+/// `replacement` 30 ms later. The load must be long enough to outlast the
+/// few hundred packets this waits for; what it had in flight at the kill
+/// stalls until its attempt deadline, so the replacement lands mid-call.
+pub fn replace_switch_mid_load(cluster: &mut dyn Cluster, replacement: SwitchId) {
+    let carried =
+        |s: harmonia::switch::SwitchStats| s.reads_fast_path + s.reads_normal + s.writes_forwarded;
+    while cluster.switch_stats().map_or(0, carried) < 200 {
+        std::thread::yield_now();
+    }
+    cluster.kill_switch();
+    std::thread::sleep(std::time::Duration::from_millis(30));
+    cluster.replace_switch(replacement);
+}
+
 /// Assert the collected history is linearizable, with context on failure
 /// (dumps the offending key's timeline for debugging).
 pub fn assert_linearizable(records: Vec<OpRecord>, context: &str) {

@@ -2,10 +2,12 @@
 //!
 //! The live switch is a fleet of per-group pipeline threads (no shared lock
 //! on the packet path); the spine is a stateless shard router. These tests
-//! drive every group concurrently from many client threads, inject the §5.3
-//! switch kill/replacement mid-load, and push every per-key history through
-//! the Wing–Gong linearizability checker — the strongest end-to-end claim
-//! the driver makes.
+//! drive every group concurrently — from the many lanes of one client shell
+//! (`run_plans`: one load thread, every plan a client of its own on one
+//! link) and from free-running worker threads that each hold their own
+//! `client()` — inject the §5.3 switch kill/replacement mid-load, and push
+//! every per-key history through the Wing–Gong linearizability checker — the
+//! strongest end-to-end claim the driver makes.
 
 // Wall-clock reads are deliberate here: live-cluster test: real-time deadlines.
 #![allow(clippy::disallowed_methods)]
@@ -58,6 +60,48 @@ fn parallel_pipelines_serve_all_groups_linearizably() {
     let total = cluster.switch_stats().unwrap();
     let folded = view.stats();
     assert_eq!(total.writes_forwarded, folded.writes_forwarded);
+    cluster.shutdown();
+}
+
+/// Many operations in flight from one thread: 32 plans are 32 lanes of one
+/// client shell, every lane's next operation on the wire while the others
+/// wait, and the whole history — stamped on the deployment's own clock, the
+/// one its trace events carry — is linearizable.
+#[test]
+fn thirty_two_lanes_on_one_link_complete_and_stay_linearizable() {
+    let mut cluster = sharded_spec(2).spawn_live();
+    let histories = cluster.run_plans(make_plans(32, 200, 400, 0.3, 22));
+    assert_eq!(histories.len(), 32);
+    assert!(histories.iter().all(|h| h.len() == 200));
+    let (records, incomplete) = collect_records(&histories);
+    assert_eq!(incomplete, 0, "healthy cluster must complete every op");
+    assert_linearizable_traced(records, &cluster.trace_events(), "live 32 lanes");
+    let clients = cluster.obs_snapshot().clients;
+    assert_eq!((clients.retries, clients.timeouts), (0, 0), "{clients:?}");
+    cluster.shutdown();
+}
+
+/// §5.3 under one shell's load: the lanes keep 16 operations in flight
+/// while the fleet is killed and replaced; every lane rides the outage out
+/// on its own attempt deadline, retries under the same request id, and the
+/// history stays linearizable.
+#[test]
+fn sixteen_lanes_ride_out_switch_replacement_mid_call() {
+    let mut cluster = sharded_spec(2).spawn_live();
+    let mut load = cluster.load(make_plans(16, 400, 256, 0.35, 23));
+    let worker = std::thread::spawn(move || load.run());
+    common::replace_switch_mid_load(&mut cluster, SwitchId(2));
+    let histories = worker.join().unwrap();
+
+    assert_eq!(histories.iter().flatten().count(), 16 * 400);
+    let (records, _incomplete) = collect_records(&histories);
+    assert_linearizable_traced(
+        records,
+        &cluster.trace_events(),
+        "live 16 lanes across switch replacement",
+    );
+    let clients = cluster.obs_snapshot().clients;
+    assert!(clients.retries > 0, "no lane met the outage: {clients:?}");
     cluster.shutdown();
 }
 

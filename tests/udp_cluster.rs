@@ -69,6 +69,100 @@ fn udp_cluster_survives_loss_duplication_reordering() {
     cluster.shutdown();
 }
 
+/// The same adversary against one shell with 16 operations in flight: each
+/// lane loses, and retries, on its own attempt deadline while its neighbours
+/// complete around it.
+#[test]
+fn udp_sixteen_lanes_survive_loss_duplication_reordering() {
+    let spec = DeploymentSpec::new()
+        .protocol(ProtocolKind::Chain)
+        .groups(2)
+        .seed(2211)
+        .link(adversarial_link(0.05, 0.05, 0.05));
+    let mut cluster = spec.spawn_udp();
+    let histories = cluster.run_plans(make_plans(16, 30, 128, 0.35, 2211));
+
+    let completed: usize = histories.iter().flatten().filter(|r| r.ok).count();
+    assert!(
+        completed >= 360,
+        "only {completed}/480 ops completed under 5% loss"
+    );
+    let (records, _incomplete) = collect_records(&histories);
+    assert_linearizable_traced(
+        records,
+        &cluster.trace_events(),
+        "UDP 16 lanes under loss+duplication+reorder",
+    );
+    let clients = cluster.obs_snapshot().clients;
+    assert!(clients.retries > 0, "no lane lost a packet: {clients:?}");
+    let (dropped, duplicated, reordered) = cluster.fault_counts();
+    assert!(
+        dropped > 0 && duplicated > 0 && reordered > 0,
+        "adversary never fired: dropped={dropped} duplicated={duplicated} reordered={reordered}"
+    );
+    cluster.shutdown();
+}
+
+/// Many operations in flight from one thread, on one socket: 32 plans are
+/// 32 clients behind one link — 32 book entries for one address, all gone
+/// with the shell — and for the first time the transport is handed a burst:
+/// requests, forwards and replies leave several frames to the datagram.
+#[test]
+fn udp_thirty_two_lanes_share_one_socket_and_fill_datagrams() {
+    let cluster = DeploymentSpec::new().groups(2).seed(22).spawn_udp();
+    let baseline = cluster.unicast_entries();
+    let mut load = cluster.load(make_plans(32, 200, 400, 0.3, 22));
+    assert_eq!(cluster.unicast_entries(), baseline + 32);
+    let histories = load.run();
+    drop(load);
+    assert_eq!(
+        cluster.unicast_entries(),
+        baseline,
+        "a dropped shell must deregister every lane"
+    );
+
+    assert_eq!(histories.len(), 32);
+    assert!(histories.iter().all(|h| h.len() == 200));
+    let (records, incomplete) = collect_records(&histories);
+    assert_eq!(incomplete, 0, "healthy cluster must complete every op");
+    assert_linearizable_traced(records, &cluster.trace_events(), "UDP 32 lanes");
+    let obs = cluster.obs_snapshot();
+    let wire = obs.transport;
+    assert!(
+        wire.frames_sent >= 2 * wire.datagrams_sent,
+        "the coalescer never saw a burst: {wire:?}"
+    );
+    assert_eq!(obs.clients.timeouts, 0, "{:?}", obs.clients);
+    cluster.shutdown();
+}
+
+/// §5.3 over real sockets under one shell's load: 16 operations in flight
+/// while the fleet's sockets leave the book and a replacement comes up on
+/// fresh ones.
+#[test]
+fn udp_sixteen_lanes_ride_out_switch_replacement_mid_call() {
+    let spec = DeploymentSpec::new()
+        .protocol(ProtocolKind::Chain)
+        .groups(2)
+        .seed(56);
+    let mut cluster = spec.spawn_udp();
+    let mut load = cluster.load(make_plans(16, 400, 256, 0.35, 56));
+    let worker = std::thread::spawn(move || load.run());
+    common::replace_switch_mid_load(&mut cluster, SwitchId(2));
+    let histories = worker.join().unwrap();
+
+    assert_eq!(histories.iter().flatten().count(), 16 * 400);
+    let (records, _incomplete) = collect_records(&histories);
+    assert_linearizable_traced(
+        records,
+        &cluster.trace_events(),
+        "UDP 16 lanes across switch replacement",
+    );
+    let clients = cluster.obs_snapshot().clients;
+    assert!(clients.retries > 0, "no lane met the outage: {clients:?}");
+    cluster.shutdown();
+}
+
 /// Exactly-once under duplication (no loss, no reordering — isolate the one
 /// fault class): a duplicated write datagram is sequenced *twice* by the
 /// switch, so the replicas' exactly-once session layer must absorb the
