@@ -340,17 +340,18 @@ impl DeploymentSpec {
         }
     }
 
-    /// Spawn this deployment on OS threads (the live driver).
+    /// Spawn this deployment on OS threads (the live driver): as many
+    /// workers as the host has cores for, hosting the pipelines and replicas.
     pub fn spawn_live(&self) -> LiveCluster {
         LiveCluster::new(self)
     }
 
     /// Spawn this deployment over real UDP loopback sockets (the datagram
-    /// driver): same threads and packet-handling logic as
+    /// driver): same workers and packet-handling logic as
     /// [`spawn_live`](Self::spawn_live), but every packet crosses a
     /// `UdpSocket` through the wire codec, and the spec's
-    /// [`link`](Self::link) fault probabilities are injected at the client
-    /// and switch sockets (see [`UdpCluster`]).
+    /// [`link`](Self::link) fault probabilities are injected at every
+    /// socket (see [`UdpCluster`]).
     pub fn spawn_udp(&self) -> UdpCluster {
         UdpCluster::new(self)
     }

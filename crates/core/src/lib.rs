@@ -32,10 +32,11 @@
 //! * [`live`] runs the very same state machines on OS threads — the "it's
 //!   a real system, not only a simulator" rig, [`live::ThreadedCluster`],
 //!   generic over a [`live::Substrate`] that says how bytes move. Its data
-//!   plane is parallel: one pipeline thread per replica group, each
-//!   exclusively owning that group's [`switch_actor::GroupCore`], behind a
-//!   stateless shard-routing spine — no lock on the packet path. With the
-//!   channel substrate it is [`LiveCluster`].
+//!   plane is parallel: one pipeline per replica group, each exclusively
+//!   owning that group's [`switch_actor::GroupCore`], behind a stateless
+//!   shard-routing spine — no lock on the packet path — and pipelines and
+//!   replicas alike hosted by as many worker threads as the host has cores
+//!   for. With the channel substrate it is [`LiveCluster`].
 //! * [`udp`] is the socket substrate: the same rig over real `UdpSocket`
 //!   loopback datagrams ([`DeploymentSpec::spawn_udp`], [`UdpCluster`]) —
 //!   the `harmonia-net` transport, the wire codec on every hop, and seeded

@@ -1,31 +1,70 @@
 //! The threaded drivers: the same state machines on OS threads — with a
 //! **parallel data plane** — over any packet substrate.
 //!
-//! Every node runs on its own thread. Nothing in the protocol or switch
-//! logic changes relative to the simulation; only the driver differs. One
-//! rig, [`ThreadedCluster`], owns the threads, the §5.3 verbs, and the
-//! [`Cluster`] surface; a small [`Substrate`] says how bytes move between
-//! them. Two substrates exist: in-process crossbeam channels (this module:
-//! [`LiveCluster`], the deployment mode the examples use) and real loopback
-//! `UdpSocket`s ([`crate::udp`]: `UdpCluster`).
+//! Nothing in the protocol or switch logic changes relative to the
+//! simulation; only the driver differs. One rig, [`ThreadedCluster`], owns
+//! the threads, the §5.3 verbs, and the [`Cluster`] surface; a small
+//! [`Substrate`] says how bytes move between them. Two substrates exist:
+//! in-process crossbeam channels (this module: [`LiveCluster`], the
+//! deployment mode the examples use) and real loopback `UdpSocket`s
+//! ([`crate::udp`]: `UdpCluster`).
+//!
+//! # One server shell: threads follow cores, not nodes
+//!
+//! A deployment is nodes — one switch pipeline per replica group, and the
+//! replicas — and a host has cores. A thread per node on a host with fewer
+//! cores than nodes buys no parallelism and pays a wake-up for every hop
+//! between two nodes that share a core anyway: three per read, six per
+//! chain write. So the cluster spawns `min(cores, nodes)` **workers**
+//! ([`std::thread::available_parallelism`], which honours CPU affinity and
+//! cgroup quota; nothing else sets it) and each worker *hosts* nodes: one
+//! [`NodeLink`] that answers to every hosted node's name, one loop that
+//! takes everything queued, hands each packet to the node it addresses,
+//! runs the sweeps and ticks that are due and flushes the lot in one
+//! [`NodeLink::send_many`]. A hosted node is a step function —
+//! packet in, deadline, deadline due — over the same sans-IO cores the
+//! simulator drives ([`GroupCore`], the replica step). Pipelines first,
+//! then replicas, are dealt round-robin, so a group's replicas sit on
+//! distinct workers before any worker takes a second one; with a core per
+//! node every node has a thread of its own.
+//!
+//! The worker knows no routes. What a hosted node sends goes out through
+//! the link like everything else, and a packet for a node on the same worker
+//! comes back through the same inbox: on channels a push onto the worker's
+//! own queue — nobody is parked on it, nobody is woken — on sockets a
+//! datagram the endpoint loops back without the kernel. On one core a read
+//! is two wake-ups (worker, client) and so is a chain write.
+//!
+//! What sharing costs: a long step delays every node on the worker — a
+//! replica exporting a snapshot for a recovering peer stalls the pipeline
+//! beside it for as long as the export takes — and a worker that panics
+//! takes all its nodes down with it, where a node's own thread took one.
+//! Workers live as long as the cluster; nodes come and go by verb
+//! ([`Envelope::Adopt`] / [`Envelope::Evict`], acknowledged), their names
+//! bound to and released from the worker's link as they do. A packet still
+//! queued for an evicted node finds nobody and vanishes, as toward a dead
+//! NIC.
 //!
 //! # Per-group switch pipelines
 //!
 //! A real Tofino processes different groups' packets in parallel at line
 //! rate, so a driver that serializes every group's traffic through one
 //! switch thread (let alone one mutex) is an artifact, not the paper's
-//! design. The threaded switch is therefore a *fleet*: one pipeline thread
-//! per replica group, each exclusively owning that group's
-//! [`GroupCore`] — conflict detector,
-//! sequencer, forwarding table, and counters. **No lock guards switch or
-//! replica state**; the only lock on the packet path is the short one
-//! around an ingress queue, once per send and once per batch received.
+//! design. The threaded switch is therefore one pipeline per replica group,
+//! each exclusively owning that group's [`GroupCore`] — conflict detector,
+//! sequencer, forwarding table, and counters — and each on whichever worker
+//! its group places it, in parallel as far as the host has cores. **No lock
+//! guards switch or replica state**; the only lock on the packet path is the
+//! short one around an ingress queue, once per send and once per batch
+//! received.
 //!
 //! The spine itself is a thin, stateless shard-router: sending to the
 //! switch address resolves the packet's object through the deployment's
 //! [`ShardMap`] *on the sender's thread* and enqueues straight onto the
-//! owning group's pipeline — client threads and replica threads deliver to
-//! the right pipeline without any intermediate hop or shared switch state.
+//! ingress of the worker that hosts the owning group's pipeline — no
+//! intermediate hop, no shared switch state. A worker that hosts several
+//! pipelines picks among them by the same route; what goes to every group
+//! reaches it once.
 //!
 //! Where a packet addressed to the switch goes is one decision,
 //! [`PacketBody::switch_route`], and both substrates' spines only carry it
@@ -34,19 +73,14 @@
 //! completion* to snoop (Figure 2b) — and forwards a reply that carries none
 //! (every read reply, a rejected write, a VR / NOPaxos write ack, whose
 //! completion travels standalone) to its client's own ingress, as sent: a
-//! Tofino forwards such a frame for free, a pipeline *thread* would pay a
-//! wake-up, a decode and a second copy of the value to do nothing. So the
-//! pipelines see one packet per read and two per chain write. The replica
-//! still addresses the switch, and it is the spine that forwards: with the
-//! spine cleared ([`kill_switch`](Cluster::kill_switch)) or a lease still on
-//! a dead incarnation, the reply resolves to nothing and vanishes like every
-//! other packet of the §5.3 outage. (The simulator keeps the hop — see
+//! Tofino forwards such a frame for free, a pipeline would pay a decode and
+//! a second copy of the value to do nothing. So the pipelines see one packet
+//! per read and two per chain write. The replica still addresses the switch,
+//! and it is the spine that forwards: with the spine cleared
+//! ([`kill_switch`](Cluster::kill_switch)) or a lease still on a dead
+//! incarnation, the reply resolves to nothing and vanishes like every other
+//! packet of the §5.3 outage. (The simulator keeps the hop — see
 //! [`crate::switch_actor`].)
-//!
-//! Every node loop runs to completion — [`NodeLink::recv_into`] fills its
-//! inbox with everything queued, the loop handles all of it, one
-//! [`NodeLink::send_many`] flushes the result — and sleeps until it has
-//! something to do: with no tick or reclaimable dirty entry due, untimed.
 //!
 //! # One client shell
 //!
@@ -60,19 +94,20 @@
 //!
 //! Aggregate inspection ([`switch_stats`](Cluster::switch_stats),
 //! [`switch_memory_bytes`](Cluster::switch_memory_bytes)) works by
-//! message: each pipeline answers with a
+//! message: the worker that hosts a group's pipeline answers with its
 //! [`GroupObservation`] snapshot and the facade folds them through
 //! [`SpineView`] — the control plane reads totals without ever touching a
 //! worker's state.
 //!
 //! The §5.3 switch failure/replacement sequence
 //! ([`kill_switch`](Cluster::kill_switch) /
-//! [`replace_switch`](Cluster::replace_switch)) applies to the whole
-//! fleet atomically: every pipeline of the old incarnation is torn down and
-//! joined, and a fresh fleet (fresh dirty sets and sequence spaces for
-//! *every* hosted group) spawns under a larger incarnation id at the same
-//! client-facing address. Single-replica reads stay disabled per group
-//! until the first WRITE-COMPLETION bearing the new incarnation's id.
+//! [`replace_switch`](Cluster::replace_switch)) applies to every pipeline
+//! at once: the spine is cleared, every pipeline of the old incarnation is
+//! evicted from its worker — which keeps running its replicas — and fresh
+//! ones (fresh dirty sets and sequence spaces for *every* hosted group) are
+//! adopted under a larger incarnation id at the same client-facing address.
+//! Single-replica reads stay disabled per group until the first
+//! WRITE-COMPLETION bearing the new incarnation's id.
 
 // Wall-clock reads are deliberate here: threaded drivers: ticks and timeouts are real time.
 #![allow(clippy::disallowed_methods)]
@@ -105,15 +140,24 @@ use crate::msg::Msg;
 use crate::replica_step::ReplicaNode;
 use crate::switch_actor::{GroupCore, SwitchCore};
 
-/// What a node loop can be handed: a data-plane packet or a control-plane
-/// verb from its own driver. The channel substrate multiplexes these on one
+/// What a loop can be handed: a data-plane packet or a control-plane verb
+/// from its own driver. The channel substrate multiplexes these on one
 /// channel; the UDP substrate splits them (packets on the socket, control on
-/// a side channel) — [`NodeLink`] hides the difference.
+/// a side channel) — [`NodeLink`] hides the difference. Only workers are
+/// sent verbs; a verb that asks for something is answered on the channel it
+/// carries.
 pub enum Envelope {
     /// A data-plane packet.
     Packet(Msg),
-    /// Ask the receiving pipeline for a snapshot of its group's state.
-    Inspect(Sender<GroupObservation>),
+    /// Snapshot the state of this group's pipeline, if the worker hosts it.
+    Inspect(GroupId, Sender<GroupObservation>),
+    /// Host these nodes from now on; acknowledged once each has taken its
+    /// first step.
+    Adopt(Vec<Hosted>, Sender<()>),
+    /// Stop hosting whatever answers to this name — a replica by its own,
+    /// every pipeline by any address of the switch — and acknowledge. What
+    /// is still queued for it finds nobody.
+    Evict(NodeId, Sender<()>),
     /// Leave the loop.
     Stop,
 }
@@ -125,49 +169,43 @@ const CLIENT_TIMEOUT: StdDuration = StdDuration::from_millis(200);
 /// Client attempt budget of every synchronous [`KvClient`], sim included.
 pub(crate) const CLIENT_ATTEMPTS: u32 = 6;
 
-/// How long the control plane waits for a pipeline's Inspect answer.
-const INSPECT_TIMEOUT: StdDuration = StdDuration::from_secs(10);
+/// How long the control plane waits for a worker to answer a verb.
+const VERB_TIMEOUT: StdDuration = StdDuration::from_secs(10);
 
 /// How long one control script gets to land before the step that depends
 /// on it: a re-admission's gate before the newcomer (whose ungate report
 /// must arrive after it) starts, one lease-move round before the next.
 const CONTROL_SETTLE: StdDuration = StdDuration::from_millis(2);
 
-/// Snapshot every listed pipeline over its control channel. The inspects
-/// fan out first, so a fleet answers concurrently.
-fn observe<'a>(ctls: impl Iterator<Item = &'a Sender<Envelope>>) -> Option<Vec<GroupObservation>> {
-    let mut pending = Vec::new();
-    for ctl in ctls {
-        let (otx, orx) = bounded(1);
-        ctl.send(Envelope::Inspect(otx)).ok()?;
-        pending.push(orx);
-    }
-    pending
-        .into_iter()
-        .map(|orx| orx.recv_timeout(INSPECT_TIMEOUT).ok())
-        .collect()
+/// Send a worker a verb that carries the channel it is answered on. `None`:
+/// the worker is gone.
+fn ask<T>(ctl: &Sender<Envelope>, verb: impl FnOnce(Sender<T>) -> Envelope) -> Option<Receiver<T>> {
+    let (tx, rx) = bounded(1);
+    ctl.send(verb(tx)).ok()?;
+    Some(rx)
 }
 
-/// Tell every listed node loop to stop, then wait for all of them.
-fn stop_and_join<T>(threads: Vec<(T, Sender<Envelope>, JoinHandle<()>)>) {
-    for (_, ctl, _) in &threads {
-        let _ = ctl.send(Envelope::Stop);
-    }
-    for (_, _, join) in threads {
-        let _ = join.join();
-    }
-}
-
-/// One node's connection to its deployment, whatever the substrate.
+/// One loop's connection to its deployment, whatever the substrate: the
+/// endpoint of a worker and all the nodes it hosts, or of a client shell and
+/// all its lanes.
 ///
-/// Everything that *handles* packets — the per-group switch pipelines, the
-/// replica loops, and the [`LiveClient`] shell — is written against this
-/// trait, so the threaded drivers share all packet-handling logic and
-/// differ only in how bytes move: an in-process channel behind the
-/// copy-on-write route table, or a `UdpSocket` behind the deployment's
-/// [`AddrBook`](harmonia_net::AddrBook). A link deregisters its node when
-/// dropped: a dead endpoint must not keep receiving routes.
+/// Everything that *handles* packets — the worker loop and the
+/// [`LiveClient`] shell — is written against this trait, so the threaded
+/// drivers share all packet-handling logic and differ only in how bytes
+/// move: an in-process channel behind the copy-on-write route table, or a
+/// `UdpSocket` behind the deployment's
+/// [`AddrBook`](harmonia_net::AddrBook). A link sends wherever the
+/// deployment's routes say, itself included: a packet for a name the link
+/// answers to comes back through its own inbox. A link releases its names
+/// when dropped: a dead endpoint must not keep receiving routes.
 pub trait NodeLink: Send {
+    /// Answer to `name` from now on, beside every name bound before.
+    fn bind(&mut self, name: NodeId);
+
+    /// Stop answering to `name`, if this link does: packets toward it
+    /// vanish from now on, as toward a dead NIC.
+    fn release(&mut self, name: NodeId);
+
     /// Send `msg` toward `to`. Never blocks on the receiver; undeliverable
     /// packets — no route, a dead node, a full queue — are dropped (clients
     /// retry — that is the reliability layer).
@@ -198,17 +236,17 @@ pub trait NodeLink: Send {
     ) -> Result<Option<Envelope>, RecvTimeoutError>;
 }
 
-/// What the threaded rig needs from whatever moves its packets: how a node
+/// What the threaded rig needs from whatever moves its packets: how a loop
 /// gets its [`NodeLink`] and control channel, how the spine is published
 /// and cleared, how the configuration service reaches nodes, and what the
-/// snapshot's fault section reports. Everything else — threads, §5.3
+/// snapshot's fault section reports. Everything else — workers, §5.3
 /// verbs, inspection, the [`Cluster`] surface — is [`ThreadedCluster`]'s,
 /// written once.
 pub trait Substrate: Sized + 'static {
-    /// A node's connection to the deployment.
+    /// A loop's connection to the deployment.
     type Link: NodeLink + 'static;
-    /// Where the spine delivers one group's packets.
-    type Ingress;
+    /// Where a link receives: what the spine delivers a group's packets to.
+    type Ingress: Clone + Send;
     /// The `driver` label of this substrate's snapshots and thread names.
     const DRIVER: &'static str;
     /// How many spaced rounds a lease move is sent in: 1 where delivery to
@@ -220,20 +258,21 @@ pub trait Substrate: Sized + 'static {
     /// The substrate for one deployment of `spec`.
     fn new(spec: &DeploymentSpec) -> Self;
 
-    /// Register every address in `names` — one for a replica, one per lane
-    /// for a [`LiveClient`] — onto one link, and hand it back with the
-    /// channel its driver verbs ([`Envelope::Stop`]) travel on — the link
-    /// must surface a verb sent there even to a loop asleep with no
-    /// deadline. `recorder` receives the link's wire counters, where the
-    /// substrate has a wire.
-    fn attach(&self, names: &[NodeId], recorder: Recorder) -> (Self::Link, Sender<Envelope>);
-
-    /// A link for one switch pipeline — addressed only through the spine,
-    /// never by unicast — with its control channel and spine ingress.
-    fn attach_pipeline(&self, recorder: Recorder) -> (Self::Link, Sender<Envelope>, Self::Ingress);
+    /// One link bound to every address in `names` — one per lane for a
+    /// [`LiveClient`], none yet for a worker, which binds its nodes' as it
+    /// adopts them — with the channel its driver verbs travel on and where
+    /// it receives. The link must surface a verb sent there even to a loop
+    /// asleep with no deadline. `recorder` receives the link's wire
+    /// counters, where the substrate has a wire.
+    fn attach(
+        &self,
+        names: &[NodeId],
+        recorder: Recorder,
+    ) -> (Self::Link, Sender<Envelope>, Self::Ingress);
 
     /// Route every address in `names` through `shards` onto `ingress`
-    /// (indexed by group), resolved on the sending thread.
+    /// (indexed by group), resolved on the sending thread. One ingress may
+    /// serve several groups; what goes to every group goes to it once.
     fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, ingress: Vec<Self::Ingress>);
 
     /// Unpublish the spine: packets toward the switch vanish.
@@ -251,12 +290,29 @@ pub trait Substrate: Sized + 'static {
 pub struct ChannelLink {
     router: RouterHandle,
     rx: Receiver<Envelope>,
-    /// The routes this link owns (none for pipelines, which the spine
-    /// addresses).
+    /// The sending half of `rx`: what a name bound to this link routes to.
+    tx: Sender<Envelope>,
+    /// The routes this link owns.
     owned: Vec<NodeId>,
 }
 
 impl NodeLink for ChannelLink {
+    fn bind(&mut self, name: NodeId) {
+        self.owned.push(name);
+        self.router.router.install(|t| {
+            t.insert(name, Route::Unicast(self.tx.clone()));
+        });
+    }
+
+    fn release(&mut self, name: NodeId) {
+        if let Some(i) = self.owned.iter().position(|&n| n == name) {
+            self.owned.swap_remove(i);
+            self.router.router.install(|t| {
+                t.remove(&name);
+            });
+        }
+    }
+
     fn send(&mut self, to: NodeId, msg: Msg) {
         self.router.send(to, msg);
     }
@@ -297,7 +353,8 @@ impl Drop for ChannelLink {
 /// Where a destination's packets go.
 #[derive(Clone)]
 enum Route {
-    /// A single node's ingress channel (replicas, clients).
+    /// The ingress channel of the link that answers to the name (a
+    /// replica's worker, a client shell).
     Unicast(Sender<Envelope>),
     /// The switch: stateless shard-routing onto per-group pipelines,
     /// resolved on the sending thread.
@@ -309,8 +366,11 @@ enum Route {
 /// Holds no group state — the pipelines own all of it.
 struct SpinePlan {
     shards: ShardMap,
-    /// Pipeline ingress channels, indexed by group id.
+    /// The ingress channel of each group's pipeline — of the worker that
+    /// hosts it — indexed by group id.
     groups: Vec<Sender<Envelope>>,
+    /// Each distinct channel of `groups`, once.
+    every: Vec<Sender<Envelope>>,
 }
 
 impl SpinePlan {
@@ -322,10 +382,11 @@ impl SpinePlan {
         let ingress = match msg.body.switch_route() {
             SwitchRoute::Group(obj) => self.groups.get(self.shards.shard_of(obj) as usize),
             SwitchRoute::AnyGroup => self.groups.first(),
-            // Each group's core applies only the changes addressed to it
-            // (`GroupCore::handle_control` is membership-guarded).
+            // One copy per worker, which hands it to every pipeline it
+            // hosts; each group's core applies only the changes addressed
+            // to it (`GroupCore::handle` is membership-guarded).
             SwitchRoute::EveryGroup => {
-                for tx in &self.groups {
+                for tx in &self.every {
                     deliver(tx, msg.clone());
                 }
                 return;
@@ -412,16 +473,6 @@ pub struct Channels {
     router: Arc<Router>,
 }
 
-impl Channels {
-    fn link(&self, rx: Receiver<Envelope>, owned: Vec<NodeId>) -> ChannelLink {
-        ChannelLink {
-            router: self.router.handle(),
-            rx,
-            owned,
-        }
-    }
-}
-
 impl Substrate for Channels {
     type Link = ChannelLink;
     type Ingress = Sender<Envelope>;
@@ -432,31 +483,41 @@ impl Substrate for Channels {
         Channels::default()
     }
 
-    fn attach(&self, names: &[NodeId], _recorder: Recorder) -> (ChannelLink, Sender<Envelope>) {
+    fn attach(
+        &self,
+        names: &[NodeId],
+        _recorder: Recorder,
+    ) -> (ChannelLink, Sender<Envelope>, Sender<Envelope>) {
         // A client's queue is bounded — nobody can make it listen — at
         // 1 024 envelopes for every client name that shares it.
         let (tx, rx) = match names {
             [NodeId::Client(_), ..] => bounded(1024 * names.len()),
             _ => unbounded(),
         };
-        self.router.install(|t| {
-            for &name in names {
-                t.insert(name, Route::Unicast(tx.clone()));
-            }
-        });
-        (self.link(rx, names.to_vec()), tx)
-    }
-
-    fn attach_pipeline(
-        &self,
-        _recorder: Recorder,
-    ) -> (ChannelLink, Sender<Envelope>, Sender<Envelope>) {
-        let (tx, rx) = unbounded();
-        (self.link(rx, Vec::new()), tx.clone(), tx)
+        let mut link = ChannelLink {
+            router: self.router.handle(),
+            rx,
+            tx: tx.clone(),
+            owned: Vec::new(),
+        };
+        for &name in names {
+            link.bind(name);
+        }
+        (link, tx.clone(), tx)
     }
 
     fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, groups: Vec<Sender<Envelope>>) {
-        let plan = Arc::new(SpinePlan { shards, groups });
+        let mut every: Vec<Sender<Envelope>> = Vec::with_capacity(groups.len());
+        for tx in &groups {
+            if !every.iter().any(|seen| seen.same_channel(tx)) {
+                every.push(tx.clone());
+            }
+        }
+        let plan = Arc::new(SpinePlan {
+            shards,
+            groups,
+            every,
+        });
         self.router.install(|t| {
             for name in names {
                 t.insert(name, Route::Spine(Arc::clone(&plan)));
@@ -736,26 +797,257 @@ impl KvClient for LiveClient {
     }
 }
 
-/// The whole switch of one incarnation: a fleet of per-group pipeline
-/// threads, each with the control channel it is inspected and stopped on.
-struct SwitchFleet {
-    incarnation: SwitchId,
-    pipelines: Vec<(GroupId, Sender<Envelope>, JoinHandle<()>)>,
+/// A node as a worker hosts it: one of the sans-IO cores behind the three
+/// steps the worker loop knows — take a packet, say when it next has
+/// something to do unprompted, do it.
+pub struct Hosted {
+    node: Node,
+    /// When [`on_deadline`](Self::on_deadline) is due; `None` while the node
+    /// only waits for packets.
+    deadline: Option<StdInstant>,
+}
+
+enum Node {
+    /// One group's switch state. Stale dirty entries are swept when the
+    /// pipeline has handled nothing for `sweep`, and only while a sweep
+    /// could reclaim something.
+    Pipeline {
+        core: GroupCore,
+        rng: SmallRng,
+        /// The switch's client-facing address.
+        me: NodeId,
+        sweep: StdDuration,
+    },
+    /// One storage server; `tick` is its protocol's, if it has one.
+    Replica {
+        me: ReplicaId,
+        node: ReplicaNode,
+        tick: Option<StdDuration>,
+    },
+}
+
+impl Hosted {
+    fn pipeline(core: GroupCore, me: NodeId, sweep: StdDuration) -> Hosted {
+        let rng = SmallRng::seed_from_u64(
+            0x5717c4 ^ u64::from(core.incarnation().0) ^ (u64::from(core.group().0) << 32),
+        );
+        Hosted {
+            node: Node::Pipeline {
+                core,
+                rng,
+                me,
+                sweep,
+            },
+            deadline: None,
+        }
+    }
+
+    fn replica(me: ReplicaId, node: ReplicaNode) -> Hosted {
+        let tick = node.tick_interval().map(|d| d.to_std());
+        Hosted {
+            node: Node::Replica { me, node, tick },
+            deadline: None,
+        }
+    }
+
+    /// The unicast name the worker's link must answer to for this node.
+    /// Pipelines have none: the spine addresses them.
+    fn name(&self) -> Option<NodeId> {
+        match &self.node {
+            Node::Pipeline { .. } => None,
+            Node::Replica { me, .. } => Some(NodeId::Replica(*me)),
+        }
+    }
+
+    /// The group whose pipeline this is.
+    fn group(&self) -> Option<GroupId> {
+        match &self.node {
+            Node::Pipeline { core, .. } => Some(core.group()),
+            Node::Replica { .. } => None,
+        }
+    }
+
+    /// First step on a worker: a recovering replica asks its peer for a
+    /// snapshot, a ticking one arms its tick.
+    fn start(&mut self, now: StdInstant, out: &mut Vec<(NodeId, Msg)>) {
+        if let Node::Replica { me, node, tick } = &mut self.node {
+            node.start(*me, out);
+            self.deadline = tick.map(|t| now + t);
+        }
+    }
+
+    /// Handle one packet of a pass that began at `now`.
+    fn on_packet(&mut self, now: StdInstant, msg: Msg, out: &mut Vec<(NodeId, Msg)>) {
+        match &mut self.node {
+            Node::Pipeline {
+                core,
+                rng,
+                me,
+                sweep,
+            } => {
+                let at = core.recorder().now();
+                core.handle(at, *me, msg, rng, out);
+                // Idle-driven, not periodic: a busy pipeline keeps pushing
+                // the sweep ahead of itself, and its reads scrub stale
+                // entries as they probe.
+                self.deadline = core.sweep_pending().then(|| now + *sweep);
+            }
+            Node::Replica { me, node, .. } => {
+                let at = node.recorder().now();
+                node.on_packet(at, *me, msg, out);
+            }
+        }
+    }
+
+    /// Run the sweep or the tick, if `now` is past its time.
+    fn on_deadline(&mut self, now: StdInstant, out: &mut Vec<(NodeId, Msg)>) {
+        if self.deadline.is_none_or(|at| at > now) {
+            return;
+        }
+        match &mut self.node {
+            Node::Pipeline { core, sweep, .. } => {
+                core.sweep();
+                self.deadline = core.sweep_pending().then(|| now + *sweep);
+            }
+            Node::Replica { me, node, tick } => {
+                node.on_tick(*me, out);
+                self.deadline = tick.map(|t| now + t);
+            }
+        }
+    }
+}
+
+/// Hand `msg` to the hosted node it addresses, if there is one: a replica by
+/// its name, a pipeline by where [`PacketBody::switch_route`] sends what is
+/// addressed to the switch. The spine already chose this worker by that
+/// route; all that is left is which of the pipelines here.
+fn dispatch(
+    nodes: &mut [Hosted],
+    shards: ShardMap,
+    now: StdInstant,
+    msg: Msg,
+    out: &mut Vec<(NodeId, Msg)>,
+) {
+    let NodeId::Switch(_) = msg.dst else {
+        if let Some(node) = nodes.iter_mut().find(|n| n.name() == Some(msg.dst)) {
+            node.on_packet(now, msg, out);
+        }
+        return;
+    };
+    let mut pipelines = nodes.iter_mut().filter(|n| n.group().is_some());
+    let pipeline = match msg.body.switch_route() {
+        SwitchRoute::Group(obj) => {
+            let group = GroupId(shards.shard_of(obj));
+            pipelines.find(|p| p.group() == Some(group))
+        }
+        SwitchRoute::AnyGroup => pipelines.next(),
+        SwitchRoute::EveryGroup => {
+            for pipeline in pipelines {
+                pipeline.on_packet(now, msg.clone(), out);
+            }
+            return;
+        }
+        // The spine forwards these to the client itself.
+        SwitchRoute::Client(_) => None,
+    };
+    if let Some(pipeline) = pipeline {
+        pipeline.on_packet(now, msg, out);
+    }
+}
+
+/// The server shell — the one loop every switch pipeline and every replica
+/// of the threaded drivers runs in, identical on every substrate: sleep on
+/// the link until the earliest deadline of any hosted node (untimed when
+/// none has one), take everything queued, hand each packet to the node it
+/// addresses, run the sweeps and ticks that are due, and flush what all of
+/// that produced in one [`NodeLink::send_many`]. The worker knows no routes:
+/// a packet for a node it hosts itself goes out through the link like any
+/// other and comes back through the same inbox. A packet for a node it does
+/// not host — evicted, or not adopted yet — finds nobody and vanishes.
+fn worker_main(mut link: impl NodeLink, shards: ShardMap) {
+    let mut nodes: Vec<Hosted> = Vec::new();
+    let mut inbox: Vec<Msg> = Vec::new();
+    let mut out: Vec<(NodeId, Msg)> = Vec::new();
+    loop {
+        let earliest = nodes.iter().filter_map(|n| n.deadline).min();
+        let verb = match link.recv_into(earliest, &mut inbox) {
+            Ok(verb) => verb,
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
+        let now = StdInstant::now();
+        for msg in inbox.drain(..) {
+            dispatch(&mut nodes, shards, now, msg, &mut out);
+        }
+        if earliest.is_some_and(|at| at <= now) {
+            for node in &mut nodes {
+                node.on_deadline(now, &mut out);
+            }
+        }
+        match verb {
+            Some(Envelope::Inspect(group, reply)) => {
+                let observed = nodes.iter().find_map(|n| match &n.node {
+                    Node::Pipeline { core, .. } if core.group() == group => Some(core.observe()),
+                    _ => None,
+                });
+                if let Some(observed) = observed {
+                    let _ = reply.send(observed);
+                }
+            }
+            // Adopted in one step, so nodes that tick alike — a group's
+            // replicas — tick in the same pass from now on.
+            Some(Envelope::Adopt(adopted, ack)) => {
+                for mut node in adopted {
+                    if let Some(name) = node.name() {
+                        link.bind(name);
+                    }
+                    node.start(now, &mut out);
+                    nodes.push(node);
+                }
+                let _ = ack.send(());
+            }
+            Some(Envelope::Evict(name, ack)) => {
+                nodes.retain(|n| match name {
+                    NodeId::Switch(_) => n.group().is_none(),
+                    name => n.name() != Some(name),
+                });
+                link.release(name);
+                let _ = ack.send(());
+            }
+            Some(Envelope::Stop) => return,
+            Some(Envelope::Packet(_)) | None => {}
+        }
+        link.send_many(&mut out);
+    }
+}
+
+/// One worker of a cluster, as its driver holds it.
+struct Worker<S: Substrate> {
+    /// Where its verbs go.
+    ctl: Sender<Envelope>,
+    /// Where its link receives: the spine ingress of every pipeline it
+    /// hosts.
+    ingress: S::Ingress,
+    join: JoinHandle<()>,
 }
 
 /// A deployment on OS threads — one replica group or many, exactly as its
-/// [`DeploymentSpec`] describes — over substrate `S`: the switch pipeline
-/// fleet, one thread per replica, and the configuration service's §5.3
+/// [`DeploymentSpec`] describes — over substrate `S`: as many workers as
+/// the host has cores to run them on (never more than nodes), the switch
+/// pipelines and replicas they host, and the configuration service's §5.3
 /// verbs. All of it is reachable through [`Cluster`]; the inherent methods
 /// are what the trait cannot express (a concrete [`LiveClient`] from
 /// `&self`, the per-group [`switch_view`](Self::switch_view)).
 pub struct ThreadedCluster<S: Substrate> {
     spec: DeploymentSpec,
     pub(crate) substrate: S,
-    replicas: Vec<(ReplicaId, Sender<Envelope>, JoinHandle<()>)>,
-    switch: Option<SwitchFleet>,
+    /// They live as long as the cluster; nodes come and go by verb.
+    workers: Vec<Worker<S>>,
+    /// The incarnation whose pipelines the workers host; `None` while the
+    /// switch is down.
+    switch: Option<SwitchId>,
     next_client: AtomicU32,
-    /// Observability: every pipeline, replica loop, link, and client shards
+    /// Observability: every pipeline, replica, link, and client shards
     /// into this registry; the clock is the rig's single monotonic epoch.
     registry: Registry,
 }
@@ -765,92 +1057,124 @@ pub struct ThreadedCluster<S: Substrate> {
 pub type LiveCluster = ThreadedCluster<Channels>;
 
 impl<S: Substrate> ThreadedCluster<S> {
-    /// Spawn the switch pipeline fleet and every group's replica threads
-    /// for `spec`.
+    /// Bring `spec` up on as many workers as this process may run in
+    /// parallel — its CPU affinity and quota decide, nothing else does.
     pub fn new(spec: &DeploymentSpec) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::with_workers(spec, cores)
+    }
+
+    /// Bring `spec` up on `workers` workers, at most one per node: every
+    /// group's pipeline, then every replica in id order, dealt round-robin —
+    /// so a group's replicas land on distinct workers before any worker
+    /// takes a second, and with a worker per node every node has its own
+    /// thread.
+    pub(crate) fn with_workers(spec: &DeploymentSpec, workers: usize) -> Self {
+        let substrate = S::new(spec);
+        let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
+        let shards = spec.shard_map();
+        let nodes = spec.groups + spec.total_replicas();
+        let workers = (0..workers.clamp(1, nodes)).map(|w| {
+            // One recorder shard per link: counters and traces stay
+            // thread-local on the packet path, merged only on snapshot.
+            let (link, ctl, ingress) = substrate.attach(&[], registry.handle());
+            let join = std::thread::Builder::new()
+                .name(format!("{}-worker-{w}", S::DRIVER))
+                .spawn(move || worker_main(link, shards))
+                // lint:allow(panic_path): deployment bring-up, not the data
+                // plane — thread-spawn failure means the host is out of
+                // resources before any traffic exists.
+                .expect("spawn worker thread");
+            Worker { ctl, ingress, join }
+        });
         let mut cluster = ThreadedCluster {
             spec: spec.clone(),
-            substrate: S::new(spec),
-            replicas: Vec::new(),
+            workers: workers.collect(),
+            substrate,
             switch: None,
             next_client: AtomicU32::new(1),
-            registry: Registry::with_clock(Arc::new(MonotonicClock::new())),
+            registry,
         };
-        cluster.spawn_switch(spec.initial_switch());
-        for g in 0..spec.groups {
-            for i in 0..spec.replicas {
-                cluster.spawn_replica(spec.group_config(g, i), None);
-            }
-        }
+        cluster.adopt_switch(spec.initial_switch());
+        let replicas = (0..spec.groups)
+            .flat_map(|g| (0..spec.replicas).map(move |i| (g, i)))
+            .map(|(g, i)| cluster.replica(spec.group_config(g, i), None));
+        cluster.adopt(replicas.collect());
         cluster
     }
 
-    /// Spawn the pipeline fleet of `incarnation`: one thread per hosted
-    /// group, each taking exclusive ownership of its group's fresh state.
-    /// The fleet receives on the stable client-facing address and on its
-    /// own incarnation's address (replicas reply to the lease holder); both
-    /// resolve through the same stateless shard router.
-    fn spawn_switch(&mut self, incarnation: SwitchId) {
+    /// The worker that hosts node `index` of the deployment: pipelines come
+    /// first, by group, then replicas, by id. (Never `None`: there is always
+    /// a worker.)
+    fn host(&self, index: usize) -> Option<&Worker<S>> {
+        self.workers.get(index % self.workers.len().max(1))
+    }
+
+    /// The worker that hosts (or would host) replica `r`.
+    fn replica_host(&self, r: ReplicaId) -> Option<&Worker<S>> {
+        self.host(self.spec.groups + r.index())
+    }
+
+    /// Hand each node to the worker its index names — one verb per worker —
+    /// and wait until all of them run.
+    fn adopt(&self, mut nodes: Vec<(usize, Hosted)>) {
+        let mut acks = Vec::new();
+        for (w, worker) in self.workers.iter().enumerate() {
+            let (batch, rest): (Vec<_>, Vec<_>) =
+                (nodes.into_iter()).partition(|(index, _)| index % self.workers.len() == w);
+            nodes = rest;
+            if !batch.is_empty() {
+                let batch = batch.into_iter().map(|(_, node)| node).collect();
+                acks.extend(ask(&worker.ctl, |ack| Envelope::Adopt(batch, ack)));
+            }
+        }
+        for ack in acks {
+            let _ = ack.recv_timeout(VERB_TIMEOUT);
+        }
+    }
+
+    /// Have `workers` stop hosting whatever answers to `name`, and wait
+    /// until it is gone.
+    fn evict<'a>(&'a self, workers: impl IntoIterator<Item = &'a Worker<S>>, name: NodeId) {
+        let acks: Vec<Receiver<()>> = workers
+            .into_iter()
+            .filter_map(|worker| ask(&worker.ctl, |ack| Envelope::Evict(name, ack)))
+            .collect();
+        for ack in acks {
+            let _ = ack.recv_timeout(VERB_TIMEOUT);
+        }
+    }
+
+    /// Bring the pipelines of `incarnation` up — fresh state for every
+    /// hosted group, each on the worker its group places it on — and route
+    /// the switch's addresses to them: the stable client-facing one and the
+    /// incarnation's own (replicas reply to the lease holder); both resolve
+    /// through the same stateless shard router.
+    fn adopt_switch(&mut self, incarnation: SwitchId) {
         let core = SwitchCore::for_deployment(&self.spec, incarnation);
         let shards = core.shard_map();
         let me = self.spec.switch_addr();
         // Idle pipelines sweep stale dirty entries this often.
         let sweep = (self.spec.sweep_interval).map_or(StdDuration::from_millis(10), |d| d.to_std());
-        let mut pipelines = Vec::new();
-        let mut ingress = Vec::new();
-        for mut core in core.into_group_cores() {
-            // One recorder shard per pipeline: counters and traces stay
-            // thread-local on the packet path, merged only on snapshot.
+        let pipelines = core.into_group_cores().into_iter().map(|mut core| {
             core.set_recorder(self.registry.handle());
-            let group = core.group();
-            let (link, ctl, into) = self.substrate.attach_pipeline(self.registry.handle());
-            let join = std::thread::Builder::new()
-                .name(format!(
-                    "{}-switch-{}-g{}",
-                    S::DRIVER,
-                    incarnation.0,
-                    group.0
-                ))
-                .spawn(move || pipeline_main(core, link, me, sweep))
-                // lint:allow(panic_path): deployment bring-up, not the data
-                // plane — thread-spawn failure means the host is out of
-                // resources before any traffic exists.
-                .expect("spawn switch pipeline thread");
-            ingress.push(into);
-            pipelines.push((group, ctl, join));
-        }
-        self.substrate
-            .publish_spine([me, NodeId::Switch(incarnation)], shards, ingress);
-        self.switch = Some(SwitchFleet {
-            incarnation,
-            pipelines,
+            (core.group().0 as usize, Hosted::pipeline(core, me, sweep))
         });
+        self.adopt(pipelines.collect());
+        let ingress = (0..self.spec.groups)
+            .filter_map(|g| self.host(g))
+            .map(|worker| worker.ingress.clone());
+        self.substrate
+            .publish_spine([me, NodeId::Switch(incarnation)], shards, ingress.collect());
+        self.switch = Some(incarnation);
     }
 
-    /// Spawn one replica thread; with `recover_from` set, a *fresh* replica
-    /// that catches up from that peer before serving.
-    fn spawn_replica(&mut self, config: GroupConfig, recover_from: Option<ReplicaId>) {
+    /// One replica and where it goes; with `recover_from` set, a *fresh*
+    /// replica that catches up from that peer before serving.
+    fn replica(&self, config: GroupConfig, recover_from: Option<ReplicaId>) -> (usize, Hosted) {
         let me = config.me;
-        let (link, ctl) = self
-            .substrate
-            .attach(&[NodeId::Replica(me)], self.registry.handle());
         let node = ReplicaNode::new(build_replica(config), recover_from, self.registry.handle());
-        let join = std::thread::Builder::new()
-            .name(format!("{}-replica-{}", S::DRIVER, me.0))
-            .spawn(move || replica_main(me, node, link))
-            // lint:allow(panic_path): deployment bring-up (see spawn_switch).
-            .expect("spawn replica thread");
-        self.replicas.push((me, ctl, join));
-    }
-
-    /// Stop and join replica threads; each link's drop takes its node out
-    /// of the substrate, so packets toward it vanish mid-flight.
-    fn stop_replicas(&mut self, which: impl Fn(ReplicaId) -> bool) {
-        let (stopped, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.replicas)
-            .into_iter()
-            .partition(|(r, ..)| which(*r));
-        self.replicas = kept;
-        stop_and_join(stopped);
+        (self.spec.groups + me.index(), Hosted::replica(me, node))
     }
 
     /// Create a synchronous client handle: the client shell with one lane.
@@ -872,25 +1196,37 @@ impl<S: Substrate> ThreadedCluster<S> {
         let names: Vec<NodeId> = (first..first + lanes)
             .map(|c| NodeId::Client(ClientId(c)))
             .collect();
-        // One shard for the link and every lane. Clients have no driver
-        // verbs; their control channel is unused.
+        // One shard for the link and every lane. Clients are sent no verbs.
         let recorder = self.registry.handle();
-        let (link, _) = self.substrate.attach(&names, recorder.clone());
+        let (link, ..) = self.substrate.attach(&names, recorder.clone());
         LiveClient::over(Box::new(link), &self.spec, first, plans, recorder)
+    }
+
+    /// Snapshot the pipelines of `groups`, each asked of the worker that
+    /// hosts it. The inspects fan out first, so workers answer concurrently.
+    fn observe(&self, groups: impl Iterator<Item = GroupId>) -> Option<Vec<GroupObservation>> {
+        self.switch?;
+        let pending: Option<Vec<Receiver<GroupObservation>>> = groups
+            .map(|g| {
+                let host = self.host(g.0 as usize)?;
+                ask(&host.ctl, |reply| Envelope::Inspect(g, reply))
+            })
+            .collect();
+        (pending?.into_iter())
+            .map(|reply| reply.recv_timeout(VERB_TIMEOUT).ok())
+            .collect()
     }
 
     /// Snapshot one group's pipeline state.
     fn observe_group(&self, group: GroupId) -> Option<GroupObservation> {
-        let fleet = self.switch.as_ref()?;
-        let ctl = fleet.pipelines.iter().find(|p| p.0 == group).map(|p| &p.1);
-        observe(ctl.into_iter())?.pop()
+        self.observe(std::iter::once(group))?.pop()
     }
 
     /// Aggregate-only view across every pipeline (per-group snapshots);
     /// `None` while the switch is down.
     pub fn switch_view(&self) -> Option<SpineView> {
-        let fleet = self.switch.as_ref()?;
-        observe(fleet.pipelines.iter().map(|p| &p.1)).map(SpineView::new)
+        self.observe((0..self.spec.groups as u32).map(GroupId))
+            .map(SpineView::new)
     }
 
     /// Stop every thread and wait for them. (Dropping the cluster does the
@@ -900,8 +1236,13 @@ impl<S: Substrate> ThreadedCluster<S> {
 
 impl<S: Substrate> Drop for ThreadedCluster<S> {
     fn drop(&mut self) {
-        self.kill_switch();
-        self.stop_replicas(|_| true);
+        for worker in &self.workers {
+            let _ = worker.ctl.send(Envelope::Stop);
+        }
+        // Each link's drop takes its names out of the substrate.
+        for worker in self.workers.drain(..) {
+            let _ = worker.join.join();
+        }
     }
 }
 
@@ -914,23 +1255,23 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
         Box::new(Self::client(self))
     }
 
-    /// Every per-group pipeline of the incarnation stops and is joined. The
-    /// spine is unpublished first, so requests already in flight or sent
-    /// later vanish — clients time out and retry, exactly the Figure 10
-    /// outage.
+    /// Every per-group pipeline of the incarnation is evicted from its
+    /// worker. The spine is unpublished first, so requests already in flight
+    /// or sent later vanish — clients time out and retry, exactly the
+    /// Figure 10 outage.
     fn kill_switch(&mut self) {
-        if let Some(fleet) = self.switch.take() {
+        if let Some(incarnation) = self.switch.take() {
             self.substrate.clear_spine();
-            stop_and_join(fleet.pipelines);
+            self.evict(&self.workers, NodeId::Switch(incarnation));
         }
     }
 
-    /// A fresh pipeline fleet — fresh dirty sets and sequence spaces for
-    /// *every* hosted group — at the same client-facing address, then the
-    /// lease move.
+    /// Fresh pipelines — fresh dirty sets and sequence spaces for *every*
+    /// hosted group — at the same client-facing address, then the lease
+    /// move.
     fn replace_switch(&mut self, new_id: SwitchId) {
         self.kill_switch();
-        self.spawn_switch(new_id);
+        self.adopt_switch(new_id);
         for round in 0..S::LEASE_ROUNDS {
             if round > 0 {
                 std::thread::sleep(CONTROL_SETTLE);
@@ -940,8 +1281,10 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
         }
     }
 
+    /// The replica's worker stops hosting it and releases its name, so
+    /// packets toward it vanish mid-flight; then the survivors are told.
     fn kill_replica(&mut self, r: ReplicaId) {
-        self.stop_replicas(|m| m == r);
+        self.evict(self.replica_host(r), NodeId::Replica(r));
         self.substrate
             .deliver(control::removal(&self.spec, self.spec.switch_addr(), r));
     }
@@ -955,7 +1298,7 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
         // A short settle keeps the gate ahead of the newcomer's ungate
         // report.
         std::thread::sleep(CONTROL_SETTLE);
-        self.spawn_replica(plan.config, Some(plan.peer));
+        self.adopt(vec![self.replica(plan.config, Some(plan.peer))]);
     }
 
     fn switch_stats(&self) -> Option<SwitchStats> {
@@ -979,7 +1322,7 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
     }
 
     fn switch_incarnation(&self) -> Option<SwitchId> {
-        self.switch.as_ref().map(|f| f.incarnation)
+        self.switch
     }
 
     fn obs_snapshot(&self) -> ObsSnapshot {
@@ -1013,123 +1356,128 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
     }
 }
 
-/// A per-group pipeline: exclusively owns one group's switch state and runs
-/// every batch to completion — fill the inbox, handle all of it, flush once.
-/// Stale dirty entries are swept when it has been idle for `sweep`, and only
-/// while a sweep could reclaim something; otherwise it sleeps untimed.
-/// Generic over the [`NodeLink`]: the same loop serves the channel driver
-/// and the UDP driver.
-fn pipeline_main(mut core: GroupCore, mut link: impl NodeLink, me: NodeId, sweep: StdDuration) {
-    let mut rng = SmallRng::seed_from_u64(
-        0x5717c4 ^ u64::from(core.incarnation().0) ^ (u64::from(core.group().0) << 32),
-    );
-    let mut inbox: Vec<Msg> = Vec::new();
-    let mut out: Vec<(NodeId, Msg)> = Vec::new();
-    loop {
-        // Idle-driven, not periodic: a busy pipeline never gets here with
-        // time to spare, and its reads scrub stale entries as they probe.
-        let idle_at = core.sweep_pending().then(|| StdInstant::now() + sweep);
-        let verb = match link.recv_into(idle_at, &mut inbox) {
-            Ok(verb) => verb,
-            Err(RecvTimeoutError::Timeout) => {
-                core.sweep();
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        for msg in inbox.drain(..) {
-            let now = core.recorder().now();
-            core.handle(now, me, msg, &mut rng, &mut out);
-        }
-        link.send_many(&mut out);
-        match verb {
-            Some(Envelope::Inspect(reply)) => {
-                let _ = reply.send(core.observe());
-            }
-            Some(Envelope::Stop) => return,
-            _ => {}
-        }
-    }
-}
-
-/// A replica's event loop: feed packets and ticks to its `ReplicaNode`,
-/// send what a whole batch produced in one flush (one `sendmmsg` run on the
-/// UDP link). A protocol without a tick sleeps untimed. Generic over the
-/// [`NodeLink`], so the same loop serves every substrate.
-fn replica_main(me: ReplicaId, mut node: ReplicaNode, mut link: impl NodeLink) {
-    let mut inbox: Vec<Msg> = Vec::new();
-    let mut outbox: Vec<(NodeId, Msg)> = Vec::new();
-    node.start(me, &mut outbox);
-    link.send_many(&mut outbox);
-    let tick = node.tick_interval().map(|d| d.to_std());
-    let mut next_tick = tick.map(|t| StdInstant::now() + t);
-    loop {
-        match link.recv_into(next_tick, &mut inbox) {
-            Ok(Some(Envelope::Stop)) | Err(RecvTimeoutError::Disconnected) => break,
-            Ok(_) | Err(RecvTimeoutError::Timeout) => {}
-        }
-        for msg in inbox.drain(..) {
-            let now = node.recorder().now();
-            node.on_packet(now, me, msg, &mut outbox);
-        }
-        if let (Some(at), Some(iv)) = (next_tick, tick) {
-            if StdInstant::now() >= at {
-                node.on_tick(me, &mut outbox);
-                next_tick = Some(StdInstant::now() + iv);
-            }
-        }
-        link.send_many(&mut outbox);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udp::Sockets;
+    use harmonia_obs::TraceStage;
     use harmonia_replication::ProtocolKind;
+    use harmonia_types::OpKind;
+    use harmonia_verify::{check_history, Action, OpRecord};
 
-    fn roundtrip(protocol: ProtocolKind, harmonia: bool) {
-        let cluster = DeploymentSpec::new()
-            .protocol(protocol)
-            .harmonia(harmonia)
-            .spawn_live();
-        let mut client = cluster.client();
-        assert_eq!(client.get("missing").unwrap(), None);
-        client.set("alpha", "1").unwrap();
-        client.set("beta", "2").unwrap();
-        client.set("alpha", "3").unwrap();
-        assert_eq!(client.get("alpha").unwrap(), Some(Bytes::from_static(b"3")));
-        assert_eq!(client.get("beta").unwrap(), Some(Bytes::from_static(b"2")));
-        cluster.shutdown();
+    /// Run a check on every layout a host can impose on `spec` — everything
+    /// on one worker, two workers, a worker per node — on both substrates.
+    fn every_layout(
+        spec: &DeploymentSpec,
+        channels: fn(&DeploymentSpec, usize),
+        sockets: fn(&DeploymentSpec, usize),
+    ) {
+        for workers in [1, 2, spec.groups + spec.total_replicas()] {
+            channels(spec, workers);
+            sockets(spec, workers);
+        }
+    }
+
+    /// `"udp, 2 workers"`: which cell of the matrix failed.
+    fn cell<S: Substrate>(cluster: &ThreadedCluster<S>) -> String {
+        format!("{}, {} workers", S::DRIVER, cluster.workers.len())
+    }
+
+    /// Wing–Gong over what the lanes recorded, a violation reported with
+    /// the packet-path trace of its key — `tests/common`'s helper of the
+    /// same name, which a unit test of this crate cannot reach.
+    fn assert_linearizable_traced(
+        histories: &[Vec<RecordedOp>],
+        traces: &[TraceEvent],
+        context: &str,
+    ) {
+        let records: Vec<OpRecord> = (10..)
+            .zip(histories)
+            .flat_map(|(client, history)| {
+                history.iter().map(move |r| {
+                    assert!(r.ok, "{context}: {r:?} was abandoned");
+                    OpRecord {
+                        client,
+                        key: r.key.clone(),
+                        invoke: r.invoked.nanos(),
+                        complete: r.completed.nanos(),
+                        action: match r.kind {
+                            OpKind::Write => Action::Write(r.value.clone().unwrap_or_default()),
+                            OpKind::Read => Action::Read(r.result.clone()),
+                        },
+                    }
+                })
+            })
+            .collect();
+        assert!(!records.is_empty(), "{context}: empty history");
+        if let Err(violation) = check_history(records) {
+            if let harmonia_verify::Violation::NotLinearizable { key } = &violation {
+                eprint!("{}", harmonia_obs::dump_for_key(traces, key));
+            }
+            panic!("{context}: {violation}");
+        }
+    }
+
+    /// `lanes` plans of `ops` operations each over `keys` keys, a third of
+    /// them writes of values nobody else writes.
+    fn plans(lanes: usize, ops: usize, keys: usize) -> Vec<Vec<OpSpec>> {
+        (0..lanes)
+            .map(|lane| {
+                (0..ops)
+                    .map(|n| {
+                        let key = format!("key-{}", (n * 7 + lane * 13) % keys);
+                        match n % 3 {
+                            0 => OpSpec::write(key, format!("lane{lane}-op{n}")),
+                            _ => OpSpec::read(key),
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
-    fn live_chain_harmonia_roundtrip() {
-        roundtrip(ProtocolKind::Chain, true);
+    fn every_layout_round_trips_on_every_protocol() {
+        fn check<S: Substrate>(spec: &DeploymentSpec, workers: usize) {
+            let cluster = ThreadedCluster::<S>::with_workers(spec, workers);
+            let at = format!("{:?}, {}", spec.protocol, cell(&cluster));
+            let mut client = cluster.client();
+            assert_eq!(client.get("missing").unwrap(), None, "{at}");
+            client.set("alpha", "1").unwrap();
+            client.set("beta", "2").unwrap();
+            client.set("alpha", "3").unwrap();
+            let got = (client.get("alpha").unwrap(), client.get("beta").unwrap());
+            let want = (
+                Some(Bytes::from_static(b"3")),
+                Some(Bytes::from_static(b"2")),
+            );
+            assert_eq!(got, want, "{at}");
+            cluster.shutdown();
+        }
+        for (protocol, harmonia) in [
+            (ProtocolKind::Chain, true),
+            (ProtocolKind::Chain, false),
+            (ProtocolKind::PrimaryBackup, true),
+            (ProtocolKind::PrimaryBackup, false),
+            (ProtocolKind::Craq, false),
+            (ProtocolKind::Vr, true),
+            (ProtocolKind::Nopaxos, true),
+        ] {
+            let spec = DeploymentSpec::new().protocol(protocol).harmonia(harmonia);
+            every_layout(&spec, check::<Channels>, check::<Sockets>);
+        }
     }
 
+    /// The host decides the worker count, and never more than one per node.
     #[test]
-    fn live_chain_baseline_roundtrip() {
-        roundtrip(ProtocolKind::Chain, false);
-    }
-
-    #[test]
-    fn live_pb_roundtrip() {
-        roundtrip(ProtocolKind::PrimaryBackup, true);
-    }
-
-    #[test]
-    fn live_craq_roundtrip() {
-        roundtrip(ProtocolKind::Craq, false);
-    }
-
-    #[test]
-    fn live_vr_roundtrip() {
-        roundtrip(ProtocolKind::Vr, true);
-    }
-
-    #[test]
-    fn live_nopaxos_roundtrip() {
-        roundtrip(ProtocolKind::Nopaxos, true);
+    fn workers_follow_cores_and_never_outnumber_nodes() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spec = DeploymentSpec::new();
+        assert_eq!(spec.spawn_live().workers.len(), cores.min(4));
+        assert_eq!(LiveCluster::with_workers(&spec, 64).workers.len(), 4);
+        let spec = spec.groups(4);
+        assert_eq!(LiveCluster::with_workers(&spec, 64).workers.len(), 16);
+        assert_eq!(LiveCluster::with_workers(&spec, 0).workers.len(), 1);
     }
 
     #[test]
@@ -1174,26 +1522,48 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Every group's state is owned by exactly one pipeline thread — the
-    /// fleet has one thread per group, and per-group counters are disjoint
-    /// (a packet shows up in exactly one group's stats).
+    /// Two groups' pipelines (and all six replicas) on one worker are still
+    /// two pipelines: each is inspected by its group and owns its counters
+    /// (a packet shows up in exactly one group's stats), and a control
+    /// broadcast — one copy per worker — is applied to each of them once.
     #[test]
-    fn per_group_pipelines_keep_disjoint_counters() {
-        let cluster = DeploymentSpec::new().groups(3).spawn_live();
-        assert_eq!(
-            cluster.switch.as_ref().unwrap().pipelines.len(),
-            3,
-            "one pipeline per group"
-        );
-        let mut client = cluster.client();
-        for i in 0..30 {
-            client.set(format!("key-{i}"), "v").unwrap();
+    fn two_groups_on_one_worker_stay_two_pipelines() {
+        fn check<S: Substrate>() {
+            let spec = DeploymentSpec::new().groups(2);
+            let cluster = ThreadedCluster::<S>::with_workers(&spec, 1);
+            let mut client = cluster.client();
+            for i in 0..30 {
+                client.set(format!("key-{i}"), "v").unwrap();
+            }
+            let view = cluster.switch_view().unwrap();
+            let groups: Vec<GroupId> = view.groups().iter().map(|o| o.group).collect();
+            assert_eq!(groups, [GroupId(0), GroupId(1)], "{}", S::DRIVER);
+            let per_group: Vec<u64> = (0..2)
+                .map(|g| cluster.group_stats(GroupId(g)).unwrap().writes_forwarded)
+                .collect();
+            assert!(per_group.iter().all(|&n| n > 0), "{per_group:?}");
+            assert_eq!(per_group.iter().sum::<u64>(), 30, "{}", S::DRIVER);
+
+            // A broadcast that changes nothing (replica 0 is not gated).
+            let handled = || cluster.registry.snapshot().counter(Counter::SwitchPackets);
+            let before = handled();
+            let switch = spec.switch_addr();
+            let ungate = harmonia_types::ControlMsg::UngateReplica {
+                replica: ReplicaId(0),
+                caught_up: harmonia_types::SwitchSeq::new(spec.initial_switch(), 0),
+            };
+            let msg = Msg::new(NodeId::Controller, switch, PacketBody::Control(ungate));
+            cluster.substrate.deliver(vec![(switch, msg)]);
+            // An inspect is answered after whatever was queued before it.
+            while handled() < before + 2 {
+                cluster.switch_view().unwrap();
+            }
+            cluster.switch_view().unwrap();
+            assert_eq!(handled(), before + 2, "{}", S::DRIVER);
+            cluster.shutdown();
         }
-        let view = cluster.switch_view().unwrap();
-        let sum: u64 = view.groups().iter().map(|o| o.stats.writes_forwarded).sum();
-        assert_eq!(sum, cluster.switch_stats().unwrap().writes_forwarded);
-        assert_eq!(sum, 30);
-        cluster.shutdown();
+        check::<Channels>();
+        check::<Sockets>();
     }
 
     /// `NodeLink::send` never waits: a node that meets a client's full
@@ -1240,12 +1610,14 @@ mod tests {
     /// A read is three hops: its reply carries nothing for the switch and
     /// does not stop at it. A chain write's reply carries the completion and
     /// still does — so R reads and W writes are R + 2·W packets through the
-    /// pipelines, with every completion snooped and nothing left dirty.
+    /// pipelines, with every completion snooped and nothing left dirty,
+    /// wherever the nodes live.
     #[test]
     fn pipelines_handle_one_packet_per_read_and_two_per_write() {
-        fn check<S: Substrate>() {
+        fn check<S: Substrate>(spec: &DeploymentSpec, workers: usize) {
             let (reads, writes) = (40, 9);
-            let cluster = ThreadedCluster::<S>::new(&DeploymentSpec::new());
+            let cluster = ThreadedCluster::<S>::with_workers(spec, workers);
+            let at = cell(&cluster);
             let mut client = cluster.client();
             for n in 0..writes {
                 client.set(format!("k{}", n % 4), "v").unwrap();
@@ -1258,30 +1630,30 @@ mod tests {
             let view = cluster.switch_view().unwrap();
             let counted = cluster.registry.snapshot().counter(Counter::SwitchPackets);
             cluster.shutdown();
-            assert_eq!(counted, reads + 2 * writes, "{}", S::DRIVER);
+            assert_eq!(counted, reads + 2 * writes, "{at}");
             let stats = view.stats();
-            assert_eq!(stats.completions, writes, "{}: {stats:?}", S::DRIVER);
+            assert_eq!(stats.completions, writes, "{at}: {stats:?}");
             assert_eq!(stats.reads_fast_path + stats.reads_normal, reads);
-            assert_eq!(view.groups()[0].dirty_len, 0, "{}", S::DRIVER);
+            assert_eq!(view.groups()[0].dirty_len, 0, "{at}");
         }
-        check::<Channels>();
-        check::<crate::udp::Sockets>();
+        every_layout(&DeploymentSpec::new(), check::<Channels>, check::<Sockets>);
     }
 
     /// The short route is the spine's forwarding, not a way around an
     /// outage: a replica still addresses the switch, so once `kill_switch`
     /// has cleared the spine its read reply resolves to nothing and reaches
-    /// no client (§5.3, Figure 10) — on either substrate.
+    /// no client (§5.3, Figure 10) — on either substrate, on any layout.
     #[test]
     fn a_read_reply_sent_after_kill_switch_reaches_no_client() {
-        fn check<S: Substrate>() {
+        fn check<S: Substrate>(spec: &DeploymentSpec, workers: usize) {
             use harmonia_types::RequestId;
-            let mut cluster = ThreadedCluster::<S>::new(&DeploymentSpec::new());
+            let mut cluster = ThreadedCluster::<S>::with_workers(spec, workers);
+            let at = cell(&cluster);
             let mut client = cluster.client();
             let id = ClientId(client.first);
             // A replica's link, driven by hand.
             let replica = ReplicaId(99);
-            let (mut link, _ctl) = cluster
+            let (mut link, ..) = cluster
                 .substrate
                 .attach(&[NodeId::Replica(replica)], cluster.registry.handle());
             let to = NodeId::Switch(cluster.spec.initial_switch());
@@ -1300,13 +1672,129 @@ mod tests {
             };
             // While the spine stands, the reply is forwarded to the client.
             send_reply(1);
-            assert_eq!(heard(StdDuration::from_secs(10)), 1, "{}", S::DRIVER);
+            assert_eq!(heard(StdDuration::from_secs(10)), 1, "{at}");
             cluster.kill_switch();
             send_reply(2);
-            assert_eq!(heard(StdDuration::from_millis(100)), 0, "{}", S::DRIVER);
+            assert_eq!(heard(StdDuration::from_millis(100)), 0, "{at}");
         }
-        check::<Channels>();
-        check::<crate::udp::Sockets>();
+        every_layout(&DeploymentSpec::new(), check::<Channels>, check::<Sockets>);
+    }
+
+    /// A replica is killed and restarted on the worker that also hosts the
+    /// peer it recovers from, holding a store far larger than a socket
+    /// buffer: the transfer is a burst from a thread to itself, which
+    /// nothing drains while it is being sent. Every chunk of it must still
+    /// arrive — the newcomer, left alone with the store, serves every key —
+    /// and the switch sends it single-replica reads again.
+    #[test]
+    fn a_replica_recovers_a_large_store_from_a_peer_on_its_own_worker() {
+        fn check<S: Substrate>(workers: usize) {
+            const KEYS: usize = 20_000;
+            let spec = DeploymentSpec::new();
+            let mut cluster = ThreadedCluster::<S>::with_workers(&spec, workers);
+            let at = cell(&cluster);
+            let (newcomer, peer) = (ReplicaId(2), ReplicaId(0));
+            assert!(
+                std::ptr::eq(
+                    cluster.replica_host(newcomer).unwrap(),
+                    cluster.replica_host(peer).unwrap()
+                ),
+                "{at}: the test is about co-hosted replicas"
+            );
+            let value = |n: usize| Bytes::from(vec![n as u8; 128]);
+            let key = |n: usize| format!("key-{n:05}");
+            let stored = cluster.run_plans(
+                (0..8)
+                    .map(|lane| {
+                        (lane..KEYS)
+                            .step_by(8)
+                            .map(|n| OpSpec::write(key(n), value(n)))
+                            .collect()
+                    })
+                    .collect(),
+            );
+            assert!(stored.iter().flatten().all(|r| r.ok), "{at}");
+
+            cluster.kill_replica(newcomer);
+            let restarted = cluster.registry.clock().now();
+            cluster.restart_replica(newcomer);
+            // Recovered and ungated: the switch hands it a read again.
+            let served_a_read = |cluster: &ThreadedCluster<S>| {
+                cluster.trace_events().iter().any(|e| {
+                    e.at > restarted
+                        && e.node == NodeId::Replica(newcomer)
+                        && e.stage == TraceStage::ReplicaExecute
+                })
+            };
+            let deadline = StdInstant::now() + StdDuration::from_secs(60);
+            let mut client = cluster.client();
+            let mut probe = 0;
+            while !served_a_read(&cluster) {
+                assert!(StdInstant::now() < deadline, "{at}: never ungated");
+                for _ in 0..32 {
+                    probe = (probe + 1) % KEYS;
+                    assert_eq!(client.get(key(probe)).unwrap(), Some(value(probe)), "{at}");
+                }
+            }
+            assert_eq!(cluster.fast_path_enabled(), Some(true), "{at}");
+            drop(client);
+
+            // Alone with the store: what it did not receive, nobody has.
+            cluster.kill_replica(peer);
+            cluster.kill_replica(ReplicaId(1));
+            let read_back = cluster.run_plans(
+                (0..8)
+                    .map(|lane| {
+                        (lane..KEYS)
+                            .step_by(8)
+                            .map(|n| OpSpec::read(key(n)))
+                            .collect()
+                    })
+                    .collect(),
+            );
+            for (lane, history) in read_back.iter().enumerate() {
+                for (i, r) in history.iter().enumerate() {
+                    let n = lane + 8 * i;
+                    assert!(r.ok, "{at}: {r:?}");
+                    assert_eq!(r.result, Some(value(n)), "{at}: {}", key(n));
+                }
+            }
+            cluster.shutdown();
+        }
+        for workers in [1, 2] {
+            check::<Channels>(workers);
+            check::<Sockets>(workers);
+        }
+    }
+
+    /// The switch is replaced while a `load()` is in full flight: pipelines
+    /// are evicted from and adopted by workers that keep running their
+    /// replicas throughout, and the history stays linearizable.
+    #[test]
+    fn replace_switch_mid_load_stays_linearizable_on_every_layout() {
+        fn check<S: Substrate>(spec: &DeploymentSpec, workers: usize) {
+            let mut cluster = ThreadedCluster::<S>::with_workers(spec, workers);
+            let at = cell(&cluster);
+            let mut load = cluster.load(plans(8, 600, 120));
+            let lanes = std::thread::spawn(move || load.run());
+            let carried = |s: SwitchStats| s.reads_fast_path + s.reads_normal + s.writes_forwarded;
+            while cluster.switch_stats().map_or(0, carried) < 200 {
+                std::thread::yield_now();
+            }
+            cluster.kill_switch();
+            assert_eq!(cluster.switch_stats(), None, "{at}");
+            std::thread::sleep(StdDuration::from_millis(30));
+            cluster.replace_switch(SwitchId(2));
+            let histories = lanes.join().unwrap();
+            assert_linearizable_traced(&histories, &cluster.trace_events(), &at);
+            // The new incarnation carried the rest, and armed its fast path
+            // on its first own completion.
+            let stats = cluster.switch_stats().unwrap();
+            assert!(stats.completions > 0, "{at}: {stats:?}");
+            assert_eq!(cluster.fast_path_enabled(), Some(true), "{at}");
+            cluster.shutdown();
+        }
+        every_layout(&DeploymentSpec::new(), check::<Channels>, check::<Sockets>);
     }
 
     /// A link that reports the deadline of every receive, so a test can see
@@ -1317,6 +1805,14 @@ mod tests {
     }
 
     impl<L: NodeLink> NodeLink for Probe<L> {
+        fn bind(&mut self, name: NodeId) {
+            self.link.bind(name);
+        }
+
+        fn release(&mut self, name: NodeId) {
+            self.link.release(name);
+        }
+
         fn send(&mut self, to: NodeId, msg: Msg) {
             self.link.send(to, msg);
         }
@@ -1333,8 +1829,9 @@ mod tests {
 
     /// The sweep is idle-driven and armed only while it could reclaim
     /// something: an entry whose completion was lost goes once the commit
-    /// point has passed it, and then — stray live entry or not — the
-    /// pipeline sleeps with no timer.
+    /// point has passed it, and then — stray live entry or not — the worker
+    /// sleeps with no timer. Deadlines are per node: the replica hosted
+    /// beside the pipeline has none (a chain never ticks) and adds none.
     #[test]
     fn idle_pipeline_sweeps_what_went_stale_then_sleeps_untimed() {
         use harmonia_types::{ObjectId, RequestId, SwitchSeq, WriteCompletion};
@@ -1344,13 +1841,30 @@ mod tests {
         let mut core = cores.pop().unwrap();
         core.set_recorder(registry.handle());
         let me = spec.switch_addr();
-        let (link, ctl, ingress) = Channels::default().attach_pipeline(registry.handle());
+        let (link, ctl, ingress) = Channels::default().attach(&[], registry.handle());
         let (waits, waited) = unbounded();
-        let pipeline = std::thread::spawn(move || {
-            pipeline_main(core, Probe { link, waits }, me, StdDuration::from_millis(2))
-        });
+        let shards = spec.shard_map();
+        let worker = std::thread::spawn(move || worker_main(Probe { link, waits }, shards));
         let next_wait = || waited.recv_timeout(StdDuration::from_secs(10)).unwrap();
-        let inspect = || observe(std::iter::once(&ctl)).unwrap().pop().unwrap();
+        let replica = build_replica(spec.group_config(0, 0));
+        let hosted = vec![
+            Hosted::pipeline(core, me, StdDuration::from_millis(2)),
+            Hosted::replica(
+                ReplicaId(0),
+                ReplicaNode::new(replica, None, registry.handle()),
+            ),
+        ];
+        assert_eq!(
+            next_wait(),
+            None,
+            "a worker that hosts nothing arms no timer"
+        );
+        let adopted = ask(&ctl, |ack| Envelope::Adopt(hosted, ack)).unwrap();
+        adopted.recv_timeout(StdDuration::from_secs(10)).unwrap();
+        let inspect = || {
+            let reply = ask(&ctl, |reply| Envelope::Inspect(GroupId(0), reply)).unwrap();
+            reply.recv_timeout(StdDuration::from_secs(10)).unwrap()
+        };
         let write = |key: &'static str, n: u64| {
             let req = OpSpec::write(key, "v").request(ClientId(1), RequestId(n));
             let msg = Msg::new(NodeId::Client(ClientId(1)), me, PacketBody::Request(req));
@@ -1378,10 +1892,10 @@ mod tests {
         write("c", 2);
         assert_eq!(inspect().dirty_len, 1);
         ctl.send(Envelope::Stop).unwrap();
-        pipeline.join().unwrap();
+        worker.join().unwrap();
         assert!(
             waited.try_iter().all(|wait| wait.is_none()),
-            "nothing left to reclaim, yet the pipeline armed a sweep timer"
+            "nothing left to reclaim, yet the worker armed a sweep timer"
         );
     }
 
@@ -1403,6 +1917,10 @@ mod tests {
     }
 
     impl NodeLink for Scripted {
+        fn bind(&mut self, _name: NodeId) {}
+
+        fn release(&mut self, _name: NodeId) {}
+
         fn send(&mut self, _to: NodeId, msg: Msg) {
             if let PacketBody::Request(req) = msg.body {
                 let _ = self.sent.send(req);

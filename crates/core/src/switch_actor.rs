@@ -86,7 +86,7 @@ fn control_subject(ctl: &ControlMsg) -> Option<ReplicaId> {
 /// per-packet logic that operates on it.
 ///
 /// A `GroupCore` is the unit of ownership of the parallel live data plane:
-/// every group's core is owned by exactly one pipeline thread, so no lock
+/// every group's core is owned by exactly one worker thread, so no lock
 /// guards the packet path (the property a real Tofino gets for free by
 /// processing groups' packets in parallel at line rate). The deterministic
 /// simulator keeps all cores behind one [`SwitchCore`] actor instead —
@@ -441,7 +441,7 @@ impl GroupCore {
 ///
 /// The simulator drives the core whole (one deterministic actor); the live
 /// driver calls [`into_group_cores`](Self::into_group_cores) and moves each
-/// group's core onto its own pipeline thread.
+/// group's core onto the worker that hosts its pipeline.
 pub struct SwitchCore {
     cfg: SwitchActorConfig,
     groups: BTreeMap<GroupId, GroupCore>,

@@ -2,16 +2,24 @@
 //!
 //! This is the third deployment shape behind the [`Cluster`] trait
 //! ([`DeploymentSpec::spawn_udp`]): the threaded rig of [`crate::live`] —
-//! per-group switch pipelines, replica loops, the [`LiveClient`] shell —
-//! over the [`Sockets`] substrate, so nodes are connected by
-//! `std::net::UdpSocket` loopback datagrams instead of in-process channels
-//! (one socket per node; a client shell's lanes share theirs).
+//! workers hosting per-group switch pipelines and replicas, the
+//! [`LiveClient`] shell — over the [`Sockets`] substrate, so loops are
+//! connected by `std::net::UdpSocket` loopback datagrams instead of
+//! in-process channels: one socket per worker, answering to the name of
+//! every node it hosts, and one per client shell, shared by its lanes.
 //! Every packet is encoded through the `harmonia-types` wire codec into a
 //! length-prefixed frame, and each datagram carries one or more frames
 //! back-to-back (GSO/GRO-style coalescing), so the codec is exercised
 //! against a peer that can hand it truncated, duplicated, reordered, or
 //! garbage bytes: the OUM envelope the paper's deployment actually assumes
-//! (§4, §6).
+//! (§4, §6). That holds for a hop between two nodes of one worker too: the
+//! frame is encoded, sealed into a datagram addressed to the worker's own
+//! socket, and decoded again — only the kernel is skipped, because the
+//! endpoint loops such a datagram back itself
+//! ([`UdpTransport`]). A thread cannot drain its receive buffer while it is
+//! sending, so a state transfer to a replica on the sender's own worker
+//! would otherwise overflow it; and a hop that stays on a worker costs no
+//! syscall — a read served there is two datagrams, request and reply.
 //!
 //! # Plumbing, not logic
 //!
@@ -20,29 +28,33 @@
 //!
 //! * The spine stays a **sender-side** route: the deployment's
 //!   [`AddrBook`] maps the stable switch address (and the live
-//!   incarnation's id) to the per-group pipeline sockets, and resolving a
-//!   send performs the `ShardMap` lookup on the sending thread — no
-//!   intermediate hop, exactly like the channel substrate's spine plan.
+//!   incarnation's id) to the sockets of the workers hosting each group's
+//!   pipeline, and resolving a send performs the `ShardMap` lookup on the
+//!   sending thread — no intermediate hop, exactly like the channel
+//!   substrate's spine plan.
 //!   Both call [`PacketBody::switch_route`](harmonia_types::PacketBody::switch_route)
 //!   for the decision, so here too a reply with no completion to snoop
 //!   resolves to its client's socket — a 4 KB read value crosses the wire
 //!   once, replica → client — and only completion-bearing replies reach a
-//!   pipeline socket. With the spine cleared the same reply resolves to no
-//!   address at all.
-//! * Driver control verbs (pipeline inspection, stop) ride a crossbeam side
-//!   channel per thread; only data-plane packets cross the sockets. A
+//!   pipeline. With the spine cleared the same reply resolves to no address
+//!   at all.
+//! * Driver control verbs (inspect, adopt, evict, stop) ride a crossbeam
+//!   side channel per worker; only data-plane packets cross the sockets. A
 //!   thread sleeps on its socket, so [`UdpLink`] looks at the side channel
 //!   once per `CTL_POLL` (1 ms) — the one periodic wake-up left in an idle
-//!   deployment, and why an `Inspect` here waits for a socket slice.
+//!   deployment, one per worker, and why a verb here waits for a socket
+//!   slice.
 //!
 //! # Fault injection at the socket boundary
 //!
 //! The spec's [`LinkConfig`](harmonia_sim::LinkConfig) fault probabilities
 //! (`drop_prob`, `duplicate_prob`, `reorder_prob`) are honoured here too:
-//! every socket is wrapped in a seeded [`FaultyTransport`], except that
-//! replica endpoints exempt their sends *to other replicas* — so the
-//! client↔switch and switch↔replica legs face the adversary in **both**
-//! directions (requests, forwards, replies, completions) while
+//! every socket of the deployment — workers' and clients' alike; the
+//! configuration service's is clean — is wrapped in a seeded
+//! [`FaultyTransport`], whose one rule spares a packet *from a replica to a
+//! replica* and nothing else. So the client↔switch and switch↔replica legs
+//! face the adversary in **both** directions (requests, forwards, replies,
+//! completions), whether or not the two ends share a worker, while
 //! replica↔replica channels stay clean, the same envelope the simulator's
 //! §5.2 fault sweeps preserve (those channels are TCP in any real chain/PB
 //! deployment, and in-order write propagation depends on them). Latency
@@ -78,42 +90,32 @@ use crate::msg::Msg;
 /// A boxed datagram endpoint carrying deployment packets.
 type Net = Box<dyn Transport<ProtocolMsg>>;
 
-/// How often a socket-bound node loop checks its driver side channel while
-/// blocked on the socket.
+/// How often a worker checks its driver side channel while blocked on its
+/// socket.
 const CTL_POLL: StdDuration = StdDuration::from_millis(1);
 
 /// How many packets one batched kernel drain may pull. Matches the mmsg
 /// wrapper's chunk size so one drain is one `recvmmsg` call.
 const RECV_BATCH: usize = 32;
 
-/// Which sends of an endpoint face the spec's fault model.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Faults {
-    /// Every send (clients, switch pipelines).
-    All,
-    /// Every send except those addressed to replicas — a replica's replies
-    /// and completions face the network, its replica↔replica channel does
-    /// not (the §5.2 reliable-FIFO envelope).
-    SparingReplicas,
-    /// No faults ever (the configuration service).
-    None,
-}
-
 /// The UDP substrate's `NodeLink`: data-plane packets on the socket, driver
 /// control verbs on a crossbeam side channel. A thread can sleep on only one
 /// of the two, so a link with a side channel waits on the socket in
-/// `CTL_POLL` slices — here, out of the node loops' sight, whose deadline
+/// `CTL_POLL` slices — here, out of the worker loop's sight, whose deadline
 /// (or lack of one) it honours across slices. Links without one (clients)
 /// block on the socket for the whole wait.
 pub struct UdpLink {
     transport: Net,
+    /// The socket's address: what a name bound to this link resolves to.
+    addr: SocketAddr,
     ctl: Receiver<Envelope>,
     has_ctl: bool,
+    book: Arc<AddrBook>,
     /// The book entries this link owns — every name its one socket answers
-    /// to — deregistered on drop: a client (or replica) endpoint must not
-    /// keep receiving routes after its socket is gone, and the book must
-    /// not grow dead entries with every short-lived client.
-    owner: Option<(Arc<AddrBook>, Vec<NodeId>)>,
+    /// to — deregistered on drop: an endpoint must not keep receiving
+    /// routes after its socket is gone, and the book must not grow dead
+    /// entries with every short-lived client.
+    owned: Vec<NodeId>,
     /// Observability shard for this endpoint's wire counters.
     recorder: Recorder,
     /// Last wire/pool stats already credited to the recorder — the
@@ -125,19 +127,6 @@ pub struct UdpLink {
 }
 
 impl UdpLink {
-    fn over(transport: Net, ctl: Receiver<Envelope>, has_ctl: bool, recorder: Recorder) -> Self {
-        UdpLink {
-            transport,
-            ctl,
-            has_ctl,
-            owner: None,
-            recorder,
-            seen_wire: TransportStats::default(),
-            seen_recv_pool: PoolStats::default(),
-            seen_send_pool: PoolStats::default(),
-        }
-    }
-
     /// Credit the transport's counter growth since the last sync to the
     /// recorder. Called once per batched send and on teardown — off the
     /// per-packet path, so the steady-state cost is a handful of relaxed
@@ -175,15 +164,25 @@ impl Drop for UdpLink {
         // sockets) may never hit the batched send path, so teardown is
         // where their wire counters reach the registry.
         self.sync_obs();
-        if let Some((book, names)) = self.owner.take() {
-            for node in names {
-                book.unregister(node);
-            }
+        for node in self.owned.drain(..) {
+            self.book.unregister(node);
         }
     }
 }
 
 impl NodeLink for UdpLink {
+    fn bind(&mut self, name: NodeId) {
+        self.owned.push(name);
+        self.book.register(name, self.addr);
+    }
+
+    fn release(&mut self, name: NodeId) {
+        if let Some(i) = self.owned.iter().position(|&n| n == name) {
+            self.owned.swap_remove(i);
+            self.book.unregister(name);
+        }
+    }
+
     fn send(&mut self, to: NodeId, msg: Msg) {
         self.transport.send(to, msg);
     }
@@ -231,9 +230,9 @@ impl NodeLink for UdpLink {
     }
 }
 
-/// The socket substrate: one loopback `UdpSocket` per node behind the
-/// deployment's [`AddrBook`], with the spec's fault model at the socket
-/// boundary.
+/// The socket substrate: one loopback `UdpSocket` per link — a worker's, a
+/// client shell's — behind the deployment's [`AddrBook`], with the spec's
+/// fault model at the socket boundary.
 pub struct Sockets {
     book: Arc<AddrBook>,
     faults: FaultConfig,
@@ -245,13 +244,14 @@ pub struct Sockets {
 }
 
 impl Sockets {
-    /// Bind a fresh loopback endpoint under the given fault policy.
-    fn endpoint(&self, faults: Faults) -> (Net, SocketAddr) {
+    /// Bind a fresh loopback endpoint; `faulty` ones face the spec's fault
+    /// model.
+    fn endpoint(&self, faulty: bool) -> (Net, SocketAddr) {
         // lint:allow(panic_path): deployment bring-up — a failed loopback
         // bind means no endpoint ever existed; no live traffic is at risk.
         let t = UdpTransport::bind(Arc::clone(&self.book)).expect("bind loopback UDP socket");
         let addr = t.local_addr();
-        if faults == Faults::None || self.faults.is_noop() {
+        if !faulty || self.faults.is_noop() {
             return (Box::new(t), addr);
         }
         let stream = self.fault_streams.fetch_add(1, Ordering::Relaxed);
@@ -259,13 +259,6 @@ impl Sockets {
             .fault_seed
             .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let faulty = FaultyTransport::new(t, self.faults, seed, Arc::clone(&self.fault_counters));
-        if faults == Faults::SparingReplicas {
-            // Replica↔replica channels keep the reliable-FIFO envelope
-            // in-order write propagation depends on (§5.2) — only sends
-            // toward the switch and clients face the adversary.
-            let sparing = faulty.exempting(|to| matches!(to, NodeId::Replica(_)));
-            return (Box::new(sparing), addr);
-        }
         (Box::new(faulty), addr)
     }
 }
@@ -292,33 +285,32 @@ impl Substrate for Sockets {
         }
     }
 
-    fn attach(&self, names: &[NodeId], recorder: Recorder) -> (UdpLink, Sender<Envelope>) {
-        // Clients have no driver verbs: without a side channel to poll,
-        // their link blocks on the socket for the whole reply deadline.
-        let is_client = matches!(names, [NodeId::Client(_), ..]);
-        let (transport, addr) = self.endpoint(if is_client {
-            Faults::All
-        } else {
-            Faults::SparingReplicas
-        });
+    fn attach(
+        &self,
+        names: &[NodeId],
+        recorder: Recorder,
+    ) -> (UdpLink, Sender<Envelope>, SocketAddr) {
+        let (transport, addr) = self.endpoint(true);
+        let (ctl_tx, ctl) = unbounded();
+        let mut link = UdpLink {
+            transport,
+            addr,
+            ctl,
+            // Clients are sent no verbs: without a side channel to poll,
+            // their link blocks on the socket for the whole reply deadline.
+            has_ctl: !matches!(names, [NodeId::Client(_), ..]),
+            book: Arc::clone(&self.book),
+            owned: Vec::new(),
+            recorder,
+            seen_wire: TransportStats::default(),
+            seen_recv_pool: PoolStats::default(),
+            seen_send_pool: PoolStats::default(),
+        };
         // One socket behind every name.
         for &name in names {
-            self.book.register(name, addr);
+            link.bind(name);
         }
-        let (ctl_tx, ctl_rx) = unbounded();
-        let mut link = UdpLink::over(transport, ctl_rx, !is_client, recorder);
-        link.owner = Some((Arc::clone(&self.book), names.to_vec()));
-        (link, ctl_tx)
-    }
-
-    fn attach_pipeline(&self, recorder: Recorder) -> (UdpLink, Sender<Envelope>, SocketAddr) {
-        let (transport, addr) = self.endpoint(Faults::All);
-        let (ctl_tx, ctl_rx) = unbounded();
-        (
-            UdpLink::over(transport, ctl_rx, true, recorder),
-            ctl_tx,
-            addr,
-        )
+        (link, ctl_tx, addr)
     }
 
     fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, sockets: Vec<SocketAddr>) {
@@ -332,7 +324,7 @@ impl Substrate for Sockets {
     /// The script crosses a real socket like everything else, but a clean
     /// one: the configuration service is not the adversary's target.
     fn deliver(&self, script: Vec<(NodeId, Msg)>) {
-        let (mut t, _) = self.endpoint(Faults::None);
+        let (mut t, _) = self.endpoint(false);
         for (to, msg) in script {
             t.send(to, msg);
         }
@@ -355,12 +347,12 @@ impl Substrate for Sockets {
 /// replica group or many, exactly as its [`DeploymentSpec`] describes
 /// ([`DeploymentSpec::spawn_udp`]).
 ///
-/// Same node threads, packet-handling logic and §5.3 verbs as
+/// Same workers, packet-handling logic and §5.3 verbs as
 /// [`LiveCluster`](crate::live::LiveCluster), different substrate:
 /// datagrams that can be lost, duplicated, and reordered. The spec's `link`
-/// fault probabilities are injected at the client and switch sockets by a
-/// seeded [`FaultyTransport`]; [`fault_counts`](UdpCluster::fault_counts)
-/// reports what actually fired.
+/// fault probabilities are injected at every socket by a seeded
+/// [`FaultyTransport`] (which spares replica→replica packets);
+/// [`fault_counts`](UdpCluster::fault_counts) reports what actually fired.
 pub type UdpCluster = ThreadedCluster<Sockets>;
 
 impl ThreadedCluster<Sockets> {
@@ -383,48 +375,7 @@ mod tests {
     use super::*;
     use crate::deployment::Cluster;
     use bytes::Bytes;
-    use harmonia_replication::ProtocolKind;
     use harmonia_switch::GroupId;
-
-    fn roundtrip(protocol: ProtocolKind, harmonia: bool) {
-        let cluster = DeploymentSpec::new()
-            .protocol(protocol)
-            .harmonia(harmonia)
-            .spawn_udp();
-        let mut client = cluster.client();
-        assert_eq!(client.get("missing").unwrap(), None);
-        client.set("alpha", "1").unwrap();
-        client.set("beta", "2").unwrap();
-        client.set("alpha", "3").unwrap();
-        assert_eq!(client.get("alpha").unwrap(), Some(Bytes::from_static(b"3")));
-        assert_eq!(client.get("beta").unwrap(), Some(Bytes::from_static(b"2")));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn udp_chain_harmonia_roundtrip() {
-        roundtrip(ProtocolKind::Chain, true);
-    }
-
-    #[test]
-    fn udp_pb_baseline_roundtrip() {
-        roundtrip(ProtocolKind::PrimaryBackup, false);
-    }
-
-    #[test]
-    fn udp_craq_roundtrip() {
-        roundtrip(ProtocolKind::Craq, false);
-    }
-
-    #[test]
-    fn udp_vr_roundtrip() {
-        roundtrip(ProtocolKind::Vr, true);
-    }
-
-    #[test]
-    fn udp_nopaxos_roundtrip() {
-        roundtrip(ProtocolKind::Nopaxos, true);
-    }
 
     #[test]
     fn udp_two_clients_share_state() {

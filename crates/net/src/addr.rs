@@ -20,8 +20,11 @@ struct Spine {
     aliases: Vec<NodeId>,
     /// The deployment's object→group map.
     shards: ShardMap,
-    /// Per-group pipeline ingress sockets, indexed by group id.
+    /// Per-group pipeline ingress sockets, indexed by group id. One socket
+    /// may serve several groups.
     groups: Vec<SocketAddr>,
+    /// Each distinct socket of `groups`, once: where a broadcast goes.
+    every: Vec<SocketAddr>,
 }
 
 /// One immutable snapshot of the deployment's addressing.
@@ -50,7 +53,7 @@ impl Directory {
                 let g = spine.shards.shard_of(obj) as usize;
                 out.extend(spine.groups.get(g).copied());
             }
-            SwitchRoute::EveryGroup => out.extend_from_slice(&spine.groups),
+            SwitchRoute::EveryGroup => out.extend_from_slice(&spine.every),
             SwitchRoute::AnyGroup => out.extend(spine.groups.first().copied()),
             // The spine is up, so the frame is forwarded — to the client's
             // own socket. An unregistered client drops it.
@@ -70,7 +73,7 @@ impl Directory {
 /// [`PacketBody::switch_route`] — the same function the channel driver's
 /// route table calls, so the two substrates cannot disagree: packets the
 /// switch acts on go to the owning group's socket (one [`ShardMap`]
-/// lookup), control broadcasts to every pipeline, plain protocol forwards
+/// lookup), control broadcasts to every pipeline socket, plain protocol forwards
 /// go to group 0, and a reply with no completion to snoop goes straight to
 /// its client's socket. That last one is forwarding *by the spine*: with
 /// the spine cleared, or under a name that is no longer one of its aliases
@@ -140,7 +143,10 @@ impl AddrBook {
     }
 
     /// Install the switch fleet: packets addressed to any of `aliases`
-    /// shard-route over `groups` (indexed by group id) using `shards`.
+    /// shard-route over `groups` (indexed by group id) using `shards`. A
+    /// socket that serves several groups is listed once per group, and a
+    /// control broadcast still reaches it once — whoever listens there
+    /// applies it to every group it hosts.
     /// Replaces any previous fleet — §5.3 replacement is one call.
     pub fn install_spine(&self, aliases: Vec<NodeId>, shards: ShardMap, groups: Vec<SocketAddr>) {
         assert_eq!(
@@ -148,11 +154,18 @@ impl AddrBook {
             groups.len(),
             "one pipeline socket per shard group"
         );
+        let mut every: Vec<SocketAddr> = Vec::with_capacity(groups.len());
+        for socket in &groups {
+            if !every.contains(socket) {
+                every.push(*socket);
+            }
+        }
         self.install(|d| {
             d.spine = Some(Spine {
                 aliases,
                 shards,
                 groups,
+                every,
             });
         });
     }
@@ -220,6 +233,13 @@ mod tests {
         // Protocol forwards take group 0.
         let proto: PacketBody<u64> = PacketBody::Protocol(1);
         assert_eq!(resolve_for(&book, stable, &proto), vec![groups[0]]);
+
+        // A socket that serves two groups gets their packets, and one copy
+        // of a broadcast.
+        let shared = vec![groups[0], groups[1], groups[0], groups[1]];
+        book.install_spine(vec![stable], shards, shared.clone());
+        assert_eq!(resolve_for(&book, stable, &body), vec![shared[g]]);
+        assert_eq!(resolve_for(&book, stable, &ctl), groups[..2]);
 
         // §5.3 step 1: clearing the spine makes the switch unreachable.
         book.clear_spine();

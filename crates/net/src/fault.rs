@@ -82,13 +82,22 @@ impl FaultCounters {
 /// fault decision" always means "per datagram" *and* "per frame" at once,
 /// and the wrapped endpoint's `datagrams_sent == sent`.
 /// `tests/batch_dataplane.rs` pins this.
+///
+/// **What is spared.** A packet from a replica to a replica is delivered
+/// directly — no fault ever fires, no RNG draw is consumed: those channels
+/// keep the reliable-FIFO envelope in-order write propagation depends on
+/// (§5.2; they are TCP in any real chain / primary-backup deployment). The
+/// rule reads the packet, not the endpoint, so it holds wherever the two
+/// replicas live — on sockets of their own, or on one shared with each
+/// other, a switch pipeline or both — while everything else the same
+/// endpoint sends (replies, completions, forwarded requests) faces the
+/// adversary.
 pub struct FaultyTransport<T, I> {
     inner: I,
     cfg: FaultConfig,
     rng: SmallRng,
     held: Option<(NodeId, Packet<T>)>,
     counters: Arc<FaultCounters>,
-    exempt: Option<Box<dyn Fn(NodeId) -> bool + Send>>,
 }
 
 impl<T, I> FaultyTransport<T, I> {
@@ -101,19 +110,7 @@ impl<T, I> FaultyTransport<T, I> {
             rng: SmallRng::seed_from_u64(seed),
             held: None,
             counters,
-            exempt: None,
         }
-    }
-
-    /// Spare every send whose destination satisfies `pred` (delivered
-    /// directly, no fault ever fires, no RNG draw consumed). This is how a
-    /// deployment gives one endpoint an adversarial *and* a reliable side —
-    /// e.g. a replica whose replies to clients and the switch face the
-    /// network but whose replica↔replica channels keep the reliable-FIFO
-    /// envelope in-order write propagation depends on (§5.2).
-    pub fn exempting(mut self, pred: impl Fn(NodeId) -> bool + Send + 'static) -> Self {
-        self.exempt = Some(Box::new(pred));
-        self
     }
 
     /// The wrapped transport.
@@ -151,7 +148,7 @@ where
     I: Transport<T>,
 {
     fn send(&mut self, to: NodeId, pkt: Packet<T>) {
-        if self.exempt.as_ref().is_some_and(|pred| pred(to)) {
+        if matches!((pkt.src, to), (NodeId::Replica(_), NodeId::Replica(_))) {
             self.inner.send(to, pkt);
             return;
         }
@@ -258,26 +255,33 @@ mod tests {
     }
 
     #[test]
-    fn exempted_destinations_never_fault() {
+    fn replica_to_replica_packets_never_fault() {
+        use harmonia_types::ReplicaId;
         let cfg = FaultConfig {
             drop_prob: 0.9,
             duplicate_prob: 0.9,
             reorder_prob: 0.9,
         };
         let counters = Arc::new(FaultCounters::default());
-        let mut t = FaultyTransport::new(MockTransport::default(), cfg, 5, Arc::clone(&counters))
-            .exempting(|to| matches!(to, NodeId::Client(ClientId(2))));
+        let mut t = FaultyTransport::new(MockTransport::default(), cfg, 5, Arc::clone(&counters));
+        let (a, b) = (NodeId::Replica(ReplicaId(0)), NodeId::Replica(ReplicaId(1)));
         for i in 0..100 {
-            t.send(NodeId::Client(ClientId(2)), pkt(i));
+            t.send(b, Packet::new(a, b, PacketBody::Protocol(i)));
         }
         assert_eq!(t.inner.log, (0..100).collect::<Vec<u64>>());
         assert_eq!(counters.snapshot(), (0, 0, 0));
-        // A non-exempt destination on the same transport still faults.
-        for i in 0..100 {
-            t.send(NodeId::Client(ClientId(3)), pkt(i));
+        // Anything else the same endpoint sends still faults: a packet from
+        // the replica to a client, and one from a client to the replica.
+        for (src, to) in [
+            (a, NodeId::Client(ClientId(3))),
+            (NodeId::Client(ClientId(3)), a),
+        ] {
+            let before = counters.snapshot().0;
+            for i in 0..100 {
+                t.send(to, Packet::new(src, to, PacketBody::Protocol(i)));
+            }
+            assert!(counters.snapshot().0 > before, "{src:?} -> {to:?}");
         }
-        let (dropped, ..) = counters.snapshot();
-        assert!(dropped > 0);
     }
 
     #[test]

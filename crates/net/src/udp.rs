@@ -31,10 +31,11 @@ use crate::transport::{RecvError, Transport};
 /// `coalesced_accounting_identity_and_frame_counters` pin.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Frames handed to the kernel (one packet per destination = one
-    /// frame; a coalesced datagram carries several).
+    /// Frames sent: handed to the kernel, or looped back to this very
+    /// endpoint (one packet per destination = one frame; a coalesced
+    /// datagram carries several).
     pub sent: u64,
-    /// Datagrams handed to the kernel. `sent / datagrams_sent` is the
+    /// Datagrams sent, likewise. `sent / datagrams_sent` is the
     /// realized frames-per-datagram packing ratio (1.0 on the scalar
     /// verb, which flushes per call).
     pub datagrams_sent: u64,
@@ -99,6 +100,13 @@ impl TransportStats {
 /// logged write, a read result) pins its own datagram's bytes, never a
 /// datagram-sized buffer. The send side encodes zero-copy into pooled
 /// buffers and is unaffected.
+///
+/// A datagram addressed to the endpoint's own socket is **looped back
+/// inside the endpoint**: sealed by the coalescer, counted as sent, copied
+/// and decoded exactly like a received one, and never handed to the kernel
+/// — several nodes can share one endpoint, and a thread that bursts a
+/// state transfer at a node it hosts itself is not draining its own
+/// receive buffer meanwhile.
 pub struct UdpTransport<T> {
     socket: UdpSocket,
     book: Arc<AddrBook>,
@@ -251,6 +259,31 @@ impl<T> UdpTransport<T> {
         n
     }
 
+    /// Deliver every sealed datagram addressed to this endpoint's own socket
+    /// to its own delivery queue — the same copy and the same decode as a
+    /// received one, no kernel in between — and leave the rest, in order,
+    /// for the socket.
+    fn loop_back(&mut self)
+    where
+        T: Wire,
+    {
+        let local = self.local;
+        let mut sealed = std::mem::take(&mut self.sealed_scratch);
+        sealed.retain(|d| {
+            if d.dst != local {
+                return true;
+            }
+            self.stats.sent += u64::from(d.frames);
+            self.stats.datagrams_sent += 1;
+            // Copied out of the pooled send buffer for the reason a datagram
+            // is copied out of the ring: what a consumer keeps must pin its
+            // own bytes, not a datagram-sized buffer.
+            self.decode_datagram(Bytes::copy_from_slice(&d.payload));
+            false
+        });
+        self.sealed_scratch = sealed;
+    }
+
     /// Send every sealed datagram through one `sendmmsg` run with
     /// per-datagram outcomes, crediting the frame-granular counters: an
     /// accepted datagram credits every frame it carries to `sent`, a
@@ -344,6 +377,7 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
             }
         }
         self.coalescer.finish(&mut self.sealed_scratch);
+        self.loop_back();
         for d in self.sealed_scratch.drain(..) {
             match self.socket.send_to(&d.payload, d.dst) {
                 Ok(_) => {
@@ -442,6 +476,7 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
             }
         }
         self.coalescer.finish(&mut self.sealed_scratch);
+        self.loop_back();
         self.flush_sealed_batched();
     }
 
@@ -864,6 +899,55 @@ mod tests {
             s.misses
         );
         assert!(s.hit_rate() > 0.95, "pool hit rate {:.3}", s.hit_rate());
+    }
+
+    /// One endpoint can answer to several names, and a thread that sends to
+    /// a name of its own endpoint is not receiving meanwhile: 4.8 MB handed
+    /// to the kernel would overflow the socket's receive buffer (~208 KB)
+    /// some twenty times over. Looped back inside the endpoint, every frame
+    /// arrives — through the coalescer and the frame decoder like any
+    /// other — and is counted as sent and as received.
+    #[test]
+    fn a_burst_to_the_endpoints_own_address_arrives_whole_and_in_order() {
+        let (book, mut a, mut b) = pair();
+        let own = NodeId::Replica(ReplicaId(5));
+        book.register(own, a.local_addr());
+        let big = |i: u64| -> Pkt {
+            let req =
+                ClientRequest::write(ClientId(1), RequestId(i), &b"k"[..], vec![i as u8; 48_000]);
+            Packet::new(
+                NodeId::Client(ClientId(1)),
+                own,
+                harmonia_types::PacketBody::Request(req),
+            )
+        };
+        let mut batch: Vec<(NodeId, Pkt)> = (0..100).map(|i| (own, big(i))).collect();
+        // One frame in the middle goes to the neighbour, through the kernel.
+        let other: Pkt = Packet::new(
+            NodeId::Client(ClientId(1)),
+            NodeId::Replica(ReplicaId(0)),
+            harmonia_types::PacketBody::Protocol(7),
+        );
+        batch.insert(50, (NodeId::Replica(ReplicaId(0)), other.clone()));
+        a.send_batch(&mut batch);
+        let mut got = Vec::new();
+        while a.recv_batch(&mut got, 32) > 0 {}
+        assert_eq!(got.len(), 100);
+        for (i, pkt) in got.iter().enumerate() {
+            assert_eq!(*pkt, big(i as u64), "frame {i}");
+        }
+        // The scalar verb loops back too.
+        a.send(own, big(100));
+        assert_eq!(a.recv_timeout(Duration::ZERO).unwrap(), big(100));
+        assert_eq!(b.recv_timeout(Duration::from_secs(2)).unwrap(), other);
+
+        let s = a.stats();
+        assert_eq!(s.sent, 102);
+        // Two 48 KB frames do not fit one datagram.
+        assert_eq!(s.datagrams_sent, 102);
+        assert_eq!(s.received, 101);
+        assert_eq!(s.unresolved + s.oversized + s.send_errors, 0);
+        assert_eq!(s.decode_errors, 0);
     }
 
     #[test]

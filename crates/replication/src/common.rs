@@ -474,16 +474,19 @@ fn op_cost(op: &WriteOp) -> usize {
 /// The driver-held state-transfer engine (sans-IO): one per replica
 /// process. On the serving side it answers [`StateTransferMsg::Request`]
 /// with chunked snapshot + log + done. On the recovering side it buffers
-/// chunks and installs on `Done`, then tells the switch to lift the
-/// replica's read gate.
+/// chunks and installs on `Done` — if every chunk the peer sent arrived;
+/// otherwise it asks again — then tells the switch to lift the replica's
+/// read gate.
 #[derive(Debug)]
 pub struct StateTransfer {
     me: ReplicaId,
     recovering: Option<RecoveryBuffer>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RecoveryBuffer {
+    /// Who is serving the transfer, to ask again if a chunk goes missing.
+    peer: ReplicaId,
     entries: Vec<SnapshotEntry>,
     log: Vec<WriteOp>,
 }
@@ -501,7 +504,11 @@ impl StateTransfer {
     /// completes the driver must keep client requests away from the
     /// replica (clients retry; the switch has the replica read-gated).
     pub fn begin(&mut self, peer: ReplicaId, out: &mut Effects) {
-        self.recovering = Some(RecoveryBuffer::default());
+        self.recovering = Some(RecoveryBuffer {
+            peer,
+            entries: Vec::new(),
+            log: Vec::new(),
+        });
         out.protocol(
             peer,
             ProtocolMsg::StateTransfer(StateTransferMsg::Request { from: self.me }),
@@ -539,10 +546,23 @@ impl StateTransfer {
                 }
                 false
             }
-            StateTransferMsg::Done { state } => {
+            StateTransferMsg::Done {
+                state,
+                entries,
+                ops,
+            } => {
                 let Some(buf) = self.recovering.take() else {
                     return false;
                 };
+                // Replica↔replica sends are spared by the adversary, not by
+                // a full receive buffer. A replica that installed what
+                // happened to arrive would answer fast-path reads with
+                // `None` for the keys of a chunk it never received: start
+                // the transfer over instead.
+                if (buf.entries.len() as u64, buf.log.len() as u64) != (entries, ops) {
+                    self.begin(buf.peer, out);
+                    return false;
+                }
                 replica.install_snapshot(
                     Snapshot {
                         entries: buf.entries,
@@ -571,6 +591,7 @@ impl StateTransfer {
     /// with the scalar state.
     fn serve(&self, replica: &dyn Replica, to: ReplicaId, out: &mut Effects) {
         let snap = replica.export_snapshot();
+        let (entries_sent, ops_sent) = (snap.entries.len() as u64, snap.log.len() as u64);
         let mut chunk: Vec<SnapshotEntry> = Vec::new();
         let mut size = 0usize;
         for e in snap.entries {
@@ -617,7 +638,11 @@ impl StateTransfer {
         }
         out.protocol(
             to,
-            ProtocolMsg::StateTransfer(StateTransferMsg::Done { state: snap.state }),
+            ProtocolMsg::StateTransfer(StateTransferMsg::Done {
+                state: snap.state,
+                entries: entries_sent,
+                ops: ops_sent,
+            }),
         );
     }
 }
@@ -789,22 +814,22 @@ mod tests {
         assert!(b.cached_reply(ClientId(1), RequestId(5)).is_none());
     }
 
-    #[test]
-    fn state_transfer_round_trip_restores_a_pb_backup() {
-        use crate::build_replica;
-        use harmonia_types::PacketBody;
+    fn pb_cfg(me: u32) -> GroupConfig {
+        GroupConfig::new(crate::common::ProtocolKind::PrimaryBackup, 3, me, true)
+    }
 
-        // Drive a 3-replica PB group to a committed state.
-        let cfg =
-            |me: u32| GroupConfig::new(crate::common::ProtocolKind::PrimaryBackup, 3, me, true);
-        let mut group: Vec<Box<dyn Replica>> = (0..3).map(|i| build_replica(cfg(i))).collect();
+    /// A 3-replica PB group with `key{n} = values[n - 1]` committed on all.
+    fn committed_pb_group(values: &[Bytes]) -> Vec<Box<dyn Replica>> {
+        use harmonia_types::PacketBody;
+        let mut group: Vec<Box<dyn Replica>> =
+            (0..3).map(|i| crate::build_replica(pb_cfg(i))).collect();
         let mut fx = Effects::new();
-        for n in 1..=4u64 {
+        for (n, value) in (1u64..).zip(values) {
             let mut req = ClientRequest::write(
                 ClientId(1),
                 RequestId(n),
                 Bytes::copy_from_slice(format!("key{n}").as_bytes()),
-                Bytes::copy_from_slice(format!("val{n}").as_bytes()),
+                value.clone(),
             );
             req.seq = Some(seq(1, n));
             group[0].on_request(NodeId::Client(ClientId(1)), req, &mut fx);
@@ -818,13 +843,18 @@ mod tests {
             }
             fx = next;
         }
+        group
+    }
 
-        // Replica 2 crashes and restarts empty; pull state from replica 0.
-        group[2] = build_replica(cfg(2));
-        let mut engine = StateTransfer::new(ReplicaId(2));
-        let mut fx = Effects::new();
-        engine.begin(ReplicaId(0), &mut fx);
-        assert!(engine.is_recovering());
+    /// Deliver `fx` and everything it causes — transfer traffic to the
+    /// engine beside the replica addressed, ungates to nobody. True iff the
+    /// recovery completed on the way.
+    fn pump_transfer(
+        engine: &mut StateTransfer,
+        group: &mut [Box<dyn Replica>],
+        mut fx: Effects,
+    ) -> bool {
+        use harmonia_types::PacketBody;
         let mut done = false;
         while !fx.is_empty() {
             let mut next = Effects::new();
@@ -839,15 +869,99 @@ mod tests {
             }
             fx = next;
         }
-        assert!(done, "transfer completed");
+        done
+    }
+
+    #[test]
+    fn state_transfer_round_trip_restores_a_pb_backup() {
+        let values: Vec<Bytes> = (1..=4)
+            .map(|n| Bytes::copy_from_slice(format!("val{n}").as_bytes()))
+            .collect();
+        let mut group = committed_pb_group(&values);
+
+        // Replica 2 crashes and restarts empty; pull state from replica 0.
+        group[2] = crate::build_replica(pb_cfg(2));
+        let mut engine = StateTransfer::new(ReplicaId(2));
+        let mut fx = Effects::new();
+        engine.begin(ReplicaId(0), &mut fx);
+        assert!(engine.is_recovering());
+        assert!(
+            pump_transfer(&mut engine, &mut group, fx),
+            "transfer completed"
+        );
         assert!(!engine.is_recovering());
-        for n in 1..=4u64 {
+        for (n, value) in (1u64..).zip(&values) {
             assert_eq!(
-                group[2].local_value(format!("key{n}").as_bytes()),
-                Some(Bytes::copy_from_slice(format!("val{n}").as_bytes())),
+                group[2].local_value(format!("key{n}").as_bytes()).as_ref(),
+                Some(value),
                 "key{n} restored"
             );
         }
+        assert_eq!(group[2].applied_seq(), seq(1, 4));
+    }
+
+    /// A receive buffer that overflowed mid-burst drops a chunk without
+    /// telling anyone. `Done` says how much was sent: the recovering side
+    /// installs nothing, stays shed and gated, and asks its peer again.
+    #[test]
+    fn a_transfer_that_lost_a_chunk_asks_again_instead_of_installing() {
+        use harmonia_types::PacketBody;
+        // 30 KB values: every entry is a chunk of its own.
+        let values: Vec<Bytes> = (1..=4u8).map(|n| Bytes::from(vec![n; 30_000])).collect();
+        let mut group = committed_pb_group(&values);
+        group[2] = crate::build_replica(pb_cfg(2));
+        let mut engine = StateTransfer::new(ReplicaId(2));
+        let mut request = Effects::new();
+        engine.begin(ReplicaId(0), &mut request);
+        let (_, PacketBody::Protocol(ProtocolMsg::StateTransfer(ask))) = request.out.pop().unwrap()
+        else {
+            panic!("begin sends a transfer request");
+        };
+        let mut served = Effects::new();
+        engine.on_msg(group[0].as_mut(), ask, &mut served);
+        let chunks = |fx: &Effects| {
+            let is_chunk = |b: &PacketBody<ProtocolMsg>| {
+                matches!(
+                    b,
+                    PacketBody::Protocol(ProtocolMsg::StateTransfer(
+                        StateTransferMsg::Entries { .. }
+                    ))
+                )
+            };
+            fx.out.iter().filter(|(_, b)| is_chunk(b)).count()
+        };
+        assert_eq!(chunks(&served), 4);
+
+        // The second chunk never arrives; everything else does, in order.
+        served.out.remove(1);
+        let mut after = Effects::new();
+        for (_, body) in served.out.drain(..) {
+            let PacketBody::Protocol(ProtocolMsg::StateTransfer(m)) = body else {
+                panic!("the peer serves transfer traffic only");
+            };
+            assert!(!engine.on_msg(group[2].as_mut(), m, &mut after));
+        }
+        assert!(engine.is_recovering(), "still shedding requests");
+        for n in 1..=4 {
+            let key = format!("key{n}");
+            assert_eq!(group[2].local_value(key.as_bytes()), None, "{key}");
+        }
+        // No ungate; one more request to the same peer.
+        assert_eq!(after.out.len(), 1, "{:?}", after.out);
+        assert!(matches!(
+            after.out[0],
+            (
+                NodeId::Replica(ReplicaId(0)),
+                PacketBody::Protocol(ProtocolMsg::StateTransfer(StateTransferMsg::Request {
+                    from: ReplicaId(2)
+                }))
+            )
+        ));
+
+        // The second attempt arrives whole and installs.
+        assert!(pump_transfer(&mut engine, &mut group, after));
+        assert!(!engine.is_recovering());
+        assert_eq!(group[2].local_value(b"key2"), Some(values[1].clone()));
         assert_eq!(group[2].applied_seq(), seq(1, 4));
     }
 
@@ -863,6 +977,8 @@ mod tests {
             replica.as_mut(),
             StateTransferMsg::Done {
                 state: SnapshotState::default(),
+                entries: 0,
+                ops: 0,
             },
             &mut out,
         );
@@ -886,6 +1002,8 @@ mod tests {
             replica.as_mut(),
             StateTransferMsg::Done {
                 state: SnapshotState::default(),
+                entries: 0,
+                ops: 0,
             },
             &mut out,
         ));

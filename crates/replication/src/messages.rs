@@ -250,6 +250,11 @@ pub enum StateTransferMsg {
     Done {
         /// Scalar protocol state.
         state: SnapshotState,
+        /// How many snapshot entries the chunks before this carried — a
+        /// receiver that counts fewer lost one and must not install.
+        entries: u64,
+        /// Likewise for log operations.
+        ops: u64,
     },
 }
 

@@ -398,9 +398,15 @@ impl Wire for StateTransferMsg {
                 w.put(&[2]);
                 ops.encode(w);
             }
-            StateTransferMsg::Done { state } => {
+            StateTransferMsg::Done {
+                state,
+                entries,
+                ops,
+            } => {
                 w.put(&[3]);
                 state.encode(w);
+                entries.encode(w);
+                ops.encode(w);
             }
         }
     }
@@ -417,6 +423,8 @@ impl Wire for StateTransferMsg {
             }),
             3 => Ok(StateTransferMsg::Done {
                 state: SnapshotState::decode(r)?,
+                entries: u64::decode(r)?,
+                ops: u64::decode(r)?,
             }),
             v => bad_tag("StateTransferMsg", v),
         }
@@ -612,6 +620,8 @@ mod tests {
                         completion: None,
                     }],
                 },
+                entries: 2,
+                ops: 2,
             }),
         ];
         for msg in all {

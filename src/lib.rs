@@ -84,18 +84,21 @@
 //!
 //! ## Live data plane
 //!
-//! The live driver is a **parallel data plane**: one pipeline thread per
-//! replica group, each exclusively owning that group's
+//! The live driver is a **parallel data plane**: one pipeline per replica
+//! group, each exclusively owning that group's
 //! [`GroupCore`](core::switch_actor::GroupCore) (conflict detector, OUM
 //! sequencer, forwarding table, counters), behind a *stateless* spine —
 //! sending to the switch address shard-routes the packet on the sender's
-//! own thread straight onto the owning group's pipeline. No lock is taken
-//! on the packet path; pipelines drain their ingress in batches; aggregate
-//! inspection folds per-pipeline
+//! own thread straight onto the owning group's pipeline. Pipelines and
+//! replicas are *hosted* by worker threads, as many as the process has
+//! cores to run them on and never more than nodes: nodes that would share
+//! a core anyway share a thread, and a hop between them wakes nobody. No
+//! lock is taken on the packet path; workers drain their ingress in
+//! batches; aggregate inspection folds per-pipeline
 //! [`GroupObservation`](switch::GroupObservation) snapshots through
 //! [`SpineView`](switch::SpineView). The §5.3 `kill_switch` /
-//! `replace_switch` verbs tear down and re-spawn the whole fleet under a
-//! fresh incarnation. This mirrors the hardware: a Tofino processes
+//! `replace_switch` verbs evict every pipeline from its worker and have
+//! fresh ones adopted under a fresh incarnation. This mirrors the hardware: a Tofino processes
 //! different groups' packets in parallel at line rate, so group count buys
 //! packet-level parallelism (as far as the host has cores for it). The
 //! deterministic simulator keeps all group cores behind one single-threaded
@@ -105,9 +108,9 @@
 //! ([`ThreadedCluster`](core::live::ThreadedCluster)) over a different
 //! [`Substrate`](core::live::Substrate): it reuses every one of those
 //! loops and §5.3 verbs and swaps the channels for [`net`]-crate loopback
-//! sockets: the spine route resolves to the owning
-//! group pipeline's *socket address* on the sending thread, `kill_switch`
-//! tears the fleet's sockets out of the deployment's address book, and
+//! sockets: the spine route resolves to the *socket address* of the worker
+//! hosting the owning group's pipeline on the sending thread, `kill_switch`
+//! tears the spine out of the deployment's address book, and
 //! `tests/udp_cluster.rs` runs the whole thing under 5% datagram
 //! loss + duplication + reordering with every history through the
 //! Wing–Gong checker.
