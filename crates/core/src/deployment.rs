@@ -80,7 +80,8 @@ pub struct DeploymentSpec {
     pub groups: usize,
     /// Replication factor within each group.
     pub replicas: usize,
-    /// Simulation seed (ignored by the live driver).
+    /// Simulation seed. The channel driver ignores it; the UDP driver seeds
+    /// its fault-injection streams from it.
     pub seed: u64,
     /// Per-message service costs at replicas.
     pub costs: CostModel,
@@ -384,10 +385,10 @@ pub trait KvClient {
     }
 }
 
-/// The runtime surface of a running deployment, common to the simulated and
-/// the live driver. Obtain one from [`DeploymentSpec::build_sim`] or
-/// [`DeploymentSpec::spawn_live`]; hold it as `Box<dyn Cluster>` to write
-/// driver-agnostic harnesses.
+/// The runtime surface of a running deployment, common to all three
+/// drivers. Obtain one from [`DeploymentSpec::build_sim`],
+/// [`DeploymentSpec::spawn_live`] or [`DeploymentSpec::spawn_udp`]; hold it
+/// as `Box<dyn Cluster>` to write driver-agnostic harnesses.
 pub trait Cluster {
     /// The spec this deployment was built from.
     fn spec(&self) -> &DeploymentSpec;

@@ -31,7 +31,9 @@
 //!   [`Cluster`] verbs.
 //! * [`live`] runs the very same state machines on OS threads — the "it's
 //!   a real system, not only a simulator" rig, [`live::ThreadedCluster`],
-//!   generic over a [`live::Substrate`] that says how bytes move. Its data
+//!   generic over a [`live::Substrate`] that says how bytes move and what
+//!   a name resolves to (who answers to which name is `harmonia-net`'s
+//!   `AddrBook`, on every substrate). Its data
 //!   plane is parallel: one pipeline per replica group, each exclusively
 //!   owning that group's [`switch_actor::GroupCore`], behind a stateless
 //!   shard-routing spine — no lock on the packet path — and pipelines and

@@ -3,11 +3,14 @@
 //!
 //! Nothing in the protocol or switch logic changes relative to the
 //! simulation; only the driver differs. One rig, [`ThreadedCluster`], owns
-//! the threads, the §5.3 verbs, and the [`Cluster`] surface; a small
-//! [`Substrate`] says how bytes move between them. Two substrates exist:
-//! in-process crossbeam channels (this module: [`LiveCluster`], the
-//! deployment mode the examples use) and real loopback `UdpSocket`s
-//! ([`crate::udp`]: `UdpCluster`).
+//! the threads, the naming, the §5.3 verbs, and the [`Cluster`] surface; a
+//! small [`Substrate`] says how bytes move between them: a link of two verbs
+//! and the type of endpoint a name resolves to. Who answers to which name is
+//! one name service on every substrate — `harmonia-net`'s [`AddrBook`],
+//! generic over that endpoint type — which the rig publishes into and every
+//! link sends through. Two substrates exist: in-process crossbeam channels
+//! (this module: [`LiveCluster`], the deployment mode the examples use) and
+//! real loopback `UdpSocket`s ([`crate::udp`]: `UdpCluster`).
 //!
 //! # One server shell: threads follow cores, not nodes
 //!
@@ -41,9 +44,9 @@
 //! takes all its nodes down with it, where a node's own thread took one.
 //! Workers live as long as the cluster; nodes come and go by verb
 //! ([`Envelope::Adopt`] / [`Envelope::Evict`], acknowledged), their names
-//! bound to and released from the worker's link as they do. A packet still
-//! queued for an evicted node finds nobody and vanishes, as toward a dead
-//! NIC.
+//! bound to and released from the worker's endpoint in the book as they do.
+//! A packet still queued for an evicted node finds nobody and vanishes, as
+//! toward a dead NIC.
 //!
 //! # Per-group switch pipelines
 //!
@@ -58,17 +61,19 @@
 //! short one around an ingress queue, once per send and once per batch
 //! received.
 //!
-//! The spine itself is a thin, stateless shard-router: sending to the
-//! switch address resolves the packet's object through the deployment's
-//! [`ShardMap`] *on the sender's thread* and enqueues straight onto the
-//! ingress of the worker that hosts the owning group's pipeline — no
-//! intermediate hop, no shared switch state. A worker that hosts several
-//! pipelines picks among them by the same route; what goes to every group
-//! reaches it once.
+//! The spine itself is a thin, stateless shard-router, and it is an entry
+//! of the book: sending to the switch address resolves the packet's object
+//! through the deployment's [`ShardMap`] *on the sender's thread* — one
+//! atomic load to revalidate the sender's cached snapshot, no lock — and
+//! delivers straight to the endpoint of the worker that hosts the owning
+//! group's pipeline: no intermediate hop, no shared switch state. A worker
+//! that hosts several pipelines picks among them by the same route; what
+//! goes to every group reaches it once.
 //!
 //! Where a packet addressed to the switch goes is one decision,
-//! [`PacketBody::switch_route`], and both substrates' spines only carry it
-//! out. It sends to a pipeline what Algorithm 1 or the control plane acts
+//! [`PacketBody::switch_route`], turned into endpoints in one place (the
+//! book's resolve) for both substrates. It sends to a pipeline what
+//! Algorithm 1 or the control plane acts
 //! on — requests, completions, control, and a reply *with a piggybacked
 //! completion* to snoop (Figure 2b) — and forwards a reply that carries none
 //! (every read reply, a rejected write, a VR / NOPaxos write ack, whose
@@ -112,18 +117,18 @@
 // Wall-clock reads are deliberate here: threaded drivers: ticks and timeouts are real time.
 #![allow(clippy::disallowed_methods)]
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use harmonia_net::{AddrBook, Names, Resolver};
 use harmonia_obs::{
     Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
 };
@@ -192,41 +197,25 @@ fn ask<T>(ctl: &Sender<Envelope>, verb: impl FnOnce(Sender<T>) -> Envelope) -> O
 /// Everything that *handles* packets — the worker loop and the
 /// [`LiveClient`] shell — is written against this trait, so the threaded
 /// drivers share all packet-handling logic and differ only in how bytes
-/// move: an in-process channel behind the copy-on-write route table, or a
-/// `UdpSocket` behind the deployment's
-/// [`AddrBook`](harmonia_net::AddrBook). A link sends wherever the
-/// deployment's routes say, itself included: a packet for a name the link
-/// answers to comes back through its own inbox. A link releases its names
-/// when dropped: a dead endpoint must not keep receiving routes.
+/// move: onto an in-process channel or through a `UdpSocket`, either way to
+/// wherever the deployment's one name service, the substrate's
+/// [`AddrBook`], resolves the destination. A link knows no names, its own
+/// included: which ones reach it is the rig's business (a [`Names`] guard
+/// beside the link), and a packet for one of them comes back through the
+/// link's own inbox like any other.
 pub trait NodeLink: Send {
-    /// Answer to `name` from now on, beside every name bound before.
-    fn bind(&mut self, name: NodeId);
-
-    /// Stop answering to `name`, if this link does: packets toward it
-    /// vanish from now on, as toward a dead NIC.
-    fn release(&mut self, name: NodeId);
-
-    /// Send `msg` toward `to`. Never blocks on the receiver; undeliverable
-    /// packets — no route, a dead node, a full queue — are dropped (clients
-    /// retry — that is the reliability layer).
-    fn send(&mut self, to: NodeId, msg: Msg);
-
-    /// Flush a whole outbox, draining `batch` in order. The default loops
-    /// the scalar verb (exactly what the channel substrate wants); the UDP
-    /// link overrides it to feed the transport's coalescer — per-destination
-    /// frames pack back-to-back into full datagrams — and batch kernel
-    /// crossings through `sendmmsg`.
-    fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
-        for (to, msg) in batch.drain(..) {
-            self.send(to, msg);
-        }
-    }
+    /// Flush a whole outbox, draining `batch` in order. Never blocks on a
+    /// receiver; undeliverable packets — no route, a dead node, a full
+    /// queue — are dropped (clients retry — that is the reliability layer).
+    /// The UDP link feeds the transport's coalescer — per-destination frames
+    /// pack back-to-back into full datagrams — and batches kernel crossings
+    /// through `sendmmsg`.
+    fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>);
 
     /// The one receive verb: sleep until `deadline` (with `None`, until
     /// there is something to do) for the first envelope, then append every
     /// packet already queued to `inbox`, in arrival order. A driver verb
-    /// ends the batch and is returned beside it — `Some` is an
-    /// [`Envelope::Inspect`] or [`Envelope::Stop`], never a packet.
+    /// ends the batch and is returned beside it — `Some` is never a packet.
     /// `Timeout`: nothing arrived by the deadline; `Disconnected`: the link
     /// can never deliver again (driver shut down).
     fn recv_into(
@@ -236,17 +225,19 @@ pub trait NodeLink: Send {
     ) -> Result<Option<Envelope>, RecvTimeoutError>;
 }
 
-/// What the threaded rig needs from whatever moves its packets: how a loop
-/// gets its [`NodeLink`] and control channel, how the spine is published
-/// and cleared, how the configuration service reaches nodes, and what the
-/// snapshot's fault section reports. Everything else — workers, §5.3
-/// verbs, inspection, the [`Cluster`] surface — is [`ThreadedCluster`]'s,
-/// written once.
+/// What the threaded rig needs from whatever moves its packets: what a name
+/// resolves to and the book that says so, how a loop gets its [`NodeLink`]
+/// and control channel, how the configuration service reaches nodes, and
+/// what the snapshot's fault section reports. Everything else — workers,
+/// naming, the spine, §5.3 verbs, inspection, the [`Cluster`] surface — is
+/// [`ThreadedCluster`]'s, written once.
 pub trait Substrate: Sized + 'static {
     /// A loop's connection to the deployment.
     type Link: NodeLink + 'static;
-    /// Where a link receives: what the spine delivers a group's packets to.
-    type Ingress: Clone + Send;
+    /// Where a link receives: what a name resolves to, and what the spine
+    /// delivers a group's packets to. Equal when the same link receives
+    /// there.
+    type Ingress: Clone + PartialEq + Send + Sync + 'static;
     /// The `driver` label of this substrate's snapshots and thread names.
     const DRIVER: &'static str;
     /// How many spaced rounds a lease move is sent in: 1 where delivery to
@@ -258,25 +249,22 @@ pub trait Substrate: Sized + 'static {
     /// The substrate for one deployment of `spec`.
     fn new(spec: &DeploymentSpec) -> Self;
 
-    /// One link bound to every address in `names` — one per lane for a
-    /// [`LiveClient`], none yet for a worker, which binds its nodes' as it
-    /// adopts them — with the channel its driver verbs travel on and where
-    /// it receives. The link must surface a verb sent there even to a loop
-    /// asleep with no deadline. `recorder` receives the link's wire
-    /// counters, where the substrate has a wire.
+    /// The deployment's name service: every link of this substrate sends
+    /// wherever it says.
+    fn book(&self) -> &Arc<AddrBook<Self::Ingress>>;
+
+    /// One link for a loop that will answer to `names` — a client shell's
+    /// lanes, or none yet for a worker, whose nodes come and go — with the
+    /// channel its driver verbs travel on and where it receives. The rig
+    /// binds the names; the substrate only sizes the link by them. The link
+    /// must surface a verb sent there even to a loop asleep with no
+    /// deadline. `recorder` receives the link's wire counters, where the
+    /// substrate has a wire.
     fn attach(
         &self,
         names: &[NodeId],
         recorder: Recorder,
     ) -> (Self::Link, Sender<Envelope>, Self::Ingress);
-
-    /// Route every address in `names` through `shards` onto `ingress`
-    /// (indexed by group), resolved on the sending thread. One ingress may
-    /// serve several groups; what goes to every group goes to it once.
-    fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, ingress: Vec<Self::Ingress>);
-
-    /// Unpublish the spine: packets toward the switch vanish.
-    fn clear_spine(&self);
 
     /// Deliver a configuration-service script over a link no fault model
     /// touches.
@@ -286,35 +274,41 @@ pub trait Substrate: Sized + 'static {
     fn fault_obs(&self) -> FaultObs;
 }
 
-/// The channel substrate's link: a route-table handle out, a channel in.
+/// Where a channel link receives: the sending half of its queue. Two are
+/// equal when they feed the same queue.
+#[derive(Clone)]
+pub struct Ingress(Sender<Envelope>);
+
+impl PartialEq for Ingress {
+    fn eq(&self, other: &Ingress) -> bool {
+        self.0.same_channel(&other.0)
+    }
+}
+
+/// Enqueue `msg` wherever `to` resolves to, or drop it: a sender that waited
+/// on a full (or dead) queue could never be told to stop.
+fn forward(names: &mut Resolver<Ingress>, to: NodeId, msg: Msg) {
+    // What goes to every group is cloned for all workers but the last; the
+    // usual single destination takes the message as it is.
+    if let Some((last, rest)) = names.resolve(to, &msg.body).split_last() {
+        for ingress in rest {
+            let _ = ingress.0.try_send(Envelope::Packet(msg.clone()));
+        }
+        let _ = last.0.try_send(Envelope::Packet(msg));
+    }
+}
+
+/// The channel substrate's link: the book's view out, a queue in.
 pub struct ChannelLink {
-    router: RouterHandle,
+    names: Resolver<Ingress>,
     rx: Receiver<Envelope>,
-    /// The sending half of `rx`: what a name bound to this link routes to.
-    tx: Sender<Envelope>,
-    /// The routes this link owns.
-    owned: Vec<NodeId>,
 }
 
 impl NodeLink for ChannelLink {
-    fn bind(&mut self, name: NodeId) {
-        self.owned.push(name);
-        self.router.router.install(|t| {
-            t.insert(name, Route::Unicast(self.tx.clone()));
-        });
-    }
-
-    fn release(&mut self, name: NodeId) {
-        if let Some(i) = self.owned.iter().position(|&n| n == name) {
-            self.owned.swap_remove(i);
-            self.router.router.install(|t| {
-                t.remove(&name);
-            });
+    fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
+        for (to, msg) in batch.drain(..) {
+            forward(&mut self.names, to, msg);
         }
-    }
-
-    fn send(&mut self, to: NodeId, msg: Msg) {
-        self.router.send(to, msg);
     }
 
     fn recv_into(
@@ -337,145 +331,16 @@ impl NodeLink for ChannelLink {
     }
 }
 
-impl Drop for ChannelLink {
-    fn drop(&mut self) {
-        if !self.owned.is_empty() {
-            // In-flight packets toward a dead node vanish, like a dead NIC.
-            self.router.router.install(|t| {
-                for node in &self.owned {
-                    t.remove(node);
-                }
-            });
-        }
-    }
-}
-
-/// Where a destination's packets go.
-#[derive(Clone)]
-enum Route {
-    /// The ingress channel of the link that answers to the name (a
-    /// replica's worker, a client shell).
-    Unicast(Sender<Envelope>),
-    /// The switch: stateless shard-routing onto per-group pipelines,
-    /// resolved on the sending thread.
-    Spine(Arc<SpinePlan>),
-}
-
-/// The stateless routing a spine performs, on the sender's thread: object →
-/// group for what the switch acts on, plain forwarding for what it does not.
-/// Holds no group state — the pipelines own all of it.
-struct SpinePlan {
-    shards: ShardMap,
-    /// The ingress channel of each group's pipeline — of the worker that
-    /// hosts it — indexed by group id.
-    groups: Vec<Sender<Envelope>>,
-    /// Each distinct channel of `groups`, once.
-    every: Vec<Sender<Envelope>>,
-}
-
-impl SpinePlan {
-    /// Deliver `msg`, addressed to the switch, wherever
-    /// [`PacketBody::switch_route`] says: a pipeline's ingress, every
-    /// pipeline's, or — out of `table`, the route table this plan was found
-    /// in — a client's.
-    fn route(&self, table: &HashMap<NodeId, Route>, msg: Msg) {
-        let ingress = match msg.body.switch_route() {
-            SwitchRoute::Group(obj) => self.groups.get(self.shards.shard_of(obj) as usize),
-            SwitchRoute::AnyGroup => self.groups.first(),
-            // One copy per worker, which hands it to every pipeline it
-            // hosts; each group's core applies only the changes addressed
-            // to it (`GroupCore::handle` is membership-guarded).
-            SwitchRoute::EveryGroup => {
-                for tx in &self.every {
-                    deliver(tx, msg.clone());
-                }
-                return;
-            }
-            // Forwarded as sent. A client that is gone drops it.
-            SwitchRoute::Client(client) => match table.get(&NodeId::Client(client)) {
-                Some(Route::Unicast(tx)) => Some(tx),
-                _ => None,
-            },
-        };
-        if let Some(tx) = ingress {
-            deliver(tx, msg);
-        }
-    }
-}
-
-/// Enqueue on a node's ingress, or drop: a sender that waited on a full (or
-/// dead) queue could never be told to stop.
-fn deliver(tx: &Sender<Envelope>, msg: Msg) {
-    let _ = tx.try_send(Envelope::Packet(msg));
-}
-
-/// The route table. Registrations copy-on-write a shared snapshot and bump
-/// a generation counter; senders go through a [`RouterHandle`] that caches
-/// the snapshot and revalidates it with a single atomic load per send — the
-/// steady-state packet path takes **no lock** here.
-#[derive(Default)]
-struct Router {
-    table: Mutex<Arc<HashMap<NodeId, Route>>>,
-    generation: AtomicU64,
-}
-
-impl Router {
-    /// Apply a route-table mutation (copy-on-write, then publish).
-    fn install(&self, f: impl FnOnce(&mut HashMap<NodeId, Route>)) {
-        let mut guard = self.table.lock();
-        let mut next = (**guard).clone();
-        f(&mut next);
-        *guard = Arc::new(next);
-        // Publish while still holding the lock so a handle that observes
-        // the new generation and then locks is guaranteed the new table.
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// A sender-side handle with its own cached snapshot.
-    fn handle(self: &Arc<Self>) -> RouterHandle {
-        let seen = self.generation.load(Ordering::Acquire);
-        let cache = Arc::clone(&self.table.lock());
-        RouterHandle {
-            router: Arc::clone(self),
-            cache,
-            seen,
-        }
-    }
-}
-
-/// A per-thread sending handle: one relaxed atomic load per send in steady
-/// state; the route table is re-snapshotted only after a registration.
-struct RouterHandle {
-    router: Arc<Router>,
-    cache: Arc<HashMap<NodeId, Route>>,
-    seen: u64,
-}
-
-impl RouterHandle {
-    fn send(&mut self, to: NodeId, msg: Msg) {
-        let generation = self.router.generation.load(Ordering::Acquire);
-        if generation != self.seen {
-            self.cache = Arc::clone(&self.router.table.lock());
-            self.seen = generation;
-        }
-        match self.cache.get(&to) {
-            Some(Route::Unicast(tx)) => deliver(tx, msg),
-            Some(Route::Spine(plan)) => plan.route(&self.cache, msg),
-            None => {}
-        }
-    }
-}
-
-/// The in-process substrate: crossbeam channels behind a copy-on-write
-/// route table.
+/// The in-process substrate: crossbeam channels behind the deployment's
+/// [`AddrBook`] — a name resolves to a loop's queue.
 #[derive(Default)]
 pub struct Channels {
-    router: Arc<Router>,
+    book: Arc<AddrBook<Ingress>>,
 }
 
 impl Substrate for Channels {
     type Link = ChannelLink;
-    type Ingress = Sender<Envelope>;
+    type Ingress = Ingress;
     const DRIVER: &'static str = "live";
     const LEASE_ROUNDS: u32 = 1;
 
@@ -483,57 +348,32 @@ impl Substrate for Channels {
         Channels::default()
     }
 
+    fn book(&self) -> &Arc<AddrBook<Ingress>> {
+        &self.book
+    }
+
     fn attach(
         &self,
         names: &[NodeId],
         _recorder: Recorder,
-    ) -> (ChannelLink, Sender<Envelope>, Sender<Envelope>) {
+    ) -> (ChannelLink, Sender<Envelope>, Ingress) {
         // A client's queue is bounded — nobody can make it listen — at
         // 1 024 envelopes for every client name that shares it.
         let (tx, rx) = match names {
             [NodeId::Client(_), ..] => bounded(1024 * names.len()),
             _ => unbounded(),
         };
-        let mut link = ChannelLink {
-            router: self.router.handle(),
+        let link = ChannelLink {
+            names: Resolver::new(Arc::clone(&self.book)),
             rx,
-            tx: tx.clone(),
-            owned: Vec::new(),
         };
-        for &name in names {
-            link.bind(name);
-        }
-        (link, tx.clone(), tx)
-    }
-
-    fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, groups: Vec<Sender<Envelope>>) {
-        let mut every: Vec<Sender<Envelope>> = Vec::with_capacity(groups.len());
-        for tx in &groups {
-            if !every.iter().any(|seen| seen.same_channel(tx)) {
-                every.push(tx.clone());
-            }
-        }
-        let plan = Arc::new(SpinePlan {
-            shards,
-            groups,
-            every,
-        });
-        self.router.install(|t| {
-            for name in names {
-                t.insert(name, Route::Spine(Arc::clone(&plan)));
-            }
-        });
-    }
-
-    fn clear_spine(&self) {
-        self.router
-            .install(|t| t.retain(|_, route| matches!(route, Route::Unicast(_))));
+        (link, tx.clone(), Ingress(tx))
     }
 
     fn deliver(&self, script: Vec<(NodeId, Msg)>) {
-        let mut router = self.router.handle();
+        let mut names = Resolver::new(Arc::clone(&self.book));
         for (to, msg) in script {
-            router.send(to, msg);
+            forward(&mut names, to, msg);
         }
     }
 
@@ -602,6 +442,9 @@ pub struct LiveClient {
     /// Lane `i` is client `first + i`: a reply finds its lane by
     /// subtraction.
     first: u32,
+    /// Keeps every lane's name bound to `link`; declared first so the names
+    /// leave the book before the link closes.
+    _names: Box<dyn Send>,
     link: Box<dyn NodeLink>,
     switch: NodeId,
     /// Shared by the link and every lane's core (one registry shard); the
@@ -614,9 +457,10 @@ pub struct LiveClient {
 
 impl LiveClient {
     /// The shell over `link`, which answers to clients `first..` — one per
-    /// plan.
+    /// plan — for as long as `names` lives.
     fn over(
-        link: Box<dyn NodeLink>,
+        names: impl Send + 'static,
+        link: impl NodeLink + 'static,
         spec: &DeploymentSpec,
         first: u32,
         plans: Vec<Vec<OpSpec>>,
@@ -637,7 +481,8 @@ impl LiveClient {
         LiveClient {
             lanes: lanes.collect(),
             first,
-            link,
+            _names: Box::new(names),
+            link: Box::new(link),
             switch: spec.switch_addr(),
             recorder,
             inbox: Vec::new(),
@@ -964,7 +809,9 @@ fn dispatch(
 /// a packet for a node it hosts itself goes out through the link like any
 /// other and comes back through the same inbox. A packet for a node it does
 /// not host — evicted, or not adopted yet — finds nobody and vanishes.
-fn worker_main(mut link: impl NodeLink, shards: ShardMap) {
+/// `names` is what the link answers to: the hosted replicas', bound as they
+/// are adopted, released as they are evicted, gone with the loop.
+fn worker_main<E: Clone>(mut link: impl NodeLink, mut names: Names<E>, shards: ShardMap) {
     let mut nodes: Vec<Hosted> = Vec::new();
     let mut inbox: Vec<Msg> = Vec::new();
     let mut out: Vec<(NodeId, Msg)> = Vec::new();
@@ -997,10 +844,8 @@ fn worker_main(mut link: impl NodeLink, shards: ShardMap) {
             // Adopted in one step, so nodes that tick alike — a group's
             // replicas — tick in the same pass from now on.
             Some(Envelope::Adopt(adopted, ack)) => {
+                names.bind(&adopted.iter().filter_map(Hosted::name).collect::<Vec<_>>());
                 for mut node in adopted {
-                    if let Some(name) = node.name() {
-                        link.bind(name);
-                    }
                     node.start(now, &mut out);
                     nodes.push(node);
                 }
@@ -1011,7 +856,7 @@ fn worker_main(mut link: impl NodeLink, shards: ShardMap) {
                     NodeId::Switch(_) => n.group().is_none(),
                     name => n.name() != Some(name),
                 });
-                link.release(name);
+                names.release(name);
                 let _ = ack.send(());
             }
             Some(Envelope::Stop) => return,
@@ -1078,9 +923,10 @@ impl<S: Substrate> ThreadedCluster<S> {
             // One recorder shard per link: counters and traces stay
             // thread-local on the packet path, merged only on snapshot.
             let (link, ctl, ingress) = substrate.attach(&[], registry.handle());
+            let names = Names::new(Arc::clone(substrate.book()), ingress.clone());
             let join = std::thread::Builder::new()
                 .name(format!("{}-worker-{w}", S::DRIVER))
-                .spawn(move || worker_main(link, shards))
+                .spawn(move || worker_main(link, names, shards))
                 // lint:allow(panic_path): deployment bring-up, not the data
                 // plane — thread-spawn failure means the host is out of
                 // resources before any traffic exists.
@@ -1146,10 +992,11 @@ impl<S: Substrate> ThreadedCluster<S> {
     }
 
     /// Bring the pipelines of `incarnation` up — fresh state for every
-    /// hosted group, each on the worker its group places it on — and route
-    /// the switch's addresses to them: the stable client-facing one and the
-    /// incarnation's own (replicas reply to the lease holder); both resolve
-    /// through the same stateless shard router.
+    /// hosted group, each on the worker its group places it on — and
+    /// publish the spine: the switch's addresses — the stable client-facing
+    /// one and the incarnation's own (replicas reply to the lease holder) —
+    /// resolve through `shards`, on the sending thread, to the ingress of
+    /// the worker that hosts the group.
     fn adopt_switch(&mut self, incarnation: SwitchId) {
         let core = SwitchCore::for_deployment(&self.spec, incarnation);
         let shards = core.shard_map();
@@ -1164,8 +1011,12 @@ impl<S: Substrate> ThreadedCluster<S> {
         let ingress = (0..self.spec.groups)
             .filter_map(|g| self.host(g))
             .map(|worker| worker.ingress.clone());
-        self.substrate
-            .publish_spine([me, NodeId::Switch(incarnation)], shards, ingress.collect());
+        let published = self.substrate.book().install_spine(
+            vec![me, NodeId::Switch(incarnation)],
+            shards,
+            ingress.collect(),
+        );
+        debug_assert!(published, "every group has a worker to host its pipeline");
         self.switch = Some(incarnation);
     }
 
@@ -1198,8 +1049,17 @@ impl<S: Substrate> ThreadedCluster<S> {
             .collect();
         // One shard for the link and every lane. Clients are sent no verbs.
         let recorder = self.registry.handle();
-        let (link, ..) = self.substrate.attach(&names, recorder.clone());
-        LiveClient::over(Box::new(link), &self.spec, first, plans, recorder)
+        let (link, _, ingress) = self.substrate.attach(&names, recorder.clone());
+        // One publication for all the lanes, and one when the shell goes.
+        let mut bound = Names::new(Arc::clone(self.substrate.book()), ingress);
+        bound.bind(&names);
+        LiveClient::over(bound, link, &self.spec, first, plans, recorder)
+    }
+
+    /// Number of unicast entries currently in the deployment's name service
+    /// (leak checks: a dropped client shell must take every lane's out).
+    pub fn unicast_entries(&self) -> usize {
+        self.substrate.book().unicast_len()
     }
 
     /// Snapshot the pipelines of `groups`, each asked of the worker that
@@ -1239,7 +1099,6 @@ impl<S: Substrate> Drop for ThreadedCluster<S> {
         for worker in &self.workers {
             let _ = worker.ctl.send(Envelope::Stop);
         }
-        // Each link's drop takes its names out of the substrate.
         for worker in self.workers.drain(..) {
             let _ = worker.join.join();
         }
@@ -1261,7 +1120,7 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
     /// Figure 10 outage.
     fn kill_switch(&mut self) {
         if let Some(incarnation) = self.switch.take() {
-            self.substrate.clear_spine();
+            self.substrate.book().clear_spine();
             self.evict(&self.workers, NodeId::Switch(incarnation));
         }
     }
@@ -1566,7 +1425,7 @@ mod tests {
         check::<Sockets>();
     }
 
-    /// `NodeLink::send` never waits: a node that meets a client's full
+    /// `NodeLink::send_many` never waits: a node that meets a client's full
     /// ingress queue — the tail here, whose read replies the spine forwards
     /// straight to the client — drops the reply and carries on: it keeps
     /// serving, and it still sees `Stop`. (A blocking send here parked the
@@ -1582,13 +1441,12 @@ mod tests {
             // tail, which answers in request order.
             let mut deaf = cluster.client();
             let id = ClientId(deaf.first);
-            let me = NodeId::Client(id);
-            for n in 0..2_000 {
-                let req = OpSpec::read("k").request(id, RequestId(n));
-                let to = deaf.switch;
-                deaf.link
-                    .send(to, Msg::new(me, to, PacketBody::Request(req)));
-            }
+            let (me, to) = (NodeId::Client(id), deaf.switch);
+            let mut asked = (0..2_000)
+                .map(|n| OpSpec::read("k").request(id, RequestId(n)))
+                .map(|req| (to, Msg::new(me, to, PacketBody::Request(req))))
+                .collect();
+            deaf.link.send_many(&mut asked);
             // Served behind all of them: the tail got past the full queue.
             assert_eq!(cluster.client().get("k").unwrap(), None);
             // The queue kept its bound; the overflow was dropped.
@@ -1605,6 +1463,31 @@ mod tests {
         done_rx
             .recv_timeout(StdDuration::from_secs(60))
             .expect("a sender blocked on the full client queue");
+    }
+
+    /// A client shell's names — one per lane — enter the deployment's name
+    /// service in one publication and leave it in one when the shell is
+    /// dropped, whatever a name resolves to: the book returns to one entry
+    /// per replica, and every sender re-snapshots once per shell.
+    #[test]
+    fn a_dropped_shell_takes_every_lanes_name_out_of_the_book() {
+        fn check<S: Substrate>(spec: &DeploymentSpec, workers: usize) {
+            let cluster = ThreadedCluster::<S>::with_workers(spec, workers);
+            let at = cell(&cluster);
+            let baseline = cluster.unicast_entries();
+            assert_eq!(baseline, spec.total_replicas(), "{at}");
+            let published = || cluster.substrate.book().generation();
+            let before = published();
+            let mut load = cluster.load(plans(8, 20, 10));
+            assert_eq!(cluster.unicast_entries(), baseline + 8, "{at}");
+            assert_eq!(published(), before + 1, "{at}");
+            assert!(load.run().iter().flatten().all(|r| r.ok), "{at}");
+            drop(load);
+            assert_eq!(cluster.unicast_entries(), baseline, "{at}");
+            assert_eq!(published(), before + 2, "{at}");
+            cluster.shutdown();
+        }
+        every_layout(&DeploymentSpec::new(), check::<Channels>, check::<Sockets>);
     }
 
     /// A read is three hops: its reply carries nothing for the switch and
@@ -1661,7 +1544,7 @@ mod tests {
                 let req = OpSpec::read("k").request(id, RequestId(n));
                 let reply = harmonia_replication::common::read_reply(replica, &req, None);
                 let msg = Msg::new(NodeId::Replica(replica), to, PacketBody::Reply(reply));
-                link.send(to, msg);
+                link.send_many(&mut vec![(to, msg)]);
             };
             let mut got = Vec::new();
             let mut heard = |wait: StdDuration| {
@@ -1805,16 +1688,8 @@ mod tests {
     }
 
     impl<L: NodeLink> NodeLink for Probe<L> {
-        fn bind(&mut self, name: NodeId) {
-            self.link.bind(name);
-        }
-
-        fn release(&mut self, name: NodeId) {
-            self.link.release(name);
-        }
-
-        fn send(&mut self, to: NodeId, msg: Msg) {
-            self.link.send(to, msg);
+        fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
+            self.link.send_many(batch);
         }
 
         fn recv_into(
@@ -1841,10 +1716,12 @@ mod tests {
         let mut core = cores.pop().unwrap();
         core.set_recorder(registry.handle());
         let me = spec.switch_addr();
-        let (link, ctl, ingress) = Channels::default().attach(&[], registry.handle());
+        let channels = Channels::default();
+        let (link, ctl, ingress) = channels.attach(&[], registry.handle());
+        let names = Names::new(Arc::clone(channels.book()), ingress.clone());
         let (waits, waited) = unbounded();
         let shards = spec.shard_map();
-        let worker = std::thread::spawn(move || worker_main(Probe { link, waits }, shards));
+        let worker = std::thread::spawn(move || worker_main(Probe { link, waits }, names, shards));
         let next_wait = || waited.recv_timeout(StdDuration::from_secs(10)).unwrap();
         let replica = build_replica(spec.group_config(0, 0));
         let hosted = vec![
@@ -1868,7 +1745,7 @@ mod tests {
         let write = |key: &'static str, n: u64| {
             let req = OpSpec::write(key, "v").request(ClientId(1), RequestId(n));
             let msg = Msg::new(NodeId::Client(ClientId(1)), me, PacketBody::Request(req));
-            ingress.send(Envelope::Packet(msg)).unwrap();
+            ingress.0.send(Envelope::Packet(msg)).unwrap();
         };
         assert_eq!(next_wait(), None, "an empty dirty set arms no timer");
 
@@ -1880,7 +1757,7 @@ mod tests {
             seq: SwitchSeq::new(spec.initial_switch(), 2),
         };
         let msg = Msg::new(me, me, PacketBody::Completion(done));
-        ingress.send(Envelope::Packet(msg)).unwrap();
+        ingress.0.send(Envelope::Packet(msg)).unwrap();
         // Timed waits while "a" sits below the commit point, until one runs
         // out and the sweep reclaims it; then no timer again.
         while next_wait().is_none() {}
@@ -1917,13 +1794,11 @@ mod tests {
     }
 
     impl NodeLink for Scripted {
-        fn bind(&mut self, _name: NodeId) {}
-
-        fn release(&mut self, _name: NodeId) {}
-
-        fn send(&mut self, _to: NodeId, msg: Msg) {
-            if let PacketBody::Request(req) = msg.body {
-                let _ = self.sent.send(req);
+        fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
+            for (_, msg) in batch.drain(..) {
+                if let PacketBody::Request(req) = msg.body {
+                    let _ = self.sent.send(req);
+                }
             }
         }
 
@@ -1980,7 +1855,7 @@ mod tests {
             waits: waits_tx,
         };
         let spec = DeploymentSpec::new();
-        let client = LiveClient::over(Box::new(link), &spec, FIRST, plans, registry.handle());
+        let client = LiveClient::over((), link, &spec, FIRST, plans, registry.handle());
         Played {
             client,
             sent,

@@ -27,17 +27,17 @@
 //! this module only provides the transport plumbing:
 //!
 //! * The spine stays a **sender-side** route: the deployment's
-//!   [`AddrBook`] maps the stable switch address (and the live
-//!   incarnation's id) to the sockets of the workers hosting each group's
-//!   pipeline, and resolving a send performs the `ShardMap` lookup on the
-//!   sending thread — no intermediate hop, exactly like the channel
-//!   substrate's spine plan.
-//!   Both call [`PacketBody::switch_route`](harmonia_types::PacketBody::switch_route)
-//!   for the decision, so here too a reply with no completion to snoop
-//!   resolves to its client's socket — a 4 KB read value crosses the wire
-//!   once, replica → client — and only completion-bearing replies reach a
-//!   pipeline. With the spine cleared the same reply resolves to no address
-//!   at all.
+//!   [`AddrBook`] — the same name service the channel substrate resolves
+//!   through, here with `SocketAddr` endpoints, published into by the rig —
+//!   maps the stable switch address (and the live incarnation's id) to the
+//!   sockets of the workers hosting each group's pipeline, and resolving a
+//!   send performs the `ShardMap` lookup on the sending thread, no
+//!   intermediate hop. The decision is
+//!   [`PacketBody::switch_route`](harmonia_types::PacketBody::switch_route),
+//!   so here too a reply with no completion to snoop resolves to its
+//!   client's socket — a 4 KB read value crosses the wire once, replica →
+//!   client — and only completion-bearing replies reach a pipeline. With the
+//!   spine cleared the same reply resolves to no address at all.
 //! * Driver control verbs (inspect, adopt, evict, stop) ride a crossbeam
 //!   side channel per worker; only data-plane packets cross the sockets. A
 //!   thread sleeps on its socket, so [`UdpLink`] looks at the side channel
@@ -81,7 +81,6 @@ use harmonia_net::{
 use harmonia_obs::{Counter, FaultObs, Recorder};
 use harmonia_replication::messages::ProtocolMsg;
 use harmonia_types::NodeId;
-use harmonia_workload::ShardMap;
 
 use crate::deployment::DeploymentSpec;
 use crate::live::{Envelope, NodeLink, Substrate, ThreadedCluster};
@@ -106,16 +105,8 @@ const RECV_BATCH: usize = 32;
 /// block on the socket for the whole wait.
 pub struct UdpLink {
     transport: Net,
-    /// The socket's address: what a name bound to this link resolves to.
-    addr: SocketAddr,
     ctl: Receiver<Envelope>,
     has_ctl: bool,
-    book: Arc<AddrBook>,
-    /// The book entries this link owns — every name its one socket answers
-    /// to — deregistered on drop: an endpoint must not keep receiving
-    /// routes after its socket is gone, and the book must not grow dead
-    /// entries with every short-lived client.
-    owned: Vec<NodeId>,
     /// Observability shard for this endpoint's wire counters.
     recorder: Recorder,
     /// Last wire/pool stats already credited to the recorder — the
@@ -164,29 +155,10 @@ impl Drop for UdpLink {
         // sockets) may never hit the batched send path, so teardown is
         // where their wire counters reach the registry.
         self.sync_obs();
-        for node in self.owned.drain(..) {
-            self.book.unregister(node);
-        }
     }
 }
 
 impl NodeLink for UdpLink {
-    fn bind(&mut self, name: NodeId) {
-        self.owned.push(name);
-        self.book.register(name, self.addr);
-    }
-
-    fn release(&mut self, name: NodeId) {
-        if let Some(i) = self.owned.iter().position(|&n| n == name) {
-            self.owned.swap_remove(i);
-            self.book.unregister(name);
-        }
-    }
-
-    fn send(&mut self, to: NodeId, msg: Msg) {
-        self.transport.send(to, msg);
-    }
-
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
         // One `sendmmsg` run per MAX_BATCH packets (scalar loop on a
         // fault-wrapped transport).
@@ -285,6 +257,10 @@ impl Substrate for Sockets {
         }
     }
 
+    fn book(&self) -> &Arc<AddrBook> {
+        &self.book
+    }
+
     fn attach(
         &self,
         names: &[NodeId],
@@ -292,33 +268,18 @@ impl Substrate for Sockets {
     ) -> (UdpLink, Sender<Envelope>, SocketAddr) {
         let (transport, addr) = self.endpoint(true);
         let (ctl_tx, ctl) = unbounded();
-        let mut link = UdpLink {
+        let link = UdpLink {
             transport,
-            addr,
             ctl,
             // Clients are sent no verbs: without a side channel to poll,
             // their link blocks on the socket for the whole reply deadline.
             has_ctl: !matches!(names, [NodeId::Client(_), ..]),
-            book: Arc::clone(&self.book),
-            owned: Vec::new(),
             recorder,
             seen_wire: TransportStats::default(),
             seen_recv_pool: PoolStats::default(),
             seen_send_pool: PoolStats::default(),
         };
-        // One socket behind every name.
-        for &name in names {
-            link.bind(name);
-        }
         (link, ctl_tx, addr)
-    }
-
-    fn publish_spine(&self, names: [NodeId; 2], shards: ShardMap, sockets: Vec<SocketAddr>) {
-        self.book.install_spine(names.to_vec(), shards, sockets);
-    }
-
-    fn clear_spine(&self) {
-        self.book.clear_spine();
     }
 
     /// The script crosses a real socket like everything else, but a clean
@@ -361,12 +322,6 @@ impl ThreadedCluster<Sockets> {
     /// adversary actually exercised the deployment.
     pub fn fault_counts(&self) -> (u64, u64, u64) {
         self.substrate.fault_counters.snapshot()
-    }
-
-    /// Number of unicast entries currently in the deployment's address book
-    /// (leak checks: dropped clients must deregister themselves).
-    pub fn unicast_entries(&self) -> usize {
-        self.substrate.book.unicast_len()
     }
 }
 

@@ -11,7 +11,7 @@
 //! |---------------|-----------------------------------------|---------|
 //! | `determinism` | sim, switch, replication, types, verify, workload, kv, obs | wall-clock reads, entropy-seeded RNGs/hashers, iteration over `HashMap`/`HashSet` |
 //! | `unsafe`      | whole workspace                         | `unsafe` outside vendor/mmsg; unsafe without `SAFETY:`; missing `#![forbid(unsafe_code)]` headers |
-//! | `panic_path`  | net/udp.rs, net/coalesce.rs, core/live.rs, core/udp.rs, types/wire.rs, obs/recorder.rs, obs/hist.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
+//! | `panic_path`  | net/udp.rs, net/coalesce.rs, net/addr.rs, core/live.rs, core/udp.rs, types/wire.rs, obs/recorder.rs, obs/hist.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
 //! | `layering`    | replication, switch                     | `std::net`, `harmonia-net`, socket types |
 //!
 //! Violations can be waived inline with `// lint:allow(<rule>): <reason>`
@@ -140,6 +140,8 @@ impl Policy {
             hot_paths: [
                 "crates/net/src/udp.rs",
                 "crates/net/src/coalesce.rs",
+                // The name service: on every send of both threaded drivers.
+                "crates/net/src/addr.rs",
                 "crates/core/src/live.rs",
                 "crates/core/src/udp.rs",
                 "crates/core/src/client_core.rs",

@@ -237,7 +237,32 @@ fn panic_path_allows_checked_and_full_range_forms() {
 #[test]
 fn panic_path_only_applies_to_hot_files() {
     let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    assert!(lint_source("crates/net/src/addr.rs", src, &policy()).is_empty());
+    assert!(lint_source("crates/net/src/fault.rs", src, &policy()).is_empty());
+}
+
+/// The name service resolves every send of both threaded drivers: a lock
+/// taken with `unwrap()` or an asserted bring-up condition there is a panic
+/// on the packet path; the poison-tolerant lock and a refused install are
+/// not.
+#[test]
+fn panic_path_covers_the_name_service() {
+    const BOOK: &str = "crates/net/src/addr.rs";
+    for frag in [
+        "self.table.lock().unwrap()",
+        "assert_eq!(shards.groups(), groups.len(), \"one endpoint per group\")",
+        "spine.groups[0]",
+    ] {
+        let src = format!("fn f() {{ let _ = {frag}; }}\n");
+        let f = lint_source(BOOK, &src, &policy());
+        assert_eq!(rules(&f), vec![Rule::PanicPath], "`{frag}` -> {f:?}");
+    }
+    let src = "fn f() -> bool {\n\
+                   let _t = self.table.lock().unwrap_or_else(PoisonError::into_inner);\n\
+                   if shards.groups() != groups.len() { return false; }\n\
+                   spine.groups.first().is_some()\n\
+               }\n";
+    let f = lint_source(BOOK, src, &policy());
+    assert!(f.is_empty(), "{f:?}");
 }
 
 // ---- layering -------------------------------------------------------------

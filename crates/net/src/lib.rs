@@ -13,14 +13,18 @@
 //!
 //! Three pieces, layered:
 //!
-//! * [`AddrBook`] — the deployment's name service: `NodeId → SocketAddr`
-//!   for replicas and clients, plus the *spine* entry that makes the whole
+//! * [`AddrBook`] — the deployment's name service: `NodeId →` endpoint for
+//!   replicas and clients, plus the *spine* entry that makes the whole
 //!   switch fleet reachable under its stable address. Sending to a switch
 //!   address shard-routes the packet **on the sender's side** (the
 //!   deployment's [`ShardMap`](harmonia_workload::ShardMap) keyed by the
-//!   packet's object) straight to the owning group pipeline's socket — the
-//!   same stateless-spine design the threaded driver uses, expressed as
-//!   address resolution.
+//!   packet's object) straight to the owning group pipeline's endpoint —
+//!   the stateless spine, expressed as address resolution. The book is
+//!   generic over what a name resolves to and is the only name service in
+//!   the workspace: here an endpoint is a `SocketAddr`, on the channel
+//!   driver a loop's ingress queue, and both send through the same
+//!   [`Resolver`] and take their names out again through the same
+//!   [`Names`] guard.
 //! * [`Transport`] / [`UdpTransport`] — one endpoint: a bound
 //!   `std::net::UdpSocket` that encodes outbound packets to frames and
 //!   decodes inbound datagrams, dropping (and counting) anything that does
@@ -54,7 +58,7 @@ pub mod pool;
 pub mod transport;
 pub mod udp;
 
-pub use addr::AddrBook;
+pub use addr::{AddrBook, Names, Resolver};
 pub use coalesce::{Coalescer, SealedDatagram};
 pub use fault::{FaultConfig, FaultCounters, FaultyTransport};
 pub use pool::{BufferPool, PoolStats};

@@ -62,19 +62,6 @@ pub trait Transport<T>: Send {
         }
     }
 
-    /// Upper bound on how many wire frames this transport's
-    /// [`send_batch`](Self::send_batch) may pack into one network datagram.
-    ///
-    /// `1` — the default, and what every scalar-looping wrapper inherits —
-    /// means strict per-frame delivery: each packet rides its own
-    /// datagram, which is the envelope
-    /// [`FaultyTransport`](crate::FaultyTransport)'s per-send fault
-    /// decisions rely on (each decision hits exactly one frame). The UDP
-    /// endpoint reports its datagram budget's packing bound instead.
-    fn max_frames_per_datagram(&self) -> usize {
-        1
-    }
-
     /// Drain up to `max` already-queued packets into `out` without
     /// blocking; returns how many were appended. An empty queue is `0`, not
     /// an error — callers that want to wait combine this with a scalar

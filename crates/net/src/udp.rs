@@ -13,7 +13,7 @@ use bytes::Bytes;
 use harmonia_types::wire::{frames, Wire};
 use harmonia_types::{NodeId, Packet};
 
-use crate::addr::{AddrBook, Directory};
+use crate::addr::{AddrBook, Resolver};
 use crate::coalesce::{Coalescer, SealedDatagram};
 use crate::pool::PoolStats;
 use crate::transport::{RecvError, Transport};
@@ -109,15 +109,10 @@ impl TransportStats {
 /// receive buffer meanwhile.
 pub struct UdpTransport<T> {
     socket: UdpSocket,
-    book: Arc<AddrBook>,
-    /// Cached directory snapshot + the generation it was taken at: sends
-    /// revalidate with one atomic load and re-snapshot only after a
-    /// registration — the same no-lock-per-send discipline as the channel
-    /// driver's router handles.
-    directory: Arc<Directory>,
-    seen_generation: u64,
+    /// The deployment's book as this sender sees it: one atomic load per
+    /// send, no lock.
+    names: Resolver,
     local: SocketAddr,
-    dsts: Vec<SocketAddr>,
     /// Receive scratch: the kernel writes here, `decode_ring` copies each
     /// datagram out, the next receive overwrites it.
     ring: mmsg::RecvRing,
@@ -150,15 +145,10 @@ impl<T> UdpTransport<T> {
     pub fn bind(book: Arc<AddrBook>) -> std::io::Result<Self> {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         let local = socket.local_addr()?;
-        let seen_generation = book.generation();
-        let directory = book.snapshot();
         Ok(UdpTransport {
             socket,
-            book,
-            directory,
-            seen_generation,
+            names: Resolver::new(book),
             local,
-            dsts: Vec::new(),
             // One datagram is at most u16::MAX bytes; the codec's frame
             // bound is tighter, but the slots cover the whole datagram so
             // oversized garbage is drained (and counted), not left queued.
@@ -313,7 +303,38 @@ impl<T> UdpTransport<T> {
 
     /// The deployment's address book.
     pub fn book(&self) -> &Arc<AddrBook> {
-        &self.book
+        self.names.book()
+    }
+
+    /// Resolve `to` and encode `pkt` zero-copy into a pooled datagram
+    /// buffer per destination, sealing the datagrams that fill. Resolved
+    /// before encoding: an unresolvable destination (e.g. a killed switch
+    /// mid-§5.3) costs one atomic load, not a full codec pass on a frame
+    /// that would only be discarded.
+    fn stage(&mut self, to: NodeId, pkt: &Packet<T>)
+    where
+        T: Wire,
+    {
+        let dsts = self.names.resolve(to, &pkt.body);
+        if dsts.is_empty() {
+            self.stats.unresolved += 1;
+            return;
+        }
+        for &dst in dsts {
+            if self
+                .coalescer
+                .push(dst, pkt, &mut self.sealed_scratch)
+                .is_err()
+            {
+                // Too big for one frame: dropping beats truncating — the
+                // peer would reject a cut frame anyway, and the client's
+                // retry/timeout loop owns recovery. Counted once: frame
+                // size does not depend on the destination, so every push
+                // would refuse alike.
+                self.stats.oversized += 1;
+                break;
+            }
+        }
     }
 
     /// Arm the socket's read timeout for a blocking wait of `remaining`,
@@ -344,38 +365,10 @@ impl<T> UdpTransport<T> {
 
 impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
     fn send(&mut self, to: NodeId, pkt: Packet<T>) {
-        // Resolve before encoding: an unresolvable destination (e.g. a
-        // killed switch mid-§5.3) costs one atomic load, not a full codec
-        // pass on a frame that would only be discarded.
-        let generation = self.book.generation();
-        if generation != self.seen_generation {
-            self.directory = self.book.snapshot();
-            self.seen_generation = generation;
-        }
-        self.directory.resolve(to, &pkt.body, &mut self.dsts);
-        if self.dsts.is_empty() {
-            self.stats.unresolved += 1;
-            return;
-        }
-        // Encode straight into a pooled datagram buffer per destination —
-        // zero-copy even on the scalar verb. The scalar verb flushes per
-        // call, so coalescing across *packets* never engages here: one
-        // frame, one datagram — the per-datagram envelope
-        // `FaultyTransport`'s per-send fault decisions rely on.
-        for &dst in &self.dsts {
-            if self
-                .coalescer
-                .push(dst, &pkt, &mut self.sealed_scratch)
-                .is_err()
-            {
-                // Too big for one frame: dropping beats truncating — the
-                // peer would reject a cut frame anyway, and the client's
-                // retry/timeout loop owns recovery. Counted once: frame
-                // size does not depend on the destination.
-                self.stats.oversized += 1;
-                break;
-            }
-        }
+        // The scalar verb flushes per call, so coalescing across *packets*
+        // never engages here: one frame, one datagram — the per-datagram
+        // envelope `FaultyTransport`'s per-send fault decisions rely on.
+        self.stage(to, &pkt);
         self.coalescer.finish(&mut self.sealed_scratch);
         self.loop_back();
         for d in self.sealed_scratch.drain(..) {
@@ -452,28 +445,7 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
     /// amortization multiplies. No frame is cloned anywhere on this path.
     fn send_batch(&mut self, batch: &mut Vec<(NodeId, Packet<T>)>) {
         for (to, pkt) in batch.drain(..) {
-            let generation = self.book.generation();
-            if generation != self.seen_generation {
-                self.directory = self.book.snapshot();
-                self.seen_generation = generation;
-            }
-            self.directory.resolve(to, &pkt.body, &mut self.dsts);
-            if self.dsts.is_empty() {
-                self.stats.unresolved += 1;
-                continue;
-            }
-            for &dst in &self.dsts {
-                if self
-                    .coalescer
-                    .push(dst, &pkt, &mut self.sealed_scratch)
-                    .is_err()
-                {
-                    // Counted once: frame size does not depend on the
-                    // destination, so every push would refuse alike.
-                    self.stats.oversized += 1;
-                    break;
-                }
-            }
+            self.stage(to, &pkt);
         }
         self.coalescer.finish(&mut self.sealed_scratch);
         self.loop_back();
@@ -499,13 +471,6 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
             }
         }
         delivered
-    }
-
-    /// The packing bound: how many frames one datagram can carry at this
-    /// endpoint's budget (a frame is at least a 4-byte prefix plus one
-    /// body byte).
-    fn max_frames_per_datagram(&self) -> usize {
-        self.coalescer.capacity() / 5
     }
 
     fn wire_stats(&self) -> Option<TransportStats> {
@@ -803,7 +768,6 @@ mod tests {
     #[test]
     fn scalar_verb_sends_one_datagram_per_frame() {
         let (_book, mut a, mut b) = pair();
-        assert!(a.max_frames_per_datagram() > 1, "the batch verb coalesces");
         let mk = |i: u64| -> (NodeId, Pkt) {
             (
                 NodeId::Replica(ReplicaId(0)),

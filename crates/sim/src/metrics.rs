@@ -1,72 +1,16 @@
 //! Counters and latency histograms.
 //!
 //! The benchmark harnesses read throughput from counters (completed ops in a
-//! measurement window) and latency from histograms. Histograms delegate to
-//! `harmonia-obs`'s log-bucketed [`LogHistogram`]: fixed memory no matter
-//! how long the run (the old implementation kept up to 2²⁰ raw samples and
-//! fell back to reservoir sampling beyond that), exact count/mean/min/max,
-//! and ≤ 3.2% relative error on interior percentiles.
+//! measurement window) and latency from histograms. A [`Histogram`] is
+//! `harmonia-obs`'s log-bucketed [`harmonia_obs::LogHistogram`] under the
+//! name this crate has always exported: fixed memory no matter how long the
+//! run, exact count/mean/min/max, and ≤ 3.2% relative error on interior
+//! percentiles.
 
 use std::collections::BTreeMap;
 
-use harmonia_obs::LogHistogram;
+pub use harmonia_obs::LogHistogram as Histogram;
 use harmonia_types::Duration;
-
-/// A latency histogram: count, mean, and max are exact; interior
-/// percentiles are log-bucketed (≤ 3.2% relative error) in fixed memory.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram {
-    inner: LogHistogram,
-}
-
-impl Histogram {
-    /// Create an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Record one duration.
-    pub fn record(&mut self, d: Duration) {
-        self.inner.record(d);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Exact arithmetic mean.
-    pub fn mean(&self) -> Duration {
-        self.inner.mean()
-    }
-
-    /// Exact largest recorded sample.
-    pub fn max(&self) -> Duration {
-        self.inner.max()
-    }
-
-    /// The `p`-th percentile (0.0 ..= 1.0). `p <= 0.0` and `p >= 1.0`
-    /// return the exact min/max; interior ranks are bucket midpoints.
-    pub fn percentile(&self, p: f64) -> Duration {
-        self.inner.percentile(p)
-    }
-
-    /// The 99.9th percentile (tail latency shorthand).
-    pub fn p999(&self) -> Duration {
-        self.inner.percentile(0.999)
-    }
-
-    /// Discard all samples.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// The underlying log-bucketed histogram (for merging into obs
-    /// snapshots).
-    pub fn log_histogram(&self) -> &LogHistogram {
-        &self.inner
-    }
-}
 
 /// Named counters and histograms for one simulation run.
 ///
@@ -152,7 +96,7 @@ mod tests {
         assert_eq!(h.percentile(1.0), Duration::from_micros(100));
         let p50 = h.percentile(0.5);
         assert!(p50 >= Duration::from_micros(48) && p50 <= Duration::from_micros(52));
-        assert!(h.p999() <= h.max());
+        assert!(h.percentile(0.999) <= h.max());
     }
 
     #[test]

@@ -108,9 +108,11 @@
 //! ([`ThreadedCluster`](core::live::ThreadedCluster)) over a different
 //! [`Substrate`](core::live::Substrate): it reuses every one of those
 //! loops and §5.3 verbs and swaps the channels for [`net`]-crate loopback
-//! sockets: the spine route resolves to the *socket address* of the worker
-//! hosting the owning group's pipeline on the sending thread, `kill_switch`
-//! tears the spine out of the deployment's address book, and
+//! sockets. Both resolve names through the one name service there is,
+//! [`net::AddrBook`], generic over what a name resolves to: the spine route
+//! resolves on the sending thread to the endpoint — an ingress queue there,
+//! a *socket address* here — of the worker hosting the owning group's
+//! pipeline, `kill_switch` tears the spine out of the book, and
 //! `tests/udp_cluster.rs` runs the whole thing under 5% datagram
 //! loss + duplication + reordering with every history through the
 //! Wing–Gong checker.
@@ -124,7 +126,7 @@
 //! | [`kv`] | in-memory versioned KV engine (the Redis substitute) |
 //! | [`switch`] | switch data-plane emulation: register arrays, multi-stage hash table, Algorithm 1 |
 //! | [`replication`] | PB, chain, CRAQ, VR, NOPaxos — each ± Harmonia |
-//! | [`net`] | real datagram transport: `NodeId`-addressed UDP loopback sockets, spine shard routing, seeded fault injection |
+//! | [`net`] | the deployment name service (`NodeId` → endpoint, spine shard routing) both threaded drivers resolve through; real datagram transport: UDP loopback sockets, seeded fault injection |
 //! | [`core`] | the `DeploymentSpec`/`Cluster` API; the sans-IO client core, replica step and §5.3 control scripts every driver shares; the sim actors and the threaded rig (channel and UDP substrates) that shell them |
 //! | [`workload`] | uniform/zipf key spaces, mixes, YCSB presets |
 //! | [`verify`] | linearizability checker + TLA+-mirror model checker |

@@ -429,7 +429,7 @@ fn open_loop_run_matches_the_digest_captured_before_the_engine_rebuild() {
     let text = format!(
         "{:?}{:?}{}",
         metrics.counters_sorted(),
-        reads.log_histogram(),
+        reads,
         harmonia::obs::json_text(&sim.obs_snapshot())
     );
     assert_eq!(
