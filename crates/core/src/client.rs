@@ -399,6 +399,15 @@ impl ClosedLoopClient {
         self
     }
 
+    /// Continue `previous`'s session under the same id: its recorder, and
+    /// request ids past every one it issued — a replica's session table
+    /// takes a reused id for a retry of the old operation and answers it
+    /// from its cache, or not at all.
+    pub(crate) fn continuing(mut self, previous: &ClosedLoopClient) -> Self {
+        self.core.continue_session(&previous.core);
+        self
+    }
+
     /// Quorum size for write completion (NOPaxos).
     pub fn with_write_replies(mut self, n: usize) -> Self {
         self.core.write_replies = n;

@@ -157,6 +157,13 @@ impl ClientCore {
         }
     }
 
+    /// Take over `previous`'s recorder and request-id sequence (a client
+    /// re-attached under the same id).
+    pub(crate) fn continue_session(&mut self, previous: &ClientCore) {
+        self.recorder = previous.recorder.clone();
+        self.next_request = previous.next_request;
+    }
+
     /// This client's node address.
     pub(crate) fn node(&self) -> NodeId {
         NodeId::Client(self.id)

@@ -561,7 +561,10 @@ impl SimCluster {
     }
 
     /// Attach a closed-loop client that executes `plan` then stops.
-    /// Returns its node id.
+    /// Returns its node id. Attaching an id again replaces its client with
+    /// one that continues its session — same recorder, fresh request ids —
+    /// so a long-lived world driven through many
+    /// [`run_plans`](Cluster::run_plans) calls does not grow per call.
     pub fn add_closed_loop_client(
         &mut self,
         client: ClientId,
@@ -571,10 +574,15 @@ impl SimCluster {
         let node = NodeId::Client(client);
         let actor = ClosedLoopClient::new(client, self.switch, plan)
             .with_write_replies(self.spec.write_replies())
-            .with_timeout(timeout)
-            .with_recorder(self.registry.handle());
+            .with_timeout(timeout);
+        let actor = match self.world.actor::<ClosedLoopClient>(node) {
+            Some(previous) => actor.continuing(previous),
+            None => actor.with_recorder(self.registry.handle()),
+        };
         self.world.add_node(node, Box::new(actor));
-        self.workload_clients.push(node);
+        if !self.workload_clients.contains(&node) {
+            self.workload_clients.push(node);
+        }
         node
     }
 
@@ -615,10 +623,12 @@ impl SimCluster {
         clients
             .iter()
             .map(|&id| {
-                let client: &ClosedLoopClient =
-                    self.world.actor(NodeId::Client(id)).expect("client exists");
+                let client = self
+                    .world
+                    .actor_mut::<ClosedLoopClient>(NodeId::Client(id))
+                    .expect("client exists");
                 assert!(client.is_done(), "client {id:?} still has work");
-                client.records.clone()
+                std::mem::take(&mut client.records)
             })
             .collect()
     }
@@ -1021,6 +1031,52 @@ mod tests {
         for history in &histories {
             assert_eq!(history.len(), 2000);
             assert!(history.iter().all(|r| r.ok));
+        }
+    }
+
+    #[test]
+    fn a_long_lived_world_keeps_one_session_per_client() {
+        // One world driven through many `run_plans` calls (ROADMAP item 2's
+        // search): every call re-adds clients 10 + i. None may add a
+        // registry shard — counters, histograms, a 1 024-event trace ring —
+        // or a retarget entry, and none may reuse a request id: the
+        // replicas would drop those writes as stale retries, or ack them
+        // from their reply cache without applying them.
+        let mut sim = DeploymentSpec::new().build_sim();
+        for call in 0..1000 {
+            let plans: Vec<Vec<OpSpec>> = (0..4)
+                .map(|c| {
+                    (0..5)
+                        .map(|i| {
+                            let key = Bytes::from(format!("key-{}", (c + i) % 8));
+                            if i % 2 == 0 {
+                                OpSpec::write(key, Bytes::from(format!("{call}-{c}-{i}")))
+                            } else {
+                                OpSpec::read(key)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let histories = sim.run_plans(plans);
+            let all_ok = histories
+                .iter()
+                .all(|h| h.len() == 5 && h.iter().all(|r| r.ok));
+            assert!(all_ok, "call {call}: {histories:?}");
+        }
+        // One ring each for the switch, the replicas and the four clients.
+        let shards = 1 + sim.spec.groups * sim.spec.replicas + 4;
+        let events = sim.trace_events().len();
+        assert!(events <= shards * 1024, "{events} trace events held");
+        assert_eq!(sim.workload_clients.len(), 4);
+        let counted = sim.obs_snapshot().clients;
+        assert_eq!(counted.reads_done + counted.writes_done, 4 * 5 * 1000);
+        // Every key was written by the last call, and those writes applied.
+        let mut client = sim.client();
+        for k in 0..8 {
+            let value = client.get(format!("key-{k}").as_bytes()).unwrap();
+            let last = value.as_ref().is_some_and(|v| v.starts_with(b"999-"));
+            assert!(last, "key-{k}: {value:?}");
         }
     }
 

@@ -265,6 +265,30 @@ fn panic_path_covers_the_name_service() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+/// The dirty set runs on every packet of every pipeline, and its sweep
+/// indexes by positions it stored: an asserted geometry or an unchecked
+/// index there is a panic on the packet path; a clamp and `get_mut` are
+/// not.
+#[test]
+fn panic_path_covers_the_dirty_set() {
+    const TABLE: &str = "crates/switch/src/table.rs";
+    for frag in [
+        "assert!(config.stages > 0, \"need at least one stage\")",
+        "self.listed[pos / 64]",
+        "self.stages.get_mut(stage).unwrap()",
+    ] {
+        let src = format!("fn f() {{ let _ = {frag}; }}\n");
+        let f = lint_source(TABLE, &src, &policy());
+        assert_eq!(rules(&f), vec![Rule::PanicPath], "`{frag}` -> {f:?}");
+    }
+    let src = "fn f() -> bool {\n\
+                   let stages = config.stages.max(1);\n\
+                   self.listed.get_mut(pos / 64).is_some() && stages > 0\n\
+               }\n";
+    let f = lint_source(TABLE, src, &policy());
+    assert!(f.is_empty(), "{f:?}");
+}
+
 // ---- layering -------------------------------------------------------------
 
 #[test]

@@ -402,12 +402,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The counted occupancy is what a scan finds, and the sweep that
-        /// skips (empty set, nothing gone stale since the last one) removes
-        /// exactly what a full scan would — over any mix of writes, reads
-        /// that scrub, sweeps, reboots, and completions that are in order,
-        /// late, duplicated, or from beyond every sequence number issued
-        /// (which makes later writes stale at birth).
+        /// The counted occupancy is what a scan finds, the sweep's index
+        /// lists every occupied slot once, and the sweep that skips (empty
+        /// set, nothing gone stale since the last one) and walks the index
+        /// removes exactly what a full scan would — over any mix of writes,
+        /// reads that scrub, sweeps, reboots, and completions that are in
+        /// order, late, duplicated, or from beyond every sequence number
+        /// issued (which makes later writes stale at birth).
         #[test]
         fn counted_occupancy_and_skipping_sweep_match_a_scan(
             ops in proptest::prop::collection::vec((0u8..7, 0u32..12, 0u64..4), 1..200)
@@ -447,6 +448,7 @@ mod tests {
                 // `occupancy_per_stage` still looks at every slot.
                 let by_scan: usize = d.table.occupancy_per_stage().iter().sum();
                 proptest::prop_assert_eq!(d.dirty_len(), by_scan);
+                proptest::prop_assert_eq!(d.table.index_matches_scan(), Ok(()));
                 proptest::prop_assert!(
                     d.sweep_pending() || d.table.stale_by_scan(d.last_committed) == 0,
                     "sweep_pending() is false with stale entries in the table"

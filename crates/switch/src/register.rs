@@ -85,11 +85,6 @@ impl<T: Clone + Default> RegisterArray<T> {
         self.slots.iter()
     }
 
-    /// Mutable iteration over all slots (control-plane sweep).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.slots.iter_mut()
-    }
-
     /// Lifetime data-plane access count.
     pub fn total_accesses(&self) -> u64 {
         self.accesses
@@ -151,6 +146,5 @@ mod tests {
         // Multiple control accesses within the same packet are fine.
         r.control_write(1, 7);
         assert_eq!(*r.control_read(1), 7);
-        assert_eq!(r.iter_mut().count(), 2);
     }
 }

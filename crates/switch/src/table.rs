@@ -16,7 +16,12 @@
 //!
 //! Lazy cleanup (§5.2): because writes are processed in order, any entry
 //! with `seq <= last_committed` is stale; reads scrub such entries as they
-//! probe, and the control plane can sweep the whole table periodically.
+//! probe, and the control plane sweeps the table periodically. A sweep
+//! visits only the slots writes have filled since they were last found
+//! empty, listed by an index that is the simulator's bookkeeping, not
+//! switch SRAM: a switch CPU reads its registers out of band, but a
+//! simulator that scanned all 3 × 65 536 of them per sweep would spend its
+//! time on empty slots.
 
 use harmonia_types::{ObjectId, SwitchSeq};
 
@@ -87,6 +92,54 @@ pub struct TableStats {
     pub swept: u64,
 }
 
+/// Every slot that may be occupied, by flat position
+/// (`stage * slots_per_stage + index`): where a sweep looks. Every occupied
+/// slot is listed, once; a listed slot a completion or a scrubbing read has
+/// emptied since stays listed until the next sweep finds it empty.
+#[derive(Clone, Debug)]
+struct Filled {
+    slots_per_stage: usize,
+    positions: Vec<u32>,
+    /// One bit per slot, set iff its position is in `positions`.
+    listed: Vec<u64>,
+}
+
+impl Filled {
+    fn new(stages: usize, slots_per_stage: usize) -> Self {
+        Filled {
+            slots_per_stage,
+            positions: Vec::new(),
+            listed: vec![0; (stages * slots_per_stage).div_ceil(64)],
+        }
+    }
+
+    /// List slot `idx` of `stage` unless it already is.
+    fn list(&mut self, stage: usize, idx: usize) {
+        let pos = stage * self.slots_per_stage + idx;
+        if let Some(word) = self.listed.get_mut(pos / 64) {
+            let bit = 1 << (pos % 64);
+            if *word & bit == 0 {
+                *word |= bit;
+                // `MultiStageHashTable::new` keeps every position in a u32.
+                self.positions.push(pos as u32);
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.positions.clear();
+        self.listed.fill(0);
+    }
+}
+
+/// Clear `pos`'s bit in a [`Filled::listed`] (a free function: the sweep
+/// holds `positions` mutably while it unlists).
+fn unlist(listed: &mut [u64], pos: u32) {
+    if let Some(word) = listed.get_mut(pos as usize / 64) {
+        *word &= !(1 << (pos % 64));
+    }
+}
+
 /// The dirty set.
 #[derive(Clone, Debug)]
 pub struct MultiStageHashTable {
@@ -94,25 +147,37 @@ pub struct MultiStageHashTable {
     /// Occupied slots, kept in step with every operation that fills or
     /// clears one — `occupancy()` and the empty-table `sweep()` never scan.
     live: usize,
+    /// Boxed: every threaded pipeline holds its table inline, and the
+    /// index is only touched when a slot fills and when a sweep runs.
+    filled: Box<Filled>,
     stats: TableStats,
+    /// Slots the sweeps have looked at.
+    #[cfg(test)]
+    sweep_visits: usize,
 }
 
 impl MultiStageHashTable {
-    /// Build a table with the given geometry.
+    /// Build a table with the given geometry, clamped to at least one stage
+    /// of one slot and to no more slots than a `u32` position can name.
     pub fn new(config: TableConfig) -> Self {
-        assert!(config.stages > 0, "need at least one stage");
-        assert!(config.slots_per_stage > 0, "need at least one slot");
+        let stages = config.stages.max(1);
+        let slots_per_stage = config
+            .slots_per_stage
+            .clamp(1, (u32::MAX as usize / stages).max(1));
         MultiStageHashTable {
-            stages: (0..config.stages)
+            stages: (0..stages)
                 .map(|s| {
                     (
                         StageHash::for_stage(s as u32),
-                        RegisterArray::new(config.slots_per_stage, config.entry_bytes),
+                        RegisterArray::new(slots_per_stage, config.entry_bytes),
                     )
                 })
                 .collect(),
             live: 0,
+            filled: Box::new(Filled::new(stages, slots_per_stage)),
             stats: TableStats::default(),
+            #[cfg(test)]
+            sweep_visits: 0,
         }
     }
 
@@ -120,7 +185,7 @@ impl MultiStageHashTable {
     /// entry. Returns `false` if the write must be dropped (full collision).
     pub fn insert(&mut self, obj: ObjectId, seq: SwitchSeq) -> bool {
         debug_assert!(seq > SwitchSeq::ZERO, "real writes have non-sentinel seqs");
-        for (hash, array) in &mut self.stages {
+        for (stage, (hash, array)) in self.stages.iter_mut().enumerate() {
             let idx = hash.slot(obj, array.len());
             array.begin_packet();
             // `Some(filled an empty slot)` if this stage took the entry.
@@ -132,7 +197,10 @@ impl MultiStageHashTable {
                 })
             });
             if let Some(was_empty) = done {
-                self.live += usize::from(was_empty);
+                if was_empty {
+                    self.live += 1;
+                    self.filled.list(stage, idx);
+                }
                 self.stats.inserts += 1;
                 return true;
             }
@@ -207,20 +275,46 @@ impl MultiStageHashTable {
     }
 
     /// Control-plane sweep clearing every entry with `seq <= last_committed`
-    /// (§5.2 "this removal can also be done periodically").
+    /// (§5.2 "this removal can also be done periodically"). It visits the
+    /// slots writes filled since a sweep last found them empty, not the
+    /// whole table, and stops listing every slot it finds empty or empties.
+    /// That list is the simulator's, not the switch's: a switch CPU reads
+    /// its registers out of band, and [`memory_bytes`](Self::memory_bytes)
+    /// counts only the registers.
     pub fn sweep(&mut self, last_committed: SwitchSeq) -> usize {
         if self.live == 0 {
+            // Every listed slot is empty.
+            self.filled.reset();
             return 0;
         }
-        let mut removed = 0;
-        for (_, array) in &mut self.stages {
-            for slot in array.iter_mut() {
-                if !slot.is_empty() && slot.seq <= last_committed {
-                    *slot = Slot::default();
-                    removed += 1;
-                }
-            }
+        let stages = &mut self.stages;
+        let Filled {
+            slots_per_stage: n,
+            positions,
+            listed,
+        } = &mut *self.filled;
+        let n = *n;
+        #[cfg(test)]
+        {
+            self.sweep_visits += positions.len();
         }
+        let mut removed = 0;
+        positions.retain(|&pos| {
+            let (stage, idx) = (pos as usize / n, pos as usize % n);
+            let Some((_, array)) = stages.get_mut(stage) else {
+                return false;
+            };
+            let slot = *array.control_read(idx);
+            if !slot.is_empty() && slot.seq > last_committed {
+                return true;
+            }
+            if !slot.is_empty() {
+                array.control_write(idx, Slot::default());
+                removed += 1;
+            }
+            unlist(listed, pos);
+            false
+        });
         self.live -= removed;
         self.stats.swept += removed as u64;
         removed
@@ -228,11 +322,13 @@ impl MultiStageHashTable {
 
     /// Clear everything (switch reboot: all soft state is lost).
     pub fn clear(&mut self) {
-        for (_, array) in &mut self.stages {
-            for slot in array.iter_mut() {
-                *slot = Slot::default();
+        let n = self.filled.slots_per_stage;
+        for &pos in &self.filled.positions {
+            if let Some((_, array)) = self.stages.get_mut(pos as usize / n) {
+                array.control_write(pos as usize % n, Slot::default());
             }
         }
+        self.filled.reset();
         self.live = 0;
     }
 
@@ -281,6 +377,43 @@ impl MultiStageHashTable {
             .flat_map(|(_, a)| a.iter())
             .filter(|s| !s.is_empty() && s.seq <= last_committed)
             .count()
+    }
+
+    /// The sweep's index against a scan: every position listed once, its
+    /// bit set iff listed, every occupied slot listed, at most `capacity()`
+    /// entries.
+    pub(crate) fn index_matches_scan(&self) -> Result<(), String> {
+        let Filled {
+            positions, listed, ..
+        } = &*self.filled;
+        if positions.len() > self.capacity() {
+            return Err(format!(
+                "{} listed, capacity {}",
+                positions.len(),
+                self.capacity()
+            ));
+        }
+        let mut sorted = positions.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.len() != positions.len() {
+            return Err(format!("a position listed twice: {positions:?}"));
+        }
+        let bits: u32 = listed.iter().map(|w| w.count_ones()).sum();
+        if bits as usize != positions.len()
+            || positions
+                .iter()
+                .any(|&p| listed[p as usize / 64] & (1 << (p % 64)) == 0)
+        {
+            return Err(format!("bits disagree with {positions:?}"));
+        }
+        let occupied = self.stages.iter().flat_map(|(_, a)| a.iter()).enumerate();
+        for (pos, _) in occupied.filter(|(_, s)| !s.is_empty()) {
+            if sorted.binary_search(&(pos as u32)).is_err() {
+                return Err(format!("occupied slot {pos} not listed"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -440,5 +573,85 @@ mod tests {
         let per = t.occupancy_per_stage();
         assert_eq!(per.iter().sum::<usize>(), 60);
         assert!(per[0] > per[1], "first stage fills first: {per:?}");
+    }
+
+    #[test]
+    fn a_sweep_visits_what_writes_filled_not_the_table() {
+        let mut t = MultiStageHashTable::default();
+        let k = 200u64;
+        let mut kept = 0;
+        for round in 0..3u64 {
+            let first = round * k + 1;
+            let obj = |s: u64| ObjectId(s as u32);
+            for s in first..first + k {
+                assert!(t.insert(obj(s), seq(s)));
+            }
+            // Every third write completes, newest first, and the ten newest
+            // never do: the completions that overtake the others leave
+            // their entries stale.
+            let last_committed = first + k - 11;
+            for s in (first..=last_committed).rev().step_by(3) {
+                assert_eq!(t.delete(obj(s), seq(s)), 1);
+            }
+            let stale = t.stale_by_scan(seq(last_committed));
+            assert!(stale > 100, "{stale}");
+            let visits_before = t.sweep_visits;
+            assert_eq!(t.sweep(seq(last_committed)), stale);
+            assert_eq!(t.stale_by_scan(seq(last_committed)), 0);
+            // The slots filled since the last sweep, and the ones it kept.
+            assert_eq!(t.sweep_visits - visits_before, k as usize + kept);
+            assert_eq!(t.occupancy(), 10);
+            kept = t.occupancy();
+            t.index_matches_scan().unwrap();
+        }
+        assert_eq!(t.capacity(), 3 * 65_536);
+    }
+
+    #[test]
+    fn without_sweeps_the_index_holds_only_the_slots_objects_hash_to() {
+        let mut t = MultiStageHashTable::default();
+        for s in 1..=1_000_000u64 {
+            let obj = ObjectId((s % 16) as u32);
+            assert!(t.insert(obj, seq(s)));
+            match s % 3 {
+                0 => assert_eq!(t.delete(obj, seq(s)), 1),
+                1 => assert_eq!(t.search_and_scrub(obj, seq(s)), None),
+                _ => {}
+            }
+        }
+        assert!(
+            t.filled.positions.len() <= 16 * 3,
+            "{:?}",
+            t.filled.positions
+        );
+        t.index_matches_scan().unwrap();
+        assert_eq!(t.sweep_visits, 0);
+    }
+
+    #[test]
+    fn clear_and_an_empty_sweep_reset_the_index() {
+        let mut t = small();
+        for i in 1..=5u64 {
+            t.insert(ObjectId(i as u32), seq(i));
+        }
+        t.clear();
+        assert!(t.filled.positions.is_empty());
+        t.index_matches_scan().unwrap();
+        t.insert(ObjectId(1), seq(6));
+        t.delete(ObjectId(1), seq(6));
+        assert_eq!(t.sweep(seq(6)), 0);
+        assert!(t.filled.positions.is_empty());
+        assert_eq!(t.sweep_visits, 0, "an empty table is not visited");
+    }
+
+    #[test]
+    fn degenerate_geometry_is_clamped() {
+        let t = MultiStageHashTable::new(TableConfig {
+            stages: 0,
+            slots_per_stage: 0,
+            entry_bytes: 8,
+        });
+        assert_eq!(t.capacity(), 1);
+        assert_eq!(t.memory_bytes(), 8);
     }
 }

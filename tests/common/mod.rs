@@ -49,6 +49,8 @@ pub struct Outcome {
     /// excluded — an abandoned write may or may not have taken effect, and
     /// the checker models only completed operations.
     pub records: Vec<OpRecord>,
+    /// Each client's history as `run_plans_with` returned it, in plan order.
+    pub histories: Vec<Vec<RecordedOp>>,
     /// The post-run world, for state inspection.
     pub world: World<Msg>,
     /// Operations that gave up after all retries.
@@ -137,6 +139,7 @@ impl Scenario {
         let (records, incomplete) = collect_records(&histories);
         Outcome {
             records,
+            histories,
             world: sim.into_world(),
             incomplete,
         }

@@ -36,16 +36,8 @@ fn adversarial(seed: u64) -> Scenario {
 fn closed_loop_replay_is_identical() {
     let run = |seed: u64| {
         let outcome = adversarial(seed).run();
-        let mut histories = Vec::new();
-        for c in 0..4u32 {
-            let client: &ClosedLoopClient = outcome
-                .world
-                .actor(NodeId::Client(ClientId(10 + c)))
-                .expect("client exists");
-            histories.push(client.records.clone());
-        }
         let counters: Vec<(&'static str, u64)> = outcome.world.metrics().counters_sorted();
-        (histories, counters)
+        (outcome.histories, counters)
     };
 
     let (hist_a, counters_a) = run(42);
