@@ -11,7 +11,7 @@
 //! |---------------|-----------------------------------------|---------|
 //! | `determinism` | sim, switch, replication, types, verify, workload, kv, obs | wall-clock reads, entropy-seeded RNGs/hashers, iteration over `HashMap`/`HashSet` |
 //! | `unsafe`      | whole workspace                         | `unsafe` outside vendor/mmsg; unsafe without `SAFETY:`; missing `#![forbid(unsafe_code)]` headers |
-//! | `panic_path`  | net/udp.rs, net/coalesce.rs, net/addr.rs, core/live.rs, core/udp.rs, types/wire.rs, obs/recorder.rs, obs/hist.rs, switch/table.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
+//! | `panic_path`  | net/udp.rs, net/coalesce.rs, net/addr.rs, core/live.rs, core/udp.rs, core/client_core.rs, core/replica_step.rs, types/wire.rs, obs/recorder.rs, obs/hist.rs, switch/table.rs, replication/shell.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
 //! | `layering`    | replication, switch                     | `std::net`, `harmonia-net`, socket types |
 //!
 //! Violations can be waived inline with `// lint:allow(<rule>): <reason>`
@@ -152,6 +152,9 @@ impl Policy {
                 // The dirty set: on every packet of every pipeline, and its
                 // sweep indexes by stored positions.
                 "crates/switch/src/table.rs",
+                // The replica shell: on every packet a replica receives,
+                // including control messages any sender can forge.
+                "crates/replication/src/shell.rs",
             ]
             .iter()
             .map(|s| s.to_string())

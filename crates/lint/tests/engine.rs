@@ -289,6 +289,29 @@ fn panic_path_covers_the_dirty_set() {
     assert!(f.is_empty(), "{f:?}");
 }
 
+/// The replica shell runs on every packet a replica receives, control
+/// messages any sender can forge included: a role looked up by index, an
+/// `expect` on a non-empty membership or an asserted quorum there is a
+/// panic on the packet path; a lookup that falls back is not.
+#[test]
+fn panic_path_covers_the_replica_shell() {
+    const SHELL: &str = "crates/replication/src/shell.rs";
+    for frag in [
+        "self.members[0]",
+        "self.members.last().expect(\"non-empty chain\")",
+        "assert!(quorum <= self.members.len())",
+    ] {
+        let src = format!("fn f() {{ let _ = {frag}; }}\n");
+        let f = lint_source(SHELL, &src, &policy());
+        assert_eq!(rules(&f), vec![Rule::PanicPath], "`{frag}` -> {f:?}");
+    }
+    let src = "fn f() -> ReplicaId {\n\
+                   self.members.first().copied().unwrap_or(self.me)\n\
+               }\n";
+    let f = lint_source(SHELL, src, &policy());
+    assert!(f.is_empty(), "{f:?}");
+}
+
 // ---- layering -------------------------------------------------------------
 
 #[test]

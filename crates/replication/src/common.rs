@@ -4,12 +4,10 @@
 use bytes::Bytes;
 use harmonia_types::{
     ClientReply, ClientRequest, ControlMsg, Duration, NodeId, PacketBody, ReplicaId, SwitchId,
-    SwitchSeq, WriteCompletion, WriteOutcome,
+    SwitchSeq, WriteCompletion,
 };
 
-use crate::messages::{
-    ProtocolMsg, ReplicaControlMsg, SnapshotEntry, SnapshotState, StateTransferMsg, WriteOp,
-};
+use crate::messages::{ProtocolMsg, SnapshotEntry, SnapshotState, StateTransferMsg, WriteOp};
 
 /// Which replication protocol a group runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -368,30 +366,10 @@ pub fn read_reply(me: ReplicaId, req: &ClientRequest, value: Option<Bytes>) -> C
     }
 }
 
-/// Build a write reply, optionally piggybacking a completion (read-ahead
-/// protocols complete writes at reply time, Figure 2b).
-#[allow(clippy::too_many_arguments)]
-pub fn write_reply(
-    me: ReplicaId,
-    req_client: harmonia_types::ClientId,
-    req_id: harmonia_types::RequestId,
-    obj: harmonia_types::ObjectId,
-    outcome: WriteOutcome,
-    completion: Option<WriteCompletion>,
-) -> ClientReply {
-    ClientReply {
-        client: req_client,
-        from: me,
-        request: req_id,
-        obj,
-        value: None,
-        write_outcome: Some(outcome),
-        completion,
-    }
-}
-
 /// A replica state machine. One instance runs per storage server; the
-/// drivers in `harmonia-core` deliver packets and ticks.
+/// drivers in `harmonia-core` deliver packets and ticks. Its one
+/// implementation is the Harmonia shell (`shell.rs`) around a protocol's
+/// write path.
 pub trait Replica: Send {
     /// Handle a client request (write, normal read, or fast-path read).
     fn on_request(&mut self, src: NodeId, req: ClientRequest, out: &mut Effects);
@@ -664,10 +642,9 @@ pub fn export_store(store: &harmonia_kv::Store<harmonia_kv::VersionedValue>) -> 
     entries
 }
 
-/// Install snapshot entries into a versioned store. Versioned: a key is
-/// overwritten only where the snapshot's version is newer than what the
-/// replica applied live while the transfer was in flight. Returns the
-/// largest installed sequence number (ZERO if nothing was newer).
+/// Install snapshot entries into a versioned store (see [`put_newer`]).
+/// Returns the largest installed sequence number (ZERO if nothing was
+/// newer).
 pub fn install_store(
     store: &harmonia_kv::Store<harmonia_kv::VersionedValue>,
     entries: Vec<SnapshotEntry>,
@@ -675,43 +652,32 @@ pub fn install_store(
     let mut max_seq = SwitchSeq::ZERO;
     for e in entries {
         max_seq = max_seq.max(e.seq);
-        store.update(
-            &e.key,
-            || harmonia_kv::VersionedValue::new(e.value.clone(), e.seq),
-            |vv| {
-                if e.seq > vv.seq {
-                    *vv = harmonia_kv::VersionedValue::new(e.value.clone(), e.seq);
-                }
-            },
-        );
+        put_newer(store, &e.key, &e.value, e.seq);
     }
     max_seq
 }
 
-/// Shared handling of configuration-service control messages. Returns true
-/// if the message was a control message (and `lease`/`members` were
-/// updated).
-pub fn handle_control(
-    msg: &ProtocolMsg,
-    lease: &mut LeaseState,
-    members: &mut Vec<ReplicaId>,
-) -> bool {
-    match msg {
-        ProtocolMsg::Control(ReplicaControlMsg::SetActiveSwitch(s)) => {
-            lease.set_active(*s);
-            true
+/// Versioned apply: `key = value` at `seq`, unless `key` already holds a
+/// newer version — e.g. one a recovering replica applied live while its
+/// state transfer was in flight. Install commutes with such writes.
+pub fn put_newer(
+    store: &harmonia_kv::Store<harmonia_kv::VersionedValue>,
+    key: &Bytes,
+    value: &Bytes,
+    seq: SwitchSeq,
+) {
+    let version = || harmonia_kv::VersionedValue::new(value.clone(), seq);
+    store.update(key, version, |vv| {
+        if seq > vv.seq {
+            *vv = version();
         }
-        ProtocolMsg::Control(ReplicaControlMsg::SetMembers(m)) => {
-            *members = m.clone();
-            true
-        }
-        _ => false,
-    }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::ReplicaControlMsg;
     use harmonia_types::{ClientId, ObjectId, RequestId};
 
     fn seq(sw: u32, n: u64) -> SwitchSeq {
@@ -762,29 +728,6 @@ mod tests {
         assert_eq!(ProtocolKind::Vr.quorum(3), 2);
         assert_eq!(ProtocolKind::Vr.quorum(5), 3);
         assert_eq!(ProtocolKind::Nopaxos.quorum(4), 3);
-    }
-
-    #[test]
-    fn control_messages_update_shared_state() {
-        let mut lease = LeaseState::new(SwitchId(1));
-        let mut members = vec![ReplicaId(0), ReplicaId(1)];
-        assert!(handle_control(
-            &ProtocolMsg::Control(ReplicaControlMsg::SetActiveSwitch(SwitchId(3))),
-            &mut lease,
-            &mut members
-        ));
-        assert_eq!(lease.active(), SwitchId(3));
-        assert!(handle_control(
-            &ProtocolMsg::Control(ReplicaControlMsg::SetMembers(vec![ReplicaId(1)])),
-            &mut lease,
-            &mut members
-        ));
-        assert_eq!(members, vec![ReplicaId(1)]);
-        assert!(!handle_control(
-            &ProtocolMsg::Vr(crate::messages::VrMsg::Commit { view: 0, commit: 0 }),
-            &mut lease,
-            &mut members
-        ));
     }
 
     #[test]

@@ -13,217 +13,97 @@
 //!
 //! CRAQ has no Harmonia adaptation: it *is* the baseline.
 
-use bytes::Bytes;
 use harmonia_kv::{Store, VersionChain, VersionedValue};
-use harmonia_types::{ClientRequest, NodeId, OpKind, ReplicaId, SwitchId, SwitchSeq, WriteOutcome};
+use harmonia_types::{ClientId, ReplicaId, RequestId, SwitchSeq};
 
-use crate::common::{
-    handle_control, read_reply, write_reply, Admission, ClientTable, Effects, GroupConfig, InOrder,
-    LeaseState, Replica, Snapshot,
-};
+use crate::common::{Effects, GroupConfig, Snapshot};
 use crate::messages::{CraqMsg, ProtocolMsg, SnapshotEntry, SnapshotState, WriteOp};
+use crate::shell::{Ctx, Protocol, Reads};
 
-/// One CRAQ node.
-pub struct CraqReplica {
-    me: ReplicaId,
-    members: Vec<ReplicaId>,
-    lease: LeaseState,
+/// CRAQ's own state.
+pub(crate) struct Craq {
     store: Store<VersionChain>,
-    in_order: InOrder,
-    local_seq: u64,
-    /// Head only: at-most-once admission (drops network duplicates).
-    clients: ClientTable,
     applied: SwitchSeq,
 }
 
-impl CraqReplica {
-    /// Build the replica for `config`.
-    pub fn new(config: GroupConfig) -> Self {
-        CraqReplica {
-            me: config.me,
-            members: config.members,
-            lease: LeaseState::new(config.active_switch),
+impl Craq {
+    /// Stage a write at this node and keep it moving down the chain; at the
+    /// tail, commit, reply, and start the CLEAN back-propagation.
+    fn propagate(&mut self, cx: &mut Ctx, op: WriteOp, out: &mut Effects) {
+        self.applied = self.applied.max(op.seq);
+        let version = VersionedValue::new(op.value.clone(), op.seq);
+        if let Some(next) = cx.successor() {
+            self.store
+                .update(&op.key, VersionChain::empty, |chain| chain.stage(version));
+            out.protocol(next, ProtocolMsg::Craq(CraqMsg::Down(op)));
+            return;
+        }
+        // Tail commits immediately: its clean version is the committed
+        // version by definition.
+        self.store.update(&op.key, VersionChain::empty, |chain| {
+            chain.install_clean(version)
+        });
+        cx.reply_committed(&op, false, out);
+        // Second phase: mark clean back up the chain.
+        if let Some(prev) = cx.predecessor() {
+            let (obj, key, seq) = (op.obj, op.key, op.seq);
+            out.protocol(prev, ProtocolMsg::Craq(CraqMsg::Clean { obj, key, seq }));
+        }
+    }
+}
+
+impl Protocol for Craq {
+    const SWITCH_STAMPS: bool = false;
+
+    fn new(_config: &GroupConfig) -> Self {
+        Craq {
             store: Store::new(),
-            in_order: InOrder::new(),
-            local_seq: 0,
-            clients: ClientTable::new(),
             applied: SwitchSeq::ZERO,
         }
     }
 
-    fn head(&self) -> ReplicaId {
-        self.members[0]
+    fn write_entry(&self, cx: &Ctx) -> Option<ReplicaId> {
+        Some(cx.first())
     }
 
-    fn tail(&self) -> ReplicaId {
-        *self.members.last().expect("non-empty chain")
+    fn read_server(&self, cx: &Ctx) -> ReplicaId {
+        cx.last()
     }
 
-    fn is_tail(&self) -> bool {
-        self.me == self.tail()
+    fn reads(&self) -> Reads<'_> {
+        Reads::Clean(&self.store)
     }
 
-    fn successor(&self) -> Option<ReplicaId> {
-        let idx = self.members.iter().position(|&r| r == self.me)?;
-        self.members.get(idx + 1).copied()
-    }
-
-    fn predecessor(&self) -> Option<ReplicaId> {
-        let idx = self.members.iter().position(|&r| r == self.me)?;
-        idx.checked_sub(1).map(|i| self.members[i])
-    }
-
-    /// Stage/commit a write at this node and keep it moving down the chain;
-    /// at the tail, commit, reply, and start the CLEAN back-propagation.
-    fn propagate(&mut self, op: WriteOp, out: &mut Effects) {
-        self.applied = self.applied.max(op.seq);
-        if self.is_tail() {
-            // Tail commits immediately: its clean version is the committed
-            // version by definition.
-            self.store
-                .update(&op.key.clone(), VersionChain::empty, |chain| {
-                    chain.install_clean(VersionedValue::new(op.value.clone(), op.seq))
-                });
-            let reply = write_reply(
-                self.me,
-                op.client,
-                op.request,
-                op.obj,
-                WriteOutcome::Committed,
-                None,
-            );
-            self.clients.record_reply(reply.clone());
-            out.reply(self.lease.active(), reply);
-            // Second phase: mark clean back up the chain.
-            if let Some(prev) = self.predecessor() {
-                out.protocol(
-                    prev,
-                    ProtocolMsg::Craq(CraqMsg::Clean {
-                        obj: op.obj,
-                        key: op.key,
-                        seq: op.seq,
-                    }),
-                );
-            }
+    fn on_duplicate(&mut self, cx: &Ctx, client: ClientId, request: RequestId, out: &mut Effects) {
+        if cx.me == cx.last() {
+            cx.resend(client, request, out);
         } else {
-            self.store
-                .update(&op.key.clone(), VersionChain::empty, |chain| {
-                    chain.stage(VersionedValue::new(op.value.clone(), op.seq))
-                });
-            let next = self.successor().expect("non-tail has a successor");
-            out.protocol(next, ProtocolMsg::Craq(CraqMsg::Down(op)));
+            let msg = CraqMsg::ReReply { client, request };
+            out.protocol(cx.last(), ProtocolMsg::Craq(msg));
         }
     }
 
-    fn handle_write(&mut self, mut req: ClientRequest, out: &mut Effects) {
-        if self.me != self.head() {
-            out.forward_request(self.head(), req);
-            return;
-        }
-        match self.clients.admit(req.client, req.request) {
-            Admission::Fresh => {}
-            Admission::Duplicate => {
-                if self.is_tail() {
-                    if let Some(r) = self.clients.cached_reply(req.client, req.request) {
-                        out.reply(self.lease.active(), r);
-                    }
-                } else {
-                    out.protocol(
-                        self.tail(),
-                        ProtocolMsg::Craq(CraqMsg::ReReply {
-                            client: req.client,
-                            request: req.request,
-                        }),
-                    );
-                }
-                return;
-            }
-            Admission::Stale => return,
-        }
-        // CRAQ runs without switch stamping; the head versions writes.
-        self.local_seq += 1;
-        let seq = SwitchSeq::new(self.lease.active(), self.local_seq);
-        req.seq = Some(seq);
-        if !self.in_order.accept(seq) {
-            out.reply(
-                self.lease.active(),
-                write_reply(
-                    self.me,
-                    req.client,
-                    req.request,
-                    req.obj,
-                    WriteOutcome::Rejected,
-                    None,
-                ),
-            );
-            return;
-        }
-        let op = WriteOp {
-            seq,
-            obj: req.obj,
-            key: req.key.clone(),
-            value: req.value.clone().unwrap_or_default(),
-            client: req.client,
-            request: req.request,
-        };
-        self.propagate(op, out);
+    fn on_write(&mut self, cx: &mut Ctx, op: WriteOp, out: &mut Effects) {
+        self.propagate(cx, op, out);
     }
 
-    fn handle_read(&mut self, req: ClientRequest, out: &mut Effects) {
-        // Any replica takes reads (that is CRAQ's point); `read_mode` is
-        // irrelevant here.
-        enum Verdict {
-            Clean(Option<Bytes>),
-            Dirty,
-        }
-        let verdict = self.store.with(&req.key, |chain| match chain {
-            None => Verdict::Clean(None),
-            Some(c) if c.is_dirty() && !self.is_tail() => Verdict::Dirty,
-            Some(c) => Verdict::Clean(c.clean().map(|v| v.value.clone())),
-        });
-        match verdict {
-            Verdict::Clean(value) => {
-                out.reply(self.lease.active(), read_reply(self.me, &req, value));
-            }
-            Verdict::Dirty => {
-                // Dirty object: ask the tail, which always has the committed
-                // truth.
-                out.forward_request(self.tail(), req);
-            }
-        }
-    }
-}
-
-impl Replica for CraqReplica {
-    fn on_request(&mut self, _src: NodeId, req: ClientRequest, out: &mut Effects) {
-        match req.op {
-            OpKind::Write => self.handle_write(req, out),
-            OpKind::Read => self.handle_read(req, out),
-        }
-    }
-
-    fn on_protocol(&mut self, _src: NodeId, msg: ProtocolMsg, out: &mut Effects) {
-        if handle_control(&msg, &mut self.lease, &mut self.members) {
-            return;
-        }
+    fn on_protocol(&mut self, cx: &mut Ctx, msg: ProtocolMsg, out: &mut Effects) {
         match msg {
-            ProtocolMsg::Craq(CraqMsg::Down(op)) if self.in_order.accept(op.seq) => {
-                self.propagate(op, out);
+            ProtocolMsg::Craq(CraqMsg::Down(op)) if cx.in_order.accept(op.seq) => {
+                self.propagate(cx, op, out);
             }
             ProtocolMsg::Craq(CraqMsg::Clean { obj, key, seq }) => {
                 self.store
-                    .update(&key.clone(), VersionChain::empty, |chain| {
-                        chain.commit_up_to(seq)
-                    });
+                    .update(&key, VersionChain::empty, |chain| chain.commit_up_to(seq));
                 // Keep the acknowledgement flowing toward the head.
-                if let Some(prev) = self.predecessor() {
+                if let Some(prev) = cx.predecessor() {
                     out.protocol(prev, ProtocolMsg::Craq(CraqMsg::Clean { obj, key, seq }));
                 }
             }
             ProtocolMsg::Craq(CraqMsg::ReReply { client, request }) => {
-                if let Some(r) = self.clients.cached_reply(client, request) {
-                    out.reply(self.lease.active(), r);
-                } else if let Some(pred) = self.predecessor() {
+                if let Some(r) = cx.clients.cached_reply(client, request) {
+                    out.reply(cx.via(), r);
+                } else if let Some(pred) = cx.predecessor() {
                     // A freshly recovered tail has no cache for replies its
                     // predecessor sent while it was down; walk upstream.
                     out.protocol(
@@ -234,11 +114,6 @@ impl Replica for CraqReplica {
             }
             _ => {}
         }
-    }
-
-    fn local_value(&self, key: &[u8]) -> Option<Bytes> {
-        self.store
-            .with(key, |c| c.and_then(|c| c.latest().map(|v| v.value.clone())))
     }
 
     fn applied_seq(&self) -> SwitchSeq {
@@ -252,46 +127,32 @@ impl Replica for CraqReplica {
         let mut entries = Vec::new();
         self.store.for_each(|key, chain| {
             let obj = harmonia_types::ObjectId::from_key(key);
-            if let Some(v) = chain.clean() {
+            let clean = chain.clean().into_iter().map(|v| (v, false));
+            let staged = chain.dirty_versions().iter().map(|v| (v, true));
+            for (v, dirty) in clean.chain(staged) {
                 entries.push(SnapshotEntry {
                     key: key.clone(),
                     obj,
                     value: v.value.clone(),
                     seq: v.seq,
-                    dirty: false,
-                });
-            }
-            for v in chain.dirty_versions() {
-                entries.push(SnapshotEntry {
-                    key: key.clone(),
-                    obj,
-                    value: v.value.clone(),
-                    seq: v.seq,
-                    dirty: true,
+                    dirty,
                 });
             }
         });
         // Sorting by (key, seq) puts each key's clean version before its
         // dirty ones, which is the order `install_snapshot` needs.
         entries.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
-        let (clients, replies) = self.clients.export();
         Snapshot {
             entries,
             log: Vec::new(),
             state: SnapshotState {
-                in_order: self.in_order.last(),
                 applied: self.applied,
-                local_seq: self.local_seq,
-                commit_num: 0,
-                session: 0,
-                clients,
-                replies,
+                ..SnapshotState::default()
             },
         }
     }
 
-    fn install_snapshot(&mut self, snap: Snapshot, out: &mut Effects) {
-        let _ = out;
+    fn install_snapshot(&mut self, _cx: &mut Ctx, snap: Snapshot, _out: &mut Effects) {
         for e in snap.entries {
             self.applied = self.applied.max(e.seq);
             let v = VersionedValue::new(e.value.clone(), e.seq);
@@ -309,67 +170,31 @@ impl Replica for CraqReplica {
             });
         }
         self.applied = self.applied.max(snap.state.applied);
-        // `in_order` stays untouched for the same reason as plain chain:
-        // Downs still in flight must keep propagating.
-        self.local_seq = self.local_seq.max(snap.state.local_seq);
-        self.clients.install(snap.state.clients, snap.state.replies);
-    }
-
-    fn active_switch(&self) -> SwitchId {
-        self.lease.active()
+        // The in-order point stays untouched for the same reason as plain
+        // chain: Downs still in flight must keep propagating.
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_types::{ClientId, PacketBody, RequestId};
+    use crate::common::{ProtocolKind, Replica};
+    use crate::shell::harness::{pump, write_req};
+    use crate::shell::Shell;
+    use bytes::Bytes;
+    use harmonia_types::{ClientRequest, NodeId, PacketBody};
 
-    fn group(n: usize) -> Vec<CraqReplica> {
-        (0..n)
-            .map(|i| {
-                CraqReplica::new(GroupConfig::new(
-                    crate::common::ProtocolKind::Craq,
-                    n,
-                    i as u32,
-                    false,
-                ))
-            })
-            .collect()
+    fn group(n: usize) -> Vec<Shell<Craq>> {
+        crate::shell::harness::group(ProtocolKind::Craq, n, false)
     }
 
-    fn write_req(n: u64, key: &str, val: &str) -> ClientRequest {
-        ClientRequest::write(
-            ClientId(1),
-            RequestId(n),
-            Bytes::copy_from_slice(key.as_bytes()),
-            Bytes::copy_from_slice(val.as_bytes()),
-        )
+    fn write(n: u64, key: &str, val: &str) -> harmonia_types::ClientRequest {
+        write_req(n, key, val, false)
     }
 
-    fn pump(replicas: &mut [CraqReplica], mut fx: Effects) -> Vec<PacketBody<ProtocolMsg>> {
-        let mut replies = vec![];
-        while !fx.out.is_empty() {
-            let mut next = Effects::new();
-            for (dst, body) in fx.out.drain(..) {
-                match (dst, body) {
-                    (NodeId::Replica(r), PacketBody::Protocol(m)) => {
-                        replicas[r.index()].on_protocol(NodeId::Replica(r), m, &mut next);
-                    }
-                    (NodeId::Replica(r), PacketBody::Request(req)) => {
-                        replicas[r.index()].on_request(NodeId::Replica(r), req, &mut next);
-                    }
-                    (NodeId::Switch(_), b) => replies.push(b),
-                    other => panic!("unexpected effect {other:?}"),
-                }
-            }
-            fx = next;
-        }
-        replies
-    }
-
-    fn dirty_at(g: &CraqReplica, key: &[u8]) -> bool {
-        g.store
+    fn dirty_at(g: &Shell<Craq>, key: &[u8]) -> bool {
+        g.proto
+            .store
             .with(key, |c| c.map(|c| c.is_dirty()).unwrap_or(false))
     }
 
@@ -377,7 +202,7 @@ mod tests {
     fn write_has_two_phases_and_all_nodes_end_clean() {
         let mut g = group(3);
         let mut fx = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(1)), write_req(1, "k", "v"), &mut fx);
+        g[0].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v"), &mut fx);
         // Phase 1 in flight: head has a dirty version.
         assert!(dirty_at(&g[0], b"k"));
         let replies = pump(&mut g, fx);
@@ -394,7 +219,7 @@ mod tests {
         let mut g = group(3);
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(NodeId::Client(ClientId(1)), write_req(1, "k", "v"), &mut fx);
+            g[0].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v"), &mut fx);
             fx
         };
         pump(&mut g, fx);
@@ -414,11 +239,7 @@ mod tests {
         let mut g = group(3);
         // Start a write but stop after the head stages it.
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v1"),
-            &mut fx,
-        );
+        g[0].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v1"), &mut fx);
         // Head is dirty: a read there must be forwarded to the tail.
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
         let mut fx2 = Effects::new();
@@ -443,7 +264,7 @@ mod tests {
         for (n, v) in [(1, "v1"), (2, "v2")] {
             let fx = {
                 let mut fx = Effects::new();
-                g[0].on_request(NodeId::Client(ClientId(1)), write_req(n, "k", v), &mut fx);
+                g[0].on_request(NodeId::Client(ClientId(1)), write(n, "k", v), &mut fx);
                 fx
             };
             pump(&mut g, fx);
@@ -459,20 +280,12 @@ mod tests {
         // Commit "a", then leave "b" dirty at the head.
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(
-                NodeId::Client(ClientId(1)),
-                write_req(1, "a", "va"),
-                &mut fx,
-            );
+            g[0].on_request(NodeId::Client(ClientId(1)), write(1, "a", "va"), &mut fx);
             fx
         };
         pump(&mut g, fx);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(2, "b", "vb"),
-            &mut fx,
-        );
+        g[0].on_request(NodeId::Client(ClientId(1)), write(2, "b", "vb"), &mut fx);
         // "a" still serves locally at the head.
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"a"[..]);
         let mut fx2 = Effects::new();
@@ -487,7 +300,7 @@ mod tests {
     fn misrouted_write_forwards_to_head() {
         let mut g = group(3);
         let mut fx = Effects::new();
-        g[1].on_request(NodeId::Client(ClientId(1)), write_req(1, "k", "v"), &mut fx);
+        g[1].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v"), &mut fx);
         assert!(matches!(
             fx.out[0],
             (NodeId::Replica(ReplicaId(0)), PacketBody::Request(_))

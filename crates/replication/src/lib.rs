@@ -1,26 +1,35 @@
 //! Replication protocols, with and without Harmonia.
 //!
 //! Every protocol from the paper's evaluation (§9.5) is implemented here as a
-//! transport-agnostic (sans-IO) state machine:
+//! transport-agnostic (sans-IO) state machine, in two layers. Each protocol
+//! module keeps only its write path: its messages, its tick, its snapshot,
+//! and its answers to the two questions Harmonia asks of a protocol (§7) —
+//! which read rule holds at a replica, and who serves a normal read. The
+//! Harmonia shell (`shell.rs`) is the one [`Replica`] around all five: the
+//! lease, membership and control messages, write admission, and every read.
 //!
-//! | module | protocol | class | Harmonia adaptation (§7) |
-//! |---|---|---|---|
-//! | [`pb`] | primary-backup | read-ahead | last-committed ≥ object seq guard; completion piggybacked on reply |
-//! | [`chain`] | chain replication | read-ahead | same guard; completion piggybacked on the tail's reply |
-//! | [`craq`] | CRAQ | baseline only | — (the protocol-level alternative Harmonia is compared against) |
-//! | [`vr`] | Viewstamped Replication | read-behind | extra COMMIT-ACK phase; completion after quorum executes |
-//! | [`nopaxos`] | NOPaxos | read-behind | completions batched out of the periodic synchronization |
+//! | module | protocol | read rule | normal reads | Harmonia adaptation (§7) |
+//! |---|---|---|---|---|
+//! | [`pb`] | primary-backup | read-ahead | primary | completion piggybacked on the write reply |
+//! | [`chain`] | chain replication | read-ahead | tail | completion piggybacked on the tail's reply |
+//! | [`craq`] | CRAQ | clean keys anywhere, dirty keys at the tail | tail | none — the protocol-level alternative Harmonia is compared against |
+//! | [`vr`] | Viewstamped Replication | read-behind | leader | extra COMMIT-ACK phase; completion after a majority executes |
+//! | [`nopaxos`] | NOPaxos | read-behind | leader | completions batched out of the periodic synchronization |
 //!
 //! A state machine consumes packets/ticks and emits [`Effects`] — messages to
-//! send. The simulation driver and the live threaded driver (both in
+//! send. The simulation driver and the threaded drivers (all in
 //! `harmonia-core`) execute the same machines.
 //!
-//! The three protocol responsibilities Harmonia imposes (§7) are visible in
-//! the code: writes are processed in sequence-number order ([`common::InOrder`]),
-//! fast-path reads are honoured only from the active switch
-//! ([`common::LeaseState`]), and each replica applies the class-appropriate
-//! guard before answering a single-replica read ([`common::read_ahead_ok`],
-//! [`common::read_behind_ok`]).
+//! The three responsibilities Harmonia imposes on a replica (§7) live in the
+//! shell, once: writes are accepted only in sequence-number order
+//! ([`common::InOrder`]); fast-path reads are honoured only from the active
+//! switch ([`common::LeaseState`]); and a replica answers a single-replica
+//! read only if its protocol's read rule allows it — read-ahead replicas
+//! apply writes before they commit, so the stamped last-committed point must
+//! cover the object's applied version ([`common::read_ahead_ok`]);
+//! read-behind replicas execute after commit, so they must have executed
+//! through that point ([`common::read_behind_ok`]). A read that fails is
+//! re-marked normal and answered by the protocol's read server.
 
 #![forbid(unsafe_code)]
 
@@ -30,6 +39,7 @@ pub mod craq;
 pub mod messages;
 pub mod nopaxos;
 pub mod pb;
+mod shell;
 pub mod vr;
 pub mod wire;
 
@@ -39,13 +49,15 @@ pub use common::{
 };
 pub use messages::{ProtocolMsg, ReplicaControlMsg};
 
+use shell::Shell;
+
 /// Construct the replica state machine for `config`.
 pub fn build_replica(config: GroupConfig) -> Box<dyn Replica> {
     match config.protocol {
-        ProtocolKind::PrimaryBackup => Box::new(pb::PbReplica::new(config)),
-        ProtocolKind::Chain => Box::new(chain::ChainReplica::new(config)),
-        ProtocolKind::Craq => Box::new(craq::CraqReplica::new(config)),
-        ProtocolKind::Vr => Box::new(vr::VrReplica::new(config)),
-        ProtocolKind::Nopaxos => Box::new(nopaxos::NopaxosReplica::new(config)),
+        ProtocolKind::PrimaryBackup => Box::new(Shell::<pb::Pb>::new(config)),
+        ProtocolKind::Chain => Box::new(Shell::<chain::Chain>::new(config)),
+        ProtocolKind::Craq => Box::new(Shell::<craq::Craq>::new(config)),
+        ProtocolKind::Vr => Box::new(Shell::<vr::Vr>::new(config)),
+        ProtocolKind::Nopaxos => Box::new(Shell::<nopaxos::Nopaxos>::new(config)),
     }
 }

@@ -136,17 +136,6 @@ pub enum NopaxosMsg {
         /// The operation.
         op: WriteOp,
     },
-    /// Replica → client-side quorum aggregation happens at the client; each
-    /// replica acknowledges the slot to the *leader*, which tracks quorum
-    /// for the synchronization protocol.
-    SlotAck {
-        /// Session.
-        session: u64,
-        /// Slot acknowledged.
-        oum_seq: u64,
-        /// Acknowledging replica.
-        from: ReplicaId,
-    },
     /// Replica → leader: a gap was detected at `oum_seq`; ask for the entry.
     GapRequest {
         /// Session.

@@ -17,24 +17,19 @@
 //! completions for every operation up to `u`.
 //!
 //! Scope: gap recovery covers the common case of a follower missing a
-//! multicast copy (it fetches the slot from the leader). Full gap agreement
-//! (leader-side no-op commits) and view changes are out of scope; the test
-//! harnesses inject loss only on follower links (see DESIGN.md §6).
+//! multicast copy (it fetches the slot from the leader), so the leader's own
+//! copy of every multicast must arrive. Full gap agreement (leader-side
+//! no-op commits) and view changes are out of scope, and the test harnesses
+//! inject loss only on follower links.
 
 use std::collections::{BTreeMap, HashMap};
 
-use bytes::Bytes;
 use harmonia_kv::{Store, VersionedValue};
-use harmonia_types::{
-    ClientRequest, NodeId, OpKind, ReadMode, ReplicaId, SwitchId, SwitchSeq, WriteCompletion,
-    WriteOutcome,
-};
+use harmonia_types::{Duration, ReplicaId, SwitchSeq, WriteCompletion};
 
-use crate::common::{
-    export_store, handle_control, install_store, read_behind_ok, read_reply, write_reply,
-    Admission, ClientTable, Effects, GroupConfig, LeaseState, ProtocolKind, Replica, Snapshot,
-};
+use crate::common::{export_store, install_store, Admission, Effects, GroupConfig, Snapshot};
 use crate::messages::{NopaxosMsg, ProtocolMsg, SnapshotState, WriteOp};
+use crate::shell::{Ctx, Protocol, Reads};
 
 /// One slot of the NOPaxos log. `fresh` is decided at append time by the
 /// per-replica client table; because every replica appends in slot order,
@@ -45,13 +40,9 @@ struct LogEntry {
     fresh: bool,
 }
 
-/// One NOPaxos replica.
-pub struct NopaxosReplica {
-    me: ReplicaId,
-    members: Vec<ReplicaId>,
-    harmonia: bool,
-    lease: LeaseState,
-    sync_interval: harmonia_types::Duration,
+/// NOPaxos's own state.
+pub(crate) struct Nopaxos {
+    sync_interval: Duration,
 
     /// Current OUM session (switch incarnation).
     session: u64,
@@ -71,55 +62,11 @@ pub struct NopaxosReplica {
     completed: u64,
 
     store: Store<VersionedValue>,
-    /// At-most-once admission, updated in slot order at append time.
-    clients: ClientTable,
     /// Largest switch sequence number among executed writes (guard input).
     exec_seq: SwitchSeq,
 }
 
-impl NopaxosReplica {
-    /// Build the replica for `config`.
-    pub fn new(config: GroupConfig) -> Self {
-        NopaxosReplica {
-            me: config.me,
-            members: config.members,
-            harmonia: config.harmonia,
-            lease: LeaseState::new(config.active_switch),
-            sync_interval: config.sync_interval,
-            session: 1,
-            log: Vec::new(),
-            next_oum: 1,
-            buffered: BTreeMap::new(),
-            gap_requested: 0,
-            executed: 0,
-            sync_points: HashMap::new(),
-            completed: 0,
-            store: Store::new(),
-            clients: ClientTable::new(),
-            exec_seq: SwitchSeq::ZERO,
-        }
-    }
-
-    fn leader(&self) -> ReplicaId {
-        self.members[0]
-    }
-
-    fn is_leader(&self) -> bool {
-        self.me == self.leader()
-    }
-
-    fn quorum(&self) -> usize {
-        ProtocolKind::Nopaxos.quorum(self.members.len())
-    }
-
-    fn others(&self) -> Vec<ReplicaId> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|&r| r != self.me)
-            .collect()
-    }
-
+impl Nopaxos {
     fn execute_up_to(&mut self, slot: u64) {
         let slot = slot.min(self.log.len() as u64);
         while self.executed < slot {
@@ -141,49 +88,41 @@ impl NopaxosReplica {
     /// Append an in-order sequenced write and react per role: the leader
     /// executes and replies with the result; followers acknowledge straight
     /// to the client (client-side quorum).
-    fn append(&mut self, op: WriteOp, out: &mut Effects) {
+    fn append(&mut self, cx: &mut Ctx, op: WriteOp, out: &mut Effects) {
         // Slot-order admission: every replica reaches the same verdict.
-        let admission = self.clients.admit(op.client, op.request);
+        let admission = cx.clients.admit(op.client, op.request);
         let fresh = admission == Admission::Fresh;
         self.log.push(LogEntry {
             op: op.clone(),
             fresh,
         });
         self.next_oum += 1;
-        if self.is_leader() {
+        if cx.me == cx.first() {
             self.execute_up_to(self.log.len() as u64);
         }
         match admission {
-            Admission::Fresh => {
-                let reply = write_reply(
-                    self.me,
-                    op.client,
-                    op.request,
-                    op.obj,
-                    WriteOutcome::Committed,
-                    None,
-                );
-                self.clients.record_reply(reply.clone());
-                out.reply(self.lease.active(), reply);
-            }
-            Admission::Duplicate => {
-                // A retransmission was sequenced: re-send this replica's
-                // cached acknowledgement instead of re-executing.
-                if let Some(r) = self.clients.cached_reply(op.client, op.request) {
-                    out.reply(self.lease.active(), r);
-                }
-            }
+            Admission::Fresh => cx.reply_committed(&op, false, out),
+            // A retransmission was sequenced: re-send this replica's
+            // cached acknowledgement instead of re-executing.
+            Admission::Duplicate => cx.resend(op.client, op.request, out),
             Admission::Stale => {}
         }
     }
 
-    fn drain_buffered(&mut self, out: &mut Effects) {
+    fn drain_buffered(&mut self, cx: &mut Ctx, out: &mut Effects) {
         while let Some(op) = self.buffered.remove(&self.next_oum) {
-            self.append(op, out);
+            self.append(cx, op, out);
         }
     }
 
-    fn on_sequenced(&mut self, session: u64, oum_seq: u64, op: WriteOp, out: &mut Effects) {
+    fn on_sequenced(
+        &mut self,
+        cx: &mut Ctx,
+        session: u64,
+        oum_seq: u64,
+        op: WriteOp,
+        out: &mut Effects,
+    ) {
         if session < self.session {
             return; // stale session
         }
@@ -201,20 +140,20 @@ impl NopaxosReplica {
         }
         match oum_seq.cmp(&self.next_oum) {
             std::cmp::Ordering::Equal => {
-                self.append(op, out);
-                self.drain_buffered(out);
+                self.append(cx, op, out);
+                self.drain_buffered(cx, out);
             }
             std::cmp::Ordering::Greater => {
                 self.buffered.insert(oum_seq, op);
                 // Fetch the missing head-of-line slot from the leader.
-                if !self.is_leader() && self.gap_requested < self.next_oum {
+                if cx.me != cx.first() && self.gap_requested < self.next_oum {
                     self.gap_requested = self.next_oum;
                     out.protocol(
-                        self.leader(),
+                        cx.first(),
                         ProtocolMsg::Nopaxos(NopaxosMsg::GapRequest {
                             session: self.session,
                             oum_seq: self.next_oum,
-                            from: self.me,
+                            from: cx.me,
                         }),
                     );
                 }
@@ -225,120 +164,85 @@ impl NopaxosReplica {
 
     /// Leader: emit completions once a majority has executed through a slot
     /// (§7.3 — completions ride on the synchronization protocol).
-    fn maybe_emit_completions(&mut self, out: &mut Effects) {
-        if !self.harmonia || !self.is_leader() {
+    fn maybe_emit_completions(&mut self, cx: &Ctx, out: &mut Effects) {
+        if !cx.harmonia || cx.me != cx.first() {
             return;
         }
-        let mut points: Vec<u64> = self
-            .members
-            .iter()
-            .map(|r| {
-                if *r == self.me {
-                    self.executed
-                } else {
-                    self.sync_points.get(r).copied().unwrap_or(0)
-                }
-            })
-            .collect();
-        points.sort_unstable_by(|a, b| b.cmp(a));
-        let point = points[self.quorum() - 1];
+        let point = cx.majority_executed(self.executed, &self.sync_points);
         while self.completed < point {
             self.completed += 1;
             // Completions are emitted for stale slots too: the duplicate
             // also left a dirty-set entry at the switch that must clear.
             let op = &self.log[(self.completed - 1) as usize].op;
-            out.completion(
-                self.lease.active(),
-                WriteCompletion {
-                    obj: op.obj,
-                    seq: op.seq,
-                },
-            );
-        }
-    }
-
-    fn handle_read(&mut self, req: ClientRequest, out: &mut Effects) {
-        match req.read_mode {
-            ReadMode::FastPath { switch } => {
-                let allowed = self.lease.allows(switch);
-                let stamped = req.last_committed.unwrap_or(SwitchSeq::ZERO);
-                if allowed && read_behind_ok(self.exec_seq, stamped) {
-                    let value = self.store.with(&req.key, |v| v.map(|vv| vv.value.clone()));
-                    out.reply(self.lease.active(), read_reply(self.me, &req, value));
-                } else {
-                    let mut fwd = req;
-                    fwd.read_mode = ReadMode::Normal;
-                    if self.is_leader() {
-                        self.handle_read(fwd, out);
-                    } else {
-                        out.forward_request(self.leader(), fwd);
-                    }
-                }
-            }
-            ReadMode::Normal => {
-                if self.is_leader() {
-                    let value = self.store.with(&req.key, |v| v.map(|vv| vv.value.clone()));
-                    out.reply(self.lease.active(), read_reply(self.me, &req, value));
-                } else {
-                    out.forward_request(self.leader(), req);
-                }
-            }
+            let (obj, seq) = (op.obj, op.seq);
+            out.completion(cx.via(), WriteCompletion { obj, seq });
         }
     }
 }
 
-impl Replica for NopaxosReplica {
-    fn on_request(&mut self, _src: NodeId, req: ClientRequest, out: &mut Effects) {
-        match req.op {
-            // Writes reach NOPaxos replicas only as `Sequenced` multicasts
-            // (the switch sequences them). A raw write here means the
-            // sequencer was bypassed; route it back through the leader,
-            // which cannot order it — reject so the client retries through
-            // the switch.
-            OpKind::Write => {
-                out.reply(
-                    self.lease.active(),
-                    write_reply(
-                        self.me,
-                        req.client,
-                        req.request,
-                        req.obj,
-                        WriteOutcome::Rejected,
-                        None,
-                    ),
-                );
-            }
-            OpKind::Read => self.handle_read(req, out),
+impl Protocol for Nopaxos {
+    fn new(config: &GroupConfig) -> Self {
+        Nopaxos {
+            sync_interval: config.sync_interval,
+            session: 1,
+            log: Vec::new(),
+            next_oum: 1,
+            buffered: BTreeMap::new(),
+            gap_requested: 0,
+            executed: 0,
+            sync_points: HashMap::new(),
+            completed: 0,
+            store: Store::new(),
+            exec_seq: SwitchSeq::ZERO,
         }
     }
 
-    fn on_protocol(&mut self, _src: NodeId, msg: ProtocolMsg, out: &mut Effects) {
-        if handle_control(&msg, &mut self.lease, &mut self.members) {
-            return;
+    /// Writes reach NOPaxos replicas only as `Sequenced` multicasts.
+    fn write_entry(&self, _cx: &Ctx) -> Option<ReplicaId> {
+        None
+    }
+
+    fn read_server(&self, cx: &Ctx) -> ReplicaId {
+        cx.first()
+    }
+
+    fn reads(&self) -> Reads<'_> {
+        Reads::Behind {
+            store: &self.store,
+            executed: self.exec_seq,
         }
+    }
+
+    /// Never called: there is no write entry.
+    fn on_write(&mut self, _cx: &mut Ctx, _op: WriteOp, _out: &mut Effects) {}
+
+    fn on_protocol(&mut self, cx: &mut Ctx, msg: ProtocolMsg, out: &mut Effects) {
         let ProtocolMsg::Nopaxos(msg) = msg else {
             return;
         };
+        let leader = cx.first();
         match msg {
             NopaxosMsg::Sequenced {
                 session,
                 oum_seq,
                 op,
-            } => self.on_sequenced(session, oum_seq, op, out),
+            } => self.on_sequenced(cx, session, oum_seq, op, out),
             NopaxosMsg::GapRequest {
                 session,
                 oum_seq,
                 from,
             } => {
-                if session == self.session && oum_seq <= self.log.len() as u64 {
-                    out.protocol(
-                        from,
-                        ProtocolMsg::Nopaxos(NopaxosMsg::GapReply {
-                            session,
-                            oum_seq,
-                            op: Some(self.log[(oum_seq - 1) as usize].op.clone()),
-                        }),
-                    );
+                let slot = oum_seq
+                    .checked_sub(1)
+                    .and_then(|i| self.log.get(i as usize));
+                if let Some(entry) = slot.filter(|_| session == self.session) {
+                    let op = Some(entry.op.clone());
+                    let reply = NopaxosMsg::GapReply {
+                        session,
+                        oum_seq,
+                        op,
+                    };
+                    out.protocol(from, ProtocolMsg::Nopaxos(reply));
                 }
             }
             NopaxosMsg::GapReply {
@@ -348,22 +252,22 @@ impl Replica for NopaxosReplica {
             } => {
                 if session == self.session && oum_seq == self.next_oum {
                     if let Some(op) = op {
-                        self.append(op, out);
-                        self.drain_buffered(out);
+                        self.append(cx, op, out);
+                        self.drain_buffered(cx, out);
                     }
                 }
             }
             NopaxosMsg::Sync { session, upto } => {
-                if session != self.session || self.is_leader() {
+                if session != self.session || cx.me == leader {
                     return;
                 }
                 self.execute_up_to(upto);
                 out.protocol(
-                    self.leader(),
+                    leader,
                     ProtocolMsg::Nopaxos(NopaxosMsg::SyncAck {
                         session,
                         upto: self.executed,
-                        from: self.me,
+                        from: cx.me,
                     }),
                 );
             }
@@ -372,39 +276,31 @@ impl Replica for NopaxosReplica {
                 upto,
                 from,
             } => {
-                if session != self.session || !self.is_leader() {
+                if session != self.session || cx.me != leader {
                     return;
                 }
                 let p = self.sync_points.entry(from).or_insert(0);
                 *p = (*p).max(upto);
-                self.maybe_emit_completions(out);
-            }
-            NopaxosMsg::SlotAck { .. } => {
-                // Retained for protocol-structure completeness; the client
-                // aggregates follower acknowledgements directly.
+                self.maybe_emit_completions(cx, out);
             }
         }
     }
 
-    fn on_tick(&mut self, out: &mut Effects) {
+    fn on_tick(&mut self, cx: &Ctx, out: &mut Effects) {
         // Periodic synchronization (leader-driven).
-        if self.is_leader() && self.executed > 0 {
+        if cx.me == cx.first() && self.executed > 0 {
             let msg = NopaxosMsg::Sync {
                 session: self.session,
                 upto: self.executed,
             };
-            for r in self.others() {
+            for r in cx.others() {
                 out.protocol(r, ProtocolMsg::Nopaxos(msg.clone()));
             }
         }
     }
 
-    fn tick_interval(&self) -> Option<harmonia_types::Duration> {
+    fn tick_interval(&self) -> Option<Duration> {
         Some(self.sync_interval)
-    }
-
-    fn local_value(&self, key: &[u8]) -> Option<Bytes> {
-        self.store.with(key, |v| v.map(|vv| vv.value.clone()))
     }
 
     fn applied_seq(&self) -> SwitchSeq {
@@ -412,24 +308,20 @@ impl Replica for NopaxosReplica {
     }
 
     fn export_snapshot(&self) -> Snapshot {
-        let (clients, replies) = self.clients.export();
         Snapshot {
             entries: export_store(&self.store),
             log: self.log.iter().map(|e| e.op.clone()).collect(),
             state: SnapshotState {
-                in_order: SwitchSeq::ZERO,
                 applied: self.exec_seq,
-                local_seq: 0,
                 // The executed-slot count doubles as the commit point.
                 commit_num: self.executed,
                 session: self.session,
-                clients,
-                replies,
+                ..SnapshotState::default()
             },
         }
     }
 
-    fn install_snapshot(&mut self, snap: Snapshot, out: &mut Effects) {
+    fn install_snapshot(&mut self, cx: &mut Ctx, snap: Snapshot, out: &mut Effects) {
         if snap.state.session > self.session {
             self.session = snap.state.session;
             self.buffered.clear();
@@ -450,83 +342,35 @@ impl Replica for NopaxosReplica {
             .executed
             .max(snap.state.commit_num.min(self.log.len() as u64));
         self.exec_seq = self.exec_seq.max(installed).max(snap.state.applied);
-        self.clients.install(snap.state.clients, snap.state.replies);
         // Sequenced writes that arrived mid-transfer were buffered as
         // out-of-order; they slot onto the caught-up log now.
-        self.drain_buffered(out);
-    }
-
-    fn active_switch(&self) -> SwitchId {
-        self.lease.active()
+        self.drain_buffered(cx, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_types::{ClientId, ObjectId, PacketBody, RequestId, SwitchId};
+    use crate::common::{ProtocolKind, Replica};
+    use crate::shell::harness::{pump, sequenced};
+    use crate::shell::Shell;
+    use bytes::Bytes;
+    use harmonia_types::{
+        ClientId, ClientRequest, NodeId, ObjectId, PacketBody, RequestId, SwitchId, WriteOutcome,
+    };
 
-    fn seq(n: u64) -> SwitchSeq {
-        SwitchSeq::new(SwitchId(1), n)
-    }
-
-    fn group(n: usize, harmonia: bool) -> Vec<NopaxosReplica> {
-        (0..n)
-            .map(|i| {
-                NopaxosReplica::new(GroupConfig::new(
-                    ProtocolKind::Nopaxos,
-                    n,
-                    i as u32,
-                    harmonia,
-                ))
-            })
-            .collect()
-    }
-
-    fn sequenced(n: u64, key: &str, val: &str) -> ProtocolMsg {
-        ProtocolMsg::Nopaxos(NopaxosMsg::Sequenced {
-            session: 1,
-            oum_seq: n,
-            op: WriteOp {
-                seq: seq(n),
-                obj: ObjectId::from_key(key.as_bytes()),
-                key: Bytes::copy_from_slice(key.as_bytes()),
-                value: Bytes::copy_from_slice(val.as_bytes()),
-                client: ClientId(1),
-                request: RequestId(n),
-            },
-        })
+    fn group(n: usize, harmonia: bool) -> Vec<Shell<Nopaxos>> {
+        crate::shell::harness::group(ProtocolKind::Nopaxos, n, harmonia)
     }
 
     /// Multicast a sequenced write to every replica; returns switch-bound
     /// bodies after the exchange quiesces.
-    fn multicast(g: &mut [NopaxosReplica], msg: ProtocolMsg) -> Vec<PacketBody<ProtocolMsg>> {
+    fn multicast(g: &mut [Shell<Nopaxos>], msg: ProtocolMsg) -> Vec<PacketBody<ProtocolMsg>> {
         let mut fx = Effects::new();
         for replica in g.iter_mut() {
             replica.on_protocol(NodeId::Switch(SwitchId(1)), msg.clone(), &mut fx);
         }
         pump(g, fx)
-    }
-
-    fn pump(g: &mut [NopaxosReplica], mut fx: Effects) -> Vec<PacketBody<ProtocolMsg>> {
-        let mut bodies = vec![];
-        while !fx.out.is_empty() {
-            let mut next = Effects::new();
-            for (dst, body) in fx.out.drain(..) {
-                match (dst, body) {
-                    (NodeId::Replica(r), PacketBody::Protocol(m)) => {
-                        g[r.index()].on_protocol(NodeId::Replica(r), m, &mut next);
-                    }
-                    (NodeId::Replica(r), PacketBody::Request(req)) => {
-                        g[r.index()].on_request(NodeId::Replica(r), req, &mut next);
-                    }
-                    (NodeId::Switch(_), b) => bodies.push(b),
-                    other => panic!("unexpected effect {other:?}"),
-                }
-            }
-            fx = next;
-        }
-        bodies
     }
 
     fn count_replies(bodies: &[PacketBody<ProtocolMsg>]) -> usize {
@@ -591,7 +435,7 @@ mod tests {
         g[0].on_protocol(NodeId::Switch(SwitchId(1)), msg2.clone(), &mut fx);
         g[2].on_protocol(NodeId::Switch(SwitchId(1)), msg2, &mut fx);
         pump(&mut g, fx);
-        assert_eq!(g[1].log.len(), 1, "follower 1 missed slot 2");
+        assert_eq!(g[1].proto.log.len(), 1, "follower 1 missed slot 2");
         // Slot 3 arrives at follower 1: it detects the gap and fetches
         // slot 2 from the leader.
         let msg3 = sequenced(3, "c", "vc");
@@ -608,41 +452,7 @@ mod tests {
             "gap request sent to leader"
         );
         pump(&mut g, fx);
-        assert_eq!(g[1].log.len(), 3, "gap filled, buffered slot drained");
-    }
-
-    #[test]
-    fn fast_path_guard_blocks_unsynced_follower() {
-        let mut g = group(3, true);
-        multicast(&mut g, sequenced(1, "k", "v"));
-        // Follower 1 has logged but not executed (no sync yet). The switch
-        // meanwhile saw the completion of... nothing yet; but simulate a
-        // read stamped with last_committed = seq 1 (e.g. a reordered packet
-        // from the future).
-        let mut read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
-        read.read_mode = ReadMode::FastPath {
-            switch: SwitchId(1),
-        };
-        read.last_committed = Some(seq(1));
-        let mut fx = Effects::new();
-        g[1].on_request(NodeId::Client(ClientId(2)), read.clone(), &mut fx);
-        assert!(
-            matches!(
-                fx.out[0],
-                (NodeId::Replica(ReplicaId(0)), PacketBody::Request(_))
-            ),
-            "unsynced follower must forward to the leader"
-        );
-        // After sync, the same read is served locally.
-        let mut tick = Effects::new();
-        g[0].on_tick(&mut tick);
-        pump(&mut g, tick);
-        let mut fx = Effects::new();
-        g[1].on_request(NodeId::Client(ClientId(2)), read, &mut fx);
-        let PacketBody::Reply(r) = &fx.out[0].1 else {
-            panic!()
-        };
-        assert_eq!(r.value, Some(Bytes::from_static(b"v")));
+        assert_eq!(g[1].proto.log.len(), 3, "gap filled, buffered slot drained");
     }
 
     #[test]
@@ -663,7 +473,7 @@ mod tests {
             },
         });
         multicast(&mut g, msg);
-        assert_eq!(g[0].session, 2);
+        assert_eq!(g[0].proto.session, 2);
         assert_eq!(g[0].local_value(b"k"), Some(Bytes::from_static(b"v2")));
         // Stale old-session traffic is ignored.
         let bodies = multicast(&mut g, sequenced(2, "k", "stale"));
@@ -681,5 +491,27 @@ mod tests {
             panic!()
         };
         assert_eq!(r.write_outcome, Some(WriteOutcome::Rejected));
+    }
+
+    /// Any sender can ask for any slot: one the log does not hold — slot 0
+    /// included — gets no answer.
+    #[test]
+    fn gap_request_outside_the_log_is_ignored() {
+        let mut g = group(3, true);
+        multicast(&mut g, sequenced(1, "k", "v"));
+        for oum_seq in [0, 2, u64::MAX] {
+            let ask = NopaxosMsg::GapRequest {
+                session: 1,
+                oum_seq,
+                from: ReplicaId(1),
+            };
+            let mut fx = Effects::new();
+            g[0].on_protocol(
+                NodeId::Replica(ReplicaId(1)),
+                ProtocolMsg::Nopaxos(ask),
+                &mut fx,
+            );
+            assert!(fx.is_empty(), "slot {oum_seq}: {fx:?}");
+        }
     }
 }

@@ -21,27 +21,16 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use bytes::Bytes;
 use harmonia_kv::{Store, VersionedValue};
-use harmonia_types::{
-    ClientRequest, NodeId, OpKind, ReadMode, ReplicaId, SwitchId, SwitchSeq, WriteCompletion,
-    WriteOutcome,
-};
+use harmonia_types::{Duration, ReplicaId, SwitchSeq, WriteCompletion};
 
-use crate::common::{
-    export_store, handle_control, install_store, read_behind_ok, read_reply, write_reply,
-    Admission, ClientTable, Effects, GroupConfig, InOrder, LeaseState, ProtocolKind, Replica,
-    Snapshot,
-};
+use crate::common::{export_store, install_store, Effects, GroupConfig, ProtocolKind, Snapshot};
 use crate::messages::{ProtocolMsg, SnapshotState, VrMsg, WriteOp};
+use crate::shell::{Ctx, Protocol, Reads};
 
-/// One VR replica.
-pub struct VrReplica {
-    me: ReplicaId,
-    members: Vec<ReplicaId>,
-    harmonia: bool,
-    lease: LeaseState,
-    sync_interval: harmonia_types::Duration,
+/// VR's own state.
+pub(crate) struct Vr {
+    sync_interval: Duration,
 
     view: u64,
     /// The replicated log; position `i + 1` is op-number `i + 1`.
@@ -60,58 +49,18 @@ pub struct VrReplica {
     completed: u64,
 
     store: Store<VersionedValue>,
-    in_order: InOrder,
-    local_seq: u64,
-    /// Leader only: at-most-once admission (drops network duplicates).
-    clients: ClientTable,
     /// Largest switch sequence number among executed writes (`R.seq` in the
     /// Appendix A proof) — the read-behind guard input.
     exec_seq: SwitchSeq,
 }
 
-impl VrReplica {
-    /// Build the replica for `config`.
-    pub fn new(config: GroupConfig) -> Self {
-        VrReplica {
-            me: config.me,
-            members: config.members,
-            harmonia: config.harmonia,
-            lease: LeaseState::new(config.active_switch),
-            sync_interval: config.sync_interval,
-            view: 0,
-            log: Vec::new(),
-            commit_num: 0,
-            executed: 0,
-            pending_prepares: BTreeMap::new(),
-            prepare_acks: HashMap::new(),
-            exec_points: HashMap::new(),
-            completed: 0,
-            store: Store::new(),
-            in_order: InOrder::new(),
-            local_seq: 0,
-            clients: ClientTable::new(),
-            exec_seq: SwitchSeq::ZERO,
-        }
+impl Vr {
+    fn leader(&self, cx: &Ctx) -> ReplicaId {
+        cx.member(self.view as usize)
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.members[self.view as usize % self.members.len()]
-    }
-
-    fn is_leader(&self) -> bool {
-        self.me == self.leader()
-    }
-
-    fn quorum(&self) -> usize {
-        ProtocolKind::Vr.quorum(self.members.len())
-    }
-
-    fn others(&self) -> Vec<ReplicaId> {
-        self.members
-            .iter()
-            .copied()
-            .filter(|&r| r != self.me)
-            .collect()
+    fn is_leader(&self, cx: &Ctx) -> bool {
+        cx.me == self.leader(cx)
     }
 
     fn execute_up_to(&mut self, n: u64) {
@@ -127,72 +76,10 @@ impl VrReplica {
         }
     }
 
-    fn handle_write(&mut self, mut req: ClientRequest, out: &mut Effects) {
-        if !self.is_leader() {
-            out.forward_request(self.leader(), req);
-            return;
-        }
-        match self.clients.admit(req.client, req.request) {
-            Admission::Fresh => {}
-            Admission::Duplicate => {
-                if let Some(r) = self.clients.cached_reply(req.client, req.request) {
-                    out.reply(self.lease.active(), r);
-                }
-                return;
-            }
-            Admission::Stale => return,
-        }
-        let seq = match req.seq {
-            Some(s) if self.harmonia => s,
-            _ => {
-                self.local_seq += 1;
-                SwitchSeq::new(self.lease.active(), self.local_seq)
-            }
-        };
-        req.seq = Some(seq);
-        if !self.in_order.accept(seq) {
-            out.reply(
-                self.lease.active(),
-                write_reply(
-                    self.me,
-                    req.client,
-                    req.request,
-                    req.obj,
-                    WriteOutcome::Rejected,
-                    None,
-                ),
-            );
-            return;
-        }
-        let op = WriteOp {
-            seq,
-            obj: req.obj,
-            key: req.key.clone(),
-            value: req.value.clone().unwrap_or_default(),
-            client: req.client,
-            request: req.request,
-        };
-        self.log.push(op.clone());
-        let op_num = self.log.len() as u64;
-        for r in self.others() {
-            out.protocol(
-                r,
-                ProtocolMsg::Vr(VrMsg::Prepare {
-                    view: self.view,
-                    op_num,
-                    op: op.clone(),
-                    commit: self.commit_num,
-                }),
-            );
-        }
-        // Single-replica group commits immediately.
-        self.advance_commit(out);
-    }
-
     /// Leader: advance the commit point over consecutively-quorumed ops,
     /// executing and replying as each commits.
-    fn advance_commit(&mut self, out: &mut Effects) {
-        let quorum = self.quorum();
+    fn advance_commit(&mut self, cx: &mut Ctx, out: &mut Effects) {
+        let quorum = ProtocolKind::Vr.quorum(cx.members.len());
         let mut advanced = false;
         while self.commit_num < self.log.len() as u64 {
             let next = self.commit_num + 1;
@@ -204,17 +91,7 @@ impl VrReplica {
             self.commit_num = next;
             self.prepare_acks.remove(&next);
             self.execute_up_to(next);
-            let op = &self.log[(next - 1) as usize];
-            let reply = write_reply(
-                self.me,
-                op.client,
-                op.request,
-                op.obj,
-                WriteOutcome::Committed,
-                None,
-            );
-            self.clients.record_reply(reply.clone());
-            out.reply(self.lease.active(), reply);
+            cx.reply_committed(&self.log[(next - 1) as usize], false, out);
             advanced = true;
         }
         if advanced {
@@ -222,125 +99,128 @@ impl VrReplica {
             // they answer COMMIT-ACK (the Harmonia-added phase). The
             // baseline also broadcasts commits (VR does this lazily; the
             // periodic tick covers quiescence either way).
-            let msg = VrMsg::Commit {
-                view: self.view,
-                commit: self.commit_num,
-            };
-            for r in self.others() {
-                out.protocol(r, ProtocolMsg::Vr(msg.clone()));
-            }
-            self.maybe_emit_completions(out);
+            self.broadcast_commit(cx, out);
+            self.maybe_emit_completions(cx, out);
+        }
+    }
+
+    fn broadcast_commit(&self, cx: &Ctx, out: &mut Effects) {
+        let msg = VrMsg::Commit {
+            view: self.view,
+            commit: self.commit_num,
+        };
+        for r in cx.others() {
+            out.protocol(r, ProtocolMsg::Vr(msg.clone()));
         }
     }
 
     /// Leader: the completion point is the largest op-number that a majority
     /// (counting the leader) has *executed*; emit WRITE-COMPLETIONs up to it.
-    fn maybe_emit_completions(&mut self, out: &mut Effects) {
-        if !self.harmonia {
+    fn maybe_emit_completions(&mut self, cx: &Ctx, out: &mut Effects) {
+        if !cx.harmonia {
             return;
         }
-        let mut points: Vec<u64> = self
-            .members
-            .iter()
-            .map(|r| {
-                if *r == self.me {
-                    self.executed
-                } else {
-                    self.exec_points.get(r).copied().unwrap_or(0)
-                }
-            })
-            .collect();
-        points.sort_unstable_by(|a, b| b.cmp(a));
-        let point = points[self.quorum() - 1];
+        let point = cx.majority_executed(self.executed, &self.exec_points);
         while self.completed < point {
             self.completed += 1;
             let op = &self.log[(self.completed - 1) as usize];
-            out.completion(
-                self.lease.active(),
-                WriteCompletion {
-                    obj: op.obj,
-                    seq: op.seq,
-                },
-            );
+            let (obj, seq) = (op.obj, op.seq);
+            out.completion(cx.via(), WriteCompletion { obj, seq });
         }
     }
 
-    fn handle_read(&mut self, req: ClientRequest, out: &mut Effects) {
-        match req.read_mode {
-            ReadMode::FastPath { switch } => {
-                let allowed = self.lease.allows(switch);
-                let stamped = req.last_committed.unwrap_or(SwitchSeq::ZERO);
-                if allowed && read_behind_ok(self.exec_seq, stamped) {
-                    let value = self.store.with(&req.key, |v| v.map(|vv| vv.value.clone()));
-                    out.reply(self.lease.active(), read_reply(self.me, &req, value));
-                } else {
-                    let mut fwd = req;
-                    fwd.read_mode = ReadMode::Normal;
-                    if self.is_leader() {
-                        self.handle_read(fwd, out);
-                    } else {
-                        out.forward_request(self.leader(), fwd);
-                    }
-                }
-            }
-            ReadMode::Normal => {
-                if self.is_leader() {
-                    let value = self.store.with(&req.key, |v| v.map(|vv| vv.value.clone()));
-                    out.reply(self.lease.active(), read_reply(self.me, &req, value));
-                } else {
-                    out.forward_request(self.leader(), req);
-                }
-            }
-        }
+    fn prepare_ok(&self, cx: &Ctx, op_num: u64, out: &mut Effects) {
+        let msg = VrMsg::PrepareOk {
+            view: self.view,
+            op_num,
+            from: cx.me,
+        };
+        out.protocol(self.leader(cx), ProtocolMsg::Vr(msg));
     }
 
     /// Backup: drain consecutively-numbered buffered prepares into the log,
     /// acknowledging each.
-    fn drain_prepares(&mut self, out: &mut Effects) {
+    fn drain_prepares(&mut self, cx: &Ctx, out: &mut Effects) {
         while let Some(op) = self.pending_prepares.remove(&(self.log.len() as u64 + 1)) {
             self.log.push(op);
-            out.protocol(
-                self.leader(),
-                ProtocolMsg::Vr(VrMsg::PrepareOk {
-                    view: self.view,
-                    op_num: self.log.len() as u64,
-                    from: self.me,
-                }),
-            );
+            self.prepare_ok(cx, self.log.len() as u64, out);
         }
     }
 
     /// Backup: execute through the learned commit point and (under
     /// Harmonia) answer COMMIT-ACK with the executed-through position.
-    fn learn_commit(&mut self, commit: u64, out: &mut Effects) {
+    fn learn_commit(&mut self, cx: &Ctx, commit: u64, out: &mut Effects) {
         self.commit_num = self.commit_num.max(commit.min(self.log.len() as u64));
         let before = self.executed;
         self.execute_up_to(self.commit_num);
-        if self.harmonia && self.executed > before {
-            out.protocol(
-                self.leader(),
-                ProtocolMsg::Vr(VrMsg::CommitAck {
-                    view: self.view,
-                    op_num: self.executed,
-                    from: self.me,
-                }),
-            );
+        self.commit_ack(cx, before, out);
+    }
+
+    /// Under Harmonia, tell the leader how far this replica executed, if
+    /// that moved past `before`.
+    fn commit_ack(&self, cx: &Ctx, before: u64, out: &mut Effects) {
+        if cx.harmonia && self.executed > before {
+            let msg = VrMsg::CommitAck {
+                view: self.view,
+                op_num: self.executed,
+                from: cx.me,
+            };
+            out.protocol(self.leader(cx), ProtocolMsg::Vr(msg));
         }
     }
 }
 
-impl Replica for VrReplica {
-    fn on_request(&mut self, _src: NodeId, req: ClientRequest, out: &mut Effects) {
-        match req.op {
-            OpKind::Write => self.handle_write(req, out),
-            OpKind::Read => self.handle_read(req, out),
+impl Protocol for Vr {
+    fn new(config: &GroupConfig) -> Self {
+        Vr {
+            sync_interval: config.sync_interval,
+            view: 0,
+            log: Vec::new(),
+            commit_num: 0,
+            executed: 0,
+            pending_prepares: BTreeMap::new(),
+            prepare_acks: HashMap::new(),
+            exec_points: HashMap::new(),
+            completed: 0,
+            store: Store::new(),
+            exec_seq: SwitchSeq::ZERO,
         }
     }
 
-    fn on_protocol(&mut self, _src: NodeId, msg: ProtocolMsg, out: &mut Effects) {
-        if handle_control(&msg, &mut self.lease, &mut self.members) {
-            return;
+    fn write_entry(&self, cx: &Ctx) -> Option<ReplicaId> {
+        Some(self.leader(cx))
+    }
+
+    fn read_server(&self, cx: &Ctx) -> ReplicaId {
+        self.leader(cx)
+    }
+
+    fn reads(&self) -> Reads<'_> {
+        Reads::Behind {
+            store: &self.store,
+            executed: self.exec_seq,
         }
+    }
+
+    fn on_write(&mut self, cx: &mut Ctx, op: WriteOp, out: &mut Effects) {
+        self.log.push(op.clone());
+        let op_num = self.log.len() as u64;
+        for r in cx.others() {
+            out.protocol(
+                r,
+                ProtocolMsg::Vr(VrMsg::Prepare {
+                    view: self.view,
+                    op_num,
+                    op: op.clone(),
+                    commit: self.commit_num,
+                }),
+            );
+        }
+        // Single-replica group commits immediately.
+        self.advance_commit(cx, out);
+    }
+
+    fn on_protocol(&mut self, cx: &mut Ctx, msg: ProtocolMsg, out: &mut Effects) {
         let ProtocolMsg::Vr(msg) = msg else { return };
         match msg {
             VrMsg::Prepare {
@@ -349,81 +229,57 @@ impl Replica for VrReplica {
                 op,
                 commit,
             } => {
-                if view != self.view || self.is_leader() {
+                if view != self.view || self.is_leader(cx) {
                     return;
                 }
                 if op_num == self.log.len() as u64 + 1 {
                     self.log.push(op);
-                    out.protocol(
-                        self.leader(),
-                        ProtocolMsg::Vr(VrMsg::PrepareOk {
-                            view: self.view,
-                            op_num,
-                            from: self.me,
-                        }),
-                    );
-                    self.drain_prepares(out);
+                    self.prepare_ok(cx, op_num, out);
+                    self.drain_prepares(cx, out);
                 } else if op_num > self.log.len() as u64 {
                     self.pending_prepares.insert(op_num, op);
                 } else {
                     // Duplicate of something already logged: re-ack.
-                    out.protocol(
-                        self.leader(),
-                        ProtocolMsg::Vr(VrMsg::PrepareOk {
-                            view: self.view,
-                            op_num,
-                            from: self.me,
-                        }),
-                    );
+                    self.prepare_ok(cx, op_num, out);
                 }
-                self.learn_commit(commit, out);
+                self.learn_commit(cx, commit, out);
             }
             VrMsg::PrepareOk { view, op_num, from } => {
-                if view != self.view || !self.is_leader() {
+                if view != self.view || !self.is_leader(cx) {
                     return;
                 }
                 if op_num > self.commit_num {
                     self.prepare_acks.entry(op_num).or_default().insert(from);
-                    self.advance_commit(out);
+                    self.advance_commit(cx, out);
                 }
             }
             VrMsg::Commit { view, commit } => {
-                if view != self.view || self.is_leader() {
+                if view != self.view || self.is_leader(cx) {
                     return;
                 }
-                self.learn_commit(commit, out);
+                self.learn_commit(cx, commit, out);
             }
             VrMsg::CommitAck { view, op_num, from } => {
-                if view != self.view || !self.is_leader() {
+                if view != self.view || !self.is_leader(cx) {
                     return;
                 }
                 let p = self.exec_points.entry(from).or_insert(0);
                 *p = (*p).max(op_num);
-                self.maybe_emit_completions(out);
+                self.maybe_emit_completions(cx, out);
             }
         }
     }
 
-    fn on_tick(&mut self, out: &mut Effects) {
+    fn on_tick(&mut self, cx: &Ctx, out: &mut Effects) {
         // Periodic commit broadcast: keeps backups executing under
         // quiescence and re-drives lost COMMIT/COMMIT-ACK exchanges.
-        if self.is_leader() && self.commit_num > 0 {
-            let msg = VrMsg::Commit {
-                view: self.view,
-                commit: self.commit_num,
-            };
-            for r in self.others() {
-                out.protocol(r, ProtocolMsg::Vr(msg.clone()));
-            }
+        if self.is_leader(cx) && self.commit_num > 0 {
+            self.broadcast_commit(cx, out);
         }
     }
 
-    fn tick_interval(&self) -> Option<harmonia_types::Duration> {
+    fn tick_interval(&self) -> Option<Duration> {
         Some(self.sync_interval)
-    }
-
-    fn local_value(&self, key: &[u8]) -> Option<Bytes> {
-        self.store.with(key, |v| v.map(|vv| vv.value.clone()))
     }
 
     fn applied_seq(&self) -> SwitchSeq {
@@ -431,23 +287,18 @@ impl Replica for VrReplica {
     }
 
     fn export_snapshot(&self) -> Snapshot {
-        let (clients, replies) = self.clients.export();
         Snapshot {
             entries: export_store(&self.store),
             log: self.log.clone(),
             state: SnapshotState {
-                in_order: self.in_order.last(),
                 applied: self.exec_seq,
-                local_seq: self.local_seq,
                 commit_num: self.commit_num,
-                session: 0,
-                clients,
-                replies,
+                ..SnapshotState::default()
             },
         }
     }
 
-    fn install_snapshot(&mut self, snap: Snapshot, out: &mut Effects) {
+    fn install_snapshot(&mut self, cx: &mut Ctx, snap: Snapshot, out: &mut Effects) {
         // Log catchup: the leader's log is authoritative and a prefix-
         // superset of ours (a recovering backup buffers live Prepares in
         // `pending_prepares` until the log catches up, so its own log is
@@ -462,77 +313,25 @@ impl Replica for VrReplica {
         // The store now reflects every committed write through the leader's
         // export point, so the read-behind guard may trust that point.
         self.exec_seq = self.exec_seq.max(installed).max(snap.state.applied);
-        self.in_order.accept(snap.state.in_order);
-        self.local_seq = self.local_seq.max(snap.state.local_seq);
-        self.clients.install(snap.state.clients, snap.state.replies);
+        cx.in_order.accept(snap.state.in_order);
         // Prepares buffered during the transfer now slot onto the caught-up
         // log; ack them so the leader's quorum counting proceeds.
-        self.drain_prepares(out);
-        if self.harmonia && self.executed > before {
-            out.protocol(
-                self.leader(),
-                ProtocolMsg::Vr(VrMsg::CommitAck {
-                    view: self.view,
-                    op_num: self.executed,
-                    from: self.me,
-                }),
-            );
-        }
-    }
-
-    fn active_switch(&self) -> SwitchId {
-        self.lease.active()
+        self.drain_prepares(cx, out);
+        self.commit_ack(cx, before, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_types::{ClientId, PacketBody, RequestId, SwitchId};
+    use crate::common::Replica;
+    use crate::shell::harness::{pump, seq, write_req};
+    use crate::shell::Shell;
+    use bytes::Bytes;
+    use harmonia_types::{ClientId, NodeId, PacketBody, RequestId, WriteOutcome};
 
-    fn seq(n: u64) -> SwitchSeq {
-        SwitchSeq::new(SwitchId(1), n)
-    }
-
-    fn group(n: usize, harmonia: bool) -> Vec<VrReplica> {
-        (0..n)
-            .map(|i| VrReplica::new(GroupConfig::new(ProtocolKind::Vr, n, i as u32, harmonia)))
-            .collect()
-    }
-
-    fn write_req(n: u64, key: &str, val: &str, harmonia: bool) -> ClientRequest {
-        let mut r = ClientRequest::write(
-            ClientId(1),
-            RequestId(n),
-            Bytes::copy_from_slice(key.as_bytes()),
-            Bytes::copy_from_slice(val.as_bytes()),
-        );
-        if harmonia {
-            r.seq = Some(seq(n));
-        }
-        r
-    }
-
-    /// Deliver effects until quiescent; returns switch-bound bodies.
-    fn pump(replicas: &mut [VrReplica], mut fx: Effects) -> Vec<PacketBody<ProtocolMsg>> {
-        let mut to_switch = vec![];
-        while !fx.out.is_empty() {
-            let mut next = Effects::new();
-            for (dst, body) in fx.out.drain(..) {
-                match (dst, body) {
-                    (NodeId::Replica(r), PacketBody::Protocol(m)) => {
-                        replicas[r.index()].on_protocol(NodeId::Replica(r), m, &mut next);
-                    }
-                    (NodeId::Replica(r), PacketBody::Request(req)) => {
-                        replicas[r.index()].on_request(NodeId::Replica(r), req, &mut next);
-                    }
-                    (NodeId::Switch(_), b) => to_switch.push(b),
-                    other => panic!("unexpected effect {other:?}"),
-                }
-            }
-            fx = next;
-        }
-        to_switch
+    fn group(n: usize, harmonia: bool) -> Vec<Shell<Vr>> {
+        crate::shell::harness::group(ProtocolKind::Vr, n, harmonia)
     }
 
     fn replies(bodies: &[PacketBody<ProtocolMsg>]) -> Vec<&harmonia_types::ClientReply> {
@@ -635,63 +434,8 @@ mod tests {
         }
         // Backups logged but did not execute: read-behind.
         assert_eq!(g[1].local_value(b"k"), None);
-        assert_eq!(g[1].executed, 0);
-        assert_eq!(g[1].log.len(), 1);
-    }
-
-    #[test]
-    fn fast_path_guard_rejects_lagging_replica() {
-        let mut g = group(3, true);
-        let fx = {
-            let mut fx = Effects::new();
-            g[0].on_request(
-                NodeId::Client(ClientId(1)),
-                write_req(1, "k", "v", true),
-                &mut fx,
-            );
-            fx
-        };
-        pump(&mut g, fx);
-        // Forge a lagging backup: fresh replica that executed nothing.
-        let mut lagger = VrReplica::new(GroupConfig::new(ProtocolKind::Vr, 3, 1, true));
-        let mut read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
-        read.read_mode = ReadMode::FastPath {
-            switch: SwitchId(1),
-        };
-        read.last_committed = Some(seq(1));
-        let mut fx = Effects::new();
-        lagger.on_request(NodeId::Client(ClientId(2)), read, &mut fx);
-        // Guard fails (executed 0 < stamped 1): forwarded to leader.
-        assert!(matches!(
-            fx.out[0],
-            (NodeId::Replica(ReplicaId(0)), PacketBody::Request(_))
-        ));
-    }
-
-    #[test]
-    fn fast_path_serves_when_replica_is_current() {
-        let mut g = group(3, true);
-        let fx = {
-            let mut fx = Effects::new();
-            g[0].on_request(
-                NodeId::Client(ClientId(1)),
-                write_req(1, "k", "v", true),
-                &mut fx,
-            );
-            fx
-        };
-        pump(&mut g, fx);
-        let mut read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
-        read.read_mode = ReadMode::FastPath {
-            switch: SwitchId(1),
-        };
-        read.last_committed = Some(seq(1));
-        let mut fx = Effects::new();
-        g[2].on_request(NodeId::Client(ClientId(2)), read, &mut fx);
-        let PacketBody::Reply(r) = &fx.out[0].1 else {
-            panic!("expected local reply: {:?}", fx.out)
-        };
-        assert_eq!(r.value, Some(Bytes::from_static(b"v")));
+        assert_eq!(g[1].proto.executed, 0);
+        assert_eq!(g[1].proto.log.len(), 1);
     }
 
     #[test]
@@ -728,7 +472,7 @@ mod tests {
             })
             .collect();
         assert_eq!(ack_nums, vec![1, 2]);
-        assert_eq!(g[1].log.len(), 2);
+        assert_eq!(g[1].proto.log.len(), 2);
     }
 
     #[test]

@@ -217,16 +217,6 @@ impl Wire for NopaxosMsg {
                 oum_seq.encode(w);
                 op.encode(w);
             }
-            NopaxosMsg::SlotAck {
-                session,
-                oum_seq,
-                from,
-            } => {
-                w.put(&[1]);
-                session.encode(w);
-                oum_seq.encode(w);
-                from.encode(w);
-            }
             NopaxosMsg::GapRequest {
                 session,
                 oum_seq,
@@ -272,11 +262,8 @@ impl Wire for NopaxosMsg {
                 oum_seq: u64::decode(r)?,
                 op: WriteOp::decode(r)?,
             }),
-            1 => Ok(NopaxosMsg::SlotAck {
-                session: u64::decode(r)?,
-                oum_seq: u64::decode(r)?,
-                from: ReplicaId::decode(r)?,
-            }),
+            // 1 was a slot acknowledgement no replica ever sent: retired,
+            // not reused.
             2 => Ok(NopaxosMsg::GapRequest {
                 session: u64::decode(r)?,
                 oum_seq: u64::decode(r)?,
@@ -545,11 +532,6 @@ mod tests {
                 session: 1,
                 oum_seq: 5,
                 op: op(5),
-            }),
-            ProtocolMsg::Nopaxos(NopaxosMsg::SlotAck {
-                session: 1,
-                oum_seq: 5,
-                from: ReplicaId(2),
             }),
             ProtocolMsg::Nopaxos(NopaxosMsg::GapRequest {
                 session: 1,

@@ -1,8 +1,8 @@
 //! Deterministic discrete-event simulator.
 //!
-//! This crate is the testbed substitute (DESIGN.md §1): a virtual-time world
-//! in which every Harmonia component — clients, the switch, storage replicas —
-//! runs as an [`Actor`]. The simulator provides:
+//! This crate stands in for the paper's hardware testbed (§9): a
+//! virtual-time world in which every Harmonia component — clients, the
+//! switch, storage replicas — runs as an [`Actor`]. The simulator provides:
 //!
 //! * a virtual-time event scheduler with a deterministic tie-break order;
 //! * a configurable network model (per-link latency, jitter, drop, reorder,

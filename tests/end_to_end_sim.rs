@@ -85,7 +85,8 @@ fn nopaxos_harmonia_is_linearizable() {
 /// write that the dirty set no longer tracks). Client↔switch and
 /// switch↔replica paths get the adversary. NOPaxos additionally keeps its
 /// own documented envelope: its gap recovery covers follower-side multicast
-/// loss (the leader's copy must arrive, DESIGN.md §6) and OUM assumes the
+/// loss (the leader's copy must arrive; see the scope paragraph of the
+/// `harmonia_replication::nopaxos` module docs) and OUM assumes the
 /// sequencer→replica fan-out is order-preserving, so its losses go on the
 /// switch→follower links and its reordering on the client↔switch path.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
