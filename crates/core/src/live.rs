@@ -35,8 +35,11 @@
 //! the link like everything else, and a packet for a node on the same worker
 //! comes back through the same inbox: on channels a push onto the worker's
 //! own queue — nobody is parked on it, nobody is woken — on sockets a
-//! datagram the endpoint loops back without the kernel. On one core a read
-//! is two wake-ups (worker, client) and so is a chain write.
+//! datagram the endpoint loops back without the kernel, taken on the next
+//! pass before the socket is asked. A flush is one hand-off per destination
+//! loop: on channels one envelope carrying every packet for that queue, so
+//! the first packet's wake-up cannot split the flush. On one core a read is
+//! two wake-ups (worker, client) and so is a chain write.
 //!
 //! What sharing costs: a long step delays every node on the worker — a
 //! replica exporting a snapshot for a recovering peer stalls the pipeline
@@ -58,8 +61,8 @@
 //! sequencer, forwarding table, and counters — and each on whichever worker
 //! its group places it, in parallel as far as the host has cores. **No lock
 //! guards switch or replica state**; the only lock on the packet path is the
-//! short one around an ingress queue, once per send and once per batch
-//! received.
+//! short one around an ingress queue, once per destination of a flush and
+//! once per batch received.
 //!
 //! The spine itself is a thin, stateless shard-router, and it is an entry
 //! of the book: sending to the switch address resolves the packet's object
@@ -118,7 +121,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
@@ -152,8 +155,9 @@ use crate::switch_actor::{GroupCore, SwitchCore};
 /// sent verbs; a verb that asks for something is answered on the channel it
 /// carries.
 pub enum Envelope {
-    /// A data-plane packet.
-    Packet(Msg),
+    /// Data-plane packets: everything one flush sent this loop, in send
+    /// order.
+    Packets(Vec<Msg>),
     /// Snapshot the state of this group's pipeline, if the worker hosts it.
     Inspect(GroupId, Sender<GroupObservation>),
     /// Host these nodes from now on; acknowledged once each has taken its
@@ -204,18 +208,25 @@ fn ask<T>(ctl: &Sender<Envelope>, verb: impl FnOnce(Sender<T>) -> Envelope) -> O
 /// beside the link), and a packet for one of them comes back through the
 /// link's own inbox like any other.
 pub trait NodeLink: Send {
-    /// Flush a whole outbox, draining `batch` in order. Never blocks on a
-    /// receiver; undeliverable packets — no route, a dead node, a full
+    /// Flush a whole outbox, draining `batch` — one hand-off per
+    /// destination loop, each loop's packets in `batch` order. Never blocks
+    /// on a receiver; undeliverable packets — no route, a dead node, a full
     /// queue — are dropped (clients retry — that is the reliability layer).
-    /// The UDP link feeds the transport's coalescer — per-destination frames
-    /// pack back-to-back into full datagrams — and batches kernel crossings
-    /// through `sendmmsg`.
+    /// The channel link hands each queue one envelope: one lock, and one
+    /// wake-up if that loop sleeps. The UDP link feeds the transport's
+    /// coalescer — per-destination frames pack back-to-back into full
+    /// datagrams — batches kernel crossings through `sendmmsg`, and loops
+    /// back what is addressed to its own socket without one.
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>);
 
     /// The one receive verb: sleep until `deadline` (with `None`, until
     /// there is something to do) for the first envelope, then append every
     /// packet already queued to `inbox`, in arrival order. A driver verb
     /// ends the batch and is returned beside it — `Some` is never a packet.
+    /// The UDP link first hands over what its endpoint already holds — hops
+    /// it looped back to itself, the rest of a multi-frame datagram —
+    /// without a syscall, and goes to the socket (one blocking `recv`, then
+    /// one `recvmmsg` drain) only when that is empty.
     /// `Timeout`: nothing arrived by the deadline; `Disconnected`: the link
     /// can never deliver again (driver shut down).
     fn recv_into(
@@ -274,27 +285,84 @@ pub trait Substrate: Sized + 'static {
     fn fault_obs(&self) -> FaultObs;
 }
 
-/// Where a channel link receives: the sending half of its queue. Two are
-/// equal when they feed the same queue.
+/// Where a channel link receives: the sending half of its queue and, for a
+/// client shell's, the room left in it. Two are equal when they feed the
+/// same queue.
 #[derive(Clone)]
-pub struct Ingress(Sender<Envelope>);
+pub struct Ingress {
+    tx: Sender<Envelope>,
+    room: Option<Arc<Room>>,
+}
 
 impl PartialEq for Ingress {
     fn eq(&self, other: &Ingress) -> bool {
-        self.0.same_channel(&other.0)
+        self.tx.same_channel(&other.tx)
     }
 }
 
-/// Enqueue `msg` wherever `to` resolves to, or drop it: a sender that waited
-/// on a full (or dead) queue could never be told to stop.
-fn forward(names: &mut Resolver<Ingress>, to: NodeId, msg: Msg) {
-    // What goes to every group is cloned for all workers but the last; the
-    // usual single destination takes the message as it is.
-    if let Some((last, rest)) = names.resolve(to, &msg.body).split_last() {
-        for ingress in rest {
-            let _ = ingress.0.try_send(Envelope::Packet(msg.clone()));
+impl Ingress {
+    /// Enqueue one flush's packets for this loop — one lock, and one wake-up
+    /// if the loop sleeps — or drop them: a sender that waited on a full (or
+    /// dead) queue could never be told to stop. A client's queue takes what
+    /// fits and drops the rest.
+    fn hand_over(&self, mut msgs: Vec<Msg>) {
+        if let Some(room) = &self.room {
+            msgs.truncate(room.claim(msgs.len()));
+            if msgs.is_empty() {
+                return;
+            }
         }
-        let _ = last.0.try_send(Envelope::Packet(msg));
+        let _ = self.tx.try_send(Envelope::Packets(msgs));
+    }
+}
+
+/// A client queue's bound, counted in packets — an envelope carries a whole
+/// flush, so a count of envelopes bounds nothing. Senders count packets in
+/// through the [`Ingress`], the link counts them out as it takes them.
+struct Room {
+    queued: AtomicUsize,
+    bound: usize,
+}
+
+impl Room {
+    /// Claim places for up to `want` packets; how many were free. Relaxed:
+    /// the count publishes nothing, the packets travel under the queue lock.
+    fn claim(&self, want: usize) -> usize {
+        let mut got = 0;
+        let _ = self
+            .queued
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |queued| {
+                got = want.min(self.bound.saturating_sub(queued));
+                Some(queued + got)
+            });
+        got
+    }
+}
+
+/// Hand a whole outbox over, one envelope per destination queue: every
+/// packet resolved against one publication of the book, grouped by the queue
+/// it resolves to, in send order within each. With an envelope per packet
+/// the first would wake a sleeping loop, which on a shared core can run
+/// before the rest of the flush is queued.
+fn flush(names: &mut Resolver<Ingress>, batch: impl IntoIterator<Item = (NodeId, Msg)>) {
+    let directory = names.directory();
+    let mut queues: Vec<(&Ingress, Vec<Msg>)> = Vec::new();
+    let mut add = |ingress, msg| match queues.iter_mut().find(|(at, _)| *at == ingress) {
+        Some((_, msgs)) => msgs.push(msg),
+        None => queues.push((ingress, vec![msg])),
+    };
+    for (to, msg) in batch {
+        // What goes to every group is cloned for all workers but the last;
+        // the usual single destination takes the message as it is.
+        if let Some((last, rest)) = directory.resolve(to, &msg.body).split_last() {
+            for ingress in rest {
+                add(ingress, msg.clone());
+            }
+            add(last, msg);
+        }
+    }
+    for (ingress, msgs) in queues {
+        ingress.hand_over(msgs);
     }
 }
 
@@ -302,13 +370,13 @@ fn forward(names: &mut Resolver<Ingress>, to: NodeId, msg: Msg) {
 pub struct ChannelLink {
     names: Resolver<Ingress>,
     rx: Receiver<Envelope>,
+    /// The queue's bound, shared with its [`Ingress`] (client shells only).
+    room: Option<Arc<Room>>,
 }
 
 impl NodeLink for ChannelLink {
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
-        for (to, msg) in batch.drain(..) {
-            forward(&mut self.names, to, msg);
-        }
+        flush(&mut self.names, batch.drain(..));
     }
 
     fn recv_into(
@@ -323,7 +391,12 @@ impl NodeLink for ChannelLink {
         // Whatever queued up behind it comes out under one queue lock.
         for env in std::iter::once(first).chain(self.rx.try_iter()) {
             match env {
-                Envelope::Packet(msg) => inbox.push(msg),
+                Envelope::Packets(mut msgs) => {
+                    if let Some(room) = &self.room {
+                        room.queued.fetch_sub(msgs.len(), Ordering::Relaxed);
+                    }
+                    inbox.append(&mut msgs);
+                }
                 verb => return Ok(Some(verb)),
             }
         }
@@ -358,23 +431,26 @@ impl Substrate for Channels {
         _recorder: Recorder,
     ) -> (ChannelLink, Sender<Envelope>, Ingress) {
         // A client's queue is bounded — nobody can make it listen — at
-        // 1 024 envelopes for every client name that shares it.
-        let (tx, rx) = match names {
-            [NodeId::Client(_), ..] => bounded(1024 * names.len()),
-            _ => unbounded(),
-        };
+        // 1 024 packets for every client name that shares it, however many
+        // envelopes carry them.
+        let room = matches!(names, [NodeId::Client(_), ..]).then(|| {
+            Arc::new(Room {
+                queued: AtomicUsize::new(0),
+                bound: 1024 * names.len(),
+            })
+        });
+        let (tx, rx) = unbounded();
         let link = ChannelLink {
             names: Resolver::new(Arc::clone(&self.book)),
             rx,
+            room: room.clone(),
         };
-        (link, tx.clone(), Ingress(tx))
+        (link, tx.clone(), Ingress { tx, room })
     }
 
     fn deliver(&self, script: Vec<(NodeId, Msg)>) {
         let mut names = Resolver::new(Arc::clone(&self.book));
-        for (to, msg) in script {
-            forward(&mut names, to, msg);
-        }
+        flush(&mut names, script);
     }
 
     fn fault_obs(&self) -> FaultObs {
@@ -860,7 +936,7 @@ fn worker_main<E: Clone>(mut link: impl NodeLink, mut names: Names<E>, shards: S
                 let _ = ack.send(());
             }
             Some(Envelope::Stop) => return,
-            Some(Envelope::Packet(_)) | None => {}
+            Some(Envelope::Packets(_)) | None => {}
         }
         link.send_many(&mut out);
     }
@@ -1465,6 +1541,71 @@ mod tests {
             .expect("a sender blocked on the full client queue");
     }
 
+    /// One flush is one envelope per destination loop: a `send_many` whose
+    /// packets interleave two other loops and the sender itself, with a
+    /// broadcast among them, leaves exactly one envelope on each queue — its
+    /// packets in send order, the broadcast once, in its place — even where
+    /// one loop serves two groups.
+    #[test]
+    fn a_flush_hands_each_loop_one_envelope_in_send_order() {
+        let channels = Channels::default();
+        let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
+        let replica = |r: u32| NodeId::Replica(ReplicaId(r));
+        let attach = |r: u32| {
+            let (link, _, ingress) = channels.attach(&[], registry.handle());
+            let mut names = Names::new(Arc::clone(channels.book()), ingress.clone());
+            names.bind(&[replica(r)]);
+            (link, names, ingress)
+        };
+        let (mut me, _me, at_me) = attach(0);
+        let (b, _b, at_b) = attach(1);
+        let (c, _c, at_c) = attach(2);
+        let switch = NodeId::Switch(SwitchId(1));
+        let spine = vec![at_me, at_b.clone(), at_c, at_b];
+        assert!(channels
+            .book()
+            .install_spine(vec![switch], ShardMap::new(4), spine));
+
+        // Tag n goes to replica r; the broadcast goes fourth.
+        let mut batch: Vec<(NodeId, Msg)> =
+            [(1, 0), (2, 1), (0, 2), (1, 3), (0, 4), (2, 5), (1, 6)]
+                .into_iter()
+                .map(|(r, n)| {
+                    let mut msg = reply(FIRST, n, None);
+                    msg.dst = replica(r);
+                    (replica(r), msg)
+                })
+                .collect();
+        let ungate = harmonia_types::ControlMsg::UngateReplica {
+            replica: ReplicaId(0),
+            caught_up: harmonia_types::SwitchSeq::new(SwitchId(1), 0),
+        };
+        let broadcast = Msg::new(NodeId::Controller, switch, PacketBody::Control(ungate));
+        batch.insert(4, (switch, broadcast));
+        me.send_many(&mut batch);
+        assert!(batch.is_empty());
+
+        // The tags on `link`'s queue, envelope by envelope; `None` is the
+        // broadcast.
+        let queued = |link: &ChannelLink| -> Vec<Vec<Option<u64>>> {
+            let tag = |msg: Msg| match msg.body {
+                PacketBody::Reply(reply) => Some(reply.request.0),
+                _ => None,
+            };
+            (link.rx.try_iter())
+                .map(|env| {
+                    let Envelope::Packets(msgs) = env else {
+                        panic!("a verb on a packet queue")
+                    };
+                    msgs.into_iter().map(tag).collect()
+                })
+                .collect()
+        };
+        assert_eq!(queued(&me), [vec![Some(2), None, Some(4)]]);
+        assert_eq!(queued(&b), [vec![Some(0), Some(3), None, Some(6)]]);
+        assert_eq!(queued(&c), [vec![Some(1), None, Some(5)]]);
+    }
+
     /// A client shell's names — one per lane — enter the deployment's name
     /// service in one publication and leave it in one when the shell is
     /// dropped, whatever a name resolves to: the book returns to one entry
@@ -1745,7 +1886,7 @@ mod tests {
         let write = |key: &'static str, n: u64| {
             let req = OpSpec::write(key, "v").request(ClientId(1), RequestId(n));
             let msg = Msg::new(NodeId::Client(ClientId(1)), me, PacketBody::Request(req));
-            ingress.0.send(Envelope::Packet(msg)).unwrap();
+            ingress.tx.send(Envelope::Packets(vec![msg])).unwrap();
         };
         assert_eq!(next_wait(), None, "an empty dirty set arms no timer");
 
@@ -1757,7 +1898,7 @@ mod tests {
             seq: SwitchSeq::new(spec.initial_switch(), 2),
         };
         let msg = Msg::new(me, me, PacketBody::Completion(done));
-        ingress.0.send(Envelope::Packet(msg)).unwrap();
+        ingress.tx.send(Envelope::Packets(vec![msg])).unwrap();
         // Timed waits while "a" sits below the commit point, until one runs
         // out and the sweep reclaims it; then no timer again.
         while next_wait().is_none() {}

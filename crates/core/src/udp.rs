@@ -19,7 +19,11 @@
 //! ([`UdpTransport`]). A thread cannot drain its receive buffer while it is
 //! sending, so a state transfer to a replica on the sender's own worker
 //! would otherwise overflow it; and a hop that stays on a worker costs no
-//! syscall — a read served there is two datagrams, request and reply.
+//! syscall: [`UdpLink`]'s receive takes what the endpoint already holds
+//! ([`Transport::take_queued`]) as a batch of its own and asks the socket
+//! only once that is gone. A read served on one worker is two datagrams,
+//! request and reply; the worker receives the request with one `recv` and
+//! one `recvmmsg`, and the hop to the replica with no syscall at all.
 //!
 //! # Plumbing, not logic
 //!
@@ -177,15 +181,23 @@ impl NodeLink for UdpLink {
                     return Ok(Some(verb));
                 }
             }
+            // What the endpoint already holds — hops that stayed on this
+            // link, looped back by its last flush, or the rest of a
+            // multi-frame datagram — is a batch of its own: the socket is
+            // asked only once that is gone, and a drain there now would
+            // mostly come back empty.
+            if self.transport.take_queued(inbox) > 0 {
+                return Ok(None);
+            }
             let left = deadline.map(|at| at.saturating_duration_since(StdInstant::now()));
             let slice = match left {
                 Some(left) if !self.has_ctl => left,
                 Some(left) => left.min(CTL_POLL),
                 None => CTL_POLL,
             };
-            // Sleep for the first packet — no wait at all if one is queued —
-            // then everything queued behind it comes out through one
-            // `recvmmsg`, straight into the caller's inbox.
+            // Sleep in one `recv` for the first datagram — no wait at all if
+            // one is queued — then everything queued behind it comes out
+            // through one `recvmmsg`, straight into the caller's inbox.
             match self.transport.recv_timeout(slice) {
                 Ok(pkt) => {
                     inbox.push(pkt);
@@ -331,6 +343,51 @@ mod tests {
     use crate::deployment::Cluster;
     use bytes::Bytes;
     use harmonia_switch::GroupId;
+
+    /// A hop that stays on the link is a batch of its own and costs no
+    /// syscall: with a frame looped back by the link's own flush and a peer's
+    /// datagram already waiting in the kernel, a receive returns the looped
+    /// frame alone, at once — with no deadline at all — and the next receive
+    /// brings the datagram. Clean and fault-wrapped endpoints alike (a
+    /// replica-to-replica packet never faults).
+    #[test]
+    fn a_looped_back_frame_comes_out_alone_before_the_socket_is_asked() {
+        use harmonia_obs::{MonotonicClock, Registry};
+        use harmonia_types::{ControlMsg, PacketBody, ReplicaId};
+        let clean = DeploymentSpec::new();
+        let faulty = clean.clone().link(harmonia_sim::LinkConfig {
+            drop_prob: 0.5,
+            reorder_prob: 0.5,
+            ..clean.link
+        });
+        for spec in [clean, faulty] {
+            let sockets = Sockets::new(&spec);
+            let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
+            let (mut worker, _ctl, at) = sockets.attach(&[], registry.handle());
+            let (mut peer, ..) = sockets.attach(&[], registry.handle());
+            let mut names = harmonia_net::Names::new(Arc::clone(sockets.book()), at);
+            let (me, other) = (NodeId::Replica(ReplicaId(0)), NodeId::Replica(ReplicaId(1)));
+            names.bind(&[me]);
+            let packet = |src, r: u32| {
+                let body = PacketBody::Control(ControlMsg::RemoveReplica(ReplicaId(r)));
+                Msg::new(src, me, body)
+            };
+            peer.send_many(&mut vec![(me, packet(other, 1))]);
+            // Loopback delivery completes inside the send; the pause only
+            // keeps the test meaningful where it would not.
+            std::thread::sleep(StdDuration::from_millis(20));
+            worker.send_many(&mut vec![(me, packet(me, 0))]);
+
+            let mut inbox = Vec::new();
+            assert!(matches!(worker.recv_into(None, &mut inbox), Ok(None)));
+            assert_eq!(inbox, [packet(me, 0)]);
+            inbox.clear();
+            let deadline = StdInstant::now() + StdDuration::from_secs(10);
+            let received = worker.recv_into(Some(deadline), &mut inbox);
+            assert!(matches!(received, Ok(None)));
+            assert_eq!(inbox, [packet(other, 1)]);
+        }
+    }
 
     #[test]
     fn udp_two_clients_share_state() {

@@ -243,14 +243,21 @@ impl<E> Resolver<E> {
         &self.book
     }
 
-    /// [`Directory::resolve`] against the book as published now.
-    pub fn resolve<T>(&mut self, to: NodeId, body: &PacketBody<T>) -> &[E] {
+    /// The book as published now: a sender that resolves a whole batch
+    /// against it pays one revalidation and holds its endpoints for the
+    /// batch.
+    pub fn directory(&mut self) -> &Directory<E> {
         let generation = self.book.generation();
         if generation != self.seen {
             self.directory = self.book.snapshot();
             self.seen = generation;
         }
-        self.directory.resolve(to, body)
+        &self.directory
+    }
+
+    /// [`Directory::resolve`] against the book as published now.
+    pub fn resolve<T>(&mut self, to: NodeId, body: &PacketBody<T>) -> &[E] {
+        self.directory().resolve(to, body)
     }
 }
 

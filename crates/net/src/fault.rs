@@ -182,6 +182,13 @@ where
         self.inner.recv_timeout(timeout)
     }
 
+    fn take_queued(&mut self, out: &mut Vec<Packet<T>>) -> usize {
+        // Same liveness rule, and a held packet addressed to this very
+        // endpoint is among what it already holds once released.
+        self.flush_held();
+        self.inner.take_queued(out)
+    }
+
     fn wire_stats(&self) -> Option<crate::udp::TransportStats> {
         self.inner.wire_stats()
     }
@@ -302,6 +309,22 @@ mod tests {
         assert!(log.is_empty(), "held packet must not reach the wire");
         assert_eq!(counters.discarded(), 1, "discard must be counted");
         assert_eq!(counters.snapshot().2, 1, "the hold itself was a reorder");
+    }
+
+    /// Taking what the endpoint holds releases a held packet first — it may
+    /// be addressed to this very endpoint — and then asks the wrapped one.
+    #[test]
+    fn take_queued_releases_a_held_packet_first() {
+        let cfg = FaultConfig {
+            reorder_prob: 1.0,
+            ..FaultConfig::default()
+        };
+        let counters = Arc::new(FaultCounters::default());
+        let mut t = FaultyTransport::new(MockTransport::default(), cfg, 3, counters);
+        t.send(NodeId::Client(ClientId(2)), pkt(1));
+        assert!(t.inner.log.is_empty(), "held back");
+        assert_eq!(t.take_queued(&mut Vec::new()), 0, "the mock holds nothing");
+        assert_eq!(t.inner.log, [1]);
     }
 
     #[test]

@@ -83,6 +83,14 @@ pub trait Transport<T>: Send {
         n
     }
 
+    /// Move every packet this endpoint already holds into `out` — frames it
+    /// looped back to itself, or left over from a multi-frame datagram —
+    /// without asking the kernel; returns how many. `0` means a receive
+    /// would have to go to the socket. The default holds nothing.
+    fn take_queued(&mut self, _out: &mut Vec<Packet<T>>) -> usize {
+        0
+    }
+
     /// Frame/datagram counters, when this endpoint (or the one it wraps)
     /// keeps them. `None` — the default — means there is no wire level to
     /// count (e.g. the in-process channel substrate). Observability sinks

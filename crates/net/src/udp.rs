@@ -106,7 +106,8 @@ impl TransportStats {
 /// and decoded exactly like a received one, and never handed to the kernel
 /// — several nodes can share one endpoint, and a thread that bursts a
 /// state transfer at a node it hosts itself is not draining its own
-/// receive buffer meanwhile.
+/// receive buffer meanwhile. [`Transport::take_queued`] hands such frames
+/// out without a syscall.
 pub struct UdpTransport<T> {
     socket: UdpSocket,
     /// The deployment's book as this sender sees it: one atomic load per
@@ -471,6 +472,12 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
             }
         }
         delivered
+    }
+
+    /// Everything already decoded — looped back by this endpoint's own
+    /// sends, or the rest of a multi-frame datagram — and no syscall.
+    fn take_queued(&mut self, out: &mut Vec<Packet<T>>) -> usize {
+        self.pop_decoded(out, usize::MAX)
     }
 
     fn wire_stats(&self) -> Option<TransportStats> {
