@@ -365,13 +365,14 @@ pub struct RecordedOp {
 /// Issues a fixed plan of operations one at a time, retrying on rejection
 /// and timeout, and records a history for the linearizability checker. A
 /// shell over the crate's `ClientCore`: this actor sends what the core says
-/// to send and arms one virtual-time timer per attempt.
+/// to send and arms one virtual-time timer per attempt, which it cancels
+/// when the attempt ends before the timer fires.
 pub struct ClosedLoopClient {
     core: ClientCore,
     switch: NodeId,
     timeout: Duration,
     plan: VecDeque<OpSpec>,
-    /// The current attempt's timer; older tokens are stale and ignored.
+    /// The current attempt's timer while it is pending.
     timer: Option<TimerToken>,
     done: bool,
     /// Completed operations in invocation order.
@@ -452,6 +453,12 @@ impl ClosedLoopClient {
     }
 
     fn apply(&mut self, ctx: &mut Context<'_, Msg>, step: Option<Step>) {
+        if step.is_some() {
+            // The attempt is over: its timeout has nothing left to guard.
+            if let Some(token) = self.timer.take() {
+                ctx.cancel_timer(token);
+            }
+        }
         match step {
             None => {}
             Some(Step::Retry(req)) => self.transmit(ctx, req),
@@ -477,6 +484,7 @@ impl Actor<Msg> for ClosedLoopClient {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: TimerToken) {
         if self.timer == Some(token) {
+            self.timer = None;
             let step = self.core.on_timeout(ctx.now());
             self.apply(ctx, step);
         }

@@ -70,6 +70,22 @@ mod tests {
     use bytes::Bytes;
     use harmonia_types::{ClientId, ClientRequest, ReplicaId, RequestId};
 
+    /// Every simulated handler moves a `Msg` by value: a field that grows
+    /// these fails here instead of quietly slowing the simulator.
+    #[test]
+    fn messages_stay_small() {
+        use harmonia_types::ClientReply;
+        use std::mem::size_of;
+        assert_eq!(size_of::<Bytes>(), 16);
+        assert_eq!(size_of::<Option<Bytes>>(), 16);
+        let request = size_of::<ClientRequest>();
+        let reply = size_of::<ClientReply>();
+        let msg = size_of::<Msg>();
+        assert!(request <= 112, "ClientRequest is {request} bytes");
+        assert!(reply <= 72, "ClientReply is {reply} bytes");
+        assert!(msg <= 136, "Msg is {msg} bytes");
+    }
+
     #[test]
     fn paper_calibration_matches_measured_rates() {
         let c = CostModel::paper_calibrated();

@@ -6,14 +6,22 @@
 //! scheduling order. This makes runs bit-for-bit reproducible.
 //!
 //! **Two heaps, one order.** The queue keeps timers in a heap of their own.
-//! A closed-loop client arms a timeout per attempt and never cancels it, so
-//! hundreds of parked timers sit behind the handful of events that are
-//! actually in flight; kept apart, they cost a push and a pop each instead of
-//! deepening every sift of every message event. Both heaps draw their
-//! `sequence` from the same counter and `EventQueue::pop_until` takes
-//! whichever head has the smaller `(time, sequence)`, so the order is exactly
-//! that of one heap: a timer and an arrival that tie on `time` still fire in
-//! the order they were scheduled.
+//! A closed-loop client arms a timeout per attempt and cancels it when the
+//! attempt ends, so most timers leave the queue long before they are due;
+//! kept apart, their arming and cancelling never deepen a sift of a message
+//! event. Both heaps draw their `sequence` from the same counter and
+//! `EventQueue::pop_until` takes whichever head has the smaller
+//! `(time, sequence)`, so the order is exactly that of one heap: a timer and
+//! an arrival that tie on `time` still fire in the order they were
+//! scheduled.
+//!
+//! **Cancelling.** The timer heap is indexed: every entry owns a slot in a
+//! `Slab` that records where in the heap it sits, and a map from token to
+//! slot finds it again, so `EventQueue::cancel_timer` removes a pending
+//! timer in O(log n). A cancel takes no `sequence`, and removing an entry
+//! moves no other entry's `(time, sequence)`, so the events that do fire
+//! fire in the order they would have without it. Cancelling a token that
+//! already fired, was already cancelled, or was never armed does nothing.
 //!
 //! **Keys, not packets.** A heap entry is a key — 24 bytes for a message
 //! event, 32 for a timer — and never holds a message. An arrival's packet
@@ -30,7 +38,8 @@
 //! every way a parcel's journey can end).
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use harmonia_types::{Instant, NodeId};
 
@@ -77,6 +86,14 @@ impl<T> Slab<T> {
     pub fn get(&self, handle: u32) -> &T {
         self.slots[handle as usize]
             .as_ref()
+            .expect("handle names a released slot")
+    }
+
+    /// Change a parked value in place.
+    #[inline]
+    pub fn get_mut(&mut self, handle: u32) -> &mut T {
+        self.slots[handle as usize]
+            .as_mut()
             .expect("handle names a released slot")
     }
 
@@ -173,10 +190,172 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// A timer-heap entry: its key, the timer, and the slot in
+/// [`TimerHeap::positions`] that says where in the heap it sits.
+#[derive(Clone, Copy, Debug)]
+struct TimerEntry {
+    at: Instant,
+    seq: u64,
+    token: TimerToken,
+    node: u32,
+    slot: u32,
+}
+
+impl TimerEntry {
+    fn key(&self) -> (Instant, u64) {
+        (self.at, self.seq)
+    }
+}
+
+/// Hashes a token with one multiplication. Tokens are distinct values of
+/// one counter, so spreading their bits is all the hash has to do.
+#[derive(Default)]
+struct TokenHasher(u64);
+
+impl Hasher for TokenHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// Min-heap of pending timers on `(at, seq)`, with removal by token.
+struct TimerHeap {
+    /// Binary min-heap: `heap[i]` is no later than its children.
+    heap: Vec<TimerEntry>,
+    /// Each pending timer's index in `heap`, kept current by every move.
+    positions: Slab<u32>,
+    /// Each pending timer's slot in `positions`. Looked up, never iterated.
+    slots: HashMap<u64, u32, BuildHasherDefault<TokenHasher>>,
+}
+
+impl TimerHeap {
+    fn new() -> Self {
+        TimerHeap {
+            heap: Vec::new(),
+            positions: Slab::new(),
+            slots: HashMap::default(),
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    fn peek(&self) -> Option<&TimerEntry> {
+        self.heap.first()
+    }
+
+    fn push(&mut self, at: Instant, seq: u64, timer: Timer) {
+        let pos = self.heap.len() as u32;
+        let slot = self.positions.insert(pos);
+        let fresh = self.slots.insert(timer.token.0, slot).is_none();
+        assert!(fresh, "timer token {:?} armed twice", timer.token);
+        self.heap.push(TimerEntry {
+            at,
+            seq,
+            token: timer.token,
+            node: timer.node,
+            slot,
+        });
+        self.sift_up(pos as usize);
+    }
+
+    fn pop(&mut self) -> Option<TimerEntry> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        Some(self.remove_at(0))
+    }
+
+    /// Remove the timer armed under `token`, if it is still pending.
+    fn cancel(&mut self, token: TimerToken) -> bool {
+        let Some(slot) = self.slots.get(&token.0).copied() else {
+            return false;
+        };
+        let pos = *self.positions.get(slot);
+        self.remove_at(pos as usize);
+        true
+    }
+
+    /// Take the entry at `pos` out of the heap, its slot and its token with
+    /// it, and restore the heap order.
+    fn remove_at(&mut self, pos: usize) -> TimerEntry {
+        let entry = self.heap.swap_remove(pos);
+        self.positions.take(entry.slot);
+        self.slots.remove(&entry.token.0);
+        if pos < self.heap.len() {
+            // The former last entry fills the hole: it may belong above or
+            // below it.
+            *self.positions.get_mut(self.heap[pos].slot) = pos as u32;
+            if self.sift_up(pos) == pos {
+                self.sift_down(pos);
+            }
+        }
+        entry
+    }
+
+    /// Move `heap[pos]` up past every later parent; returns where it ends.
+    fn sift_up(&mut self, mut pos: usize) -> usize {
+        let entry = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.heap[parent].key() <= entry.key() {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        self.place(pos, entry);
+        pos
+    }
+
+    /// Move `heap[pos]` down past every earlier child.
+    fn sift_down(&mut self, mut pos: usize) {
+        let entry = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap[right].key() < self.heap[left].key() {
+                right
+            } else {
+                left
+            };
+            if entry.key() <= self.heap[child].key() {
+                break;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        self.place(pos, entry);
+    }
+
+    #[inline]
+    fn place(&mut self, pos: usize, entry: TimerEntry) {
+        *self.positions.get_mut(entry.slot) = pos as u32;
+        self.heap[pos] = entry;
+    }
+}
+
 /// Min-queue of scheduled events with deterministic tie-breaking.
 pub(crate) struct EventQueue {
     events: BinaryHeap<Entry<Event>>,
-    timers: BinaryHeap<Entry<Timer>>,
+    timers: TimerHeap,
     next_seq: u64,
 }
 
@@ -184,7 +363,7 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             events: BinaryHeap::new(),
-            timers: BinaryHeap::new(),
+            timers: TimerHeap::new(),
             next_seq: 0,
         }
     }
@@ -204,13 +383,16 @@ impl EventQueue {
         });
     }
 
+    /// Arm `timer`. Its token must not be pending already.
     pub fn push_timer(&mut self, at: Instant, timer: Timer) {
         let seq = self.next_seq();
-        self.timers.push(Entry {
-            at,
-            seq,
-            item: timer,
-        });
+        self.timers.push(at, seq, timer);
+    }
+
+    /// Disarm the pending timer with this token; returns whether there was
+    /// one (a fired, cancelled or unknown token is left alone).
+    pub fn cancel_timer(&mut self, token: TimerToken) -> bool {
+        self.timers.cancel(token)
     }
 
     /// Whether the next entry in `(at, seq)` order is a timer.
@@ -228,8 +410,10 @@ impl EventQueue {
             if self.timers.peek()?.at > limit {
                 return None;
             }
-            let timer = self.timers.pop()?;
-            Some((timer.at, Fired::Timer(timer.item)))
+            let TimerEntry {
+                at, token, node, ..
+            } = self.timers.pop()?;
+            Some((at, Fired::Timer(Timer { node, token })))
         } else {
             if self.events.peek()?.at > limit {
                 return None;
@@ -318,7 +502,7 @@ mod tests {
     #[test]
     fn heap_entries_are_keys_not_packets() {
         assert_eq!(std::mem::size_of::<Entry<Event>>(), 24);
-        assert_eq!(std::mem::size_of::<Entry<Timer>>(), 32);
+        assert_eq!(std::mem::size_of::<TimerEntry>(), 32);
     }
 
     #[test]
@@ -344,11 +528,11 @@ mod tests {
         Control(String),
     }
 
-    /// Seeded random interleavings of pushes and pops against one
-    /// `BinaryHeap` of whole `(at, seq, event)` values: the two heaps and the
-    /// slabs behind them pop the same events with the same payloads in the
-    /// same order, and no slab outgrows the peak number of values parked in
-    /// it.
+    /// Seeded random interleavings of pushes, pops and timer cancels against
+    /// one `BinaryHeap` of whole `(at, seq, event)` values: the two heaps and
+    /// the slabs behind them pop the same events with the same payloads in
+    /// the same order — the reference's order with the cancelled timers taken
+    /// out — and no slab outgrows the peak number of values parked in it.
     #[test]
     fn two_heaps_over_a_slab_pop_what_one_heap_of_whole_events_pops() {
         for seed in 0..20u64 {
@@ -359,18 +543,40 @@ mod tests {
             let mut reference: BinaryHeap<Reverse<(Instant, u64, Whole)>> = BinaryHeap::new();
             let mut seq = 0u64;
             let (mut peak_parcels, mut peak_controls) = (0, 0);
-            let mut popped = 0;
+            let (mut popped, mut cancelled) = (0, 0);
+            let mut armed: Vec<u64> = Vec::new();
 
             for step in 0..4000u32 {
-                // Pushes outnumber pops until the last quarter, which drains.
-                let push = step < 3000 && rng.gen_range(0..5u32) < 3;
-                if push {
+                // Pushes outnumber pops until the last quarter, which drains;
+                // one step in six cancels a timer throughout.
+                let roll = rng.gen_range(0..6u32);
+                if roll == 5 {
+                    // An armed token (pending, fired or already cancelled),
+                    // or one that was never issued.
+                    let token = match armed.len() {
+                        0 => u64::MAX,
+                        n if rng.gen_bool(0.9) => armed[rng.gen_range(0..n)],
+                        _ => u64::MAX - u64::from(step),
+                    };
+                    let pending = |Reverse((_, _, whole)): &Reverse<(Instant, u64, Whole)>| matches!(whole, Whole::Timer(_, t) if *t == token);
+                    let was_pending = reference.iter().any(pending);
+                    assert_eq!(
+                        q.cancel_timer(TimerToken(token)),
+                        was_pending,
+                        "seed {seed} step {step}"
+                    );
+                    reference.retain(|e| !pending(e));
+                    cancelled += usize::from(was_pending);
+                } else if step < 3000 && roll < 3 {
                     // Few distinct instants: most pushes tie with something.
                     let at = Instant::ZERO + Duration::from_micros(rng.gen_range(0..12u64));
                     let whole = match rng.gen_range(0..4u32) {
                         0 => Whole::Arrive(format!("parcel-{step}")),
                         1 => Whole::ServiceDone(rng.gen_range(0..4)),
-                        2 => Whole::Timer(rng.gen_range(0..4), u64::from(step)),
+                        2 => {
+                            armed.push(u64::from(step));
+                            Whole::Timer(rng.gen_range(0..4), u64::from(step))
+                        }
                         _ => Whole::Control(format!("control-{step}")),
                     };
                     match &whole {
@@ -406,10 +612,10 @@ mod tests {
                 assert_eq!(q.len(), reference.len());
             }
             assert!(
-                popped > 1000 && peak_parcels > 10,
+                popped > 1000 && peak_parcels > 10 && cancelled > 20,
                 "the run exercised the queue"
             );
-            assert_eq!(q.len() + popped, seq as usize);
+            assert_eq!(q.len() + popped + cancelled, seq as usize);
             assert!(parcels.slots() <= peak_parcels && controls.slots() <= peak_controls);
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Every simulated component implements [`Actor`]: a state machine receiving
 //! messages and timer callbacks through a [`Context`] that records the
-//! actions (sends, timers) to apply when the handler returns. Handlers never
+//! actions (sends, timers, timer cancels) to apply when the handler returns. Handlers never
 //! block and never see real time — the same state machines run under the
 //! live threaded driver in `harmonia-core`.
 //!
@@ -81,6 +81,7 @@ pub(crate) enum Action {
         after: Duration,
         token: TimerToken,
     },
+    CancelTimer(TimerToken),
 }
 
 /// Handler execution context: the only window an actor has onto the world.
@@ -131,6 +132,14 @@ impl<'a, M> Context<'a, M> {
         *self.next_timer += 1;
         self.actions.push(Action::SetTimer { after, token });
         token
+    }
+
+    /// Disarm the timer registered under `token`, so it never reaches
+    /// [`Actor::on_timer`]. Applied in order with this handler's other
+    /// actions, so a timer set earlier in the same handler is cancelled too;
+    /// a token that already fired, or was never issued, is ignored.
+    pub fn cancel_timer(&mut self, token: TimerToken) {
+        self.actions.push(Action::CancelTimer(token));
     }
 }
 

@@ -6,9 +6,9 @@
 //! and control actions alike. Timers wait in a heap of their own, but both
 //! heaps are keyed by that pair and merged on it, so ties on `time` — a
 //! protocol tick against a packet arrival — fire in the order they were
-//! scheduled. A handler's sends and timers are applied only after it
-//! returns, in the order it made them: its own RNG draws therefore precede
-//! the network model's draws for the packets it sent.
+//! scheduled. A handler's sends, timers and cancels are applied only after
+//! it returns, in the order it made them: its own RNG draws therefore
+//! precede the network model's draws for the packets it sent.
 //!
 //! **Who owns a parcel.** A message is written into the world's parcel slab
 //! once, by [`Context::send`] or [`World::inject`], and read out of it once,
@@ -337,7 +337,8 @@ impl<M: Clone + 'static> World<M> {
     }
 
     /// Run one handler of the actor at `node`, then apply what it recorded:
-    /// sends are routed and timers armed in the order the handler made them,
+    /// sends are routed and timers armed or cancelled in the order the
+    /// handler made them,
     /// and only now — after every RNG draw the handler itself made.
     fn run_handler(
         &mut self,
@@ -362,6 +363,9 @@ impl<M: Clone + 'static> World<M> {
                 Action::SetTimer { after, token } => {
                     self.queue
                         .push_timer(self.now + after, Timer { node, token });
+                }
+                Action::CancelTimer(token) => {
+                    self.queue.cancel_timer(token);
                 }
             }
         }
@@ -594,6 +598,76 @@ mod tests {
         assert_eq!(w.actor::<Ticker>(replica(0)).unwrap().ticks, 0);
         w.run_until_idle(100);
         assert_eq!(w.actor::<Ticker>(replica(0)).unwrap().ticks, 3);
+    }
+
+    /// Arms three timers on start and cancels as told; records what fires.
+    struct Canceller {
+        /// Delays (ms) of the timers armed on start.
+        delays: [u64; 3],
+        tokens: Vec<TimerToken>,
+        fired: Vec<(Instant, TimerToken)>,
+    }
+
+    impl Actor<u64> for Canceller {
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            self.tokens = self
+                .delays
+                .iter()
+                .map(|&ms| ctx.set_timer(Duration::from_millis(ms)))
+                .collect();
+            // Armed and cancelled in one handler: never fires.
+            let at_once = ctx.set_timer(Duration::from_millis(1));
+            ctx.cancel_timer(at_once);
+        }
+        /// A message `i` cancels the `i`-th token; anything else an unknown one.
+        fn on_message(&mut self, ctx: &mut Context<'_, u64>, _: NodeId, i: u64) {
+            let token = match self.tokens.get(i as usize) {
+                Some(&token) => token,
+                None => TimerToken(u64::MAX),
+            };
+            ctx.cancel_timer(token);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, u64>, token: TimerToken) {
+            self.fired.push((ctx.now(), token));
+        }
+    }
+
+    #[test]
+    fn a_cancelled_timer_never_fires_and_other_cancels_change_nothing() {
+        let ms = |n| Instant::ZERO + Duration::from_millis(n);
+        let mut w = ideal_world(1);
+        w.add_node(
+            replica(0),
+            Box::new(Canceller {
+                delays: [1, 3, 3],
+                tokens: vec![],
+                fired: vec![],
+            }),
+        );
+        // 4 timers armed, 1 cancelled at once.
+        assert_eq!(w.queue.len(), 3);
+        w.run_until(ms(2));
+        let tokens = w.actor::<Canceller>(replica(0)).unwrap().tokens.clone();
+        assert_eq!(
+            w.actor::<Canceller>(replica(0)).unwrap().fired,
+            [(ms(1), tokens[0])]
+        );
+        // Cancel the fired timer, an unknown token, and the first of the two
+        // timers due at 3 ms — in that order, from one handler each.
+        w.inject(client(0), replica(0), 0);
+        w.inject(client(0), replica(0), 7);
+        w.inject(client(0), replica(0), 1);
+        w.run_until(ms(2));
+        assert_eq!(w.queue.len(), 1, "only the uncancelled timer is left");
+        w.run_until_idle(100);
+        assert_eq!(
+            w.actor::<Canceller>(replica(0)).unwrap().fired,
+            [(ms(1), tokens[0]), (ms(3), tokens[2])]
+        );
+        // Cancelling again, now that everything fired, is as harmless.
+        w.inject(client(0), replica(0), 2);
+        assert_eq!(w.run_until_idle(100), 1, "just the message");
+        assert_eq!(w.actor::<Canceller>(replica(0)).unwrap().fired.len(), 2);
     }
 
     #[test]
