@@ -5,29 +5,27 @@
 //! ever scheduled: two events scheduled for the same instant fire in
 //! scheduling order. This makes runs bit-for-bit reproducible.
 //!
-//! **Two heaps, one order.** The queue keeps timers in a heap of their own.
-//! A closed-loop client arms a timeout per attempt and cancels it when the
-//! attempt ends, so most timers leave the queue long before they are due;
-//! kept apart, their arming and cancelling never deepen a sift of a message
-//! event. Both heaps draw their `sequence` from the same counter and
-//! `EventQueue::pop_until` takes whichever head has the smaller
-//! `(time, sequence)`, so the order is exactly that of one heap: a timer and
-//! an arrival that tie on `time` still fire in the order they were
+//! **Two queues, one order.** Timers wait apart from message events, in an
+//! ordered map keyed by `(time, sequence)`. A closed-loop client arms a
+//! timeout per attempt and cancels it when the attempt ends, so most timers
+//! leave long before they are due; kept apart, their arming and cancelling
+//! never deepen a sift of the message heap. Both draw their `sequence` from
+//! the same counter and `EventQueue::pop_until` takes whichever head has the
+//! smaller `(time, sequence)`, so the order is exactly that of one heap: a
+//! timer and an arrival that tie on `time` still fire in the order they were
 //! scheduled.
 //!
-//! **Cancelling.** The timer heap is indexed: every entry owns a slot in a
-//! `Slab` that records where in the heap it sits, and a map from token to
-//! slot finds it again, so `EventQueue::cancel_timer` removes a pending
-//! timer in O(log n). A cancel takes no `sequence`, and removing an entry
-//! moves no other entry's `(time, sequence)`, so the events that do fire
-//! fire in the order they would have without it. Cancelling a token that
-//! already fired, was already cancelled, or was never armed does nothing.
+//! **Cancelling.** A map from token to key finds a pending timer again, so
+//! `EventQueue::cancel_timer` removes it in O(log n). A cancel takes no
+//! `sequence` and moves no other key, so the events that do fire fire in the
+//! order they would have without it. Cancelling a token that already fired,
+//! was already cancelled, or was never armed does nothing.
 //!
-//! **Keys, not packets.** A heap entry is a key — 24 bytes for a message
-//! event, 32 for a timer — and never holds a message. An arrival's packet
-//! sits in a `Slab` from the moment it is sent until its handler runs, and
-//! the heap (and, while it waits for service, the node's inbox) carries the
-//! slot's handle.
+//! **Keys, not packets.** A queue entry is a key — 24 bytes for a message
+//! event, a 16-byte key and a 16-byte `Timer` for a timer — and never holds
+//! a message. An arrival's packet sits in a `Slab` from the moment it is
+//! sent until its handler runs, and the heap (and, while it waits for
+//! service, the node's inbox) carries the slot's handle.
 //!
 //! **Slots.** A slab slot has one owner at a time: whoever holds its handle.
 //! `Slab::insert` hands the handle out, `Slab::take` moves the value out and
@@ -38,8 +36,7 @@
 //! every way a parcel's journey can end).
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use harmonia_types::{Instant, NodeId};
 
@@ -89,14 +86,6 @@ impl<T> Slab<T> {
             .expect("handle names a released slot")
     }
 
-    /// Change a parked value in place.
-    #[inline]
-    pub fn get_mut(&mut self, handle: u32) -> &mut T {
-        self.slots[handle as usize]
-            .as_mut()
-            .expect("handle names a released slot")
-    }
-
     /// Move the value out and release its slot.
     #[inline]
     pub fn take(&mut self, handle: u32) -> T {
@@ -143,7 +132,7 @@ pub(crate) enum Event {
     Control(u32),
 }
 
-/// A timer-heap event.
+/// A timer-queue event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Timer {
     /// Index of the node that registered the timer.
@@ -190,172 +179,56 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A timer-heap entry: its key, the timer, and the slot in
-/// [`TimerHeap::positions`] that says where in the heap it sits.
-#[derive(Clone, Copy, Debug)]
-struct TimerEntry {
-    at: Instant,
-    seq: u64,
-    token: TimerToken,
-    node: u32,
-    slot: u32,
+/// Pending timers in `(at, seq)` order, with removal by token.
+struct TimerQueue {
+    order: BTreeMap<(Instant, u64), Timer>,
+    /// Each pending timer's key in `order`. Looked up, never iterated.
+    keys: BTreeMap<u64, (Instant, u64)>,
 }
 
-impl TimerEntry {
-    fn key(&self) -> (Instant, u64) {
-        (self.at, self.seq)
-    }
-}
-
-/// Hashes a token with one multiplication. Tokens are distinct values of
-/// one counter, so spreading their bits is all the hash has to do.
-#[derive(Default)]
-struct TokenHasher(u64);
-
-impl Hasher for TokenHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
-/// Min-heap of pending timers on `(at, seq)`, with removal by token.
-struct TimerHeap {
-    /// Binary min-heap: `heap[i]` is no later than its children.
-    heap: Vec<TimerEntry>,
-    /// Each pending timer's index in `heap`, kept current by every move.
-    positions: Slab<u32>,
-    /// Each pending timer's slot in `positions`. Looked up, never iterated.
-    slots: HashMap<u64, u32, BuildHasherDefault<TokenHasher>>,
-}
-
-impl TimerHeap {
+impl TimerQueue {
     fn new() -> Self {
-        TimerHeap {
-            heap: Vec::new(),
-            positions: Slab::new(),
-            slots: HashMap::default(),
+        TimerQueue {
+            order: BTreeMap::new(),
+            keys: BTreeMap::new(),
         }
     }
 
     #[cfg(test)]
     fn len(&self) -> usize {
-        self.heap.len()
+        self.order.len()
     }
 
-    fn peek(&self) -> Option<&TimerEntry> {
-        self.heap.first()
+    fn peek(&self) -> Option<(Instant, u64)> {
+        self.order.first_key_value().map(|(&key, _)| key)
     }
 
     fn push(&mut self, at: Instant, seq: u64, timer: Timer) {
-        let pos = self.heap.len() as u32;
-        let slot = self.positions.insert(pos);
-        let fresh = self.slots.insert(timer.token.0, slot).is_none();
+        let fresh = self.keys.insert(timer.token.0, (at, seq)).is_none();
         assert!(fresh, "timer token {:?} armed twice", timer.token);
-        self.heap.push(TimerEntry {
-            at,
-            seq,
-            token: timer.token,
-            node: timer.node,
-            slot,
-        });
-        self.sift_up(pos as usize);
+        self.order.insert((at, seq), timer);
     }
 
-    fn pop(&mut self) -> Option<TimerEntry> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        Some(self.remove_at(0))
+    fn pop(&mut self) -> Option<(Instant, Timer)> {
+        let ((at, _), timer) = self.order.pop_first()?;
+        self.keys.remove(&timer.token.0);
+        Some((at, timer))
     }
 
     /// Remove the timer armed under `token`, if it is still pending.
     fn cancel(&mut self, token: TimerToken) -> bool {
-        let Some(slot) = self.slots.get(&token.0).copied() else {
+        let Some(key) = self.keys.remove(&token.0) else {
             return false;
         };
-        let pos = *self.positions.get(slot);
-        self.remove_at(pos as usize);
+        self.order.remove(&key);
         true
-    }
-
-    /// Take the entry at `pos` out of the heap, its slot and its token with
-    /// it, and restore the heap order.
-    fn remove_at(&mut self, pos: usize) -> TimerEntry {
-        let entry = self.heap.swap_remove(pos);
-        self.positions.take(entry.slot);
-        self.slots.remove(&entry.token.0);
-        if pos < self.heap.len() {
-            // The former last entry fills the hole: it may belong above or
-            // below it.
-            *self.positions.get_mut(self.heap[pos].slot) = pos as u32;
-            if self.sift_up(pos) == pos {
-                self.sift_down(pos);
-            }
-        }
-        entry
-    }
-
-    /// Move `heap[pos]` up past every later parent; returns where it ends.
-    fn sift_up(&mut self, mut pos: usize) -> usize {
-        let entry = self.heap[pos];
-        while pos > 0 {
-            let parent = (pos - 1) / 2;
-            if self.heap[parent].key() <= entry.key() {
-                break;
-            }
-            self.place(pos, self.heap[parent]);
-            pos = parent;
-        }
-        self.place(pos, entry);
-        pos
-    }
-
-    /// Move `heap[pos]` down past every earlier child.
-    fn sift_down(&mut self, mut pos: usize) {
-        let entry = self.heap[pos];
-        let len = self.heap.len();
-        loop {
-            let left = 2 * pos + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && self.heap[right].key() < self.heap[left].key() {
-                right
-            } else {
-                left
-            };
-            if entry.key() <= self.heap[child].key() {
-                break;
-            }
-            self.place(pos, self.heap[child]);
-            pos = child;
-        }
-        self.place(pos, entry);
-    }
-
-    #[inline]
-    fn place(&mut self, pos: usize, entry: TimerEntry) {
-        *self.positions.get_mut(entry.slot) = pos as u32;
-        self.heap[pos] = entry;
     }
 }
 
 /// Min-queue of scheduled events with deterministic tie-breaking.
 pub(crate) struct EventQueue {
     events: BinaryHeap<Entry<Event>>,
-    timers: TimerHeap,
+    timers: TimerQueue,
     next_seq: u64,
 }
 
@@ -363,7 +236,7 @@ impl EventQueue {
     pub fn new() -> Self {
         EventQueue {
             events: BinaryHeap::new(),
-            timers: TimerHeap::new(),
+            timers: TimerQueue::new(),
             next_seq: 0,
         }
     }
@@ -398,7 +271,7 @@ impl EventQueue {
     /// Whether the next entry in `(at, seq)` order is a timer.
     fn timer_is_next(&self) -> bool {
         match (self.events.peek(), self.timers.peek()) {
-            (Some(event), Some(timer)) => timer.key() < event.key(),
+            (Some(event), Some(timer)) => timer < event.key(),
             (None, Some(_)) => true,
             (_, None) => false,
         }
@@ -407,13 +280,11 @@ impl EventQueue {
     /// Pop the earliest event if it is due at or before `limit`.
     pub fn pop_until(&mut self, limit: Instant) -> Option<(Instant, Fired)> {
         if self.timer_is_next() {
-            if self.timers.peek()?.at > limit {
+            if self.timers.peek()?.0 > limit {
                 return None;
             }
-            let TimerEntry {
-                at, token, node, ..
-            } = self.timers.pop()?;
-            Some((at, Fired::Timer(Timer { node, token })))
+            let (at, timer) = self.timers.pop()?;
+            Some((at, Fired::Timer(timer)))
         } else {
             if self.events.peek()?.at > limit {
                 return None;
@@ -502,7 +373,7 @@ mod tests {
     #[test]
     fn heap_entries_are_keys_not_packets() {
         assert_eq!(std::mem::size_of::<Entry<Event>>(), 24);
-        assert_eq!(std::mem::size_of::<TimerEntry>(), 32);
+        assert_eq!(std::mem::size_of::<Timer>(), 16);
     }
 
     #[test]
@@ -529,7 +400,7 @@ mod tests {
     }
 
     /// Seeded random interleavings of pushes, pops and timer cancels against
-    /// one `BinaryHeap` of whole `(at, seq, event)` values: the two heaps and
+    /// one `BinaryHeap` of whole `(at, seq, event)` values: the two queues and
     /// the slabs behind them pop the same events with the same payloads in
     /// the same order — the reference's order with the cancelled timers taken
     /// out — and no slab outgrows the peak number of values parked in it.

@@ -26,18 +26,19 @@
 //! * **One sequence counter.** Every scheduled thing — arrival, service
 //!   completion, timer, control action — takes the next value of one
 //!   counter, and events fire in `(time, sequence)` order.
-//! * **Two heaps, one order.** Timers wait in their own heap so that a
-//!   client arming and cancelling a timeout per attempt does not deepen the
-//!   heap the handful of events in flight go through; the two are merged on
-//!   `(time, sequence)`, so a tie on `time` between a timer and a message is
-//!   broken by `sequence`, exactly as in a single heap. A cancelled timer
-//!   simply leaves: it takes no `sequence` and moves no other key.
+//! * **Two queues, one order.** Timers wait in an ordered map of their own
+//!   so that a client arming and cancelling a timeout per attempt does not
+//!   deepen the heap the handful of events in flight go through; the two
+//!   are merged on `(time, sequence)`, so a tie on `time` between a timer
+//!   and a message is broken by `sequence`, exactly as in a single heap. A
+//!   cancelled timer simply leaves: it takes no `sequence` and moves no
+//!   other key.
 //! * **Actions after the handler.** What a handler sends, arms and cancels
 //!   is applied when it returns, in the order it made them, so the shared
 //!   RNG serves the handler's draws first and the network model's draws for
 //!   its packets after.
 //!
-//! A heap entry is a 24-byte (timers: 32-byte) key, never a message: the
+//! A queue entry is a 24-byte (timers: 32-byte) key, never a message: the
 //! message is parked in a slab slot when it is sent and taken out when its
 //! handler runs, and only the slot's handle travels — through the pending
 //! action, the arrival event and, for a queueing node, the inbox. Whoever

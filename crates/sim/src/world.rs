@@ -3,8 +3,8 @@
 //! **One order.** Everything that happens is an entry in the world's
 //! [event queue](crate::event) and fires in `(time, sequence)` order, where
 //! `sequence` is one counter shared by arrivals, service completions, timers
-//! and control actions alike. Timers wait in a heap of their own, but both
-//! heaps are keyed by that pair and merged on it, so ties on `time` — a
+//! and control actions alike. Timers wait in a queue of their own, but both
+//! queues are keyed by that pair and merged on it, so ties on `time` — a
 //! protocol tick against a packet arrival — fire in the order they were
 //! scheduled. A handler's sends, timers and cancels are applied only after
 //! it returns, in the order it made them: its own RNG draws therefore
