@@ -188,10 +188,26 @@ const CONTROL_SETTLE: StdDuration = StdDuration::from_millis(2);
 
 /// Send a worker a verb that carries the channel it is answered on. `None`:
 /// the worker is gone.
-fn ask<T>(ctl: &Sender<Envelope>, verb: impl FnOnce(Sender<T>) -> Envelope) -> Option<Receiver<T>> {
+fn ask<T>(ctl: &impl Verbs, verb: impl FnOnce(Sender<T>) -> Envelope) -> Option<Receiver<T>> {
     let (tx, rx) = bounded(1);
-    ctl.send(verb(tx)).ok()?;
-    Some(rx)
+    ctl.post(verb(tx)).then_some(rx)
+}
+
+/// Where a loop's driver verbs go: the handle [`Substrate::attach`] returns
+/// beside the link. Posting a verb is the whole job — it is queued where the
+/// loop takes verbs, and the loop is woken to take it, whatever it sleeps
+/// on — so no caller can queue a verb and forget the wake-up.
+pub trait Verbs: Send + Sync + 'static {
+    /// Hand the loop `verb`; `false` when the loop is gone.
+    fn post(&self, verb: Envelope) -> bool;
+}
+
+/// On channels a verb travels the loop's own queue, and queuing it is the
+/// wake-up.
+impl Verbs for Sender<Envelope> {
+    fn post(&self, verb: Envelope) -> bool {
+        self.send(verb).is_ok()
+    }
 }
 
 /// One loop's connection to its deployment, whatever the substrate: the
@@ -220,13 +236,15 @@ pub trait NodeLink: Send {
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>);
 
     /// The one receive verb: sleep until `deadline` (with `None`, until
-    /// there is something to do) for the first envelope, then append every
-    /// packet already queued to `inbox`, in arrival order. A driver verb
-    /// ends the batch and is returned beside it — `Some` is never a packet.
-    /// The UDP link first hands over what its endpoint already holds — hops
-    /// it looped back to itself, the rest of a multi-frame datagram —
-    /// without a syscall, and goes to the socket (one blocking `recv`, then
-    /// one `recvmmsg` drain) only when that is empty.
+    /// there is something to do, with no timer) for the first envelope,
+    /// then append every packet already queued to `inbox`, in arrival
+    /// order. A driver verb ends the batch and is returned beside it —
+    /// `Some` is never a packet — and a verb posted while the loop sleeps
+    /// wakes it. The UDP link first looks at its side channel, then hands
+    /// over what its endpoint already holds — hops it looped back to
+    /// itself, the rest of a multi-frame datagram — without a syscall, and
+    /// goes to the socket (one blocking `recv`, then one `recvmmsg` drain)
+    /// only when both are empty; the verb's wake-up ends that `recv`.
     /// `Timeout`: nothing arrived by the deadline; `Disconnected`: the link
     /// can never deliver again (driver shut down).
     fn recv_into(
@@ -245,6 +263,8 @@ pub trait NodeLink: Send {
 pub trait Substrate: Sized + 'static {
     /// A loop's connection to the deployment.
     type Link: NodeLink + 'static;
+    /// Where that loop's driver verbs go.
+    type Ctl: Verbs;
     /// Where a link receives: what a name resolves to, and what the spine
     /// delivers a group's packets to. Equal when the same link receives
     /// there.
@@ -266,16 +286,17 @@ pub trait Substrate: Sized + 'static {
 
     /// One link for a loop that will answer to `names` — a client shell's
     /// lanes, or none yet for a worker, whose nodes come and go — with the
-    /// channel its driver verbs travel on and where it receives. The rig
-    /// binds the names; the substrate only sizes the link by them. The link
-    /// must surface a verb sent there even to a loop asleep with no
-    /// deadline. `recorder` receives the link's wire counters, where the
-    /// substrate has a wire.
+    /// handle its driver verbs are posted through and where it receives.
+    /// The rig binds the names; the substrate only sizes the link by them.
+    /// A verb posted through the handle must wake the loop even where it
+    /// sleeps with no deadline, at once — not at the next tick of a timer.
+    /// `recorder` receives the link's wire counters, where the substrate
+    /// has a wire.
     fn attach(
         &self,
         names: &[NodeId],
         recorder: Recorder,
-    ) -> (Self::Link, Sender<Envelope>, Self::Ingress);
+    ) -> (Self::Link, Self::Ctl, Self::Ingress);
 
     /// Deliver a configuration-service script over a link no fault model
     /// touches.
@@ -413,6 +434,7 @@ pub struct Channels {
 
 impl Substrate for Channels {
     type Link = ChannelLink;
+    type Ctl = Sender<Envelope>;
     type Ingress = Ingress;
     const DRIVER: &'static str = "live";
     const LEASE_ROUNDS: u32 = 1;
@@ -945,7 +967,7 @@ fn worker_main<E: Clone>(mut link: impl NodeLink, mut names: Names<E>, shards: S
 /// One worker of a cluster, as its driver holds it.
 struct Worker<S: Substrate> {
     /// Where its verbs go.
-    ctl: Sender<Envelope>,
+    ctl: S::Ctl,
     /// Where its link receives: the spine ingress of every pipeline it
     /// hosts.
     ingress: S::Ingress,
@@ -1173,7 +1195,7 @@ impl<S: Substrate> ThreadedCluster<S> {
 impl<S: Substrate> Drop for ThreadedCluster<S> {
     fn drop(&mut self) {
         for worker in &self.workers {
-            let _ = worker.ctl.send(Envelope::Stop);
+            worker.ctl.post(Envelope::Stop);
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join.join();

@@ -44,10 +44,11 @@
 //!   spine cleared the same reply resolves to no address at all.
 //! * Driver control verbs (inspect, adopt, evict, stop) ride a crossbeam
 //!   side channel per worker; only data-plane packets cross the sockets. A
-//!   thread sleeps on its socket, so [`UdpLink`] looks at the side channel
-//!   once per `CTL_POLL` (1 ms) — the one periodic wake-up left in an idle
-//!   deployment, one per worker, and why a verb here waits for a socket
-//!   slice.
+//!   thread sleeps on its socket, so a verb is a [`Doorbell`]: queued on the
+//!   side channel, then rung — an empty datagram to the worker's socket from
+//!   the deployment's one clean control endpoint, which ends the worker's
+//!   `recv` at once. An idle worker with no deadline blocks on its socket
+//!   with no timeout; nothing in a quiet deployment wakes periodically.
 //!
 //! # Fault injection at the socket boundary
 //!
@@ -74,9 +75,10 @@
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration as StdDuration, Instant as StdInstant};
+use std::time::Instant as StdInstant;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 
 use harmonia_net::{
     AddrBook, FaultConfig, FaultCounters, FaultyTransport, PoolStats, RecvError, Transport,
@@ -87,15 +89,11 @@ use harmonia_replication::messages::ProtocolMsg;
 use harmonia_types::NodeId;
 
 use crate::deployment::DeploymentSpec;
-use crate::live::{Envelope, NodeLink, Substrate, ThreadedCluster};
+use crate::live::{Envelope, NodeLink, Substrate, ThreadedCluster, Verbs};
 use crate::msg::Msg;
 
 /// A boxed datagram endpoint carrying deployment packets.
 type Net = Box<dyn Transport<ProtocolMsg>>;
-
-/// How often a worker checks its driver side channel while blocked on its
-/// socket.
-const CTL_POLL: StdDuration = StdDuration::from_millis(1);
 
 /// How many packets one batched kernel drain may pull. Matches the mmsg
 /// wrapper's chunk size so one drain is one `recvmmsg` call.
@@ -103,14 +101,18 @@ const RECV_BATCH: usize = 32;
 
 /// The UDP substrate's `NodeLink`: data-plane packets on the socket, driver
 /// control verbs on a crossbeam side channel. A thread can sleep on only one
-/// of the two, so a link with a side channel waits on the socket in
-/// `CTL_POLL` slices — here, out of the worker loop's sight, whose deadline
-/// (or lack of one) it honours across slices. Links without one (clients)
-/// block on the socket for the whole wait.
+/// of the two, so it sleeps on the socket — for the loop's whole wait, or
+/// with no timeout when the loop has no deadline — and every verb rings
+/// that socket ([`Doorbell`]). The wake-up ends the `recv`; the link looks
+/// at the side channel first on every pass, so it finds the verb there.
+///
+/// A lost doorbell is safe: loopback drops a datagram only when the
+/// receiver's buffer is full, and a link with a full buffer does not
+/// sleep — its next pass, which looks at the side channel first, is at
+/// most one batch away.
 pub struct UdpLink {
     transport: Net,
     ctl: Receiver<Envelope>,
-    has_ctl: bool,
     /// Observability shard for this endpoint's wire counters.
     recorder: Recorder,
     /// Last wire/pool stats already credited to the recorder — the
@@ -176,10 +178,8 @@ impl NodeLink for UdpLink {
         inbox: &mut Vec<Msg>,
     ) -> Result<Option<Envelope>, RecvTimeoutError> {
         loop {
-            if self.has_ctl {
-                if let Ok(verb) = self.ctl.try_recv() {
-                    return Ok(Some(verb));
-                }
+            if let Ok(verb) = self.ctl.try_recv() {
+                return Ok(Some(verb));
             }
             // What the endpoint already holds — hops that stayed on this
             // link, looped back by its last flush, or the rest of a
@@ -189,36 +189,58 @@ impl NodeLink for UdpLink {
             if self.transport.take_queued(inbox) > 0 {
                 return Ok(None);
             }
-            let left = deadline.map(|at| at.saturating_duration_since(StdInstant::now()));
-            let slice = match left {
-                Some(left) if !self.has_ctl => left,
-                Some(left) => left.min(CTL_POLL),
-                None => CTL_POLL,
-            };
             // Sleep in one `recv` for the first datagram — no wait at all if
             // one is queued — then everything queued behind it comes out
             // through one `recvmmsg`, straight into the caller's inbox.
-            match self.transport.recv_timeout(slice) {
+            let first = match deadline {
+                Some(at) => {
+                    (self.transport).recv_timeout(at.saturating_duration_since(StdInstant::now()))
+                }
+                None => self.transport.recv(),
+            };
+            match first {
                 Ok(pkt) => {
                     inbox.push(pkt);
                     self.transport.recv_batch(inbox, RECV_BATCH);
                     return Ok(None);
                 }
-                Err(RecvError::TimedOut) if slice.is_zero() => {
-                    return Err(RecvTimeoutError::Timeout)
-                }
-                Err(RecvError::TimedOut) => {}
+                // A doorbell: the verb is on the side channel.
+                Err(RecvError::Woken) => {}
+                Err(RecvError::TimedOut) => return Err(RecvTimeoutError::Timeout),
                 Err(RecvError::Closed) => return Err(RecvTimeoutError::Disconnected),
             }
         }
     }
 }
 
+/// A worker's verb handle on sockets: post the verb on the worker's side
+/// channel, then ring its socket from the deployment's control endpoint,
+/// so that a worker asleep in `recv` wakes and takes it.
+pub struct Doorbell {
+    verbs: Sender<Envelope>,
+    control: Arc<Mutex<UdpTransport<ProtocolMsg>>>,
+    /// The worker's socket.
+    at: SocketAddr,
+}
+
+impl Verbs for Doorbell {
+    fn post(&self, verb: Envelope) -> bool {
+        let queued = self.verbs.send(verb).is_ok();
+        if queued {
+            self.control.lock().wake(self.at);
+        }
+        queued
+    }
+}
+
 /// The socket substrate: one loopback `UdpSocket` per link — a worker's, a
 /// client shell's — behind the deployment's [`AddrBook`], with the spec's
-/// fault model at the socket boundary.
+/// fault model at the socket boundary, and one clean control endpoint for
+/// the configuration service's scripts and the workers' doorbells.
 pub struct Sockets {
     book: Arc<AddrBook>,
+    /// Bound once per deployment; the fault model never touches it.
+    control: Arc<Mutex<UdpTransport<ProtocolMsg>>>,
     faults: FaultConfig,
     fault_counters: Arc<FaultCounters>,
     /// Base for per-transport fault-RNG seeds (from the spec's seed).
@@ -227,15 +249,19 @@ pub struct Sockets {
     fault_streams: AtomicU64,
 }
 
+/// Bind a fresh loopback endpoint on `book`.
+fn bind(book: &Arc<AddrBook>) -> UdpTransport<ProtocolMsg> {
+    // lint:allow(panic_path): deployment bring-up — a failed loopback
+    // bind means no endpoint ever existed; no live traffic is at risk.
+    UdpTransport::bind(Arc::clone(book)).expect("bind loopback UDP socket")
+}
+
 impl Sockets {
-    /// Bind a fresh loopback endpoint; `faulty` ones face the spec's fault
-    /// model.
-    fn endpoint(&self, faulty: bool) -> (Net, SocketAddr) {
-        // lint:allow(panic_path): deployment bring-up — a failed loopback
-        // bind means no endpoint ever existed; no live traffic is at risk.
-        let t = UdpTransport::bind(Arc::clone(&self.book)).expect("bind loopback UDP socket");
+    /// Bind a fresh loopback endpoint facing the spec's fault model.
+    fn endpoint(&self) -> (Net, SocketAddr) {
+        let t = bind(&self.book);
         let addr = t.local_addr();
-        if !faulty || self.faults.is_noop() {
+        if self.faults.is_noop() {
             return (Box::new(t), addr);
         }
         let stream = self.fault_streams.fetch_add(1, Ordering::Relaxed);
@@ -249,6 +275,7 @@ impl Sockets {
 
 impl Substrate for Sockets {
     type Link = UdpLink;
+    type Ctl = Doorbell;
     type Ingress = SocketAddr;
     const DRIVER: &'static str = "udp";
     // Even a clean loopback socket can lose a datagram to a full receiver
@@ -256,8 +283,10 @@ impl Substrate for Sockets {
     const LEASE_ROUNDS: u32 = 3;
 
     fn new(spec: &DeploymentSpec) -> Self {
+        let book = Arc::new(AddrBook::new());
         Sockets {
-            book: Arc::new(AddrBook::new()),
+            control: Arc::new(Mutex::new(bind(&book))),
+            book,
             faults: FaultConfig {
                 drop_prob: spec.link.drop_prob,
                 duplicate_prob: spec.link.duplicate_prob,
@@ -273,33 +302,31 @@ impl Substrate for Sockets {
         &self.book
     }
 
-    fn attach(
-        &self,
-        names: &[NodeId],
-        recorder: Recorder,
-    ) -> (UdpLink, Sender<Envelope>, SocketAddr) {
-        let (transport, addr) = self.endpoint(true);
-        let (ctl_tx, ctl) = unbounded();
+    fn attach(&self, _names: &[NodeId], recorder: Recorder) -> (UdpLink, Doorbell, SocketAddr) {
+        let (transport, addr) = self.endpoint();
+        let (verbs, ctl) = unbounded();
         let link = UdpLink {
             transport,
             ctl,
-            // Clients are sent no verbs: without a side channel to poll,
-            // their link blocks on the socket for the whole reply deadline.
-            has_ctl: !matches!(names, [NodeId::Client(_), ..]),
             recorder,
             seen_wire: TransportStats::default(),
             seen_recv_pool: PoolStats::default(),
             seen_send_pool: PoolStats::default(),
         };
-        (link, ctl_tx, addr)
+        let doorbell = Doorbell {
+            verbs,
+            control: Arc::clone(&self.control),
+            at: addr,
+        };
+        (link, doorbell, addr)
     }
 
     /// The script crosses a real socket like everything else, but a clean
     /// one: the configuration service is not the adversary's target.
     fn deliver(&self, script: Vec<(NodeId, Msg)>) {
-        let (mut t, _) = self.endpoint(false);
+        let mut control = self.control.lock();
         for (to, msg) in script {
-            t.send(to, msg);
+            control.send(to, msg);
         }
     }
 
@@ -343,6 +370,7 @@ mod tests {
     use crate::deployment::Cluster;
     use bytes::Bytes;
     use harmonia_switch::GroupId;
+    use std::time::Duration as StdDuration;
 
     /// A hop that stays on the link is a batch of its own and costs no
     /// syscall: with a frame looped back by the link's own flush and a peer's

@@ -182,6 +182,12 @@ where
         self.inner.recv_timeout(timeout)
     }
 
+    fn recv(&mut self) -> Result<Packet<T>, RecvError> {
+        // Same liveness rule: this wait may be a long one.
+        self.flush_held();
+        self.inner.recv()
+    }
+
     fn take_queued(&mut self, out: &mut Vec<Packet<T>>) -> usize {
         // Same liveness rule, and a held packet addressed to this very
         // endpoint is among what it already holds once released.
@@ -217,6 +223,9 @@ mod tests {
         }
         fn recv_timeout(&mut self, _t: Duration) -> Result<Packet<u64>, RecvError> {
             Err(RecvError::TimedOut)
+        }
+        fn recv(&mut self) -> Result<Packet<u64>, RecvError> {
+            Err(RecvError::Closed)
         }
     }
 

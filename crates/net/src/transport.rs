@@ -14,6 +14,10 @@ pub enum RecvError {
     TimedOut,
     /// The endpoint can never deliver again (shut down).
     Closed,
+    /// Somebody woke the endpoint ([`UdpTransport::wake`](crate::UdpTransport::wake))
+    /// and nothing arrived with the wake-up: whatever else the caller
+    /// waits on may be ready.
+    Woken,
 }
 
 impl std::fmt::Display for RecvError {
@@ -21,6 +25,7 @@ impl std::fmt::Display for RecvError {
         match self {
             RecvError::TimedOut => write!(f, "no packet within the deadline"),
             RecvError::Closed => write!(f, "transport closed"),
+            RecvError::Woken => write!(f, "woken with nothing to deliver"),
         }
     }
 }
@@ -40,8 +45,13 @@ pub trait Transport<T>: Send {
     fn send(&mut self, to: NodeId, pkt: Packet<T>);
 
     /// Receive the next packet addressed to this endpoint, waiting at most
-    /// `timeout`.
+    /// `timeout`. A wake-up ends the wait early with [`RecvError::Woken`].
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet<T>, RecvError>;
+
+    /// Receive the next packet addressed to this endpoint with no deadline:
+    /// wait until one arrives, the endpoint is woken
+    /// ([`RecvError::Woken`]) or it can never deliver again.
+    fn recv(&mut self) -> Result<Packet<T>, RecvError>;
 
     /// Send every `(destination, packet)` in `batch`, draining it — the
     /// frame-level batching verb.

@@ -108,6 +108,11 @@ impl TransportStats {
 /// state transfer at a node it hosts itself is not draining its own
 /// receive buffer meanwhile. [`Transport::take_queued`] hands such frames
 /// out without a syscall.
+///
+/// An **empty** datagram is not a frame but a wake-up
+/// ([`wake`](Self::wake)): it ends a blocking receive at once with
+/// [`RecvError::Woken`], delivers nothing and counts nothing, so a thread
+/// asleep on this socket can be told to look at whatever else it waits on.
 pub struct UdpTransport<T> {
     socket: UdpSocket,
     /// The deployment's book as this sender sees it: one atomic load per
@@ -131,9 +136,10 @@ pub struct UdpTransport<T> {
     /// the caller (one datagram can out-fill a `recv_batch` budget).
     decoded: VecDeque<Packet<T>>,
     stats: TransportStats,
-    /// The read timeout the (always blocking) socket is armed with, so
-    /// steady-state receive loops — which wait with the same timeout over
-    /// and over — skip the `setsockopt`. Unset at bind time.
+    /// The read timeout the (always blocking) socket is armed with, in
+    /// `SO_RCVTIMEO`'s own encoding — zero is no timeout, as on a fresh
+    /// socket — so steady-state receive loops, which wait with the same
+    /// timeout over and over, skip the `setsockopt`. `None`: not known.
     read_timeout: Option<Duration>,
     _payload: PhantomData<fn() -> T>,
 }
@@ -163,7 +169,7 @@ impl<T> UdpTransport<T> {
             ok_scratch: Vec::new(),
             decoded: VecDeque::new(),
             stats: TransportStats::default(),
-            read_timeout: None,
+            read_timeout: Some(Duration::ZERO),
             _payload: PhantomData,
         })
     }
@@ -193,16 +199,24 @@ impl<T> UdpTransport<T> {
 
     /// Copy the first `got` datagrams of the last receive out of the
     /// scratch ring — the one copy on the receive path — and decode each
-    /// into the delivery queue.
-    fn decode_ring(&mut self, got: usize)
+    /// into the delivery queue. An empty one is a wake-up: skipped,
+    /// uncounted, and reported by the return value.
+    fn decode_ring(&mut self, got: usize) -> bool
     where
         T: Wire,
     {
-        self.recv_pool.hits += got as u64;
+        let mut woken = false;
         for i in 0..got {
-            let datagram = Bytes::copy_from_slice(self.ring.datagram(i));
+            let datagram = self.ring.datagram(i);
+            if datagram.is_empty() {
+                woken = true;
+                continue;
+            }
+            self.recv_pool.hits += 1;
+            let datagram = Bytes::copy_from_slice(datagram);
             self.decode_datagram(datagram);
         }
+        woken
     }
 
     /// Decode one whole datagram (an exactly-sized copy of what was
@@ -219,9 +233,7 @@ impl<T> UdpTransport<T> {
         T: Wire,
     {
         let mut delivered = 0u64;
-        // An empty datagram carries no frame: count it as a reject for
-        // parity with the per-frame baseline.
-        let mut bad_tail = datagram.is_empty();
+        let mut bad_tail = false;
         for item in frames::<Packet<T>>(&datagram) {
             match item {
                 Ok(pkt) => {
@@ -338,17 +350,23 @@ impl<T> UdpTransport<T> {
         }
     }
 
-    /// Arm the socket's read timeout for a blocking wait of `remaining`,
-    /// rounded up to the kernel's millisecond granularity — so a loop that
-    /// waits in equal slices (each measured a few µs short of the slice)
-    /// arms once and is recv-only from then on. Returns whether the socket
-    /// is armed.
-    fn arm_read_timeout(&mut self, remaining: Duration) -> bool {
-        let wait = Duration::from_millis(remaining.as_micros().div_ceil(1000) as u64);
+    /// Arm the socket's read timeout for a blocking wait of `remaining`
+    /// (`None`: no timeout), rounded up to whole milliseconds — so a loop
+    /// that waits in equal slices (each measured a few µs short of the
+    /// slice) arms once and is recv-only from then on. The kernel still
+    /// counts the wait in jiffies: on a `CONFIG_HZ=250` host a 1 ms timeout
+    /// measured 6.4–16.3 ms. Returns whether the socket is armed.
+    fn arm_read_timeout(&mut self, remaining: Option<Duration>) -> bool {
+        let wait = remaining.map_or(Duration::ZERO, |left| {
+            Duration::from_millis(left.as_micros().div_ceil(1000) as u64)
+        });
         if self.read_timeout == Some(wait) {
             return true;
         }
-        match self.socket.set_read_timeout(Some(wait)) {
+        match self
+            .socket
+            .set_read_timeout((!wait.is_zero()).then_some(wait))
+        {
             Ok(()) => self.read_timeout = Some(wait),
             // A failed setsockopt leaves the previous (or no) timeout armed:
             // count it and clear the cache so the next wait retries instead
@@ -361,6 +379,69 @@ impl<T> UdpTransport<T> {
             }
         }
         self.read_timeout.is_some()
+    }
+
+    /// Wake whichever endpoint receives at `at`: send it an empty datagram,
+    /// which ends its blocking receive with [`RecvError::Woken`] and carries
+    /// nothing. Loopback loses a datagram only to a full receive buffer,
+    /// and a receiver with a full buffer does not sleep. Counts nothing,
+    /// here or there.
+    pub fn wake(&self, at: SocketAddr) {
+        let _ = self.socket.send_to(&[], at);
+    }
+
+    /// The receive behind [`Transport::recv_timeout`] (`deadline` set) and
+    /// [`Transport::recv`] (none). A wait of a millisecond or more, and an
+    /// untimed one, sleeps on the socket's armed read timeout. A
+    /// sub-millisecond remainder, which that timeout would overshoot by
+    /// jiffies, is slept in [`mmsg::wait_readable`] and ends in a
+    /// nonblocking poll — so a loop that ticks faster than a jiffy (VR and
+    /// NOPaxos: 200µs) sleeps between ticks instead of spinning on polls.
+    fn receive(&mut self, deadline: Option<Instant>) -> Result<Packet<T>, RecvError>
+    where
+        T: Wire,
+    {
+        // Frames already unpacked from an earlier multi-frame datagram
+        // deliver first, without touching the socket.
+        if let Some(pkt) = self.decoded.pop_front() {
+            return Ok(pkt);
+        }
+        loop {
+            let remaining = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            // `set_read_timeout(Some(0))` is an error by contract, and the
+            // kernel counts a read timeout in jiffies (a 1 ms one measured
+            // 6.4–16.3 ms on a `CONFIG_HZ=250` host): only block on it for
+            // remainders of a millisecond or more. The threshold sits below
+            // 1ms because `remaining` is measured *after* the caller's
+            // deadline was taken — a caller asking for exactly 1ms has
+            // always lost a few µs by now, and it must keep its armed,
+            // recv-only wait.
+            let blocking = remaining.is_none_or(|left| left >= Duration::from_micros(900));
+            // The socket stays in blocking mode for good: polls go through
+            // the ring's `MSG_DONTWAIT` drain, so neither kind of receive
+            // reconfigures the socket for the other.
+            let got = if blocking && self.arm_read_timeout(remaining) {
+                self.ring.wait(&self.socket)
+            } else {
+                mmsg::wait_readable(&self.socket, remaining.unwrap_or(Duration::MAX));
+                self.ring.recv(&self.socket, 1)
+            };
+            let woken = self.decode_ring(got);
+            if let Some(pkt) = self.decoded.pop_front() {
+                return Ok(pkt);
+            }
+            if woken {
+                return Err(RecvError::Woken);
+            }
+            // Nothing deliverable: a poll that found the queue empty is
+            // done (whatever was left of the deadline was slept before it);
+            // a datagram of garbage, a timed-out wait or a transient
+            // kernel error (e.g. ECONNRESET from an ICMP port-unreachable
+            // on a dead peer) keeps listening until the deadline.
+            if got == 0 && !blocking {
+                return Err(RecvError::TimedOut);
+            }
+        }
     }
 }
 
@@ -388,53 +469,16 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
 
     /// A zero `timeout` is a nonblocking poll: it drains any queued
     /// datagram without waiting (the batched-drain path of the switch
-    /// pipelines); otherwise the call waits until the deadline. A wait of a
-    /// millisecond or more sleeps on the socket's armed read timeout; a
-    /// sub-millisecond remainder, which that timeout (~1ms granularity)
-    /// would overshoot, is slept in [`mmsg::wait_readable`] and ends in a
-    /// nonblocking poll — so a loop that ticks faster than a jiffy (VR and
-    /// NOPaxos: 200µs) sleeps between ticks instead of spinning on polls.
+    /// pipelines); otherwise the call waits until the deadline, or until
+    /// a wake-up.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet<T>, RecvError> {
-        // Frames already unpacked from an earlier multi-frame datagram
-        // deliver first, without touching the socket.
-        if let Some(pkt) = self.decoded.pop_front() {
-            return Ok(pkt);
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            // `set_read_timeout(Some(0))` is an error by contract, and any
-            // sub-ms wait rounds up to ~1ms in the kernel: only block on the
-            // read timeout for remainders it can actually honor. The
-            // threshold sits below 1ms because `remaining` is measured
-            // *after* the caller's deadline was taken — a caller asking for
-            // exactly 1ms (the node loops' ctl-poll slice) has always lost a
-            // few µs by now, and it must keep its armed, recv-only wait: an
-            // idle loop that took the two-syscall path below every
-            // millisecond costs measurably more.
-            let blocking = remaining >= Duration::from_micros(900);
-            // The socket stays in blocking mode for good: polls go through
-            // the ring's `MSG_DONTWAIT` drain, so neither kind of receive
-            // reconfigures the socket for the other.
-            let got = if blocking && self.arm_read_timeout(remaining) {
-                self.ring.wait(&self.socket)
-            } else {
-                mmsg::wait_readable(&self.socket, remaining);
-                self.ring.recv(&self.socket, 1)
-            };
-            self.decode_ring(got);
-            if let Some(pkt) = self.decoded.pop_front() {
-                return Ok(pkt);
-            }
-            // Nothing deliverable: a poll that found the queue empty is
-            // done (whatever was left of the deadline was slept before it);
-            // a datagram of garbage, a timed-out wait or a transient
-            // kernel error (e.g. ECONNRESET from an ICMP port-unreachable
-            // on a dead peer) keeps listening until the deadline.
-            if got == 0 && !blocking {
-                return Err(RecvError::TimedOut);
-            }
-        }
+        self.receive(Some(Instant::now() + timeout))
+    }
+
+    /// Blocks on the socket with no read timeout until a datagram arrives:
+    /// a frame, or a wake-up.
+    fn recv(&mut self) -> Result<Packet<T>, RecvError> {
+        self.receive(None)
     }
 
     /// Batched flush: resolve every packet and encode it zero-copy into
@@ -573,6 +617,47 @@ mod tests {
         assert_eq!(s.received, 2);
     }
 
+    /// An empty datagram is a wake-up: it ends a 5 s receive, and an untimed
+    /// one, within milliseconds of being sent, delivers nothing and counts
+    /// nothing — no decode error, no receive-buffer hit — and the endpoint
+    /// receives as before afterwards.
+    #[test]
+    fn an_empty_datagram_wakes_a_blocking_receive_and_counts_nothing() {
+        let (_book, a, mut b) = pair();
+        let at = b.local_addr();
+        let (rang_tx, rang) = std::sync::mpsc::channel();
+        let waker = std::thread::spawn(move || {
+            for _ in 0..2 {
+                std::thread::sleep(Duration::from_millis(50));
+                rang_tx.send(Instant::now()).unwrap();
+                a.wake(at);
+            }
+            a
+        });
+        let woken = |wait: &str, got: Result<Pkt, RecvError>| {
+            let woke = Instant::now();
+            assert_eq!(got, Err(RecvError::Woken), "{wait}");
+            let late = woke.duration_since(rang.recv().unwrap());
+            assert!(
+                late < Duration::from_millis(250),
+                "{wait}: woken {late:?} late"
+            );
+        };
+        woken("5 s", b.recv_timeout(Duration::from_secs(5)));
+        woken("untimed", b.recv());
+        let mut a = waker.join().unwrap();
+        let pkt: Pkt = Packet::new(
+            NodeId::Client(ClientId(1)),
+            NodeId::Replica(ReplicaId(0)),
+            harmonia_types::PacketBody::Protocol(5),
+        );
+        a.send(NodeId::Replica(ReplicaId(0)), pkt.clone());
+        assert_eq!(b.recv(), Ok(pkt));
+        let s = b.stats();
+        assert_eq!((s.received, s.decode_errors, s.salvaged), (1, 0, 0));
+        assert_eq!(b.pool_stats(), PoolStats { hits: 1, misses: 1 });
+    }
+
     #[test]
     fn accounting_balances_across_all_send_outcomes() {
         let (book, mut a, _b) = pair();
@@ -628,9 +713,10 @@ mod tests {
     #[test]
     fn sub_millisecond_timeout_does_not_overshoot() {
         let (_book, _a, mut b) = pair();
-        // The socket's receive timeout has ~1ms granularity, so a 100µs
-        // deadline must not wait on it. The *minimum* observed latency is
-        // the discriminator: a clamp-to-1ms path never returns under ~1ms;
+        // The socket's receive timeout counts whole jiffies (a 1ms one
+        // measured 6.4–16.3ms at `CONFIG_HZ=250`), so a 100µs deadline must
+        // not wait on it. The *minimum* observed latency is the
+        // discriminator: the armed-timeout path never returns under 1ms;
         // the `ppoll` sleep is 100µs plus timer slack. (Max is scheduler
         // noise either way.)
         let mut min = Duration::MAX;

@@ -188,6 +188,9 @@ proptest! {
             fn recv_timeout(&mut self, _t: Duration) -> Result<Pkt, harmonia::net::RecvError> {
                 Err(harmonia::net::RecvError::TimedOut)
             }
+            fn recv(&mut self) -> Result<Pkt, harmonia::net::RecvError> {
+                Err(harmonia::net::RecvError::Closed)
+            }
         }
 
         let cfg = FaultConfig { drop_prob: drop_p, duplicate_prob: dup_p, reorder_prob: reorder_p };

@@ -377,6 +377,41 @@ fn udp_dropped_clients_leave_the_address_book() {
     cluster.shutdown();
 }
 
+/// A driver verb wakes the worker it is for: an idle deployment answers
+/// `obs_snapshot()` — an `Inspect` to the worker hosting the pipeline —
+/// and is dropped — a `Stop` to every worker — without waiting for any
+/// timer. (When workers looked at their side channel only as a 1 ms socket
+/// timeout ran out, which the kernel counts in jiffies, 20 snapshots took
+/// ≈ 160 ms.)
+#[test]
+fn udp_verbs_wake_an_idle_worker_at_once() {
+    let cluster = DeploymentSpec::new().seed(29).spawn_udp();
+    let mut client = cluster.client();
+    client.set("k", "v").unwrap();
+    assert_eq!(client.get("k").unwrap(), Some(Bytes::from_static(b"v")));
+    drop(client);
+    std::thread::sleep(StdDuration::from_millis(50));
+
+    let started = StdInstant::now();
+    for _ in 0..20 {
+        let snap = cluster.obs_snapshot();
+        assert_eq!(snap.switch.completions, 1, "{snap:?}");
+    }
+    let snapshots = started.elapsed();
+    assert!(
+        snapshots < StdDuration::from_millis(40),
+        "20 snapshots of an idle spawn_udp() took {snapshots:?}"
+    );
+
+    let started = StdInstant::now();
+    drop(cluster);
+    let dropped = started.elapsed();
+    assert!(
+        dropped < StdDuration::from_millis(20),
+        "dropping an idle spawn_udp() took {dropped:?}"
+    );
+}
+
 /// One recorded closed-loop plan execution (keys/values move by refcount
 /// from the plan into the records). A 2 ms pace keeps per-key histories
 /// inside the checker's budget and stretches the plan across the storm.
