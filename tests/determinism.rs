@@ -7,10 +7,15 @@
 //! adversarial network, where the RNG is exercised hardest (jitter draws,
 //! drop/duplicate/reorder coin flips, random fast-path replica choice).
 //!
-//! The `DeploymentSpec` redesign adds a second contract: `groups(1)` must
-//! be *bit-identical* to the pre-redesign unsharded `build_world` assembly,
-//! so migrating a seed-pinned experiment to the new API can never change
-//! its results. Locked by the two `groups1_*` tests below.
+//! Replaying a run against itself cannot see a change that moves both runs
+//! alike, so the second half of this file pins runs across commits: each
+//! golden run's rendered text — every client history, then the counters or
+//! the rendered obs snapshot — is committed under `tests/golden/`. A run
+//! that no longer renders its file fails with the first operation (or
+//! snapshot line) where the two part. A change that means to move a run
+//! rewrites the files with
+//! `cargo test --test determinism -- --ignored regenerate_golden_texts`,
+//! and the diff of the files is the review of what moved.
 
 mod common;
 
@@ -196,11 +201,9 @@ fn pre_redesign_world(spec: &DeploymentSpec) -> World<Msg> {
     world
 }
 
-/// Drive the same adversarial closed-loop workload over an arbitrary
-/// pre-built world and return (histories, counters).
-type RunFingerprint = (Vec<Vec<RecordedOp>>, Vec<(String, u64)>);
-
-fn fingerprint(mut world: World<Msg>, seed: u64) -> RunFingerprint {
+/// Drive the adversarial closed-loop workload over a pre-built world and
+/// render what it left: every client history, then the world's counters.
+fn fingerprint(mut world: World<Msg>, seed: u64) -> String {
     let plans = common::make_plans(4, 50, 6, 0.3, seed);
     for (c, plan) in plans.into_iter().enumerate() {
         let id = ClientId(10 + c as u32);
@@ -224,7 +227,7 @@ fn fingerprint(mut world: World<Msg>, seed: u64) -> RunFingerprint {
     }
     let drain = world.now() + Duration::from_millis(20);
     world.run_until(drain);
-    let histories = (0..4u32)
+    let histories: Vec<Vec<RecordedOp>> = (0..4u32)
         .map(|c| {
             world
                 .actor::<ClosedLoopClient>(NodeId::Client(ClientId(10 + c)))
@@ -233,13 +236,11 @@ fn fingerprint(mut world: World<Msg>, seed: u64) -> RunFingerprint {
                 .clone()
         })
         .collect();
-    let counters = world
-        .metrics()
-        .counters_sorted()
-        .into_iter()
-        .map(|(n, v)| (n.to_string(), v))
-        .collect();
-    (histories, counters)
+    assert!(
+        histories.iter().map(Vec::len).sum::<usize>() > 0,
+        "the run actually ran a workload"
+    );
+    format!("{histories:?}\n{:?}\n", world.metrics().counters_sorted())
 }
 
 fn adversarial_spec(seed: u64) -> DeploymentSpec {
@@ -255,82 +256,57 @@ fn adversarial_spec(seed: u64) -> DeploymentSpec {
         .seed(seed)
 }
 
-/// The redesign's equivalence contract: `groups(1)` through the unified
-/// (internally sharded) assembly produces bit-identical histories and
-/// metrics to the pre-redesign unsharded `build_world` assembly, same seed,
-/// under an adversarial network that exercises the RNG hard.
+/// `groups(1)` through the unified (internally sharded) assembly replays the
+/// pre-redesign unsharded `build_world` assembly bit for bit — histories and
+/// metrics — under an adversarial network that exercises the RNG hard. The
+/// golden text was captured where the two assemblies rendered it alike.
 #[test]
 fn groups1_matches_pre_redesign_unsharded_build() {
-    let spec = adversarial_spec(42);
-    let old = fingerprint(pre_redesign_world(&spec), 42);
-    let new = fingerprint(spec.build_sim().into_world(), 42);
-    assert_eq!(
-        old.0, new.0,
-        "groups(1) must replay the old unsharded histories bit-for-bit"
-    );
-    assert_eq!(old.1, new.1, "and the metrics must match exactly");
-    assert!(
-        old.0.iter().map(Vec::len).sum::<usize>() > 0,
-        "the comparison actually ran a workload"
-    );
+    assert_golden("groups1_seed42", &groups1_text(42));
 }
 
-/// A second seed through the pre-redesign reference, so the equivalence is
-/// not a single-trajectory fluke (the deprecated `build_world` shim this
-/// used to exercise was removed in 0.x; the hand-assembled reference above
-/// is the contract that outlives it).
+/// A second seed, so the equivalence is not a single-trajectory fluke.
 #[test]
 fn groups1_matches_pre_redesign_unsharded_build_second_seed() {
-    let spec = adversarial_spec(43);
-    let old = fingerprint(pre_redesign_world(&spec), 43);
-    let new = fingerprint(spec.build_sim().into_world(), 43);
-    assert_eq!(old.0, new.0);
-    assert_eq!(old.1, new.1);
+    assert_golden("groups1_seed43", &groups1_text(43));
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+fn groups1_text(seed: u64) -> String {
+    fingerprint(adversarial_spec(seed).build_sim().into_world(), seed)
 }
 
-/// Run `plans` on `sim` and digest everything a refactor could perturb: the
+/// The golden texts still equal what the pre-redesign assembly renders.
+#[test]
+fn the_pre_redesign_assembly_renders_the_groups1_goldens() {
+    for seed in [42, 43] {
+        let old = fingerprint(pre_redesign_world(&adversarial_spec(seed)), seed);
+        assert_golden(&format!("groups1_seed{seed}"), &old);
+    }
+}
+
+/// Run `plans` on `sim` and render everything a refactor could perturb: the
 /// `Debug` of every client history (values, virtual invoke/complete instants,
 /// outcomes) followed by the rendered obs snapshot (every counter, latency
 /// summary and switch section).
-fn run_digest(sim: &mut SimCluster, plans: Vec<Vec<common::Op>>) -> u64 {
+fn run_text(sim: &mut SimCluster, plans: Vec<Vec<common::Op>>) -> String {
     let histories = sim.run_plans(plans);
-    let text = format!(
+    format!(
         "{histories:?}{}",
         harmonia::obs::json_text(&sim.obs_snapshot())
-    );
-    fnv1a(text.as_bytes())
+    )
 }
 
-/// Digest of the adversarial seed-42 `run_plans` scenario, captured at the
-/// commit before the client / replica-step / control-script cores were
-/// shared between drivers.
-const GOLDEN_ADVERSARIAL: u64 = 17_342_668_837_539_862_903;
+/// The adversarial seed-42 `run_plans` scenario on `protocol`.
+fn adversarial_text(protocol: ProtocolKind, harmonia: bool) -> String {
+    let mut sim = adversarial_spec(42)
+        .protocol(protocol)
+        .harmonia(harmonia)
+        .build_sim();
+    run_text(&mut sim, common::make_plans(4, 50, 6, 0.3, 42))
+}
 
-/// Digest of the seed-42 removal + `schedule_replica_recovery` scenario,
-/// captured at the same commit.
-const GOLDEN_RECOVERY: u64 = 11_015_996_726_012_751_126;
-
-/// The cross-commit gate: `closed_loop_replay_is_identical` compares a run
-/// with itself, so a change that reorders a send and a timer passes it. These
-/// constants were captured before such a change; a mismatch means same-seed
-/// sim behaviour moved, and the constants may only be re-captured by a change
-/// that means to move it.
-#[test]
-fn same_seed_runs_match_the_digests_captured_before_the_driver_refactor() {
-    let mut sim = adversarial_spec(42).build_sim();
-    assert_eq!(
-        run_digest(&mut sim, common::make_plans(4, 50, 6, 0.3, 42)),
-        GOLDEN_ADVERSARIAL,
-        "adversarial seed-42 run diverged from the captured digest"
-    );
-
+/// Seed 42 with replica 2 removed at 300 µs and recovered at 900 µs.
+fn recovery_text() -> String {
     let spec = DeploymentSpec::new().seed(42);
     let mut sim = spec.build_sim();
     let t = |us| Instant::ZERO + Duration::from_micros(us);
@@ -348,7 +324,7 @@ fn same_seed_runs_match_the_digests_captured_before_the_driver_refactor() {
         spec.switch_addr(),
         ReplicaId(2),
     );
-    let digest = run_digest(&mut sim, common::make_plans(4, 100, 6, 0.3, 42));
+    let text = run_text(&mut sim, common::make_plans(4, 100, 6, 0.3, 42));
     let recovered: &harmonia::core::ReplicaActor = sim
         .world()
         .actor(NodeId::Replica(ReplicaId(2)))
@@ -357,50 +333,14 @@ fn same_seed_runs_match_the_digests_captured_before_the_driver_refactor() {
         !recovered.is_recovering() && recovered.replica().applied_seq() > SwitchSeq::ZERO,
         "the scenario must actually complete a state transfer"
     );
-    assert_eq!(
-        digest, GOLDEN_RECOVERY,
-        "removal + recovery seed-42 run diverged from the captured digest"
-    );
+    text
 }
 
-/// Digests of the adversarial seed-42 `run_plans` scenario on each protocol,
-/// captured at the commit before the simulator's event engine was rebuilt
-/// (payload slab, separate timer heap). VR's and NOPaxos's tick timers tie
-/// with message arrivals on `at`, which is the case the merge of the two heaps
-/// by `(at, seq)` has to get right; the Harmonia(chain) row is
-/// [`GOLDEN_ADVERSARIAL`] again, under the name of its protocol.
-const GOLDEN_PER_PROTOCOL: [(ProtocolKind, bool, u64); 5] = [
-    (ProtocolKind::PrimaryBackup, true, 5_575_998_322_645_073_156),
-    (ProtocolKind::Chain, true, GOLDEN_ADVERSARIAL),
-    (ProtocolKind::Craq, false, 12_287_108_459_827_111_093),
-    (ProtocolKind::Vr, true, 258_254_913_319_864_946),
-    (ProtocolKind::Nopaxos, true, 8_119_031_098_525_302_462),
-];
-
-#[test]
-fn every_protocol_matches_the_digest_captured_before_the_engine_rebuild() {
-    for (protocol, harmonia, golden) in GOLDEN_PER_PROTOCOL {
-        let mut sim = adversarial_spec(42)
-            .protocol(protocol)
-            .harmonia(harmonia)
-            .build_sim();
-        assert_eq!(
-            run_digest(&mut sim, common::make_plans(4, 50, 6, 0.3, 42)),
-            golden,
-            "{protocol:?} (harmonia={harmonia}) adversarial seed-42 run diverged"
-        );
-    }
-}
-
-/// Digest of a 20 ms open-loop run over `adversarial_spec(7)`, captured at
-/// the same commit. The generator's `source(rng)` draws interleave with the
-/// network model's jitter / drop / duplicate draws on the one world RNG: an
-/// engine that applied a handler's sends before the handler returned would
-/// reorder them and land here.
-const GOLDEN_OPEN_LOOP: u64 = 817_709_547_351_971_987;
-
-#[test]
-fn open_loop_run_matches_the_digest_captured_before_the_engine_rebuild() {
+/// A 20 ms open-loop run over `adversarial_spec(7)`. The generator's
+/// `source(rng)` draws interleave with the network model's jitter / drop /
+/// duplicate draws on the one world RNG: an engine that applied a handler's
+/// sends before the handler returned would reorder them and land here.
+fn open_loop_text() -> String {
     let mut sim = adversarial_spec(7).build_sim();
     let source: SourceFn = Box::new(|rng| {
         let key = Bytes::from(format!("key-{}", rng.gen_range(0..64u32)));
@@ -418,15 +358,148 @@ fn open_loop_run_matches_the_digest_captured_before_the_engine_rebuild() {
         .histogram("client.read.latency")
         .expect("reads recorded latency");
     assert!(reads.count() > 0 && metrics.counter("net.dropped") > 0);
-    let text = format!(
+    format!(
         "{:?}{:?}{}",
         metrics.counters_sorted(),
         reads,
         harmonia::obs::json_text(&sim.obs_snapshot())
+    )
+}
+
+/// Every protocol's adversarial run, by the name of its golden file. The
+/// Harmonia(chain) run is `adversarial`, the default deployment's.
+const PROTOCOL_GOLDENS: [(&str, ProtocolKind, bool); 5] = [
+    ("protocol_pb", ProtocolKind::PrimaryBackup, true),
+    ("adversarial", ProtocolKind::Chain, true),
+    ("protocol_craq", ProtocolKind::Craq, false),
+    ("protocol_vr", ProtocolKind::Vr, true),
+    ("protocol_nopaxos", ProtocolKind::Nopaxos, true),
+];
+
+/// Every golden run, by the name of its file under `tests/golden/`.
+fn golden_runs() -> Vec<(String, String)> {
+    let mut runs: Vec<(String, String)> = PROTOCOL_GOLDENS
+        .iter()
+        .map(|&(name, protocol, harmonia)| (name.into(), adversarial_text(protocol, harmonia)))
+        .collect();
+    runs.push(("recovery".into(), recovery_text()));
+    runs.push(("open_loop".into(), open_loop_text()));
+    for seed in [42, 43] {
+        runs.push((format!("groups1_seed{seed}"), groups1_text(seed)));
+    }
+    runs
+}
+
+fn golden_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"))
+}
+
+/// Rewrite every file under `tests/golden/` from the runs as they are now.
+/// Only a change that means to move same-seed behaviour runs this, and its
+/// diff of the files names what moved.
+#[test]
+#[ignore = "rewrites tests/golden/; run by hand"]
+fn regenerate_golden_texts() {
+    for (name, text) in golden_runs() {
+        std::fs::write(golden_path(&name), text).expect("write golden text");
+    }
+}
+
+/// A text cut where a reader looks for a change: at every line break and in
+/// front of every recorded operation, each piece labelled by where it sits.
+fn pieces(text: &str) -> Vec<(String, &str)> {
+    const OP: &str = "RecordedOp {";
+    let mut out = Vec::new();
+    let (mut client, mut op) = (0, 0);
+    for (n, line) in text.split('\n').enumerate() {
+        let mut cuts: Vec<usize> = line.match_indices(OP).map(|(at, _)| at).collect();
+        let head = cuts.first().copied().unwrap_or(line.len());
+        if head > 0 || cuts.is_empty() {
+            out.push((format!("line {}", n + 1), &line[..head]));
+        }
+        cuts.push(line.len());
+        for cut in cuts.windows(2) {
+            let piece = &line[cut[0]..cut[1]];
+            out.push((format!("client {client}, operation {op}"), piece));
+            op += 1;
+            // The last operation of a client's history closes its list.
+            if piece.contains("}]") {
+                (client, op) = (client + 1, 0);
+            }
+        }
+    }
+    out
+}
+
+/// `text` must be the golden run `name` to the byte; if it is not, the
+/// failure names the first operation or snapshot line where the two part.
+fn assert_golden(name: &str, text: &str) {
+    let path = golden_path(name);
+    let golden = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    if golden == text {
+        return;
+    }
+    let (was, now) = (pieces(&golden), pieces(text));
+    let at = (was.iter().zip(&now))
+        .position(|(a, b)| a != b)
+        .unwrap_or(was.len().min(now.len()));
+    let show = |p: Option<&(String, &str)>| p.map_or("(nothing)".to_string(), |(_, s)| s.to_string());
+    let label = was.get(at).or(now.get(at)).map_or("", |(l, _)| l.as_str());
+    panic!(
+        "golden run `{name}` moved; first difference at {label}:\n  golden: {}\n  now:    {}\n\
+         (if the move is meant: cargo test --test determinism -- --ignored regenerate_golden_texts)",
+        show(was.get(at)),
+        show(now.get(at)),
     );
-    assert_eq!(
-        fnv1a(text.as_bytes()),
-        GOLDEN_OPEN_LOOP,
-        "open-loop adversarial seed-7 run diverged from the captured digest"
-    );
+}
+
+/// The cross-commit gate: `closed_loop_replay_is_identical` compares a run
+/// with itself, so a change that reorders a send and a timer passes it. The
+/// golden runs were captured before such a change; a moved text means
+/// same-seed sim behaviour moved.
+#[test]
+fn same_seed_runs_match_the_digests_captured_before_the_driver_refactor() {
+    assert_golden("adversarial", &adversarial_text(ProtocolKind::Chain, true));
+    assert_golden("recovery", &recovery_text());
+}
+
+#[test]
+fn every_protocol_matches_the_digest_captured_before_the_engine_rebuild() {
+    for (name, protocol, harmonia) in PROTOCOL_GOLDENS {
+        assert_golden(name, &adversarial_text(protocol, harmonia));
+    }
+}
+
+#[test]
+fn open_loop_run_matches_the_digest_captured_before_the_engine_rebuild() {
+    assert_golden("open_loop", &open_loop_text());
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The golden texts are the texts the opaque digests of this file hashed
+/// before they were committed: each file's FNV-1a is the constant it
+/// replaces, so committing them moved nothing.
+#[test]
+fn golden_texts_hash_to_the_digests_they_replace() {
+    for (name, digest) in [
+        ("adversarial", 17_342_668_837_539_862_903u64),
+        ("recovery", 11_015_996_726_012_751_126),
+        ("protocol_pb", 5_575_998_322_645_073_156),
+        ("protocol_craq", 12_287_108_459_827_111_093),
+        ("protocol_vr", 258_254_913_319_864_946),
+        ("protocol_nopaxos", 8_119_031_098_525_302_462),
+        ("open_loop", 817_709_547_351_971_987),
+    ] {
+        let text = std::fs::read(golden_path(name)).expect("golden text");
+        assert_eq!(fnv1a(&text), digest, "{name}");
+    }
 }
