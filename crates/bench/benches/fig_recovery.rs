@@ -26,7 +26,7 @@ use bytes::Bytes;
 use harmonia_bench::{print_table, Snapshot};
 use harmonia_core::client::{ClosedLoopClient, OpSpec, SourceFn};
 use harmonia_core::deployment::{Cluster, DeploymentSpec};
-use harmonia_core::ReplicaActor;
+use harmonia_core::SimWorker;
 use harmonia_types::{ClientId, Duration, NodeId, ReplicaId};
 use rand::Rng;
 
@@ -116,9 +116,9 @@ fn measure(store_keys: usize) -> Row {
     loop {
         let recovering = sim
             .world()
-            .actor::<ReplicaActor>(NodeId::Replica(TAIL))
+            .actor::<SimWorker>(NodeId::Replica(TAIL))
             .is_none_or(|a| a.is_recovering());
-        let gated = sim.switch_actor().is_none_or(|sw| sw.core().is_gated(TAIL));
+        let gated = sim.switch_core().is_none_or(|sw| sw.is_gated(TAIL));
         if !recovering && !gated {
             mttr_us = (sim.now().nanos() - t0.nanos()) as f64 / 1e3;
             gate_lifted = true;

@@ -25,7 +25,7 @@ pub use snapshot::Snapshot;
 use bytes::Bytes;
 use harmonia_core::client::{metrics, ClosedLoopClient, OpSpec, SourceFn};
 use harmonia_core::deployment::{DeploymentSpec, SimCluster};
-use harmonia_switch::SwitchStats;
+use harmonia_switch::{GroupId, SwitchStats};
 use harmonia_types::{ClientId, Duration, Instant, NodeId};
 use harmonia_workload::KeySpace;
 use rand::rngs::SmallRng;
@@ -200,9 +200,9 @@ fn measure_open_loop(mut sim: SimCluster, warmup: Duration, measure: Duration) -
         writes_rejected: m.counter(metrics::WRITE_REJECTED),
         ..RunResult::default()
     };
-    if let Some(sw) = sim.switch_actor().map(|sw| sw.core()) {
+    if let Some(sw) = sim.switch_core() {
         result.switch = sw.stats();
-        result.dirty_len = sw.detector().dirty_len();
+        result.dirty_len = sw.group(GroupId(0)).map_or(0, |g| g.detector().dirty_len());
         result.switch_memory_bytes = sw.memory_bytes();
         result.groups = sw.group_count();
     }

@@ -28,7 +28,7 @@
 //!   which.
 
 use bytes::Bytes;
-use harmonia_obs::{FaultObs, GroupObs, ObsSnapshot, Registry, SwitchObs, TraceEvent};
+use harmonia_obs::{FaultObs, GroupObs, ObsSnapshot, Recorder, Registry, SwitchObs, TraceEvent};
 use harmonia_replication::{build_replica, GroupConfig, ProtocolKind};
 use harmonia_sim::{Actor, Context, LinkConfig, NetworkModel, World, WorldConfig};
 use harmonia_switch::{GroupId, SpineView, SwitchStats, TableConfig};
@@ -44,9 +44,10 @@ use crate::client_core::{ClientCore, Step};
 use crate::failover;
 use crate::live::{LiveCluster, LiveError, CLIENT_ATTEMPTS};
 use crate::msg::{CostModel, Msg};
-use crate::replica_actor::ReplicaActor;
-use crate::switch_actor::{SwitchActor, SwitchActorConfig, SwitchMode};
+use crate::replica_step::ReplicaNode;
+use crate::switch_actor::SwitchCore;
 use crate::udp::UdpCluster;
+use crate::worker::{Hosted, SimWorker};
 
 /// Full description of a Harmonia deployment, for any driver.
 ///
@@ -94,7 +95,8 @@ pub struct DeploymentSpec {
     pub link: LinkConfig,
     /// VR commit / NOPaxos sync cadence.
     pub sync_interval: Duration,
-    /// Switch stale-entry sweep cadence (`None` disables the sweep).
+    /// How long the switch pipelines must sit idle before stale dirty
+    /// entries are swept (`None`: never), on every driver.
     pub sweep_interval: Option<Duration>,
 }
 
@@ -283,31 +285,32 @@ impl DeploymentSpec {
         }
     }
 
-    /// The switch-actor configuration for incarnation `incarnation`.
-    pub fn switch_actor_config(&self, incarnation: SwitchId) -> SwitchActorConfig {
-        SwitchActorConfig {
-            incarnation,
-            mode: if self.harmonia {
-                SwitchMode::Harmonia
-            } else {
-                SwitchMode::Baseline
-            },
-            protocol: self.protocol,
-            replicas: self.replicas,
-            table: self.table,
-            sweep_interval: self.sweep_interval,
-        }
+    /// The simulated switch of incarnation `incarnation` (initial bring-up
+    /// and §5.3 replacements): one host running every group's pipeline, at
+    /// line rate.
+    pub(crate) fn sim_switch(&self, incarnation: SwitchId, recorder: &Recorder) -> SimWorker {
+        let mut core = SwitchCore::for_deployment(self, incarnation);
+        core.set_recorder(recorder);
+        SimWorker::new(vec![Hosted::pipelines(core)], None)
     }
 
-    /// Build a fresh switch actor for the given incarnation (initial
-    /// bring-up and §5.3 replacements). Hosts every group of the spec.
-    pub fn make_switch(&self, incarnation: SwitchId) -> SwitchActor {
-        SwitchActor::for_deployment(self, incarnation)
+    /// A simulated storage server, queued behind this spec's costs; with
+    /// `recover_from`, a fresh one that catches up from that peer first.
+    pub(crate) fn sim_replica(
+        &self,
+        config: GroupConfig,
+        recover_from: Option<ReplicaId>,
+        recorder: Recorder,
+    ) -> SimWorker {
+        let me = config.me;
+        let node = ReplicaNode::new(build_replica(config), recover_from, recorder);
+        SimWorker::new(vec![Hosted::replica(me, node)], Some(self.costs))
     }
 
     // ----- the three drivers ----------------------------------------------
 
-    /// Assemble this deployment in the deterministic simulator.
+    /// Assemble this deployment in the deterministic simulator: a host per
+    /// node — the switch, running every group's pipeline, and each replica.
     pub fn build_sim(&self) -> SimCluster {
         let mut world = World::new(WorldConfig {
             seed: self.seed,
@@ -317,18 +320,12 @@ impl DeploymentSpec {
         // call passes the world's `now` explicitly, so same-seed runs yield
         // bit-identical snapshots.
         let registry = Registry::new();
-        let mut switch = self.make_switch(self.initial_switch());
-        switch.set_recorder(&registry.handle());
+        let switch = self.sim_switch(self.initial_switch(), &registry.handle());
         world.add_node(self.switch_addr(), Box::new(switch));
         for g in 0..self.groups {
             for i in 0..self.replicas {
-                world.add_node(
-                    NodeId::Replica(self.replica_id(g, i)),
-                    Box::new(
-                        ReplicaActor::new(build_replica(self.group_config(g, i)), self.costs)
-                            .with_recorder(registry.handle()),
-                    ),
-                );
+                let replica = self.sim_replica(self.group_config(g, i), None, registry.handle());
+                world.add_node(NodeId::Replica(self.replica_id(g, i)), Box::new(replica));
             }
         }
         SimCluster {
@@ -495,8 +492,8 @@ pub struct SimCluster {
     /// Workload generators attached so far (retargeted on replacement).
     workload_clients: Vec<NodeId>,
     next_client: u32,
-    /// Observability: every actor's recorder shards into this registry.
-    registry: Registry,
+    /// Observability: every host's recorder shards into this registry.
+    pub(crate) registry: Registry,
 }
 
 impl SimCluster {
@@ -525,12 +522,12 @@ impl SimCluster {
         self.world.now()
     }
 
-    /// The switch actor, if it is up.
-    pub fn switch_actor(&self) -> Option<&SwitchActor> {
+    /// The pipelines of the switch clients address, if it is up.
+    pub fn switch_core(&self) -> Option<&SwitchCore> {
         if self.world.is_down(self.switch) {
             return None;
         }
-        self.world.actor(self.switch)
+        self.world.actor::<SimWorker>(self.switch)?.switch()
     }
 
     /// Attach an open-loop load generator (the paper's DPDK-generator
@@ -668,12 +665,11 @@ impl Cluster for SimCluster {
 
     fn replace_switch(&mut self, new_id: SwitchId) {
         self.world.set_down(self.switch);
-        let mut replacement = self.spec.make_switch(new_id);
-        replacement.set_recorder(&self.registry.handle());
         self.switch = failover::activate_switch(
             &mut self.world,
             &self.spec,
-            replacement,
+            new_id,
+            &self.registry.handle(),
             &self.workload_clients,
         );
     }
@@ -686,8 +682,9 @@ impl Cluster for SimCluster {
     }
 
     fn restart_replica(&mut self, r: ReplicaId) {
-        let newcomer = failover::readmit_replica(&mut self.world, &self.spec, self.switch, r)
-            .with_recorder(self.registry.handle());
+        let recorder = self.registry.handle();
+        let newcomer =
+            failover::readmit_replica(&mut self.world, &self.spec, self.switch, r, recorder);
         // Let the gate land before the newcomer's transfer can complete.
         let settle = self.world.now() + Duration::from_micros(100);
         self.world.run_until(settle);
@@ -696,12 +693,11 @@ impl Cluster for SimCluster {
     }
 
     fn switch_stats(&self) -> Option<SwitchStats> {
-        self.switch_actor().map(|sw| sw.core().stats())
+        self.switch_core().map(SwitchCore::stats)
     }
 
     fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.switch_actor()
-            .and_then(|sw| sw.core().group_stats(group))
+        self.switch_core()?.group(group).map(|g| g.stats())
     }
 
     fn fast_path_enabled(&self) -> Option<bool> {
@@ -709,17 +705,16 @@ impl Cluster for SimCluster {
     }
 
     fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
-        self.switch_actor()
-            .and_then(|sw| sw.core().group_detector(group))
-            .map(|d| d.fast_path_enabled())
+        let core = self.switch_core()?.group(group)?;
+        Some(core.detector().fast_path_enabled())
     }
 
     fn switch_memory_bytes(&self) -> Option<usize> {
-        self.switch_actor().map(|sw| sw.core().memory_bytes())
+        self.switch_core().map(SwitchCore::memory_bytes)
     }
 
     fn switch_incarnation(&self) -> Option<SwitchId> {
-        self.switch_actor().map(|sw| sw.core().incarnation())
+        self.switch_core().map(SwitchCore::incarnation)
     }
 
     fn obs_snapshot(&self) -> ObsSnapshot {
@@ -733,8 +728,8 @@ impl Cluster for SimCluster {
             ..ObsSnapshot::default()
         };
         snap.apply_recorder(&rs);
-        if let Some(sw) = self.switch_actor() {
-            let view = sw.core().view();
+        if let Some(sw) = self.switch_core() {
+            let view = sw.view();
             let (switch, per_group) =
                 spine_obs(&view, rs.counter(harmonia_obs::Counter::SwitchSwept));
             snap.switch = switch;
@@ -962,7 +957,7 @@ mod tests {
         let m1 = one.switch_memory_bytes().unwrap();
         let m4 = four.switch_memory_bytes().unwrap();
         assert_eq!(m4, 4 * m1);
-        assert_eq!(four.switch_actor().unwrap().core().group_count(), 4);
+        assert_eq!(four.switch_core().unwrap().group_count(), 4);
     }
 
     #[test]
@@ -979,32 +974,6 @@ mod tests {
         drop(client);
         assert!(sim.now() > Instant::ZERO, "virtual time advanced");
         assert!(sim.fast_path_enabled().unwrap());
-    }
-
-    /// The simulated switch is the rack's ToR: every packet traverses it
-    /// (the hop is modelled link latency, not CPU), read replies included —
-    /// so it counts 2·R + 2·W where a threaded driver's pipelines, which the
-    /// sender-side spine spares the completion-less replies, count R + 2·W.
-    #[test]
-    fn sim_switch_counts_every_packet_it_handles_replies_included() {
-        use harmonia_obs::Counter;
-        let (reads, writes) = (40, 9);
-        let mut sim = DeploymentSpec::new().build_sim();
-        {
-            let mut client = sim.client();
-            for n in 0..writes {
-                client.set(format!("k{n}").as_bytes(), b"v").unwrap();
-            }
-            for n in 0..reads {
-                let got = client.get(format!("k{}", n % writes).as_bytes()).unwrap();
-                assert_eq!(got, Some(Bytes::from_static(b"v")));
-            }
-        }
-        let counted = sim.registry.snapshot().counter(Counter::SwitchPackets);
-        assert_eq!(counted, 2 * reads + 2 * writes);
-        let switch = sim.obs_snapshot().switch;
-        assert_eq!(switch.completions, writes);
-        assert_eq!(switch.dirty_len, 0);
     }
 
     #[test]

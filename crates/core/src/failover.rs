@@ -22,7 +22,7 @@
 //!
 //! [`ConflictDetector`]: harmonia_switch::ConflictDetector
 
-use harmonia_replication::build_replica;
+use harmonia_obs::Recorder;
 use harmonia_sim::World;
 use harmonia_types::{Duration, Instant, NodeId, ReplicaId, SwitchId};
 
@@ -30,8 +30,7 @@ use crate::client::{ClosedLoopClient, OpenLoopClient};
 use crate::control::{self, Script};
 use crate::deployment::DeploymentSpec;
 use crate::msg::Msg;
-use crate::replica_actor::ReplicaActor;
-use crate::switch_actor::SwitchActor;
+use crate::worker::SimWorker;
 
 /// Deliver a configuration-service script at the current instant.
 pub(crate) fn inject(world: &mut World<Msg>, script: Script) {
@@ -40,19 +39,19 @@ pub(crate) fn inject(world: &mut World<Msg>, script: Script) {
     }
 }
 
-/// §5.3 steps 2–3, now: bring `replacement` up at its own incarnation's
-/// address, move every replica's lease to it, and re-point `clients` at it
-/// (a harness affordance — in a deployment this is the same L2 address).
-/// Returns the replacement's address.
+/// §5.3 steps 2–3, now: bring a fresh switch of incarnation `new_id` up at
+/// its own address, move every replica's lease to it, and re-point
+/// `clients` at it (a harness affordance — in a deployment this is the same
+/// L2 address). Returns the replacement's address.
 pub(crate) fn activate_switch(
     world: &mut World<Msg>,
     spec: &DeploymentSpec,
-    replacement: SwitchActor,
+    new_id: SwitchId,
+    recorder: &Recorder,
     clients: &[NodeId],
 ) -> NodeId {
-    let new_id = replacement.core().incarnation();
     let new_addr = NodeId::Switch(new_id);
-    world.add_node(new_addr, Box::new(replacement));
+    world.add_node(new_addr, Box::new(spec.sim_switch(new_id, recorder)));
     inject(world, control::lease_move(spec, new_id));
     for &c in clients {
         if let Some(cl) = world.actor_mut::<OpenLoopClient>(c) {
@@ -75,7 +74,7 @@ pub(crate) fn remove_replica(
     inject(world, control::removal(spec, switch, failed));
 }
 
-/// Re-admit `replica` read-gated, now, and return the recovering actor the
+/// Re-admit `replica` read-gated, now, and return the recovering host the
 /// caller must install once the gate has had time to land. The newcomer
 /// reports its catch-up to the incarnation `switch` names.
 pub(crate) fn readmit_replica(
@@ -83,14 +82,15 @@ pub(crate) fn readmit_replica(
     spec: &DeploymentSpec,
     switch: NodeId,
     replica: ReplicaId,
-) -> ReplicaActor {
+    recorder: Recorder,
+) -> SimWorker {
     let lease = match switch {
         NodeId::Switch(id) => id,
         _ => spec.initial_switch(),
     };
     let plan = control::readmission(spec, switch, lease, replica);
     inject(world, plan.script);
-    ReplicaActor::recovering(build_replica(plan.config), spec.costs, plan.peer)
+    spec.sim_replica(plan.config, Some(plan.peer), recorder)
 }
 
 /// Stop a switch at `at`: it retains no state and forwards nothing.
@@ -112,7 +112,7 @@ pub fn schedule_switch_replacement(
 ) {
     let spec = spec.clone();
     world.schedule_control(at, move |w| {
-        activate_switch(w, &spec, spec.make_switch(new_id), &clients);
+        activate_switch(w, &spec, new_id, &Recorder::detached(), &clients);
     });
 }
 
@@ -146,7 +146,7 @@ pub fn schedule_replica_recovery(
 ) {
     let spec = spec.clone();
     world.schedule_control(at, move |w| {
-        let newcomer = readmit_replica(w, &spec, switch, replica);
+        let newcomer = readmit_replica(w, &spec, switch, replica, Recorder::detached());
         let settle = w.now() + Duration::from_micros(200);
         w.schedule_control(settle, move |w| {
             w.replace_node(NodeId::Replica(replica), Box::new(newcomer));
@@ -158,7 +158,6 @@ pub fn schedule_replica_recovery(
 mod tests {
     use super::*;
     use crate::client::{metrics, OpSpec, SourceFn};
-    use crate::switch_actor::SwitchActor;
     use bytes::Bytes;
     use harmonia_types::{ClientId, Duration};
     use rand::Rng;
@@ -206,9 +205,9 @@ mod tests {
         sim.run_until(t(40));
         let after = sim.world().metrics().counter(metrics::READ_DONE);
         assert!(after > 1000, "after={after}");
-        let sw: &SwitchActor = sim.world().actor(NodeId::Switch(SwitchId(2))).unwrap();
-        let sw = sw.core();
-        assert!(sw.detector().fast_path_enabled());
+        let host: &SimWorker = sim.world().actor(NodeId::Switch(SwitchId(2))).unwrap();
+        let sw = host.switch().unwrap();
+        assert_eq!(sw.view().fast_path_groups(), 1);
         assert!(sw.stats().reads_fast_path > 0);
         assert_eq!(sw.incarnation(), SwitchId(2));
     }
@@ -271,17 +270,19 @@ mod tests {
 
         // The transfer finished, the newcomer holds real state, and the
         // switch lifted its read gate.
-        let actor: &crate::replica_actor::ReplicaActor = sim
+        let host: &SimWorker = sim
             .world()
             .actor(NodeId::Replica(ReplicaId(2)))
             .expect("replaced node exists");
-        assert!(!actor.is_recovering(), "transfer still in flight");
+        assert!(!host.is_recovering(), "transfer still in flight");
         assert!(
-            actor.replica().applied_seq() > harmonia_types::SwitchSeq::ZERO,
+            host.replica().unwrap().applied_seq() > harmonia_types::SwitchSeq::ZERO,
             "recovered tail applied nothing"
         );
-        let sw: &SwitchActor = sim.world().actor(spec.switch_addr()).unwrap();
-        assert!(!sw.core().is_gated(ReplicaId(2)), "gate never lifted");
+        assert!(
+            !sim.switch_core().unwrap().is_gated(ReplicaId(2)),
+            "gate never lifted"
+        );
 
         // Service kept flowing after the recovery.
         sim.world_mut().metrics_mut().reset();

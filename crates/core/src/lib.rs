@@ -1,12 +1,15 @@
-//! Harmonia cluster assembly: the switch actor, replica actors, client
-//! library, failure orchestration, and the three drivers behind one API.
+//! Harmonia cluster assembly: the node runtime every driver hosts the switch
+//! and the replicas in, the client library, failure orchestration, and the
+//! three drivers behind one API.
 //!
-//! The layering is pure core / effectful shell. Three sans-IO pieces hold
+//! The layering is pure core / effectful shell. Sans-IO pieces hold
 //! everything that must behave the same on every driver — `client_core`
 //! (one operation's request / reply / retry state machine),
-//! `replica_step` (what a storage server does with a packet or a tick)
-//! and `control` (the configuration service's §5.3 scripts, as data) —
-//! and the drivers only move packets and time around them.
+//! `replica_step` (what a storage server does with a packet or a tick),
+//! `switch_actor` (the pipelines and their one route rule), `worker` (the
+//! step of a host running any of those) and `control` (the configuration
+//! service's §5.3 scripts, as data) — and the drivers only move packets
+//! and time around them.
 //!
 //! The pieces from the other crates meet here:
 //!
@@ -17,12 +20,14 @@
 //!   returns the deterministic-sim implementation,
 //!   [`DeploymentSpec::spawn_live`] and [`DeploymentSpec::spawn_udp`] the
 //!   threaded ones.
-//! * [`switch_actor::SwitchActor`] wires the conflict detector, forwarding
-//!   table, and NOPaxos sequencer from `harmonia-switch` into a node that
-//!   processes every packet of the rack (Figure 1 of the paper).
-//! * [`replica_actor::ReplicaActor`] runs any `harmonia-replication` state
-//!   machine — through the shared `ReplicaNode` step — behind
-//!   the calibrated service-cost model ([`msg::CostModel`]).
+//! * [`worker`] is the one node runtime: a [`Worker`] hosts switch
+//!   pipelines and storage servers behind one step (packets in, deadline
+//!   out), over the conflict detector, forwarding table and NOPaxos
+//!   sequencer of `harmonia-switch` ([`switch_actor::SwitchCore`], whose
+//!   `handle` is the one route rule) and any `harmonia-replication` state
+//!   machine (the shared `ReplicaNode` step). In the simulator each node is
+//!   a [`SimWorker`]: the switch at line rate, a replica behind the
+//!   calibrated service-cost model ([`msg::CostModel`]).
 //! * [`client`] provides an open-loop load generator (the DPDK-generator
 //!   substitute) and a closed-loop client that records histories for
 //!   linearizability checking.
@@ -37,8 +42,9 @@
 //!   plane is parallel: one pipeline per replica group, each exclusively
 //!   owning that group's [`switch_actor::GroupCore`], behind a stateless
 //!   shard-routing spine — no lock on the packet path — and pipelines and
-//!   replicas alike hosted by as many worker threads as the host has cores
-//!   for. With the channel substrate it is [`LiveCluster`].
+//!   replicas alike hosted by as many [`Worker`]s, each on a thread of its
+//!   own, as the host has cores for. With the channel substrate it is
+//!   [`LiveCluster`].
 //! * [`udp`] is the socket substrate: the same rig over real `UdpSocket`
 //!   loopback datagrams ([`DeploymentSpec::spawn_udp`], [`UdpCluster`]) —
 //!   the `harmonia-net` transport, the wire codec on every hop, and seeded
@@ -53,15 +59,15 @@ pub mod deployment;
 pub mod failover;
 pub mod live;
 pub mod msg;
-pub mod replica_actor;
 mod replica_step;
 pub mod switch_actor;
 pub mod udp;
+pub mod worker;
 
 pub use client::{ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, RecordedOp};
 pub use deployment::{Cluster, DeploymentSpec, KvClient, SimCluster};
 pub use live::{LiveClient, LiveCluster, LiveError};
 pub use msg::{CostModel, Msg};
-pub use replica_actor::ReplicaActor;
-pub use switch_actor::{GroupCore, SwitchActor, SwitchCore, SwitchMode};
+pub use switch_actor::{GroupCore, SwitchCore, SwitchMode};
 pub use udp::UdpCluster;
+pub use worker::{SimWorker, Worker};

@@ -24,9 +24,9 @@
 //! [`NodeLink`] that answers to every hosted node's name, one loop that
 //! takes everything queued, hands each packet to the node it addresses,
 //! runs the sweeps and ticks that are due and flushes the lot in one
-//! [`NodeLink::send_many`]. A hosted node is a step function —
-//! packet in, deadline, deadline due — over the same sans-IO cores the
-//! simulator drives ([`GroupCore`], the replica step). Pipelines first,
+//! [`NodeLink::send_many`]. What the loop does with a batch is the one node
+//! runtime's step, [`Worker::step`] — the step the simulator runs for each
+//! of its nodes, over the same sans-IO cores. Pipelines first,
 //! then replicas, are dealt round-robin, so a group's replicas sit on
 //! distinct workers before any worker takes a second one; with a core per
 //! node every node has a thread of its own.
@@ -57,7 +57,8 @@
 //! rate, so a driver that serializes every group's traffic through one
 //! switch thread (let alone one mutex) is an artifact, not the paper's
 //! design. The threaded switch is therefore one pipeline per replica group,
-//! each exclusively owning that group's [`GroupCore`] — conflict detector,
+//! each exclusively owning that group's
+//! [`GroupCore`](crate::switch_actor::GroupCore) — conflict detector,
 //! sequencer, forwarding table, and counters — and each on whichever worker
 //! its group places it, in parallel as far as the host has cores. **No lock
 //! guards switch or replica state**; the only lock on the packet path is the
@@ -66,12 +67,13 @@
 //!
 //! The spine itself is a thin, stateless shard-router, and it is an entry
 //! of the book: sending to the switch address resolves the packet's object
-//! through the deployment's [`ShardMap`] *on the sender's thread* — one
+//! through the deployment's shard map *on the sender's thread* — one
 //! atomic load to revalidate the sender's cached snapshot, no lock — and
 //! delivers straight to the endpoint of the worker that hosts the owning
 //! group's pipeline: no intermediate hop, no shared switch state. A worker
-//! that hosts several pipelines picks among them by the same route; what
-//! goes to every group reaches it once.
+//! that hosts several pipelines picks among them by the same route
+//! ([`SwitchCore::handle`], the one route rule); what goes to every group
+//! reaches it once.
 //!
 //! Where a packet addressed to the switch goes is one decision,
 //! [`PacketBody::switch_route`], turned into endpoints in one place (the
@@ -133,12 +135,11 @@ use rand::SeedableRng;
 
 use harmonia_net::{AddrBook, Names, Resolver};
 use harmonia_obs::{
-    Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
+    Clock, Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
 };
 use harmonia_replication::{build_replica, GroupConfig};
 use harmonia_switch::{GroupId, GroupObservation, SpineView, SwitchStats};
-use harmonia_types::{ClientId, Instant, NodeId, PacketBody, ReplicaId, SwitchId, SwitchRoute};
-use harmonia_workload::ShardMap;
+use harmonia_types::{ClientId, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
 
 use crate::client::{OpSpec, RecordedOp};
 use crate::client_core::{ClientCore, Finished, Step};
@@ -146,7 +147,8 @@ use crate::control;
 use crate::deployment::{spine_obs, Cluster, DeploymentSpec, KvClient};
 use crate::msg::Msg;
 use crate::replica_step::ReplicaNode;
-use crate::switch_actor::{GroupCore, SwitchCore};
+use crate::switch_actor::SwitchCore;
+use crate::worker::{Hosted, Worker};
 
 /// What a loop can be handed: a data-plane packet or a control-plane verb
 /// from its own driver. The channel substrate multiplexes these on one
@@ -740,202 +742,44 @@ impl KvClient for LiveClient {
     }
 }
 
-/// A node as a worker hosts it: one of the sans-IO cores behind the three
-/// steps the worker loop knows — take a packet, say when it next has
-/// something to do unprompted, do it.
-pub struct Hosted {
-    node: Node,
-    /// When [`on_deadline`](Self::on_deadline) is due; `None` while the node
-    /// only waits for packets.
-    deadline: Option<StdInstant>,
-}
-
-enum Node {
-    /// One group's switch state. Stale dirty entries are swept when the
-    /// pipeline has handled nothing for `sweep`, and only while a sweep
-    /// could reclaim something.
-    Pipeline {
-        core: GroupCore,
-        rng: SmallRng,
-        /// The switch's client-facing address.
-        me: NodeId,
-        sweep: StdDuration,
-    },
-    /// One storage server; `tick` is its protocol's, if it has one.
-    Replica {
-        me: ReplicaId,
-        node: ReplicaNode,
-        tick: Option<StdDuration>,
-    },
-}
-
-impl Hosted {
-    fn pipeline(core: GroupCore, me: NodeId, sweep: StdDuration) -> Hosted {
-        let rng = SmallRng::seed_from_u64(
-            0x5717c4 ^ u64::from(core.incarnation().0) ^ (u64::from(core.group().0) << 32),
-        );
-        Hosted {
-            node: Node::Pipeline {
-                core,
-                rng,
-                me,
-                sweep,
-            },
-            deadline: None,
-        }
-    }
-
-    fn replica(me: ReplicaId, node: ReplicaNode) -> Hosted {
-        let tick = node.tick_interval().map(|d| d.to_std());
-        Hosted {
-            node: Node::Replica { me, node, tick },
-            deadline: None,
-        }
-    }
-
-    /// The unicast name the worker's link must answer to for this node.
-    /// Pipelines have none: the spine addresses them.
-    fn name(&self) -> Option<NodeId> {
-        match &self.node {
-            Node::Pipeline { .. } => None,
-            Node::Replica { me, .. } => Some(NodeId::Replica(*me)),
-        }
-    }
-
-    /// The group whose pipeline this is.
-    fn group(&self) -> Option<GroupId> {
-        match &self.node {
-            Node::Pipeline { core, .. } => Some(core.group()),
-            Node::Replica { .. } => None,
-        }
-    }
-
-    /// First step on a worker: a recovering replica asks its peer for a
-    /// snapshot, a ticking one arms its tick.
-    fn start(&mut self, now: StdInstant, out: &mut Vec<(NodeId, Msg)>) {
-        if let Node::Replica { me, node, tick } = &mut self.node {
-            node.start(*me, out);
-            self.deadline = tick.map(|t| now + t);
-        }
-    }
-
-    /// Handle one packet of a pass that began at `now`.
-    fn on_packet(&mut self, now: StdInstant, msg: Msg, out: &mut Vec<(NodeId, Msg)>) {
-        match &mut self.node {
-            Node::Pipeline {
-                core,
-                rng,
-                me,
-                sweep,
-            } => {
-                let at = core.recorder().now();
-                core.handle(at, *me, msg, rng, out);
-                // Idle-driven, not periodic: a busy pipeline keeps pushing
-                // the sweep ahead of itself, and its reads scrub stale
-                // entries as they probe.
-                self.deadline = core.sweep_pending().then(|| now + *sweep);
-            }
-            Node::Replica { me, node, .. } => {
-                let at = node.recorder().now();
-                node.on_packet(at, *me, msg, out);
-            }
-        }
-    }
-
-    /// Run the sweep or the tick, if `now` is past its time.
-    fn on_deadline(&mut self, now: StdInstant, out: &mut Vec<(NodeId, Msg)>) {
-        if self.deadline.is_none_or(|at| at > now) {
-            return;
-        }
-        match &mut self.node {
-            Node::Pipeline { core, sweep, .. } => {
-                core.sweep();
-                self.deadline = core.sweep_pending().then(|| now + *sweep);
-            }
-            Node::Replica { me, node, tick } => {
-                node.on_tick(*me, out);
-                self.deadline = tick.map(|t| now + t);
-            }
-        }
-    }
-}
-
-/// Hand `msg` to the hosted node it addresses, if there is one: a replica by
-/// its name, a pipeline by where [`PacketBody::switch_route`] sends what is
-/// addressed to the switch. The spine already chose this worker by that
-/// route; all that is left is which of the pipelines here.
-fn dispatch(
-    nodes: &mut [Hosted],
-    shards: ShardMap,
-    now: StdInstant,
-    msg: Msg,
-    out: &mut Vec<(NodeId, Msg)>,
-) {
-    let NodeId::Switch(_) = msg.dst else {
-        if let Some(node) = nodes.iter_mut().find(|n| n.name() == Some(msg.dst)) {
-            node.on_packet(now, msg, out);
-        }
-        return;
-    };
-    let mut pipelines = nodes.iter_mut().filter(|n| n.group().is_some());
-    let pipeline = match msg.body.switch_route() {
-        SwitchRoute::Group(obj) => {
-            let group = GroupId(shards.shard_of(obj));
-            pipelines.find(|p| p.group() == Some(group))
-        }
-        SwitchRoute::AnyGroup => pipelines.next(),
-        SwitchRoute::EveryGroup => {
-            for pipeline in pipelines {
-                pipeline.on_packet(now, msg.clone(), out);
-            }
-            return;
-        }
-        // The spine forwards these to the client itself.
-        SwitchRoute::Client(_) => None,
-    };
-    if let Some(pipeline) = pipeline {
-        pipeline.on_packet(now, msg, out);
-    }
-}
-
 /// The server shell — the one loop every switch pipeline and every replica
 /// of the threaded drivers runs in, identical on every substrate: sleep on
-/// the link until the earliest deadline of any hosted node (untimed when
-/// none has one), take everything queued, hand each packet to the node it
-/// addresses, run the sweeps and ticks that are due, and flush what all of
-/// that produced in one [`NodeLink::send_many`]. The worker knows no routes:
-/// a packet for a node it hosts itself goes out through the link like any
-/// other and comes back through the same inbox. A packet for a node it does
-/// not host — evicted, or not adopted yet — finds nobody and vanishes.
-/// `names` is what the link answers to: the hosted replicas', bound as they
-/// are adopted, released as they are evicted, gone with the loop.
-fn worker_main<E: Clone>(mut link: impl NodeLink, mut names: Names<E>, shards: ShardMap) {
-    let mut nodes: Vec<Hosted> = Vec::new();
+/// the link until the node runtime's next deadline (untimed when it has
+/// none), take everything queued, run the [`Worker::step`] the simulator
+/// runs too — at the deployment clock's `now`, with this thread's own rng —
+/// take the driver's verb, and flush what all of that produced in one
+/// [`NodeLink::send_many`]. The loop knows no routes: a packet for a node it
+/// hosts itself goes out through the link like any other and comes back
+/// through the same inbox. `names` is what the link answers to: the hosted
+/// replicas', bound as they are adopted, released as they are evicted, gone
+/// with the loop.
+fn worker_main<E: Clone>(
+    mut link: impl NodeLink,
+    mut names: Names<E>,
+    clock: Arc<dyn Clock>,
+    seed: u64,
+) {
+    let mut worker = Worker::default();
+    let mut rng = SmallRng::seed_from_u64(seed);
     let mut inbox: Vec<Msg> = Vec::new();
     let mut out: Vec<(NodeId, Msg)> = Vec::new();
+    let mut deadline: Option<Instant> = None;
+    // The pass's instant on the deployment clock, and the wall-clock one
+    // read just after it: a deadline converted through the pair wakes the
+    // link at or after it, never a pass too early.
+    let (mut now, mut wall) = (clock.now(), StdInstant::now());
     loop {
-        let earliest = nodes.iter().filter_map(|n| n.deadline).min();
-        let verb = match link.recv_into(earliest, &mut inbox) {
+        let wake = deadline.map(|at| wall + at.since(now).to_std());
+        let verb = match link.recv_into(wake, &mut inbox) {
             Ok(verb) => verb,
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => return,
         };
-        let now = StdInstant::now();
-        for msg in inbox.drain(..) {
-            dispatch(&mut nodes, shards, now, msg, &mut out);
-        }
-        if earliest.is_some_and(|at| at <= now) {
-            for node in &mut nodes {
-                node.on_deadline(now, &mut out);
-            }
-        }
+        (now, wall) = (clock.now(), StdInstant::now());
+        deadline = worker.step(now, &mut rng, inbox.drain(..), &mut out);
         match verb {
             Some(Envelope::Inspect(group, reply)) => {
-                let observed = nodes.iter().find_map(|n| match &n.node {
-                    Node::Pipeline { core, .. } if core.group() == group => Some(core.observe()),
-                    _ => None,
-                });
-                if let Some(observed) = observed {
+                if let Some(observed) = worker.observe(group) {
                     let _ = reply.send(observed);
                 }
             }
@@ -943,18 +787,14 @@ fn worker_main<E: Clone>(mut link: impl NodeLink, mut names: Names<E>, shards: S
             // replicas — tick in the same pass from now on.
             Some(Envelope::Adopt(adopted, ack)) => {
                 names.bind(&adopted.iter().filter_map(Hosted::name).collect::<Vec<_>>());
-                for mut node in adopted {
-                    node.start(now, &mut out);
-                    nodes.push(node);
-                }
+                worker.adopt(now, adopted, &mut out);
+                deadline = worker.deadline();
                 let _ = ack.send(());
             }
             Some(Envelope::Evict(name, ack)) => {
-                nodes.retain(|n| match name {
-                    NodeId::Switch(_) => n.group().is_none(),
-                    name => n.name() != Some(name),
-                });
+                worker.evict(name);
                 names.release(name);
+                deadline = worker.deadline();
                 let _ = ack.send(());
             }
             Some(Envelope::Stop) => return,
@@ -964,8 +804,8 @@ fn worker_main<E: Clone>(mut link: impl NodeLink, mut names: Names<E>, shards: S
     }
 }
 
-/// One worker of a cluster, as its driver holds it.
-struct Worker<S: Substrate> {
+/// One worker thread of a cluster, as its driver holds it.
+struct WorkerThread<S: Substrate> {
     /// Where its verbs go.
     ctl: S::Ctl,
     /// Where its link receives: the spine ingress of every pipeline it
@@ -985,7 +825,7 @@ pub struct ThreadedCluster<S: Substrate> {
     spec: DeploymentSpec,
     pub(crate) substrate: S,
     /// They live as long as the cluster; nodes come and go by verb.
-    workers: Vec<Worker<S>>,
+    workers: Vec<WorkerThread<S>>,
     /// The incarnation whose pipelines the workers host; `None` while the
     /// switch is down.
     switch: Option<SwitchId>,
@@ -1015,21 +855,22 @@ impl<S: Substrate> ThreadedCluster<S> {
     pub(crate) fn with_workers(spec: &DeploymentSpec, workers: usize) -> Self {
         let substrate = S::new(spec);
         let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
-        let shards = spec.shard_map();
         let nodes = spec.groups + spec.total_replicas();
         let workers = (0..workers.clamp(1, nodes)).map(|w| {
             // One recorder shard per link: counters and traces stay
             // thread-local on the packet path, merged only on snapshot.
             let (link, ctl, ingress) = substrate.attach(&[], registry.handle());
             let names = Names::new(Arc::clone(substrate.book()), ingress.clone());
+            let clock = registry.clock();
+            let seed = 0x5717c4 ^ w as u64;
             let join = std::thread::Builder::new()
                 .name(format!("{}-worker-{w}", S::DRIVER))
-                .spawn(move || worker_main(link, names, shards))
+                .spawn(move || worker_main(link, names, clock, seed))
                 // lint:allow(panic_path): deployment bring-up, not the data
                 // plane — thread-spawn failure means the host is out of
                 // resources before any traffic exists.
                 .expect("spawn worker thread");
-            Worker { ctl, ingress, join }
+            WorkerThread { ctl, ingress, join }
         });
         let mut cluster = ThreadedCluster {
             spec: spec.clone(),
@@ -1050,12 +891,12 @@ impl<S: Substrate> ThreadedCluster<S> {
     /// The worker that hosts node `index` of the deployment: pipelines come
     /// first, by group, then replicas, by id. (Never `None`: there is always
     /// a worker.)
-    fn host(&self, index: usize) -> Option<&Worker<S>> {
+    fn host(&self, index: usize) -> Option<&WorkerThread<S>> {
         self.workers.get(index % self.workers.len().max(1))
     }
 
     /// The worker that hosts (or would host) replica `r`.
-    fn replica_host(&self, r: ReplicaId) -> Option<&Worker<S>> {
+    fn replica_host(&self, r: ReplicaId) -> Option<&WorkerThread<S>> {
         self.host(self.spec.groups + r.index())
     }
 
@@ -1079,7 +920,7 @@ impl<S: Substrate> ThreadedCluster<S> {
 
     /// Have `workers` stop hosting whatever answers to `name`, and wait
     /// until it is gone.
-    fn evict<'a>(&'a self, workers: impl IntoIterator<Item = &'a Worker<S>>, name: NodeId) {
+    fn evict<'a>(&'a self, workers: impl IntoIterator<Item = &'a WorkerThread<S>>, name: NodeId) {
         let acks: Vec<Receiver<()>> = workers
             .into_iter()
             .filter_map(|worker| ask(&worker.ctl, |ack| Envelope::Evict(name, ack)))
@@ -1090,28 +931,28 @@ impl<S: Substrate> ThreadedCluster<S> {
     }
 
     /// Bring the pipelines of `incarnation` up — fresh state for every
-    /// hosted group, each on the worker its group places it on — and
-    /// publish the spine: the switch's addresses — the stable client-facing
-    /// one and the incarnation's own (replicas reply to the lease holder) —
-    /// resolve through `shards`, on the sending thread, to the ingress of
-    /// the worker that hosts the group.
+    /// group, group `g` on the worker node `g` places on, each worker's
+    /// share built as one [`SwitchCore`] — and publish the spine: the
+    /// switch's addresses — the stable client-facing one and the
+    /// incarnation's own (replicas reply to the lease holder) — resolve
+    /// through the shard map, on the sending thread, to the ingress of the
+    /// worker that hosts the group.
     fn adopt_switch(&mut self, incarnation: SwitchId) {
-        let core = SwitchCore::for_deployment(&self.spec, incarnation);
-        let shards = core.shard_map();
-        let me = self.spec.switch_addr();
-        // Idle pipelines sweep stale dirty entries this often.
-        let sweep = (self.spec.sweep_interval).map_or(StdDuration::from_millis(10), |d| d.to_std());
-        let pipelines = core.into_group_cores().into_iter().map(|mut core| {
-            core.set_recorder(self.registry.handle());
-            (core.group().0 as usize, Hosted::pipeline(core, me, sweep))
+        let (workers, groups) = (self.workers.len(), self.spec.groups);
+        let shares = (0..workers.min(groups)).map(|w| {
+            let share = (w..groups).step_by(workers).map(|g| GroupId(g as u32));
+            let mut core = SwitchCore::for_groups(&self.spec, incarnation, share);
+            core.set_recorder(&self.registry.handle());
+            (w, Hosted::pipelines(core))
         });
-        self.adopt(pipelines.collect());
+        self.adopt(shares.collect());
+        let me = self.spec.switch_addr();
         let ingress = (0..self.spec.groups)
             .filter_map(|g| self.host(g))
             .map(|worker| worker.ingress.clone());
         let published = self.substrate.book().install_spine(
             vec![me, NodeId::Switch(incarnation)],
-            shards,
+            self.spec.shard_map(),
             ingress.collect(),
         );
         debug_assert!(published, "every group has a worker to host its pipeline");
@@ -1319,8 +1160,9 @@ mod tests {
     use crate::udp::Sockets;
     use harmonia_obs::TraceStage;
     use harmonia_replication::ProtocolKind;
-    use harmonia_types::OpKind;
+    use harmonia_types::{Duration, OpKind};
     use harmonia_verify::{check_history, Action, OpRecord};
+    use harmonia_workload::ShardMap;
 
     /// Run a check on every layout a host can impose on `spec` — everything
     /// on one worker, two workers, a worker per node — on both substrates.
@@ -1482,7 +1324,8 @@ mod tests {
     /// Two groups' pipelines (and all six replicas) on one worker are still
     /// two pipelines: each is inspected by its group and owns its counters
     /// (a packet shows up in exactly one group's stats), and a control
-    /// broadcast — one copy per worker — is applied to each of them once.
+    /// broadcast — one copy per worker — is applied by the pipeline of the
+    /// group it names, once, and by no other.
     #[test]
     fn two_groups_on_one_worker_stay_two_pipelines() {
         fn check<S: Substrate>() {
@@ -1501,16 +1344,21 @@ mod tests {
             assert!(per_group.iter().all(|&n| n > 0), "{per_group:?}");
             assert_eq!(per_group.iter().sum::<u64>(), 30, "{}", S::DRIVER);
 
-            // A broadcast that changes nothing (replica 0 is not gated).
+            // Broadcasts that change nothing (no replica is gated): one about
+            // a replica of each group.
             let handled = || cluster.registry.snapshot().counter(Counter::SwitchPackets);
             let before = handled();
             let switch = spec.switch_addr();
-            let ungate = harmonia_types::ControlMsg::UngateReplica {
-                replica: ReplicaId(0),
-                caught_up: harmonia_types::SwitchSeq::new(spec.initial_switch(), 0),
+            let ungate = |r| {
+                let ungate = harmonia_types::ControlMsg::UngateReplica {
+                    replica: r,
+                    caught_up: harmonia_types::SwitchSeq::new(spec.initial_switch(), 0),
+                };
+                let msg = Msg::new(NodeId::Controller, switch, PacketBody::Control(ungate));
+                (switch, msg)
             };
-            let msg = Msg::new(NodeId::Controller, switch, PacketBody::Control(ungate));
-            cluster.substrate.deliver(vec![(switch, msg)]);
+            let broadcasts = vec![ungate(spec.replica_id(0, 0)), ungate(spec.replica_id(1, 0))];
+            cluster.substrate.deliver(broadcasts);
             // An inspect is answered after whatever was queued before it.
             while handled() < before + 2 {
                 cluster.switch_view().unwrap();
@@ -1653,36 +1501,50 @@ mod tests {
         every_layout(&DeploymentSpec::new(), check::<Channels>, check::<Sockets>);
     }
 
-    /// A read is three hops: its reply carries nothing for the switch and
-    /// does not stop at it. A chain write's reply carries the completion and
-    /// still does — so R reads and W writes are R + 2·W packets through the
-    /// pipelines, with every completion snooped and nothing left dirty,
-    /// wherever the nodes live.
+    /// R reads and W chain writes through `cluster`, every one answered.
+    fn reads_and_writes(cluster: &mut dyn Cluster, reads: u64, writes: u64) {
+        let mut client = cluster.client();
+        for n in 0..writes {
+            client.set(format!("k{}", n % 4).as_bytes(), b"v").unwrap();
+        }
+        // Hits on k0..k3, a miss on k4.
+        for n in 0..reads {
+            let want = (n % 5 < 4).then(|| Bytes::from_static(b"v"));
+            assert_eq!(client.get(format!("k{}", n % 5).as_bytes()).unwrap(), want);
+        }
+    }
+
+    /// A read's reply carries nothing for the switch; a chain write's reply
+    /// carries the completion — so R reads and W writes are R + 2·W packets
+    /// through the pipelines, with every completion snooped and nothing left
+    /// dirty, on every driver and wherever the nodes live. On the threaded
+    /// drivers a read reply never reaches a pipeline's host; the simulator's
+    /// switch receives it — the rack's ToR hop — and forwards it outside
+    /// every pipeline.
     #[test]
     fn pipelines_handle_one_packet_per_read_and_two_per_write() {
-        fn check<S: Substrate>(spec: &DeploymentSpec, workers: usize) {
-            let (reads, writes) = (40, 9);
-            let cluster = ThreadedCluster::<S>::with_workers(spec, workers);
-            let at = cell(&cluster);
-            let mut client = cluster.client();
-            for n in 0..writes {
-                client.set(format!("k{}", n % 4), "v").unwrap();
-            }
-            // Hits on k0..k3, a miss on k4: every one answered.
-            for n in 0..reads {
-                let want = (n % 5 < 4).then(|| Bytes::from_static(b"v"));
-                assert_eq!(client.get(format!("k{}", n % 5)).unwrap(), want);
-            }
-            let view = cluster.switch_view().unwrap();
-            let counted = cluster.registry.snapshot().counter(Counter::SwitchPackets);
-            cluster.shutdown();
-            assert_eq!(counted, reads + 2 * writes, "{at}");
-            let stats = view.stats();
-            assert_eq!(stats.completions, writes, "{at}: {stats:?}");
-            assert_eq!(stats.reads_fast_path + stats.reads_normal, reads);
-            assert_eq!(view.groups()[0].dirty_len, 0, "{at}");
+        const READS: u64 = 40;
+        const WRITES: u64 = 9;
+        fn assert_counts(cluster: &dyn Cluster, handled: u64, at: &str) {
+            assert_eq!(handled, READS + 2 * WRITES, "{at}");
+            let switch = cluster.obs_snapshot().switch;
+            assert_eq!(switch.completions, WRITES, "{at}: {switch:?}");
+            assert_eq!(switch.reads_fast_path + switch.reads_normal, READS, "{at}");
+            assert_eq!(switch.dirty_len, 0, "{at}");
         }
-        every_layout(&DeploymentSpec::new(), check::<Channels>, check::<Sockets>);
+        fn threaded<S: Substrate>(spec: &DeploymentSpec, workers: usize) {
+            let mut cluster = ThreadedCluster::<S>::with_workers(spec, workers);
+            reads_and_writes(&mut cluster, READS, WRITES);
+            let handled = cluster.registry.snapshot().counter(Counter::SwitchPackets);
+            assert_counts(&cluster, handled, &cell(&cluster));
+            cluster.shutdown();
+        }
+        let spec = DeploymentSpec::new();
+        every_layout(&spec, threaded::<Channels>, threaded::<Sockets>);
+        let mut sim = spec.build_sim();
+        reads_and_writes(&mut sim, READS, WRITES);
+        let handled = sim.registry.snapshot().counter(Counter::SwitchPackets);
+        assert_counts(&sim, handled, "sim");
     }
 
     /// The short route is the spine's forwarding, not a way around an
@@ -1865,6 +1727,101 @@ mod tests {
         }
     }
 
+    /// A worker thread hosting the default group's pipeline and replica 0
+    /// under `spec`, behind a link that reports every wait: what a test
+    /// needs to watch it sweep and sleep.
+    struct Watched {
+        ctl: Sender<Envelope>,
+        ingress: Ingress,
+        waited: Receiver<Option<StdInstant>>,
+        registry: Registry,
+        worker: JoinHandle<()>,
+    }
+
+    impl Watched {
+        fn start(spec: &DeploymentSpec) -> Watched {
+            let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
+            let mut core = SwitchCore::for_deployment(spec, spec.initial_switch());
+            core.set_recorder(&registry.handle());
+            let channels = Channels::default();
+            let (link, ctl, ingress) = channels.attach(&[], registry.handle());
+            let names = Names::new(Arc::clone(channels.book()), ingress.clone());
+            let (waits, waited) = unbounded();
+            let clock = registry.clock();
+            let probe = Probe { link, waits };
+            let worker = std::thread::spawn(move || worker_main(probe, names, clock, 1));
+            let watched = Watched {
+                ctl,
+                ingress,
+                waited,
+                registry,
+                worker,
+            };
+            let none = watched.next_wait();
+            assert_eq!(none, None, "a worker that hosts nothing arms no timer");
+            let replica = build_replica(spec.group_config(0, 0));
+            let hosted = vec![
+                Hosted::pipelines(core),
+                Hosted::replica(
+                    ReplicaId(0),
+                    ReplicaNode::new(replica, None, watched.registry.handle()),
+                ),
+            ];
+            let adopted = ask(&watched.ctl, |ack| Envelope::Adopt(hosted, ack)).unwrap();
+            adopted.recv_timeout(StdDuration::from_secs(10)).unwrap();
+            watched
+        }
+
+        fn next_wait(&self) -> Option<StdInstant> {
+            self.waited
+                .recv_timeout(StdDuration::from_secs(10))
+                .unwrap()
+        }
+
+        fn send(&self, body: PacketBody<harmonia_replication::ProtocolMsg>) {
+            let (client, switch) = (NodeId::Client(ClientId(1)), NodeId::Switch(SwitchId(1)));
+            let msg = Msg::new(client, switch, body);
+            self.ingress.tx.send(Envelope::Packets(vec![msg])).unwrap();
+        }
+
+        fn write(&self, key: &'static str, n: u64) {
+            let req = OpSpec::write(key, "v").request(ClientId(1), harmonia_types::RequestId(n));
+            self.send(PacketBody::Request(req));
+        }
+
+        /// Two stamped writes of which only the second one's completion
+        /// arrives: the first one's entry is stale from then on.
+        fn leave_one_stale(&self) {
+            use harmonia_types::{ObjectId, SwitchSeq, WriteCompletion};
+            self.write("a", 0);
+            self.write("b", 1);
+            self.send(PacketBody::Completion(WriteCompletion {
+                obj: ObjectId::from_key(b"b"),
+                seq: SwitchSeq::new(SwitchId(1), 2),
+            }));
+        }
+
+        fn dirty_len(&self) -> usize {
+            let reply = ask(&self.ctl, |reply| Envelope::Inspect(GroupId(0), reply)).unwrap();
+            reply
+                .recv_timeout(StdDuration::from_secs(10))
+                .unwrap()
+                .dirty_len
+        }
+
+        fn swept(&self) -> u64 {
+            self.registry.snapshot().counter(Counter::SwitchSwept)
+        }
+
+        /// Stop the worker; whether it ever waited with a deadline since the
+        /// last wait read.
+        fn stop(self) -> bool {
+            self.ctl.send(Envelope::Stop).unwrap();
+            self.worker.join().unwrap();
+            self.waited.try_iter().any(|wait| wait.is_some())
+        }
+    }
+
     /// The sweep is idle-driven and armed only while it could reclaim
     /// something: an entry whose completion was lost goes once the commit
     /// point has passed it, and then — stray live entry or not — the worker
@@ -1872,71 +1829,40 @@ mod tests {
     /// beside the pipeline has none (a chain never ticks) and adds none.
     #[test]
     fn idle_pipeline_sweeps_what_went_stale_then_sleeps_untimed() {
-        use harmonia_types::{ObjectId, RequestId, SwitchSeq, WriteCompletion};
-        let spec = DeploymentSpec::new();
-        let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
-        let mut cores = SwitchCore::for_deployment(&spec, spec.initial_switch()).into_group_cores();
-        let mut core = cores.pop().unwrap();
-        core.set_recorder(registry.handle());
-        let me = spec.switch_addr();
-        let channels = Channels::default();
-        let (link, ctl, ingress) = channels.attach(&[], registry.handle());
-        let names = Names::new(Arc::clone(channels.book()), ingress.clone());
-        let (waits, waited) = unbounded();
-        let shards = spec.shard_map();
-        let worker = std::thread::spawn(move || worker_main(Probe { link, waits }, names, shards));
-        let next_wait = || waited.recv_timeout(StdDuration::from_secs(10)).unwrap();
-        let replica = build_replica(spec.group_config(0, 0));
-        let hosted = vec![
-            Hosted::pipeline(core, me, StdDuration::from_millis(2)),
-            Hosted::replica(
-                ReplicaId(0),
-                ReplicaNode::new(replica, None, registry.handle()),
-            ),
-        ];
+        let spec = DeploymentSpec::new().sweep_interval(Some(Duration::from_millis(2)));
+        let watched = Watched::start(&spec);
         assert_eq!(
-            next_wait(),
+            watched.next_wait(),
             None,
-            "a worker that hosts nothing arms no timer"
+            "an empty dirty set arms no timer"
         );
-        let adopted = ask(&ctl, |ack| Envelope::Adopt(hosted, ack)).unwrap();
-        adopted.recv_timeout(StdDuration::from_secs(10)).unwrap();
-        let inspect = || {
-            let reply = ask(&ctl, |reply| Envelope::Inspect(GroupId(0), reply)).unwrap();
-            reply.recv_timeout(StdDuration::from_secs(10)).unwrap()
-        };
-        let write = |key: &'static str, n: u64| {
-            let req = OpSpec::write(key, "v").request(ClientId(1), RequestId(n));
-            let msg = Msg::new(NodeId::Client(ClientId(1)), me, PacketBody::Request(req));
-            ingress.tx.send(Envelope::Packets(vec![msg])).unwrap();
-        };
-        assert_eq!(next_wait(), None, "an empty dirty set arms no timer");
-
-        // Two stamped writes; only the second one's completion arrives.
-        write("a", 0);
-        write("b", 1);
-        let done = WriteCompletion {
-            obj: ObjectId::from_key(b"b"),
-            seq: SwitchSeq::new(spec.initial_switch(), 2),
-        };
-        let msg = Msg::new(me, me, PacketBody::Completion(done));
-        ingress.tx.send(Envelope::Packets(vec![msg])).unwrap();
+        watched.leave_one_stale();
         // Timed waits while "a" sits below the commit point, until one runs
         // out and the sweep reclaims it; then no timer again.
-        while next_wait().is_none() {}
-        while next_wait().is_some() {}
-        assert_eq!(inspect().dirty_len, 0);
-        assert_eq!(registry.snapshot().counter(Counter::SwitchSwept), 1);
+        while watched.next_wait().is_none() {}
+        while watched.next_wait().is_some() {}
+        assert_eq!(watched.dirty_len(), 0);
+        assert_eq!(watched.swept(), 1);
 
         // A stray entry above the commit point is not worth waking for.
-        write("c", 2);
-        assert_eq!(inspect().dirty_len, 1);
-        ctl.send(Envelope::Stop).unwrap();
-        worker.join().unwrap();
+        watched.write("c", 2);
+        assert_eq!(watched.dirty_len(), 1);
         assert!(
-            waited.try_iter().all(|wait| wait.is_none()),
+            !watched.stop(),
             "nothing left to reclaim, yet the worker armed a sweep timer"
         );
+    }
+
+    /// Without a sweep interval an idle pipeline never sweeps: the stale
+    /// entry stays, and the worker sleeps untimed throughout.
+    #[test]
+    fn without_a_sweep_interval_an_idle_pipeline_keeps_its_stale_entries_and_sleeps_untimed() {
+        let watched = Watched::start(&DeploymentSpec::new().sweep_interval(None));
+        watched.leave_one_stale();
+        std::thread::sleep(StdDuration::from_millis(20));
+        assert_eq!(watched.dirty_len(), 1);
+        assert_eq!(watched.swept(), 0);
+        assert!(!watched.stop(), "a worker that never sweeps armed a timer");
     }
 
     /// One receive of a [`Scripted`] link.

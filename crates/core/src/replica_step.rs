@@ -4,9 +4,9 @@
 //! with no opinion on how packets or time reach it: state-transfer
 //! brokering around the protocol state machine, shedding requests while a
 //! catch-up is in flight, request / protocol dispatch, and the periodic
-//! tick. The sim's [`ReplicaActor`](crate::replica_actor::ReplicaActor) and
-//! the threaded drivers' replica loop are shells that feed it and send
-//! what it returns.
+//! tick. Every driver hosts it in the one node runtime,
+//! [`Worker`](crate::worker::Worker), which feeds it packets and ticks and
+//! hands back what it sends.
 
 use harmonia_obs::{Counter, Recorder, TraceStage};
 use harmonia_replication::{Effects, ProtocolMsg, Replica, StateTransfer};
@@ -19,8 +19,7 @@ use crate::msg::Msg;
 pub(crate) struct ReplicaNode {
     replica: Box<dyn Replica>,
     /// The state-transfer broker: serves peers' snapshot requests, and runs
-    /// this replica's own catch-up after a restart. Built on first use —
-    /// the sim actor only learns its replica id from the world.
+    /// this replica's own catch-up after a restart. Built on first use.
     transfer: Option<StateTransfer>,
     /// Set for a restarted replica: [`start`](Self::start) requests a
     /// snapshot from this peer before anything is served.
@@ -48,16 +47,6 @@ impl ReplicaNode {
             recorder,
             fx: Effects::new(),
         }
-    }
-
-    /// Replace the observability recorder (detached by default).
-    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// The recorder this node counts and traces into.
-    pub(crate) fn recorder(&self) -> &Recorder {
-        &self.recorder
     }
 
     /// Inspect the wrapped state machine.

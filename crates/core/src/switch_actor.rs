@@ -1,43 +1,46 @@
-//! The switch as a simulated node.
+//! The switch's per-packet logic (Figure 1): one [`GroupCore`] per replica
+//! group, and [`SwitchCore`], the pipelines one host runs.
 //!
-//! Every packet of the rack traverses this actor (Figure 1): client requests
-//! are run through Algorithm 1 (Harmonia mode) or plain entry-point routing
-//! (baseline mode); replies flowing back to clients are snooped for
-//! piggybacked WRITE-COMPLETIONs; standalone completions update the conflict
-//! detector; protocol traffic would be forwarded by L2/L3 (the simulation
-//! sends replica↔replica messages directly, so none arrives here).
+//! A group's core holds its conflict detector, forwarding table, OUM
+//! sequencer and counters, and runs every arm of the pipeline: client
+//! requests through Algorithm 1 (Harmonia mode) or plain entry-point routing
+//! (baseline mode), replies snooped for piggybacked WRITE-COMPLETIONs,
+//! standalone completions into the conflict detector, control into the
+//! forwarding table. Each core is owned by exactly one host, so no lock
+//! guards the packet path — the property a real Tofino gets for free by
+//! processing groups' packets in parallel at line rate.
 //!
-//! *Every* packet, in the simulator: there the hop through this actor is the
-//! ToR's modelled link latency, not CPU, so a read reply with nothing to
-//! snoop still passes through [`SwitchCore::handle`] and every virtual-time
-//! figure charges for it. The threaded drivers share the per-group logic
-//! ([`GroupCore`]) but not that traversal: their sender-side spine
-//! ([`PacketBody::switch_route`]) forwards completion-less replies straight
-//! to the client, so a pipeline's `handle_reply` only ever sees replies that
-//! carry a completion. `Counter::SwitchPackets` counts what each handled —
-//! 2·R + 2·W for R reads and W chain writes here, R + 2·W on a pipeline
-//! fleet.
+//! Where a packet addressed to the switch goes is decided in one function,
+//! [`SwitchCore::handle`], by [`PacketBody::switch_route`]: the shard's
+//! pipeline, any one pipeline, every pipeline whose group the control names,
+//! or past the switch to the client. Every driver runs it inside the one
+//! node runtime ([`crate::worker`]): the simulator's switch node hosts every
+//! group's pipeline, a threaded driver deals them over its workers.
 //!
-//! The actor's service model is [`Service::Immediate`]: a Tofino processes
-//! packets at line rate, so the switch is pure delay, never a queue — the
-//! property that lets Harmonia claim zero overhead (§6).
-
-use std::collections::BTreeMap;
+//! **The ToR hop.** In the paper's rack every packet physically crosses the
+//! switch, and the simulator keeps that hop: a reply with no completion
+//! still arrives at the switch node, and virtual time charges its link. But
+//! forwarding it is L2 work, not pipeline work: `handle` passes it to the
+//! client as it arrived, outside every pipeline, so `Counter::SwitchPackets`
+//! — what the pipelines handled — is R + 2·W for R reads and W chain writes
+//! on every driver. On the threaded drivers the sender-side spine forwards
+//! such a reply itself, so only the simulator reaches that arm.
 
 use harmonia_obs::{Counter, Recorder, TraceStage};
 use harmonia_replication::messages::{NopaxosMsg, ProtocolMsg, WriteOp};
 use harmonia_replication::ProtocolKind;
-use harmonia_sim::{Actor, Context, Service, TimerToken};
 use harmonia_switch::{
     ConflictConfig, ConflictDetector, ForwardingTable, GroupId, GroupObservation, ReadDecision,
-    ReadEntry, Sequencer, SpineView, SwitchStats, TableConfig, WriteDecision, WriteEntry,
+    ReadEntry, Sequencer, SpineView, SwitchStats, WriteDecision, WriteEntry,
 };
 use harmonia_types::{
-    ClientReply, ClientRequest, ControlMsg, Duration, Instant, NodeId, ObjectId, OpKind,
-    PacketBody, ReadMode, ReplicaId, SwitchId, SwitchSeq, TraceId,
+    ClientReply, ClientRequest, ControlMsg, Duration, Instant, NodeId, OpKind, PacketBody,
+    ReadMode, ReplicaId, SwitchId, SwitchRoute, SwitchSeq, TraceId,
 };
 use harmonia_workload::ShardMap;
+use rand::rngs::SmallRng;
 
+use crate::deployment::DeploymentSpec;
 use crate::msg::Msg;
 
 /// Is the conflict-detection module loaded on this switch?
@@ -51,26 +54,8 @@ pub enum SwitchMode {
     Harmonia,
 }
 
-/// Switch actor configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct SwitchActorConfig {
-    /// This incarnation's id (bump on every replacement, §5.3).
-    pub incarnation: SwitchId,
-    /// Baseline or Harmonia.
-    pub mode: SwitchMode,
-    /// The protocol the replica group runs (decides entry points).
-    pub protocol: ProtocolKind,
-    /// Number of replicas initially registered.
-    pub replicas: usize,
-    /// Dirty-set geometry.
-    pub table: TableConfig,
-    /// Cadence of the control-plane stale-entry sweep (§5.2); `None`
-    /// disables it (lazy read-time scrubbing still runs).
-    pub sweep_interval: Option<Duration>,
-}
-
 /// The replica a control-plane message is about — a bulk reconfiguration is
-/// about its first member. Both switch shapes address control by it.
+/// about its first member.
 fn control_subject(ctl: &ControlMsg) -> Option<ReplicaId> {
     match ctl {
         ControlMsg::AddReplica(r) | ControlMsg::RemoveReplica(r) | ControlMsg::GateReplica(r) => {
@@ -84,13 +69,6 @@ fn control_subject(ctl: &ControlMsg) -> Option<ReplicaId> {
 /// One replica group's complete switch-side state — conflict detector,
 /// forwarding table, OUM sequencer, and data-plane counters — plus the full
 /// per-packet logic that operates on it.
-///
-/// A `GroupCore` is the unit of ownership of the parallel live data plane:
-/// every group's core is owned by exactly one worker thread, so no lock
-/// guards the packet path (the property a real Tofino gets for free by
-/// processing groups' packets in parallel at line rate). The deterministic
-/// simulator keeps all cores behind one [`SwitchCore`] actor instead —
-/// identical logic, single-threaded dispatch.
 pub struct GroupCore {
     group: GroupId,
     incarnation: SwitchId,
@@ -108,52 +86,40 @@ pub struct GroupCore {
 }
 
 impl GroupCore {
-    fn new(
-        cfg: &SwitchActorConfig,
-        group: GroupId,
-        members: Vec<ReplicaId>,
-        write_entry: WriteEntry,
-        read_entry: ReadEntry,
-    ) -> Self {
+    fn new(spec: &DeploymentSpec, incarnation: SwitchId, group: GroupId) -> Self {
+        let (write_entry, read_entry) = match spec.protocol {
+            ProtocolKind::PrimaryBackup => (WriteEntry::Primary, ReadEntry::Primary),
+            ProtocolKind::Chain | ProtocolKind::Craq => {
+                (WriteEntry::ChainHead, ReadEntry::ChainTail)
+            }
+            ProtocolKind::Vr => (WriteEntry::Leader, ReadEntry::Leader),
+            ProtocolKind::Nopaxos => (WriteEntry::Multicast, ReadEntry::Leader),
+        };
+        let members = spec.group_members(group.0 as usize);
         GroupCore {
             group,
-            incarnation: cfg.incarnation,
-            mode: cfg.mode,
-            protocol: cfg.protocol,
+            incarnation,
+            mode: if spec.harmonia {
+                SwitchMode::Harmonia
+            } else {
+                SwitchMode::Baseline
+            },
+            protocol: spec.protocol,
             detector: ConflictDetector::new(ConflictConfig {
-                switch_id: cfg.incarnation,
-                table: cfg.table,
+                switch_id: incarnation,
+                table: spec.table,
             }),
             fwd: ForwardingTable::with_members(members.clone(), write_entry, read_entry),
-            sequencer: Sequencer::new(u64::from(cfg.incarnation.0)),
+            sequencer: Sequencer::new(u64::from(incarnation.0)),
             stats: SwitchStats::default(),
             provisioned: members,
             recorder: Recorder::detached(),
         }
     }
 
-    /// Attach an observability recorder. The live driver gives every
-    /// pipeline its own registry shard; the simulator shares one clone
-    /// across all groups (single-threaded, so there is no contention to
-    /// shard away).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
-    }
-
-    /// The attached observability recorder (the live pipeline reads its
-    /// clock for packet timestamps).
-    pub fn recorder(&self) -> &Recorder {
-        &self.recorder
-    }
-
     /// The group this core schedules.
     pub fn group(&self) -> GroupId {
         self.group
-    }
-
-    /// This incarnation's id.
-    pub fn incarnation(&self) -> SwitchId {
-        self.incarnation
     }
 
     /// The group's data-plane counters.
@@ -258,7 +224,7 @@ impl GroupCore {
         now: Instant,
         me: NodeId,
         mut req: ClientRequest,
-        rng: &mut rand::rngs::SmallRng,
+        rng: &mut SmallRng,
         out: &mut Vec<(NodeId, Msg)>,
     ) {
         let trace_id = TraceId::new(req.client, req.request);
@@ -351,46 +317,13 @@ impl GroupCore {
         }
     }
 
-    /// Process one packet a pipeline fleet's spine delivered to this group,
-    /// pushing forwarded packets onto `out` — the whole per-packet pipeline
-    /// of a live worker.
-    ///
-    /// Control reaches a fleet by broadcast (the stateless spine cannot know
-    /// which group a replica currently lives in), so a group applies only
-    /// what names a replica it serves or was provisioned with; everything
-    /// else was shard-routed here. [`SwitchCore::handle`] picks the one group a
-    /// packet addresses itself and then runs the same arms, so for every
-    /// control sequence about a deployment's own replicas the fleet and the
-    /// monolith end in the same per-group state
-    /// (`split_group_cores_match_monolith_accounting` in
-    /// `tests/proptests.rs`). Where they still part: a replica moved across
-    /// groups (which no §5.3 flow performs) is owned by two groups of a
-    /// fleet, and a control naming a replica unknown to every group is
-    /// dropped by a fleet while the monolith defaults it to group 0.
-    pub fn handle(
+    /// Run the arm of a packet [`SwitchCore::handle`] routed to this group.
+    fn handle(
         &mut self,
         now: Instant,
         me: NodeId,
         msg: Msg,
-        rng: &mut rand::rngs::SmallRng,
-        out: &mut Vec<(NodeId, Msg)>,
-    ) {
-        if let PacketBody::Control(ctl) = &msg.body {
-            if !control_subject(ctl).is_some_and(|r| self.owns(r)) {
-                self.recorder.incr(Counter::SwitchPackets);
-                return;
-            }
-        }
-        self.handle_routed(now, me, msg, rng, out);
-    }
-
-    /// Run the arm of a packet already known to address this group.
-    fn handle_routed(
-        &mut self,
-        now: Instant,
-        me: NodeId,
-        msg: Msg,
-        rng: &mut rand::rngs::SmallRng,
+        rng: &mut SmallRng,
         out: &mut Vec<(NodeId, Msg)>,
     ) {
         self.recorder.incr(Counter::SwitchPackets);
@@ -417,107 +350,142 @@ impl GroupCore {
     }
 
     /// Control-plane sweep of stale dirty entries (§5.2).
-    pub fn sweep(&mut self) -> usize {
+    fn sweep(&mut self) -> usize {
         let swept = self.detector.sweep();
         self.recorder.add(Counter::SwitchSwept, swept as u64);
         swept
     }
-
-    /// Whether [`sweep`](Self::sweep) could remove anything right now.
-    pub fn sweep_pending(&self) -> bool {
-        self.detector.sweep_pending()
-    }
 }
 
-/// Transport-agnostic switch logic, shared by the simulated actor and the
-/// live threaded driver.
+/// The pipelines one host runs: the [`GroupCore`]s of some or all of a
+/// deployment's groups (§6.3), under one switch incarnation, and the one
+/// route rule that picks among them.
 ///
-/// One `SwitchCore` hosts the Harmonia scheduler for one **or many** replica
-/// groups (§6.3): each group's conflict detector, forwarding table, OUM
-/// sequencer, and counters live in that group's [`GroupCore`]. Requests are
-/// routed to their group by the deployment's [`ShardMap`] — for the
-/// rack-scale single-group case that map is the identity onto group 0 and
-/// the behavior is exactly the paper's Figure 1 pipeline.
+/// The simulator's switch node holds every group ([`for_deployment`]);
+/// a threaded worker holds the groups dealt to it ([`for_groups`]), and the
+/// sender-side spine has already picked the worker by the same route.
 ///
-/// The simulator drives the core whole (one deterministic actor); the live
-/// driver calls [`into_group_cores`](Self::into_group_cores) and moves each
-/// group's core onto the worker that hosts its pipeline.
+/// [`for_deployment`]: Self::for_deployment
+/// [`for_groups`]: Self::for_groups
 pub struct SwitchCore {
-    cfg: SwitchActorConfig,
-    groups: BTreeMap<GroupId, GroupCore>,
+    incarnation: SwitchId,
+    /// In group order.
+    groups: Vec<GroupCore>,
     shards: ShardMap,
+    /// How long the pipelines must sit idle before stale dirty entries are
+    /// swept; `None`: never.
+    sweep: Option<Duration>,
 }
 
 impl SwitchCore {
-    /// Build the data-plane state for `cfg`: a single replica group with
-    /// members `0..cfg.replicas` (the rack-scale deployment).
-    pub fn new(cfg: SwitchActorConfig) -> Self {
-        let members = (0..cfg.replicas as u32).map(ReplicaId).collect();
-        Self::new_sharded(cfg, vec![members])
+    /// Every group's pipeline of incarnation `incarnation` of `spec` —
+    /// one group for the rack-scale deployment, many for §6.3.
+    pub fn for_deployment(spec: &DeploymentSpec, incarnation: SwitchId) -> Self {
+        Self::for_groups(spec, incarnation, (0..spec.groups as u32).map(GroupId))
     }
 
-    /// The one constructor both drivers use: build the core for incarnation
-    /// `incarnation` of `spec`, hosting every group of the deployment —
-    /// whether that is one ([`groups(1)`](crate::deployment::DeploymentSpec::groups),
-    /// the rack-scale case) or many (§6.3).
-    pub fn for_deployment(spec: &crate::deployment::DeploymentSpec, incarnation: SwitchId) -> Self {
-        SwitchCore::new_sharded(spec.switch_actor_config(incarnation), spec.memberships())
-    }
-
-    /// Build a spine switch hosting one group per entry of `memberships`
-    /// (§6.3 cloud-scale deployment). Group `g` serves the objects
-    /// `ShardMap::new(memberships.len()).shard_of(obj) == g`; every group
-    /// gets its own `cfg.table`-sized dirty set and sequence space, all
-    /// under this one incarnation. `cfg.replicas` is ignored — memberships
-    /// are explicit.
-    pub fn new_sharded(cfg: SwitchActorConfig, memberships: Vec<Vec<ReplicaId>>) -> Self {
-        assert!(!memberships.is_empty(), "at least one replica group");
-        let (write_entry, read_entry) = match cfg.protocol {
-            ProtocolKind::PrimaryBackup => (WriteEntry::Primary, ReadEntry::Primary),
-            ProtocolKind::Chain | ProtocolKind::Craq => {
-                (WriteEntry::ChainHead, ReadEntry::ChainTail)
-            }
-            ProtocolKind::Vr => (WriteEntry::Leader, ReadEntry::Leader),
-            ProtocolKind::Nopaxos => (WriteEntry::Multicast, ReadEntry::Leader),
-        };
-        let shards = ShardMap::new(memberships.len());
-        let groups = memberships
-            .into_iter()
-            .enumerate()
-            .map(|(g, members)| {
-                let gid = GroupId(g as u32);
-                (
-                    gid,
-                    GroupCore::new(&cfg, gid, members, write_entry, read_entry),
-                )
-            })
+    /// The pipelines of `groups` only. Group `g` serves the objects
+    /// `ShardMap::new(spec.groups).shard_of(obj) == g`, with its own
+    /// `spec.table`-sized dirty set and sequence space.
+    pub fn for_groups(
+        spec: &DeploymentSpec,
+        incarnation: SwitchId,
+        groups: impl IntoIterator<Item = GroupId>,
+    ) -> Self {
+        let mut groups: Vec<GroupCore> = (groups.into_iter())
+            .map(|g| GroupCore::new(spec, incarnation, g))
             .collect();
+        groups.sort_by_key(|c| c.group);
         SwitchCore {
-            cfg,
+            incarnation,
             groups,
-            shards,
+            shards: spec.shard_map(),
+            sweep: spec.sweep_interval,
         }
     }
 
-    fn group_of(&self, obj: ObjectId) -> GroupId {
-        GroupId(self.shards.shard_of(obj))
+    /// Process one packet addressed to the switch, pushing what it forwards
+    /// onto `out`. This is the one route rule, by
+    /// [`PacketBody::switch_route`]:
+    ///
+    /// * `Group` — the pipeline of the object's shard, if hosted here;
+    /// * `AnyGroup` — the first pipeline hosted here;
+    /// * `EveryGroup` — each pipeline whose group the control names (the
+    ///   replica is served or was provisioned there); control about a
+    ///   replica no hosted group knows is dropped;
+    /// * `Client` — to the client, as it arrived, outside every pipeline.
+    pub fn handle(
+        &mut self,
+        now: Instant,
+        me: NodeId,
+        msg: Msg,
+        rng: &mut SmallRng,
+        out: &mut Vec<(NodeId, Msg)>,
+    ) {
+        match msg.body.switch_route() {
+            SwitchRoute::Group(obj) => {
+                let group = GroupId(self.shards.shard_of(obj));
+                if let Some(core) = self.groups.iter_mut().find(|c| c.group == group) {
+                    core.handle(now, me, msg, rng, out);
+                }
+            }
+            SwitchRoute::AnyGroup => {
+                if let Some(core) = self.groups.first_mut() {
+                    core.handle(now, me, msg, rng, out);
+                }
+            }
+            SwitchRoute::EveryGroup => {
+                let subject = match &msg.body {
+                    PacketBody::Control(ctl) => control_subject(ctl),
+                    _ => None,
+                };
+                let owners =
+                    (self.groups.iter_mut()).filter(|c| subject.is_some_and(|r| c.owns(r)));
+                for core in owners {
+                    core.handle(now, me, msg.clone(), rng, out);
+                }
+            }
+            SwitchRoute::Client(client) => out.push((NodeId::Client(client), msg)),
+        }
+    }
+
+    /// Control-plane sweep of stale dirty entries (§5.2), across every
+    /// hosted group.
+    pub fn sweep(&mut self) -> usize {
+        self.groups.iter_mut().map(GroupCore::sweep).sum()
+    }
+
+    /// When pipelines that stay idle from `now` on should sweep: never
+    /// without a sweep interval, and only while a sweep could reclaim
+    /// something.
+    pub(crate) fn sweep_after(&self, now: Instant) -> Option<Instant> {
+        let pending = self.groups.iter().any(|c| c.detector.sweep_pending());
+        self.sweep.filter(|_| pending).map(|idle| now + idle)
+    }
+
+    /// Attach an observability recorder, shared (cloned) across every
+    /// hosted group.
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
+        for core in &mut self.groups {
+            core.recorder = recorder.clone();
+        }
     }
 
     /// Aggregate data-plane counters across every hosted group.
     pub fn stats(&self) -> SwitchStats {
         let mut total = SwitchStats::default();
-        for core in self.groups.values() {
+        for core in &self.groups {
             total.merge(&core.stats);
         }
         total
     }
 
-    /// One group's data-plane counters.
-    pub fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.groups.get(&group).map(|c| c.stats)
+    /// One hosted group's pipeline.
+    pub fn group(&self, group: GroupId) -> Option<&GroupCore> {
+        self.groups.iter().find(|c| c.group == group)
     }
 
-    /// Number of replica groups hosted by this switch.
+    /// Number of replica groups hosted here.
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
@@ -528,211 +496,37 @@ impl SwitchCore {
     }
 
     /// Aggregate-only view across every hosted group — the same snapshots
-    /// a fleet of live pipeline workers exports.
+    /// a threaded driver's workers export.
     pub fn view(&self) -> SpineView {
-        SpineView::new(self.groups.values().map(|c| c.observe()).collect())
-    }
-
-    /// Group 0's conflict detector — the whole detector in a single-group
-    /// deployment (inspection).
-    pub fn detector(&self) -> &ConflictDetector {
-        self.group_detector(GroupId(0))
-            .expect("group 0 always exists")
-    }
-
-    /// A specific group's conflict detector (inspection).
-    pub fn group_detector(&self, group: GroupId) -> Option<&ConflictDetector> {
-        self.groups.get(&group).map(|c| &c.detector)
-    }
-
-    /// Dirty-set SRAM consumed by one hosted group.
-    pub fn group_memory_bytes(&self, group: GroupId) -> Option<usize> {
-        self.groups.get(&group).map(|c| c.memory_bytes())
+        SpineView::new(self.groups.iter().map(GroupCore::observe).collect())
     }
 
     /// Total dirty-set SRAM across every hosted group (§6.3 budget check).
     pub fn memory_bytes(&self) -> usize {
-        self.groups.values().map(|c| c.memory_bytes()).sum()
+        self.groups.iter().map(GroupCore::memory_bytes).sum()
     }
 
     /// This incarnation's id.
     pub fn incarnation(&self) -> SwitchId {
-        self.cfg.incarnation
+        self.incarnation
     }
 
     /// Whether replica `r` is currently read-gated (recovering, not yet
     /// proven caught up) in its group's forwarding table.
     pub fn is_gated(&self, r: ReplicaId) -> bool {
-        self.groups.values().any(|c| c.fwd.is_gated(r))
-    }
-
-    /// Tear the core into independently-ownable per-group pipelines (the
-    /// live driver), in group order. Each [`GroupCore`] takes its group's
-    /// detector, forwarding table, sequencer, counters, and provisioned
-    /// membership with it; nothing shared remains.
-    pub fn into_group_cores(self) -> Vec<GroupCore> {
-        self.groups.into_values().collect()
-    }
-
-    /// The group a control-plane message addresses: wherever the replica it
-    /// names currently lives, falling back to where it was provisioned, then
-    /// to group 0 (single-group deployments never hit the fallbacks).
-    fn control_group(&self, ctl: &ControlMsg) -> GroupId {
-        let Some(r) = control_subject(ctl) else {
-            return GroupId(0);
-        };
-        self.groups
-            .values()
-            .find(|c| c.fwd.replicas().contains(&r))
-            .or_else(|| self.groups.values().find(|c| c.provisioned.contains(&r)))
-            .map_or(GroupId(0), |c| c.group)
-    }
-
-    /// Attach an observability recorder, shared (cloned) across every
-    /// hosted group — the single-threaded simulator's wiring. The live
-    /// driver instead attaches one recorder per group after
-    /// [`into_group_cores`](Self::into_group_cores).
-    pub fn set_recorder(&mut self, recorder: &Recorder) {
-        for core in self.groups.values_mut() {
-            core.set_recorder(recorder.clone());
-        }
-    }
-
-    /// Process one packet, pushing forwarded packets onto `out`: pick the
-    /// group it addresses — the object's shard for what Algorithm 1 acts on,
-    /// the named replica's group for control, any group for what is only
-    /// forwarded — and run that group's arm.
-    pub fn handle(
-        &mut self,
-        now: Instant,
-        me: NodeId,
-        msg: Msg,
-        rng: &mut rand::rngs::SmallRng,
-        out: &mut Vec<(NodeId, Msg)>,
-    ) {
-        let gid = match &msg.body {
-            PacketBody::Request(req) => self.group_of(req.obj),
-            PacketBody::Completion(c)
-            | PacketBody::Reply(ClientReply {
-                completion: Some(c),
-                ..
-            }) => self.group_of(c.obj),
-            PacketBody::Control(ctl) => self.control_group(ctl),
-            // Only forwarded: any group's arm does.
-            PacketBody::Reply(_) | PacketBody::Protocol(_) => GroupId(0),
-        };
-        if let Some(core) = self.groups.get_mut(&gid) {
-            core.handle_routed(now, me, msg, rng, out);
-        }
-    }
-
-    /// Control-plane sweep of stale dirty entries (§5.2), across every
-    /// hosted group.
-    pub fn sweep(&mut self) -> usize {
-        self.groups.values_mut().map(|c| c.sweep()).sum()
-    }
-}
-
-/// The switch as a simulated node: [`SwitchCore`] plus timers and the
-/// line-rate service model.
-pub struct SwitchActor {
-    core: SwitchCore,
-    out: Vec<(NodeId, Msg)>,
-}
-
-impl SwitchActor {
-    /// Build a switch for `cfg`.
-    pub fn new(cfg: SwitchActorConfig) -> Self {
-        SwitchActor {
-            core: SwitchCore::new(cfg),
-            out: Vec::new(),
-        }
-    }
-
-    /// Build a spine switch hosting one group per membership list.
-    pub fn new_sharded(cfg: SwitchActorConfig, memberships: Vec<Vec<ReplicaId>>) -> Self {
-        SwitchActor {
-            core: SwitchCore::new_sharded(cfg, memberships),
-            out: Vec::new(),
-        }
-    }
-
-    /// Build the switch actor for incarnation `incarnation` of `spec`,
-    /// hosting every group of the deployment (see
-    /// [`SwitchCore::for_deployment`]).
-    pub fn for_deployment(spec: &crate::deployment::DeploymentSpec, incarnation: SwitchId) -> Self {
-        SwitchActor {
-            core: SwitchCore::for_deployment(spec, incarnation),
-            out: Vec::new(),
-        }
-    }
-
-    /// Attach an observability recorder (shared across hosted groups).
-    pub fn set_recorder(&mut self, recorder: &Recorder) {
-        self.core.set_recorder(recorder);
-    }
-
-    /// The switch logic this actor shells (post-run inspection).
-    pub fn core(&self) -> &SwitchCore {
-        &self.core
-    }
-}
-
-impl Actor<Msg> for SwitchActor {
-    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        if let Some(iv) = self.core.cfg.sweep_interval {
-            ctx.set_timer(iv);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-        let mut out = std::mem::take(&mut self.out);
-        let now = ctx.now();
-        self.core.handle(now, ctx.node(), msg, ctx.rng(), &mut out);
-        for (dst, m) in out.drain(..) {
-            ctx.send(dst, m);
-        }
-        self.out = out;
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _token: TimerToken) {
-        let swept = self.core.sweep();
-        if swept > 0 {
-            ctx.metrics().add("switch.swept", swept as u64);
-        }
-        if let Some(iv) = self.core.cfg.sweep_interval {
-            ctx.set_timer(iv);
-        }
-    }
-
-    fn service(&self, _msg: &Msg) -> Service {
-        // Line rate: pure delay, never a queue (§6).
-        Service::Immediate
+        self.groups.iter().any(|c| c.fwd.is_gated(r))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
+    use crate::worker::SimWorker;
+    use harmonia_sim::{Actor, Context, LinkConfig, NetworkModel, World, WorldConfig};
+    use harmonia_switch::TableConfig;
     use harmonia_types::{ClientId, RequestId, WriteCompletion};
 
     const SWITCH: NodeId = NodeId::Switch(SwitchId(1));
-
-    fn cfg(mode: SwitchMode, protocol: ProtocolKind) -> SwitchActorConfig {
-        SwitchActorConfig {
-            incarnation: SwitchId(1),
-            mode,
-            protocol,
-            replicas: 3,
-            table: TableConfig {
-                stages: 2,
-                slots_per_stage: 64,
-                entry_bytes: 8,
-            },
-            sweep_interval: None,
-        }
-    }
 
     /// Collects everything addressed to it.
     struct Sink {
@@ -744,22 +538,38 @@ mod tests {
         }
     }
 
+    /// The switch of a three-replica group as a simulated host, beside three
+    /// replica sinks and a client sink.
     fn world_with_switch(mode: SwitchMode, protocol: ProtocolKind) -> World<Msg> {
+        let spec = DeploymentSpec::new()
+            .protocol(protocol)
+            .harmonia(mode == SwitchMode::Harmonia)
+            .table(TableConfig {
+                stages: 2,
+                slots_per_stage: 64,
+                entry_bytes: 8,
+            })
+            .sweep_interval(None);
         let mut w = World::new(WorldConfig {
             seed: 1,
-            network: NetworkModel::uniform(LinkConfig::ideal(
-                harmonia_types::Duration::from_micros(1),
-            )),
+            network: NetworkModel::uniform(LinkConfig::ideal(Duration::from_micros(1))),
         });
-        w.add_node(SWITCH, Box::new(SwitchActor::new(cfg(mode, protocol))));
+        let switch = spec.sim_switch(SwitchId(1), &Recorder::detached());
+        w.add_node(SWITCH, Box::new(switch));
         for r in 0..3 {
-            w.add_node(
-                NodeId::Replica(harmonia_types::ReplicaId(r)),
-                Box::new(Sink { got: vec![] }),
-            );
+            let sink = Box::new(Sink { got: vec![] });
+            w.add_node(NodeId::Replica(ReplicaId(r)), sink);
         }
         w.add_node(NodeId::Client(ClientId(1)), Box::new(Sink { got: vec![] }));
         w
+    }
+
+    fn switch(w: &World<Msg>) -> &SwitchCore {
+        w.actor::<SimWorker>(SWITCH).unwrap().switch().unwrap()
+    }
+
+    fn detector(w: &World<Msg>) -> &ConflictDetector {
+        switch(w).group(GroupId(0)).unwrap().detector()
     }
 
     fn send_req(w: &mut World<Msg>, req: ClientRequest) {
@@ -772,10 +582,18 @@ mod tests {
         w.run_until_idle(1000);
     }
 
+    fn complete(w: &mut World<Msg>, key: &'static [u8], seq: u64) {
+        let from = NodeId::Replica(ReplicaId(2));
+        let done = PacketBody::Completion(WriteCompletion {
+            obj: harmonia_types::ObjectId::from_key(key),
+            seq: SwitchSeq::new(SwitchId(1), seq),
+        });
+        w.inject(from, SWITCH, Msg::new(from, SWITCH, done));
+        w.run_until_idle(100);
+    }
+
     fn replica_msgs(w: &World<Msg>, r: u32) -> &Vec<Msg> {
-        &w.actor::<Sink>(NodeId::Replica(harmonia_types::ReplicaId(r)))
-            .unwrap()
-            .got
+        &w.actor::<Sink>(NodeId::Replica(ReplicaId(r))).unwrap().got
     }
 
     #[test]
@@ -791,8 +609,7 @@ mod tests {
             panic!()
         };
         assert_eq!(req.seq, Some(SwitchSeq::new(SwitchId(1), 1)));
-        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
-        assert_eq!(sw.detector().dirty_len(), 1);
+        assert_eq!(detector(&w).dirty_len(), 1);
     }
 
     #[test]
@@ -809,25 +626,13 @@ mod tests {
             &mut w,
             ClientRequest::write(ClientId(1), RequestId(2), &b"k"[..], &b"v"[..]),
         );
-        w.inject(
-            NodeId::Replica(harmonia_types::ReplicaId(2)),
-            SWITCH,
-            Msg::new(
-                NodeId::Replica(harmonia_types::ReplicaId(2)),
-                SWITCH,
-                PacketBody::Completion(WriteCompletion {
-                    obj: harmonia_types::ObjectId::from_key(b"k"),
-                    seq: SwitchSeq::new(SwitchId(1), 1),
-                }),
-            ),
-        );
-        w.run_until_idle(100);
+        complete(&mut w, b"k", 1);
         // Fast path now on: an uncontended read is stamped and randomized.
         send_req(
             &mut w,
             ClientRequest::read(ClientId(1), RequestId(3), &b"a"[..]),
         );
-        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
+        let sw = switch(&w);
         assert_eq!(sw.stats().reads_fast_path, 1);
         assert_eq!(sw.stats().reads_normal, 1);
         let fast: Vec<_> = (0..3)
@@ -849,19 +654,7 @@ mod tests {
             &mut w,
             ClientRequest::write(ClientId(1), RequestId(1), &b"k"[..], &b"v"[..]),
         );
-        w.inject(
-            NodeId::Replica(harmonia_types::ReplicaId(2)),
-            SWITCH,
-            Msg::new(
-                NodeId::Replica(harmonia_types::ReplicaId(2)),
-                SWITCH,
-                PacketBody::Completion(WriteCompletion {
-                    obj: harmonia_types::ObjectId::from_key(b"k"),
-                    seq: SwitchSeq::new(SwitchId(1), 1),
-                }),
-            ),
-        );
-        w.run_until_idle(100);
+        complete(&mut w, b"k", 1);
         // A pending write to "hot" makes reads of it contended.
         send_req(
             &mut w,
@@ -871,7 +664,7 @@ mod tests {
             &mut w,
             ClientRequest::read(ClientId(1), RequestId(3), &b"hot"[..]),
         );
-        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
+        let sw = switch(&w);
         assert_eq!(sw.stats().reads_normal, 1);
         assert_eq!(sw.stats().reads_fast_path, 0);
     }
@@ -887,8 +680,7 @@ mod tests {
         }
         assert_eq!(replica_msgs(&w, 2).len(), 5, "all reads at the tail");
         assert_eq!(replica_msgs(&w, 0).len(), 0);
-        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
-        assert_eq!(sw.detector().dirty_len(), 0, "baseline tracks nothing");
+        assert_eq!(detector(&w).dirty_len(), 0, "baseline tracks nothing");
     }
 
     #[test]
@@ -939,12 +731,11 @@ mod tests {
             &mut w,
             ClientRequest::write(ClientId(1), RequestId(1), &b"k"[..], &b"v"[..]),
         );
-        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
-        assert_eq!(sw.detector().dirty_len(), 1);
+        assert_eq!(detector(&w).dirty_len(), 1);
         // Tail's reply with the piggybacked completion passes the switch.
-        let reply = harmonia_types::ClientReply {
+        let reply = ClientReply {
             client: ClientId(1),
-            from: harmonia_types::ReplicaId(2),
+            from: ReplicaId(2),
             request: RequestId(1),
             obj: harmonia_types::ObjectId::from_key(b"k"),
             value: None,
@@ -954,19 +745,15 @@ mod tests {
                 seq: SwitchSeq::new(SwitchId(1), 1),
             }),
         };
+        let tail = NodeId::Replica(ReplicaId(2));
         w.inject(
-            NodeId::Replica(harmonia_types::ReplicaId(2)),
+            tail,
             SWITCH,
-            Msg::new(
-                NodeId::Replica(harmonia_types::ReplicaId(2)),
-                SWITCH,
-                PacketBody::Reply(reply),
-            ),
+            Msg::new(tail, SWITCH, PacketBody::Reply(reply)),
         );
         w.run_until_idle(100);
-        let sw = w.actor::<SwitchActor>(SWITCH).unwrap().core();
-        assert_eq!(sw.detector().dirty_len(), 0, "completion cleared the entry");
-        assert!(sw.detector().fast_path_enabled());
+        assert_eq!(detector(&w).dirty_len(), 0, "completion cleared the entry");
+        assert!(detector(&w).fast_path_enabled());
         // And the client received the forwarded reply.
         let client_msgs = &w.actor::<Sink>(NodeId::Client(ClientId(1))).unwrap().got;
         assert_eq!(client_msgs.len(), 1);
@@ -975,15 +762,9 @@ mod tests {
     #[test]
     fn control_messages_update_forwarding() {
         let mut w = world_with_switch(SwitchMode::Harmonia, ProtocolKind::Chain);
-        w.inject(
-            NodeId::Controller,
-            SWITCH,
-            Msg::new(
-                NodeId::Controller,
-                SWITCH,
-                PacketBody::Control(ControlMsg::RemoveReplica(harmonia_types::ReplicaId(2))),
-            ),
-        );
+        let remove = PacketBody::Control(ControlMsg::RemoveReplica(ReplicaId(2)));
+        let ctl = NodeId::Controller;
+        w.inject(ctl, SWITCH, Msg::new(ctl, SWITCH, remove));
         w.run_until_idle(10);
         // Normal reads now land on replica 1 (new tail).
         send_req(

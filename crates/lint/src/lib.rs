@@ -132,6 +132,10 @@ impl Policy {
                 "crates/core/src/client_core.rs",
                 "crates/core/src/replica_step.rs",
                 "crates/core/src/control.rs",
+                // The node runtime and the switch pipelines it hosts: every
+                // simulated and every threaded packet runs through both.
+                "crates/core/src/worker.rs",
+                "crates/core/src/switch_actor.rs",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -146,6 +150,8 @@ impl Policy {
                 "crates/core/src/udp.rs",
                 "crates/core/src/client_core.rs",
                 "crates/core/src/replica_step.rs",
+                "crates/core/src/worker.rs",
+                "crates/core/src/switch_actor.rs",
                 "crates/types/src/wire.rs",
                 "crates/obs/src/recorder.rs",
                 "crates/obs/src/hist.rs",
@@ -165,6 +171,8 @@ impl Policy {
                 "crates/core/src/client_core.rs",
                 "crates/core/src/replica_step.rs",
                 "crates/core/src/control.rs",
+                "crates/core/src/worker.rs",
+                "crates/core/src/switch_actor.rs",
             ]
             .iter()
             .map(|s| s.to_string())

@@ -41,6 +41,17 @@ fn determinism_fires_on_std_time_instant_import() {
     assert_eq!(rules(&f), vec![Rule::Determinism], "{f:?}");
 }
 
+/// The node runtime every driver steps is held to the determinism rule,
+/// although the threaded drivers beside it in the same crate read the wall
+/// clock: its `now` is an argument.
+#[test]
+fn determinism_fires_on_a_wall_clock_read_in_the_node_runtime() {
+    let src = "fn step(&mut self) { let now = Instant::now(); }\n";
+    let f = lint_source("crates/core/src/worker.rs", src, &policy());
+    assert_eq!(rules(&f), vec![Rule::Determinism], "{f:?}");
+    assert!(lint_source("crates/core/src/live.rs", src, &policy()).is_empty());
+}
+
 #[test]
 fn determinism_allows_virtual_instant() {
     // The repo's own virtual clock: `Instant` as a type is fine, only

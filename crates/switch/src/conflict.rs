@@ -170,6 +170,7 @@ impl ConflictDetector {
     /// and an entry may have gone stale since the last sweep. Exact in the
     /// direction that matters — `false` means a full scan would return 0 —
     /// so a control plane may sleep until it turns `true`.
+    #[inline]
     pub fn sweep_pending(&self) -> bool {
         self.stale_since_sweep && self.table.occupancy() > 0
     }

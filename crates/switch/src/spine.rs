@@ -10,10 +10,11 @@
 //! A real Tofino processes different groups' packets in parallel at line
 //! rate, so nothing in a group's state is inherently shared: each group's
 //! detector is independent, and only the *accounting* is whole-switch. The
-//! per-group state and packet logic live in `harmonia-core`'s `GroupCore`
-//! (one per pipeline thread in the threaded drivers, all of them behind one
-//! `SwitchCore` actor in the simulator); this module holds what both shapes
-//! export. Whoever owns a group hands out [`GroupObservation`] snapshots,
+//! per-group state and packet logic live in `harmonia-core`'s `GroupCore`,
+//! hosted by the one node runtime on every driver — all groups on the
+//! simulator's switch node, dealt over the worker threads on the threaded
+//! drivers; this module holds what every host exports. Whoever owns a group
+//! hands out [`GroupObservation`] snapshots,
 //! and [`SpineView`] folds them into the whole-switch `memory_bytes` / stats
 //! totals, so the §6.3 claim — "the capacity of a switch far exceeds that of
 //! a single replica group" — can be checked against a tens-of-MB SRAM

@@ -100,9 +100,11 @@
 //! `replace_switch` verbs evict every pipeline from its worker and have
 //! fresh ones adopted under a fresh incarnation. This mirrors the hardware: a Tofino processes
 //! different groups' packets in parallel at line rate, so group count buys
-//! packet-level parallelism (as far as the host has cores for it). The
-//! deterministic simulator keeps all group cores behind one single-threaded
-//! actor — the same arms, bit-identical replays.
+//! packet-level parallelism (as far as the host has cores for it). Every
+//! driver runs one node runtime ([`Worker`](core::worker::Worker)): the
+//! worker threads step it, and the deterministic simulator steps it as one
+//! node per host — the switch with every group's pipeline, each replica on
+//! its own — with bit-identical replays.
 //!
 //! The **UDP driver** ([`core::udp`]) is the same rig
 //! ([`ThreadedCluster`](core::live::ThreadedCluster)) over a different
@@ -127,7 +129,7 @@
 //! | [`switch`] | switch data-plane emulation: register arrays, multi-stage hash table, Algorithm 1 |
 //! | [`replication`] | PB, chain, CRAQ, VR, NOPaxos — each ± Harmonia |
 //! | [`net`] | the deployment name service (`NodeId` → endpoint, spine shard routing) both threaded drivers resolve through; real datagram transport: UDP loopback sockets, seeded fault injection |
-//! | [`core`] | the `DeploymentSpec`/`Cluster` API; the sans-IO client core, replica step and §5.3 control scripts every driver shares; the sim actors and the threaded rig (channel and UDP substrates) that shell them |
+//! | [`core`] | the `DeploymentSpec`/`Cluster` API; the sans-IO client core, replica step, switch pipelines, node runtime (`Worker`) and §5.3 control scripts every driver shares; the simulator's host (`SimWorker`) and the threaded rig (channel and UDP substrates) that shell them |
 //! | [`workload`] | uniform/zipf key spaces, mixes, YCSB presets |
 //! | [`verify`] | linearizability checker + TLA+-mirror model checker |
 
@@ -155,7 +157,7 @@ pub mod prelude {
     pub use harmonia_core::live::{LiveClient, LiveCluster, LiveError};
     pub use harmonia_core::msg::{CostModel, Msg};
     pub use harmonia_core::udp::UdpCluster;
-    pub use harmonia_core::{ClosedLoopClient, OpenLoopClient, RecordedOp, SwitchActor};
+    pub use harmonia_core::{ClosedLoopClient, OpenLoopClient, RecordedOp, SimWorker};
     pub use harmonia_obs::{json_text, prometheus_text, ObsSnapshot, TraceEvent, TraceStage};
     pub use harmonia_replication::{GroupConfig, ProtocolKind};
     pub use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};

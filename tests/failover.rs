@@ -31,10 +31,11 @@ fn history_through_switch_replacement_is_linearizable() {
     // The replacement must actually have taken over fast-path duty.
     let sw = outcome
         .world
-        .actor::<SwitchActor>(NodeId::Switch(SwitchId(2)))
+        .actor::<SimWorker>(NodeId::Switch(SwitchId(2)))
         .expect("replacement switch")
-        .core();
-    assert!(sw.detector().fast_path_enabled());
+        .switch()
+        .expect("its pipelines");
+    assert_eq!(sw.view().fast_path_groups(), 1);
 }
 
 #[test]
@@ -144,9 +145,10 @@ fn double_failover_keeps_lease_monotone() {
     assert_linearizable(outcome.records, "double failover");
     let sw = outcome
         .world
-        .actor::<SwitchActor>(NodeId::Switch(SwitchId(3)))
+        .actor::<SimWorker>(NodeId::Switch(SwitchId(3)))
         .expect("third switch")
-        .core();
+        .switch()
+        .expect("its pipelines");
     assert_eq!(sw.incarnation(), SwitchId(3));
-    assert!(sw.detector().fast_path_enabled());
+    assert_eq!(sw.view().fast_path_groups(), 1);
 }

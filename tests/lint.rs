@@ -78,7 +78,13 @@ fn file_level_policy_entries_cover_the_core_crates_sans_io_modules() {
     let policy = Policy::workspace();
     let clock = "pub fn stamp() -> std::time::Instant { std::time::Instant::now() }\n";
     let socket = "use std::net::UdpSocket;\n";
-    for file in ["client_core.rs", "replica_step.rs", "control.rs"] {
+    for file in [
+        "client_core.rs",
+        "replica_step.rs",
+        "control.rs",
+        "worker.rs",
+        "switch_actor.rs",
+    ] {
         let path = format!("crates/core/src/{file}");
         let fired = |src: &str, rule: Rule| {
             lint_source(&path, src, &policy)

@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and invariants.
 
 use bytes::Bytes;
-use harmonia::core::SwitchCore;
+use harmonia::core::{GroupCore, SwitchCore};
 use harmonia::prelude::*;
 use harmonia::replication::messages::{
     ChainMsg, CraqMsg, NopaxosMsg, PbMsg, ProtocolMsg, StateTransferMsg, VrMsg, WriteOp,
@@ -11,7 +11,7 @@ use harmonia::switch::table::TableConfig as TC;
 use harmonia::types::wire::{decode_frame, encode_frame, encode_frame_into, frames};
 use harmonia::types::{
     ClientReply, ClientRequest, ControlMsg, ObjectId, Packet, PacketBody, ReadMode, RequestId,
-    SwitchRoute, SwitchSeq, WriteCompletion, WriteOutcome,
+    SwitchSeq, WriteCompletion, WriteOutcome,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -432,30 +432,40 @@ proptest! {
         }
     }
 
-    /// The parallel live data plane's contract: tearing a multi-group
-    /// `SwitchCore` into per-worker `GroupCore`s and driving each group's
-    /// packets through its own core (the per-group pipeline model) yields
-    /// exactly the per-group and aggregate stats, memory, dirty-set
-    /// occupancy and fast-path gating that the monolithic single-actor core
-    /// reports for the same packet sequence — and, with control about the
-    /// deployment's own replicas routed in the monolith and broadcast to
-    /// every split core, the same membership and read gates in every group.
+    /// One host holding every group's pipeline (the simulator's switch
+    /// node) and the same groups dealt over `k` hosts behind the
+    /// sender-side spine (a threaded layout, group `g` on host `g % k`) end
+    /// in the same state for the same packet sequence, control included:
+    /// the same per-group and aggregate stats, memory, dirty-set occupancy
+    /// and fast-path gating, the same members in the same role order, behind
+    /// the same read gates. Both run [`SwitchCore::handle`], the one route
+    /// rule; the spine only picks the host.
     #[test]
     fn split_group_cores_match_monolith_accounting(
         groups in 1usize..5,
+        hosts_raw in 0usize..4,
         ops in prop::collection::vec((0u32..64, 0u8..15), 1..150),
     ) {
         let spec = sharded_spec(groups, 16);
+        let hosts = 1 + hosts_raw % groups;
         let mut mono = SwitchCore::for_deployment(&spec, SwitchId(1));
-        let mut split = SwitchCore::for_deployment(&spec, SwitchId(1)).into_group_cores();
-        let shards = ShardMap::new(groups);
+        let mut split: Vec<SwitchCore> = (0..hosts)
+            .map(|h| {
+                let share = (h..groups).step_by(hosts).map(|g| GroupId(g as u32));
+                SwitchCore::for_groups(&spec, SwitchId(1), share)
+            })
+            .collect();
         let me = NodeId::Switch(SwitchId(1));
+        let spine = harmonia::net::AddrBook::<usize>::new();
+        let placement = (0..groups).map(|g| g % hosts).collect();
+        prop_assert!(spine.install_spine(vec![me], spec.shard_map(), placement));
+        let spine = spine.snapshot();
         let client = NodeId::Client(ClientId(1));
         // Deliberately *different* RNG streams: routing randomness picks
         // fast-path replicas, never accounting outcomes.
         let mut rng_mono = rand::rngs::SmallRng::seed_from_u64(1);
-        let mut rngs: Vec<rand::rngs::SmallRng> = (0..groups)
-            .map(|g| rand::rngs::SmallRng::seed_from_u64(1000 + g as u64))
+        let mut rngs: Vec<rand::rngs::SmallRng> = (0..hosts)
+            .map(|h| rand::rngs::SmallRng::seed_from_u64(1000 + h as u64))
             .collect();
         let mut out = Vec::new();
         let mut pending: Vec<WriteCompletion> = Vec::new();
@@ -493,8 +503,8 @@ proptest! {
             mono.handle(Instant::ZERO, me, Msg::new(client, me, body.clone()), &mut rng_mono, &mut out);
             // Capture the stamped seq of a forwarded write so a later op
             // can complete it. The split run sees the identical stamp:
-            // per-group detector state evolves in lockstep with the
-            // monolith's, which is the point being proven.
+            // per-group detector state evolves in lockstep, which is the
+            // point being proven.
             if let Some((_, m)) = out.first() {
                 if let PacketBody::Request(req) = &m.body {
                     if req.op == OpKind::Write {
@@ -506,50 +516,39 @@ proptest! {
             }
             let mut split_out = Vec::new();
             let msg = Msg::new(client, me, body);
-            match msg.body.switch_route() {
-                SwitchRoute::Group(obj) => {
-                    let g = shards.shard_of(obj) as usize;
-                    split[g].handle(Instant::ZERO, me, msg, &mut rngs[g], &mut split_out);
-                }
-                _ => {
-                    for (core, rng) in split.iter_mut().zip(&mut rngs) {
-                        core.handle(Instant::ZERO, me, msg.clone(), rng, &mut split_out);
-                    }
-                }
+            for &h in spine.resolve(me, &msg.body) {
+                split[h].handle(Instant::ZERO, me, msg.clone(), &mut rngs[h], &mut split_out);
             }
             prop_assert_eq!(
                 out.len(), split_out.len(),
                 "forward fan-out must match (dropped writes drop in both)"
             );
         }
-        // Per-group accounting is identical…
-        for core in &split {
+        // Per-group state is identical…
+        let split_groups: Vec<&GroupCore> = (0..groups as u32)
+            .map(|g| split[g as usize % hosts].group(GroupId(g)).unwrap())
+            .collect();
+        for core in &split_groups {
             let g = core.group();
-            prop_assert_eq!(mono.group_stats(g).unwrap(), core.stats());
-            let mono_det = mono.group_detector(g).unwrap();
-            prop_assert_eq!(core.observe().fast_path_enabled, mono_det.fast_path_enabled());
-            prop_assert_eq!(core.observe().dirty_len, mono_det.dirty_len());
-            prop_assert_eq!(core.memory_bytes(), mono.group_memory_bytes(g).unwrap());
+            let mono_core = mono.group(g).unwrap();
+            prop_assert_eq!(mono_core.stats(), core.stats());
+            prop_assert_eq!(mono_core.observe(), core.observe());
+            prop_assert_eq!(core.replicas(), mono_core.replicas(), "group {:?}", g);
+            for r in (0..spec.total_replicas() as u32).map(ReplicaId) {
+                prop_assert_eq!(
+                    core.is_gated(r), mono_core.is_gated(r),
+                    "gate on {:?} in group {:?}", r, g
+                );
+            }
         }
-        // …the aggregate-only view folds to the monolith's totals…
+        // …and the hosts' views fold to the one host's totals.
         let view = harmonia::switch::SpineView::new(
-            split.iter().map(|c| c.observe()).collect(),
+            split_groups.iter().map(|c| c.observe()).collect(),
         );
         prop_assert_eq!(view.stats(), mono.stats());
         prop_assert_eq!(view.memory_bytes(), mono.memory_bytes());
         let split_sum: usize = split.iter().map(|c| c.memory_bytes()).sum();
         prop_assert_eq!(split_sum, mono.memory_bytes());
-        // …and every group ends with the same members, in the same role
-        // order, behind the same gates.
-        for (core, mono_core) in split.iter().zip(mono.into_group_cores()) {
-            prop_assert_eq!(core.replicas(), mono_core.replicas(), "group {:?}", core.group());
-            for r in (0..spec.total_replicas() as u32).map(ReplicaId) {
-                prop_assert_eq!(
-                    core.is_gated(r), mono_core.is_gated(r),
-                    "gate on {:?} in group {:?}", r, core.group()
-                );
-            }
-        }
     }
 
     /// Wire codec: encode → decode is the identity for **every**

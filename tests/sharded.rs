@@ -38,13 +38,14 @@ fn four_group_chain_harmonia_is_linearizable() {
     // under per-group sequence spaces and shared memory accounting.
     let sw = outcome
         .world
-        .actor::<SwitchActor>(scenario.deployment.switch_addr())
+        .actor::<SimWorker>(scenario.deployment.switch_addr())
         .expect("spine switch")
-        .core();
+        .switch()
+        .expect("its pipelines");
     assert_eq!(sw.group_count(), 4);
     let mut groups_with_writes = 0;
     for g in 0..4 {
-        let stats = sw.group_stats(GroupId(g)).expect("hosted group");
+        let stats = sw.group(GroupId(g)).expect("hosted group").stats();
         if stats.writes_forwarded > 0 {
             groups_with_writes += 1;
         }
@@ -53,7 +54,7 @@ fn four_group_chain_harmonia_is_linearizable() {
         groups_with_writes >= 3,
         "only {groups_with_writes}/4 groups saw writes — sharding is not spreading"
     );
-    let per_group = sw.group_memory_bytes(GroupId(0)).unwrap();
+    let per_group = sw.group(GroupId(0)).unwrap().memory_bytes();
     assert_eq!(sw.memory_bytes(), 4 * per_group);
 }
 
@@ -83,6 +84,46 @@ fn every_protocol_is_linearizable_across_two_groups() {
         assert_linearizable(outcome.records, &context);
         assert_converged(&outcome.world, &scenario.deployment, scenario.keys);
     }
+}
+
+/// A replica of the second group fails and recovers mid-load (§5.3): the
+/// switch applies each control — remove, restore the canonical table, gate,
+/// ungate — in the pipeline of the group whose replica it names, and no
+/// other, so the history stays linearizable, every group converges, and no
+/// key leaks into the other group's replicas.
+#[test]
+fn a_replica_of_the_second_group_recovers_under_load() {
+    let spec = sharded(ProtocolKind::Chain, true, 2);
+    let scenario = Scenario {
+        deployment: spec.clone(),
+        clients: 4,
+        ops_per_client: 80,
+        keys: 16,
+        write_ratio: 0.3,
+        seed: 221,
+    };
+    let victim = spec.replica_id(1, 2);
+    let outcome = scenario.run_with(|w| {
+        let t = |us| Instant::ZERO + Duration::from_micros(us);
+        schedule_replica_removal(w, t(300), &spec, spec.switch_addr(), victim);
+        schedule_replica_recovery(w, t(900), &spec, spec.switch_addr(), victim);
+    });
+    assert_linearizable(outcome.records, "group 1 churn");
+    assert_converged(&outcome.world, &spec, scenario.keys);
+    let host: &SimWorker = outcome.world.actor(NodeId::Replica(victim)).unwrap();
+    assert!(!host.is_recovering(), "the newcomer never caught up");
+    let switch: &SimWorker = outcome.world.actor(spec.switch_addr()).unwrap();
+    let members = |g| {
+        switch
+            .switch()
+            .unwrap()
+            .group(GroupId(g))
+            .unwrap()
+            .replicas()
+            .to_vec()
+    };
+    assert_eq!(members(0), spec.group_members(0));
+    assert_eq!(members(1), spec.group_members(1));
 }
 
 /// Per-group sequence spaces: groups stamp independently, so a group's
