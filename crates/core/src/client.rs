@@ -4,10 +4,11 @@
 //! Both clients speak the Harmonia packet format and address the switch;
 //! they never know which replica serves them — that is the whole point of
 //! the architecture (§4). What a reply *means* (quorums, rejections, retry
-//! budgets) is the `client_core` module's business; the actors here only move
-//! packets and virtual time.
+//! budgets) is the `client_core` module's business, and so is the
+//! closed-loop client's whole loop; the actors here only move packets and
+//! virtual time.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use harmonia_obs::{Counter, Recorder, Series, TraceStage};
@@ -18,7 +19,7 @@ use harmonia_types::{
 };
 use rand::rngs::SmallRng;
 
-use crate::client_core::{ClientCore, ReplyTally, Step, Tally};
+use crate::client_core::{Lanes, ReplyTally, Tally};
 use crate::msg::Msg;
 
 /// One operation to issue.
@@ -123,7 +124,8 @@ pub struct OpenLoopClient {
     cfg: OpenLoopConfig,
     source: SourceFn,
     next_request: u64,
-    pending: HashMap<u64, PendingReq>,
+    /// By request id: the timeout sweep walks them in id order.
+    pending: BTreeMap<u64, PendingReq>,
     interval_ns: f64,
     ideal_next: f64,
     arrival_token: Option<TimerToken>,
@@ -168,7 +170,7 @@ impl OpenLoopClient {
             cfg,
             source,
             next_request: 0,
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
             interval_ns,
             ideal_next: 0.0,
             arrival_token: None,
@@ -363,18 +365,16 @@ pub struct RecordedOp {
 }
 
 /// Issues a fixed plan of operations one at a time, retrying on rejection
-/// and timeout, and records a history for the linearizability checker. A
-/// shell over the crate's `ClientCore`: this actor sends what the core says
-/// to send and arms one virtual-time timer per attempt, which it cancels
-/// when the attempt ends before the timer fires.
+/// and timeout, and records a history for the linearizability checker: the
+/// simulator's host of the client loop [`LiveClient`](crate::live::LiveClient)
+/// hosts on threads, with one lane. It sends what a pass produced before it
+/// moves its one timer (same-seed replays are compared event for event), and
+/// moves it only when the earliest attempt deadline did.
 pub struct ClosedLoopClient {
-    core: ClientCore,
-    switch: NodeId,
-    timeout: Duration,
-    plan: VecDeque<OpSpec>,
-    /// The current attempt's timer while it is pending.
-    timer: Option<TimerToken>,
-    done: bool,
+    lanes: Lanes,
+    /// The one armed timer: when it fires, and its token.
+    timer: Option<(Instant, TimerToken)>,
+    out: Vec<(NodeId, Msg)>,
     /// Completed operations in invocation order.
     pub records: Vec<RecordedOp>,
 }
@@ -382,13 +382,14 @@ pub struct ClosedLoopClient {
 impl ClosedLoopClient {
     /// Build a client that will execute `plan` then stop.
     pub fn new(id: ClientId, switch: NodeId, plan: Vec<OpSpec>) -> Self {
+        let timeout = Duration::from_millis(5);
+        // Ten attempts, not the threaded drivers' six: the goldens' fault
+        // schedules exercise attempts 7 to 10.
+        let lanes = Lanes::new(id, vec![plan], switch, timeout, 1, 10, Recorder::detached());
         ClosedLoopClient {
-            core: ClientCore::new(id, 1, 10, Recorder::detached()),
-            switch,
-            timeout: Duration::from_millis(5),
-            plan: plan.into(),
+            lanes,
             timer: None,
-            done: false,
+            out: Vec::new(),
             records: Vec::new(),
         }
     }
@@ -396,7 +397,7 @@ impl ClosedLoopClient {
     /// Attach an observability recorder (counters, latency histograms,
     /// request traces).
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.core.recorder = recorder;
+        self.lanes.set_recorder(&recorder);
         self
     }
 
@@ -405,88 +406,70 @@ impl ClosedLoopClient {
     /// takes a reused id for a retry of the old operation and answers it
     /// from its cache, or not at all.
     pub(crate) fn continuing(mut self, previous: &ClosedLoopClient) -> Self {
-        self.core.continue_session(&previous.core);
+        self.lanes.continue_session(&previous.lanes);
         self
     }
 
     /// Quorum size for write completion (NOPaxos).
     pub fn with_write_replies(mut self, n: usize) -> Self {
-        self.core.write_replies = n;
+        self.lanes.set_write_replies(n);
         self
     }
 
     /// Per-attempt timeout.
     pub fn with_timeout(mut self, t: Duration) -> Self {
-        self.timeout = t;
+        self.lanes.timeout = t;
         self
     }
 
     /// True once the whole plan has run.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.lanes.is_done()
     }
 
     /// Redirect traffic (switch replacement, §5.3).
     pub fn set_switch(&mut self, switch: NodeId) {
-        self.switch = switch;
+        self.lanes.switch = switch;
     }
 
-    /// Send one attempt, then arm its timer — in that order: same-seed
-    /// replays are compared event for event.
-    fn transmit(&mut self, ctx: &mut Context<'_, Msg>, req: ClientRequest) {
-        let dst = self.switch;
-        ctx.send(
-            dst,
-            Msg::new(self.core.node(), dst, PacketBody::Request(req)),
-        );
-        self.timer = Some(ctx.set_timer(self.timeout));
-    }
-
-    fn issue_next(&mut self, ctx: &mut Context<'_, Msg>) {
-        match self.plan.pop_front() {
-            Some(spec) => {
-                let req = self.core.begin(ctx.now(), spec);
-                self.transmit(ctx, req);
-            }
-            None => self.done = true,
+    /// One pass of the lane at the world's `now`: send what it produced,
+    /// then re-arm if the earliest deadline moved.
+    fn pass(&mut self, ctx: &mut Context<'_, Msg>) {
+        let now = ctx.now();
+        let deadline = self.lanes.pass(now, now, &mut self.out);
+        if let Some(finished) = self.lanes.records().next() {
+            self.records.append(finished);
         }
-    }
-
-    fn apply(&mut self, ctx: &mut Context<'_, Msg>, step: Option<Step>) {
-        if step.is_some() {
-            // The attempt is over: its timeout has nothing left to guard.
-            if let Some(token) = self.timer.take() {
-                ctx.cancel_timer(token);
-            }
+        for (dst, msg) in self.out.drain(..) {
+            ctx.send(dst, msg);
         }
-        match step {
-            None => {}
-            Some(Step::Retry(req)) => self.transmit(ctx, req),
-            Some(Step::Done(op)) => {
-                self.records.push(op.record(ctx.now()));
-                self.issue_next(ctx);
+        if self.timer.map(|(at, _)| at) != deadline {
+            if let Some((_, armed)) = self.timer.take() {
+                ctx.cancel_timer(armed);
             }
+            self.timer = deadline.map(|at| (at, ctx.set_timer(at.since(now))));
         }
     }
 }
 
 impl Actor<Msg> for ClosedLoopClient {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.issue_next(ctx);
+        // A restarted node's timer died with it.
+        self.timer = None;
+        self.pass(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
         if let PacketBody::Reply(reply) = msg.body {
-            let step = self.core.on_reply(ctx.now(), reply);
-            self.apply(ctx, step);
+            self.lanes.deliver(ctx.now(), reply);
+            self.pass(ctx);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: TimerToken) {
-        if self.timer == Some(token) {
+        if self.timer.is_some_and(|(_, armed)| armed == token) {
             self.timer = None;
-            let step = self.core.on_timeout(ctx.now());
-            self.apply(ctx, step);
+            self.pass(ctx);
         }
     }
 }

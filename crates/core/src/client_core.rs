@@ -1,26 +1,30 @@
-//! The sans-IO client: one operation's request / reply / retry state machine.
+//! The sans-IO client: one operation's request / reply / retry state
+//! machine, and the one closed-loop client loop over it.
 //!
-//! Every client shell — the sim's [`ClosedLoopClient`] actor, the sim's
-//! synchronous `KvClient`, and the threaded drivers' [`LiveClient`] (one
-//! core per lane) — moves packets and time and asks [`ClientCore`] what
-//! they mean. The core owns
-//! what must not drift between drivers: request-id allocation and reuse
-//! across retries, the distinct-replier write quorum, the rejected /
-//! switch-dropped write rule, the attempt budget, and every client counter
-//! and `ClientSend` / `ClientRetry` / `ClientDone` / `ClientTimeout` trace.
-//! It reads no clock and owns no socket: the shell passes `now` in.
+//! [`ClientCore`] owns what must not drift between drivers: request-id
+//! allocation and reuse across retries, the distinct-replier write quorum,
+//! the rejected / switch-dropped write rule, the attempt budget, and every
+//! client counter and `ClientSend` / `ClientRetry` / `ClientDone` /
+//! `ClientTimeout` trace. [`Lanes`] is N cores working through their plans:
+//! retry, record, begin the next operation, with attempt deadlines on the
+//! deployment clock. Its hosts are the threaded drivers' [`LiveClient`] and
+//! the simulator's [`ClosedLoopClient`]; neither piece here reads a clock
+//! or owns a socket.
 //!
 //! [`ClosedLoopClient`]: crate::client::ClosedLoopClient
 //! [`LiveClient`]: crate::live::LiveClient
 
+use std::collections::VecDeque;
+
 use bytes::Bytes;
 use harmonia_obs::{Counter, Recorder, Series, TraceStage};
 use harmonia_types::{
-    ClientId, ClientReply, ClientRequest, Instant, NodeId, ObjectId, OpKind, ReplicaId, RequestId,
-    TraceId, WriteOutcome,
+    ClientId, ClientReply, ClientRequest, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody,
+    ReplicaId, RequestId, TraceId, WriteOutcome,
 };
 
 use crate::client::{OpSpec, RecordedOp};
+use crate::msg::Msg;
 
 /// What one reply did to the request it answers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -76,42 +80,33 @@ impl ReplyTally {
     }
 }
 
-/// What the shell must do after feeding the core a reply or a timeout.
+/// What the host must do after feeding the core a reply or a timeout.
 #[derive(Debug)]
-pub(crate) enum Step {
+enum Step {
     /// Send this request (the same id as every earlier attempt) and restart
     /// the attempt timer.
     Retry(ClientRequest),
-    /// The operation is over.
-    Done(Finished),
+    /// The operation is over: its checker-ready record.
+    Done(RecordedOp),
 }
 
-/// A finished operation, checker-ready once the shell stamps its completion
-/// time.
-#[derive(Debug)]
-pub(crate) struct Finished {
-    /// The operation as issued.
-    pub(crate) spec: OpSpec,
-    /// When the first attempt was sent.
-    pub(crate) invoked: Instant,
-    /// The completing reply's value (reads; `None` for key-absent).
-    pub(crate) result: Option<Bytes>,
-    /// False if the attempt budget ran out.
-    pub(crate) ok: bool,
-}
-
-impl Finished {
-    /// The checker's record of this operation, completed at `completed`.
-    pub(crate) fn record(self, completed: Instant) -> RecordedOp {
-        RecordedOp {
-            kind: self.spec.kind,
-            key: self.spec.key,
-            value: self.spec.value,
-            invoked: self.invoked,
-            completed,
-            result: self.result,
-            ok: self.ok,
-        }
+/// `spec`'s record for the checker; `ok == false` if it was given up.
+fn record(
+    spec: OpSpec,
+    invoked: Instant,
+    completed: Instant,
+    result: Option<Bytes>,
+    ok: bool,
+) -> RecordedOp {
+    let OpSpec { kind, key, value } = spec;
+    RecordedOp {
+        kind,
+        key,
+        value,
+        invoked,
+        completed,
+        result,
+        ok,
     }
 }
 
@@ -127,13 +122,13 @@ struct Current {
 }
 
 /// One client's operation state machine: at most one operation in flight.
-pub(crate) struct ClientCore {
+struct ClientCore {
     id: ClientId,
-    pub(crate) write_replies: usize,
+    write_replies: usize,
     max_attempts: u32,
     next_request: u64,
     /// Where the client counters, latency series and traces go.
-    pub(crate) recorder: Recorder,
+    recorder: Recorder,
     current: Option<Current>,
 }
 
@@ -141,12 +136,7 @@ impl ClientCore {
     /// A core for client `id` that completes writes on `write_replies`
     /// distinct repliers, gives an operation up after `max_attempts` sends,
     /// and records into `recorder`.
-    pub(crate) fn new(
-        id: ClientId,
-        write_replies: usize,
-        max_attempts: u32,
-        recorder: Recorder,
-    ) -> Self {
+    fn new(id: ClientId, write_replies: usize, max_attempts: u32, recorder: Recorder) -> Self {
         ClientCore {
             id,
             write_replies,
@@ -157,24 +147,12 @@ impl ClientCore {
         }
     }
 
-    /// Take over `previous`'s recorder and request-id sequence (a client
-    /// re-attached under the same id).
-    pub(crate) fn continue_session(&mut self, previous: &ClientCore) {
-        self.recorder = previous.recorder.clone();
-        self.next_request = previous.next_request;
-    }
-
-    /// This client's node address.
-    pub(crate) fn node(&self) -> NodeId {
-        NodeId::Client(self.id)
-    }
-
     /// Start `spec` and return its first request. One request id per
     /// logical operation: every retry reuses it, so the replicas'
     /// exactly-once session layer deduplicates re-executions and re-sends
     /// the cached reply — a retried write whose original landed but whose
     /// reply was lost (the §5.3 switch outage) is never applied twice.
-    pub(crate) fn begin(&mut self, now: Instant, spec: OpSpec) -> ClientRequest {
+    fn begin(&mut self, now: Instant, spec: OpSpec) -> ClientRequest {
         let rid = RequestId(self.next_request);
         self.next_request += 1;
         let obj = ObjectId::from_key(&spec.key);
@@ -197,7 +175,7 @@ impl ClientCore {
 
     /// Feed one reply. `None` means keep waiting: the reply answered an
     /// earlier operation, repeated a replier, or left the quorum short.
-    pub(crate) fn on_reply(&mut self, now: Instant, reply: ClientReply) -> Option<Step> {
+    fn on_reply(&mut self, now: Instant, reply: ClientReply) -> Option<Step> {
         let cur = self.current.as_mut()?;
         if reply.request != cur.rid {
             return None;
@@ -215,7 +193,7 @@ impl ClientCore {
     /// The current attempt ran out of time (or was refused): retry under
     /// the same request id, or give up once the budget is spent. `None` if
     /// nothing is in flight.
-    pub(crate) fn on_timeout(&mut self, now: Instant) -> Option<Step> {
+    fn on_timeout(&mut self, now: Instant) -> Option<Step> {
         let cur = self.current.as_mut()?;
         if cur.attempt >= self.max_attempts {
             return Some(Step::Done(self.finish(now, None, false)?));
@@ -228,13 +206,9 @@ impl ClientCore {
         Some(Step::Retry(req))
     }
 
-    /// Give the operation in flight up where it stands — the shell can
-    /// never hear another reply. Counted and traced as the timeout it is.
-    pub(crate) fn abandon(&mut self, now: Instant) -> Option<Finished> {
-        self.finish(now, None, false)
-    }
-
-    fn finish(&mut self, now: Instant, result: Option<Bytes>, ok: bool) -> Option<Finished> {
+    /// End the operation in flight at `now`: counted, traced and recorded
+    /// as done, or — `ok == false` — as the timeout it is.
+    fn finish(&mut self, now: Instant, result: Option<Bytes>, ok: bool) -> Option<RecordedOp> {
         let cur = self.current.take()?;
         let stage = if ok {
             let (done, series) = match cur.spec.kind {
@@ -249,17 +223,192 @@ impl ClientCore {
             TraceStage::ClientTimeout
         };
         self.trace(now, cur.rid, cur.obj, stage);
-        Some(Finished {
-            spec: cur.spec,
-            invoked: cur.invoked,
-            result,
-            ok,
-        })
+        Some(record(cur.spec, cur.invoked, now, result, ok))
     }
 
     fn trace(&self, now: Instant, rid: RequestId, obj: ObjectId, stage: TraceStage) {
-        self.recorder
-            .trace_at(now, self.node(), TraceId::new(self.id, rid), obj, stage);
+        let trace = TraceId::new(self.id, rid);
+        (self.recorder).trace_at(now, NodeId::Client(self.id), trace, obj, stage);
+    }
+}
+
+/// One lane of [`Lanes`]: a client in its own right — its own id, request
+/// ids and operation in flight — with the plan it works through.
+struct Lane {
+    core: ClientCore,
+    /// Operations not begun yet, in order.
+    plan: VecDeque<OpSpec>,
+    /// Finished operations, in plan order.
+    records: Vec<RecordedOp>,
+    /// When the attempt in flight stops waiting for its reply, on the
+    /// deployment clock; `None` while nothing is in flight.
+    deadline: Option<Instant>,
+    /// What the core made of the replies delivered since the last pass.
+    step: Option<Step>,
+}
+
+/// The closed-loop client loop: lanes, each a [`ClientCore`] with a
+/// [`ClientId`] of its own (a replica's client table admits one request per
+/// client id, so operations in flight together must come from distinct
+/// clients), each keeping the next operation of its plan in flight.
+///
+/// One entry point per event: a reply arrived ([`deliver`](Self::deliver)),
+/// a [`pass`](Self::pass) is due, the link can never deliver again
+/// ([`abandon`](Self::abandon)).
+pub(crate) struct Lanes {
+    lanes: Vec<Lane>,
+    /// Lane `i` is client `first + i`: a reply finds its lane by
+    /// subtraction.
+    pub(crate) first: u32,
+    /// Where every request goes: the switch's client-facing address.
+    pub(crate) switch: NodeId,
+    /// How long an attempt waits for its reply.
+    pub(crate) timeout: Duration,
+}
+
+impl Lanes {
+    /// Lanes for clients `first..`, one per plan, each completing writes on
+    /// `write_replies` distinct repliers, giving an operation up after
+    /// `max_attempts` sends and recording into `recorder`.
+    pub(crate) fn new(
+        first: ClientId,
+        plans: Vec<Vec<OpSpec>>,
+        switch: NodeId,
+        timeout: Duration,
+        write_replies: usize,
+        max_attempts: u32,
+        recorder: Recorder,
+    ) -> Lanes {
+        let lanes = (first.0..).zip(plans).map(|(id, plan)| Lane {
+            core: ClientCore::new(ClientId(id), write_replies, max_attempts, recorder.clone()),
+            records: Vec::new(),
+            plan: plan.into(),
+            deadline: None,
+            step: None,
+        });
+        Lanes {
+            lanes: lanes.collect(),
+            first: first.0,
+            switch,
+            timeout,
+        }
+    }
+
+    /// Record into `recorder` from now on.
+    pub(crate) fn set_recorder(&mut self, recorder: &Recorder) {
+        for lane in &mut self.lanes {
+            lane.core.recorder = recorder.clone();
+        }
+    }
+
+    /// Complete writes on `n` distinct repliers.
+    pub(crate) fn set_write_replies(&mut self, n: usize) {
+        for lane in &mut self.lanes {
+            lane.core.write_replies = n;
+        }
+    }
+
+    /// Continue `previous`'s sessions, lane by lane: its recorder, and
+    /// request ids past every one it issued.
+    pub(crate) fn continue_session(&mut self, previous: &Lanes) {
+        for (lane, old) in self.lanes.iter_mut().zip(&previous.lanes) {
+            lane.core.recorder = old.core.recorder.clone();
+            lane.core.next_request = old.core.next_request;
+        }
+    }
+
+    /// Queue `spec` at the end of the first lane's plan.
+    pub(crate) fn push(&mut self, spec: OpSpec) {
+        if let Some(lane) = self.lanes.first_mut() {
+            lane.plan.push_back(spec);
+        }
+    }
+
+    /// Every lane's finished operations, in lane order.
+    pub(crate) fn records(&mut self) -> impl Iterator<Item = &mut Vec<RecordedOp>> {
+        self.lanes.iter_mut().map(|lane| &mut lane.records)
+    }
+
+    /// True once every lane's plan has run.
+    pub(crate) fn is_done(&self) -> bool {
+        (self.lanes.iter()).all(|lane| lane.deadline.is_none() && lane.plan.is_empty())
+    }
+
+    /// Hand `reply` to its lane's core. A reply for a client outside the
+    /// block finds no lane; one for a request already over, a core that
+    /// ignores it. The core sees every reply delivered before a pass, and
+    /// its last word stands: a quorum completed by a later reply outranks a
+    /// retry that an earlier, rejected one asked for.
+    pub(crate) fn deliver(&mut self, now: Instant, reply: ClientReply) {
+        let lane =
+            (reply.client.0.checked_sub(self.first)).and_then(|i| self.lanes.get_mut(i as usize));
+        if let Some(lane) = lane {
+            if let Some(step) = lane.core.on_reply(now, reply) {
+                lane.step = Some(step);
+            }
+        }
+    }
+
+    /// Act at `now` on everything delivered since the last pass: expire the
+    /// lanes whose attempt ran out, record every finished operation, begin
+    /// the next operation of every lane with nothing in flight, and push
+    /// each request that makes to `out`. Returns the earliest attempt
+    /// deadline — when to pass again if nothing arrives — or `None` once
+    /// nothing is in flight.
+    ///
+    /// `invoked` stamps the operations begun: a host with a running clock
+    /// reads it after `now`, once the pass's completions are decided and
+    /// before its requests leave, so it is never later than the send and an
+    /// operation never shares an instant with the one it follows on its
+    /// lane, which is where a checker cuts a long history.
+    pub(crate) fn pass(
+        &mut self,
+        now: Instant,
+        invoked: Instant,
+        out: &mut Vec<(NodeId, Msg)>,
+    ) -> Option<Instant> {
+        let (switch, mut earliest) = (self.switch, None);
+        for lane in &mut self.lanes {
+            if lane.step.is_none() && lane.deadline.is_some_and(|at| at <= now) {
+                lane.step = lane.core.on_timeout(now);
+            }
+            let mut request = None;
+            match lane.step.take() {
+                Some(Step::Retry(again)) => request = Some(again),
+                Some(Step::Done(op)) => {
+                    lane.records.push(op);
+                    lane.deadline = None;
+                }
+                None => {}
+            }
+            // Keys and values move by refcount from the plan into the
+            // request and the record: nothing is allocated per operation.
+            if lane.deadline.is_none() {
+                request = (lane.plan.pop_front()).map(|spec| lane.core.begin(invoked, spec));
+            }
+            if let Some(req) = request {
+                lane.deadline = Some(now + self.timeout);
+                let me = NodeId::Client(lane.core.id);
+                out.push((switch, Msg::new(me, switch, PacketBody::Request(req))));
+            }
+            if let Some(at) = lane.deadline {
+                earliest = Some(earliest.map_or(at, |e: Instant| e.min(at)));
+            }
+        }
+        earliest
+    }
+
+    /// The host can never hear another reply: every operation in flight or
+    /// not begun is recorded `ok == false` at `now`, once, in plan order.
+    pub(crate) fn abandon(&mut self, now: Instant) {
+        for lane in &mut self.lanes {
+            lane.deadline = None;
+            // What was in flight is counted and traced as a timeout; what
+            // never began, only recorded.
+            let in_flight = lane.core.finish(now, None, false);
+            let not_begun = (lane.plan.drain(..)).map(|spec| record(spec, now, now, None, false));
+            lane.records.extend(in_flight.into_iter().chain(not_begun));
+        }
     }
 }
 

@@ -30,22 +30,19 @@
 use bytes::Bytes;
 use harmonia_obs::{FaultObs, GroupObs, ObsSnapshot, Recorder, Registry, SwitchObs, TraceEvent};
 use harmonia_replication::{build_replica, GroupConfig, ProtocolKind};
-use harmonia_sim::{Actor, Context, LinkConfig, NetworkModel, World, WorldConfig};
+use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
 use harmonia_switch::{GroupId, SpineView, SwitchStats, TableConfig};
-use harmonia_types::{
-    ClientId, ClientReply, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId,
-};
+use harmonia_types::{ClientId, Duration, Instant, NodeId, ReplicaId, SwitchId};
 use harmonia_workload::ShardMap;
 
 use crate::client::{
     ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, RecordedOp, SourceFn,
 };
-use crate::client_core::{ClientCore, Step};
 use crate::failover;
-use crate::live::{LiveCluster, LiveError, CLIENT_ATTEMPTS};
+use crate::live::{LiveCluster, LiveError};
 use crate::msg::{CostModel, Msg};
 use crate::replica_step::ReplicaNode;
-use crate::switch_actor::SwitchCore;
+use crate::switch_core::SwitchCore;
 use crate::udp::UdpCluster;
 use crate::worker::{Hosted, SimWorker};
 
@@ -639,24 +636,7 @@ impl Cluster for SimCluster {
     fn client(&mut self) -> Box<dyn KvClient + '_> {
         let id = ClientId(self.next_client);
         self.next_client += 1;
-        let node = NodeId::Client(id);
-        self.world.add_node(
-            node,
-            Box::new(SimMailbox {
-                replies: Vec::new(),
-            }),
-        );
-        let core = ClientCore::new(
-            id,
-            self.spec.write_replies(),
-            CLIENT_ATTEMPTS,
-            self.registry.handle(),
-        );
-        Box::new(SimClient {
-            cluster: self,
-            core,
-            timeout: Duration::from_millis(20),
-        })
+        Box::new(SimSession { cluster: self, id })
     }
 
     fn kill_switch(&mut self) {
@@ -788,71 +768,33 @@ pub(crate) fn spine_obs(view: &SpineView, swept: u64) -> (SwitchObs, Vec<GroupOb
     (switch, per_group)
 }
 
-/// Reply collector for [`SimClient`].
-struct SimMailbox {
-    replies: Vec<ClientReply>,
-}
-
-impl Actor<Msg> for SimMailbox {
-    fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, msg: Msg) {
-        if let PacketBody::Reply(reply) = msg.body {
-            self.replies.push(reply);
-        }
-    }
-}
-
-/// The simulated [`KvClient`]: a shell over [`ClientCore`] that injects
-/// each attempt and advances virtual time until the core says the operation
-/// is over — the same envelope as the live client, under virtual time.
-struct SimClient<'a> {
+/// The simulated [`KvClient`]: a client id whose every operation is a
+/// one-op [`ClosedLoopClient`] attached under it — continuing its session —
+/// with the world stepped, event by event, until that client is done. An
+/// operation takes exactly the virtual time it takes through
+/// [`run_plans`](Cluster::run_plans).
+struct SimSession<'a> {
     cluster: &'a mut SimCluster,
-    core: ClientCore,
-    timeout: Duration,
+    id: ClientId,
 }
 
-impl SimClient<'_> {
+impl SimSession<'_> {
     fn run_op(&mut self, spec: OpSpec) -> Result<Option<Bytes>, LiveError> {
-        let me = self.core.node();
-        let mut req = self.core.begin(self.cluster.world.now(), spec);
-        loop {
-            let switch = self.cluster.switch;
-            self.cluster
-                .world
-                .inject(me, switch, Msg::new(me, switch, PacketBody::Request(req)));
-            req = match self.await_step() {
-                Step::Retry(again) => again,
-                Step::Done(op) if op.ok => return Ok(op.result),
-                Step::Done(_) => return Err(LiveError::TimedOut),
-            };
-        }
-    }
-
-    /// Advance virtual time in 50 µs slices, feeding the mailbox to the
-    /// core, until it decides or the attempt's virtual deadline passes.
-    fn await_step(&mut self) -> Step {
+        let timeout = Duration::from_millis(20);
+        let node = (self.cluster).add_closed_loop_client(self.id, vec![spec], timeout);
         let world = &mut self.cluster.world;
-        let deadline = world.now() + self.timeout;
-        while world.now() < deadline {
-            let slice = (world.now() + Duration::from_micros(50)).min(deadline);
-            world.run_until(slice);
-            let mailbox = world
-                .actor_mut::<SimMailbox>(self.core.node())
-                .expect("mailbox exists");
-            let replies = std::mem::take(&mut mailbox.replies);
-            let now = world.now();
-            for reply in replies {
-                if let Some(step) = self.core.on_reply(now, reply) {
-                    return step;
-                }
-            }
+        let done = |w: &World<Msg>| w.actor(node).is_some_and(ClosedLoopClient::is_done);
+        while !done(world) && world.step() {}
+        let client: Option<&mut ClosedLoopClient> = world.actor_mut(node);
+        match client.and_then(|c| c.records.pop()) {
+            Some(op) if op.ok => Ok(op.result),
+            Some(_) => Err(LiveError::TimedOut),
+            None => Err(LiveError::Disconnected),
         }
-        self.core
-            .on_timeout(world.now())
-            .expect("an operation is in flight")
     }
 }
 
-impl KvClient for SimClient<'_> {
+impl KvClient for SimSession<'_> {
     fn get_bytes(&mut self, key: Bytes) -> Result<Option<Bytes>, LiveError> {
         self.run_op(OpSpec::read(key))
     }
@@ -962,9 +904,17 @@ mod tests {
 
     #[test]
     fn sim_client_round_trips_through_virtual_time() {
+        // A synchronous read takes the virtual time the same read takes
+        // through `run_plans`, to the nanosecond, and its latency sample is
+        // that time: checked histories trust these stamps.
+        let mut reference = DeploymentSpec::new().build_sim();
+        let read = &reference.run_plans(vec![vec![OpSpec::read("missing")]])[0][0];
+        let latency = read.completed.since(read.invoked);
         let mut sim = DeploymentSpec::new().build_sim();
+        assert_eq!(sim.client().get(b"missing").unwrap(), None);
+        assert_eq!(sim.now().since(Instant::ZERO), latency);
+        assert_eq!(sim.obs_snapshot().read_latency.max_ns, latency.nanos());
         let mut client = sim.client();
-        assert_eq!(client.get(b"missing").unwrap(), None);
         client.set(b"alpha", b"1").unwrap();
         client.set(b"alpha", b"2").unwrap();
         assert_eq!(

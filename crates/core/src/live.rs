@@ -58,7 +58,7 @@
 //! switch thread (let alone one mutex) is an artifact, not the paper's
 //! design. The threaded switch is therefore one pipeline per replica group,
 //! each exclusively owning that group's
-//! [`GroupCore`](crate::switch_actor::GroupCore) — conflict detector,
+//! [`GroupCore`](crate::switch_core::GroupCore) — conflict detector,
 //! sequencer, forwarding table, and counters — and each on whichever worker
 //! its group places it, in parallel as far as the host has cores. **No lock
 //! guards switch or replica state**; the only lock on the packet path is the
@@ -90,13 +90,17 @@
 //! ([`kill_switch`](Cluster::kill_switch)) or a lease still on a dead
 //! incarnation, the reply resolves to nothing and vanishes like every other
 //! packet of the §5.3 outage. (The simulator keeps the hop — see
-//! [`crate::switch_actor`].)
+//! [`crate::switch_core`].)
 //!
 //! # One client shell
 //!
 //! Clients run the same kind of loop, and there is one of it:
-//! [`LiveClient`], N lanes — N sans-IO client cores with N client ids — on
-//! one link and one thread, the caller's. A synchronous
+//! [`LiveClient`] hosts the closed-loop client loop — N lanes with N client
+//! ids, sans-IO, the loop the simulator's
+//! [`ClosedLoopClient`](crate::client::ClosedLoopClient) hosts too — on one
+//! link and one thread, the caller's. Its attempt deadlines are on the
+//! deployment clock, turned into the link's wall-clock wake through a
+//! `(now, wall)` pair as the worker loop turns its own. A synchronous
 //! [`client`](ThreadedCluster::client) is the shell with one lane;
 //! [`Cluster::run_plans`] is the shell with a lane per plan, so a call
 //! spawns no thread and hands the substrate every lane's next request in
@@ -122,7 +126,6 @@
 // Wall-clock reads are deliberate here: threaded drivers: ticks and timeouts are real time.
 #![allow(clippy::disallowed_methods)]
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -139,15 +142,15 @@ use harmonia_obs::{
 };
 use harmonia_replication::{build_replica, GroupConfig};
 use harmonia_switch::{GroupId, GroupObservation, SpineView, SwitchStats};
-use harmonia_types::{ClientId, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
+use harmonia_types::{ClientId, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
 
 use crate::client::{OpSpec, RecordedOp};
-use crate::client_core::{ClientCore, Finished, Step};
+use crate::client_core::Lanes;
 use crate::control;
 use crate::deployment::{spine_obs, Cluster, DeploymentSpec, KvClient};
 use crate::msg::Msg;
 use crate::replica_step::ReplicaNode;
-use crate::switch_actor::SwitchCore;
+use crate::switch_core::SwitchCore;
 use crate::worker::{Hosted, Worker};
 
 /// What a loop can be handed: a data-plane packet or a control-plane verb
@@ -175,10 +178,10 @@ pub enum Envelope {
 
 /// Per-attempt client reply deadline — one value for both threaded
 /// drivers, so their retry envelopes can never drift apart.
-const CLIENT_TIMEOUT: StdDuration = StdDuration::from_millis(200);
+const CLIENT_TIMEOUT: Duration = Duration::from_millis(200);
 
-/// Client attempt budget of every synchronous [`KvClient`], sim included.
-pub(crate) const CLIENT_ATTEMPTS: u32 = 6;
+/// Client attempt budget of both threaded drivers.
+const CLIENT_ATTEMPTS: u32 = 6;
 
 /// How long the control plane waits for a worker to answer a verb.
 const VERB_TIMEOUT: StdDuration = StdDuration::from_secs(10);
@@ -502,27 +505,10 @@ impl std::fmt::Display for LiveError {
 
 impl std::error::Error for LiveError {}
 
-/// One lane of a [`LiveClient`]: a client in its own right — its own id,
-/// request ids and operation in flight — with the plan it works through.
-struct Lane {
-    core: ClientCore,
-    /// Operations not begun yet, in order.
-    plan: VecDeque<OpSpec>,
-    /// Finished operations, in plan order.
-    records: Vec<RecordedOp>,
-    /// When the attempt in flight stops waiting for its reply; `None`
-    /// while nothing is in flight.
-    deadline: Option<StdInstant>,
-    /// What the core made of the batch being dispatched.
-    step: Option<Step>,
-}
-
-/// The client shell of the threaded drivers — the one reply / timeout loop
-/// they have, identical on every substrate: lanes, each a `ClientCore` with
-/// a [`ClientId`] of its own (a replica's client table admits one request
-/// per client id, so operations in flight together must come from distinct
-/// clients), multiplexed on **one** link that answers to every lane's
-/// address, on the thread of whoever calls it.
+/// The client shell of the threaded drivers, identical on every substrate:
+/// the closed-loop client loop (`Lanes`, one client id per lane) on
+/// **one** link that answers to every lane's address, on the thread of
+/// whoever calls it.
 ///
 /// [`ThreadedCluster::client`] hands out the shell with one lane: a
 /// synchronous key-value client whose [`get`](Self::get) and
@@ -532,24 +518,26 @@ struct Lane {
 /// plans are through — the load half of [`Cluster::run_plans`], movable to a
 /// thread of its own while the cluster is put through its §5.3 verbs.
 ///
-/// Every pass of the loop sleeps on the link until the earliest attempt
-/// deadline, takes *everything* queued, hands each reply to its lane's core,
-/// expires the lanes whose attempt ran out, begins the next operation of
-/// every lane that finished, and flushes what all of that produced in one
-/// [`NodeLink::send_many`] — so the transport sees a burst, not a packet.
+/// Every pass sleeps on the link until the earliest attempt deadline, takes
+/// *everything* queued, delivers each reply to the lanes, runs their pass
+/// and flushes what that produced in one [`NodeLink::send_many`] — so the
+/// transport sees a burst, not a packet.
 pub struct LiveClient {
-    lanes: Vec<Lane>,
-    /// Lane `i` is client `first + i`: a reply finds its lane by
-    /// subtraction.
-    first: u32,
+    lanes: Lanes,
     /// Keeps every lane's name bound to `link`; declared first so the names
     /// leave the book before the link closes.
     _names: Box<dyn Send>,
     link: Box<dyn NodeLink>,
-    switch: NodeId,
-    /// Shared by the link and every lane's core (one registry shard); the
-    /// shell reads its clock for the stamps of a pass.
+    /// Shared by the link and every lane (one registry shard); the shell
+    /// reads its clock for the stamps of a pass.
     recorder: Recorder,
+    /// An instant on the deployment clock and the wall-clock one read just
+    /// after it, once: a deadline converted through the pair wakes the link
+    /// at or after it, never a pass too early, and always at the same wall
+    /// instant.
+    epoch: (Instant, StdInstant),
+    /// The earliest attempt deadline; `None` while nothing is in flight.
+    deadline: Option<Instant>,
     /// Reused by every pass.
     inbox: Vec<Msg>,
     outbox: Vec<(NodeId, Msg)>,
@@ -566,25 +554,22 @@ impl LiveClient {
         plans: Vec<Vec<OpSpec>>,
         recorder: Recorder,
     ) -> LiveClient {
-        let lanes = (first..).zip(plans).map(|(id, plan)| Lane {
-            core: ClientCore::new(
-                ClientId(id),
-                spec.write_replies(),
-                CLIENT_ATTEMPTS,
-                recorder.clone(),
-            ),
-            records: Vec::with_capacity(plan.len()),
-            plan: plan.into(),
-            deadline: None,
-            step: None,
-        });
+        let lanes = Lanes::new(
+            ClientId(first),
+            plans,
+            spec.switch_addr(),
+            CLIENT_TIMEOUT,
+            spec.write_replies(),
+            CLIENT_ATTEMPTS,
+            recorder.clone(),
+        );
         LiveClient {
-            lanes: lanes.collect(),
-            first,
+            lanes,
             _names: Box::new(names),
             link: Box::new(link),
-            switch: spec.switch_addr(),
+            epoch: (recorder.now(), StdInstant::now()),
             recorder,
+            deadline: None,
             inbox: Vec::new(),
             outbox: Vec::new(),
         }
@@ -608,19 +593,14 @@ impl LiveClient {
     pub fn run(&mut self) -> Vec<Vec<RecordedOp>> {
         // A disconnect is in the records.
         let _ = self.drive();
-        self.lanes
-            .iter_mut()
-            .map(|lane| std::mem::take(&mut lane.records))
-            .collect()
+        self.lanes.records().map(std::mem::take).collect()
     }
 
     /// One operation through the first lane.
     fn run_one(&mut self, spec: OpSpec) -> Result<Option<Bytes>, LiveError> {
-        if let Some(lane) = self.lanes.first_mut() {
-            lane.plan.push_back(spec);
-        }
+        self.lanes.push(spec);
         let outcome = self.drive();
-        let op = self.lanes.first_mut().and_then(|lane| lane.records.pop());
+        let op = self.lanes.records().next().and_then(Vec::pop);
         outcome?;
         match op {
             Some(op) if op.ok => Ok(op.result),
@@ -635,16 +615,16 @@ impl LiveClient {
         Ok(())
     }
 
-    /// One pass: receive, dispatch, expire, begin, flush. `Ok(true)` while
-    /// an operation is in flight afterwards.
+    /// One pass: receive, deliver, run the lanes' pass, flush. `Ok(true)`
+    /// while an operation is in flight afterwards.
     fn pass(&mut self) -> Result<bool, LiveError> {
         // One wait for all lanes — until the attempt that gives up first
         // does — and none for a shell with nothing in flight yet.
-        let earliest = self.lanes.iter().filter_map(|lane| lane.deadline).min();
-        let received = match earliest {
-            Some(_) => self.link.recv_into(earliest, &mut self.inbox),
-            None => Ok(None),
-        };
+        let (epoch, wall) = self.epoch;
+        let wake = self.deadline.map(|at| wall + at.since(epoch).to_std());
+        let received = wake.map_or(Ok(None), |at| {
+            self.link.recv_into(Some(at), &mut self.inbox)
+        });
         // The completion stamp of the pass: read once the receive is back,
         // so never earlier than the arrival of a reply it completes.
         let now = self.recorder.now();
@@ -652,83 +632,23 @@ impl LiveClient {
             received,
             Ok(Some(Envelope::Stop)) | Err(RecvTimeoutError::Disconnected)
         ) {
-            self.abandon(now);
+            self.inbox.clear();
+            self.deadline = None;
+            self.lanes.abandon(now);
             return Err(LiveError::Disconnected);
         }
-        let wall = StdInstant::now();
         for msg in self.inbox.drain(..) {
-            let PacketBody::Reply(reply) = msg.body else {
-                continue;
-            };
-            // A reply for a client outside the block finds no lane; one for
-            // a request already over, a core that ignores it.
-            let lane = (reply.client.0.checked_sub(self.first))
-                .and_then(|i| self.lanes.get_mut(i as usize));
-            if let Some(lane) = lane {
-                // The core sees every reply of the batch; its last word
-                // stands (a quorum completed by a later reply outranks a
-                // retry that an earlier, rejected one asked for).
-                lane.step = lane.core.on_reply(now, reply).or(lane.step.take());
+            if let PacketBody::Reply(reply) = msg.body {
+                self.lanes.deliver(now, reply);
             }
         }
-        // The invocation stamp of the pass: read after its completions are
-        // decided and before the flush, so never later than the send — and
-        // an operation never shares an instant with the one it follows on
-        // its lane, which is where a checker cuts a long history.
+        // The invocation stamp: after the completions, before the flush.
         let invoked = self.recorder.now();
-        let switch = self.switch;
-        for lane in &mut self.lanes {
-            if lane.step.is_none() && lane.deadline.is_some_and(|at| at <= wall) {
-                lane.step = lane.core.on_timeout(now);
-            }
-            let mut request = None;
-            match lane.step.take() {
-                Some(Step::Retry(again)) => request = Some(again),
-                Some(Step::Done(op)) => {
-                    lane.records.push(op.record(now));
-                    lane.deadline = None;
-                }
-                None => {}
-            }
-            // A lane with nothing in flight begins the next operation of
-            // its plan. Keys and values move by refcount from the plan into
-            // the request and the record: nothing is allocated per
-            // operation.
-            if lane.deadline.is_none() {
-                request = (lane.plan.pop_front()).map(|spec| lane.core.begin(invoked, spec));
-            }
-            if let Some(req) = request {
-                lane.deadline = Some(wall + CLIENT_TIMEOUT);
-                let me = lane.core.node();
-                (self.outbox).push((switch, Msg::new(me, switch, PacketBody::Request(req))));
-            }
-        }
+        self.deadline = self.lanes.pass(now, invoked, &mut self.outbox);
         if !self.outbox.is_empty() {
             self.link.send_many(&mut self.outbox);
         }
-        Ok(self.lanes.iter().any(|lane| lane.deadline.is_some()))
-    }
-
-    /// The link can never deliver again: every operation in flight or not
-    /// begun is recorded `ok == false`, once, in plan order.
-    fn abandon(&mut self, now: Instant) {
-        self.inbox.clear();
-        for lane in &mut self.lanes {
-            lane.deadline = None;
-            let in_flight = lane.core.abandon(now);
-            let not_begun = lane.plan.drain(..).map(|spec| Finished {
-                spec,
-                invoked: now,
-                result: None,
-                ok: false,
-            });
-            (lane.records).extend(
-                in_flight
-                    .into_iter()
-                    .chain(not_begun)
-                    .map(|op| op.record(now)),
-            );
-        }
+        Ok(self.deadline.is_some())
     }
 }
 
@@ -1163,6 +1083,7 @@ mod tests {
     use harmonia_types::{Duration, OpKind};
     use harmonia_verify::{check_history, Action, OpRecord};
     use harmonia_workload::ShardMap;
+    use std::collections::VecDeque;
 
     /// Run a check on every layout a host can impose on `spec` — everything
     /// on one worker, two workers, a worker per node — on both substrates.
@@ -1386,8 +1307,8 @@ mod tests {
             // completed, so every read takes the normal path through the
             // tail, which answers in request order.
             let mut deaf = cluster.client();
-            let id = ClientId(deaf.first);
-            let (me, to) = (NodeId::Client(id), deaf.switch);
+            let id = ClientId(deaf.lanes.first);
+            let (me, to) = (NodeId::Client(id), deaf.lanes.switch);
             let mut asked = (0..2_000)
                 .map(|n| OpSpec::read("k").request(id, RequestId(n)))
                 .map(|req| (to, Msg::new(me, to, PacketBody::Request(req))))
@@ -1558,7 +1479,7 @@ mod tests {
             let mut cluster = ThreadedCluster::<S>::with_workers(spec, workers);
             let at = cell(&cluster);
             let mut client = cluster.client();
-            let id = ClientId(client.first);
+            let id = ClientId(client.lanes.first);
             // A replica's link, driven by hand.
             let replica = ReplicaId(99);
             let (mut link, ..) = cluster
@@ -2077,13 +1998,11 @@ mod tests {
             vec![OpSpec::read("k"), OpSpec::read("k")],
         ];
         let (a, b, c) = (FIRST, FIRST + 1, FIRST + 2);
+        let timeout = CLIENT_TIMEOUT.to_std();
         // Lanes b and c begin their second operation half an attempt after
         // everyone's first, so only a's deadline has passed when it passes.
         let script = vec![
-            Recv::Batch(
-                CLIENT_TIMEOUT / 2,
-                vec![reply(b, 0, None), reply(c, 0, None)],
-            ),
+            Recv::Batch(timeout / 2, vec![reply(b, 0, None), reply(c, 0, None)]),
             Recv::Timeout,
             now_batch(vec![
                 reply(c, 1, None),
@@ -2105,8 +2024,8 @@ mod tests {
         let waits: Vec<StdInstant> = played.waits.try_iter().collect();
         assert_eq!(waits.len(), 3);
         assert_eq!(waits[0], waits[1]);
-        assert!(waits[0] <= started + CLIENT_TIMEOUT + StdDuration::from_millis(50));
-        assert!(waits[2] >= waits[0] + CLIENT_TIMEOUT / 2, "{waits:?}");
+        assert!(waits[0] <= started + timeout + StdDuration::from_millis(50));
+        assert!(waits[2] >= waits[0] + timeout / 2, "{waits:?}");
         let snapshot = played.registry.snapshot();
         assert_eq!(snapshot.counter(Counter::Retries), 1);
         assert_eq!(snapshot.counter(Counter::Timeouts), 0);

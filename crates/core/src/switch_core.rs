@@ -45,7 +45,7 @@ use crate::msg::Msg;
 
 /// Is the conflict-detection module loaded on this switch?
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SwitchMode {
+pub(crate) enum SwitchMode {
     /// Plain L2/L3 + protocol entry-point routing (the "without Harmonia"
     /// baselines of §9). CRAQ additionally gets anycast reads — its protocol
     /// handles per-object cleanliness itself.

@@ -22,7 +22,7 @@
 //!   pipeline through [`SwitchCore::handle`] only; a packet for a replica
 //!   reaches it by name; anything else finds nobody and vanishes, as toward
 //!   a dead NIC. The simulator keeps the rack's ToR hop (see
-//!   [`crate::switch_actor`]).
+//!   [`crate::switch_core`]).
 //! * **One sweep rule.** Stale dirty entries (§5.2) are swept once the
 //!   pipelines have handled nothing for the deployment's sweep interval,
 //!   and only while a sweep could reclaim something; without an interval,
@@ -46,7 +46,7 @@ use rand::rngs::SmallRng;
 
 use crate::msg::{CostModel, Msg};
 use crate::replica_step::ReplicaNode;
-use crate::switch_actor::{GroupCore, SwitchCore};
+use crate::switch_core::{GroupCore, SwitchCore};
 
 /// A node as a worker hosts it.
 pub struct Hosted(Node);

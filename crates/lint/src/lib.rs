@@ -132,10 +132,13 @@ impl Policy {
                 "crates/core/src/client_core.rs",
                 "crates/core/src/replica_step.rs",
                 "crates/core/src/control.rs",
+                // The simulator's clients: everything in the file runs in
+                // virtual time.
+                "crates/core/src/client.rs",
                 // The node runtime and the switch pipelines it hosts: every
                 // simulated and every threaded packet runs through both.
                 "crates/core/src/worker.rs",
-                "crates/core/src/switch_actor.rs",
+                "crates/core/src/switch_core.rs",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -151,7 +154,7 @@ impl Policy {
                 "crates/core/src/client_core.rs",
                 "crates/core/src/replica_step.rs",
                 "crates/core/src/worker.rs",
-                "crates/core/src/switch_actor.rs",
+                "crates/core/src/switch_core.rs",
                 "crates/types/src/wire.rs",
                 "crates/obs/src/recorder.rs",
                 "crates/obs/src/hist.rs",
@@ -172,7 +175,7 @@ impl Policy {
                 "crates/core/src/replica_step.rs",
                 "crates/core/src/control.rs",
                 "crates/core/src/worker.rs",
-                "crates/core/src/switch_actor.rs",
+                "crates/core/src/switch_core.rs",
             ]
             .iter()
             .map(|s| s.to_string())

@@ -52,6 +52,17 @@ fn determinism_fires_on_a_wall_clock_read_in_the_node_runtime() {
     assert!(lint_source("crates/core/src/live.rs", src, &policy()).is_empty());
 }
 
+/// The simulator's clients are held to it too: a timeout sweep that walks a
+/// `HashMap` would emit its traces in hash order.
+#[test]
+fn determinism_fires_on_a_hash_ordered_sweep_in_the_sim_clients() {
+    let src = "use std::collections::HashMap;\n\
+               struct C { pending: HashMap<u64, u64> }\n\
+               impl C { fn gc(&mut self) { self.pending.retain(|_, p| *p > 0); } }\n";
+    let f = lint_source("crates/core/src/client.rs", src, &policy());
+    assert_eq!(rules(&f), vec![Rule::Determinism], "{f:?}");
+}
+
 #[test]
 fn determinism_allows_virtual_instant() {
     // The repo's own virtual clock: `Instant` as a type is fine, only

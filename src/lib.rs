@@ -86,7 +86,7 @@
 //!
 //! The live driver is a **parallel data plane**: one pipeline per replica
 //! group, each exclusively owning that group's
-//! [`GroupCore`](core::switch_actor::GroupCore) (conflict detector, OUM
+//! [`GroupCore`](core::switch_core::GroupCore) (conflict detector, OUM
 //! sequencer, forwarding table, counters), behind a *stateless* spine —
 //! sending to the switch address shard-routes the packet on the sender's
 //! own thread straight onto the owning group's pipeline. Pipelines and

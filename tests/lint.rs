@@ -83,7 +83,7 @@ fn file_level_policy_entries_cover_the_core_crates_sans_io_modules() {
         "replica_step.rs",
         "control.rs",
         "worker.rs",
-        "switch_actor.rs",
+        "switch_core.rs",
     ] {
         let path = format!("crates/core/src/{file}");
         let fired = |src: &str, rule: Rule| {
