@@ -25,7 +25,8 @@ pub use snapshot::Snapshot;
 use bytes::Bytes;
 use harmonia_core::client::{metrics, ClosedLoopClient, OpSpec, SourceFn};
 use harmonia_core::deployment::{DeploymentSpec, SimCluster};
-use harmonia_switch::{GroupId, SwitchStats};
+use harmonia_core::SwitchCore;
+use harmonia_switch::SwitchStats;
 use harmonia_types::{ClientId, Duration, Instant, NodeId};
 use harmonia_workload::KeySpace;
 use rand::rngs::SmallRng;
@@ -98,7 +99,8 @@ pub struct RunResult {
     pub writes_rejected: u64,
     /// Switch data-plane counters at the end of the run.
     pub switch: SwitchStats,
-    /// Dirty-set occupancy at the end of the run.
+    /// Dirty-set occupancy at the end of the run, across every hosted
+    /// group.
     pub dirty_len: usize,
     /// Dirty-set SRAM consumed on the switch, across every hosted group
     /// (the §6.3 budget check).
@@ -200,11 +202,11 @@ fn measure_open_loop(mut sim: SimCluster, warmup: Duration, measure: Duration) -
         writes_rejected: m.counter(metrics::WRITE_REJECTED),
         ..RunResult::default()
     };
-    if let Some(sw) = sim.switch_core() {
-        result.switch = sw.stats();
-        result.dirty_len = sw.group(GroupId(0)).map_or(0, |g| g.detector().dirty_len());
-        result.switch_memory_bytes = sw.memory_bytes();
-        result.groups = sw.group_count();
+    if let Some(view) = sim.switch_core().map(SwitchCore::view) {
+        result.switch = view.stats();
+        result.dirty_len = view.dirty_len();
+        result.switch_memory_bytes = view.memory_bytes();
+        result.groups = view.group_count();
     }
     result
 }

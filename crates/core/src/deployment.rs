@@ -14,12 +14,11 @@
 //! * [`Cluster`] is *how* to talk to a running deployment, regardless of
 //!   driver: a synchronous [`KvClient`], the §5.3 failover verbs
 //!   ([`kill_switch`](Cluster::kill_switch) /
-//!   [`replace_switch`](Cluster::replace_switch)), switch inspection
-//!   ([`switch_stats`](Cluster::switch_stats),
-//!   [`group_stats`](Cluster::group_stats),
-//!   [`fast_path_enabled`](Cluster::fast_path_enabled),
-//!   [`switch_memory_bytes`](Cluster::switch_memory_bytes)), and closed-loop
-//!   scenario driving ([`run_plans`](Cluster::run_plans)).
+//!   [`replace_switch`](Cluster::replace_switch)), replica fail-stop and
+//!   recovery, one read side ([`obs_snapshot`](Cluster::obs_snapshot): the
+//!   switch's counters, each group's fast path and dirty-set SRAM, faults,
+//!   clients and replicas — built by one function for every driver), and
+//!   closed-loop scenario driving ([`run_plans`](Cluster::run_plans)).
 //! * [`DeploymentSpec::build_sim`] returns the deterministic-sim
 //!   implementation ([`SimCluster`]); [`DeploymentSpec::spawn_live`] the
 //!   threaded one ([`LiveCluster`]); [`DeploymentSpec::spawn_udp`] the
@@ -28,10 +27,13 @@
 //!   which.
 
 use bytes::Bytes;
-use harmonia_obs::{FaultObs, GroupObs, ObsSnapshot, Recorder, Registry, SwitchObs, TraceEvent};
+use harmonia_obs::{
+    Counter, FaultObs, GroupObs, ObsSnapshot, Recorder, RecorderSnapshot, Registry, SwitchObs,
+    TraceEvent,
+};
 use harmonia_replication::{build_replica, GroupConfig, ProtocolKind};
 use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
-use harmonia_switch::{GroupId, SpineView, SwitchStats, TableConfig};
+use harmonia_switch::{SpineView, TableConfig};
 use harmonia_types::{ClientId, Duration, Instant, NodeId, ReplicaId, SwitchId};
 use harmonia_workload::ShardMap;
 
@@ -389,7 +391,7 @@ pub trait Cluster {
 
     /// A synchronous client handle. The simulated implementation advances
     /// virtual time under the hood, so it borrows the cluster exclusively;
-    /// the live implementation is backed by its own channel.
+    /// a threaded one is backed by its own link.
     fn client(&mut self) -> Box<dyn KvClient + '_>;
 
     /// §5.3 step 1: the switch fails. It retains no state and forwards
@@ -417,30 +419,17 @@ pub trait Cluster {
     /// the gate only if that point has passed the gate-time floor.
     fn restart_replica(&mut self, r: ReplicaId);
 
-    /// Aggregate data-plane counters across every hosted group (`None` if
-    /// the switch is down).
-    fn switch_stats(&self) -> Option<SwitchStats>;
-
-    /// One group's data-plane counters.
-    fn group_stats(&self, group: GroupId) -> Option<SwitchStats>;
-
-    /// Whether the switch currently issues single-replica reads (group 0 —
-    /// the whole answer in an unsharded deployment).
-    fn fast_path_enabled(&self) -> Option<bool>;
-
-    /// Whether `group`'s fast path is currently enabled.
-    fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool>;
-
-    /// Total dirty-set SRAM across every hosted group (§6.3 budget check).
-    fn switch_memory_bytes(&self) -> Option<usize>;
-
     /// The current switch incarnation (`None` if the switch is down).
     fn switch_incarnation(&self) -> Option<SwitchId>;
 
     /// One unified observability snapshot: switch/spine counters, transport
     /// and pool counters (UDP driver), injected-fault counters, client and
     /// replica counters, and client-observed latency summaries — the same
-    /// typed shape from every driver. Render it with
+    /// typed shape from every driver. It is the one read side of a running
+    /// deployment: `switch` totals every pipeline (dirty-set SRAM included,
+    /// the §6.3 budget check), `per_group` has a row per group in group
+    /// order (its fast path armed or not, §5.3), and both are empty while
+    /// the switch is down. Render it with
     /// [`prometheus_text`](harmonia_obs::prometheus_text) or
     /// [`json_text`](harmonia_obs::json_text).
     fn obs_snapshot(&self) -> ObsSnapshot;
@@ -672,57 +661,21 @@ impl Cluster for SimCluster {
             .replace_node(NodeId::Replica(r), Box::new(newcomer));
     }
 
-    fn switch_stats(&self) -> Option<SwitchStats> {
-        self.switch_core().map(SwitchCore::stats)
-    }
-
-    fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.switch_core()?.group(group).map(|g| g.stats())
-    }
-
-    fn fast_path_enabled(&self) -> Option<bool> {
-        self.group_fast_path_enabled(GroupId(0))
-    }
-
-    fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
-        let core = self.switch_core()?.group(group)?;
-        Some(core.detector().fast_path_enabled())
-    }
-
-    fn switch_memory_bytes(&self) -> Option<usize> {
-        self.switch_core().map(SwitchCore::memory_bytes)
-    }
-
     fn switch_incarnation(&self) -> Option<SwitchId> {
         self.switch_core().map(SwitchCore::incarnation)
     }
 
     fn obs_snapshot(&self) -> ObsSnapshot {
-        let rs = self.registry.snapshot();
-        let mut snap = ObsSnapshot {
-            driver: "sim",
-            protocol: self.spec.protocol.name(),
-            groups: self.spec.groups as u32,
-            replicas: self.spec.replicas as u32,
-            taken_at_ns: self.world.now().nanos(),
-            ..ObsSnapshot::default()
-        };
-        snap.apply_recorder(&rs);
-        if let Some(sw) = self.switch_core() {
-            let view = sw.view();
-            let (switch, per_group) =
-                spine_obs(&view, rs.counter(harmonia_obs::Counter::SwitchSwept));
-            snap.switch = switch;
-            snap.per_group = per_group;
-        }
         let m = self.world.metrics();
-        snap.faults = FaultObs {
+        let faults = FaultObs {
             dropped: m.counter("net.dropped"),
             duplicated: m.counter("net.duplicated"),
             reordered: m.counter("net.reordered"),
             discarded: m.counter("net.dead_dst") + m.counter("net.down_dst"),
         };
-        snap
+        let (now, recorded) = (self.world.now(), self.registry.snapshot());
+        let view = self.switch_core().map(SwitchCore::view);
+        snapshot(&self.spec, "sim", now, &recorded, view, faults)
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
@@ -734,24 +687,44 @@ impl Cluster for SimCluster {
     }
 }
 
-/// Project a [`SpineView`] into the snapshot's switch sections. `swept` is
-/// recorder-side (the sweep happens off the observation path), so the caller
-/// supplies it from the merged counters.
-pub(crate) fn spine_obs(view: &SpineView, swept: u64) -> (SwitchObs, Vec<GroupObs>) {
+/// The snapshot every driver's [`Cluster::obs_snapshot`] returns: `spec`'s
+/// topology, the recorder-backed sections from `recorded`, and the switch
+/// sections from `switch` — its pipelines' [`SwitchCore::view`] rows,
+/// `None` while it is down. Sweeps happen off the observation path, so
+/// `swept` is the recorders' count.
+pub(crate) fn snapshot(
+    spec: &DeploymentSpec,
+    driver: &'static str,
+    taken_at: Instant,
+    recorded: &RecorderSnapshot,
+    switch: Option<SpineView>,
+    faults: FaultObs,
+) -> ObsSnapshot {
+    let mut snap = ObsSnapshot {
+        driver,
+        protocol: spec.protocol.name(),
+        groups: spec.groups as u32,
+        replicas: spec.replicas as u32,
+        taken_at_ns: taken_at.nanos(),
+        faults,
+        ..ObsSnapshot::default()
+    };
+    snap.apply_recorder(recorded);
+    let Some(view) = switch else { return snap };
     let stats = view.stats();
-    let switch = SwitchObs {
+    snap.switch = SwitchObs {
         reads_fast_path: stats.reads_fast_path,
         reads_normal: stats.reads_normal,
         writes_forwarded: stats.writes_forwarded,
         writes_dropped: stats.writes_dropped,
         completions: stats.completions,
         forwarded_other: stats.forwarded_other,
-        swept,
+        swept: recorded.counter(Counter::SwitchSwept),
         fast_path_groups: view.fast_path_groups() as u64,
         dirty_len: view.dirty_len() as u64,
         memory_bytes: view.memory_bytes() as u64,
     };
-    let per_group = view
+    snap.per_group = view
         .groups()
         .iter()
         .map(|o| GroupObs {
@@ -765,7 +738,7 @@ pub(crate) fn spine_obs(view: &SpineView, swept: u64) -> (SwitchObs, Vec<GroupOb
             memory_bytes: o.memory_bytes as u64,
         })
         .collect();
-    (switch, per_group)
+    snap
 }
 
 /// The simulated [`KvClient`]: a client id whose every operation is a
@@ -896,10 +869,9 @@ mod tests {
     fn spine_memory_accounting_scales_with_group_count() {
         let one = DeploymentSpec::new().build_sim();
         let four = DeploymentSpec::new().groups(4).build_sim();
-        let m1 = one.switch_memory_bytes().unwrap();
-        let m4 = four.switch_memory_bytes().unwrap();
-        assert_eq!(m4, 4 * m1);
-        assert_eq!(four.switch_core().unwrap().group_count(), 4);
+        let (one, four) = (one.obs_snapshot(), four.obs_snapshot());
+        assert_eq!(four.switch.memory_bytes, 4 * one.switch.memory_bytes);
+        assert_eq!(four.per_group.len(), 4);
     }
 
     #[test]
@@ -923,7 +895,7 @@ mod tests {
         );
         drop(client);
         assert!(sim.now() > Instant::ZERO, "virtual time advanced");
-        assert!(sim.fast_path_enabled().unwrap());
+        assert_eq!(sim.obs_snapshot().switch.fast_path_groups, 1);
     }
 
     #[test]
@@ -1006,11 +978,12 @@ mod tests {
             let mut client = sim.client();
             client.set(b"warm", b"1").unwrap();
         }
-        assert_eq!(sim.fast_path_enabled(), Some(true));
+        assert_eq!(sim.obs_snapshot().switch.fast_path_groups, 1);
         assert_eq!(sim.switch_incarnation(), Some(SwitchId(1)));
 
         sim.kill_switch();
-        assert_eq!(sim.switch_stats(), None);
+        assert_eq!(sim.switch_incarnation(), None);
+        assert_eq!(sim.obs_snapshot().switch, SwitchObs::default());
         {
             let mut client = sim.client();
             assert!(client.get(b"warm").is_err(), "no switch, no service");
@@ -1018,13 +991,13 @@ mod tests {
 
         sim.replace_switch(SwitchId(2));
         assert_eq!(sim.switch_incarnation(), Some(SwitchId(2)));
-        assert_eq!(sim.fast_path_enabled(), Some(false));
+        assert_eq!(sim.obs_snapshot().switch.fast_path_groups, 0);
         {
             let mut client = sim.client();
             assert_eq!(client.get(b"warm").unwrap(), Some(Bytes::from_static(b"1")));
             client.set(b"rearm", b"2").unwrap();
         }
-        assert_eq!(sim.fast_path_enabled(), Some(true));
+        assert_eq!(sim.obs_snapshot().switch.fast_path_groups, 1);
     }
 
     #[test]
@@ -1042,16 +1015,12 @@ mod tests {
         sim.run_until(Instant::ZERO + Duration::from_millis(20));
         assert!(sim.world().metrics().counter(metrics::READ_DONE) > 1000);
         assert!(sim.world().metrics().counter(metrics::WRITE_DONE) > 50);
-        for g in 0..4 {
-            let stats = sim.group_stats(GroupId(g)).unwrap();
-            assert!(
-                stats.writes_forwarded > 0,
-                "group {g} never saw a write: {stats:?}"
-            );
-            assert!(
-                stats.reads_fast_path + stats.reads_normal > 0,
-                "group {g} never saw a read: {stats:?}"
-            );
+        let rows = sim.obs_snapshot().per_group;
+        assert_eq!(rows.len(), 4);
+        for row in rows {
+            assert!(row.writes_forwarded > 0, "never saw a write: {row:?}");
+            let reads = row.reads_fast_path + row.reads_normal;
+            assert!(reads > 0, "never saw a read: {row:?}");
         }
     }
 
@@ -1070,7 +1039,23 @@ mod tests {
         });
         sim.add_open_loop_client(ClientId(1), 50_000.0, Duration::from_millis(10), source);
         sim.run_until(Instant::ZERO + Duration::from_millis(10));
-        assert_eq!(sim.switch_stats(), sim.group_stats(GroupId(0)));
+        let snap = sim.obs_snapshot();
+        let [group] = &snap.per_group[..] else {
+            panic!("one group: {:?}", snap.per_group)
+        };
+        let total = &snap.switch;
+        assert_eq!(
+            (
+                total.reads_fast_path,
+                total.reads_normal,
+                total.writes_forwarded
+            ),
+            (
+                group.reads_fast_path,
+                group.reads_normal,
+                group.writes_forwarded
+            )
+        );
         assert!(sim.world().metrics().counter(metrics::READ_DONE) > 300);
     }
 }

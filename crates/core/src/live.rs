@@ -106,12 +106,12 @@
 //! spawns no thread and hands the substrate every lane's next request in
 //! one flush. Load is raised by adding plans, not threads.
 //!
-//! Aggregate inspection ([`switch_stats`](Cluster::switch_stats),
-//! [`switch_memory_bytes`](Cluster::switch_memory_bytes)) works by
-//! message: the worker that hosts a group's pipeline answers with its
-//! [`GroupObservation`] snapshot and the facade folds them through
-//! [`SpineView`] — the control plane reads totals without ever touching a
-//! worker's state.
+//! The switch is read by message: for an
+//! [`obs_snapshot`](Cluster::obs_snapshot) each worker that hosts pipelines
+//! answers one [`Envelope::Inspect`] with their
+//! [`SwitchCore::view`] rows, and the snapshot is built from them as the
+//! simulator's is from its switch node's — the control plane reads the
+//! switch without ever touching a worker's state.
 //!
 //! The §5.3 switch failure/replacement sequence
 //! ([`kill_switch`](Cluster::kill_switch) /
@@ -137,17 +137,15 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use harmonia_net::{AddrBook, Names, Resolver};
-use harmonia_obs::{
-    Clock, Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
-};
+use harmonia_obs::{Clock, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent};
 use harmonia_replication::{build_replica, GroupConfig};
-use harmonia_switch::{GroupId, GroupObservation, SpineView, SwitchStats};
+use harmonia_switch::{GroupId, SpineView};
 use harmonia_types::{ClientId, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
 
 use crate::client::{OpSpec, RecordedOp};
 use crate::client_core::Lanes;
 use crate::control;
-use crate::deployment::{spine_obs, Cluster, DeploymentSpec, KvClient};
+use crate::deployment::{snapshot, Cluster, DeploymentSpec, KvClient};
 use crate::msg::Msg;
 use crate::replica_step::ReplicaNode;
 use crate::switch_core::SwitchCore;
@@ -163,8 +161,8 @@ pub enum Envelope {
     /// Data-plane packets: everything one flush sent this loop, in send
     /// order.
     Packets(Vec<Msg>),
-    /// Snapshot the state of this group's pipeline, if the worker hosts it.
-    Inspect(GroupId, Sender<GroupObservation>),
+    /// Snapshot every pipeline the worker hosts, if it hosts any.
+    Inspect(Sender<SpineView>),
     /// Host these nodes from now on; acknowledged once each has taken its
     /// first step.
     Adopt(Vec<Hosted>, Sender<()>),
@@ -698,9 +696,9 @@ fn worker_main<E: Clone>(
         (now, wall) = (clock.now(), StdInstant::now());
         deadline = worker.step(now, &mut rng, inbox.drain(..), &mut out);
         match verb {
-            Some(Envelope::Inspect(group, reply)) => {
-                if let Some(observed) = worker.observe(group) {
-                    let _ = reply.send(observed);
+            Some(Envelope::Inspect(reply)) => {
+                if let Some(view) = worker.observe() {
+                    let _ = reply.send(view);
                 }
             }
             // Adopted in one step, so nodes that tick alike — a group's
@@ -740,10 +738,10 @@ struct WorkerThread<S: Substrate> {
 /// pipelines and replicas they host, and the configuration service's §5.3
 /// verbs. All of it is reachable through [`Cluster`]; the inherent methods
 /// are what the trait cannot express (a concrete [`LiveClient`] from
-/// `&self`, the per-group [`switch_view`](Self::switch_view)).
+/// `&self`, a load to run on a thread of the caller's).
 pub struct ThreadedCluster<S: Substrate> {
     spec: DeploymentSpec,
-    pub(crate) substrate: S,
+    substrate: S,
     /// They live as long as the cluster; nodes come and go by verb.
     workers: Vec<WorkerThread<S>>,
     /// The incarnation whose pipelines the workers host; `None` while the
@@ -921,31 +919,18 @@ impl<S: Substrate> ThreadedCluster<S> {
         self.substrate.book().unicast_len()
     }
 
-    /// Snapshot the pipelines of `groups`, each asked of the worker that
-    /// hosts it. The inspects fan out first, so workers answer concurrently.
-    fn observe(&self, groups: impl Iterator<Item = GroupId>) -> Option<Vec<GroupObservation>> {
+    /// Every pipeline's snapshot, one verb per worker that hosts any — the
+    /// first `groups` workers — asked all at once so they answer
+    /// concurrently; `None` while the switch is down.
+    fn observe(&self) -> Option<SpineView> {
         self.switch?;
-        let pending: Option<Vec<Receiver<GroupObservation>>> = groups
-            .map(|g| {
-                let host = self.host(g.0 as usize)?;
-                ask(&host.ctl, |reply| Envelope::Inspect(g, reply))
-            })
-            .collect();
-        (pending?.into_iter())
-            .map(|reply| reply.recv_timeout(VERB_TIMEOUT).ok())
-            .collect()
-    }
-
-    /// Snapshot one group's pipeline state.
-    fn observe_group(&self, group: GroupId) -> Option<GroupObservation> {
-        self.observe(std::iter::once(group))?.pop()
-    }
-
-    /// Aggregate-only view across every pipeline (per-group snapshots);
-    /// `None` while the switch is down.
-    pub fn switch_view(&self) -> Option<SpineView> {
-        self.observe((0..self.spec.groups as u32).map(GroupId))
-            .map(SpineView::new)
+        let hosts = self.workers.iter().take(self.spec.groups);
+        let pending: Option<Vec<_>> = hosts.map(|w| ask(&w.ctl, Envelope::Inspect)).collect();
+        let mut rows = Vec::new();
+        for reply in pending? {
+            rows.extend_from_slice(reply.recv_timeout(VERB_TIMEOUT).ok()?.groups());
+        }
+        Some(SpineView::new(rows))
     }
 
     /// Stop every thread and wait for them. (Dropping the cluster does the
@@ -1019,48 +1004,14 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
         self.adopt(vec![self.replica(plan.config, Some(plan.peer))]);
     }
 
-    fn switch_stats(&self) -> Option<SwitchStats> {
-        self.switch_view().map(|v| v.stats())
-    }
-
-    fn group_stats(&self, group: GroupId) -> Option<SwitchStats> {
-        self.observe_group(group).map(|o| o.stats)
-    }
-
-    fn fast_path_enabled(&self) -> Option<bool> {
-        self.group_fast_path_enabled(GroupId(0))
-    }
-
-    fn group_fast_path_enabled(&self, group: GroupId) -> Option<bool> {
-        self.observe_group(group).map(|o| o.fast_path_enabled)
-    }
-
-    fn switch_memory_bytes(&self) -> Option<usize> {
-        self.switch_view().map(|v| v.memory_bytes())
-    }
-
     fn switch_incarnation(&self) -> Option<SwitchId> {
         self.switch
     }
 
     fn obs_snapshot(&self) -> ObsSnapshot {
-        let rs = self.registry.snapshot();
-        let mut snap = ObsSnapshot {
-            driver: S::DRIVER,
-            protocol: self.spec.protocol.name(),
-            groups: self.spec.groups as u32,
-            replicas: self.spec.replicas as u32,
-            taken_at_ns: self.registry.clock().now().nanos(),
-            faults: self.substrate.fault_obs(),
-            ..ObsSnapshot::default()
-        };
-        snap.apply_recorder(&rs);
-        if let Some(view) = self.switch_view() {
-            let (switch, per_group) = spine_obs(&view, rs.counter(Counter::SwitchSwept));
-            snap.switch = switch;
-            snap.per_group = per_group;
-        }
-        snap
+        let (recorded, now) = (self.registry.snapshot(), self.registry.clock().now());
+        let (view, faults) = (self.observe(), self.substrate.fault_obs());
+        snapshot(&self.spec, S::DRIVER, now, &recorded, view, faults)
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
@@ -1078,7 +1029,7 @@ impl<S: Substrate> Cluster for ThreadedCluster<S> {
 mod tests {
     use super::*;
     use crate::udp::Sockets;
-    use harmonia_obs::TraceStage;
+    use harmonia_obs::{Counter, SwitchObs, TraceStage};
     use harmonia_replication::ProtocolKind;
     use harmonia_types::{Duration, OpKind};
     use harmonia_verify::{check_history, Action, OpRecord};
@@ -1231,14 +1182,11 @@ mod tests {
                 Some(Bytes::from(format!("v{i}")))
             );
         }
-        for g in 0..4 {
-            let stats = cluster.group_stats(GroupId(g)).unwrap();
-            assert!(stats.writes_forwarded > 0, "group {g}: {stats:?}");
+        let rows = cluster.obs_snapshot().per_group;
+        assert_eq!(rows.len(), 4);
+        for row in rows {
+            assert!(row.writes_forwarded > 0, "{row:?}");
         }
-        // The aggregate-only view folds the same per-pipeline snapshots.
-        let view = cluster.switch_view().unwrap();
-        assert_eq!(view.group_count(), 4);
-        assert_eq!(view.stats(), cluster.switch_stats().unwrap());
         cluster.shutdown();
     }
 
@@ -1256,12 +1204,10 @@ mod tests {
             for i in 0..30 {
                 client.set(format!("key-{i}"), "v").unwrap();
             }
-            let view = cluster.switch_view().unwrap();
-            let groups: Vec<GroupId> = view.groups().iter().map(|o| o.group).collect();
-            assert_eq!(groups, [GroupId(0), GroupId(1)], "{}", S::DRIVER);
-            let per_group: Vec<u64> = (0..2)
-                .map(|g| cluster.group_stats(GroupId(g)).unwrap().writes_forwarded)
-                .collect();
+            let rows = cluster.obs_snapshot().per_group;
+            let groups: Vec<u32> = rows.iter().map(|row| row.group).collect();
+            assert_eq!(groups, [0, 1], "{}", S::DRIVER);
+            let per_group: Vec<u64> = rows.iter().map(|row| row.writes_forwarded).collect();
             assert!(per_group.iter().all(|&n| n > 0), "{per_group:?}");
             assert_eq!(per_group.iter().sum::<u64>(), 30, "{}", S::DRIVER);
 
@@ -1282,9 +1228,9 @@ mod tests {
             cluster.substrate.deliver(broadcasts);
             // An inspect is answered after whatever was queued before it.
             while handled() < before + 2 {
-                cluster.switch_view().unwrap();
+                cluster.observe().unwrap();
             }
-            cluster.switch_view().unwrap();
+            cluster.observe().unwrap();
             assert_eq!(handled(), before + 2, "{}", S::DRIVER);
             cluster.shutdown();
         }
@@ -1565,7 +1511,7 @@ mod tests {
                     assert_eq!(client.get(key(probe)).unwrap(), Some(value(probe)), "{at}");
                 }
             }
-            assert_eq!(cluster.fast_path_enabled(), Some(true), "{at}");
+            assert_eq!(cluster.obs_snapshot().switch.fast_path_groups, 1, "{at}");
             drop(client);
 
             // Alone with the store: what it did not receive, nobody has.
@@ -1606,21 +1552,21 @@ mod tests {
             let at = cell(&cluster);
             let mut load = cluster.load(plans(8, 600, 120));
             let lanes = std::thread::spawn(move || load.run());
-            let carried = |s: SwitchStats| s.reads_fast_path + s.reads_normal + s.writes_forwarded;
-            while cluster.switch_stats().map_or(0, carried) < 200 {
+            let carried = |s: SwitchObs| s.reads_fast_path + s.reads_normal + s.writes_forwarded;
+            while carried(cluster.obs_snapshot().switch) < 200 {
                 std::thread::yield_now();
             }
             cluster.kill_switch();
-            assert_eq!(cluster.switch_stats(), None, "{at}");
+            assert_eq!(cluster.obs_snapshot().switch, SwitchObs::default(), "{at}");
             std::thread::sleep(StdDuration::from_millis(30));
             cluster.replace_switch(SwitchId(2));
             let histories = lanes.join().unwrap();
             assert_linearizable_traced(&histories, &cluster.trace_events(), &at);
             // The new incarnation carried the rest, and armed its fast path
             // on its first own completion.
-            let stats = cluster.switch_stats().unwrap();
-            assert!(stats.completions > 0, "{at}: {stats:?}");
-            assert_eq!(cluster.fast_path_enabled(), Some(true), "{at}");
+            let switch = cluster.obs_snapshot().switch;
+            assert!(switch.completions > 0, "{at}: {switch:?}");
+            assert_eq!(switch.fast_path_groups, 1, "{at}");
             cluster.shutdown();
         }
         every_layout(&DeploymentSpec::new(), check::<Channels>, check::<Sockets>);
@@ -1723,11 +1669,11 @@ mod tests {
         }
 
         fn dirty_len(&self) -> usize {
-            let reply = ask(&self.ctl, |reply| Envelope::Inspect(GroupId(0), reply)).unwrap();
+            let reply = ask(&self.ctl, Envelope::Inspect).unwrap();
             reply
                 .recv_timeout(StdDuration::from_secs(10))
                 .unwrap()
-                .dirty_len
+                .dirty_len()
         }
 
         fn swept(&self) -> u64 {

@@ -122,21 +122,6 @@ impl GroupCore {
         self.group
     }
 
-    /// The group's data-plane counters.
-    pub fn stats(&self) -> SwitchStats {
-        self.stats
-    }
-
-    /// The group's conflict detector (inspection).
-    pub fn detector(&self) -> &ConflictDetector {
-        &self.detector
-    }
-
-    /// Dirty-set SRAM consumed by this group.
-    pub fn memory_bytes(&self) -> usize {
-        self.detector.memory_bytes()
-    }
-
     /// The group's current members, in role order.
     pub fn replicas(&self) -> &[ReplicaId] {
         self.fwd.replicas()
@@ -147,7 +132,8 @@ impl GroupCore {
         self.fwd.is_gated(r)
     }
 
-    /// A point-in-time snapshot for aggregate-only views ([`SpineView`]).
+    /// A point-in-time snapshot: counters, fast-path state, dirty-set
+    /// occupancy and SRAM.
     pub fn observe(&self) -> GroupObservation {
         GroupObservation {
             group: self.group,
@@ -485,25 +471,16 @@ impl SwitchCore {
         self.groups.iter().find(|c| c.group == group)
     }
 
-    /// Number of replica groups hosted here.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// The deployment's object→group map.
     pub fn shard_map(&self) -> ShardMap {
         self.shards
     }
 
-    /// Aggregate-only view across every hosted group — the same snapshots
-    /// a threaded driver's workers export.
+    /// Every hosted group's snapshot, in group order: what a snapshot's
+    /// switch sections are built from on every driver, dirty-set SRAM
+    /// (§6.3) included.
     pub fn view(&self) -> SpineView {
         SpineView::new(self.groups.iter().map(GroupCore::observe).collect())
-    }
-
-    /// Total dirty-set SRAM across every hosted group (§6.3 budget check).
-    pub fn memory_bytes(&self) -> usize {
-        self.groups.iter().map(GroupCore::memory_bytes).sum()
     }
 
     /// This incarnation's id.
@@ -569,7 +546,7 @@ mod tests {
     }
 
     fn detector(w: &World<Msg>) -> &ConflictDetector {
-        switch(w).group(GroupId(0)).unwrap().detector()
+        &switch(w).group(GroupId(0)).unwrap().detector
     }
 
     fn send_req(w: &mut World<Msg>, req: ClientRequest) {

@@ -351,25 +351,15 @@ impl Substrate for Sockets {
 /// [`LiveCluster`](crate::live::LiveCluster), different substrate:
 /// datagrams that can be lost, duplicated, and reordered. The spec's `link`
 /// fault probabilities are injected at every socket by a seeded
-/// [`FaultyTransport`] (which spares replica→replica packets);
-/// [`fault_counts`](UdpCluster::fault_counts) reports what actually fired.
+/// [`FaultyTransport`] (which spares replica→replica packets); the
+/// snapshot's `faults` section reports what actually fired.
 pub type UdpCluster = ThreadedCluster<Sockets>;
-
-impl ThreadedCluster<Sockets> {
-    /// `(dropped, duplicated, reordered)` datagrams injected so far by the
-    /// spec's fault model — a fault harness asserts these moved, proving the
-    /// adversary actually exercised the deployment.
-    pub fn fault_counts(&self) -> (u64, u64, u64) {
-        self.substrate.fault_counters.snapshot()
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::deployment::Cluster;
     use bytes::Bytes;
-    use harmonia_switch::GroupId;
     use std::time::Duration as StdDuration;
 
     /// A hop that stays on the link is a batch of its own and costs no
@@ -448,13 +438,11 @@ mod tests {
                 Some(Bytes::from(format!("v{i}")))
             );
         }
-        for g in 0..4 {
-            let stats = cluster.group_stats(GroupId(g)).unwrap();
-            assert!(stats.writes_forwarded > 0, "group {g}: {stats:?}");
+        let rows = cluster.obs_snapshot().per_group;
+        assert_eq!(rows.len(), 4);
+        for row in rows {
+            assert!(row.writes_forwarded > 0, "{row:?}");
         }
-        let view = cluster.switch_view().unwrap();
-        assert_eq!(view.group_count(), 4);
-        assert_eq!(view.stats(), cluster.switch_stats().unwrap());
         cluster.shutdown();
     }
 }

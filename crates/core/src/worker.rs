@@ -40,13 +40,13 @@
 
 use harmonia_replication::Replica;
 use harmonia_sim::{Actor, Context, Service, TimerToken};
-use harmonia_switch::{GroupId, GroupObservation};
+use harmonia_switch::SpineView;
 use harmonia_types::{Instant, NodeId, ReplicaId};
 use rand::rngs::SmallRng;
 
 use crate::msg::{CostModel, Msg};
 use crate::replica_step::ReplicaNode;
-use crate::switch_core::{GroupCore, SwitchCore};
+use crate::switch_core::SwitchCore;
 
 /// A node as a worker hosts it.
 pub struct Hosted(Node);
@@ -101,7 +101,8 @@ pub struct Worker {
 impl Worker {
     /// Host `nodes` from `now` on: a recovering replica asks its peer for a
     /// snapshot, a ticking one arms its tick. Pipelines replace whatever
-    /// pipelines were hosted before.
+    /// pipelines were hosted before, and a replica replaces the server of
+    /// the same name.
     pub fn adopt(&mut self, now: Instant, nodes: Vec<Hosted>, out: &mut Vec<(NodeId, Msg)>) {
         for Hosted(node) in nodes {
             match node {
@@ -112,6 +113,7 @@ impl Worker {
                 Node::Replica(me, mut node) => {
                     node.start(me, out);
                     let tick_at = node.tick_interval().map(|tick| now + tick);
+                    self.servers.retain(|s| s.me != me);
                     self.servers.push(Server { me, node, tick_at });
                 }
             }
@@ -131,9 +133,11 @@ impl Worker {
         }
     }
 
-    /// Snapshot the pipeline of `group`, if it is hosted here.
-    pub fn observe(&self, group: GroupId) -> Option<GroupObservation> {
-        self.switch.as_ref()?.group(group).map(GroupCore::observe)
+    /// Snapshot the pipelines hosted here, if there are any. Asked once per
+    /// snapshot, so it is kept out of line of the worker loop that calls it.
+    #[cold]
+    pub fn observe(&self) -> Option<SpineView> {
+        self.switch.as_ref().map(SwitchCore::view)
     }
 
     /// The step: hand every packet of `inbox` to the node it addresses, run
@@ -307,6 +311,7 @@ mod tests {
     use harmonia_obs::Recorder;
     use harmonia_replication::{build_replica, GroupConfig, ProtocolKind, ProtocolMsg};
     use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
+    use harmonia_switch::GroupId;
     use harmonia_types::{
         ClientId, ClientReply, ClientRequest, ControlMsg, Duration, ObjectId, PacketBody,
         RequestId, SwitchId, SwitchSeq, WriteCompletion,
@@ -371,7 +376,8 @@ mod tests {
         }
 
         fn stats(&self, group: u32) -> harmonia_switch::SwitchStats {
-            self.worker.observe(GroupId(group)).unwrap().stats
+            let view = self.worker.observe().unwrap();
+            view.group(GroupId(group)).unwrap().stats
         }
     }
 
@@ -454,6 +460,27 @@ mod tests {
         assert_eq!(sent[0].0, NodeId::Client(ClientId(7)));
         assert_eq!(sent[0].1, Msg::new(r0, SWITCH, PacketBody::Reply(reply)));
         assert_eq!(bench.handled(), 3, "forwarding is not pipeline work");
+    }
+
+    /// A restart on the worker that still hosts the replica adopts a fresh
+    /// server under a name that is taken: it replaces the old one, which
+    /// would otherwise keep ticking and take every packet for the name.
+    #[test]
+    fn adopting_a_hosted_replicas_name_replaces_its_server() {
+        let me = ReplicaId(1);
+        let server = |recover_from| {
+            let config = GroupConfig::new(ProtocolKind::Chain, 3, me.0, true);
+            let node = ReplicaNode::new(build_replica(config), recover_from, Recorder::detached());
+            Hosted::replica(me, node)
+        };
+        let (mut worker, mut out) = (Worker::default(), Vec::new());
+        worker.adopt(at(0), vec![server(None)], &mut out);
+        worker.adopt(at(1), vec![server(Some(ReplicaId(0)))], &mut out);
+        let named: Vec<bool> = (worker.servers.iter())
+            .filter(|s| s.me == me)
+            .map(|s| s.node.is_recovering())
+            .collect();
+        assert_eq!(named, [true], "one server answers to {me:?}: the fresh one");
     }
 
     /// A switch kept busy past its sweep interval re-arms its one timer once

@@ -139,6 +139,12 @@ impl Policy {
                 // simulated and every threaded packet runs through both.
                 "crates/core/src/worker.rs",
                 "crates/core/src/switch_core.rs",
+                // The simulated deployment (`SimCluster`, its sessions),
+                // the scheduled failure scripts, the messages and the one
+                // snapshot builder the golden texts render.
+                "crates/core/src/deployment.rs",
+                "crates/core/src/failover.rs",
+                "crates/core/src/msg.rs",
             ]
             .iter()
             .map(|s| s.to_string())

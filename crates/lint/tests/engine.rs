@@ -52,6 +52,21 @@ fn determinism_fires_on_a_wall_clock_read_in_the_node_runtime() {
     assert!(lint_source("crates/core/src/live.rs", src, &policy()).is_empty());
 }
 
+/// So is the simulated deployment — `SimCluster`, the scheduled failure
+/// scripts, the messages, and the one snapshot builder whose output the
+/// golden texts render — beside the threaded drivers that may read a wall
+/// clock.
+#[test]
+fn determinism_fires_on_a_wall_clock_read_in_the_simulated_deployment() {
+    let src = "pub fn now(&self) -> Instant { let _ = std::time::Instant::now(); self.t }\n";
+    for file in ["deployment.rs", "failover.rs", "msg.rs"] {
+        let f = lint_source(&format!("crates/core/src/{file}"), src, &policy());
+        let expected = vec![Rule::Determinism, Rule::Determinism];
+        assert_eq!(rules(&f), expected, "{file}: {f:?}");
+    }
+    assert!(lint_source("crates/core/src/udp.rs", src, &policy()).is_empty());
+}
+
 /// The simulator's clients are held to it too: a timeout sweep that walks a
 /// `HashMap` would emit its traces in hash order.
 #[test]

@@ -41,24 +41,27 @@ fn main() {
         assert_eq!(got.as_deref(), Some(format!("profile-{user}").as_bytes()));
     }
 
-    // Where did the keys actually go? Ask the shard map and the switch.
+    // Where did the keys actually go? Ask the shard map and the switch's
+    // snapshot, which has a row per group.
     let map = config.shard_map();
-    for g in 0..4u32 {
+    let snap = cluster.obs_snapshot();
+    assert_eq!(snap.per_group.len(), 4, "every group hosted");
+    for row in &snap.per_group {
+        let g = row.group;
         let owned = (0..200)
             .filter(|u| map.shard_of_key(format!("user:{u}").as_bytes()) == g)
             .count();
-        let stats = cluster.group_stats(GroupId(g)).expect("hosted group");
         println!(
             "group {g}: owns {owned:3} of 200 keys, forwarded {:4} writes, \
              served {:4} fast-path reads",
-            stats.writes_forwarded, stats.reads_fast_path
+            row.writes_forwarded, row.reads_fast_path
         );
         assert!(owned > 0, "no group should starve");
     }
 
     // The §6.3 claim, quantitatively: this deployment's whole dirty-set
     // footprint vs. a commodity switch's tens of MB of SRAM.
-    let used = cluster.switch_memory_bytes().expect("switch is alive");
+    let used = snap.switch.memory_bytes as usize;
     let table = config.table;
     let per_group = table.stages * table.slots_per_stage * table.entry_bytes;
     let budget = 10 * 1024 * 1024;

@@ -28,20 +28,22 @@ fn main() {
         client.get("user:7").unwrap().as_deref(),
         Some(&b"profile-7"[..])
     );
-    let stats = cluster.switch_stats().expect("switch is up");
+    let snap = cluster.obs_snapshot();
+    assert_eq!(snap.per_group.len(), 2, "both pipelines answer");
     println!(
         "switch saw {} writes, {} fast-path / {} normal reads across {} groups",
-        stats.writes_forwarded,
-        stats.reads_fast_path,
-        stats.reads_normal,
-        cluster.switch_view().unwrap().group_count(),
+        snap.switch.writes_forwarded,
+        snap.switch.reads_fast_path,
+        snap.switch.reads_normal,
+        snap.per_group.len(),
     );
 
     // 2. §5.3: kill the switch fleet (its sockets leave the address book),
     //    activate a replacement on fresh sockets, service resumes.
     println!("\n== switch replacement over real sockets ==");
     cluster.kill_switch();
-    assert!(cluster.switch_stats().is_none());
+    assert!(cluster.switch_incarnation().is_none());
+    assert!(cluster.obs_snapshot().per_group.is_empty());
     let mut stranded = cluster.client();
     assert!(
         stranded.get("user:7").is_err(),
@@ -52,6 +54,12 @@ fn main() {
         client.get("user:7").unwrap().as_deref(),
         Some(&b"profile-7"[..]),
         "replacement serves reads through the normal path"
+    );
+    let rows = cluster.obs_snapshot().per_group;
+    assert_eq!(rows.len(), 2, "the replacement hosts every group");
+    assert!(
+        rows.iter().all(|row| !row.fast_path_enabled),
+        "no completion of its own yet: every group reads on the normal path"
     );
     println!(
         "incarnation {:?} serving; fast path re-arms per group on its first completion",
@@ -86,10 +94,11 @@ fn main() {
         };
         completed += u32::from(ok);
     }
-    let (dropped, duplicated, reordered) = cluster.fault_counts();
+    let faults = cluster.obs_snapshot().faults;
     println!(
-        "{completed}/60 ops completed while the adversary dropped {dropped}, \
-         duplicated {duplicated}, reordered {reordered} datagrams"
+        "{completed}/60 ops completed while the adversary dropped {}, \
+         duplicated {}, reordered {} datagrams",
+        faults.dropped, faults.duplicated, faults.reordered
     );
     cluster.shutdown();
 }

@@ -79,7 +79,9 @@
 //! client.set(b"user:1", b"profile").unwrap();
 //! assert_eq!(client.get(b"user:1").unwrap().as_deref(), Some(&b"profile"[..]));
 //! drop(client);
-//! assert_eq!(sim.switch_memory_bytes().unwrap() % 4, 0); // 4 equal dirty sets
+//! let snap = sim.obs_snapshot(); // the one read side, on every driver
+//! assert_eq!(snap.per_group.len(), 4);
+//! assert_eq!(snap.switch.memory_bytes % 4, 0); // 4 equal dirty sets
 //! ```
 //!
 //! ## Live data plane
@@ -94,9 +96,9 @@
 //! cores to run them on and never more than nodes: nodes that would share
 //! a core anyway share a thread, and a hop between them wakes nobody. No
 //! lock is taken on the packet path; workers drain their ingress in
-//! batches; aggregate inspection folds per-pipeline
-//! [`GroupObservation`](switch::GroupObservation) snapshots through
-//! [`SpineView`](switch::SpineView). The §5.3 `kill_switch` /
+//! batches; an `obs_snapshot()` asks each worker that hosts pipelines for
+//! their [`GroupObservation`](switch::GroupObservation) rows, one verb per
+//! worker. The §5.3 `kill_switch` /
 //! `replace_switch` verbs evict every pipeline from its worker and have
 //! fresh ones adopted under a fresh incarnation. This mirrors the hardware: a Tofino processes
 //! different groups' packets in parallel at line rate, so group count buys

@@ -159,8 +159,8 @@ impl Scenario {
 /// stalls until its attempt deadline, so the replacement lands mid-call.
 pub fn replace_switch_mid_load(cluster: &mut dyn Cluster, replacement: SwitchId) {
     let carried =
-        |s: harmonia::switch::SwitchStats| s.reads_fast_path + s.reads_normal + s.writes_forwarded;
-    while cluster.switch_stats().map_or(0, carried) < 200 {
+        |s: harmonia::obs::SwitchObs| s.reads_fast_path + s.reads_normal + s.writes_forwarded;
+    while carried(cluster.obs_snapshot().switch) < 200 {
         std::thread::yield_now();
     }
     cluster.kill_switch();

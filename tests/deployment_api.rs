@@ -8,7 +8,15 @@
 mod common;
 
 use common::{assert_linearizable_traced, collect_records, make_plans};
+use harmonia::obs::{GroupObs, SwitchObs};
 use harmonia::prelude::*;
+
+/// Whether each group's fast path is armed, in group order; empty while
+/// the switch is down.
+fn armed(cluster: &dyn Cluster) -> Vec<bool> {
+    let rows = cluster.obs_snapshot().per_group;
+    rows.iter().map(|row| row.fast_path_enabled).collect()
+}
 
 /// All three drivers, behind the same trait object.
 fn all_drivers(spec: &DeploymentSpec) -> Vec<(&'static str, Box<dyn Cluster>)> {
@@ -37,12 +45,12 @@ fn same_scenario_is_linearizable_through_all_drivers() {
             &cluster.trace_events(),
             &format!("{name} driver via dyn Cluster"),
         );
-        let stats = cluster.switch_stats().expect("switch is up");
+        let switch = cluster.obs_snapshot().switch;
         assert!(
-            stats.reads_fast_path > 0,
-            "{name}: fast path unused: {stats:?}"
+            switch.reads_fast_path > 0,
+            "{name}: fast path unused: {switch:?}"
         );
-        assert_eq!(cluster.fast_path_enabled(), Some(true), "{name}");
+        assert_eq!(switch.fast_path_groups, 1, "{name}");
         assert_eq!(
             cluster.switch_incarnation(),
             Some(SwitchId(1)),
@@ -86,10 +94,11 @@ fn failover_vocabulary_is_uniform_across_drivers() {
             let mut client = cluster.client();
             client.set(b"warm", b"1").unwrap();
         }
-        assert_eq!(cluster.fast_path_enabled(), Some(true), "{name}");
+        assert_eq!(armed(&*cluster), [true], "{name}");
 
         cluster.kill_switch();
-        assert_eq!(cluster.switch_stats(), None, "{name}: switch is down");
+        assert_eq!(cluster.switch_incarnation(), None, "{name}");
+        assert_eq!(armed(&*cluster), [], "{name}: switch is down");
         {
             let mut client = cluster.client();
             assert!(
@@ -101,8 +110,8 @@ fn failover_vocabulary_is_uniform_across_drivers() {
         cluster.replace_switch(SwitchId(2));
         assert_eq!(cluster.switch_incarnation(), Some(SwitchId(2)), "{name}");
         assert_eq!(
-            cluster.fast_path_enabled(),
-            Some(false),
+            armed(&*cluster),
+            [false],
             "{name}: fresh dirty set, fast path must be off"
         );
         {
@@ -115,8 +124,8 @@ fn failover_vocabulary_is_uniform_across_drivers() {
             client.set(b"rearm", b"2").unwrap();
         }
         assert_eq!(
-            cluster.fast_path_enabled(),
-            Some(true),
+            armed(&*cluster),
+            [true],
             "{name}: first own-id completion re-arms"
         );
     }
@@ -206,21 +215,68 @@ fn sharded_deployment_is_uniform_across_drivers() {
                 );
             }
         }
+        let snap = cluster.obs_snapshot();
         assert_eq!(
-            cluster.switch_memory_bytes(),
-            Some(4 * per_group),
+            snap.switch.memory_bytes,
+            4 * per_group as u64,
             "{name}: four equal dirty sets"
         );
-        let mut groups_with_writes = 0;
-        for g in 0..4 {
-            let stats = cluster.group_stats(GroupId(g)).expect("hosted group");
-            if stats.writes_forwarded > 0 {
-                groups_with_writes += 1;
-            }
-        }
+        let groups_with_writes = (snap.per_group.iter())
+            .filter(|row| row.writes_forwarded > 0)
+            .count();
         assert!(
             groups_with_writes >= 3,
             "{name}: only {groups_with_writes}/4 groups saw writes"
         );
+    }
+}
+
+/// The snapshot is the one read side of a running deployment, and its switch
+/// sections agree with each other on every driver: a row per group in group
+/// order, totals that are the rows' sums, and as many armed groups counted
+/// as there are armed rows. With the switch down both sections are empty;
+/// a replacement hosts every group again, each disarmed until its first
+/// own-id completion (§5.3).
+#[test]
+fn the_snapshots_switch_sections_agree_on_every_driver() {
+    let spec = DeploymentSpec::new().groups(4).seed(5);
+    for (name, mut cluster) in all_drivers(&spec) {
+        let plans = make_plans(3, 60, 40, 0.3, 5);
+        let (_, incomplete) = collect_records(&cluster.run_plans(plans));
+        assert_eq!(incomplete, 0, "{name}: ops gave up");
+
+        let snap = cluster.obs_snapshot();
+        let groups: Vec<u32> = snap.per_group.iter().map(|row| row.group).collect();
+        assert_eq!(groups, [0, 1, 2, 3], "{name}");
+        let sum = |field: fn(&GroupObs) -> u64| snap.per_group.iter().map(field).sum::<u64>();
+        let switch = snap.switch;
+        let totals = [
+            switch.reads_fast_path,
+            switch.reads_normal,
+            switch.writes_forwarded,
+            switch.writes_dropped,
+            switch.dirty_len,
+            switch.memory_bytes,
+        ];
+        let sums = [
+            sum(|row| row.reads_fast_path),
+            sum(|row| row.reads_normal),
+            sum(|row| row.writes_forwarded),
+            sum(|row| row.writes_dropped),
+            sum(|row| row.dirty_len),
+            sum(|row| row.memory_bytes),
+        ];
+        assert_eq!(totals, sums, "{name}: {snap:?}");
+        assert!(switch.reads_fast_path > 0, "{name}: {switch:?}");
+        let armed_rows = snap.per_group.iter().filter(|row| row.fast_path_enabled);
+        assert_eq!(switch.fast_path_groups, armed_rows.count() as u64, "{name}");
+
+        cluster.kill_switch();
+        let snap = cluster.obs_snapshot();
+        assert_eq!(snap.switch, SwitchObs::default(), "{name}");
+        assert!(snap.per_group.is_empty(), "{name}: {:?}", snap.per_group);
+
+        cluster.replace_switch(SwitchId(2));
+        assert_eq!(armed(&*cluster), [false; 4], "{name}");
     }
 }

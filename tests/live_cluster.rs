@@ -111,7 +111,7 @@ fn monotonic_counter_between_two_threads() {
 /// forward everything through the normal protocol — reads completing do
 /// NOT re-enable the fast path — until the first WRITE-COMPLETION bearing
 /// its *own* id arrives. Checked step by step through the live switch's
-/// stats handle.
+/// snapshot.
 #[test]
 fn live_switch_replacement_follows_first_own_completion_rule() {
     let mut cluster = spawn(ProtocolKind::Chain, true, 3);
@@ -119,38 +119,38 @@ fn live_switch_replacement_follows_first_own_completion_rule() {
 
     // Warm up: a committed write arms incarnation 1's fast path.
     client.set("warm", "1").unwrap();
-    assert_eq!(cluster.fast_path_enabled(), Some(true));
+    assert_eq!(cluster.obs_snapshot().switch.fast_path_groups, 1);
     assert_eq!(cluster.switch_incarnation(), Some(SwitchId(1)));
 
     // Step 1: the switch fails. Requests now vanish; a read times out.
     cluster.kill_switch();
-    assert_eq!(cluster.switch_stats(), None);
+    assert_eq!(cluster.switch_incarnation(), None);
     assert!(client.get("warm").is_err(), "no switch, no service");
 
     // Steps 2–3: replacement under a fresh, larger incarnation; lease
     // moves. Its dirty set is empty and its fast path must be OFF.
     cluster.replace_switch(SwitchId(2));
     assert_eq!(cluster.switch_incarnation(), Some(SwitchId(2)));
-    assert_eq!(cluster.fast_path_enabled(), Some(false));
+    assert_eq!(cluster.obs_snapshot().switch.fast_path_groups, 0);
 
     // Reads are served through the normal protocol and do not arm it.
     assert_eq!(client.get("warm").unwrap(), Some(Bytes::from_static(b"1")));
-    let stats = cluster.switch_stats().unwrap();
-    assert!(stats.reads_normal > 0);
-    assert_eq!(stats.reads_fast_path, 0);
-    assert_eq!(cluster.fast_path_enabled(), Some(false));
+    let switch = cluster.obs_snapshot().switch;
+    assert!(switch.reads_normal > 0);
+    assert_eq!(switch.reads_fast_path, 0);
+    assert_eq!(switch.fast_path_groups, 0);
 
     // Step 4: the first write committed under incarnation 2 re-enables
     // single-replica reads.
     client.set("rearm", "2").unwrap();
-    assert_eq!(cluster.fast_path_enabled(), Some(true));
-    let stats = cluster.switch_stats().unwrap();
-    assert!(stats.completions > 0, "completion must have been snooped");
+    let switch = cluster.obs_snapshot().switch;
+    assert_eq!(switch.fast_path_groups, 1);
+    assert!(switch.completions > 0, "completion must have been snooped");
     assert_eq!(client.get("warm").unwrap(), Some(Bytes::from_static(b"1")));
-    let stats = cluster.switch_stats().unwrap();
+    let switch = cluster.obs_snapshot().switch;
     assert!(
-        stats.reads_fast_path > 0,
-        "armed switch must fast-path an uncontended read: {stats:?}"
+        switch.reads_fast_path > 0,
+        "armed switch must fast-path an uncontended read: {switch:?}"
     );
     cluster.shutdown();
 }
@@ -204,10 +204,10 @@ fn live_switch_failover_under_write_load() {
 
     // The replacement armed via its own first completion and is serving.
     assert_eq!(cluster.switch_incarnation(), Some(SwitchId(2)));
-    assert_eq!(cluster.fast_path_enabled(), Some(true));
-    let stats = cluster.switch_stats().unwrap();
-    assert!(stats.writes_forwarded > 0, "{stats:?}");
-    assert!(stats.completions > 0, "{stats:?}");
+    let switch = cluster.obs_snapshot().switch;
+    assert_eq!(switch.fast_path_groups, 1);
+    assert!(switch.writes_forwarded > 0, "{switch:?}");
+    assert!(switch.completions > 0, "{switch:?}");
 
     // Read-your-writes across the failover: each writer's last acknowledged
     // value per slot (or a later unacknowledged retry of the same slot)

@@ -36,26 +36,23 @@ fn four_group_chain_harmonia_is_linearizable() {
 
     // All four groups actually served traffic through the one spine switch,
     // under per-group sequence spaces and shared memory accounting.
-    let sw = outcome
+    let view = outcome
         .world
         .actor::<SimWorker>(scenario.deployment.switch_addr())
         .expect("spine switch")
         .switch()
-        .expect("its pipelines");
-    assert_eq!(sw.group_count(), 4);
-    let mut groups_with_writes = 0;
-    for g in 0..4 {
-        let stats = sw.group(GroupId(g)).expect("hosted group").stats();
-        if stats.writes_forwarded > 0 {
-            groups_with_writes += 1;
-        }
-    }
+        .expect("its pipelines")
+        .view();
+    assert_eq!(view.group_count(), 4);
+    let groups_with_writes = (view.groups().iter())
+        .filter(|group| group.stats.writes_forwarded > 0)
+        .count();
     assert!(
         groups_with_writes >= 3,
         "only {groups_with_writes}/4 groups saw writes — sharding is not spreading"
     );
-    let per_group = sw.group(GroupId(0)).unwrap().memory_bytes();
-    assert_eq!(sw.memory_bytes(), 4 * per_group);
+    let per_group = view.group(GroupId(0)).unwrap().memory_bytes;
+    assert_eq!(view.memory_bytes(), 4 * per_group);
 }
 
 /// Every protocol that runs under Harmonia also runs sharded; baselines
@@ -153,12 +150,12 @@ fn group_fast_paths_arm_independently() {
     ];
     sim.add_closed_loop_client(ClientId(1), plan, Duration::from_millis(5));
     sim.run_until(Instant::ZERO + Duration::from_millis(5));
-    for g in 0..4u32 {
-        let armed = sim
-            .group_fast_path_enabled(GroupId(g))
-            .expect("hosted group");
+    let rows = sim.obs_snapshot().per_group;
+    assert_eq!(rows.len(), 4);
+    for row in rows {
+        let g = row.group;
         assert_eq!(
-            armed,
+            row.fast_path_enabled,
             g == ga || g == gb,
             "group {g}: fast path should arm iff its shard committed a write"
         );
@@ -201,20 +198,22 @@ fn sharded_live_cluster_serves_a_thousand_keys() {
     // Every group served part of the keyspace, and the spine accounts for
     // all four dirty sets.
     let map = cfg.shard_map();
-    for g in 0..4u32 {
-        let stats = cluster.group_stats(GroupId(g)).expect("live group stats");
+    let snap = cluster.obs_snapshot();
+    assert_eq!(snap.per_group.len(), 4);
+    for row in &snap.per_group {
+        let g = row.group;
         let expected: u64 = (0..1200)
             .filter(|k| map.shard_of_key(format!("key-{k}").as_bytes()) == g)
             .count() as u64;
         assert!(expected > 0, "degenerate shard map");
         assert!(
-            stats.writes_forwarded >= expected,
+            row.writes_forwarded >= expected,
             "group {g} forwarded {} writes for {expected} owned keys",
-            stats.writes_forwarded
+            row.writes_forwarded
         );
-        assert_eq!(cluster.group_fast_path_enabled(GroupId(g)), Some(true));
+        assert!(row.fast_path_enabled, "group {g}");
     }
     let per_group = cfg.table.stages * cfg.table.slots_per_stage * cfg.table.entry_bytes;
-    assert_eq!(cluster.switch_memory_bytes(), Some(4 * per_group));
+    assert_eq!(snap.switch.memory_bytes, 4 * per_group as u64);
     cluster.shutdown();
 }

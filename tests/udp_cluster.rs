@@ -59,13 +59,13 @@ fn udp_cluster_survives_loss_duplication_reordering() {
         "UDP cluster under loss+duplication+reorder",
     );
 
-    let (dropped, duplicated, reordered) = cluster.fault_counts();
+    let faults = cluster.obs_snapshot().faults;
     assert!(
-        dropped > 0 && duplicated > 0 && reordered > 0,
-        "adversary never fired: dropped={dropped} duplicated={duplicated} reordered={reordered}"
+        faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0,
+        "adversary never fired: {faults:?}"
     );
-    let stats = cluster.switch_stats().expect("switch is up");
-    assert!(stats.writes_forwarded > 0, "{stats:?}");
+    let switch = cluster.obs_snapshot().switch;
+    assert!(switch.writes_forwarded > 0, "{switch:?}");
     cluster.shutdown();
 }
 
@@ -95,10 +95,10 @@ fn udp_sixteen_lanes_survive_loss_duplication_reordering() {
     );
     let clients = cluster.obs_snapshot().clients;
     assert!(clients.retries > 0, "no lane lost a packet: {clients:?}");
-    let (dropped, duplicated, reordered) = cluster.fault_counts();
+    let faults = cluster.obs_snapshot().faults;
     assert!(
-        dropped > 0 && duplicated > 0 && reordered > 0,
-        "adversary never fired: dropped={dropped} duplicated={duplicated} reordered={reordered}"
+        faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0,
+        "adversary never fired: {faults:?}"
     );
     cluster.shutdown();
 }
@@ -194,16 +194,17 @@ fn udp_duplicated_writes_absorbed_by_replica_session_dedup() {
             "duplicate write re-executed out of order on k{k}"
         );
     }
-    let (dropped, duplicated, reordered) = cluster.fault_counts();
-    assert!(duplicated > 0, "duplication never fired");
-    assert_eq!((dropped, reordered), (0, 0), "only duplication configured");
+    let faults = cluster.obs_snapshot().faults;
+    assert!(faults.duplicated > 0, "duplication never fired");
+    let others = (faults.dropped, faults.reordered);
+    assert_eq!(others, (0, 0), "only duplication configured");
     // Duplicated write datagrams really were sequenced again by the switch
     // (more forwarded writes than distinct writes) — the dedup above was
     // load-bearing, not vacuous.
-    let stats = cluster.switch_stats().expect("switch is up");
+    let switch = cluster.obs_snapshot().switch;
     assert!(
-        stats.writes_forwarded > u64::from(writes),
-        "no duplicate write was ever sequenced: {stats:?}"
+        switch.writes_forwarded > u64::from(writes),
+        "no duplicate write was ever sequenced: {switch:?}"
     );
     cluster.shutdown();
 }
@@ -231,8 +232,8 @@ fn udp_nopaxos_quorum_counts_distinct_repliers_under_faults() {
         &cluster.trace_events(),
         "UDP NOPaxos under duplication+loss",
     );
-    let (_, duplicated, _) = cluster.fault_counts();
-    assert!(duplicated > 0, "duplication never fired");
+    let faults = cluster.obs_snapshot().faults;
+    assert!(faults.duplicated > 0, "duplication never fired");
     cluster.shutdown();
 }
 
@@ -315,7 +316,10 @@ fn udp_kill_and_replace_mid_load_stays_linearizable() {
 
     std::thread::sleep(StdDuration::from_millis(60));
     cluster.kill_switch();
-    assert_eq!(cluster.switch_stats(), None, "no fleet, no stats");
+    assert!(
+        cluster.obs_snapshot().per_group.is_empty(),
+        "no fleet, no rows"
+    );
     std::thread::sleep(StdDuration::from_millis(30));
     cluster.replace_switch(SwitchId(2));
     std::thread::sleep(StdDuration::from_millis(120));
@@ -339,13 +343,14 @@ fn udp_kill_and_replace_mid_load_stays_linearizable() {
     for key in spec.group_covering_keys() {
         client.set(key, "1").unwrap();
     }
-    for g in 0..2u32 {
-        assert_eq!(
-            cluster.group_fast_path_enabled(GroupId(g)),
-            Some(true),
-            "group {g} fast path must re-arm under incarnation 2"
-        );
-    }
+    let armed: Vec<bool> = (cluster.obs_snapshot().per_group.iter())
+        .map(|row| row.fast_path_enabled)
+        .collect();
+    assert_eq!(
+        armed,
+        [true, true],
+        "every group's fast path must re-arm under incarnation 2"
+    );
     cluster.shutdown();
 }
 
@@ -492,10 +497,10 @@ fn udp_replica_crash_recovery_storm_stays_linearizable() {
         "UDP kill/recover storm under 5% faults",
     );
 
-    let (dropped, duplicated, reordered) = cluster.fault_counts();
+    let faults = cluster.obs_snapshot().faults;
     assert!(
-        dropped > 0 && duplicated > 0 && reordered > 0,
-        "adversary never fired: dropped={dropped} duplicated={duplicated} reordered={reordered}"
+        faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0,
+        "adversary never fired: {faults:?}"
     );
 
     // The storm is over; the restored full group serves fresh traffic.
