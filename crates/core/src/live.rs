@@ -1645,7 +1645,7 @@ mod tests {
                 .unwrap()
         }
 
-        fn send(&self, body: PacketBody<harmonia_replication::ProtocolMsg>) {
+        fn inject(&self, body: PacketBody<harmonia_replication::ProtocolMsg>) {
             let (client, switch) = (NodeId::Client(ClientId(1)), NodeId::Switch(SwitchId(1)));
             let msg = Msg::new(client, switch, body);
             self.ingress.tx.send(Envelope::Packets(vec![msg])).unwrap();
@@ -1653,7 +1653,7 @@ mod tests {
 
         fn write(&self, key: &'static str, n: u64) {
             let req = OpSpec::write(key, "v").request(ClientId(1), harmonia_types::RequestId(n));
-            self.send(PacketBody::Request(req));
+            self.inject(PacketBody::Request(req));
         }
 
         /// Two stamped writes of which only the second one's completion
@@ -1662,7 +1662,7 @@ mod tests {
             use harmonia_types::{ObjectId, SwitchSeq, WriteCompletion};
             self.write("a", 0);
             self.write("b", 1);
-            self.send(PacketBody::Completion(WriteCompletion {
+            self.inject(PacketBody::Completion(WriteCompletion {
                 obj: ObjectId::from_key(b"b"),
                 seq: SwitchSeq::new(SwitchId(1), 2),
             }));

@@ -50,21 +50,25 @@
 //!   `recv` at once. An idle worker with no deadline blocks on its socket
 //!   with no timeout; nothing in a quiet deployment wakes periodically.
 //!
-//! # Fault injection at the socket boundary
+//! # Fault injection on the send path
 //!
 //! The spec's [`LinkConfig`](harmonia_sim::LinkConfig) fault probabilities
 //! (`drop_prob`, `duplicate_prob`, `reorder_prob`) are honoured here too:
 //! every socket of the deployment — workers' and clients' alike; the
-//! configuration service's is clean — is wrapped in a seeded
-//! [`FaultyTransport`], whose one rule spares a packet *from a replica to a
-//! replica* and nothing else. So the client↔switch and switch↔replica legs
-//! face the adversary in **both** directions (requests, forwards, replies,
-//! completions), whether or not the two ends share a worker, while
-//! replica↔replica channels stay clean, the same envelope the simulator's
-//! §5.2 fault sweeps preserve (those channels are TCP in any real chain/PB
-//! deployment, and in-order write propagation depends on them). Latency
-//! and jitter fields are ignored: the kernel's loopback timing is the real
-//! thing.
+//! configuration service's is clean — is bound
+//! [`with_faults`](UdpTransport::with_faults), so a seeded
+//! [`Adversary`](harmonia_net::Adversary) rewrites each outbound batch
+//! before the one coalescing send path packs it. Its one rule spares a
+//! packet *from a replica to a replica* and nothing else. So the
+//! client↔switch and switch↔replica legs face the adversary in **both**
+//! directions (requests, forwards, replies, completions), whether or not
+//! the two ends share a worker, while replica↔replica channels stay clean,
+//! the same envelope the simulator's §5.2 fault sweeps preserve (those
+//! channels are TCP in any real chain/PB deployment, and in-order write
+//! propagation depends on them). Every decision is per packet, so a
+//! faulted endpoint coalesces like a clean one: a dropped or duplicated
+//! packet is one frame, whichever datagram it rides. Latency and jitter
+//! fields are ignored: the kernel's loopback timing is the real thing.
 //!
 //! [`Cluster`]: crate::deployment::Cluster
 //! [`LiveClient`]: crate::live::LiveClient
@@ -81,8 +85,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use harmonia_net::{
-    AddrBook, FaultConfig, FaultCounters, FaultyTransport, PoolStats, RecvError, Transport,
-    TransportStats, UdpTransport,
+    AddrBook, FaultConfig, FaultCounters, PoolStats, RecvError, Transport, TransportStats,
+    UdpTransport,
 };
 use harmonia_obs::{Counter, FaultObs, Recorder};
 use harmonia_replication::messages::ProtocolMsg;
@@ -91,9 +95,6 @@ use harmonia_types::NodeId;
 use crate::deployment::DeploymentSpec;
 use crate::live::{Envelope, NodeLink, Substrate, ThreadedCluster, Verbs};
 use crate::msg::Msg;
-
-/// A boxed datagram endpoint carrying deployment packets.
-type Net = Box<dyn Transport<ProtocolMsg>>;
 
 /// How many packets one batched kernel drain may pull. Matches the mmsg
 /// wrapper's chunk size so one drain is one `recvmmsg` call.
@@ -111,7 +112,7 @@ const RECV_BATCH: usize = 32;
 /// sleep — its next pass, which looks at the side channel first, is at
 /// most one batch away.
 pub struct UdpLink {
-    transport: Net,
+    transport: UdpTransport<ProtocolMsg>,
     ctl: Receiver<Envelope>,
     /// Observability shard for this endpoint's wire counters.
     recorder: Recorder,
@@ -129,29 +130,28 @@ impl UdpLink {
     /// per-packet path, so the steady-state cost is a handful of relaxed
     /// adds amortized over a whole batch.
     fn sync_obs(&mut self) {
-        if let Some(now) = self.transport.wire_stats() {
-            let d = now.since(&self.seen_wire);
-            self.seen_wire = now;
-            self.recorder.add(Counter::FramesSent, d.sent);
-            self.recorder.add(Counter::DatagramsSent, d.datagrams_sent);
-            self.recorder.add(Counter::FramesReceived, d.received);
-            self.recorder.add(Counter::Unresolved, d.unresolved);
-            self.recorder.add(Counter::DecodeErrors, d.decode_errors);
-            self.recorder.add(Counter::Salvaged, d.salvaged);
-            self.recorder.add(Counter::Oversized, d.oversized);
-            self.recorder.add(Counter::SendErrors, d.send_errors);
-            self.recorder.add(Counter::ConfigErrors, d.config_errors);
-        }
-        if let Some((recv, send)) = self.transport.wire_pool_stats() {
-            let dr = recv.since(&self.seen_recv_pool);
-            self.seen_recv_pool = recv;
-            self.recorder.add(Counter::RecvPoolHits, dr.hits);
-            self.recorder.add(Counter::RecvPoolMisses, dr.misses);
-            let ds = send.since(&self.seen_send_pool);
-            self.seen_send_pool = send;
-            self.recorder.add(Counter::SendPoolHits, ds.hits);
-            self.recorder.add(Counter::SendPoolMisses, ds.misses);
-        }
+        let now = self.transport.stats();
+        let d = now.since(&self.seen_wire);
+        self.seen_wire = now;
+        self.recorder.add(Counter::FramesSent, d.sent);
+        self.recorder.add(Counter::DatagramsSent, d.datagrams_sent);
+        self.recorder.add(Counter::FramesReceived, d.received);
+        self.recorder.add(Counter::Unresolved, d.unresolved);
+        self.recorder.add(Counter::DecodeErrors, d.decode_errors);
+        self.recorder.add(Counter::Salvaged, d.salvaged);
+        self.recorder.add(Counter::Oversized, d.oversized);
+        self.recorder.add(Counter::SendErrors, d.send_errors);
+        self.recorder.add(Counter::ConfigErrors, d.config_errors);
+        let recv = self.transport.pool_stats();
+        let dr = recv.since(&self.seen_recv_pool);
+        self.seen_recv_pool = recv;
+        self.recorder.add(Counter::RecvPoolHits, dr.hits);
+        self.recorder.add(Counter::RecvPoolMisses, dr.misses);
+        let send = self.transport.send_pool_stats();
+        let ds = send.since(&self.seen_send_pool);
+        self.seen_send_pool = send;
+        self.recorder.add(Counter::SendPoolHits, ds.hits);
+        self.recorder.add(Counter::SendPoolMisses, ds.misses);
     }
 }
 
@@ -166,8 +166,7 @@ impl Drop for UdpLink {
 
 impl NodeLink for UdpLink {
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
-        // One `sendmmsg` run per MAX_BATCH packets (scalar loop on a
-        // fault-wrapped transport).
+        // One `sendmmsg` run per MAX_BATCH datagrams, faulted or not.
         self.transport.send_batch(batch);
         self.sync_obs();
     }
@@ -192,13 +191,7 @@ impl NodeLink for UdpLink {
             // Sleep in one `recv` for the first datagram — no wait at all if
             // one is queued — then everything queued behind it comes out
             // through one `recvmmsg`, straight into the caller's inbox.
-            let first = match deadline {
-                Some(at) => {
-                    (self.transport).recv_timeout(at.saturating_duration_since(StdInstant::now()))
-                }
-                None => self.transport.recv(),
-            };
-            match first {
+            match self.transport.recv(deadline) {
                 Ok(pkt) => {
                     inbox.push(pkt);
                     self.transport.recv_batch(inbox, RECV_BATCH);
@@ -207,7 +200,6 @@ impl NodeLink for UdpLink {
                 // A doorbell: the verb is on the side channel.
                 Err(RecvError::Woken) => {}
                 Err(RecvError::TimedOut) => return Err(RecvTimeoutError::Timeout),
-                Err(RecvError::Closed) => return Err(RecvTimeoutError::Disconnected),
             }
         }
     }
@@ -235,7 +227,7 @@ impl Verbs for Doorbell {
 
 /// The socket substrate: one loopback `UdpSocket` per link — a worker's, a
 /// client shell's — behind the deployment's [`AddrBook`], with the spec's
-/// fault model at the socket boundary, and one clean control endpoint for
+/// fault model on their send path, and one clean control endpoint for
 /// the configuration service's scripts and the workers' doorbells.
 pub struct Sockets {
     book: Arc<AddrBook>,
@@ -258,18 +250,16 @@ fn bind(book: &Arc<AddrBook>) -> UdpTransport<ProtocolMsg> {
 
 impl Sockets {
     /// Bind a fresh loopback endpoint facing the spec's fault model.
-    fn endpoint(&self) -> (Net, SocketAddr) {
+    fn endpoint(&self) -> UdpTransport<ProtocolMsg> {
         let t = bind(&self.book);
-        let addr = t.local_addr();
         if self.faults.is_noop() {
-            return (Box::new(t), addr);
+            return t;
         }
         let stream = self.fault_streams.fetch_add(1, Ordering::Relaxed);
         let seed = self
             .fault_seed
             .wrapping_add(stream.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let faulty = FaultyTransport::new(t, self.faults, seed, Arc::clone(&self.fault_counters));
-        (Box::new(faulty), addr)
+        t.with_faults(self.faults, seed, Arc::clone(&self.fault_counters))
     }
 }
 
@@ -303,7 +293,8 @@ impl Substrate for Sockets {
     }
 
     fn attach(&self, _names: &[NodeId], recorder: Recorder) -> (UdpLink, Doorbell, SocketAddr) {
-        let (transport, addr) = self.endpoint();
+        let transport = self.endpoint();
+        let addr = transport.local_addr();
         let (verbs, ctl) = unbounded();
         let link = UdpLink {
             transport,
@@ -323,15 +314,12 @@ impl Substrate for Sockets {
 
     /// The script crosses a real socket like everything else, but a clean
     /// one: the configuration service is not the adversary's target.
-    fn deliver(&self, script: Vec<(NodeId, Msg)>) {
-        let mut control = self.control.lock();
-        for (to, msg) in script {
-            control.send(to, msg);
-        }
+    fn deliver(&self, mut script: Vec<(NodeId, Msg)>) {
+        self.control.lock().send_batch(&mut script);
     }
 
-    /// The socket-boundary adversary keeps its own tallies; they are the
-    /// ground truth for what the fault model actually injected.
+    /// The adversary keeps its own tallies; they are the ground truth for
+    /// what the fault model actually injected.
     fn fault_obs(&self) -> FaultObs {
         let (dropped, duplicated, reordered) = self.fault_counters.snapshot();
         FaultObs {
@@ -350,9 +338,9 @@ impl Substrate for Sockets {
 /// Same workers, packet-handling logic and §5.3 verbs as
 /// [`LiveCluster`](crate::live::LiveCluster), different substrate:
 /// datagrams that can be lost, duplicated, and reordered. The spec's `link`
-/// fault probabilities are injected at every socket by a seeded
-/// [`FaultyTransport`] (which spares replica→replica packets); the
-/// snapshot's `faults` section reports what actually fired.
+/// fault probabilities are injected on every socket's send path by a seeded
+/// [`Adversary`](harmonia_net::Adversary) (which spares replica→replica
+/// packets); the snapshot's `faults` section reports what actually fired.
 pub type UdpCluster = ThreadedCluster<Sockets>;
 
 #[cfg(test)]
@@ -366,7 +354,7 @@ mod tests {
     /// syscall: with a frame looped back by the link's own flush and a peer's
     /// datagram already waiting in the kernel, a receive returns the looped
     /// frame alone, at once — with no deadline at all — and the next receive
-    /// brings the datagram. Clean and fault-wrapped endpoints alike (a
+    /// brings the datagram. Clean and faulted endpoints alike (a
     /// replica-to-replica packet never faults).
     #[test]
     fn a_looped_back_frame_comes_out_alone_before_the_socket_is_asked() {

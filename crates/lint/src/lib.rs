@@ -145,6 +145,8 @@ impl Policy {
                 "crates/core/src/deployment.rs",
                 "crates/core/src/failover.rs",
                 "crates/core/src/msg.rs",
+                // The UDP adversary: a seed must replay its schedule.
+                "crates/net/src/fault.rs",
             ]
             .iter()
             .map(|s| s.to_string())
@@ -155,6 +157,8 @@ impl Policy {
                 "crates/net/src/coalesce.rs",
                 // The name service: on every send of both threaded drivers.
                 "crates/net/src/addr.rs",
+                // The adversary: on every send of a faulted endpoint.
+                "crates/net/src/fault.rs",
                 "crates/core/src/live.rs",
                 "crates/core/src/udp.rs",
                 "crates/core/src/client_core.rs",
@@ -182,6 +186,7 @@ impl Policy {
                 "crates/core/src/control.rs",
                 "crates/core/src/worker.rs",
                 "crates/core/src/switch_core.rs",
+                "crates/net/src/fault.rs",
             ]
             .iter()
             .map(|s| s.to_string())

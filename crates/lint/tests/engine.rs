@@ -52,6 +52,25 @@ fn determinism_fires_on_a_wall_clock_read_in_the_node_runtime() {
     assert!(lint_source("crates/core/src/live.rs", src, &policy()).is_empty());
 }
 
+/// The UDP adversary is a sans-IO stage whose seed replays its schedule: a
+/// wall-clock read in it is a determinism finding, a socket type a layering
+/// one, and an `unwrap()` on its per-send path a panic-path one — where the
+/// endpoint around it may use all three.
+#[test]
+fn the_udp_adversary_is_deterministic_sans_io_and_panic_free() {
+    let fault = "crates/net/src/fault.rs";
+    let src = "fn apply(&mut self) { let now = Instant::now(); }\n";
+    let f = lint_source(fault, src, &policy());
+    assert_eq!(rules(&f), vec![Rule::Determinism], "{f:?}");
+    assert!(lint_source("crates/net/src/udp.rs", src, &policy()).is_empty());
+    let src = "fn apply(&mut self, to: SocketAddr) { drop(to); }\n";
+    let f = lint_source(fault, src, &policy());
+    assert_eq!(rules(&f), vec![Rule::Layering], "{f:?}");
+    let src = "fn release(&mut self) -> u64 { self.held.take().unwrap() }\n";
+    let f = lint_source(fault, src, &policy());
+    assert_eq!(rules(&f), vec![Rule::PanicPath], "{f:?}");
+}
+
 /// So is the simulated deployment — `SimCluster`, the scheduled failure
 /// scripts, the messages, and the one snapshot builder whose output the
 /// golden texts render — beside the threaded drivers that may read a wall
@@ -274,7 +293,7 @@ fn panic_path_allows_checked_and_full_range_forms() {
 #[test]
 fn panic_path_only_applies_to_hot_files() {
     let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    assert!(lint_source("crates/net/src/fault.rs", src, &policy()).is_empty());
+    assert!(lint_source("crates/net/src/pool.rs", src, &policy()).is_empty());
 }
 
 /// The name service resolves every send of both threaded drivers: a lock

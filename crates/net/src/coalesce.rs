@@ -48,8 +48,8 @@ pub struct SealedDatagram {
 
 /// Per-destination datagram packer over a [`BufferPool`].
 ///
-/// The per-frame baseline is a flush after every push: the transport's
-/// scalar `send` does exactly that, so one frame rides one datagram there
+/// The per-frame baseline is a flush after every push: a one-packet
+/// `send_batch` does exactly that, so one frame rides one datagram there
 /// while still encoding zero-copy into pooled buffers.
 pub struct Coalescer {
     pool: BufferPool,
@@ -73,11 +73,6 @@ impl Coalescer {
             open: Vec::new(),
             capacity,
         }
-    }
-
-    /// Datagram payload budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Send-pool checkout counters (steady state: all hits, no allocation).

@@ -5,11 +5,10 @@
 //! is the third substrate: every packet is a length-prefixed wire frame
 //! ([`harmonia_types::wire`]), and each UDP datagram on the loopback socket
 //! carries **one or more frames back-to-back** (GSO/GRO-style coalescing
-//! via the [`Coalescer`] on the batch verbs, one frame per datagram on the
-//! scalar verbs) — lost, duplicated, and reordered per *datagram* exactly
-//! as a kernel (or the
-//! [`FaultyTransport`] adversary) pleases, which is the OUM envelope the
-//! paper's deployment actually runs in (§4, §6).
+//! via the [`Coalescer`] on the one send path) — lost, duplicated, and
+//! reordered per datagram as a kernel pleases, and per frame as the seeded
+//! [`Adversary`] pleases, which is the OUM envelope the paper's deployment
+//! actually runs in (§4, §6).
 //!
 //! Three pieces, layered:
 //!
@@ -29,10 +28,10 @@
 //!   `std::net::UdpSocket` that encodes outbound packets to frames and
 //!   decodes inbound datagrams, dropping (and counting) anything that does
 //!   not parse. Untrusted bytes can error but never panic or over-allocate
-//!   (`MAX_FRAME_BYTES` bounds every declared length). The trait's
-//!   `send_batch`/`recv_batch` verbs (scalar loops by default, so wrappers
-//!   are untouched) let the UDP endpoint move whole runs of datagrams per
-//!   kernel crossing via the vendored `sendmmsg`/`recvmmsg` wrapper.
+//!   (`MAX_FRAME_BYTES` bounds every declared length). There is one send
+//!   verb, `send_batch`, and with `recv_batch` it moves whole runs of
+//!   datagrams per kernel crossing via the vendored `sendmmsg`/`recvmmsg`
+//!   wrapper; `recv(deadline)` waits for the first packet.
 //!   Receive is **one copy out of scratch, zero-copy from there**: the
 //!   kernel writes into a private ring the endpoint never hands out, each
 //!   datagram is copied once into an exactly-sized `Bytes`, and decode and
@@ -40,10 +39,11 @@
 //!   refcount — so nothing a consumer keeps pins more than the datagram it
 //!   arrived in. The send side is unchanged: frames encode zero-copy into
 //!   [`BufferPool`] buffers recycled once the sent payload drops.
-//! * [`FaultyTransport`] — a deterministic, seeded adversary wrapped around
-//!   any transport at the socket boundary: configurable loss, duplication,
-//!   and reordering on the send path, with shared [`FaultCounters`] so
-//!   harnesses can assert the faults actually fired.
+//! * [`Adversary`] — a deterministic, seeded, sans-IO stage of that send
+//!   path ([`UdpTransport::with_faults`]): configurable per-packet loss,
+//!   duplication, and reordering of each outbound batch before it is
+//!   coalesced, with shared [`FaultCounters`] so harnesses can assert the
+//!   faults actually fired.
 //!
 //! Everything here is `std`-only (no async runtime, no extra dependencies):
 //! the point is that the existing state machines and codec survive a *real*
@@ -60,7 +60,7 @@ pub mod udp;
 
 pub use addr::{AddrBook, Names, Resolver};
 pub use coalesce::{Coalescer, SealedDatagram};
-pub use fault::{FaultConfig, FaultCounters, FaultyTransport};
+pub use fault::{Adversary, FaultConfig, FaultCounters};
 pub use pool::{BufferPool, PoolStats};
 pub use transport::{RecvError, Transport};
 pub use udp::{TransportStats, UdpTransport};

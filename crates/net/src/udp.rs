@@ -4,7 +4,6 @@
 #![allow(clippy::disallowed_methods)]
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,6 +14,7 @@ use harmonia_types::{NodeId, Packet};
 
 use crate::addr::{AddrBook, Resolver};
 use crate::coalesce::{Coalescer, SealedDatagram};
+use crate::fault::{Adversary, FaultConfig, FaultCounters};
 use crate::pool::PoolStats;
 use crate::transport::{RecvError, Transport};
 
@@ -36,8 +36,8 @@ pub struct TransportStats {
     /// datagram carries several).
     pub sent: u64,
     /// Datagrams sent, likewise. `sent / datagrams_sent` is the
-    /// realized frames-per-datagram packing ratio (1.0 on the scalar
-    /// verb, which flushes per call).
+    /// realized frames-per-datagram packing ratio (1.0 when every batch is
+    /// one packet).
     pub datagrams_sent: u64,
     /// Frames successfully decoded into packets.
     pub received: u64,
@@ -86,9 +86,11 @@ impl TransportStats {
 ///
 /// A datagram holds one or more back-to-back
 /// [`encode_frame`](harmonia_types::wire::encode_frame)-format frames, each
-/// one `Packet<T>`: the batched send path packs per-destination frames into
+/// one `Packet<T>`: the one send path packs per-destination frames into
 /// full datagrams (GSO-style, via the [`Coalescer`]) and the receive path
-/// unpacks them with [`frames`] (GRO). Inbound bytes that do not decode are
+/// unpacks them with [`frames`] (GRO). Built
+/// [`with_faults`](Self::with_faults), the endpoint puts a seeded
+/// [`Adversary`] in front of that path. Inbound bytes that do not decode are
 /// counted and discarded — the receive loop never panics and never
 /// allocates beyond [`MAX_FRAME_BYTES`](harmonia_types::MAX_FRAME_BYTES) on
 /// untrusted input; that hardening is what `tests/proptests.rs` pins.
@@ -141,7 +143,9 @@ pub struct UdpTransport<T> {
     /// socket — so steady-state receive loops, which wait with the same
     /// timeout over and over, skip the `setsockopt`. `None`: not known.
     read_timeout: Option<Duration>,
-    _payload: PhantomData<fn() -> T>,
+    /// The fault stage in front of the send path; `None` on a clean
+    /// endpoint.
+    adversary: Option<Adversary<T>>,
 }
 
 impl<T> UdpTransport<T> {
@@ -170,8 +174,21 @@ impl<T> UdpTransport<T> {
             decoded: VecDeque::new(),
             stats: TransportStats::default(),
             read_timeout: Some(Duration::ZERO),
-            _payload: PhantomData,
+            adversary: None,
         })
+    }
+
+    /// This endpoint with seeded loss, duplication and reordering on every
+    /// send ([`Adversary`]): `cfg`'s decisions drawn from `seed`, tallied
+    /// into `counters`.
+    pub fn with_faults(
+        mut self,
+        cfg: FaultConfig,
+        seed: u64,
+        counters: Arc<FaultCounters>,
+    ) -> Self {
+        self.adversary = Some(Adversary::new(cfg, seed, counters));
+        self
     }
 
     /// The socket address this endpoint receives on.
@@ -287,11 +304,17 @@ impl<T> UdpTransport<T> {
         self.sealed_scratch = sealed;
     }
 
-    /// Send every sealed datagram through one `sendmmsg` run with
+    /// Seal every open datagram, loop back those addressed to this
+    /// endpoint, and send the rest through one `sendmmsg` run with
     /// per-datagram outcomes, crediting the frame-granular counters: an
     /// accepted datagram credits every frame it carries to `sent`, a
     /// refused one charges them all to `send_errors`.
-    fn flush_sealed_batched(&mut self) {
+    fn flush(&mut self)
+    where
+        T: Wire,
+    {
+        self.coalescer.finish(&mut self.sealed_scratch);
+        self.loop_back();
         if self.sealed_scratch.is_empty() {
             return;
         }
@@ -390,17 +413,48 @@ impl<T> UdpTransport<T> {
         let _ = self.socket.send_to(&[], at);
     }
 
-    /// The receive behind [`Transport::recv_timeout`] (`deadline` set) and
-    /// [`Transport::recv`] (none). A wait of a millisecond or more, and an
-    /// untimed one, sleeps on the socket's armed read timeout. A
-    /// sub-millisecond remainder, which that timeout would overshoot by
-    /// jiffies, is slept in [`mmsg::wait_readable`] and ends in a
-    /// nonblocking poll — so a loop that ticks faster than a jiffy (VR and
-    /// NOPaxos: 200µs) sleeps between ticks instead of spinning on polls.
-    fn receive(&mut self, deadline: Option<Instant>) -> Result<Packet<T>, RecvError>
+    /// Send what the adversary holds back, if anything: the endpoint is
+    /// about to wait or to hand out what it holds, and a sender going quiet
+    /// must not strand a held packet — which may be addressed to this very
+    /// endpoint.
+    fn release_held(&mut self)
     where
         T: Wire,
     {
+        if let Some((to, pkt)) = self.adversary.as_mut().and_then(Adversary::release) {
+            self.stage(to, &pkt);
+            self.flush();
+        }
+    }
+}
+
+impl<T: Wire + Clone + Send> Transport<T> for UdpTransport<T> {
+    /// The one send path: the adversary, when there is one, rewrites the
+    /// batch; every packet is resolved and encoded zero-copy into
+    /// per-destination pooled datagram buffers — GSO-style coalescing
+    /// packs frames back-to-back until a datagram fills — and the sealed
+    /// datagrams go to the kernel through `sendmmsg`
+    /// ([`mmsg::send_batch_outcomes`]): one kernel crossing per
+    /// [`mmsg::MAX_BATCH`] *datagrams*, each carrying many frames. No frame
+    /// is cloned anywhere on this path but a duplicate's.
+    fn send_batch(&mut self, batch: &mut Vec<(NodeId, Packet<T>)>) {
+        if let Some(adversary) = &mut self.adversary {
+            adversary.apply(batch);
+        }
+        for (to, pkt) in batch.drain(..) {
+            self.stage(to, &pkt);
+        }
+        self.flush();
+    }
+
+    /// A wait of a millisecond or more, and an untimed one, sleeps on the
+    /// socket's armed read timeout. A sub-millisecond remainder, which that
+    /// timeout would overshoot by jiffies, is slept in
+    /// [`mmsg::wait_readable`] and ends in a nonblocking poll — so a loop
+    /// that ticks faster than a jiffy (VR and NOPaxos: 200µs) sleeps
+    /// between ticks instead of spinning on polls.
+    fn recv(&mut self, deadline: Option<Instant>) -> Result<Packet<T>, RecvError> {
+        self.release_held();
         // Frames already unpacked from an earlier multi-frame datagram
         // deliver first, without touching the socket.
         if let Some(pkt) = self.decoded.pop_front() {
@@ -443,59 +497,6 @@ impl<T> UdpTransport<T> {
             }
         }
     }
-}
-
-impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
-    fn send(&mut self, to: NodeId, pkt: Packet<T>) {
-        // The scalar verb flushes per call, so coalescing across *packets*
-        // never engages here: one frame, one datagram — the per-datagram
-        // envelope `FaultyTransport`'s per-send fault decisions rely on.
-        self.stage(to, &pkt);
-        self.coalescer.finish(&mut self.sealed_scratch);
-        self.loop_back();
-        for d in self.sealed_scratch.drain(..) {
-            match self.socket.send_to(&d.payload, d.dst) {
-                Ok(_) => {
-                    self.stats.sent += u64::from(d.frames);
-                    self.stats.datagrams_sent += 1;
-                }
-                // A refused send (bad port, full socket buffer) is a
-                // dropped datagram, not a silent one: the books must
-                // balance so harnesses can see where packets went.
-                Err(_) => self.stats.send_errors += u64::from(d.frames),
-            }
-        }
-    }
-
-    /// A zero `timeout` is a nonblocking poll: it drains any queued
-    /// datagram without waiting (the batched-drain path of the switch
-    /// pipelines); otherwise the call waits until the deadline, or until
-    /// a wake-up.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Packet<T>, RecvError> {
-        self.receive(Some(Instant::now() + timeout))
-    }
-
-    /// Blocks on the socket with no read timeout until a datagram arrives:
-    /// a frame, or a wake-up.
-    fn recv(&mut self) -> Result<Packet<T>, RecvError> {
-        self.receive(None)
-    }
-
-    /// Batched flush: resolve every packet and encode it zero-copy into
-    /// per-destination pooled datagram buffers — GSO-style coalescing
-    /// packs frames back-to-back until a datagram fills — then hand
-    /// the sealed datagrams to the kernel through `sendmmsg`
-    /// ([`mmsg::send_batch_outcomes`]): one kernel crossing per
-    /// [`mmsg::MAX_BATCH`] *datagrams*, each carrying many frames, so the
-    /// amortization multiplies. No frame is cloned anywhere on this path.
-    fn send_batch(&mut self, batch: &mut Vec<(NodeId, Packet<T>)>) {
-        for (to, pkt) in batch.drain(..) {
-            self.stage(to, &pkt);
-        }
-        self.coalescer.finish(&mut self.sealed_scratch);
-        self.loop_back();
-        self.flush_sealed_batched();
-    }
 
     /// Batched drain: pull up to `max - already-queued` datagrams per
     /// `recvmmsg` call ([`mmsg::RecvRing::recv`]) into the scratch ring,
@@ -521,15 +522,8 @@ impl<T: Wire + Send> Transport<T> for UdpTransport<T> {
     /// Everything already decoded — looped back by this endpoint's own
     /// sends, or the rest of a multi-frame datagram — and no syscall.
     fn take_queued(&mut self, out: &mut Vec<Packet<T>>) -> usize {
+        self.release_held();
         self.pop_decoded(out, usize::MAX)
-    }
-
-    fn wire_stats(&self) -> Option<TransportStats> {
-        Some(self.stats)
-    }
-
-    fn wire_pool_stats(&self) -> Option<(PoolStats, PoolStats)> {
-        Some((self.recv_pool, self.coalescer.pool_stats()))
     }
 }
 
@@ -540,6 +534,16 @@ mod tests {
     use harmonia_workload::ShardMap;
 
     type Pkt = Packet<u64>;
+
+    /// A one-packet batch: one frame in one datagram, the per-frame
+    /// reference.
+    fn send1(t: &mut UdpTransport<u64>, to: NodeId, pkt: Pkt) {
+        t.send_batch(&mut vec![(to, pkt)]);
+    }
+
+    fn within(wait: Duration) -> Option<Instant> {
+        Some(Instant::now() + wait)
+    }
 
     fn pair() -> (Arc<AddrBook>, UdpTransport<u64>, UdpTransport<u64>) {
         let book = Arc::new(AddrBook::new());
@@ -558,19 +562,19 @@ mod tests {
             NodeId::Replica(ReplicaId(0)),
             harmonia_types::PacketBody::Protocol(0xfeed),
         );
-        a.send(NodeId::Replica(ReplicaId(0)), pkt.clone());
-        let got = b.recv_timeout(Duration::from_secs(2)).unwrap();
+        send1(&mut a, NodeId::Replica(ReplicaId(0)), pkt.clone());
+        let got = b.recv(within(Duration::from_secs(2))).unwrap();
         assert_eq!(got, pkt);
         assert_eq!(a.stats().sent, 1);
         assert_eq!(b.stats().received, 1);
 
-        // Zero timeout = nonblocking poll: drains a queued datagram,
-        // returns TimedOut on an empty queue.
-        a.send(NodeId::Replica(ReplicaId(0)), pkt.clone());
+        // A deadline already past is a nonblocking poll: it drains a
+        // queued datagram, and returns TimedOut on an empty queue.
+        send1(&mut a, NodeId::Replica(ReplicaId(0)), pkt.clone());
         std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), pkt);
+        assert_eq!(b.recv(Some(Instant::now())).unwrap(), pkt);
         assert_eq!(
-            b.recv_timeout(Duration::ZERO),
+            b.recv(Some(Instant::now())),
             Err(crate::transport::RecvError::TimedOut)
         );
     }
@@ -583,7 +587,7 @@ mod tests {
             NodeId::Replica(ReplicaId(42)),
             harmonia_types::PacketBody::Protocol(1),
         );
-        a.send(NodeId::Replica(ReplicaId(42)), pkt);
+        send1(&mut a, NodeId::Replica(ReplicaId(42)), pkt);
         assert_eq!(a.stats().unresolved, 1);
         assert_eq!(a.stats().sent, 0);
     }
@@ -606,11 +610,11 @@ mod tests {
         let mut padded = harmonia_types::wire::encode_frame(&pkt).unwrap().to_vec();
         padded.extend_from_slice(&[0xde, 0xad]);
         raw.send_to(&padded, b.local_addr()).unwrap();
-        a.send(NodeId::Replica(ReplicaId(0)), pkt.clone());
+        send1(&mut a, NodeId::Replica(ReplicaId(0)), pkt.clone());
         // Salvaged out of the padded datagram, ahead of a's clean send.
-        let got = b.recv_timeout(Duration::from_secs(2)).unwrap();
+        let got = b.recv(within(Duration::from_secs(2))).unwrap();
         assert_eq!(got, pkt);
-        assert_eq!(b.recv_timeout(Duration::from_secs(2)).unwrap(), pkt);
+        assert_eq!(b.recv(within(Duration::from_secs(2))).unwrap(), pkt);
         let s = b.stats();
         assert_eq!(s.decode_errors, 3);
         assert_eq!(s.salvaged, 1, "only the padded datagram had a prefix");
@@ -643,16 +647,16 @@ mod tests {
                 "{wait}: woken {late:?} late"
             );
         };
-        woken("5 s", b.recv_timeout(Duration::from_secs(5)));
-        woken("untimed", b.recv());
+        woken("5 s", b.recv(within(Duration::from_secs(5))));
+        woken("untimed", b.recv(None));
         let mut a = waker.join().unwrap();
         let pkt: Pkt = Packet::new(
             NodeId::Client(ClientId(1)),
             NodeId::Replica(ReplicaId(0)),
             harmonia_types::PacketBody::Protocol(5),
         );
-        a.send(NodeId::Replica(ReplicaId(0)), pkt.clone());
-        assert_eq!(b.recv(), Ok(pkt));
+        send1(&mut a, NodeId::Replica(ReplicaId(0)), pkt.clone());
+        assert_eq!(b.recv(None), Ok(pkt));
         let s = b.stats();
         assert_eq!((s.received, s.decode_errors, s.salvaged), (1, 0, 0));
         assert_eq!(b.pool_stats(), PoolStats { hits: 1, misses: 1 });
@@ -675,12 +679,14 @@ mod tests {
         };
 
         // 1: delivered.
-        a.send(
+        send1(
+            &mut a,
             NodeId::Replica(ReplicaId(0)),
             mk(harmonia_types::PacketBody::Protocol(1)),
         );
         // 2: unresolved destination.
-        a.send(
+        send1(
+            &mut a,
             NodeId::Replica(ReplicaId(42)),
             mk(harmonia_types::PacketBody::Protocol(2)),
         );
@@ -691,12 +697,14 @@ mod tests {
             &b"k"[..],
             vec![0u8; harmonia_types::MAX_FRAME_BYTES],
         );
-        a.send(
+        send1(
+            &mut a,
             NodeId::Replica(ReplicaId(0)),
             mk(harmonia_types::PacketBody::Request(huge)),
         );
         // 4: kernel-refused send.
-        a.send(
+        send1(
+            &mut a,
             NodeId::Replica(ReplicaId(7)),
             mk(harmonia_types::PacketBody::Protocol(4)),
         );
@@ -722,7 +730,7 @@ mod tests {
         let mut min = Duration::MAX;
         for _ in 0..10 {
             let t0 = Instant::now();
-            let _ = b.recv_timeout(Duration::from_micros(100));
+            let _ = b.recv(within(Duration::from_micros(100)));
             min = min.min(t0.elapsed());
         }
         assert!(
@@ -747,10 +755,10 @@ mod tests {
         // neither a poll nor a batched drain touches the socket's mode.
         let slice = Duration::from_millis(1);
         for _ in 0..5 {
-            assert!(b.recv_timeout(slice).is_err());
+            assert!(b.recv(within(slice)).is_err());
             assert_eq!(b.read_timeout, Some(slice));
             assert_eq!(b.recv_batch(&mut Vec::new(), 32), 0);
-            assert!(b.recv_timeout(Duration::ZERO).is_err());
+            assert!(b.recv(Some(Instant::now())).is_err());
             assert_eq!(b.read_timeout, Some(slice));
         }
         assert_eq!(b.stats().config_errors, 0);
@@ -776,7 +784,7 @@ mod tests {
         assert_eq!(a.stats().sent, n);
 
         // Wait for the first packet, then batch-drain the rest.
-        let mut got = vec![b.recv_timeout(Duration::from_secs(2)).unwrap()];
+        let mut got = vec![b.recv(within(Duration::from_secs(2))).unwrap()];
         let deadline = Instant::now() + Duration::from_secs(2);
         while (got.len() as u64) < n && Instant::now() < deadline {
             if b.recv_batch(&mut got, 64) == 0 {
@@ -845,7 +853,7 @@ mod tests {
         );
 
         // The coalesced datagram unpacks to the 10 frames, in order.
-        let mut got = vec![b.recv_timeout(Duration::from_secs(2)).unwrap()];
+        let mut got = vec![b.recv(within(Duration::from_secs(2))).unwrap()];
         let deadline = Instant::now() + Duration::from_secs(2);
         while got.len() < 10 && Instant::now() < deadline {
             if b.recv_batch(&mut got, 64) == 0 {
@@ -859,7 +867,7 @@ mod tests {
     }
 
     #[test]
-    fn scalar_verb_sends_one_datagram_per_frame() {
+    fn a_one_packet_batch_is_one_datagram() {
         let (_book, mut a, mut b) = pair();
         let mk = |i: u64| -> (NodeId, Pkt) {
             (
@@ -871,15 +879,15 @@ mod tests {
                 ),
             )
         };
-        // The scalar verb flushes per call: the per-frame baseline, and the
-        // one-frame-per-datagram envelope `FaultyTransport` relies on.
+        // Every batch is flushed before the call returns: one packet per
+        // batch is the per-frame baseline.
         for (to, pkt) in (0..10).map(mk) {
-            a.send(to, pkt);
+            send1(&mut a, to, pkt);
         }
         let s = a.stats();
         assert_eq!(s.sent, 10);
-        assert_eq!(s.datagrams_sent, 10, "scalar: one datagram per frame");
-        let mut got = vec![b.recv_timeout(Duration::from_secs(2)).unwrap()];
+        assert_eq!(s.datagrams_sent, 10, "one datagram per frame");
+        let mut got = vec![b.recv(within(Duration::from_secs(2))).unwrap()];
         let deadline = Instant::now() + Duration::from_secs(2);
         while got.len() < 10 && Instant::now() < deadline {
             if b.recv_batch(&mut got, 64) == 0 {
@@ -945,8 +953,8 @@ mod tests {
         // buffer. Everything after warm-up must be a pool hit.
         let rounds = 200u64;
         for _ in 0..rounds {
-            a.send(NodeId::Replica(ReplicaId(0)), pkt.clone());
-            let got = b.recv_timeout(Duration::from_secs(2)).unwrap();
+            send1(&mut a, NodeId::Replica(ReplicaId(0)), pkt.clone());
+            let got = b.recv(within(Duration::from_secs(2))).unwrap();
             assert_eq!(got, pkt);
         }
         let s = b.pool_stats();
@@ -993,10 +1001,10 @@ mod tests {
         for (i, pkt) in got.iter().enumerate() {
             assert_eq!(*pkt, big(i as u64), "frame {i}");
         }
-        // The scalar verb loops back too.
-        a.send(own, big(100));
-        assert_eq!(a.recv_timeout(Duration::ZERO).unwrap(), big(100));
-        assert_eq!(b.recv_timeout(Duration::from_secs(2)).unwrap(), other);
+        // A one-packet batch loops back too.
+        send1(&mut a, own, big(100));
+        assert_eq!(a.recv(Some(Instant::now())).unwrap(), big(100));
+        assert_eq!(b.recv(within(Duration::from_secs(2))).unwrap(), other);
 
         let s = a.stats();
         assert_eq!(s.sent, 102);
@@ -1005,6 +1013,29 @@ mod tests {
         assert_eq!(s.received, 101);
         assert_eq!(s.unresolved + s.oversized + s.send_errors, 0);
         assert_eq!(s.decode_errors, 0);
+    }
+
+    /// Under the adversary a held packet goes out when the endpoint next
+    /// looks at what it holds — and one addressed to the endpoint itself
+    /// is then among what it holds.
+    #[test]
+    fn take_queued_releases_a_held_packet_first() {
+        let (book, a, _b) = pair();
+        let own = NodeId::Client(ClientId(9));
+        book.register(own, a.local_addr());
+        let cfg = FaultConfig {
+            reorder_prob: 1.0,
+            ..FaultConfig::default()
+        };
+        let counters = Arc::new(FaultCounters::default());
+        let mut a = a.with_faults(cfg, 3, Arc::clone(&counters));
+        let pkt: Pkt = Packet::new(own, own, harmonia_types::PacketBody::Protocol(1));
+        send1(&mut a, own, pkt.clone());
+        assert_eq!(a.stats().sent, 0, "held back");
+        let mut got = Vec::new();
+        assert_eq!(a.take_queued(&mut got), 1);
+        assert_eq!(got, [pkt]);
+        assert_eq!(counters.snapshot(), (0, 0, 1));
     }
 
     #[test]
@@ -1028,12 +1059,12 @@ mod tests {
                 stable,
                 harmonia_types::PacketBody::Request(req),
             );
-            sender.send(stable, pkt.clone());
+            send1(&mut sender, stable, pkt.clone());
             let owner = if want == 0 { &mut g0 } else { &mut g1 };
-            assert_eq!(owner.recv_timeout(Duration::from_secs(2)).unwrap(), pkt);
+            assert_eq!(owner.recv(within(Duration::from_secs(2))).unwrap(), pkt);
         }
         // The other group saw nothing.
-        assert!(g0.recv_timeout(Duration::from_millis(10)).is_err());
-        assert!(g1.recv_timeout(Duration::from_millis(10)).is_err());
+        assert!(g0.recv(within(Duration::from_millis(10))).is_err());
+        assert!(g1.recv(within(Duration::from_millis(10))).is_err());
     }
 }

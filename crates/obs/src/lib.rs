@@ -4,7 +4,11 @@
 //! The repo's telemetry used to be five disconnected structs (sim
 //! `Metrics`, switch `SwitchStats`/`SpineView`, net `TransportStats`/
 //! `PoolStats`/`FaultCounters`) with no unified view and no machine-
-//! readable export. This crate is the common layer underneath all of them:
+//! readable export. This crate is the common layer underneath all of them
+//! (the net structs still count at the endpoint: each `UdpLink` credits its
+//! `UdpTransport`'s `stats()` and pool counters to its [`Recorder`] once per
+//! batch, and the send-path adversary's tallies become the snapshot's
+//! [`FaultObs`]):
 //!
 //! - [`Clock`] — a time source abstraction so instrumentation stays legal
 //!   under the determinism rule: the sim records at virtual instants it

@@ -152,7 +152,8 @@ impl NetworkModel {
             .unwrap_or(self.default_link)
     }
 
-    /// Decide the fate of one packet on `from → to`.
+    /// Decide the fate of one packet on `from → to`. A probability above 1
+    /// is certain.
     pub(crate) fn plan<R: Rng>(&self, from: NodeId, to: NodeId, rng: &mut R) -> Delivery {
         let mut delivery = Delivery::default();
         if self.is_partitioned(from, to) {
@@ -166,17 +167,17 @@ impl NetworkModel {
                 rng.gen_range(0..=link.jitter.nanos())
             };
             let mut d = link.base_latency + Duration::from_nanos(jitter);
-            let held_back = link.reorder_prob > 0.0 && rng.gen_bool(link.reorder_prob);
+            let held_back = link.reorder_prob > 0.0 && rng.gen_bool(link.reorder_prob.min(1.0));
             if held_back {
                 d += link.reorder_delay;
             }
             (d, held_back)
         };
-        if link.drop_prob > 0.0 && rng.gen_bool(link.drop_prob) {
+        if link.drop_prob > 0.0 && rng.gen_bool(link.drop_prob.min(1.0)) {
             // dropped: no copies
         } else {
             delivery.push(one_delay(rng));
-            if link.duplicate_prob > 0.0 && rng.gen_bool(link.duplicate_prob) {
+            if link.duplicate_prob > 0.0 && rng.gen_bool(link.duplicate_prob.min(1.0)) {
                 delivery.push(one_delay(rng));
             }
         }

@@ -33,7 +33,7 @@ pub use packet::{
 };
 pub use seq::SwitchSeq;
 pub use time::{Duration, Instant};
-pub use wire::{decode_frame, decode_frame_shared, encode_frame, Wire, MAX_FRAME_BYTES};
+pub use wire::{decode_frame, encode_frame, Wire, MAX_FRAME_BYTES};
 
 /// Errors surfaced by the types layer (wire decoding in practice).
 #[derive(Debug, Clone, PartialEq, Eq)]

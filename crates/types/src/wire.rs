@@ -275,27 +275,15 @@ pub fn encode_frame_into<T: Wire>(value: &T, buf: &mut BytesMut) -> Result<usize
 /// declared-but-undecoded bytes are a [`TypeError::TrailingBytes`] error, so
 /// a malformed peer cannot smuggle junk inside a valid length prefix.
 ///
-/// This is [`decode_frame_shared`] over a private copy of the frame: the
-/// decoded payloads own that copy and borrow nothing from `buf`.
+/// The frame is decoded out of a private copy: the decoded payloads own
+/// that copy and borrow nothing from `buf`. [`frames`] is the zero-copy
+/// walk, whose payloads alias the datagram they arrived in.
 pub fn decode_frame<T: Wire>(buf: &[u8]) -> Result<Option<(T, usize)>, TypeError> {
     let Some(len) = whole_frame(frame_body_len(buf))? else {
         return Ok(None);
     };
-    let frame = buf.get(..4 + len).unwrap_or_default();
-    decode_frame_shared(&Bytes::copy_from_slice(frame))
-}
-
-/// Zero-copy variant of [`decode_frame`]: the same framing and strictness,
-/// but nothing is copied, so any [`Bytes`]-typed payload fields in the
-/// decoded value alias the caller's buffer. This is what lets the UDP
-/// receive path hand out key/value payloads that point straight into the
-/// datagram they arrived in — the buffer stays alive until the last payload
-/// slice is dropped.
-pub fn decode_frame_shared<T: Wire>(buf: &Bytes) -> Result<Option<(T, usize)>, TypeError> {
-    let Some(len) = whole_frame(frame_body_len(buf))? else {
-        return Ok(None);
-    };
-    decode_body(buf, 0, len).map(|value| Some((value, 4 + len)))
+    let frame = Bytes::copy_from_slice(buf.get(..4 + len).unwrap_or_default());
+    decode_body(&frame, 0, len).map(|value| Some((value, 4 + len)))
 }
 
 /// Decode, in place, the `len`-byte body of the frame that starts `at` bytes
@@ -322,8 +310,8 @@ fn decode_body<T: Wire>(buf: &Bytes, at: usize, len: usize) -> Result<T, TypeErr
 /// A coalesced datagram is zero or more [`encode_frame`]-format frames packed
 /// end to end. The iterator walks `buf` by offset and decodes each frame in
 /// place: each `Ok` item is one decoded value whose `Bytes` payload fields
-/// alias `buf` (the [`decode_frame_shared`] zero-copy contract), inside that
-/// frame's own byte range. The iterator ends cleanly (yields `None`) only
+/// alias `buf` — nothing is copied, so the datagram stays alive until the
+/// last payload slice is dropped — inside that frame's own byte range. The iterator ends cleanly (yields `None`) only
 /// when every byte of `buf` was consumed by valid frames; a garbage or
 /// truncated tail yields exactly one final `Err` — a cut-off trailing frame
 /// surfaces as [`TypeError::Truncated`] — after which iteration stops.
@@ -991,11 +979,10 @@ mod tests {
         let mut r = ClientRequest::write(ClientId(3), RequestId(11), &b"a-key"[..], &b"a-val"[..]);
         r.seq = Some(SwitchSeq::new(SwitchId(1), 7));
         let frame = encode_frame(&r).unwrap();
-        let (decoded, used) = decode_frame_shared::<ClientRequest>(&frame)
-            .unwrap()
-            .unwrap();
+        let mut walk = frames::<ClientRequest>(&frame);
+        let decoded = walk.next().unwrap().unwrap();
+        assert!(walk.next().is_none(), "one frame, used up");
         assert_eq!(decoded, r);
-        assert_eq!(used, frame.len());
         // Zero-copy: the decoded key points into the frame's own storage.
         let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
         let key_ptr = decoded.key.as_ptr() as usize;
@@ -1021,8 +1008,8 @@ mod tests {
             Err(TypeError::TrailingBytes { len: 3 })
         );
         assert_eq!(
-            decode_frame_shared::<u32>(&padded),
-            Err(TypeError::TrailingBytes { len: 3 })
+            frames::<u32>(&padded).next(),
+            Some(Err(TypeError::TrailingBytes { len: 3 }))
         );
     }
 

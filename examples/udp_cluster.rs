@@ -68,9 +68,9 @@ fn main() {
     cluster.shutdown();
 
     // 3. The same deployment under an adversarial network: 3% loss,
-    //    duplication, and reordering injected at the client and switch
-    //    sockets by a seeded FaultyTransport. Retries and the exactly-once
-    //    session layer absorb all of it.
+    //    duplication, and reordering injected on the send path of every
+    //    client and worker socket by a seeded Adversary. Retries and the
+    //    exactly-once session layer absorb all of it.
     println!("\n== datagram faults: loss + duplication + reordering ==");
     let faulty = DeploymentSpec::new()
         .protocol(ProtocolKind::Chain)

@@ -2,26 +2,25 @@
 //!
 //! Six invariants, each pinned by proptest:
 //!
-//! 1. **Batch = scalar.** The `send_batch`/`recv_batch` verbs deliver the
-//!    same packet sequence as looping the scalar verbs — over the
-//!    `sendmmsg`/`recvmmsg` wrapper, over its portable std fallback, and
-//!    through a seeded [`FaultyTransport`] (whose default batch verbs loop
-//!    the scalar ones, so the same seed makes the same loss/dup/reorder
-//!    schedule either way).
+//! 1. **Batch = one packet at a time.** A whole run through `send_batch` /
+//!    `recv_batch` delivers the same packet sequence as one-packet batches
+//!    received one `recv` at a time — over the `sendmmsg`/`recvmmsg`
+//!    wrapper and over its portable std fallback.
 //! 2. **Scratch reuse never scribbles on a delivered packet.** Payloads
-//!    held across a thousand later receives — scalar and batch verbs,
+//!    held across a thousand later receives — one `recv` at a time and batched,
 //!    multi-frame datagrams, garbage interleaved — stay byte-identical to
 //!    what was sent: the endpoint's receive scratch is private, and what it
 //!    delivers is a copy nothing else writes.
 //! 3. **The wrapper is faithful.** `mmsg::send_batch`/`RecvRing::recv` and
 //!    the std fallback move identical payload sequences.
-//! 4. **Coalesced = per-frame.** GSO-style packing (the batch verb) changes
-//!    how many frames share a datagram relative to the scalar verb, never
-//!    which packets arrive or in what per-destination order — and under
-//!    the fault adversary the *seeded schedule is identical* whichever verb
-//!    the caller uses, because the wrapper's scalar loop flushes one frame
-//!    per datagram underneath it (`datagrams_sent == sent`: the
-//!    per-datagram fault envelope [`FaultyTransport`] documents).
+//! 4. **Coalesced = per-frame, faulted or not.** GSO-style packing changes
+//!    how many frames share a datagram relative to one-packet batches,
+//!    never which packets arrive or in what per-destination order. The
+//!    seeded [`Adversary`](harmonia::net::Adversary) in front of the send
+//!    path decides per packet, in send order, so the same seed over the
+//!    same packets cut into any batches makes the same decisions and
+//!    delivers the same sequence — and a faulted batch to one destination
+//!    still coalesces.
 //! 5. **Salvage is exact.** A multi-frame datagram cut at any byte and
 //!    padded with garbage never panics the frame iterator, and every frame
 //!    wholly before the cut is still delivered.
@@ -34,12 +33,11 @@
 
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use harmonia::net::{
-    AddrBook, Coalescer, FaultConfig, FaultCounters, FaultyTransport, SealedDatagram, Transport,
-    UdpTransport,
+    AddrBook, Coalescer, FaultConfig, FaultCounters, SealedDatagram, Transport, UdpTransport,
 };
 use harmonia::types::wire::{encode_frame_into, frames};
 use harmonia::types::{ClientId, ClientRequest, NodeId, Packet, PacketBody, ReplicaId, RequestId};
@@ -65,22 +63,76 @@ fn udp_pair() -> (UdpTransport<u64>, UdpTransport<u64>) {
     (a, b)
 }
 
-/// Drain `n` packets from `b`, batched or scalar, tolerating loopback
-/// delivery latency.
+/// One packet, one batch: one frame in one datagram, the per-frame
+/// reference.
+fn send1(a: &mut UdpTransport<u64>, to: NodeId, p: Pkt) {
+    a.send_batch(&mut vec![(to, p)]);
+}
+
+/// Drain `n` packets from `b`, batched or one `recv` at a time, tolerating
+/// loopback delivery latency.
 fn drain(b: &mut impl Transport<u64>, n: usize, batched: bool) -> Vec<Pkt> {
     let mut got = Vec::with_capacity(n);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while got.len() < n && std::time::Instant::now() < deadline {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while got.len() < n && Instant::now() < deadline {
         if batched {
             let want = n - got.len();
             if b.recv_batch(&mut got, want) == 0 {
                 std::thread::sleep(Duration::from_micros(200));
             }
-        } else if let Ok(p) = b.recv_timeout(Duration::from_millis(50)) {
+        } else if let Ok(p) = b.recv(Some(Instant::now() + Duration::from_millis(50))) {
             got.push(p);
         }
     }
     got
+}
+
+/// `values` from a faulted sender, cut into batches of the sizes `cuts`
+/// cycles through, to Replica(0) — its own socket when `to_self`, else the
+/// receiver's — then the release a receive makes: what arrived, the fault
+/// tallies, and the sender's `(sent, datagrams_sent)`.
+fn faulted_run(
+    values: &[u64],
+    cfg: FaultConfig,
+    seed: u64,
+    cuts: &[usize],
+    to_self: bool,
+) -> (Vec<Pkt>, (u64, u64, u64), (u64, u64)) {
+    let (a, mut b) = udp_pair();
+    if to_self {
+        a.book()
+            .register(NodeId::Replica(ReplicaId(0)), a.local_addr());
+    }
+    let counters = Arc::new(FaultCounters::default());
+    let mut a = a.with_faults(cfg, seed, Arc::clone(&counters));
+    let mut rest = values;
+    for &cut in cuts.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (now, later) = rest.split_at(cut.clamp(1, rest.len()));
+        let mut batch: Vec<(NodeId, Pkt)> = now
+            .iter()
+            .map(|v| (NodeId::Replica(ReplicaId(0)), pkt(*v)))
+            .collect();
+        a.send_batch(&mut batch);
+        rest = later;
+    }
+    // Releases a trailing hold; only a sender that addresses itself holds
+    // anything to take.
+    let mut got = Vec::new();
+    a.take_queued(&mut got);
+    let (dropped, duplicated, _) = counters.snapshot();
+    let expect = (values.len() as u64 - dropped + duplicated) as usize;
+    let missing = expect.saturating_sub(got.len());
+    got.extend(if to_self {
+        drain(&mut a, missing, true)
+    } else {
+        drain(&mut b, missing, true)
+    });
+    assert_eq!(got.len(), expect);
+    let stats = a.stats();
+    (got, counters.snapshot(), (stats.sent, stats.datagrams_sent))
 }
 
 /// A write request: its key and value decode as `Bytes` slices of the
@@ -100,10 +152,10 @@ fn write_pkt(n: u64, fill: u8, len: usize) -> Pkt {
 }
 
 /// Move `sent` from `a` to `b` one of four ways and return what `b`
-/// delivered: 0 = scalar sends, scalar receives; 1 = one coalesced
-/// multi-frame datagram, batch drain; 2 = scalar sends behind a garbage
-/// datagram, batch drain; 3 = one hand-built multi-frame datagram with a
-/// junk tail (the salvage path), scalar receives.
+/// delivered: 0 = one-packet batches, one `recv` each; 1 = one coalesced
+/// multi-frame datagram, batch drain; 2 = one-packet batches behind a
+/// garbage datagram, batch drain; 3 = one hand-built multi-frame datagram
+/// with a junk tail (the salvage path), one `recv` each.
 fn exchange(
     a: &mut UdpTransport<u64>,
     b: &mut UdpTransport<u64>,
@@ -113,11 +165,11 @@ fn exchange(
 ) -> Vec<Pkt> {
     let (to, how) = (NodeId::Replica(ReplicaId(0)), how % 4);
     match how {
-        0 => sent.iter().for_each(|p| a.send(to, p.clone())),
+        0 => sent.iter().for_each(|p| send1(a, to, p.clone())),
         1 => a.send_batch(&mut sent.iter().map(|p| (to, p.clone())).collect()),
         2 => {
             raw.send_to(&[0xff; 40], b.local_addr()).unwrap();
-            sent.iter().for_each(|p| a.send(to, p.clone()));
+            sent.iter().for_each(|p| send1(a, to, p.clone()));
         }
         _ => {
             let mut datagram = BytesMut::new();
@@ -132,16 +184,16 @@ fn exchange(
 }
 
 proptest! {
-    /// Batched and scalar verbs move the same sequence over the wire, and
-    /// the books agree.
+    /// A whole batch and one-packet batches move the same sequence over
+    /// the wire, and the books agree.
     #[test]
     fn udp_batch_verbs_equal_scalar(values in prop::collection::vec(any::<u64>(), 1..60)) {
-        // Scalar reference run.
+        // Per-packet reference run.
         let (mut a, mut b) = udp_pair();
         for v in &values {
-            a.send(NodeId::Replica(ReplicaId(0)), pkt(*v));
+            send1(&mut a, NodeId::Replica(ReplicaId(0)), pkt(*v));
         }
-        let scalar = drain(&mut b, values.len(), false);
+        let per_packet = drain(&mut b, values.len(), false);
         prop_assert_eq!(a.stats().sent, values.len() as u64);
 
         // Batched run (sendmmsg/recvmmsg on Linux, std fallback elsewhere).
@@ -157,62 +209,31 @@ proptest! {
 
         // Loopback UDP between one socket pair delivers in order, so the
         // sequences match exactly, not just as multisets.
-        prop_assert_eq!(&scalar, &batched);
+        prop_assert_eq!(&per_packet, &batched);
         let expect: Vec<Pkt> = values.iter().map(|v| pkt(*v)).collect();
         prop_assert_eq!(&batched, &expect);
     }
 
-    /// Through the fault adversary, the batch verbs (defaulted to scalar
-    /// loops) replay the exact per-packet fault schedule: same seed, same
-    /// delivered sequence, same counters.
+    /// The adversary decides per packet, in send order: the same seed over
+    /// the same packets, cut into arbitrary batches, delivers the same
+    /// sequence with the same tallies as one packet per batch — to another
+    /// endpoint, or looped back to the sender itself.
     #[test]
-    fn faulty_transport_batch_schedule_matches_scalar(
+    fn fault_schedule_is_batch_cut_invariant(
         values in prop::collection::vec(any::<u64>(), 1..80),
+        cuts in prop::collection::vec(1usize..20, 1..8),
         seed in any::<u64>(),
         drop_p in 0.0f64..0.4,
         dup_p in 0.0f64..0.4,
         reorder_p in 0.0f64..0.4,
+        to_self in any::<bool>(),
     ) {
-        /// Records sends instead of delivering them — keeps the schedule
-        /// comparison free of kernel timing.
-        #[derive(Default)]
-        struct Recorder {
-            log: Vec<u64>,
-        }
-        impl Transport<u64> for Recorder {
-            fn send(&mut self, _to: NodeId, p: Pkt) {
-                if let PacketBody::Protocol(n) = p.body {
-                    self.log.push(n);
-                }
-            }
-            fn recv_timeout(&mut self, _t: Duration) -> Result<Pkt, harmonia::net::RecvError> {
-                Err(harmonia::net::RecvError::TimedOut)
-            }
-            fn recv(&mut self) -> Result<Pkt, harmonia::net::RecvError> {
-                Err(harmonia::net::RecvError::Closed)
-            }
-        }
-
         let cfg = FaultConfig { drop_prob: drop_p, duplicate_prob: dup_p, reorder_prob: reorder_p };
-        let run = |use_batch: bool| {
-            let counters = Arc::new(FaultCounters::default());
-            let mut t = FaultyTransport::new(Recorder::default(), cfg, seed, Arc::clone(&counters));
-            if use_batch {
-                let mut batch: Vec<(NodeId, Pkt)> = values
-                    .iter()
-                    .map(|v| (NodeId::Replica(ReplicaId(0)), pkt(*v)))
-                    .collect();
-                t.send_batch(&mut batch);
-            } else {
-                for v in &values {
-                    t.send(NodeId::Replica(ReplicaId(0)), pkt(*v));
-                }
-            }
-            let _ = t.recv_timeout(Duration::from_millis(1)); // flush a trailing hold
-            (t.inner().log.clone(), counters.snapshot())
-        };
-
-        prop_assert_eq!(run(false), run(true));
+        let (per_packet, pp_counts, (pp_sent, _)) = faulted_run(&values, cfg, seed, &[1], to_self);
+        let (cut, cut_counts, (cut_sent, _)) = faulted_run(&values, cfg, seed, &cuts, to_self);
+        prop_assert_eq!(pp_counts, cut_counts);
+        prop_assert_eq!(&per_packet, &cut);
+        prop_assert_eq!(pp_sent, cut_sent);
     }
 
     /// Scratch reuse can never scribble on a delivered packet: packets
@@ -256,8 +277,8 @@ proptest! {
     }
 
     /// GSO-style coalescing is invisible to the receiver: the same packets
-    /// deliver the same sequence whether the batch verb packs them into
-    /// full datagrams or the scalar verb sends one per datagram — only the
+    /// deliver the same sequence whether one batch packs them into full
+    /// datagrams or one-packet batches send one per datagram — only the
     /// datagram count and the frames-per-datagram packing differ.
     #[test]
     fn coalesced_delivery_equals_per_frame(values in prop::collection::vec(any::<u64>(), 1..60)) {
@@ -271,7 +292,7 @@ proptest! {
                 a.send_batch(&mut batch);
             } else {
                 for (to, p) in batch {
-                    a.send(to, p);
+                    send1(&mut a, to, p);
                 }
             }
             let got = drain(&mut b, values.len(), true);
@@ -292,16 +313,11 @@ proptest! {
         prop_assert_eq!(co_datagrams, 1);
     }
 
-    /// Under the fault adversary coalescing never engages: FaultyTransport's
-    /// batch verbs loop the scalar path, which flushes one frame per
-    /// datagram, so the same seed draws the same loss/dup/reorder decisions
-    /// and delivers the same sequence over a real (coalescing-capable)
-    /// endpoint whether the caller hands it a batch or single packets — the
-    /// per-datagram fault envelope documented on [`FaultyTransport`]. Nor
-    /// does it matter where the frames go: addressed to the sending endpoint
-    /// itself they are looped back below the adversary, one sealed datagram
-    /// per frame all the same, and the same schedule delivers the same
-    /// sequence.
+    /// A faulted batch to one destination coalesces: every frame the
+    /// adversary lets through rides one datagram — plus one for a held
+    /// packet released at the end — where one-packet batches ride about one
+    /// datagram each, and the two deliver the same sequence with the same
+    /// tallies.
     #[test]
     fn fault_schedule_is_coalescing_invariant(
         values in prop::collection::vec(any::<u64>(), 1..60),
@@ -309,49 +325,18 @@ proptest! {
         to_self in any::<bool>(),
     ) {
         let cfg = FaultConfig { drop_prob: 0.2, duplicate_prob: 0.2, reorder_prob: 0.2 };
-        let run = |use_batch: bool| {
-            let (a, mut b) = udp_pair();
-            if to_self {
-                a.book().register(NodeId::Replica(ReplicaId(0)), a.local_addr());
-            }
-            let counters = Arc::new(FaultCounters::default());
-            let mut f = FaultyTransport::new(a, cfg, seed, Arc::clone(&counters));
-            let mut batch: Vec<(NodeId, Pkt)> = values
-                .iter()
-                .map(|v| (NodeId::Replica(ReplicaId(0)), pkt(*v)))
-                .collect();
-            if use_batch {
-                f.send_batch(&mut batch);
-            } else {
-                for (to, p) in batch {
-                    f.send(to, p);
-                }
-            }
-            // Flush a trailing hold. Only a sender that addresses itself
-            // receives anything here.
-            let mut got: Vec<Pkt> = f.recv_timeout(Duration::from_millis(1)).into_iter().collect();
-            let (dropped, duplicated, _) = counters.snapshot();
-            let expect_n = (values.len() as u64 - dropped + duplicated) as usize;
-            let rest = expect_n.saturating_sub(got.len());
-            got.extend(if to_self {
-                drain(&mut f, rest, true)
-            } else {
-                drain(&mut b, rest, true)
-            });
-            prop_assert_eq!(got.len(), expect_n);
-            let stats = f.inner().stats();
-            (got, counters.snapshot(), stats.sent, stats.datagrams_sent)
-        };
-
-        let (pf_got, pf_counts, pf_sent, pf_datagrams) = run(false);
-        let (co_got, co_counts, co_sent, co_datagrams) = run(true);
+        let whole = [values.len()];
+        let (pf_got, pf_counts, (pf_sent, pf_datagrams)) =
+            faulted_run(&values, cfg, seed, &[1], to_self);
+        let (co_got, co_counts, (co_sent, co_datagrams)) =
+            faulted_run(&values, cfg, seed, &whole, to_self);
         prop_assert_eq!(pf_counts, co_counts);
         prop_assert_eq!(&pf_got, &co_got);
         prop_assert_eq!(pf_sent, co_sent);
-        // The scalar path under the wrapper never packs: every surviving
-        // frame rode its own datagram in both runs.
-        prop_assert_eq!(pf_datagrams, pf_sent);
-        prop_assert_eq!(co_datagrams, co_sent);
+        // A one-packet batch is one datagram (two frames when it releases
+        // a held packet); the whole batch is one, plus a trailing release.
+        prop_assert!(pf_datagrams <= pf_sent && co_datagrams <= pf_datagrams);
+        prop_assert!(co_datagrams <= 2.min(co_sent), "{} frames in {} datagrams", co_sent, co_datagrams);
     }
 
     /// A coalesced datagram cut at an arbitrary byte and padded with

@@ -83,6 +83,33 @@ fn kv_client_round_trips_through_all_drivers() {
     }
 }
 
+/// A fault probability above 1 is certain, not an out-of-range draw that
+/// panics the simulator's network model or a UDP worker's adversary: every
+/// packet is duplicated, and a write and a read still round-trip.
+#[test]
+fn a_fault_probability_above_one_is_certain() {
+    let spec = DeploymentSpec::new().link(LinkConfig::lossy(0.0, 2.0, 0.0));
+    let drivers: Vec<(&str, Box<dyn Cluster>)> = vec![
+        ("sim", Box::new(spec.build_sim())),
+        ("udp", Box::new(spec.spawn_udp())),
+    ];
+    for (name, mut cluster) in drivers {
+        let mut client = cluster.client();
+        client.set(b"k", b"v").unwrap();
+        assert_eq!(
+            client.get(b"k").unwrap().as_deref(),
+            Some(&b"v"[..]),
+            "{name}"
+        );
+        drop(client);
+        if name == "udp" {
+            let faults = cluster.obs_snapshot().faults;
+            assert!(faults.duplicated > 0, "{name}: {faults:?}");
+            assert_eq!(faults.dropped, 0, "{name}: {faults:?}");
+        }
+    }
+}
+
 /// The §5.3 failover vocabulary is the same on every driver: kill the
 /// switch (service stops), replace it (normal path only), first own-id
 /// completion re-arms the fast path.

@@ -2,9 +2,10 @@
 //!
 //! Every packet of these deployments crosses a real loopback `UdpSocket`
 //! through the wire codec, and the spec's link fault probabilities are
-//! injected by `harmonia-net`'s seeded `FaultyTransport` at the client and
-//! switch sockets (replica↔replica stays clean — the same envelope the
-//! simulator's §5.2 fault sweeps preserve). Every per-key history goes
+//! injected by `harmonia-net`'s seeded `Adversary` on the send path of every
+//! client and worker socket, in front of the same coalescing path a clean
+//! socket sends through (replica↔replica stays clean — the same envelope
+//! the simulator's §5.2 fault sweeps preserve). Every per-key history goes
 //! through the Wing–Gong linearizability checker, and the fault counters
 //! prove the adversary actually fired.
 
@@ -95,10 +96,18 @@ fn udp_sixteen_lanes_survive_loss_duplication_reordering() {
     );
     let clients = cluster.obs_snapshot().clients;
     assert!(clients.retries > 0, "no lane lost a packet: {clients:?}");
-    let faults = cluster.obs_snapshot().faults;
+    let obs = cluster.obs_snapshot();
+    let faults = obs.faults;
     assert!(
         faults.dropped > 0 && faults.duplicated > 0 && faults.reordered > 0,
         "adversary never fired: {faults:?}"
+    );
+    // The adversary is a stage of the one send path, so faulted sockets
+    // still pack several frames to a datagram.
+    let wire = obs.transport;
+    assert!(
+        wire.frames_sent > wire.datagrams_sent,
+        "no faulted datagram carried two frames: {wire:?}"
     );
     cluster.shutdown();
 }
