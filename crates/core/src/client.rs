@@ -14,8 +14,8 @@ use bytes::Bytes;
 use harmonia_obs::{Counter, Recorder, Series, TraceStage};
 use harmonia_sim::{Actor, Context, TimerToken};
 use harmonia_types::{
-    ClientId, ClientRequest, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody, RequestId,
-    TraceId,
+    ClientId, ClientRequest, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody, RecordedOp,
+    RequestId, TraceId,
 };
 use rand::rngs::SmallRng;
 
@@ -343,25 +343,6 @@ impl Actor<Msg> for OpenLoopClient {
             self.gc(ctx);
         }
     }
-}
-
-/// Result of one closed-loop operation, for history checking.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RecordedOp {
-    /// Read or write.
-    pub kind: OpKind,
-    /// Key.
-    pub key: Bytes,
-    /// Written value (writes only).
-    pub value: Option<Bytes>,
-    /// Invocation time (first attempt).
-    pub invoked: Instant,
-    /// Completion time.
-    pub completed: Instant,
-    /// Observed value (reads only; `None` for key-absent).
-    pub result: Option<Bytes>,
-    /// False if the op was abandoned (all attempts failed).
-    pub ok: bool,
 }
 
 /// Issues a fixed plan of operations one at a time, retrying on rejection

@@ -20,10 +20,10 @@ use bytes::Bytes;
 use harmonia_obs::{Counter, Recorder, Series, TraceStage};
 use harmonia_types::{
     ClientId, ClientReply, ClientRequest, Duration, Instant, NodeId, ObjectId, OpKind, PacketBody,
-    ReplicaId, RequestId, TraceId, WriteOutcome,
+    RecordedOp, ReplicaId, RequestId, TraceId, WriteOutcome,
 };
 
-use crate::client::{OpSpec, RecordedOp};
+use crate::client::OpSpec;
 use crate::msg::Msg;
 
 /// What one reply did to the request it answers.

@@ -34,12 +34,10 @@ use harmonia_obs::{
 use harmonia_replication::{build_replica, GroupConfig, ProtocolKind};
 use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
 use harmonia_switch::{SpineView, TableConfig};
-use harmonia_types::{ClientId, Duration, Instant, NodeId, ReplicaId, SwitchId};
+use harmonia_types::{ClientId, Duration, Instant, NodeId, RecordedOp, ReplicaId, SwitchId};
 use harmonia_workload::ShardMap;
 
-use crate::client::{
-    ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, RecordedOp, SourceFn,
-};
+use crate::client::{ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, SourceFn};
 use crate::failover;
 use crate::live::{LiveCluster, LiveError};
 use crate::msg::{CostModel, Msg};

@@ -66,8 +66,9 @@ pub mod switch_core;
 pub mod udp;
 pub mod worker;
 
-pub use client::{ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, RecordedOp};
+pub use client::{ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig};
 pub use deployment::{Cluster, DeploymentSpec, KvClient, SimCluster};
+pub use harmonia_types::RecordedOp;
 pub use live::{LiveClient, LiveCluster, LiveError};
 pub use msg::{CostModel, Msg};
 pub use switch_core::{GroupCore, SwitchCore};

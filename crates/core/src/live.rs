@@ -140,9 +140,11 @@ use harmonia_net::{AddrBook, Names, Resolver};
 use harmonia_obs::{Clock, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent};
 use harmonia_replication::{build_replica, GroupConfig};
 use harmonia_switch::{GroupId, SpineView};
-use harmonia_types::{ClientId, Duration, Instant, NodeId, PacketBody, ReplicaId, SwitchId};
+use harmonia_types::{
+    ClientId, Duration, Instant, NodeId, PacketBody, RecordedOp, ReplicaId, SwitchId,
+};
 
-use crate::client::{OpSpec, RecordedOp};
+use crate::client::OpSpec;
 use crate::client_core::Lanes;
 use crate::control;
 use crate::deployment::{snapshot, Cluster, DeploymentSpec, KvClient};
@@ -1031,8 +1033,8 @@ mod tests {
     use crate::udp::Sockets;
     use harmonia_obs::{Counter, SwitchObs, TraceStage};
     use harmonia_replication::ProtocolKind;
-    use harmonia_types::{Duration, OpKind};
-    use harmonia_verify::{check_history, Action, OpRecord};
+    use harmonia_types::Duration;
+    use harmonia_verify::{Checker, Violation};
     use harmonia_workload::ShardMap;
     use std::collections::VecDeque;
 
@@ -1062,30 +1064,17 @@ mod tests {
         traces: &[TraceEvent],
         context: &str,
     ) {
-        let records: Vec<OpRecord> = (10..)
-            .zip(histories)
-            .flat_map(|(client, history)| {
-                history.iter().map(move |r| {
-                    assert!(r.ok, "{context}: {r:?} was abandoned");
-                    OpRecord {
-                        client,
-                        key: r.key.clone(),
-                        invoke: r.invoked.nanos(),
-                        complete: r.completed.nanos(),
-                        action: match r.kind {
-                            OpKind::Write => Action::Write(r.value.clone().unwrap_or_default()),
-                            OpKind::Read => Action::Read(r.result.clone()),
-                        },
-                    }
-                })
-            })
-            .collect();
-        assert!(!records.is_empty(), "{context}: empty history");
-        if let Err(violation) = check_history(records) {
-            if let harmonia_verify::Violation::NotLinearizable { key } = &violation {
-                eprint!("{}", harmonia_obs::dump_for_key(traces, key));
+        match Checker::new().check(histories) {
+            Ok(checked) => {
+                assert_eq!(checked.abandoned, 0, "{context}: an op was abandoned");
+                assert!(checked.checked > 0, "{context}: empty history");
             }
-            panic!("{context}: {violation}");
+            Err(violation) => {
+                if let Violation::NotLinearizable { key } = &violation {
+                    eprint!("{}", harmonia_obs::dump_for_key(traces, key));
+                }
+                panic!("{context}: {violation}");
+            }
         }
     }
 

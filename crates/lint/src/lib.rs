@@ -181,6 +181,7 @@ impl Policy {
             sans_io_crates: [
                 "replication",
                 "switch",
+                "verify",
                 "crates/core/src/client_core.rs",
                 "crates/core/src/replica_step.rs",
                 "crates/core/src/control.rs",

@@ -71,6 +71,21 @@ fn the_udp_adversary_is_deterministic_sans_io_and_panic_free() {
     assert_eq!(rules(&f), vec![Rule::PanicPath], "{f:?}");
 }
 
+/// The linearizability checker judges recorded histories and nothing else:
+/// a socket type in it is a layering finding, and a walk over a hash-ordered
+/// map a determinism one — its per-key state is key-ordered.
+#[test]
+fn the_checker_is_sans_io_and_walks_keys_in_order() {
+    let checker = "crates/verify/src/linearizability.rs";
+    let src = "fn check(&mut self, from: SocketAddr) { drop(from); }\n";
+    let f = lint_source(checker, src, &policy());
+    assert_eq!(rules(&f), vec![Rule::Layering], "{f:?}");
+    let src = "use std::collections::HashMap;\n\
+               fn check(keys: HashMap<u64, u64>) { for k in &keys { drop(k); } }\n";
+    let f = lint_source(checker, src, &policy());
+    assert_eq!(rules(&f), vec![Rule::Determinism], "{f:?}");
+}
+
 /// So is the simulated deployment — `SimCluster`, the scheduled failure
 /// scripts, the messages, and the one snapshot builder whose output the
 /// golden texts render — beside the threaded drivers that may read a wall

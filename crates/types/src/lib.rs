@@ -29,7 +29,7 @@ pub mod wire;
 pub use id::{ClientId, NodeId, ObjectId, ReplicaId, RequestId, SwitchId, TraceId};
 pub use packet::{
     ClientReply, ClientRequest, ControlMsg, OpKind, Packet, PacketBody, PacketFlags, ReadMode,
-    SwitchRoute, WriteCompletion, WriteOutcome,
+    RecordedOp, SwitchRoute, WriteCompletion, WriteOutcome,
 };
 pub use seq::SwitchSeq;
 pub use time::{Duration, Instant};

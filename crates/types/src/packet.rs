@@ -19,6 +19,7 @@ use bytes::Bytes;
 
 use crate::id::{ClientId, NodeId, ObjectId, ReplicaId, RequestId, SwitchId};
 use crate::seq::SwitchSeq;
+use crate::time::Instant;
 
 /// Operation type carried in the Harmonia header.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -27,6 +28,26 @@ pub enum OpKind {
     Read,
     /// A write (blind put) of one object.
     Write,
+}
+
+/// Result of one closed-loop operation, as a client records it for the
+/// linearizability checker.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RecordedOp {
+    /// Read or write.
+    pub kind: OpKind,
+    /// Key.
+    pub key: Bytes,
+    /// Written value (writes only).
+    pub value: Option<Bytes>,
+    /// Invocation time (first attempt).
+    pub invoked: Instant,
+    /// Completion time.
+    pub completed: Instant,
+    /// Observed value (reads only; `None` for key-absent).
+    pub result: Option<Bytes>,
+    /// False if the op was abandoned (all attempts failed).
+    pub ok: bool,
 }
 
 /// How a read is being routed, decided by the switch.

@@ -1,8 +1,7 @@
 //! Operation histories.
 
-use std::collections::BTreeMap;
-
 use bytes::Bytes;
+use harmonia_types::{OpKind, RecordedOp};
 
 /// What an operation did.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -62,33 +61,18 @@ impl OpRecord {
             action: Action::Read(result),
         }
     }
-}
 
-/// Split a history into independent per-key histories (registers are
-/// independent objects; linearizability composes across them). Key-ordered
-/// so the per-key checks run in the same order on every run.
-pub fn partition_by_key(records: Vec<OpRecord>) -> BTreeMap<Bytes, Vec<OpRecord>> {
-    let mut map: BTreeMap<Bytes, Vec<OpRecord>> = BTreeMap::new();
-    for r in records {
-        map.entry(r.key.clone()).or_default().push(r);
-    }
-    map
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn partition_groups_by_key() {
-        let records = vec![
-            OpRecord::write(1, "a", "1", 0, 1),
-            OpRecord::read(2, "b", None, 0, 2),
-            OpRecord::read(1, "a", Some(Bytes::from_static(b"1")), 2, 3),
-        ];
-        let parts = partition_by_key(records);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[&Bytes::from_static(b"a")].len(), 2);
-        assert_eq!(parts[&Bytes::from_static(b"b")].len(), 1);
+    /// A completed operation as client `client` recorded it.
+    pub(crate) fn recorded(client: u32, r: &RecordedOp) -> Self {
+        OpRecord {
+            client,
+            key: r.key.clone(),
+            invoke: r.invoked.nanos(),
+            complete: r.completed.nanos(),
+            action: match r.kind {
+                OpKind::Write => Action::Write(r.value.clone().unwrap_or_default()),
+                OpKind::Read => Action::Read(r.result.clone()),
+            },
+        }
     }
 }

@@ -2,10 +2,15 @@
 //!
 //! Two independent lines of defence, mirroring the paper's appendices:
 //!
-//! * [`linearizability`] — a Wing–Gong checker for recorded histories
-//!   (per-key register semantics). Integration tests run real protocol
-//!   stacks under packet loss/reordering/duplication and feed the recorded
-//!   client histories through this checker.
+//! * [`linearizability`] — the one gate every recorded history goes
+//!   through. [`Checker`] takes what the clients record
+//!   ([`harmonia_types::RecordedOp`]), leaves out keys an abandoned
+//!   operation touched, checks each key on its own (per-key register
+//!   semantics) and cuts its history at quiescent points into windows of
+//!   the Wing–Gong search, carrying the values the key may hold across
+//!   each cut and from one call to the next. Integration tests run real
+//!   protocol stacks under packet loss/reordering/duplication and feed the
+//!   recorded client histories through it.
 //! * [`model`] — an executable model checker that mirrors the TLA+
 //!   specification of Appendix B action for action (`SendWrite`,
 //!   `HandleWrite`, `ProcessWriteCompletion`, `CommitWrite`, `SendRead`,
@@ -23,5 +28,5 @@ pub mod linearizability;
 pub mod model;
 
 pub use history::{Action, OpRecord};
-pub use linearizability::{check_history, check_key_history, Violation};
+pub use linearizability::{check_key_history, Checked, Checker, Violation};
 pub use model::{ModelConfig, ModelOutcome, SpecModel};

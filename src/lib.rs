@@ -133,7 +133,7 @@
 //! | [`net`] | the deployment name service (`NodeId` → endpoint, spine shard routing) both threaded drivers resolve through; real datagram transport: UDP loopback sockets, seeded fault injection |
 //! | [`core`] | the `DeploymentSpec`/`Cluster` API; the sans-IO client core, replica step, switch pipelines, node runtime (`Worker`) and §5.3 control scripts every driver shares; the simulator's host (`SimWorker`) and the threaded rig (channel and UDP substrates) that shell them |
 //! | [`workload`] | uniform/zipf key spaces, mixes, YCSB presets |
-//! | [`verify`] | linearizability checker + TLA+-mirror model checker |
+//! | [`verify`] | the linearizability gate over recorded histories + TLA+-mirror model checker |
 
 #![forbid(unsafe_code)]
 
@@ -169,7 +169,7 @@ pub mod prelude {
     pub use harmonia_types::{
         ClientId, Duration, Instant, NodeId, ObjectId, OpKind, ReplicaId, SwitchId, SwitchSeq,
     };
-    pub use harmonia_verify::{check_history, ModelConfig, SpecModel};
+    pub use harmonia_verify::{Checker, ModelConfig, SpecModel};
     pub use harmonia_workload::ShardMap;
     pub use harmonia_workload::{KeySpace, Mix, WorkloadSpec, YcsbPreset};
 }

@@ -1,17 +1,15 @@
 //! Shared helpers for the integration tests: one scenario runner for every
 //! deployment shape (unsharded is `groups(1)`), driving closed-loop clients
-//! over a simulated cluster and converting their records into checker
-//! histories.
+//! over a simulated cluster, and the assertion that puts what they record
+//! through the linearizability checker.
 
 // Each integration-test binary compiles this module independently and uses
 // a different subset of it; silence per-binary dead-code noise.
 #![allow(dead_code)]
 
-use std::collections::HashSet;
-
 use bytes::Bytes;
 use harmonia::prelude::*;
-use harmonia::verify::{Action, OpRecord};
+use harmonia::verify::{Checked, Violation};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,17 +42,10 @@ impl Default for Scenario {
 
 /// What a scenario produced.
 pub struct Outcome {
-    /// Completed operations, checker-ready. If any operation ultimately
-    /// failed (gave up after retries), every record touching that key is
-    /// excluded — an abandoned write may or may not have taken effect, and
-    /// the checker models only completed operations.
-    pub records: Vec<OpRecord>,
     /// Each client's history as `run_plans_with` returned it, in plan order.
     pub histories: Vec<Vec<RecordedOp>>,
     /// The post-run world, for state inspection.
     pub world: World<Msg>,
-    /// Operations that gave up after all retries.
-    pub incomplete: usize,
 }
 
 /// Build the per-client plans a scenario describes (client `c` draws from
@@ -83,38 +74,6 @@ pub fn make_plans(
         .collect()
 }
 
-/// Convert per-client recorded histories into checker-ready records,
-/// excluding every key any abandoned operation touched. Returns the records
-/// plus the abandoned-op count. History `i` is reported to the checker as
-/// client id `10 + i` (matching the sim driver's node-id convention; the
-/// checker only needs the ids to be distinct per history).
-pub fn collect_records(histories: &[Vec<RecordedOp>]) -> (Vec<OpRecord>, usize) {
-    let mut records = Vec::new();
-    let mut incomplete = 0;
-    let mut poisoned_keys: HashSet<Bytes> = HashSet::new();
-    for (c, history) in histories.iter().enumerate() {
-        for r in history {
-            if !r.ok {
-                incomplete += 1;
-                poisoned_keys.insert(r.key.clone());
-                continue;
-            }
-            records.push(OpRecord {
-                client: 10 + c as u32,
-                key: r.key.clone(),
-                invoke: r.invoked.nanos(),
-                complete: r.completed.nanos(),
-                action: match r.kind {
-                    OpKind::Write => Action::Write(r.value.clone().unwrap_or_default()),
-                    OpKind::Read => Action::Read(r.result.clone()),
-                },
-            });
-        }
-    }
-    records.retain(|r| !poisoned_keys.contains(&r.key));
-    (records, incomplete)
-}
-
 impl Scenario {
     pub fn run(&self) -> Outcome {
         self.run_with(|_| {})
@@ -141,13 +100,10 @@ impl Scenario {
             self.seed,
         );
         let histories = sim.run_plans_with(plans, Duration::from_millis(3));
-        let (records, incomplete) = collect_records(&histories);
         let snapshot = sim.obs_snapshot();
         let outcome = Outcome {
-            records,
             histories,
             world: sim.into_world(),
-            incomplete,
         };
         (outcome, snapshot)
     }
@@ -168,10 +124,12 @@ pub fn replace_switch_mid_load(cluster: &mut dyn Cluster, replacement: SwitchId)
     cluster.replace_switch(replacement);
 }
 
-/// Assert the collected history is linearizable, with context on failure
-/// (dumps the offending key's timeline for debugging).
-pub fn assert_linearizable(records: Vec<OpRecord>, context: &str) {
-    assert_linearizable_traced(records, &[], context);
+/// Assert the clients' recorded histories are linearizable, with context on
+/// failure (dumps the offending key's timeline for debugging). Keys an
+/// abandoned operation touched are left out; the returned tally says how
+/// many operations were checked and how many were abandoned.
+pub fn assert_linearizable(histories: &[Vec<RecordedOp>], context: &str) -> Checked {
+    assert_linearizable_traced(histories, &[], context)
 }
 
 /// [`assert_linearizable`], with the deployment's packet-path trace
@@ -180,23 +138,29 @@ pub fn assert_linearizable(records: Vec<OpRecord>, context: &str) {
 /// touched that key (from [`Cluster::trace_events`]) next to the op-level
 /// history — the exact packet schedule that produced the violation.
 pub fn assert_linearizable_traced(
-    records: Vec<OpRecord>,
+    histories: &[Vec<RecordedOp>],
     traces: &[harmonia::obs::TraceEvent],
     context: &str,
-) {
-    assert!(
-        !records.is_empty(),
-        "{context}: empty history proves nothing"
-    );
-    if let Err(v) = harmonia::verify::check_history(records.clone()) {
-        if let harmonia::verify::Violation::NotLinearizable { key } = &v {
-            let mut ops: Vec<&OpRecord> = records.iter().filter(|r| &r.key == key).collect();
-            ops.sort_by_key(|r| r.invoke);
+) -> Checked {
+    let checked = Checker::new().check(histories).unwrap_or_else(|v| {
+        if let Violation::NotLinearizable { key } = &v {
+            let mut ops: Vec<(usize, &RecordedOp)> = (0..)
+                .zip(histories)
+                .flat_map(|(c, h)| h.iter().map(move |r| (c, r)))
+                .filter(|(_, r)| &r.key == key)
+                .collect();
+            ops.sort_by_key(|(_, r)| r.invoked);
             eprintln!("--- history for {key:?} ---");
-            for op in ops {
+            for (c, op) in ops {
+                let seen = match op.kind {
+                    OpKind::Write => &op.value,
+                    OpKind::Read => &op.result,
+                };
                 eprintln!(
-                    "client {} [{} .. {}] {:?}",
-                    op.client, op.invoke, op.complete, op.action
+                    "client {c} [{} .. {}] {:?} {seen:?}",
+                    op.invoked.nanos(),
+                    op.completed.nanos(),
+                    op.kind
                 );
             }
             if !traces.is_empty() {
@@ -205,7 +169,12 @@ pub fn assert_linearizable_traced(
             }
         }
         panic!("{context}: {v}");
-    }
+    });
+    assert!(
+        checked.checked > 0,
+        "{context}: empty history proves nothing"
+    );
+    checked
 }
 
 /// After quiescence, every key's owning group must agree on its value

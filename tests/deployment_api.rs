@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{assert_linearizable_traced, collect_records, make_plans};
+use common::{assert_linearizable_traced, make_plans};
 use harmonia::obs::{GroupObs, SwitchObs};
 use harmonia::prelude::*;
 
@@ -37,14 +37,13 @@ fn same_scenario_is_linearizable_through_all_drivers() {
         let plans = make_plans(3, 40, 8, 0.35, 9);
         let histories = cluster.run_plans(plans);
         assert_eq!(histories.len(), 3, "{name}: one history per plan");
-        let (records, incomplete) = collect_records(&histories);
-        assert_eq!(incomplete, 0, "{name}: ops gave up");
         // A failed check attaches the packet-path trace for the bad key.
-        assert_linearizable_traced(
-            records,
+        let checked = assert_linearizable_traced(
+            &histories,
             &cluster.trace_events(),
             &format!("{name} driver via dyn Cluster"),
         );
+        assert_eq!(checked.abandoned, 0, "{name}: ops gave up");
         let switch = cluster.obs_snapshot().switch;
         assert!(
             switch.reads_fast_path > 0,
@@ -269,8 +268,9 @@ fn the_snapshots_switch_sections_agree_on_every_driver() {
     let spec = DeploymentSpec::new().groups(4).seed(5);
     for (name, mut cluster) in all_drivers(&spec) {
         let plans = make_plans(3, 60, 40, 0.3, 5);
-        let (_, incomplete) = collect_records(&cluster.run_plans(plans));
-        assert_eq!(incomplete, 0, "{name}: ops gave up");
+        let histories = cluster.run_plans(plans);
+        let abandoned = histories.iter().flatten().filter(|r| !r.ok).count();
+        assert_eq!(abandoned, 0, "{name}: ops gave up");
 
         let snap = cluster.obs_snapshot();
         let groups: Vec<u32> = snap.per_group.iter().map(|row| row.group).collect();

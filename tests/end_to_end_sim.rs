@@ -6,6 +6,7 @@ mod common;
 
 use common::{assert_converged, assert_linearizable, Scenario};
 use harmonia::prelude::*;
+use harmonia::verify::{Checked, Violation};
 
 fn cluster(protocol: ProtocolKind, harmonia: bool) -> DeploymentSpec {
     DeploymentSpec::new()
@@ -21,8 +22,8 @@ fn check(protocol: ProtocolKind, harmonia: bool, seed: u64, context: &str) {
         ..Scenario::default()
     };
     let outcome = scenario.run();
-    assert_eq!(outcome.incomplete, 0, "{context}: ops gave up");
-    assert_linearizable(outcome.records, context);
+    let checked = assert_linearizable(&outcome.histories, context);
+    assert_eq!(checked.abandoned, 0, "{context}: ops gave up");
     assert_converged(&outcome.world, &scenario.deployment, scenario.keys);
 }
 
@@ -69,6 +70,74 @@ fn nopaxos_baseline_is_linearizable() {
 #[test]
 fn nopaxos_harmonia_is_linearizable() {
     check(ProtocolKind::Nopaxos, true, 19, "Harmonia(NOPaxos)");
+}
+
+/// Two clients, 150 operations each, on two keys: 138 and 162 operations
+/// per key, more than one Wing–Gong search takes (64), in busy runs of at
+/// most 31 — so the checker cuts each key at quiescent points.
+fn long_key_histories() -> Vec<Vec<RecordedOp>> {
+    let scenario = Scenario {
+        deployment: cluster(ProtocolKind::Chain, true),
+        clients: 2,
+        ops_per_client: 150,
+        keys: 2,
+        seed: 37,
+        ..Scenario::default()
+    };
+    let histories = scenario.run().histories;
+    let on_key_0 = histories
+        .iter()
+        .flatten()
+        .filter(|r| &r.key[..] == b"key-0");
+    assert_eq!(
+        on_key_0.count(),
+        138,
+        "the scenario no longer overflows a search"
+    );
+    histories
+}
+
+#[test]
+fn long_per_key_histories_are_checked_in_windows() {
+    let checked = assert_linearizable(&long_key_histories(), "Harmonia(CR), 2 keys");
+    assert_eq!(
+        checked,
+        Checked {
+            checked: 300,
+            abandoned: 0
+        }
+    );
+}
+
+/// The same history with its last read rewritten to a value that another
+/// write had overwritten, start to end, before the read began.
+#[test]
+fn a_stale_late_read_in_a_long_history_is_caught() {
+    let mut histories = long_key_histories();
+    let ops = || histories.iter().flatten();
+    let last_read = ops()
+        .filter(|r| r.kind == OpKind::Read)
+        .max_by_key(|r| r.invoked)
+        .unwrap()
+        .clone();
+    let writes = || ops().filter(|w| w.kind == OpKind::Write && w.key == last_read.key);
+    let overwritten = writes()
+        .find(|w| {
+            writes().any(|later| w.completed < later.invoked && later.completed < last_read.invoked)
+        })
+        .unwrap()
+        .value
+        .clone();
+    let read = histories
+        .iter_mut()
+        .flatten()
+        .find(|r| **r == last_read)
+        .unwrap();
+    read.result = overwritten;
+    assert_eq!(
+        Checker::new().check(&histories),
+        Err(Violation::NotLinearizable { key: last_read.key })
+    );
 }
 
 /// §5.2: consistency must hold "even when the network can arbitrarily delay
@@ -204,7 +273,7 @@ fn check_fault(protocol: ProtocolKind, harmonia: bool, fault: Fault, seed: u64) 
             reliable_intra_replica_links(w, replicas);
         }
     });
-    assert_linearizable(outcome.records, &context);
+    assert_linearizable(&outcome.histories, &context);
 }
 
 /// One sweep entry per protocol × mode; each runs all three fault profiles.
@@ -318,7 +387,7 @@ fn check_churn(protocol: ProtocolKind, harmonia: bool, loss: Option<Fault>, seed
             ReplicaId(2),
         );
     });
-    assert_linearizable(outcome.records, &context);
+    assert_linearizable(&outcome.histories, &context);
     // The newcomer really recovered: its transfer finished and it holds
     // transferred state, not an empty store.
     let host: &SimWorker = outcome
@@ -432,7 +501,7 @@ fn sweep_eviction_races_slow_write_completion() {
                 .set_link(spec.switch_addr(), NodeId::Replica(ReplicaId(r)), reorder);
         }
     });
-    assert_linearizable(outcome.records, "sweep vs slow completion");
+    assert_linearizable(&outcome.histories, "sweep vs slow completion");
     assert_converged(&outcome.world, &scenario.deployment, scenario.keys);
     // The race must actually have been exercised: the sweep reclaimed stray
     // entries while fast-path reads were being served.
@@ -484,5 +553,5 @@ fn fast_path_reads_were_served() {
         "fast path unused: {:?}",
         sw.stats()
     );
-    assert_linearizable(outcome.records, "fast-path exercise");
+    assert_linearizable(&outcome.histories, "fast-path exercise");
 }

@@ -27,7 +27,7 @@ fn history_through_switch_replacement_is_linearizable() {
     });
     // Clients that lost requests during the outage retried through the
     // replacement; whatever completed must be linearizable.
-    assert_linearizable(outcome.records, "switch replacement");
+    assert_linearizable(&outcome.histories, "switch replacement");
     // The replacement must actually have taken over fast-path duty.
     let sw = outcome
         .world
@@ -95,7 +95,7 @@ fn history_through_tail_removal_is_linearizable() {
             ReplicaId(2),
         );
     });
-    assert_linearizable(outcome.records, "tail removal");
+    assert_linearizable(&outcome.histories, "tail removal");
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn history_through_head_removal_is_linearizable() {
             ReplicaId(0),
         );
     });
-    assert_linearizable(outcome.records, "head removal");
+    assert_linearizable(&outcome.histories, "head removal");
 }
 
 #[test]
@@ -142,7 +142,7 @@ fn double_failover_keeps_lease_monotone() {
         schedule_switch_failure(w, t(6), NodeId::Switch(SwitchId(2)));
         schedule_switch_replacement(w, t(9), &spec, SwitchId(3), clients);
     });
-    assert_linearizable(outcome.records, "double failover");
+    assert_linearizable(&outcome.histories, "double failover");
     let sw = outcome
         .world
         .actor::<SimWorker>(NodeId::Switch(SwitchId(3)))

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 
 use bytes::Bytes;
-use common::{assert_linearizable_traced, collect_records, make_plans};
+use common::{assert_linearizable_traced, make_plans};
 use harmonia::prelude::*;
 
 fn sharded_spec(groups: usize) -> DeploymentSpec {
@@ -37,12 +37,14 @@ fn parallel_pipelines_serve_all_groups_linearizably() {
     let mut cluster = spec.spawn_live();
     let plans = make_plans(8, 60, 32, 0.4, 7);
     let histories = cluster.run_plans(plans);
-    let (records, incomplete) = collect_records(&histories);
-    assert_eq!(incomplete, 0, "healthy cluster must complete every op");
-    assert_linearizable_traced(
-        records,
+    let checked = assert_linearizable_traced(
+        &histories,
         &cluster.trace_events(),
         "live 4-group parallel pipelines",
+    );
+    assert_eq!(
+        checked.abandoned, 0,
+        "healthy cluster must complete every op"
     );
 
     // Every pipeline actually carried traffic, and the per-group counters
@@ -68,9 +70,11 @@ fn thirty_two_lanes_on_one_link_complete_and_stay_linearizable() {
     let histories = cluster.run_plans(make_plans(32, 200, 400, 0.3, 22));
     assert_eq!(histories.len(), 32);
     assert!(histories.iter().all(|h| h.len() == 200));
-    let (records, incomplete) = collect_records(&histories);
-    assert_eq!(incomplete, 0, "healthy cluster must complete every op");
-    assert_linearizable_traced(records, &cluster.trace_events(), "live 32 lanes");
+    let checked = assert_linearizable_traced(&histories, &cluster.trace_events(), "live 32 lanes");
+    assert_eq!(
+        checked.abandoned, 0,
+        "healthy cluster must complete every op"
+    );
     let clients = cluster.obs_snapshot().clients;
     assert_eq!((clients.retries, clients.timeouts), (0, 0), "{clients:?}");
     cluster.shutdown();
@@ -89,9 +93,8 @@ fn sixteen_lanes_ride_out_switch_replacement_mid_call() {
     let histories = worker.join().unwrap();
 
     assert_eq!(histories.iter().flatten().count(), 16 * 400);
-    let (records, _incomplete) = collect_records(&histories);
     assert_linearizable_traced(
-        records,
+        &histories,
         &cluster.trace_events(),
         "live 16 lanes across switch replacement",
     );
@@ -146,10 +149,6 @@ fn run_worker(
             });
         }
         i += 1;
-        // Pace the worker so per-key histories stay inside the checker's
-        // exhaustive-search budget; the fleet still sees concurrent load
-        // from every thread throughout the outage window.
-        std::thread::sleep(StdDuration::from_millis(1));
     }
     records
 }
@@ -197,10 +196,8 @@ fn kill_and_replace_mid_parallel_load_stays_linearizable() {
     );
 
     // Wing–Gong over every per-key history that only completed ops touched.
-    let (records, _incomplete) = collect_records(&histories);
-    assert!(!records.is_empty(), "nothing survived to check");
     assert_linearizable_traced(
-        records,
+        &histories,
         &cluster.trace_events(),
         "live 4-group load across switch replacement",
     );

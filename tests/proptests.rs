@@ -21,6 +21,62 @@ fn arb_seq() -> impl Strategy<Value = SwitchSeq> {
     (1u32..4, 0u64..1000).prop_map(|(s, n)| SwitchSeq::new(SwitchId(s), n))
 }
 
+/// One register operation on key `k0` or `k1`: whether it writes, how many
+/// writes back the value a read observes lies (past 29: mostly the latest),
+/// the gap after the previous invocation, how long it stays in flight, and
+/// whether (at 0) it opens a new checker call.
+type RegisterOp = (u8, bool, usize, u64, u64, u8);
+
+fn arb_register_op() -> impl Strategy<Value = RegisterOp> {
+    (
+        0u8..2,
+        prop::bool::ANY,
+        0usize..32,
+        0u64..30,
+        0u64..60,
+        0u8..4,
+    )
+}
+
+/// Recorded operations in invocation order, each write of a value of its
+/// own and each read observing a recent write (or the initial absence), so
+/// that histories both pass and fail. An operation that opens a new call
+/// starts after every earlier one has completed.
+fn register_history(ops: &[RegisterOp]) -> Vec<(RecordedOp, bool)> {
+    let mut written: [Vec<Bytes>; 2] = [vec![], vec![]];
+    let (mut t, mut busy_until) = (0, 0);
+    ops.iter()
+        .enumerate()
+        .map(|(i, &(k, is_write, back, gap, len, call))| {
+            let cut = call == 0;
+            t = if cut { busy_until + 1 } else { t + gap };
+            busy_until = busy_until.max(t + len);
+            let key = Bytes::from(format!("k{k}"));
+            let values = &mut written[k as usize];
+            let (kind, value, result) = if is_write {
+                values.push(Bytes::from(format!("w{i}")));
+                (OpKind::Write, values.last().cloned(), None)
+            } else {
+                let seen = values
+                    .len()
+                    .checked_sub(back.saturating_sub(29) + 1)
+                    .map(|j| values[j].clone());
+                (OpKind::Read, None, seen)
+            };
+            let op = RecordedOp {
+                kind,
+                key,
+                value,
+                invoked: Instant::ZERO + Duration::from_nanos(t),
+                completed: Instant::ZERO + Duration::from_nanos(t + len),
+                result,
+                ok: true,
+            };
+            (op, cut)
+        })
+        .collect()
+}
+
 fn arb_completion() -> impl Strategy<Value = WriteCompletion> {
     (0u32..64, arb_seq()).prop_map(|(o, seq)| WriteCompletion {
         obj: ObjectId(o),
@@ -319,25 +375,18 @@ proptest! {
     fn checker_accepts_sequential_histories(ops in prop::collection::vec(
         (prop::bool::ANY, 0u8..4), 1..30
     )) {
-        use harmonia::verify::{check_key_history, Action, OpRecord};
+        use harmonia::verify::{check_key_history, OpRecord};
         let mut value: Option<Bytes> = None;
         let mut t = 0u64;
         let mut history = Vec::new();
         for (i, (is_write, v)) in ops.into_iter().enumerate() {
             t += 10;
-            let action = if is_write {
+            history.push(if is_write {
                 let new = Bytes::from(format!("v{v}-{i}"));
                 value = Some(new.clone());
-                Action::Write(new)
+                OpRecord::write(1, "k", new, t, t + 5)
             } else {
-                Action::Read(value.clone())
-            };
-            history.push(OpRecord {
-                client: 1,
-                key: Bytes::from_static(b"k"),
-                invoke: t,
-                complete: t + 5,
-                action,
+                OpRecord::read(1, "k", value.clone(), t, t + 5)
             });
         }
         prop_assert!(check_key_history(&history).is_ok());
@@ -347,25 +396,63 @@ proptest! {
     /// is always caught.
     #[test]
     fn checker_rejects_corrupted_reads(n_writes in 1usize..10) {
-        use harmonia::verify::{check_key_history, Action, OpRecord};
+        use harmonia::verify::{check_key_history, OpRecord};
         let mut history = Vec::new();
-        for i in 0..n_writes {
-            history.push(OpRecord {
-                client: 1,
-                key: Bytes::from_static(b"k"),
-                invoke: (i as u64) * 10,
-                complete: (i as u64) * 10 + 5,
-                action: Action::Write(Bytes::from(format!("v{i}"))),
-            });
+        for i in 0..n_writes as u64 {
+            history.push(OpRecord::write(1, "k", format!("v{i}"), i * 10, i * 10 + 5));
         }
-        history.push(OpRecord {
-            client: 2,
-            key: Bytes::from_static(b"k"),
-            invoke: (n_writes as u64) * 10,
-            complete: (n_writes as u64) * 10 + 5,
-            action: Action::Read(Some(Bytes::from_static(b"never-written"))),
-        });
+        let t = n_writes as u64 * 10;
+        let ghost = Some(Bytes::from_static(b"never-written"));
+        history.push(OpRecord::read(2, "k", ghost, t, t + 5));
         prop_assert!(check_key_history(&history).is_err());
+    }
+
+    /// On histories the search takes whole (at most 63 operations per
+    /// key), the checker's verdict is the whole-key verdict — also when
+    /// the history reaches it in two calls, cut at a quiescent point, so
+    /// the values carried across the cut are exactly the possible ones.
+    #[test]
+    fn windowed_checker_agrees_with_the_whole_key_search(
+        ops in prop::collection::vec(arb_register_op(), 1..64),
+    ) {
+        use harmonia::verify::{check_key_history, OpRecord, Violation};
+        let history = register_history(&ops);
+        let mut checker = Checker::new();
+        let windowed = history
+            .chunk_by(|_, &(_, cut)| !cut)
+            .try_for_each(|call| {
+                let call: Vec<RecordedOp> = call.iter().map(|(r, _)| r.clone()).collect();
+                checker.check(&[call]).map(drop)
+            });
+        let failing: Vec<Bytes> = [b"k0", b"k1"]
+            .map(|key| Bytes::from_static(key))
+            .into_iter()
+            .filter(|key| {
+                let ops: Vec<OpRecord> = history
+                    .iter()
+                    .map(|(r, _)| r)
+                    .filter(|r| &r.key == key)
+                    .map(|r| {
+                        let (t0, t1) = (r.invoked.nanos(), r.completed.nanos());
+                        match r.kind {
+                            OpKind::Write => {
+                                let value = r.value.clone().unwrap_or_default();
+                                OpRecord::write(0, key.clone(), value, t0, t1)
+                            }
+                            OpKind::Read => OpRecord::read(0, key.clone(), r.result.clone(), t0, t1),
+                        }
+                    })
+                    .collect();
+                check_key_history(&ops).is_err()
+            })
+            .collect();
+        // The first failing key of the windowed run is one of the whole
+        // run's failing keys, and it fails iff the whole run does.
+        match windowed {
+            Ok(_) => prop_assert!(failing.is_empty(), "{failing:?}"),
+            Err(Violation::NotLinearizable { key }) => prop_assert!(failing.contains(&key)),
+            Err(v) => prop_assert!(false, "{v}"),
+        }
     }
 
     /// SwitchSeq ordering is a total lexicographic order: sorting any batch

@@ -30,8 +30,8 @@ fn four_group_chain_harmonia_is_linearizable() {
         seed: 201,
     };
     let outcome = scenario.run();
-    assert_eq!(outcome.incomplete, 0, "ops gave up");
-    assert_linearizable(outcome.records, "4-group Harmonia(CR)");
+    let checked = assert_linearizable(&outcome.histories, "4-group Harmonia(CR)");
+    assert_eq!(checked.abandoned, 0, "ops gave up");
     assert_converged(&outcome.world, &scenario.deployment, scenario.keys);
 
     // All four groups actually served traffic through the one spine switch,
@@ -77,8 +77,8 @@ fn every_protocol_is_linearizable_across_two_groups() {
         };
         let outcome = scenario.run();
         let context = format!("2-group {protocol:?} harmonia={harmonia}");
-        assert_eq!(outcome.incomplete, 0, "{context}: ops gave up");
-        assert_linearizable(outcome.records, &context);
+        let checked = assert_linearizable(&outcome.histories, &context);
+        assert_eq!(checked.abandoned, 0, "{context}: ops gave up");
         assert_converged(&outcome.world, &scenario.deployment, scenario.keys);
     }
 }
@@ -105,7 +105,7 @@ fn a_replica_of_the_second_group_recovers_under_load() {
         schedule_replica_removal(w, t(300), &spec, spec.switch_addr(), victim);
         schedule_replica_recovery(w, t(900), &spec, spec.switch_addr(), victim);
     });
-    assert_linearizable(outcome.records, "group 1 churn");
+    assert_linearizable(&outcome.histories, "group 1 churn");
     assert_converged(&outcome.world, &spec, scenario.keys);
     let host: &SimWorker = outcome.world.actor(NodeId::Replica(victim)).unwrap();
     assert!(!host.is_recovering(), "the newcomer never caught up");
