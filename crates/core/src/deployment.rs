@@ -264,11 +264,6 @@ impl DeploymentSpec {
             .collect()
     }
 
-    /// Every group's membership, in group order.
-    pub fn memberships(&self) -> Vec<Vec<ReplicaId>> {
-        (0..self.groups).map(|g| self.group_members(g)).collect()
-    }
-
     /// Per-replica group configuration for group `group` as seen by its
     /// member `idx`.
     pub fn group_config(&self, group: usize, idx: usize) -> GroupConfig {
@@ -428,7 +423,6 @@ pub trait Cluster {
     /// the §6.3 budget check), `per_group` has a row per group in group
     /// order (its fast path armed or not, §5.3), and both are empty while
     /// the switch is down. Render it with
-    /// [`prometheus_text`](harmonia_obs::prometheus_text) or
     /// [`json_text`](harmonia_obs::json_text).
     fn obs_snapshot(&self) -> ObsSnapshot;
 

@@ -1,385 +1,14 @@
-//! Snapshot renderers: Prometheus text exposition and JSON.
+//! The snapshot renderer: one JSON document per [`ObsSnapshot`].
 //!
-//! Both renderers are hand-rolled over the plain-data [`ObsSnapshot`] —
-//! field order is fixed in code, so the same snapshot always renders to the
-//! same bytes (the determinism suite diffs rendered snapshots across
-//! same-seed runs). All metric names carry a `harmonia_` prefix and
-//! `driver`/`protocol` labels so several drivers can be scraped into one
-//! store without collisions.
+//! Hand-rolled over the plain-data snapshot with the field order fixed in
+//! code, so the same snapshot always renders to the same bytes (the
+//! determinism suite and the committed goldens diff rendered snapshots
+//! across same-seed runs, and the e2e ledger parses them back).
 
 use std::fmt::Write as _;
 
 use crate::snapshot::ObsSnapshot;
 use crate::OBS_SCHEMA_VERSION;
-
-/// Render a snapshot in the Prometheus text exposition format.
-pub fn prometheus_text(s: &ObsSnapshot) -> String {
-    let mut out = String::new();
-    let labels = format!("driver=\"{}\",protocol=\"{}\"", s.driver, s.protocol);
-
-    let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-        let _ = writeln!(out, "# HELP harmonia_{name} {help}");
-        let _ = writeln!(out, "# TYPE harmonia_{name} counter");
-        let _ = writeln!(out, "harmonia_{name}{{{labels}}} {v}");
-    };
-    let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-        let _ = writeln!(out, "# HELP harmonia_{name} {help}");
-        let _ = writeln!(out, "# TYPE harmonia_{name} gauge");
-        let _ = writeln!(out, "harmonia_{name}{{{labels}}} {v}");
-    };
-
-    gauge(
-        &mut out,
-        "obs_schema_version",
-        "Snapshot schema version.",
-        u64::from(OBS_SCHEMA_VERSION),
-    );
-    gauge(
-        &mut out,
-        "groups",
-        "Replica-group count.",
-        u64::from(s.groups),
-    );
-    gauge(
-        &mut out,
-        "replicas",
-        "Replicas per deployment.",
-        u64::from(s.replicas),
-    );
-    gauge(
-        &mut out,
-        "taken_at_ns",
-        "Snapshot time on the driver clock.",
-        s.taken_at_ns,
-    );
-
-    let sw = &s.switch;
-    counter(
-        &mut out,
-        "switch_reads_fast_path",
-        "Reads served on the fast path.",
-        sw.reads_fast_path,
-    );
-    counter(
-        &mut out,
-        "switch_reads_normal",
-        "Reads routed through the normal protocol.",
-        sw.reads_normal,
-    );
-    counter(
-        &mut out,
-        "switch_writes_forwarded",
-        "Writes stamped and forwarded.",
-        sw.writes_forwarded,
-    );
-    counter(
-        &mut out,
-        "switch_writes_dropped",
-        "Writes dropped (dirty set full).",
-        sw.writes_dropped,
-    );
-    counter(
-        &mut out,
-        "switch_completions",
-        "WRITE-COMPLETIONs processed.",
-        sw.completions,
-    );
-    counter(
-        &mut out,
-        "switch_forwarded_other",
-        "Protocol packets forwarded by plain L2/L3.",
-        sw.forwarded_other,
-    );
-    counter(
-        &mut out,
-        "switch_swept",
-        "Dirty-set entries reclaimed by sweeps.",
-        sw.swept,
-    );
-    gauge(
-        &mut out,
-        "switch_fast_path_groups",
-        "Groups with the fast path enabled.",
-        sw.fast_path_groups,
-    );
-    gauge(
-        &mut out,
-        "switch_dirty_len",
-        "Total dirty-set occupancy.",
-        sw.dirty_len,
-    );
-    gauge(
-        &mut out,
-        "switch_memory_bytes",
-        "Dirty-set SRAM consumed, bytes.",
-        sw.memory_bytes,
-    );
-
-    let tr = &s.transport;
-    counter(
-        &mut out,
-        "net_frames_sent",
-        "Frames handed to the socket layer.",
-        tr.frames_sent,
-    );
-    counter(
-        &mut out,
-        "net_datagrams_sent",
-        "Datagrams actually sent.",
-        tr.datagrams_sent,
-    );
-    counter(
-        &mut out,
-        "net_frames_received",
-        "Frames received and decoded.",
-        tr.frames_received,
-    );
-    counter(
-        &mut out,
-        "net_unresolved",
-        "Frames for unresolved peers.",
-        tr.unresolved,
-    );
-    counter(
-        &mut out,
-        "net_decode_errors",
-        "Undecodable frames.",
-        tr.decode_errors,
-    );
-    counter(
-        &mut out,
-        "net_salvaged",
-        "Frames salvaged from corrupt datagrams.",
-        tr.salvaged,
-    );
-    counter(
-        &mut out,
-        "net_oversized",
-        "Frames too large to encode.",
-        tr.oversized,
-    );
-    counter(
-        &mut out,
-        "net_send_errors",
-        "Socket send errors.",
-        tr.send_errors,
-    );
-    counter(
-        &mut out,
-        "net_config_errors",
-        "Configuration errors.",
-        tr.config_errors,
-    );
-
-    counter(
-        &mut out,
-        "pool_recv_hits",
-        "Receive-pool reuse hits.",
-        s.pool.recv_hits,
-    );
-    counter(
-        &mut out,
-        "pool_recv_misses",
-        "Receive-pool fresh allocations.",
-        s.pool.recv_misses,
-    );
-    counter(
-        &mut out,
-        "pool_send_hits",
-        "Send-pool reuse hits.",
-        s.pool.send_hits,
-    );
-    counter(
-        &mut out,
-        "pool_send_misses",
-        "Send-pool fresh allocations.",
-        s.pool.send_misses,
-    );
-
-    counter(
-        &mut out,
-        "faults_dropped",
-        "Packets dropped in flight.",
-        s.faults.dropped,
-    );
-    counter(
-        &mut out,
-        "faults_duplicated",
-        "Packets duplicated in flight.",
-        s.faults.duplicated,
-    );
-    counter(
-        &mut out,
-        "faults_reordered",
-        "Packets delayed out of order.",
-        s.faults.reordered,
-    );
-    counter(
-        &mut out,
-        "faults_discarded",
-        "Packets discarded at dead destinations.",
-        s.faults.discarded,
-    );
-
-    let cl = &s.clients;
-    counter(
-        &mut out,
-        "client_reads_sent",
-        "Read operations issued.",
-        cl.reads_sent,
-    );
-    counter(
-        &mut out,
-        "client_writes_sent",
-        "Write operations issued.",
-        cl.writes_sent,
-    );
-    counter(
-        &mut out,
-        "client_reads_done",
-        "Reads completed.",
-        cl.reads_done,
-    );
-    counter(
-        &mut out,
-        "client_writes_done",
-        "Writes acknowledged.",
-        cl.writes_done,
-    );
-    counter(
-        &mut out,
-        "client_writes_rejected",
-        "Writes rejected at the spine.",
-        cl.writes_rejected,
-    );
-    counter(
-        &mut out,
-        "client_timeouts",
-        "Operations timed out.",
-        cl.timeouts,
-    );
-    counter(
-        &mut out,
-        "client_retries",
-        "Retransmissions sent.",
-        cl.retries,
-    );
-
-    let rp = &s.replica;
-    counter(
-        &mut out,
-        "replica_requests",
-        "Client requests executed.",
-        rp.requests,
-    );
-    counter(
-        &mut out,
-        "replica_protocol_msgs",
-        "Protocol messages handled.",
-        rp.protocol_msgs,
-    );
-    counter(
-        &mut out,
-        "replica_transfers",
-        "State-transfer messages handled.",
-        rp.transfers,
-    );
-    counter(
-        &mut out,
-        "replica_shed",
-        "Requests shed while recovering.",
-        rp.shed,
-    );
-    counter(
-        &mut out,
-        "replica_stray",
-        "Packets matching no handler.",
-        rp.stray,
-    );
-
-    counter(
-        &mut out,
-        "trace_events_recorded",
-        "Trace events ever pushed.",
-        s.trace.recorded,
-    );
-    counter(
-        &mut out,
-        "trace_events_dropped",
-        "Trace events lost to ring overflow.",
-        s.trace.dropped,
-    );
-
-    for (name, h) in [
-        ("read_latency_ns", &s.read_latency),
-        ("write_latency_ns", &s.write_latency),
-    ] {
-        let _ = writeln!(
-            out,
-            "# HELP harmonia_{name} Client-observed latency, nanoseconds."
-        );
-        let _ = writeln!(out, "# TYPE harmonia_{name} summary");
-        let _ = writeln!(
-            out,
-            "harmonia_{name}{{{labels},quantile=\"0.5\"}} {}",
-            h.p50_ns
-        );
-        let _ = writeln!(
-            out,
-            "harmonia_{name}{{{labels},quantile=\"0.99\"}} {}",
-            h.p99_ns
-        );
-        let _ = writeln!(
-            out,
-            "harmonia_{name}{{{labels},quantile=\"0.999\"}} {}",
-            h.p999_ns
-        );
-        let _ = writeln!(
-            out,
-            "harmonia_{name}_sum{{{labels}}} {}",
-            h.mean_ns.saturating_mul(h.count)
-        );
-        let _ = writeln!(out, "harmonia_{name}_count{{{labels}}} {}", h.count);
-        let _ = writeln!(out, "harmonia_{name}_max{{{labels}}} {}", h.max_ns);
-    }
-
-    for g in &s.per_group {
-        let gl = format!("{labels},group=\"{}\"", g.group);
-        let _ = writeln!(
-            out,
-            "harmonia_group_reads_fast_path{{{gl}}} {}",
-            g.reads_fast_path
-        );
-        let _ = writeln!(
-            out,
-            "harmonia_group_reads_normal{{{gl}}} {}",
-            g.reads_normal
-        );
-        let _ = writeln!(
-            out,
-            "harmonia_group_writes_forwarded{{{gl}}} {}",
-            g.writes_forwarded
-        );
-        let _ = writeln!(
-            out,
-            "harmonia_group_writes_dropped{{{gl}}} {}",
-            g.writes_dropped
-        );
-        let _ = writeln!(
-            out,
-            "harmonia_group_fast_path_enabled{{{gl}}} {}",
-            u64::from(g.fast_path_enabled)
-        );
-        let _ = writeln!(out, "harmonia_group_dirty_len{{{gl}}} {}", g.dirty_len);
-        let _ = writeln!(
-            out,
-            "harmonia_group_memory_bytes{{{gl}}} {}",
-            g.memory_bytes
-        );
-    }
-
-    out
-}
 
 /// Render a snapshot as a single JSON document with a fixed key order.
 pub fn json_text(s: &ObsSnapshot) -> String {
@@ -510,7 +139,9 @@ pub fn json_text(s: &ObsSnapshot) -> String {
 mod tests {
     use super::*;
     use crate::hist::HistSummary;
-    use crate::snapshot::GroupObs;
+    use crate::snapshot::{
+        ClientObs, FaultObs, GroupObs, PoolObs, ReplicaObs, SwitchObs, TraceObs, TransportObs,
+    };
 
     fn sample() -> ObsSnapshot {
         let mut s = ObsSnapshot {
@@ -544,17 +175,256 @@ mod tests {
         s
     }
 
+    /// A snapshot whose every numeric field holds its own value, with two
+    /// `per_group` rows: a field rendered under a wrong key or in a wrong
+    /// section cannot go unnoticed.
+    fn distinct() -> ObsSnapshot {
+        let mut n = 100u64;
+        let mut next = || {
+            n += 1;
+            n
+        };
+        let mut group = |fast_path_enabled| GroupObs {
+            group: next() as u32,
+            reads_fast_path: next(),
+            reads_normal: next(),
+            writes_forwarded: next(),
+            writes_dropped: next(),
+            fast_path_enabled,
+            dirty_len: next(),
+            memory_bytes: next(),
+        };
+        let per_group = vec![group(true), group(false)];
+        let mut hist = || HistSummary {
+            count: next(),
+            mean_ns: next(),
+            p50_ns: next(),
+            p99_ns: next(),
+            p999_ns: next(),
+            max_ns: next(),
+        };
+        let (read_latency, write_latency) = (hist(), hist());
+        ObsSnapshot {
+            driver: "udp",
+            protocol: "chain",
+            groups: next() as u32,
+            replicas: next() as u32,
+            taken_at_ns: next(),
+            switch: SwitchObs {
+                reads_fast_path: next(),
+                reads_normal: next(),
+                writes_forwarded: next(),
+                writes_dropped: next(),
+                completions: next(),
+                forwarded_other: next(),
+                swept: next(),
+                fast_path_groups: next(),
+                dirty_len: next(),
+                memory_bytes: next(),
+            },
+            per_group,
+            transport: TransportObs {
+                frames_sent: next(),
+                datagrams_sent: next(),
+                frames_received: next(),
+                unresolved: next(),
+                decode_errors: next(),
+                salvaged: next(),
+                oversized: next(),
+                send_errors: next(),
+                config_errors: next(),
+            },
+            pool: PoolObs {
+                recv_hits: next(),
+                recv_misses: next(),
+                send_hits: next(),
+                send_misses: next(),
+            },
+            faults: FaultObs {
+                dropped: next(),
+                duplicated: next(),
+                reordered: next(),
+                discarded: next(),
+            },
+            clients: ClientObs {
+                reads_sent: next(),
+                writes_sent: next(),
+                reads_done: next(),
+                writes_done: next(),
+                writes_rejected: next(),
+                timeouts: next(),
+                retries: next(),
+            },
+            replica: ReplicaObs {
+                requests: next(),
+                protocol_msgs: next(),
+                transfers: next(),
+                shed: next(),
+                stray: next(),
+            },
+            read_latency,
+            write_latency,
+            trace: TraceObs {
+                recorded: next(),
+                dropped: next(),
+            },
+        }
+    }
+
+    /// Assert that `text` holds each `"key": value` as one whole field.
+    fn assert_fields(text: &str, fields: &[(&str, String)]) {
+        for (key, value) in fields {
+            let field = format!("\"{key}\": {value}");
+            assert!(
+                text.split([',', '{', '}']).any(|f| f.trim() == field),
+                "{field} missing from {text}"
+            );
+        }
+    }
+
     #[test]
-    fn prometheus_has_types_labels_and_quantiles() {
-        let text = prometheus_text(&sample());
-        assert!(text.contains("# TYPE harmonia_switch_reads_fast_path counter"));
-        assert!(
-            text.contains("harmonia_switch_reads_fast_path{driver=\"sim\",protocol=\"craq\"} 7")
+    fn json_carries_every_field_in_its_section() {
+        let s = distinct();
+        let json = json_text(&s);
+        let section = |name: &str| {
+            let head = format!("  \"{name}\": ");
+            json.lines()
+                .find(|l| l.starts_with(&head))
+                .unwrap_or_else(|| panic!("no {name} section in {json}"))
+        };
+        let v = |x: u64| x.to_string();
+
+        assert_fields(section("driver"), &[("driver", "\"udp\"".into())]);
+        assert_fields(section("protocol"), &[("protocol", "\"chain\"".into())]);
+        assert_fields(section("groups"), &[("groups", s.groups.to_string())]);
+        assert_fields(section("replicas"), &[("replicas", s.replicas.to_string())]);
+        assert_fields(section("taken_at_ns"), &[("taken_at_ns", v(s.taken_at_ns))]);
+
+        let sw = &s.switch;
+        assert_fields(
+            section("switch"),
+            &[
+                ("reads_fast_path", v(sw.reads_fast_path)),
+                ("reads_normal", v(sw.reads_normal)),
+                ("writes_forwarded", v(sw.writes_forwarded)),
+                ("writes_dropped", v(sw.writes_dropped)),
+                ("completions", v(sw.completions)),
+                ("forwarded_other", v(sw.forwarded_other)),
+                ("swept", v(sw.swept)),
+                ("fast_path_groups", v(sw.fast_path_groups)),
+                ("dirty_len", v(sw.dirty_len)),
+                ("memory_bytes", v(sw.memory_bytes)),
+            ],
         );
-        assert!(text.contains("quantile=\"0.999\"} 2100"));
-        assert!(text.contains(
-            "harmonia_group_reads_fast_path{driver=\"sim\",protocol=\"craq\",group=\"1\"} 3"
-        ));
+
+        let rows: Vec<&str> = section("per_group").split("}, {").collect();
+        assert_eq!(rows.len(), 2, "two per_group rows");
+        for (row, g) in rows.iter().zip(&s.per_group) {
+            assert_fields(
+                row,
+                &[
+                    ("group", g.group.to_string()),
+                    ("reads_fast_path", v(g.reads_fast_path)),
+                    ("reads_normal", v(g.reads_normal)),
+                    ("writes_forwarded", v(g.writes_forwarded)),
+                    ("writes_dropped", v(g.writes_dropped)),
+                    ("fast_path_enabled", g.fast_path_enabled.to_string()),
+                    ("dirty_len", v(g.dirty_len)),
+                    ("memory_bytes", v(g.memory_bytes)),
+                ],
+            );
+        }
+
+        let tr = &s.transport;
+        assert_fields(
+            section("transport"),
+            &[
+                ("frames_sent", v(tr.frames_sent)),
+                ("datagrams_sent", v(tr.datagrams_sent)),
+                ("frames_received", v(tr.frames_received)),
+                ("unresolved", v(tr.unresolved)),
+                ("decode_errors", v(tr.decode_errors)),
+                ("salvaged", v(tr.salvaged)),
+                ("oversized", v(tr.oversized)),
+                ("send_errors", v(tr.send_errors)),
+                ("config_errors", v(tr.config_errors)),
+            ],
+        );
+
+        let pool = &s.pool;
+        assert_fields(
+            section("pool"),
+            &[
+                ("recv_hits", v(pool.recv_hits)),
+                ("recv_misses", v(pool.recv_misses)),
+                ("send_hits", v(pool.send_hits)),
+                ("send_misses", v(pool.send_misses)),
+                ("recv_hit_rate", format!("{:.6}", pool.recv_hit_rate())),
+                ("send_hit_rate", format!("{:.6}", pool.send_hit_rate())),
+            ],
+        );
+
+        let f = &s.faults;
+        assert_fields(
+            section("faults"),
+            &[
+                ("dropped", v(f.dropped)),
+                ("duplicated", v(f.duplicated)),
+                ("reordered", v(f.reordered)),
+                ("discarded", v(f.discarded)),
+            ],
+        );
+
+        let cl = &s.clients;
+        assert_fields(
+            section("clients"),
+            &[
+                ("reads_sent", v(cl.reads_sent)),
+                ("writes_sent", v(cl.writes_sent)),
+                ("reads_done", v(cl.reads_done)),
+                ("writes_done", v(cl.writes_done)),
+                ("writes_rejected", v(cl.writes_rejected)),
+                ("timeouts", v(cl.timeouts)),
+                ("retries", v(cl.retries)),
+            ],
+        );
+
+        let rp = &s.replica;
+        assert_fields(
+            section("replica"),
+            &[
+                ("requests", v(rp.requests)),
+                ("protocol_msgs", v(rp.protocol_msgs)),
+                ("transfers", v(rp.transfers)),
+                ("shed", v(rp.shed)),
+                ("stray", v(rp.stray)),
+            ],
+        );
+
+        for (name, h) in [
+            ("read_latency", &s.read_latency),
+            ("write_latency", &s.write_latency),
+        ] {
+            assert_fields(
+                section(name),
+                &[
+                    ("count", v(h.count)),
+                    ("mean_ns", v(h.mean_ns)),
+                    ("p50_ns", v(h.p50_ns)),
+                    ("p99_ns", v(h.p99_ns)),
+                    ("p999_ns", v(h.p999_ns)),
+                    ("max_ns", v(h.max_ns)),
+                ],
+            );
+        }
+
+        assert_fields(
+            section("trace"),
+            &[
+                ("recorded", v(s.trace.recorded)),
+                ("dropped", v(s.trace.dropped)),
+            ],
+        );
     }
 
     #[test]

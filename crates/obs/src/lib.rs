@@ -24,8 +24,8 @@
 //!   aggregates a copy-on-read snapshot on inspect. Each shard also owns a
 //!   bounded [`TraceEvent`] ring buffer that drops oldest on overflow.
 //! - [`ObsSnapshot`] — the typed whole-cluster snapshot the `Cluster`
-//!   trait exposes on all three drivers, with [`prometheus_text`] and
-//!   [`json_text`] renderers.
+//!   trait exposes on all three drivers, rendered by [`json_text`] — the
+//!   one rendering, which the goldens commit and the e2e ledger parses.
 //!
 //! The crate depends only on `harmonia-types` and is deterministic-checked
 //! by `harmonia-lint` (the sole wall-clock read, [`MonotonicClock`], is an
@@ -42,7 +42,7 @@ mod snapshot;
 mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock, NullClock};
-pub use export::{json_text, prometheus_text};
+pub use export::json_text;
 pub use hist::{HistSummary, LogHistogram, BUCKETS};
 pub use recorder::{Counter, Recorder, RecorderSnapshot, Registry, Series, TraceRing};
 pub use snapshot::{

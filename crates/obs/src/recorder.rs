@@ -85,71 +85,9 @@ pub enum Counter {
     SendPoolMisses,
 }
 
-impl Counter {
-    /// Every variant, in declaration (= slot) order.
-    pub const ALL: [Counter; 27] = [
-        Counter::ReadsSent,
-        Counter::WritesSent,
-        Counter::ReadsDone,
-        Counter::WritesDone,
-        Counter::WritesRejected,
-        Counter::Timeouts,
-        Counter::Retries,
-        Counter::SwitchPackets,
-        Counter::SwitchSwept,
-        Counter::ReplicaRequests,
-        Counter::ReplicaProtocol,
-        Counter::ReplicaTransfer,
-        Counter::ReplicaShed,
-        Counter::ReplicaStray,
-        Counter::FramesSent,
-        Counter::DatagramsSent,
-        Counter::FramesReceived,
-        Counter::Unresolved,
-        Counter::DecodeErrors,
-        Counter::Salvaged,
-        Counter::Oversized,
-        Counter::SendErrors,
-        Counter::ConfigErrors,
-        Counter::RecvPoolHits,
-        Counter::RecvPoolMisses,
-        Counter::SendPoolHits,
-        Counter::SendPoolMisses,
-    ];
-
-    /// Stable snake_case name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::ReadsSent => "client_reads_sent",
-            Counter::WritesSent => "client_writes_sent",
-            Counter::ReadsDone => "client_reads_done",
-            Counter::WritesDone => "client_writes_done",
-            Counter::WritesRejected => "client_writes_rejected",
-            Counter::Timeouts => "client_timeouts",
-            Counter::Retries => "client_retries",
-            Counter::SwitchPackets => "switch_packets",
-            Counter::SwitchSwept => "switch_swept",
-            Counter::ReplicaRequests => "replica_requests",
-            Counter::ReplicaProtocol => "replica_protocol_msgs",
-            Counter::ReplicaTransfer => "replica_transfers",
-            Counter::ReplicaShed => "replica_shed",
-            Counter::ReplicaStray => "replica_stray",
-            Counter::FramesSent => "net_frames_sent",
-            Counter::DatagramsSent => "net_datagrams_sent",
-            Counter::FramesReceived => "net_frames_received",
-            Counter::Unresolved => "net_unresolved",
-            Counter::DecodeErrors => "net_decode_errors",
-            Counter::Salvaged => "net_salvaged",
-            Counter::Oversized => "net_oversized",
-            Counter::SendErrors => "net_send_errors",
-            Counter::ConfigErrors => "net_config_errors",
-            Counter::RecvPoolHits => "pool_recv_hits",
-            Counter::RecvPoolMisses => "pool_recv_misses",
-            Counter::SendPoolHits => "pool_send_hits",
-            Counter::SendPoolMisses => "pool_send_misses",
-        }
-    }
-}
+/// Counter slots per shard, one per [`Counter`] variant: `SendPoolMisses`
+/// stays the last variant.
+const COUNTERS: usize = Counter::SendPoolMisses as usize + 1;
 
 /// The latency series the packet path records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -160,18 +98,9 @@ pub enum Series {
     WriteLatency,
 }
 
-impl Series {
-    /// Every variant, in declaration (= slot) order.
-    pub const ALL: [Series; 2] = [Series::ReadLatency, Series::WriteLatency];
-
-    /// Stable snake_case name used by the exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            Series::ReadLatency => "read_latency",
-            Series::WriteLatency => "write_latency",
-        }
-    }
-}
+/// Histogram slots per shard, one per [`Series`] variant: `WriteLatency`
+/// stays the last variant.
+const SERIES: usize = Series::WriteLatency as usize + 1;
 
 /// Bounded trace ring: overwrites its oldest event when full, never grows,
 /// never blocks, never panics.
@@ -304,10 +233,8 @@ struct Shard {
 impl Shard {
     fn new(trace_cap: usize) -> Self {
         Shard {
-            counters: (0..Counter::ALL.len()).map(|_| AtomicU64::new(0)).collect(),
-            hists: (0..Series::ALL.len())
-                .map(|_| AtomicHistogram::new())
-                .collect(),
+            counters: (0..COUNTERS).map(|_| AtomicU64::new(0)).collect(),
+            hists: (0..SERIES).map(|_| AtomicHistogram::new()).collect(),
             ring: Mutex::new(TraceRing::new(trace_cap)),
         }
     }
@@ -386,8 +313,8 @@ impl Registry {
     /// Merge every shard into one snapshot (copy-on-read; the packet path
     /// is never blocked by this).
     pub fn snapshot(&self) -> RecorderSnapshot {
-        let mut counters = vec![0u64; Counter::ALL.len()];
-        let mut hists = vec![LogHistogram::new(); Series::ALL.len()];
+        let mut counters = vec![0u64; COUNTERS];
+        let mut hists = vec![LogHistogram::new(); SERIES];
         let mut trace_recorded = 0u64;
         let mut trace_dropped = 0u64;
         for shard in self.shards() {

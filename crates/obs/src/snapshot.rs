@@ -5,8 +5,8 @@
 //! crate's transport/pool/fault counters, the replica actors' counters, and
 //! the clients' latency histograms all land in one plain-data struct with a
 //! stable schema ([`OBS_SCHEMA_VERSION`]). The `Cluster` trait returns it
-//! from every driver — sim, live, UDP — so a test or an exporter reads the
-//! same shape regardless of substrate. Renderers live in [`crate::export`].
+//! from every driver — sim, live, UDP — so a test or the ledger reads the
+//! same shape regardless of substrate. [`crate::export`] renders it as JSON.
 
 use crate::hist::HistSummary;
 use crate::recorder::{Counter, RecorderSnapshot, Series};

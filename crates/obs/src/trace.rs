@@ -37,7 +37,7 @@ pub enum TraceStage {
 }
 
 impl TraceStage {
-    /// Stable snake_case name, used by dumps and exporters.
+    /// Stable snake_case name, used by trace dumps.
     pub fn name(self) -> &'static str {
         match self {
             TraceStage::ClientSend => "client_send",

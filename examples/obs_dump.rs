@@ -1,18 +1,18 @@
 //! Observability dump: run the same small workload on a chosen driver, then
-//! print the unified [`ObsSnapshot`] through both exporters plus a trace
-//! excerpt — everything a scrape endpoint or a post-mortem would read.
+//! print the unified [`ObsSnapshot`] as JSON plus a trace excerpt —
+//! everything a post-mortem would read.
 //!
-//! Run with: `cargo run --example obs_dump [sim|live|udp] [prom|json|trace|all]`
+//! Run with: `cargo run --example obs_dump [sim|live|udp] [json|trace|all]`
 //!
 //! The driver argument picks the substrate (default `sim`, which is fully
-//! deterministic: same binary, same bytes). The format argument picks which
-//! sections print (default `all`). CI smoke-runs `prom` and `json` per
-//! driver and validates the output shape.
+//! deterministic: same binary, same bytes). The format argument picks what
+//! prints (default `all`, the JSON plus the trace). CI smoke-runs `json` per
+//! driver and validates the document's sections.
 
 use harmonia::prelude::*;
 
 fn usage() -> ! {
-    eprintln!("usage: obs_dump [sim|live|udp] [prom|json|trace|all]");
+    eprintln!("usage: obs_dump [sim|live|udp] [json|trace|all]");
     std::process::exit(2);
 }
 
@@ -20,7 +20,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let driver = args.first().map(String::as_str).unwrap_or("sim");
     let format = args.get(1).map(String::as_str).unwrap_or("all");
-    if !matches!(format, "prom" | "json" | "trace" | "all") {
+    if !matches!(format, "json" | "trace" | "all") {
         usage();
     }
 
@@ -55,9 +55,6 @@ fn main() {
     let completed: usize = histories.iter().flatten().filter(|r| r.ok).count();
 
     let snap = cluster.obs_snapshot();
-    if matches!(format, "prom" | "all") {
-        print!("{}", prometheus_text(&snap));
-    }
     if matches!(format, "json" | "all") {
         print!("{}", json_text(&snap));
     }

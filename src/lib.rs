@@ -160,7 +160,7 @@ pub mod prelude {
     pub use harmonia_core::msg::{CostModel, Msg};
     pub use harmonia_core::udp::UdpCluster;
     pub use harmonia_core::{ClosedLoopClient, OpenLoopClient, RecordedOp, SimWorker};
-    pub use harmonia_obs::{json_text, prometheus_text, ObsSnapshot, TraceEvent, TraceStage};
+    pub use harmonia_obs::{json_text, ObsSnapshot, TraceEvent, TraceStage};
     pub use harmonia_replication::{GroupConfig, ProtocolKind};
     pub use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
     pub use harmonia_switch::{
