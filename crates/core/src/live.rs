@@ -23,7 +23,7 @@
 //! cgroup quota; nothing else sets it) and each worker *hosts* nodes: one
 //! [`NodeLink`] that answers to every hosted node's name, one loop that
 //! takes everything queued, hands each packet to the node it addresses,
-//! runs the sweeps and ticks that are due and flushes the lot in one
+//! runs the sweeps and ticks that are due and stages the lot in one
 //! [`NodeLink::send_many`]. What the loop does with a batch is the one node
 //! runtime's step, [`Worker::step`] — the step the simulator runs for each
 //! of its nodes, over the same sans-IO cores. Pipelines first,
@@ -33,13 +33,20 @@
 //!
 //! The worker knows no routes. What a hosted node sends goes out through
 //! the link like everything else, and a packet for a node on the same worker
-//! comes back through the same inbox: on channels a push onto the worker's
-//! own queue — nobody is parked on it, nobody is woken — on sockets a
-//! datagram the endpoint loops back without the kernel, taken on the next
-//! pass before the socket is asked. A flush is one hand-off per destination
-//! loop: on channels one envelope carrying every packet for that queue, so
-//! the first packet's wake-up cannot split the flush. On one core a read is
-//! two wake-ups (worker, client) and so is a chain write.
+//! comes back through the same inbox: the link loops it back itself — on
+//! channels it never enters the queue, on sockets it is a datagram the
+//! endpoint decodes without the kernel — and the next pass takes it before
+//! the queue or the socket is asked. Everything else the worker sends is
+//! held until its **busy period** ends, when a pass finds nothing looped
+//! back left, and then leaves in one hand-off per destination loop: on
+//! channels one envelope carrying every packet for that queue, on sockets
+//! one `sendmmsg` run. So no wake-up can hand the one CPU to a receiver
+//! before the rest is sent, and a read's reply waits for the chain write
+//! the same request datagram carried: the lanes of a client shell stay in
+//! lock-step. On one core a round of a client shell's lanes — any mix of
+//! reads and chain writes — is two wake-ups (worker, client), one hand-off
+//! each way. Looped-back work is finite, so nothing is held for longer than
+//! one busy period, however much arrives from outside meanwhile.
 //!
 //! What sharing costs: a long step delays every node on the worker — a
 //! replica exporting a snapshot for a recovering peer stalls the pipeline
@@ -62,8 +69,8 @@
 //! sequencer, forwarding table, and counters — and each on whichever worker
 //! its group places it, in parallel as far as the host has cores. **No lock
 //! guards switch or replica state**; the only lock on the packet path is the
-//! short one around an ingress queue, once per destination of a flush and
-//! once per batch received.
+//! short one around an ingress queue, once per destination of a busy
+//! period's hand-off and once per batch received.
 //!
 //! The spine itself is a thin, stateless shard-router, and it is an entry
 //! of the book: sending to the switch address resolves the packet's object
@@ -137,7 +144,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use harmonia_net::{AddrBook, Names, Resolver};
-use harmonia_obs::{Clock, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent};
+use harmonia_obs::{
+    Clock, Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
+};
 use harmonia_replication::{build_replica, GroupConfig};
 use harmonia_switch::{GroupId, SpineView};
 use harmonia_types::{
@@ -160,8 +169,8 @@ use crate::worker::{Hosted, Worker};
 /// sent verbs; a verb that asks for something is answered on the channel it
 /// carries.
 pub enum Envelope {
-    /// Data-plane packets: everything one flush sent this loop, in send
-    /// order.
+    /// Data-plane packets: everything one busy period of a loop sent this
+    /// loop, in send order.
     Packets(Vec<Msg>),
     /// Snapshot every pipeline the worker hosts, if it hosts any.
     Inspect(Sender<SpineView>),
@@ -229,29 +238,44 @@ impl Verbs for Sender<Envelope> {
 /// beside the link), and a packet for one of them comes back through the
 /// link's own inbox like any other.
 pub trait NodeLink: Send {
-    /// Flush a whole outbox, draining `batch` — one hand-off per
-    /// destination loop, each loop's packets in `batch` order. Never blocks
-    /// on a receiver; undeliverable packets — no route, a dead node, a full
-    /// queue — are dropped (clients retry — that is the reliability layer).
-    /// The channel link hands each queue one envelope: one lock, and one
-    /// wake-up if that loop sleeps. The UDP link feeds the transport's
-    /// coalescer — per-destination frames pack back-to-back into full
-    /// datagrams — batches kernel crossings through `sendmmsg`, and loops
-    /// back what is addressed to its own socket without one.
+    /// Stage a whole outbox, draining `batch`. A packet addressed to this
+    /// link's own endpoint loops back inside the link at once, and the next
+    /// receive hands it out before anything else. Every other packet is
+    /// held until the busy period ends — when a receive finds nothing
+    /// looped back left, before it reads the socket or queue — or until
+    /// [`flush`](Self::flush) or the link's drop, and then handed over
+    /// with one hand-off per destination loop, each loop's packets in
+    /// staging order. So what one wake-up sets off on this link — a read's
+    /// reply and a chain write's, five hops apart — leaves it together.
+    /// Never blocks on a receiver; undeliverable packets — no route, a dead
+    /// node, a full queue — are dropped (clients retry — that is the
+    /// reliability layer). The channel link hands each queue one envelope:
+    /// one lock, and one wake-up if that loop sleeps. The UDP link feeds
+    /// the transport's coalescer — per-destination frames pack
+    /// back-to-back into datagrams that stay open until the flush, sealed
+    /// early only when full — and crosses the kernel once per flush, one
+    /// `sendmmsg` run.
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>);
 
-    /// The one receive verb: sleep until `deadline` (with `None`, until
-    /// there is something to do, with no timer) for the first envelope,
-    /// then append every packet already queued to `inbox`, in arrival
-    /// order. A driver verb ends the batch and is returned beside it —
-    /// `Some` is never a packet — and a verb posted while the loop sleeps
-    /// wakes it. The UDP link first looks at its side channel, then hands
-    /// over what its endpoint already holds — hops it looped back to
-    /// itself, the rest of a multi-frame datagram — without a syscall, and
-    /// goes to the socket (one blocking `recv`, then one `recvmmsg` drain)
-    /// only when both are empty; the verb's wake-up ends that `recv`.
-    /// `Timeout`: nothing arrived by the deadline; `Disconnected`: the link
-    /// can never deliver again (driver shut down).
+    /// Hand over everything held now. A loop with nothing to loop back —
+    /// the client shell — calls it after every `send_many`.
+    fn flush(&mut self);
+
+    /// The one receive verb. What looped back inside the link is a batch
+    /// of its own, handed out first with no wait, no syscall and no lock.
+    /// Once none is left the busy period is over: everything held is
+    /// handed over, and the link sleeps until `deadline` (with `None`,
+    /// until there is something to do, with no timer) for the first
+    /// envelope or datagram, then appends every packet already queued to
+    /// `inbox`, in arrival order. A driver verb ends the batch and is
+    /// returned beside it — `Some` is never a packet — and a verb posted
+    /// while the loop sleeps wakes it. The UDP link first looks at its side
+    /// channel, then at what its endpoint already holds — hops it looped
+    /// back to itself, the rest of a multi-frame datagram — and goes to the
+    /// socket only when both are empty: one `recvmmsg` per wake-up, which
+    /// blocks for the first datagram and drains the rest; the verb's
+    /// wake-up ends it. `Timeout`: nothing arrived by the deadline;
+    /// `Disconnected`: the link can never deliver again (driver shut down).
     fn recv_into(
         &mut self,
         deadline: Option<StdInstant>,
@@ -365,44 +389,80 @@ impl Room {
     }
 }
 
-/// Hand a whole outbox over, one envelope per destination queue: every
-/// packet resolved against one publication of the book, grouped by the queue
-/// it resolves to, in send order within each. With an envelope per packet
-/// the first would wake a sleeping loop, which on a shared core can run
-/// before the rest of the flush is queued.
-fn flush(names: &mut Resolver<Ingress>, batch: impl IntoIterator<Item = (NodeId, Msg)>) {
+/// Resolve a whole outbox against one publication of the book and hand
+/// each `(queue, packet)` to `put`, in send order. What goes to every group
+/// is cloned for all workers but the last; the usual single destination
+/// takes the message as it is.
+fn resolve(
+    names: &mut Resolver<Ingress>,
+    batch: impl IntoIterator<Item = (NodeId, Msg)>,
+    mut put: impl FnMut(&Ingress, Msg),
+) {
     let directory = names.directory();
-    let mut queues: Vec<(&Ingress, Vec<Msg>)> = Vec::new();
-    let mut add = |ingress, msg| match queues.iter_mut().find(|(at, _)| *at == ingress) {
-        Some((_, msgs)) => msgs.push(msg),
-        None => queues.push((ingress, vec![msg])),
-    };
     for (to, msg) in batch {
-        // What goes to every group is cloned for all workers but the last;
-        // the usual single destination takes the message as it is.
         if let Some((last, rest)) = directory.resolve(to, &msg.body).split_last() {
             for ingress in rest {
-                add(ingress, msg.clone());
+                put(ingress, msg.clone());
             }
-            add(last, msg);
+            put(last, msg);
         }
-    }
-    for (ingress, msgs) in queues {
-        ingress.hand_over(msgs);
     }
 }
 
-/// The channel substrate's link: the book's view out, a queue in.
+/// Packets bound for other loops and not handed over yet, grouped by the
+/// queue they go to, in staging order within each. With an envelope per
+/// packet the first would wake a sleeping loop, which on a shared core can
+/// run before the rest is queued.
+#[derive(Default)]
+struct Held(Vec<(Ingress, Vec<Msg>)>);
+
+impl Held {
+    fn push(&mut self, at: &Ingress, msg: Msg) {
+        match self.0.iter_mut().find(|(queue, _)| queue == at) {
+            Some((_, msgs)) => msgs.push(msg),
+            None => self.0.push((at.clone(), vec![msg])),
+        }
+    }
+
+    /// One envelope per queue.
+    fn hand_over(&mut self) {
+        for (ingress, msgs) in self.0.drain(..) {
+            ingress.hand_over(msgs);
+        }
+    }
+}
+
+/// The channel substrate's link: the book's view out, a queue in, and
+/// whatever a busy period has staged and not yet handed over.
 pub struct ChannelLink {
     names: Resolver<Ingress>,
     rx: Receiver<Envelope>,
+    /// Where this link receives: a packet that resolves here loops back
+    /// inside the link and never enters the queue.
+    me: Ingress,
+    /// Packets for this link's own nodes, handed out by the next receive.
+    looped: Vec<Msg>,
+    held: Held,
     /// The queue's bound, shared with its [`Ingress`] (client shells only).
     room: Option<Arc<Room>>,
+    /// Counts receives and envelopes.
+    recorder: Recorder,
 }
 
 impl NodeLink for ChannelLink {
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
-        flush(&mut self.names, batch.drain(..));
+        let (me, looped, held) = (&self.me, &mut self.looped, &mut self.held);
+        resolve(&mut self.names, batch.drain(..), |at, msg| {
+            if at == me {
+                looped.push(msg);
+            } else {
+                held.push(at, msg);
+            }
+        });
+    }
+
+    fn flush(&mut self) {
+        self.held.hand_over();
     }
 
     fn recv_into(
@@ -410,23 +470,45 @@ impl NodeLink for ChannelLink {
         deadline: Option<StdInstant>,
         inbox: &mut Vec<Msg>,
     ) -> Result<Option<Envelope>, RecvTimeoutError> {
+        if !self.looped.is_empty() {
+            inbox.append(&mut self.looped);
+            return Ok(None);
+        }
+        self.flush();
+        self.recorder.add(Counter::Receives, 1);
         let first = match deadline {
-            Some(at) => self.rx.recv_deadline(at)?,
-            None => self.rx.recv()?,
+            Some(at) => self.rx.recv_deadline(at),
+            None => self.rx.recv().map_err(RecvTimeoutError::from),
         };
+        let first = first.inspect_err(|_| self.recorder.add(Counter::EmptyReceives, 1))?;
         // Whatever queued up behind it comes out under one queue lock.
+        let mut envelopes = 0;
+        let mut verb = None;
         for env in std::iter::once(first).chain(self.rx.try_iter()) {
             match env {
                 Envelope::Packets(mut msgs) => {
+                    envelopes += 1;
                     if let Some(room) = &self.room {
                         room.queued.fetch_sub(msgs.len(), Ordering::Relaxed);
                     }
                     inbox.append(&mut msgs);
                 }
-                verb => return Ok(Some(verb)),
+                other => {
+                    verb = Some(other);
+                    break;
+                }
             }
         }
-        Ok(None)
+        self.recorder.add(Counter::EnvelopesReceived, envelopes);
+        Ok(verb)
+    }
+}
+
+/// What is still held is handed over: a link dropped mid-busy-period
+/// strands nothing it sent.
+impl Drop for ChannelLink {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -455,7 +537,7 @@ impl Substrate for Channels {
     fn attach(
         &self,
         names: &[NodeId],
-        _recorder: Recorder,
+        recorder: Recorder,
     ) -> (ChannelLink, Sender<Envelope>, Ingress) {
         // A client's queue is bounded — nobody can make it listen — at
         // 1 024 packets for every client name that shares it, however many
@@ -467,17 +549,24 @@ impl Substrate for Channels {
             })
         });
         let (tx, rx) = unbounded();
+        let ingress = Ingress { tx, room };
         let link = ChannelLink {
             names: Resolver::new(Arc::clone(&self.book)),
             rx,
-            room: room.clone(),
+            me: ingress.clone(),
+            looped: Vec::new(),
+            held: Held::default(),
+            room: ingress.room.clone(),
+            recorder,
         };
-        (link, tx.clone(), Ingress { tx, room })
+        (link, ingress.tx.clone(), ingress)
     }
 
     fn deliver(&self, script: Vec<(NodeId, Msg)>) {
         let mut names = Resolver::new(Arc::clone(&self.book));
-        flush(&mut names, script);
+        let mut held = Held::default();
+        resolve(&mut names, script, |at, msg| held.push(at, msg));
+        held.hand_over();
     }
 
     fn fault_obs(&self) -> FaultObs {
@@ -520,8 +609,8 @@ impl std::error::Error for LiveError {}
 ///
 /// Every pass sleeps on the link until the earliest attempt deadline, takes
 /// *everything* queued, delivers each reply to the lanes, runs their pass
-/// and flushes what that produced in one [`NodeLink::send_many`] — so the
-/// transport sees a burst, not a packet.
+/// and flushes what that produced in one [`NodeLink::send_many`] and
+/// [`NodeLink::flush`] — so the transport sees a burst, not a packet.
 pub struct LiveClient {
     lanes: Lanes,
     /// Keeps every lane's name bound to `link`; declared first so the names
@@ -646,7 +735,10 @@ impl LiveClient {
         let invoked = self.recorder.now();
         self.deadline = self.lanes.pass(now, invoked, &mut self.outbox);
         if !self.outbox.is_empty() {
+            // Nothing a shell sends comes back to it: there is no busy
+            // period to hold the flush for.
             self.link.send_many(&mut self.outbox);
+            self.link.flush();
         }
         Ok(self.deadline.is_some())
     }
@@ -667,10 +759,11 @@ impl KvClient for LiveClient {
 /// the link until the node runtime's next deadline (untimed when it has
 /// none), take everything queued, run the [`Worker::step`] the simulator
 /// runs too — at the deployment clock's `now`, with this thread's own rng —
-/// take the driver's verb, and flush what all of that produced in one
-/// [`NodeLink::send_many`]. The loop knows no routes: a packet for a node it
-/// hosts itself goes out through the link like any other and comes back
-/// through the same inbox. `names` is what the link answers to: the hosted
+/// take the driver's verb, and stage what all of that produced in one
+/// [`NodeLink::send_many`]; the link hands it over when the busy period
+/// ends. The loop knows no routes: a packet for a node it hosts itself goes
+/// out through the link like any other and comes back through the same
+/// inbox. `names` is what the link answers to: the hosted
 /// replicas', bound as they are adopted, released as they are evicted, gone
 /// with the loop.
 fn worker_main<E: Clone>(
@@ -1249,6 +1342,7 @@ mod tests {
                 .map(|req| (to, Msg::new(me, to, PacketBody::Request(req))))
                 .collect();
             deaf.link.send_many(&mut asked);
+            deaf.link.flush();
             // Served behind all of them: the tail got past the full queue.
             assert_eq!(cluster.client().get("k").unwrap(), None);
             // The queue kept its bound; the overflow was dropped.
@@ -1267,13 +1361,17 @@ mod tests {
             .expect("a sender blocked on the full client queue");
     }
 
-    /// One flush is one envelope per destination loop: a `send_many` whose
-    /// packets interleave two other loops and the sender itself, with a
-    /// broadcast among them, leaves exactly one envelope on each queue — its
-    /// packets in send order, the broadcast once, in its place — even where
-    /// one loop serves two groups.
+    /// One busy period is one envelope per destination loop, and a packet
+    /// for the link's own nodes never enters its queue. Two `send_many`s
+    /// whose packets interleave two other loops and the sender itself, with
+    /// a broadcast among them, loop the sender's own packets back at once —
+    /// each receive hands out what the last staging looped, nothing else —
+    /// and hold the rest until a receive finds nothing looped back left:
+    /// then each other queue gets exactly one envelope, its packets in send
+    /// order across both calls, the broadcast once, in its place — even
+    /// where one loop serves two groups.
     #[test]
-    fn a_flush_hands_each_loop_one_envelope_in_send_order() {
+    fn a_busy_period_hands_each_loop_one_envelope_and_loops_its_own_packets_back() {
         let channels = Channels::default();
         let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
         let replica = |r: u32| NodeId::Replica(ReplicaId(r));
@@ -1292,7 +1390,7 @@ mod tests {
             .book()
             .install_spine(vec![switch], ShardMap::new(4), spine));
 
-        // Tag n goes to replica r; the broadcast goes fourth.
+        // Tag n goes to replica r; the broadcast goes fifth.
         let mut batch: Vec<(NodeId, Msg)> =
             [(1, 0), (2, 1), (0, 2), (1, 3), (0, 4), (2, 5), (1, 6)]
                 .into_iter()
@@ -1308,16 +1406,15 @@ mod tests {
         };
         let broadcast = Msg::new(NodeId::Controller, switch, PacketBody::Control(ungate));
         batch.insert(4, (switch, broadcast));
-        me.send_many(&mut batch);
-        assert!(batch.is_empty());
+        let mut second = batch.split_off(5);
 
+        let tag = |msg: Msg| match msg.body {
+            PacketBody::Reply(reply) => Some(reply.request.0),
+            _ => None,
+        };
         // The tags on `link`'s queue, envelope by envelope; `None` is the
         // broadcast.
         let queued = |link: &ChannelLink| -> Vec<Vec<Option<u64>>> {
-            let tag = |msg: Msg| match msg.body {
-                PacketBody::Reply(reply) => Some(reply.request.0),
-                _ => None,
-            };
             (link.rx.try_iter())
                 .map(|env| {
                     let Envelope::Packets(msgs) = env else {
@@ -1327,9 +1424,175 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(queued(&me), [vec![Some(2), None, Some(4)]]);
+        let mut inbox = Vec::new();
+        let mut looped = |me: &mut ChannelLink| {
+            let received = me.recv_into(None, &mut inbox);
+            assert!(matches!(received, Ok(None)));
+            inbox.drain(..).map(tag).collect::<Vec<_>>()
+        };
+        me.send_many(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(looped(&mut me), [Some(2), None]);
+        me.send_many(&mut second);
+        assert_eq!(looped(&mut me), [Some(4)]);
+        assert!(queued(&b).is_empty() && queued(&c).is_empty(), "held");
+
+        // The busy period is over: the held packets go, and the sender's
+        // own queue, never used, is empty.
+        let received = me.recv_into(Some(StdInstant::now()), &mut inbox);
+        assert!(matches!(received, Err(RecvTimeoutError::Timeout)));
+        assert!(inbox.is_empty());
         assert_eq!(queued(&b), [vec![Some(0), Some(3), None, Some(6)]]);
         assert_eq!(queued(&c), [vec![Some(1), None, Some(5)]]);
+    }
+
+    /// A link flooded from another thread still hands out what it held
+    /// when its busy period ends: a receive hands out the hop it looped
+    /// back to itself alone, ahead of the flood and with the reply it
+    /// staged beside it still held, and the receive after it — the first
+    /// to look at the flood — hands the reply over first. Looped-back work
+    /// is finite, so nothing held waits longer than one busy period,
+    /// whatever arrives meanwhile.
+    #[test]
+    fn a_flooded_link_hands_out_what_it_held_when_its_busy_period_ends() {
+        fn check<S: Substrate>() {
+            use std::sync::atomic::AtomicBool;
+            let substrate = S::new(&DeploymentSpec::new());
+            let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
+            let replica = |r: u32| NodeId::Replica(ReplicaId(r));
+            let attach = |r: u32| {
+                let (link, _, ingress) = substrate.attach(&[], registry.handle());
+                let mut names = Names::new(Arc::clone(substrate.book()), ingress);
+                names.bind(&[replica(r)]);
+                (link, names)
+            };
+            let (mut worker, _w) = attach(0);
+            let (mut peer, _p) = attach(1);
+            let (mut flooder, _f) = attach(2);
+            let packet = move |to: u32, n: u64| {
+                let mut msg = reply(FIRST, n, None);
+                (msg.src, msg.dst) = (replica(2), replica(to));
+                (replica(to), msg)
+            };
+            let flooding = Arc::new(AtomicBool::new(true));
+            let flood = {
+                let flooding = Arc::clone(&flooding);
+                std::thread::spawn(move || {
+                    // Bounded, so an unbounded queue stays small.
+                    for n in 1_000..21_000 {
+                        if !flooding.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        flooder.send_many(&mut vec![packet(0, n)]);
+                        flooder.flush();
+                    }
+                })
+            };
+            let mut inbox = Vec::new();
+            let deadline = || Some(StdInstant::now() + StdDuration::from_secs(10));
+            assert!(matches!(worker.recv_into(deadline(), &mut inbox), Ok(None)));
+            assert!(!inbox.is_empty(), "{}: the flood arrives", S::DRIVER);
+            inbox.clear();
+
+            worker.send_many(&mut vec![packet(1, 1), packet(0, 2)]);
+            assert!(matches!(worker.recv_into(deadline(), &mut inbox), Ok(None)));
+            assert_eq!(inbox, [packet(0, 2).1], "{}: the hop, alone", S::DRIVER);
+            inbox.clear();
+            let now = Some(StdInstant::now());
+            let early = peer.recv_into(now, &mut inbox);
+            assert!(inbox.is_empty(), "{}: the reply left early", S::DRIVER);
+            assert!(matches!(early, Err(RecvTimeoutError::Timeout)));
+
+            assert!(matches!(worker.recv_into(deadline(), &mut inbox), Ok(None)));
+            assert!(!inbox.contains(&packet(0, 2).1), "{}", S::DRIVER);
+            inbox.clear();
+            assert!(matches!(peer.recv_into(deadline(), &mut inbox), Ok(None)));
+            assert_eq!(inbox, [packet(1, 1).1], "{}: the reply", S::DRIVER);
+            flooding.store(false, Ordering::Relaxed);
+            flood.join().unwrap();
+        }
+        check::<Channels>();
+        check::<Sockets>();
+    }
+
+    /// Two lanes at 50 % writes on one worker: whatever a round pairs — two
+    /// reads, two writes, or a read with a chain write five hops behind it
+    /// — both replies leave the worker in one hand-off, so the lanes stay
+    /// in lock-step and every round is one hand-off each way: one envelope,
+    /// or one datagram and one `recvmmsg`, per two operations. (A worker
+    /// that handed off after every pass would send a read's reply on its
+    /// own, ahead of its round's write, and knock the lanes out of phase:
+    /// about 1.5 datagrams and 2.5 receive syscalls per operation here, one
+    /// of them an empty drain per wake-up.) Counts, not timings.
+    #[test]
+    fn one_worker_rounds_hand_off_once_each_way() {
+        use rand::Rng;
+        const OPS: u64 = 500;
+        fn check<S: Substrate>() {
+            let spec = DeploymentSpec::new();
+            let cluster = ThreadedCluster::<S>::with_workers(&spec, 1);
+            let plans = (0..2u64)
+                .map(|lane| {
+                    let mut rng = SmallRng::seed_from_u64(lane);
+                    (0..OPS)
+                        .map(|n| {
+                            let key = format!("key-{}", (n * 7 + lane * 13) % 50);
+                            match rng.gen_bool(0.5) {
+                                true => OpSpec::write(key, format!("lane{lane}-op{n}")),
+                                false => OpSpec::read(key),
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            // The shell records into a registry of its own, so its counts
+            // stand apart from the worker's.
+            let shell = Registry::with_clock(cluster.registry.clock());
+            let first = cluster.next_client.fetch_add(2, Ordering::Relaxed);
+            let names = [
+                NodeId::Client(ClientId(first)),
+                NodeId::Client(ClientId(first + 1)),
+            ];
+            let (link, _, ingress) = cluster.substrate.attach(&names, shell.handle());
+            let mut bound = Names::new(Arc::clone(cluster.substrate.book()), ingress);
+            bound.bind(&names);
+            // A worker syncs its counters as its busy period ends, so it
+            // has once it answers an `Inspect`.
+            let quiet = || {
+                cluster.observe();
+                cluster.registry.snapshot()
+            };
+            let before = quiet();
+            let mut load = LiveClient::over(bound, link, &spec, first, plans, shell.handle());
+            let histories = load.run();
+            drop(load);
+            assert!(histories.iter().flatten().all(|r| r.ok), "{}", S::DRIVER);
+
+            let (ops, rounds) = (2 * OPS, OPS);
+            let worker = quiet();
+            let shell = shell.snapshot();
+            let both = |c| shell.counter(c) + worker.counter(c) - before.counter(c);
+            let at = S::DRIVER;
+            let woken = shell.counter(Counter::Receives);
+            assert!(woken <= rounds, "{at}: the shell woke {woken} times");
+            if S::DRIVER == "udp" {
+                let datagrams = both(Counter::DatagramsSent);
+                assert!(datagrams * 100 <= ops * 105, "{at}: {datagrams} datagrams");
+                let receives = both(Counter::Receives);
+                assert!(receives * 100 <= ops * 105, "{at}: {receives} receives");
+                assert_eq!(both(Counter::EmptyReceives), 0, "{at}");
+                // At quiescence every frame sent was received: nothing is
+                // held, and every counter has reached the registry.
+                let frames = [Counter::FramesSent, Counter::FramesReceived].map(both);
+                assert_eq!(frames[0], frames[1], "{at}");
+            } else {
+                let envelopes = shell.counter(Counter::EnvelopesReceived);
+                assert!(envelopes <= rounds, "{at}: {envelopes} envelopes");
+            }
+            cluster.shutdown();
+        }
+        check::<Channels>();
+        check::<Sockets>();
     }
 
     /// A client shell's names — one per lane — enter the deployment's name
@@ -1426,6 +1689,7 @@ mod tests {
                 let reply = harmonia_replication::common::read_reply(replica, &req, None);
                 let msg = Msg::new(NodeId::Replica(replica), to, PacketBody::Reply(reply));
                 link.send_many(&mut vec![(to, msg)]);
+                link.flush();
             };
             let mut got = Vec::new();
             let mut heard = |wait: StdDuration| {
@@ -1571,6 +1835,10 @@ mod tests {
     impl<L: NodeLink> NodeLink for Probe<L> {
         fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
             self.link.send_many(batch);
+        }
+
+        fn flush(&mut self) {
+            self.link.flush();
         }
 
         fn recv_into(
@@ -1746,6 +2014,8 @@ mod tests {
                 }
             }
         }
+
+        fn flush(&mut self) {}
 
         fn recv_into(
             &mut self,

@@ -21,9 +21,13 @@
 //! would otherwise overflow it; and a hop that stays on a worker costs no
 //! syscall: [`UdpLink`]'s receive takes what the endpoint already holds
 //! ([`Transport::take_queued`]) as a batch of its own and asks the socket
-//! only once that is gone. A read served on one worker is two datagrams,
-//! request and reply; the worker receives the request with one `recv` and
-//! one `recvmmsg`, and the hop to the replica with no syscall at all.
+//! only once that is gone. Everything bound for another socket stays open
+//! in the coalescer until then — the end of the worker's busy period — and
+//! crosses the kernel in one `sendmmsg` run. On one worker a round of a
+//! read and a chain write from two lanes of one shell is two datagrams,
+//! both requests and both replies; the worker receives the requests with
+//! one `recvmmsg` and takes the five hops behind them with no syscall at
+//! all.
 //!
 //! # Plumbing, not logic
 //!
@@ -96,16 +100,13 @@ use crate::deployment::DeploymentSpec;
 use crate::live::{Envelope, NodeLink, Substrate, ThreadedCluster, Verbs};
 use crate::msg::Msg;
 
-/// How many packets one batched kernel drain may pull. Matches the mmsg
-/// wrapper's chunk size so one drain is one `recvmmsg` call.
-const RECV_BATCH: usize = 32;
-
 /// The UDP substrate's `NodeLink`: data-plane packets on the socket, driver
 /// control verbs on a crossbeam side channel. A thread can sleep on only one
 /// of the two, so it sleeps on the socket — for the loop's whole wait, or
 /// with no timeout when the loop has no deadline — and every verb rings
-/// that socket ([`Doorbell`]). The wake-up ends the `recv`; the link looks
-/// at the side channel first on every pass, so it finds the verb there.
+/// that socket ([`Doorbell`]). The wake-up ends the `recvmmsg`; the link
+/// looks at the side channel first on every pass, so it finds the verb
+/// there.
 ///
 /// A lost doorbell is safe: loopback drops a datagram only when the
 /// receiver's buffer is full, and a link with a full buffer does not
@@ -119,6 +120,7 @@ pub struct UdpLink {
     /// Last wire/pool stats already credited to the recorder — the
     /// transport keeps cumulative counters, the registry wants increments,
     /// so each sync publishes only the delta since the previous one.
+    /// Synced once per flush that changed them, and on drop.
     seen_wire: TransportStats,
     seen_recv_pool: PoolStats,
     seen_send_pool: PoolStats,
@@ -126,11 +128,16 @@ pub struct UdpLink {
 
 impl UdpLink {
     /// Credit the transport's counter growth since the last sync to the
-    /// recorder. Called once per batched send and on teardown — off the
-    /// per-packet path, so the steady-state cost is a handful of relaxed
-    /// adds amortized over a whole batch.
+    /// recorder. Called at every flush whose busy period moved a counter,
+    /// and on teardown — off the per-packet and the per-pass path, so the
+    /// steady-state cost is a handful of relaxed adds amortized over a
+    /// whole busy period.
     fn sync_obs(&mut self) {
         let now = self.transport.stats();
+        if now == self.seen_wire {
+            // Nothing sent, received or refused: no pool moved either.
+            return;
+        }
         let d = now.since(&self.seen_wire);
         self.seen_wire = now;
         self.recorder.add(Counter::FramesSent, d.sent);
@@ -142,6 +149,8 @@ impl UdpLink {
         self.recorder.add(Counter::Oversized, d.oversized);
         self.recorder.add(Counter::SendErrors, d.send_errors);
         self.recorder.add(Counter::ConfigErrors, d.config_errors);
+        self.recorder.add(Counter::Receives, d.receives);
+        self.recorder.add(Counter::EmptyReceives, d.empty_receives);
         let recv = self.transport.pool_stats();
         let dr = recv.since(&self.seen_recv_pool);
         self.seen_recv_pool = recv;
@@ -157,17 +166,22 @@ impl UdpLink {
 
 impl Drop for UdpLink {
     fn drop(&mut self) {
-        // Final counter sync: short-lived endpoints (clients, control
-        // sockets) may never hit the batched send path, so teardown is
-        // where their wire counters reach the registry.
-        self.sync_obs();
+        // What is still held goes out, and the counters of the last busy
+        // period, and of whatever was received after it, reach the
+        // registry.
+        self.flush();
     }
 }
 
 impl NodeLink for UdpLink {
     fn send_many(&mut self, batch: &mut Vec<(NodeId, Msg)>) {
-        // One `sendmmsg` run per MAX_BATCH datagrams, faulted or not.
-        self.transport.send_batch(batch);
+        // Faulted or not: looped back at once, the rest held open.
+        self.transport.hold_batch(batch);
+    }
+
+    /// One `sendmmsg` run per MAX_BATCH datagrams, then one counter sync.
+    fn flush(&mut self) {
+        self.transport.flush();
         self.sync_obs();
     }
 
@@ -181,22 +195,20 @@ impl NodeLink for UdpLink {
                 return Ok(Some(verb));
             }
             // What the endpoint already holds — hops that stayed on this
-            // link, looped back by its last flush, or the rest of a
+            // link, looped back as they were staged, or the rest of a
             // multi-frame datagram — is a batch of its own: the socket is
             // asked only once that is gone, and a drain there now would
             // mostly come back empty.
             if self.transport.take_queued(inbox) > 0 {
                 return Ok(None);
             }
-            // Sleep in one `recv` for the first datagram — no wait at all if
-            // one is queued — then everything queued behind it comes out
-            // through one `recvmmsg`, straight into the caller's inbox.
-            match self.transport.recv(deadline) {
-                Ok(pkt) => {
-                    inbox.push(pkt);
-                    self.transport.recv_batch(inbox, RECV_BATCH);
-                    return Ok(None);
-                }
+            // The busy period is over: what it held goes out in one flush.
+            // Then one `recvmmsg` sleeps for the first datagram — no wait at
+            // all if one is queued — and brings everything queued behind
+            // it, straight into the caller's inbox.
+            self.flush();
+            match self.transport.recv_burst(deadline, inbox) {
+                Ok(_) => return Ok(None),
                 // A doorbell: the verb is on the side channel.
                 Err(RecvError::Woken) => {}
                 Err(RecvError::TimedOut) => return Err(RecvTimeoutError::Timeout),
@@ -351,7 +363,7 @@ mod tests {
     use std::time::Duration as StdDuration;
 
     /// A hop that stays on the link is a batch of its own and costs no
-    /// syscall: with a frame looped back by the link's own flush and a peer's
+    /// syscall: with a frame looped back by the link's own staging and a peer's
     /// datagram already waiting in the kernel, a receive returns the looped
     /// frame alone, at once — with no deadline at all — and the next receive
     /// brings the datagram. Clean and faulted endpoints alike (a
@@ -379,6 +391,7 @@ mod tests {
                 Msg::new(src, me, body)
             };
             peer.send_many(&mut vec![(me, packet(other, 1))]);
+            peer.flush();
             // Loopback delivery completes inside the send; the pause only
             // keeps the test meaningful where it would not.
             std::thread::sleep(StdDuration::from_millis(20));

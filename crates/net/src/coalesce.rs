@@ -141,16 +141,36 @@ impl Coalescer {
     /// Seal every open datagram — the end of a flush. After this returns,
     /// no frame is left buffered.
     pub fn finish(&mut self, sealed: &mut Vec<SealedDatagram>) {
-        while let Some((dst, buf, frames)) = self.open.pop() {
-            if frames == 0 {
-                self.pool.release(buf);
-            } else {
-                sealed.push(SealedDatagram {
-                    dst,
-                    payload: self.pool.commit(buf),
-                    frames,
-                });
-            }
+        while let Some(open) = self.open.pop() {
+            self.close(open, sealed);
+        }
+    }
+
+    /// Seal `dst`'s open datagram, if it has one, and leave every other
+    /// destination's open: what a sender hands itself goes now, the rest
+    /// keeps filling.
+    pub fn seal(&mut self, dst: SocketAddr, sealed: &mut Vec<SealedDatagram>) {
+        if let Some(i) = self.open.iter().position(|(d, ..)| *d == dst) {
+            let open = self.open.swap_remove(i);
+            self.close(open, sealed);
+        }
+    }
+
+    /// Seal one open datagram onto `sealed`, or return its buffer to the
+    /// pool if no frame made it in.
+    fn close(
+        &mut self,
+        (dst, buf, frames): (SocketAddr, BytesMut, u32),
+        sealed: &mut Vec<SealedDatagram>,
+    ) {
+        if frames == 0 {
+            self.pool.release(buf);
+        } else {
+            sealed.push(SealedDatagram {
+                dst,
+                payload: self.pool.commit(buf),
+                frames,
+            });
         }
     }
 }
@@ -212,6 +232,26 @@ mod tests {
         }
         assert_eq!(sealed.len(), 4, "every flush seals what it holds");
         assert!(sealed.iter().all(|d| d.frames == 1));
+    }
+
+    /// Sealing one destination leaves the others open, in push order.
+    #[test]
+    fn seal_closes_one_destination_only() {
+        let mut c = Coalescer::new(4096, 8);
+        let mut sealed = Vec::new();
+        for v in 0..6u64 {
+            c.push(addr(1000 + (v % 3) as u16), &v, &mut sealed)
+                .unwrap();
+        }
+        c.seal(addr(1001), &mut sealed);
+        c.seal(addr(2000), &mut sealed);
+        assert_eq!(sealed.len(), 1);
+        assert_eq!(unpack(&sealed[0]), vec![1, 4]);
+        c.push(addr(1001), &6u64, &mut sealed).unwrap();
+        c.finish(&mut sealed);
+        sealed.sort_by_key(|d| (d.dst.port(), d.frames));
+        let packed: Vec<Vec<u64>> = sealed.iter().map(unpack).collect();
+        assert_eq!(packed, [vec![0, 3], vec![6], vec![1, 4], vec![2, 5]]);
     }
 
     #[test]

@@ -35,9 +35,9 @@ pub struct TransportStats {
     /// endpoint (one packet per destination = one frame; a coalesced
     /// datagram carries several).
     pub sent: u64,
-    /// Datagrams sent, likewise. `sent / datagrams_sent` is the
-    /// realized frames-per-datagram packing ratio (1.0 when every batch is
-    /// one packet).
+    /// Datagrams handed to the kernel. A datagram looped back to this
+    /// endpoint never reaches it and is not counted, though its frames are
+    /// `sent`.
     pub datagrams_sent: u64,
     /// Frames successfully decoded into packets.
     pub received: u64,
@@ -60,6 +60,11 @@ pub struct TransportStats {
     /// of the armed value is invalidated so the next wait retries; this
     /// wait degrades to polling against its own deadline.
     pub config_errors: u64,
+    /// Receive syscalls: every `recvmmsg`, blocking wait or drain.
+    pub receives: u64,
+    /// The subset of `receives` that brought no datagram: a timed-out
+    /// wait, a drain of an empty queue, a transient kernel error.
+    pub empty_receives: u64,
 }
 
 impl TransportStats {
@@ -77,6 +82,8 @@ impl TransportStats {
             oversized: self.oversized.saturating_sub(earlier.oversized),
             send_errors: self.send_errors.saturating_sub(earlier.send_errors),
             config_errors: self.config_errors.saturating_sub(earlier.config_errors),
+            receives: self.receives.saturating_sub(earlier.receives),
+            empty_receives: self.empty_receives.saturating_sub(earlier.empty_receives),
         }
     }
 }
@@ -104,12 +111,21 @@ impl TransportStats {
 /// buffers and is unaffected.
 ///
 /// A datagram addressed to the endpoint's own socket is **looped back
-/// inside the endpoint**: sealed by the coalescer, counted as sent, copied
-/// and decoded exactly like a received one, and never handed to the kernel
-/// — several nodes can share one endpoint, and a thread that bursts a
-/// state transfer at a node it hosts itself is not draining its own
-/// receive buffer meanwhile. [`Transport::take_queued`] hands such frames
-/// out without a syscall.
+/// inside the endpoint**: sealed by the coalescer, its frames counted as
+/// sent, copied and decoded exactly like a received one, and never handed
+/// to the kernel — several nodes can share one endpoint, and a thread that
+/// bursts a state transfer at a node it hosts itself is not draining its
+/// own receive buffer meanwhile. [`Transport::take_queued`] hands such
+/// frames out without a syscall.
+///
+/// Two ways to send: [`Transport::send_batch`] hands the kernel everything
+/// before it returns; [`hold_batch`](Self::hold_batch) loops back what is
+/// addressed to this endpoint at once and holds the rest open in the
+/// coalescer — a datagram seals early only when it fills — until
+/// [`flush`](Self::flush), the next blocking receive, or the endpoint's
+/// drop, whichever comes first. One kernel wake-up is
+/// [`recv_burst`](Self::recv_burst): one `recvmmsg` that blocks for the
+/// first datagram and drains what is queued behind it.
 ///
 /// An **empty** datagram is not a frame but a wake-up
 /// ([`wake`](Self::wake)): it ends a blocking receive at once with
@@ -132,8 +148,8 @@ pub struct UdpTransport<T> {
     coalescer: Coalescer,
     /// Sealed datagrams awaiting their kernel flush, reused across calls.
     sealed_scratch: Vec<SealedDatagram>,
-    /// Per-datagram send outcomes from the last `sendmmsg` run, reused.
-    ok_scratch: Vec<bool>,
+    /// The `sendmmsg` headers, built once.
+    send_ring: mmsg::SendRing,
     /// Frames decoded out of a multi-frame datagram but not yet handed to
     /// the caller (one datagram can out-fill a `recv_batch` budget).
     decoded: VecDeque<Packet<T>>,
@@ -170,7 +186,7 @@ impl<T> UdpTransport<T> {
             // through its own send-side pool.
             coalescer: Coalescer::new(usize::from(u16::MAX), 4 * mmsg::MAX_BATCH),
             sealed_scratch: Vec::new(),
-            ok_scratch: Vec::new(),
+            send_ring: mmsg::SendRing::new(),
             decoded: VecDeque::new(),
             stats: TransportStats::default(),
             read_timeout: Some(Duration::ZERO),
@@ -214,14 +230,16 @@ impl<T> UdpTransport<T> {
         self.coalescer.pool_stats()
     }
 
-    /// Copy the first `got` datagrams of the last receive out of the
-    /// scratch ring — the one copy on the receive path — and decode each
-    /// into the delivery queue. An empty one is a wake-up: skipped,
-    /// uncounted, and reported by the return value.
+    /// Count the receive syscall that brought `got` datagrams, copy them
+    /// out of the scratch ring — the one copy on the receive path — and
+    /// decode each into the delivery queue. An empty one is a wake-up:
+    /// skipped, uncounted, and reported by the return value.
     fn decode_ring(&mut self, got: usize) -> bool
     where
         T: Wire,
     {
+        self.stats.receives += 1;
+        self.stats.empty_receives += u64::from(got == 0);
         let mut woken = false;
         for i in 0..got {
             let datagram = self.ring.datagram(i);
@@ -279,22 +297,22 @@ impl<T> UdpTransport<T> {
         n
     }
 
-    /// Deliver every sealed datagram addressed to this endpoint's own socket
-    /// to its own delivery queue — the same copy and the same decode as a
-    /// received one, no kernel in between — and leave the rest, in order,
-    /// for the socket.
+    /// Seal what is open for this endpoint's own socket and deliver every
+    /// sealed datagram addressed to it to its own delivery queue — the same
+    /// copy and the same decode as a received one, no kernel in between —
+    /// and leave the rest, in order, for the socket.
     fn loop_back(&mut self)
     where
         T: Wire,
     {
         let local = self.local;
+        self.coalescer.seal(local, &mut self.sealed_scratch);
         let mut sealed = std::mem::take(&mut self.sealed_scratch);
         sealed.retain(|d| {
             if d.dst != local {
                 return true;
             }
             self.stats.sent += u64::from(d.frames);
-            self.stats.datagrams_sent += 1;
             // Copied out of the pooled send buffer for the reason a datagram
             // is copied out of the ring: what a consumer keeps must pin its
             // own bytes, not a datagram-sized buffer.
@@ -304,35 +322,137 @@ impl<T> UdpTransport<T> {
         self.sealed_scratch = sealed;
     }
 
-    /// Seal every open datagram, loop back those addressed to this
-    /// endpoint, and send the rest through one `sendmmsg` run with
-    /// per-datagram outcomes, crediting the frame-granular counters: an
-    /// accepted datagram credits every frame it carries to `sent`, a
-    /// refused one charges them all to `send_errors`.
-    fn flush(&mut self)
+    /// Hand the kernel everything held: seal every open datagram and send
+    /// the sealed ones through one `sendmmsg` run, crediting the
+    /// frame-granular counters — an accepted datagram credits every frame
+    /// it carries to `sent`, a refused one charges them all to
+    /// `send_errors`. Nothing held is nothing sent, and no syscall.
+    pub fn flush(&mut self)
     where
         T: Wire,
     {
         self.coalescer.finish(&mut self.sealed_scratch);
         self.loop_back();
+        self.send_sealed();
+    }
+
+    /// Send the sealed datagrams, none of them addressed to this endpoint.
+    /// Needs no codec, so teardown can call it too.
+    fn send_sealed(&mut self) {
         if self.sealed_scratch.is_empty() {
             return;
         }
-        self.ok_scratch.clear();
-        self.ok_scratch.resize(self.sealed_scratch.len(), false);
-        let msgs: Vec<(SocketAddr, &[u8])> = self
-            .sealed_scratch
-            .iter()
-            .map(|d| (d.dst, &d.payload[..]))
-            .collect();
-        let _ = mmsg::send_batch_outcomes(&self.socket, &msgs, &mut self.ok_scratch);
-        drop(msgs);
-        for (d, ok) in self.sealed_scratch.drain(..).zip(&self.ok_scratch) {
-            if *ok {
-                self.stats.sent += u64::from(d.frames);
-                self.stats.datagrams_sent += 1;
+        let (sealed, stats) = (&self.sealed_scratch, &mut self.stats);
+        let datagrams = sealed.iter().map(|d| (d.dst, &d.payload[..]));
+        self.send_ring.send(&self.socket, datagrams, &mut |i, ok| {
+            let frames = sealed.get(i).map_or(0, |d| u64::from(d.frames));
+            if ok {
+                stats.sent += frames;
+                stats.datagrams_sent += 1;
             } else {
-                self.stats.send_errors += u64::from(d.frames);
+                stats.send_errors += frames;
+            }
+        });
+        self.sealed_scratch.clear();
+    }
+
+    /// Stage `batch` for the wire, draining it, and hand the kernel nothing
+    /// yet: the adversary, when there is one, rewrites the batch; every
+    /// packet is resolved and encoded into its destination's open
+    /// datagram; what is addressed to this endpoint is looped back at once;
+    /// the rest waits for [`flush`](Self::flush) — or the next blocking
+    /// receive, or the endpoint's drop — in open datagrams that seal early
+    /// only when they fill. Per-destination frame order follows staging
+    /// order across any number of calls.
+    pub fn hold_batch(&mut self, batch: &mut Vec<(NodeId, Packet<T>)>)
+    where
+        T: Wire + Clone,
+    {
+        if let Some(adversary) = &mut self.adversary {
+            adversary.apply(batch);
+        }
+        for (to, pkt) in batch.drain(..) {
+            self.stage(to, &pkt);
+        }
+        self.loop_back();
+    }
+
+    /// One wake-up into `out`: what the endpoint already holds, without a
+    /// syscall, or else — once everything held has gone to the kernel —
+    /// one `recvmmsg` that waits until `deadline` (with none, untimed) for
+    /// the first datagram and takes everything queued behind it, up to a
+    /// ring's worth. Returns how many packets were appended: at least one,
+    /// or the reason there are none — nothing came by the deadline, or
+    /// somebody [`wake`](Self::wake)d the endpoint.
+    pub fn recv_burst(
+        &mut self,
+        deadline: Option<Instant>,
+        out: &mut Vec<Packet<T>>,
+    ) -> Result<usize, RecvError>
+    where
+        T: Wire,
+    {
+        self.wait(deadline)?;
+        Ok(self.pop_decoded(out, usize::MAX))
+    }
+
+    /// Fill the delivery queue, unless it holds something already: hand the
+    /// kernel whatever is held, then wait until `deadline` in one receive
+    /// syscall per wake-up. `Ok`: the queue holds at least one packet.
+    ///
+    /// A wait of a millisecond or more, and an untimed one, sleeps on the
+    /// socket's armed read timeout. A sub-millisecond remainder, which that
+    /// timeout would overshoot by jiffies, is slept in
+    /// [`mmsg::wait_readable`] and ends in a nonblocking drain — so a loop
+    /// that ticks faster than a jiffy (VR and NOPaxos: 200µs) sleeps
+    /// between ticks instead of spinning on polls.
+    fn wait(&mut self, deadline: Option<Instant>) -> Result<(), RecvError>
+    where
+        T: Wire,
+    {
+        self.release_held();
+        self.flush();
+        // Frames already unpacked from an earlier multi-frame datagram
+        // deliver first, without touching the socket.
+        if !self.decoded.is_empty() {
+            return Ok(());
+        }
+        loop {
+            let remaining = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            // `set_read_timeout(Some(0))` is an error by contract, and the
+            // kernel counts a read timeout in jiffies (a 1 ms one measured
+            // 6.4–16.3 ms on a `CONFIG_HZ=250` host): only block on it for
+            // remainders of a millisecond or more. The threshold sits below
+            // 1ms because `remaining` is measured *after* the caller's
+            // deadline was taken — a caller asking for exactly 1ms has
+            // always lost a few µs by now, and it must keep its armed,
+            // recv-only wait.
+            let blocking = remaining.is_none_or(|left| left >= Duration::from_micros(900));
+            // The socket stays in blocking mode for good: drains go through
+            // the ring's `MSG_DONTWAIT` receive, so neither kind of receive
+            // reconfigures the socket for the other.
+            let got = if blocking && self.arm_read_timeout(remaining) {
+                self.ring.wait(&self.socket)
+            } else {
+                mmsg::wait_readable(&self.socket, remaining.unwrap_or(Duration::MAX));
+                self.ring.recv(&self.socket, mmsg::MAX_BATCH)
+            };
+            let woken = self.decode_ring(got);
+            if !self.decoded.is_empty() {
+                return Ok(());
+            }
+            if woken {
+                return Err(RecvError::Woken);
+            }
+            // Nothing deliverable. A drain that found the queue empty is
+            // done (whatever was left of the deadline was slept before it),
+            // and so is a wait that outlived the deadline; a datagram of
+            // garbage, or a transient kernel error (e.g. ECONNRESET from an
+            // ICMP port-unreachable on a dead peer) before the deadline,
+            // keeps listening.
+            let late = deadline.is_some_and(|at| Instant::now() >= at);
+            if got == 0 && (!blocking || late) {
+                return Err(RecvError::TimedOut);
             }
         }
     }
@@ -416,7 +536,8 @@ impl<T> UdpTransport<T> {
     /// Send what the adversary holds back, if anything: the endpoint is
     /// about to wait or to hand out what it holds, and a sender going quiet
     /// must not strand a held packet — which may be addressed to this very
-    /// endpoint.
+    /// endpoint, and is then among what it holds. It goes at once, with
+    /// everything held beside it: a faulted endpoint's release is a flush.
     fn release_held(&mut self)
     where
         T: Wire,
@@ -428,84 +549,50 @@ impl<T> UdpTransport<T> {
     }
 }
 
+/// What is still held goes to the kernel: a holder that never flushed
+/// again strands nothing it sent. (A datagram for the endpoint itself has
+/// nobody left to read it.)
+impl<T> Drop for UdpTransport<T> {
+    fn drop(&mut self) {
+        self.coalescer.finish(&mut self.sealed_scratch);
+        let local = self.local;
+        self.sealed_scratch.retain(|d| d.dst != local);
+        self.send_sealed();
+    }
+}
+
 impl<T: Wire + Clone + Send> Transport<T> for UdpTransport<T> {
-    /// The one send path: the adversary, when there is one, rewrites the
-    /// batch; every packet is resolved and encoded zero-copy into
-    /// per-destination pooled datagram buffers — GSO-style coalescing
-    /// packs frames back-to-back until a datagram fills — and the sealed
-    /// datagrams go to the kernel through `sendmmsg`
-    /// ([`mmsg::send_batch_outcomes`]): one kernel crossing per
-    /// [`mmsg::MAX_BATCH`] *datagrams*, each carrying many frames. No frame
-    /// is cloned anywhere on this path but a duplicate's.
+    /// The one send path, held for nothing: [`hold_batch`](Self::hold_batch)
+    /// — the adversary, then every packet resolved and encoded zero-copy
+    /// into per-destination pooled datagram buffers, GSO-style coalescing
+    /// packing frames back-to-back until a datagram fills — and at once
+    /// [`flush`](Self::flush): the sealed datagrams go to the kernel
+    /// through `sendmmsg`, one kernel crossing per [`mmsg::MAX_BATCH`]
+    /// *datagrams*, each carrying many frames. No frame is cloned anywhere
+    /// on this path but a duplicate's.
     fn send_batch(&mut self, batch: &mut Vec<(NodeId, Packet<T>)>) {
-        if let Some(adversary) = &mut self.adversary {
-            adversary.apply(batch);
-        }
-        for (to, pkt) in batch.drain(..) {
-            self.stage(to, &pkt);
-        }
+        self.hold_batch(batch);
         self.flush();
     }
 
-    /// A wait of a millisecond or more, and an untimed one, sleeps on the
-    /// socket's armed read timeout. A sub-millisecond remainder, which that
-    /// timeout would overshoot by jiffies, is slept in
-    /// [`mmsg::wait_readable`] and ends in a nonblocking poll — so a loop
-    /// that ticks faster than a jiffy (VR and NOPaxos: 200µs) sleeps
-    /// between ticks instead of spinning on polls.
+    /// The first packet of one [`recv_burst`](Self::recv_burst) wake-up;
+    /// the rest of it stays queued for the next call.
     fn recv(&mut self, deadline: Option<Instant>) -> Result<Packet<T>, RecvError> {
-        self.release_held();
-        // Frames already unpacked from an earlier multi-frame datagram
-        // deliver first, without touching the socket.
-        if let Some(pkt) = self.decoded.pop_front() {
-            return Ok(pkt);
-        }
-        loop {
-            let remaining = deadline.map(|at| at.saturating_duration_since(Instant::now()));
-            // `set_read_timeout(Some(0))` is an error by contract, and the
-            // kernel counts a read timeout in jiffies (a 1 ms one measured
-            // 6.4–16.3 ms on a `CONFIG_HZ=250` host): only block on it for
-            // remainders of a millisecond or more. The threshold sits below
-            // 1ms because `remaining` is measured *after* the caller's
-            // deadline was taken — a caller asking for exactly 1ms has
-            // always lost a few µs by now, and it must keep its armed,
-            // recv-only wait.
-            let blocking = remaining.is_none_or(|left| left >= Duration::from_micros(900));
-            // The socket stays in blocking mode for good: polls go through
-            // the ring's `MSG_DONTWAIT` drain, so neither kind of receive
-            // reconfigures the socket for the other.
-            let got = if blocking && self.arm_read_timeout(remaining) {
-                self.ring.wait(&self.socket)
-            } else {
-                mmsg::wait_readable(&self.socket, remaining.unwrap_or(Duration::MAX));
-                self.ring.recv(&self.socket, 1)
-            };
-            let woken = self.decode_ring(got);
-            if let Some(pkt) = self.decoded.pop_front() {
-                return Ok(pkt);
-            }
-            if woken {
-                return Err(RecvError::Woken);
-            }
-            // Nothing deliverable: a poll that found the queue empty is
-            // done (whatever was left of the deadline was slept before it);
-            // a datagram of garbage, a timed-out wait or a transient
-            // kernel error (e.g. ECONNRESET from an ICMP port-unreachable
-            // on a dead peer) keeps listening until the deadline.
-            if got == 0 && !blocking {
-                return Err(RecvError::TimedOut);
-            }
-        }
+        self.wait(deadline)?;
+        self.decoded.pop_front().ok_or(RecvError::TimedOut)
     }
 
-    /// Batched drain: pull up to `max - already-queued` datagrams per
-    /// `recvmmsg` call ([`mmsg::RecvRing::recv`]) into the scratch ring,
+    /// Batched drain, after a flush of anything held: pull up to `max -
+    /// already-queued` datagrams per `recvmmsg` call
+    /// ([`mmsg::RecvRing::recv`]) into the scratch ring,
     /// copy each out once and unpack its frames zero-copy from the copy. A
     /// coalesced datagram can carry more frames than the remaining budget;
     /// the overflow stays queued and delivers first on the next call. The
     /// socket's read mode is left alone, so the blocking wait that follows
     /// a drain finds its timeout still armed.
     fn recv_batch(&mut self, out: &mut Vec<Packet<T>>, max: usize) -> usize {
+        self.release_held();
+        self.flush();
         let mut delivered = self.pop_decoded(out, max);
         while delivered < max {
             let want = (max - delivered).min(mmsg::MAX_BATCH);
@@ -520,7 +607,9 @@ impl<T: Wire + Clone + Send> Transport<T> for UdpTransport<T> {
     }
 
     /// Everything already decoded — looped back by this endpoint's own
-    /// sends, or the rest of a multi-frame datagram — and no syscall.
+    /// sends, or the rest of a multi-frame datagram — and no receive
+    /// syscall: what is held for the kernel stays held, unless the
+    /// adversary releases a packet it held back.
     fn take_queued(&mut self, out: &mut Vec<Packet<T>>) -> usize {
         self.release_held();
         self.pop_decoded(out, usize::MAX)
@@ -897,47 +986,44 @@ mod tests {
         assert_eq!(got, (0..10).map(|i| mk(i).1).collect::<Vec<_>>());
     }
 
+    /// Held frames go nowhere until the flush, and then as one datagram
+    /// per destination however many calls staged them — while a frame for
+    /// the endpoint itself comes back at once, before any flush.
     #[test]
-    fn steady_state_send_is_allocation_free() {
-        let (_book, mut a, mut b) = pair();
-        let mk = |i: u64| -> (NodeId, Pkt) {
-            (
-                NodeId::Replica(ReplicaId(0)),
-                Packet::new(
-                    NodeId::Client(ClientId(1)),
-                    NodeId::Replica(ReplicaId(0)),
-                    harmonia_types::PacketBody::Protocol(i),
-                ),
-            )
+    fn held_frames_leave_at_the_flush_one_datagram_per_destination() {
+        let (book, mut a, mut b) = pair();
+        let own = NodeId::Replica(ReplicaId(5));
+        book.register(own, a.local_addr());
+        let mk = |to: NodeId, i: u64| -> (NodeId, Pkt) {
+            let body = harmonia_types::PacketBody::Protocol(i);
+            (to, Packet::new(NodeId::Client(ClientId(1)), to, body))
         };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        for round in 0..200u64 {
-            let mut batch: Vec<(NodeId, Pkt)> = (0..8).map(|i| mk(round * 8 + i)).collect();
-            a.send_batch(&mut batch);
-            // Drain each burst so the receive socket buffer never fills.
-            let mut got = Vec::new();
-            while got.len() < 8 && Instant::now() < deadline {
-                if b.recv_batch(&mut got, 32) == 0 {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-            assert_eq!(got.len(), 8);
+        let peer = NodeId::Replica(ReplicaId(0));
+        for i in 0..3 {
+            a.hold_batch(&mut vec![mk(peer, i), mk(own, 10 + i)]);
+            let mut looped = Vec::new();
+            assert_eq!(a.take_queued(&mut looped), 1, "call {i}");
+            assert_eq!(looped, [mk(own, 10 + i).1]);
         }
-        let s = a.send_pool_stats();
-        assert!(
-            s.misses <= 2,
-            "steady-state send allocated {} times",
-            s.misses
+        assert_eq!(a.stats().datagrams_sent, 0, "nothing reached the kernel");
+        assert_eq!(b.recv(Some(Instant::now())), Err(RecvError::TimedOut));
+        a.flush();
+        a.flush();
+        let s = a.stats();
+        assert_eq!((s.sent, s.datagrams_sent), (6, 1));
+        let mut got = Vec::new();
+        assert_eq!(
+            b.recv_burst(within(Duration::from_secs(2)), &mut got),
+            Ok(3)
         );
-        assert!(
-            s.hit_rate() > 0.95,
-            "send-pool hit rate {:.3}",
-            s.hit_rate()
-        );
-        // Every burst coalesced: far fewer datagrams than frames.
-        let t = a.stats();
-        assert_eq!(t.sent, 1600);
-        assert_eq!(t.datagrams_sent, 200);
+        assert_eq!(got, (0..3).map(|i| mk(peer, i).1).collect::<Vec<_>>());
+        // The poll before the flush was one empty receive; the wake-up,
+        // one receive syscall.
+        assert_eq!((b.stats().receives, b.stats().empty_receives), (2, 1));
+        // What is still held when the endpoint goes, goes with it.
+        a.hold_batch(&mut vec![mk(peer, 7)]);
+        drop(a);
+        assert_eq!(b.recv(within(Duration::from_secs(2))), Ok(mk(peer, 7).1));
     }
 
     #[test]
@@ -1008,8 +1094,9 @@ mod tests {
 
         let s = a.stats();
         assert_eq!(s.sent, 102);
-        // Two 48 KB frames do not fit one datagram.
-        assert_eq!(s.datagrams_sent, 102);
+        // Two 48 KB frames do not fit one datagram, but the 101 looped back
+        // never reach the kernel: one datagram does, the neighbour's.
+        assert_eq!(s.datagrams_sent, 1);
         assert_eq!(s.received, 101);
         assert_eq!(s.unresolved + s.oversized + s.send_errors, 0);
         assert_eq!(s.decode_errors, 0);

@@ -75,6 +75,15 @@ pub enum Counter {
     SendErrors,
     /// Transport: configuration errors (bad peer, bad socket state).
     ConfigErrors,
+    /// Link: receives that went to the socket or the queue — one
+    /// `recvmmsg` on sockets, one queue receive on channels.
+    Receives,
+    /// Link: the subset of `Receives` that brought nothing (a timed-out
+    /// wait, a drain of an empty queue).
+    EmptyReceives,
+    /// Channel link: envelopes taken off the queue — the in-process hand-off
+    /// a datagram is on sockets.
+    EnvelopesReceived,
     /// Receive buffer pool: reuse hits.
     RecvPoolHits,
     /// Receive buffer pool: fresh allocations.
