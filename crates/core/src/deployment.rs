@@ -31,7 +31,7 @@ use harmonia_obs::{
     Counter, FaultObs, GroupObs, ObsSnapshot, Recorder, RecorderSnapshot, Registry, SwitchObs,
     TraceEvent,
 };
-use harmonia_replication::{build_replica, GroupConfig, ProtocolKind};
+use harmonia_replication::{GroupConfig, ProtocolKind, Server};
 use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
 use harmonia_switch::{SpineView, TableConfig};
 use harmonia_types::{ClientId, Duration, Instant, NodeId, RecordedOp, ReplicaId, SwitchId};
@@ -41,7 +41,6 @@ use crate::client::{ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, So
 use crate::failover;
 use crate::live::{LiveCluster, LiveError};
 use crate::msg::{CostModel, Msg};
-use crate::replica_step::ReplicaNode;
 use crate::switch_core::SwitchCore;
 use crate::udp::UdpCluster;
 use crate::worker::{Hosted, SimWorker};
@@ -294,9 +293,8 @@ impl DeploymentSpec {
         recover_from: Option<ReplicaId>,
         recorder: Recorder,
     ) -> SimWorker {
-        let me = config.me;
-        let node = ReplicaNode::new(build_replica(config), recover_from, recorder);
-        SimWorker::new(vec![Hosted::replica(me, node)], Some(self.costs))
+        let server = Server::new(config, recover_from);
+        SimWorker::new(vec![Hosted::replica(server, recorder)], Some(self.costs))
     }
 
     // ----- the three drivers ----------------------------------------------

@@ -5,12 +5,12 @@
 //! The layering is pure core / effectful shell. Sans-IO pieces hold
 //! everything that must behave the same on every driver — `client_core`
 //! (one operation's request / reply / retry state machine, and `Lanes`,
-//! the one closed-loop client loop over it), `replica_step` (what a
-//! storage server does with a packet or a tick), `switch_core` (the
-//! pipelines and their one route rule), `worker` (the step of a host
-//! running any of those) and `control` (the configuration service's §5.3
+//! the one closed-loop client loop over it), `switch_core` (the pipelines
+//! and their one route rule), `worker` (the step of a host running those
+//! and storage servers) and `control` (the configuration service's §5.3
 //! scripts, as data) — and the drivers only move packets and time around
-//! them.
+//! them. What a storage server does with a packet or a tick is
+//! `harmonia-replication`'s `Server`, recovery included.
 //!
 //! The pieces from the other crates meet here:
 //!
@@ -25,8 +25,8 @@
 //!   pipelines and storage servers behind one step (packets in, deadline
 //!   out), over the conflict detector, forwarding table and NOPaxos
 //!   sequencer of `harmonia-switch` ([`switch_core::SwitchCore`], whose
-//!   `handle` is the one route rule) and any `harmonia-replication` state
-//!   machine (the shared `ReplicaNode` step). In the simulator each node is
+//!   `handle` is the one route rule) and `harmonia-replication`'s `Server`,
+//!   counted and traced beside it by the worker. In the simulator each node is
 //!   a [`SimWorker`]: the switch at line rate, a replica behind the
 //!   calibrated service-cost model ([`msg::CostModel`]).
 //! * [`client`] provides an open-loop load generator (the DPDK-generator
@@ -61,7 +61,6 @@ pub mod deployment;
 pub mod failover;
 pub mod live;
 pub mod msg;
-mod replica_step;
 pub mod switch_core;
 pub mod udp;
 pub mod worker;

@@ -147,7 +147,7 @@ use harmonia_net::{AddrBook, Names, Resolver};
 use harmonia_obs::{
     Clock, Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
 };
-use harmonia_replication::{build_replica, GroupConfig};
+use harmonia_replication::{GroupConfig, Server};
 use harmonia_switch::{GroupId, SpineView};
 use harmonia_types::{
     ClientId, Duration, Instant, NodeId, PacketBody, RecordedOp, ReplicaId, SwitchId,
@@ -158,7 +158,6 @@ use crate::client_core::Lanes;
 use crate::control;
 use crate::deployment::{snapshot, Cluster, DeploymentSpec, KvClient};
 use crate::msg::Msg;
-use crate::replica_step::ReplicaNode;
 use crate::switch_core::SwitchCore;
 use crate::worker::{Hosted, Worker};
 
@@ -975,9 +974,9 @@ impl<S: Substrate> ThreadedCluster<S> {
     /// One replica and where it goes; with `recover_from` set, a *fresh*
     /// replica that catches up from that peer before serving.
     fn replica(&self, config: GroupConfig, recover_from: Option<ReplicaId>) -> (usize, Hosted) {
-        let me = config.me;
-        let node = ReplicaNode::new(build_replica(config), recover_from, self.registry.handle());
-        (self.spec.groups + me.index(), Hosted::replica(me, node))
+        let at = self.spec.groups + config.me.index();
+        let server = Server::new(config, recover_from);
+        (at, Hosted::replica(server, self.registry.handle()))
     }
 
     /// Create a synchronous client handle: the client shell with one lane.
@@ -1883,13 +1882,10 @@ mod tests {
             };
             let none = watched.next_wait();
             assert_eq!(none, None, "a worker that hosts nothing arms no timer");
-            let replica = build_replica(spec.group_config(0, 0));
+            let replica = Server::new(spec.group_config(0, 0), None);
             let hosted = vec![
                 Hosted::pipelines(core),
-                Hosted::replica(
-                    ReplicaId(0),
-                    ReplicaNode::new(replica, None, watched.registry.handle()),
-                ),
+                Hosted::replica(replica, watched.registry.handle()),
             ];
             let adopted = ask(&watched.ctl, |ack| Envelope::Adopt(hosted, ack)).unwrap();
             adopted.recv_timeout(StdDuration::from_secs(10)).unwrap();

@@ -2,11 +2,13 @@
 //! deadlines and verbs it is handed.
 //!
 //! A [`Worker`] hosts nodes — the switch pipelines of one incarnation (a
-//! [`SwitchCore`]) and storage servers (the replica step) — behind one step:
-//! take a batch of packets, hand each to the node it addresses, run the
-//! sweep and the ticks that are due, and say when it next has something to
-//! do unprompted. It reads no clock and owns no randomness: `now` and `rng`
-//! are arguments. Two shells feed it, and nothing else runs a node:
+//! [`SwitchCore`]) and storage servers (each a `harmonia-replication`
+//! [`Server`], beside the [`Recorder`] that counts and traces what its
+//! [`Server::on_packet`] reports) — behind one step: take a batch of
+//! packets, hand each to the node it addresses, run the sweep and the ticks
+//! that are due, and say when it next has something to do unprompted. It
+//! reads no clock and owns no randomness: `now` and `rng` are arguments.
+//! Two shells feed it, and nothing else runs a node:
 //!
 //! * the threaded drivers' worker loop ([`crate::live`]): receive a batch,
 //!   step at the registry clock's `now` with the thread's own seeded rng,
@@ -38,14 +40,14 @@
 //!   earliest deadline there is — so a busy switch costs no timer work per
 //!   packet.
 
-use harmonia_replication::Replica;
+use harmonia_obs::{Counter, Recorder, TraceStage};
+use harmonia_replication::{Effects, Handled, Server};
 use harmonia_sim::{Actor, Context, Service, TimerToken};
 use harmonia_switch::SpineView;
 use harmonia_types::{Instant, NodeId, ReplicaId};
 use rand::rngs::SmallRng;
 
 use crate::msg::{CostModel, Msg};
-use crate::replica_step::ReplicaNode;
 use crate::switch_core::SwitchCore;
 
 /// A node as a worker hosts it.
@@ -54,8 +56,8 @@ pub struct Hosted(Node);
 enum Node {
     /// The pipelines of one switch incarnation.
     Pipelines(SwitchCore),
-    /// One storage server.
-    Replica(ReplicaId, ReplicaNode),
+    /// One storage server, and where it records.
+    Replica(Box<Server>, Recorder),
 }
 
 impl Hosted {
@@ -64,25 +66,26 @@ impl Hosted {
         Hosted(Node::Pipelines(core))
     }
 
-    /// Storage server `me`.
-    pub(crate) fn replica(me: ReplicaId, node: ReplicaNode) -> Hosted {
-        Hosted(Node::Replica(me, node))
+    /// A storage server, recording to `recorder`.
+    pub(crate) fn replica(server: Server, recorder: Recorder) -> Hosted {
+        Hosted(Node::Replica(Box::new(server), recorder))
     }
 
     /// The unicast name a host answers to for this node. Pipelines have
     /// none: the switch's addresses reach them.
     pub(crate) fn name(&self) -> Option<NodeId> {
-        match self.0 {
+        match &self.0 {
             Node::Pipelines(_) => None,
-            Node::Replica(me, _) => Some(NodeId::Replica(me)),
+            Node::Replica(server, _) => Some(NodeId::Replica(server.me())),
         }
     }
 }
 
-/// A storage server on a worker, and when its protocol next ticks.
-struct Server {
-    me: ReplicaId,
-    node: ReplicaNode,
+/// A storage server on a worker, where it records, and when its protocol
+/// next ticks.
+struct Resident {
+    server: Server,
+    recorder: Recorder,
     tick_at: Option<Instant>,
 }
 
@@ -95,7 +98,10 @@ pub struct Worker {
     switch: Option<SwitchCore>,
     /// When the pipelines sweep, if no packet reaches them first.
     sweep_at: Option<Instant>,
-    servers: Vec<Server>,
+    servers: Vec<Resident>,
+    /// What a server's step sends, before it is addressed: reused, so a
+    /// packet that emits nothing allocates nothing.
+    fx: Effects,
 }
 
 impl Worker {
@@ -110,11 +116,17 @@ impl Worker {
                     self.switch = Some(core);
                     self.sweep_at = None;
                 }
-                Node::Replica(me, mut node) => {
-                    node.start(me, out);
-                    let tick_at = node.tick_interval().map(|tick| now + tick);
-                    self.servers.retain(|s| s.me != me);
-                    self.servers.push(Server { me, node, tick_at });
+                Node::Replica(server, recorder) => {
+                    let me = server.me();
+                    server.start(&mut self.fx);
+                    address(me, &mut self.fx, out);
+                    let tick_at = server.tick_interval().map(|tick| now + tick);
+                    self.servers.retain(|s| s.server.me() != me);
+                    self.servers.push(Resident {
+                        server: *server,
+                        recorder,
+                        tick_at,
+                    });
                 }
             }
         }
@@ -129,7 +141,9 @@ impl Worker {
                 self.switch = None;
                 self.sweep_at = None;
             }
-            name => self.servers.retain(|s| NodeId::Replica(s.me) != name),
+            name => self
+                .servers
+                .retain(|s| NodeId::Replica(s.server.me()) != name),
         }
     }
 
@@ -174,8 +188,10 @@ impl Worker {
                 }
             }
             NodeId::Replica(r) => {
-                if let Some(server) = self.servers.iter_mut().find(|s| s.me == r) {
-                    server.node.on_packet(now, r, msg, out);
+                if let Some(s) = self.servers.iter_mut().find(|s| s.server.me() == r) {
+                    let handled = s.server.on_packet(msg.body, &mut self.fx);
+                    record(&s.recorder, now, r, handled);
+                    address(r, &mut self.fx, out);
                 }
             }
             NodeId::Client(_) | NodeId::Controller => {}
@@ -196,10 +212,11 @@ impl Worker {
                 self.sweep_at = switch.sweep_after(now);
             }
         }
-        for server in &mut self.servers {
-            if server.tick_at.is_some_and(|at| at <= now) {
-                server.node.on_tick(server.me, out);
-                server.tick_at = server.node.tick_interval().map(|tick| now + tick);
+        for s in &mut self.servers {
+            if s.tick_at.is_some_and(|at| at <= now) {
+                s.server.on_tick(&mut self.fx);
+                address(s.server.me(), &mut self.fx, out);
+                s.tick_at = s.server.tick_interval().map(|tick| now + tick);
             }
         }
         self.deadline()
@@ -210,6 +227,32 @@ impl Worker {
         let ticks = self.servers.iter().filter_map(|s| s.tick_at);
         ticks.chain(self.sweep_at).min()
     }
+}
+
+/// Count, and trace where there is a request, what a server did with a
+/// packet.
+fn record(recorder: &Recorder, now: Instant, me: ReplicaId, handled: Handled) {
+    let node = NodeId::Replica(me);
+    match handled {
+        Handled::Transfer => recorder.incr(Counter::ReplicaTransfer),
+        Handled::Shed { trace, obj } => {
+            recorder.incr(Counter::ReplicaShed);
+            recorder.trace_at(now, node, trace, obj, TraceStage::ReplicaShed);
+        }
+        Handled::Request { trace, obj } => {
+            recorder.incr(Counter::ReplicaRequests);
+            recorder.trace_at(now, node, trace, obj, TraceStage::ReplicaExecute);
+        }
+        Handled::Protocol => recorder.incr(Counter::ReplicaProtocol),
+        Handled::Stray => recorder.incr(Counter::ReplicaStray),
+    }
+}
+
+/// Address what server `me` sent, onto `out`.
+fn address(me: ReplicaId, fx: &mut Effects, out: &mut Vec<(NodeId, Msg)>) {
+    let src = NodeId::Replica(me);
+    let sent = fx.out.drain(..);
+    out.extend(sent.map(|(dst, body)| (dst, Msg::new(src, dst, body))));
 }
 
 /// A [`Worker`] as a node of `harmonia-sim`.
@@ -243,13 +286,13 @@ impl SimWorker {
     }
 
     /// The storage server this host runs, if it runs one.
-    pub fn replica(&self) -> Option<&dyn Replica> {
-        self.worker.servers.first().map(|s| s.node.replica())
+    pub fn replica(&self) -> Option<&Server> {
+        self.worker.servers.first().map(|s| &s.server)
     }
 
     /// Whether a state transfer into a hosted replica is still in flight.
     pub fn is_recovering(&self) -> bool {
-        self.worker.servers.iter().any(|s| s.node.is_recovering())
+        self.worker.servers.iter().any(|s| s.server.is_recovering())
     }
 
     /// Send what the step produced, and arm the timer for `deadline` unless
@@ -308,8 +351,7 @@ impl Actor<Msg> for SimWorker {
 mod tests {
     use super::*;
     use crate::deployment::DeploymentSpec;
-    use harmonia_obs::Recorder;
-    use harmonia_replication::{build_replica, GroupConfig, ProtocolKind, ProtocolMsg};
+    use harmonia_replication::{GroupConfig, ProtocolKind, ProtocolMsg};
     use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
     use harmonia_switch::GroupId;
     use harmonia_types::{
@@ -470,15 +512,14 @@ mod tests {
         let me = ReplicaId(1);
         let server = |recover_from| {
             let config = GroupConfig::new(ProtocolKind::Chain, 3, me.0, true);
-            let node = ReplicaNode::new(build_replica(config), recover_from, Recorder::detached());
-            Hosted::replica(me, node)
+            Hosted::replica(Server::new(config, recover_from), Recorder::detached())
         };
         let (mut worker, mut out) = (Worker::default(), Vec::new());
         worker.adopt(at(0), vec![server(None)], &mut out);
         worker.adopt(at(1), vec![server(Some(ReplicaId(0)))], &mut out);
         let named: Vec<bool> = (worker.servers.iter())
-            .filter(|s| s.me == me)
-            .map(|s| s.node.is_recovering())
+            .filter(|s| s.server.me() == me)
+            .map(|s| s.server.is_recovering())
             .collect();
         assert_eq!(named, [true], "one server answers to {me:?}: the fresh one");
     }
@@ -540,12 +581,8 @@ mod tests {
     }
 
     fn server(config: GroupConfig) -> SimWorker {
-        let me = config.me;
-        let node = ReplicaNode::new(build_replica(config), None, Recorder::detached());
-        SimWorker::new(
-            vec![Hosted::replica(me, node)],
-            Some(CostModel::paper_calibrated()),
-        )
+        let replica = Hosted::replica(Server::new(config, None), Recorder::detached());
+        SimWorker::new(vec![replica], Some(CostModel::paper_calibrated()))
     }
 
     /// Three chain replicas as simulated hosts and a sink switch: a stamped

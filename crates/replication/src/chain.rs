@@ -132,7 +132,7 @@ impl Protocol for Chain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{ProtocolKind, Replica};
+    use crate::common::ProtocolKind;
     use crate::shell::harness::{pump, seq, write_req};
     use crate::shell::Shell;
     use bytes::Bytes;
@@ -148,11 +148,7 @@ mod tests {
     fn write_propagates_head_to_tail_then_replies() {
         let mut g = group(3, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
         // Head forwards down the chain, one hop at a time.
         assert_eq!(fx.len(), 1);
         assert!(matches!(fx.out[0].0, NodeId::Replica(ReplicaId(1))));
@@ -179,17 +175,13 @@ mod tests {
         let mut g = group(3, true);
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(
-                NodeId::Client(ClientId(1)),
-                write_req(1, "k", "v", true),
-                &mut fx,
-            );
+            g[0].on_request(write_req(1, "k", "v", true), &mut fx);
             fx
         };
         pump(&mut g, fx);
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
         let mut fx = Effects::new();
-        g[2].on_request(NodeId::Client(ClientId(2)), read, &mut fx);
+        g[2].on_request(read, &mut fx);
         let PacketBody::Reply(r) = &fx.out[0].1 else {
             panic!()
         };
@@ -201,7 +193,7 @@ mod tests {
         let mut g = group(3, true);
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
         let mut fx = Effects::new();
-        g[1].on_request(NodeId::Client(ClientId(2)), read, &mut fx);
+        g[1].on_request(read, &mut fx);
         assert!(matches!(
             fx.out[0],
             (NodeId::Replica(ReplicaId(2)), PacketBody::Request(_))
@@ -220,18 +212,10 @@ mod tests {
             request: RequestId(n),
         };
         let mut fx = Effects::new();
-        g[1].on_protocol(
-            NodeId::Replica(ReplicaId(0)),
-            ProtocolMsg::Chain(ChainMsg::Down(op(2, "v2"))),
-            &mut fx,
-        );
+        g[1].on_protocol(ProtocolMsg::Chain(ChainMsg::Down(op(2, "v2"))), &mut fx);
         assert_eq!(fx.len(), 1, "in-order write forwarded");
         let mut fx = Effects::new();
-        g[1].on_protocol(
-            NodeId::Replica(ReplicaId(0)),
-            ProtocolMsg::Chain(ChainMsg::Down(op(1, "v1"))),
-            &mut fx,
-        );
+        g[1].on_protocol(ProtocolMsg::Chain(ChainMsg::Down(op(1, "v1"))), &mut fx);
         assert!(fx.is_empty(), "stale write must be dropped");
         assert_eq!(g[1].local_value(b"k"), Some(Bytes::from_static(b"v2")));
     }
@@ -240,11 +224,7 @@ mod tests {
     fn single_node_chain_commits_immediately() {
         let mut g = group(1, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
         let PacketBody::Reply(r) = &fx.out[0].1 else {
             panic!()
         };
@@ -256,11 +236,7 @@ mod tests {
         let mut g = group(3, true);
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(
-                NodeId::Client(ClientId(1)),
-                write_req(1, "k", "v", true),
-                &mut fx,
-            );
+            g[0].on_request(write_req(1, "k", "v", true), &mut fx);
             fx
         };
         pump(&mut g, fx);
@@ -268,7 +244,6 @@ mod tests {
         for r in g.iter_mut().take(2) {
             let mut fx = Effects::new();
             r.on_protocol(
-                NodeId::Controller,
                 ProtocolMsg::Control(crate::messages::ReplicaControlMsg::SetMembers(vec![
                     ReplicaId(0),
                     ReplicaId(1),
@@ -279,18 +254,14 @@ mod tests {
         // Replica 1 is now the tail and serves normal reads locally.
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
         let mut fx = Effects::new();
-        g[1].on_request(NodeId::Client(ClientId(2)), read, &mut fx);
+        g[1].on_request(read, &mut fx);
         let PacketBody::Reply(r) = &fx.out[0].1 else {
             panic!()
         };
         assert_eq!(r.value, Some(Bytes::from_static(b"v")));
         // And writes commit with only two nodes.
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(2, "k", "v2", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(2, "k", "v2", true), &mut fx);
         let replies = pump(&mut g[..2], fx);
         assert_eq!(replies.len(), 1);
     }

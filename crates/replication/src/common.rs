@@ -1,13 +1,16 @@
-//! Shared protocol plumbing: the replica trait, effects, configuration, and
-//! the three Harmonia responsibilities from §7 of the paper.
+//! Shared protocol plumbing: effects, configuration, snapshots, and the
+//! three Harmonia responsibilities from §7 of the paper.
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
+use harmonia_kv::{Store, VersionedValue};
 use harmonia_types::{
-    ClientReply, ClientRequest, ControlMsg, Duration, NodeId, PacketBody, ReplicaId, SwitchId,
-    SwitchSeq, WriteCompletion,
+    ClientId, ClientReply, ClientRequest, ControlMsg, Duration, NodeId, ObjectId, PacketBody,
+    ReplicaId, RequestId, SwitchId, SwitchSeq, WriteCompletion,
 };
 
-use crate::messages::{ProtocolMsg, SnapshotEntry, SnapshotState, StateTransferMsg, WriteOp};
+use crate::messages::{ProtocolMsg, SnapshotEntry, SnapshotState, WriteOp};
 
 /// Which replication protocol a group runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -202,8 +205,8 @@ pub enum Admission {
 /// must be bit-identical across same-seed replays.
 #[derive(Clone, Debug, Default)]
 pub struct ClientTable {
-    last: std::collections::BTreeMap<harmonia_types::ClientId, harmonia_types::RequestId>,
-    replies: std::collections::BTreeMap<harmonia_types::ClientId, ClientReply>,
+    last: BTreeMap<ClientId, RequestId>,
+    replies: BTreeMap<ClientId, ClientReply>,
 }
 
 impl ClientTable {
@@ -213,11 +216,7 @@ impl ClientTable {
     }
 
     /// Classify `(client, request)`; `Fresh` admissions update the table.
-    pub fn admit(
-        &mut self,
-        client: harmonia_types::ClientId,
-        request: harmonia_types::RequestId,
-    ) -> Admission {
+    pub fn admit(&mut self, client: ClientId, request: RequestId) -> Admission {
         match self.last.get_mut(&client) {
             Some(seen) if request == *seen => Admission::Duplicate,
             Some(seen) if request < *seen => Admission::Stale,
@@ -238,11 +237,7 @@ impl ClientTable {
     }
 
     /// The cached reply for `(client, request)`, if the original completed.
-    pub fn cached_reply(
-        &self,
-        client: harmonia_types::ClientId,
-        request: harmonia_types::RequestId,
-    ) -> Option<ClientReply> {
+    pub fn cached_reply(&self, client: ClientId, request: RequestId) -> Option<ClientReply> {
         self.replies
             .get(&client)
             .filter(|r| r.request == request)
@@ -251,12 +246,7 @@ impl ClientTable {
 
     /// Export the session table for state transfer, sorted by client id so
     /// the wire bytes are deterministic.
-    pub fn export(
-        &self,
-    ) -> (
-        Vec<(harmonia_types::ClientId, harmonia_types::RequestId)>,
-        Vec<ClientReply>,
-    ) {
+    pub fn export(&self) -> (Vec<(ClientId, RequestId)>, Vec<ClientReply>) {
         let clients: Vec<_> = self.last.iter().map(|(&c, &r)| (c, r)).collect();
         let replies: Vec<_> = self.replies.values().cloned().collect();
         (clients, replies)
@@ -265,11 +255,7 @@ impl ClientTable {
     /// Merge an exported session table into this one. Live admissions that
     /// happened during the transfer are newer than the snapshot, so each
     /// client keeps the larger request id (and its reply cache entry).
-    pub fn install(
-        &mut self,
-        clients: Vec<(harmonia_types::ClientId, harmonia_types::RequestId)>,
-        replies: Vec<ClientReply>,
-    ) {
+    pub fn install(&mut self, clients: Vec<(ClientId, RequestId)>, replies: Vec<ClientReply>) {
         for (client, request) in clients {
             let slot = self.last.entry(client).or_insert(request);
             if request > *slot {
@@ -335,7 +321,7 @@ pub fn read_ahead_ok(applied_seq: SwitchSeq, stamped_last_committed: SwitchSeq) 
 /// `stamped` — the answer being the value, `None` for an unset key — and
 /// `None` if the read must take the normal path instead.
 pub fn read_ahead_probe(
-    store: &harmonia_kv::Store<harmonia_kv::VersionedValue>,
+    store: &Store<VersionedValue>,
     key: &[u8],
     stamped: SwitchSeq,
 ) -> Option<Option<Bytes>> {
@@ -366,273 +352,27 @@ pub fn read_reply(me: ReplicaId, req: &ClientRequest, value: Option<Bytes>) -> C
     }
 }
 
-/// A replica state machine. One instance runs per storage server; the
-/// drivers in `harmonia-core` deliver packets and ticks. Its one
-/// implementation is the Harmonia shell (`shell.rs`) around a protocol's
-/// write path.
-pub trait Replica: Send {
-    /// Handle a client request (write, normal read, or fast-path read).
-    fn on_request(&mut self, src: NodeId, req: ClientRequest, out: &mut Effects);
-
-    /// Handle a protocol-internal message.
-    fn on_protocol(&mut self, src: NodeId, msg: ProtocolMsg, out: &mut Effects);
-
-    /// Periodic tick (commit broadcasts, synchronization); driven at
-    /// [`Replica::tick_interval`].
-    fn on_tick(&mut self, _out: &mut Effects) {}
-
-    /// How often `on_tick` should run, if at all.
-    fn tick_interval(&self) -> Option<Duration> {
-        None
-    }
-
-    /// This replica's current best-known value for `key` (its applied state;
-    /// equal to the committed value once the system quiesces). For audits
-    /// and tests.
-    fn local_value(&self, key: &[u8]) -> Option<Bytes>;
-
-    /// The largest write sequence number this replica has applied/executed.
-    fn applied_seq(&self) -> SwitchSeq;
-
-    /// Export this replica's full state for a rejoining peer: the store,
-    /// any log/pending operations the protocol replays or completes, and
-    /// the scalar state of [`SnapshotState`].
-    fn export_snapshot(&self) -> Snapshot;
-
-    /// Install a peer's exported state into this (freshly started) replica.
-    /// Installation is *versioned*: a key is only overwritten where the
-    /// snapshot's version is newer than what this replica applied live
-    /// while the transfer was in flight, so install commutes with
-    /// interleaved new writes. May emit protocol messages (e.g. PB acks
-    /// for pending writes the primary is still waiting on).
-    fn install_snapshot(&mut self, snap: Snapshot, out: &mut Effects);
-
-    /// The switch incarnation this replica's lease currently honours —
-    /// where recovery control traffic (ungates) must be sent.
-    fn active_switch(&self) -> SwitchId;
-}
-
 /// A full exported replica state: store entries, log/pending operations,
 /// and scalar protocol state. The in-memory form of what
-/// [`StateTransferMsg`] ships in chunks.
+/// [`StateTransferMsg`](crate::messages::StateTransferMsg) ships in chunks.
 #[derive(Clone, Debug)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// Store contents (plus CRAQ's staged dirty versions).
-    pub entries: Vec<SnapshotEntry>,
+    pub(crate) entries: Vec<SnapshotEntry>,
     /// Log / pending operations in order (VR log, NOPaxos log, PB pending).
-    pub log: Vec<WriteOp>,
+    pub(crate) log: Vec<WriteOp>,
     /// Scalar protocol state.
-    pub state: SnapshotState,
-}
-
-impl Snapshot {
-    /// An empty snapshot (a freshly started replica exports this).
-    pub fn empty() -> Self {
-        Snapshot {
-            entries: Vec::new(),
-            log: Vec::new(),
-            state: SnapshotState::default(),
-        }
-    }
-}
-
-/// Byte budget for one state-transfer chunk: comfortably under the wire
-/// codec's `MAX_FRAME_BYTES` (65 507) after packet framing, so every chunk
-/// is one datagram on the UDP driver.
-const CHUNK_BUDGET_BYTES: usize = 48_000;
-
-fn entry_cost(e: &SnapshotEntry) -> usize {
-    e.key.len() + e.value.len() + 32
-}
-
-fn op_cost(op: &WriteOp) -> usize {
-    op.key.len() + op.value.len() + 40
-}
-
-/// The driver-held state-transfer engine (sans-IO): one per replica
-/// process. On the serving side it answers [`StateTransferMsg::Request`]
-/// with chunked snapshot + log + done. On the recovering side it buffers
-/// chunks and installs on `Done` — if every chunk the peer sent arrived;
-/// otherwise it asks again — then tells the switch to lift the replica's
-/// read gate.
-#[derive(Debug)]
-pub struct StateTransfer {
-    me: ReplicaId,
-    recovering: Option<RecoveryBuffer>,
-}
-
-#[derive(Debug)]
-struct RecoveryBuffer {
-    /// Who is serving the transfer, to ask again if a chunk goes missing.
-    peer: ReplicaId,
-    entries: Vec<SnapshotEntry>,
-    log: Vec<WriteOp>,
-}
-
-impl StateTransfer {
-    /// An engine for replica `me`, not recovering.
-    pub fn new(me: ReplicaId) -> Self {
-        StateTransfer {
-            me,
-            recovering: None,
-        }
-    }
-
-    /// Begin recovery: ask `peer` for its state. Until the transfer
-    /// completes the driver must keep client requests away from the
-    /// replica (clients retry; the switch has the replica read-gated).
-    pub fn begin(&mut self, peer: ReplicaId, out: &mut Effects) {
-        self.recovering = Some(RecoveryBuffer {
-            peer,
-            entries: Vec::new(),
-            log: Vec::new(),
-        });
-        out.protocol(
-            peer,
-            ProtocolMsg::StateTransfer(StateTransferMsg::Request { from: self.me }),
-        );
-    }
-
-    /// True while a transfer is in flight on the recovering side.
-    pub fn is_recovering(&self) -> bool {
-        self.recovering.is_some()
-    }
-
-    /// Handle one state-transfer message for `replica`. Returns true iff
-    /// this message completed a recovery (the snapshot was installed and
-    /// the ungate was sent).
-    pub fn on_msg(
-        &mut self,
-        replica: &mut dyn Replica,
-        msg: StateTransferMsg,
-        out: &mut Effects,
-    ) -> bool {
-        match msg {
-            StateTransferMsg::Request { from } => {
-                self.serve(replica, from, out);
-                false
-            }
-            StateTransferMsg::Entries { entries } => {
-                if let Some(buf) = &mut self.recovering {
-                    buf.entries.extend(entries);
-                }
-                false
-            }
-            StateTransferMsg::Log { ops } => {
-                if let Some(buf) = &mut self.recovering {
-                    buf.log.extend(ops);
-                }
-                false
-            }
-            StateTransferMsg::Done {
-                state,
-                entries,
-                ops,
-            } => {
-                let Some(buf) = self.recovering.take() else {
-                    return false;
-                };
-                // Replica↔replica sends are spared by the adversary, not by
-                // a full receive buffer. A replica that installed what
-                // happened to arrive would answer fast-path reads with
-                // `None` for the keys of a chunk it never received: start
-                // the transfer over instead.
-                if (buf.entries.len() as u64, buf.log.len() as u64) != (entries, ops) {
-                    self.begin(buf.peer, out);
-                    return false;
-                }
-                replica.install_snapshot(
-                    Snapshot {
-                        entries: buf.entries,
-                        log: buf.log,
-                        state,
-                    },
-                    out,
-                );
-                // Lift the read gate. The ungate crosses a faultable
-                // switch leg on the UDP driver, so send a small burst —
-                // the message is idempotent and floor-checked.
-                let caught_up = replica.applied_seq();
-                let ctl = ControlMsg::UngateReplica {
-                    replica: self.me,
-                    caught_up,
-                };
-                for _ in 0..3 {
-                    out.control_switch(replica.active_switch(), ctl.clone());
-                }
-                true
-            }
-        }
-    }
-
-    /// Serve a peer's request: export, chunk to the frame budget, finish
-    /// with the scalar state.
-    fn serve(&self, replica: &dyn Replica, to: ReplicaId, out: &mut Effects) {
-        let snap = replica.export_snapshot();
-        let (entries_sent, ops_sent) = (snap.entries.len() as u64, snap.log.len() as u64);
-        let mut chunk: Vec<SnapshotEntry> = Vec::new();
-        let mut size = 0usize;
-        for e in snap.entries {
-            let cost = entry_cost(&e);
-            if size + cost > CHUNK_BUDGET_BYTES && !chunk.is_empty() {
-                out.protocol(
-                    to,
-                    ProtocolMsg::StateTransfer(StateTransferMsg::Entries {
-                        entries: std::mem::take(&mut chunk),
-                    }),
-                );
-                size = 0;
-            }
-            size += cost;
-            chunk.push(e);
-        }
-        if !chunk.is_empty() {
-            out.protocol(
-                to,
-                ProtocolMsg::StateTransfer(StateTransferMsg::Entries { entries: chunk }),
-            );
-        }
-        let mut ops: Vec<WriteOp> = Vec::new();
-        let mut size = 0usize;
-        for op in snap.log {
-            let cost = op_cost(&op);
-            if size + cost > CHUNK_BUDGET_BYTES && !ops.is_empty() {
-                out.protocol(
-                    to,
-                    ProtocolMsg::StateTransfer(StateTransferMsg::Log {
-                        ops: std::mem::take(&mut ops),
-                    }),
-                );
-                size = 0;
-            }
-            size += cost;
-            ops.push(op);
-        }
-        if !ops.is_empty() {
-            out.protocol(
-                to,
-                ProtocolMsg::StateTransfer(StateTransferMsg::Log { ops }),
-            );
-        }
-        out.protocol(
-            to,
-            ProtocolMsg::StateTransfer(StateTransferMsg::Done {
-                state: snap.state,
-                entries: entries_sent,
-                ops: ops_sent,
-            }),
-        );
-    }
+    pub(crate) state: SnapshotState,
 }
 
 /// Export a versioned store as snapshot entries, sorted by key so chunk
 /// boundaries (and therefore wire bytes) are deterministic.
-pub fn export_store(store: &harmonia_kv::Store<harmonia_kv::VersionedValue>) -> Vec<SnapshotEntry> {
+pub fn export_store(store: &Store<VersionedValue>) -> Vec<SnapshotEntry> {
     let mut entries = Vec::new();
     store.for_each(|key, vv| {
         entries.push(SnapshotEntry {
             key: key.clone(),
-            obj: harmonia_types::ObjectId::from_key(key),
+            obj: ObjectId::from_key(key),
             value: vv.value.clone(),
             seq: vv.seq,
             dirty: false,
@@ -645,10 +385,7 @@ pub fn export_store(store: &harmonia_kv::Store<harmonia_kv::VersionedValue>) -> 
 /// Install snapshot entries into a versioned store (see [`put_newer`]).
 /// Returns the largest installed sequence number (ZERO if nothing was
 /// newer).
-pub fn install_store(
-    store: &harmonia_kv::Store<harmonia_kv::VersionedValue>,
-    entries: Vec<SnapshotEntry>,
-) -> SwitchSeq {
+pub fn install_store(store: &Store<VersionedValue>, entries: Vec<SnapshotEntry>) -> SwitchSeq {
     let mut max_seq = SwitchSeq::ZERO;
     for e in entries {
         max_seq = max_seq.max(e.seq);
@@ -660,13 +397,8 @@ pub fn install_store(
 /// Versioned apply: `key = value` at `seq`, unless `key` already holds a
 /// newer version — e.g. one a recovering replica applied live while its
 /// state transfer was in flight. Install commutes with such writes.
-pub fn put_newer(
-    store: &harmonia_kv::Store<harmonia_kv::VersionedValue>,
-    key: &Bytes,
-    value: &Bytes,
-    seq: SwitchSeq,
-) {
-    let version = || harmonia_kv::VersionedValue::new(value.clone(), seq);
+pub fn put_newer(store: &Store<VersionedValue>, key: &Bytes, value: &Bytes, seq: SwitchSeq) {
+    let version = || VersionedValue::new(value.clone(), seq);
     store.update(key, version, |vv| {
         if seq > vv.seq {
             *vv = version();
@@ -678,7 +410,6 @@ pub fn put_newer(
 mod tests {
     use super::*;
     use crate::messages::ReplicaControlMsg;
-    use harmonia_types::{ClientId, ObjectId, RequestId};
 
     fn seq(sw: u32, n: u64) -> SwitchSeq {
         SwitchSeq::new(SwitchId(sw), n)
@@ -755,202 +486,6 @@ mod tests {
         assert_eq!(b.admit(ClientId(1), RequestId(6)), Admission::Duplicate);
         assert_eq!(b.admit(ClientId(2), RequestId(1)), Admission::Duplicate);
         assert!(b.cached_reply(ClientId(1), RequestId(5)).is_none());
-    }
-
-    fn pb_cfg(me: u32) -> GroupConfig {
-        GroupConfig::new(crate::common::ProtocolKind::PrimaryBackup, 3, me, true)
-    }
-
-    /// A 3-replica PB group with `key{n} = values[n - 1]` committed on all.
-    fn committed_pb_group(values: &[Bytes]) -> Vec<Box<dyn Replica>> {
-        use harmonia_types::PacketBody;
-        let mut group: Vec<Box<dyn Replica>> =
-            (0..3).map(|i| crate::build_replica(pb_cfg(i))).collect();
-        let mut fx = Effects::new();
-        for (n, value) in (1u64..).zip(values) {
-            let mut req = ClientRequest::write(
-                ClientId(1),
-                RequestId(n),
-                Bytes::copy_from_slice(format!("key{n}").as_bytes()),
-                value.clone(),
-            );
-            req.seq = Some(seq(1, n));
-            group[0].on_request(NodeId::Client(ClientId(1)), req, &mut fx);
-        }
-        while !fx.is_empty() {
-            let mut next = Effects::new();
-            for (dst, body) in fx.out.drain(..) {
-                if let (NodeId::Replica(r), PacketBody::Protocol(m)) = (dst, body) {
-                    group[r.index()].on_protocol(NodeId::Replica(r), m, &mut next);
-                }
-            }
-            fx = next;
-        }
-        group
-    }
-
-    /// Deliver `fx` and everything it causes — transfer traffic to the
-    /// engine beside the replica addressed, ungates to nobody. True iff the
-    /// recovery completed on the way.
-    fn pump_transfer(
-        engine: &mut StateTransfer,
-        group: &mut [Box<dyn Replica>],
-        mut fx: Effects,
-    ) -> bool {
-        use harmonia_types::PacketBody;
-        let mut done = false;
-        while !fx.is_empty() {
-            let mut next = Effects::new();
-            for (dst, body) in fx.out.drain(..) {
-                match (dst, body) {
-                    (NodeId::Replica(r), PacketBody::Protocol(ProtocolMsg::StateTransfer(m))) => {
-                        done |= engine.on_msg(group[r.index()].as_mut(), m, &mut next);
-                    }
-                    (NodeId::Switch(_), PacketBody::Control(ControlMsg::UngateReplica { .. })) => {}
-                    other => panic!("unexpected effect {other:?}"),
-                }
-            }
-            fx = next;
-        }
-        done
-    }
-
-    #[test]
-    fn state_transfer_round_trip_restores_a_pb_backup() {
-        let values: Vec<Bytes> = (1..=4)
-            .map(|n| Bytes::copy_from_slice(format!("val{n}").as_bytes()))
-            .collect();
-        let mut group = committed_pb_group(&values);
-
-        // Replica 2 crashes and restarts empty; pull state from replica 0.
-        group[2] = crate::build_replica(pb_cfg(2));
-        let mut engine = StateTransfer::new(ReplicaId(2));
-        let mut fx = Effects::new();
-        engine.begin(ReplicaId(0), &mut fx);
-        assert!(engine.is_recovering());
-        assert!(
-            pump_transfer(&mut engine, &mut group, fx),
-            "transfer completed"
-        );
-        assert!(!engine.is_recovering());
-        for (n, value) in (1u64..).zip(&values) {
-            assert_eq!(
-                group[2].local_value(format!("key{n}").as_bytes()).as_ref(),
-                Some(value),
-                "key{n} restored"
-            );
-        }
-        assert_eq!(group[2].applied_seq(), seq(1, 4));
-    }
-
-    /// A receive buffer that overflowed mid-burst drops a chunk without
-    /// telling anyone. `Done` says how much was sent: the recovering side
-    /// installs nothing, stays shed and gated, and asks its peer again.
-    #[test]
-    fn a_transfer_that_lost_a_chunk_asks_again_instead_of_installing() {
-        use harmonia_types::PacketBody;
-        // 30 KB values: every entry is a chunk of its own.
-        let values: Vec<Bytes> = (1..=4u8).map(|n| Bytes::from(vec![n; 30_000])).collect();
-        let mut group = committed_pb_group(&values);
-        group[2] = crate::build_replica(pb_cfg(2));
-        let mut engine = StateTransfer::new(ReplicaId(2));
-        let mut request = Effects::new();
-        engine.begin(ReplicaId(0), &mut request);
-        let (_, PacketBody::Protocol(ProtocolMsg::StateTransfer(ask))) = request.out.pop().unwrap()
-        else {
-            panic!("begin sends a transfer request");
-        };
-        let mut served = Effects::new();
-        engine.on_msg(group[0].as_mut(), ask, &mut served);
-        let chunks = |fx: &Effects| {
-            let is_chunk = |b: &PacketBody<ProtocolMsg>| {
-                matches!(
-                    b,
-                    PacketBody::Protocol(ProtocolMsg::StateTransfer(
-                        StateTransferMsg::Entries { .. }
-                    ))
-                )
-            };
-            fx.out.iter().filter(|(_, b)| is_chunk(b)).count()
-        };
-        assert_eq!(chunks(&served), 4);
-
-        // The second chunk never arrives; everything else does, in order.
-        served.out.remove(1);
-        let mut after = Effects::new();
-        for (_, body) in served.out.drain(..) {
-            let PacketBody::Protocol(ProtocolMsg::StateTransfer(m)) = body else {
-                panic!("the peer serves transfer traffic only");
-            };
-            assert!(!engine.on_msg(group[2].as_mut(), m, &mut after));
-        }
-        assert!(engine.is_recovering(), "still shedding requests");
-        for n in 1..=4 {
-            let key = format!("key{n}");
-            assert_eq!(group[2].local_value(key.as_bytes()), None, "{key}");
-        }
-        // No ungate; one more request to the same peer.
-        assert_eq!(after.out.len(), 1, "{:?}", after.out);
-        assert!(matches!(
-            after.out[0],
-            (
-                NodeId::Replica(ReplicaId(0)),
-                PacketBody::Protocol(ProtocolMsg::StateTransfer(StateTransferMsg::Request {
-                    from: ReplicaId(2)
-                }))
-            )
-        ));
-
-        // The second attempt arrives whole and installs.
-        assert!(pump_transfer(&mut engine, &mut group, after));
-        assert!(!engine.is_recovering());
-        assert_eq!(group[2].local_value(b"key2"), Some(values[1].clone()));
-        assert_eq!(group[2].applied_seq(), seq(1, 4));
-    }
-
-    #[test]
-    fn state_transfer_done_emits_an_ungate_burst() {
-        let cfg = GroupConfig::new(crate::common::ProtocolKind::PrimaryBackup, 2, 1, true);
-        let mut replica = crate::build_replica(cfg);
-        let mut engine = StateTransfer::new(ReplicaId(1));
-        let mut fx = Effects::new();
-        engine.begin(ReplicaId(0), &mut fx);
-        let mut out = Effects::new();
-        engine.on_msg(
-            replica.as_mut(),
-            StateTransferMsg::Done {
-                state: SnapshotState::default(),
-                entries: 0,
-                ops: 0,
-            },
-            &mut out,
-        );
-        let ungates = out
-            .out
-            .iter()
-            .filter(|(_, b)| {
-                matches!(
-                    b,
-                    harmonia_types::PacketBody::Control(ControlMsg::UngateReplica {
-                        replica: ReplicaId(1),
-                        ..
-                    })
-                )
-            })
-            .count();
-        assert_eq!(ungates, 3, "loss-tolerant burst");
-        // A stray Done with no transfer in flight is ignored.
-        let mut out = Effects::new();
-        assert!(!engine.on_msg(
-            replica.as_mut(),
-            StateTransferMsg::Done {
-                state: SnapshotState::default(),
-                entries: 0,
-                ops: 0,
-            },
-            &mut out,
-        ));
-        assert!(out.is_empty());
     }
 
     #[test]

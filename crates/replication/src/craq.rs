@@ -178,7 +178,7 @@ impl Protocol for Craq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{ProtocolKind, Replica};
+    use crate::common::ProtocolKind;
     use crate::shell::harness::{pump, write_req};
     use crate::shell::Shell;
     use bytes::Bytes;
@@ -202,7 +202,7 @@ mod tests {
     fn write_has_two_phases_and_all_nodes_end_clean() {
         let mut g = group(3);
         let mut fx = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v"), &mut fx);
+        g[0].on_request(write(1, "k", "v"), &mut fx);
         // Phase 1 in flight: head has a dirty version.
         assert!(dirty_at(&g[0], b"k"));
         let replies = pump(&mut g, fx);
@@ -219,14 +219,14 @@ mod tests {
         let mut g = group(3);
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v"), &mut fx);
+            g[0].on_request(write(1, "k", "v"), &mut fx);
             fx
         };
         pump(&mut g, fx);
         for (idx, replica) in g.iter_mut().enumerate() {
             let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
             let mut fx = Effects::new();
-            replica.on_request(NodeId::Client(ClientId(2)), read, &mut fx);
+            replica.on_request(read, &mut fx);
             let PacketBody::Reply(r) = &fx.out[0].1 else {
                 panic!("node {idx} forwarded a clean read")
             };
@@ -239,11 +239,11 @@ mod tests {
         let mut g = group(3);
         // Start a write but stop after the head stages it.
         let mut fx = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v1"), &mut fx);
+        g[0].on_request(write(1, "k", "v1"), &mut fx);
         // Head is dirty: a read there must be forwarded to the tail.
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
         let mut fx2 = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(2)), read, &mut fx2);
+        g[0].on_request(read, &mut fx2);
         assert!(matches!(
             fx2.out[0],
             (NodeId::Replica(ReplicaId(2)), PacketBody::Request(_))
@@ -264,7 +264,7 @@ mod tests {
         for (n, v) in [(1, "v1"), (2, "v2")] {
             let fx = {
                 let mut fx = Effects::new();
-                g[0].on_request(NodeId::Client(ClientId(1)), write(n, "k", v), &mut fx);
+                g[0].on_request(write(n, "k", v), &mut fx);
                 fx
             };
             pump(&mut g, fx);
@@ -280,16 +280,16 @@ mod tests {
         // Commit "a", then leave "b" dirty at the head.
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(NodeId::Client(ClientId(1)), write(1, "a", "va"), &mut fx);
+            g[0].on_request(write(1, "a", "va"), &mut fx);
             fx
         };
         pump(&mut g, fx);
         let mut fx = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(1)), write(2, "b", "vb"), &mut fx);
+        g[0].on_request(write(2, "b", "vb"), &mut fx);
         // "a" still serves locally at the head.
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"a"[..]);
         let mut fx2 = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(2)), read, &mut fx2);
+        g[0].on_request(read, &mut fx2);
         let PacketBody::Reply(r) = &fx2.out[0].1 else {
             panic!()
         };
@@ -300,7 +300,7 @@ mod tests {
     fn misrouted_write_forwards_to_head() {
         let mut g = group(3);
         let mut fx = Effects::new();
-        g[1].on_request(NodeId::Client(ClientId(1)), write(1, "k", "v"), &mut fx);
+        g[1].on_request(write(1, "k", "v"), &mut fx);
         assert!(matches!(
             fx.out[0],
             (NodeId::Replica(ReplicaId(0)), PacketBody::Request(_))

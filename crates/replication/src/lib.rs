@@ -5,8 +5,12 @@
 //! module keeps only its write path: its messages, its tick, its snapshot,
 //! and its answers to the two questions Harmonia asks of a protocol (§7) —
 //! which read rule holds at a replica, and who serves a normal read. The
-//! Harmonia shell (`shell.rs`) is the one [`Replica`] around all five: the
-//! lease, membership and control messages, write admission, and every read.
+//! Harmonia shell (`shell.rs`) wraps all five: the lease, membership and
+//! control messages, write admission, and every read. One concrete type,
+//! [`Server`], is the whole storage server: the shell for the protocol its
+//! [`GroupConfig`] names, the state-transfer broker that repairs it after a
+//! restart, and the gate that sheds client requests until that repair is
+//! done.
 //!
 //! | module | protocol | read rule | normal reads | Harmonia adaptation (§7) |
 //! |---|---|---|---|---|
@@ -16,9 +20,10 @@
 //! | [`vr`] | Viewstamped Replication | read-behind | leader | extra COMMIT-ACK phase; completion after a majority executes |
 //! | [`nopaxos`] | NOPaxos | read-behind | leader | completions batched out of the periodic synchronization |
 //!
-//! A state machine consumes packets/ticks and emits [`Effects`] — messages to
-//! send. The simulation driver and the threaded drivers (all in
-//! `harmonia-core`) execute the same machines.
+//! A server consumes packets/ticks and emits [`Effects`] — messages to
+//! send — and reports what it did with each packet ([`Handled`]). The
+//! simulation driver and the threaded drivers (all in `harmonia-core`) host
+//! the same servers.
 //!
 //! The three responsibilities Harmonia imposes on a replica (§7) live in the
 //! shell, once: writes are accepted only in sequence-number order
@@ -39,25 +44,19 @@ pub mod craq;
 pub mod messages;
 pub mod nopaxos;
 pub mod pb;
+mod server;
 mod shell;
 pub mod vr;
 pub mod wire;
 
 pub use common::{
     read_ahead_ok, read_behind_ok, Effects, GroupConfig, InOrder, LeaseState, ProtocolKind,
-    Replica, Snapshot, StateTransfer,
 };
 pub use messages::{ProtocolMsg, ReplicaControlMsg};
+pub use server::{Handled, Replica, Server};
 
-use shell::Shell;
-
-/// Construct the replica state machine for `config`.
+/// A serving [`Server`] for `config`, behind the [`Replica`] calls the perf
+/// ledger makes.
 pub fn build_replica(config: GroupConfig) -> Box<dyn Replica> {
-    match config.protocol {
-        ProtocolKind::PrimaryBackup => Box::new(Shell::<pb::Pb>::new(config)),
-        ProtocolKind::Chain => Box::new(Shell::<chain::Chain>::new(config)),
-        ProtocolKind::Craq => Box::new(Shell::<craq::Craq>::new(config)),
-        ProtocolKind::Vr => Box::new(Shell::<vr::Vr>::new(config)),
-        ProtocolKind::Nopaxos => Box::new(Shell::<nopaxos::Nopaxos>::new(config)),
-    }
+    Box::new(Server::new(config, None))
 }

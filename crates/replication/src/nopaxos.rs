@@ -69,8 +69,10 @@ pub(crate) struct Nopaxos {
 impl Nopaxos {
     fn execute_up_to(&mut self, slot: u64) {
         let slot = slot.min(self.log.len() as u64);
-        while self.executed < slot {
-            let entry = &self.log[self.executed as usize];
+        let Some(entries) = self.log.get(self.executed as usize..slot as usize) else {
+            return;
+        };
+        for entry in entries {
             if entry.fresh {
                 let op = &entry.op;
                 self.store.put(
@@ -81,8 +83,8 @@ impl Nopaxos {
             // The guard point advances over stale slots too: they are
             // processed (as no-ops).
             self.exec_seq = self.exec_seq.max(entry.op.seq);
-            self.executed += 1;
         }
+        self.executed = slot;
     }
 
     /// Append an in-order sequenced write and react per role: the leader
@@ -168,15 +170,18 @@ impl Nopaxos {
         if !cx.harmonia || cx.me != cx.first() {
             return;
         }
-        let point = cx.majority_executed(self.executed, &self.sync_points);
-        while self.completed < point {
-            self.completed += 1;
-            // Completions are emitted for stale slots too: the duplicate
-            // also left a dirty-set entry at the switch that must clear.
-            let op = &self.log[(self.completed - 1) as usize].op;
+        let held = self.log.len() as u64;
+        let point = cx.majority_executed(self.executed, held, &self.sync_points);
+        let Some(slots) = self.log.get(self.completed as usize..point as usize) else {
+            return;
+        };
+        // Completions are emitted for stale slots too: the duplicate also
+        // left a dirty-set entry at the switch that must clear.
+        for LogEntry { op, .. } in slots {
             let (obj, seq) = (op.obj, op.seq);
             out.completion(cx.via(), WriteCompletion { obj, seq });
         }
+        self.completed = point;
     }
 }
 
@@ -276,7 +281,7 @@ impl Protocol for Nopaxos {
                 upto,
                 from,
             } => {
-                if session != self.session || cx.me != leader {
+                if session != self.session || cx.me != leader || !cx.is_peer(from) {
                     return;
                 }
                 let p = self.sync_points.entry(from).or_insert(0);
@@ -351,7 +356,7 @@ impl Protocol for Nopaxos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{ProtocolKind, Replica};
+    use crate::common::ProtocolKind;
     use crate::shell::harness::{pump, sequenced};
     use crate::shell::Shell;
     use bytes::Bytes;
@@ -368,7 +373,7 @@ mod tests {
     fn multicast(g: &mut [Shell<Nopaxos>], msg: ProtocolMsg) -> Vec<PacketBody<ProtocolMsg>> {
         let mut fx = Effects::new();
         for replica in g.iter_mut() {
-            replica.on_protocol(NodeId::Switch(SwitchId(1)), msg.clone(), &mut fx);
+            replica.on_protocol(msg.clone(), &mut fx);
         }
         pump(g, fx)
     }
@@ -411,6 +416,28 @@ mod tests {
         assert_eq!(comps.len(), 1);
     }
 
+    /// SYNC-ACKs carry peer-supplied points. Acks past everything the
+    /// leader holds complete nothing, and an ack from a non-member is not
+    /// recorded.
+    #[test]
+    fn sync_acks_past_the_leaders_log_complete_nothing() {
+        let mut g = group(3, true);
+        let ack = |from| {
+            ProtocolMsg::Nopaxos(NopaxosMsg::SyncAck {
+                session: 1,
+                upto: 5,
+                from: ReplicaId(from),
+            })
+        };
+        let mut fx = Effects::new();
+        g[0].on_protocol(ack(1), &mut fx);
+        g[0].on_protocol(ack(2), &mut fx);
+        assert!(fx.is_empty(), "the leader's log is empty: {:?}", fx.out);
+        g[0].on_protocol(ack(7), &mut fx);
+        assert!(fx.is_empty());
+        assert!(!g[0].proto.sync_points.contains_key(&ReplicaId(7)));
+    }
+
     #[test]
     fn baseline_sync_emits_no_completions() {
         let mut g = group(3, false);
@@ -432,15 +459,15 @@ mod tests {
         // receive it.
         let msg2 = sequenced(2, "b", "vb");
         let mut fx = Effects::new();
-        g[0].on_protocol(NodeId::Switch(SwitchId(1)), msg2.clone(), &mut fx);
-        g[2].on_protocol(NodeId::Switch(SwitchId(1)), msg2, &mut fx);
+        g[0].on_protocol(msg2.clone(), &mut fx);
+        g[2].on_protocol(msg2, &mut fx);
         pump(&mut g, fx);
         assert_eq!(g[1].proto.log.len(), 1, "follower 1 missed slot 2");
         // Slot 3 arrives at follower 1: it detects the gap and fetches
         // slot 2 from the leader.
         let msg3 = sequenced(3, "c", "vc");
         let mut fx = Effects::new();
-        g[1].on_protocol(NodeId::Switch(SwitchId(1)), msg3.clone(), &mut fx);
+        g[1].on_protocol(msg3.clone(), &mut fx);
         assert!(
             fx.out.iter().any(|(dst, b)| matches!(
                 (dst, b),
@@ -486,7 +513,7 @@ mod tests {
         let mut g = group(3, true);
         let req = ClientRequest::write(ClientId(1), RequestId(1), &b"k"[..], &b"v"[..]);
         let mut fx = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(1)), req, &mut fx);
+        g[0].on_request(req, &mut fx);
         let PacketBody::Reply(r) = &fx.out[0].1 else {
             panic!()
         };
@@ -506,11 +533,7 @@ mod tests {
                 from: ReplicaId(1),
             };
             let mut fx = Effects::new();
-            g[0].on_protocol(
-                NodeId::Replica(ReplicaId(1)),
-                ProtocolMsg::Nopaxos(ask),
-                &mut fx,
-            );
+            g[0].on_protocol(ProtocolMsg::Nopaxos(ask), &mut fx);
             assert!(fx.is_empty(), "slot {oum_seq}: {fx:?}");
         }
     }

@@ -155,7 +155,7 @@ impl Protocol for Pb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{ProtocolKind, Replica};
+    use crate::common::ProtocolKind;
     use crate::shell::harness::{pump, seq, write_req};
     use crate::shell::Shell;
     use bytes::Bytes;
@@ -171,11 +171,7 @@ mod tests {
     fn write_commits_after_all_backups_ack() {
         let mut g = group(3, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
         // Updates sent to both backups; no reply yet.
         assert_eq!(fx.len(), 2);
         let replies = pump(&mut g, fx);
@@ -201,18 +197,14 @@ mod tests {
     fn out_of_order_write_rejected() {
         let mut g = group(3, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(5, "k", "v5", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(5, "k", "v5", true), &mut fx);
         pump(&mut g, fx);
         // Fresh request id (admission passes) but a stale switch sequence:
         // the in-order rule must reject it.
         let mut stale = write_req(6, "k", "v3", true);
         stale.seq = Some(seq(3));
         let mut fx = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(1)), stale, &mut fx);
+        g[0].on_request(stale, &mut fx);
         let replies = pump(&mut g, fx);
         let PacketBody::Reply(r) = &replies[0] else {
             panic!()
@@ -226,11 +218,7 @@ mod tests {
         let mut g = group(3, true);
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(
-                NodeId::Client(ClientId(1)),
-                write_req(1, "k", "v1", true),
-                &mut fx,
-            );
+            g[0].on_request(write_req(1, "k", "v1", true), &mut fx);
             fx
         };
         pump(&mut g, fx);
@@ -240,7 +228,7 @@ mod tests {
         let mut dup = write_req(1, "k", "v1", true);
         dup.seq = Some(seq(9));
         let mut fx = Effects::new();
-        g[0].on_request(NodeId::Client(ClientId(1)), dup, &mut fx);
+        g[0].on_request(dup, &mut fx);
         assert_eq!(fx.len(), 1, "exactly the cached reply: {fx:?}");
         let (dst, PacketBody::Reply(r)) = &fx.out[0] else {
             panic!("expected cached reply, got {:?}", fx.out)
@@ -261,15 +249,11 @@ mod tests {
     fn primary_serves_normal_reads_from_committed_state_only() {
         let mut g = group(3, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v1", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v1", true), &mut fx);
         // Do NOT deliver backup acks: the write is pending, uncommitted.
         let mut read_fx = Effects::new();
         let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
-        g[0].on_request(NodeId::Client(ClientId(2)), read, &mut read_fx);
+        g[0].on_request(read, &mut read_fx);
         let PacketBody::Reply(r) = &read_fx.out[0].1 else {
             panic!()
         };
@@ -280,11 +264,7 @@ mod tests {
     fn baseline_mode_stamps_writes_at_primary() {
         let mut g = group(3, false);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", false),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", false), &mut fx);
         let replies = pump(&mut g, fx);
         let PacketBody::Reply(r) = &replies[0] else {
             panic!()
@@ -298,11 +278,7 @@ mod tests {
     fn misrouted_write_forwards_to_primary() {
         let mut g = group(3, true);
         let mut fx = Effects::new();
-        g[2].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[2].on_request(write_req(1, "k", "v", true), &mut fx);
         assert!(matches!(
             fx.out[0],
             (NodeId::Replica(ReplicaId(0)), PacketBody::Request(_))
@@ -315,21 +291,12 @@ mod tests {
     fn commits_apply_in_sequence_order_despite_ack_reordering() {
         let mut g = group(2, true);
         let mut fx1 = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v1", true),
-            &mut fx1,
-        );
+        g[0].on_request(write_req(1, "k", "v1", true), &mut fx1);
         let mut fx2 = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(2, "k", "v2", true),
-            &mut fx2,
-        );
+        g[0].on_request(write_req(2, "k", "v2", true), &mut fx2);
         // Ack for write 2 arrives first (simulated directly).
         let mut out = Effects::new();
         g[0].on_protocol(
-            NodeId::Replica(ReplicaId(1)),
             ProtocolMsg::Pb(PbMsg::Ack {
                 seq: seq(2),
                 from: ReplicaId(1),
@@ -338,7 +305,6 @@ mod tests {
         );
         assert!(out.is_empty(), "write 2 must wait for write 1");
         g[0].on_protocol(
-            NodeId::Replica(ReplicaId(1)),
             ProtocolMsg::Pb(PbMsg::Ack {
                 seq: seq(1),
                 from: ReplicaId(1),

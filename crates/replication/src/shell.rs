@@ -1,4 +1,5 @@
-//! The Harmonia shell: the one [`Replica`], around any [`Protocol`].
+//! The Harmonia shell: what every replica does alike, around any
+//! [`Protocol`]. A [`Server`](crate::Server) holds one.
 //!
 //! The paper's claim of generality (§7, Figure 9) is that Harmonia fits a
 //! replication protocol once the protocol answers two questions: what a
@@ -16,21 +17,22 @@
 //!   each `(client, request)` once, stamps it, and rejects it if it is out of
 //!   sequence-number order (§7 responsibility 1).
 //!
-//! The shell runs on every packet a replica receives, so it is on
-//! `harmonia-lint`'s `panic_path` list: no input may panic it.
+//! The shell runs on every packet a replica receives, so like every file
+//! of this crate it is on `harmonia-lint`'s `panic_path` list: no input may
+//! panic it.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 use harmonia_kv::{Store, VersionChain, VersionedValue};
 use harmonia_types::{
-    ClientId, ClientReply, ClientRequest, Duration, NodeId, OpKind, ReadMode, ReplicaId, RequestId,
+    ClientId, ClientReply, ClientRequest, Duration, OpKind, ReadMode, ReplicaId, RequestId,
     SwitchId, SwitchSeq, WriteCompletion, WriteOutcome,
 };
 
 use crate::common::{
     read_ahead_probe, read_behind_ok, read_reply, Admission, ClientTable, Effects, GroupConfig,
-    InOrder, LeaseState, Replica, Snapshot,
+    InOrder, LeaseState, Snapshot,
 };
 use crate::messages::{ProtocolMsg, ReplicaControlMsg, SnapshotState, WriteOp};
 
@@ -168,10 +170,21 @@ impl Ctx {
         self.members.get(self.position()?.checked_sub(1)?).copied()
     }
 
+    /// Whether `r` is another current member: the acks that count.
+    pub(crate) fn is_peer(&self, r: ReplicaId) -> bool {
+        r != self.me && self.members.contains(&r)
+    }
+
     /// Read-behind completions (§7.3): the largest point a majority has
     /// executed through — this replica at `own`, the others at what they
-    /// acknowledged.
-    pub(crate) fn majority_executed(&self, own: u64, acked: &HashMap<ReplicaId, u64>) -> u64 {
+    /// acknowledged — but never past the `held` operations this replica
+    /// holds: acknowledged points are peer-supplied.
+    pub(crate) fn majority_executed(
+        &self,
+        own: u64,
+        held: u64,
+        acked: &HashMap<ReplicaId, u64>,
+    ) -> u64 {
         let mut points: Vec<u64> = self
             .members
             .iter()
@@ -184,7 +197,8 @@ impl Ctx {
             })
             .collect();
         points.sort_unstable_by(|a, b| b.cmp(a));
-        points.get(self.members.len() / 2).copied().unwrap_or(0)
+        let point = points.get(self.members.len() / 2).copied().unwrap_or(0);
+        point.min(held)
     }
 
     /// Reply `Committed` to `op`'s client and cache the reply for its
@@ -238,7 +252,7 @@ impl Ctx {
     }
 }
 
-/// The one [`Replica`]: the Harmonia shell around protocol `P`.
+/// The Harmonia shell around protocol `P`.
 pub(crate) struct Shell<P> {
     pub(crate) cx: Ctx,
     pub(crate) proto: P,
@@ -284,7 +298,9 @@ impl<P: Protocol> Shell<P> {
         let seq = match req.seq {
             Some(s) if cx.harmonia && P::SWITCH_STAMPS => s,
             _ => {
-                cx.local_seq += 1;
+                // A snapshot can install any counter: at the top it stays
+                // there, and the in-order check rejects what follows.
+                cx.local_seq = cx.local_seq.saturating_add(1);
                 SwitchSeq::new(cx.via(), cx.local_seq)
             }
         };
@@ -330,36 +346,33 @@ impl<P: Protocol> Shell<P> {
             }
         }
     }
-}
 
-fn value_at(store: &Store<VersionedValue>, key: &[u8]) -> Option<Bytes> {
-    store.with(key, |v| v.map(|vv| vv.value.clone()))
-}
-
-impl<P: Protocol> Replica for Shell<P> {
-    fn on_request(&mut self, _src: NodeId, req: ClientRequest, out: &mut Effects) {
+    /// A client request: a write, a normal read, or a fast-path read.
+    pub(crate) fn on_request(&mut self, req: ClientRequest, out: &mut Effects) {
         match req.op {
             OpKind::Write => self.on_write(req, out),
             OpKind::Read => self.on_read(req, out),
         }
     }
 
-    fn on_protocol(&mut self, _src: NodeId, msg: ProtocolMsg, out: &mut Effects) {
+    /// A protocol message; control messages are the shell's own.
+    pub(crate) fn on_protocol(&mut self, msg: ProtocolMsg, out: &mut Effects) {
         match msg {
             ProtocolMsg::Control(ctl) => self.cx.handle_control(ctl),
             msg => self.proto.on_protocol(&mut self.cx, msg, out),
         }
     }
 
-    fn on_tick(&mut self, out: &mut Effects) {
+    pub(crate) fn on_tick(&mut self, out: &mut Effects) {
         self.proto.on_tick(&self.cx, out);
     }
 
-    fn tick_interval(&self) -> Option<Duration> {
+    pub(crate) fn tick_interval(&self) -> Option<Duration> {
         self.proto.tick_interval()
     }
 
-    fn local_value(&self, key: &[u8]) -> Option<Bytes> {
+    /// This replica's applied value for `key`.
+    pub(crate) fn local_value(&self, key: &[u8]) -> Option<Bytes> {
         match self.proto.reads() {
             Reads::Ahead(store) | Reads::Behind { store, .. } => value_at(store, key),
             Reads::Clean(chains) => {
@@ -368,11 +381,13 @@ impl<P: Protocol> Replica for Shell<P> {
         }
     }
 
-    fn applied_seq(&self) -> SwitchSeq {
+    pub(crate) fn applied_seq(&self) -> SwitchSeq {
         self.proto.applied_seq()
     }
 
-    fn export_snapshot(&self) -> Snapshot {
+    /// This replica's full state for a rejoining peer: the protocol's
+    /// store, log and scalars, and the shell's own.
+    pub(crate) fn export_snapshot(&self) -> Snapshot {
         let (clients, replies) = self.cx.clients.export();
         let mut snap = self.proto.export_snapshot();
         snap.state = SnapshotState {
@@ -385,7 +400,13 @@ impl<P: Protocol> Replica for Shell<P> {
         snap
     }
 
-    fn install_snapshot(&mut self, mut snap: Snapshot, out: &mut Effects) {
+    /// Install a peer's exported state into this (freshly started) replica.
+    /// Installation is *versioned*: a key is only overwritten where the
+    /// snapshot's version is newer than what this replica applied live
+    /// while the transfer was in flight, so install commutes with
+    /// interleaved new writes. May emit protocol messages (e.g. PB acks for
+    /// pending writes the primary is still waiting on).
+    pub(crate) fn install_snapshot(&mut self, mut snap: Snapshot, out: &mut Effects) {
         let state = &mut snap.state;
         self.cx.local_seq = self.cx.local_seq.max(state.local_seq);
         let (clients, replies) = (
@@ -395,10 +416,10 @@ impl<P: Protocol> Replica for Shell<P> {
         self.cx.clients.install(clients, replies);
         self.proto.install_snapshot(&mut self.cx, snap, out);
     }
+}
 
-    fn active_switch(&self) -> SwitchId {
-        self.cx.via()
-    }
+fn value_at(store: &Store<VersionedValue>, key: &[u8]) -> Option<Bytes> {
+    store.with(key, |v| v.map(|vv| vv.value.clone()))
 }
 
 #[cfg(test)]
@@ -409,7 +430,7 @@ pub(crate) mod harness {
     use super::*;
     use crate::common::ProtocolKind;
     use crate::messages::NopaxosMsg;
-    use harmonia_types::{ObjectId, PacketBody};
+    use harmonia_types::{NodeId, ObjectId, PacketBody};
 
     /// Sequence number `n` of switch 1.
     pub(crate) fn seq(n: u64) -> SwitchSeq {
@@ -458,10 +479,31 @@ pub(crate) mod harness {
         })
     }
 
+    /// What the pump delivers to: a bare shell, or a whole server.
+    pub(crate) trait Node {
+        fn take(&mut self, body: PacketBody<ProtocolMsg>, out: &mut Effects);
+    }
+
+    impl<P: Protocol> Node for Shell<P> {
+        fn take(&mut self, body: PacketBody<ProtocolMsg>, out: &mut Effects) {
+            match body {
+                PacketBody::Request(req) => self.on_request(req, out),
+                PacketBody::Protocol(m) => self.on_protocol(m, out),
+                other => panic!("not for a replica: {other:?}"),
+            }
+        }
+    }
+
+    impl Node for crate::Server {
+        fn take(&mut self, body: PacketBody<ProtocolMsg>, out: &mut Effects) {
+            self.on_packet(body, out);
+        }
+    }
+
     /// Deliver `fx` and everything it causes, except what is addressed to
     /// `cut`; returns the bodies addressed to a switch, in order.
-    pub(crate) fn deliver<R: Replica>(
-        g: &mut [R],
+    pub(crate) fn deliver<N: Node>(
+        g: &mut [N],
         mut fx: Effects,
         cut: Option<ReplicaId>,
     ) -> Vec<PacketBody<ProtocolMsg>> {
@@ -471,12 +513,7 @@ pub(crate) mod harness {
             for (dst, body) in fx.out.drain(..) {
                 match (dst, body) {
                     (NodeId::Replica(r), _) if Some(r) == cut => {}
-                    (NodeId::Replica(r), PacketBody::Protocol(m)) => {
-                        g[r.index()].on_protocol(NodeId::Replica(r), m, &mut next);
-                    }
-                    (NodeId::Replica(r), PacketBody::Request(req)) => {
-                        g[r.index()].on_request(NodeId::Replica(r), req, &mut next);
-                    }
+                    (NodeId::Replica(r), b) => g[r.index()].take(b, &mut next),
                     (NodeId::Switch(_), b) => to_switch.push(b),
                     other => panic!("unexpected effect {other:?}"),
                 }
@@ -487,7 +524,7 @@ pub(crate) mod harness {
     }
 
     /// [`deliver`] with nothing cut.
-    pub(crate) fn pump<R: Replica>(g: &mut [R], fx: Effects) -> Vec<PacketBody<ProtocolMsg>> {
+    pub(crate) fn pump<N: Node>(g: &mut [N], fx: Effects) -> Vec<PacketBody<ProtocolMsg>> {
         deliver(g, fx, None)
     }
 }
@@ -502,7 +539,7 @@ mod tests {
     use crate::nopaxos::Nopaxos;
     use crate::pb::Pb;
     use crate::vr::Vr;
-    use harmonia_types::PacketBody;
+    use harmonia_types::{NodeId, PacketBody};
 
     fn control(ctl: ReplicaControlMsg) -> ProtocolMsg {
         ProtocolMsg::Control(ctl)
@@ -513,14 +550,14 @@ mod tests {
         let mut g = group::<Pb>(ProtocolKind::PrimaryBackup, 2, true);
         let mut fx = Effects::new();
         let to = |s: u32| control(ReplicaControlMsg::SetActiveSwitch(SwitchId(s)));
-        g[0].on_protocol(NodeId::Controller, to(3), &mut fx);
-        assert_eq!(g[0].active_switch(), SwitchId(3));
-        g[0].on_protocol(NodeId::Controller, to(2), &mut fx);
-        assert_eq!(g[0].active_switch(), SwitchId(3), "the lease is monotone");
+        g[0].on_protocol(to(3), &mut fx);
+        assert_eq!(g[0].cx.via(), SwitchId(3));
+        g[0].on_protocol(to(2), &mut fx);
+        assert_eq!(g[0].cx.via(), SwitchId(3), "the lease is monotone");
         let members = |m: Vec<ReplicaId>| control(ReplicaControlMsg::SetMembers(m));
-        g[0].on_protocol(NodeId::Controller, members(vec![ReplicaId(1)]), &mut fx);
+        g[0].on_protocol(members(vec![ReplicaId(1)]), &mut fx);
         assert_eq!(g[0].cx.members, vec![ReplicaId(1)]);
-        g[0].on_protocol(NodeId::Controller, members(vec![]), &mut fx);
+        g[0].on_protocol(members(vec![]), &mut fx);
         assert_eq!(g[0].cx.members, vec![ReplicaId(1)], "nobody named");
         assert!(fx.is_empty());
     }
@@ -541,16 +578,16 @@ mod tests {
         ] {
             let run = |garbage: bool| {
                 let replica = |i: u32| {
-                    let mut r = crate::build_replica(GroupConfig::new(kind, 3, i, harmonia));
+                    let mut r = crate::Server::new(GroupConfig::new(kind, 3, i, harmonia), None);
                     let mut fx = Effects::new();
                     if garbage {
                         let empty = control(ReplicaControlMsg::SetMembers(vec![]));
-                        r.on_protocol(NodeId::Controller, empty, &mut fx);
+                        r.on_packet(PacketBody::Protocol(empty), &mut fx);
                     }
                     let read = ClientRequest::read(ClientId(2), RequestId(9), &b"k"[..]);
-                    r.on_request(NodeId::Client(ClientId(2)), read, &mut fx);
+                    r.on_packet(PacketBody::Request(read), &mut fx);
                     let write = write_req(1, "k", "v", harmonia);
-                    r.on_request(NodeId::Client(ClientId(1)), write, &mut fx);
+                    r.on_packet(PacketBody::Request(write), &mut fx);
                     fx.out
                 };
                 (0..3).map(replica).collect::<Vec<_>>()
@@ -570,12 +607,12 @@ mod tests {
         let mut fx = Effects::new();
         if g[0].proto.write_entry(&g[0].cx).is_some() {
             let req = write_req(n, key, val, true);
-            g[0].on_request(NodeId::Client(ClientId(1)), req, &mut fx);
+            g[0].on_request(req, &mut fx);
         } else {
             for (i, r) in (0u32..).zip(g.iter_mut()) {
                 if cut != Some(ReplicaId(i)) {
                     let msg = sequenced(n, key, val);
-                    r.on_protocol(NodeId::Switch(SwitchId(1)), msg, &mut fx);
+                    r.on_protocol(msg, &mut fx);
                 }
             }
         }
@@ -598,7 +635,7 @@ mod tests {
     /// Replica `i` answers `req` alone, with `v`.
     fn local<P: Protocol>(g: &mut [Shell<P>], i: u32, req: ClientRequest, v: &str) {
         let mut fx = Effects::new();
-        g[i as usize].on_request(NodeId::Client(ClientId(2)), req.clone(), &mut fx);
+        g[i as usize].on_request(req.clone(), &mut fx);
         let reply = read_reply(ReplicaId(i), &req, value(v));
         let want = vec![(NodeId::Switch(g[0].cx.via()), PacketBody::Reply(reply))];
         assert_eq!(fx.out, want, "{} at {i}", std::any::type_name::<P>());
@@ -611,7 +648,7 @@ mod tests {
         let at = format!("{} at {i}", std::any::type_name::<P>());
         let server = g[0].proto.read_server(&g[0].cx);
         let mut fx = Effects::new();
-        g[i as usize].on_request(NodeId::Client(ClientId(2)), req.clone(), &mut fx);
+        g[i as usize].on_request(req.clone(), &mut fx);
         let normal = ClientRequest {
             read_mode: ReadMode::Normal,
             ..req
@@ -660,7 +697,7 @@ mod tests {
         // is never answered alone.
         for r in g.iter_mut() {
             let to = control(ReplicaControlMsg::SetActiveSwitch(SwitchId(2)));
-            r.on_protocol(NodeId::Controller, to, &mut Effects::new());
+            r.on_protocol(to, &mut Effects::new());
         }
         for i in 0..3 {
             fallback(&mut g, i, fast_read("j", 1, seq(2)), "j1");

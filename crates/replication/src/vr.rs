@@ -65,15 +65,17 @@ impl Vr {
 
     fn execute_up_to(&mut self, n: u64) {
         let n = n.min(self.log.len() as u64);
-        while self.executed < n {
-            let op = &self.log[self.executed as usize];
+        let Some(ops) = self.log.get(self.executed as usize..n as usize) else {
+            return;
+        };
+        for op in ops {
             self.store.put(
                 op.key.clone(),
                 VersionedValue::new(op.value.clone(), op.seq),
             );
             self.exec_seq = self.exec_seq.max(op.seq);
-            self.executed += 1;
         }
+        self.executed = n;
     }
 
     /// Leader: advance the commit point over consecutively-quorumed ops,
@@ -81,17 +83,17 @@ impl Vr {
     fn advance_commit(&mut self, cx: &mut Ctx, out: &mut Effects) {
         let quorum = ProtocolKind::Vr.quorum(cx.members.len());
         let mut advanced = false;
-        while self.commit_num < self.log.len() as u64 {
+        while let Some(op) = self.log.get(self.commit_num as usize) {
             let next = self.commit_num + 1;
             let acks = self.prepare_acks.get(&next).map(|s| s.len()).unwrap_or(0);
             // +1 for the leader's own log entry.
             if acks + 1 < quorum {
                 break;
             }
+            cx.reply_committed(op, false, out);
             self.commit_num = next;
             self.prepare_acks.remove(&next);
             self.execute_up_to(next);
-            cx.reply_committed(&self.log[(next - 1) as usize], false, out);
             advanced = true;
         }
         if advanced {
@@ -120,13 +122,16 @@ impl Vr {
         if !cx.harmonia {
             return;
         }
-        let point = cx.majority_executed(self.executed, &self.exec_points);
-        while self.completed < point {
-            self.completed += 1;
-            let op = &self.log[(self.completed - 1) as usize];
+        let held = self.log.len() as u64;
+        let point = cx.majority_executed(self.executed, held, &self.exec_points);
+        let Some(ops) = self.log.get(self.completed as usize..point as usize) else {
+            return;
+        };
+        for op in ops {
             let (obj, seq) = (op.obj, op.seq);
             out.completion(cx.via(), WriteCompletion { obj, seq });
         }
+        self.completed = point;
     }
 
     fn prepare_ok(&self, cx: &Ctx, op_num: u64, out: &mut Effects) {
@@ -245,7 +250,7 @@ impl Protocol for Vr {
                 self.learn_commit(cx, commit, out);
             }
             VrMsg::PrepareOk { view, op_num, from } => {
-                if view != self.view || !self.is_leader(cx) {
+                if view != self.view || !self.is_leader(cx) || !cx.is_peer(from) {
                     return;
                 }
                 if op_num > self.commit_num {
@@ -260,7 +265,7 @@ impl Protocol for Vr {
                 self.learn_commit(cx, commit, out);
             }
             VrMsg::CommitAck { view, op_num, from } => {
-                if view != self.view || !self.is_leader(cx) {
+                if view != self.view || !self.is_leader(cx) || !cx.is_peer(from) {
                     return;
                 }
                 let p = self.exec_points.entry(from).or_insert(0);
@@ -324,7 +329,6 @@ impl Protocol for Vr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::Replica;
     use crate::shell::harness::{pump, seq, write_req};
     use crate::shell::Shell;
     use bytes::Bytes;
@@ -358,11 +362,7 @@ mod tests {
     fn write_commits_at_majority_and_completion_follows_commit_acks() {
         let mut g = group(3, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
         assert_eq!(fx.len(), 2, "prepare to both backups");
         let bodies = pump(&mut g, fx);
         let rs = replies(&bodies);
@@ -379,15 +379,55 @@ mod tests {
         }
     }
 
+    /// COMMIT-ACKs carry peer-supplied points. Acks past everything the
+    /// leader holds complete nothing, and an ack from a non-member is not
+    /// recorded.
+    #[test]
+    fn commit_acks_past_the_leaders_log_complete_nothing() {
+        let mut g = group(3, true);
+        let ack = |from| {
+            ProtocolMsg::Vr(VrMsg::CommitAck {
+                view: 0,
+                op_num: 5,
+                from: ReplicaId(from),
+            })
+        };
+        let mut fx = Effects::new();
+        g[0].on_protocol(ack(1), &mut fx);
+        g[0].on_protocol(ack(2), &mut fx);
+        assert!(fx.is_empty(), "the leader's log is empty: {:?}", fx.out);
+        g[0].on_protocol(ack(7), &mut fx);
+        assert!(fx.is_empty());
+        assert!(!g[0].proto.exec_points.contains_key(&ReplicaId(7)));
+    }
+
+    /// Only another member's PREPARE-OK counts toward the quorum: one
+    /// claiming to be the leader itself, or a stranger, commits nothing.
+    #[test]
+    fn prepare_oks_from_non_peers_do_not_commit() {
+        let mut g = group(3, true);
+        let mut fx = Effects::new();
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
+        let ok = |from| {
+            ProtocolMsg::Vr(VrMsg::PrepareOk {
+                view: 0,
+                op_num: 1,
+                from: ReplicaId(from),
+            })
+        };
+        let mut out = Effects::new();
+        g[0].on_protocol(ok(0), &mut out);
+        g[0].on_protocol(ok(7), &mut out);
+        assert!(out.is_empty(), "committed without a backup: {:?}", out.out);
+        g[0].on_protocol(ok(1), &mut out);
+        assert_eq!(replies(&pump(&mut g, out)).len(), 1, "a majority commits");
+    }
+
     #[test]
     fn baseline_emits_no_completions() {
         let mut g = group(3, false);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", false),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", false), &mut fx);
         let bodies = pump(&mut g, fx);
         assert_eq!(replies(&bodies).len(), 1);
         assert!(completions(&bodies).is_empty());
@@ -397,17 +437,13 @@ mod tests {
     fn commit_point_needs_majority_not_all() {
         let mut g = group(5, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
         // Deliver prepares to backups 1 and 2 only (leader + 2 = majority of 5).
         let mut acks = Effects::new();
         for (dst, body) in fx.out.drain(..) {
             if let (NodeId::Replica(r), PacketBody::Protocol(m)) = (dst, body) {
                 if r.index() <= 2 {
-                    g[r.index()].on_protocol(NodeId::Replica(r), m, &mut acks);
+                    g[r.index()].on_protocol(m, &mut acks);
                 }
             }
         }
@@ -419,16 +455,12 @@ mod tests {
     fn backup_lags_until_commit_message() {
         let mut g = group(3, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
         // Deliver only the prepares (not the resulting acks/commits).
         for (dst, body) in fx.out.drain(..) {
             if let (NodeId::Replica(r), PacketBody::Protocol(m)) = (dst, body) {
                 let mut sink = Effects::new();
-                g[r.index()].on_protocol(NodeId::Replica(r), m, &mut sink);
+                g[r.index()].on_protocol(m, &mut sink);
                 // Swallow the PrepareOks.
             }
         }
@@ -457,9 +489,9 @@ mod tests {
             })
         };
         let mut fx = Effects::new();
-        g[1].on_protocol(NodeId::Replica(ReplicaId(0)), mk_prepare(2), &mut fx);
+        g[1].on_protocol(mk_prepare(2), &mut fx);
         assert!(fx.is_empty(), "op 2 buffered until op 1 arrives");
-        g[1].on_protocol(NodeId::Replica(ReplicaId(0)), mk_prepare(1), &mut fx);
+        g[1].on_protocol(mk_prepare(1), &mut fx);
         // Both acks now flow (op 1 then op 2).
         let ack_nums: Vec<u64> = fx
             .out
@@ -480,11 +512,7 @@ mod tests {
         let mut g = group(3, true);
         let fx = {
             let mut fx = Effects::new();
-            g[0].on_request(
-                NodeId::Client(ClientId(1)),
-                write_req(1, "k", "v", true),
-                &mut fx,
-            );
+            g[0].on_request(write_req(1, "k", "v", true), &mut fx);
             fx
         };
         pump(&mut g, fx);
@@ -500,11 +528,7 @@ mod tests {
     fn five_node_completion_needs_execution_majority() {
         let mut g = group(5, true);
         let mut fx = Effects::new();
-        g[0].on_request(
-            NodeId::Client(ClientId(1)),
-            write_req(1, "k", "v", true),
-            &mut fx,
-        );
+        g[0].on_request(write_req(1, "k", "v", true), &mut fx);
         // Full prepare round, but suppress COMMIT delivery to backups 3 & 4.
         // FIFO delivery: links in one rack preserve order.
         let mut commit_acks_seen = 0;
@@ -521,7 +545,7 @@ mod tests {
                         commit_acks_seen += 1;
                     }
                     let mut next = Effects::new();
-                    g[r.index()].on_protocol(NodeId::Replica(r), m, &mut next);
+                    g[r.index()].on_protocol(m, &mut next);
                     queue.extend(next.out);
                 }
                 (NodeId::Switch(_), b) => bodies.push(b),

@@ -43,20 +43,16 @@ fn stale_switch_fast_path_reads_are_refused_after_lease_moves() {
     // Manual §5.3 scenario: a fast-path read stamped by switch 1 arrives at
     // a replica after the lease moved to switch 2. The replica must route
     // it through the normal protocol instead of answering locally.
-    use harmonia::replication::{build_replica, GroupConfig as RGroupConfig, ProtocolKind};
-    use harmonia::replication::{Effects, ReplicaControlMsg};
+    use harmonia::replication::{Effects, ProtocolMsg, ReplicaControlMsg, Server};
+    use harmonia::replication::{GroupConfig as RGroupConfig, Handled, ProtocolKind};
     use harmonia::types::{ClientRequest, PacketBody, ReadMode, RequestId, SwitchSeq};
 
-    let mut replica = build_replica(RGroupConfig::new(ProtocolKind::Chain, 3, 1, true));
+    let mut replica = Server::new(RGroupConfig::new(ProtocolKind::Chain, 3, 1, true), None);
     // Lease moves to switch 2.
     let mut fx = Effects::new();
-    replica.on_protocol(
-        NodeId::Controller,
-        harmonia::replication::ProtocolMsg::Control(ReplicaControlMsg::SetActiveSwitch(SwitchId(
-            2,
-        ))),
-        &mut fx,
-    );
+    let to_2 = ReplicaControlMsg::SetActiveSwitch(SwitchId(2));
+    let moved = replica.on_packet(PacketBody::Protocol(ProtocolMsg::Control(to_2)), &mut fx);
+    assert_eq!(moved, Handled::Protocol);
     // Stale fast-path read from switch 1.
     let mut read = ClientRequest::read(ClientId(1), RequestId(1), &b"k"[..]);
     read.read_mode = ReadMode::FastPath {
@@ -64,7 +60,7 @@ fn stale_switch_fast_path_reads_are_refused_after_lease_moves() {
     };
     read.last_committed = Some(SwitchSeq::new(SwitchId(1), 100));
     let mut fx = Effects::new();
-    replica.on_request(NodeId::Client(ClientId(1)), read, &mut fx);
+    replica.on_packet(PacketBody::Request(read), &mut fx);
     assert!(
         matches!(
             fx.out[0],

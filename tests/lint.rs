@@ -80,7 +80,6 @@ fn file_level_policy_entries_cover_the_core_crates_sans_io_modules() {
     let socket = "use std::net::UdpSocket;\n";
     for file in [
         "client_core.rs",
-        "replica_step.rs",
         "control.rs",
         "worker.rs",
         "switch_core.rs",

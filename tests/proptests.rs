@@ -4,8 +4,10 @@ use bytes::Bytes;
 use harmonia::core::{GroupCore, SwitchCore};
 use harmonia::prelude::*;
 use harmonia::replication::messages::{
-    ChainMsg, CraqMsg, NopaxosMsg, PbMsg, ProtocolMsg, StateTransferMsg, VrMsg, WriteOp,
+    ChainMsg, CraqMsg, NopaxosMsg, PbMsg, ProtocolMsg, ReplicaControlMsg, SnapshotEntry,
+    SnapshotState, StateTransferMsg, VrMsg, WriteOp,
 };
+use harmonia::replication::{Effects, Server};
 use harmonia::switch::conflict::{ConflictConfig, WriteDecision};
 use harmonia::switch::table::TableConfig as TC;
 use harmonia::types::wire::{decode_frame, encode_frame, encode_frame_into, frames};
@@ -239,7 +241,247 @@ fn payloads(pkt: &Packet<ProtocolMsg>) -> Vec<&Bytes> {
     }
 }
 
+/// A number near either end of `u64`, mostly the low one: where
+/// off-by-one and overflow live.
+fn edge_u64() -> impl Strategy<Value = u64> {
+    (0u8..4, 0u64..2).prop_map(|(end, n)| if end == 0 { u64::MAX - n } else { n })
+}
+
+/// A replica id as a peer names itself: mostly a member of a 3-replica
+/// group, sometimes a stranger.
+fn edge_replica() -> impl Strategy<Value = ReplicaId> {
+    (0u8..11, 0u32..3).prop_map(|(who, n)| match who {
+        0..=8 => ReplicaId(u32::from(who) % 3),
+        9 => ReplicaId(7),
+        _ => ReplicaId(u32::MAX - n),
+    })
+}
+
+/// A membership as a control message can set it: mostly the group's own
+/// members with roles rotated, sometimes any list (strangers, empty).
+fn edge_members() -> impl Strategy<Value = Vec<ReplicaId>> {
+    (0u8..3, 0u32..3, prop::collection::vec(edge_replica(), 0..4)).prop_map(|(k, r, any)| match k {
+        0 => any,
+        _ => (0..3).map(|i| ReplicaId((i + r) % 3)).collect(),
+    })
+}
+
+fn edge_seq() -> impl Strategy<Value = SwitchSeq> {
+    (0u8..4, edge_u64()).prop_map(|(s, n)| {
+        let switch = if s == 0 { u32::MAX } else { u32::from(s) };
+        SwitchSeq::new(SwitchId(switch), n)
+    })
+}
+
+fn edge_op() -> impl Strategy<Value = WriteOp> {
+    (edge_seq(), 0u8..4, any::<u8>(), 0u32..3, edge_u64()).prop_map(|(seq, k, v, c, r)| {
+        let key = Bytes::from(format!("k{k}"));
+        WriteOp {
+            seq,
+            obj: ObjectId::from_key(&key),
+            key,
+            value: Bytes::from(vec![v]),
+            client: ClientId(c),
+            request: RequestId(r),
+        }
+    })
+}
+
+fn edge_entry() -> impl Strategy<Value = SnapshotEntry> {
+    (edge_op(), prop::bool::ANY).prop_map(|(op, dirty)| SnapshotEntry {
+        key: op.key,
+        obj: op.obj,
+        value: op.value,
+        seq: op.seq,
+        dirty,
+    })
+}
+
+fn edge_state() -> impl Strategy<Value = SnapshotState> {
+    (
+        (edge_seq(), edge_seq()),
+        (edge_u64(), edge_u64(), edge_u64()),
+        prop::collection::vec((0u32..3, edge_u64()), 0..3),
+        prop::collection::vec(arb_reply(), 0..2),
+    )
+        .prop_map(
+            |((in_order, applied), (local_seq, commit_num, session), clients, replies)| {
+                SnapshotState {
+                    in_order,
+                    applied,
+                    local_seq,
+                    commit_num,
+                    session,
+                    clients: (clients.into_iter())
+                        .map(|(c, r)| (ClientId(c), RequestId(r)))
+                        .collect(),
+                    replies,
+                }
+            },
+        )
+}
+
+/// Any message a peer can put on a replica's socket: every `ProtocolMsg`
+/// variant, its numbers near 0 and near `u64::MAX`, its `from` fields
+/// whoever the sender is.
+fn arb_peer_msg() -> impl Strategy<Value = ProtocolMsg> {
+    (
+        0u8..23,
+        (edge_u64(), edge_u64(), edge_u64()),
+        (edge_replica(), edge_seq()),
+        (edge_op(), prop::option::of(edge_op())),
+        prop::collection::vec(edge_op(), 0..3),
+        prop::collection::vec(edge_entry(), 0..3),
+        edge_members(),
+        edge_state(),
+    )
+        .prop_map(
+            |(kind, (a, b, c), (from, seq), (op, maybe), ops, entries, members, state)| {
+                use ProtocolMsg as P;
+                let (client, request) = (op.client, op.request);
+                match kind {
+                    0 => P::Pb(PbMsg::Update(op)),
+                    1 => P::Pb(PbMsg::Ack { seq, from }),
+                    2 => P::Chain(ChainMsg::Down(op)),
+                    3 => P::Chain(ChainMsg::ReReply { client, request }),
+                    4 => P::Craq(CraqMsg::Down(op)),
+                    5 => P::Craq(CraqMsg::Clean {
+                        obj: op.obj,
+                        key: op.key,
+                        seq,
+                    }),
+                    6 => P::Craq(CraqMsg::ReReply { client, request }),
+                    7 => P::Vr(VrMsg::Prepare {
+                        view: a,
+                        op_num: b,
+                        op,
+                        commit: c,
+                    }),
+                    8 => P::Vr(VrMsg::PrepareOk {
+                        view: a,
+                        op_num: b,
+                        from,
+                    }),
+                    9 => P::Vr(VrMsg::Commit { view: a, commit: b }),
+                    10 => P::Vr(VrMsg::CommitAck {
+                        view: a,
+                        op_num: b,
+                        from,
+                    }),
+                    11 => P::Nopaxos(NopaxosMsg::Sequenced {
+                        session: a,
+                        oum_seq: b,
+                        op,
+                    }),
+                    12 => P::Nopaxos(NopaxosMsg::GapRequest {
+                        session: a,
+                        oum_seq: b,
+                        from,
+                    }),
+                    13 => P::Nopaxos(NopaxosMsg::GapReply {
+                        session: a,
+                        oum_seq: b,
+                        op: maybe,
+                    }),
+                    14 => P::Nopaxos(NopaxosMsg::Sync {
+                        session: a,
+                        upto: b,
+                    }),
+                    15 => P::Nopaxos(NopaxosMsg::SyncAck {
+                        session: a,
+                        upto: b,
+                        from,
+                    }),
+                    16 => P::Control(ReplicaControlMsg::SetActiveSwitch(seq.switch_id)),
+                    17 => P::Control(ReplicaControlMsg::SetMembers(members)),
+                    18 => P::StateTransfer(StateTransferMsg::Request { from }),
+                    19 => P::StateTransfer(StateTransferMsg::Entries { entries }),
+                    20 => P::StateTransfer(StateTransferMsg::Log { ops }),
+                    _ => P::StateTransfer(StateTransferMsg::Done {
+                        state,
+                        entries: a,
+                        ops: b,
+                    }),
+                }
+            },
+        )
+}
+
+/// A client request as a hostile sender can stamp it.
+fn edge_request() -> impl Strategy<Value = ClientRequest> {
+    (
+        (edge_op(), prop::bool::ANY),
+        (prop::option::of(edge_seq()), prop::option::of(edge_seq())),
+        prop::option::of(edge_seq()),
+    )
+        .prop_map(|((op, write), (seq, last_committed), fast)| {
+            let mut req = if write {
+                ClientRequest::write(op.client, op.request, op.key, op.value)
+            } else {
+                ClientRequest::read(op.client, op.request, op.key)
+            };
+            req.seq = seq;
+            req.last_committed = last_committed;
+            if let Some(flagged) = fast {
+                req.read_mode = ReadMode::FastPath {
+                    switch: flagged.switch_id,
+                };
+            }
+            req
+        })
+}
+
+/// One step of a hostile peer: a packet for the replica (`None`: a tick).
+fn arb_peer_step() -> impl Strategy<Value = Option<PacketBody<ProtocolMsg>>> {
+    (0u8..12, edge_request(), arb_peer_msg(), arb_completion()).prop_map(
+        |(kind, req, msg, completion)| match kind {
+            0 => None,
+            1 | 2 => Some(PacketBody::Request(req)),
+            3 => Some(PacketBody::Completion(completion)),
+            _ => Some(PacketBody::Protocol(msg)),
+        },
+    )
+}
+
 proptest! {
+    /// No packet a peer can send panics a replica. Every storage server —
+    /// 5 protocols × members 0–2, serving and recovering — takes the same
+    /// run of well-formed packets (each through the codec first, so only
+    /// what a socket can deliver) and ticks.
+    #[test]
+    fn every_replica_survives_any_well_formed_packet(
+        steps in prop::collection::vec(arb_peer_step(), 1..300),
+    ) {
+        use ProtocolKind::*;
+        let mut servers = Vec::new();
+        for kind in [PrimaryBackup, Chain, Craq, Vr, Nopaxos] {
+            for me in 0..3u32 {
+                for recover_from in [None, Some(ReplicaId((me + 1) % 3))] {
+                    let server = Server::new(GroupConfig::new(kind, 3, me, true), recover_from);
+                    server.start(&mut Effects::new());
+                    servers.push(server);
+                }
+            }
+        }
+        let mut fx = Effects::new();
+        for step in steps {
+            match step {
+                None => servers.iter_mut().for_each(|s| s.on_tick(&mut fx)),
+                Some(body) => {
+                    let to = NodeId::Replica(ReplicaId(0));
+                    let pkt = Packet::new(NodeId::Replica(ReplicaId(1)), to, body);
+                    let frame = encode_frame(&pkt).unwrap();
+                    let (got, _) = decode_frame::<Packet<ProtocolMsg>>(&frame).unwrap().unwrap();
+                    prop_assert_eq!(&got, &pkt);
+                    for server in &mut servers {
+                        server.on_packet(got.body.clone(), &mut fx);
+                    }
+                }
+            }
+            fx.out.clear();
+        }
+    }
+
     /// Wire codec: encode → decode is the identity for request packets.
     #[test]
     fn wire_roundtrip_requests(req in arb_request()) {
