@@ -7,8 +7,9 @@
 //! (c) 5 % writes: Harmonia near-linear until the tail's write work caps it.
 //! (d) sharded scale-out: total throughput vs. the number of replica groups
 //!     (1 → 16) behind one spine switch, with the switch's dirty-set SRAM
-//!     reported per run — the quantitative form of "the capacity of a
-//!     switch far exceeds that of a single replica group".
+//!     reported per run — the capacity it was given and, as `peak_bytes`,
+//!     what its busiest moment needed: the quantitative form of "the
+//!     capacity of a switch far exceeds that of a single replica group".
 //!
 //! Figure 7d is a *simulated* sweep: on real threads a `groups(n)` fleet
 //! scales with the host's cores, not with `n`, so the ledger (`bench/e2e`)
@@ -108,7 +109,8 @@ fn main() {
     // is a 3-replica chain; the offered mixed load (5 % writes) scales with
     // the group count, so near-linear rows mean the spine switch is not the
     // bottleneck. `switch_mem_bytes` grows linearly at ~`per_group` bytes
-    // per group — hundreds of groups fit in a tens-of-MB SRAM budget.
+    // per group — hundreds of groups fit in a tens-of-MB SRAM budget —
+    // and `peak_bytes` is how much of it the dirty sets ever held at once.
     let mut rows = Vec::new();
     for &groups in &[1usize, 2, 4, 8, 16] {
         let per_group_load = 600_000.0;
@@ -130,6 +132,7 @@ fn main() {
             mrps(r.total_mrps()),
             r.switch_memory_bytes.to_string(),
             per_group.to_string(),
+            r.switch_peak_bytes.to_string(),
         ]);
     }
     print_table(
@@ -144,6 +147,7 @@ fn main() {
             "total_mrps",
             "switch_mem_bytes",
             "per_group_bytes",
+            "peak_bytes",
         ],
         &rows,
     );

@@ -7,6 +7,10 @@
 //! Under a zipf-0.9 skew the curve rises more slowly: a hot object pins a
 //! slot, and writes to colliding objects keep being dropped (§9.4).
 //!
+//! Beside each table size, `peak_bytes` is what the dirty set held at its
+//! fullest (peak occupancy × 8 B): the memory the run needed, where
+//! `total_slots` is what it was given.
+//!
 //! The knee position scales with (write rate × write duration); our
 //! simulated write latency is lower than the paper's loaded testbed, so the
 //! knee sits proportionally earlier — the shape is the result.
@@ -47,7 +51,7 @@ fn main() {
             // by the switch stalls its connection for the 20 ms retry
             // timeout (up to 10 attempts), which is what collapses
             // throughput when the table is undersized.
-            let tput = run_closed_loop(
+            let r = run_closed_loop(
                 &cluster(slots),
                 512,
                 0.05,
@@ -56,7 +60,12 @@ fn main() {
                 harmonia_bench::measure_window(),
                 Duration::from_millis(20),
             );
-            rows.push(vec![name.to_string(), slots.to_string(), mrps(tput)]);
+            rows.push(vec![
+                name.to_string(),
+                slots.to_string(),
+                r.switch_peak_bytes.to_string(),
+                mrps(r.mrps),
+            ]);
         }
     }
     print_table(
@@ -65,7 +74,12 @@ fn main() {
          all outstanding writes (~2000 slots in the paper; proportionally \
          earlier here, see header comment); uniform rises faster than \
          zipf-0.9 because hot objects pin slots",
-        &["distribution", "total_slots", "throughput_mrps"],
+        &[
+            "distribution",
+            "total_slots",
+            "peak_bytes",
+            "throughput_mrps",
+        ],
         &rows,
     );
 }

@@ -105,6 +105,9 @@ pub struct RunResult {
     /// Dirty-set SRAM consumed on the switch, across every hosted group
     /// (the §6.3 budget check).
     pub switch_memory_bytes: usize,
+    /// Dirty-set SRAM the run needed: every group's peak occupancy in
+    /// bytes, summed.
+    pub switch_peak_bytes: usize,
     /// Replica groups hosted by the switch (1 for rack-scale runs).
     pub groups: usize,
 }
@@ -206,6 +209,7 @@ fn measure_open_loop(mut sim: SimCluster, warmup: Duration, measure: Duration) -
         result.switch = view.stats();
         result.dirty_len = view.dirty_len();
         result.switch_memory_bytes = view.memory_bytes();
+        result.switch_peak_bytes = view.peak_bytes();
         result.groups = view.group_count();
     }
     result
@@ -247,10 +251,20 @@ pub fn max_read_at_fixed_write(
     probe(lo, measure_window())
 }
 
+/// Measured outcome of one closed-loop run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ClosedLoopResult {
+    /// Completed operations within the window, MRPS.
+    pub mrps: f64,
+    /// Dirty-set SRAM the run needed (see [`RunResult::switch_peak_bytes`]).
+    pub switch_peak_bytes: usize,
+}
+
 /// Execute a closed-loop measurement: `clients` logical connections issuing
 /// back-to-back operations (reads + `write_ratio` writes); a write dropped
 /// by the switch stalls its connection for the retry timeout, which is the
-/// Figure 8 mechanism. Returns completed MRPS within the window.
+/// Figure 8 mechanism. Returns completed MRPS within the window and the
+/// dirty set's peak.
 pub fn run_closed_loop(
     cluster: &DeploymentSpec,
     clients: usize,
@@ -259,7 +273,7 @@ pub fn run_closed_loop(
     warmup: Duration,
     measure: Duration,
     op_timeout: Duration,
-) -> f64 {
+) -> ClosedLoopResult {
     let mut sim = cluster.build_sim();
     let keyspace = keys.build();
     let value = Bytes::from(vec![0x5au8; 128]);
@@ -296,7 +310,10 @@ pub fn run_closed_loop(
                 .count() as u64;
         }
     }
-    done as f64 / measure.as_secs_f64() / 1e6
+    ClosedLoopResult {
+        mrps: done as f64 / measure.as_secs_f64() / 1e6,
+        switch_peak_bytes: sim.switch_core().map_or(0, |s| s.view().peak_bytes()),
+    }
 }
 
 /// Print a TSV table with a title and the paper's expected shape.
@@ -371,6 +388,8 @@ mod tests {
         assert_eq!(four.groups, 4);
         assert_eq!(four.switch_memory_bytes, 4 * one.switch_memory_bytes);
         assert!(one.switch_memory_bytes > 0);
+        assert!(one.switch_peak_bytes > 0);
+        assert!(one.switch_peak_bytes < one.switch_memory_bytes / 100);
         // 4 groups absorb 4x the offered load (each group is its own
         // 3-replica chain; the spine switch is pure delay).
         assert!(four.total_mrps() > 3.0 * one.total_mrps() * 0.8);
@@ -380,7 +399,7 @@ mod tests {
     #[test]
     fn closed_loop_throughput_is_positive_and_bounded() {
         let cluster = DeploymentSpec::new().protocol(ProtocolKind::Chain);
-        let tput = run_closed_loop(
+        let r = run_closed_loop(
             &cluster,
             16,
             0.05,
@@ -389,7 +408,10 @@ mod tests {
             Duration::from_millis(10),
             Duration::from_millis(5),
         );
+        let tput = r.mrps;
         assert!(tput > 0.1, "tput={tput}");
         assert!(tput < 5.0);
+        // At most one dirty entry per connection, and at least one write.
+        assert!((8..=16 * 8).contains(&r.switch_peak_bytes), "{r:?}");
     }
 }

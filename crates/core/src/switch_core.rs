@@ -133,7 +133,7 @@ impl GroupCore {
     }
 
     /// A point-in-time snapshot: counters, fast-path state, dirty-set
-    /// occupancy and SRAM.
+    /// occupancy, its peak and SRAM.
     pub fn observe(&self) -> GroupObservation {
         GroupObservation {
             group: self.group,
@@ -141,6 +141,7 @@ impl GroupCore {
             fast_path_enabled: self.detector.fast_path_enabled(),
             memory_bytes: self.detector.memory_bytes(),
             dirty_len: self.detector.dirty_len(),
+            peak_bytes: self.detector.peak_bytes(),
         }
     }
 

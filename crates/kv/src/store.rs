@@ -44,7 +44,10 @@ struct OpCounts {
 
 /// A sharded key-value store with closure-based updates.
 pub struct Store<V> {
-    shards: Vec<RwLock<Shard<V>>>,
+    /// Shard 0: a store always has one, so picking a shard cannot fail.
+    first: RwLock<Shard<V>>,
+    /// Shards 1 and up; `1 + rest.len()` is a power of two.
+    rest: Box<[RwLock<Shard<V>>]>,
     ops: OpCounts,
 }
 
@@ -57,27 +60,36 @@ impl<V: Clone> Store<V> {
     /// Create a store with an explicit power-of-two shard count.
     pub fn with_shards(n: usize) -> Self {
         let n = n.next_power_of_two().max(1);
+        let shard = || {
+            RwLock::new(Shard {
+                map: HashMap::new(),
+                key_bytes: 0,
+            })
+        };
         Store {
-            shards: (0..n)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        map: HashMap::new(),
-                        key_bytes: 0,
-                    })
-                })
-                .collect(),
+            first: shard(),
+            rest: (1..n).map(|_| shard()).collect(),
             ops: OpCounts::default(),
         }
     }
 
+    /// Every shard, in shard order.
+    fn shards(&self) -> impl Iterator<Item = &RwLock<Shard<V>>> {
+        std::iter::once(&self.first).chain(self.rest.iter())
+    }
+
     fn shard_for(&self, key: &[u8]) -> &RwLock<Shard<V>> {
-        // FNV-1a over the key; shard count is a power of two.
+        // FNV-1a over the key; shard count is a power of two, so
+        // `rest.len()` is the mask.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for &b in key {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        &self.shards[(h as usize) & (self.shards.len() - 1)]
+        let i = (h as usize) & self.rest.len();
+        (i.checked_sub(1))
+            .and_then(|i| self.rest.get(i))
+            .unwrap_or(&self.first)
     }
 
     /// Fetch a clone of the value for `key`.
@@ -142,7 +154,7 @@ impl<V: Clone> Store<V> {
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().map.len()).sum()
+        self.shards().map(|s| s.read().map.len()).sum()
     }
 
     /// True if no keys are stored.
@@ -158,7 +170,7 @@ impl<V: Clone> Store<V> {
             deletes: self.ops.deletes.load(Relaxed),
             ..StoreStats::default()
         };
-        for shard in &self.shards {
+        for shard in self.shards() {
             let guard = shard.read();
             stats.keys += guard.map.len() as u64;
             stats.key_bytes += guard.key_bytes;
@@ -168,7 +180,7 @@ impl<V: Clone> Store<V> {
 
     /// Remove every key.
     pub fn clear(&self) {
-        for shard in &self.shards {
+        for shard in self.shards() {
             let mut guard = shard.write();
             guard.map.clear();
             guard.key_bytes = 0;
@@ -182,7 +194,7 @@ impl<V: Clone> Store<V> {
     /// bytes must be identical across same-seed replays (the shard maps
     /// hash-order their entries, so the raw iteration order is not).
     pub fn for_each(&self, mut f: impl FnMut(&Bytes, &V)) {
-        for shard in &self.shards {
+        for shard in self.shards() {
             let guard = shard.read();
             // lint:allow(determinism): the hash order this iteration leaks
             // is erased by the sort on the next line before any visit.
@@ -300,11 +312,21 @@ mod tests {
     }
 
     #[test]
+    fn keys_spread_over_every_shard() {
+        let s: Store<u32> = Store::with_shards(4);
+        for i in 0..100u32 {
+            s.put(b(&format!("k{i}")), i);
+        }
+        let per_shard: Vec<usize> = s.shards().map(|sh| sh.read().map.len()).collect();
+        assert!(per_shard.iter().all(|&n| n > 10), "{per_shard:?}");
+    }
+
+    #[test]
     fn shard_count_rounds_to_power_of_two() {
         let s: Store<u32> = Store::with_shards(3);
-        assert_eq!(s.shards.len(), 4);
+        assert_eq!(s.shards().count(), 4);
         let s: Store<u32> = Store::with_shards(0);
-        assert_eq!(s.shards.len(), 1);
+        assert_eq!(s.shards().count(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! |---------------|-----------------------------------------|---------|
 //! | `determinism` | sim, switch, replication, types, verify, workload, kv, obs, core/{client_core, control, client, worker, switch_core, deployment, failover, msg}.rs, net/fault.rs | wall-clock reads, entropy-seeded RNGs/hashers, iteration over `HashMap`/`HashSet` |
 //! | `unsafe`      | whole workspace                         | `unsafe` outside vendor/mmsg; unsafe without `SAFETY:`; missing `#![forbid(unsafe_code)]` headers |
-//! | `panic_path`  | replication, net/{udp, coalesce, addr, fault}.rs, core/{live, udp, client_core, worker, switch_core}.rs, types/wire.rs, obs/{recorder, hist}.rs, switch/table.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
+//! | `panic_path`  | replication, switch, kv, net/{udp, coalesce, addr, fault}.rs, core/{live, udp, client_core, worker, switch_core}.rs, types/wire.rs, obs/{recorder, hist}.rs | `unwrap`/`expect`, panicking macros, indexing without `get` |
 //! | `layering`    | replication, switch, verify, core/{client_core, control, worker, switch_core}.rs, net/fault.rs | `std::net`, `harmonia-net`, socket types |
 //!
 //! Violations can be waived inline with `// lint:allow(<rule>): <reason>`
@@ -171,9 +171,12 @@ impl Policy {
                 "crates/types/src/wire.rs",
                 "crates/obs/src/recorder.rs",
                 "crates/obs/src/hist.rs",
-                // The dirty set: on every packet of every pipeline, and its
-                // sweep indexes by stored positions.
-                "crates/switch/src/table.rs",
+                // The switch: every packet of every pipeline runs through
+                // the detector, the dirty set's registers and the
+                // forwarding table.
+                "switch",
+                // The store: every read and write a replica executes.
+                "kv",
             ]
             .iter()
             .map(|s| s.to_string())

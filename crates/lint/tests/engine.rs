@@ -336,28 +336,43 @@ fn panic_path_covers_the_name_service() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-/// The dirty set runs on every packet of every pipeline, and its sweep
-/// indexes by positions it stored: an asserted geometry or an unchecked
-/// index there is a panic on the packet path; a clamp and `get_mut` are
-/// not.
+/// Every packet of every pipeline runs through the switch crate — the
+/// detector, the dirty set's registers, the forwarding table — and every
+/// request a replica executes through the kv store: an asserted
+/// precondition or an unchecked index anywhere in them is a panic on the
+/// packet path; a clamp, a lookup by value and `get` are not.
 #[test]
-fn panic_path_covers_the_dirty_set() {
-    const TABLE: &str = "crates/switch/src/table.rs";
-    for frag in [
-        "assert!(config.stages > 0, \"need at least one stage\")",
-        "self.listed[pos / 64]",
-        "self.stages.get_mut(stage).unwrap()",
+fn panic_path_covers_the_switch_and_the_kv_store() {
+    for (path, frag) in [
+        (
+            "crates/switch/src/conflict.rs",
+            "assert!(config.switch_id.0 > 0, \"reserved\")",
+        ),
+        ("crates/switch/src/forwarding.rs", "self.gated[i].1"),
+        ("crates/switch/src/register.rs", "&mut self.slots[index]"),
+        (
+            "crates/switch/src/table.rs",
+            "self.stages.get_mut(0).unwrap()",
+        ),
+        ("crates/kv/src/store.rs", "&self.shards[h & mask]"),
     ] {
         let src = format!("fn f() {{ let _ = {frag}; }}\n");
-        let f = lint_source(TABLE, &src, &policy());
-        assert_eq!(rules(&f), vec![Rule::PanicPath], "`{frag}` -> {f:?}");
+        let f = lint_source(path, &src, &policy());
+        assert_eq!(
+            rules(&f),
+            vec![Rule::PanicPath],
+            "{path}: `{frag}` -> {f:?}"
+        );
     }
     let src = "fn f() -> bool {\n\
                    let stages = config.stages.max(1);\n\
-                   self.listed.get_mut(pos / 64).is_some() && stages > 0\n\
+                   let floor = self.gated.iter().find(|&&(x, _)| x == r);\n\
+                   self.rest.get(i).is_some() && stages > 0 && floor.is_some()\n\
                }\n";
-    let f = lint_source(TABLE, src, &policy());
-    assert!(f.is_empty(), "{f:?}");
+    for path in ["crates/switch/src/forwarding.rs", "crates/kv/src/store.rs"] {
+        let f = lint_source(path, src, &policy());
+        assert!(f.is_empty(), "{path}: {f:?}");
+    }
 }
 
 /// The replica shell runs on every packet a replica receives, control

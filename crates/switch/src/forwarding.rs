@@ -61,16 +61,14 @@ impl ForwardingTable {
 
     /// Build a table for an explicit membership in role order (sharded
     /// deployments give each group a disjoint slice of the global replica-id
-    /// space, so ids do not start at zero).
+    /// space, so ids do not start at zero). A deployment's groups have at
+    /// least one member each (`DeploymentSpec::replicas` checks); a table
+    /// left with none schedules nothing.
     pub fn with_members(
         members: Vec<ReplicaId>,
         write_entry: WriteEntry,
         read_entry: ReadEntry,
     ) -> Self {
-        assert!(
-            !members.is_empty(),
-            "a replica group needs at least one member"
-        );
         ForwardingTable {
             replicas: members,
             write_entry,
@@ -133,9 +131,9 @@ impl ForwardingTable {
     /// reordered ungate never exposes an un-caught-up replica to reads.
     /// Returns whether the gate was lifted.
     pub fn ungate_replica(&mut self, r: ReplicaId, caught_up: SwitchSeq) -> bool {
-        match self.gated.iter().position(|&(x, _)| x == r) {
-            Some(i) if caught_up >= self.gated[i].1 => {
-                self.gated.remove(i);
+        match self.gated.iter().find(|&&(x, _)| x == r) {
+            Some(&(_, floor)) if caught_up >= floor => {
+                self.gated.retain(|&(x, _)| x != r);
                 true
             }
             Some(_) => false,

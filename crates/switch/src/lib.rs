@@ -6,7 +6,9 @@
 //!
 //! * [`register::RegisterArray`] — per-stage stateful memory; every packet
 //!   may perform **at most one** read-modify-write per stage, the Tofino
-//!   constraint that forces the multi-stage hash-table design.
+//!   constraint that forces the multi-stage hash-table design. The arrays
+//!   are sparse: the resource model charges every slot, but only occupied
+//!   ones take process memory, so a switch costs kilobytes to build.
 //! * [`table::MultiStageHashTable`] — the dirty set: `n` stages × `m` slots,
 //!   per-stage independent hash functions, open addressing across stages
 //!   (Figure 4). Writes that collide in every stage are **dropped**, exactly
@@ -21,7 +23,8 @@
 //! * [`sequencer::Sequencer`] — the NOPaxos ordered-unreliable-multicast
 //!   sequencer, co-located in the same switch as §7.3 suggests.
 //! * [`stats`] — the §6.2 resource model (the `unm/(wt)` capacity formula)
-//!   and live occupancy accounting.
+//!   and live occupancy accounting; the table also keeps its peak
+//!   occupancy, what a workload needed beside what it was given.
 
 #![forbid(unsafe_code)]
 

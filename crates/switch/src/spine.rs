@@ -42,6 +42,9 @@ pub struct GroupObservation {
     pub memory_bytes: usize,
     /// Dirty-set occupancy.
     pub dirty_len: usize,
+    /// Dirty-set SRAM the group's busiest moment needed: its peak
+    /// occupancy in bytes, beside the `memory_bytes` it was given.
+    pub peak_bytes: usize,
 }
 
 /// Aggregate-only view over per-group observations: the whole-switch
@@ -90,6 +93,12 @@ impl SpineView {
         self.observations.iter().map(|o| o.memory_bytes).sum()
     }
 
+    /// Dirty-set SRAM the observed groups needed: each group's peak
+    /// occupancy in bytes, summed (each group has registers of its own).
+    pub fn peak_bytes(&self) -> usize {
+        self.observations.iter().map(|o| o.peak_bytes).sum()
+    }
+
     /// Total dirty-set occupancy (in-flight-write entries) across every
     /// observed group.
     pub fn dirty_len(&self) -> usize {
@@ -121,6 +130,7 @@ mod tests {
             fast_path_enabled: armed,
             memory_bytes: 64,
             dirty_len,
+            peak_bytes: 8 * dirty_len,
         };
         let view = SpineView::new(vec![mk(2, 5, 1, true, 0), mk(0, 3, 2, false, 1)]);
         assert_eq!(view.group_count(), 2);
@@ -130,6 +140,7 @@ mod tests {
         assert_eq!(total.reads_normal, 3);
         assert_eq!(view.memory_bytes(), 128);
         assert_eq!(view.dirty_len(), 1);
+        assert_eq!(view.peak_bytes(), 8);
         assert_eq!(view.fast_path_groups(), 1);
         assert!(view.group(GroupId(2)).unwrap().fast_path_enabled);
         assert!(view.group(GroupId(1)).is_none());

@@ -16,12 +16,12 @@
 //!
 //! Lazy cleanup (§5.2): because writes are processed in order, any entry
 //! with `seq <= last_committed` is stale; reads scrub such entries as they
-//! probe, and the control plane sweeps the table periodically. A sweep
-//! visits only the slots writes have filled since they were last found
-//! empty, listed by an index that is the simulator's bookkeeping, not
-//! switch SRAM: a switch CPU reads its registers out of band, but a
-//! simulator that scanned all 3 × 65 536 of them per sweep would spend its
-//! time on empty slots.
+//! probe, and the control plane sweeps the table periodically. The
+//! registers are sparse (see [`register`](crate::register)): a sweep visits
+//! the occupied slots and nothing else, occupancy is their count, and a
+//! table costs memory in proportion to what it holds, while
+//! [`memory_bytes`](MultiStageHashTable::memory_bytes) still charges the
+//! whole geometry, as the ASIC's SRAM would.
 
 use harmonia_types::{ObjectId, SwitchSeq};
 
@@ -29,8 +29,10 @@ use crate::hash::StageHash;
 use crate::register::RegisterArray;
 
 /// One register slot: an object id and the largest pending sequence number.
-/// `seq == SwitchSeq::ZERO` means the slot is empty (real switch ids start
-/// at 1, so no live entry can carry the sentinel).
+/// `seq == SwitchSeq::ZERO` means the slot is empty (an incarnation stamps
+/// its writes from 1, so no live entry can carry the sentinel). The table
+/// empties a slot by writing `Slot::default()`, which the sparse registers
+/// do not store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slot {
     /// Object occupying the slot (meaningless when empty).
@@ -92,73 +94,20 @@ pub struct TableStats {
     pub swept: u64,
 }
 
-/// Every slot that may be occupied, by flat position
-/// (`stage * slots_per_stage + index`): where a sweep looks. Every occupied
-/// slot is listed, once; a listed slot a completion or a scrubbing read has
-/// emptied since stays listed until the next sweep finds it empty.
-#[derive(Clone, Debug)]
-struct Filled {
-    slots_per_stage: usize,
-    positions: Vec<u32>,
-    /// One bit per slot, set iff its position is in `positions`.
-    listed: Vec<u64>,
-}
-
-impl Filled {
-    fn new(stages: usize, slots_per_stage: usize) -> Self {
-        Filled {
-            slots_per_stage,
-            positions: Vec::new(),
-            listed: vec![0; (stages * slots_per_stage).div_ceil(64)],
-        }
-    }
-
-    /// List slot `idx` of `stage` unless it already is.
-    fn list(&mut self, stage: usize, idx: usize) {
-        let pos = stage * self.slots_per_stage + idx;
-        if let Some(word) = self.listed.get_mut(pos / 64) {
-            let bit = 1 << (pos % 64);
-            if *word & bit == 0 {
-                *word |= bit;
-                // `MultiStageHashTable::new` keeps every position in a u32.
-                self.positions.push(pos as u32);
-            }
-        }
-    }
-
-    fn reset(&mut self) {
-        self.positions.clear();
-        self.listed.fill(0);
-    }
-}
-
-/// Clear `pos`'s bit in a [`Filled::listed`] (a free function: the sweep
-/// holds `positions` mutably while it unlists).
-fn unlist(listed: &mut [u64], pos: u32) {
-    if let Some(word) = listed.get_mut(pos as usize / 64) {
-        *word &= !(1 << (pos % 64));
-    }
-}
-
 /// The dirty set.
 #[derive(Clone, Debug)]
 pub struct MultiStageHashTable {
     stages: Vec<(StageHash, RegisterArray<Slot>)>,
-    /// Occupied slots, kept in step with every operation that fills or
-    /// clears one — `occupancy()` and the empty-table `sweep()` never scan.
-    live: usize,
-    /// Boxed: every threaded pipeline holds its table inline, and the
-    /// index is only touched when a slot fills and when a sweep runs.
-    filled: Box<Filled>,
+    /// SRAM bytes per slot (the resource model's, not this process's).
+    entry_bytes: usize,
+    /// The most slots ever occupied at once.
+    peak: usize,
     stats: TableStats,
-    /// Slots the sweeps have looked at.
-    #[cfg(test)]
-    sweep_visits: usize,
 }
 
 impl MultiStageHashTable {
     /// Build a table with the given geometry, clamped to at least one stage
-    /// of one slot and to no more slots than a `u32` position can name.
+    /// of one slot and to at most `u32::MAX` slots in all.
     pub fn new(config: TableConfig) -> Self {
         let stages = config.stages.max(1);
         let slots_per_stage = config
@@ -173,11 +122,9 @@ impl MultiStageHashTable {
                     )
                 })
                 .collect(),
-            live: 0,
-            filled: Box::new(Filled::new(stages, slots_per_stage)),
+            entry_bytes: config.entry_bytes,
+            peak: 0,
             stats: TableStats::default(),
-            #[cfg(test)]
-            sweep_visits: 0,
         }
     }
 
@@ -185,28 +132,28 @@ impl MultiStageHashTable {
     /// entry. Returns `false` if the write must be dropped (full collision).
     pub fn insert(&mut self, obj: ObjectId, seq: SwitchSeq) -> bool {
         debug_assert!(seq > SwitchSeq::ZERO, "real writes have non-sentinel seqs");
-        for (stage, (hash, array)) in self.stages.iter_mut().enumerate() {
+        // `Some(filled an empty slot)` from the first stage that takes the
+        // entry; the stages behind it are not touched.
+        let taken = self.stages.iter_mut().find_map(|(hash, array)| {
             let idx = hash.slot(obj, array.len());
             array.begin_packet();
-            // `Some(filled an empty slot)` if this stage took the entry.
-            let done = array.access(idx, |slot| {
+            array.access(idx, |slot| {
                 let was_empty = slot.is_empty();
                 (was_empty || slot.obj == obj).then(|| {
                     *slot = Slot { obj, seq };
                     was_empty
                 })
-            });
-            if let Some(was_empty) = done {
-                if was_empty {
-                    self.live += 1;
-                    self.filled.list(stage, idx);
-                }
-                self.stats.inserts += 1;
-                return true;
-            }
+            })
+        });
+        let Some(was_empty) = taken else {
+            self.stats.insert_drops += 1;
+            return false;
+        };
+        if was_empty {
+            self.peak = self.peak.max(self.occupancy());
         }
-        self.stats.insert_drops += 1;
-        false
+        self.stats.inserts += 1;
+        true
     }
 
     /// Probe for `obj`; returns the largest pending sequence number if the
@@ -250,8 +197,7 @@ impl MultiStageHashTable {
                 }
             });
         }
-        self.live -= scrubbed;
-        self.stats.scrubbed_by_reads += scrubbed as u64;
+        self.stats.scrubbed_by_reads += scrubbed;
         best
     }
 
@@ -269,80 +215,42 @@ impl MultiStageHashTable {
                 }
             });
         }
-        self.live -= removed;
         self.stats.deletes += removed as u64;
         removed
     }
 
     /// Control-plane sweep clearing every entry with `seq <= last_committed`
     /// (§5.2 "this removal can also be done periodically"). It visits the
-    /// slots writes filled since a sweep last found them empty, not the
-    /// whole table, and stops listing every slot it finds empty or empties.
-    /// That list is the simulator's, not the switch's: a switch CPU reads
-    /// its registers out of band, and [`memory_bytes`](Self::memory_bytes)
-    /// counts only the registers.
+    /// occupied slots only.
     pub fn sweep(&mut self, last_committed: SwitchSeq) -> usize {
-        if self.live == 0 {
-            // Every listed slot is empty.
-            self.filled.reset();
-            return 0;
-        }
-        let stages = &mut self.stages;
-        let Filled {
-            slots_per_stage: n,
-            positions,
-            listed,
-        } = &mut *self.filled;
-        let n = *n;
-        #[cfg(test)]
-        {
-            self.sweep_visits += positions.len();
-        }
-        let mut removed = 0;
-        positions.retain(|&pos| {
-            let (stage, idx) = (pos as usize / n, pos as usize % n);
-            let Some((_, array)) = stages.get_mut(stage) else {
-                return false;
-            };
-            let slot = *array.control_read(idx);
-            if !slot.is_empty() && slot.seq > last_committed {
-                return true;
-            }
-            if !slot.is_empty() {
-                array.control_write(idx, Slot::default());
-                removed += 1;
-            }
-            unlist(listed, pos);
-            false
-        });
-        self.live -= removed;
+        let removed: usize = (self.stages.iter_mut())
+            .map(|(_, array)| array.zero_unless(|slot| slot.seq > last_committed))
+            .sum();
         self.stats.swept += removed as u64;
         removed
     }
 
     /// Clear everything (switch reboot: all soft state is lost).
     pub fn clear(&mut self) {
-        let n = self.filled.slots_per_stage;
-        for &pos in &self.filled.positions {
-            if let Some((_, array)) = self.stages.get_mut(pos as usize / n) {
-                array.control_write(pos as usize % n, Slot::default());
-            }
+        for (_, array) in &mut self.stages {
+            array.clear();
         }
-        self.filled.reset();
-        self.live = 0;
     }
 
     /// Occupied slots across all stages.
     pub fn occupancy(&self) -> usize {
-        self.live
+        self.stages.iter().map(|(_, a)| a.occupied()).sum()
+    }
+
+    /// The most slots ever occupied at once: the SRAM the workload needed,
+    /// beside the [`capacity`](Self::capacity) it was given.
+    pub fn peak_occupancy(&self) -> usize {
+        self.peak
     }
 
     /// Occupied slots per stage (front to back).
     pub fn occupancy_per_stage(&self) -> Vec<usize> {
-        self.stages
-            .iter()
-            .map(|(_, a)| a.iter().filter(|s| !s.is_empty()).count())
-            .collect()
+        self.stages.iter().map(|(_, a)| a.occupied()).collect()
     }
 
     /// Total slots across all stages.
@@ -353,6 +261,12 @@ impl MultiStageHashTable {
     /// SRAM consumed under the resource model.
     pub fn memory_bytes(&self) -> usize {
         self.stages.iter().map(|(_, a)| a.memory_bytes()).sum()
+    }
+
+    /// SRAM the [`peak_occupancy`](Self::peak_occupancy) needed under the
+    /// resource model.
+    pub fn peak_bytes(&self) -> usize {
+        self.peak * self.entry_bytes
     }
 
     /// Behaviour counters.
@@ -367,53 +281,16 @@ impl Default for MultiStageHashTable {
     }
 }
 
-/// The reference scan the tests hold the skipping sweep to.
+/// The reference scan the tests hold the detector's sweep to.
 #[cfg(test)]
 impl MultiStageHashTable {
-    /// What a sweep that skips nothing would remove at `last_committed`.
+    /// What a sweep at `last_committed` would remove.
     pub(crate) fn stale_by_scan(&self, last_committed: SwitchSeq) -> usize {
         self.stages
             .iter()
             .flat_map(|(_, a)| a.iter())
-            .filter(|s| !s.is_empty() && s.seq <= last_committed)
+            .filter(|(_, s)| s.seq <= last_committed)
             .count()
-    }
-
-    /// The sweep's index against a scan: every position listed once, its
-    /// bit set iff listed, every occupied slot listed, at most `capacity()`
-    /// entries.
-    pub(crate) fn index_matches_scan(&self) -> Result<(), String> {
-        let Filled {
-            positions, listed, ..
-        } = &*self.filled;
-        if positions.len() > self.capacity() {
-            return Err(format!(
-                "{} listed, capacity {}",
-                positions.len(),
-                self.capacity()
-            ));
-        }
-        let mut sorted = positions.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        if sorted.len() != positions.len() {
-            return Err(format!("a position listed twice: {positions:?}"));
-        }
-        let bits: u32 = listed.iter().map(|w| w.count_ones()).sum();
-        if bits as usize != positions.len()
-            || positions
-                .iter()
-                .any(|&p| listed[p as usize / 64] & (1 << (p % 64)) == 0)
-        {
-            return Err(format!("bits disagree with {positions:?}"));
-        }
-        let occupied = self.stages.iter().flat_map(|(_, a)| a.iter()).enumerate();
-        for (pos, _) in occupied.filter(|(_, s)| !s.is_empty()) {
-            if sorted.binary_search(&(pos as u32)).is_err() {
-                return Err(format!("occupied slot {pos} not listed"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -576,10 +453,9 @@ mod tests {
     }
 
     #[test]
-    fn a_sweep_visits_what_writes_filled_not_the_table() {
+    fn a_sweep_over_the_prototype_geometry_removes_what_a_scan_finds() {
         let mut t = MultiStageHashTable::default();
         let k = 200u64;
-        let mut kept = 0;
         for round in 0..3u64 {
             let first = round * k + 1;
             let obj = |s: u64| ObjectId(s as u32);
@@ -595,22 +471,19 @@ mod tests {
             }
             let stale = t.stale_by_scan(seq(last_committed));
             assert!(stale > 100, "{stale}");
-            let visits_before = t.sweep_visits;
             assert_eq!(t.sweep(seq(last_committed)), stale);
             assert_eq!(t.stale_by_scan(seq(last_committed)), 0);
-            // The slots filled since the last sweep, and the ones it kept.
-            assert_eq!(t.sweep_visits - visits_before, k as usize + kept);
             assert_eq!(t.occupancy(), 10);
-            kept = t.occupancy();
-            t.index_matches_scan().unwrap();
         }
         assert_eq!(t.capacity(), 3 * 65_536);
+        assert_eq!(t.memory_bytes(), 1_572_864);
     }
 
     #[test]
-    fn without_sweeps_the_index_holds_only_the_slots_objects_hash_to() {
+    fn the_peak_is_the_high_water_mark_and_survives_a_reboot() {
         let mut t = MultiStageHashTable::default();
-        for s in 1..=1_000_000u64 {
+        assert_eq!((t.peak_occupancy(), t.peak_bytes()), (0, 0));
+        for s in 1..=100_000u64 {
             let obj = ObjectId((s % 16) as u32);
             assert!(t.insert(obj, seq(s)));
             match s % 3 {
@@ -619,29 +492,191 @@ mod tests {
                 _ => {}
             }
         }
-        assert!(
-            t.filled.positions.len() <= 16 * 3,
-            "{:?}",
-            t.filled.positions
-        );
-        t.index_matches_scan().unwrap();
-        assert_eq!(t.sweep_visits, 0);
+        // 16 objects, each in at most one slot of each of 3 stages.
+        let peak = t.peak_occupancy();
+        assert!((1..=16 * 3).contains(&peak), "{peak}");
+        assert!(peak >= t.occupancy());
+        assert_eq!(t.peak_bytes(), peak * 8);
+        t.clear();
+        assert_eq!(t.occupancy(), 0);
+        assert_eq!(t.peak_occupancy(), peak);
     }
 
-    #[test]
-    fn clear_and_an_empty_sweep_reset_the_index() {
-        let mut t = small();
-        for i in 1..=5u64 {
-            t.insert(ObjectId(i as u32), seq(i));
+    /// The dense layout: every slot of every stage in memory, each
+    /// operation the same one pass over the stages, a sweep that scans
+    /// every slot. The sparse table must be indistinguishable from it.
+    struct Dense {
+        stages: Vec<(StageHash, Vec<Slot>)>,
+        stats: TableStats,
+    }
+
+    impl Dense {
+        fn new(config: TableConfig) -> Self {
+            let stages = config.stages.max(1);
+            let slots = config.slots_per_stage.max(1);
+            Dense {
+                stages: (0..stages)
+                    .map(|s| (StageHash::for_stage(s as u32), vec![Slot::default(); slots]))
+                    .collect(),
+                stats: TableStats::default(),
+            }
         }
-        t.clear();
-        assert!(t.filled.positions.is_empty());
-        t.index_matches_scan().unwrap();
-        t.insert(ObjectId(1), seq(6));
-        t.delete(ObjectId(1), seq(6));
-        assert_eq!(t.sweep(seq(6)), 0);
-        assert!(t.filled.positions.is_empty());
-        assert_eq!(t.sweep_visits, 0, "an empty table is not visited");
+
+        fn slot(&mut self, stage: usize, obj: ObjectId) -> &mut Slot {
+            let (hash, slots) = &mut self.stages[stage];
+            let idx = hash.slot(obj, slots.len());
+            &mut slots[idx]
+        }
+
+        fn insert(&mut self, obj: ObjectId, seq: SwitchSeq) -> bool {
+            for stage in 0..self.stages.len() {
+                let slot = self.slot(stage, obj);
+                if slot.is_empty() || slot.obj == obj {
+                    *slot = Slot { obj, seq };
+                    self.stats.inserts += 1;
+                    return true;
+                }
+            }
+            self.stats.insert_drops += 1;
+            false
+        }
+
+        /// Search, scrubbing what `scrub_to` covers.
+        fn probe(&mut self, obj: ObjectId, scrub_to: SwitchSeq) -> Option<SwitchSeq> {
+            let mut best = None;
+            for stage in 0..self.stages.len() {
+                let slot = self.slot(stage, obj);
+                if slot.is_empty() || slot.obj != obj {
+                    continue;
+                }
+                if slot.seq <= scrub_to {
+                    *slot = Slot::default();
+                    self.stats.scrubbed_by_reads += 1;
+                } else {
+                    best = best.max(Some(slot.seq));
+                }
+            }
+            best
+        }
+
+        fn delete(&mut self, obj: ObjectId, seq: SwitchSeq) -> usize {
+            let mut removed = 0;
+            for stage in 0..self.stages.len() {
+                let slot = self.slot(stage, obj);
+                if !slot.is_empty() && slot.obj == obj && slot.seq <= seq {
+                    *slot = Slot::default();
+                    removed += 1;
+                }
+            }
+            self.stats.deletes += removed as u64;
+            removed
+        }
+
+        fn sweep(&mut self, last_committed: SwitchSeq) -> usize {
+            let mut removed = 0;
+            for (_, slots) in &mut self.stages {
+                for slot in slots.iter_mut() {
+                    if !slot.is_empty() && slot.seq <= last_committed {
+                        *slot = Slot::default();
+                        removed += 1;
+                    }
+                }
+            }
+            self.stats.swept += removed as u64;
+            removed
+        }
+
+        fn clear(&mut self) {
+            for (_, slots) in &mut self.stages {
+                slots.fill(Slot::default());
+            }
+        }
+
+        /// `(index, slot)` of every occupied slot, per stage.
+        fn occupied(&self) -> Vec<Vec<(usize, Slot)>> {
+            (self.stages.iter())
+                .map(|(_, slots)| {
+                    (slots.iter().copied().enumerate())
+                        .filter(|(_, s)| !s.is_empty())
+                        .collect()
+                })
+                .collect()
+        }
+    }
+
+    fn occupied(t: &MultiStageHashTable) -> Vec<Vec<(usize, Slot)>> {
+        (t.stages.iter())
+            .map(|(_, a)| a.iter().map(|(i, &s)| (i, s)).collect())
+            .collect()
+    }
+
+    /// Random runs of every operation over geometries small enough that
+    /// whole-slot collisions and dropped writes are common: every return
+    /// value, every counter, the occupancy, the peak and the slot contents
+    /// of the sparse table equal the dense one's after every step.
+    #[test]
+    fn sparse_registers_are_indistinguishable_from_dense_ones() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let (mut drops, mut scrubs, mut swept) = (0, 0, 0);
+        for case in 0..2_000u64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let config = TableConfig {
+                stages: rng.gen_range(1..=3),
+                slots_per_stage: rng.gen_range(1..=8),
+                entry_bytes: 8,
+            };
+            let (mut sparse, mut dense) = (MultiStageHashTable::new(config), Dense::new(config));
+            let objects = rng.gen_range(1..=16u32);
+            let mut next = 0u64;
+            let mut peak = 0;
+            for _ in 0..rng.gen_range(1..=200) {
+                let obj = ObjectId(rng.gen_range(0..objects));
+                // Anywhere from the sentinel to past every issued number.
+                let at = match rng.gen_range(0..8) {
+                    0 => SwitchSeq::ZERO,
+                    _ => seq(rng.gen_range(0..=next + 1)),
+                };
+                match rng.gen_range(0..16) {
+                    0..=5 => {
+                        next += 1;
+                        assert_eq!(sparse.insert(obj, seq(next)), dense.insert(obj, seq(next)));
+                    }
+                    6 | 7 => assert_eq!(sparse.search(obj), dense.probe(obj, SwitchSeq::ZERO)),
+                    8..=10 => assert_eq!(sparse.search_and_scrub(obj, at), dense.probe(obj, at)),
+                    11..=13 => assert_eq!(sparse.delete(obj, at), dense.delete(obj, at)),
+                    14 => assert_eq!(sparse.sweep(at), dense.sweep(at)),
+                    _ if rng.gen_range(0..4) == 0 => {
+                        sparse.clear();
+                        dense.clear();
+                    }
+                    _ => {}
+                }
+                let want = dense.occupied();
+                peak = peak.max(want.iter().map(Vec::len).sum::<usize>());
+                assert_eq!(occupied(&sparse), want, "case {case}");
+                assert_eq!(sparse.stats(), dense.stats, "case {case}");
+                assert_eq!(
+                    sparse.occupancy_per_stage(),
+                    want.iter().map(Vec::len).collect::<Vec<_>>()
+                );
+                assert_eq!(
+                    sparse.occupancy(),
+                    sparse.occupancy_per_stage().iter().sum()
+                );
+                assert_eq!(sparse.peak_occupancy(), peak, "case {case}");
+            }
+            assert_eq!(sparse.capacity(), config.stages * config.slots_per_stage);
+            assert_eq!(sparse.memory_bytes(), sparse.capacity() * 8);
+            drops += sparse.stats().insert_drops;
+            scrubs += sparse.stats().scrubbed_by_reads;
+            swept += sparse.stats().swept;
+        }
+        // The runs reached every regime they are meant to compare.
+        assert!(
+            drops > 1_000 && scrubs > 1_000 && swept > 1_000,
+            "{drops} {scrubs} {swept}"
+        );
     }
 
     #[test]
