@@ -118,7 +118,7 @@ fn measure(store_keys: usize) -> Row {
             .world()
             .actor::<SimWorker>(NodeId::Replica(TAIL))
             .is_none_or(|a| a.is_recovering());
-        let gated = sim.switch_core().is_none_or(|sw| sw.is_gated(TAIL));
+        let gated = sim.switch().is_none_or(|sw| sw.is_gated(TAIL));
         if !recovering && !gated {
             mttr_us = (sim.now().nanos() - t0.nanos()) as f64 / 1e3;
             gate_lifted = true;

@@ -25,7 +25,6 @@ pub use snapshot::Snapshot;
 use bytes::Bytes;
 use harmonia_core::client::{metrics, ClosedLoopClient, OpSpec, SourceFn};
 use harmonia_core::deployment::{DeploymentSpec, SimCluster};
-use harmonia_core::SwitchCore;
 use harmonia_switch::SwitchStats;
 use harmonia_types::{ClientId, Duration, Instant, NodeId};
 use harmonia_workload::KeySpace;
@@ -205,12 +204,13 @@ fn measure_open_loop(mut sim: SimCluster, warmup: Duration, measure: Duration) -
         writes_rejected: m.counter(metrics::WRITE_REJECTED),
         ..RunResult::default()
     };
-    if let Some(view) = sim.switch_core().map(SwitchCore::view) {
-        result.switch = view.stats();
-        result.dirty_len = view.dirty_len();
-        result.switch_memory_bytes = view.memory_bytes();
-        result.switch_peak_bytes = view.peak_bytes();
-        result.groups = view.group_count();
+    if let Some(switch) = sim.switch() {
+        let rows = switch.observe();
+        result.switch = switch.stats();
+        result.dirty_len = rows.iter().map(|o| o.dirty_len).sum();
+        result.switch_memory_bytes = rows.iter().map(|o| o.memory_bytes).sum();
+        result.switch_peak_bytes = rows.iter().map(|o| o.peak_bytes).sum();
+        result.groups = rows.len();
     }
     result
 }
@@ -312,7 +312,10 @@ pub fn run_closed_loop(
     }
     ClosedLoopResult {
         mrps: done as f64 / measure.as_secs_f64() / 1e6,
-        switch_peak_bytes: sim.switch_core().map_or(0, |s| s.view().peak_bytes()),
+        switch_peak_bytes: (sim.switch().into_iter())
+            .flat_map(|s| s.observe())
+            .map(|o| o.peak_bytes)
+            .sum(),
     }
 }
 

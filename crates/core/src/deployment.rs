@@ -33,7 +33,7 @@ use harmonia_obs::{
 };
 use harmonia_replication::{GroupConfig, ProtocolKind, Server};
 use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
-use harmonia_switch::{SpineView, TableConfig};
+use harmonia_switch::{GroupObservation, Switch, SwitchConfig, SwitchStats, TableConfig};
 use harmonia_types::{ClientId, Duration, Instant, NodeId, RecordedOp, ReplicaId, SwitchId};
 use harmonia_workload::ShardMap;
 
@@ -41,7 +41,6 @@ use crate::client::{ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, So
 use crate::failover;
 use crate::live::{LiveCluster, LiveError};
 use crate::msg::{CostModel, Msg};
-use crate::switch_core::SwitchCore;
 use crate::udp::UdpCluster;
 use crate::worker::{Hosted, SimWorker};
 
@@ -276,13 +275,25 @@ impl DeploymentSpec {
         }
     }
 
+    /// What switch incarnation `incarnation` is provisioned with: every
+    /// group's members, this spec's protocol, mode, table and sweep.
+    pub fn switch_config(&self, incarnation: SwitchId) -> SwitchConfig {
+        SwitchConfig {
+            incarnation,
+            protocol: self.protocol,
+            harmonia: self.harmonia,
+            table: self.table,
+            sweep_interval: self.sweep_interval,
+            groups: (0..self.groups).map(|g| self.group_members(g)).collect(),
+        }
+    }
+
     /// The simulated switch of incarnation `incarnation` (initial bring-up
     /// and §5.3 replacements): one host running every group's pipeline, at
     /// line rate.
     pub(crate) fn sim_switch(&self, incarnation: SwitchId, recorder: &Recorder) -> SimWorker {
-        let mut core = SwitchCore::for_deployment(self, incarnation);
-        core.set_recorder(recorder);
-        SimWorker::new(vec![Hosted::pipelines(core)], None)
+        let switch = Switch::new(&self.switch_config(incarnation));
+        SimWorker::new(vec![Hosted::pipelines(switch, recorder.clone())], None)
     }
 
     /// A simulated storage server, queued behind this spec's costs; with
@@ -499,7 +510,7 @@ impl SimCluster {
     }
 
     /// The pipelines of the switch clients address, if it is up.
-    pub fn switch_core(&self) -> Option<&SwitchCore> {
+    pub fn switch(&self) -> Option<&Switch> {
         if self.world.is_down(self.switch) {
             return None;
         }
@@ -652,7 +663,7 @@ impl Cluster for SimCluster {
     }
 
     fn switch_incarnation(&self) -> Option<SwitchId> {
-        self.switch_core().map(SwitchCore::incarnation)
+        self.switch().map(Switch::incarnation)
     }
 
     fn obs_snapshot(&self) -> ObsSnapshot {
@@ -664,8 +675,8 @@ impl Cluster for SimCluster {
             discarded: m.counter("net.dead_dst") + m.counter("net.down_dst"),
         };
         let (now, recorded) = (self.world.now(), self.registry.snapshot());
-        let view = self.switch_core().map(SwitchCore::view);
-        snapshot(&self.spec, "sim", now, &recorded, view, faults)
+        let rows = self.switch().map(Switch::observe);
+        snapshot(&self.spec, "sim", now, &recorded, rows, faults)
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
@@ -679,15 +690,15 @@ impl Cluster for SimCluster {
 
 /// The snapshot every driver's [`Cluster::obs_snapshot`] returns: `spec`'s
 /// topology, the recorder-backed sections from `recorded`, and the switch
-/// sections from `switch` — its pipelines' [`SwitchCore::view`] rows,
-/// `None` while it is down. Sweeps happen off the observation path, so
-/// `swept` is the recorders' count.
+/// sections folded from `switch` — its pipelines' [`Switch::observe`] rows
+/// in any order, `None` while it is down. Sweeps happen off the observation
+/// path, so `swept` is the recorders' count.
 pub(crate) fn snapshot(
     spec: &DeploymentSpec,
     driver: &'static str,
     taken_at: Instant,
     recorded: &RecorderSnapshot,
-    switch: Option<SpineView>,
+    switch: Option<Vec<GroupObservation>>,
     faults: FaultObs,
 ) -> ObsSnapshot {
     let mut snap = ObsSnapshot {
@@ -700,8 +711,13 @@ pub(crate) fn snapshot(
         ..ObsSnapshot::default()
     };
     snap.apply_recorder(recorded);
-    let Some(view) = switch else { return snap };
-    let stats = view.stats();
+    let Some(mut rows) = switch else { return snap };
+    rows.sort_by_key(|o| o.group);
+    let mut stats = SwitchStats::default();
+    for o in &rows {
+        stats.merge(&o.stats);
+    }
+    let sum = |field: fn(&GroupObservation) -> usize| rows.iter().map(field).sum::<usize>() as u64;
     snap.switch = SwitchObs {
         reads_fast_path: stats.reads_fast_path,
         reads_normal: stats.reads_normal,
@@ -710,13 +726,11 @@ pub(crate) fn snapshot(
         completions: stats.completions,
         forwarded_other: stats.forwarded_other,
         swept: recorded.counter(Counter::SwitchSwept),
-        fast_path_groups: view.fast_path_groups() as u64,
-        dirty_len: view.dirty_len() as u64,
-        memory_bytes: view.memory_bytes() as u64,
+        fast_path_groups: sum(|o| usize::from(o.fast_path_enabled)),
+        dirty_len: sum(|o| o.dirty_len),
+        memory_bytes: sum(|o| o.memory_bytes),
     };
-    snap.per_group = view
-        .groups()
-        .iter()
+    snap.per_group = (rows.iter())
         .map(|o| GroupObs {
             group: o.group.0,
             reads_fast_path: o.stats.reads_fast_path,

@@ -207,7 +207,7 @@ mod tests {
         assert!(after > 1000, "after={after}");
         let host: &SimWorker = sim.world().actor(NodeId::Switch(SwitchId(2))).unwrap();
         let sw = host.switch().unwrap();
-        assert_eq!(sw.view().fast_path_groups(), 1);
+        assert!(sw.observe()[0].fast_path_enabled);
         assert!(sw.stats().reads_fast_path > 0);
         assert_eq!(sw.incarnation(), SwitchId(2));
     }
@@ -280,7 +280,7 @@ mod tests {
             "recovered tail applied nothing"
         );
         assert!(
-            !sim.switch_core().unwrap().is_gated(ReplicaId(2)),
+            !sim.switch().unwrap().is_gated(ReplicaId(2)),
             "gate never lifted"
         );
 

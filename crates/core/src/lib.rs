@@ -5,12 +5,13 @@
 //! The layering is pure core / effectful shell. Sans-IO pieces hold
 //! everything that must behave the same on every driver — `client_core`
 //! (one operation's request / reply / retry state machine, and `Lanes`,
-//! the one closed-loop client loop over it), `switch_core` (the pipelines
-//! and their one route rule), `worker` (the step of a host running those
-//! and storage servers) and `control` (the configuration service's §5.3
-//! scripts, as data) — and the drivers only move packets and time around
-//! them. What a storage server does with a packet or a tick is
-//! `harmonia-replication`'s `Server`, recovery included.
+//! the one closed-loop client loop over it), `worker` (the step of a host
+//! running switch pipelines and storage servers) and `control` (the
+//! configuration service's §5.3 scripts, as data) — and the drivers only
+//! move packets and time around them. What the switch does with a packet is
+//! `harmonia-switch`'s `Switch`, the one route rule included; what a storage
+//! server does with a packet or a tick is `harmonia-replication`'s `Server`,
+//! recovery included.
 //!
 //! The pieces from the other crates meet here:
 //!
@@ -23,10 +24,9 @@
 //!   threaded ones.
 //! * [`worker`] is the one node runtime: a [`Worker`] hosts switch
 //!   pipelines and storage servers behind one step (packets in, deadline
-//!   out), over the conflict detector, forwarding table and NOPaxos
-//!   sequencer of `harmonia-switch` ([`switch_core::SwitchCore`], whose
-//!   `handle` is the one route rule) and `harmonia-replication`'s `Server`,
-//!   counted and traced beside it by the worker. In the simulator each node is
+//!   out): `harmonia-switch`'s `Switch` (Figure 1's program, whose `handle`
+//!   is the one route rule) and `harmonia-replication`'s `Server`, each
+//!   counted and traced from what it reports by the worker. In the simulator each node is
 //!   a [`SimWorker`]: the switch at line rate, a replica behind the
 //!   calibrated service-cost model ([`msg::CostModel`]).
 //! * [`client`] provides an open-loop load generator (the DPDK-generator
@@ -42,7 +42,7 @@
 //!   a name resolves to (who answers to which name is `harmonia-net`'s
 //!   `AddrBook`, on every substrate). Its data
 //!   plane is parallel: one pipeline per replica group, each exclusively
-//!   owning that group's [`switch_core::GroupCore`], behind a stateless
+//!   owning that group's switch state, behind a stateless
 //!   shard-routing spine — no lock on the packet path — and pipelines and
 //!   replicas alike hosted by as many [`Worker`]s, each on a thread of its
 //!   own, as the host has cores for. With the channel substrate it is
@@ -70,6 +70,6 @@ pub use deployment::{Cluster, DeploymentSpec, KvClient, SimCluster};
 pub use harmonia_types::RecordedOp;
 pub use live::{LiveClient, LiveCluster, LiveError};
 pub use msg::{CostModel, Msg};
-pub use switch_core::{GroupCore, SwitchCore};
+pub use switch_core::SwitchCore;
 pub use udp::UdpCluster;
 pub use worker::{SimWorker, Worker};

@@ -64,10 +64,10 @@
 //! rate, so a driver that serializes every group's traffic through one
 //! switch thread (let alone one mutex) is an artifact, not the paper's
 //! design. The threaded switch is therefore one pipeline per replica group,
-//! each exclusively owning that group's
-//! [`GroupCore`](crate::switch_core::GroupCore) — conflict detector,
-//! sequencer, forwarding table, and counters — and each on whichever worker
-//! its group places it, in parallel as far as the host has cores. **No lock
+//! each exclusively owning that group's conflict detector, sequencer,
+//! forwarding table and counters, and each on whichever worker its group
+//! places it, in parallel as far as the host has cores: a worker's share is
+//! one [`harmonia_switch::Switch`]. **No lock
 //! guards switch or replica state**; the only lock on the packet path is the
 //! short one around an ingress queue, once per destination of a busy
 //! period's hand-off and once per batch received.
@@ -79,8 +79,8 @@
 //! delivers straight to the endpoint of the worker that hosts the owning
 //! group's pipeline: no intermediate hop, no shared switch state. A worker
 //! that hosts several pipelines picks among them by the same route
-//! ([`SwitchCore::handle`], the one route rule); what goes to every group
-//! reaches it once.
+//! ([`Switch::handle`](harmonia_switch::Switch::handle), the one route
+//! rule); what goes to every group reaches it once.
 //!
 //! Where a packet addressed to the switch goes is one decision,
 //! [`PacketBody::switch_route`], turned into endpoints in one place (the
@@ -97,7 +97,7 @@
 //! ([`kill_switch`](Cluster::kill_switch)) or a lease still on a dead
 //! incarnation, the reply resolves to nothing and vanishes like every other
 //! packet of the §5.3 outage. (The simulator keeps the hop — see
-//! [`crate::switch_core`].)
+//! [`harmonia_switch::pipeline`].)
 //!
 //! # One client shell
 //!
@@ -115,9 +115,9 @@
 //!
 //! The switch is read by message: for an
 //! [`obs_snapshot`](Cluster::obs_snapshot) each worker that hosts pipelines
-//! answers one [`Envelope::Inspect`] with their
-//! [`SwitchCore::view`] rows, and the snapshot is built from them as the
-//! simulator's is from its switch node's — the control plane reads the
+//! answers one [`Envelope::Inspect`] with their rows — one
+//! [`GroupObservation`] per group, by value — and the snapshot folds them as
+//! it folds the simulator's switch node's — the control plane reads the
 //! switch without ever touching a worker's state.
 //!
 //! The §5.3 switch failure/replacement sequence
@@ -148,7 +148,7 @@ use harmonia_obs::{
     Clock, Counter, FaultObs, MonotonicClock, ObsSnapshot, Recorder, Registry, TraceEvent,
 };
 use harmonia_replication::{GroupConfig, Server};
-use harmonia_switch::{GroupId, SpineView};
+use harmonia_switch::{GroupId, GroupObservation, Switch};
 use harmonia_types::{
     ClientId, Duration, Instant, NodeId, PacketBody, RecordedOp, ReplicaId, SwitchId,
 };
@@ -158,7 +158,6 @@ use crate::client_core::Lanes;
 use crate::control;
 use crate::deployment::{snapshot, Cluster, DeploymentSpec, KvClient};
 use crate::msg::Msg;
-use crate::switch_core::SwitchCore;
 use crate::worker::{Hosted, Worker};
 
 /// What a loop can be handed: a data-plane packet or a control-plane verb
@@ -172,7 +171,7 @@ pub enum Envelope {
     /// loop, in send order.
     Packets(Vec<Msg>),
     /// Snapshot every pipeline the worker hosts, if it hosts any.
-    Inspect(Sender<SpineView>),
+    Inspect(Sender<Vec<GroupObservation>>),
     /// Host these nodes from now on; acknowledged once each has taken its
     /// first step.
     Adopt(Vec<Hosted>, Sender<()>),
@@ -791,8 +790,8 @@ fn worker_main<E: Clone>(
         deadline = worker.step(now, &mut rng, inbox.drain(..), &mut out);
         match verb {
             Some(Envelope::Inspect(reply)) => {
-                if let Some(view) = worker.observe() {
-                    let _ = reply.send(view);
+                if let Some(rows) = worker.observe() {
+                    let _ = reply.send(rows);
                 }
             }
             // Adopted in one step, so nodes that tick alike — a group's
@@ -944,18 +943,18 @@ impl<S: Substrate> ThreadedCluster<S> {
 
     /// Bring the pipelines of `incarnation` up — fresh state for every
     /// group, group `g` on the worker node `g` places on, each worker's
-    /// share built as one [`SwitchCore`] — and publish the spine: the
+    /// share built as one [`Switch`] — and publish the spine: the
     /// switch's addresses — the stable client-facing one and the
     /// incarnation's own (replicas reply to the lease holder) — resolve
     /// through the shard map, on the sending thread, to the ingress of the
     /// worker that hosts the group.
     fn adopt_switch(&mut self, incarnation: SwitchId) {
         let (workers, groups) = (self.workers.len(), self.spec.groups);
+        let config = self.spec.switch_config(incarnation);
         let shares = (0..workers.min(groups)).map(|w| {
             let share = (w..groups).step_by(workers).map(|g| GroupId(g as u32));
-            let mut core = SwitchCore::for_groups(&self.spec, incarnation, share);
-            core.set_recorder(&self.registry.handle());
-            (w, Hosted::pipelines(core))
+            let switch = Switch::for_groups(&config, share);
+            (w, Hosted::pipelines(switch, self.registry.handle()))
         });
         self.adopt(shares.collect());
         let me = self.spec.switch_addr();
@@ -1016,15 +1015,15 @@ impl<S: Substrate> ThreadedCluster<S> {
     /// Every pipeline's snapshot, one verb per worker that hosts any — the
     /// first `groups` workers — asked all at once so they answer
     /// concurrently; `None` while the switch is down.
-    fn observe(&self) -> Option<SpineView> {
+    fn observe(&self) -> Option<Vec<GroupObservation>> {
         self.switch?;
         let hosts = self.workers.iter().take(self.spec.groups);
         let pending: Option<Vec<_>> = hosts.map(|w| ask(&w.ctl, Envelope::Inspect)).collect();
         let mut rows = Vec::new();
         for reply in pending? {
-            rows.extend_from_slice(reply.recv_timeout(VERB_TIMEOUT).ok()?.groups());
+            rows.extend(reply.recv_timeout(VERB_TIMEOUT).ok()?);
         }
-        Some(SpineView::new(rows))
+        Some(rows)
     }
 
     /// Stop every thread and wait for them. (Dropping the cluster does the
@@ -1864,8 +1863,7 @@ mod tests {
     impl Watched {
         fn start(spec: &DeploymentSpec) -> Watched {
             let registry = Registry::with_clock(Arc::new(MonotonicClock::new()));
-            let mut core = SwitchCore::for_deployment(spec, spec.initial_switch());
-            core.set_recorder(&registry.handle());
+            let switch = Switch::new(&spec.switch_config(spec.initial_switch()));
             let channels = Channels::default();
             let (link, ctl, ingress) = channels.attach(&[], registry.handle());
             let names = Names::new(Arc::clone(channels.book()), ingress.clone());
@@ -1884,7 +1882,7 @@ mod tests {
             assert_eq!(none, None, "a worker that hosts nothing arms no timer");
             let replica = Server::new(spec.group_config(0, 0), None);
             let hosted = vec![
-                Hosted::pipelines(core),
+                Hosted::pipelines(switch, watched.registry.handle()),
                 Hosted::replica(replica, watched.registry.handle()),
             ];
             let adopted = ask(&watched.ctl, |ack| Envelope::Adopt(hosted, ack)).unwrap();
@@ -1923,10 +1921,8 @@ mod tests {
 
         fn dirty_len(&self) -> usize {
             let reply = ask(&self.ctl, Envelope::Inspect).unwrap();
-            reply
-                .recv_timeout(StdDuration::from_secs(10))
-                .unwrap()
-                .dirty_len()
+            let rows = reply.recv_timeout(StdDuration::from_secs(10)).unwrap();
+            rows.iter().map(|o| o.dirty_len).sum()
         }
 
         fn swept(&self) -> u64 {

@@ -2,12 +2,13 @@
 //! deadlines and verbs it is handed.
 //!
 //! A [`Worker`] hosts nodes — the switch pipelines of one incarnation (a
-//! [`SwitchCore`]) and storage servers (each a `harmonia-replication`
-//! [`Server`], beside the [`Recorder`] that counts and traces what its
-//! [`Server::on_packet`] reports) — behind one step: take a batch of
-//! packets, hand each to the node it addresses, run the sweep and the ticks
-//! that are due, and say when it next has something to do unprompted. It
-//! reads no clock and owns no randomness: `now` and `rng` are arguments.
+//! `harmonia-switch` [`Switch`]) and storage servers (each a
+//! `harmonia-replication` [`Server`]), each beside the [`Recorder`] that
+//! counts and traces what its [`Switch::handle`] or [`Server::on_packet`]
+//! reports — behind one step: take a batch of packets, hand each to the
+//! node it addresses, run the sweep and the ticks that are due, and say
+//! when it next has something to do unprompted. It reads no clock and owns
+//! no randomness: `now` and `rng` are arguments.
 //! Two shells feed it, and nothing else runs a node:
 //!
 //! * the threaded drivers' worker loop ([`crate::live`]): receive a batch,
@@ -21,15 +22,16 @@
 //! Decisions taken here once, for every driver:
 //!
 //! * **One route rule.** A packet addressed to the switch reaches a
-//!   pipeline through [`SwitchCore::handle`] only; a packet for a replica
+//!   pipeline through [`Switch::handle`] only; a packet for a replica
 //!   reaches it by name; anything else finds nobody and vanishes, as toward
 //!   a dead NIC. The simulator keeps the rack's ToR hop (see
-//!   [`crate::switch_core`]).
-//! * **One sweep rule.** Stale dirty entries (§5.2) are swept once the
-//!   pipelines have handled nothing for the deployment's sweep interval,
-//!   and only while a sweep could reclaim something; without an interval,
-//!   never. A busy switch keeps pushing the sweep ahead of itself, and its
-//!   reads scrub stale entries as they probe.
+//!   [`harmonia_switch::pipeline`]).
+//! * **One sweep rule.** Stale dirty entries (§5.2) are swept at the
+//!   switch's [`Switch::sweep_at`]: once the pipelines have handled nothing
+//!   for the deployment's sweep interval, and only while a sweep could
+//!   reclaim something; without an interval, never. A busy switch keeps
+//!   pushing the sweep ahead of itself, and its reads scrub stale entries
+//!   as they probe.
 //! * **Layout.** The simulator runs a worker per node: the switch node
 //!   hosts every group's pipeline at line rate, and each replica is a worker
 //!   of its own behind its [`CostModel`] service queue. A threaded driver
@@ -43,27 +45,27 @@
 use harmonia_obs::{Counter, Recorder, TraceStage};
 use harmonia_replication::{Effects, Handled, Server};
 use harmonia_sim::{Actor, Context, Service, TimerToken};
-use harmonia_switch::SpineView;
+use harmonia_switch::{GroupObservation, Report, Switch, Verdict};
 use harmonia_types::{Instant, NodeId, ReplicaId};
 use rand::rngs::SmallRng;
 
 use crate::msg::{CostModel, Msg};
-use crate::switch_core::SwitchCore;
 
 /// A node as a worker hosts it.
 pub struct Hosted(Node);
 
 enum Node {
-    /// The pipelines of one switch incarnation.
-    Pipelines(SwitchCore),
+    /// The pipelines of one switch incarnation, and where they record.
+    Pipelines(Switch, Recorder),
     /// One storage server, and where it records.
     Replica(Box<Server>, Recorder),
 }
 
 impl Hosted {
-    /// Switch pipelines: every group's, or the share dealt to one host.
-    pub(crate) fn pipelines(core: SwitchCore) -> Hosted {
-        Hosted(Node::Pipelines(core))
+    /// Switch pipelines — every group's, or the share dealt to one host —
+    /// recording to `recorder`.
+    pub(crate) fn pipelines(switch: Switch, recorder: Recorder) -> Hosted {
+        Hosted(Node::Pipelines(switch, recorder))
     }
 
     /// A storage server, recording to `recorder`.
@@ -75,7 +77,7 @@ impl Hosted {
     /// none: the switch's addresses reach them.
     pub(crate) fn name(&self) -> Option<NodeId> {
         match &self.0 {
-            Node::Pipelines(_) => None,
+            Node::Pipelines(..) => None,
             Node::Replica(server, _) => Some(NodeId::Replica(server.me())),
         }
     }
@@ -93,11 +95,9 @@ struct Resident {
 /// them.
 #[derive(Default)]
 pub struct Worker {
-    /// The pipelines hosted here; `None` while there are none (the switch is
-    /// down, or no group is dealt here).
-    switch: Option<SwitchCore>,
-    /// When the pipelines sweep, if no packet reaches them first.
-    sweep_at: Option<Instant>,
+    /// The pipelines hosted here and where they record; `None` while there
+    /// are none (the switch is down, or no group is dealt here).
+    switch: Option<(Switch, Recorder)>,
     servers: Vec<Resident>,
     /// What a server's step sends, before it is addressed: reused, so a
     /// packet that emits nothing allocates nothing.
@@ -112,10 +112,7 @@ impl Worker {
     pub fn adopt(&mut self, now: Instant, nodes: Vec<Hosted>, out: &mut Vec<(NodeId, Msg)>) {
         for Hosted(node) in nodes {
             match node {
-                Node::Pipelines(core) => {
-                    self.switch = Some(core);
-                    self.sweep_at = None;
-                }
+                Node::Pipelines(switch, recorder) => self.switch = Some((switch, recorder)),
                 Node::Replica(server, recorder) => {
                     let me = server.me();
                     server.start(&mut self.fx);
@@ -137,21 +134,19 @@ impl Worker {
     /// finds nobody.
     pub fn evict(&mut self, name: NodeId) {
         match name {
-            NodeId::Switch(_) => {
-                self.switch = None;
-                self.sweep_at = None;
-            }
+            NodeId::Switch(_) => self.switch = None,
             name => self
                 .servers
                 .retain(|s| NodeId::Replica(s.server.me()) != name),
         }
     }
 
-    /// Snapshot the pipelines hosted here, if there are any. Asked once per
-    /// snapshot, so it is kept out of line of the worker loop that calls it.
+    /// The rows of the pipelines hosted here, if there are any. Asked once
+    /// per snapshot, so it is kept out of line of the worker loop that
+    /// calls it.
     #[cold]
-    pub fn observe(&self) -> Option<SpineView> {
-        self.switch.as_ref().map(SwitchCore::view)
+    pub fn observe(&self) -> Option<Vec<GroupObservation>> {
+        self.switch.as_ref().map(|(switch, _)| switch.observe())
     }
 
     /// The step: hand every packet of `inbox` to the node it addresses, run
@@ -182,9 +177,10 @@ impl Worker {
     ) {
         match msg.dst {
             NodeId::Switch(_) => {
-                if let Some(switch) = &mut self.switch {
-                    switch.handle(now, msg.dst, msg, rng, out);
-                    self.sweep_at = switch.sweep_after(now);
+                if let Some((switch, recorder)) = &mut self.switch {
+                    let me = msg.dst;
+                    let report = switch.handle(now, me, msg, rng, out);
+                    record_switch(recorder, now, me, report);
                 }
             }
             NodeId::Replica(r) => {
@@ -206,10 +202,9 @@ impl Worker {
         if deadline.is_none_or(|at| at > now) {
             return deadline;
         }
-        if let Some(switch) = &mut self.switch {
-            if self.sweep_at.is_some_and(|at| at <= now) {
-                switch.sweep();
-                self.sweep_at = switch.sweep_after(now);
+        if let Some((switch, recorder)) = &mut self.switch {
+            if switch.sweep_at().is_some_and(|at| at <= now) {
+                recorder.add(Counter::SwitchSwept, switch.sweep(now));
             }
         }
         for s in &mut self.servers {
@@ -225,7 +220,23 @@ impl Worker {
     /// The earliest sweep or tick, if there is one.
     pub fn deadline(&self) -> Option<Instant> {
         let ticks = self.servers.iter().filter_map(|s| s.tick_at);
-        ticks.chain(self.sweep_at).min()
+        let sweep = self.switch.as_ref().and_then(|s| s.0.sweep_at());
+        ticks.chain(sweep).min()
+    }
+}
+
+/// Count, and trace where there is a request, what the pipelines did with
+/// a packet.
+fn record_switch(recorder: &Recorder, now: Instant, me: NodeId, report: Report) {
+    recorder.add(Counter::SwitchPackets, report.pipelines);
+    if let Some(request) = report.request {
+        let stage = match request.verdict {
+            Verdict::FastPath => TraceStage::SwitchFastPathRead,
+            Verdict::Normal => TraceStage::SwitchNormalRead,
+            Verdict::Forward => TraceStage::SwitchWriteForward,
+            Verdict::Drop => TraceStage::SwitchWriteDrop,
+        };
+        recorder.trace_at(now, me, request.trace, request.obj, stage);
     }
 }
 
@@ -281,8 +292,8 @@ impl SimWorker {
     }
 
     /// The pipelines this host runs, if it runs any.
-    pub fn switch(&self) -> Option<&SwitchCore> {
-        self.worker.switch.as_ref()
+    pub fn switch(&self) -> Option<&Switch> {
+        self.worker.switch.as_ref().map(|(switch, _)| switch)
     }
 
     /// The storage server this host runs, if it runs one.
@@ -387,11 +398,11 @@ mod tests {
     impl Bench {
         fn new(spec: &DeploymentSpec) -> Bench {
             let registry = harmonia_obs::Registry::new();
-            let mut core = SwitchCore::for_deployment(spec, SwitchId(1));
-            core.set_recorder(&registry.handle());
+            let switch = Switch::new(&spec.switch_config(SwitchId(1)));
             let mut worker = Worker::default();
             let mut out = Vec::new();
-            worker.adopt(Instant::ZERO, vec![Hosted::pipelines(core)], &mut out);
+            let pipelines = Hosted::pipelines(switch, registry.handle());
+            worker.adopt(Instant::ZERO, vec![pipelines], &mut out);
             Bench {
                 worker,
                 rng: SmallRng::seed_from_u64(1),
@@ -417,9 +428,14 @@ mod tests {
             (self.registry.snapshot()).counter(harmonia_obs::Counter::SwitchPackets)
         }
 
+        fn switch(&self) -> &Switch {
+            &self.worker.switch.as_ref().unwrap().0
+        }
+
         fn stats(&self, group: u32) -> harmonia_switch::SwitchStats {
-            let view = self.worker.observe().unwrap();
-            view.group(GroupId(group)).unwrap().stats
+            let rows = self.worker.observe().unwrap();
+            let row = rows.into_iter().find(|o| o.group == GroupId(group));
+            row.unwrap().stats
         }
     }
 
@@ -467,24 +483,16 @@ mod tests {
         let remove = PacketBody::Control(ControlMsg::RemoveReplica(tail));
         assert!(bench.step(at(3), NodeId::Controller, remove).is_empty());
         assert_eq!(bench.handled(), 3, "one pipeline owns replica {tail:?}");
-        let replicas = |bench: &Bench, g| {
-            let switch = bench.worker.switch.as_ref().unwrap();
-            switch.group(GroupId(g)).unwrap().replicas().to_vec()
-        };
-        assert_eq!(replicas(&bench, 0), spec.group_members(0));
-        assert_eq!(replicas(&bench, 1), spec.group_members(1)[..2]);
+        let members = |bench: &Bench, g| bench.switch().members(GroupId(g)).unwrap().to_vec();
+        assert_eq!(members(&bench, 0), spec.group_members(0));
+        assert_eq!(members(&bench, 1), spec.group_members(1)[..2]);
 
         // EveryGroup, not owned: control about a replica no group knows is
         // dropped by every pipeline.
         let stranger = PacketBody::Control(ControlMsg::GateReplica(ReplicaId(99)));
         assert!(bench.step(at(4), NodeId::Controller, stranger).is_empty());
         assert_eq!(bench.handled(), 3);
-        assert!(!bench
-            .worker
-            .switch
-            .as_ref()
-            .unwrap()
-            .is_gated(ReplicaId(99)));
+        assert!(!bench.switch().is_gated(ReplicaId(99)));
 
         // Client: a reply with no completion goes to its client as it
         // arrived, outside every pipeline.
@@ -562,7 +570,7 @@ mod tests {
             }
         }
         assert!(tokens.len() <= 7, "{} timers for 150 packets", tokens.len());
-        let dirty = |w: &World<Msg>| host(w).switch().unwrap().view().dirty_len();
+        let dirty = |w: &World<Msg>| host(w).switch().unwrap().observe()[0].dirty_len;
         assert_eq!(dirty(&w), 1, "a busy switch does not sweep");
         w.run_until(w.now() + Duration::from_millis(1));
         assert_eq!(dirty(&w), 0, "an idle one does");

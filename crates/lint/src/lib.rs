@@ -135,8 +135,9 @@ impl Policy {
                 // The simulator's clients: everything in the file runs in
                 // virtual time.
                 "crates/core/src/client.rs",
-                // The node runtime and the switch pipelines it hosts: every
-                // simulated and every threaded packet runs through both.
+                // The node runtime: every simulated and every threaded packet
+                // runs through it. Beside it, the ledger's `SwitchCore` shim
+                // over the switch crate's `Switch`.
                 "crates/core/src/worker.rs",
                 "crates/core/src/switch_core.rs",
                 // The simulated deployment (`SimCluster`, its sessions),
@@ -167,13 +168,15 @@ impl Policy {
                 "crates/core/src/udp.rs",
                 "crates/core/src/client_core.rs",
                 "crates/core/src/worker.rs",
+                // The ledger's `SwitchCore` shim: on its `path` rig's every
+                // switch packet.
                 "crates/core/src/switch_core.rs",
                 "crates/types/src/wire.rs",
                 "crates/obs/src/recorder.rs",
                 "crates/obs/src/hist.rs",
                 // The switch: every packet of every pipeline runs through
-                // the detector, the dirty set's registers and the
-                // forwarding table.
+                // `Switch::handle`, the detector, the dirty set's registers
+                // and the forwarding table.
                 "switch",
                 // The store: every read and write a replica executes.
                 "kv",
@@ -188,6 +191,7 @@ impl Policy {
                 "crates/core/src/client_core.rs",
                 "crates/core/src/control.rs",
                 "crates/core/src/worker.rs",
+                // The ledger's shim over `Switch`, sans-IO as what it wraps.
                 "crates/core/src/switch_core.rs",
                 "crates/net/src/fault.rs",
             ]

@@ -1,7 +1,9 @@
 //! The typed whole-cluster snapshot every driver exposes.
 //!
 //! [`ObsSnapshot`] is the unification layer over the repo's previously
-//! disconnected telemetry: the spine's `SwitchStats`/`SpineView`, the net
+//! disconnected telemetry: the switch's per-group rows (`SwitchStats` and
+//! dirty-set occupancy in one `GroupObservation` per group, folded into
+//! [`SwitchObs`] and [`GroupObs`]), the net
 //! crate's transport/pool/fault counters, the replica actors' counters, and
 //! the clients' latency histograms all land in one plain-data struct with a
 //! stable schema ([`OBS_SCHEMA_VERSION`]). The `Cluster` trait returns it

@@ -22,6 +22,12 @@
 //!   on server failure (§5.3).
 //! * [`sequencer::Sequencer`] — the NOPaxos ordered-unreliable-multicast
 //!   sequencer, co-located in the same switch as §7.3 suggests.
+//! * [`Switch`] — Figure 1's program over those parts: the pipelines one
+//!   host runs, one per replica group (§6.3), and the one route rule among
+//!   them. It is sans-IO and records nothing: [`Switch::handle`] returns a
+//!   [`Report`] (pipelines run, a request's [`Verdict`]) for its host to
+//!   count and trace, and each group reads out as one plain
+//!   [`GroupObservation`] row.
 //! * [`stats`] — the §6.2 resource model (the `unm/(wt)` capacity formula)
 //!   and live occupancy accounting; the table also keeps its peak
 //!   occupancy, what a workload needed beside what it was given.
@@ -31,15 +37,17 @@
 pub mod conflict;
 pub mod forwarding;
 pub mod hash;
+pub mod pipeline;
 pub mod register;
 pub mod sequencer;
-pub mod spine;
 pub mod stats;
 pub mod table;
 
 pub use conflict::{ConflictConfig, ConflictDetector, ReadDecision, WriteDecision};
 pub use forwarding::{ForwardingTable, ReadEntry, WriteEntry};
+pub use pipeline::{
+    GroupId, GroupObservation, Report, Scheduled, SpineView, Switch, SwitchConfig, Verdict,
+};
 pub use sequencer::Sequencer;
-pub use spine::{GroupId, GroupObservation, SpineView};
 pub use stats::{ResourceModel, SwitchStats};
 pub use table::{MultiStageHashTable, TableConfig};

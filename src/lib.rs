@@ -87,26 +87,27 @@
 //! ## Live data plane
 //!
 //! The live driver is a **parallel data plane**: one pipeline per replica
-//! group, each exclusively owning that group's
-//! [`GroupCore`](core::switch_core::GroupCore) (conflict detector, OUM
-//! sequencer, forwarding table, counters), behind a *stateless* spine —
-//! sending to the switch address shard-routes the packet on the sender's
-//! own thread straight onto the owning group's pipeline. Pipelines and
-//! replicas are *hosted* by worker threads, as many as the process has
-//! cores to run them on and never more than nodes: nodes that would share
-//! a core anyway share a thread, and a hop between them wakes nobody. No
-//! lock is taken on the packet path; workers drain their ingress in
-//! batches; an `obs_snapshot()` asks each worker that hosts pipelines for
-//! their [`GroupObservation`](switch::GroupObservation) rows, one verb per
-//! worker. The §5.3 `kill_switch` /
-//! `replace_switch` verbs evict every pipeline from its worker and have
-//! fresh ones adopted under a fresh incarnation. This mirrors the hardware: a Tofino processes
-//! different groups' packets in parallel at line rate, so group count buys
-//! packet-level parallelism (as far as the host has cores for it). Every
-//! driver runs one node runtime ([`Worker`](core::worker::Worker)): the
-//! worker threads step it, and the deterministic simulator steps it as one
-//! node per host — the switch with every group's pipeline, each replica on
-//! its own — with bit-identical replays.
+//! group, each exclusively owning that group's conflict detector, OUM
+//! sequencer, forwarding table and counters — a worker's share of them is
+//! one [`Switch`](switch::Switch), Figure 1's program — behind a
+//! *stateless* spine: sending to the switch address shard-routes the packet
+//! on the sender's own thread straight onto the owning group's pipeline.
+//! Pipelines and replicas are *hosted* by worker threads, as many as the
+//! process has cores to run them on and never more than nodes: nodes that
+//! would share a core anyway share a thread, and a hop between them wakes
+//! nobody. No lock is taken on the packet path; workers drain their ingress
+//! in batches; an `obs_snapshot()` asks each worker that hosts pipelines
+//! for their [`GroupObservation`](switch::GroupObservation) rows, one verb
+//! per worker, and folds them as it folds the simulator's. The §5.3
+//! `kill_switch` / `replace_switch` verbs evict every pipeline from its
+//! worker and have fresh ones adopted under a fresh incarnation. This
+//! mirrors the hardware: a Tofino processes different groups' packets in
+//! parallel at line rate, so group count buys packet-level parallelism (as
+//! far as the host has cores for it). Every driver runs one node runtime
+//! ([`Worker`](core::worker::Worker)): the worker threads step it, and the
+//! deterministic simulator steps it as one node per host — the switch with
+//! every group's pipeline, each replica on its own — with bit-identical
+//! replays.
 //!
 //! The **UDP driver** ([`core::udp`]) is the same rig
 //! ([`ThreadedCluster`](core::live::ThreadedCluster)) over a different

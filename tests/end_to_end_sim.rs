@@ -524,10 +524,10 @@ fn sweep_eviction_races_slow_write_completion() {
     // *after* the final commit leaves an entry no sweep can reclaim until a
     // later commit advances the last-committed point past it. Those are
     // bounded by the final burst of rejected writes, never the workload.
+    let dirty_len = sw.observe()[0].dirty_len;
     assert!(
-        sw.view().dirty_len() <= 3,
-        "dirty set kept {} entries after quiescence",
-        sw.view().dirty_len()
+        dirty_len <= 3,
+        "dirty set kept {dirty_len} entries after quiescence"
     );
 }
 

@@ -35,7 +35,7 @@ fn history_through_switch_replacement_is_linearizable() {
         .expect("replacement switch")
         .switch()
         .expect("its pipelines");
-    assert_eq!(sw.view().fast_path_groups(), 1);
+    assert!(sw.observe()[0].fast_path_enabled);
 }
 
 #[test]
@@ -146,5 +146,5 @@ fn double_failover_keeps_lease_monotone() {
         .switch()
         .expect("its pipelines");
     assert_eq!(sw.incarnation(), SwitchId(3));
-    assert_eq!(sw.view().fast_path_groups(), 1);
+    assert!(sw.observe()[0].fast_path_enabled);
 }

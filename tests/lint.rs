@@ -70,9 +70,11 @@ fn every_rule_family_has_teeth() {
 }
 
 /// Policy entries can name single files: the sans-IO halves of
-/// `harmonia-core` are held to the determinism and layering rules even
-/// though the crate's drivers (same directory) read wall clocks and own
-/// sockets by design.
+/// `harmonia-core` — the client core, the control scripts, the node
+/// runtime and the ledger's `SwitchCore` shim over `harmonia_switch::Switch`
+/// — are held to the determinism and layering rules even though the
+/// crate's drivers (same directory) read wall clocks and own sockets by
+/// design.
 #[test]
 fn file_level_policy_entries_cover_the_core_crates_sans_io_modules() {
     let policy = Policy::workspace();
@@ -98,4 +100,37 @@ fn file_level_policy_entries_cover_the_core_crates_sans_io_modules() {
         !driver.iter().any(|f| f.rule == Rule::Determinism),
         "the threaded driver may read the wall clock: {driver:?}"
     );
+}
+
+/// The sans-IO cores — the switch and the replica — depend on no runtime:
+/// no recorder, simulator, network or driver crate in the `[dependencies]`
+/// of their manifests, so what hosts them stays the only place that
+/// records, schedules or moves bytes.
+#[test]
+fn the_sans_io_cores_name_no_runtime_crate() {
+    let runtime = [
+        "harmonia-obs",
+        "harmonia-sim",
+        "harmonia-net",
+        "harmonia-core",
+    ];
+    for krate in ["switch", "replication"] {
+        let path = workspace_root().join(format!("crates/{krate}/Cargo.toml"));
+        let manifest = std::fs::read_to_string(&path).expect("read manifest");
+        let section = manifest
+            .split("\n[")
+            .find(|s| s.starts_with("dependencies]"))
+            .expect("a [dependencies] section");
+        let deps: Vec<&str> = (section.lines().skip(1))
+            .filter_map(|line| line.split(['.', '=', ' ']).next())
+            .filter(|name| !name.is_empty() && !name.starts_with('#'))
+            .collect();
+        assert!(
+            deps.contains(&"harmonia-types"),
+            "{krate}: the section was not read: {deps:?}"
+        );
+        for name in runtime {
+            assert!(!deps.contains(&name), "{krate} depends on {name}");
+        }
+    }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests on the core data structures and invariants.
 
 use bytes::Bytes;
-use harmonia::core::{GroupCore, SwitchCore};
 use harmonia::prelude::*;
 use harmonia::replication::messages::{
     ChainMsg, CraqMsg, NopaxosMsg, PbMsg, ProtocolMsg, ReplicaControlMsg, SnapshotEntry,
@@ -10,6 +9,7 @@ use harmonia::replication::messages::{
 use harmonia::replication::{Effects, Server};
 use harmonia::switch::conflict::{ConflictConfig, WriteDecision};
 use harmonia::switch::table::TableConfig as TC;
+use harmonia::switch::{Report, Switch, Verdict};
 use harmonia::types::wire::{decode_frame, encode_frame, encode_frame_into, frames};
 use harmonia::types::{
     ClientReply, ClientRequest, ControlMsg, ObjectId, Packet, PacketBody, ReadMode, RequestId,
@@ -443,6 +443,70 @@ fn arb_peer_step() -> impl Strategy<Value = Option<PacketBody<ProtocolMsg>>> {
     )
 }
 
+/// A replica a control message names at a switch of one or two
+/// three-replica groups: mostly a provisioned one, sometimes a stranger.
+fn edge_member() -> impl Strategy<Value = ReplicaId> {
+    (0u8..8, 0u32..6).prop_map(|(who, n)| match who {
+        0..=5 => ReplicaId(n),
+        6 => ReplicaId(7),
+        _ => ReplicaId(u32::MAX - n),
+    })
+}
+
+/// Every `ControlMsg`, about members and strangers, a bulk one empty too.
+fn edge_control() -> impl Strategy<Value = ControlMsg> {
+    (
+        0u8..5,
+        edge_member(),
+        edge_seq(),
+        prop::collection::vec(edge_member(), 0..4),
+    )
+        .prop_map(|(kind, replica, caught_up, members)| match kind {
+            0 => ControlMsg::AddReplica(replica),
+            1 => ControlMsg::RemoveReplica(replica),
+            2 => ControlMsg::GateReplica(replica),
+            3 => ControlMsg::UngateReplica { replica, caught_up },
+            _ => ControlMsg::SetReplicas(members),
+        })
+}
+
+/// A WRITE-COMPLETION for one of `edge_op`'s keys, its seq near either end
+/// and of any incarnation, the switch's own or a foreign one.
+fn edge_completion() -> impl Strategy<Value = WriteCompletion> {
+    (0u8..4, edge_seq()).prop_map(|(k, seq)| WriteCompletion {
+        obj: ObjectId::from_key(format!("k{k}").as_bytes()),
+        seq,
+    })
+}
+
+/// One step at a switch: any `PacketBody` addressed to it — requests of
+/// both ops, replies with and without a completion, completions, control,
+/// protocol messages — or (`None`) a sweep.
+fn arb_switch_step() -> impl Strategy<Value = Option<PacketBody<ProtocolMsg>>> {
+    (
+        0u8..12,
+        edge_request(),
+        (arb_reply(), prop::option::of(edge_completion())),
+        edge_completion(),
+        edge_control(),
+        arb_peer_msg(),
+    )
+        .prop_map(
+            |(kind, req, (mut reply, snooped), completion, control, msg)| match kind {
+                0 => None,
+                1..=3 => Some(PacketBody::Request(req)),
+                4 | 5 => {
+                    reply.completion = snooped;
+                    reply.obj = snooped.map_or(reply.obj, |c| c.obj);
+                    Some(PacketBody::Reply(reply))
+                }
+                6 | 7 => Some(PacketBody::Completion(completion)),
+                8 | 9 => Some(PacketBody::Control(control)),
+                _ => Some(PacketBody::Protocol(msg)),
+            },
+        )
+}
+
 proptest! {
     /// No packet a peer can send panics a replica. Every storage server —
     /// 5 protocols × members 0–2, serving and recovering — takes the same
@@ -479,6 +543,82 @@ proptest! {
                 }
             }
             fx.out.clear();
+        }
+    }
+
+    /// No packet anyone can address to the switch panics it. Every switch —
+    /// 5 protocols × one or two groups × Harmonia or baseline, each group a
+    /// two-stage dirty set of two slots per stage — takes the same run of
+    /// well-formed packets (each through the codec first) and sweeps. Its
+    /// dirty sets stay within their capacity, and each report counts the
+    /// pipelines `Counter::SwitchPackets` counts: one for what a group acts
+    /// on, none for a reply forwarded past every pipeline, one per owning
+    /// group for control.
+    #[test]
+    fn every_switch_survives_any_well_formed_packet(
+        steps in prop::collection::vec(arb_switch_step(), 1..200),
+    ) {
+        use ProtocolKind::*;
+        let table = TC { stages: 2, slots_per_stage: 2, entry_bytes: 8 };
+        let mut switches = Vec::new();
+        for kind in [PrimaryBackup, Chain, Craq, Vr, Nopaxos] {
+            for groups in [1, 2] {
+                for harmonia in [true, false] {
+                    let spec = DeploymentSpec::new()
+                        .protocol(kind)
+                        .groups(groups)
+                        .harmonia(harmonia)
+                        .table(table);
+                    switches.push((Switch::new(&spec.switch_config(SwitchId(1))), spec));
+                }
+            }
+        }
+        let me = NodeId::Switch(SwitchId(1));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let mut out = Vec::new();
+        for (n, step) in steps.into_iter().enumerate() {
+            let now = Instant::ZERO + Duration::from_micros(n as u64);
+            let Some(body) = step else {
+                switches.iter_mut().for_each(|(switch, _)| { switch.sweep(now); });
+                continue;
+            };
+            let pkt = Packet::new(NodeId::Replica(ReplicaId(1)), me, body);
+            let frame = encode_frame(&pkt).unwrap();
+            let (got, _) = decode_frame::<Packet<ProtocolMsg>>(&frame).unwrap().unwrap();
+            prop_assert_eq!(&got, &pkt);
+            for (switch, spec) in &mut switches {
+                let pipelines = match &got.body {
+                    PacketBody::Reply(reply) if reply.completion.is_none() => 0,
+                    PacketBody::Control(ctl) => {
+                        let subject = match ctl {
+                            ControlMsg::AddReplica(r)
+                            | ControlMsg::RemoveReplica(r)
+                            | ControlMsg::GateReplica(r)
+                            | ControlMsg::UngateReplica { replica: r, .. } => Some(*r),
+                            ControlMsg::SetReplicas(rs) => rs.first().copied(),
+                        };
+                        let owns = |g: usize| subject.is_some_and(|r| {
+                            spec.group_members(g).contains(&r)
+                                || switch.members(GroupId(g as u32)).unwrap().contains(&r)
+                        });
+                        (0..spec.groups).filter(|&g| owns(g)).count() as u64
+                    }
+                    _ => 1,
+                };
+                let report = switch.handle(now, me, got.clone(), &mut rng, &mut out);
+                prop_assert_eq!(report.pipelines, pipelines, "{:?}", got.body);
+                let is_request = matches!(got.body, PacketBody::Request(_));
+                prop_assert_eq!(report.request.is_some(), is_request);
+                if let (Some(scheduled), PacketBody::Request(req)) = (report.request, &got.body) {
+                    prop_assert_eq!(scheduled.obj, req.obj);
+                    let write = matches!(scheduled.verdict, Verdict::Forward | Verdict::Drop);
+                    prop_assert_eq!(write, req.op == OpKind::Write);
+                }
+                for row in switch.observe() {
+                    prop_assert!(row.dirty_len <= table.stages * table.slots_per_stage);
+                }
+            }
+            out.clear();
         }
     }
 
@@ -735,8 +875,9 @@ proptest! {
     /// increasing), all under the one shared incarnation id.
     #[test]
     fn spine_sequence_spaces_never_interleave(objs in prop::collection::vec(0u32..32, 1..200)) {
-        let mut spine = SwitchCore::for_deployment(&sharded_spec(6, 64), SwitchId(7));
-        let shards = spine.shard_map();
+        let spec = sharded_spec(6, 64);
+        let mut spine = Switch::new(&spec.switch_config(SwitchId(7)));
+        let shards = spec.shard_map();
         let me = NodeId::Switch(SwitchId(7));
         let client = NodeId::Client(ClientId(1));
         let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
@@ -767,8 +908,9 @@ proptest! {
     /// in the same state for the same packet sequence, control included:
     /// the same per-group and aggregate stats, memory, dirty-set occupancy
     /// and fast-path gating, the same members in the same role order, behind
-    /// the same read gates. Both run [`SwitchCore::handle`], the one route
-    /// rule; the spine only picks the host.
+    /// the same read gates, each pipeline run as often. Both run
+    /// [`Switch::handle`], the one route rule; the spine only picks the
+    /// host.
     #[test]
     fn split_group_cores_match_monolith_accounting(
         groups in 1usize..5,
@@ -777,11 +919,12 @@ proptest! {
     ) {
         let spec = sharded_spec(groups, 16);
         let hosts = 1 + hosts_raw % groups;
-        let mut mono = SwitchCore::for_deployment(&spec, SwitchId(1));
-        let mut split: Vec<SwitchCore> = (0..hosts)
+        let config = spec.switch_config(SwitchId(1));
+        let mut mono = Switch::new(&config);
+        let mut split: Vec<Switch> = (0..hosts)
             .map(|h| {
                 let share = (h..groups).step_by(hosts).map(|g| GroupId(g as u32));
-                SwitchCore::for_groups(&spec, SwitchId(1), share)
+                Switch::for_groups(&config, share)
             })
             .collect();
         let me = NodeId::Switch(SwitchId(1));
@@ -829,7 +972,8 @@ proptest! {
                 }),
             };
             out.clear();
-            mono.handle(Instant::ZERO, me, Msg::new(client, me, body.clone()), &mut rng_mono, &mut out);
+            let msg = Msg::new(client, me, body.clone());
+            let mono_report = mono.handle(Instant::ZERO, me, msg, &mut rng_mono, &mut out);
             // Capture the stamped seq of a forwarded write so a later op
             // can complete it. The split run sees the identical stamp:
             // per-group detector state evolves in lockstep, which is the
@@ -845,39 +989,48 @@ proptest! {
             }
             let mut split_out = Vec::new();
             let msg = Msg::new(client, me, body);
+            let mut split_report = Report::default();
             for &h in spine.resolve(me, &msg.body) {
-                split[h].handle(Instant::ZERO, me, msg.clone(), &mut rngs[h], &mut split_out);
+                let report = split[h].handle(Instant::ZERO, me, msg.clone(), &mut rngs[h], &mut split_out);
+                split_report.pipelines += report.pipelines;
+                split_report.request = split_report.request.or(report.request);
             }
             prop_assert_eq!(
                 out.len(), split_out.len(),
                 "forward fan-out must match (dropped writes drop in both)"
             );
+            prop_assert_eq!(mono_report, split_report, "the same pipelines ran, to the same verdict");
         }
-        // Per-group state is identical…
-        let split_groups: Vec<&GroupCore> = (0..groups as u32)
-            .map(|g| split[g as usize % hosts].group(GroupId(g)).unwrap())
-            .collect();
-        for core in &split_groups {
-            let g = core.group();
-            let mono_core = mono.group(g).unwrap();
-            prop_assert_eq!(mono_core.observe(), core.observe());
-            prop_assert_eq!(core.replicas(), mono_core.replicas(), "group {:?}", g);
-            for r in (0..spec.total_replicas() as u32).map(ReplicaId) {
-                prop_assert_eq!(
-                    core.is_gated(r), mono_core.is_gated(r),
-                    "gate on {:?} in group {:?}", r, g
-                );
+        // Per-group state is identical: counters, memory, occupancy, peak
+        // and fast path row by row, the members in the same role order…
+        let mono_rows = mono.observe();
+        let mut split_rows: Vec<_> = split.iter().flat_map(Switch::observe).collect();
+        split_rows.sort_by_key(|o| o.group);
+        prop_assert_eq!(&mono_rows, &split_rows);
+        prop_assert_eq!(mono_rows.len(), groups);
+        for g in (0..groups as u32).map(GroupId) {
+            let host = &split[g.0 as usize % hosts];
+            prop_assert_eq!(host.members(g), mono.members(g), "group {:?}", g);
+        }
+        // …behind the same gates, held by the host of the replica's group…
+        for r in (0..spec.total_replicas() as u32).map(ReplicaId) {
+            let owner = spec.group_of_replica(r) % hosts;
+            for (h, host) in split.iter().enumerate() {
+                let gated = h == owner && mono.is_gated(r);
+                prop_assert_eq!(host.is_gated(r), gated, "gate on {:?} at host {}", r, h);
             }
         }
-        // …and the hosts' views fold to the one host's totals.
-        let view = harmonia::switch::SpineView::new(
-            split_groups.iter().map(|c| c.observe()).collect(),
-        );
-        let mono_view = mono.view();
-        prop_assert_eq!(view.stats(), mono.stats());
-        prop_assert_eq!(view.memory_bytes(), mono_view.memory_bytes());
-        let split_sum: usize = split.iter().map(|c| c.view().memory_bytes()).sum();
-        prop_assert_eq!(split_sum, mono_view.memory_bytes());
+        // …and the hosts' rows sum to the one host's totals.
+        let mut split_stats = harmonia::switch::SwitchStats::default();
+        for host in &split {
+            split_stats.merge(&host.stats());
+        }
+        prop_assert_eq!(split_stats, mono.stats());
+        let memory = |rows: &[harmonia::switch::GroupObservation]| -> usize {
+            rows.iter().map(|o| o.memory_bytes).sum()
+        };
+        prop_assert_eq!(memory(&split_rows), memory(&mono_rows));
+        prop_assert_eq!(memory(&mono_rows), groups * 2 * 16 * 8);
     }
 
     /// Wire codec: encode → decode is the identity for **every**

@@ -36,23 +36,24 @@ fn four_group_chain_harmonia_is_linearizable() {
 
     // All four groups actually served traffic through the one spine switch,
     // under per-group sequence spaces and shared memory accounting.
-    let view = outcome
+    let rows = outcome
         .world
         .actor::<SimWorker>(scenario.deployment.switch_addr())
         .expect("spine switch")
         .switch()
         .expect("its pipelines")
-        .view();
-    assert_eq!(view.group_count(), 4);
-    let groups_with_writes = (view.groups().iter())
+        .observe();
+    assert_eq!(rows.len(), 4);
+    let groups_with_writes = (rows.iter())
         .filter(|group| group.stats.writes_forwarded > 0)
         .count();
     assert!(
         groups_with_writes >= 3,
         "only {groups_with_writes}/4 groups saw writes — sharding is not spreading"
     );
-    let per_group = view.group(GroupId(0)).unwrap().memory_bytes;
-    assert_eq!(view.memory_bytes(), 4 * per_group);
+    let per_group = rows[0].memory_bytes;
+    let memory_bytes: usize = rows.iter().map(|group| group.memory_bytes).sum();
+    assert_eq!(memory_bytes, 4 * per_group);
 }
 
 /// Every protocol that runs under Harmonia also runs sharded; baselines
@@ -114,9 +115,8 @@ fn a_replica_of_the_second_group_recovers_under_load() {
         switch
             .switch()
             .unwrap()
-            .group(GroupId(g))
+            .members(GroupId(g))
             .unwrap()
-            .replicas()
             .to_vec()
     };
     assert_eq!(members(0), spec.group_members(0));
