@@ -25,7 +25,7 @@ pub use snapshot::Snapshot;
 use bytes::Bytes;
 use harmonia_core::client::{metrics, ClosedLoopClient, OpSpec, SourceFn};
 use harmonia_core::deployment::{DeploymentSpec, SimCluster};
-use harmonia_switch::SwitchStats;
+use harmonia_switch::{SwitchStats, SwitchTotals};
 use harmonia_types::{ClientId, Duration, Instant, NodeId};
 use harmonia_workload::KeySpace;
 use rand::rngs::SmallRng;
@@ -205,12 +205,12 @@ fn measure_open_loop(mut sim: SimCluster, warmup: Duration, measure: Duration) -
         ..RunResult::default()
     };
     if let Some(switch) = sim.switch() {
-        let rows = switch.observe();
-        result.switch = switch.stats();
-        result.dirty_len = rows.iter().map(|o| o.dirty_len).sum();
-        result.switch_memory_bytes = rows.iter().map(|o| o.memory_bytes).sum();
-        result.switch_peak_bytes = rows.iter().map(|o| o.peak_bytes).sum();
-        result.groups = rows.len();
+        let totals = SwitchTotals::of(&switch.observe());
+        result.switch = totals.stats;
+        result.dirty_len = totals.dirty_len;
+        result.switch_memory_bytes = totals.memory_bytes;
+        result.switch_peak_bytes = totals.peak_bytes;
+        result.groups = totals.groups;
     }
     result
 }
@@ -312,10 +312,9 @@ pub fn run_closed_loop(
     }
     ClosedLoopResult {
         mrps: done as f64 / measure.as_secs_f64() / 1e6,
-        switch_peak_bytes: (sim.switch().into_iter())
-            .flat_map(|s| s.observe())
-            .map(|o| o.peak_bytes)
-            .sum(),
+        switch_peak_bytes: sim
+            .switch()
+            .map_or(0, |s| SwitchTotals::of(&s.observe()).peak_bytes),
     }
 }
 

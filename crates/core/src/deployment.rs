@@ -33,7 +33,7 @@ use harmonia_obs::{
 };
 use harmonia_replication::{GroupConfig, ProtocolKind, Server};
 use harmonia_sim::{LinkConfig, NetworkModel, World, WorldConfig};
-use harmonia_switch::{GroupObservation, Switch, SwitchConfig, SwitchStats, TableConfig};
+use harmonia_switch::{GroupObservation, Switch, SwitchConfig, SwitchTotals, TableConfig};
 use harmonia_types::{ClientId, Duration, Instant, NodeId, RecordedOp, ReplicaId, SwitchId};
 use harmonia_workload::ShardMap;
 
@@ -713,22 +713,18 @@ pub(crate) fn snapshot(
     snap.apply_recorder(recorded);
     let Some(mut rows) = switch else { return snap };
     rows.sort_by_key(|o| o.group);
-    let mut stats = SwitchStats::default();
-    for o in &rows {
-        stats.merge(&o.stats);
-    }
-    let sum = |field: fn(&GroupObservation) -> usize| rows.iter().map(field).sum::<usize>() as u64;
+    let totals = SwitchTotals::of(&rows);
     snap.switch = SwitchObs {
-        reads_fast_path: stats.reads_fast_path,
-        reads_normal: stats.reads_normal,
-        writes_forwarded: stats.writes_forwarded,
-        writes_dropped: stats.writes_dropped,
-        completions: stats.completions,
-        forwarded_other: stats.forwarded_other,
+        reads_fast_path: totals.stats.reads_fast_path,
+        reads_normal: totals.stats.reads_normal,
+        writes_forwarded: totals.stats.writes_forwarded,
+        writes_dropped: totals.stats.writes_dropped,
+        completions: totals.stats.completions,
+        forwarded_other: totals.stats.forwarded_other,
         swept: recorded.counter(Counter::SwitchSwept),
-        fast_path_groups: sum(|o| usize::from(o.fast_path_enabled)),
-        dirty_len: sum(|o| o.dirty_len),
-        memory_bytes: sum(|o| o.memory_bytes),
+        fast_path_groups: totals.fast_path_groups as u64,
+        dirty_len: totals.dirty_len as u64,
+        memory_bytes: totals.memory_bytes as u64,
     };
     snap.per_group = (rows.iter())
         .map(|o| GroupObs {

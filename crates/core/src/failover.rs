@@ -159,6 +159,7 @@ mod tests {
     use super::*;
     use crate::client::{metrics, OpSpec, SourceFn};
     use bytes::Bytes;
+    use harmonia_switch::SwitchTotals;
     use harmonia_types::{ClientId, Duration};
     use rand::Rng;
 
@@ -208,7 +209,7 @@ mod tests {
         let host: &SimWorker = sim.world().actor(NodeId::Switch(SwitchId(2))).unwrap();
         let sw = host.switch().unwrap();
         assert!(sw.observe()[0].fast_path_enabled);
-        assert!(sw.stats().reads_fast_path > 0);
+        assert!(SwitchTotals::of(&sw.observe()).stats.reads_fast_path > 0);
         assert_eq!(sw.incarnation(), SwitchId(2));
     }
 

@@ -67,10 +67,10 @@
 //! each exclusively owning that group's conflict detector, sequencer,
 //! forwarding table and counters, and each on whichever worker its group
 //! places it, in parallel as far as the host has cores: a worker's share is
-//! one [`harmonia_switch::Switch`]. **No lock
-//! guards switch or replica state**; the only lock on the packet path is the
-//! short one around an ingress queue, once per destination of a busy
-//! period's hand-off and once per batch received.
+//! one [`harmonia_switch::Switch`]. **No lock guards switch or replica
+//! state**; the only lock on the packet path is the short one around an
+//! ingress queue, once per destination of a busy period's hand-off and once
+//! per batch received.
 //!
 //! The spine itself is a thin, stateless shard-router, and it is an entry
 //! of the book: sending to the switch address resolves the packet's object
@@ -116,8 +116,8 @@
 //! The switch is read by message: for an
 //! [`obs_snapshot`](Cluster::obs_snapshot) each worker that hosts pipelines
 //! answers one [`Envelope::Inspect`] with their rows — one
-//! [`GroupObservation`] per group, by value — and the snapshot folds them as
-//! it folds the simulator's switch node's — the control plane reads the
+//! [`GroupObservation`] per group, by value — and the snapshot sums them as
+//! it sums the simulator's switch node's, so the control plane reads the
 //! switch without ever touching a worker's state.
 //!
 //! The §5.3 switch failure/replacement sequence

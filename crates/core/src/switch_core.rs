@@ -4,7 +4,7 @@
 //! shim, `harmonia_switch::SpineView` and `harmonia_replication`'s
 //! `build_replica` go together once the ledger holds the library's types.
 
-use harmonia_switch::{SpineView, Switch, SwitchStats};
+use harmonia_switch::{SpineView, Switch, SwitchStats, SwitchTotals};
 use harmonia_types::{Instant, NodeId, SwitchId};
 use rand::rngs::SmallRng;
 
@@ -35,7 +35,7 @@ impl SwitchCore {
 
     /// Data-plane counters summed over every group.
     pub fn stats(&self) -> SwitchStats {
-        self.0.stats()
+        SwitchTotals::of(&self.0.observe()).stats
     }
 
     /// Every group's row, for the ledger's counters and dirty-set

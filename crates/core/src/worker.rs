@@ -2,13 +2,12 @@
 //! deadlines and verbs it is handed.
 //!
 //! A [`Worker`] hosts nodes — the switch pipelines of one incarnation (a
-//! `harmonia-switch` [`Switch`]) and storage servers (each a
-//! `harmonia-replication` [`Server`]), each beside the [`Recorder`] that
-//! counts and traces what its [`Switch::handle`] or [`Server::on_packet`]
-//! reports — behind one step: take a batch of packets, hand each to the
-//! node it addresses, run the sweep and the ticks that are due, and say
-//! when it next has something to do unprompted. It reads no clock and owns
-//! no randomness: `now` and `rng` are arguments.
+//! [`Switch`]) and storage servers (each a [`Server`]), each beside the
+//! [`Recorder`] that counts and traces what its [`Switch::handle`] or
+//! [`Server::on_packet`] reports — behind one step: take a batch of
+//! packets, hand each to the node it addresses, run the sweep and the ticks
+//! that are due, and say when it next has something to do unprompted. It
+//! reads no clock and owns no randomness: `now` and `rng` are arguments.
 //! Two shells feed it, and nothing else runs a node:
 //!
 //! * the threaded drivers' worker loop ([`crate::live`]): receive a batch,
@@ -27,11 +26,8 @@
 //!   a dead NIC. The simulator keeps the rack's ToR hop (see
 //!   [`harmonia_switch::pipeline`]).
 //! * **One sweep rule.** Stale dirty entries (§5.2) are swept at the
-//!   switch's [`Switch::sweep_at`]: once the pipelines have handled nothing
-//!   for the deployment's sweep interval, and only while a sweep could
-//!   reclaim something; without an interval, never. A busy switch keeps
-//!   pushing the sweep ahead of itself, and its reads scrub stale entries
-//!   as they probe.
+//!   switch's [`Switch::sweep_at`]. A busy switch keeps pushing the sweep
+//!   ahead of itself, and its reads scrub stale entries as they probe.
 //! * **Layout.** The simulator runs a worker per node: the switch node
 //!   hosts every group's pipeline at line rate, and each replica is a worker
 //!   of its own behind its [`CostModel`] service queue. A threaded driver
@@ -62,8 +58,7 @@ enum Node {
 }
 
 impl Hosted {
-    /// Switch pipelines — every group's, or the share dealt to one host —
-    /// recording to `recorder`.
+    /// Switch pipelines (all groups or a host's share), recording to `recorder`.
     pub(crate) fn pipelines(switch: Switch, recorder: Recorder) -> Hosted {
         Hosted(Node::Pipelines(switch, recorder))
     }
@@ -141,9 +136,8 @@ impl Worker {
         }
     }
 
-    /// The rows of the pipelines hosted here, if there are any. Asked once
-    /// per snapshot, so it is kept out of line of the worker loop that
-    /// calls it.
+    /// The rows of the pipelines hosted here, if any. Asked once per
+    /// snapshot, so it is kept out of line of the worker loop that calls it.
     #[cold]
     pub fn observe(&self) -> Option<Vec<GroupObservation>> {
         self.switch.as_ref().map(|(switch, _)| switch.observe())
@@ -225,8 +219,7 @@ impl Worker {
     }
 }
 
-/// Count, and trace where there is a request, what the pipelines did with
-/// a packet.
+/// Count and trace what the pipelines did with a packet.
 fn record_switch(recorder: &Recorder, now: Instant, me: NodeId, report: Report) {
     recorder.add(Counter::SwitchPackets, report.pipelines);
     if let Some(request) = report.request {

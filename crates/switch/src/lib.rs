@@ -25,9 +25,8 @@
 //! * [`Switch`] — Figure 1's program over those parts: the pipelines one
 //!   host runs, one per replica group (§6.3), and the one route rule among
 //!   them. It is sans-IO and records nothing: [`Switch::handle`] returns a
-//!   [`Report`] (pipelines run, a request's [`Verdict`]) for its host to
-//!   count and trace, and each group reads out as one plain
-//!   [`GroupObservation`] row.
+//!   [`Report`] for its host to count and trace, each group reads out as
+//!   one plain [`GroupObservation`] row, and [`SwitchTotals`] sums rows.
 //! * [`stats`] — the §6.2 resource model (the `unm/(wt)` capacity formula)
 //!   and live occupancy accounting; the table also keeps its peak
 //!   occupancy, what a workload needed beside what it was given.
@@ -46,7 +45,8 @@ pub mod table;
 pub use conflict::{ConflictConfig, ConflictDetector, ReadDecision, WriteDecision};
 pub use forwarding::{ForwardingTable, ReadEntry, WriteEntry};
 pub use pipeline::{
-    GroupId, GroupObservation, Report, Scheduled, SpineView, Switch, SwitchConfig, Verdict,
+    GroupId, GroupObservation, Report, Scheduled, SpineView, Switch, SwitchConfig, SwitchTotals,
+    Verdict,
 };
 pub use sequencer::Sequencer;
 pub use stats::{ResourceModel, SwitchStats};

@@ -11,11 +11,9 @@
 //! processing groups' packets in parallel at line rate.
 //!
 //! Where a packet addressed to the switch goes is decided in one function,
-//! [`Switch::handle`], by [`PacketBody::switch_route`]: the shard's
-//! pipeline, any one pipeline, every pipeline whose group the control names,
-//! or past the switch to the client. The switch is sans-IO and records
-//! nothing: `handle` returns a [`Report`] of what it did, and whoever hosts
-//! it counts and traces from that.
+//! [`Switch::handle`]. The switch is sans-IO and records nothing: `handle`
+//! returns a [`Report`] of what it did, and whoever hosts it counts and
+//! traces from that.
 //!
 //! **The ToR hop.** A reply with no completion that still arrives at the
 //! switch (the simulator keeps the rack's hop) is L2 work, not pipeline
@@ -23,11 +21,11 @@
 //! pipeline, so the pipelines handle R + 2·W packets for R reads and W
 //! chain writes on every driver.
 //!
-//! The read side is one plain row per group, [`GroupObservation`]: a host
-//! hands its rows out by value ([`Switch::observe`]), and a deployment's
-//! snapshot folds them into whole-switch totals, so the §6.3 claim — "the
-//! capacity of a switch far exceeds that of a single replica group" — can
-//! be checked against a tens-of-MB SRAM budget.
+//! The read side is one plain row per group, [`GroupObservation`], handed
+//! out by value ([`Switch::observe`]); [`SwitchTotals::of`] sums rows into
+//! whole-switch totals, so the §6.3 claim — "the capacity of a switch far
+//! exceeds that of a single replica group" — can be checked against a
+//! tens-of-MB SRAM budget.
 
 use harmonia_replication::messages::{NopaxosMsg, ProtocolMsg, WriteOp};
 use harmonia_replication::ProtocolKind;
@@ -131,6 +129,40 @@ pub struct GroupObservation {
     pub peak_bytes: usize,
 }
 
+/// Rows summed over groups: the one fold behind a snapshot's switch
+/// section, the benches' switch figures and the ledger's view.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SwitchTotals {
+    /// Rows folded.
+    pub groups: usize,
+    /// Data-plane counters, merged.
+    pub stats: SwitchStats,
+    /// Groups whose fast path is enabled.
+    pub fast_path_groups: usize,
+    /// Dirty-set SRAM consumed.
+    pub memory_bytes: usize,
+    /// Dirty-set occupancy.
+    pub dirty_len: usize,
+    /// Each group's peak occupancy in bytes, summed.
+    pub peak_bytes: usize,
+}
+
+impl SwitchTotals {
+    /// The sum of `rows`.
+    pub fn of<'a>(rows: impl IntoIterator<Item = &'a GroupObservation>) -> Self {
+        let mut total = SwitchTotals::default();
+        for o in rows {
+            total.groups += 1;
+            total.stats.merge(&o.stats);
+            total.fast_path_groups += usize::from(o.fast_path_enabled);
+            total.memory_bytes += o.memory_bytes;
+            total.dirty_len += o.dirty_len;
+            total.peak_bytes += o.peak_bytes;
+        }
+        total
+    }
+}
+
 /// The pipelines one host runs: some or all of a deployment's groups
 /// (§6.3), under one switch incarnation, and the one route rule that picks
 /// among them. The simulator's switch node holds every group
@@ -181,9 +213,6 @@ impl Switch {
     ///   replica is served or was provisioned there); control about a
     ///   replica no hosted group knows is dropped;
     /// * `Client` — to the client, as it arrived, outside every pipeline.
-    ///
-    /// The sweep is pushed to `now` plus the sweep interval, while a sweep
-    /// could reclaim something.
     pub fn handle(
         &mut self,
         now: Instant,
@@ -220,8 +249,7 @@ impl Switch {
         Report { pipelines, request }
     }
 
-    /// Push the sweep to `now` plus the sweep interval, while a sweep could
-    /// reclaim something.
+    /// Push the sweep a sweep interval past `now`, while one could reclaim.
     fn rearm(&mut self, now: Instant) {
         let pending = self.pipelines.iter().any(|p| p.detector.sweep_pending());
         let idle = self.sweep_interval.filter(|_| pending);
@@ -242,18 +270,7 @@ impl Switch {
         swept as u64
     }
 
-    /// Data-plane counters summed over every hosted group.
-    pub fn stats(&self) -> SwitchStats {
-        let mut total = SwitchStats::default();
-        for p in &self.pipelines {
-            total.merge(&p.stats);
-        }
-        total
-    }
-
-    /// Every hosted group's row, in group order: what a snapshot's switch
-    /// sections are built from on every driver, dirty-set SRAM (§6.3)
-    /// included.
+    /// Every hosted group's row, in group order.
     pub fn observe(&self) -> Vec<GroupObservation> {
         self.pipelines.iter().map(Pipeline::observe).collect()
     }
@@ -507,26 +524,21 @@ impl Pipeline {
     }
 }
 
-/// What the perf ledger reads of a switch, through `harmonia-core`'s
-/// `SwitchCore::view`: counters and dirty-set occupancy over a host's
-/// rows. Ledger-only — everything else reads [`Switch::observe`] or a
-/// deployment's snapshot — and it goes with that shim.
+/// What the perf ledger reads of a switch through `harmonia-core`'s
+/// `SwitchCore::view`: a host's rows. Ledger-only, and it goes with that
+/// shim; everything else reads [`Switch::observe`] or a snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct SpineView(pub Vec<GroupObservation>);
 
 impl SpineView {
     /// Data-plane counters summed over the rows.
     pub fn stats(&self) -> SwitchStats {
-        let mut total = SwitchStats::default();
-        for o in &self.0 {
-            total.merge(&o.stats);
-        }
-        total
+        SwitchTotals::of(&self.0).stats
     }
 
     /// In-flight-write entries summed over the rows.
     pub fn dirty_len(&self) -> usize {
-        self.0.iter().map(|o| o.dirty_len).sum()
+        SwitchTotals::of(&self.0).dirty_len
     }
 }
 
@@ -647,7 +659,7 @@ mod tests {
             verdict(bench.request(read(3, b"a"))),
             Some(Verdict::FastPath)
         );
-        let stats = bench.switch.stats();
+        let stats = SwitchTotals::of(&bench.switch.observe()).stats;
         assert_eq!((stats.reads_fast_path, stats.reads_normal), (1, 1));
         let fast: Vec<_> = (bench.sent.iter())
             .filter_map(|(_, m)| match &m.body {
@@ -668,7 +680,7 @@ mod tests {
         // A pending write to "hot" makes reads of it contended.
         bench.request(write(2, b"hot"));
         bench.request(read(3, b"hot"));
-        let stats = bench.switch.stats();
+        let stats = SwitchTotals::of(&bench.switch.observe()).stats;
         assert_eq!((stats.reads_normal, stats.reads_fast_path), (1, 0));
     }
 

@@ -6,6 +6,7 @@ mod common;
 
 use common::{assert_converged, assert_linearizable, Scenario};
 use harmonia::prelude::*;
+use harmonia::switch::SwitchTotals;
 use harmonia::verify::{Checked, Violation};
 
 fn cluster(protocol: ProtocolKind, harmonia: bool) -> DeploymentSpec {
@@ -516,9 +517,9 @@ fn sweep_eviction_races_slow_write_completion() {
         .switch()
         .expect("its pipelines");
     assert!(
-        sw.stats().reads_fast_path > 0,
+        SwitchTotals::of(&sw.observe()).stats.reads_fast_path > 0,
         "fast path never exercised: {:?}",
-        sw.stats()
+        SwitchTotals::of(&sw.observe()).stats
     );
     // The dirty set drains except for trailing strays: a write rejected
     // *after* the final commit leaves an entry no sweep can reclaim until a
@@ -549,9 +550,9 @@ fn fast_path_reads_were_served() {
         .switch()
         .expect("its pipelines");
     assert!(
-        sw.stats().reads_fast_path > 20,
+        SwitchTotals::of(&sw.observe()).stats.reads_fast_path > 20,
         "fast path unused: {:?}",
-        sw.stats()
+        SwitchTotals::of(&sw.observe()).stats
     );
     assert_linearizable(&outcome.histories, "fast-path exercise");
 }

@@ -1021,16 +1021,10 @@ proptest! {
             }
         }
         // …and the hosts' rows sum to the one host's totals.
-        let mut split_stats = harmonia::switch::SwitchStats::default();
-        for host in &split {
-            split_stats.merge(&host.stats());
-        }
-        prop_assert_eq!(split_stats, mono.stats());
-        let memory = |rows: &[harmonia::switch::GroupObservation]| -> usize {
-            rows.iter().map(|o| o.memory_bytes).sum()
-        };
-        prop_assert_eq!(memory(&split_rows), memory(&mono_rows));
-        prop_assert_eq!(memory(&mono_rows), groups * 2 * 16 * 8);
+        let split_totals = harmonia::switch::SwitchTotals::of(&split_rows);
+        prop_assert_eq!(split_totals, harmonia::switch::SwitchTotals::of(&mono_rows));
+        prop_assert_eq!(split_totals.groups, groups);
+        prop_assert_eq!(split_totals.memory_bytes, groups * 2 * 16 * 8);
     }
 
     /// Wire codec: encode → decode is the identity for **every**
