@@ -7,11 +7,16 @@
 //! until the first WRITE-COMPLETION carrying the new id, after which
 //! single-replica reads resume and throughput returns to the pre-failure
 //! level (§5.3, §9.6).
+//!
+//! The run is deterministic and asserts that shape: every bucket ending by
+//! 20 ms and every bucket from 32 ms on is within 5 % of the offered
+//! 2 MRPS, and the buckets ending 24–30 ms complete nothing. (The 22 ms
+//! bucket still sees replies that were in flight when the switch stopped.)
 
 use bytes::Bytes;
 use harmonia_bench::{mrps, print_table};
-use harmonia_core::client::{metrics, OpSpec, SourceFn};
-use harmonia_core::deployment::DeploymentSpec;
+use harmonia_core::client::{OpSpec, SourceFn};
+use harmonia_core::deployment::{Cluster, DeploymentSpec};
 use harmonia_core::failover::{schedule_switch_failure, schedule_switch_replacement};
 use harmonia_types::{ClientId, Duration, Instant, SwitchId};
 use harmonia_workload::KeySpace;
@@ -40,14 +45,16 @@ fn main() {
     schedule_switch_replacement(sim.world_mut(), t(30), &config, SwitchId(2), vec![client]);
 
     let mut rows = Vec::new();
+    let mut buckets = Vec::new();
     for bucket in 0..(END_MS / BUCKET_MS) {
         let end = (bucket + 1) * BUCKET_MS;
         sim.run_until(t(bucket * BUCKET_MS));
-        sim.world_mut().metrics_mut().reset();
+        sim.reset_telemetry();
         sim.run_until(t(end));
-        let done = sim.world().metrics().counter(metrics::READ_DONE)
-            + sim.world().metrics().counter(metrics::WRITE_DONE);
+        let clients = sim.obs_snapshot().clients;
+        let done = clients.reads_done + clients.writes_done;
         let tput = done as f64 / (BUCKET_MS as f64 / 1e3) / 1e6;
+        buckets.push((end, done, tput));
         let phase = if end <= 20 {
             "normal"
         } else if end <= 30 {
@@ -65,4 +72,13 @@ fn main() {
         &["time_ms", "throughput_mrps", "phase"],
         &rows,
     );
+
+    for (end, done, tput) in buckets {
+        let steady = (tput * 1e6 - RATE).abs() <= 0.05 * RATE;
+        match end {
+            ..=20 | 32.. => assert!(steady, "{end} ms: {tput} MRPS, offered 2"),
+            24..=30 => assert_eq!(done, 0, "{end} ms: the switch is down"),
+            _ => {}
+        }
+    }
 }

@@ -23,8 +23,8 @@ pub mod snapshot;
 pub use snapshot::Snapshot;
 
 use bytes::Bytes;
-use harmonia_core::client::{metrics, ClosedLoopClient, OpSpec, SourceFn};
-use harmonia_core::deployment::{DeploymentSpec, SimCluster};
+use harmonia_core::client::{ClosedLoopClient, OpSpec, SourceFn};
+use harmonia_core::deployment::{Cluster, DeploymentSpec, SimCluster};
 use harmonia_switch::{SwitchStats, SwitchTotals};
 use harmonia_types::{ClientId, Duration, Instant, NodeId};
 use harmonia_workload::KeySpace;
@@ -176,32 +176,23 @@ pub fn run_open_loop(spec: &RunSpec) -> RunResult {
 }
 
 /// Shared open-loop measurement tail: warm up, reset, measure, and fold the
-/// world's metrics plus the switch's data-plane state into a [`RunResult`].
+/// deployment's snapshot plus the switch's data-plane state into a
+/// [`RunResult`].
 fn measure_open_loop(mut sim: SimCluster, warmup: Duration, measure: Duration) -> RunResult {
     sim.run_until(Instant::ZERO + warmup);
-    sim.world_mut().metrics_mut().reset();
+    sim.reset_telemetry();
     sim.run_until(Instant::ZERO + warmup + measure);
 
     let secs = measure.as_secs_f64();
-    let m = sim.world().metrics();
-    let hist_us = |name: &'static str, p: f64| {
-        m.histogram(name)
-            .map(|h| {
-                if p < 0.0 {
-                    h.mean().as_micros_f64()
-                } else {
-                    h.percentile(p).as_micros_f64()
-                }
-            })
-            .unwrap_or(0.0)
-    };
+    let snap = sim.obs_snapshot();
+    let us = |ns: u64| Duration::from_nanos(ns).as_micros_f64();
     let mut result = RunResult {
-        reads_mrps: m.counter(metrics::READ_DONE) as f64 / secs / 1e6,
-        writes_mrps: m.counter(metrics::WRITE_DONE) as f64 / secs / 1e6,
-        read_mean_us: hist_us(metrics::READ_LATENCY, -1.0),
-        read_p99_us: hist_us(metrics::READ_LATENCY, 0.99),
-        write_mean_us: hist_us(metrics::WRITE_LATENCY, -1.0),
-        writes_rejected: m.counter(metrics::WRITE_REJECTED),
+        reads_mrps: snap.clients.reads_done as f64 / secs / 1e6,
+        writes_mrps: snap.clients.writes_done as f64 / secs / 1e6,
+        read_mean_us: us(snap.read_latency.mean_ns),
+        read_p99_us: us(snap.read_latency.p99_ns),
+        write_mean_us: us(snap.write_latency.mean_ns),
+        writes_rejected: snap.clients.writes_rejected,
         ..RunResult::default()
     };
     if let Some(switch) = sim.switch() {

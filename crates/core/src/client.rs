@@ -80,7 +80,7 @@ pub struct OpenLoopConfig {
     /// a majority for NOPaxos, whose replicas acknowledge the client
     /// directly).
     pub write_replies: usize,
-    /// Forget a request after this long (counts as `client.timeout.*`).
+    /// Forget a request after this long (counts as [`Counter::Timeouts`]).
     pub timeout: Duration,
 }
 
@@ -133,34 +133,6 @@ pub struct OpenLoopClient {
     recorder: Recorder,
 }
 
-/// Metric names recorded by [`OpenLoopClient`].
-pub mod metrics {
-    /// Reads issued.
-    pub const READ_SENT: &str = "client.read.sent";
-    /// Writes issued.
-    pub const WRITE_SENT: &str = "client.write.sent";
-    /// Reads completed.
-    pub const READ_DONE: &str = "client.read.done";
-    /// Writes completed.
-    pub const WRITE_DONE: &str = "client.write.done";
-    /// Writes rejected by the protocol (out-of-order sequence).
-    pub const WRITE_REJECTED: &str = "client.write.rejected";
-    /// Reads abandoned after the timeout.
-    pub const READ_TIMEOUT: &str = "client.read.timeout";
-    /// Writes abandoned after the timeout (includes switch-dropped writes).
-    pub const WRITE_TIMEOUT: &str = "client.write.timeout";
-    /// Read replies that arrived after their request was abandoned. For
-    /// saturation measurements, prefer a timeout longer than the run so
-    /// these stay zero.
-    pub const READ_DONE_LATE: &str = "client.read.done_late";
-    /// Write replies that arrived after their request was abandoned.
-    pub const WRITE_DONE_LATE: &str = "client.write.done_late";
-    /// Read latency histogram.
-    pub const READ_LATENCY: &str = "client.read.latency";
-    /// Write latency histogram.
-    pub const WRITE_LATENCY: &str = "client.write.latency";
-}
-
 impl OpenLoopClient {
     /// Build a generator with the given source of operations.
     pub fn new(id: ClientId, cfg: OpenLoopConfig, source: SourceFn) -> Self {
@@ -202,10 +174,6 @@ impl OpenLoopClient {
         self.next_request += 1;
         let obj = ObjectId::from_key(&spec.key);
         let req = spec.request(self.id, RequestId(rid));
-        ctx.metrics().incr(match spec.kind {
-            OpKind::Read => metrics::READ_SENT,
-            OpKind::Write => metrics::WRITE_SENT,
-        });
         self.recorder.incr(match spec.kind {
             OpKind::Read => Counter::ReadsSent,
             OpKind::Write => Counter::WritesSent,
@@ -247,17 +215,13 @@ impl OpenLoopClient {
     fn gc(&mut self, ctx: &mut Context<'_, Msg>) {
         let deadline = self.cfg.timeout;
         let now = ctx.now();
-        let mut read_timeouts = 0;
-        let mut write_timeouts = 0;
+        let mut timeouts = 0;
         let me = NodeId::Client(self.id);
         let id = self.id;
         let recorder = &self.recorder;
         self.pending.retain(|rid, p| {
             if now.since(p.sent) > deadline {
-                match p.kind {
-                    OpKind::Read => read_timeouts += 1,
-                    OpKind::Write => write_timeouts += 1,
-                }
+                timeouts += 1;
                 recorder.trace_at(
                     now,
                     me,
@@ -270,10 +234,7 @@ impl OpenLoopClient {
                 true
             }
         });
-        self.recorder
-            .add(Counter::Timeouts, read_timeouts + write_timeouts);
-        ctx.metrics().add(metrics::READ_TIMEOUT, read_timeouts);
-        ctx.metrics().add(metrics::WRITE_TIMEOUT, write_timeouts);
+        self.recorder.add(Counter::Timeouts, timeouts);
         self.gc_token = Some(ctx.set_timer(self.cfg.timeout));
     }
 }
@@ -290,41 +251,22 @@ impl Actor<Msg> for OpenLoopClient {
             return;
         };
         let rid = reply.request.0;
+        // A reply to an abandoned (timed-out) request counts nowhere.
         let Some(p) = self.pending.get_mut(&rid) else {
-            // Reply to an abandoned (timed-out) request: the work was still
-            // done by the system; track it separately.
-            ctx.metrics().incr(if reply.write_outcome.is_some() {
-                metrics::WRITE_DONE_LATE
-            } else {
-                metrics::READ_DONE_LATE
-            });
             return;
         };
         let tally = p.tally.count(&reply);
         if tally == Tally::Rejected {
-            ctx.metrics().incr(metrics::WRITE_REJECTED);
             self.recorder.incr(Counter::WritesRejected);
             self.pending.remove(&rid);
         } else if tally == Tally::Complete {
             let latency = ctx.now().since(p.sent);
-            let (done, hist, obs_done, obs_series) = match p.kind {
-                OpKind::Read => (
-                    metrics::READ_DONE,
-                    metrics::READ_LATENCY,
-                    Counter::ReadsDone,
-                    Series::ReadLatency,
-                ),
-                OpKind::Write => (
-                    metrics::WRITE_DONE,
-                    metrics::WRITE_LATENCY,
-                    Counter::WritesDone,
-                    Series::WriteLatency,
-                ),
+            let (done, series) = match p.kind {
+                OpKind::Read => (Counter::ReadsDone, Series::ReadLatency),
+                OpKind::Write => (Counter::WritesDone, Series::WriteLatency),
             };
-            ctx.metrics().incr(done);
-            ctx.metrics().observe(hist, latency);
-            self.recorder.incr(obs_done);
-            self.recorder.observe(obs_series, latency);
+            self.recorder.incr(done);
+            self.recorder.observe(series, latency);
             self.recorder.trace_at(
                 ctx.now(),
                 NodeId::Client(self.id),
@@ -458,6 +400,7 @@ impl Actor<Msg> for ClosedLoopClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmonia_obs::Registry;
     use harmonia_sim::{LinkConfig, NetworkModel, Service, World, WorldConfig};
     use harmonia_types::{ClientReply, ObjectId, ReplicaId, SwitchId, WriteOutcome};
 
@@ -507,6 +450,11 @@ mod tests {
         })
     }
 
+    /// Client 7's open-loop generator, recording into `registry`.
+    fn open_loop(cfg: OpenLoopConfig, source: SourceFn, r: &Registry) -> Box<OpenLoopClient> {
+        Box::new(OpenLoopClient::new(ClientId(7), cfg, source).with_recorder(r.handle()))
+    }
+
     #[test]
     fn open_loop_emits_at_configured_rate() {
         let mut w = world();
@@ -522,17 +470,16 @@ mod tests {
             ..OpenLoopConfig::new(SWITCH)
         };
         let source: SourceFn = Box::new(|_| OpSpec::read(Bytes::from_static(b"k")));
-        w.add_node(
-            CLIENT,
-            Box::new(OpenLoopClient::new(ClientId(7), cfg, source)),
-        );
+        let registry = Registry::new();
+        w.add_node(CLIENT, open_loop(cfg, source, &registry));
         // 10 ms at 100 kRPS = 1000 requests.
         w.run_until(Instant::ZERO + Duration::from_millis(10));
-        let sent = w.metrics().counter(metrics::READ_SENT);
+        let recorded = registry.snapshot();
+        let sent = recorded.counter(Counter::ReadsSent);
         assert!((990..=1010).contains(&sent), "sent={sent}");
-        let done = w.metrics().counter(metrics::READ_DONE);
+        let done = recorded.counter(Counter::ReadsDone);
         assert!(done > 900, "done={done}");
-        let lat = w.metrics().histogram(metrics::READ_LATENCY).unwrap();
+        let lat = recorded.histogram(Series::ReadLatency);
         // 2 × 5 µs links + 1 µs service ≈ 11 µs.
         assert!(lat.mean() >= Duration::from_micros(11));
         assert!(lat.mean() < Duration::from_micros(20));
@@ -555,31 +502,28 @@ mod tests {
         };
         let source: SourceFn =
             Box::new(|_| OpSpec::write(Bytes::from_static(b"k"), Bytes::from_static(b"v")));
-        w.add_node(
-            CLIENT,
-            Box::new(OpenLoopClient::new(ClientId(7), cfg, source)),
-        );
+        let registry = Registry::new();
+        w.add_node(CLIENT, open_loop(cfg, source, &registry));
         w.run_until(Instant::ZERO + Duration::from_millis(5));
-        assert!(w.metrics().counter(metrics::WRITE_REJECTED) > 0);
-        assert_eq!(w.metrics().counter(metrics::WRITE_DONE), 0);
+        let recorded = registry.snapshot();
+        assert!(recorded.counter(Counter::WritesRejected) > 0);
+        assert_eq!(recorded.counter(Counter::WritesDone), 0);
     }
 
     #[test]
     fn open_loop_timeout_gc_purges_lost_requests() {
         let mut w = world();
-        // No rack at all: every request vanishes ("net.dead_dst").
+        // No rack at all: every request is discarded at its destination.
         let cfg = OpenLoopConfig {
             rate_rps: 10_000.0,
             timeout: Duration::from_millis(1),
             ..OpenLoopConfig::new(SWITCH)
         };
         let source: SourceFn = Box::new(|_| OpSpec::read(Bytes::from_static(b"k")));
-        w.add_node(
-            CLIENT,
-            Box::new(OpenLoopClient::new(ClientId(7), cfg, source)),
-        );
+        let registry = Registry::new();
+        w.add_node(CLIENT, open_loop(cfg, source, &registry));
         w.run_until(Instant::ZERO + Duration::from_millis(10));
-        assert!(w.metrics().counter(metrics::READ_TIMEOUT) > 50);
+        assert!(registry.snapshot().counter(Counter::Timeouts) > 50);
         let client: &OpenLoopClient = w.actor(CLIENT).unwrap();
         assert!(client.in_flight() < 30, "gc keeps the table bounded");
     }

@@ -468,8 +468,8 @@ pub trait Cluster {
 ///
 /// Beyond the [`Cluster`] surface it exposes the world itself
 /// ([`world`](Self::world) / [`world_mut`](Self::world_mut) /
-/// [`into_world`](Self::into_world)) for metrics, network shaping, and
-/// scheduled fault scripting, plus open-loop/closed-loop load-generator
+/// [`into_world`](Self::into_world)) for network shaping and scheduled
+/// fault scripting, plus open-loop/closed-loop load-generator
 /// attachment ([`add_open_loop_client`](Self::add_open_loop_client)).
 pub struct SimCluster {
     spec: DeploymentSpec,
@@ -489,7 +489,7 @@ impl SimCluster {
         &self.world
     }
 
-    /// Mutable world access (network shaping, scheduled controls, metrics).
+    /// Mutable world access (network shaping, scheduled controls).
     pub fn world_mut(&mut self) -> &mut World<Msg> {
         &mut self.world
     }
@@ -497,6 +497,21 @@ impl SimCluster {
     /// Unwrap into the bare world.
     pub fn into_world(self) -> World<Msg> {
         self.world
+    }
+
+    /// Discard what was recorded so far (a warm-up cut): zero every
+    /// counter and latency histogram behind
+    /// [`obs_snapshot`](Cluster::obs_snapshot) and the world's fault
+    /// counts. Trace rings keep their events.
+    pub fn reset_telemetry(&mut self) {
+        self.registry.reset();
+        self.world.reset_faults();
+    }
+
+    /// Every recorder's counters and whole latency histograms, merged: what
+    /// [`obs_snapshot`](Cluster::obs_snapshot) summarises.
+    pub fn recorded(&self) -> RecorderSnapshot {
+        self.registry.snapshot()
     }
 
     /// Advance virtual time to `t`.
@@ -667,16 +682,9 @@ impl Cluster for SimCluster {
     }
 
     fn obs_snapshot(&self) -> ObsSnapshot {
-        let m = self.world.metrics();
-        let faults = FaultObs {
-            dropped: m.counter("net.dropped"),
-            duplicated: m.counter("net.duplicated"),
-            reordered: m.counter("net.reordered"),
-            discarded: m.counter("net.dead_dst") + m.counter("net.down_dst"),
-        };
         let (now, recorded) = (self.world.now(), self.registry.snapshot());
         let rows = self.switch().map(Switch::observe);
-        snapshot(&self.spec, "sim", now, &recorded, rows, faults)
+        snapshot(&self.spec, "sim", now, &recorded, rows, self.world.faults())
     }
 
     fn trace_events(&self) -> Vec<TraceEvent> {
@@ -780,7 +788,6 @@ impl KvClient for SimSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::metrics;
     use rand::Rng;
 
     fn run_mixed(protocol: ProtocolKind, harmonia: bool, rate: f64, millis: u64) -> (u64, u64) {
@@ -798,10 +805,8 @@ mod tests {
         });
         sim.add_open_loop_client(ClientId(1), rate, Duration::from_millis(10), source);
         sim.run_until(Instant::ZERO + Duration::from_millis(millis));
-        (
-            sim.world().metrics().counter(metrics::READ_DONE),
-            sim.world().metrics().counter(metrics::WRITE_DONE),
-        )
+        let clients = sim.obs_snapshot().clients;
+        (clients.reads_done, clients.writes_done)
     }
 
     #[test]
@@ -1013,9 +1018,10 @@ mod tests {
         });
         sim.add_open_loop_client(ClientId(1), 100_000.0, Duration::from_millis(10), source);
         sim.run_until(Instant::ZERO + Duration::from_millis(20));
-        assert!(sim.world().metrics().counter(metrics::READ_DONE) > 1000);
-        assert!(sim.world().metrics().counter(metrics::WRITE_DONE) > 50);
-        let rows = sim.obs_snapshot().per_group;
+        let snap = sim.obs_snapshot();
+        assert!(snap.clients.reads_done > 1000);
+        assert!(snap.clients.writes_done > 50);
+        let rows = snap.per_group;
         assert_eq!(rows.len(), 4);
         for row in rows {
             assert!(row.writes_forwarded > 0, "never saw a write: {row:?}");
@@ -1056,6 +1062,6 @@ mod tests {
                 group.writes_forwarded
             )
         );
-        assert!(sim.world().metrics().counter(metrics::READ_DONE) > 300);
+        assert!(snap.clients.reads_done > 300);
     }
 }

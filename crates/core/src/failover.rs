@@ -157,7 +157,8 @@ pub fn schedule_replica_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{metrics, OpSpec, SourceFn};
+    use crate::client::{OpSpec, SourceFn};
+    use crate::deployment::Cluster;
     use bytes::Bytes;
     use harmonia_switch::SwitchTotals;
     use harmonia_types::{ClientId, Duration};
@@ -190,21 +191,21 @@ mod tests {
 
         // Phase 1: normal operation.
         sim.run_until(t(10));
-        let before = sim.world().metrics().counter(metrics::READ_DONE);
+        let before = sim.obs_snapshot().clients.reads_done;
         assert!(before > 500);
 
         // Phase 2: outage — nothing completes (allow 1 ms for replies that
         // were already in flight toward clients when the switch died).
         sim.run_until(t(11));
-        sim.world_mut().metrics_mut().reset();
+        sim.reset_telemetry();
         sim.run_until(t(15));
-        assert_eq!(sim.world().metrics().counter(metrics::READ_DONE), 0);
+        assert_eq!(sim.obs_snapshot().clients.reads_done, 0);
 
         // Phase 3: replacement active; traffic flows again and the new
         // incarnation's fast path turns on after the first completion.
-        sim.world_mut().metrics_mut().reset();
+        sim.reset_telemetry();
         sim.run_until(t(40));
-        let after = sim.world().metrics().counter(metrics::READ_DONE);
+        let after = sim.obs_snapshot().clients.reads_done;
         assert!(after > 1000, "after={after}");
         let host: &SimWorker = sim.world().actor(NodeId::Switch(SwitchId(2))).unwrap();
         let sw = host.switch().unwrap();
@@ -233,10 +234,10 @@ mod tests {
             ReplicaId(2),
         );
         sim.run_until(t(12));
-        sim.world_mut().metrics_mut().reset();
+        sim.reset_telemetry();
         sim.run_until(t(30));
-        let reads = sim.world().metrics().counter(metrics::READ_DONE);
-        let writes = sim.world().metrics().counter(metrics::WRITE_DONE);
+        let clients = sim.obs_snapshot().clients;
+        let (reads, writes) = (clients.reads_done, clients.writes_done);
         assert!(reads > 400, "reads={reads}");
         assert!(writes > 20, "writes={writes}");
     }
@@ -286,10 +287,10 @@ mod tests {
         );
 
         // Service kept flowing after the recovery.
-        sim.world_mut().metrics_mut().reset();
+        sim.reset_telemetry();
         sim.run_until(t(50));
-        let reads = sim.world().metrics().counter(metrics::READ_DONE);
-        let writes = sim.world().metrics().counter(metrics::WRITE_DONE);
+        let clients = sim.obs_snapshot().clients;
+        let (reads, writes) = (clients.reads_done, clients.writes_done);
         assert!(reads > 400, "reads={reads}");
         assert!(writes > 20, "writes={writes}");
     }

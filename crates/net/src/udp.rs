@@ -403,9 +403,11 @@ impl<T> UdpTransport<T> {
     /// A wait of a millisecond or more, and an untimed one, sleeps on the
     /// socket's armed read timeout. A sub-millisecond remainder, which that
     /// timeout would overshoot by jiffies, is slept in
-    /// [`mmsg::wait_readable`] and ends in a nonblocking drain — so a loop
-    /// that ticks faster than a jiffy (VR and NOPaxos: 200µs) sleeps
-    /// between ticks instead of spinning on polls.
+    /// [`mmsg::wait_readable`] and ends in a nonblocking drain, skipped
+    /// when that wait timed out on an empty socket — so a loop that ticks
+    /// faster than a jiffy (VR and NOPaxos: 200µs) sleeps between ticks
+    /// instead of spinning on polls. Either way a wait that found nothing
+    /// counts as one receive and one empty receive.
     fn wait(&mut self, deadline: Option<Instant>) -> Result<(), RecvError>
     where
         T: Wire,
@@ -433,9 +435,10 @@ impl<T> UdpTransport<T> {
             // reconfigures the socket for the other.
             let got = if blocking && self.arm_read_timeout(remaining) {
                 self.ring.wait(&self.socket)
-            } else {
-                mmsg::wait_readable(&self.socket, remaining.unwrap_or(Duration::MAX));
+            } else if mmsg::wait_readable(&self.socket, remaining.unwrap_or(Duration::MAX)) {
                 self.ring.recv(&self.socket, mmsg::MAX_BATCH)
+            } else {
+                0
             };
             let woken = self.decode_ring(got);
             if !self.decoded.is_empty() {

@@ -185,15 +185,6 @@ impl LogHistogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Discard all samples.
-    pub fn reset(&mut self) {
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
-    }
-
     /// The fixed summary (count, mean, p50/p99/p999, max) used by snapshots.
     pub fn summary(&self) -> HistSummary {
         HistSummary {
@@ -313,13 +304,5 @@ mod tests {
         assert_eq!(h.min(), Duration::ZERO);
         assert_eq!(h.percentile(0.99), Duration::ZERO);
         assert_eq!(h.summary(), HistSummary::default());
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut h = LogHistogram::new();
-        h.record_ns(55);
-        h.reset();
-        assert_eq!(h, LogHistogram::new());
     }
 }

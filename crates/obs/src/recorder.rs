@@ -215,6 +215,16 @@ impl AtomicHistogram {
         }
     }
 
+    fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
+
     fn drain(&self) -> LogHistogram {
         let buckets = self
             .buckets
@@ -342,6 +352,21 @@ impl Registry {
             hists,
             trace_recorded,
             trace_dropped,
+        }
+    }
+
+    /// Zero every shard's counters and latency histograms (a warm-up cut);
+    /// the trace rings keep their events. Exact only when nothing records
+    /// concurrently — a sample landing mid-reset can survive it in part —
+    /// which holds in the single-threaded simulator, its one caller.
+    pub fn reset(&self) {
+        for shard in self.shards() {
+            for c in &shard.counters {
+                c.store(0, Ordering::Relaxed);
+            }
+            for h in &shard.hists {
+                h.reset();
+            }
         }
     }
 
@@ -500,6 +525,29 @@ mod tests {
         assert_eq!(h.count(), 100);
         assert_eq!(h.mean(), Duration::from_nanos(50_500));
         assert_eq!(h.max(), Duration::from_micros(100));
+    }
+
+    #[test]
+    fn reset_zeroes_counters_and_histograms_and_keeps_traces() {
+        let reg = Registry::new();
+        let r = reg.handle();
+        r.incr(Counter::ReadsDone);
+        r.observe(Series::ReadLatency, Duration::from_micros(3));
+        r.trace_at(
+            Instant::ZERO,
+            NodeId::Controller,
+            tid(0, 0),
+            ObjectId(0),
+            TraceStage::ClientSend,
+        );
+        reg.reset();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter(Counter::ReadsDone), 0);
+        assert_eq!(snap.histogram(Series::ReadLatency), LogHistogram::new());
+        assert_eq!((snap.trace_recorded(), reg.trace_events().len()), (1, 1));
+        r.observe(Series::ReadLatency, Duration::from_micros(5));
+        let h = reg.snapshot().histogram(Series::ReadLatency);
+        assert_eq!((h.count(), h.max()), (1, Duration::from_micros(5)));
     }
 
     #[test]

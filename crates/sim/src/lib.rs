@@ -12,7 +12,8 @@
 //!   queueing, exactly like the paper's testbed saturates its tail node),
 //!   while the switch is a pure-delay element (line rate, §6);
 //! * node failure switches (used by the switch-failover experiment, Fig. 10);
-//! * a metrics registry (counters + latency histograms).
+//! * a count of what the link model did to packets
+//!   ([`World::faults`], a `harmonia_obs::FaultObs`).
 //!
 //! The same protocol state machines run unmodified under the live threaded
 //! driver in `harmonia-core`; nothing in this crate is Harmonia-specific.
@@ -50,13 +51,11 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
-pub mod metrics;
 pub mod network;
 pub mod node;
 pub mod world;
 
 pub use event::TimerToken;
-pub use metrics::{Histogram, Metrics};
 pub use network::{LinkConfig, NetworkModel};
 pub use node::{Actor, Context, Service};
 pub use world::{World, WorldConfig};

@@ -20,7 +20,6 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::event::{Parcel, Slab, TimerToken};
-use crate::metrics::Metrics;
 
 /// How a node's resource model treats an incoming message.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -89,7 +88,6 @@ pub struct Context<'a, M> {
     pub(crate) node: NodeId,
     pub(crate) now: Instant,
     pub(crate) rng: &'a mut SmallRng,
-    pub(crate) metrics: &'a mut Metrics,
     pub(crate) next_timer: &'a mut u64,
     pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) parcels: &'a mut Slab<Parcel<M>>,
@@ -109,11 +107,6 @@ impl<'a, M> Context<'a, M> {
     /// Deterministic per-world RNG (for random replica selection etc.).
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
-    }
-
-    /// The world's metrics registry.
-    pub fn metrics(&mut self) -> &mut Metrics {
-        self.metrics
     }
 
     /// Send `msg` to `to` over the network model.

@@ -28,12 +28,12 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use harmonia_obs::FaultObs;
 use harmonia_types::{Duration, Instant, NodeId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::event::{Event, EventQueue, Fired, Parcel, Slab, Timer};
-use crate::metrics::Metrics;
 use crate::network::NetworkModel;
 use crate::node::{Action, Actor, Context, Service};
 
@@ -84,7 +84,8 @@ pub struct World<M> {
     index: BTreeMap<NodeId, u32>,
     network: NetworkModel,
     rng: SmallRng,
-    metrics: Metrics,
+    /// What the link model did to packets, and those it could not deliver.
+    faults: FaultObs,
     next_timer: u64,
     /// The action buffer every handler invocation records into; empty
     /// between invocations.
@@ -103,7 +104,7 @@ impl<M: Clone + 'static> World<M> {
             index: BTreeMap::new(),
             network: config.network,
             rng: SmallRng::seed_from_u64(config.seed),
-            metrics: Metrics::new(),
+            faults: FaultObs::default(),
             next_timer: 0,
             actions: Vec::new(),
         }
@@ -114,14 +115,16 @@ impl<M: Clone + 'static> World<M> {
         self.now
     }
 
-    /// The metrics registry.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// What the link model did to packets so far: drops, duplicates and
+    /// reorders, and the packets discarded at an unknown or down
+    /// destination.
+    pub fn faults(&self) -> FaultObs {
+        self.faults
     }
 
-    /// Mutable metrics access (e.g. to reset after warmup).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+    /// Zero [`faults`](Self::faults) (a warm-up cut).
+    pub fn reset_faults(&mut self) {
+        self.faults = FaultObs::default();
     }
 
     /// Mutable network access (partitions, link overrides mid-run).
@@ -290,13 +293,13 @@ impl<M: Clone + 'static> World<M> {
         let arriving = self.parcels.get(parcel);
         let Some(&node) = self.index.get(&arriving.to) else {
             self.parcels.take(parcel);
-            self.metrics.incr("net.dead_dst");
+            self.faults.discarded += 1;
             return;
         };
         let slot = &mut self.nodes[node as usize];
         if slot.down {
             self.parcels.take(parcel);
-            self.metrics.incr("net.down_dst");
+            self.faults.discarded += 1;
             return;
         }
         match slot.actor.service(&arriving.msg) {
@@ -351,7 +354,6 @@ impl<M: Clone + 'static> World<M> {
             node: slot.id,
             now: self.now,
             rng: &mut self.rng,
-            metrics: &mut self.metrics,
             next_timer: &mut self.next_timer,
             actions: &mut actions,
             parcels: &mut self.parcels,
@@ -378,17 +380,15 @@ impl<M: Clone + 'static> World<M> {
     fn route(&mut self, parcel: u32) {
         let Parcel { to, from, .. } = *self.parcels.get(parcel);
         let plan = self.network.plan(from, to, &mut self.rng);
-        if plan.reordered > 0 {
-            self.metrics.add("net.reordered", u64::from(plan.reordered));
-        }
+        self.faults.reordered += u64::from(plan.reordered);
         match *plan.delays() {
             [] => {
                 self.parcels.take(parcel);
-                self.metrics.incr("net.dropped");
+                self.faults.dropped += 1;
             }
             [d] => self.queue.push(self.now + d, Event::Arrive(parcel)),
             [first, ref rest @ ..] => {
-                self.metrics.add("net.duplicated", rest.len() as u64);
+                self.faults.duplicated += rest.len() as u64;
                 self.queue.push(self.now + first, Event::Arrive(parcel));
                 for &d in rest {
                     let copy = self.parcels.get(parcel).clone();
@@ -530,7 +530,7 @@ mod tests {
         w.run_until_idle(1000);
         let p: &Pinger = w.actor(client(0)).unwrap();
         assert!(p.replies.is_empty());
-        assert_eq!(w.metrics().counter("net.down_dst"), 5);
+        assert_eq!(w.faults().discarded, 5);
     }
 
     #[test]
@@ -759,7 +759,7 @@ mod tests {
                 slots_after_first_round = w.parcels.slots();
             }
         }
-        assert_eq!(w.metrics().counter("net.dead_dst"), 2 * 10_000);
+        assert_eq!(w.faults().discarded, 2 * 10_000);
         assert!(
             w.parcels.slots() <= slots_after_first_round,
             "10 000 rounds grew the slab from {slots_after_first_round} to {} slots",
@@ -821,8 +821,7 @@ mod tests {
             .flat_map(|i| [(client(0), format!("m{i}")), (client(0), format!("m{i}"))])
             .collect();
         assert_eq!(w.actor::<Sink>(replica(0)).unwrap().got, want);
-        assert_eq!(w.metrics().counter("net.duplicated"), 20);
-        assert_eq!(w.metrics().counter("net.dropped"), 0);
+        assert_eq!((w.faults().duplicated, w.faults().dropped), (20, 0));
         assert_eq!(w.parcels.len(), 0);
     }
 
@@ -833,8 +832,7 @@ mod tests {
             ..LinkConfig::ideal(Duration::from_micros(3))
         });
         assert!(w.actor::<Sink>(replica(0)).unwrap().got.is_empty());
-        assert_eq!(w.metrics().counter("net.dropped"), 20);
-        assert_eq!(w.metrics().counter("net.duplicated"), 0);
+        assert_eq!((w.faults().dropped, w.faults().duplicated), (20, 0));
         assert_eq!(w.parcels.len(), 0);
     }
 }

@@ -45,10 +45,10 @@ fn main() {
         let start = bucket * BUCKET_MS;
         let end = start + BUCKET_MS;
         sim.run_until(t(start));
-        sim.world_mut().metrics_mut().reset();
+        sim.reset_telemetry();
         sim.run_until(t(end));
-        let done = sim.world().metrics().counter(metrics::READ_DONE)
-            + sim.world().metrics().counter(metrics::WRITE_DONE);
+        let clients = sim.obs_snapshot().clients;
+        let done = clients.reads_done + clients.writes_done;
         let mrps = done as f64 / (BUCKET_MS as f64 / 1e3) / 1e6;
         let phase = if end <= 20 {
             "normal"

@@ -47,18 +47,14 @@ fn run(harmonia: bool) -> (f64, f64, f64) {
     );
 
     sim.run_until(Instant::ZERO + Duration::from_millis(WARMUP_MS));
-    sim.world_mut().metrics_mut().reset();
+    sim.reset_telemetry();
     sim.run_until(Instant::ZERO + Duration::from_millis(WARMUP_MS + MEASURE_MS));
 
     let secs = MEASURE_MS as f64 / 1e3;
-    let reads = sim.world().metrics().counter(metrics::READ_DONE) as f64 / secs / 1e6;
-    let writes = sim.world().metrics().counter(metrics::WRITE_DONE) as f64 / secs / 1e6;
-    let p99 = sim
-        .world()
-        .metrics()
-        .histogram(metrics::READ_LATENCY)
-        .map(|h| h.percentile(0.99).as_micros_f64())
-        .unwrap_or(0.0);
+    let snap = sim.obs_snapshot();
+    let reads = snap.clients.reads_done as f64 / secs / 1e6;
+    let writes = snap.clients.writes_done as f64 / secs / 1e6;
+    let p99 = Duration::from_nanos(snap.read_latency.p99_ns).as_micros_f64();
     (reads, writes, p99)
 }
 

@@ -40,12 +40,13 @@ fn run(protocol: ProtocolKind, harmonia: bool) -> (f64, f64) {
         source,
     );
     sim.run_until(Instant::ZERO + Duration::from_millis(WARMUP_MS));
-    sim.world_mut().metrics_mut().reset();
+    sim.reset_telemetry();
     sim.run_until(Instant::ZERO + Duration::from_millis(WARMUP_MS + MEASURE_MS));
     let secs = MEASURE_MS as f64 / 1e3;
+    let clients = sim.obs_snapshot().clients;
     (
-        sim.world().metrics().counter(metrics::READ_DONE) as f64 / secs / 1e6,
-        sim.world().metrics().counter(metrics::WRITE_DONE) as f64 / secs / 1e6,
+        clients.reads_done as f64 / secs / 1e6,
+        clients.writes_done as f64 / secs / 1e6,
     )
 }
 

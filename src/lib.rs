@@ -62,7 +62,7 @@
 //! let source: SourceFn = Box::new(|_rng| OpSpec::read(Bytes::from_static(b"k")));
 //! sim.add_open_loop_client(ClientId(1), 100_000.0, Duration::from_millis(10), source);
 //! sim.run_until(Instant::ZERO + Duration::from_millis(5));
-//! assert!(sim.world().metrics().counter("client.read.done") > 0);
+//! assert!(sim.obs_snapshot().clients.reads_done > 0);
 //! ```
 //!
 //! ## One more knob, sixteen more groups
@@ -127,7 +127,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`types`] | object ids, switch-epoch sequence numbers, packets, wire codec |
-//! | [`sim`] | deterministic discrete-event simulator + network + metrics |
+//! | [`sim`] | deterministic discrete-event simulator + network model |
 //! | [`kv`] | in-memory versioned KV engine (the Redis substitute) |
 //! | [`switch`] | switch data-plane emulation: register arrays, multi-stage hash table, Algorithm 1 |
 //! | [`replication`] | PB, chain, CRAQ, VR, NOPaxos — each ± Harmonia |
@@ -151,7 +151,7 @@ pub use harmonia_workload as workload;
 
 /// Everything a typical user needs.
 pub mod prelude {
-    pub use harmonia_core::client::{metrics, OpSpec, SourceFn};
+    pub use harmonia_core::client::{OpSpec, SourceFn};
     pub use harmonia_core::deployment::{Cluster, DeploymentSpec, KvClient, SimCluster};
     pub use harmonia_core::failover::{
         schedule_replica_recovery, schedule_replica_removal, schedule_switch_failure,

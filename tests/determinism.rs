@@ -2,15 +2,15 @@
 //!
 //! The simulator's contract (ROADMAP tier-1, `harmonia-sim` docs) is that a
 //! fixed seed reproduces a run *exactly*: same client histories, same
-//! metrics, same final state. Every debugging and bisection workflow on this
+//! telemetry, same final state. Every debugging and bisection workflow on this
 //! repo leans on that property, so it is locked in here — under an
 //! adversarial network, where the RNG is exercised hardest (jitter draws,
 //! drop/duplicate/reorder coin flips, random fast-path replica choice).
 //!
 //! Replaying a run against itself cannot see a change that moves both runs
 //! alike, so the second half of this file pins runs across commits: each
-//! golden run's rendered text — every client history, then the counters or
-//! the rendered obs snapshot — is committed under `tests/golden/`. A run
+//! golden run's rendered text — every client history, then the world's fault
+//! counts or the rendered obs snapshot — is committed under `tests/golden/`. A run
 //! that no longer renders its file fails with the first operation (or
 //! snapshot line) where the two part. A change that means to move a run
 //! rewrites the files with
@@ -21,6 +21,7 @@ mod common;
 
 use bytes::Bytes;
 use common::Scenario;
+use harmonia::obs::Series;
 use harmonia::prelude::*;
 use rand::Rng;
 
@@ -36,30 +37,26 @@ fn adversarial(seed: u64) -> Scenario {
 }
 
 /// Two closed-loop runs with the same seed produce bit-identical client
-/// histories and identical metrics.
+/// histories and identical fault counts.
 #[test]
 fn closed_loop_replay_is_identical() {
     let run = |seed: u64| {
         let outcome = adversarial(seed).run();
-        let counters: Vec<(&'static str, u64)> = outcome.world.metrics().counters_sorted();
-        (outcome.histories, counters)
+        (outcome.histories, outcome.world.faults())
     };
 
-    let (hist_a, counters_a) = run(42);
-    let (hist_b, counters_b) = run(42);
+    let (hist_a, faults_a) = run(42);
+    let (hist_b, faults_b) = run(42);
     assert_eq!(hist_a, hist_b, "same seed must replay identical histories");
-    assert_eq!(
-        counters_a, counters_b,
-        "same seed must replay identical metrics"
-    );
+    assert_eq!(faults_a, faults_b, "same seed must replay identical faults");
     assert_eq!(
         hist_a.iter().map(Vec::len).sum::<usize>(),
         4 * 50,
         "every client completed its full plan"
     );
     assert!(
-        counters_a.iter().any(|&(n, v)| n == "net.dropped" && v > 0),
-        "the adversarial network actually consulted the RNG: {counters_a:?}"
+        faults_a.dropped > 0,
+        "the adversarial network actually consulted the RNG: {faults_a:?}"
     );
 }
 
@@ -94,25 +91,16 @@ fn obs_snapshot_replay_is_identical() {
 /// passing vacuously because the RNG is never consulted).
 #[test]
 fn different_seed_diverges() {
-    let counters = |seed: u64| {
-        adversarial(seed)
-            .run()
-            .world
-            .metrics()
-            .counters_sorted()
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect::<Vec<_>>()
-    };
+    let faults = |seed: u64| adversarial(seed).run().world.faults();
     assert_ne!(
-        counters(1),
-        counters(2),
+        faults(1),
+        faults(2),
         "an adversarial network must consult the seeded RNG"
     );
 }
 
-/// Open-loop generators are deterministic too: same seed, same counter
-/// values and same latency-histogram shape.
+/// Open-loop generators are deterministic too: same seed, same client
+/// counters and the same read-latency histogram, bucket for bucket.
 #[test]
 fn open_loop_replay_is_identical() {
     let run = || {
@@ -128,29 +116,18 @@ fn open_loop_replay_is_identical() {
         sim.add_open_loop_client(ClientId(1), 200_000.0, Duration::from_millis(10), source);
         sim.run_until(Instant::ZERO + Duration::from_millis(20));
 
-        let counters: Vec<(String, u64)> = sim
-            .world()
-            .metrics()
-            .counters_sorted()
-            .into_iter()
-            .map(|(n, v)| (n.to_string(), v))
-            .collect();
-        let hist = sim
-            .world()
-            .metrics()
-            .histogram("client.read.latency")
-            .expect("reads recorded latency");
-        (counters, hist.count(), hist.mean(), hist.percentile(0.99))
+        let reads = sim.recorded().histogram(Series::ReadLatency);
+        (sim.obs_snapshot().clients, reads)
     };
 
     let a = run();
     let b = run();
     assert_eq!(a, b, "open-loop replay must be exact");
-    assert!(a.1 > 0, "the run recorded read latencies");
+    assert!(a.1.count() > 0, "the run recorded read latencies");
 }
 
 /// Drive the adversarial closed-loop workload over a pre-built world and
-/// render what it left: every client history, then the world's counters.
+/// render what it left: every client history, then the world's fault counts.
 fn fingerprint(mut world: World<Msg>, seed: u64) -> String {
     let plans = common::make_plans(4, 50, 6, 0.3, seed);
     for (c, plan) in plans.into_iter().enumerate() {
@@ -188,7 +165,7 @@ fn fingerprint(mut world: World<Msg>, seed: u64) -> String {
         histories.iter().map(Vec::len).sum::<usize>() > 0,
         "the run actually ran a workload"
     );
-    format!("{histories:?}\n{:?}\n", world.metrics().counters_sorted())
+    format!("{histories:?}\n{:?}\n", world.faults())
 }
 
 fn adversarial_spec(seed: u64) -> DeploymentSpec {
@@ -295,17 +272,9 @@ fn open_loop_text() -> String {
     sim.add_open_loop_client(ClientId(1), 200_000.0, Duration::from_millis(10), source);
     sim.run_until(Instant::ZERO + Duration::from_millis(20));
 
-    let metrics = sim.world().metrics();
-    let reads = metrics
-        .histogram("client.read.latency")
-        .expect("reads recorded latency");
-    assert!(reads.count() > 0 && metrics.counter("net.dropped") > 0);
-    format!(
-        "{:?}{:?}{}",
-        metrics.counters_sorted(),
-        reads,
-        harmonia::obs::json_text(&sim.obs_snapshot())
-    )
+    let reads = sim.recorded().histogram(Series::ReadLatency);
+    assert!(reads.count() > 0 && sim.world().faults().dropped > 0);
+    format!("{reads:?}{}", harmonia::obs::json_text(&sim.obs_snapshot()))
 }
 
 /// Every protocol's adversarial run, by the name of its golden file. The

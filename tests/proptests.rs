@@ -1,6 +1,7 @@
 //! Property-based tests on the core data structures and invariants.
 
 use bytes::Bytes;
+use harmonia::kv::{Store, VersionChain, VersionedValue};
 use harmonia::prelude::*;
 use harmonia::replication::messages::{
     ChainMsg, CraqMsg, NopaxosMsg, PbMsg, ProtocolMsg, ReplicaControlMsg, SnapshotEntry,
@@ -17,7 +18,7 @@ use harmonia::types::{
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn arb_seq() -> impl Strategy<Value = SwitchSeq> {
     (1u32..4, 0u64..1000).prop_map(|(s, n)| SwitchSeq::new(SwitchId(s), n))
@@ -507,6 +508,16 @@ fn arb_switch_step() -> impl Strategy<Value = Option<PacketBody<ProtocolMsg>>> {
         )
 }
 
+/// A version number as a replayed or hostile write can carry it: small,
+/// repeated and out of order, sometimes at the top of `u64`, and under
+/// switch 0 the `ZERO` sentinel itself.
+fn kv_seq() -> impl Strategy<Value = SwitchSeq> {
+    (0u32..3, 0u8..4, 0u64..6).prop_map(|(switch, end, n)| {
+        let seq = if end == 0 { u64::MAX - n } else { n };
+        SwitchSeq::new(SwitchId(switch), seq)
+    })
+}
+
 proptest! {
     /// No packet a peer can send panics a replica. Every storage server —
     /// 5 protocols × members 0–2, serving and recovering — takes the same
@@ -835,6 +846,87 @@ proptest! {
             Err(Violation::NotLinearizable { key }) => prop_assert!(failing.contains(&key)),
             Err(v) => prop_assert!(false, "{v}"),
         }
+    }
+
+    /// No run of `VersionChain` calls panics it: `stage`, `commit_up_to`
+    /// and `install_clean` in any order, repeated, with numbers at either
+    /// end of `u64`. Each call answers what it did, the clean seq never
+    /// goes back, and the dirty seqs stay strictly increasing above it.
+    #[test]
+    fn version_chain_survives_any_call_sequence(
+        ops in prop::collection::vec((0u8..3, kv_seq()), 1..60),
+    ) {
+        let mut chain = VersionChain::empty();
+        for (i, (op, seq)) in ops.into_iter().enumerate() {
+            let clean_before = chain.clean().map(|v| v.seq);
+            let dirty_before = chain.dirty_len();
+            let v = VersionedValue::new(Bytes::from(i.to_string()), seq);
+            match op {
+                0 => {
+                    let newest = chain.latest().map_or(SwitchSeq::ZERO, |v| v.seq);
+                    prop_assert_eq!(chain.stage(v), seq > newest);
+                }
+                1 => {
+                    let due = chain.dirty_versions().iter().filter(|d| d.seq <= seq).count();
+                    prop_assert_eq!(chain.commit_up_to(seq), due);
+                    prop_assert_eq!(chain.dirty_len(), dirty_before - due);
+                }
+                _ => {
+                    let newer = seq > clean_before.unwrap_or(SwitchSeq::ZERO);
+                    prop_assert_eq!(chain.install_clean(v), newer);
+                    if newer {
+                        prop_assert_eq!(chain.clean().map(|c| c.seq), Some(seq));
+                    }
+                }
+            }
+            let clean = chain.clean().map(|v| v.seq);
+            prop_assert!(clean >= clean_before, "clean went back: {clean_before:?} -> {clean:?}");
+            let dirty: Vec<SwitchSeq> = chain.dirty_versions().iter().map(|d| d.seq).collect();
+            prop_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty out of order: {dirty:?}");
+            let floor = clean.unwrap_or(SwitchSeq::ZERO);
+            prop_assert!(dirty.iter().all(|&d| d > floor), "dirty {dirty:?} under {floor:?}");
+            prop_assert_eq!(chain.latest().map(|v| v.seq), dirty.last().copied().or(clean));
+        }
+    }
+
+    /// `Store` is a map: under any run of `put` / `get` / `update` /
+    /// `delete` over a few keys (the empty one included), at any shard
+    /// count, it answers as a `BTreeMap` does, and its key count, key
+    /// bytes and walk agree with that model.
+    #[test]
+    fn store_matches_a_map_model(
+        shards in 0usize..9,
+        ops in prop::collection::vec((0u8..4, 0usize..5, any::<u64>()), 1..100),
+    ) {
+        let store = Store::with_shards(shards);
+        let mut model = BTreeMap::new();
+        for (op, len, x) in ops {
+            let key = Bytes::from("k".repeat(len));
+            match op {
+                0 => {
+                    store.put(key.clone(), x);
+                    model.insert(key, x);
+                }
+                1 => prop_assert_eq!(store.get(&key), model.get(&key).copied()),
+                2 => {
+                    let add = |v: &mut u64| {
+                        *v = v.wrapping_add(x);
+                        *v
+                    };
+                    let got = store.update(&key, || 0, add);
+                    prop_assert_eq!(got, add(model.entry(key).or_insert(0)));
+                }
+                _ => prop_assert_eq!(store.delete(&key), model.remove(&key)),
+            }
+            let stats = store.stats();
+            prop_assert_eq!((store.len(), stats.keys), (model.len(), model.len() as u64));
+            prop_assert_eq!(stats.key_bytes, model.keys().map(|k| k.len() as u64).sum::<u64>());
+        }
+        let mut walked = BTreeMap::new();
+        store.for_each(|k, v| {
+            walked.insert(k.clone(), *v);
+        });
+        prop_assert_eq!(walked, model);
     }
 
     /// SwitchSeq ordering is a total lexicographic order: sorting any batch
