@@ -292,17 +292,13 @@ impl Protocol for Nopaxos {
     }
 
     fn on_tick(&mut self, cx: &Ctx, out: &mut Effects) {
-        // Periodic synchronization (leader-driven), to every follower that
-        // has not yet acknowledged executing through the leader's point: a
-        // SYNC to one that has would execute nothing and draw the same ack,
-        // so an idle group that is caught up exchanges nothing.
+        // Periodic synchronization (leader-driven).
         if cx.me == cx.first() && self.executed > 0 {
             let msg = NopaxosMsg::Sync {
                 session: self.session,
                 upto: self.executed,
             };
-            let behind = |r: &ReplicaId| self.sync_points.get(r).is_none_or(|&p| p < self.executed);
-            for r in cx.others().filter(behind) {
+            for r in cx.others() {
                 out.protocol(r, ProtocolMsg::Nopaxos(msg.clone()));
             }
         }
@@ -361,7 +357,7 @@ impl Protocol for Nopaxos {
 mod tests {
     use super::*;
     use crate::common::ProtocolKind;
-    use crate::shell::harness::{deliver, pump, sequenced};
+    use crate::shell::harness::{pump, sequenced};
     use crate::shell::Shell;
     use bytes::Bytes;
     use harmonia_types::{
@@ -418,33 +414,6 @@ mod tests {
             .filter(|b| matches!(b, PacketBody::Completion(_)))
             .collect();
         assert_eq!(comps.len(), 1);
-    }
-
-    /// The tick re-sends SYNC only to a follower whose ack has not shown it
-    /// executed through the leader's point: one whose SYNC was lost gets
-    /// another, and a caught-up group exchanges nothing.
-    #[test]
-    fn sync_goes_only_to_followers_not_yet_caught_up() {
-        let mut g = group(3, true);
-        multicast(&mut g, sequenced(1, "k", "v"));
-        let mut fx = Effects::new();
-        g[0].on_tick(&mut fx);
-        // Follower 2's SYNC is lost.
-        deliver(&mut g, fx, Some(ReplicaId(2)));
-        assert_eq!(g[2].local_value(b"k"), None);
-        let mut fx = Effects::new();
-        g[0].on_tick(&mut fx);
-        let to: Vec<NodeId> = fx.out.iter().map(|(dst, _)| *dst).collect();
-        assert_eq!(
-            to,
-            vec![NodeId::Replica(ReplicaId(2))],
-            "only the one behind"
-        );
-        pump(&mut g, fx);
-        assert_eq!(g[2].local_value(b"k"), Some(Bytes::from_static(b"v")));
-        let mut fx = Effects::new();
-        g[0].on_tick(&mut fx);
-        assert!(fx.is_empty(), "every follower acknowledged: {:?}", fx.out);
     }
 
     /// SYNC-ACKs carry peer-supplied points. Acks past everything the

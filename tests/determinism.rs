@@ -99,8 +99,9 @@ fn different_seed_diverges() {
     );
 }
 
-/// Open-loop generators are deterministic too: same seed, same client
-/// counters and the same read-latency histogram, bucket for bucket.
+/// Open-loop generators are deterministic too: same seed, the same
+/// snapshot — client counters, the link model's fault counts, latency
+/// summaries — and the same read-latency histogram, bucket for bucket.
 #[test]
 fn open_loop_replay_is_identical() {
     let run = || {
@@ -117,7 +118,7 @@ fn open_loop_replay_is_identical() {
         sim.run_until(Instant::ZERO + Duration::from_millis(20));
 
         let reads = sim.recorded().histogram(Series::ReadLatency);
-        (sim.obs_snapshot().clients, reads)
+        (sim.obs_snapshot(), reads)
     };
 
     let a = run();
