@@ -158,11 +158,6 @@ impl OpenLoopClient {
         self
     }
 
-    /// Redirect traffic (switch replacement, §5.3).
-    pub fn set_switch(&mut self, switch: NodeId) {
-        self.cfg.switch = switch;
-    }
-
     /// Requests currently awaiting replies.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
@@ -348,11 +343,6 @@ impl ClosedLoopClient {
     /// True once the whole plan has run.
     pub fn is_done(&self) -> bool {
         self.lanes.is_done()
-    }
-
-    /// Redirect traffic (switch replacement, §5.3).
-    pub fn set_switch(&mut self, switch: NodeId) {
-        self.lanes.switch = switch;
     }
 
     /// One pass of the lane at the world's `now`: send what it produced,

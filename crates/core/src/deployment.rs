@@ -26,6 +26,8 @@
 //!   Tests can hold any of the three as `Box<dyn Cluster>` and never care
 //!   which.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use harmonia_obs::{
     Counter, FaultObs, GroupObs, ObsSnapshot, Recorder, RecorderSnapshot, Registry, SwitchObs,
@@ -38,7 +40,7 @@ use harmonia_types::{ClientId, Duration, Instant, NodeId, RecordedOp, ReplicaId,
 use harmonia_workload::ShardMap;
 
 use crate::client::{ClosedLoopClient, OpSpec, OpenLoopClient, OpenLoopConfig, SourceFn};
-use crate::failover;
+use crate::failover::{self, Verb};
 use crate::live::{LiveCluster, LiveError};
 use crate::msg::{CostModel, Msg};
 use crate::udp::UdpCluster;
@@ -320,7 +322,7 @@ impl DeploymentSpec {
         // Virtual time only: the registry's clock stays null, every recorder
         // call passes the world's `now` explicitly, so same-seed runs yield
         // bit-identical snapshots.
-        let registry = Registry::new();
+        let registry = Arc::new(Registry::new());
         let switch = self.sim_switch(self.initial_switch(), &registry.handle());
         world.add_node(self.switch_addr(), Box::new(switch));
         for g in 0..self.groups {
@@ -332,8 +334,6 @@ impl DeploymentSpec {
         SimCluster {
             spec: self.clone(),
             world,
-            switch: self.switch_addr(),
-            workload_clients: Vec::new(),
             next_client: 900,
             registry,
         }
@@ -466,22 +466,38 @@ pub trait Cluster {
 /// A deployment assembled in the deterministic simulator: the spec plus the
 /// [`World`] hosting the switch and every group's replicas.
 ///
-/// Beyond the [`Cluster`] surface it exposes the world itself
-/// ([`world`](Self::world) / [`world_mut`](Self::world_mut) /
-/// [`into_world`](Self::into_world)) for network shaping and scheduled
-/// fault scripting, plus open-loop/closed-loop load-generator
-/// attachment ([`add_open_loop_client`](Self::add_open_loop_client)).
+/// Beyond the [`Cluster`] surface it runs the same §5.3 verbs at a future
+/// virtual time ([`at`](Self::at)), attaches open-loop and closed-loop
+/// load generators ([`add_open_loop_client`](Self::add_open_loop_client)),
+/// and exposes the world itself ([`world`](Self::world) /
+/// [`world_mut`](Self::world_mut) / [`into_world`](Self::into_world)) for
+/// network shaping.
+///
+/// The switch lives at the spec's stable client-facing address
+/// ([`DeploymentSpec::switch_addr`]), as on the threaded drivers: a
+/// replacement is a fresh host there that also answers its incarnation's
+/// own id, so clients keep the address they were built with.
 pub struct SimCluster {
     spec: DeploymentSpec,
     world: World<Msg>,
-    /// The address clients currently target (moves on `replace_switch`).
-    switch: NodeId,
-    /// Workload generators attached so far (retargeted on replacement).
-    workload_clients: Vec<NodeId>,
     next_client: u32,
-    /// Observability: every host's recorder shards into this registry.
-    pub(crate) registry: Registry,
+    /// Observability: every host's recorder shards into this registry,
+    /// shared with the verbs [`at`](Self::at) schedules.
+    registry: Arc<Registry>,
 }
+
+/// How long an immediate replica verb lets its control script land before
+/// it returns ([`kill_replica`](Cluster::kill_replica)) or installs the
+/// newcomer ([`restart_replica`](Cluster::restart_replica)): the script
+/// needs one link hop, and the gate must be in place before the newcomer's
+/// transfer can complete. `BENCH_fig_recovery.json` was measured with it.
+const SETTLE: Duration = Duration::from_micros(100);
+
+/// How long after its script a restart scheduled with
+/// [`at`](SimCluster::at) installs the newcomer: the same gate-first rule
+/// as [`SETTLE`], with the margin the committed `recovery` golden run was
+/// captured with.
+const SCHEDULED_INSTALL: Duration = Duration::from_micros(200);
 
 impl SimCluster {
     /// The world hosting this deployment.
@@ -524,18 +540,42 @@ impl SimCluster {
         self.world.now()
     }
 
-    /// The pipelines of the switch clients address, if it is up.
+    /// The pipelines of the switch at the client-facing address, if it is
+    /// up.
     pub fn switch(&self) -> Option<&Switch> {
-        if self.world.is_down(self.switch) {
-            return None;
-        }
-        self.world.actor::<SimWorker>(self.switch)?.switch()
+        failover::live_switch(&self.world, &self.spec)
+    }
+
+    /// Run `verb` at virtual time `at`, in its place in the world's event
+    /// order: the body the [`Cluster`] method of the same name runs now,
+    /// recording into this deployment's registry. A scheduled
+    /// [`RestartReplica`](Verb::RestartReplica) installs the newcomer once
+    /// its script has had time to land, as
+    /// [`restart_replica`](Cluster::restart_replica) does inside the call.
+    pub fn at(&mut self, at: Instant, verb: Verb) {
+        let (spec, registry) = (self.spec.clone(), Arc::clone(&self.registry));
+        self.world.schedule_control(at, move |w| {
+            if let Some((id, host)) = failover::apply(w, &spec, &registry, verb) {
+                let install = w.now() + SCHEDULED_INSTALL;
+                w.schedule_control(install, move |w| w.replace_node(id, Box::new(host)));
+            }
+        });
+    }
+
+    /// Run `verb` now (the [`Cluster`] verbs).
+    fn apply(&mut self, verb: Verb) -> Option<(NodeId, SimWorker)> {
+        failover::apply(&mut self.world, &self.spec, &self.registry, verb)
+    }
+
+    /// Let what a verb sent land: advance [`SETTLE`].
+    fn settle(&mut self) {
+        let settled = self.world.now() + SETTLE;
+        self.world.run_until(settled);
     }
 
     /// Attach an open-loop load generator (the paper's DPDK-generator
     /// substitute). Returns its node id. The generator addresses the
-    /// current switch; [`replace_switch`](Cluster::replace_switch)
-    /// retargets it.
+    /// switch's client-facing address.
     pub fn add_open_loop_client(
         &mut self,
         client: ClientId,
@@ -555,7 +595,6 @@ impl SimCluster {
                 OpenLoopClient::new(client, cfg, source).with_recorder(self.registry.handle()),
             ),
         );
-        self.workload_clients.push(node);
         node
     }
 
@@ -571,7 +610,7 @@ impl SimCluster {
         timeout: Duration,
     ) -> NodeId {
         let node = NodeId::Client(client);
-        let actor = ClosedLoopClient::new(client, self.switch, plan)
+        let actor = ClosedLoopClient::new(client, self.spec.switch_addr(), plan)
             .with_write_replies(self.spec.write_replies())
             .with_timeout(timeout);
         let actor = match self.world.actor::<ClosedLoopClient>(node) {
@@ -579,9 +618,6 @@ impl SimCluster {
             None => actor.with_recorder(self.registry.handle()),
         };
         self.world.add_node(node, Box::new(actor));
-        if !self.workload_clients.contains(&node) {
-            self.workload_clients.push(node);
-        }
         node
     }
 
@@ -645,36 +681,26 @@ impl Cluster for SimCluster {
     }
 
     fn kill_switch(&mut self) {
-        self.world.set_down(self.switch);
+        self.apply(Verb::KillSwitch);
     }
 
+    /// A fresh host at the same client-facing address, answering the new
+    /// incarnation's id too, then the lease move.
     fn replace_switch(&mut self, new_id: SwitchId) {
-        self.world.set_down(self.switch);
-        self.switch = failover::activate_switch(
-            &mut self.world,
-            &self.spec,
-            new_id,
-            &self.registry.handle(),
-            &self.workload_clients,
-        );
+        self.apply(Verb::ReplaceSwitch(new_id));
     }
 
     fn kill_replica(&mut self, r: ReplicaId) {
-        failover::remove_replica(&mut self.world, &self.spec, self.switch, r);
-        // Let the removal land before the caller's next operation.
-        let settle = self.world.now() + Duration::from_micros(100);
-        self.world.run_until(settle);
+        self.apply(Verb::KillReplica(r));
+        self.settle();
     }
 
     fn restart_replica(&mut self, r: ReplicaId) {
-        let recorder = self.registry.handle();
-        let newcomer =
-            failover::readmit_replica(&mut self.world, &self.spec, self.switch, r, recorder);
-        // Let the gate land before the newcomer's transfer can complete.
-        let settle = self.world.now() + Duration::from_micros(100);
-        self.world.run_until(settle);
-        self.world
-            .replace_node(NodeId::Replica(r), Box::new(newcomer));
+        let newcomer = self.apply(Verb::RestartReplica(r));
+        self.settle();
+        if let Some((id, host)) = newcomer {
+            self.world.replace_node(id, Box::new(host));
+        }
     }
 
     fn switch_incarnation(&self) -> Option<SwitchId> {
@@ -935,9 +961,9 @@ mod tests {
         // One world driven through many `run_plans` calls (ROADMAP item 2's
         // search): every call re-adds clients 10 + i. None may add a
         // registry shard — counters, histograms, a 1 024-event trace ring —
-        // or a retarget entry, and none may reuse a request id: the
-        // replicas would drop those writes as stale retries, or ack them
-        // from their reply cache without applying them.
+        // and none may reuse a request id: the replicas would drop those
+        // writes as stale retries, or ack them from their reply cache
+        // without applying them.
         let mut sim = DeploymentSpec::new().build_sim();
         for call in 0..1000 {
             let plans: Vec<Vec<OpSpec>> = (0..4)
@@ -964,7 +990,6 @@ mod tests {
         let shards = 1 + sim.spec.groups * sim.spec.replicas + 4;
         let events = sim.trace_events().len();
         assert!(events <= shards * 1024, "{events} trace events held");
-        assert_eq!(sim.workload_clients.len(), 4);
         let counted = sim.obs_snapshot().clients;
         assert_eq!(counted.reads_done + counted.writes_done, 4 * 5 * 1000);
         // Every key was written by the last call, and those writes applied.

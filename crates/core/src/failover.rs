@@ -1,4 +1,7 @@
-//! Failure orchestration — the §5.3 sequences, scripted onto a simulation.
+//! The §5.3 verbs in the simulator: one body per verb, which the
+//! [`Cluster`] methods of [`SimCluster`] run now and [`SimCluster::at`]
+//! runs at a future virtual time (mid-workload fault injection), recording
+//! into the deployment's registry either way.
 //!
 //! Switch replacement follows the paper exactly:
 //!
@@ -12,146 +15,95 @@
 //!    last-committed point current — then single-replica reads resume.
 //!
 //! Steps 1–2 are world mutations; 3 is control traffic; 4 is the
-//! [`ConflictDetector`]'s gating, no orchestration needed.
+//! [`ConflictDetector`]'s gating, no orchestration needed. The replacement
+//! comes up at the same client-facing address
+//! ([`DeploymentSpec::switch_addr`]) and answers its incarnation's own id
+//! too, which is where the replicas reply once the lease moved — the
+//! threaded drivers' address model — so no client is ever re-pointed.
 //!
-//! These helpers script the sequence at a *future virtual time* on a
-//! running world (mid-workload fault injection). For the immediate form —
-//! and for the live driver, where the same verbs are the only form — use
-//! [`Cluster::kill_switch`](crate::deployment::Cluster::kill_switch) and
-//! [`Cluster::replace_switch`](crate::deployment::Cluster::replace_switch).
-//!
+//! [`Cluster`]: crate::deployment::Cluster
+//! [`SimCluster`]: crate::deployment::SimCluster
+//! [`SimCluster::at`]: crate::deployment::SimCluster::at
 //! [`ConflictDetector`]: harmonia_switch::ConflictDetector
 
-use harmonia_obs::Recorder;
+use harmonia_obs::Registry;
 use harmonia_sim::World;
-use harmonia_types::{Duration, Instant, NodeId, ReplicaId, SwitchId};
+use harmonia_switch::Switch;
+use harmonia_types::{NodeId, ReplicaId, SwitchId};
 
-use crate::client::{ClosedLoopClient, OpenLoopClient};
 use crate::control::{self, Script};
 use crate::deployment::DeploymentSpec;
 use crate::msg::Msg;
 use crate::worker::SimWorker;
 
+/// One of the §5.3 verbs of [`Cluster`](crate::deployment::Cluster), as
+/// data: what [`SimCluster::at`](crate::deployment::SimCluster::at)
+/// schedules.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verb {
+    /// [`Cluster::kill_switch`](crate::deployment::Cluster::kill_switch).
+    KillSwitch,
+    /// [`Cluster::replace_switch`](crate::deployment::Cluster::replace_switch)
+    /// with this incarnation.
+    ReplaceSwitch(SwitchId),
+    /// [`Cluster::kill_replica`](crate::deployment::Cluster::kill_replica).
+    KillReplica(ReplicaId),
+    /// [`Cluster::restart_replica`](crate::deployment::Cluster::restart_replica).
+    RestartReplica(ReplicaId),
+}
+
+/// The pipelines of the switch at `spec`'s client-facing address, if it is
+/// up.
+pub(crate) fn live_switch<'w>(world: &'w World<Msg>, spec: &DeploymentSpec) -> Option<&'w Switch> {
+    let at = spec.switch_addr();
+    if world.is_down(at) {
+        return None;
+    }
+    world.actor::<SimWorker>(at)?.switch()
+}
+
 /// Deliver a configuration-service script at the current instant.
-pub(crate) fn inject(world: &mut World<Msg>, script: Script) {
+fn inject(world: &mut World<Msg>, script: Script) {
     for (dst, msg) in script {
         world.inject(NodeId::Controller, dst, msg);
     }
 }
 
-/// §5.3 steps 2–3, now: bring a fresh switch of incarnation `new_id` up at
-/// its own address, move every replica's lease to it, and re-point
-/// `clients` at it (a harness affordance — in a deployment this is the same
-/// L2 address). Returns the replacement's address.
-pub(crate) fn activate_switch(
+/// Run `verb` on `world` now; a host the world brings up records into
+/// `registry`. A restart returns the recovering newcomer and its address:
+/// the caller installs it once the read gate has had time to land.
+pub(crate) fn apply(
     world: &mut World<Msg>,
     spec: &DeploymentSpec,
-    new_id: SwitchId,
-    recorder: &Recorder,
-    clients: &[NodeId],
-) -> NodeId {
-    let new_addr = NodeId::Switch(new_id);
-    world.add_node(new_addr, Box::new(spec.sim_switch(new_id, recorder)));
-    inject(world, control::lease_move(spec, new_id));
-    for &c in clients {
-        if let Some(cl) = world.actor_mut::<OpenLoopClient>(c) {
-            cl.set_switch(new_addr);
-        } else if let Some(cl) = world.actor_mut::<ClosedLoopClient>(c) {
-            cl.set_switch(new_addr);
+    registry: &Registry,
+    verb: Verb,
+) -> Option<(NodeId, SimWorker)> {
+    let switch = spec.switch_addr();
+    match verb {
+        Verb::KillSwitch => {
+            world.set_down(switch);
+            world.set_aliases(switch, &[]);
+        }
+        Verb::ReplaceSwitch(new_id) => {
+            let host = spec.sim_switch(new_id, &registry.handle());
+            world.add_node(switch, Box::new(host));
+            world.set_aliases(switch, &[NodeId::Switch(new_id)]);
+            inject(world, control::lease_move(spec, new_id));
+        }
+        Verb::KillReplica(r) => {
+            world.set_down(NodeId::Replica(r));
+            inject(world, control::removal(spec, switch, r));
+        }
+        Verb::RestartReplica(r) => {
+            // The newcomer reports its catch-up to the lease holder.
+            let lease = live_switch(world, spec).map_or(spec.initial_switch(), Switch::incarnation);
+            let plan = control::readmission(spec, switch, lease, r);
+            inject(world, plan.script);
+            let newcomer = spec.sim_replica(plan.config, Some(plan.peer), registry.handle());
+            return Some((NodeId::Replica(r), newcomer));
         }
     }
-    new_addr
-}
-
-/// Take `failed` offline and tell the switch and the survivors, now.
-pub(crate) fn remove_replica(
-    world: &mut World<Msg>,
-    spec: &DeploymentSpec,
-    switch: NodeId,
-    failed: ReplicaId,
-) {
-    world.set_down(NodeId::Replica(failed));
-    inject(world, control::removal(spec, switch, failed));
-}
-
-/// Re-admit `replica` read-gated, now, and return the recovering host the
-/// caller must install once the gate has had time to land. The newcomer
-/// reports its catch-up to the incarnation `switch` names.
-pub(crate) fn readmit_replica(
-    world: &mut World<Msg>,
-    spec: &DeploymentSpec,
-    switch: NodeId,
-    replica: ReplicaId,
-    recorder: Recorder,
-) -> SimWorker {
-    let lease = match switch {
-        NodeId::Switch(id) => id,
-        _ => spec.initial_switch(),
-    };
-    let plan = control::readmission(spec, switch, lease, replica);
-    inject(world, plan.script);
-    spec.sim_replica(plan.config, Some(plan.peer), recorder)
-}
-
-/// Stop a switch at `at`: it retains no state and forwards nothing.
-pub fn schedule_switch_failure(world: &mut World<Msg>, at: Instant, switch: NodeId) {
-    world.schedule_control(at, move |w| {
-        w.set_down(switch);
-    });
-}
-
-/// Activate a replacement switch at `at` with incarnation `new_id`,
-/// re-point every replica's lease and every listed client at it. Hosts
-/// every group of the deployment (fresh dirty sets and sequence spaces).
-pub fn schedule_switch_replacement(
-    world: &mut World<Msg>,
-    at: Instant,
-    spec: &DeploymentSpec,
-    new_id: SwitchId,
-    clients: Vec<NodeId>,
-) {
-    let spec = spec.clone();
-    world.schedule_control(at, move |w| {
-        activate_switch(w, &spec, new_id, &Recorder::detached(), &clients);
-    });
-}
-
-/// Remove a failed replica at `at`: take it offline, drop it from the
-/// switch's forwarding table, and shrink its group's membership (§5.3,
-/// "handling server failures"). Only the failed replica's group is touched.
-pub fn schedule_replica_removal(
-    world: &mut World<Msg>,
-    at: Instant,
-    spec: &DeploymentSpec,
-    switch: NodeId,
-    failed: ReplicaId,
-) {
-    let spec = spec.clone();
-    world.schedule_control(at, move |w| remove_replica(w, &spec, switch, failed));
-}
-
-/// Restart a previously removed replica at `at` as a fresh, empty node:
-/// the switch re-admits it **read-gated** and its group's canonical
-/// membership is restored; shortly after (one settle interval, so the gate
-/// is in place first) the newcomer is spawned in recovering mode and
-/// catches up via snapshot + log state transfer from a live peer. The gate
-/// lifts when the transfer's completion report proves the newcomer's
-/// applied point has passed the gate-time floor.
-pub fn schedule_replica_recovery(
-    world: &mut World<Msg>,
-    at: Instant,
-    spec: &DeploymentSpec,
-    switch: NodeId,
-    replica: ReplicaId,
-) {
-    let spec = spec.clone();
-    world.schedule_control(at, move |w| {
-        let newcomer = readmit_replica(w, &spec, switch, replica, Recorder::detached());
-        let settle = w.now() + Duration::from_micros(200);
-        w.schedule_control(settle, move |w| {
-            w.replace_node(NodeId::Replica(replica), Box::new(newcomer));
-        });
-    });
+    None
 }
 
 #[cfg(test)]
@@ -161,7 +113,7 @@ mod tests {
     use crate::deployment::Cluster;
     use bytes::Bytes;
     use harmonia_switch::SwitchTotals;
-    use harmonia_types::{ClientId, Duration};
+    use harmonia_types::{ClientId, Duration, Instant};
     use rand::Rng;
 
     fn mixed_source() -> SourceFn {
@@ -177,17 +129,16 @@ mod tests {
 
     #[test]
     fn switch_failover_restores_fast_path_after_first_completion() {
-        let spec = DeploymentSpec::new();
-        let mut sim = spec.build_sim();
-        let client = sim.add_open_loop_client(
+        let mut sim = DeploymentSpec::new().build_sim();
+        sim.add_open_loop_client(
             ClientId(1),
             100_000.0,
             Duration::from_millis(5),
             mixed_source(),
         );
         let t = |ms| Instant::ZERO + Duration::from_millis(ms);
-        schedule_switch_failure(sim.world_mut(), t(10), spec.switch_addr());
-        schedule_switch_replacement(sim.world_mut(), t(15), &spec, SwitchId(2), vec![client]);
+        sim.at(t(10), Verb::KillSwitch);
+        sim.at(t(15), Verb::ReplaceSwitch(SwitchId(2)));
 
         // Phase 1: normal operation.
         sim.run_until(t(10));
@@ -207,8 +158,7 @@ mod tests {
         sim.run_until(t(40));
         let after = sim.obs_snapshot().clients.reads_done;
         assert!(after > 1000, "after={after}");
-        let host: &SimWorker = sim.world().actor(NodeId::Switch(SwitchId(2))).unwrap();
-        let sw = host.switch().unwrap();
+        let sw = sim.switch().unwrap();
         assert!(sw.observe()[0].fast_path_enabled);
         assert!(SwitchTotals::of(&sw.observe()).stats.reads_fast_path > 0);
         assert_eq!(sw.incarnation(), SwitchId(2));
@@ -216,8 +166,7 @@ mod tests {
 
     #[test]
     fn replica_removal_keeps_chain_serving() {
-        let spec = DeploymentSpec::new();
-        let mut sim = spec.build_sim();
+        let mut sim = DeploymentSpec::new().build_sim();
         sim.add_open_loop_client(
             ClientId(1),
             50_000.0,
@@ -226,13 +175,7 @@ mod tests {
         );
         let t = |ms| Instant::ZERO + Duration::from_millis(ms);
         // Kill the tail (replica 2) at 10 ms.
-        schedule_replica_removal(
-            sim.world_mut(),
-            t(10),
-            &spec,
-            spec.switch_addr(),
-            ReplicaId(2),
-        );
+        sim.at(t(10), Verb::KillReplica(ReplicaId(2)));
         sim.run_until(t(12));
         sim.reset_telemetry();
         sim.run_until(t(30));
@@ -244,8 +187,7 @@ mod tests {
 
     #[test]
     fn replica_recovery_transfers_state_and_lifts_the_read_gate() {
-        let spec = DeploymentSpec::new();
-        let mut sim = spec.build_sim();
+        let mut sim = DeploymentSpec::new().build_sim();
         sim.add_open_loop_client(
             ClientId(1),
             50_000.0,
@@ -254,20 +196,8 @@ mod tests {
         );
         let t = |ms| Instant::ZERO + Duration::from_millis(ms);
         // Kill the tail at 5 ms, bring it back at 12 ms.
-        schedule_replica_removal(
-            sim.world_mut(),
-            t(5),
-            &spec,
-            spec.switch_addr(),
-            ReplicaId(2),
-        );
-        schedule_replica_recovery(
-            sim.world_mut(),
-            t(12),
-            &spec,
-            spec.switch_addr(),
-            ReplicaId(2),
-        );
+        sim.at(t(5), Verb::KillReplica(ReplicaId(2)));
+        sim.at(t(12), Verb::RestartReplica(ReplicaId(2)));
         sim.run_until(t(30));
 
         // The transfer finished, the newcomer holds real state, and the

@@ -33,9 +33,10 @@
 //!   substitute) and the simulator's closed-loop client, which records
 //!   histories for linearizability checking; the sim's synchronous
 //!   [`KvClient`] attaches one per operation.
-//! * [`failover`] scripts the §5.3 switch failure/replacement sequence and
-//!   server removal at future virtual times; the immediate forms are the
-//!   [`Cluster`] verbs.
+//! * [`failover`] is the simulator's one body per §5.3 verb — switch
+//!   failure and replacement at the stable client-facing address, replica
+//!   removal and recovery — which the [`Cluster`] methods of [`SimCluster`]
+//!   run now and [`SimCluster::at`] at a future virtual time.
 //! * [`live`] runs the very same state machines on OS threads — the "it's
 //!   a real system, not only a simulator" rig, [`live::ThreadedCluster`],
 //!   generic over a [`live::Substrate`] that says how bytes move and what

@@ -1660,7 +1660,7 @@ mod tests {
         every_layout(&spec, threaded::<Channels>, threaded::<Sockets>);
         let mut sim = spec.build_sim();
         reads_and_writes(&mut sim, READS, WRITES);
-        let handled = sim.registry.snapshot().counter(Counter::SwitchPackets);
+        let handled = sim.recorded().counter(Counter::SwitchPackets);
         assert_counts(&sim, handled, "sim");
     }
 

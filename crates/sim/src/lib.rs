@@ -11,7 +11,9 @@
 //!   calibrated service times (saturation and latency curves emerge from
 //!   queueing, exactly like the paper's testbed saturates its tail node),
 //!   while the switch is a pure-delay element (line rate, §6);
-//! * node failure switches (used by the switch-failover experiment, Fig. 10);
+//! * node failure switches (used by the switch-failover experiment, Fig. 10),
+//!   and node aliases ([`World::set_aliases`]): one host under several
+//!   addresses, as a replacement switch keeps the client-facing one;
 //! * a count of what the link model did to packets
 //!   ([`World::faults`], a `harmonia_obs::FaultObs`).
 //!

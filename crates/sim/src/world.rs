@@ -78,8 +78,9 @@ pub struct World<M> {
     controls: Slab<ControlFn<M>>,
     /// Nodes in registration order; events refer to them by index.
     nodes: Vec<NodeSlot<M>>,
-    /// Where each id sits in `nodes`. Ordered, not hashed: finding one of a
-    /// rack's few dozen ids is a handful of comparisons, where SipHash was
+    /// Where each id sits in `nodes` — a node's own id, and any
+    /// [alias](Self::set_aliases) of it. Ordered, not hashed: finding one of
+    /// a rack's few dozen ids is a handful of comparisons, where SipHash was
     /// 7 % of a run.
     index: BTreeMap<NodeId, u32>,
     network: NetworkModel,
@@ -180,6 +181,26 @@ impl<M: Clone + 'static> World<M> {
             "replace_node: unknown node {id:?}"
         );
         self.add_node(id, actor);
+    }
+
+    /// Make `aliases` the names, besides its own, that reach the node
+    /// registered as `id`, in place of whatever aliases it had: packets to
+    /// an alias are delivered to it, and [`actor`](Self::actor) and
+    /// [`is_down`](Self::is_down) answer for it, as do the node verbs
+    /// ([`add_node`](Self::add_node) under an alias replaces the node it
+    /// names). A name it no longer has resolves to nothing. This is how one
+    /// switch host answers both the stable client-facing address and its
+    /// incarnation's own id (§5.3).
+    pub fn set_aliases(&mut self, id: NodeId, aliases: &[NodeId]) {
+        let node = *self.index.get(&id).expect("set_aliases: unknown node");
+        let own = self.nodes[node as usize].id;
+        self.index
+            .retain(|&name, &mut at| at != node || name == own);
+        for &alias in aliases.iter().filter(|&&alias| alias != own) {
+            let taken = self.slot(alias).is_some_and(|s| s.id == alias);
+            assert!(!taken, "set_aliases: {alias:?} is a node of its own");
+            self.index.insert(alias, node);
+        }
     }
 
     /// Take a node offline: queued and in-flight-to-it messages are lost,
@@ -571,6 +592,31 @@ mod tests {
         assert!(!w.is_down(replica(0)));
         w.run_until(Instant::ZERO + Duration::from_millis(4));
         assert!(w.is_down(replica(0)));
+    }
+
+    #[test]
+    fn an_alias_reaches_its_node_until_it_is_dropped() {
+        let echo = || Echo {
+            service: Service::Immediate,
+            seen: 0,
+        };
+        let mut w = ideal_world(1);
+        w.add_node(replica(0), Box::new(echo()));
+        w.set_aliases(replica(0), &[replica(7)]);
+        w.inject(client(0), replica(7), 1);
+        w.run_until_idle(100);
+        assert_eq!(w.actor::<Echo>(replica(7)).unwrap().seen, 1);
+        // A fresh actor under the node's own id keeps no alias it is not
+        // given again: what the dropped one is sent reaches nobody.
+        w.add_node(replica(0), Box::new(echo()));
+        w.set_aliases(replica(0), &[replica(8)]);
+        w.inject(client(0), replica(7), 2);
+        w.inject(client(0), replica(8), 3);
+        w.run_until_idle(100);
+        assert!(w.actor::<Echo>(replica(7)).is_none() && w.is_down(replica(7)));
+        assert_eq!(w.actor::<Echo>(replica(0)).unwrap().seen, 1);
+        w.set_aliases(replica(0), &[]);
+        assert!(w.is_down(replica(8)) && !w.is_down(replica(0)));
     }
 
     #[test]

@@ -2,10 +2,12 @@
 //!
 //! A steady mixed workload runs against a Harmonia chain cluster; at t=20 ms
 //! the switch is stopped (throughput collapses), at t=30 ms a replacement
-//! with a fresh incarnation id takes over. The replacement must route
-//! through the normal protocol until the first WRITE-COMPLETION bearing its
-//! own id, then fast-path reads resume and throughput fully recovers
-//! (§5.3).
+//! with a fresh incarnation id takes over at the same client-facing
+//! address. Both are the `Cluster` verbs, scheduled in virtual time with
+//! `SimCluster::at`. The replacement must route through the normal protocol
+//! until the first WRITE-COMPLETION bearing its own id, then fast-path reads
+//! resume and throughput fully recovers (§5.3) — read, like everything
+//! else here, from the deployment's `obs_snapshot()`.
 //!
 //! Run with: `cargo run --release --example failover_drill`
 
@@ -33,11 +35,11 @@ fn main() {
             OpSpec::read(key)
         }
     });
-    let client = sim.add_open_loop_client(ClientId(1), RATE, Duration::from_millis(5), source);
+    sim.add_open_loop_client(ClientId(1), RATE, Duration::from_millis(5), source);
 
     let t = |ms: u64| Instant::ZERO + Duration::from_millis(ms);
-    schedule_switch_failure(sim.world_mut(), t(20), config.switch_addr());
-    schedule_switch_replacement(sim.world_mut(), t(30), &config, SwitchId(2), vec![client]);
+    sim.at(t(20), Verb::KillSwitch);
+    sim.at(t(30), Verb::ReplaceSwitch(SwitchId(2)));
 
     println!("time_ms\tthroughput_mrps\tphase");
     let mut recovered_at = None;
@@ -70,4 +72,6 @@ fn main() {
         None => println!("\nWARNING: throughput did not recover — investigate!"),
     }
     assert!(recovered_at.is_some(), "failover must recover");
+    assert_eq!(sim.switch_incarnation(), Some(SwitchId(2)));
+    assert!(sim.obs_snapshot().switch.reads_fast_path > 0);
 }

@@ -149,14 +149,14 @@ pub use harmonia_types as types;
 pub use harmonia_verify as verify;
 pub use harmonia_workload as workload;
 
-/// Everything a typical user needs.
+/// Everything a typical user needs. The §5.3 verbs are the
+/// [`Cluster`](prelude::Cluster) methods on every driver; in the simulator
+/// [`SimCluster::at`](prelude::SimCluster::at) runs the same ones, as a
+/// [`Verb`](prelude::Verb), at a virtual time of its own.
 pub mod prelude {
     pub use harmonia_core::client::{OpSpec, SourceFn};
     pub use harmonia_core::deployment::{Cluster, DeploymentSpec, KvClient, SimCluster};
-    pub use harmonia_core::failover::{
-        schedule_replica_recovery, schedule_replica_removal, schedule_switch_failure,
-        schedule_switch_replacement,
-    };
+    pub use harmonia_core::failover::Verb;
     pub use harmonia_core::live::{LiveClient, LiveCluster, LiveError};
     pub use harmonia_core::msg::{CostModel, Msg};
     pub use harmonia_core::udp::UdpCluster;

@@ -79,19 +79,20 @@ impl Scenario {
         self.run_with(|_| {})
     }
 
-    /// Run with a hook that can adjust the world (network faults, scheduled
-    /// failures) before time advances. The switch and replicas exist when
-    /// the hook runs; the closed-loop clients do NOT yet (they are added by
-    /// `run_plans_with` afterwards) — shape their links by `NodeId`, which
-    /// needs no node, rather than mutating client actors.
-    pub fn run_with(&self, prepare: impl FnOnce(&mut World<Msg>)) -> Outcome {
+    /// Run with a hook that can adjust the deployment before time advances:
+    /// shape the network through `world_mut()`, schedule §5.3 verbs with
+    /// `at`. The switch and replicas exist when the hook runs; the
+    /// closed-loop clients do NOT yet (they are added by `run_plans_with`
+    /// afterwards) — shape their links by `NodeId`, which needs no node,
+    /// rather than mutating client actors.
+    pub fn run_with(&self, prepare: impl FnOnce(&mut SimCluster)) -> Outcome {
         self.run_observed(prepare).0
     }
 
     /// [`run_with`](Self::run_with), and the run's obs snapshot.
-    pub fn run_observed(&self, prepare: impl FnOnce(&mut World<Msg>)) -> (Outcome, ObsSnapshot) {
+    pub fn run_observed(&self, prepare: impl FnOnce(&mut SimCluster)) -> (Outcome, ObsSnapshot) {
         let mut sim = self.deployment.build_sim();
-        prepare(sim.world_mut());
+        prepare(&mut sim);
         let plans = make_plans(
             self.clients,
             self.ops_per_client,

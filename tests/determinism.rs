@@ -224,23 +224,10 @@ fn adversarial_text(protocol: ProtocolKind, harmonia: bool) -> String {
 
 /// Seed 42 with replica 2 removed at 300 µs and recovered at 900 µs.
 fn recovery_text() -> String {
-    let spec = DeploymentSpec::new().seed(42);
-    let mut sim = spec.build_sim();
+    let mut sim = DeploymentSpec::new().seed(42).build_sim();
     let t = |us| Instant::ZERO + Duration::from_micros(us);
-    schedule_replica_removal(
-        sim.world_mut(),
-        t(300),
-        &spec,
-        spec.switch_addr(),
-        ReplicaId(2),
-    );
-    schedule_replica_recovery(
-        sim.world_mut(),
-        t(900),
-        &spec,
-        spec.switch_addr(),
-        ReplicaId(2),
-    );
+    sim.at(t(300), Verb::KillReplica(ReplicaId(2)));
+    sim.at(t(900), Verb::RestartReplica(ReplicaId(2)));
     let text = run_text(&mut sim, common::make_plans(4, 100, 6, 0.3, 42));
     let recovered: &SimWorker = sim
         .world()

@@ -239,7 +239,8 @@ fn check_fault(protocol: ProtocolKind, harmonia: bool, fault: Fault, seed: u64) 
         write_ratio: 0.35,
         seed,
     };
-    let outcome = scenario.run_with(|w| {
+    let outcome = scenario.run_with(|sim| {
+        let w = sim.world_mut();
         if nopaxos {
             // Respect the OUM envelope: losses hit the switch→follower
             // multicast legs; reordering hits the client↔switch path.
@@ -355,15 +356,15 @@ fn check_churn(protocol: ProtocolKind, harmonia: bool, loss: Option<Fault>, seed
         write_ratio: 0.35,
         seed,
     };
-    let spec_for_world = spec.clone();
-    let outcome = scenario.run_with(|w| {
+    let outcome = scenario.run_with(|sim| {
+        let w = sim.world_mut();
         reliable_intra_replica_links(w, replicas);
         if nopaxos && loss.is_some() {
             // Respect the OUM envelope: losses only on the
             // switch→follower multicast legs.
             for follower in [1u32, 2] {
                 w.network_mut().set_link(
-                    spec_for_world.switch_addr(),
+                    spec.switch_addr(),
                     NodeId::Replica(ReplicaId(follower)),
                     LinkConfig {
                         drop_prob: 0.05,
@@ -373,20 +374,8 @@ fn check_churn(protocol: ProtocolKind, harmonia: bool, loss: Option<Fault>, seed
             }
         }
         let t = |ms| Instant::ZERO + Duration::from_millis(ms);
-        schedule_replica_removal(
-            w,
-            t(3),
-            &spec_for_world,
-            spec_for_world.switch_addr(),
-            ReplicaId(2),
-        );
-        schedule_replica_recovery(
-            w,
-            t(8),
-            &spec_for_world,
-            spec_for_world.switch_addr(),
-            ReplicaId(2),
-        );
+        sim.at(t(3), Verb::KillReplica(ReplicaId(2)));
+        sim.at(t(8), Verb::RestartReplica(ReplicaId(2)));
     });
     assert_linearizable(&outcome.histories, &context);
     // The newcomer really recovered: its transfer finished and it holds
@@ -475,7 +464,8 @@ fn sweep_eviction_races_slow_write_completion() {
         write_ratio: 0.4,
         seed: 401,
     };
-    let (outcome, snapshot) = scenario.run_observed(|w| {
+    let (outcome, snapshot) = scenario.run_observed(|sim| {
+        let w = sim.world_mut();
         // Slow, reliable FIFO chain: writes stay in flight ~0.6 ms.
         let slow = LinkConfig::ideal(Duration::from_micros(300));
         for a in 0..3u32 {

@@ -4,8 +4,10 @@
 
 mod common;
 
+use bytes::Bytes;
 use common::{assert_linearizable, Scenario};
 use harmonia::prelude::*;
+use rand::Rng;
 
 #[test]
 fn history_through_switch_replacement_is_linearizable() {
@@ -18,23 +20,24 @@ fn history_through_switch_replacement_is_linearizable() {
         write_ratio: 0.3,
         seed: 101,
     };
-    let outcome = scenario.run_with(|w| {
+    let outcome = scenario.run_with(|sim| {
         // Kill the switch mid-workload and replace it with incarnation 2.
         let t = |ms| Instant::ZERO + Duration::from_millis(ms);
-        schedule_switch_failure(w, t(1), spec.switch_addr());
-        let clients: Vec<NodeId> = (0..4).map(|c| NodeId::Client(ClientId(10 + c))).collect();
-        schedule_switch_replacement(w, t(4), &spec, SwitchId(2), clients);
+        sim.at(t(1), Verb::KillSwitch);
+        sim.at(t(4), Verb::ReplaceSwitch(SwitchId(2)));
     });
     // Clients that lost requests during the outage retried through the
-    // replacement; whatever completed must be linearizable.
+    // replacement, at the address they always had; whatever completed must
+    // be linearizable.
     assert_linearizable(&outcome.histories, "switch replacement");
     // The replacement must actually have taken over fast-path duty.
     let sw = outcome
         .world
-        .actor::<SimWorker>(NodeId::Switch(SwitchId(2)))
+        .actor::<SimWorker>(spec.switch_addr())
         .expect("replacement switch")
         .switch()
         .expect("its pipelines");
+    assert_eq!(sw.incarnation(), SwitchId(2));
     assert!(sw.observe()[0].fast_path_enabled);
 }
 
@@ -73,46 +76,34 @@ fn stale_switch_fast_path_reads_are_refused_after_lease_moves() {
 
 #[test]
 fn history_through_tail_removal_is_linearizable() {
-    let spec = DeploymentSpec::new();
     let scenario = Scenario {
-        deployment: spec.clone(),
+        deployment: DeploymentSpec::new(),
         clients: 3,
         ops_per_client: 60,
         keys: 6,
         write_ratio: 0.3,
         seed: 103,
     };
-    let outcome = scenario.run_with(|w| {
-        schedule_replica_removal(
-            w,
-            Instant::ZERO + Duration::from_millis(1),
-            &spec,
-            spec.switch_addr(),
-            ReplicaId(2),
-        );
+    let outcome = scenario.run_with(|sim| {
+        let at = Instant::ZERO + Duration::from_millis(1);
+        sim.at(at, Verb::KillReplica(ReplicaId(2)));
     });
     assert_linearizable(&outcome.histories, "tail removal");
 }
 
 #[test]
 fn history_through_head_removal_is_linearizable() {
-    let spec = DeploymentSpec::new();
     let scenario = Scenario {
-        deployment: spec.clone(),
+        deployment: DeploymentSpec::new(),
         clients: 3,
         ops_per_client: 60,
         keys: 6,
         write_ratio: 0.3,
         seed: 104,
     };
-    let outcome = scenario.run_with(|w| {
-        schedule_replica_removal(
-            w,
-            Instant::ZERO + Duration::from_millis(1),
-            &spec,
-            spec.switch_addr(),
-            ReplicaId(0),
-        );
+    let outcome = scenario.run_with(|sim| {
+        let at = Instant::ZERO + Duration::from_millis(1);
+        sim.at(at, Verb::KillReplica(ReplicaId(0)));
     });
     assert_linearizable(&outcome.histories, "head removal");
 }
@@ -130,21 +121,93 @@ fn double_failover_keeps_lease_monotone() {
         write_ratio: 0.25,
         seed: 105,
     };
-    let outcome = scenario.run_with(|w| {
+    let outcome = scenario.run_with(|sim| {
         let t = |ms| Instant::ZERO + Duration::from_millis(ms);
-        let clients: Vec<NodeId> = (0..3).map(|c| NodeId::Client(ClientId(10 + c))).collect();
-        schedule_switch_failure(w, t(1), spec.switch_addr());
-        schedule_switch_replacement(w, t(3), &spec, SwitchId(2), clients.clone());
-        schedule_switch_failure(w, t(6), NodeId::Switch(SwitchId(2)));
-        schedule_switch_replacement(w, t(9), &spec, SwitchId(3), clients);
+        sim.at(t(1), Verb::KillSwitch);
+        sim.at(t(3), Verb::ReplaceSwitch(SwitchId(2)));
+        sim.at(t(6), Verb::KillSwitch);
+        sim.at(t(9), Verb::ReplaceSwitch(SwitchId(3)));
     });
     assert_linearizable(&outcome.histories, "double failover");
-    let sw = outcome
-        .world
-        .actor::<SimWorker>(NodeId::Switch(SwitchId(3)))
-        .expect("third switch")
-        .switch()
-        .expect("its pipelines");
+    // The third switch answers the stable address and its own id; the
+    // second's id reaches nobody.
+    let world = &outcome.world;
+    let host = world.actor::<SimWorker>(spec.switch_addr());
+    let sw = host.and_then(SimWorker::switch).expect("third switch");
     assert_eq!(sw.incarnation(), SwitchId(3));
     assert!(sw.observe()[0].fast_path_enabled);
+    let own = world.actor::<SimWorker>(NodeId::Switch(SwitchId(3)));
+    assert!(own.is_some_and(|h| std::ptr::eq(h, host.unwrap())));
+    assert!(world
+        .actor::<SimWorker>(NodeId::Switch(SwitchId(2)))
+        .is_none());
+}
+
+/// Scheduled verbs act on the deployment the snapshot reads: a switch
+/// failure and replacement, then a replica removal and recovery, each run
+/// through `SimCluster::at` under open-loop load. After each step the live
+/// switch is incarnation 2, the snapshot's switch section counts its
+/// verdicts with its fast path armed, and the trace holds its verdicts
+/// since the step; once the recovered replica is installed, the trace holds
+/// it executing requests.
+#[test]
+fn scheduled_verbs_show_in_the_snapshot_and_the_trace() {
+    let mut sim = DeploymentSpec::new().build_sim();
+    let source: SourceFn = Box::new(|rng| {
+        let key = Bytes::from(format!("key-{}", rng.gen_range(0..500u32)));
+        if rng.gen_bool(0.05) {
+            OpSpec::write(key, Bytes::from_static(b"v"))
+        } else {
+            OpSpec::read(key)
+        }
+    });
+    sim.add_open_loop_client(ClientId(1), 100_000.0, Duration::from_millis(5), source);
+    let t = |us| Instant::ZERO + Duration::from_micros(us);
+    let (replaced, removed, restarted) = (t(4_000), t(8_000), t(12_000));
+    sim.at(t(1_000), Verb::KillSwitch);
+    sim.at(replaced, Verb::ReplaceSwitch(SwitchId(2)));
+    sim.at(removed, Verb::KillReplica(ReplicaId(2)));
+    sim.at(restarted, Verb::RestartReplica(ReplicaId(2)));
+
+    let is_verdict = |stage| {
+        matches!(
+            stage,
+            TraceStage::SwitchFastPathRead
+                | TraceStage::SwitchNormalRead
+                | TraceStage::SwitchWriteForward
+                | TraceStage::SwitchWriteDrop
+        )
+    };
+    let mut carried = 0;
+    for (step, until) in [
+        (replaced, t(7_000)),
+        (removed, t(11_000)),
+        (restarted, t(16_000)),
+    ] {
+        sim.run_until(until);
+        let at = until.nanos() / 1_000;
+        assert_eq!(sim.switch_incarnation(), Some(SwitchId(2)), "{at} µs");
+        let switch = sim.obs_snapshot().switch;
+        assert_eq!(switch.fast_path_groups, 1, "{at} µs: {switch:?}");
+        assert!(switch.reads_fast_path > 0, "{at} µs: {switch:?}");
+        let now = switch.reads_fast_path + switch.reads_normal + switch.writes_forwarded;
+        assert!(
+            now > carried,
+            "{at} µs: the replacement carried nothing new"
+        );
+        carried = now;
+        let events = sim.trace_events();
+        let verdicts = events.iter().filter(|e| e.at > step && is_verdict(e.stage));
+        assert!(verdicts.count() > 0, "{at} µs: no switch verdict traced");
+    }
+    let installed = restarted + Duration::from_micros(200);
+    let executed = sim.trace_events().into_iter().filter(|e| {
+        e.node == NodeId::Replica(ReplicaId(2))
+            && e.stage == TraceStage::ReplicaExecute
+            && e.at > installed
+    });
+    assert!(
+        executed.count() > 0,
+        "the recovered replica executed nothing"
+    );
 }

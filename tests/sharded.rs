@@ -101,10 +101,10 @@ fn a_replica_of_the_second_group_recovers_under_load() {
         seed: 221,
     };
     let victim = spec.replica_id(1, 2);
-    let outcome = scenario.run_with(|w| {
+    let outcome = scenario.run_with(|sim| {
         let t = |us| Instant::ZERO + Duration::from_micros(us);
-        schedule_replica_removal(w, t(300), &spec, spec.switch_addr(), victim);
-        schedule_replica_recovery(w, t(900), &spec, spec.switch_addr(), victim);
+        sim.at(t(300), Verb::KillReplica(victim));
+        sim.at(t(900), Verb::RestartReplica(victim));
     });
     assert_linearizable(&outcome.histories, "group 1 churn");
     assert_converged(&outcome.world, &spec, scenario.keys);
